@@ -1,7 +1,6 @@
 //! Micro-benchmark of the probe kernels over a four-query suite (Q1.1,
-//! Q2.1, Q3.2, Q4.1): rows/sec, scalar vs vectorized, plus a
-//! per-optimization ablation table — all over in-memory column blocks (no
-//! DFS, no MapReduce — just the inner loop the map task runs).
+//! Q2.1, Q3.2, Q4.1): rows/sec, scalar vs vectorized, over in-memory column
+//! blocks (no DFS, no MapReduce — just the inner loop the map task runs).
 //!
 //! Usage: `bench_probe [SF] [--json PATH] [--gate PATH]`.
 //!
@@ -12,8 +11,8 @@
 //!   the CI regression gate.
 //!
 //! Timing: each measurement first calibrates a repetition count so one
-//! timed iteration runs at least [`MIN_ITER_SECS`], then times every
-//! variant once per round for [`TIMED_ITERS`] rounds. Raw rows/sec are
+//! timed iteration runs at least [`MIN_ITER_SECS`], then times both
+//! kernels once per round for [`TIMED_ITERS`] rounds. Raw rows/sec are
 //! best-of-rounds; the recorded `speedup` is the **median of same-round
 //! scalar/vectorized ratios**, which cancels machine-wide frequency drift
 //! out of the number the gate checks.
@@ -25,8 +24,9 @@ use clyde_ssb::{query_by_id, schema};
 use clydesdale::hashtable::DimTables;
 use clydesdale::planner::ROWS_PER_BLOCK;
 use clydesdale::probe::{
-    probe_block, probe_block_vec, GroupAcc, GroupLayout, KernelOpts, ProbePlan, ProbeStats, SelBuf,
+    probe_block, probe_block_vec, GroupAcc, GroupLayout, ProbePlan, ProbeStats, SelBuf,
 };
+use clydesdale::KernelOpts;
 
 /// The benchmarked queries: one per SSB flight, covering the kernel's
 /// shapes — fact predicates + dense single group (Q1.1), no fact
@@ -34,46 +34,15 @@ use clydesdale::probe::{
 /// (Q3.2), and a four-join probe (Q4.1).
 const SUITE: [&str; 4] = ["Q1.1", "Q2.1", "Q3.2", "Q4.1"];
 
-/// A named benchmark variant: label plus a closure running one full pass
-/// over the data and returning the pass's [`ProbeStats`].
-type Pass<'a> = (&'static str, Box<dyn FnMut() -> ProbeStats + 'a>);
+/// One kernel under test: a closure running one full pass over the data and
+/// returning the pass's [`ProbeStats`].
+type Pass<'a> = Box<dyn FnMut() -> ProbeStats + 'a>;
 
 /// Minimum wall time of one timed iteration; repetitions are scaled up
 /// until a single iteration takes at least this long.
 const MIN_ITER_SECS: f64 = 0.03;
 const TIMED_ITERS: usize = 9;
 const WARMUP_ITERS: usize = 2;
-
-/// The per-optimization ablation points reported per query: all layers on,
-/// each layer individually off, and every layer off.
-fn ablation_points() -> Vec<(&'static str, KernelOpts)> {
-    let on = KernelOpts::all_on();
-    vec![
-        ("all-on", on),
-        (
-            "no-simd-compaction",
-            KernelOpts {
-                simd_compaction: false,
-                ..on
-            },
-        ),
-        (
-            "no-prefetch",
-            KernelOpts {
-                prefetch: false,
-                ..on
-            },
-        ),
-        (
-            "no-zone-fullcover",
-            KernelOpts {
-                zone_fullcover: false,
-                ..on
-            },
-        ),
-        ("none", KernelOpts::none()),
-    ]
-}
 
 struct QueryFixture {
     qid: &'static str,
@@ -89,7 +58,6 @@ struct QueryResult {
     scalar_rps: f64,
     vec_rps: f64,
     speedup: f64,
-    ablations: Vec<(&'static str, f64)>,
     stats: ProbeStats,
 }
 
@@ -126,7 +94,7 @@ fn build_fixture(data: &clyde_ssb::SsbData, qid: &'static str) -> QueryFixture {
     }
 }
 
-/// One variant's timing: per-round seconds for a single pass over the
+/// One kernel's timing: per-round seconds for a single pass over the
 /// data (round times divided by the calibrated repetition count), plus the
 /// [`ProbeStats`] one pass produced.
 struct Timed {
@@ -140,17 +108,17 @@ impl Timed {
     }
 }
 
-/// Interleaved rounds: every variant is timed once per round, so CPU
-/// frequency drift and noisy neighbors hit all variants of a round alike
+/// Interleaved rounds: every kernel is timed once per round, so CPU
+/// frequency drift and noisy neighbors hit both kernels of a round alike
 /// instead of skewing whichever happened to run during a slow stretch.
-/// Repetition counts are calibrated per variant so one timed sample runs
+/// Repetition counts are calibrated per kernel so one timed sample runs
 /// at least [`MIN_ITER_SECS`]. Returns per-round single-pass times per
-/// variant, in input order — ratios between variants should be computed
+/// kernel, in input order — ratios between kernels should be computed
 /// round-by-round (see [`median_ratio`]), where drift mostly cancels.
 fn time_interleaved(passes: &mut [Pass<'_>]) -> Vec<Timed> {
     let mut reps = Vec::with_capacity(passes.len());
     let mut stats = Vec::with_capacity(passes.len());
-    for (_, pass) in passes.iter_mut() {
+    for pass in passes.iter_mut() {
         for _ in 0..WARMUP_ITERS {
             std::hint::black_box(pass());
         }
@@ -162,7 +130,7 @@ fn time_interleaved(passes: &mut [Pass<'_>]) -> Vec<Timed> {
     }
     let mut rounds = vec![Vec::with_capacity(TIMED_ITERS); passes.len()];
     for _ in 0..TIMED_ITERS {
-        for (v, (_, pass)) in passes.iter_mut().enumerate() {
+        for (v, pass) in passes.iter_mut().enumerate() {
             let t = WallTimer::start();
             for _ in 0..reps[v] {
                 stats[v] = std::hint::black_box(pass());
@@ -200,62 +168,39 @@ fn bench_query(fx: &QueryFixture) -> QueryResult {
         rows,
     } = fx;
     let layout = GroupLayout::new(plan, tables).expect("packed key fits");
-    let mut passes: Vec<Pass<'_>> = Vec::new();
-    passes.push((
-        "scalar",
-        Box::new(|| {
-            let mut acc = FxHashMap::default();
-            let mut stats = ProbeStats::default();
-            for b in blocks {
-                probe_block(b, plan, tables, &mut acc, &mut stats).unwrap();
-            }
-            stats
-        }),
-    ));
-    for (label, opts) in ablation_points() {
-        let layout = &layout;
-        passes.push((
-            label,
-            Box::new(move || {
-                let mut acc = GroupAcc::new(layout, &plan.aggregate);
-                let mut buf = SelBuf::default();
-                let mut stats = ProbeStats::default();
-                for b in blocks {
-                    probe_block_vec(
-                        b, plan, tables, layout, &mut acc, &mut buf, &mut stats, opts,
-                    )
-                    .unwrap();
-                }
-                stats
-            }),
-        ));
-    }
-    let timed = time_interleaved(&mut passes);
-    let scalar = &timed[0];
-    let mut vec_rps = 0.0;
-    let mut speedup = 0.0;
-    let mut vec_stats = ProbeStats::default();
-    let mut ablations = Vec::new();
-    for ((label, _), t) in passes.iter().zip(&timed).skip(1) {
-        assert_eq!(
-            t.stats, scalar.stats,
-            "{qid} {label}: kernels must count identically (rows/probes/survivors)"
-        );
-        if *label == "all-on" {
-            vec_rps = t.best_rps(*rows);
-            speedup = median_ratio(scalar, t);
-            vec_stats = t.stats;
+    let scalar_pass: Pass<'_> = Box::new(|| {
+        let mut acc = FxHashMap::default();
+        let mut stats = ProbeStats::default();
+        for b in blocks {
+            probe_block(b, plan, tables, &mut acc, &mut stats).unwrap();
         }
-        ablations.push((*label, t.best_rps(*rows)));
-    }
+        stats
+    });
+    let vec_pass: Pass<'_> = Box::new(|| {
+        let mut acc = GroupAcc::new(&layout, &plan.aggregate);
+        let mut buf = SelBuf::default();
+        let mut stats = ProbeStats::default();
+        for b in blocks {
+            probe_block_vec(
+                b, plan, tables, &layout, &mut acc, &mut buf, &mut stats, KernelOpts,
+            )
+            .unwrap();
+        }
+        stats
+    });
+    let timed = time_interleaved(&mut [scalar_pass, vec_pass]);
+    let (scalar, vec) = (&timed[0], &timed[1]);
+    assert_eq!(
+        vec.stats, scalar.stats,
+        "{qid}: kernels must count identically (rows/probes/survivors)"
+    );
     QueryResult {
         qid,
         rows: *rows,
         scalar_rps: scalar.best_rps(*rows),
-        vec_rps,
-        speedup,
-        ablations,
-        stats: vec_stats,
+        vec_rps: vec.best_rps(*rows),
+        speedup: median_ratio(scalar, vec),
+        stats: vec.stats,
     }
 }
 
@@ -308,9 +253,6 @@ fn main() {
             "{}: scalar {:>12.0} rows/s | vectorized {:>12.0} rows/s | speedup {:.2}x",
             r.qid, r.scalar_rps, r.vec_rps, r.speedup
         );
-        for (label, rps) in &r.ablations {
-            println!("    {label:<20} {rps:>12.0} rows/s");
-        }
         results.push(r);
     }
 
@@ -323,15 +265,11 @@ fn main() {
             out.push_str(&format!(
                 "    \"{}\": {{\n      \"fact_rows\": {},\n      \"scalar_rows_per_s\": {:.0},\n      \
                  \"vectorized_rows_per_s\": {:.0},\n      \"speedup\": {:.2},\n      \
-                 \"probes\": {},\n      \"survivors\": {},\n      \"ablations\": {{\n",
+                 \"probes\": {},\n      \"survivors\": {}\n",
                 r.qid, r.rows, r.scalar_rps, r.vec_rps, r.speedup, r.stats.probes, r.stats.survivors
             ));
-            for (j, (label, rps)) in r.ablations.iter().enumerate() {
-                let comma = if j + 1 < r.ablations.len() { "," } else { "" };
-                out.push_str(&format!("        \"{label}\": {rps:.0}{comma}\n"));
-            }
             let comma = if i + 1 < results.len() { "," } else { "" };
-            out.push_str(&format!("      }}\n    }}{comma}\n"));
+            out.push_str(&format!("    }}{comma}\n"));
         }
         out.push_str("  }\n}\n");
         std::fs::write(&path, out).expect("write json");

@@ -1,113 +1,18 @@
 //! The profiling bench target: explain-analyze artifacts for the 13-query
-//! suite, plus a large-SF probe pass that provably exercises the prefetch
-//! layer.
+//! suite.
 //!
 //! ```text
-//! profile [SF] [--out-dir DIR] [--prefetch-sf SF] [--prefetch-rows N] [--no-prefetch-bench]
+//! profile [SF] [--out-dir DIR]
 //! ```
 //!
-//! Two parts:
-//!
-//! 1. **Profile suite** (default SF 0.01): runs all 13 SSB queries with
-//!    observability on and writes three artifacts to `--out-dir` (default
-//!    `.`): `query-profiles.json` (the deterministic `clyde-profiles`
-//!    bundle `clyde-profdiff` consumes), `flamegraph.folded` (collapsed
-//!    stacks over simulated time — feed to flamegraph.pl / speedscope),
-//!    and `calibration.txt` (per-phase model-vs-measured drift).
-//! 2. **Prefetch probe** (default SF 4): builds Q4.1's dimension tables at
-//!    a scale factor whose part table clears `PREFETCH_MIN_SLOTS` (SSB has
-//!    600k parts at SF 4; Q4.1 keeps 2/5 of them — dense enough for a
-//!    direct-index table over the full key range) and streams a capped
-//!    number of fact rows through the vectorized kernel. Exits 1 if the
-//!    `probe.prefetch_activations` counter stays zero — the committed
-//!    bench scale never opens the gate (ROADMAP PR-5 follow-up), so this
-//!    target exists to prove the layer is alive.
+//! Runs all 13 SSB queries (default SF 0.01) with observability on and
+//! writes three artifacts to `--out-dir` (default `.`):
+//! `query-profiles.json` (the deterministic `clyde-profiles` bundle
+//! `clyde-profdiff` consumes), `flamegraph.folded` (collapsed stacks over
+//! simulated time — feed to flamegraph.pl / speedscope), and
+//! `calibration.txt` (per-phase model-vs-measured drift).
 
 use clyde_bench::harness::{profile_suite, MeasurementConfig};
-use clyde_common::{ClydeError, Result, RowBlockBuilder};
-use clyde_ssb::gen::SsbGen;
-use clyde_ssb::{query_by_id, schema};
-use clydesdale::hashtable::DimTables;
-use clydesdale::planner::ROWS_PER_BLOCK;
-use clydesdale::probe::{
-    probe_block_vec, GroupAcc, GroupLayout, KernelOpts, ProbePlan, ProbeStats, SelBuf,
-    PREFETCH_MIN_SLOTS,
-};
-
-/// Stream `cap` fact rows at `sf` through Q4.1's vectorized probe and
-/// return the kernel stats (notably `prefetch_activations`).
-fn prefetch_probe(sf: f64, cap: u64) -> Result<(ProbeStats, usize)> {
-    let gen = SsbGen::new(sf, 46);
-    let q = query_by_id("Q4.1").expect("known query");
-    let fact_schema = schema::lineorder_schema();
-    let cols: Vec<usize> = q
-        .fact_columns()
-        .iter()
-        .map(|c| fact_schema.index_of(c).unwrap())
-        .collect();
-    let scan_schema = fact_schema.project(&cols);
-    let plan = ProbePlan::compile(&q, &scan_schema)?;
-    eprintln!(
-        "building Q4.1 dimension tables at SF {sf} ({} parts)...",
-        gen.num_parts()
-    );
-    let tables = DimTables::build_all(&q.joins, |dim| {
-        Ok(match dim {
-            schema::CUSTOMER => gen.gen_customer(),
-            schema::SUPPLIER => gen.gen_supplier(),
-            schema::PART => gen.gen_part(),
-            schema::DATE => gen.gen_date(),
-            other => return Err(ClydeError::Plan(format!("unknown dimension {other}"))),
-        })
-    })?;
-    let direct_slots = tables
-        .tables
-        .iter()
-        .filter_map(|t| t.direct_slots())
-        .max()
-        .unwrap_or(0);
-
-    let layout = GroupLayout::new(&plan, &tables)
-        .ok_or_else(|| ClydeError::Plan("Q4.1 has no packed group layout".into()))?;
-    let mut acc = GroupAcc::new(&layout, &plan.aggregate);
-    let mut buf = SelBuf::default();
-    let mut stats = ProbeStats::default();
-    let dtypes: Vec<_> = scan_schema.fields().iter().map(|f| f.dtype).collect();
-    let mut builder = RowBlockBuilder::new(&dtypes);
-    let mut in_block = 0usize;
-    let mut seen = 0u64;
-    let opts = KernelOpts::all_on();
-    eprintln!("streaming {cap} fact rows through the vectorized kernel...");
-    let run = gen.for_each_lineorder(|row| {
-        if seen == cap {
-            // Sentinel early-stop: the generator has no cap of its own.
-            return Err(ClydeError::Config("profile-cap".into()));
-        }
-        seen += 1;
-        builder.push_row(&row.project(&cols))?;
-        in_block += 1;
-        if in_block == ROWS_PER_BLOCK {
-            let block = std::mem::replace(&mut builder, RowBlockBuilder::new(&dtypes)).finish();
-            in_block = 0;
-            probe_block_vec(
-                &block, &plan, &tables, &layout, &mut acc, &mut buf, &mut stats, opts,
-            )?;
-        }
-        Ok(())
-    });
-    match run {
-        Ok(()) => {}
-        Err(ClydeError::Config(m)) if m == "profile-cap" => {}
-        Err(e) => return Err(e),
-    }
-    if in_block > 0 {
-        let block = builder.finish();
-        probe_block_vec(
-            &block, &plan, &tables, &layout, &mut acc, &mut buf, &mut stats, opts,
-        )?;
-    }
-    Ok((stats, direct_slots))
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -122,13 +27,6 @@ fn main() {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let out_dir = flag_path("--out-dir").unwrap_or_else(|| ".".to_string());
-    let prefetch_sf: f64 = flag_path("--prefetch-sf")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4.0);
-    let prefetch_rows: u64 = flag_path("--prefetch-rows")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
-    let skip_prefetch = args.iter().any(|a| a == "--no-prefetch-bench");
 
     eprintln!("profiling the 13-query suite at SF {sf}...");
     let config = MeasurementConfig {
@@ -153,22 +51,5 @@ fn main() {
             p.jobs.len(),
             p.flagged_phases().len()
         );
-    }
-
-    if skip_prefetch {
-        return;
-    }
-    let (stats, direct_slots) = prefetch_probe(prefetch_sf, prefetch_rows).expect("prefetch probe");
-    println!(
-        "prefetch probe @ SF {prefetch_sf}: largest direct table {direct_slots} slots \
-         (gate {PREFETCH_MIN_SLOTS}), {} rows, {} probes, probe.prefetch_activations = {}",
-        stats.rows, stats.probes, stats.prefetch_activations
-    );
-    if stats.prefetch_activations == 0 {
-        eprintln!(
-            "prefetch layer NEVER FIRED at SF {prefetch_sf} — gate requires \
-             {PREFETCH_MIN_SLOTS} direct slots, largest table had {direct_slots}"
-        );
-        std::process::exit(1);
     }
 }

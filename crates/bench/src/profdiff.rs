@@ -12,9 +12,8 @@
 //!   +9%, shuffle merge +3%" instead of a bare number.
 //! * **Chrome traces** (`{"traceEvents":[...]}`) — stage spans and the
 //!   final-sort span per job process give stage-level attribution.
-//! * **`bench_probe` artifacts** (`BENCH_probe.json` and friends) — probe
-//!   throughput and per-ablation-layer benefits; deltas are reported per
-//!   query and per optimization layer.
+//! * **`bench_probe` artifacts** (`BENCH_probe.json` and friends) — scalar
+//!   and vectorized probe throughput; deltas are reported per query.
 //!
 //! Everything sums: for profile and trace pairs the named components add up
 //! to the full makespan delta (coverage 1.0) unless the job structure
@@ -67,8 +66,6 @@ pub struct ProbeRecord {
     pub scalar_rows_per_s: f64,
     pub vectorized_rows_per_s: f64,
     pub speedup: f64,
-    /// `(ablation label, rows/s with that layer off)`.
-    pub ablations: Vec<(String, f64)>,
 }
 
 /// A parsed artifact.
@@ -260,15 +257,6 @@ fn parse_probe(queries: &Json) -> Result<Artifact, String> {
             scalar_rows_per_s: num(q, "scalar_rows_per_s"),
             vectorized_rows_per_s: num(q, "vectorized_rows_per_s"),
             speedup: num(q, "speedup"),
-            ablations: q
-                .get("ablations")
-                .map(|a| {
-                    obj_entries(a)
-                        .into_iter()
-                        .map(|(l, v)| (l, v.as_num().unwrap_or(0.0)))
-                        .collect()
-                })
-                .unwrap_or_default(),
         });
     }
     Ok(Artifact::Probe(out))
@@ -441,24 +429,6 @@ fn diff_probe(before: &[ProbeRecord], after: &[ProbeRecord]) -> Vec<String> {
             b.speedup,
             a.speedup,
         ));
-        // A layer's benefit factor is all-on / layer-off throughput; if the
-        // factor moved, that layer explains part of the swing.
-        for (label, b_off) in &b.ablations {
-            let Some((_, a_off)) = a.ablations.iter().find(|(l, _)| l == label) else {
-                continue;
-            };
-            if *b_off <= 0.0 || *a_off <= 0.0 {
-                continue;
-            }
-            let b_benefit = b.vectorized_rows_per_s / b_off;
-            let a_benefit = a.vectorized_rows_per_s / a_off;
-            let moved = (a_benefit / b_benefit - 1.0) * 100.0;
-            if moved.abs() >= 1.0 {
-                lines.push(format!(
-                    "  layer {label}: benefit {b_benefit:.2}x -> {a_benefit:.2}x ({moved:+.1}%)"
-                ));
-            }
-        }
     }
     for a in after {
         if !before.iter().any(|r| r.name == a.name) {
@@ -660,21 +630,17 @@ mod tests {
     }
 
     #[test]
-    fn probe_artifacts_diff_by_layer() {
-        let mk = |vec_rps: f64, no_pref: f64| {
+    fn probe_artifacts_diff_per_query() {
+        let mk = |vec_rps: f64| {
             Artifact::Probe(vec![ProbeRecord {
                 name: "Q2.1".into(),
                 scalar_rows_per_s: 10e6,
                 vectorized_rows_per_s: vec_rps,
                 speedup: vec_rps / 10e6,
-                ablations: vec![("no-prefetch".into(), no_pref)],
             }])
         };
-        let report = diff(&mk(50e6, 48e6), &mk(40e6, 48e6)).unwrap();
-        let text = report.render();
+        let text = diff(&mk(50e6), &mk(40e6)).unwrap().render();
         assert!(text.contains("Q2.1: vectorized 50.00M -> 40.00M rows/s (-20.0%)"));
-        // Benefit factor collapsed from 1.04x to 0.83x: prefetch named.
-        assert!(text.contains("layer no-prefetch"), "{text}");
     }
 
     #[test]

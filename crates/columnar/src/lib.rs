@@ -20,7 +20,6 @@
 //! dictionary, run-length) and carry checksums.
 
 pub mod cif;
-pub mod dict;
 pub mod encoding;
 pub mod input;
 pub mod maintain;
@@ -28,7 +27,6 @@ pub mod rcfile;
 pub mod text;
 
 pub use cif::{CifReader, CifTableMeta, CifWriter};
-pub use dict::SortedDict;
 pub use encoding::{peek_zone_map, Encoding, ZONE_HEADER_MAX};
 pub use input::{CifInputFormat, MultiSplit, ScanMode, ZonePred};
 pub use maintain::{roll_out, CifAppender};

@@ -138,47 +138,15 @@ impl ColumnData {
     }
 }
 
-/// Per-column block zone maps: inclusive `(min, max)` of each `i32` column,
-/// `None` for non-`i32` columns and empty blocks. A slice of a block keeps
-/// the parent's zones — wider than the slice's true range, but still valid
-/// bounds, which is all zone evaluation needs.
-fn compute_zones(columns: &[ColumnData]) -> Vec<Option<(i32, i32)>> {
-    columns
-        .iter()
-        .map(|c| match c {
-            ColumnData::I32(v) if !v.is_empty() => {
-                let mut lo = v[0];
-                let mut hi = v[0];
-                for &x in &v[1..] {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-                Some((lo, hi))
-            }
-            _ => None,
-        })
-        .collect()
-}
-
 /// A batch of rows stored column-wise.
 ///
 /// The columns are a *projection*: `RowBlock` carries only the columns the
 /// query needs, in the order requested, which is what CIF's column pruning
-/// produces. Each `i32` column additionally carries a block zone map (its
-/// min/max), which the probe kernel's zone-fullcover stage consults;
-/// equality compares data only, since zones are derived bounds that may be
-/// conservatively wide.
-#[derive(Debug, Clone, Default)]
+/// produces.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RowBlock {
     columns: Vec<ColumnData>,
     len: usize,
-    zones: Vec<Option<(i32, i32)>>,
-}
-
-impl PartialEq for RowBlock {
-    fn eq(&self, other: &RowBlock) -> bool {
-        self.len == other.len && self.columns == other.columns
-    }
 }
 
 impl RowBlock {
@@ -192,12 +160,7 @@ impl RowBlock {
                 )));
             }
         }
-        let zones = compute_zones(&columns);
-        Ok(RowBlock {
-            columns,
-            len,
-            zones,
-        })
+        Ok(RowBlock { columns, len })
     }
 
     pub fn len(&self) -> usize {
@@ -220,16 +183,6 @@ impl RowBlock {
         &self.columns
     }
 
-    /// Inclusive `(min, max)` bounds of column `i`, when known. Only `i32`
-    /// columns of non-empty blocks carry zones. The bounds are valid but
-    /// may be wider than the column's true range (slices inherit their
-    /// parent's zones), so callers may only use them to *prove* coverage
-    /// or disjointness, never to infer a value is present.
-    #[inline]
-    pub fn zone(&self, i: usize) -> Option<(i32, i32)> {
-        self.zones.get(i).copied().flatten()
-    }
-
     /// Materialize row `i` (the row-at-a-time path; allocates).
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.get(i)).collect()
@@ -250,7 +203,6 @@ impl RowBlock {
         RowBlock {
             columns,
             len: to - from,
-            zones: self.zones.clone(),
         }
     }
 
@@ -296,11 +248,9 @@ impl RowBlockBuilder {
 
     pub fn finish(self) -> RowBlock {
         let len = self.len();
-        let zones = compute_zones(&self.columns);
         RowBlock {
             columns: self.columns,
             len,
-            zones,
         }
     }
 }
@@ -371,34 +321,6 @@ mod tests {
         let blk = b.finish();
         assert_eq!(blk.len(), 2);
         assert_eq!(blk.row(1), row![6i32, "y"]);
-    }
-
-    #[test]
-    fn zones_track_i32_bounds_and_slices_stay_conservative() {
-        let blk = RowBlock::new(vec![
-            ColumnData::I32(vec![5, -2, 9, 3]),
-            ColumnData::I64(vec![1, 2, 3, 4]),
-        ])
-        .unwrap();
-        assert_eq!(blk.zone(0), Some((-2, 9)));
-        assert_eq!(blk.zone(1), None, "only i32 columns carry zones");
-        assert_eq!(blk.zone(7), None, "out of range is None");
-        // A slice inherits the parent's (wider but valid) bounds.
-        let s = blk.slice(2, 4);
-        assert_eq!(s.zone(0), Some((-2, 9)));
-        // Zones never affect equality.
-        let rebuilt = RowBlock::new(vec![
-            ColumnData::I32(vec![9, 3]),
-            ColumnData::I64(vec![3, 4]),
-        ])
-        .unwrap();
-        assert_eq!(s, rebuilt);
-        assert_ne!(s.zone(0), rebuilt.zone(0));
-        // Builders compute zones too; empty blocks have none.
-        let mut b = RowBlockBuilder::new(&[DatumType::I32]);
-        b.push_row(&row![7i32]).unwrap();
-        assert_eq!(b.finish().zone(0), Some((7, 7)));
-        assert_eq!(RowBlock::default().zone(0), None);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Feature flags — the knobs behind the paper's Section 6.5 ablation.
 
+use crate::hashtable::DimTables;
+use clyde_common::{Result, Row};
+use clyde_ssb::queries::DimJoin;
+
 /// Which of Clydesdale's techniques are enabled. Defaults to all on (the
 /// system as shipped); the Figure 9 ablation turns them off one at a time.
-/// The `morsel`/`dict_predicates`/`simd_compaction`/`prefetch`/
-/// `zone_fullcover` flags ablate the probe-kernel optimization stack
-/// individually (DESIGN.md §10); results are identical with any of them
+/// The first four are the paper's Section 6.5 switches; `vectorized` and
+/// `zone_skipping` are this reproduction's two additions that Figure 9 and
+/// the bench harness also ablate. Results are identical with any of them
 /// off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Features {
@@ -30,28 +34,10 @@ pub struct Features {
     /// cannot satisfy the query's predicates are skipped without decoding.
     /// Results are identical either way.
     pub zone_skipping: bool,
-    /// Morsel-driven intra-task parallelism: a map task's threads pull
-    /// block-sized morsels from a shared work queue instead of claiming
-    /// whole splits, so short splits no longer leave threads idle. Off =
-    /// one split part per thread (the pre-morsel scheduler).
-    pub morsel: bool,
-    /// Dictionary-encoded predicate compilation: string predicates on
-    /// dimension columns are compiled to `u32` code compares against a
-    /// sorted per-column dictionary during the hash-table build (equality
-    /// via code lookup, ranges via code ranges). Off = plain string
-    /// compares per dimension row.
+    /// Frozen-benchmark shim (see the block at the end of this file): read
+    /// by nothing, selects nothing, not part of [`Features::token_bits`].
+    #[doc(hidden)]
     pub dict_predicates: bool,
-    /// Branch-free (SIMD-friendly) selection-vector compaction in the
-    /// vectorized kernel. Off = the branchy compaction loop.
-    pub simd_compaction: bool,
-    /// Software prefetching of direct-index probe slots, batched
-    /// index-then-prefetch-then-probe. Off = demand loads only.
-    pub prefetch: bool,
-    /// Block-level zone-map evaluation inside the kernel: a block whose
-    /// min/max fully covers a fact predicate skips per-row evaluation for
-    /// it; a disjoint block is dropped whole. Off = per-row predicates
-    /// always run.
-    pub zone_fullcover: bool,
 }
 
 impl Default for Features {
@@ -63,11 +49,7 @@ impl Default for Features {
             jvm_reuse: true,
             vectorized: true,
             zone_skipping: true,
-            morsel: true,
-            dict_predicates: true,
-            simd_compaction: true,
-            prefetch: true,
-            zone_fullcover: true,
+            dict_predicates: false,
         }
     }
 }
@@ -79,9 +61,8 @@ impl Features {
 
     /// Stable identity string for plan fingerprints (result-cache code
     /// tokens): one character per feature bit, in declaration order.
-    /// Execution-only bits participate too — results are invariant across
-    /// them, so including them can only cost a cache miss, never serve a
-    /// wrong answer.
+    /// Results are invariant across all of them, so including them can only
+    /// cost a cache miss, never serve a wrong answer.
     pub fn token_bits(&self) -> String {
         [
             self.columnar,
@@ -90,11 +71,6 @@ impl Features {
             self.jvm_reuse,
             self.vectorized,
             self.zone_skipping,
-            self.morsel,
-            self.dict_predicates,
-            self.simd_compaction,
-            self.prefetch,
-            self.zone_fullcover,
         ]
         .iter()
         .map(|b| if *b { '1' } else { '0' })
@@ -137,41 +113,6 @@ impl Features {
         }
     }
 
-    pub fn without_morsel() -> Features {
-        Features {
-            morsel: false,
-            ..Features::default()
-        }
-    }
-
-    pub fn without_dict_predicates() -> Features {
-        Features {
-            dict_predicates: false,
-            ..Features::default()
-        }
-    }
-
-    pub fn without_simd_compaction() -> Features {
-        Features {
-            simd_compaction: false,
-            ..Features::default()
-        }
-    }
-
-    pub fn without_prefetch() -> Features {
-        Features {
-            prefetch: false,
-            ..Features::default()
-        }
-    }
-
-    pub fn without_zone_fullcover() -> Features {
-        Features {
-            zone_fullcover: false,
-            ..Features::default()
-        }
-    }
-
     /// The single-flag-off ablation points, paired with their labels.
     pub fn ablations() -> Vec<(&'static str, Features)> {
         vec![
@@ -180,11 +121,6 @@ impl Features {
             ("no-multithreading", Features::without_multithreading()),
             ("no-vectorized", Features::without_vectorized()),
             ("no-zone-skipping", Features::without_zone_skipping()),
-            ("no-morsel", Features::without_morsel()),
-            ("no-dict-predicates", Features::without_dict_predicates()),
-            ("no-simd-compaction", Features::without_simd_compaction()),
-            ("no-prefetch", Features::without_prefetch()),
-            ("no-zone-fullcover", Features::without_zone_fullcover()),
         ]
     }
 
@@ -202,6 +138,39 @@ impl Features {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Frozen-benchmark shims. `benchmark/src/replay.rs` was written against the
+// PR-5 flag set and may not change in the PR that deleted it, so exactly the
+// four names it spells survive, inert: the `Features::dict_predicates` field
+// above, the two items below, and the unused eighth argument of
+// `probe::probe_block_vec`. ROADMAP lists them for the next benchmark PR to
+// drop together with the replay lines that name them.
+// ---------------------------------------------------------------------------
+
+/// The probe kernel has no options; the benchmark replay still passes one.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KernelOpts;
+
+impl KernelOpts {
+    #[doc(hidden)]
+    pub fn from_features(_: &Features) -> KernelOpts {
+        KernelOpts
+    }
+}
+
+impl DimTables {
+    /// [`DimTables::build_all`]; the bool is ignored.
+    #[doc(hidden)]
+    pub fn build_all_with(
+        joins: &[DimJoin],
+        _dict_predicates: bool,
+        fetch: impl FnMut(&str) -> Result<Vec<Row>>,
+    ) -> Result<DimTables> {
+        DimTables::build_all(joins, fetch)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,8 +180,7 @@ mod tests {
         let f = Features::default();
         assert!(f.columnar && f.block_iteration && f.multithreading && f.jvm_reuse);
         assert!(f.vectorized && f.zone_skipping);
-        assert!(f.morsel && f.dict_predicates && f.simd_compaction);
-        assert!(f.prefetch && f.zone_fullcover);
+        assert_eq!(f.token_bits(), "111111");
         assert_eq!(f.label(), "all-on");
     }
 
@@ -231,13 +199,6 @@ mod tests {
             Features::without_zone_skipping().label(),
             "no-zone-skipping"
         );
-        assert!(!Features::without_morsel().morsel);
-        assert_eq!(Features::without_morsel().label(), "no-morsel");
-        assert!(!Features::without_dict_predicates().dict_predicates);
-        assert!(!Features::without_simd_compaction().simd_compaction);
-        assert!(!Features::without_prefetch().prefetch);
-        assert!(!Features::without_zone_fullcover().zone_fullcover);
-        assert_eq!(Features::without_prefetch().label(), "no-prefetch");
     }
 
     #[test]

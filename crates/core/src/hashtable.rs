@@ -14,9 +14,8 @@
 //! per task at emit time. [`DimHashTable::get`] still returns the aux row
 //! directly for the scalar paths.
 
-use clyde_columnar::SortedDict;
 use clyde_common::{ClydeError, FxHashMap, Result, Row};
-use clyde_ssb::queries::{CodePred, DimJoin};
+use clyde_ssb::queries::DimJoin;
 use clyde_ssb::schema;
 
 /// Direct-index probe tables are built when the key range spans at most
@@ -72,21 +71,8 @@ pub struct DimHashTable {
 
 impl DimHashTable {
     /// Build from dimension rows per the join description. `buildHashTables`
-    /// in the paper's Figure 4 pseudocode. Evaluates the predicate with
-    /// plain string compares; see [`DimHashTable::build_with`] for the
-    /// dictionary-predicate path.
+    /// in the paper's Figure 4 pseudocode.
     pub fn build(join: &DimJoin, rows: &[Row]) -> Result<DimHashTable> {
-        DimHashTable::build_with(join, rows, false)
-    }
-
-    /// Build with an explicit predicate-evaluation strategy. With
-    /// `dict_predicates` on and a predicate that compares strings, each
-    /// referenced string column is dictionary-encoded once (sorted dict +
-    /// one `u32` code per row) and the predicate is compiled to code
-    /// compares ([`CodePred`]): equality = one code lookup, string ranges =
-    /// one code range. The resulting table is identical either way — only
-    /// the build-time compare work changes.
-    pub fn build_with(join: &DimJoin, rows: &[Row], dict_predicates: bool) -> Result<DimHashTable> {
         let dim_schema = schema::schema_of(&join.dimension)
             .ok_or_else(|| ClydeError::Plan(format!("unknown dimension {}", join.dimension)))?;
         let pred = join.predicate.compile(&dim_schema)?;
@@ -97,45 +83,11 @@ impl DimHashTable {
             .map(|a| dim_schema.index_of(a))
             .collect::<Result<_>>()?;
 
-        // Dictionary-predicate compilation (DESIGN.md §10): encode the
-        // predicate's string columns once, then the per-row filter below
-        // runs integer compares only.
-        let mut str_cols = Vec::new();
-        pred.str_cols(&mut str_cols);
-        let dict_path: Option<(CodePred, FxHashMap<usize, Vec<u32>>)> =
-            if dict_predicates && !str_cols.is_empty() {
-                let mut dicts: FxHashMap<usize, SortedDict> = FxHashMap::default();
-                let mut codes: FxHashMap<usize, Vec<u32>> = FxHashMap::default();
-                for &c in &str_cols {
-                    let vals: Vec<&str> = rows
-                        .iter()
-                        .map(|r| {
-                            r.at(c).as_str().ok_or_else(|| {
-                                ClydeError::Plan(format!(
-                                    "{} column {c} is not a string but its predicate compares one",
-                                    join.dimension
-                                ))
-                            })
-                        })
-                        .collect::<Result<_>>()?;
-                    let d = SortedDict::build(vals.iter().copied());
-                    codes.insert(c, d.encode(vals.iter().copied()));
-                    dicts.insert(c, d);
-                }
-                Some((CodePred::compile(&pred, &dicts), codes))
-            } else {
-                None
-            };
-
         let mut map: FxHashMap<i64, u32> = FxHashMap::default();
         let mut aux_rows: Vec<Row> = Vec::new();
         let mut mem = 0u64;
-        for (ri, r) in rows.iter().enumerate() {
-            let qualifies = match &dict_path {
-                Some((cp, codes)) => cp.eval(ri, codes, r),
-                None => pred.eval(r),
-            };
-            if !qualifies {
+        for r in rows {
+            if !pred.eval(r) {
                 continue;
             }
             let pk = r.at(pk_idx).as_i64().ok_or_else(|| {
@@ -226,13 +178,6 @@ impl DimHashTable {
         &self.aux_rows[id as usize]
     }
 
-    /// Number of slots in the direct-index array, `None` when the table is
-    /// hash-probed. Public so the `profile` bench target can report whether
-    /// a fixture clears the kernel's prefetch gate.
-    pub fn direct_slots(&self) -> Option<usize> {
-        self.direct.as_ref().map(|(_, ids)| ids.len())
-    }
-
     /// Raw direct-index parts `(min_key, ids)` for the vectorized kernel's
     /// inner loops, which index the array directly (ids are [`NONE_ID`] for
     /// absent keys). `None` when the table is hash-probed.
@@ -305,16 +250,6 @@ impl DimTables {
     /// sequential build.
     pub fn build_all(
         joins: &[DimJoin],
-        fetch: impl FnMut(&str) -> Result<Vec<Row>>,
-    ) -> Result<DimTables> {
-        DimTables::build_all_with(joins, false, fetch)
-    }
-
-    /// [`DimTables::build_all`] with the dictionary-predicate strategy
-    /// selectable (see [`DimHashTable::build_with`]).
-    pub fn build_all_with(
-        joins: &[DimJoin],
-        dict_predicates: bool,
         mut fetch: impl FnMut(&str) -> Result<Vec<Row>>,
     ) -> Result<DimTables> {
         let fetched: Vec<Vec<Row>> = joins
@@ -326,16 +261,14 @@ impl DimTables {
             joins
                 .iter()
                 .zip(&fetched)
-                .map(|(join, rows)| DimHashTable::build_with(join, rows, dict_predicates))
+                .map(|(join, rows)| DimHashTable::build(join, rows))
                 .collect()
         } else {
             std::thread::scope(|s| {
                 let handles: Vec<_> = joins
                     .iter()
                     .zip(&fetched)
-                    .map(|(join, rows)| {
-                        s.spawn(move || DimHashTable::build_with(join, rows, dict_predicates))
-                    })
+                    .map(|(join, rows)| s.spawn(move || DimHashTable::build(join, rows)))
                     .collect();
                 handles
                     .into_iter()
@@ -514,43 +447,6 @@ mod tests {
         let supp = DimHashTable::build(&join, &data.supplier).unwrap();
         assert!(supp.direct_parts().is_some());
         assert_eq!(supp.mem_fixed_bytes, 0);
-    }
-
-    #[test]
-    fn dict_predicate_build_matches_plain_build_for_every_query() {
-        // The dictionary-predicate path must construct byte-identical
-        // tables: same keys, same dense ids, same aux rows, same memory
-        // accounting.
-        let data = SsbGen::new(0.002, 7).gen_all();
-        for q in clyde_ssb::all_queries() {
-            for join in &q.joins {
-                let rows = data.dimension(&join.dimension).unwrap();
-                let pk_idx = schema::schema_of(&join.dimension)
-                    .unwrap()
-                    .index_of(&join.pk)
-                    .unwrap();
-                let plain = DimHashTable::build_with(join, rows, false).unwrap();
-                let dict = DimHashTable::build_with(join, rows, true).unwrap();
-                assert_eq!(plain.len(), dict.len(), "{} {}", q.id, join.dimension);
-                assert_eq!(plain.num_ids(), dict.num_ids());
-                assert_eq!(plain.mem_bytes, dict.mem_bytes);
-                assert_eq!(plain.mem_fixed_bytes, dict.mem_fixed_bytes);
-                assert_eq!(plain.rows_scanned, dict.rows_scanned);
-                for r in rows {
-                    let pk = r.at(pk_idx).as_i64().unwrap();
-                    assert_eq!(
-                        plain.get_id(pk),
-                        dict.get_id(pk),
-                        "{} {} key {pk}",
-                        q.id,
-                        join.dimension
-                    );
-                    if let Some(id) = plain.get_id(pk) {
-                        assert_eq!(plain.aux(id), dict.aux(id));
-                    }
-                }
-            }
-        }
     }
 
     #[test]

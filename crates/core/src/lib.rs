@@ -51,8 +51,7 @@ pub mod planner;
 pub mod probe;
 pub mod server;
 
-pub use config::Features;
+pub use config::{Features, KernelOpts};
 pub use engine::{Clydesdale, QueryResult};
 pub use hashtable::{DimHashTable, DimTables};
-pub use probe::KernelOpts;
 pub use server::{QueryServer, ServedQuery};

@@ -5,12 +5,13 @@
 //! 1. obtains the dimension hash tables from per-node state, building them
 //!    (single-threaded) only if this is the first task of the query on this
 //!    node — JVM reuse means subsequent tasks find them ready;
-//! 2. unpacks the multi-split: with **morsel parallelism** (the default)
-//!    every thread pulls one block at a time from a shared source, so even a
-//!    single constituent split's probe work spreads across all
-//!    `host_threads` workers; with morsels ablated each thread claims whole
-//!    parts, the paper's `getMultipleReaders()` shape (Section 5.1);
-//! 3. each thread probes its blocks against the *shared, read-only* tables,
+//! 2. unpacks the multi-split through one shared work source: every thread
+//!    pulls one **morsel** at a time. A block-shaped input hands out single
+//!    blocks, so even one constituent split's probe work spreads across all
+//!    `host_threads` workers; a row-shaped input (block iteration ablated)
+//!    hands out whole parts, the paper's `getMultipleReaders()` shape
+//!    (Section 5.1);
+//! 3. each thread probes its morsels against the *shared, read-only* tables,
 //!    aggregating into a thread-local group map;
 //! 4. the merged per-task group map is emitted — one record per group, the
 //!    combiner effect of Figure 4.
@@ -25,19 +26,18 @@
 //! thread-local accumulators are merged in ascending first-morsel-id order,
 //! so even a non-commutative future fold would see a canonical order.
 
-use crate::config::Features;
+use crate::config::{Features, KernelOpts};
 use crate::hashtable::DimTables;
 use crate::probe::{
-    probe_block, probe_block_vec, probe_row, GroupAcc, GroupLayout, KernelOpts, ProbePlan,
-    ProbeStats, SelBuf,
+    probe_block, probe_block_vec, probe_row, GroupAcc, GroupLayout, ProbePlan, ProbeStats, SelBuf,
 };
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{Phase, WallTimer};
 use clyde_common::{rowcodec, ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
-use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader};
+use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader, RecordReader};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Clydesdale map runner. Also handles the single-threaded ablation
@@ -51,10 +51,18 @@ pub struct MtMapRunner {
     pub features: Features,
 }
 
-/// Shared morsel source: hands out `(morsel_id, block)` pairs across the
-/// runner's threads. Deserializing the next block happens under the lock
-/// (it is cheap — a columnar slice), probing happens outside it, so all
-/// threads share the probe work of even a single constituent split.
+/// One unit of probe work: a single block of a block-shaped part, or a
+/// whole row-shaped part (rows cannot be split without reading them).
+enum Morsel {
+    Block(RowBlock),
+    Rows(Box<dyn RecordReader>),
+}
+
+/// Shared morsel source: hands out `(morsel_id, morsel)` pairs across the
+/// runner's threads. What the input format hands back decides the grain —
+/// [`Reader::Blocks`] is drained one block per call, [`Reader::Rows`] is
+/// given away whole. Deserializing the next block happens under the lock
+/// (it is cheap — a columnar slice), probing happens outside it.
 struct MorselSource<'a, 'b> {
     ctx: &'a MapTaskContext<'b>,
     parts: usize,
@@ -68,10 +76,10 @@ struct MorselState {
 }
 
 impl<'a, 'b> MorselSource<'a, 'b> {
-    fn new(ctx: &'a MapTaskContext<'b>, parts: usize) -> MorselSource<'a, 'b> {
+    fn new(ctx: &'a MapTaskContext<'b>) -> MorselSource<'a, 'b> {
         MorselSource {
             ctx,
-            parts,
+            parts: ctx.split.spec.num_parts(),
             state: Mutex::new(MorselState {
                 next_part: 0,
                 current: None,
@@ -82,31 +90,28 @@ impl<'a, 'b> MorselSource<'a, 'b> {
 
     /// The next morsel, or `None` when every part is drained. Morsel ids
     /// are assigned in hand-out order: dense, starting at 0.
-    fn next(&self) -> Result<Option<(u64, RowBlock)>> {
+    fn next(&self) -> Result<Option<(u64, Morsel)>> {
         let mut st = self.state.lock();
-        loop {
-            if st.current.is_none() {
-                if st.next_part >= self.parts {
-                    return Ok(None);
+        let morsel = loop {
+            if let Some(reader) = st.current.as_mut() {
+                match reader.next_block()? {
+                    Some(block) => break Morsel::Block(block),
+                    None => st.current = None,
                 }
-                let part = st.next_part;
-                st.next_part += 1;
-                st.current = Some(
-                    self.ctx
-                        .input
-                        .open(self.ctx.split, part, &self.ctx.io)?
-                        .into_blocks()?,
-                );
             }
-            match st.current.as_mut().expect("opened above").next_block()? {
-                Some(block) => {
-                    let id = st.next_morsel;
-                    st.next_morsel += 1;
-                    return Ok(Some((id, block)));
-                }
-                None => st.current = None,
+            if st.next_part >= self.parts {
+                return Ok(None);
             }
-        }
+            let part = st.next_part;
+            st.next_part += 1;
+            match self.ctx.input.open(self.ctx.split, part, &self.ctx.io)? {
+                Reader::Blocks(r) => st.current = Some(r),
+                Reader::Rows(r) => break Morsel::Rows(r),
+            }
+        };
+        let id = st.next_morsel;
+        st.next_morsel += 1;
+        Ok(Some((id, morsel)))
     }
 }
 
@@ -114,7 +119,7 @@ impl MtMapRunner {
     fn acquire_tables(&self, ctx: &MapTaskContext<'_>) -> Result<Arc<DimTables>> {
         let key = format!("clydesdale.tables.{}", self.query.id);
         let (tables, built) = ctx.node_state.get_or_try_init(&key, || {
-            DimTables::build_all_with(&self.query.joins, self.features.dict_predicates, |dim| {
+            DimTables::build_all(&self.query.joins, |dim| {
                 // Dimensions come from the node-local cache (Figure 2); a
                 // node that lost its copy re-fetches from the DFS.
                 let path = self.layout.dim_bin(dim);
@@ -138,28 +143,30 @@ impl MtMapRunner {
         Ok(tables)
     }
 
-    /// Morsel-driven probe: threads pull blocks from the shared source and
-    /// never idle while another part still has blocks. Thread-local results
-    /// land in `done` tagged with the first morsel id each thread handled.
-    #[allow(clippy::too_many_arguments)]
-    fn run_morsels(
+    /// The thread driver: `host_threads` workers pull morsels from the
+    /// shared source and never idle while any part still has work. Returns
+    /// the thread-local results in canonical merge order — ascending first
+    /// morsel id; idle threads, tagged `u64::MAX`, sort last and contribute
+    /// nothing — with their summed stats.
+    fn run_threads(
         &self,
         ctx: &MapTaskContext<'_>,
         tables: &DimTables,
         plan: &ProbePlan,
         layout: &Option<GroupLayout>,
-        kopts: KernelOpts,
-        parts: usize,
-        threads: usize,
-        probe_ns: &AtomicU64,
     ) -> Result<(Vec<ThreadResult>, ProbeStats)> {
-        let source = MorselSource::new(ctx, parts);
+        // Spawn count is a host-execution knob; pricing uses `ctx.threads`.
+        // Morsels are finer than parts, so it is not capped by them.
+        let threads = (ctx.host_threads as usize).max(1);
+        // Wall-clock spent probing, summed across the threads
+        // (observability only — simulated time comes from the cost model).
+        let probe_ns = AtomicU64::new(0);
+        let source = MorselSource::new(ctx);
         let done: Mutex<Vec<ThreadResult>> = Mutex::new(Vec::with_capacity(threads));
         std::thread::scope(|scope| -> Result<()> {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
-                let source = &source;
-                let done = &done;
+                let (source, done, probe_ns) = (&source, &done, &probe_ns);
                 handles.push(scope.spawn(move || -> Result<()> {
                     let thread_start = WallTimer::start();
                     let mut res = ThreadResult {
@@ -171,10 +178,10 @@ impl MtMapRunner {
                         stats: ProbeStats::default(),
                     };
                     let mut buf = SelBuf::default();
-                    while let Some((id, block)) = source.next()? {
+                    while let Some((id, morsel)) = source.next()? {
                         res.first_morsel = res.first_morsel.min(id);
-                        match (&mut res.vacc, layout) {
-                            (Some(va), Some(l)) => probe_block_vec(
+                        match (morsel, &mut res.vacc, layout) {
+                            (Morsel::Block(block), Some(va), Some(l)) => probe_block_vec(
                                 &block,
                                 plan,
                                 tables,
@@ -182,98 +189,13 @@ impl MtMapRunner {
                                 va,
                                 &mut buf,
                                 &mut res.stats,
-                                kopts,
+                                KernelOpts,
                             )?,
-                            _ => probe_block(&block, plan, tables, &mut res.acc, &mut res.stats)?,
-                        }
-                    }
-                    done.lock().push(res);
-                    probe_ns.fetch_add(thread_start.elapsed_ns(), Ordering::Relaxed);
-                    Ok(())
-                }));
-            }
-            for h in handles {
-                h.join()
-                    .map_err(|_| ClydeError::MapReduce("probe thread panicked".into()))??;
-            }
-            Ok(())
-        })?;
-        let mut results = done.into_inner();
-        // Canonical merge order: ascending first morsel id (idle threads,
-        // tagged u64::MAX, sort last and contribute nothing).
-        results.sort_by_key(|r| r.first_morsel);
-        let mut stats = ProbeStats::default();
-        for r in &results {
-            stats.add(&r.stats);
-        }
-        Ok((results, stats))
-    }
-
-    /// Whole-part probe (morsels ablated, or a row-shaped input): threads
-    /// claim constituent splits and keep every block of a part to
-    /// themselves — the paper's original Figure 5 shape.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parts(
-        &self,
-        ctx: &MapTaskContext<'_>,
-        tables: &DimTables,
-        plan: &ProbePlan,
-        layout: &Option<GroupLayout>,
-        kopts: KernelOpts,
-        parts: usize,
-        threads: usize,
-        probe_ns: &AtomicU64,
-    ) -> Result<(Vec<ThreadResult>, ProbeStats)> {
-        let next_part = AtomicUsize::new(0);
-        let done: Mutex<Vec<ThreadResult>> = Mutex::new(Vec::with_capacity(threads));
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let next_part = &next_part;
-                let done = &done;
-                handles.push(scope.spawn(move || -> Result<()> {
-                    let thread_start = WallTimer::start();
-                    let mut res = ThreadResult {
-                        first_morsel: u64::MAX,
-                        acc: FxHashMap::default(),
-                        vacc: layout
-                            .as_ref()
-                            .map(|l| GroupAcc::new(l, &self.query.aggregate)),
-                        stats: ProbeStats::default(),
-                    };
-                    let mut buf = SelBuf::default();
-                    loop {
-                        let part = next_part.fetch_add(1, Ordering::Relaxed);
-                        if part >= parts {
-                            break;
-                        }
-                        res.first_morsel = res.first_morsel.min(part as u64);
-                        match ctx.input.open(ctx.split, part, &ctx.io)? {
-                            Reader::Blocks(mut r) => {
-                                while let Some(block) = r.next_block()? {
-                                    match (&mut res.vacc, layout) {
-                                        (Some(va), Some(l)) => probe_block_vec(
-                                            &block,
-                                            plan,
-                                            tables,
-                                            l,
-                                            va,
-                                            &mut buf,
-                                            &mut res.stats,
-                                            kopts,
-                                        )?,
-                                        _ => probe_block(
-                                            &block,
-                                            plan,
-                                            tables,
-                                            &mut res.acc,
-                                            &mut res.stats,
-                                        )?,
-                                    }
-                                }
+                            (Morsel::Block(block), _, _) => {
+                                probe_block(&block, plan, tables, &mut res.acc, &mut res.stats)?
                             }
-                            Reader::Rows(mut r) => {
-                                while let Some((_, row)) = r.next()? {
+                            (Morsel::Rows(mut rows), _, _) => {
+                                while let Some((_, row)) = rows.next()? {
                                     probe_row(&row, plan, tables, &mut res.acc, &mut res.stats)?;
                                 }
                             }
@@ -290,6 +212,7 @@ impl MtMapRunner {
             }
             Ok(())
         })?;
+        ctx.note_wall_phase(Phase::Probe, probe_ns.into_inner());
         let mut results = done.into_inner();
         results.sort_by_key(|r| r.first_morsel);
         let mut stats = ProbeStats::default();
@@ -302,8 +225,7 @@ impl MtMapRunner {
 
 /// What one probe thread produced, tagged for canonical merge ordering.
 struct ThreadResult {
-    /// Lowest morsel id (or part index) this thread processed; `u64::MAX`
-    /// when it got none.
+    /// Lowest morsel id this thread processed; `u64::MAX` when it got none.
     first_morsel: u64,
     acc: FxHashMap<Row, i64>,
     vacc: Option<GroupAcc>,
@@ -323,34 +245,7 @@ impl MapRunner for MtMapRunner {
         } else {
             None
         };
-        let kopts = KernelOpts::from_features(&self.features);
-
-        let parts = ctx.split.spec.num_parts();
-        // Block iteration is what makes morsels: a block is a morsel. The
-        // row-reader ablation keeps the whole-part path.
-        let morsels = self.features.morsel && self.features.block_iteration;
-        // Spawn count is a host-execution knob; pricing uses `ctx.threads`.
-        // Morsel sharing is finer than parts, so it is not capped by them.
-        let threads = if morsels {
-            (ctx.host_threads as usize).max(1)
-        } else {
-            (ctx.host_threads as usize).min(parts).max(1)
-        };
-        // Wall-clock spent probing, summed across the runner's threads
-        // (observability only — simulated time comes from the cost model).
-        let probe_ns = AtomicU64::new(0);
-
-        let (results, stats) = if morsels {
-            self.run_morsels(
-                ctx, &tables, &plan, &layout, kopts, parts, threads, &probe_ns,
-            )?
-        } else {
-            self.run_parts(
-                ctx, &tables, &plan, &layout, kopts, parts, threads, &probe_ns,
-            )?
-        };
-
-        ctx.note_wall_phase(Phase::Probe, probe_ns.into_inner());
+        let (results, stats) = self.run_threads(ctx, &tables, &plan, &layout)?;
         let emit_start = WallTimer::start();
         ctx.add_cost(|c| {
             if self.features.block_iteration {
@@ -359,7 +254,6 @@ impl MapRunner for MtMapRunner {
                 c.rowiter_rows += stats.rows;
             }
             c.probe_rows += stats.probes;
-            c.prefetch_activations += stats.prefetch_activations;
         });
 
         // Merge thread results in first-morsel order (already sorted), then

@@ -1,27 +1,29 @@
 //! The probe phase: fact rows against the dimension hash tables.
 //!
-//! Three implementations of the same logic:
+//! Two kernels:
 //!
-//! * [`probe_block_vec`] — the default vectorized kernel: fact predicates
-//!   are evaluated over whole column slices into a reusable *selection
-//!   vector*, each dimension table is probed batch-at-a-time over the
-//!   surviving indices, and groups are aggregated under packed `u64` keys
-//!   of dense per-join aux ids (see [`GroupLayout`]). Group `Row`s are
+//! * [`probe_block_vec`] — the vectorized kernel that runs queries: fact
+//!   predicates are evaluated over whole column slices into a reusable
+//!   *selection vector*, each dimension table is probed batch-at-a-time over
+//!   the surviving indices, and groups are aggregated under packed `u64`
+//!   keys of dense per-join aux ids (see [`GroupLayout`]). Group `Row`s are
 //!   rematerialized once per task at emit time, not once per fact row;
-//! * [`probe_block`] — scalar B-CIF block iteration (Section 5.3): a
-//!   row-at-a-time loop over typed column slices;
-//! * [`probe_row`] — row-at-a-time over materialized rows, used when the
-//!   block-iteration feature is ablated.
+//! * one scalar reference loop (`probe_scalar`), reached two ways:
+//!   [`probe_block`] reads typed column slices (B-CIF block iteration,
+//!   Section 5.3) — the test oracle, the `vectorized`-off ablation and the
+//!   run-time fallback when [`GroupLayout::new`] cannot pack the group key —
+//!   and [`probe_row`] reads one materialized row (block iteration
+//!   ablated).
 //!
-//! All use **early-out** (Section 4.2): the first failed dimension probe
+//! Both use **early-out** (Section 4.2): the first failed dimension probe
 //! abandons the row — in the vectorized kernel the selection vector simply
-//! shrinks after each join, so later joins probe fewer keys. All three
-//! paths produce byte-identical results and identical [`ProbeStats`].
+//! shrinks after each join, so later joins probe fewer keys. Every entry
+//! point produces byte-identical results and identical [`ProbeStats`].
 //! Aggregation happens *inside the task* into a group map (the combiner
 //! pattern of Figure 4), so a map task emits one record per group, not per
 //! fact row.
 
-use crate::config::Features;
+use crate::config::KernelOpts;
 use crate::hashtable::{DimTables, NONE_ID};
 use clyde_common::{ClydeError, FxHashMap, Result, Row, RowBlock, Schema};
 use clyde_ssb::queries::{Aggregate, CompiledFactPred, StarQuery};
@@ -80,7 +82,7 @@ impl ProbePlan {
 }
 
 /// Counters produced by the probe phase, feeding the cost model.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Rows iterated.
     pub rows: u64,
@@ -89,83 +91,71 @@ pub struct ProbeStats {
     pub probes: u64,
     /// Rows surviving all predicates and probes.
     pub survivors: u64,
-    /// Joins probed with software prefetching active (direct table cleared
-    /// [`PREFETCH_MIN_SLOTS`]). Kernel-specific: the scalar path never
-    /// prefetches, so equality deliberately ignores this field.
-    pub prefetch_activations: u64,
 }
-
-/// Semantic equality: the invariant shared by every kernel variant is the
-/// rows/probes/survivors accounting, not which optimization layers fired.
-impl PartialEq for ProbeStats {
-    fn eq(&self, other: &ProbeStats) -> bool {
-        self.rows == other.rows && self.probes == other.probes && self.survivors == other.survivors
-    }
-}
-
-impl Eq for ProbeStats {}
 
 impl ProbeStats {
     pub fn add(&mut self, other: &ProbeStats) {
         self.rows += other.rows;
         self.probes += other.probes;
         self.survivors += other.survivors;
-        self.prefetch_activations += other.prefetch_activations;
     }
 }
 
 const MAX_JOINS: usize = 8;
 
-/// Probe one column block, accumulating partial sums per group into `acc`.
-pub fn probe_block(
-    block: &RowBlock,
-    plan: &ProbePlan,
-    tables: &DimTables,
-    acc: &mut FxHashMap<Row, i64>,
-    stats: &mut ProbeStats,
-) -> Result<()> {
-    if plan.fks.len() > MAX_JOINS {
-        return Err(ClydeError::Plan("too many dimension joins".into()));
-    }
-    // Typed views of the needed columns. Fact predicates, FKs and measures
-    // are all i32 in SSB; non-i32 scan columns are never touched here.
-    let i32_slices: Vec<Option<&[i32]>> = block
+/// `i32` views of a block's columns (`None` for any other type). Fact
+/// predicates, FKs and measures are all i32 in SSB.
+fn i32_columns(block: &RowBlock) -> Vec<Option<&[i32]>> {
+    block
         .columns()
         .iter()
         .map(|c| match c {
             clyde_common::ColumnData::I32(v) => Some(v.as_slice()),
             _ => None,
         })
-        .collect();
-    let slice = |idx: usize| -> Result<&[i32]> {
-        i32_slices[idx].ok_or_else(|| {
-            ClydeError::Plan(format!(
-                "scan column {idx} is not i32 but the probe needs it"
-            ))
-        })
-    };
-    let fk_slices: Vec<&[i32]> = plan.fks.iter().map(|&i| slice(i)).collect::<Result<_>>()?;
-    let pred_slices: Vec<&[i32]> = plan
-        .fact_preds
-        .iter()
-        .map(|p| slice(p.col()))
-        .collect::<Result<_>>()?;
-    let agg_a = plan.agg_a.map(slice).transpose()?;
-    let agg_b = plan.agg_b.map(slice).transpose()?;
+        .collect()
+}
 
-    let n = block.len();
+fn need_i32<'a>(cols: &[Option<&'a [i32]>], idx: usize) -> Result<&'a [i32]> {
+    cols[idx].ok_or_else(|| {
+        ClydeError::Plan(format!(
+            "scan column {idx} is not i32 but the probe needs it"
+        ))
+    })
+}
+
+fn check_join_count(plan: &ProbePlan) -> Result<()> {
+    if plan.fks.len() > MAX_JOINS {
+        return Err(ClydeError::Plan("too many dimension joins".into()));
+    }
+    Ok(())
+}
+
+/// The reference kernel: `n` fact rows read through `get(row, scan column)`.
+/// Per row: fact predicates, then one probe per dimension in
+/// [`DimTables::probe_order`] with early-out, then the group key from the
+/// matched aux rows, then the fold into `acc`.
+#[inline]
+fn probe_scalar(
+    n: usize,
+    get: impl Fn(usize, usize) -> Result<i64>,
+    plan: &ProbePlan,
+    tables: &DimTables,
+    acc: &mut FxHashMap<Row, i64>,
+    stats: &mut ProbeStats,
+) -> Result<()> {
+    check_join_count(plan)?;
     stats.rows += n as u64;
     let mut matched: [Option<&Row>; MAX_JOINS] = [None; MAX_JOINS];
     'rows: for i in 0..n {
-        for (p, s) in plan.fact_preds.iter().zip(&pred_slices) {
-            let ok = match *p {
-                CompiledFactPred::Between { lo, hi, .. } => {
-                    let v = s[i];
-                    v >= lo && v <= hi
-                }
-                CompiledFactPred::Lt { value, .. } => s[i] < value,
+        for p in &plan.fact_preds {
+            // Each predicate is an inclusive range in i64.
+            let (col, lo, hi) = match *p {
+                CompiledFactPred::Between { col, lo, hi } => (col, i64::from(lo), i64::from(hi)),
+                CompiledFactPred::Lt { col, value } => (col, i64::MIN, i64::from(value) - 1),
             };
-            if !ok {
+            let v = get(i, col)?;
+            if v < lo || v > hi {
                 continue 'rows;
             }
         }
@@ -174,7 +164,7 @@ pub fn probe_block(
         // original join index, so group assembly is order-independent.
         for &j in tables.probe_order() {
             stats.probes += 1;
-            match tables.tables[j].get(i64::from(fk_slices[j][i])) {
+            match tables.tables[j].get(get(i, plan.fks[j])?) {
                 Some(aux) => matched[j] = Some(aux),
                 None => continue 'rows, // early-out
             }
@@ -185,11 +175,62 @@ pub fn probe_block(
             .iter()
             .map(|&(ji, ai)| matched[ji].expect("matched above").at(ai).clone())
             .collect();
-        let measure = plan.aggregate.eval_i64(agg_a, agg_b, i);
+        let measure = match (&plan.aggregate, plan.agg_a, plan.agg_b) {
+            (Aggregate::SumColumn(_), Some(a), _)
+            | (Aggregate::MinColumn(_), Some(a), _)
+            | (Aggregate::MaxColumn(_), Some(a), _) => get(i, a)?,
+            (Aggregate::SumProduct(_, _), Some(a), Some(b)) => get(i, a)? * get(i, b)?,
+            (Aggregate::SumDiff(_, _), Some(a), Some(b)) => get(i, a)? - get(i, b)?,
+            (Aggregate::CountStar, _, _) => 1,
+            _ => return Err(ClydeError::Plan("aggregate missing measure column".into())),
+        };
         let slot = acc.entry(key).or_insert_with(|| plan.aggregate.identity());
         *slot = plan.aggregate.fold(*slot, measure);
     }
     Ok(())
+}
+
+/// Scalar probe of one column block, accumulating partial aggregates per
+/// group `Row` into `acc`.
+pub fn probe_block(
+    block: &RowBlock,
+    plan: &ProbePlan,
+    tables: &DimTables,
+    acc: &mut FxHashMap<Row, i64>,
+    stats: &mut ProbeStats,
+) -> Result<()> {
+    let cols = i32_columns(block);
+    probe_scalar(
+        block.len(),
+        |i, c| need_i32(&cols, c).map(|s| i64::from(s[i])),
+        plan,
+        tables,
+        acc,
+        stats,
+    )
+}
+
+/// Scalar probe of one materialized row of the scan schema (block iteration
+/// ablated).
+pub fn probe_row(
+    row: &Row,
+    plan: &ProbePlan,
+    tables: &DimTables,
+    acc: &mut FxHashMap<Row, i64>,
+    stats: &mut ProbeStats,
+) -> Result<()> {
+    probe_scalar(
+        1,
+        |_, c| {
+            row.at(c)
+                .as_i64()
+                .ok_or_else(|| ClydeError::Plan(format!("scan column {c} is not an integer")))
+        },
+        plan,
+        tables,
+        acc,
+        stats,
+    )
 }
 
 /// One group-contributing join inside a [`GroupLayout`]: its dense aux ids
@@ -353,110 +394,11 @@ pub struct SelBuf {
     keys: Vec<u64>,
 }
 
-/// Toggles for the vectorized kernel's optimization layers (DESIGN.md §10).
-/// Every combination preserves scalar semantics and exact [`ProbeStats`];
-/// the flags only choose *how* the same selection vector is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelOpts {
-    /// Branch-free, fixed-width-lane selection compaction (autovectorized
-    /// predicate lanes + cursor-advance stores) instead of branchy pushes.
-    pub simd_compaction: bool,
-    /// Batched index-then-prefetch-then-probe over large direct-index
-    /// tables.
-    pub prefetch: bool,
-    /// Consult block zone maps: skip per-row work for fully-covered
-    /// predicates, drop provably disjoint blocks whole.
-    pub zone_fullcover: bool,
-}
-
-impl Default for KernelOpts {
-    fn default() -> KernelOpts {
-        KernelOpts::all_on()
-    }
-}
-
-impl KernelOpts {
-    pub fn all_on() -> KernelOpts {
-        KernelOpts {
-            simd_compaction: true,
-            prefetch: true,
-            zone_fullcover: true,
-        }
-    }
-
-    /// Every layer off: the pre-optimization vectorized kernel.
-    pub fn none() -> KernelOpts {
-        KernelOpts {
-            simd_compaction: false,
-            prefetch: false,
-            zone_fullcover: false,
-        }
-    }
-
-    pub fn from_features(f: &Features) -> KernelOpts {
-        KernelOpts {
-            simd_compaction: f.simd_compaction,
-            prefetch: f.prefetch,
-            zone_fullcover: f.zone_fullcover,
-        }
-    }
-
-    /// All 8 flag combinations, for equivalence sweeps.
-    pub fn all_combinations() -> Vec<KernelOpts> {
-        let mut out = Vec::with_capacity(8);
-        for bits in 0u8..8 {
-            out.push(KernelOpts {
-                simd_compaction: bits & 1 != 0,
-                prefetch: bits & 2 != 0,
-                zone_fullcover: bits & 4 != 0,
-            });
-        }
-        out
-    }
-}
-
 #[inline]
 fn pred_ok(p: &CompiledFactPred, v: i32) -> bool {
     match *p {
         CompiledFactPred::Between { lo, hi, .. } => v >= lo && v <= hi,
         CompiledFactPred::Lt { value, .. } => v < value,
-    }
-}
-
-/// How a block's zone relates to one predicate.
-enum ZoneRel {
-    /// Every row in the block satisfies the predicate: skip its per-row
-    /// evaluation entirely.
-    Covered,
-    /// No row can satisfy it: drop the block.
-    Disjoint,
-    /// Mixed or unknown: evaluate per row.
-    Partial,
-}
-
-fn zone_relation(p: &CompiledFactPred, zone: Option<(i32, i32)>) -> ZoneRel {
-    let Some((zlo, zhi)) = zone else {
-        return ZoneRel::Partial;
-    };
-    match *p {
-        CompiledFactPred::Between { lo, hi, .. } => {
-            if zlo >= lo && zhi <= hi {
-                ZoneRel::Covered
-            } else if zhi < lo || zlo > hi {
-                ZoneRel::Disjoint
-            } else {
-                ZoneRel::Partial
-            }
-        }
-        CompiledFactPred::Lt { value, .. } => {
-            if zhi < value {
-                ZoneRel::Covered
-            } else if zlo >= value {
-                ZoneRel::Disjoint
-            } else {
-                ZoneRel::Partial
-            }
-        }
     }
 }
 
@@ -512,32 +454,6 @@ fn compact_sel_next(sel: &mut [u32], live: usize, p: &CompiledFactPred, vals: &[
     w
 }
 
-/// Prefetch only direct-index tables at least this many slots large
-/// (u32 slots — 2 MiB, past L2): smaller ones are cache-resident after a
-/// pass, where a prefetch is measured pure overhead (~20% slower on the
-/// L2-resident date table — the probe loops are issue-bound, so even the
-/// few extra prefetch-address instructions cost).
-/// Public so the `profile` bench target can size its fixture to provably
-/// clear the gate (and report when it does not).
-pub const PREFETCH_MIN_SLOTS: usize = 1 << 19;
-
-/// How many rows ahead the probe loops prefetch the table slot: far enough
-/// to cover a cache miss, near enough to stay inside the block.
-const PREFETCH_DIST: usize = 16;
-
-/// Software-prefetch the cache line holding `p` into all levels (no-op on
-/// non-x86_64 targets).
-#[inline(always)]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a pure performance hint with no memory effects.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(p.cast::<i8>(), core::arch::x86_64::_MM_HINT_T0)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// Probe one direct-index table over the current selection, compacting
 /// `sel`/`keys` in place; returns the survivor count. With `FUSED` the
 /// selection is the identity `0..len` (the caller skipped materializing
@@ -548,8 +464,6 @@ fn prefetch_read<T>(p: *const T) {
 /// with a cursor that advances by the hit bit (wins when hits are
 /// unpredictable), or plain branches (wins when the table is so selective
 /// — or so permissive — that the branch predictor is nearly always right).
-/// `do_prefetch` issues a software prefetch [`PREFETCH_DIST`] rows ahead
-/// inside the same pass, hiding table-slot latency without a second loop.
 #[allow(clippy::too_many_arguments)]
 fn probe_direct<const FUSED: bool>(
     len: usize,
@@ -561,7 +475,6 @@ fn probe_direct<const FUSED: bool>(
     shift: u32,
     contrib: u64,
     branch_free: bool,
-    do_prefetch: bool,
 ) -> usize {
     // Direct-table keys come from i32 columns, so the slot index fits u32
     // arithmetic: a negative or overlarge difference wraps above the slot
@@ -569,27 +482,12 @@ fn probe_direct<const FUSED: bool>(
     let min32 = min as u32;
     let end = ids.len();
     let mut w = 0usize;
-    macro_rules! ahead {
-        ($r:expr) => {
-            if do_prefetch {
-                let r2 = $r + PREFETCH_DIST;
-                if r2 < len {
-                    let i2 = if FUSED { r2 } else { sel[r2] as usize };
-                    let idx2 = (fk[i2] as u32).wrapping_sub(min32) as usize;
-                    if idx2 < end {
-                        prefetch_read(&ids[idx2]);
-                    }
-                }
-            }
-        };
-    }
     if FUSED && contrib == 0 && branch_free {
         // Branch-free and key-free: the join neither reads packed keys
         // (fused: base is 0) nor adds bits, so the scattered key store is
         // replaced by one sequential fill of the survivor prefix.
-        for r in 0..len {
-            ahead!(r);
-            let idx = (fk[r] as u32).wrapping_sub(min32) as usize;
+        for (r, &k) in fk.iter().enumerate().take(len) {
+            let idx = (k as u32).wrapping_sub(min32) as usize;
             let in_range = idx < end;
             let id = ids[if in_range { idx } else { 0 }];
             let hit = in_range & (id != NONE_ID);
@@ -601,7 +499,6 @@ fn probe_direct<const FUSED: bool>(
         // Misses write garbage at `w` that the next hit (or the caller's
         // live count) makes unreachable.
         for r in 0..len {
-            ahead!(r);
             let i = if FUSED { r } else { sel[r] as usize };
             let idx = (fk[i] as u32).wrapping_sub(min32) as usize;
             let in_range = idx < end;
@@ -616,9 +513,8 @@ fn probe_direct<const FUSED: bool>(
         // The join neither reads packed keys (fused: base is 0) nor adds
         // bits to them — every surviving key is 0, so one sequential fill
         // afterwards replaces a scattered store per row.
-        for r in 0..len {
-            ahead!(r);
-            let idx = (fk[r] as u32).wrapping_sub(min32) as usize;
+        for (r, &k) in fk.iter().enumerate().take(len) {
+            let idx = (k as u32).wrapping_sub(min32) as usize;
             if idx < end && ids[idx] != NONE_ID {
                 sel[w] = r as u32;
                 w += 1;
@@ -627,7 +523,6 @@ fn probe_direct<const FUSED: bool>(
         keys[..w].fill(0);
     } else {
         for r in 0..len {
-            ahead!(r);
             let i = if FUSED { r } else { sel[r] as usize };
             let idx = (fk[i] as u32).wrapping_sub(min32) as usize;
             if idx < end {
@@ -644,27 +539,28 @@ fn probe_direct<const FUSED: bool>(
     w
 }
 
-/// Hit-rate band in which the branch-free probe loop is used (when enabled):
-/// outside it the branch predictor is nearly always right and branchy code
-/// skips the unconditional stores.
+/// Hit-rate band in which the branch-free probe loop is used: outside it
+/// the branch predictor is nearly always right and branchy code skips the
+/// unconditional stores.
 const BRANCH_FREE_BAND: (f64, f64) = (0.08, 0.92);
 
 /// Vectorized probe of one column block (the default kernel).
 ///
-/// Same semantics and identical [`ProbeStats`] as [`probe_block`] for every
-/// [`KernelOpts`] combination: each fact predicate and each join shrinks
-/// the selection vector, and a join only probes indices that survived
-/// every earlier stage — early-out as vector compaction. Aggregates land
-/// in `acc` under packed group-id keys; use [`GroupLayout::rematerialize`]
-/// to recover the group `Row`s.
+/// Same semantics and identical [`ProbeStats`] as [`probe_block`]: each
+/// fact predicate and each join shrinks the selection vector, and a join
+/// only probes indices that survived every earlier stage — early-out as
+/// vector compaction. Aggregates land in `acc` under packed group-id keys;
+/// use [`GroupLayout::rematerialize`] to recover the group `Row`s.
 ///
-/// The optimization stack (each layer ablatable, DESIGN.md §10):
-/// zone-fullcover drops or pre-passes whole blocks from their zone maps;
-/// the predicate stage compacts branch-free over fixed-width lanes; joins
-/// against direct-index tables run select+cursor-advance loops with
-/// optional batched software prefetch; and when no predicate survives the
-/// zone stage, the first join fuses with selection-vector creation so the
-/// identity selection is never materialized.
+/// Anatomy (DESIGN.md §10): the predicate stage compacts branch-free over
+/// fixed-width lanes; joins against direct-index tables run either
+/// select+cursor-advance or branchy loops, chosen per table from its build
+/// hit rate; and a query with no fact predicate fuses its first join with
+/// selection-vector creation so the identity selection is never
+/// materialized.
+///
+/// The trailing `KernelOpts` is a frozen-benchmark shim (see `config.rs`):
+/// a unit value, ignored.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_block_vec(
     block: &RowBlock,
@@ -674,26 +570,11 @@ pub fn probe_block_vec(
     acc: &mut GroupAcc,
     buf: &mut SelBuf,
     stats: &mut ProbeStats,
-    opts: KernelOpts,
+    _: KernelOpts,
 ) -> Result<()> {
-    if plan.fks.len() > MAX_JOINS {
-        return Err(ClydeError::Plan("too many dimension joins".into()));
-    }
-    let i32_slices: Vec<Option<&[i32]>> = block
-        .columns()
-        .iter()
-        .map(|c| match c {
-            clyde_common::ColumnData::I32(v) => Some(v.as_slice()),
-            _ => None,
-        })
-        .collect();
-    let slice = |idx: usize| -> Result<&[i32]> {
-        i32_slices[idx].ok_or_else(|| {
-            ClydeError::Plan(format!(
-                "scan column {idx} is not i32 but the probe needs it"
-            ))
-        })
-    };
+    check_join_count(plan)?;
+    let cols = i32_columns(block);
+    let slice = |idx: usize| need_i32(&cols, idx);
     let fk_slices: Vec<&[i32]> = plan.fks.iter().map(|&i| slice(i)).collect::<Result<_>>()?;
     let pred_slices: Vec<&[i32]> = plan
         .fact_preds
@@ -715,56 +596,16 @@ pub fn probe_block_vec(
         keys.resize(n, 0);
     }
 
-    // Zone stage: a predicate whose range covers the block's zone is
-    // dropped (every row passes); a disjoint one rejects the block with
-    // zero probes — exactly what the scalar loop would count.
-    let mut active: Vec<(&CompiledFactPred, &[i32])> = Vec::with_capacity(plan.fact_preds.len());
-    for (p, s) in plan.fact_preds.iter().zip(&pred_slices) {
-        let zone = if opts.zone_fullcover {
-            block.zone(p.col())
-        } else {
-            None
-        };
-        match zone_relation(p, zone) {
-            ZoneRel::Covered => {}
-            ZoneRel::Disjoint => return Ok(()),
-            ZoneRel::Partial => active.push((p, s)),
-        }
-    }
-
-    // Predicate stage: build the selection vector. The first active
-    // predicate filters the full index range directly; later ones compact
-    // in place. With no active predicate the identity selection is left
-    // implicit for the first join to fuse with.
-    let fuse_first_join = active.is_empty() && !fk_slices.is_empty();
+    // Predicate stage: build the selection vector. The first predicate
+    // filters the full index range directly; later ones compact in place.
+    // With no predicate the identity selection is left implicit for the
+    // first join to fuse with.
+    let fuse_first_join = plan.fact_preds.is_empty() && !fk_slices.is_empty();
     let mut live: usize;
-    if let Some((&(p, s), rest)) = active.split_first() {
-        if opts.simd_compaction {
-            live = compact_sel_first(sel, n, p, s);
-        } else {
-            let mut w = 0usize;
-            for (i, &v) in s.iter().enumerate().take(n) {
-                if pred_ok(p, v) {
-                    sel[w] = i as u32;
-                    w += 1;
-                }
-            }
-            live = w;
-        }
-        for &(p, s) in rest {
-            if opts.simd_compaction {
-                live = compact_sel_next(sel, live, p, s);
-            } else {
-                let mut w = 0;
-                for r in 0..live {
-                    let i = sel[r];
-                    if pred_ok(p, s[i as usize]) {
-                        sel[w] = i;
-                        w += 1;
-                    }
-                }
-                live = w;
-            }
+    if let Some((p, rest)) = plan.fact_preds.split_first() {
+        live = compact_sel_first(sel, n, p, pred_slices[0]);
+        for (p, s) in rest.iter().zip(&pred_slices[1..]) {
+            live = compact_sel_next(sel, live, p, s);
         }
         // The first join ORs its id into `keys[r]`; clear only the live
         // prefix it will read.
@@ -801,13 +642,7 @@ pub fn probe_block_vec(
         live = match table.direct_parts() {
             Some((min, ids)) if !ids.is_empty() => {
                 let rate = table.hit_rate();
-                let branch_free = opts.simd_compaction
-                    && rate >= BRANCH_FREE_BAND.0
-                    && rate <= BRANCH_FREE_BAND.1;
-                let do_prefetch = opts.prefetch && ids.len() >= PREFETCH_MIN_SLOTS;
-                if do_prefetch {
-                    stats.prefetch_activations += 1;
-                }
+                let branch_free = rate >= BRANCH_FREE_BAND.0 && rate <= BRANCH_FREE_BAND.1;
                 if fused {
                     probe_direct::<true>(
                         len,
@@ -819,7 +654,6 @@ pub fn probe_block_vec(
                         shift,
                         contrib,
                         branch_free,
-                        do_prefetch,
                     )
                 } else {
                     probe_direct::<false>(
@@ -832,7 +666,6 @@ pub fn probe_block_vec(
                         shift,
                         contrib,
                         branch_free,
-                        do_prefetch,
                     )
                 }
             }
@@ -861,63 +694,6 @@ pub fn probe_block_vec(
         let measure = plan.aggregate.eval_i64(agg_a, agg_b, sel[r] as usize);
         acc.fold(keys[r], measure, &plan.aggregate);
     }
-    Ok(())
-}
-
-/// Row-at-a-time probe (block iteration ablated): same semantics as
-/// [`probe_block`] over a materialized row of the scan schema.
-pub fn probe_row(
-    row: &Row,
-    plan: &ProbePlan,
-    tables: &DimTables,
-    acc: &mut FxHashMap<Row, i64>,
-    stats: &mut ProbeStats,
-) -> Result<()> {
-    stats.rows += 1;
-    let geti = |idx: usize| -> Result<i64> {
-        row.at(idx)
-            .as_i64()
-            .ok_or_else(|| ClydeError::Plan(format!("scan column {idx} is not an integer")))
-    };
-    for p in &plan.fact_preds {
-        let ok = match *p {
-            CompiledFactPred::Between { col, lo, hi } => {
-                let v = geti(col)?;
-                v >= i64::from(lo) && v <= i64::from(hi)
-            }
-            CompiledFactPred::Lt { col, value } => geti(col)? < i64::from(value),
-        };
-        if !ok {
-            return Ok(());
-        }
-    }
-    let mut matched: [Option<&Row>; MAX_JOINS] = [None; MAX_JOINS];
-    // Same selectivity-ordered probing as the block kernels, so per-join
-    // probe counters agree across the block-iteration ablation.
-    for &j in tables.probe_order() {
-        stats.probes += 1;
-        match tables.tables[j].get(geti(plan.fks[j])?) {
-            Some(aux) => matched[j] = Some(aux),
-            None => return Ok(()),
-        }
-    }
-    stats.survivors += 1;
-    let key: Row = plan
-        .group_src
-        .iter()
-        .map(|&(ji, ai)| matched[ji].expect("matched above").at(ai).clone())
-        .collect();
-    let measure = match (&plan.aggregate, plan.agg_a, plan.agg_b) {
-        (Aggregate::SumColumn(_), Some(a), _)
-        | (Aggregate::MinColumn(_), Some(a), _)
-        | (Aggregate::MaxColumn(_), Some(a), _) => geti(a)?,
-        (Aggregate::SumProduct(_, _), Some(a), Some(b)) => geti(a)? * geti(b)?,
-        (Aggregate::SumDiff(_, _), Some(a), Some(b)) => geti(a)? - geti(b)?,
-        (Aggregate::CountStar, _, _) => 1,
-        _ => return Err(ClydeError::Plan("aggregate missing measure column".into())),
-    };
-    let slot = acc.entry(key).or_insert_with(|| plan.aggregate.identity());
-    *slot = plan.aggregate.fold(*slot, measure);
     Ok(())
 }
 
@@ -1076,99 +852,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn prefetch_activations_count_large_direct_tables() {
-        // Q4.1's part join keeps 2/5 of the dimension (mfgr in #1/#2), dense
-        // enough for a direct table over the full key range — hand a part
-        // table larger than PREFETCH_MIN_SLOTS to open the prefetch gate.
-        let data = SsbGen::new(0.005, 46).gen_all();
-        let q = query_by_id("Q4.1").unwrap();
-        let fact_schema = schema::lineorder_schema();
-        let cols: Vec<usize> = q
-            .fact_columns()
-            .iter()
-            .map(|c| fact_schema.index_of(c).unwrap())
-            .collect();
-        let scan_schema = fact_schema.project(&cols);
-        let plan = ProbePlan::compile(&q, &scan_schema).unwrap();
-        let big_parts: Vec<Row> = (1..=(PREFETCH_MIN_SLOTS as i32 + 16))
-            .map(|key| {
-                clyde_common::row![
-                    key, "part", "MFGR#1", "MFGR#11", "MFGR#111", "red", "STANDARD", 1i32, "BOX"
-                ]
-            })
-            .collect();
-        let tables = DimTables::build_all(&q.joins, |dim| {
-            if dim == "part" {
-                Ok(big_parts.clone())
-            } else {
-                Ok(data.dimension(dim).unwrap().to_vec())
-            }
-        })
-        .unwrap();
-        assert!(
-            tables.tables[2].direct_parts().unwrap().1.len() >= PREFETCH_MIN_SLOTS,
-            "fixture must clear the prefetch threshold"
-        );
-        let block = block_of(&data, &scan_schema, &cols);
-
-        let (acc_on, on) = vec_probe_opts(&block, &plan, &tables, KernelOpts::all_on());
-        assert!(on.prefetch_activations > 0, "gate open: counter must fire");
-        let (acc_off, off) = vec_probe_opts(
-            &block,
-            &plan,
-            &tables,
-            KernelOpts {
-                prefetch: false,
-                ..KernelOpts::all_on()
-            },
-        );
-        assert_eq!(off.prefetch_activations, 0);
-        // Prefetching changes memory timing only: identical results and
-        // identical semantic stats (the manual PartialEq ignores the
-        // activation counter by design).
-        assert_eq!(acc_on, acc_off);
-        assert_eq!(on, off);
-
-        let mut acc_scalar = FxHashMap::default();
-        let mut scalar = ProbeStats::default();
-        probe_block(&block, &plan, &tables, &mut acc_scalar, &mut scalar).unwrap();
-        assert_eq!(
-            scalar.prefetch_activations, 0,
-            "scalar path never prefetches"
-        );
-        assert_eq!(on, scalar);
-        assert_eq!(acc_on, acc_scalar);
-
-        // At the committed bench scale the gate stays closed (ROADMAP PR-5
-        // follow-up): the same query on real SF 0.005 dimensions never fires.
-        let small = DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))
-            .unwrap();
-        let (_, st) = vec_probe_opts(&block, &plan, &small, KernelOpts::all_on());
-        assert_eq!(st.prefetch_activations, 0);
-    }
-
     /// Run the vectorized kernel and rematerialize its packed groups.
     fn vec_probe(
         block: &RowBlock,
         plan: &ProbePlan,
         tables: &DimTables,
     ) -> (FxHashMap<Row, i64>, ProbeStats) {
-        vec_probe_opts(block, plan, tables, KernelOpts::all_on())
-    }
-
-    fn vec_probe_opts(
-        block: &RowBlock,
-        plan: &ProbePlan,
-        tables: &DimTables,
-        opts: KernelOpts,
-    ) -> (FxHashMap<Row, i64>, ProbeStats) {
         let layout = GroupLayout::new(plan, tables).expect("key fits");
         let mut acc = GroupAcc::new(&layout, &plan.aggregate);
         let mut buf = SelBuf::default();
         let mut stats = ProbeStats::default();
         probe_block_vec(
-            block, plan, tables, &layout, &mut acc, &mut buf, &mut stats, opts,
+            block, plan, tables, &layout, &mut acc, &mut buf, &mut stats, KernelOpts,
         )
         .unwrap();
         // Distinct dimension rows can share aux values (e.g. 365 dates per
@@ -1267,15 +962,12 @@ mod tests {
         let mut b = GroupAcc::new(&layout, &plan.aggregate);
         let mut buf = SelBuf::default();
         let mut st = ProbeStats::default();
-        let opts = KernelOpts::all_on();
-        probe_block_vec(
-            &block, &plan, &tables, &layout, &mut a, &mut buf, &mut st, opts,
-        )
-        .unwrap();
-        probe_block_vec(
-            &block, &plan, &tables, &layout, &mut b, &mut buf, &mut st, opts,
-        )
-        .unwrap();
+        for acc in [&mut a, &mut b] {
+            probe_block_vec(
+                &block, &plan, &tables, &layout, acc, &mut buf, &mut st, KernelOpts,
+            )
+            .unwrap();
+        }
         a.merge(b, &plan.aggregate);
 
         let mut scalar = FxHashMap::default();
@@ -1299,128 +991,6 @@ mod tests {
         let q = query_by_id("Q2.1").unwrap();
         let tiny = Schema::new(vec![clyde_common::Field::i32("lo_partkey")]);
         assert!(ProbePlan::compile(&q, &tiny).is_err());
-    }
-
-    #[test]
-    fn every_kernel_opts_combination_matches_scalar() {
-        // The optimization layers are pure implementation choices: all 8
-        // flag combinations must produce the scalar kernel's aggregates
-        // and exact counters, on both a predicate-free (Q2.1) and a
-        // predicate-heavy (Q1.1) shape, over odd block boundaries.
-        let data = SsbGen::new(0.005, 46).gen_all();
-        for qid in ["Q2.1", "Q1.1"] {
-            let q = query_by_id(qid).unwrap();
-            let fact_schema = schema::lineorder_schema();
-            let cols: Vec<usize> = q
-                .fact_columns()
-                .iter()
-                .map(|c| fact_schema.index_of(c).unwrap())
-                .collect();
-            let scan_schema = fact_schema.project(&cols);
-            let plan = ProbePlan::compile(&q, &scan_schema).unwrap();
-            let tables =
-                DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))
-                    .unwrap();
-            let dtypes: Vec<_> = scan_schema.fields().iter().map(|f| f.dtype).collect();
-            let blocks: Vec<RowBlock> = data
-                .lineorder
-                .chunks(1000)
-                .map(|chunk| {
-                    let mut b = RowBlockBuilder::new(&dtypes);
-                    for r in chunk {
-                        b.push_row(&r.project(&cols)).unwrap();
-                    }
-                    b.finish()
-                })
-                .collect();
-            let mut scalar = FxHashMap::default();
-            let mut st_scalar = ProbeStats::default();
-            for b in &blocks {
-                probe_block(b, &plan, &tables, &mut scalar, &mut st_scalar).unwrap();
-            }
-            for opts in KernelOpts::all_combinations() {
-                let layout = GroupLayout::new(&plan, &tables).unwrap();
-                let mut acc = GroupAcc::new(&layout, &plan.aggregate);
-                let mut buf = SelBuf::default();
-                let mut st = ProbeStats::default();
-                for b in &blocks {
-                    probe_block_vec(
-                        b, &plan, &tables, &layout, &mut acc, &mut buf, &mut st, opts,
-                    )
-                    .unwrap();
-                }
-                let mut rows: FxHashMap<Row, i64> = FxHashMap::default();
-                for (k, v) in acc.entries() {
-                    let key = layout.rematerialize(k, &tables);
-                    let slot = rows.entry(key).or_insert_with(|| plan.aggregate.identity());
-                    *slot = plan.aggregate.fold(*slot, v);
-                }
-                assert_eq!(rows, scalar, "{qid} {opts:?}");
-                assert_eq!(st, st_scalar, "{qid} {opts:?} counters diverge");
-            }
-        }
-    }
-
-    #[test]
-    fn zone_fullcover_skips_disjoint_and_covered_blocks() {
-        // A block entirely outside a predicate's range is rejected with
-        // zero probes; one entirely inside skips predicate work but still
-        // probes every row — and both behave exactly like the scalar loop.
-        let data = SsbGen::new(0.005, 46).gen_all();
-        let mut q = query_by_id("Q2.1").unwrap();
-        // Add a quantity predicate so Q2.1 gains a zone-checkable column.
-        q.fact_preds.push(clyde_ssb::queries::FactPred::I32Between {
-            column: "lo_quantity".into(),
-            lo: 1,
-            hi: 50,
-        });
-        let fact_schema = schema::lineorder_schema();
-        let cols: Vec<usize> = q
-            .fact_columns()
-            .iter()
-            .map(|c| fact_schema.index_of(c).unwrap())
-            .collect();
-        let scan_schema = fact_schema.project(&cols);
-        let plan = ProbePlan::compile(&q, &scan_schema).unwrap();
-        let tables =
-            DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))
-                .unwrap();
-        let block = block_of(&data, &scan_schema, &cols);
-        // lo_quantity spans 1..=50, so [1, 50] fully covers every block and
-        // [100, 200] is disjoint from every block.
-        let opts = KernelOpts::all_on();
-        let layout = GroupLayout::new(&plan, &tables).unwrap();
-        let run = |plan: &ProbePlan, opts: KernelOpts| {
-            let mut acc = GroupAcc::new(&layout, &plan.aggregate);
-            let mut buf = SelBuf::default();
-            let mut st = ProbeStats::default();
-            probe_block_vec(
-                &block, plan, &tables, &layout, &mut acc, &mut buf, &mut st, opts,
-            )
-            .unwrap();
-            (acc.entries().len(), st)
-        };
-        let (groups_on, st_on) = run(&plan, opts);
-        let (groups_off, st_off) = run(&plan, KernelOpts::none());
-        assert_eq!(groups_on, groups_off);
-        assert_eq!(st_on, st_off, "covered block must still probe everything");
-        assert!(st_on.probes > 0);
-
-        let mut disjoint = plan.clone();
-        disjoint.fact_preds = vec![clyde_ssb::queries::CompiledFactPred::Between {
-            col: plan.fact_preds[0].col(),
-            lo: 100,
-            hi: 200,
-        }];
-        let (groups_dis, st_dis) = run(&disjoint, opts);
-        assert_eq!(groups_dis, 0);
-        assert_eq!(st_dis.probes, 0, "disjoint block must not probe");
-        assert_eq!(st_dis.rows, block.len() as u64);
-        // The scalar kernel agrees on the disjoint shape.
-        let mut acc = FxHashMap::default();
-        let mut st_scalar = ProbeStats::default();
-        probe_block(&block, &disjoint, &tables, &mut acc, &mut st_scalar).unwrap();
-        assert_eq!(st_dis, st_scalar);
     }
 
     /// Codegen smoke check (x86_64): the branch-free predicate lanes of

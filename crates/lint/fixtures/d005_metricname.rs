@@ -1,5 +1,5 @@
 //! D005 fixture: metric names must be string literals in a registered
-//! namespace (`mapred.*`, `dfs.*`, `scheduler.*`, `probe.*`).
+//! namespace (`mapred.*`, `dfs.*`, `scheduler.*`, `cache.*`).
 
 struct Metrics;
 impl Metrics {

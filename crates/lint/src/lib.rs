@@ -202,7 +202,7 @@ pub const D004_AUDITED: &[&str] = &[
 ];
 
 /// Namespaces a literal metric name may live in (D005).
-pub const D005_NAMESPACES: [&str; 5] = ["mapred.", "dfs.", "scheduler.", "probe.", "cache."];
+pub const D005_NAMESPACES: [&str; 4] = ["mapred.", "dfs.", "scheduler.", "cache."];
 
 /// Files exempt from D005: the metrics registry itself (defines the
 /// emitters and unit-tests them with throwaway names).
@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn d005_accepts_registered_names_and_wrapped_calls() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"mapred.jobs\", 1);\n    m.gauge_set(\"scheduler.split_locality\", 0.5);\n    m.histogram_record(\n        \"dfs.scan.local_bytes\",\n        2.0,\n    );\n    m.counter_add(\"probe.prefetch_activations\", 1);\n}\n";
+        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"mapred.jobs\", 1);\n    m.gauge_set(\"scheduler.split_locality\", 0.5);\n    m.histogram_record(\n        \"dfs.scan.local_bytes\",\n        2.0,\n    );\n    m.counter_add(\"cache.hits\", 1);\n}\n";
         assert!(scan(src).is_empty());
     }
 

@@ -329,7 +329,7 @@ pub(crate) fn d005_scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                 message: format!(
                     "`{emitter}` call without a literal metric name — names must be \
                      greppable string literals in a registered namespace \
-                     (mapred.* | dfs.* | scheduler.* | probe.* | cache.*)"
+                     (mapred.* | dfs.* | scheduler.* | cache.*)"
                 ),
             }),
             Some(n) if !D005_NAMESPACES.iter().any(|p| n.starts_with(p)) => {
@@ -339,7 +339,7 @@ pub(crate) fn d005_scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                     rule: Rule::MetricName,
                     message: format!(
                         "metric name `{n}` outside the registered namespaces \
-                         (mapred.* | dfs.* | scheduler.* | probe.* | cache.*) — register \
+                         (mapred.* | dfs.* | scheduler.* | cache.*) — register \
                          the namespace in clyde_lint::D005_NAMESPACES or fix the name"
                     ),
                 });

@@ -67,10 +67,6 @@ pub struct TaskCost {
     pub combine_output_records: u64,
     /// Sorted runs this (reduce) task merged — Hadoop's spill/merge stat.
     pub merge_runs: u64,
-    /// Probe-kernel software-prefetch activations: joins whose dimension
-    /// direct table was large enough to clear `PREFETCH_MIN_SLOTS`. Zero at
-    /// small scale factors — the counter exists to prove the layer fires.
-    pub prefetch_activations: u64,
 }
 
 impl TaskCost {
@@ -102,7 +98,6 @@ impl TaskCost {
             combine_input_records: self.combine_input_records + other.combine_input_records,
             combine_output_records: self.combine_output_records + other.combine_output_records,
             merge_runs: self.merge_runs + other.merge_runs,
-            prefetch_activations: self.prefetch_activations + other.prefetch_activations,
         }
     }
 
@@ -129,9 +124,6 @@ impl TaskCost {
             combine_input_records: s(self.combine_input_records, fact_f),
             combine_output_records: s(self.combine_output_records, fact_f),
             merge_runs: self.merge_runs,
-            // Activations count (join, task) pairs: task count is held fixed
-            // by the extrapolator, so they scale with neither axis.
-            prefetch_activations: self.prefetch_activations,
         }
     }
 
@@ -157,7 +149,6 @@ impl TaskCost {
             combine_input_records: self.combine_input_records / n,
             combine_output_records: self.combine_output_records / n,
             merge_runs: self.merge_runs / n,
-            prefetch_activations: self.prefetch_activations / n,
         }
     }
 }

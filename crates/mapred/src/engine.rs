@@ -1041,11 +1041,6 @@ pub(crate) fn publish_history(
     m.counter_add("dfs.scan.remote_bytes", total_map.remote_bytes);
     m.counter_add("dfs.zone.checked", total_map.zone_checked);
     m.counter_add("dfs.zone.skipped", total_map.zone_skipped);
-    // Like the recovery counters: only emitted when the prefetch layer
-    // actually fired, so small-SF metric sets stay unchanged.
-    if total_map.prefetch_activations > 0 {
-        m.counter_add("probe.prefetch_activations", total_map.prefetch_activations);
-    }
     if let Some(delta) = io {
         m.counter_add("dfs.io.local_read_bytes", delta.total_local_read());
         m.counter_add("dfs.io.remote_read_bytes", delta.total_remote_read());

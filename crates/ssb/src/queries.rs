@@ -6,8 +6,7 @@
 //! (Section 6.1). The reference executor interprets it directly.
 
 use crate::schema;
-use clyde_columnar::SortedDict;
-use clyde_common::{ClydeError, FxHashMap, Result, Row, Schema};
+use clyde_common::{ClydeError, Result, Row, Schema};
 use std::sync::Arc;
 
 /// A predicate over fact-table columns (flight 1's discount/quantity
@@ -208,154 +207,6 @@ impl CompiledDimPred {
                 None => false,
             },
             CompiledDimPred::And(preds) => preds.iter().all(|p| p.eval(row)),
-        }
-    }
-
-    /// Schema indices of the string columns the predicate compares
-    /// (deduplicated) — the columns a dictionary-predicate build must
-    /// encode.
-    pub fn str_cols(&self, out: &mut Vec<usize>) {
-        match self {
-            CompiledDimPred::StrEq { col, .. }
-            | CompiledDimPred::StrIn { col, .. }
-            | CompiledDimPred::StrBetween { col, .. } => {
-                if !out.contains(col) {
-                    out.push(*col);
-                }
-            }
-            CompiledDimPred::And(preds) => {
-                for p in preds {
-                    p.str_cols(out);
-                }
-            }
-            CompiledDimPred::True
-            | CompiledDimPred::I32Eq { .. }
-            | CompiledDimPred::I32Between { .. }
-            | CompiledDimPred::I32In { .. } => {}
-        }
-    }
-}
-
-/// A dimension predicate compiled against sorted per-column dictionaries
-/// ([`SortedDict`]): every string compare becomes a `u32` code compare.
-/// Equality is one code lookup at compile time; a string range becomes one
-/// inclusive code range because sorted dictionaries preserve order; a value
-/// or range matching nothing in the dictionary folds to [`CodePred::Never`].
-/// Semantics are exactly [`CompiledDimPred::eval`] over the same rows.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CodePred {
-    True,
-    /// A string conjunct can never match (value absent / empty range).
-    Never,
-    CodeEq {
-        col: usize,
-        code: u32,
-    },
-    /// Sorted, deduplicated codes.
-    CodeIn {
-        col: usize,
-        codes: Vec<u32>,
-    },
-    /// Inclusive code range.
-    CodeBetween {
-        col: usize,
-        lo: u32,
-        hi: u32,
-    },
-    I32Eq {
-        col: usize,
-        value: i32,
-    },
-    I32Between {
-        col: usize,
-        lo: i32,
-        hi: i32,
-    },
-    I32In {
-        col: usize,
-        values: Vec<i32>,
-    },
-    And(Vec<CodePred>),
-}
-
-impl CodePred {
-    /// Compile a predicate against dictionaries for its string columns
-    /// (`dicts` must cover every index in [`CompiledDimPred::str_cols`]).
-    pub fn compile(p: &CompiledDimPred, dicts: &FxHashMap<usize, SortedDict>) -> CodePred {
-        let dict = |col: &usize| {
-            dicts
-                .get(col)
-                .expect("dictionary built for predicate column")
-        };
-        match p {
-            CompiledDimPred::True => CodePred::True,
-            CompiledDimPred::StrEq { col, value } => match dict(col).code_of(value) {
-                Some(code) => CodePred::CodeEq { col: *col, code },
-                None => CodePred::Never,
-            },
-            CompiledDimPred::StrIn { col, values } => {
-                let mut codes: Vec<u32> =
-                    values.iter().filter_map(|v| dict(col).code_of(v)).collect();
-                codes.sort_unstable();
-                codes.dedup();
-                if codes.is_empty() {
-                    CodePred::Never
-                } else {
-                    CodePred::CodeIn { col: *col, codes }
-                }
-            }
-            CompiledDimPred::StrBetween { col, lo, hi } => match dict(col).code_range(lo, hi) {
-                Some((lo, hi)) => CodePred::CodeBetween { col: *col, lo, hi },
-                None => CodePred::Never,
-            },
-            CompiledDimPred::I32Eq { col, value } => CodePred::I32Eq {
-                col: *col,
-                value: *value,
-            },
-            CompiledDimPred::I32Between { col, lo, hi } => CodePred::I32Between {
-                col: *col,
-                lo: *lo,
-                hi: *hi,
-            },
-            CompiledDimPred::I32In { col, values } => CodePred::I32In {
-                col: *col,
-                values: values.clone(),
-            },
-            CompiledDimPred::And(preds) => {
-                let compiled: Vec<CodePred> =
-                    preds.iter().map(|p| CodePred::compile(p, dicts)).collect();
-                if compiled.contains(&CodePred::Never) {
-                    CodePred::Never
-                } else {
-                    CodePred::And(compiled)
-                }
-            }
-        }
-    }
-
-    /// Evaluate for row `ri`: code conjuncts read the pre-encoded
-    /// `codes[col][ri]`, integer conjuncts read the row itself.
-    pub fn eval(&self, ri: usize, codes: &FxHashMap<usize, Vec<u32>>, row: &Row) -> bool {
-        let code = |col: &usize| codes.get(col).expect("column encoded")[ri];
-        match self {
-            CodePred::True => true,
-            CodePred::Never => false,
-            CodePred::CodeEq { col, code: c } => code(col) == *c,
-            CodePred::CodeIn { col, codes: cs } => cs.binary_search(&code(col)).is_ok(),
-            CodePred::CodeBetween { col, lo, hi } => {
-                let c = code(col);
-                c >= *lo && c <= *hi
-            }
-            CodePred::I32Eq { col, value } => row.at(*col).as_i64() == Some(i64::from(*value)),
-            CodePred::I32Between { col, lo, hi } => match row.at(*col).as_i64() {
-                Some(v) => v >= i64::from(*lo) && v <= i64::from(*hi),
-                None => false,
-            },
-            CodePred::I32In { col, values } => match row.at(*col).as_i64() {
-                Some(v) => values.iter().any(|&x| i64::from(x) == v),
-                None => false,
-            },
-            CodePred::And(preds) => preds.iter().all(|p| p.eval(ri, codes, row)),
         }
     }
 }

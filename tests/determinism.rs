@@ -14,7 +14,7 @@ use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::query_by_id;
-use clydesdale::Clydesdale;
+use clydesdale::{Clydesdale, Features};
 use std::sync::Arc;
 
 /// The byte-comparable artifacts of one full Q2.1 execution.
@@ -30,6 +30,10 @@ struct Artifacts {
 /// artifacts (result bytes, chrome trace, wall-free metrics rendering,
 /// profile bundle, collapsed flamegraph).
 fn run_q21(host_threads: Option<u32>) -> Artifacts {
+    run_q21_with(Features::default(), host_threads)
+}
+
+fn run_q21_with(features: Features, host_threads: Option<u32>) -> Artifacts {
     let dfs = Dfs::new(
         ClusterSpec::tiny(3),
         DfsOptions {
@@ -53,7 +57,8 @@ fn run_q21(host_threads: Option<u32>) -> Artifacts {
     )
     .unwrap();
     let obs = Obs::enabled();
-    let mut clyde = Clydesdale::new(Arc::clone(&dfs), layout).with_obs(Arc::clone(&obs));
+    let mut clyde =
+        Clydesdale::with_features(Arc::clone(&dfs), layout, features).with_obs(Arc::clone(&obs));
     if let Some(t) = host_threads {
         clyde = clyde.with_host_threads(t);
     }
@@ -77,6 +82,18 @@ fn run_q21(host_threads: Option<u32>) -> Artifacts {
     }
 }
 
+/// Every artifact byte-identical, with `what` naming the varied setting.
+fn assert_identical(a: &Artifacts, b: &Artifacts, what: &str) {
+    assert_eq!(a.rows, b.rows, "result rows differ: {what}");
+    assert_eq!(a.trace, b.trace, "simulated-time spans differ: {what}");
+    assert_eq!(a.metrics, b.metrics, "metric snapshots differ: {what}");
+    assert_eq!(
+        a.profile_json, b.profile_json,
+        "query profiles differ: {what}"
+    );
+    assert_eq!(a.flamegraph, b.flamegraph, "flamegraphs differ: {what}");
+}
+
 #[test]
 fn q21_invariant_across_host_thread_counts() {
     let a = run_q21(None);
@@ -86,27 +103,7 @@ fn q21_invariant_across_host_thread_counts() {
     assert!(a.profile_json.contains("\"format\":\"clyde-profiles\""));
     assert!(a.flamegraph.contains("map"));
     for t in [1u32, 2, 8] {
-        let b = run_q21(Some(t));
-        assert_eq!(
-            a.rows, b.rows,
-            "results must not depend on host threads ({t})"
-        );
-        assert_eq!(
-            a.trace, b.trace,
-            "simulated-time spans must not depend on host threads ({t})"
-        );
-        assert_eq!(
-            a.metrics, b.metrics,
-            "metric snapshots must not depend on host threads ({t})"
-        );
-        assert_eq!(
-            a.profile_json, b.profile_json,
-            "query profiles must not depend on host threads ({t})"
-        );
-        assert_eq!(
-            a.flamegraph, b.flamegraph,
-            "flamegraphs must not depend on host threads ({t})"
-        );
+        assert_identical(&a, &run_q21(Some(t)), &format!("{t} host threads"));
     }
 }
 
@@ -132,13 +129,27 @@ fn merge_order_is_input_order_not_schedule_order() {
     }
 }
 
+/// Block iteration ablated: the input hands back row readers, so the runner
+/// gives whole parts (not blocks) to its threads — the only user of that
+/// grain. Same contract: nothing observable depends on the thread count.
+#[test]
+fn row_reader_path_invariant_across_host_thread_counts() {
+    let features = Features::without_block_iteration();
+    let a = run_q21_with(features, Some(1));
+    assert_eq!(
+        a.rows,
+        run_q21(Some(1)).rows,
+        "ablation must not change the answer"
+    );
+    for t in [2u32, 8] {
+        let b = run_q21_with(features, Some(t));
+        assert_identical(&a, &b, &format!("row path, {t} host threads"));
+    }
+}
+
 #[test]
 fn q21_dual_run_is_byte_identical() {
     let first = run_q21(None);
     let second = run_q21(None);
-    assert_eq!(first.rows, second.rows, "result rows");
-    assert_eq!(first.trace, second.trace, "chrome trace");
-    assert_eq!(first.metrics, second.metrics, "metric snapshot");
-    assert_eq!(first.profile_json, second.profile_json, "profile bundle");
-    assert_eq!(first.flamegraph, second.flamegraph, "flamegraph");
+    assert_identical(&first, &second, "second run");
 }

@@ -1,24 +1,21 @@
-//! Property test: the three probe kernels are interchangeable.
+//! Property test: the three probe entry points are interchangeable.
 //!
 //! For any SSB query, any generator seed, and any block-size partitioning
-//! of the fact table, the vectorized kernel ([`probe_block_vec`]) — under
-//! **every [`KernelOpts`] ablation combination** — the scalar block kernel
-//! ([`probe_block`]) and the row-at-a-time fallback ([`probe_row`]) must
-//! produce identical group aggregates, identical [`ProbeStats`] (rows,
-//! probes **and survivors** — early-out must shrink the selection vector
-//! exactly as the scalar loop skips), and all must agree with the trusted
-//! single-process reference executor. Dimension tables built with
-//! dictionary-compiled predicates must behave identically to plain
-//! string-comparison builds.
+//! of the fact table, the vectorized kernel ([`probe_block_vec`]), the
+//! scalar block kernel ([`probe_block`]) and the row-at-a-time fallback
+//! ([`probe_row`]) must produce identical group aggregates, identical
+//! [`ProbeStats`] (rows, probes **and survivors** — early-out must shrink
+//! the selection vector exactly as the scalar loop skips), and all must
+//! agree with the trusted single-process reference executor.
 
-use clyde_common::{FxHashMap, Row, RowBlock, RowBlockBuilder, Schema};
+use clyde_common::{ClydeError, FxHashMap, Row, RowBlock, RowBlockBuilder, Schema};
 use clyde_ssb::gen::SsbGen;
-use clyde_ssb::{all_queries, reference_answer, schema};
+use clyde_ssb::{all_queries, query_by_id, reference_answer, schema};
 use clydesdale::hashtable::DimTables;
 use clydesdale::probe::{
-    probe_block, probe_block_vec, probe_row, GroupAcc, GroupLayout, KernelOpts, ProbePlan,
-    ProbeStats, SelBuf,
+    probe_block, probe_block_vec, probe_row, GroupAcc, GroupLayout, ProbePlan, ProbeStats, SelBuf,
 };
+use clydesdale::KernelOpts;
 use proptest::prelude::*;
 
 /// Chunk the projected fact rows into blocks of `block_rows`.
@@ -48,13 +45,15 @@ fn run_vec(
     plan: &ProbePlan,
     tables: &DimTables,
     layout: &GroupLayout,
-    opts: KernelOpts,
 ) -> (FxHashMap<Row, i64>, ProbeStats) {
     let mut acc = GroupAcc::new(layout, &plan.aggregate);
     let mut buf = SelBuf::default();
     let mut st = ProbeStats::default();
     for b in blocks {
-        probe_block_vec(b, plan, tables, layout, &mut acc, &mut buf, &mut st, opts).unwrap();
+        probe_block_vec(
+            b, plan, tables, layout, &mut acc, &mut buf, &mut st, KernelOpts,
+        )
+        .unwrap();
     }
     let mut folded: FxHashMap<Row, i64> = FxHashMap::default();
     for (k, v) in acc.entries() {
@@ -70,10 +69,8 @@ fn run_vec(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Vectorized (all ablation combinations) == scalar block ==
-    /// row-at-a-time == reference, for every query shape, over arbitrary
-    /// seeds and block boundaries, with and without dictionary-compiled
-    /// dimension predicates.
+    /// Vectorized == scalar block == row-at-a-time == reference, for every
+    /// query shape, over arbitrary seeds and block boundaries.
     #[test]
     fn kernels_agree_with_each_other_and_the_reference(
         qi in 0usize..13,
@@ -113,30 +110,12 @@ proptest! {
         prop_assert_eq!(st_row, st_scalar, "{}: row stats != scalar", q.id);
         prop_assert_eq!(st_scalar.rows, data.lineorder.len() as u64);
 
-        // Vectorized kernel: every ablation-flag combination must match
-        // the scalar kernel bit for bit, counters included.
+        // Vectorized kernel: must match the scalar kernel bit for bit,
+        // counters included.
         let layout = GroupLayout::new(&plan, &tables).expect("packed key fits for SSB");
-        for opts in KernelOpts::all_combinations() {
-            let (acc_vec, st_vec) = run_vec(&blocks, &plan, &tables, &layout, opts);
-            prop_assert_eq!(&acc_vec, &acc_scalar,
-                "{}: vectorized({:?}) != scalar", q.id, opts);
-            prop_assert_eq!(st_vec, st_scalar,
-                "{}: vectorized({:?}) stats != scalar", q.id, opts);
-        }
-
-        // Dictionary-compiled dimension predicates: same tables, same
-        // probe order, same answers as the plain string-comparison build.
-        let dict_tables = DimTables::build_all_with(&q.joins, true, |dim| {
-            Ok(data.dimension(dim).unwrap().to_vec())
-        })
-        .unwrap();
-        prop_assert_eq!(dict_tables.probe_order(), tables.probe_order(),
-            "{}: dict build changes probe order", q.id);
-        let dict_layout = GroupLayout::new(&plan, &dict_tables).expect("packed key fits");
-        let (acc_dict, st_dict) =
-            run_vec(&blocks, &plan, &dict_tables, &dict_layout, KernelOpts::all_on());
-        prop_assert_eq!(&acc_dict, &acc_scalar, "{}: dict tables != scalar", q.id);
-        prop_assert_eq!(st_dict, st_scalar, "{}: dict stats != scalar", q.id);
+        let (acc_vec, st_vec) = run_vec(&blocks, &plan, &tables, &layout);
+        prop_assert_eq!(&acc_vec, &acc_scalar, "{}: vectorized != scalar", q.id);
+        prop_assert_eq!(st_vec, st_scalar, "{}: vectorized stats != scalar", q.id);
 
         // And the reference executor blesses the shared answer.
         let mut rows: Vec<Row> = acc_scalar
@@ -147,4 +126,53 @@ proptest! {
         let expect = reference_answer(&data, q).unwrap();
         prop_assert_eq!(rows, expect, "{}: kernels disagree with reference", q.id);
     }
+}
+
+/// The scalar core tracks matched aux rows in a fixed 8-slot array; a query
+/// with more joins (a dimension may be joined repeatedly) must be refused
+/// with a typed plan error by every entry point, never index past it.
+#[test]
+fn nine_joins_is_a_typed_error_on_every_entry_point() {
+    let data = SsbGen::new(0.002, 1).gen_all();
+    let mut q = query_by_id("Q4.1").unwrap();
+    let repeated: Vec<_> = q.joins.iter().cycle().take(9).cloned().collect();
+    q.joins = repeated;
+    let fact_schema = schema::lineorder_schema();
+    let cols: Vec<usize> = q
+        .fact_columns()
+        .iter()
+        .map(|c| fact_schema.index_of(c).unwrap())
+        .collect();
+    let scan_schema = fact_schema.project(&cols);
+    let plan = ProbePlan::compile(&q, &scan_schema).unwrap();
+    let tables =
+        DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec())).unwrap();
+    let blocks = blocks_of(&data.lineorder, &scan_schema, &cols, 1_000);
+    let is_plan_err = |r: clyde_common::Result<()>| matches!(r, Err(ClydeError::Plan(_)));
+
+    let mut acc = FxHashMap::default();
+    let mut st = ProbeStats::default();
+    assert!(is_plan_err(probe_block(
+        &blocks[0], &plan, &tables, &mut acc, &mut st
+    )));
+    // Every row, so one that survives all nine probes is among them.
+    for lo in &data.lineorder {
+        let row = lo.project(&cols);
+        assert!(is_plan_err(probe_row(
+            &row, &plan, &tables, &mut acc, &mut st
+        )));
+    }
+    let layout = GroupLayout::new(&plan, &tables).expect("packed key fits");
+    let mut vacc = GroupAcc::new(&layout, &plan.aggregate);
+    assert!(is_plan_err(probe_block_vec(
+        &blocks[0],
+        &plan,
+        &tables,
+        &layout,
+        &mut vacc,
+        &mut SelBuf::default(),
+        &mut st,
+        KernelOpts,
+    )));
+    assert!(acc.is_empty(), "a refused plan must not aggregate anything");
 }

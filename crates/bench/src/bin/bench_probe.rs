@@ -1,26 +1,33 @@
-//! Micro-benchmark of the probe kernels over a four-query suite (Q1.1,
-//! Q2.1, Q3.2, Q4.1): rows/sec, scalar vs vectorized, over in-memory column
-//! blocks (no DFS, no MapReduce — just the inner loop the map task runs).
+//! Micro-benchmark of the map task's two in-memory phases over a four-query
+//! suite (Q1.1, Q2.1, Q3.2, Q4.1), no DFS and no MapReduce around them:
+//!
+//! * **probe** — rows/sec, scalar vs vectorized kernel, over column blocks;
+//! * **build** — the per-node dimension hash build from row-binary bytes,
+//!   the two-step rows path (`rowcodec::read_rows` + `DimTables::build_all`)
+//!   vs the fused encoded path (`DimTables::build_all_encoded`, what
+//!   `MtMapRunner` runs).
 //!
 //! Usage: `bench_probe [SF] [--json PATH] [--gate PATH]`.
 //!
 //! * `--json PATH` writes the suite results as a JSON document (see
 //!   `BENCH_probe.json` at the repo root for a committed run).
 //! * `--gate PATH` reads a committed run and **fails (exit 1) if any
-//!   query's measured speedup falls below 0.9× its recorded speedup** —
-//!   the CI regression gate.
+//!   query's measured probe speedup, or the build speedup of a query in
+//!   [`BUILD_GATED`], falls below 0.9× its recorded speedup** — the CI
+//!   regression gate.
 //!
 //! Timing: each measurement first calibrates a repetition count so one
 //! timed iteration runs at least [`MIN_ITER_SECS`], then times both
-//! kernels once per round for [`TIMED_ITERS`] rounds. Raw rows/sec are
-//! best-of-rounds; the recorded `speedup` is the **median of same-round
-//! scalar/vectorized ratios**, which cancels machine-wide frequency drift
-//! out of the number the gate checks.
+//! variants once per round for [`TIMED_ITERS`] rounds. Raw rows/sec and ms
+//! are best-of-rounds; the recorded `speedup` is the **median of same-round
+//! base/variant ratios**, which cancels machine-wide frequency drift out of
+//! the number the gate checks.
 
+use clyde_common::obs::json::{self, Json};
 use clyde_common::obs::WallTimer;
-use clyde_common::{FxHashMap, RowBlock, RowBlockBuilder};
+use clyde_common::{rowcodec, FxHashMap, RowBlock, RowBlockBuilder};
 use clyde_ssb::gen::SsbGen;
-use clyde_ssb::{query_by_id, schema};
+use clyde_ssb::{query_by_id, schema, StarQuery};
 use clydesdale::hashtable::DimTables;
 use clydesdale::planner::ROWS_PER_BLOCK;
 use clydesdale::probe::{
@@ -34,9 +41,15 @@ use clydesdale::KernelOpts;
 /// (Q3.2), and a four-join probe (Q4.1).
 const SUITE: [&str; 4] = ["Q1.1", "Q2.1", "Q3.2", "Q4.1"];
 
-/// One kernel under test: a closure running one full pass over the data and
-/// returning the pass's [`ProbeStats`].
-type Pass<'a> = Box<dyn FnMut() -> ProbeStats + 'a>;
+/// Queries whose build speedup the gate enforces: the two that join `part`,
+/// the big dimension. Q1.1 and Q3.2 build under 3 k rows in about a
+/// millisecond, and their ratio moved 2.22-2.43x from run to run on one
+/// host — as wide as the gate's 10 % band.
+const BUILD_GATED: [&str; 2] = ["Q2.1", "Q4.1"];
+
+/// One variant under test: a closure running one full pass over the data
+/// and returning what the pass counted (compared across variants).
+type Pass<'a, T> = Box<dyn FnMut() -> T + 'a>;
 
 /// Minimum wall time of one timed iteration; repetitions are scaled up
 /// until a single iteration takes at least this long.
@@ -46,6 +59,7 @@ const WARMUP_ITERS: usize = 2;
 
 struct QueryFixture {
     qid: &'static str,
+    query: StarQuery,
     plan: ProbePlan,
     tables: DimTables,
     blocks: Vec<RowBlock>,
@@ -59,6 +73,16 @@ struct QueryResult {
     vec_rps: f64,
     speedup: f64,
     stats: ProbeStats,
+    build: BuildResult,
+}
+
+/// The build section of one query: wall ms of one per-node build of all its
+/// dimension tables, from encoded bytes, on either path.
+struct BuildResult {
+    dim_rows: u64,
+    rows_path_ms: f64,
+    encoded_path_ms: f64,
+    speedup: f64,
 }
 
 fn build_fixture(data: &clyde_ssb::SsbData, qid: &'static str) -> QueryFixture {
@@ -87,6 +111,7 @@ fn build_fixture(data: &clyde_ssb::SsbData, qid: &'static str) -> QueryFixture {
         .collect();
     QueryFixture {
         qid,
+        query: q,
         plan,
         tables,
         blocks,
@@ -94,28 +119,28 @@ fn build_fixture(data: &clyde_ssb::SsbData, qid: &'static str) -> QueryFixture {
     }
 }
 
-/// One kernel's timing: per-round seconds for a single pass over the
-/// data (round times divided by the calibrated repetition count), plus the
-/// [`ProbeStats`] one pass produced.
-struct Timed {
+/// One variant's timing: per-round seconds for a single pass over the
+/// data (round times divided by the calibrated repetition count), plus
+/// what one pass counted.
+struct Timed<T> {
     rounds: Vec<f64>,
-    stats: ProbeStats,
+    stats: T,
 }
 
-impl Timed {
-    fn best_rps(&self, rows: u64) -> f64 {
-        rows as f64 / self.rounds.iter().cloned().fold(f64::INFINITY, f64::min)
+impl<T> Timed<T> {
+    fn best_s(&self) -> f64 {
+        self.rounds.iter().cloned().fold(f64::INFINITY, f64::min)
     }
 }
 
-/// Interleaved rounds: every kernel is timed once per round, so CPU
-/// frequency drift and noisy neighbors hit both kernels of a round alike
+/// Interleaved rounds: every variant is timed once per round, so CPU
+/// frequency drift and noisy neighbors hit both variants of a round alike
 /// instead of skewing whichever happened to run during a slow stretch.
 /// Repetition counts are calibrated per kernel so one timed sample runs
 /// at least [`MIN_ITER_SECS`]. Returns per-round single-pass times per
 /// kernel, in input order — ratios between kernels should be computed
 /// round-by-round (see [`median_ratio`]), where drift mostly cancels.
-fn time_interleaved(passes: &mut [Pass<'_>]) -> Vec<Timed> {
+fn time_interleaved<T>(passes: &mut [Pass<'_, T>]) -> Vec<Timed<T>> {
     let mut reps = Vec::with_capacity(passes.len());
     let mut stats = Vec::with_capacity(passes.len());
     for pass in passes.iter_mut() {
@@ -148,7 +173,7 @@ fn time_interleaved(passes: &mut [Pass<'_>]) -> Vec<Timed> {
 /// Median over rounds of `base_time / variant_time` — the speedup of
 /// `variant` relative to `base`, with same-round pairing so machine-wide
 /// drift cancels out of the ratio.
-fn median_ratio(base: &Timed, variant: &Timed) -> f64 {
+fn median_ratio<T>(base: &Timed<T>, variant: &Timed<T>) -> f64 {
     let mut ratios: Vec<f64> = base
         .rounds
         .iter()
@@ -159,16 +184,52 @@ fn median_ratio(base: &Timed, variant: &Timed) -> f64 {
     ratios[ratios.len() / 2]
 }
 
-fn bench_query(fx: &QueryFixture) -> QueryResult {
+/// Time one per-node build of `fx`'s dimension tables from their
+/// row-binary bytes (what `loader` leaves on every node's local disk):
+/// decode to rows then build, vs build straight from the bytes.
+fn bench_build(fx: &QueryFixture, data: &clyde_ssb::SsbData) -> BuildResult {
+    let encoded: FxHashMap<&str, Vec<u8>> = fx
+        .query
+        .joins
+        .iter()
+        .map(|j| {
+            let rows = data.dimension(&j.dimension).unwrap();
+            (j.dimension.as_str(), rowcodec::write_rows(rows))
+        })
+        .collect();
+    let joins = &fx.query.joins;
+    let counted = |t: DimTables| (t.build_rows, t.mem_bytes, t.mem_fixed_bytes);
+    let rows_pass: Pass<'_, _> = Box::new(|| {
+        counted(DimTables::build_all(joins, |dim| rowcodec::read_rows(&encoded[dim])).unwrap())
+    });
+    let encoded_pass: Pass<'_, _> =
+        Box::new(|| counted(DimTables::build_all_encoded(joins, |dim| Ok(&encoded[dim])).unwrap()));
+    let timed = time_interleaved(&mut [rows_pass, encoded_pass]);
+    let (by_rows, by_bytes) = (&timed[0], &timed[1]);
+    assert_eq!(
+        by_bytes.stats, by_rows.stats,
+        "{}: both build paths must account identically (rows/mem/fixed mem)",
+        fx.qid
+    );
+    BuildResult {
+        dim_rows: by_bytes.stats.0,
+        rows_path_ms: by_rows.best_s() * 1e3,
+        encoded_path_ms: by_bytes.best_s() * 1e3,
+        speedup: median_ratio(by_rows, by_bytes),
+    }
+}
+
+fn bench_query(fx: &QueryFixture, data: &clyde_ssb::SsbData) -> QueryResult {
     let QueryFixture {
         qid,
         plan,
         tables,
         blocks,
         rows,
+        ..
     } = fx;
     let layout = GroupLayout::new(plan, tables).expect("packed key fits");
-    let scalar_pass: Pass<'_> = Box::new(|| {
+    let scalar_pass: Pass<'_, ProbeStats> = Box::new(|| {
         let mut acc = FxHashMap::default();
         let mut stats = ProbeStats::default();
         for b in blocks {
@@ -176,7 +237,7 @@ fn bench_query(fx: &QueryFixture) -> QueryResult {
         }
         stats
     });
-    let vec_pass: Pass<'_> = Box::new(|| {
+    let vec_pass: Pass<'_, ProbeStats> = Box::new(|| {
         let mut acc = GroupAcc::new(&layout, &plan.aggregate);
         let mut buf = SelBuf::default();
         let mut stats = ProbeStats::default();
@@ -197,29 +258,18 @@ fn bench_query(fx: &QueryFixture) -> QueryResult {
     QueryResult {
         qid,
         rows: *rows,
-        scalar_rps: scalar.best_rps(*rows),
-        vec_rps: vec.best_rps(*rows),
+        scalar_rps: *rows as f64 / scalar.best_s(),
+        vec_rps: *rows as f64 / vec.best_s(),
         speedup: median_ratio(scalar, vec),
         stats: vec.stats,
+        build: bench_build(fx, data),
     }
 }
 
-/// Pull `"speedup": <num>` for `qid` out of a committed benchmark JSON.
-/// Hand-rolled on purpose (no serde in this workspace): finds the query's
-/// key, then the first `"speedup"` after it.
-fn recorded_speedup(json: &str, qid: &str) -> Option<f64> {
-    let key = format!("\"{qid}\"");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let sp = rest.find("\"speedup\"")?;
-    let after = &rest[sp + "\"speedup\"".len()..];
-    let colon = after.find(':')?;
-    let num: String = after[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
+/// `"speedup"` of `qid` in `section` (`"queries"` or `"build"`) of a
+/// committed run.
+fn recorded_speedup(committed: &Json, section: &str, qid: &str) -> Option<f64> {
+    committed.get(section)?.get(qid)?.get("speedup")?.as_num()
 }
 
 fn main() {
@@ -248,56 +298,77 @@ fn main() {
     let mut results = Vec::new();
     for qid in SUITE {
         let fx = build_fixture(&data, qid);
-        let r = bench_query(&fx);
+        let r = bench_query(&fx, &data);
         println!(
             "{}: scalar {:>12.0} rows/s | vectorized {:>12.0} rows/s | speedup {:.2}x",
             r.qid, r.scalar_rps, r.vec_rps, r.speedup
+        );
+        println!(
+            "{}: build of {} dimension rows: rows path {:.3} ms | encoded path {:.3} ms | speedup {:.2}x",
+            r.qid, r.build.dim_rows, r.build.rows_path_ms, r.build.encoded_path_ms, r.build.speedup
         );
         results.push(r);
     }
 
     if let Some(path) = json_path {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"sf\": {sf},\n  \"block_rows\": {ROWS_PER_BLOCK},\n  \"queries\": {{\n"
-        ));
-        for (i, r) in results.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\n      \"fact_rows\": {},\n      \"scalar_rows_per_s\": {:.0},\n      \
+        let section = |body: &dyn Fn(&QueryResult) -> String| {
+            let entries: Vec<String> = results
+                .iter()
+                .map(|r| format!("    \"{}\": {{\n{}\n    }}", r.qid, body(r)))
+                .collect();
+            entries.join(",\n")
+        };
+        let queries = section(&|r| {
+            format!(
+                "      \"fact_rows\": {},\n      \"scalar_rows_per_s\": {:.0},\n      \
                  \"vectorized_rows_per_s\": {:.0},\n      \"speedup\": {:.2},\n      \
-                 \"probes\": {},\n      \"survivors\": {}\n",
-                r.qid, r.rows, r.scalar_rps, r.vec_rps, r.speedup, r.stats.probes, r.stats.survivors
-            ));
-            let comma = if i + 1 < results.len() { "," } else { "" };
-            out.push_str(&format!("    }}{comma}\n"));
-        }
-        out.push_str("  }\n}\n");
+                 \"probes\": {},\n      \"survivors\": {}",
+                r.rows, r.scalar_rps, r.vec_rps, r.speedup, r.stats.probes, r.stats.survivors
+            )
+        });
+        let build = section(&|r| {
+            format!(
+                "      \"dim_rows\": {},\n      \"rows_path_ms\": {:.3},\n      \
+                 \"encoded_path_ms\": {:.3},\n      \"speedup\": {:.2}",
+                r.build.dim_rows, r.build.rows_path_ms, r.build.encoded_path_ms, r.build.speedup
+            )
+        });
+        let out = format!(
+            "{{\n  \"sf\": {sf},\n  \"block_rows\": {ROWS_PER_BLOCK},\n  \
+             \"queries\": {{\n{queries}\n  }},\n  \"build\": {{\n{build}\n  }}\n}}\n"
+        );
         std::fs::write(&path, out).expect("write json");
         eprintln!("wrote {path}");
     }
 
     if let Some(path) = gate_path {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate file {path}: {e}"));
+        let committed = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text))
+            .unwrap_or_else(|e| panic!("gate file {path}: {e}"));
+        let probe = results.iter().map(|r| ("queries", r.qid, r.speedup));
+        let build = results
+            .iter()
+            .filter(|r| BUILD_GATED.contains(&r.qid))
+            .map(|r| ("build", r.qid, r.build.speedup));
         let mut failed = false;
-        for r in &results {
-            let Some(recorded) = recorded_speedup(&committed, r.qid) else {
-                eprintln!("gate: {path} has no speedup for {}", r.qid);
+        for (section, qid, measured) in probe.chain(build) {
+            let Some(recorded) = recorded_speedup(&committed, section, qid) else {
+                eprintln!("gate: {path} has no {section} speedup for {qid}");
                 failed = true;
                 continue;
             };
             let floor = recorded * 0.9;
-            let ok = r.speedup >= floor;
+            let ok = measured >= floor;
             eprintln!(
-                "gate {}: measured {:.2}x vs recorded {recorded:.2}x (floor {floor:.2}x) — {}",
-                r.qid,
-                r.speedup,
+                "gate {section} {qid}: measured {measured:.2}x vs recorded {recorded:.2}x \
+                 (floor {floor:.2}x) — {}",
                 if ok { "ok" } else { "FAIL" }
             );
             failed |= !ok;
         }
         if failed {
-            eprintln!("bench gate FAILED: probe kernel regressed");
+            eprintln!("bench gate FAILED: probe kernel or dimension build regressed");
             std::process::exit(1);
         }
         eprintln!("bench gate passed");

@@ -254,6 +254,60 @@ impl From<String> for Datum {
     }
 }
 
+/// A borrowed view of one value: the string variant points into the buffer
+/// (or the [`Datum`]) it was read from, so looking at a value allocates
+/// nothing. This is what the dimension hash build sees of the rows it
+/// filters — only the few columns it keeps are turned into [`Datum`]s.
+#[derive(Debug, Clone, Copy)]
+pub enum DatumRef<'a> {
+    Null,
+    I32(i32),
+    I64(i64),
+    F64(f64),
+    Str(&'a str),
+}
+
+impl<'a> DatumRef<'a> {
+    /// Integer view widening `I32` to `i64`, as [`Datum::as_i64`].
+    pub fn as_i64(self) -> Option<i64> {
+        match self {
+            DatumRef::I32(v) => Some(i64::from(v)),
+            DatumRef::I64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            DatumRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The owned value; allocates for strings.
+    pub fn to_datum(self) -> Datum {
+        match self {
+            DatumRef::Null => Datum::Null,
+            DatumRef::I32(v) => Datum::I32(v),
+            DatumRef::I64(v) => Datum::I64(v),
+            DatumRef::F64(v) => Datum::F64(v),
+            DatumRef::Str(s) => Datum::str(s),
+        }
+    }
+}
+
+impl<'a> From<&'a Datum> for DatumRef<'a> {
+    fn from(d: &'a Datum) -> Self {
+        match d {
+            Datum::Null => DatumRef::Null,
+            Datum::I32(v) => DatumRef::I32(*v),
+            Datum::I64(v) => DatumRef::I64(*v),
+            Datum::F64(v) => DatumRef::F64(*v),
+            Datum::Str(s) => DatumRef::Str(s),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,6 +370,23 @@ mod tests {
         assert_eq!(Datum::I32(2).as_f64(), Some(2.0));
         assert!(Datum::Null.is_null());
         assert_eq!(Datum::Null.datum_type(), None);
+    }
+
+    #[test]
+    fn borrowed_view_round_trips_and_agrees_on_accessors() {
+        for d in [
+            Datum::Null,
+            Datum::I32(-5),
+            Datum::I64(1 << 40),
+            Datum::F64(2.5),
+            Datum::str("MFGR#12"),
+        ] {
+            let r = DatumRef::from(&d);
+            assert_eq!(r.as_i64(), d.as_i64());
+            assert_eq!(r.as_str(), d.as_str());
+            // Exact variant preservation, not just Datum's coercing equality.
+            assert_eq!(format!("{:?}", r.to_datum()), format!("{d:?}"));
+        }
     }
 
     #[test]

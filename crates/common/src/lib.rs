@@ -31,7 +31,7 @@ pub mod schema;
 pub mod varint;
 
 pub use colblock::{ColumnData, RowBlock, RowBlockBuilder};
-pub use datum::{Datum, DatumType};
+pub use datum::{Datum, DatumRef, DatumType};
 pub use error::{ClydeError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use obs::Obs;

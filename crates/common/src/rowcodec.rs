@@ -8,7 +8,7 @@
 //!
 //! [`keycodec`]: crate::keycodec
 
-use crate::datum::{Datum, DatumType};
+use crate::datum::{Datum, DatumRef, DatumType};
 use crate::error::{ClydeError, Result};
 use crate::row::Row;
 use crate::varint;
@@ -43,44 +43,52 @@ pub fn write_datum(out: &mut Vec<u8>, d: &Datum) {
     }
 }
 
-/// Read one datum.
-pub fn read_datum(buf: &[u8], pos: &mut usize) -> Result<Datum> {
+/// Read one datum without allocating: a string borrows its bytes from
+/// `buf`. Every other reader in this module decodes through this function,
+/// so tag, bounds, `i32` range and utf-8 checks exist once.
+pub fn read_datum_ref<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DatumRef<'a>> {
     let tag = *buf
         .get(*pos)
         .ok_or_else(|| ClydeError::Format("rowcodec: empty buffer".into()))?;
     *pos += 1;
     match tag {
-        TAG_NULL => Ok(Datum::Null),
+        TAG_NULL => Ok(DatumRef::Null),
         TAG_I32 => {
             let v = varint::read_i64(buf, pos)?;
             let v32 = i32::try_from(v)
                 .map_err(|_| ClydeError::Format("rowcodec: i32 out of range".into()))?;
-            Ok(Datum::I32(v32))
+            Ok(DatumRef::I32(v32))
         }
-        TAG_I64 => Ok(Datum::I64(varint::read_i64(buf, pos)?)),
+        TAG_I64 => Ok(DatumRef::I64(varint::read_i64(buf, pos)?)),
         TAG_F64 => {
-            let end = *pos + 8;
-            let bytes = buf
-                .get(*pos..end)
+            let bits = buf
+                .get(*pos..)
+                .and_then(|rest| rest.first_chunk::<8>())
                 .ok_or_else(|| ClydeError::Format("rowcodec: truncated f64".into()))?;
-            *pos = end;
-            Ok(Datum::F64(f64::from_bits(u64::from_le_bytes(
-                bytes.try_into().expect("length checked"),
-            ))))
+            *pos += 8;
+            Ok(DatumRef::F64(f64::from_bits(u64::from_le_bytes(*bits))))
         }
         TAG_STR => {
-            let len = varint::read_u64(buf, pos)? as usize;
-            let end = *pos + len;
-            let bytes = buf
-                .get(*pos..end)
+            // The length is untrusted (any u64): the end offset must be
+            // computed checked, not wrapped or panicked on.
+            let len = varint::read_u64(buf, pos)?;
+            let bytes = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .and_then(|end| buf.get(*pos..end))
                 .ok_or_else(|| ClydeError::Format("rowcodec: truncated string".into()))?;
-            *pos = end;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|_| ClydeError::Format("rowcodec: invalid utf-8".into()))?;
-            Ok(Datum::str(s))
+            *pos += bytes.len();
+            std::str::from_utf8(bytes)
+                .map(DatumRef::Str)
+                .map_err(|_| ClydeError::Format("rowcodec: invalid utf-8".into()))
         }
         other => Err(ClydeError::Format(format!("rowcodec: unknown tag {other}"))),
     }
+}
+
+/// Read one datum.
+pub fn read_datum(buf: &[u8], pos: &mut usize) -> Result<Datum> {
+    read_datum_ref(buf, pos).map(DatumRef::to_datum)
 }
 
 /// Append a row (arity-prefixed).
@@ -91,13 +99,19 @@ pub fn write_row(out: &mut Vec<u8>, row: &Row) {
     }
 }
 
+/// The arity prefix of a row, bounded by the bytes left: a row cannot have
+/// more fields than bytes (cheap sanity bound before anything is reserved).
+fn read_arity(buf: &[u8], pos: &mut usize) -> Result<usize> {
+    let n = varint::read_u64(buf, pos)?;
+    match usize::try_from(n) {
+        Ok(n) if n <= buf.len().saturating_sub(*pos) => Ok(n),
+        _ => Err(ClydeError::Format("rowcodec: implausible row arity".into())),
+    }
+}
+
 /// Read a row written by [`write_row`].
 pub fn read_row(buf: &[u8], pos: &mut usize) -> Result<Row> {
-    let n = varint::read_u64(buf, pos)? as usize;
-    if n > buf.len() - *pos {
-        // Cheap sanity bound: a row cannot have more fields than bytes left.
-        return Err(ClydeError::Format("rowcodec: implausible row arity".into()));
-    }
+    let n = read_arity(buf, pos)?;
     let mut row = Row::with_capacity(n);
     for _ in 0..n {
         row.push(read_datum(buf, pos)?);
@@ -117,19 +131,58 @@ pub fn write_rows(rows: &[Row]) -> Vec<u8> {
 
 /// Deserialize a buffer written by [`write_rows`].
 pub fn read_rows(buf: &[u8]) -> Result<Vec<Row>> {
-    let mut pos = 0;
-    let n = varint::read_u64(buf, &mut pos)? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        rows.push(read_row(buf, &mut pos)?);
-    }
-    if pos != buf.len() {
-        return Err(ClydeError::Format(format!(
-            "rowcodec: {} trailing bytes",
-            buf.len() - pos
-        )));
+    let mut reader = RowsRef::new(buf)?;
+    let mut rows = Vec::with_capacity(reader.left.min(1 << 20) as usize);
+    while reader.advance()? {
+        rows.push(read_row(buf, &mut reader.pos)?);
     }
     Ok(rows)
+}
+
+/// Borrowed reader over a buffer written by [`write_rows`]: one row at a
+/// time, its fields decoded into a caller-owned slot buffer that is reused
+/// from row to row, strings pointing into the buffer. Accepts exactly the
+/// buffers [`read_rows`] accepts and allocates nothing per row.
+#[derive(Debug)]
+pub struct RowsRef<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// Rows of the count prefix not yet read.
+    left: u64,
+}
+
+impl<'a> RowsRef<'a> {
+    pub fn new(buf: &'a [u8]) -> Result<RowsRef<'a>> {
+        let mut pos = 0;
+        let left = varint::read_u64(buf, &mut pos)?;
+        Ok(RowsRef { buf, pos, left })
+    }
+
+    /// Step to the next row: `false` once the count prefix is used up, at
+    /// which point anything left in the buffer is an error.
+    fn advance(&mut self) -> Result<bool> {
+        if self.left > 0 {
+            self.left -= 1;
+            return Ok(true);
+        }
+        match self.buf.len() - self.pos {
+            0 => Ok(false),
+            n => Err(ClydeError::Format(format!("rowcodec: {n} trailing bytes"))),
+        }
+    }
+
+    /// Decode the next row's fields into `fields` (cleared first). Returns
+    /// `false`, leaving `fields` empty, after the last row.
+    pub fn next_into(&mut self, fields: &mut Vec<DatumRef<'a>>) -> Result<bool> {
+        fields.clear();
+        if !self.advance()? {
+            return Ok(false);
+        }
+        for _ in 0..read_arity(self.buf, &mut self.pos)? {
+            fields.push(read_datum_ref(self.buf, &mut self.pos)?);
+        }
+        Ok(true)
+    }
 }
 
 /// Expected datum types of a row, serialized alongside table files.
@@ -208,6 +261,58 @@ mod tests {
         }
     }
 
+    /// Drain a [`RowsRef`] into owned rows — the borrowed reader seen
+    /// through the owned reader's type, for comparing the two.
+    fn read_rows_borrowed(buf: &[u8]) -> Result<Vec<Row>> {
+        let mut reader = RowsRef::new(buf)?;
+        let mut fields = Vec::new();
+        let mut rows = Vec::new();
+        while reader.next_into(&mut fields)? {
+            rows.push(fields.iter().map(|f| f.to_datum()).collect());
+        }
+        assert!(fields.is_empty());
+        Ok(rows)
+    }
+
+    #[test]
+    fn borrowed_reader_rejects_what_the_owned_reader_rejects() {
+        let mut buf = write_rows(&[row![7i32, "hello world", 2.5f64], Row::empty()]);
+        assert_eq!(read_rows_borrowed(&buf).unwrap(), read_rows(&buf).unwrap());
+        for cut in 0..buf.len() {
+            assert!(read_rows_borrowed(&buf[..cut]).is_err(), "cut at {cut}");
+        }
+        buf.push(0xAB);
+        assert!(read_rows_borrowed(&buf).is_err());
+    }
+
+    #[test]
+    fn huge_string_length_is_a_format_error_not_an_overflow() {
+        // len = u64::MAX: `pos + len` must not be computed unchecked.
+        let mut datum = vec![TAG_STR];
+        varint::write_u64(&mut datum, u64::MAX);
+        for len in [u64::MAX, u64::MAX - 1, 1 << 63, usize::MAX as u64] {
+            datum.truncate(1);
+            varint::write_u64(&mut datum, len);
+            datum.extend_from_slice(b"abc");
+            assert!(matches!(
+                read_datum(&datum, &mut 0),
+                Err(ClydeError::Format(_))
+            ));
+            assert!(matches!(
+                read_datum_ref(&datum, &mut 0),
+                Err(ClydeError::Format(_))
+            ));
+            // The same datum as the only field of the only row.
+            let mut rows = vec![1u8, 1];
+            rows.extend_from_slice(&datum);
+            assert!(matches!(read_rows(&rows), Err(ClydeError::Format(_))));
+            assert!(matches!(
+                read_rows_borrowed(&rows),
+                Err(ClydeError::Format(_))
+            ));
+        }
+    }
+
     #[test]
     fn types_roundtrip() {
         let types = vec![DatumType::I32, DatumType::Str, DatumType::F64];
@@ -236,6 +341,26 @@ mod tests {
             prop_assert_eq!(back.len(), rows.len());
             for (a, b) in back.iter().zip(&rows) {
                 prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+        }
+
+        #[test]
+        fn borrowed_reader_equals_owned_reader(rows in proptest::collection::vec(
+            proptest::collection::vec(arb_datum(), 0..6).prop_map(Row::new), 0..20)) {
+            let buf = write_rows(&rows);
+            let owned = read_rows(&buf).unwrap();
+            let borrowed = read_rows_borrowed(&buf).unwrap();
+            // Debug, not ==: Datum equality coerces I32/I64 and NaN != NaN.
+            prop_assert_eq!(format!("{borrowed:?}"), format!("{owned:?}"));
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_and_readers_agree(
+            buf in proptest::collection::vec(any::<u8>(), 0..64)) {
+            match (read_rows(&buf), read_rows_borrowed(&buf)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                (Err(_), Err(_)) => {}
+                (a, b) => prop_assert!(false, "owned {:?} vs borrowed {:?}", a, b),
             }
         }
     }

@@ -14,7 +14,8 @@
 //! per task at emit time. [`DimHashTable::get`] still returns the aux row
 //! directly for the scalar paths.
 
-use clyde_common::{ClydeError, FxHashMap, Result, Row};
+use clyde_common::rowcodec::RowsRef;
+use clyde_common::{ClydeError, DatumRef, FxHashMap, Result, Row};
 use clyde_ssb::queries::DimJoin;
 use clyde_ssb::schema;
 
@@ -70,9 +71,37 @@ pub struct DimHashTable {
 }
 
 impl DimHashTable {
-    /// Build from dimension rows per the join description. `buildHashTables`
-    /// in the paper's Figure 4 pseudocode.
+    /// Build from in-memory dimension rows per the join description.
+    /// `buildHashTables` in the paper's Figure 4 pseudocode.
     pub fn build(join: &DimJoin, rows: &[Row]) -> Result<DimHashTable> {
+        let mut rows = rows.iter();
+        Self::build_from(join, |fields| {
+            fields.clear();
+            let Some(row) = rows.next() else {
+                return Ok(false);
+            };
+            fields.extend(row.iter().map(DatumRef::from));
+            Ok(true)
+        })
+    }
+
+    /// Build straight from a dimension's row-binary file
+    /// ([`clyde_common::rowcodec::write_rows`]) — what a node holds on local disk. Rows
+    /// are decoded as borrowed fields inside the build, so only qualifying
+    /// rows' key and aux columns are ever allocated; the table is identical
+    /// to `build(join, &rowcodec::read_rows(bytes)?)`, and every buffer
+    /// `read_rows` rejects is rejected here.
+    pub fn build_encoded(join: &DimJoin, bytes: &[u8]) -> Result<DimHashTable> {
+        let mut reader = RowsRef::new(bytes)?;
+        Self::build_from(join, |fields| reader.next_into(fields))
+    }
+
+    /// The build proper. `next_row` refills `fields` with the next
+    /// dimension row and returns `false` after the last one.
+    fn build_from<'a>(
+        join: &DimJoin,
+        mut next_row: impl FnMut(&mut Vec<DatumRef<'a>>) -> Result<bool>,
+    ) -> Result<DimHashTable> {
         let dim_schema = schema::schema_of(&join.dimension)
             .ok_or_else(|| ClydeError::Plan(format!("unknown dimension {}", join.dimension)))?;
         let pred = join.predicate.compile(&dim_schema)?;
@@ -86,17 +115,41 @@ impl DimHashTable {
         let mut map: FxHashMap<i64, u32> = FxHashMap::default();
         let mut aux_rows: Vec<Row> = Vec::new();
         let mut mem = 0u64;
-        for r in rows {
-            if !pred.eval(r) {
+        let mut rows_scanned = 0u64;
+        let mut fields = Vec::with_capacity(dim_schema.len());
+        while next_row(&mut fields)? {
+            rows_scanned += 1;
+            // Checked once per row: past this, no column lookup (here or
+            // in the predicate) can run off a short or foreign-arity row.
+            let arity_err = || {
+                ClydeError::Format(format!(
+                    "dimension {} row {rows_scanned} has {} fields, schema has {}",
+                    join.dimension,
+                    fields.len(),
+                    dim_schema.len()
+                ))
+            };
+            if fields.len() != dim_schema.len() {
+                return Err(arity_err());
+            }
+            if !pred.eval_fields(&fields) {
                 continue;
             }
-            let pk = r.at(pk_idx).as_i64().ok_or_else(|| {
-                ClydeError::Plan(format!(
-                    "{}.{} is not an integer key",
-                    join.dimension, join.pk
-                ))
-            })?;
-            let aux: Row = aux_idx.iter().map(|&i| r.at(i).clone()).collect();
+            let pk = fields
+                .get(pk_idx)
+                .ok_or_else(arity_err)?
+                .as_i64()
+                .ok_or_else(|| {
+                    ClydeError::Plan(format!(
+                        "{}.{} is not an integer key",
+                        join.dimension, join.pk
+                    ))
+                })?;
+            let aux: Row = aux_idx
+                .iter()
+                .map(|&i| fields.get(i).map(|f| f.to_datum()))
+                .collect::<Option<_>>()
+                .ok_or_else(arity_err)?;
             mem += 8 + aux.heap_size() as u64 + 16; // key + value + bucket overhead
             let id = aux_rows.len() as u32;
             if map.insert(pk, id).is_some() {
@@ -122,7 +175,9 @@ impl DimHashTable {
                 let mut ids = vec![NONE_ID; (hi - lo + 1) as usize];
                 // clyde-lint: allow(unordered, reason=scatter to distinct pk-indexed slots; order cannot matter)
                 for (&pk, &id) in &map {
-                    ids[(pk - lo) as usize] = id;
+                    if let Some(slot) = ids.get_mut((pk - lo) as usize) {
+                        *slot = id;
+                    }
                 }
                 // Up to the density cap the array scales with entry count;
                 // anything past it is range-bound slack (the sparse
@@ -140,7 +195,7 @@ impl DimHashTable {
             map,
             direct,
             aux_rows,
-            rows_scanned: rows.len() as u64,
+            rows_scanned,
             mem_bytes: mem,
             mem_fixed_bytes: mem_fixed,
         })
@@ -182,7 +237,7 @@ impl DimHashTable {
     /// inner loops, which index the array directly (ids are [`NONE_ID`] for
     /// absent keys). `None` when the table is hash-probed.
     #[inline]
-    pub(crate) fn direct_parts(&self) -> Option<(i64, &[u32])> {
+    pub fn direct_parts(&self) -> Option<(i64, &[u32])> {
         self.direct
             .as_ref()
             .map(|(min, ids)| (*min, ids.as_slice()))
@@ -239,20 +294,41 @@ pub struct DimTables {
 }
 
 impl DimTables {
-    /// Build all tables for `joins`, fetching dimension rows through
-    /// `fetch` (node-local cache, the DFS, or in-memory test data).
-    ///
+    /// Build all tables for `joins` from in-memory dimension rows handed
+    /// out by `fetch` (tests, benches; the engine itself goes through
+    /// [`DimTables::build_all_encoded`]).
+    pub fn build_all(
+        joins: &[DimJoin],
+        fetch: impl FnMut(&str) -> Result<Vec<Row>>,
+    ) -> Result<DimTables> {
+        Self::build_all_from(joins, fetch, |join, rows| DimHashTable::build(join, rows))
+    }
+
+    /// Build all tables for `joins` from each dimension's row-binary bytes,
+    /// fetched through `fetch` (node-local cache or the DFS). Decoding is
+    /// part of the build ([`DimHashTable::build_encoded`]), so it runs on
+    /// the per-dimension threads, not in the sequential fetch.
+    pub fn build_all_encoded<B: AsRef<[u8]> + Sync>(
+        joins: &[DimJoin],
+        fetch: impl FnMut(&str) -> Result<B>,
+    ) -> Result<DimTables> {
+        Self::build_all_from(joins, fetch, |join, bytes| {
+            DimHashTable::build_encoded(join, bytes.as_ref())
+        })
+    }
+
     /// Fetches run sequentially (`fetch` is `FnMut` and usually I/O-bound on
     /// a shared cache), then the CPU-bound builds run on one scoped thread
     /// per dimension — the paper notes build parallelism is bounded by the
     /// number of dimensions (Section 4.2). Accounting is accumulated in
     /// join order, so `build_rows`/`mem_bytes` are identical to a
     /// sequential build.
-    pub fn build_all(
+    fn build_all_from<T: Sync>(
         joins: &[DimJoin],
-        mut fetch: impl FnMut(&str) -> Result<Vec<Row>>,
+        mut fetch: impl FnMut(&str) -> Result<T>,
+        build: fn(&DimJoin, &T) -> Result<DimHashTable>,
     ) -> Result<DimTables> {
-        let fetched: Vec<Vec<Row>> = joins
+        let fetched: Vec<T> = joins
             .iter()
             .map(|j| fetch(&j.dimension))
             .collect::<Result<_>>()?;
@@ -261,14 +337,14 @@ impl DimTables {
             joins
                 .iter()
                 .zip(&fetched)
-                .map(|(join, rows)| DimHashTable::build(join, rows))
+                .map(|(join, src)| build(join, src))
                 .collect()
         } else {
             std::thread::scope(|s| {
                 let handles: Vec<_> = joins
                     .iter()
                     .zip(&fetched)
-                    .map(|(join, rows)| s.spawn(move || DimHashTable::build(join, rows)))
+                    .map(|(join, src)| s.spawn(move || build(join, src)))
                     .collect();
                 handles
                     .into_iter()
@@ -314,6 +390,7 @@ impl DimTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clyde_common::{rowcodec, Datum};
     use clyde_ssb::gen::SsbGen;
     use clyde_ssb::queries::{query_by_id, DimPred};
 
@@ -472,6 +549,39 @@ mod tests {
             .clone();
         doubled.push(qualifying);
         assert!(DimHashTable::build(&date_join_year(1993), &doubled).is_err());
+    }
+
+    /// Both entry points over the same rows.
+    fn build_both(join: &DimJoin, rows: &[Row]) -> [Result<DimHashTable>; 2] {
+        [
+            DimHashTable::build(join, rows),
+            DimHashTable::build_encoded(join, &rowcodec::write_rows(rows)),
+        ]
+    }
+
+    #[test]
+    fn wrong_arity_and_non_integer_pk_are_typed_errors_on_both_entry_points() {
+        let dates = SsbGen::new(0.001, 1).gen_date();
+        let good = &dates[0];
+        let short: Row = good.iter().take(good.len() - 1).cloned().collect();
+        let wide: Row = good.iter().cloned().chain([Datum::I32(0)]).collect();
+        let str_pk: Row = std::iter::once(Datum::str("19920101"))
+            .chain(good.iter().skip(1).cloned())
+            .collect();
+        // The predicate reads d_year (column 4); `True` would not touch the
+        // row at all, so run both.
+        for pred in [DimPred::True, date_join_year(1992).predicate] {
+            let mut join = date_join_year(1992);
+            join.predicate = pred;
+            for bad in [&short, &wide, &Row::empty()] {
+                for t in build_both(&join, &[dates[1].clone(), bad.clone()]) {
+                    assert!(matches!(t, Err(ClydeError::Format(_))), "{bad}: {t:?}");
+                }
+            }
+            for t in build_both(&join, std::slice::from_ref(&str_pk)) {
+                assert!(matches!(t, Err(ClydeError::Plan(_))), "{t:?}");
+            }
+        }
     }
 
     #[test]

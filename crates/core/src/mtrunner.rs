@@ -3,8 +3,9 @@
 //! One map task per node occupies every map slot. The runner:
 //!
 //! 1. obtains the dimension hash tables from per-node state, building them
-//!    (single-threaded) only if this is the first task of the query on this
-//!    node — JVM reuse means subsequent tasks find them ready;
+//!    straight from the node-local row-binary dimension files (one build
+//!    thread per dimension) only if this is the first task of the query on
+//!    this node — JVM reuse means subsequent tasks find them ready;
 //! 2. unpacks the multi-split through one shared work source: every thread
 //!    pulls one **morsel** at a time. A block-shaped input hands out single
 //!    blocks, so even one constituent split's probe work spreads across all
@@ -33,7 +34,7 @@ use crate::probe::{
 };
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{Phase, WallTimer};
-use clyde_common::{rowcodec, ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
+use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
 use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader, RecordReader};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
@@ -119,12 +120,11 @@ impl MtMapRunner {
     fn acquire_tables(&self, ctx: &MapTaskContext<'_>) -> Result<Arc<DimTables>> {
         let key = format!("clydesdale.tables.{}", self.query.id);
         let (tables, built) = ctx.node_state.get_or_try_init(&key, || {
-            DimTables::build_all(&self.query.joins, |dim| {
+            DimTables::build_all_encoded(&self.query.joins, |dim| {
                 // Dimensions come from the node-local cache (Figure 2); a
                 // node that lost its copy re-fetches from the DFS.
                 let path = self.layout.dim_bin(dim);
-                let data = ctx.local_store.get_or_fetch(ctx.node, &path, &ctx.io.dfs)?;
-                rowcodec::read_rows(&data)
+                ctx.local_store.get_or_fetch(ctx.node, &path, &ctx.io.dfs)
             })
         })?;
         if built {

@@ -36,6 +36,14 @@ pub const D007_RECOVERY: &[(&str, &[&str])] = &[
     ),
     // Admission control: must reject, never abort, under overload.
     ("crates/mapred/src/server.rs", &["submit", "drain"]),
+    // The dimension byte path: every node decodes node-local row-binary
+    // files straight into its hash tables, so a corrupt or foreign-arity
+    // file must surface as a typed error, not take the map task down.
+    ("crates/common/src/rowcodec.rs", &[]),
+    (
+        "crates/core/src/hashtable.rs",
+        &["build", "build_encoded", "build_from"],
+    ),
 ];
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];

@@ -6,7 +6,7 @@
 //! (Section 6.1). The reference executor interprets it directly.
 
 use crate::schema;
-use clyde_common::{ClydeError, Result, Row, Schema};
+use clyde_common::{ClydeError, DatumRef, Result, Row, Schema};
 use std::sync::Arc;
 
 /// A predicate over fact-table columns (flight 1's discount/quantity
@@ -183,30 +183,40 @@ pub enum CompiledDimPred {
 }
 
 impl CompiledDimPred {
+    /// Panics when `row` is shorter than the schema the predicate was
+    /// compiled against.
     pub fn eval(&self, row: &Row) -> bool {
+        self.eval_at(&|col| row.at(col).into())
+    }
+
+    /// [`CompiledDimPred::eval`] over a row's borrowed fields, as the
+    /// row-binary reader hands them out; same panic condition.
+    pub fn eval_fields(&self, fields: &[DatumRef<'_>]) -> bool {
+        self.eval_at(&|col| fields[col])
+    }
+
+    fn eval_at<'a>(&self, at: &impl Fn(usize) -> DatumRef<'a>) -> bool {
         match self {
             CompiledDimPred::True => true,
-            CompiledDimPred::StrEq { col, value } => row.at(*col).as_str() == Some(value.as_ref()),
-            CompiledDimPred::StrIn { col, values } => match row.at(*col).as_str() {
+            CompiledDimPred::StrEq { col, value } => at(*col).as_str() == Some(value.as_ref()),
+            CompiledDimPred::StrIn { col, values } => match at(*col).as_str() {
                 Some(s) => values.iter().any(|v| v.as_ref() == s),
                 None => false,
             },
-            CompiledDimPred::StrBetween { col, lo, hi } => match row.at(*col).as_str() {
+            CompiledDimPred::StrBetween { col, lo, hi } => match at(*col).as_str() {
                 Some(s) => s >= lo.as_str() && s <= hi.as_str(),
                 None => false,
             },
-            CompiledDimPred::I32Eq { col, value } => {
-                row.at(*col).as_i64() == Some(i64::from(*value))
-            }
-            CompiledDimPred::I32Between { col, lo, hi } => match row.at(*col).as_i64() {
+            CompiledDimPred::I32Eq { col, value } => at(*col).as_i64() == Some(i64::from(*value)),
+            CompiledDimPred::I32Between { col, lo, hi } => match at(*col).as_i64() {
                 Some(v) => v >= i64::from(*lo) && v <= i64::from(*hi),
                 None => false,
             },
-            CompiledDimPred::I32In { col, values } => match row.at(*col).as_i64() {
+            CompiledDimPred::I32In { col, values } => match at(*col).as_i64() {
                 Some(v) => values.iter().any(|&x| i64::from(x) == v),
                 None => false,
             },
-            CompiledDimPred::And(preds) => preds.iter().all(|p| p.eval(row)),
+            CompiledDimPred::And(preds) => preds.iter().all(|p| p.eval_at(at)),
         }
     }
 }
@@ -866,6 +876,21 @@ mod tests {
         .compile(&s)
         .unwrap();
         assert_eq!(d.iter().filter(|r| week6.eval(r)).count(), 7);
+    }
+
+    #[test]
+    fn borrowed_fields_evaluate_like_rows() {
+        let data = crate::gen::SsbGen::new(0.002, 7).gen_all();
+        for q in all_queries() {
+            for join in &q.joins {
+                let schema = crate::schema::schema_of(&join.dimension).unwrap();
+                let pred = join.predicate.compile(&schema).unwrap();
+                for r in data.dimension(&join.dimension).unwrap() {
+                    let fields: Vec<DatumRef<'_>> = r.iter().map(DatumRef::from).collect();
+                    assert_eq!(pred.eval_fields(&fields), pred.eval(r), "{} {r}", q.id);
+                }
+            }
+        }
     }
 
     #[test]

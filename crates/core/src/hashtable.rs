@@ -6,7 +6,10 @@
 //! and the probe's miss *is* the filter. Once built, the tables are
 //! read-only and are shared by every thread and every subsequent task on
 //! the node without synchronization — exactly the property the paper
-//! exploits (Section 5.1).
+//! exploits (Section 5.1). The same property lets a built table outlive its
+//! query: [`DimTables::build_all_resident`] takes tables an earlier query on
+//! the engine built from the same node-local bytes out of the node's
+//! [`ResidentStore`] and builds only the rest.
 //!
 //! Qualifying rows additionally get a dense **group id** (`u32`, assigned
 //! in build order): the vectorized probe kernel works in ids and packs them
@@ -14,10 +17,13 @@
 //! per task at emit time. [`DimHashTable::get`] still returns the aux row
 //! directly for the scalar paths.
 
+use bytes::Bytes;
 use clyde_common::rowcodec::RowsRef;
 use clyde_common::{ClydeError, DatumRef, FxHashMap, Result, Row};
-use clyde_ssb::queries::DimJoin;
+use clyde_mapred::ResidentStore;
+use clyde_ssb::queries::{DimJoin, DimPred};
 use clyde_ssb::schema;
+use std::sync::Arc;
 
 /// Direct-index probe tables are built when the key range spans at most
 /// this many slots (16 MiB of `u32`). SSB dimension keys are small dense
@@ -70,7 +76,39 @@ pub struct DimHashTable {
     pub mem_fixed_bytes: u64,
 }
 
+/// Everything of a [`DimJoin`] the build reads. `fk` is the probe side's
+/// column and shapes no table, so joins that differ only there share one.
+#[derive(PartialEq, Eq, Hash)]
+struct BuildKey {
+    dimension: String,
+    pk: String,
+    predicate: DimPred,
+    aux: Vec<String>,
+}
+
+impl BuildKey {
+    fn of(join: &DimJoin) -> BuildKey {
+        BuildKey {
+            dimension: join.dimension.clone(),
+            pk: join.pk.clone(),
+            predicate: join.predicate.clone(),
+            aux: join.aux.clone(),
+        }
+    }
+}
+
 impl DimHashTable {
+    /// The table an earlier [`DimTables::build_all_resident`] on this node
+    /// built for `join` from exactly the buffer `bytes` — equal to
+    /// `build_encoded(join, bytes)`, which is what a miss runs.
+    pub fn resident(
+        store: &ResidentStore,
+        join: &DimJoin,
+        bytes: &Bytes,
+    ) -> Option<Arc<DimHashTable>> {
+        store.lookup(bytes, &BuildKey::of(join))
+    }
+
     /// Build from in-memory dimension rows per the join description.
     /// `buildHashTables` in the paper's Figure 4 pseudocode.
     pub fn build(join: &DimJoin, rows: &[Row]) -> Result<DimHashTable> {
@@ -276,10 +314,12 @@ impl DimHashTable {
     }
 }
 
-/// The set of hash tables for one query, built once per node and shared.
+/// The set of hash tables for one query, assembled once per node and shared.
 #[derive(Debug)]
 pub struct DimTables {
-    pub tables: Vec<DimHashTable>,
+    /// In join order. Shared with the node's [`ResidentStore`] on the
+    /// engine's path, so a table may be part of several queries' sets.
+    pub tables: Vec<Arc<DimHashTable>>,
     /// Total rows scanned across all builds.
     pub build_rows: u64,
     /// Total cardinality-scaling memory charged for the shared copy.
@@ -296,87 +336,146 @@ pub struct DimTables {
 impl DimTables {
     /// Build all tables for `joins` from in-memory dimension rows handed
     /// out by `fetch` (tests, benches; the engine itself goes through
-    /// [`DimTables::build_all_encoded`]).
+    /// [`DimTables::build_all_resident`]).
     pub fn build_all(
         joins: &[DimJoin],
         fetch: impl FnMut(&str) -> Result<Vec<Row>>,
     ) -> Result<DimTables> {
-        Self::build_all_from(joins, fetch, |join, rows| DimHashTable::build(join, rows))
+        Self::build_all_from(
+            joins,
+            fetch,
+            |_, _| None,
+            |join, rows| DimHashTable::build(join, rows),
+            |_, _, _| (),
+        )
     }
 
     /// Build all tables for `joins` from each dimension's row-binary bytes,
-    /// fetched through `fetch` (node-local cache or the DFS). Decoding is
-    /// part of the build ([`DimHashTable::build_encoded`]), so it runs on
-    /// the per-dimension threads, not in the sequential fetch.
+    /// fetched through `fetch`. Decoding is part of the build
+    /// ([`DimHashTable::build_encoded`]), so it runs on the per-dimension
+    /// threads, not in the sequential fetch.
     pub fn build_all_encoded<B: AsRef<[u8]> + Sync>(
         joins: &[DimJoin],
         fetch: impl FnMut(&str) -> Result<B>,
     ) -> Result<DimTables> {
-        Self::build_all_from(joins, fetch, |join, bytes| {
-            DimHashTable::build_encoded(join, bytes.as_ref())
-        })
+        Self::build_all_from(
+            joins,
+            fetch,
+            |_, _| None,
+            |join, bytes| DimHashTable::build_encoded(join, bytes.as_ref()),
+            |_, _, _| (),
+        )
+    }
+
+    /// [`DimTables::build_all_encoded`] over a node's local dimension files
+    /// (`fetch` is the node-local cache, falling back to the DFS), taking
+    /// every table `resident` already holds for the fetched buffer and
+    /// leaving the ones it had to build there for the next query. The
+    /// result — tables, accounting, probe order — is the one
+    /// `build_all_encoded` would return; `None` builds everything.
+    pub fn build_all_resident(
+        joins: &[DimJoin],
+        resident: Option<&ResidentStore>,
+        fetch: impl FnMut(&str) -> Result<Bytes>,
+    ) -> Result<DimTables> {
+        Self::build_all_from(
+            joins,
+            fetch,
+            |join, bytes| DimHashTable::resident(resident?, join, bytes),
+            |join, bytes| DimHashTable::build_encoded(join, bytes),
+            |join, bytes, table| {
+                if let Some(store) = resident {
+                    let size = table.mem_bytes.saturating_add(table.mem_fixed_bytes);
+                    store.retain(bytes, BuildKey::of(join), table, size);
+                }
+            },
+        )
     }
 
     /// Fetches run sequentially (`fetch` is `FnMut` and usually I/O-bound on
-    /// a shared cache), then the CPU-bound builds run on one scoped thread
-    /// per dimension — the paper notes build parallelism is bounded by the
-    /// number of dimensions (Section 4.2). Accounting is accumulated in
-    /// join order, so `build_rows`/`mem_bytes` are identical to a
-    /// sequential build.
+    /// a shared cache) and `lookup` is asked for each join's table; the
+    /// CPU-bound builds of the joins it had nothing for then run on one
+    /// scoped thread per dimension — the paper notes build parallelism is
+    /// bounded by the number of dimensions (Section 4.2) — and are offered
+    /// to `retain`. Accounting is accumulated in join order over found and
+    /// built tables alike, so `build_rows`/`mem_bytes` are identical to a
+    /// sequential build of everything.
     fn build_all_from<T: Sync>(
         joins: &[DimJoin],
         mut fetch: impl FnMut(&str) -> Result<T>,
+        lookup: impl Fn(&DimJoin, &T) -> Option<Arc<DimHashTable>>,
         build: fn(&DimJoin, &T) -> Result<DimHashTable>,
+        retain: impl Fn(&DimJoin, &T, &Arc<DimHashTable>),
     ) -> Result<DimTables> {
         let fetched: Vec<T> = joins
             .iter()
             .map(|j| fetch(&j.dimension))
             .collect::<Result<_>>()?;
+        let found: Vec<Option<Arc<DimHashTable>>> = joins
+            .iter()
+            .zip(&fetched)
+            .map(|(join, src)| lookup(join, src))
+            .collect();
 
-        let built: Vec<Result<DimHashTable>> = if joins.len() <= 1 {
-            joins
-                .iter()
-                .zip(&fetched)
-                .map(|(join, src)| build(join, src))
-                .collect()
+        let missing: Vec<(&DimJoin, &T)> = joins
+            .iter()
+            .zip(&fetched)
+            .zip(&found)
+            .filter(|(_, found)| found.is_none())
+            .map(|(miss, _)| miss)
+            .collect();
+        let built: Vec<Result<DimHashTable>> = if missing.len() <= 1 {
+            missing.iter().map(|(join, src)| build(join, src)).collect()
         } else {
             std::thread::scope(|s| {
-                let handles: Vec<_> = joins
+                let handles: Vec<_> = missing
                     .iter()
-                    .zip(&fetched)
-                    .map(|(join, src)| s.spawn(move || build(join, src)))
+                    .map(|&(join, src)| s.spawn(move || build(join, src)))
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("dimension build thread panicked"))
+                    .map(|h| {
+                        h.join().unwrap_or_else(|_| {
+                            Err(ClydeError::MapReduce(
+                                "dimension build thread panicked".into(),
+                            ))
+                        })
+                    })
                     .collect()
             })
         };
 
+        let mut built = missing.into_iter().zip(built);
         let mut tables = Vec::with_capacity(joins.len());
         let mut build_rows = 0;
         let mut mem_bytes = 0;
         let mut mem_fixed_bytes = 0;
-        for t in built {
-            let t = t?;
+        for found in found {
+            let t = match found {
+                Some(t) => t,
+                None => {
+                    let ((join, src), t) = built.next().ok_or_else(|| {
+                        ClydeError::MapReduce("a missing dimension table was not built".into())
+                    })?;
+                    let t = Arc::new(t?);
+                    retain(join, src, &t);
+                    t
+                }
+            };
             build_rows += t.rows_scanned;
             mem_bytes += t.mem_bytes;
             mem_fixed_bytes += t.mem_fixed_bytes;
             tables.push(t);
         }
-        let mut probe_order: Vec<usize> = (0..tables.len()).collect();
-        probe_order.sort_by(|&a, &b| {
-            tables[a]
-                .hit_rate()
-                .total_cmp(&tables[b].hit_rate())
-                .then(a.cmp(&b))
-        });
+        let mut by_hit_rate: Vec<(f64, usize)> =
+            tables.iter().map(|t| t.hit_rate()).zip(0..).collect();
+        by_hit_rate.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         Ok(DimTables {
             tables,
             build_rows,
             mem_bytes,
             mem_fixed_bytes,
-            probe_order,
+            probe_order: by_hit_rate.into_iter().map(|(_, join)| join).collect(),
         })
     }
 

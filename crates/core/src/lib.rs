@@ -15,7 +15,11 @@
 //!   multi-threaded [`mtrunner::MtMapRunner`] whose threads share a single
 //!   read-only copy of the dimension hash tables (Section 5.1, Figure 5);
 //! * **JVM reuse**: hash tables live in per-node state that survives across
-//!   the job's tasks, so they are built exactly once per node (Section 5.2);
+//!   the job's tasks, so they are built — and priced — exactly once per node
+//!   per query (Section 5.2). Beyond the paper, a built table also stays in
+//!   the node's engine-lifetime store, so a later query that joins the same
+//!   local bytes the same way finds it instead of building it again; only
+//!   the wall clock can tell;
 //! * **block iteration** (B-CIF): the probe loop runs over column arrays,
 //!   paying framework overhead once per block instead of once per record
 //!   (Section 5.3).

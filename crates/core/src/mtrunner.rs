@@ -2,10 +2,12 @@
 //!
 //! One map task per node occupies every map slot. The runner:
 //!
-//! 1. obtains the dimension hash tables from per-node state, building them
-//!    straight from the node-local row-binary dimension files (one build
-//!    thread per dimension) only if this is the first task of the query on
-//!    this node — JVM reuse means subsequent tasks find them ready;
+//! 1. obtains the dimension hash tables from per-node state. The first task
+//!    of the query on this node assembles them — JVM reuse means subsequent
+//!    tasks find them ready — and is charged for building them. It actually
+//!    builds (straight from the node-local row-binary dimension files, one
+//!    build thread per dimension) only the tables no earlier query on this
+//!    engine left in the node's resident store for the same local bytes;
 //! 2. unpacks the multi-split through one shared work source: every thread
 //!    pulls one **morsel** at a time. A block-shaped input hands out single
 //!    blocks, so even one constituent split's probe work spreads across all
@@ -62,8 +64,10 @@ enum Morsel {
 /// Shared morsel source: hands out `(morsel_id, morsel)` pairs across the
 /// runner's threads. What the input format hands back decides the grain —
 /// [`Reader::Blocks`] is drained one block per call, [`Reader::Rows`] is
-/// given away whole. Deserializing the next block happens under the lock
-/// (it is cheap — a columnar slice), probing happens outside it.
+/// given away whole. Fetching the next block happens under the lock: a
+/// columnar slice for most blocks, but the first block of every row group
+/// pays for opening the part and decoding the whole group, so that decode
+/// is serialized across the threads. Probing happens outside the lock.
 struct MorselSource<'a, 'b> {
     ctx: &'a MapTaskContext<'b>,
     parts: usize,
@@ -120,7 +124,7 @@ impl MtMapRunner {
     fn acquire_tables(&self, ctx: &MapTaskContext<'_>) -> Result<Arc<DimTables>> {
         let key = format!("clydesdale.tables.{}", self.query.id);
         let (tables, built) = ctx.node_state.get_or_try_init(&key, || {
-            DimTables::build_all_encoded(&self.query.joins, |dim| {
+            DimTables::build_all_resident(&self.query.joins, ctx.node_state.resident(), |dim| {
                 // Dimensions come from the node-local cache (Figure 2); a
                 // node that lost its copy re-fetches from the DFS.
                 let path = self.layout.dim_bin(dim);
@@ -128,6 +132,8 @@ impl MtMapRunner {
             })
         })?;
         if built {
+            // Priced as a full build whether or not the tables were resident:
+            // the paper's model is one build per node per query.
             ctx.add_cost(|c| c.build_rows += tables.build_rows);
             if self.features.multithreading {
                 // One shared copy per node, alive for the whole job.

@@ -42,7 +42,28 @@ pub const D007_RECOVERY: &[(&str, &[&str])] = &[
     ("crates/common/src/rowcodec.rs", &[]),
     (
         "crates/core/src/hashtable.rs",
-        &["build", "build_encoded", "build_from"],
+        &[
+            "build",
+            "build_encoded",
+            "build_from",
+            "resident",
+            "build_all_resident",
+            "build_all_from",
+        ],
+    ),
+    // Assembling a query's tables on a node, and the engine-lifetime store
+    // it takes them from: a table built for an earlier query must be found
+    // or rebuilt, never abort the task that asked for it.
+    ("crates/core/src/mtrunner.rs", &["acquire_tables"]),
+    (
+        "crates/mapred/src/task.rs",
+        &[
+            "matches",
+            "resident_hash",
+            "lookup",
+            "retain",
+            "resident_stats",
+        ],
     ),
 ];
 

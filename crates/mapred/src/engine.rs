@@ -23,7 +23,8 @@ use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, Task
 use crate::scheduler;
 use crate::shuffle;
 use crate::task::{
-    MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, TaskIo,
+    MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, ResidentStats,
+    ResidentStore, TaskIo,
 };
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{Obs, Phase, SpanKind, TaskKind, WallTimer};
@@ -261,6 +262,9 @@ impl MapTaskEnv<'_> {
 pub struct Engine {
     dfs: Arc<Dfs>,
     local: Arc<NodeLocalStore>,
+    /// One store per node, alive as long as the engine: what a job built
+    /// from a node's local bytes stays findable by the jobs after it.
+    resident: Vec<Arc<ResidentStore>>,
     params: CostParams,
     obs: Arc<Obs>,
 }
@@ -273,9 +277,13 @@ impl Engine {
 
     pub fn with_params(dfs: Arc<Dfs>, params: CostParams) -> Engine {
         let nodes = dfs.cluster().num_workers();
+        let node_memory = dfs.cluster().node.memory_bytes;
         Engine {
             dfs,
             local: Arc::new(NodeLocalStore::new(nodes)),
+            resident: (0..nodes)
+                .map(|_| Arc::new(ResidentStore::new(node_memory)))
+                .collect(),
             params,
             obs: Obs::disabled(),
         }
@@ -297,6 +305,16 @@ impl Engine {
 
     pub fn local_store(&self) -> &Arc<NodeLocalStore> {
         &self.local
+    }
+
+    /// `node`'s engine-lifetime store.
+    pub fn resident_store(&self, node: NodeId) -> Option<&ResidentStore> {
+        self.resident.get(node.0).map(Arc::as_ref)
+    }
+
+    /// Per node, in node order: what is resident and how lookups fared.
+    pub fn resident_stats(&self) -> Vec<ResidentStats> {
+        self.resident.iter().map(|s| s.resident_stats()).collect()
     }
 
     pub fn params(&self) -> &CostParams {
@@ -362,7 +380,11 @@ impl Engine {
         let host_threads = spec.host_threads.unwrap_or(threads).max(1);
         let max_attempts = spec.max_task_attempts.max(1);
 
-        let node_states: Vec<Arc<NodeState>> = (0..n).map(|_| Arc::new(NodeState::new())).collect();
+        let node_states: Vec<Arc<NodeState>> = self
+            .resident
+            .iter()
+            .map(|store| Arc::new(NodeState::with_resident(Arc::clone(store))))
+            .collect();
         let memories: Vec<Arc<MemoryTracker>> = (0..n)
             .map(|_| Arc::new(MemoryTracker::new(cluster.node.memory_bytes)))
             .collect();

@@ -1,16 +1,20 @@
-//! Task-side context: I/O, per-node persistent state (JVM reuse), memory
-//! accounting, and the output collector.
+//! Task-side context: I/O, per-node persistent state (JVM reuse within a
+//! job, resident tables across jobs), memory accounting, and the output
+//! collector.
 
 use crate::conf::JobConf;
 use crate::cost::TaskCost;
 use crate::distcache::DistCache;
 use crate::input::{InputFormat, InputSplit};
 use bytes::Bytes;
+use clyde_common::hash::FxHasher;
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::Phase;
 use clyde_common::{keycodec, ClydeError, FxHashMap, Result, Row};
 use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ScanStats};
 use std::any::Any;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// DFS access bound to the task's node, crediting all reads to the task's
@@ -53,21 +57,40 @@ impl TaskIo {
     }
 }
 
-/// Per-node state that persists across consecutive tasks of the same job —
-/// the analog of static fields in a reused JVM (paper Sections 3 and 5.1).
+/// Per-node state of **one job**: it persists across that job's consecutive
+/// tasks on the node — the analog of static fields in a reused JVM (paper
+/// Sections 3 and 5.1) — and is dropped when the job ends.
 ///
 /// Clydesdale stores its dimension hash tables here: the first map task on a
-/// node builds them, and every later task (and every thread) reuses the
-/// `Arc`. With JVM reuse disabled (the multithreading ablation), the engine
-/// hands each task a fresh `NodeState` and the build repeats.
+/// node assembles them, and every later task (and every thread) reuses the
+/// `Arc`. "First task of this job on this node" is also what the cost model
+/// prices a build for, whether or not the tables were found in the node's
+/// [`ResidentStore`]. With JVM reuse disabled (the multithreading ablation),
+/// the engine hands each task a fresh `NodeState` with no resident store and
+/// the build repeats.
 #[derive(Default)]
 pub struct NodeState {
     entries: Mutex<FxHashMap<String, Arc<dyn Any + Send + Sync>>>,
+    /// The node's engine-lifetime store, outliving this job.
+    resident: Option<Arc<ResidentStore>>,
 }
 
 impl NodeState {
+    /// Job-scoped state with no store behind it: everything is rebuilt.
     pub fn new() -> NodeState {
         NodeState::default()
+    }
+
+    /// Job-scoped state in front of the node's engine-lifetime store.
+    pub fn with_resident(resident: Arc<ResidentStore>) -> NodeState {
+        NodeState {
+            resident: Some(resident),
+            ..NodeState::default()
+        }
+    }
+
+    pub fn resident(&self) -> Option<&ResidentStore> {
+        self.resident.as_deref()
     }
 
     /// Fetch the value under `key`, building it with `init` on first access.
@@ -104,6 +127,166 @@ impl NodeState {
     }
 }
 
+/// Counters of one node's [`ResidentStore`]; `entries` and `bytes` are
+/// gauges, the rest are cumulative over the engine's lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResidentStats {
+    pub entries: u64,
+    /// Sum of the sizes declared at [`ResidentStore::retain`].
+    pub bytes: u64,
+    pub hits: u64,
+    pub misses: u64,
+    pub evictions: u64,
+}
+
+/// One node's engine-lifetime store of values built from node-local bytes —
+/// Clydesdale keeps its built dimension hash tables here so a later query
+/// on the same engine does not rebuild a table an earlier one already built.
+///
+/// An entry is keyed by *what it was built from*: the identity of the
+/// immutable [`Bytes`] buffer (address and length; the entry holds a clone,
+/// so the allocation cannot be freed and its address reused while the entry
+/// lives) plus a caller-defined description of the build. Bytes are
+/// immutable, so the same buffer and the same description always rebuild to
+/// the same value: an entry is stale exactly when the node's local copy has
+/// been replaced by another buffer, and then its key no longer matches —
+/// there is nothing to invalidate. The 64-bit hash only picks a bucket; a
+/// hit is confirmed by full equality of buffer identity and key.
+///
+/// Bounded by the node's memory (`ClusterSpec.node.memory_bytes`, the figure
+/// [`MemoryTracker`] enforces within a job): retaining evicts least recently
+/// used entries by a logical tick, and a value larger than the bound is not
+/// retained at all. Wall-clock only — nothing here is priced, and no metric
+/// or span is emitted, so simulated artifacts cannot observe residency.
+pub struct ResidentStore {
+    capacity: u64,
+    inner: Mutex<ResidentInner>,
+}
+
+#[derive(Default)]
+struct ResidentInner {
+    buckets: BTreeMap<u64, Vec<ResidentEntry>>,
+    /// Incremented on every lookup and insert; the LRU clock.
+    tick: u64,
+    stats: ResidentStats,
+}
+
+struct ResidentEntry {
+    source: Bytes,
+    key: Box<dyn Any + Send + Sync>,
+    value: Arc<dyn Any + Send + Sync>,
+    bytes: u64,
+    last_used: u64,
+}
+
+impl ResidentEntry {
+    fn matches<K: Eq + 'static>(&self, source: &Bytes, key: &K) -> bool {
+        std::ptr::eq(self.source.as_ptr(), source.as_ptr())
+            && self.source.len() == source.len()
+            && self.key.downcast_ref::<K>() == Some(key)
+    }
+}
+
+fn resident_hash<K: Hash>(source: &Bytes, key: &K) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(source.as_ptr() as usize);
+    h.write_usize(source.len());
+    key.hash(&mut h);
+    h.finish()
+}
+
+impl ResidentStore {
+    pub fn new(capacity: u64) -> ResidentStore {
+        ResidentStore {
+            capacity,
+            inner: Mutex::new(ResidentInner::default()),
+        }
+    }
+
+    /// The value retained for (`source`, `key`), bumping its recency.
+    pub fn lookup<K, V>(&self, source: &Bytes, key: &K) -> Option<Arc<V>>
+    where
+        K: Eq + Hash + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        let hash = resident_hash(source, key);
+        let inner = &mut *self.inner.lock();
+        inner.tick += 1;
+        let hit = inner
+            .buckets
+            .get_mut(&hash)
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.matches(source, key)))
+            .and_then(|e| {
+                let value = Arc::clone(&e.value).downcast::<V>().ok()?;
+                e.last_used = inner.tick;
+                Some(value)
+            });
+        match hit {
+            Some(_) => inner.stats.hits += 1,
+            None => inner.stats.misses += 1,
+        }
+        hit
+    }
+
+    /// Keep `value`, accounted as `bytes`, for later lookups of (`source`,
+    /// `key`), evicting least recently used entries until it fits. A value
+    /// larger than the whole bound, or one whose key is already resident,
+    /// is not kept.
+    pub fn retain<K, V>(&self, source: &Bytes, key: K, value: &Arc<V>, bytes: u64)
+    where
+        K: Eq + Hash + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        if bytes > self.capacity {
+            return;
+        }
+        let hash = resident_hash(source, &key);
+        let inner = &mut *self.inner.lock();
+        let bucket = inner.buckets.entry(hash).or_default();
+        if bucket.iter().any(|e| e.matches(source, &key)) {
+            return;
+        }
+        inner.tick += 1;
+        bucket.push(ResidentEntry {
+            source: source.clone(),
+            key: Box::new(key),
+            value: Arc::clone(value) as Arc<dyn Any + Send + Sync>,
+            bytes,
+            last_used: inner.tick,
+        });
+        inner.stats.entries += 1;
+        inner.stats.bytes = inner.stats.bytes.saturating_add(bytes);
+        // The new entry carries the highest tick, so it is evicted last —
+        // and `bytes <= capacity` means the loop ends before reaching it.
+        while inner.stats.bytes > self.capacity {
+            let oldest = inner
+                .buckets
+                .iter()
+                .flat_map(|(hash, bucket)| bucket.iter().map(move |e| (e.last_used, *hash)))
+                .min();
+            let Some((last_used, hash)) = oldest else {
+                break;
+            };
+            let Some(bucket) = inner.buckets.get_mut(&hash) else {
+                break;
+            };
+            if let Some(at) = bucket.iter().position(|e| e.last_used == last_used) {
+                let evicted = bucket.swap_remove(at);
+                inner.stats.entries -= 1;
+                inner.stats.bytes -= evicted.bytes;
+                inner.stats.evictions += 1;
+            }
+            if bucket.is_empty() {
+                inner.buckets.remove(&hash);
+            }
+        }
+    }
+
+    pub fn resident_stats(&self) -> ResidentStats {
+        self.inner.lock().stats
+    }
+}
+
 /// Per-node memory budget, shared by all tasks the engine runs on that node
 /// within one job.
 pub struct MemoryTracker {
@@ -123,14 +306,18 @@ impl MemoryTracker {
     /// budget would be exceeded.
     pub fn charge(&self, bytes: u64) -> Result<()> {
         let mut used = self.used.lock();
-        if *used + bytes > self.capacity {
-            return Err(ClydeError::OutOfMemory {
-                required: *used + bytes,
+        // `charge_memory_per_slot` saturates its product, so `bytes` can be
+        // `u64::MAX`: a sum that does not fit is over any capacity.
+        match used.checked_add(bytes) {
+            Some(total) if total <= self.capacity => {
+                *used = total;
+                Ok(())
+            }
+            over => Err(ClydeError::OutOfMemory {
+                required: over.unwrap_or(u64::MAX),
                 available: self.capacity,
-            });
+            }),
         }
-        *used += bytes;
-        Ok(())
     }
 
     pub fn release(&self, bytes: u64) {
@@ -393,6 +580,102 @@ mod tests {
         assert_eq!(m.used(), 80);
         m.reset();
         assert_eq!(m.used(), 0);
+    }
+
+    #[test]
+    fn memory_tracker_charge_that_overflows_u64_is_out_of_memory() {
+        // What `charge_memory_per_slot` hands over when its product
+        // saturates: the sum wraps to 9 and used to be admitted.
+        let m = MemoryTracker::new(100);
+        m.charge(10).unwrap();
+        let err = m.charge(u64::MAX).unwrap_err();
+        assert!(err.is_oom(), "{err:?}");
+        assert_eq!(m.used(), 10);
+    }
+
+    #[test]
+    fn resident_store_hits_only_the_same_buffer_and_key() {
+        let store = ResidentStore::new(1000);
+        let a = Bytes::from(vec![1u8, 2, 3]);
+        let same_content = Bytes::from(vec![1u8, 2, 3]);
+        store.retain(&a, "k".to_string(), &Arc::new(7u32), 10);
+        let hit = store.lookup::<String, u32>(&a.clone(), &"k".to_string());
+        assert_eq!(hit.as_deref(), Some(&7));
+        // Equal bytes in another buffer, a sub-slice, another key, another
+        // key type and another value type are all misses.
+        assert!(store
+            .lookup::<String, u32>(&same_content, &"k".to_string())
+            .is_none());
+        assert!(store
+            .lookup::<String, u32>(&a.slice(0..2), &"k".to_string())
+            .is_none());
+        assert!(store.lookup::<String, u32>(&a, &"j".to_string()).is_none());
+        assert!(store.lookup::<&str, u32>(&a, &"k").is_none());
+        assert!(store.lookup::<String, u64>(&a, &"k".to_string()).is_none());
+        assert_eq!(
+            store.resident_stats(),
+            ResidentStats {
+                entries: 1,
+                bytes: 10,
+                hits: 1,
+                misses: 5,
+                evictions: 0
+            }
+        );
+        // A second retain under a resident key keeps the first value.
+        store.retain(&a, "k".to_string(), &Arc::new(8u32), 10);
+        let hit = store.lookup::<String, u32>(&a, &"k".to_string());
+        assert_eq!(hit.as_deref(), Some(&7));
+        assert_eq!(store.resident_stats().entries, 1);
+    }
+
+    #[test]
+    fn resident_store_evicts_least_recently_used_and_never_exceeds_its_bound() {
+        let store = ResidentStore::new(100);
+        let src = Bytes::from(vec![0u8; 4]);
+        for k in 0..3u32 {
+            store.retain(&src, k, &Arc::new(k), 40);
+            assert!(store.resident_stats().bytes <= 100);
+        }
+        // 0 was evicted for 2; touching 1 makes 2 the oldest.
+        assert!(store.lookup::<u32, u32>(&src, &0).is_none());
+        assert!(store.lookup::<u32, u32>(&src, &1).is_some());
+        store.retain(&src, 3u32, &Arc::new(3u32), 40);
+        assert!(store.lookup::<u32, u32>(&src, &2).is_none());
+        assert!(store.lookup::<u32, u32>(&src, &1).is_some());
+        assert!(store.lookup::<u32, u32>(&src, &3).is_some());
+        // Larger than the whole bound: not retained, nothing evicted for it.
+        store.retain(&src, 4u32, &Arc::new(4u32), 101);
+        assert!(store.lookup::<u32, u32>(&src, &4).is_none());
+        // Exactly the bound: evicts everything else.
+        store.retain(&src, 5u32, &Arc::new(5u32), 100);
+        let stats = store.resident_stats();
+        assert_eq!((stats.entries, stats.bytes, stats.evictions), (1, 100, 4));
+    }
+
+    #[test]
+    fn resident_store_entry_keeps_its_buffer_alive() {
+        // The key is the buffer's address: were the entry not holding a
+        // clone, dropping the caller's handle could hand the address to
+        // different bytes and turn a stale entry into a false hit.
+        let store = ResidentStore::new(1000);
+        let a = Bytes::from(vec![9u8; 64]);
+        let (addr, len) = (a.as_ptr() as usize, a.len());
+        store.retain(&a, 1u8, &Arc::new("built from a"), 1);
+        drop(a);
+        for _ in 0..64 {
+            let b = Bytes::from(vec![7u8; 64]);
+            assert!((b.as_ptr() as usize, b.len()) != (addr, len));
+            assert!(store.lookup::<u8, &str>(&b, &1).is_none());
+        }
+    }
+
+    #[test]
+    fn node_state_reaches_the_store_it_was_created_over() {
+        assert!(NodeState::new().resident().is_none());
+        let store = Arc::new(ResidentStore::new(1));
+        let st = NodeState::with_resident(Arc::clone(&store));
+        assert!(std::ptr::eq(st.resident().unwrap(), &*store));
     }
 
     #[test]

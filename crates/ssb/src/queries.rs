@@ -70,7 +70,7 @@ impl CompiledFactPred {
 }
 
 /// A predicate over dimension-table columns.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DimPred {
     /// Always true (dimension joined only for its auxiliary columns).
     True,
@@ -222,7 +222,7 @@ impl CompiledDimPred {
 }
 
 /// One dimension join of a star query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DimJoin {
     /// Dimension table name (`"date"`, `"part"`, ...).
     pub dimension: String,

@@ -212,6 +212,16 @@ impl CifWriter {
     }
 }
 
+/// Where one row group lives and what a projection of it costs to read
+/// (see [`CifReader::locate_groups`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GroupLocation {
+    /// Nodes holding every column file of the group.
+    pub hosts: Vec<NodeId>,
+    /// Stored bytes of the projected columns.
+    pub bytes: u64,
+}
+
 /// Reader for a CIF table.
 #[derive(Debug, Clone)]
 pub struct CifReader {
@@ -265,8 +275,8 @@ impl CifReader {
         self.read_group(io, group, &all)
     }
 
-    /// Nodes that hold every selected column file of `group` — candidates
-    /// for a fully local scan.
+    /// Nodes that hold every column file of `group` (all columns of the
+    /// schema, not just a projection) — candidates for a fully local scan.
     pub fn group_hosts(&self, dfs: &Dfs, group: usize) -> Result<Vec<NodeId>> {
         let paths: Vec<String> = self
             .meta
@@ -278,26 +288,97 @@ impl CifReader {
         dfs.common_hosts(&paths)
     }
 
-    /// Total stored bytes of the selected columns across all groups.
-    pub fn selected_bytes(&self, dfs: &Dfs, col_indices: &[usize]) -> Result<u64> {
-        let mut total = 0u64;
-        for g in 0..self.meta.num_groups() {
-            for &ci in col_indices {
-                let name = &self.meta.schema.field(ci).name;
-                total += dfs.file_len(&self.meta.column_path(g, name))?;
-            }
+    /// Hosts and projected bytes of every live group, from one pass over
+    /// the table's `rg…` namespace range (one namenode lock) instead of a
+    /// lookup per column file. Hosts follow [`CifReader::group_hosts`]'s
+    /// rule — every column file, intersected in schema order; bytes are the
+    /// stored length of the `col_indices` files only.
+    pub fn locate_groups(&self, dfs: &Dfs, col_indices: &[usize]) -> Result<Vec<GroupLocation>> {
+        /// One group while its files stream past.
+        #[derive(Clone, Default)]
+        struct Acc {
+            bytes: u64,
+            /// Intersection of the files seen so far, in arrival order.
+            common: Option<Vec<NodeId>>,
+            /// Hosts of the first schema column's file: files arrive in
+            /// path order, but the result keeps *this* file's order.
+            lead: Vec<NodeId>,
         }
-        Ok(total)
+        let n_cols = self.meta.schema.len();
+        // How often each column is projected (its bytes count that often).
+        let mut projected = vec![0u64; n_cols];
+        for &c in col_indices {
+            *projected
+                .get_mut(c)
+                .ok_or_else(|| ClydeError::Format(format!("column {c} out of range")))? += 1;
+        }
+        let mut groups = vec![Acc::default(); self.meta.num_groups()];
+        let mut seen = vec![false; groups.len() * n_cols];
+        let prefix = format!("{}/rg", self.meta.base);
+        dfs.locate_prefix(&prefix, |file| {
+            // Files of rolled-out or not-yet-published groups are not ours.
+            let Some((g, c)) = file
+                .path
+                .strip_prefix(&prefix)
+                .and_then(|rest| self.live_column(rest))
+            else {
+                return;
+            };
+            let (Some(group), Some(seen), Some(&times)) = (
+                groups.get_mut(g),
+                seen.get_mut(g * n_cols + c),
+                projected.get(c),
+            ) else {
+                return;
+            };
+            *seen = true;
+            group.bytes += times * file.len;
+            match &mut group.common {
+                None => group.common = Some(file.hosts.to_vec()),
+                Some(common) => common.retain(|n| file.hosts.contains(n)),
+            }
+            if c == 0 {
+                group.lead = file.hosts.to_vec();
+            }
+        })?;
+        if let Some(missing) = seen.iter().position(|&s| !s) {
+            let (g, c) = (missing / n_cols, missing % n_cols);
+            let name = &self.meta.schema.field(c).name;
+            return Err(ClydeError::Dfs(format!(
+                "no such file: {}",
+                self.meta.column_path(g, name)
+            )));
+        }
+        Ok(groups
+            .into_iter()
+            .map(|group| {
+                let common = group.common.unwrap_or_default();
+                let mut hosts = group.lead;
+                hosts.retain(|n| common.contains(n));
+                GroupLocation {
+                    hosts,
+                    bytes: group.bytes,
+                }
+            })
+            .collect())
     }
 
-    /// Bytes of the selected columns in one group.
-    pub fn group_bytes(&self, dfs: &Dfs, group: usize, col_indices: &[usize]) -> Result<u64> {
-        let mut total = 0u64;
-        for &ci in col_indices {
-            let name = &self.meta.schema.field(ci).name;
-            total += dfs.file_len(&self.meta.column_path(group, name))?;
+    /// `{phys:06}/{column}.col` → (logical group, column) of a live group's
+    /// column file, if it is one. Only the spelling `column_path` writes is
+    /// accepted, so no two paths name the same column of the same group.
+    fn live_column(&self, rest: &str) -> Option<(usize, usize)> {
+        let (digits, file) = rest.split_once('/')?;
+        let canonical = digits.len() == 6 || (digits.len() > 6 && !digits.starts_with('0'));
+        if !canonical || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
         }
-        Ok(total)
+        let phys = digits.parse::<u64>().ok()?;
+        let group = usize::try_from(phys.checked_sub(self.meta.first_group)?).ok()?;
+        if group >= self.meta.num_groups() {
+            return None;
+        }
+        let col = self.meta.schema.index_of(file.strip_suffix(".col")?).ok()?;
+        Some((group, col))
     }
 
     /// Materialize the entire table as rows (test/reference helper).
@@ -375,12 +456,50 @@ mod tests {
         assert_eq!(block.column(0).as_i32()[5], 5);
         assert_eq!(block.column(1).as_i64()[5], 50);
         // Byte accounting: two columns cost less than all three.
-        let partial = reader.selected_bytes(&dfs, &[0, 2]).unwrap();
-        let full = reader.selected_bytes(&dfs, &[0, 1, 2]).unwrap();
-        assert!(partial < full);
+        let partial = reader.locate_groups(&dfs, &[0, 2]).unwrap();
+        let full = reader.locate_groups(&dfs, &[0, 1, 2]).unwrap();
+        assert!(partial.iter().zip(&full).all(|(p, f)| p.bytes < f.bytes));
+        assert_eq!(io.stats.total(), partial[0].bytes);
+    }
+
+    #[test]
+    fn locate_groups_matches_per_file_lookups() {
+        // Default placement and tiny blocks: multi-block column files whose
+        // replica sets differ, so the hosts rule and its order are exercised.
+        let dfs = Dfs::new(
+            clyde_dfs::ClusterSpec::tiny(4),
+            clyde_dfs::DfsOptions {
+                block_size: 16,
+                replication: 3,
+                policy: Box::new(clyde_dfs::DefaultPlacement),
+            },
+        );
+        write_table(&dfs, "/t/fact", 47, 10);
+        // A sibling table and an unpublished group must not leak in.
+        write_table(&dfs, "/t/fact/rgx", 5, 5);
+        dfs.write_file("/t/fact/rg000009/k.col", None, b"orphan")
+            .unwrap();
+        let reader = CifReader::open(&dfs, "/t/fact").unwrap();
+        let cols = [2usize, 0];
+        let located = reader.locate_groups(&dfs, &cols).unwrap();
+        assert_eq!(located.len(), 5);
+        for (g, loc) in located.iter().enumerate() {
+            assert_eq!(loc.hosts, reader.group_hosts(&dfs, g).unwrap(), "group {g}");
+            let bytes: u64 = cols
+                .iter()
+                .map(|&c| {
+                    let name = &reader.schema().field(c).name;
+                    dfs.file_len(&reader.meta().column_path(g, name)).unwrap()
+                })
+                .sum();
+            assert_eq!(loc.bytes, bytes, "group {g}");
+        }
+        // A missing column file is the same typed error a lookup gives.
+        dfs.delete("/t/fact/rg000003/region.col").unwrap();
+        let err = reader.locate_groups(&dfs, &cols).unwrap_err();
         assert_eq!(
-            io.stats.total(),
-            reader.group_bytes(&dfs, 0, &[0, 2]).unwrap()
+            err.to_string(),
+            reader.group_hosts(&dfs, 3).unwrap_err().to_string()
         );
     }
 

@@ -10,8 +10,13 @@
 //! ```
 //!
 //! The binary encoding is what shrinks the paper's 600 GB text fact table to
-//! ~334 GB in Multi-CIF format (Section 6.2); the checksum stands in for
-//! HDFS's block checksums.
+//! ~334 GB in Multi-CIF format (Section 6.2). The trailing checksum is the
+//! *chunk's* own end-to-end check, verified on every [`decode_column`]; it
+//! is independent of the block checksum `clyde-dfs` keeps per replica (one
+//! DFS block can hold many chunks — an RCFile — or a chunk can span blocks),
+//! so a chunk is rejected even when the bytes were damaged before they were
+//! written, which the block checksum cannot see (DESIGN.md, "Read-path
+//! integrity").
 //!
 //! The **zone segment** right after the row count is a per-chunk min/max
 //! zone map, written for non-empty `i32` columns (zone tag 1) and absent
@@ -126,16 +131,19 @@ const ZONE_I32_MINMAX: u8 = 1;
 
 fn write_zone_segment(out: &mut Vec<u8>, col: &ColumnData) {
     match col {
-        ColumnData::I32(v) if !v.is_empty() => {
-            let (mut lo, mut hi) = (v[0], v[0]);
-            for &x in &v[1..] {
-                lo = lo.min(x);
-                hi = hi.max(x);
+        ColumnData::I32(v) => match v.split_first() {
+            Some((&first, rest)) => {
+                let (mut lo, mut hi) = (first, first);
+                for &x in rest {
+                    lo = lo.min(x);
+                    hi = hi.max(x);
+                }
+                out.push(ZONE_I32_MINMAX);
+                varint::write_i64(out, i64::from(lo));
+                varint::write_i64(out, i64::from(hi));
             }
-            out.push(ZONE_I32_MINMAX);
-            varint::write_i64(out, i64::from(lo));
-            varint::write_i64(out, i64::from(hi));
-        }
+            None => out.push(ZONE_NONE),
+        },
         _ => out.push(ZONE_NONE),
     }
 }
@@ -160,6 +168,38 @@ fn read_zone_segment(body: &[u8], pos: &mut usize) -> Result<Option<(i32, i32)>>
     }
 }
 
+/// The self-describing prefix every chunk starts with.
+struct ChunkHeader {
+    dtype: DatumType,
+    encoding: Encoding,
+    /// Row count as written. It is a claim, not a fact: nothing may be
+    /// allocated from it before the payload has been measured against it.
+    rows: u64,
+    zone: Option<(i32, i32)>,
+    /// Offset of the first payload byte.
+    payload: usize,
+}
+
+fn read_header(body: &[u8]) -> Result<ChunkHeader> {
+    let (Some(&dtype), Some(&encoding)) = (body.first(), body.get(1)) else {
+        return Err(ClydeError::Format("truncated column chunk header".into()));
+    };
+    let dtype = DatumType::from_tag(dtype)
+        .ok_or_else(|| ClydeError::Format(format!("bad dtype tag {dtype}")))?;
+    let encoding = Encoding::from_tag(encoding)
+        .ok_or_else(|| ClydeError::Format(format!("bad encoding tag {encoding}")))?;
+    let mut pos = 2usize;
+    let rows = varint::read_u64(body, &mut pos)?;
+    let zone = read_zone_segment(body, &mut pos)?;
+    Ok(ChunkHeader {
+        dtype,
+        encoding,
+        rows,
+        zone,
+        payload: pos,
+    })
+}
+
 /// Parse the zone map out of a chunk's header prefix (the first
 /// [`ZONE_HEADER_MAX`] bytes are always enough; passing the whole chunk
 /// also works). Returns `None` for columns without a zone map. The
@@ -169,13 +209,7 @@ pub fn peek_zone_map(prefix: &[u8]) -> Result<Option<(i32, i32)>> {
     if prefix.len() < 3 {
         return Err(ClydeError::Format("column chunk prefix too short".into()));
     }
-    DatumType::from_tag(prefix[0])
-        .ok_or_else(|| ClydeError::Format(format!("bad dtype tag {}", prefix[0])))?;
-    Encoding::from_tag(prefix[1])
-        .ok_or_else(|| ClydeError::Format(format!("bad encoding tag {}", prefix[1])))?;
-    let mut pos = 2usize;
-    varint::read_u64(prefix, &mut pos)?;
-    read_zone_segment(prefix, &mut pos)
+    Ok(read_header(prefix)?.zone)
 }
 
 /// Encode a column with the given encoding.
@@ -266,130 +300,131 @@ fn rle_encode(out: &mut Vec<u8>, iter: impl Iterator<Item = i64>) {
 
 /// Decode a column chunk, verifying the checksum.
 pub fn decode_column(data: &[u8]) -> Result<ColumnData> {
-    if data.len() < 10 {
+    let Some((body, sum)) = data
+        .split_last_chunk::<8>()
+        .filter(|(body, _)| body.len() >= 2)
+    else {
         return Err(ClydeError::Format("column chunk too short".into()));
-    }
-    let (body, sum_bytes) = data.split_at(data.len() - 8);
-    let expected = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if checksum(body) != expected {
+    };
+    if checksum(body) != u64::from_le_bytes(*sum) {
         return Err(ClydeError::Format("column checksum mismatch".into()));
     }
-    let dtype = DatumType::from_tag(body[0])
-        .ok_or_else(|| ClydeError::Format(format!("bad dtype tag {}", body[0])))?;
-    let encoding = Encoding::from_tag(body[1])
-        .ok_or_else(|| ClydeError::Format(format!("bad encoding tag {}", body[1])))?;
-    let mut pos = 2usize;
-    let n = varint::read_u64(body, &mut pos)? as usize;
-    read_zone_segment(body, &mut pos)?;
-    match (encoding, dtype) {
-        (Encoding::Plain, DatumType::I32) => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(i32::from_le_bytes(take::<4>(body, &mut pos)?));
-            }
-            Ok(ColumnData::I32(v))
-        }
-        (Encoding::Plain, DatumType::I64) => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(i64::from_le_bytes(take::<8>(body, &mut pos)?));
-            }
-            Ok(ColumnData::I64(v))
-        }
-        (Encoding::Plain, DatumType::F64) => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(f64::from_bits(u64::from_le_bytes(take::<8>(
-                    body, &mut pos,
-                )?)));
-            }
-            Ok(ColumnData::F64(v))
-        }
+    let header = read_header(body)?;
+    let n = header.rows;
+    let mut pos = header.payload;
+    match (header.encoding, header.dtype) {
+        (Encoding::Plain, DatumType::I32) => Ok(ColumnData::I32(
+            plain_values::<4>(body, pos, n)?
+                .iter()
+                .map(|b| i32::from_le_bytes(*b))
+                .collect(),
+        )),
+        (Encoding::Plain, DatumType::I64) => Ok(ColumnData::I64(
+            plain_values::<8>(body, pos, n)?
+                .iter()
+                .map(|b| i64::from_le_bytes(*b))
+                .collect(),
+        )),
+        (Encoding::Plain, DatumType::F64) => Ok(ColumnData::F64(
+            plain_values::<8>(body, pos, n)?
+                .iter()
+                .map(|b| f64::from_bits(u64::from_le_bytes(*b)))
+                .collect(),
+        )),
         (Encoding::Plain, DatumType::Str) => {
-            let mut v: Vec<Arc<str>> = Vec::with_capacity(n);
+            let mut v: Vec<Arc<str>> = Vec::with_capacity(payload_bound(n, body, pos));
             for _ in 0..n {
                 v.push(read_str(body, &mut pos)?);
             }
             Ok(ColumnData::Str(v))
         }
         (Encoding::Dict, DatumType::Str) => {
-            let dict_len = varint::read_u64(body, &mut pos)? as usize;
-            let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
+            let dict_len = varint::read_u64(body, &mut pos)?;
+            let mut dict: Vec<Arc<str>> = Vec::with_capacity(payload_bound(dict_len, body, pos));
             for _ in 0..dict_len {
                 dict.push(read_str(body, &mut pos)?);
             }
-            let mut v: Vec<Arc<str>> = Vec::with_capacity(n);
+            let mut v: Vec<Arc<str>> = Vec::with_capacity(payload_bound(n, body, pos));
             for _ in 0..n {
-                let code = varint::read_u64(body, &mut pos)? as usize;
-                let s = dict
-                    .get(code)
+                let code = varint::read_u64(body, &mut pos)?;
+                let s = usize::try_from(code)
+                    .ok()
+                    .and_then(|c| dict.get(c))
                     .ok_or_else(|| ClydeError::Format(format!("dict code {code} out of range")))?;
                 v.push(Arc::clone(s));
             }
             Ok(ColumnData::Str(v))
         }
-        (Encoding::Rle, DatumType::I32) => {
-            let mut v = Vec::with_capacity(n);
-            rle_decode(body, &mut pos, n, |x| {
-                v.push(
-                    i32::try_from(x)
-                        .map_err(|_| ClydeError::Format("RLE value out of i32 range".into()))?,
-                );
-                Ok(())
-            })?;
-            Ok(ColumnData::I32(v))
-        }
-        (Encoding::Rle, DatumType::I64) => {
-            let mut v = Vec::with_capacity(n);
-            rle_decode(body, &mut pos, n, |x| {
-                v.push(x);
-                Ok(())
-            })?;
-            Ok(ColumnData::I64(v))
-        }
+        (Encoding::Rle, DatumType::I32) => Ok(ColumnData::I32(rle_decode(body, pos, n, |x| {
+            i32::try_from(x).map_err(|_| ClydeError::Format("RLE value out of i32 range".into()))
+        })?)),
+        (Encoding::Rle, DatumType::I64) => Ok(ColumnData::I64(rle_decode(body, pos, n, Ok)?)),
         (enc, dt) => Err(ClydeError::Format(format!(
             "invalid encoding/type combination {enc:?}/{dt}"
         ))),
     }
 }
 
-fn rle_decode(
-    body: &[u8],
-    pos: &mut usize,
-    n: usize,
-    mut push: impl FnMut(i64) -> Result<()>,
-) -> Result<()> {
-    let mut produced = 0usize;
-    while produced < n {
-        let count = varint::read_u64(body, pos)? as usize;
-        let value = varint::read_i64(body, pos)?;
-        if produced + count > n {
-            return Err(ClydeError::Format("RLE run overflows row count".into()));
-        }
-        for _ in 0..count {
-            push(value)?;
-        }
-        produced += count;
-    }
-    Ok(())
+/// The `n` fixed-width values of a plain chunk as byte arrays: one checked
+/// length computation, one slice, no per-value bounds check — and nothing
+/// allocated until the payload is known to hold `n` values.
+fn plain_values<const W: usize>(body: &[u8], pos: usize, n: u64) -> Result<&[[u8; W]]> {
+    usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(W))
+        .and_then(|need| pos.checked_add(need))
+        .and_then(|end| body.get(pos..end))
+        .map(|payload| payload.as_chunks::<W>().0)
+        .ok_or_else(|| ClydeError::Format("truncated column payload".into()))
 }
 
-fn take<const N: usize>(body: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    let end = *pos + N;
-    let slice = body
-        .get(*pos..end)
-        .ok_or_else(|| ClydeError::Format("truncated column payload".into()))?;
-    *pos = end;
-    Ok(slice.try_into().expect("length checked"))
+/// A capacity for `n` variable-width values that the input can back: each
+/// costs at least one payload byte, so a count beyond the bytes left is a
+/// header lying and is not allocated for (decoding then fails as truncated).
+fn payload_bound(n: u64, body: &[u8], pos: usize) -> usize {
+    let left = body.len().saturating_sub(pos);
+    usize::try_from(n).map_or(left, |n| n.min(left))
+}
+
+/// Decode `(run length, value)` pairs until `n` values are produced,
+/// extending by run. A run may legitimately expand far past the input size,
+/// so the output grows as runs are accepted (never from the header count)
+/// and an unsatisfiable reservation is a typed error.
+fn rle_decode<T: Copy>(
+    body: &[u8],
+    mut pos: usize,
+    n: u64,
+    convert: impl Fn(i64) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut v: Vec<T> = Vec::new();
+    let mut remaining = n;
+    while remaining > 0 {
+        let count = varint::read_u64(body, &mut pos)?;
+        let value = varint::read_i64(body, &mut pos)?;
+        if count > remaining {
+            return Err(ClydeError::Format("RLE run overflows row count".into()));
+        }
+        remaining -= count;
+        if count == 0 {
+            continue;
+        }
+        let value = convert(value)?;
+        let too_large = || ClydeError::Format("RLE run too large to allocate".into());
+        let count = usize::try_from(count).map_err(|_| too_large())?;
+        v.try_reserve(count).map_err(|_| too_large())?;
+        v.resize(v.len() + count, value);
+    }
+    Ok(v)
 }
 
 fn read_str(body: &[u8], pos: &mut usize) -> Result<Arc<str>> {
-    let len = varint::read_u64(body, pos)? as usize;
-    let end = *pos + len;
-    let bytes = body
-        .get(*pos..end)
+    let len = varint::read_u64(body, pos)?;
+    let bytes = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .and_then(|end| body.get(*pos..end))
         .ok_or_else(|| ClydeError::Format("truncated string".into()))?;
-    *pos = end;
+    *pos += bytes.len();
     std::str::from_utf8(bytes)
         .map(Arc::from)
         .map_err(|_| ClydeError::Format("invalid utf-8 in column".into()))
@@ -531,6 +566,37 @@ mod tests {
         let col = ColumnData::I32(vec![5; 10]);
         let bytes = encode_column(&col, Encoding::Plain).unwrap();
         assert!(peek_zone_map(&bytes[..3]).is_err()); // zone segment cut off
+    }
+
+    /// A hand-written chunk body under a valid checksum.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn counts_the_payload_cannot_back_are_typed_errors() {
+        // Plain i64 claiming 2^61 rows: the byte length overflows `usize`.
+        let mut body = vec![DatumType::I64.tag(), Encoding::Plain.tag()];
+        varint::write_u64(&mut body, 1 << 61);
+        body.extend_from_slice(&[ZONE_NONE, 1, 2, 3]);
+        assert!(decode_column(&sealed(body)).is_err());
+        // RLE whose second run would wrap `produced + count`.
+        let mut body = vec![DatumType::I64.tag(), Encoding::Rle.tag()];
+        varint::write_u64(&mut body, 2);
+        body.push(ZONE_NONE);
+        for (count, value) in [(1, 7), (u64::MAX, 9)] {
+            varint::write_u64(&mut body, count);
+            varint::write_i64(&mut body, value);
+        }
+        assert!(decode_column(&sealed(body)).is_err());
+        // A string length that would wrap the cursor.
+        let mut body = vec![DatumType::Str.tag(), Encoding::Plain.tag()];
+        varint::write_u64(&mut body, 1);
+        body.push(ZONE_NONE);
+        varint::write_u64(&mut body, u64::MAX);
+        assert!(decode_column(&sealed(body)).is_err());
     }
 
     proptest! {

@@ -17,12 +17,14 @@
 
 use crate::cif::CifReader;
 use crate::encoding::{peek_zone_map, ZONE_HEADER_MAX};
+use clyde_common::lockorder::RwLock;
 use clyde_common::{ClydeError, Result, RowBlock};
 use clyde_dfs::{Dfs, NodeId};
 use clyde_mapred::conf::keys;
 use clyde_mapred::{
     input::RowsFromBlocks, BlockReader, InputFormat, InputSplit, JobConf, Reader, SplitSpec, TaskIo,
 };
+use std::sync::Arc;
 
 /// How rows come out of the reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +88,12 @@ pub struct CifInputFormat {
     /// never changes results — it only elides groups no row of which can
     /// pass the predicates.
     pub zone_preds: Vec<ZonePred>,
+    /// The table as the last [`InputFormat::splits`] call resolved it: a
+    /// job opens `_meta` once, when it plans, and every `open()` of that
+    /// job reads the groups of that same snapshot. Replaced by each
+    /// `splits()`, so a format reused for a later job never serves an
+    /// earlier job's metadata.
+    table: RwLock<Option<Arc<CifReader>>>,
 }
 
 impl CifInputFormat {
@@ -96,6 +104,7 @@ impl CifInputFormat {
             mode: ScanMode::default(),
             multi: MultiSplit::Single,
             zone_preds: Vec::new(),
+            table: RwLock::new(None),
         }
     }
 
@@ -160,15 +169,10 @@ impl CifInputFormat {
 
 impl InputFormat for CifInputFormat {
     fn splits(&self, dfs: &Dfs, conf: &JobConf) -> Result<Vec<InputSplit>> {
-        let reader = CifReader::open(dfs, &self.base)?;
+        let reader = Arc::new(CifReader::open(dfs, &self.base)?);
+        *self.table.write() = Some(Arc::clone(&reader));
         let cols = self.column_indices(&reader, conf)?;
-        let n_groups = reader.meta().num_groups();
-        let mut group_hosts = Vec::with_capacity(n_groups);
-        let mut group_bytes = Vec::with_capacity(n_groups);
-        for g in 0..n_groups {
-            group_hosts.push(reader.group_hosts(dfs, g)?);
-            group_bytes.push(reader.group_bytes(dfs, g, &cols)?);
-        }
+        let located = reader.locate_groups(dfs, &cols)?;
 
         let multi = match self.multi {
             MultiSplit::GroupsPerSplit(k) => {
@@ -178,43 +182,48 @@ impl InputFormat for CifInputFormat {
             other => other,
         };
 
-        let packs: Vec<(Vec<usize>, Vec<NodeId>)> = match multi {
-            MultiSplit::Single => (0..n_groups)
-                .map(|g| (vec![g], group_hosts[g].clone()))
+        // (groups, hosts, bytes) of each split.
+        let packs: Vec<(Vec<usize>, Vec<NodeId>, u64)> = match multi {
+            MultiSplit::Single => located
+                .into_iter()
+                .enumerate()
+                .map(|(g, loc)| (vec![g], loc.hosts, loc.bytes))
                 .collect(),
-            MultiSplit::GroupsPerSplit(k) => (0..n_groups)
-                .collect::<Vec<_>>()
+            MultiSplit::GroupsPerSplit(k) => located
                 .chunks(k)
-                .map(|chunk| {
-                    let hosts = intersect_hosts(chunk.iter().map(|&g| &group_hosts[g]))
-                        .unwrap_or_else(|| group_hosts[chunk[0]].clone());
-                    (chunk.to_vec(), hosts)
+                .enumerate()
+                .map(|(i, chunk)| {
+                    let hosts = intersect_hosts(chunk.iter().map(|loc| &loc.hosts))
+                        .or_else(|| chunk.first().map(|loc| loc.hosts.clone()))
+                        .unwrap_or_default();
+                    let groups = (i * k..i * k + chunk.len()).collect();
+                    (groups, hosts, chunk.iter().map(|loc| loc.bytes).sum())
                 })
                 .collect(),
             MultiSplit::OnePerNode => {
                 let workers = dfs.cluster().num_workers();
-                let mut per_node_groups: Vec<Vec<usize>> = vec![Vec::new(); workers];
-                let mut per_node_bytes = vec![0u64; workers];
-                for g in 0..n_groups {
+                let mut per_node: Vec<(Vec<usize>, u64)> = vec![(Vec::new(), 0); workers];
+                for (g, loc) in located.iter().enumerate() {
                     // Prefer hosts holding the group; fall back to any node.
-                    let candidates: Vec<usize> = if group_hosts[g].is_empty() {
-                        (0..workers).collect()
+                    let load = |c: usize| per_node.get(c).map(|(_, bytes)| (*bytes, c));
+                    let chosen = if loc.hosts.is_empty() {
+                        (0..workers).filter_map(load).min()
                     } else {
-                        group_hosts[g].iter().map(|n| n.0).collect()
+                        loc.hosts.iter().filter_map(|n| load(n.0)).min()
                     };
-                    let chosen = candidates
-                        .iter()
-                        .copied()
-                        .min_by_key(|&c| (per_node_bytes[c], c))
-                        .expect("candidates never empty");
-                    per_node_groups[chosen].push(g);
-                    per_node_bytes[chosen] += group_bytes[g];
+                    let slot = chosen
+                        .and_then(|(_, c)| per_node.get_mut(c))
+                        .ok_or_else(|| {
+                            ClydeError::MapReduce(format!("no worker can take row group {g}"))
+                        })?;
+                    slot.0.push(g);
+                    slot.1 += loc.bytes;
                 }
-                per_node_groups
+                per_node
                     .into_iter()
                     .enumerate()
-                    .filter(|(_, gs)| !gs.is_empty())
-                    .map(|(node, gs)| (gs, vec![NodeId(node)]))
+                    .filter(|(_, (gs, _))| !gs.is_empty())
+                    .map(|(node, (gs, bytes))| (gs, vec![NodeId(node)], bytes))
                     .collect()
             }
         };
@@ -222,17 +231,14 @@ impl InputFormat for CifInputFormat {
         Ok(packs
             .into_iter()
             .enumerate()
-            .map(|(index, (groups, hosts))| {
-                let bytes = groups.iter().map(|&g| group_bytes[g]).sum();
-                InputSplit {
-                    index,
-                    spec: SplitSpec::Groups {
-                        base: self.base.clone(),
-                        groups,
-                    },
-                    hosts,
-                    bytes,
-                }
+            .map(|(index, (groups, hosts, bytes))| InputSplit {
+                index,
+                spec: SplitSpec::Groups {
+                    base: self.base.clone(),
+                    groups,
+                },
+                hosts,
+                bytes,
             })
             .collect())
     }
@@ -247,7 +253,13 @@ impl InputFormat for CifInputFormat {
                 groups.len()
             ))
         })?;
-        let reader = CifReader::open(&io.dfs, base)?;
+        // The table this job's `splits()` resolved; a split this format did
+        // not plan (no `splits()` yet, or another table's) opens its own.
+        let held = self.table.read().clone();
+        let reader = match held.filter(|r| r.meta().base == *base) {
+            Some(reader) => reader,
+            None => Arc::new(CifReader::open(&io.dfs, base)?),
+        };
         // Re-resolve columns at the task (conf travels via the format).
         let cols: Vec<usize> = match &self.columns {
             Some(names) => names

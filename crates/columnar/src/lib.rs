@@ -26,7 +26,7 @@ pub mod maintain;
 pub mod rcfile;
 pub mod text;
 
-pub use cif::{CifReader, CifTableMeta, CifWriter};
+pub use cif::{CifReader, CifTableMeta, CifWriter, GroupLocation};
 pub use encoding::{peek_zone_map, Encoding, ZONE_HEADER_MAX};
 pub use input::{CifInputFormat, MultiSplit, ScanMode, ZonePred};
 pub use maintain::{roll_out, CifAppender};

@@ -3,12 +3,51 @@
 use crate::block::BlockId;
 use bytes::Bytes;
 use clyde_common::FxHashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// One stored replica: the payload and whether *these bytes* have matched
+/// the namenode's checksum since they were stored. The flag lives and dies
+/// with the payload: the only constructor starts it cleared and nothing
+/// swaps the bytes under it, so whatever changes a replica's bytes
+/// ([`Datanode::store`], [`Datanode::corrupt`], re-replication) yields an
+/// unverified replica by construction.
+#[derive(Debug)]
+pub struct Replica {
+    data: Bytes,
+    verified: AtomicBool,
+}
+
+impl Replica {
+    fn new(data: Bytes) -> Replica {
+        Replica {
+            data,
+            verified: AtomicBool::new(false),
+        }
+    }
+
+    pub fn data(&self) -> &Bytes {
+        &self.data
+    }
+
+    pub fn is_verified(&self) -> bool {
+        // Relaxed: the flag publishes nothing — the payload is immutable and
+        // was made visible by the DFS state lock every reader holds.
+        self.verified.load(Ordering::Relaxed)
+    }
+
+    /// Record that `data()` matched the namenode checksum. Only the reader's
+    /// verification step calls this, and only on success: a failed check is
+    /// never remembered, so a bad replica is re-hashed on every attempt.
+    pub(crate) fn mark_verified(&self) {
+        self.verified.store(true, Ordering::Relaxed);
+    }
+}
 
 /// One datanode's block store. Payloads are `Bytes`, so replicating a block
 /// onto three datanodes shares one allocation.
 #[derive(Debug, Default)]
 pub struct Datanode {
-    blocks: FxHashMap<BlockId, Bytes>,
+    blocks: FxHashMap<BlockId, Replica>,
     alive: bool,
 }
 
@@ -21,15 +60,20 @@ impl Datanode {
     }
 
     pub fn store(&mut self, id: BlockId, data: Bytes) {
-        self.blocks.insert(id, data);
+        self.blocks.insert(id, Replica::new(data));
     }
 
-    pub fn get(&self, id: BlockId) -> Option<Bytes> {
+    /// The stored replica with its verification state (the read path).
+    pub fn replica(&self, id: BlockId) -> Option<&Replica> {
         if self.alive {
-            self.blocks.get(&id).cloned()
+            self.blocks.get(&id)
         } else {
             None
         }
+    }
+
+    pub fn get(&self, id: BlockId) -> Option<Bytes> {
+        self.replica(id).map(|r| r.data.clone())
     }
 
     pub fn has(&self, id: BlockId) -> bool {
@@ -49,15 +93,15 @@ impl Datanode {
     /// into a *fresh* buffer so the other datanodes keep the good bytes.
     /// Returns false when the replica is absent or empty.
     pub fn corrupt(&mut self, id: BlockId) -> bool {
-        let Some(data) = self.blocks.get(&id) else {
+        let Some(replica) = self.blocks.get(&id) else {
             return false;
         };
-        let mut bad = data.to_vec();
+        let mut bad = replica.data.to_vec();
         let Some(first) = bad.first_mut() else {
             return false; // empty replica: nothing to flip
         };
         *first ^= 0xff;
-        self.blocks.insert(id, Bytes::from(bad));
+        self.store(id, Bytes::from(bad));
         true
     }
 
@@ -74,7 +118,12 @@ impl Datanode {
 
     /// Bytes currently stored (for capacity accounting in tests).
     pub fn used_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.len() as u64).sum()
+        self.blocks.values().map(|r| r.data.len() as u64).sum()
+    }
+
+    /// Replicas currently remembered as verified (test assertions).
+    pub fn verified_replicas(&self) -> usize {
+        self.blocks.values().filter(|r| r.is_verified()).count()
     }
 
     pub fn num_blocks(&self) -> usize {
@@ -122,6 +171,25 @@ mod tests {
         assert!(!dn.corrupt(BlockId(9)));
         dn.store(BlockId(2), Bytes::new());
         assert!(!dn.corrupt(BlockId(2)));
+    }
+
+    #[test]
+    fn every_byte_change_clears_the_verified_flag() {
+        let mut dn = Datanode::new();
+        dn.store(BlockId(1), Bytes::from_static(b"good"));
+        assert!(!dn.replica(BlockId(1)).unwrap().is_verified());
+        dn.replica(BlockId(1)).unwrap().mark_verified();
+        assert_eq!(dn.verified_replicas(), 1);
+        assert!(dn.corrupt(BlockId(1)));
+        assert!(!dn.replica(BlockId(1)).unwrap().is_verified());
+        dn.replica(BlockId(1)).unwrap().mark_verified();
+        dn.store(BlockId(1), Bytes::from_static(b"new"));
+        assert_eq!(dn.verified_replicas(), 0);
+        dn.replica(BlockId(1)).unwrap().mark_verified();
+        dn.kill();
+        dn.restart();
+        assert!(dn.replica(BlockId(1)).is_none());
+        assert_eq!(dn.verified_replicas(), 0);
     }
 
     #[test]

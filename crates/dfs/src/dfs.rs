@@ -42,6 +42,16 @@ pub struct FileStatus {
     pub group: Option<String>,
 }
 
+/// Where one file lives, as [`Dfs::locate_prefix`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileLocation<'a> {
+    pub path: &'a str,
+    pub len: u64,
+    /// Nodes holding a replica of every block of the file, in the first
+    /// block's placement order — `common_hosts` of this one file.
+    pub hosts: &'a [NodeId],
+}
+
 struct State {
     namenode: Namenode,
     datanodes: Vec<Datanode>,
@@ -239,9 +249,9 @@ impl Dfs {
     ) -> Result<Bytes> {
         let state = self.state.read();
         let entry = state.namenode.file(path)?;
-        if entry.blocks.len() == 1 {
+        if let &[block] = entry.blocks.as_slice() {
             // Fast path: single-block files return the stored Bytes directly.
-            let (data, local) = self.fetch_block(&state, entry.blocks[0], reader)?;
+            let (data, local) = self.fetch_block(&state, block, reader)?;
             self.account_read(reader, stats, local, data.len() as u64);
             return Ok(data);
         }
@@ -254,18 +264,27 @@ impl Dfs {
         Ok(Bytes::from(out))
     }
 
-    /// Fetch one replica of `meta` from `node` and verify it against the
-    /// namenode checksum. A failed verification is recorded as a corrupt
-    /// read and the replica is treated as unavailable, so the caller falls
-    /// through to the next one — the HDFS client's checksum-and-retry path.
+    /// Fetch one replica of `meta` from `node`, verified against the
+    /// namenode checksum. A stored replica is hashed until it matches once;
+    /// from then on it is served without re-hashing, because its bytes
+    /// cannot change without becoming a new, unverified [`Replica`] (HDFS's
+    /// centralized-cache rule: an in-memory replica is checksummed once,
+    /// when cached). A failed verification is recorded as a corrupt read,
+    /// never remembered, and the replica is treated as unavailable, so the
+    /// caller falls through to the next one — the HDFS client's
+    /// checksum-and-retry path.
+    ///
+    /// [`Replica`]: crate::datanode::Replica
     fn verified(&self, state: &State, meta: &BlockMeta, node: NodeId) -> Option<Bytes> {
-        let data = state.datanodes[node.0].get(meta.id)?;
-        if block_checksum(&data) == meta.checksum {
-            Some(data)
-        } else {
-            self.metrics.record_corrupt_read(node);
-            None
+        let replica = state.datanodes.get(node.0)?.replica(meta.id)?;
+        if !replica.is_verified() {
+            if block_checksum(replica.data()) != meta.checksum {
+                self.metrics.record_corrupt_read(node);
+                return None;
+            }
+            replica.mark_verified();
         }
+        Some(replica.data().clone())
     }
 
     /// Locate and return a block's payload, preferring a replica on the
@@ -337,7 +356,8 @@ impl Dfs {
 
     /// Like [`Dfs::read_range`], additionally crediting the bytes to a task's
     /// [`ScanStats`]. Only the bytes actually returned are credited, even
-    /// when the range spans block boundaries.
+    /// when the range spans block boundaries. A range inside one block is a
+    /// slice of the stored replica, not a copy.
     pub fn read_range_tracked(
         &self,
         path: &str,
@@ -348,26 +368,40 @@ impl Dfs {
     ) -> Result<Bytes> {
         let state = self.state.read();
         let entry = state.namenode.file(path)?;
-        if offset + len > entry.len {
-            return Err(ClydeError::Dfs(format!(
-                "range {offset}+{len} beyond end of {path} (len {})",
-                entry.len
-            )));
-        }
-        let mut out = Vec::with_capacity(len as usize);
+        let end = match offset.checked_add(len) {
+            Some(end) if end <= entry.len => end,
+            _ => {
+                return Err(ClydeError::Dfs(format!(
+                    "range {offset}+{len} beyond end of {path} (len {})",
+                    entry.len
+                )))
+            }
+        };
+        let mut out = Vec::new();
         let mut block_start = 0u64;
         for &b in &entry.blocks {
-            let meta_len = state.namenode.block(b)?.len;
-            let block_end = block_start + meta_len;
-            if block_end > offset && block_start < offset + len {
+            let block_end = block_start + state.namenode.block(b)?.len;
+            if block_end > offset && block_start < end {
                 let (data, local) = self.fetch_block(&state, b, reader)?;
                 let from = offset.saturating_sub(block_start) as usize;
-                let to = ((offset + len).min(block_end) - block_start) as usize;
+                let to = (end.min(block_end) - block_start) as usize;
+                if to > data.len() {
+                    return Err(ClydeError::Dfs(format!(
+                        "block {b:?} of {path} is shorter than its metadata"
+                    )));
+                }
                 self.account_read(reader, stats, local, (to - from) as u64);
-                out.extend_from_slice(&data[from..to]);
+                let part = data.slice(from..to);
+                if part.len() as u64 == len {
+                    return Ok(part); // the whole range sits inside this block
+                }
+                if out.is_empty() {
+                    out.reserve_exact(len as usize);
+                }
+                out.extend_from_slice(&part);
             }
             block_start = block_end;
-            if block_start >= offset + len {
+            if block_start >= end {
                 break;
             }
         }
@@ -511,6 +545,42 @@ impl Dfs {
         Ok(common.unwrap_or_default())
     }
 
+    /// Report the length and fully-local hosts of every file under
+    /// `prefix`, in path order, from one pass over the namespace under one
+    /// lock — what a planner needs to place and size the splits of a whole
+    /// table without a `file_len`/`common_hosts` round trip (and a path
+    /// string) per file. `visit` runs under the namespace lock: it must
+    /// only record what it is shown, never call back into this `Dfs`.
+    pub fn locate_prefix(
+        &self,
+        prefix: &str,
+        mut visit: impl FnMut(FileLocation<'_>),
+    ) -> Result<()> {
+        let state = self.state.read();
+        let mut common: Vec<NodeId> = Vec::new();
+        for entry in state.namenode.files_with_prefix(prefix) {
+            let hosts = match entry.blocks.as_slice() {
+                [] => &[],
+                // The common case borrows the block's replica list as is.
+                &[only] => state.namenode.block(only)?.replicas.as_slice(),
+                [first, rest @ ..] => {
+                    common.clone_from(&state.namenode.block(*first)?.replicas);
+                    for &b in rest {
+                        let replicas = &state.namenode.block(b)?.replicas;
+                        common.retain(|n| replicas.contains(n));
+                    }
+                    common.as_slice()
+                }
+            };
+            visit(FileLocation {
+                path: &entry.path,
+                len: entry.len,
+                hosts,
+            });
+        }
+        Ok(())
+    }
+
     /// Simulate the failure of a node: its replicas are lost.
     pub fn kill_node(&self, node: NodeId) {
         self.state.write().datanodes[node.0].kill();
@@ -648,6 +718,18 @@ impl Dfs {
             state.namenode.block_mut(id)?.replicas = new_replicas;
         }
         Ok(created)
+    }
+
+    /// Per-node count of replicas remembered as checksum-verified (test
+    /// assertions: whatever stores, moves or damages a replica leaves it
+    /// unverified until its next read).
+    pub fn verified_replicas_per_node(&self) -> Vec<usize> {
+        self.state
+            .read()
+            .datanodes
+            .iter()
+            .map(Datanode::verified_replicas)
+            .collect()
     }
 
     /// Per-node used bytes (capacity accounting / test assertions).

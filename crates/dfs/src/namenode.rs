@@ -4,6 +4,7 @@ use crate::block::{BlockId, BlockMeta};
 use crate::topology::NodeId;
 use clyde_common::{ClydeError, FxHashMap, Result};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Namespace entry for one write-once file.
 #[derive(Debug, Clone)]
@@ -93,12 +94,21 @@ impl Namenode {
         Ok(entry.blocks)
     }
 
+    /// Entries whose path starts with `prefix`, in lexicographic order.
+    pub fn files_with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = &'a FileEntry> + 'a {
+        self.files
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(p, _)| p.starts_with(prefix))
+            .map(|(_, e)| e)
+    }
+
     /// Paths starting with `prefix`, in lexicographic order.
     pub fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        self.files
-            .range(prefix.to_string()..)
-            .take_while(|(p, _)| p.starts_with(prefix))
-            .map(|(p, _)| p.clone())
+        self.files_with_prefix(prefix)
+            .map(|e| e.path.clone())
             .collect()
     }
 

@@ -190,6 +190,10 @@ pub const D004_AUDITED: &[&str] = &[
     "crates/dfs/src/local.rs",
     "crates/dfs/src/dfs.rs",
     "crates/dfs/src/metrics.rs",
+    // The CIF input format's per-job table handle: one `RwLock` around an
+    // `Option<Arc<CifReader>>`, written by `splits()` and read by `open()`,
+    // each for a single statement and never while a DFS lock is held.
+    "crates/columnar/src/input.rs",
     // NOT listed, deliberately: the multi-job server and slot scheduler
     // (`crates/mapred/src/server.rs`, `crates/mapred/src/scheduler.rs`,
     // `crates/core/src/server.rs`). Audited 2026-08: the server executes

@@ -27,8 +27,19 @@ pub const D007_RECOVERY: &[(&str, &[&str])] = &[
     ("crates/mapred/src/fault.rs", &[]),
     // Datanode block store: the re-replication read/write path.
     ("crates/dfs/src/datanode.rs", &[]),
-    // Namespace-level re-replication after a node loss.
-    ("crates/dfs/src/dfs.rs", &["rereplicate"]),
+    // Namespace-level re-replication after a node loss, and the replica
+    // read path: checksum verification, replica fail-over and the range
+    // arithmetic every map task's reads go through.
+    (
+        "crates/dfs/src/dfs.rs",
+        &[
+            "rereplicate",
+            "verified",
+            "fetch_block",
+            "read_file_tracked",
+            "read_range_tracked",
+        ],
+    ),
     // Speculative commit, retry placement, and injected-failure paths.
     (
         "crates/mapred/src/engine.rs",
@@ -50,6 +61,14 @@ pub const D007_RECOVERY: &[(&str, &[&str])] = &[
             "build_all_resident",
             "build_all_from",
         ],
+    ),
+    // The fact byte path: column chunks are decoded from whatever bytes a
+    // replica served, so damaged or crafted chunks must be typed errors; and
+    // the format's planning/open calls run inside every job and map task.
+    ("crates/columnar/src/encoding.rs", &[]),
+    (
+        "crates/columnar/src/input.rs",
+        &["splits", "open", "zone_prunes"],
     ),
     // Assembling a query's tables on a node, and the engine-lifetime store
     // it takes them from: a table built for an earlier query must be found

@@ -40,10 +40,27 @@ pub const D007_RECOVERY: &[(&str, &[&str])] = &[
             "read_range_tracked",
         ],
     ),
-    // Speculative commit, retry placement, and injected-failure paths.
+    // A job's phases end to end — planning, the first map wave, the
+    // heartbeat barrier and retry wave, the speculative commit, shuffle and
+    // reduce, pricing and publication — plus retry placement and the
+    // injected-failure verdict.
     (
         "crates/mapred/src/engine.rs",
-        &["run_job_inner", "retry_node", "injected_failure"],
+        &[
+            "run_job_inner",
+            "plan_job",
+            "map_env",
+            "first_map_wave",
+            "recover_failed_tasks",
+            "attempt_failed",
+            "speculate",
+            "profile",
+            "shuffle_and_reduce",
+            "finish_job",
+            "death_time",
+            "retry_node",
+            "injected_failure",
+        ],
     ),
     // Admission control: must reject, never abort, under overload.
     ("crates/mapred/src/server.rs", &["submit", "drain"]),

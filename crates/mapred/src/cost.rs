@@ -22,7 +22,7 @@
 
 use clyde_common::obs::{Phase, PhaseSlice};
 use clyde_dfs::testdfsio::HdfsPerfModel;
-use clyde_dfs::{ClusterSpec, NodeId};
+use clyde_dfs::ClusterSpec;
 
 const MB: f64 = (1 << 20) as f64;
 
@@ -407,11 +407,11 @@ impl CostParams {
 pub struct JobCost {
     /// Client-side setup: building/publishing distributed-cache artifacts.
     pub setup_s: f64,
-    /// Makespan of the map phase.
+    /// Span of the map phase: first map slot granted to last map task done.
     pub map_s: f64,
     /// Network + spill time of the shuffle.
     pub shuffle_s: f64,
-    /// Makespan of the reduce phase.
+    /// Span of the reduce phase, measured the same way.
     pub reduce_s: f64,
     /// Job submission overhead.
     pub overhead_s: f64,
@@ -453,25 +453,6 @@ impl JobCost {
             overhead_s: self.overhead_s + other.overhead_s,
         }
     }
-}
-
-/// Makespan of a set of tasks with per-node slot concurrency: each node
-/// finishes at `sum(task durations)/concurrency` (its slots drain the queue
-/// in waves) — but never before its longest single task, which bounds the
-/// phase when a node holds fewer tasks than slots. The phase ends when the
-/// slowest node does.
-pub fn makespan(durations: &[(NodeId, f64)], num_nodes: usize, concurrency: u32) -> f64 {
-    let mut per_node = vec![0.0f64; num_nodes];
-    let mut longest = vec![0.0f64; num_nodes];
-    for &(node, d) in durations {
-        per_node[node.0] += d;
-        longest[node.0] = longest[node.0].max(d);
-    }
-    let c = f64::from(concurrency.max(1));
-    per_node
-        .iter()
-        .zip(&longest)
-        .fold(0.0f64, |acc, (t, &l)| acc.max((t / c).max(l)))
 }
 
 /// Network + disk time to move `shuffle_bytes` from mappers to reducers.
@@ -561,14 +542,6 @@ mod tests {
         c.state_load_bytes = 500 * (1 << 20);
         let d = params.map_task_duration(&a(), &c, 6);
         assert!(d > 60.0, "load-dominated task {d}");
-    }
-
-    #[test]
-    fn makespan_takes_slowest_node() {
-        let ds = vec![(NodeId(0), 10.0), (NodeId(0), 10.0), (NodeId(1), 5.0)];
-        assert!((makespan(&ds, 2, 1) - 20.0).abs() < 1e-9);
-        assert!((makespan(&ds, 2, 2) - 10.0).abs() < 1e-9);
-        assert_eq!(makespan(&[], 2, 1), 0.0);
     }
 
     #[test]

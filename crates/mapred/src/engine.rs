@@ -20,7 +20,7 @@ use crate::fault::FaultPlan;
 use crate::history;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile};
-use crate::scheduler;
+use crate::scheduler::{self, JobSchedule};
 use crate::shuffle;
 use crate::task::{
     MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, ResidentStats,
@@ -62,18 +62,81 @@ struct TaskOutput {
     speculative: bool,
 }
 
-/// Everything a map-task attempt needs, bundled so the first parallel wave
-/// and the sequential retry path share one execution function.
+/// Planning's hand-off: everything fixed before any task ran.
+struct JobPlan {
+    splits: Vec<InputSplit>,
+    /// `assignment[i]` is the node the first attempt of `splits[i]` runs on.
+    assignment: Vec<NodeId>,
+    /// Map tasks of this job a node runs at once.
+    concurrency: u32,
+    /// Result-cache key, when the job is cacheable and the cache is on.
+    fingerprint: Option<u64>,
+}
+
+/// Planning either finds the job's output in the result cache or plans a run.
+enum Planned {
+    Cached(CacheEntry),
+    Run(JobPlan),
+}
+
+/// The first map wave's hand-off: committed outputs by task index (`None`
+/// where the first attempt failed) and those failures in task order.
+struct MapWave {
+    outputs: Vec<Option<TaskOutput>>,
+    failures: Vec<(usize, NodeId, ClydeError)>,
+}
+
+/// What recovery did, as the job profile reports it. The retry wave starts
+/// it and speculation adds to it.
+#[derive(Default)]
+struct Recovery {
+    dead_nodes: Vec<NodeId>,
+    rereplicated_blocks: u64,
+    blacklisted: Vec<bool>,
+    node_failures: Vec<u32>,
+    failed_attempts: u32,
+    speculative_attempts: u32,
+    speculative_wins: u32,
+    killed_attempts: Vec<KilledAttempt>,
+}
+
+impl Recovery {
+    /// Count a failed attempt on `node`, blacklisting the node once it has
+    /// failed [`BLACKLIST_AFTER_FAILURES`] of them.
+    fn attempt_failed(&mut self, node: NodeId) {
+        self.failed_attempts += 1;
+        let Some(count) = self.node_failures.get_mut(node.0) else {
+            return;
+        };
+        *count += 1;
+        if *count >= BLACKLIST_AFTER_FAILURES {
+            if let Some(b) = self.blacklisted.get_mut(node.0) {
+                *b = true;
+            }
+        }
+    }
+}
+
+/// The shuffle/reduce phase's hand-off.
+#[derive(Default)]
+struct Reduced {
+    rows: Vec<Row>,
+    output_files: Vec<String>,
+    reduce_tasks: Vec<TaskProfile>,
+    shuffle_bytes: u64,
+}
+
+/// Everything a map-task attempt needs, bundled so the first parallel wave,
+/// the sequential retry path and speculation share one execution function.
 struct MapTaskEnv<'a> {
     spec: &'a JobSpec,
-    splits: &'a [InputSplit],
+    plan: &'a JobPlan,
+    client: &'a ClientArtifacts,
     dfs: &'a Arc<Dfs>,
     local: &'a Arc<NodeLocalStore>,
-    cache: &'a Arc<DistCache>,
-    node_states: &'a [Arc<NodeState>],
-    memories: &'a [Arc<MemoryTracker>],
-    ledger: &'a Arc<MemoryLedger>,
-    concurrency: u32,
+    node_states: Vec<Arc<NodeState>>,
+    memories: Vec<Arc<MemoryTracker>>,
+    ledger: Arc<MemoryLedger>,
     threads: u32,
     host_threads: u32,
     map_only: bool,
@@ -87,7 +150,7 @@ impl MapTaskEnv<'_> {
     /// Execute one attempt of one map task on `node`.
     fn exec(&self, task_idx: usize, node: NodeId) -> Result<TaskOutput> {
         let wall_start = WallTimer::start();
-        let split = &self.splits[task_idx];
+        let split = &self.plan.splits[task_idx];
         let io = TaskIo::new(Arc::clone(self.dfs), node);
         let out = Arc::new(MapOutputBuffer::new());
         let cost = Arc::new(Mutex::new(TaskCost {
@@ -108,13 +171,13 @@ impl MapTaskEnv<'_> {
             node,
             threads: self.threads,
             host_threads: self.host_threads,
-            slot_concurrency: self.concurrency,
+            slot_concurrency: self.plan.concurrency,
             node_state: state,
             memory: Arc::clone(&memory),
-            ledger: Arc::clone(self.ledger),
+            ledger: Arc::clone(&self.ledger),
             task_charges: Mutex::new(0),
             local_store: Arc::clone(self.local),
-            dist_cache: Arc::clone(self.cache),
+            dist_cache: Arc::clone(&self.client.cache),
             out: Arc::clone(&out),
             cost: Arc::clone(&cost),
             wall_phases: Mutex::new(Vec::new()),
@@ -189,8 +252,13 @@ impl MapTaskEnv<'_> {
     /// speculative-execution straggler detector run on — never wall time.
     fn sim_duration(&self, cost: &TaskCost, node: NodeId) -> f64 {
         self.params
-            .map_task_duration(self.cluster, cost, self.concurrency)
+            .map_task_duration(self.cluster, cost, self.plan.concurrency)
             * self.slow_factor(node)
+    }
+
+    /// Simulated second at which the fault plan kills `node`, if it does.
+    fn death_time(&self, node: usize) -> Option<f64> {
+        self.faults?.death_time(node, self.memories.len())
     }
 
     /// The fault plan's verdict on attempt `attempt` (0-based) of `task_idx`.
@@ -255,6 +323,323 @@ impl MapTaskEnv<'_> {
         pool.get(k)
             .copied()
             .ok_or_else(|| ClydeError::MapReduce("no candidate node for retry".into()))
+    }
+
+    /// Map phase, first wave: one worker thread per node runs that node's
+    /// tasks in order. Failures are collected, not fatal. Each worker tracks
+    /// its own simulated clock (the sum of its committed attempts'
+    /// durations) so a planned datanode death strikes at a deterministic
+    /// point.
+    fn first_map_wave(&self) -> Result<MapWave> {
+        let mut tasks_by_node: Vec<Vec<usize>> = vec![Vec::new(); self.memories.len()];
+        for (i, node) in self.plan.assignment.iter().enumerate() {
+            let bucket = tasks_by_node.get_mut(node.0).ok_or_else(|| {
+                ClydeError::MapReduce(format!("task assigned to unknown node {}", node.0))
+            })?;
+            bucket.push(i);
+        }
+        let outputs: Vec<Mutex<Option<TaskOutput>>> =
+            self.plan.splits.iter().map(|_| Mutex::new(None)).collect();
+        let failures: Mutex<Vec<(usize, NodeId, ClydeError)>> = Mutex::new(Vec::new());
+
+        std::thread::scope(|scope| {
+            for (node_idx, task_list) in tasks_by_node.iter().enumerate() {
+                if task_list.is_empty() {
+                    continue;
+                }
+                let node = NodeId(node_idx);
+                let outputs = &outputs;
+                let failures = &failures;
+                let death = self.death_time(node_idx);
+                scope.spawn(move || {
+                    let mut sim_elapsed = 0.0f64;
+                    let mut down = false;
+                    for &task_idx in task_list {
+                        if down {
+                            // The tasktracker stopped heartbeating; its
+                            // remaining queue fails over to other nodes.
+                            failures.lock().push((
+                                task_idx,
+                                node,
+                                ClydeError::MapReduce(format!(
+                                    "heartbeat lost: node {} is dead",
+                                    node.0
+                                )),
+                            ));
+                            continue;
+                        }
+                        if let Some(err) = self.injected_failure(task_idx, 0) {
+                            failures.lock().push((task_idx, node, err));
+                            continue;
+                        }
+                        match self.exec(task_idx, node) {
+                            Ok(out) => {
+                                let dur = self.sim_duration(&out.cost, node);
+                                if death.is_some_and(|at| sim_elapsed + dur > at) {
+                                    // Died mid-attempt: the work is lost.
+                                    down = true;
+                                    failures.lock().push((
+                                        task_idx,
+                                        node,
+                                        ClydeError::MapReduce(format!(
+                                            "heartbeat lost: node {} died mid-task",
+                                            node.0
+                                        )),
+                                    ));
+                                    continue;
+                                }
+                                sim_elapsed += dur;
+                                if let Some(slot) = outputs.get(task_idx) {
+                                    *slot.lock() = Some(out);
+                                }
+                            }
+                            Err(e) => failures.lock().push((task_idx, node, e)),
+                        }
+                    }
+                });
+            }
+        });
+
+        let mut failures = failures.into_inner();
+        failures.sort_by_key(|(idx, _, _)| *idx); // deterministic order
+        Ok(MapWave {
+            outputs: outputs.into_iter().map(Mutex::into_inner).collect(),
+            failures,
+        })
+    }
+
+    /// Heartbeat barrier, then the retry wave. Planned deaths take effect
+    /// cluster-wide: the namenode re-replicates lost blocks and each pending
+    /// task's preferred hosts are refreshed so retries chase the data. Every
+    /// failed task is then re-executed on alternate nodes, steering around
+    /// dead and blacklisted ones, until it commits or its attempt budget
+    /// runs out (out-of-memory is never retried).
+    fn recover_failed_tasks(&self, wave: MapWave) -> Result<(Vec<Option<TaskOutput>>, Recovery)> {
+        let n = self.memories.len();
+        let MapWave {
+            mut outputs,
+            failures,
+        } = wave;
+        let mut rec = Recovery {
+            blacklisted: vec![false; n],
+            node_failures: vec![0; n],
+            ..Recovery::default()
+        };
+        let mut retry_hosts: Vec<Vec<NodeId>> =
+            self.plan.splits.iter().map(|s| s.hosts.clone()).collect();
+        for i in 0..n {
+            if self.death_time(i).is_some() {
+                self.dfs.kill_node(NodeId(i));
+                rec.dead_nodes.push(NodeId(i));
+                if let Some(b) = rec.blacklisted.get_mut(i) {
+                    *b = true;
+                }
+            }
+        }
+        // With every node dead there is nothing to re-replicate onto; the
+        // retries below report the job-level failure instead.
+        if !rec.dead_nodes.is_empty() && rec.dead_nodes.len() < n {
+            rec.rereplicated_blocks = self.dfs.rereplicate()? as u64;
+            for (s, slot) in self.plan.splits.iter().zip(retry_hosts.iter_mut()) {
+                if let SplitSpec::FileRange { path, .. } = &s.spec {
+                    if let Ok(hosts) = self.dfs.hosts(path) {
+                        *slot = hosts;
+                    }
+                }
+            }
+        }
+
+        for (task_idx, first_node, mut last_err) in failures {
+            if last_err.is_oom() {
+                return Err(last_err);
+            }
+            rec.attempt_failed(first_node);
+            let mut done = false;
+            let mut prev_node = first_node;
+            let task_hosts = retry_hosts
+                .get(task_idx)
+                .map(Vec::as_slice)
+                .unwrap_or_default();
+            for attempt in 1..self.max_attempts {
+                let node =
+                    self.retry_node(task_idx, prev_node, attempt, task_hosts, &rec.blacklisted)?;
+                let failed = match self.injected_failure(task_idx, attempt) {
+                    Some(err) => err,
+                    None => match self.exec(task_idx, node) {
+                        Ok(out) => {
+                            if let Some(slot) = outputs.get_mut(task_idx) {
+                                *slot = Some(out);
+                            }
+                            done = true;
+                            break;
+                        }
+                        Err(e) if e.is_oom() => return Err(e),
+                        Err(e) => e,
+                    },
+                };
+                rec.attempt_failed(node);
+                last_err = failed;
+                prev_node = node;
+            }
+            if !done {
+                return Err(ClydeError::MapReduce(format!(
+                    "map task {task_idx} failed after {} attempts: {last_err}",
+                    self.max_attempts
+                )));
+            }
+        }
+        Ok((outputs, rec))
+    }
+
+    /// Speculative execution: with a fault plan armed, launch one backup
+    /// attempt per straggler (simulated duration beyond
+    /// `speculative_slowdown` × median) and commit whichever attempt
+    /// finishes first on the simulated clock. The output commit is
+    /// idempotent, so racing two attempts is safe; the loser is recorded as
+    /// a killed attempt and priced as wasted slot time.
+    fn speculate(&self, outputs: &mut [Option<TaskOutput>], rec: &mut Recovery) -> Result<()> {
+        let Some(plan) = self
+            .faults
+            .filter(|f| outputs.len() >= 2 && f.speculative_slowdown.is_finite())
+        else {
+            return Ok(());
+        };
+        let mut durs: Vec<f64> = Vec::with_capacity(outputs.len());
+        for o in outputs.iter() {
+            let out = o.as_ref().ok_or_else(|| {
+                ClydeError::MapReduce("speculation ran before all map outputs committed".into())
+            })?;
+            durs.push(self.sim_duration(&out.cost, out.node));
+        }
+        let mut sorted = durs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted.get(sorted.len() / 2).copied().unwrap_or_default();
+        // The detector fires once the original has run for `threshold`
+        // simulated seconds — that is also when the backup launches.
+        let threshold = plan.speculative_slowdown * median;
+        for (idx, (&orig_dur, slot)) in durs.iter().zip(outputs.iter_mut()).enumerate() {
+            if orig_dur <= threshold + 1e-9 {
+                continue;
+            }
+            let Some(orig_node) = slot.as_ref().map(|t| t.node) else {
+                continue;
+            };
+            // Backup runs on the fastest live, non-blacklisted other node.
+            let backup = (0..self.memories.len())
+                .map(NodeId)
+                .filter(|c| {
+                    *c != orig_node
+                        && rec.blacklisted.get(c.0).is_some_and(|b| !b)
+                        && self.dfs.is_node_alive(*c)
+                })
+                .min_by(|a, b| {
+                    self.slow_factor(*a)
+                        .total_cmp(&self.slow_factor(*b))
+                        .then(a.0.cmp(&b.0))
+                });
+            let Some(backup) = backup else { continue };
+            rec.speculative_attempts += 1;
+            match self.exec(idx, backup) {
+                Ok(mut bout) => {
+                    let backup_dur = self.sim_duration(&bout.cost, backup);
+                    let backup_finish = threshold + backup_dur;
+                    let Some(orig) = slot.take() else { continue };
+                    if backup_finish + 1e-9 < orig_dur {
+                        // Backup wins the race; the original is killed
+                        // after `backup_finish` seconds of occupancy.
+                        rec.speculative_wins += 1;
+                        rec.killed_attempts.push(KilledAttempt {
+                            task: idx,
+                            node: orig.node,
+                            busy_s: backup_finish,
+                            cost: orig.cost,
+                        });
+                        bout.speculative = true;
+                        *slot = Some(bout);
+                    } else {
+                        // Original wins; the backup is killed once the
+                        // original commits.
+                        rec.killed_attempts.push(KilledAttempt {
+                            task: idx,
+                            node: backup,
+                            busy_s: (orig_dur - threshold).max(0.0).min(backup_dur),
+                            cost: bout.cost,
+                        });
+                        *slot = Some(orig);
+                    }
+                }
+                Err(e) if e.is_oom() => return Err(e),
+                // A failed backup never fails the job — the original
+                // output already stands.
+                Err(_) => rec.attempt_failed(backup),
+            }
+        }
+        Ok(())
+    }
+
+    /// The job's hardware-independent execution record.
+    fn profile(
+        &self,
+        map_outputs: &[TaskOutput],
+        rec: Recovery,
+        reduced: &mut Reduced,
+    ) -> JobProfile {
+        // Roll runner-attributed wall clock up to the job, in phase order.
+        let mut wall_phases: Vec<(Phase, u64)> = Vec::new();
+        for phase in Phase::all() {
+            let ns: u64 = map_outputs
+                .iter()
+                .flat_map(|t| &t.wall_phases)
+                .filter(|(p, _)| p == phase)
+                .map(|(_, ns)| ns)
+                .sum();
+            if ns > 0 {
+                wall_phases.push((*phase, ns));
+            }
+        }
+        let n = self.memories.len();
+        JobProfile {
+            name: self.spec.name.clone(),
+            map_tasks: map_outputs
+                .iter()
+                .map(|t| TaskProfile {
+                    node: t.node,
+                    cost: t.cost,
+                    wall_ns: t.wall_ns,
+                    speculative: t.speculative,
+                })
+                .collect(),
+            reduce_tasks: std::mem::take(&mut reduced.reduce_tasks),
+            map_concurrency: self.plan.concurrency,
+            shuffle_bytes: reduced.shuffle_bytes,
+            client_build_rows: self.client.build_rows,
+            client_publish_bytes: self.client.cache.disseminated_bytes(),
+            memory_per_slot: self.ledger.per_slot(),
+            memory_shared: self.ledger.shared(),
+            memory_per_slot_fixed: self.ledger.per_slot_fixed(),
+            memory_shared_fixed: self.ledger.shared_fixed(),
+            failed_attempts: rec.failed_attempts,
+            split_locality: scheduler::locality_fraction(&self.plan.splits, &self.plan.assignment),
+            wall_phases,
+            speculative_attempts: rec.speculative_attempts,
+            speculative_wins: rec.speculative_wins,
+            killed_attempts: rec.killed_attempts,
+            blacklisted_nodes: rec
+                .blacklisted
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| **b)
+                .map(|(i, _)| NodeId(i))
+                .collect(),
+            dead_nodes: rec.dead_nodes,
+            rereplicated_blocks: rec.rereplicated_blocks,
+            node_slowdown: match self.faults {
+                Some(f) if !f.slow_nodes.is_empty() => {
+                    (0..n).map(|i| f.slow_factor(i, n)).collect()
+                }
+                _ => Vec::new(),
+            },
+        }
     }
 }
 
@@ -339,22 +724,43 @@ impl Engine {
         self.run_job_inner(spec, ClientArtifacts::default(), false)
     }
 
+    /// One job, as a sequence of phases: plan → first map wave → heartbeat
+    /// barrier + retry wave → speculation → shuffle/reduce → price + cache
+    /// fill + publish. Each phase hands the next a named type.
     fn run_job_inner(
         &self,
         spec: &JobSpec,
         client: ClientArtifacts,
         publish: bool,
     ) -> Result<(JobResult, Option<IoSnapshot>)> {
-        let io_scope = if self.obs.is_enabled() {
-            Some(self.dfs.io_scope())
-        } else {
-            None
-        };
+        let io_scope = self.obs.is_enabled().then(|| self.dfs.io_scope());
         let cluster = self.dfs.cluster().clone();
-        let n = cluster.num_workers();
-        let faults = spec.faults.as_deref();
-        // Fault injection: rot the planned replicas before anything reads.
-        if let Some(f) = faults {
+        let plan = match self.plan_job(spec, &cluster)? {
+            Planned::Cached(entry) => {
+                return self.serve_from_cache(spec, &entry, &cluster, &io_scope, publish)
+            }
+            Planned::Run(plan) => plan,
+        };
+        let env = self.map_env(spec, &plan, &client, &cluster);
+        let wave = env.first_map_wave()?;
+        let (mut outputs, mut recovery) = env.recover_failed_tasks(wave)?;
+        env.speculate(&mut outputs, &mut recovery)?;
+        let mut map_outputs: Vec<TaskOutput> = Vec::with_capacity(outputs.len());
+        for o in outputs {
+            map_outputs.push(o.ok_or_else(|| {
+                ClydeError::MapReduce("map task produced no output record".into())
+            })?);
+        }
+        let mut reduced = self.shuffle_and_reduce(spec, &cluster, &mut map_outputs)?;
+        let profile = env.profile(&map_outputs, recovery, &mut reduced);
+        self.finish_job(spec, &plan, profile, reduced, &io_scope, publish)
+    }
+
+    /// Planning: inject the fault plan's replica corruption before anything
+    /// reads, resolve the splits, probe the result cache, and place the map
+    /// tasks.
+    fn plan_job(&self, spec: &JobSpec, cluster: &ClusterSpec) -> Result<Planned> {
+        if let Some(f) = spec.faults.as_deref() {
             if f.corrupt_replicas > 0 {
                 self.dfs.inject_corruption(f.seed, f.corrupt_replicas);
             }
@@ -369,506 +775,185 @@ impl Engine {
         } else {
             None
         };
-        if let Some(fp) = fingerprint {
-            if let Some(entry) = self.dfs.cache_lookup(fp) {
-                return self.serve_from_cache(spec, &entry, &cluster, &io_scope, publish);
-            }
+        if let Some(entry) = fingerprint.and_then(|fp| self.dfs.cache_lookup(fp)) {
+            return Ok(Planned::Cached(entry));
         }
-        let concurrency = scheduler::concurrency_per_node(&cluster, spec.declared_task_memory);
-        let assignment = scheduler::assign_map_tasks(&splits, &cluster);
-        let threads = spec.task_threads.unwrap_or(1).max(1);
-        let host_threads = spec.host_threads.unwrap_or(threads).max(1);
-        let max_attempts = spec.max_task_attempts.max(1);
+        Ok(Planned::Run(JobPlan {
+            assignment: scheduler::assign_map_tasks(&splits, cluster),
+            concurrency: scheduler::concurrency_per_node(cluster, spec.declared_task_memory),
+            splits,
+            fingerprint,
+        }))
+    }
 
-        let node_states: Vec<Arc<NodeState>> = self
-            .resident
-            .iter()
-            .map(|store| Arc::new(NodeState::with_resident(Arc::clone(store))))
-            .collect();
-        let memories: Vec<Arc<MemoryTracker>> = (0..n)
-            .map(|_| Arc::new(MemoryTracker::new(cluster.node.memory_bytes)))
-            .collect();
-        let ledger = Arc::new(MemoryLedger::new());
-        let env = MapTaskEnv {
+    /// Per-job task state (JVM-reuse node state over the resident stores,
+    /// memory trackers, the memory ledger) around a plan.
+    fn map_env<'a>(
+        &'a self,
+        spec: &'a JobSpec,
+        plan: &'a JobPlan,
+        client: &'a ClientArtifacts,
+        cluster: &'a ClusterSpec,
+    ) -> MapTaskEnv<'a> {
+        let threads = spec.task_threads.unwrap_or(1).max(1);
+        MapTaskEnv {
             spec,
-            splits: &splits,
+            plan,
+            client,
             dfs: &self.dfs,
             local: &self.local,
-            cache: &client.cache,
-            node_states: &node_states,
-            memories: &memories,
-            ledger: &ledger,
-            concurrency,
+            node_states: self
+                .resident
+                .iter()
+                .map(|store| Arc::new(NodeState::with_resident(Arc::clone(store))))
+                .collect(),
+            memories: (0..cluster.num_workers())
+                .map(|_| Arc::new(MemoryTracker::new(cluster.node.memory_bytes)))
+                .collect(),
+            ledger: Arc::new(MemoryLedger::new()),
             threads,
-            host_threads,
+            host_threads: spec.host_threads.unwrap_or(threads).max(1),
             map_only: spec.reducer.is_none(),
             params: &self.params,
-            cluster: &cluster,
-            faults,
-            max_attempts,
-        };
-
-        let mut tasks_by_node: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, node) in assignment.iter().enumerate() {
-            let bucket = tasks_by_node.get_mut(node.0).ok_or_else(|| {
-                ClydeError::MapReduce(format!("task assigned to unknown node {}", node.0))
-            })?;
-            bucket.push(i);
+            cluster,
+            faults: spec.faults.as_deref(),
+            max_attempts: spec.max_task_attempts.max(1),
         }
+    }
 
-        // --- Map phase, first wave: one worker thread per node. Failures
-        // are collected, not fatal (except OOM). Each worker tracks its own
-        // simulated clock (sum of its committed attempts' durations) so a
-        // planned datanode death strikes at a deterministic point. ---
-        let outputs: Vec<Mutex<Option<TaskOutput>>> =
-            splits.iter().map(|_| Mutex::new(None)).collect();
-        let failures: Mutex<Vec<(usize, NodeId, ClydeError)>> = Mutex::new(Vec::new());
-        let death_times: Vec<Option<f64>> = (0..n)
-            .map(|i| faults.and_then(|f| f.death_time(i, n)))
-            .collect();
-
-        std::thread::scope(|scope| {
-            for (node_idx, task_list) in tasks_by_node.iter().enumerate() {
-                if task_list.is_empty() {
-                    continue;
-                }
-                let node = NodeId(node_idx);
-                let env = &env;
-                let outputs = &outputs;
-                let failures = &failures;
-                let death = death_times.get(node_idx).copied().flatten();
-                scope.spawn(move || {
-                    let mut sim_elapsed = 0.0f64;
-                    let mut down = false;
-                    for &task_idx in task_list {
-                        if down {
-                            // The tasktracker stopped heartbeating; its
-                            // remaining queue fails over to other nodes.
-                            failures.lock().push((
-                                task_idx,
-                                node,
-                                ClydeError::MapReduce(format!(
-                                    "heartbeat lost: node {} is dead",
-                                    node.0
-                                )),
-                            ));
-                            continue;
-                        }
-                        if let Some(err) = env.injected_failure(task_idx, 0) {
-                            failures.lock().push((task_idx, node, err));
-                            continue;
-                        }
-                        match env.exec(task_idx, node) {
-                            Ok(out) => {
-                                let dur = env.sim_duration(&out.cost, node);
-                                if let Some(at) = death {
-                                    if sim_elapsed + dur > at {
-                                        // Died mid-attempt: the work is lost.
-                                        down = true;
-                                        failures.lock().push((
-                                            task_idx,
-                                            node,
-                                            ClydeError::MapReduce(format!(
-                                                "heartbeat lost: node {} died mid-task",
-                                                node.0
-                                            )),
-                                        ));
-                                        continue;
-                                    }
-                                }
-                                sim_elapsed += dur;
-                                if let Some(slot) = outputs.get(task_idx) {
-                                    *slot.lock() = Some(out);
-                                }
-                            }
-                            Err(e) => failures.lock().push((task_idx, node, e)),
-                        }
-                    }
-                });
-            }
-        });
-
-        // --- Heartbeat barrier: planned deaths take effect cluster-wide.
-        // The namenode re-replicates lost blocks and the scheduler refreshes
-        // each pending task's preferred hosts so retries chase the data. ---
-        let mut dead_nodes: Vec<NodeId> = Vec::new();
-        let mut rereplicated_blocks = 0u64;
-        let mut blacklisted = vec![false; n];
-        let mut node_failures = vec![0u32; n];
-        let mut retry_hosts: Vec<Vec<NodeId>> = splits.iter().map(|s| s.hosts.clone()).collect();
-        for (i, death) in death_times.iter().enumerate() {
-            if death.is_some() {
-                let node = NodeId(i);
-                self.dfs.kill_node(node);
-                dead_nodes.push(node);
-                if let Some(b) = blacklisted.get_mut(i) {
-                    *b = true;
-                }
-            }
-        }
-        if dead_nodes.len() < n {
-            // With every node dead there is nothing to re-replicate onto; let
-            // the retry path below report the job-level failure instead.
-            if !dead_nodes.is_empty() {
-                rereplicated_blocks = self.dfs.rereplicate()? as u64;
-                for (s, slot) in splits.iter().zip(retry_hosts.iter_mut()) {
-                    if let SplitSpec::FileRange { path, .. } = &s.spec {
-                        if let Ok(hosts) = self.dfs.hosts(path) {
-                            *slot = hosts;
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- Retry wave: re-execute failed tasks on alternate nodes,
-        // steering around dead and blacklisted ones. ---
-        let mut failed_attempts = 0u32;
-        let note_failure =
-            |node_failures: &mut Vec<u32>, blacklisted: &mut Vec<bool>, node: NodeId| {
-                let Some(count) = node_failures.get_mut(node.0) else {
-                    return;
-                };
-                *count += 1;
-                if *count >= BLACKLIST_AFTER_FAILURES {
-                    if let Some(b) = blacklisted.get_mut(node.0) {
-                        *b = true;
-                    }
-                }
-            };
-        let mut failures = failures.into_inner();
-        failures.sort_by_key(|(idx, _, _)| *idx); // deterministic order
-        for (task_idx, first_node, mut last_err) in failures {
-            if last_err.is_oom() {
-                return Err(last_err);
-            }
-            failed_attempts += 1;
-            note_failure(&mut node_failures, &mut blacklisted, first_node);
-            let mut done = false;
-            let mut prev_node = first_node;
-            let task_hosts = retry_hosts
-                .get(task_idx)
-                .map(Vec::as_slice)
-                .unwrap_or_default();
-            for attempt in 1..max_attempts {
-                let node =
-                    env.retry_node(task_idx, prev_node, attempt, task_hosts, &blacklisted)?;
-                if let Some(err) = env.injected_failure(task_idx, attempt) {
-                    failed_attempts += 1;
-                    note_failure(&mut node_failures, &mut blacklisted, node);
-                    last_err = err;
-                    prev_node = node;
-                    continue;
-                }
-                match env.exec(task_idx, node) {
-                    Ok(out) => {
-                        if let Some(slot) = outputs.get(task_idx) {
-                            *slot.lock() = Some(out);
-                        }
-                        done = true;
-                        break;
-                    }
-                    Err(e) if e.is_oom() => return Err(e),
-                    Err(e) => {
-                        failed_attempts += 1;
-                        note_failure(&mut node_failures, &mut blacklisted, node);
-                        last_err = e;
-                        prev_node = node;
-                    }
-                }
-            }
-            if !done {
-                return Err(ClydeError::MapReduce(format!(
-                    "map task {task_idx} failed after {max_attempts} attempts: {last_err}"
-                )));
-            }
-        }
-
-        // --- Speculative execution: with a fault plan armed, launch one
-        // backup attempt per straggler (simulated duration beyond
-        // `speculative_slowdown` × median) and commit whichever attempt
-        // finishes first on the simulated clock. The output commit is
-        // idempotent, so racing two attempts is safe; the loser is recorded
-        // as a killed attempt and priced as wasted slot time. ---
-        let mut speculative_attempts = 0u32;
-        let mut speculative_wins = 0u32;
-        let mut killed_attempts: Vec<KilledAttempt> = Vec::new();
-        let spec_plan = if splits.len() >= 2 {
-            faults.filter(|f| f.speculative_slowdown.is_finite())
-        } else {
-            None
-        };
-        if let Some(plan) = spec_plan {
-            let slowdown = plan.speculative_slowdown;
-            let mut durs: Vec<f64> = Vec::with_capacity(outputs.len());
-            for o in &outputs {
-                let g = o.lock();
-                let out = g.as_ref().ok_or_else(|| {
-                    ClydeError::MapReduce("speculation ran before all map outputs committed".into())
-                })?;
-                durs.push(env.sim_duration(&out.cost, out.node));
-            }
-            let mut sorted = durs.clone();
-            sorted.sort_by(f64::total_cmp);
-            let median = sorted.get(sorted.len() / 2).copied().unwrap_or_default();
-            // The detector fires once the original has run for `threshold`
-            // simulated seconds — that is also when the backup launches.
-            let threshold = slowdown * median;
-            for (idx, &orig_dur) in durs.iter().enumerate() {
-                if orig_dur <= threshold + 1e-9 {
-                    continue;
-                }
-                let Some(orig_node) = outputs
-                    .get(idx)
-                    .and_then(|o| o.lock().as_ref().map(|t| t.node))
-                else {
-                    continue;
-                };
-                // Backup runs on the fastest live, non-blacklisted other node.
-                let backup = (0..n)
-                    .map(NodeId)
-                    .filter(|c| {
-                        *c != orig_node
-                            && blacklisted.get(c.0).is_some_and(|b| !b)
-                            && self.dfs.is_node_alive(*c)
-                    })
-                    .min_by(|a, b| {
-                        env.slow_factor(*a)
-                            .total_cmp(&env.slow_factor(*b))
-                            .then(a.0.cmp(&b.0))
-                    });
-                let Some(backup) = backup else { continue };
-                speculative_attempts += 1;
-                match env.exec(idx, backup) {
-                    Ok(mut bout) => {
-                        let backup_dur = env.sim_duration(&bout.cost, backup);
-                        let backup_finish = threshold + backup_dur;
-                        let Some(slot_cell) = outputs.get(idx) else {
-                            continue;
-                        };
-                        let mut slot = slot_cell.lock();
-                        let Some(orig) = slot.take() else { continue };
-                        if backup_finish + 1e-9 < orig_dur {
-                            // Backup wins the race; the original is killed
-                            // after `backup_finish` seconds of occupancy.
-                            speculative_wins += 1;
-                            killed_attempts.push(KilledAttempt {
-                                task: idx,
-                                node: orig.node,
-                                busy_s: backup_finish,
-                                cost: orig.cost,
-                            });
-                            bout.speculative = true;
-                            *slot = Some(bout);
-                        } else {
-                            // Original wins; the backup is killed once the
-                            // original commits.
-                            killed_attempts.push(KilledAttempt {
-                                task: idx,
-                                node: backup,
-                                busy_s: (orig_dur - threshold).max(0.0).min(backup_dur),
-                                cost: bout.cost,
-                            });
-                            *slot = Some(orig);
-                        }
-                    }
-                    Err(e) if e.is_oom() => return Err(e),
-                    Err(_) => {
-                        // A failed backup never fails the job — the original
-                        // output already stands.
-                        failed_attempts += 1;
-                        note_failure(&mut node_failures, &mut blacklisted, backup);
-                    }
-                }
-            }
-        }
-
-        let mut task_outputs: Vec<TaskOutput> = Vec::with_capacity(splits.len());
-        for o in outputs {
-            task_outputs.push(o.into_inner().ok_or_else(|| {
-                ClydeError::MapReduce("map task produced no output record".into())
-            })?);
-        }
-
-        let map_tasks: Vec<TaskProfile> = task_outputs
-            .iter()
-            .map(|t| TaskProfile {
-                node: t.node,
-                cost: t.cost,
-                wall_ns: t.wall_ns,
-                speculative: t.speculative,
-            })
-            .collect();
-        // Roll runner-attributed wall clock up to the job, in phase order.
-        let mut wall_phases: Vec<(Phase, u64)> = Vec::new();
-        for phase in Phase::all() {
-            let ns: u64 = task_outputs
-                .iter()
-                .flat_map(|t| &t.wall_phases)
-                .filter(|(p, _)| p == phase)
-                .map(|(_, ns)| ns)
-                .sum();
-            if ns > 0 {
-                wall_phases.push((*phase, ns));
-            }
-        }
-        let total_map = map_tasks
-            .iter()
-            .fold(TaskCost::new(), |acc, t| acc.merge(&t.cost));
-        let locality = {
-            let total = total_map.local_bytes + total_map.remote_bytes;
-            if total == 0 {
-                1.0
-            } else {
-                total_map.local_bytes as f64 / total as f64
-            }
-        };
-
-        let mut rows: Vec<Row> = Vec::new();
-        let mut output_files: Vec<String> = Vec::new();
-        let mut reduce_tasks: Vec<TaskProfile> = Vec::new();
-        let mut shuffle_bytes = 0u64;
-
-        if env.map_only {
+    /// Shuffle and reduce: a map-only job just gathers its tasks' output;
+    /// otherwise every task's sorted output is partitioned, each reducer
+    /// merges its runs and reduces them, and the result is collected or
+    /// written to the DFS.
+    fn shuffle_and_reduce(
+        &self,
+        spec: &JobSpec,
+        cluster: &ClusterSpec,
+        map_outputs: &mut [TaskOutput],
+    ) -> Result<Reduced> {
+        let mut out = Reduced::default();
+        let Some(reducer) = spec.reducer.as_ref() else {
             match &spec.output {
                 OutputSpec::Memory => {
-                    for t in &mut task_outputs {
+                    for t in map_outputs.iter_mut() {
                         for (k, v) in std::mem::take(&mut t.records) {
-                            rows.push(keycodec::decode_row(&k)?.concat(&v));
+                            out.rows.push(keycodec::decode_row(&k)?.concat(&v));
                         }
                     }
                 }
-                OutputSpec::DfsDir(_) => {
-                    output_files
-                        .extend(task_outputs.iter_mut().filter_map(|t| t.output_file.take()));
-                }
+                OutputSpec::DfsDir(_) => out
+                    .output_files
+                    .extend(map_outputs.iter_mut().filter_map(|t| t.output_file.take())),
             }
-        } else {
-            let Some(reducer) = spec.reducer.as_ref() else {
-                return Err(ClydeError::MapReduce(
-                    "reduce phase without a reducer".into(),
-                ));
-            };
-            let num_reducers = spec.num_reducers.max(1);
-            // Partition every task's sorted output.
-            type SortedRun = Vec<(Vec<u8>, Row)>;
-            let mut runs: Vec<Vec<SortedRun>> = (0..num_reducers).map(|_| Vec::new()).collect();
-            for t in &mut task_outputs {
-                let mut per_part: Vec<SortedRun> = (0..num_reducers).map(|_| Vec::new()).collect();
-                for (k, v) in std::mem::take(&mut t.records) {
-                    let p = shuffle::partition_of(&k, num_reducers);
-                    let bucket = per_part.get_mut(p).ok_or_else(|| {
-                        ClydeError::MapReduce(format!("partition {p} out of range"))
-                    })?;
-                    shuffle_bytes += (k.len() + v.heap_size()) as u64;
-                    bucket.push((k, v));
-                }
-                for (p, run) in per_part.into_iter().enumerate() {
-                    if run.is_empty() {
-                        continue;
-                    }
-                    if let Some(dest) = runs.get_mut(p) {
-                        dest.push(run);
-                    }
-                }
+            return Ok(out);
+        };
+        let n = cluster.num_workers();
+        let num_reducers = spec.num_reducers.max(1);
+        // Partition every task's sorted output.
+        type SortedRun = Vec<(Vec<u8>, Row)>;
+        let mut runs: Vec<Vec<SortedRun>> = (0..num_reducers).map(|_| Vec::new()).collect();
+        for t in map_outputs.iter_mut() {
+            let mut per_part: Vec<SortedRun> = (0..num_reducers).map(|_| Vec::new()).collect();
+            for (k, v) in std::mem::take(&mut t.records) {
+                let p = shuffle::partition_of(&k, num_reducers);
+                let bucket = per_part
+                    .get_mut(p)
+                    .ok_or_else(|| ClydeError::MapReduce(format!("partition {p} out of range")))?;
+                out.shuffle_bytes += (k.len() + v.heap_size()) as u64;
+                bucket.push((k, v));
             }
-
-            // Reducers planned for a node that died mid-job fail over to the
-            // next live node (deterministic round-robin walk).
-            let reduce_nodes: Vec<NodeId> = scheduler::assign_reduce_tasks(num_reducers, &cluster)
-                .into_iter()
-                .map(|node| {
-                    if self.dfs.is_node_alive(node) {
-                        node
-                    } else {
-                        (1..=n)
-                            .map(|d| NodeId((node.0 + d) % n))
-                            .find(|c| self.dfs.is_node_alive(*c))
-                            .unwrap_or(node)
-                    }
-                })
-                .collect();
-            for (r, node) in reduce_nodes.iter().enumerate() {
-                let wall_start = WallTimer::start();
-                let task_runs = runs.get_mut(r).map(std::mem::take).unwrap_or_default();
-                let mut cost = TaskCost::new();
-                cost.merge_runs = task_runs.len() as u64;
-                let merged = shuffle::merge_sorted_runs(task_runs);
-                cost.deser_rows = merged.len() as u64;
-                let mut out_rows = Vec::new();
-                shuffle::reduce_sorted(&merged, &**reducer, &mut out_rows)?;
-                match &spec.output {
-                    OutputSpec::Memory => rows.append(&mut out_rows),
-                    OutputSpec::DfsDir(dir) => {
-                        let path = format!("{dir}/part-r-{r:05}");
-                        let payload = rowcodec::write_rows(&out_rows);
-                        cost.output_bytes = payload.len() as u64;
-                        self.dfs.write_file(&path, None, &payload)?;
-                        output_files.push(path);
-                    }
+            for (run, dest) in per_part.into_iter().zip(runs.iter_mut()) {
+                if !run.is_empty() {
+                    dest.push(run);
                 }
-                reduce_tasks.push(TaskProfile {
-                    node: *node,
-                    cost,
-                    wall_ns: wall_start.elapsed_ns(),
-                    speculative: false,
-                });
             }
         }
 
-        let profile = JobProfile {
-            name: spec.name.clone(),
-            map_tasks,
-            reduce_tasks,
-            map_concurrency: concurrency,
-            shuffle_bytes,
-            client_build_rows: client.build_rows,
-            client_publish_bytes: client.cache.disseminated_bytes(),
-            memory_per_slot: ledger.per_slot(),
-            memory_shared: ledger.shared(),
-            memory_per_slot_fixed: ledger.per_slot_fixed(),
-            memory_shared_fixed: ledger.shared_fixed(),
-            failed_attempts,
-            split_locality: scheduler::locality_fraction(&splits, &assignment),
-            wall_phases,
-            speculative_attempts,
-            speculative_wins,
-            killed_attempts,
-            blacklisted_nodes: blacklisted
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| **b)
-                .map(|(i, _)| NodeId(i))
-                .collect(),
-            dead_nodes,
-            rereplicated_blocks,
-            node_slowdown: match faults {
-                Some(f) if !f.slow_nodes.is_empty() => {
-                    (0..n).map(|i| f.slow_factor(i, n)).collect()
+        // Reducers planned for a node that died mid-job fail over to the
+        // next live node (deterministic round-robin walk).
+        let reduce_nodes = scheduler::assign_reduce_tasks(num_reducers, cluster)
+            .into_iter()
+            .map(|node| {
+                if self.dfs.is_node_alive(node) {
+                    node
+                } else {
+                    (1..=n)
+                        .map(|d| NodeId((node.0 + d) % n))
+                        .find(|c| self.dfs.is_node_alive(*c))
+                        .unwrap_or(node)
                 }
-                _ => Vec::new(),
-            },
-        };
-        let cost = profile.price(&self.params, &cluster)?;
+            });
+        for ((r, node), task_runs) in reduce_nodes.enumerate().zip(runs) {
+            let wall_start = WallTimer::start();
+            let mut cost = TaskCost::new();
+            cost.merge_runs = task_runs.len() as u64;
+            let merged = shuffle::merge_sorted_runs(task_runs);
+            cost.deser_rows = merged.len() as u64;
+            let mut out_rows = Vec::new();
+            shuffle::reduce_sorted(&merged, &**reducer, &mut out_rows)?;
+            match &spec.output {
+                OutputSpec::Memory => out.rows.append(&mut out_rows),
+                OutputSpec::DfsDir(dir) => {
+                    let path = format!("{dir}/part-r-{r:05}");
+                    let payload = rowcodec::write_rows(&out_rows);
+                    cost.output_bytes = payload.len() as u64;
+                    self.dfs.write_file(&path, None, &payload)?;
+                    out.output_files.push(path);
+                }
+            }
+            out.reduce_tasks.push(TaskProfile {
+                node,
+                cost,
+                wall_ns: wall_start.elapsed_ns(),
+                speculative: false,
+            });
+        }
+        Ok(out)
+    }
+
+    /// Price the finished job — the one place its timeline is produced —
+    /// then fill the result cache and publish the history drawn from that
+    /// same schedule.
+    fn finish_job(
+        &self,
+        spec: &JobSpec,
+        plan: &JobPlan,
+        profile: JobProfile,
+        reduced: Reduced,
+        io_scope: &Option<IoScope<'_>>,
+        publish: bool,
+    ) -> Result<(JobResult, Option<IoSnapshot>)> {
+        let cluster = self.dfs.cluster();
+        let (cost, sched) = profile.schedule(&self.params, cluster)?;
+        let Reduced {
+            rows, output_files, ..
+        } = reduced;
         // Result-cache fill: persist this job's output under its fingerprint
         // so an identical future submission is served without running tasks.
-        if let Some(fp) = fingerprint {
-            self.cache_fill(spec, fp, &splits, &rows, &output_files)?;
+        if let Some(fp) = plan.fingerprint {
+            self.cache_fill(spec, fp, &plan.splits, &rows, &output_files)?;
         }
         let io = io_scope.as_ref().map(|s| s.delta());
         if publish && self.obs.is_enabled() {
-            let hist = history::job_history(&profile, &cost, &self.params, &cluster);
+            let hist =
+                history::job_history(&profile, &cost, &self.params, cluster, &sched, cost.setup_s);
             publish_history(&self.obs, &profile, hist, io.as_ref(), false);
         }
+        let total_map = profile.total_map_cost();
+        let scanned = total_map.local_bytes + total_map.remote_bytes;
         Ok((
             JobResult {
                 rows,
                 output_files,
+                locality: if scanned == 0 {
+                    1.0
+                } else {
+                    total_map.local_bytes as f64 / scanned as f64
+                },
                 profile,
                 cost,
-                locality,
                 served_from_cache: false,
-                fingerprint,
+                fingerprint: plan.fingerprint,
             },
             io,
         ))
@@ -911,7 +996,14 @@ impl Engine {
         let cost = self.params.cached_read_cost(cluster, entry.bytes);
         let io = io_scope.as_ref().map(|s| s.delta());
         if publish && self.obs.is_enabled() {
-            let hist = history::job_history(&profile, &cost, &self.params, cluster);
+            let hist = history::job_history(
+                &profile,
+                &cost,
+                &self.params,
+                cluster,
+                &JobSchedule::default(),
+                0.0,
+            );
             publish_history(&self.obs, &profile, hist, io.as_ref(), true);
         }
         Ok((

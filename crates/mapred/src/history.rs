@@ -1,144 +1,98 @@
-//! Build a [`JobHistory`] from an executed (or extrapolated) job profile.
+//! Render a job's schedule as a [`JobHistory`].
 //!
-//! The cost model prices phases with wave formulas ([`crate::cost::makespan`]);
-//! for the swimlane view we additionally *lay out* every task on a concrete
-//! (node, slot) timeline using earliest-free-slot list scheduling — the same
-//! policy Hadoop's slot scheduler follows. For uniform task sets (and for
-//! Clydesdale's one-task-per-node jobs in particular) the two agree exactly;
-//! for skewed sets the stage spans show the priced makespan while the lanes
-//! show the realized schedule.
+//! There is one model of when tasks run — the slot simulator
+//! ([`crate::scheduler::interleave`]) — and a history is a drawing of its
+//! verdict: every swimlane is one [`Placement`] taken verbatim, and the
+//! stage bands are the [`JobCost`] read off the same schedule. A solo job
+//! ([`JobProfile::schedule`]) and a job the server interleaved with others
+//! come through the same function; they differ only in where the schedule's
+//! clock starts.
 
-use crate::cost::{CostParams, JobCost};
+use crate::cost::{CostParams, JobCost, TaskCost};
 use crate::job::JobProfile;
-use crate::scheduler::JobSchedule;
+use crate::scheduler::{JobSchedule, Placement};
 use clyde_common::obs::{JobHistory, PhaseSlice, TaskKind, TaskLane};
 use clyde_dfs::ClusterSpec;
 
-/// Earliest-free-slot schedule: returns (slot, start) for each task duration
-/// presented in order on one node whose slots all free up at `t0`.
-struct NodeSlots {
-    free_at: Vec<f64>,
-}
-
-impl NodeSlots {
-    fn new(concurrency: u32, t0: f64) -> NodeSlots {
-        NodeSlots {
-            free_at: vec![t0; concurrency.max(1) as usize],
-        }
-    }
-
-    fn place(&mut self, dur: f64) -> (u32, f64) {
-        let (slot, _) = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.partial_cmp(b.1)
-                    .expect("schedule time is NaN")
-                    .then(a.0.cmp(&b.0))
-            })
-            .expect("at least one slot");
-        let start = self.free_at[slot];
-        self.free_at[slot] = start + dur;
-        (slot as u32, start)
-    }
-}
-
-fn shift(phases: Vec<PhaseSlice>, start: f64) -> Vec<PhaseSlice> {
+/// Move task-relative phase slices onto a lane that starts at `start` on a
+/// node running `stretch` times slower than priced.
+fn place(phases: Vec<PhaseSlice>, start: f64, stretch: f64) -> Vec<PhaseSlice> {
     phases
         .into_iter()
         .map(|p| PhaseSlice {
-            start_s: p.start_s + start,
+            start_s: start + p.start_s * stretch,
+            dur_s: p.dur_s * stretch,
             ..p
         })
         .collect()
 }
 
-/// Assemble the full job history: task swimlanes with phase slices, stage
-/// times from `cost`, and the combiner/merge/locality roll-ups.
+/// Assemble the full job history: one swimlane per placement of `sched`,
+/// stage bands from `cost`, and the combiner/merge/locality roll-ups.
+///
+/// `origin_s` is where `sched`'s t = 0 falls on the history's clock: a solo
+/// schedule starts when the job becomes schedulable, so its origin is
+/// `cost.setup_s`; a served schedule is already on the server clock (0.0).
+/// The history starts at t = 0 with no tenant; the job server sets both.
 pub fn job_history(
     profile: &JobProfile,
     cost: &JobCost,
     params: &CostParams,
     cluster: &ClusterSpec,
+    sched: &JobSchedule,
+    origin_s: f64,
 ) -> JobHistory {
-    let n = cluster.num_workers().max(1);
     let concurrency = profile.map_concurrency.max(1);
-
-    // Map lanes start after client-side setup.
-    let mut map_slots: Vec<NodeSlots> = (0..n)
-        .map(|_| NodeSlots::new(concurrency, cost.setup_s))
-        .collect();
-    let mut tasks: Vec<TaskLane> =
-        Vec::with_capacity(profile.map_tasks.len() + profile.reduce_tasks.len());
-    for (i, t) in profile.map_tasks.iter().enumerate() {
-        let node = t.node.0 % n;
-        let dur = params.map_task_duration(cluster, &t.cost, concurrency);
-        let (slot, start) = map_slots[node].place(dur);
-        tasks.push(TaskLane {
-            index: i,
-            kind: TaskKind::Map,
-            node,
-            slot,
-            start_s: start,
-            dur_s: dur,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: t.speculative,
-            phases: shift(params.map_task_phases(cluster, &t.cost, concurrency), start),
-        });
+    let lane = |kind: TaskKind, index: usize, p: &Placement, c: &TaskCost| TaskLane {
+        index,
+        kind,
+        node: p.node,
+        slot: p.slot,
+        start_s: origin_s + p.start_s,
+        dur_s: p.dur_s,
+        local_bytes: c.local_bytes,
+        remote_bytes: c.remote_bytes,
+        emit_records: c.emit_records,
+        emit_bytes: c.emit_bytes,
+        wall_ns: 0,
+        speculative: false,
+        phases: Vec::new(),
+    };
+    let mut tasks: Vec<TaskLane> = Vec::with_capacity(sched.map.len() + sched.reduce.len());
+    for p in &sched.map {
+        if let Some(t) = profile.map_tasks.get(p.task) {
+            let mut l = lane(TaskKind::Map, p.task, p, &t.cost);
+            l.wall_ns = t.wall_ns;
+            l.speculative = t.speculative;
+            l.phases = place(
+                params.map_task_phases(cluster, &t.cost, concurrency),
+                l.start_s,
+                profile.slowdown(p.node),
+            );
+            tasks.push(l);
+        } else if let Some(k) = profile
+            .killed_attempts
+            .get(p.task - profile.map_tasks.len())
+        {
+            // Map lanes past the committed tasks are the killed attempts
+            // (speculative losers): the lane shows the slot time they wasted.
+            let mut l = lane(TaskKind::Map, k.task, p, &k.cost);
+            l.speculative = true;
+            tasks.push(l);
+        }
     }
-
-    // Killed attempts (speculative losers) occupied real map slots until the
-    // commit race was decided; lay them out after the committed lanes so the
-    // swimlane view shows the wasted occupancy.
-    for k in &profile.killed_attempts {
-        let node = k.node.0 % n;
-        let (slot, start) = map_slots[node].place(k.busy_s);
-        tasks.push(TaskLane {
-            index: k.task,
-            kind: TaskKind::Map,
-            node,
-            slot,
-            start_s: start,
-            dur_s: k.busy_s,
-            local_bytes: k.cost.local_bytes,
-            remote_bytes: k.cost.remote_bytes,
-            emit_records: k.cost.emit_records,
-            emit_bytes: k.cost.emit_bytes,
-            wall_ns: 0,
-            speculative: true,
-            phases: Vec::new(),
-        });
-    }
-
-    // Reduce lanes start once the map phase and the shuffle complete.
-    let t_reduce = cost.setup_s + cost.map_s + cost.shuffle_s;
-    let mut reduce_slots: Vec<NodeSlots> = (0..n)
-        .map(|_| NodeSlots::new(cluster.reduce_slots, t_reduce))
-        .collect();
-    for (i, t) in profile.reduce_tasks.iter().enumerate() {
-        let node = t.node.0 % n;
-        let dur = params.reduce_task_duration(cluster, &t.cost);
-        let (slot, start) = reduce_slots[node].place(dur);
-        tasks.push(TaskLane {
-            index: i,
-            kind: TaskKind::Reduce,
-            node,
-            slot,
-            start_s: start,
-            dur_s: dur,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: false,
-            phases: shift(params.reduce_task_phases(cluster, &t.cost), start),
-        });
+    for p in &sched.reduce {
+        let Some(t) = profile.reduce_tasks.get(p.task) else {
+            continue;
+        };
+        let mut l = lane(TaskKind::Reduce, p.task, p, &t.cost);
+        l.wall_ns = t.wall_ns;
+        l.phases = place(
+            params.reduce_task_phases(cluster, &t.cost),
+            l.start_s,
+            profile.slowdown(p.node),
+        );
+        tasks.push(l);
     }
 
     let total_map = profile.total_map_cost();
@@ -179,102 +133,6 @@ pub fn job_history(
     }
 }
 
-/// Assemble a job history from a *multi-job schedule*: task lanes are taken
-/// verbatim from the slot simulator's placements (absolute shared-timeline
-/// times), and the stage bands are re-derived so they tile the scheduled
-/// span exactly — the "map" band absorbs any queueing between slot grants,
-/// so `t0_s + total_s()` always equals the scheduled finish.
-///
-/// Served jobs never carry fault plans, so killed speculative attempts are
-/// not laid out here (the solo path's [`job_history`] handles those).
-pub fn job_history_scheduled(
-    profile: &JobProfile,
-    cost: &JobCost,
-    params: &CostParams,
-    cluster: &ClusterSpec,
-    tenant: &str,
-    arrival_s: f64,
-    sched: &JobSchedule,
-) -> JobHistory {
-    let concurrency = profile.map_concurrency.max(1);
-    let mut tasks: Vec<TaskLane> =
-        Vec::with_capacity(profile.map_tasks.len() + profile.reduce_tasks.len());
-    for p in &sched.map {
-        let t = &profile.map_tasks[p.task];
-        tasks.push(TaskLane {
-            index: p.task,
-            kind: TaskKind::Map,
-            node: p.node,
-            slot: p.slot,
-            start_s: p.start_s,
-            dur_s: p.dur_s,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: t.speculative,
-            phases: shift(
-                params.map_task_phases(cluster, &t.cost, concurrency),
-                p.start_s,
-            ),
-        });
-    }
-    for p in &sched.reduce {
-        let t = &profile.reduce_tasks[p.task];
-        tasks.push(TaskLane {
-            index: p.task,
-            kind: TaskKind::Reduce,
-            node: p.node,
-            slot: p.slot,
-            start_s: p.start_s,
-            dur_s: p.dur_s,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: false,
-            phases: shift(params.reduce_task_phases(cluster, &t.cost), p.start_s),
-        });
-    }
-
-    let total_map = profile.total_map_cost();
-    let total_reduce = profile.total_reduce_cost();
-    let scanned = total_map.local_bytes + total_map.remote_bytes;
-    JobHistory {
-        name: profile.name.clone(),
-        tenant: tenant.to_string(),
-        t0_s: arrival_s,
-        setup_s: cost.setup_s,
-        map_s: (sched.map_end_s - arrival_s - cost.setup_s).max(0.0),
-        shuffle_s: cost.shuffle_s,
-        reduce_s: (sched.reduce_end_s - sched.map_end_s - cost.shuffle_s).max(0.0),
-        overhead_s: cost.overhead_s,
-        map_concurrency: concurrency,
-        shuffle_bytes: profile.shuffle_bytes,
-        merge_runs: total_reduce.merge_runs,
-        combine_input_records: total_map.combine_input_records,
-        combine_output_records: total_map.combine_output_records,
-        locality: if scanned == 0 {
-            1.0
-        } else {
-            total_map.local_bytes as f64 / scanned as f64
-        },
-        split_locality: profile.split_locality,
-        failed_attempts: profile.failed_attempts,
-        speculative_attempts: profile.speculative_attempts,
-        speculative_wins: profile.speculative_wins,
-        blacklisted_nodes: profile.blacklisted_nodes.len() as u32,
-        dead_nodes: profile.dead_nodes.len() as u32,
-        rereplicated_blocks: profile.rereplicated_blocks,
-        wall_phases: profile.wall_phases.clone(),
-        io: Vec::new(),
-        corrupt_reads: 0,
-        tasks,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +161,12 @@ mod tests {
         }
     }
 
+    /// Price `p` alone and render that schedule, as the engine does.
+    fn solo_history(p: &JobProfile, params: &CostParams, cluster: &ClusterSpec) -> JobHistory {
+        let (cost, sched) = p.schedule(params, cluster).unwrap();
+        job_history(p, &cost, params, cluster, &sched, cost.setup_s)
+    }
+
     #[test]
     fn lanes_respect_slot_concurrency() {
         let cluster = ClusterSpec::tiny(2);
@@ -311,8 +175,7 @@ mod tests {
         // time because each node has exactly as many tasks as slots... with
         // concurrency 1, the second task per node queues behind the first.
         let p = profile(4, 2, 1);
-        let cost = p.price(&params, &cluster).unwrap();
-        let h = job_history(&p, &cost, &params, &cluster);
+        let h = solo_history(&p, &params, &cluster);
         assert_eq!(h.tasks.len(), 4);
         let mut by_node: Vec<Vec<&clyde_common::obs::TaskLane>> = vec![Vec::new(); 2];
         for t in &h.tasks {
@@ -324,9 +187,10 @@ mod tests {
             assert!((lanes[1].start_s - lanes[0].finish_s()).abs() < 1e-9);
             assert_eq!(lanes[0].slot, lanes[1].slot);
         }
-        // Schedule agrees with the priced makespan for this uniform set.
+        // The map band ends exactly where the last lane does: both are read
+        // off one schedule.
         let last = h.tasks.iter().map(|t| t.finish_s()).fold(0.0, f64::max);
-        assert!((last - (h.setup_s + h.map_s)).abs() < 1e-6);
+        assert_eq!(last, h.setup_s + h.map_s);
         // Phases were shifted to absolute time.
         let t0 = &h.tasks[0];
         assert!((t0.phases[0].start_s - t0.start_s).abs() < 1e-12);
@@ -338,8 +202,7 @@ mod tests {
         let cluster = ClusterSpec::tiny(2);
         let params = CostParams::paper();
         let p = profile(4, 2, 2);
-        let cost = p.price(&params, &cluster).unwrap();
-        let h = job_history(&p, &cost, &params, &cluster);
+        let h = solo_history(&p, &params, &cluster);
         for node in 0..2 {
             let lanes: Vec<_> = h.tasks.iter().filter(|t| t.node == node).collect();
             assert_eq!(lanes.len(), 2);
@@ -354,9 +217,8 @@ mod tests {
         let cluster = ClusterSpec::tiny(3);
         let params = CostParams::paper();
         let p = profile(7, 3, 2);
-        let cost = p.price(&params, &cluster).unwrap();
-        let a = job_history(&p, &cost, &params, &cluster);
-        let b = job_history(&p, &cost, &params, &cluster);
+        let a = solo_history(&p, &params, &cluster);
+        let b = solo_history(&p, &params, &cluster);
         assert_eq!(a.summary(), b.summary());
         assert_eq!(a.tasks.len(), b.tasks.len());
         for (x, y) in a.tasks.iter().zip(&b.tasks) {

@@ -1,10 +1,11 @@
 //! Job descriptions, results, and execution profiles.
 
 use crate::conf::JobConf;
-use crate::cost::{makespan, shuffle_time, CostParams, JobCost, TaskCost};
+use crate::cost::{shuffle_time, CostParams, JobCost, TaskCost};
 use crate::fault::FaultPlan;
 use crate::input::InputFormat;
 use crate::runner::MapRunner;
+use crate::scheduler::{self, JobSchedule, SchedPolicy, SimJob};
 use crate::shuffle::Reducer;
 use clyde_common::obs::Phase;
 use clyde_common::{ClydeError, Result, Row};
@@ -190,10 +191,62 @@ impl JobProfile {
             .fold(TaskCost::new(), |acc, t| acc.merge(&t.cost))
     }
 
-    /// Price this profile on a cluster. Errors with `OutOfMemory` when the
-    /// per-slot memory duplication exceeds node RAM — the paper's cluster-A
-    /// mapjoin failure mode (Section 6.4).
-    pub fn price(&self, params: &CostParams, cluster: &ClusterSpec) -> Result<JobCost> {
+    /// Straggler multiplier the fault plan put on `node` (1.0 clean).
+    pub(crate) fn slowdown(&self, node: usize) -> f64 {
+        self.node_slowdown.get(node).copied().unwrap_or(1.0)
+    }
+
+    /// This job as the slot simulator sees it: the one place task counters
+    /// become `(node, seconds)`. Slow nodes stretch their tasks, and killed
+    /// attempts follow the committed map tasks as extra map lanes — they
+    /// occupied real slots until the commit race was decided. The job stands
+    /// alone (tenant 0, arrival 0, no declared memory); the job server
+    /// overrides those per submission.
+    pub(crate) fn sim_job(&self, params: &CostParams, cluster: &ClusterSpec) -> SimJob {
+        let n = cluster.num_workers().max(1);
+        let concurrency = self.map_concurrency.max(1);
+        let committed = self.map_tasks.iter().map(|t| {
+            let node = t.node.0 % n;
+            let dur = params.map_task_duration(cluster, &t.cost, concurrency);
+            (node, dur * self.slowdown(node))
+        });
+        let killed = self
+            .killed_attempts
+            .iter()
+            .map(|k| (k.node.0 % n, k.busy_s));
+        let reduces = self.reduce_tasks.iter().map(|t| {
+            let node = t.node.0 % n;
+            let dur = params.reduce_task_duration(cluster, &t.cost);
+            (node, dur * self.slowdown(node))
+        });
+        SimJob {
+            tenant: 0,
+            weight: 1.0,
+            arrival_s: 0.0,
+            setup_s: self.client_build_rows as f64 / params.build_rows_per_s
+                + 2.0 * self.client_publish_bytes as f64 / cluster.network_bw,
+            map_tasks: committed.chain(killed).collect(),
+            map_cap_per_node: concurrency,
+            task_mem: 0,
+            shuffle_s: shuffle_time(params, cluster, self.shuffle_bytes),
+            reduce_tasks: reduces.collect(),
+            overhead_s: params.job_overhead_s,
+        }
+    }
+
+    /// Price this profile on a cluster and lay its tasks out: the job runs
+    /// alone through the slot simulator, and the stage times are read off
+    /// the resulting schedule. Errors with `OutOfMemory` when the per-slot
+    /// memory duplication exceeds node RAM — the paper's cluster-A mapjoin
+    /// failure mode (Section 6.4).
+    ///
+    /// The schedule's clock starts when the job becomes schedulable; client
+    /// setup is a band in the returned cost, not an offset on that clock.
+    pub fn schedule(
+        &self,
+        params: &CostParams,
+        cluster: &ClusterSpec,
+    ) -> Result<(JobCost, JobSchedule)> {
         let concurrency = self.map_concurrency.max(1);
         let raw = (self.memory_per_slot + self.memory_per_slot_fixed)
             .saturating_mul(u64::from(concurrency))
@@ -208,57 +261,27 @@ impl JobProfile {
             });
         }
 
-        // Injected stragglers run every task slower; priced makespan must
-        // reflect that or fault runs would look free.
-        let slowdown =
-            |node: usize| -> f64 { self.node_slowdown.get(node).copied().unwrap_or(1.0) };
-
-        let mut map_durations: Vec<(NodeId, f64)> = self
-            .map_tasks
-            .iter()
-            .map(|t| {
-                let node = t.node.0 % cluster.num_workers();
-                (
-                    NodeId(node),
-                    params.map_task_duration(cluster, &t.cost, concurrency) * slowdown(node),
-                )
-            })
-            .collect();
-        // Killed attempts occupied real slots until the commit race was
-        // decided; price that occupancy as wasted map work.
-        map_durations.extend(self.killed_attempts.iter().map(|k| {
-            let node = k.node.0 % cluster.num_workers();
-            (NodeId(node), k.busy_s)
-        }));
-        let map_s = makespan(&map_durations, cluster.num_workers(), concurrency);
-
-        let reduce_durations: Vec<(NodeId, f64)> = self
-            .reduce_tasks
-            .iter()
-            .map(|t| {
-                let node = t.node.0 % cluster.num_workers();
-                (
-                    NodeId(node),
-                    params.reduce_task_duration(cluster, &t.cost) * slowdown(node),
-                )
-            })
-            .collect();
-        let reduce_s = makespan(
-            &reduce_durations,
-            cluster.num_workers(),
-            cluster.reduce_slots,
-        );
-
-        let setup_s = self.client_build_rows as f64 / params.build_rows_per_s
-            + 2.0 * self.client_publish_bytes as f64 / cluster.network_bw;
-
-        Ok(JobCost {
+        let mut sim = self.sim_job(params, cluster);
+        let setup_s = std::mem::take(&mut sim.setup_s);
+        let sched = scheduler::interleave(std::slice::from_ref(&sim), cluster, SchedPolicy::Fifo)
+            .pop()
+            .unwrap_or_default();
+        // Reduces become schedulable when the shuffle ends — the same sum the
+        // simulator computed, so a first-wave reduce waited exactly 0.
+        let reduce_ready_s = sched.map_end_s + sim.shuffle_s;
+        let cost = JobCost {
             setup_s,
-            map_s,
-            shuffle_s: shuffle_time(params, cluster, self.shuffle_bytes),
-            reduce_s,
-            overhead_s: params.job_overhead_s,
-        })
+            map_s: scheduler::stage_span(&sched.map, 0.0),
+            shuffle_s: sim.shuffle_s,
+            reduce_s: scheduler::stage_span(&sched.reduce, reduce_ready_s),
+            overhead_s: sim.overhead_s,
+        };
+        Ok((cost, sched))
+    }
+
+    /// The stage times of [`Self::schedule`].
+    pub fn price(&self, params: &CostParams, cluster: &ClusterSpec) -> Result<JobCost> {
+        self.schedule(params, cluster).map(|(cost, _)| cost)
     }
 
     /// Rescale this profile to a different data scale and cluster: totals are

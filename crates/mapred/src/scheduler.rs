@@ -12,18 +12,22 @@
 //!    sets to exactly one task per node.
 //!
 //! Assignments are computed up front and deterministically, so simulated
-//! makespans are reproducible regardless of real thread interleaving.
+//! times are reproducible regardless of real thread interleaving.
 //!
-//! The second half of this module is the **multi-job slot simulator** the
-//! job server uses: [`interleave`] runs a discrete-event simulation that
-//! multiplexes the map/reduce slots (and declared-memory capacity) of one
-//! shared [`ClusterSpec`] across N concurrent jobs under a [`SchedPolicy`],
-//! entirely in simulated time. Every choice breaks ties on ids, so the
-//! schedule is a pure function of its inputs — byte-identical across reruns
-//! and host thread counts.
+//! The second half of this module is the **slot simulator**, the repo's one
+//! answer to "when does a task run?": [`interleave`] runs a discrete-event
+//! simulation that multiplexes the map/reduce slots (and declared-memory
+//! capacity) of one [`ClusterSpec`] across N jobs under a [`SchedPolicy`],
+//! entirely in simulated time. A solo job is the N = 1 case
+//! ([`crate::job::JobProfile::schedule`] prices every figure off it), the job
+//! server is the N > 1 case, and every swimlane
+//! ([`crate::history::job_history`]) is a rendering of its [`Placement`]s.
+//! Every choice breaks ties on ids, so the schedule is a pure function of
+//! its inputs — byte-identical across reruns and host thread counts.
 
 use crate::input::InputSplit;
 use clyde_dfs::{ClusterSpec, NodeId};
+use std::collections::VecDeque;
 
 /// How many tasks of this job a node may run at once.
 pub fn concurrency_per_node(cluster: &ClusterSpec, declared_task_memory: u64) -> u32 {
@@ -127,9 +131,10 @@ impl SchedPolicy {
     }
 }
 
-/// One admitted job, reduced to what the slot simulator needs: its task
-/// durations (already priced by the cost model, slowdowns applied), their
-/// recorded node placement, and the job's capacity declaration.
+/// One job, reduced to what the slot simulator needs: its task durations
+/// (already priced by the cost model, slowdowns applied), their recorded node
+/// placement, and the job's capacity declaration. Built from a profile by
+/// [`crate::job::JobProfile::sim_job`] and nowhere else.
 #[derive(Debug, Clone)]
 pub struct SimJob {
     /// Dense tenant index (for the capacity policy's per-tenant shares).
@@ -177,6 +182,17 @@ impl Placement {
     pub fn finish_s(&self) -> f64 {
         self.start_s + self.dur_s
     }
+}
+
+/// How long a stage that became schedulable at `ready_s` took: the latest
+/// lane end, measured per lane as wait + duration rather than as a
+/// difference of absolute times, so a stage that fits in one wave lasts
+/// exactly as long as its longest task.
+pub(crate) fn stage_span(lanes: &[Placement], ready_s: f64) -> f64 {
+    lanes
+        .iter()
+        .map(|p| (p.start_s - ready_s) + p.dur_s)
+        .fold(0.0, f64::max)
 }
 
 /// The simulator's verdict for one job: every task placement plus the
@@ -263,14 +279,45 @@ impl SlotPool {
     }
 }
 
+/// One stage's not-yet-started tasks. Tasks are node-affine and start in
+/// index order, so each node keeps a FIFO of its task ids and the next task
+/// to start is the lowest queue head among the nodes that can take one.
+struct Pending {
+    by_node: Vec<VecDeque<usize>>,
+}
+
+impl Pending {
+    fn new(tasks: &[(usize, f64)], nodes: usize) -> Pending {
+        let mut by_node = vec![VecDeque::new(); nodes];
+        for (task, &(node, _)) in tasks.iter().enumerate() {
+            by_node[node].push_back(task);
+        }
+        Pending { by_node }
+    }
+
+    /// The lowest-index pending task whose node `fits` one more right now.
+    fn first_fitting(&self, fits: impl Fn(usize) -> bool) -> Option<usize> {
+        self.by_node
+            .iter()
+            .enumerate()
+            .filter_map(|(node, queue)| queue.front().copied().filter(|_| fits(node)))
+            .min()
+    }
+
+    /// `node`'s next task has started.
+    fn started(&mut self, node: usize) {
+        self.by_node[node].pop_front();
+    }
+}
+
 struct Sim<'a> {
     jobs: &'a [SimJob],
     policy: SchedPolicy,
     node_mem: u64,
     state: Vec<JState>,
-    /// Map-task indices not yet started, per job, in task order.
-    pending_map: Vec<Vec<usize>>,
-    pending_reduce: Vec<Vec<usize>>,
+    /// Tasks not yet started, per job.
+    pending_map: Vec<Pending>,
+    pending_reduce: Vec<Pending>,
     maps_left: Vec<usize>,
     reduces_left: Vec<usize>,
     /// End of the shuffle stage, for jobs in `Shuffling`.
@@ -303,9 +350,12 @@ pub fn interleave(jobs: &[SimJob], cluster: &ClusterSpec, policy: SchedPolicy) -
         state: vec![JState::Pending; jobs.len()],
         pending_map: jobs
             .iter()
-            .map(|j| (0..j.map_tasks.len()).collect())
+            .map(|j| Pending::new(&j.map_tasks, nodes))
             .collect(),
-        pending_reduce: vec![Vec::new(); jobs.len()],
+        pending_reduce: jobs
+            .iter()
+            .map(|j| Pending::new(&j.reduce_tasks, nodes))
+            .collect(),
         maps_left: jobs.iter().map(|j| j.map_tasks.len()).collect(),
         reduces_left: jobs.iter().map(|j| j.reduce_tasks.len()).collect(),
         shuffle_end: vec![0.0; jobs.len()],
@@ -421,7 +471,6 @@ impl Sim<'_> {
             self.shuffle_end[j] = t + job.shuffle_s;
             self.state[j] = JState::Shuffling;
         } else {
-            self.pending_reduce[j] = (0..job.reduce_tasks.len()).collect();
             self.state[j] = JState::Reducing;
         }
     }
@@ -429,7 +478,6 @@ impl Sim<'_> {
     fn end_shuffles(&mut self, t: f64) {
         for j in 0..self.jobs.len() {
             if self.state[j] == JState::Shuffling && self.shuffle_end[j] == t {
-                self.pending_reduce[j] = (0..self.jobs[j].reduce_tasks.len()).collect();
                 self.state[j] = JState::Reducing;
             }
         }
@@ -482,17 +530,17 @@ impl Sim<'_> {
                 || self.mem_used[node] == 0)
     }
 
-    /// First pending map task of `j` that fits somewhere right now.
-    fn assignable_map(&self, j: usize) -> Option<usize> {
-        self.pending_map[j]
-            .iter()
-            .position(|&task| self.map_fits(j, self.jobs[j].map_tasks[task].0))
-    }
-
-    fn assignable_reduce(&self, j: usize) -> Option<usize> {
-        self.pending_reduce[j]
-            .iter()
-            .position(|&task| self.reduce_pool[self.jobs[j].reduce_tasks[task].0].available())
+    /// The task of `j`'s current stage that would start next, if any fits.
+    fn next_task(&self, j: usize) -> Option<(RKind, usize)> {
+        match self.state[j] {
+            JState::Mapping => self.pending_map[j]
+                .first_fitting(|node| self.map_fits(j, node))
+                .map(|task| (RKind::Map, task)),
+            JState::Reducing => self.pending_reduce[j]
+                .first_fitting(|node| self.reduce_pool[node].available())
+                .map(|task| (RKind::Reduce, task)),
+            _ => None,
+        }
     }
 
     /// Hand out every slot that can be filled at time `t`: repeatedly pick
@@ -501,17 +549,15 @@ impl Sim<'_> {
     /// as slots are taken.
     fn assign(&mut self, t: f64) {
         loop {
-            let mut best: Option<(SchedKey, usize, RKind)> = None;
+            let mut best: Option<(SchedKey, usize, RKind, usize)> = None;
             for j in 0..self.jobs.len() {
-                let kind = match self.state[j] {
-                    JState::Mapping if self.assignable_map(j).is_some() => RKind::Map,
-                    JState::Reducing if self.assignable_reduce(j).is_some() => RKind::Reduce,
-                    _ => continue,
+                let Some((kind, task)) = self.next_task(j) else {
+                    continue;
                 };
                 let key = self.key(j);
                 let better = match &best {
                     None => true,
-                    Some((bk, _, _)) => key
+                    Some((bk, ..)) => key
                         .0
                         .total_cmp(&bk.0)
                         .then(key.1.total_cmp(&bk.1))
@@ -520,59 +566,48 @@ impl Sim<'_> {
                         .is_lt(),
                 };
                 if better {
-                    best = Some((key, j, kind));
+                    best = Some((key, j, kind, task));
                 }
             }
-            let Some((_, j, kind)) = best else { break };
-            match kind {
-                RKind::Map => self.grant_map(j, t),
-                RKind::Reduce => self.grant_reduce(j, t),
-            }
+            let Some((_, j, kind, task)) = best else {
+                break;
+            };
+            self.grant(j, kind, task, t);
         }
     }
 
-    fn grant_map(&mut self, j: usize, t: f64) {
-        let pos = self.assignable_map(j).expect("caller checked");
-        let task = self.pending_map[j].remove(pos);
-        let (node, dur) = self.jobs[j].map_tasks[task];
-        let slot = self.map_pool[node].take();
-        self.job_node_maps[j][node] += 1;
-        self.mem_used[node] += self.jobs[j].task_mem;
-        self.tenant_slots[self.jobs[j].tenant] += 1;
-        self.tenant_service[self.jobs[j].tenant] += dur;
+    /// Start `task` of job `j` at `t` on its node's lowest free slot.
+    fn grant(&mut self, j: usize, kind: RKind, task: usize, t: f64) {
+        let job = &self.jobs[j];
+        let (node, dur, slot) = match kind {
+            RKind::Map => {
+                let (node, dur) = job.map_tasks[task];
+                self.pending_map[j].started(node);
+                self.job_node_maps[j][node] += 1;
+                self.mem_used[node] += job.task_mem;
+                (node, dur, self.map_pool[node].take())
+            }
+            RKind::Reduce => {
+                let (node, dur) = job.reduce_tasks[task];
+                self.pending_reduce[j].started(node);
+                (node, dur, self.reduce_pool[node].take())
+            }
+        };
+        self.tenant_slots[job.tenant] += 1;
+        self.tenant_service[job.tenant] += dur;
         self.running.push(Running {
             finish_s: t + dur,
             job: j,
             task,
             node,
             slot,
-            kind: RKind::Map,
+            kind,
         });
-        self.out[j].map.push(Placement {
-            task,
-            node,
-            slot,
-            start_s: t,
-            dur_s: dur,
-        });
-    }
-
-    fn grant_reduce(&mut self, j: usize, t: f64) {
-        let pos = self.assignable_reduce(j).expect("caller checked");
-        let task = self.pending_reduce[j].remove(pos);
-        let (node, dur) = self.jobs[j].reduce_tasks[task];
-        let slot = self.reduce_pool[node].take();
-        self.tenant_slots[self.jobs[j].tenant] += 1;
-        self.tenant_service[self.jobs[j].tenant] += dur;
-        self.running.push(Running {
-            finish_s: t + dur,
-            job: j,
-            task,
-            node,
-            slot,
-            kind: RKind::Reduce,
-        });
-        self.out[j].reduce.push(Placement {
+        let lanes = match kind {
+            RKind::Map => &mut self.out[j].map,
+            RKind::Reduce => &mut self.out[j].reduce,
+        };
+        lanes.push(Placement {
             task,
             node,
             slot,
@@ -823,6 +858,122 @@ mod tests {
             }
         }
     }
+
+    /// A lone job's stage lasts as long as its busiest node: a node's slots
+    /// drain its queue in waves, and nothing ends before its longest task.
+    #[test]
+    fn solo_stage_ends_with_its_slowest_node() {
+        let span = |slots: u32, tasks: &[(usize, f64)]| {
+            let mut job = sim_job(0, 0.0, 0);
+            job.setup_s = 0.0;
+            job.map_tasks = tasks.to_vec();
+            job.map_cap_per_node = slots;
+            let s = interleave(&[job], &ClusterSpec::tiny(2), SchedPolicy::Fifo);
+            assert_eq!(s[0].map_end_s, stage_span(&s[0].map, 0.0));
+            s[0].map_end_s
+        };
+        let tasks = [(0, 10.0), (0, 10.0), (1, 5.0)];
+        assert_eq!(span(1, &tasks), 20.0);
+        assert_eq!(span(2, &tasks), 10.0);
+        assert_eq!(span(1, &[]), 0.0);
+        // Three tasks on two slots take two waves, not 3/2 of one.
+        assert_eq!(span(2, &[(0, 10.0), (0, 10.0), (0, 10.0)]), 20.0);
+        // A stage that starts late still spans exactly its longest task.
+        let late = [Placement {
+            task: 0,
+            node: 0,
+            slot: 0,
+            start_s: 0.1 + 0.2,
+            dur_s: 0.7,
+        }];
+        assert_eq!(stage_span(&late, 0.1 + 0.2), 0.7);
+    }
+
+    /// Every grant of a run, one `job.kind.task@node.slot:start` per lane.
+    fn grants(s: &[JobSchedule]) -> String {
+        let mut out = Vec::new();
+        for (j, sched) in s.iter().enumerate() {
+            for (kind, lanes) in [("m", &sched.map), ("r", &sched.reduce)] {
+                for p in lanes {
+                    out.push(format!(
+                        "{j}{kind}{}@{}.{}:{}",
+                        p.task, p.node, p.slot, p.start_s
+                    ));
+                }
+            }
+        }
+        out.join(" ")
+    }
+
+    /// The per-node pending queues hand out exactly the grants the flat
+    /// pending list (scan for the first fitting task, `Vec::remove` it) did:
+    /// the strings below were recorded from that implementation on the
+    /// fixtures of the three policy tests above.
+    #[test]
+    fn per_node_queues_reproduce_the_flat_list_grants() {
+        let one = ClusterSpec::tiny(1);
+        let fifo = interleave(
+            &[sim_job(0, 0.0, 2), sim_job(1, 0.5, 2)],
+            &one,
+            SchedPolicy::Fifo,
+        );
+        assert_eq!(grants(&fifo), FLAT_FIFO);
+        let fair = interleave(
+            &[sim_job(0, 0.0, 4), sim_job(1, 0.5, 2)],
+            &one,
+            SchedPolicy::Fair,
+        );
+        assert_eq!(grants(&fair), FLAT_FAIR);
+        let mut four = ClusterSpec::tiny(1);
+        four.map_slots = 4;
+        let mut lo = sim_job(0, 0.0, 8);
+        lo.map_cap_per_node = 4;
+        let mut hi = sim_job(1, 0.0, 8);
+        hi.weight = 3.0;
+        hi.map_cap_per_node = 4;
+        let cap = interleave(&[lo, hi], &four, SchedPolicy::Capacity);
+        assert_eq!(grants(&cap), FLAT_CAPACITY);
+        // Six jobs with tasks spread over three nodes (equal weights, so
+        // capacity grants what fair does).
+        let jobs: Vec<SimJob> = (0..6)
+            .map(|i| {
+                let mut j = sim_job(i % 3, 0.7 * i as f64, 3 + i % 2);
+                j.map_tasks = (0..j.map_tasks.len()).map(|k| ((i + k) % 3, 8.0)).collect();
+                j.reduce_tasks = vec![(i % 3, 5.0), ((i + 1) % 3, 4.0)];
+                j
+            })
+            .collect();
+        for (policy, flat) in [SchedPolicy::Fifo, SchedPolicy::Fair]
+            .into_iter()
+            .zip(FLAT_SPREAD)
+        {
+            let s = interleave(&jobs, &ClusterSpec::tiny(3), policy);
+            assert_eq!(grants(&s), flat, "{}", policy.label());
+        }
+    }
+
+    const FLAT_FIFO: &str = "0m0@0.0:1 0m1@0.1:1 0r0@0.0:13 1m0@0.0:11 1m1@0.1:11 1r0@0.0:23";
+    const FLAT_FAIR: &str =
+        "0m0@0.0:1 0m1@0.1:1 0m2@0.1:11 0m3@0.1:21 0r0@0.0:38 1m0@0.0:11 1m1@0.0:21 \
+        1r0@0.0:33";
+    const FLAT_CAPACITY: &str =
+        "0m0@0.0:1 0m1@0.0:11 0m2@0.0:21 0m3@0.3:21 0m4@0.0:31 0m5@0.1:31 0m6@0.2:31 \
+        0m7@0.3:31 0r0@0.0:43 1m0@0.1:1 1m1@0.2:1 1m2@0.3:1 1m3@0.1:11 1m4@0.2:11 \
+        1m5@0.3:11 1m6@0.1:21 1m7@0.2:21 1r0@0.0:33";
+    const FLAT_SPREAD: [&str; 2] = [
+        "0m0@0.0:1 0m1@1.0:1 0m2@2.0:1 0r0@0.0:11 0r1@1.0:11 1m0@1.1:1.7 1m1@2.1:1.7 \
+        1m2@0.1:1.7 1m3@1.0:9 1r0@1.0:19 1r1@2.0:19 2m0@2.0:9 2m1@0.0:9 2m2@1.1:9.7 \
+        2r0@2.0:23 2r1@0.0:19.7 3m0@0.1:9.7 3m1@1.0:17 3m2@2.1:9.7 3m3@0.0:17 \
+        3r0@0.0:27 3r1@1.0:27 4m0@1.1:17.7 4m1@2.0:17 4m2@0.1:17.7 4r0@1.0:31 \
+        4r1@2.0:28 5m0@2.1:17.7 5m1@0.0:25 5m2@1.0:25 5m3@2.0:25 5r0@2.0:35 \
+        5r1@0.0:35",
+        "0m0@0.0:1 0m1@1.0:1 0m2@2.0:1 0r0@0.0:11 0r1@1.0:11 1m0@1.1:1.7 1m1@2.1:1.7 \
+        1m2@0.1:1.7 1m3@1.1:9.7 1r0@1.0:19.7 1r1@2.0:19.7 2m0@2.0:9 2m1@0.0:17 \
+        2m2@1.0:9 2r0@2.0:27 2r1@0.0:27 3m0@0.0:9 3m1@1.0:17 3m2@2.1:9.7 \
+        3m3@0.1:17.7 3r0@0.0:31 3r1@1.0:27.7 4m0@1.1:17.7 4m1@2.1:17.7 4m2@0.1:9.7 \
+        4r0@1.0:31.7 4r1@2.0:32 5m0@2.0:17 5m1@0.0:25 5m2@1.0:25 5m3@2.0:25 \
+        5r0@2.0:36 5r1@0.0:36",
+    ];
 
     #[test]
     fn policy_labels_roundtrip() {

@@ -17,7 +17,7 @@
 //! are reported in the drain's [`ServerRun`] artifact next to the served
 //! swimlanes.
 
-use crate::cost::CostParams;
+use crate::cost::JobCost;
 use crate::engine::{publish_history, Engine};
 use crate::history;
 use crate::job::{JobResult, JobSpec};
@@ -106,9 +106,9 @@ struct Submission {
 /// The multi-job frontend. Accumulates admitted submissions, then lays them
 /// all out on the shared cluster in one [`JobServer::drain`].
 ///
-/// Fault plans are not combined with served scheduling: a spec carrying
-/// `faults` still executes under them (results stay solo-identical), but the
-/// scheduled swimlanes only show committed attempts.
+/// A spec carrying `faults` executes under them (results stay
+/// solo-identical) and is scheduled as it would be solo: slow nodes stretch
+/// its lanes and killed attempts occupy map slots.
 pub struct JobServer<'e> {
     engine: &'e Engine,
     cfg: ServerConfig,
@@ -222,16 +222,15 @@ impl<'e> JobServer<'e> {
         let mut sim_jobs = Vec::with_capacity(subs.len());
         for sub in &subs {
             let (result, io) = self.engine.run_job_quiet(&sub.spec)?;
-            let sim = sim_job_from(
-                &result,
-                &params,
-                &cluster,
-                tenant_idx(&mut tenant_names, &sub.tenant),
-                weight_of(&self.cfg, &sub.tenant),
-                sub.arrival_s,
-                sub.spec.declared_task_memory,
-            );
-            sim_jobs.push(sim);
+            sim_jobs.push(SimJob {
+                tenant: tenant_idx(&mut tenant_names, &sub.tenant),
+                weight: weight_of(&self.cfg, &sub.tenant),
+                arrival_s: sub.arrival_s,
+                task_mem: sub.spec.declared_task_memory,
+                // A cache hit is priced as a read, not as a job submission.
+                overhead_s: result.cost.overhead_s,
+                ..result.profile.sim_job(&params, &cluster)
+            });
             executed.push((result, io));
         }
 
@@ -243,15 +242,19 @@ impl<'e> JobServer<'e> {
         let mut lanes = Vec::with_capacity(subs.len());
         for (((result, io), sub), sched) in executed.into_iter().zip(&subs).zip(&schedules) {
             if self.engine.obs().is_enabled() {
-                let hist = history::job_history_scheduled(
-                    &result.profile,
-                    &result.cost,
-                    &params,
-                    &cluster,
-                    &sub.tenant,
-                    sub.arrival_s,
-                    sched,
-                );
+                // The bands tile the scheduled span exactly: "map" absorbs
+                // any queueing between slot grants, so `t0_s + total_s()`
+                // equals the scheduled finish.
+                let c = &result.cost;
+                let bands = JobCost {
+                    map_s: (sched.map_end_s - sub.arrival_s - c.setup_s).max(0.0),
+                    reduce_s: (sched.reduce_end_s - sched.map_end_s - c.shuffle_s).max(0.0),
+                    ..*c
+                };
+                let mut hist =
+                    history::job_history(&result.profile, &bands, &params, &cluster, sched, 0.0);
+                hist.tenant = sub.tenant.clone();
+                hist.t0_s = sub.arrival_s;
                 publish_history(
                     self.engine.obs(),
                     &result.profile,
@@ -343,47 +346,5 @@ impl<'e> JobServer<'e> {
             m.histogram_record("scheduler.queue_wait_s", lane.wait_s());
             m.histogram_record("scheduler.job_latency_s", lane.latency_s());
         }
-    }
-}
-
-/// Reduce a finished job to what the slot simulator needs, pricing every
-/// task with the same [`CostParams`] the solo history uses so a served
-/// job's lane durations match its solo swimlane exactly.
-fn sim_job_from(
-    result: &JobResult,
-    params: &CostParams,
-    cluster: &clyde_dfs::ClusterSpec,
-    tenant: usize,
-    weight: f64,
-    arrival_s: f64,
-    declared_task_memory: u64,
-) -> SimJob {
-    let n = cluster.num_workers().max(1);
-    let profile = &result.profile;
-    let concurrency = profile.map_concurrency.max(1);
-    SimJob {
-        tenant,
-        weight,
-        arrival_s,
-        setup_s: result.cost.setup_s,
-        map_tasks: profile
-            .map_tasks
-            .iter()
-            .map(|t| {
-                (
-                    t.node.0 % n,
-                    params.map_task_duration(cluster, &t.cost, concurrency),
-                )
-            })
-            .collect(),
-        map_cap_per_node: concurrency,
-        task_mem: declared_task_memory,
-        shuffle_s: result.cost.shuffle_s,
-        reduce_tasks: profile
-            .reduce_tasks
-            .iter()
-            .map(|t| (t.node.0 % n, params.reduce_task_duration(cluster, &t.cost)))
-            .collect(),
-        overhead_s: result.cost.overhead_s,
     }
 }

@@ -94,41 +94,13 @@ pub fn reduce_sorted(
 
 /// Merge several sorted runs into one sorted run (the reduce-side merge of
 /// map outputs). Stable across runs in run order, matching Hadoop's merge of
-/// map outputs in task order.
-pub fn merge_sorted_runs(mut runs: Vec<Vec<(Vec<u8>, Row)>>) -> Vec<(Vec<u8>, Row)> {
-    match runs.len() {
-        0 => Vec::new(),
-        1 => runs.pop().expect("len checked"),
-        _ => {
-            let total = runs.iter().map(Vec::len).sum();
-            let mut out = Vec::with_capacity(total);
-            // K is small (tasks per job); a simple linear k-way pick keeps
-            // the merge stable and dependency-free.
-            let mut cursors = vec![0usize; runs.len()];
-            loop {
-                let mut best: Option<usize> = None;
-                for (r, run) in runs.iter().enumerate() {
-                    if cursors[r] >= run.len() {
-                        continue;
-                    }
-                    best = Some(match best {
-                        None => r,
-                        Some(b) if run[cursors[r]].0 < runs[b][cursors[b]].0 => r,
-                        Some(b) => b,
-                    });
-                }
-                match best {
-                    None => break,
-                    Some(r) => {
-                        let (k, v) = runs[r][cursors[r]].clone();
-                        out.push((k, v));
-                        cursors[r] += 1;
-                    }
-                }
-            }
-            out
-        }
-    }
+/// map outputs in task order: the runs are laid end to end and stable-sorted
+/// by key, which keeps equal keys in run order and — std's stable sort being
+/// run-adaptive — merges the already-sorted stretches rather than re-sorting.
+pub fn merge_sorted_runs(runs: Vec<Vec<(Vec<u8>, Row)>>) -> Vec<(Vec<u8>, Row)> {
+    let mut out: Vec<(Vec<u8>, Row)> = runs.into_iter().flatten().collect();
+    sort_records(&mut out);
+    out
 }
 
 fn run_end(records: &[(Vec<u8>, Row)], start: usize) -> usize {

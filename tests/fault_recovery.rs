@@ -7,7 +7,8 @@
 //! (replication 3 with at most one death guarantees that; injected task
 //! failures are attempt-scoped and recoverable by construction).
 
-use clyde_common::{row, rowcodec, Row};
+use clyde_common::obs::{JobHistory, TaskKind};
+use clyde_common::{row, rowcodec, Obs, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::formats::{RowBinInputFormat, VecInputFormat};
 use clyde_mapred::input::InputFormat;
@@ -156,4 +157,57 @@ fn unsurvivable_plans_error_cleanly() {
         err.to_string().contains("no live node left to retry on"),
         "{err}"
     );
+}
+
+/// The history of `sum_job` over three one-task nodes, under `faults`.
+fn history_under(faults: Option<FaultPlan>) -> JobHistory {
+    let obs = Obs::enabled();
+    let mut engine = Engine::new(Dfs::for_tests(3));
+    engine.set_obs(Arc::clone(&obs));
+    let spec = sum_job(Arc::new(VecInputFormat::new(rows(12), 3)), faults);
+    engine.run_job(&spec).unwrap();
+    obs.with_histories(|hs| hs[0].clone())
+}
+
+/// A slow node's swimlane is stretched by the same factor its stage band
+/// was priced with: lanes and bands come off one schedule.
+#[test]
+fn slow_nodes_stretch_their_lanes_as_far_as_the_band() {
+    let last_map_end = |h: &JobHistory| {
+        h.lanes(TaskKind::Map)
+            .iter()
+            .map(|t| t.finish_s())
+            .fold(0.0, f64::max)
+    };
+    let clean = history_under(None);
+
+    // The CI plan: node 1 runs 3x slow, speculation armed. Whatever the
+    // backup race decided, the last map lane (killed attempts included)
+    // ends exactly where the map band does.
+    let armed = history_under(FaultPlan::named("slow-node", 46));
+    assert!(armed.speculative_attempts >= 1);
+    assert_eq!(last_map_end(&armed), armed.setup_s + armed.map_s);
+
+    // Speculation off, so the straggler's own attempt commits: its lane —
+    // and the phase slices inside it — last 3x their fault-free length.
+    let mut plan = FaultPlan::named("slow-node", 46).unwrap();
+    plan.speculative_slowdown = f64::INFINITY;
+    let slowed = history_under(Some(plan));
+    assert_eq!(last_map_end(&slowed), slowed.setup_s + slowed.map_s);
+    let on_node = |h: &JobHistory, node: usize| {
+        let lanes = h.lanes(TaskKind::Map);
+        let lane = lanes.iter().find(|t| t.node == node).unwrap();
+        let phases_end = lane.phases.iter().map(|p| p.start_s + p.dur_s);
+        (lane.dur_s, phases_end.fold(0.0, f64::max) - lane.start_s)
+    };
+    for node in 0..3 {
+        let factor = if node == 1 { 3.0 } else { 1.0 };
+        let (clean_dur, _) = on_node(&clean, node);
+        let (dur, phases) = on_node(&slowed, node);
+        assert_eq!(dur, factor * clean_dur, "node {node}");
+        assert!(
+            (phases - dur).abs() < 1e-9,
+            "node {node}: phases end at {phases} of {dur}"
+        );
+    }
 }

@@ -12,9 +12,9 @@
 //! * `--json PATH` writes the suite results as a JSON document (see
 //!   `BENCH_probe.json` at the repo root for a committed run).
 //! * `--gate PATH` reads a committed run and **fails (exit 1) if any
-//!   query's measured probe speedup, or the build speedup of a query in
-//!   [`BUILD_GATED`], falls below 0.9× its recorded speedup** — the CI
-//!   regression gate.
+//!   query's measured probe speedup, or the build speedup of a query that
+//!   joins `part`, falls below 0.9× its recorded speedup** — the CI
+//!   regression gate (`clyde_bench::gate::PROBE`).
 //!
 //! Timing: each measurement first calibrates a repetition count so one
 //! timed iteration runs at least [`MIN_ITER_SECS`], then times both
@@ -23,7 +23,8 @@
 //! base/variant ratios**, which cancels machine-wide frequency drift out of
 //! the number the gate checks.
 
-use clyde_common::obs::json::{self, Json};
+use clyde_bench::{cli, gate};
+use clyde_common::obs::json::Json;
 use clyde_common::obs::WallTimer;
 use clyde_common::{rowcodec, FxHashMap, RowBlock, RowBlockBuilder};
 use clyde_ssb::gen::SsbGen;
@@ -40,12 +41,6 @@ use clydesdale::KernelOpts;
 /// predicates + fused first join (Q2.1), selective two-dim filters
 /// (Q3.2), and a four-join probe (Q4.1).
 const SUITE: [&str; 4] = ["Q1.1", "Q2.1", "Q3.2", "Q4.1"];
-
-/// Queries whose build speedup the gate enforces: the two that join `part`,
-/// the big dimension. Q1.1 and Q3.2 build under 3 k rows in about a
-/// millisecond, and their ratio moved 2.22-2.43x from run to run on one
-/// host — as wide as the gate's 10 % band.
-const BUILD_GATED: [&str; 2] = ["Q2.1", "Q4.1"];
 
 /// One variant under test: a closure running one full pass over the data
 /// and returning what the pass counted (compared across variants).
@@ -266,26 +261,48 @@ fn bench_query(fx: &QueryFixture, data: &clyde_ssb::SsbData) -> QueryResult {
     }
 }
 
-/// `"speedup"` of `qid` in `section` (`"queries"` or `"build"`) of a
-/// committed run.
-fn recorded_speedup(committed: &Json, section: &str, qid: &str) -> Option<f64> {
-    committed.get(section)?.get(qid)?.get("speedup")?.as_num()
+/// The suite results as the committed-gate document (see
+/// `BENCH_probe.json`).
+fn to_json(sf: f64, results: &[QueryResult]) -> Json {
+    let section =
+        |body: fn(&QueryResult) -> Json| Json::obj(results.iter().map(|r| (r.qid, body(r))));
+    Json::obj([
+        ("sf", Json::Num(sf)),
+        ("block_rows", Json::Num(ROWS_PER_BLOCK as f64)),
+        (
+            "queries",
+            section(|r| {
+                Json::obj([
+                    ("fact_rows", Json::Num(r.rows as f64)),
+                    ("scalar_rows_per_s", Json::fixed(r.scalar_rps, 0)),
+                    ("vectorized_rows_per_s", Json::fixed(r.vec_rps, 0)),
+                    ("speedup", Json::fixed(r.speedup, 2)),
+                    ("probes", Json::Num(r.stats.probes as f64)),
+                    ("survivors", Json::Num(r.stats.survivors as f64)),
+                ])
+            }),
+        ),
+        (
+            "build",
+            section(|r| {
+                Json::obj([
+                    ("dim_rows", Json::Num(r.build.dim_rows as f64)),
+                    ("rows_path_ms", Json::fixed(r.build.rows_path_ms, 3)),
+                    ("encoded_path_ms", Json::fixed(r.build.encoded_path_ms, 3)),
+                    ("speedup", Json::fixed(r.build.speedup, 2)),
+                ])
+            }),
+        ),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sf: f64 = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0.01);
-    let flag_path = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let json_path = flag_path("--json");
-    let gate_path = flag_path("--gate");
+    let args = cli::parse(
+        "usage: bench_probe [SF] [--json PATH] [--gate PATH]",
+        &["--json", "--gate"],
+        &[],
+    );
+    let sf = args.sf(0.01);
 
     eprintln!("generating SSB at SF {sf}...");
     let data = SsbGen::new(sf, 46).gen_all();
@@ -310,67 +327,5 @@ fn main() {
         results.push(r);
     }
 
-    if let Some(path) = json_path {
-        let section = |body: &dyn Fn(&QueryResult) -> String| {
-            let entries: Vec<String> = results
-                .iter()
-                .map(|r| format!("    \"{}\": {{\n{}\n    }}", r.qid, body(r)))
-                .collect();
-            entries.join(",\n")
-        };
-        let queries = section(&|r| {
-            format!(
-                "      \"fact_rows\": {},\n      \"scalar_rows_per_s\": {:.0},\n      \
-                 \"vectorized_rows_per_s\": {:.0},\n      \"speedup\": {:.2},\n      \
-                 \"probes\": {},\n      \"survivors\": {}",
-                r.rows, r.scalar_rps, r.vec_rps, r.speedup, r.stats.probes, r.stats.survivors
-            )
-        });
-        let build = section(&|r| {
-            format!(
-                "      \"dim_rows\": {},\n      \"rows_path_ms\": {:.3},\n      \
-                 \"encoded_path_ms\": {:.3},\n      \"speedup\": {:.2}",
-                r.build.dim_rows, r.build.rows_path_ms, r.build.encoded_path_ms, r.build.speedup
-            )
-        });
-        let out = format!(
-            "{{\n  \"sf\": {sf},\n  \"block_rows\": {ROWS_PER_BLOCK},\n  \
-             \"queries\": {{\n{queries}\n  }},\n  \"build\": {{\n{build}\n  }}\n}}\n"
-        );
-        std::fs::write(&path, out).expect("write json");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = gate_path {
-        let committed = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| json::parse(&text))
-            .unwrap_or_else(|e| panic!("gate file {path}: {e}"));
-        let probe = results.iter().map(|r| ("queries", r.qid, r.speedup));
-        let build = results
-            .iter()
-            .filter(|r| BUILD_GATED.contains(&r.qid))
-            .map(|r| ("build", r.qid, r.build.speedup));
-        let mut failed = false;
-        for (section, qid, measured) in probe.chain(build) {
-            let Some(recorded) = recorded_speedup(&committed, section, qid) else {
-                eprintln!("gate: {path} has no {section} speedup for {qid}");
-                failed = true;
-                continue;
-            };
-            let floor = recorded * 0.9;
-            let ok = measured >= floor;
-            eprintln!(
-                "gate {section} {qid}: measured {measured:.2}x vs recorded {recorded:.2}x \
-                 (floor {floor:.2}x) — {}",
-                if ok { "ok" } else { "FAIL" }
-            );
-            failed |= !ok;
-        }
-        if failed {
-            eprintln!("bench gate FAILED: probe kernel or dimension build regressed");
-            std::process::exit(1);
-        }
-        eprintln!("bench gate passed");
-    }
+    gate::finish("bench", gate::PROBE, &args, &to_json(sf, &results));
 }

@@ -10,19 +10,11 @@
 //! injected, not silently skipped). Exits non-zero on any violation, which
 //! is what gates the CI `fault-matrix` job.
 
+use clyde_bench::cli;
 use clyde_bench::harness::{run_fault_cell, FaultCell, MeasurementConfig};
 use clyde_bench::report::render_table;
 use clyde_mapred::fault::NAMES;
 use clyde_ssb::query_by_id;
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: fault_matrix [measurement-sf] [--seed <n>] [--plan <name>]");
-    eprintln!("plans: {}", NAMES.join(", "));
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
 
 /// The plan-specific recovery action that must be visible in the profile.
 fn check_signals(cell: &FaultCell) -> Result<(), String> {
@@ -55,28 +47,21 @@ fn check_signals(cell: &FaultCell) -> Result<(), String> {
 }
 
 fn main() {
-    let mut sf = 0.01;
-    let mut seed = 46u64;
-    let mut plans: Vec<String> = NAMES.iter().map(|s| s.to_string()).collect();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => usage("--seed needs an integer"),
-            },
-            "--plan" => match args.next() {
-                Some(p) if NAMES.contains(&p.as_str()) => plans = vec![p],
-                Some(p) => usage(&format!("unknown plan `{p}`")),
-                None => usage("--plan needs a name"),
-            },
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(v) if v > 0.0 => sf = v,
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
-        }
-    }
+    let args = cli::parse(
+        &format!(
+            "usage: fault_matrix [measurement-sf] [--seed <n>] [--plan <name>]\nplans: {}",
+            NAMES.join(", ")
+        ),
+        &["--seed", "--plan"],
+        &[],
+    );
+    let sf = args.sf(0.01);
+    let seed: u64 = args.parsed("--seed").unwrap_or(46);
+    let plans: Vec<&str> = match args.value("--plan") {
+        Some(p) if NAMES.contains(&p) => vec![p],
+        Some(p) => args.fail(&format!("unknown plan `{p}`")),
+        None => NAMES.to_vec(),
+    };
 
     let config = MeasurementConfig {
         sf,

@@ -16,8 +16,8 @@ use clyde_hive::JoinStrategy;
 use std::sync::Arc;
 
 fn main() {
-    let args = clyde_bench::cli::parse("fig8", 0.02);
-    let sf = args.sf;
+    let args = clyde_bench::cli::figure("fig8");
+    let sf = args.sf(0.02);
     let obs = args.obs();
     let config = MeasurementConfig {
         sf,
@@ -92,7 +92,7 @@ fn main() {
     );
     println!("mapjoin OOM failures (paper: none on cluster B): {ooms:?}");
 
-    if let Some(seed) = args.faults {
+    if let Some(seed) = args.faults() {
         eprintln!("\nre-running all 13 queries under the `combined` fault plan (seed {seed})...");
         let impacts = fault_impact(&config, seed).expect("fault impact run failed");
         println!(

@@ -17,8 +17,8 @@ use clyde_dfs::ClusterSpec;
 use std::sync::Arc;
 
 fn main() {
-    let args = clyde_bench::cli::parse("fig9_ablation", 0.02);
-    let sf = args.sf;
+    let args = clyde_bench::cli::figure("fig9_ablation");
+    let sf = args.sf(0.02);
     let obs = args.obs();
     let config = MeasurementConfig {
         sf,
@@ -110,14 +110,8 @@ fn main() {
     }
 
     println!("per-flight average slowdowns:");
-    let labels = [
-        "block iteration off",
-        "columnar off",
-        "multithreading off",
-        "vectorized probe off",
-        "zone skipping off",
-    ];
-    for (ai, label) in labels.iter().enumerate() {
+    for (ai, ab) in ablations.iter().enumerate() {
+        let label = ab.label();
         let mut parts = Vec::new();
         let mut total = 0.0;
         let mut n = 0;

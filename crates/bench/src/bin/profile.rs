@@ -7,26 +7,17 @@
 //!
 //! Runs all 13 SSB queries (default SF 0.01) with observability on and
 //! writes three artifacts to `--out-dir` (default `.`):
-//! `query-profiles.json` (the deterministic `clyde-profiles` bundle
-//! `clyde-profdiff` consumes), `flamegraph.folded` (collapsed stacks over
+//! `query-profiles.json` (the deterministic `clyde-profiles` bundle:
+//! simulated counters only), `flamegraph.folded` (collapsed stacks over
 //! simulated time — feed to flamegraph.pl / speedscope), and
 //! `calibration.txt` (per-phase model-vs-measured drift).
 
 use clyde_bench::harness::{profile_suite, MeasurementConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sf: f64 = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0.01);
-    let flag_path = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_dir = flag_path("--out-dir").unwrap_or_else(|| ".".to_string());
+    let args = clyde_bench::cli::parse("usage: profile [SF] [--out-dir DIR]", &["--out-dir"], &[]);
+    let sf = args.sf(0.01);
+    let out_dir = args.value("--out-dir").unwrap_or(".");
 
     eprintln!("profiling the 13-query suite at SF {sf}...");
     let config = MeasurementConfig {

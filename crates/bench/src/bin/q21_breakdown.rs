@@ -26,8 +26,8 @@ use clyde_mapred::job_history;
 use std::sync::Arc;
 
 fn main() {
-    let args = clyde_bench::cli::parse("q21_breakdown", 0.02);
-    let sf = args.sf;
+    let args = clyde_bench::cli::figure("q21_breakdown");
+    let sf = args.sf(0.02);
     // The breakdown below is derived from spans, so this binary always
     // records; `--trace` additionally writes the span log out.
     let obs = Obs::enabled();

@@ -7,7 +7,7 @@
 //! * `--json PATH` writes the committed-gate JSON document (see
 //!   `BENCH_restore.json` at the repo root for a committed run).
 //! * `--report PATH` writes the human-readable report (uploaded as the CI
-//!   `restore-gate` artifact).
+//!   `gates` job artifact).
 //! * `--gate PATH` reads a committed run and **fails (exit 1)** unless the
 //!   warm speedup clears both the hard 2x floor and 0.9x its committed
 //!   value, and the warm hit rate clears its 0.80 floor.
@@ -17,74 +17,26 @@
 //! and machines. The bench itself verifies that every warm (cached) result
 //! is byte-identical to the cold (recomputed) one before reporting.
 
-use clyde_bench::restore;
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: restore [SF] [--seed <n>] [--json PATH] [--report PATH] [--gate PATH]");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
+use clyde_bench::{cli, gate, restore};
 
 fn main() {
-    let mut sf = 0.005;
-    let mut seed = 46u64;
-    let mut json_path = None;
-    let mut report_path = None;
-    let mut gate_path = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => usage("--seed needs an integer"),
-            },
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(p),
-                None => usage("--json needs a path"),
-            },
-            "--report" => match args.next() {
-                Some(p) => report_path = Some(p),
-                None => usage("--report needs a path"),
-            },
-            "--gate" => match args.next() {
-                Some(p) => gate_path = Some(p),
-                None => usage("--gate needs a path"),
-            },
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(v) if v > 0.0 => sf = v,
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
-        }
-    }
+    let args = cli::parse(
+        "usage: restore [SF] [--seed <n>] [--json PATH] [--report PATH] [--gate PATH]",
+        &["--seed", "--json", "--report", "--gate"],
+        &[],
+    );
+    let sf = args.sf(0.005);
+    let seed: u64 = args.parsed("--seed").unwrap_or(46);
 
     eprintln!("loading SSB at SF {sf} (seed {seed}) on the workload cluster...");
     let report = restore::run(sf, seed, None, None)
         .unwrap_or_else(|e| panic!("restore cold/warm replay failed: {e}"));
     let rendered = restore::render_report(&report);
     print!("{rendered}");
-    if let Some(path) = report_path {
-        std::fs::write(&path, &rendered).expect("write report");
+    if let Some(path) = args.value("--report") {
+        std::fs::write(path, &rendered).expect("write report");
         eprintln!("wrote {path}");
     }
-    if let Some(path) = json_path {
-        std::fs::write(&path, restore::to_json(&report)).expect("write json");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = gate_path {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate file {path}: {e}"));
-        match restore::gate(&report, &committed) {
-            Ok(()) => eprintln!("restore gate passed"),
-            Err(violations) => {
-                for v in &violations {
-                    eprintln!("gate FAIL: {v}");
-                }
-                eprintln!("restore gate FAILED");
-                std::process::exit(1);
-            }
-        }
-    }
+    let fresh = restore::to_json(&report);
+    gate::finish("restore", gate::RESTORE, &args, &fresh);
 }

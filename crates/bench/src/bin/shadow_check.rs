@@ -34,13 +34,10 @@
 //! query's rows (cold and warm), the served-from-cache spans in the trace,
 //! and the `cache.*` hit/miss/evict/bytes metrics.
 
-use clyde_bench::harness::{measurement_cluster, MeasurementConfig};
-use clyde_bench::{restore, workload};
+use clyde_bench::harness::MeasurementConfig;
+use clyde_bench::{cli, restore, workload};
 use clyde_common::{Obs, Result};
-use clyde_dfs::{ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::SchedPolicy;
-use clyde_ssb::gen::SsbGen;
-use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::queries::StarQuery;
 use clyde_ssb::query_by_id;
 use clydesdale::Clydesdale;
@@ -73,30 +70,9 @@ fn run_once(
     query: &StarQuery,
     host_threads: Option<u32>,
 ) -> Result<Artifacts> {
-    let cluster = measurement_cluster(config.workers);
-    let dfs = Dfs::new(
-        cluster,
-        DfsOptions {
-            block_size: 8 << 20,
-            replication: 2,
-            policy: Box::new(ColocatingPlacement),
-        },
-    );
-    let layout = SsbLayout::default();
-    loader::load(
-        &dfs,
-        SsbGen::new(config.sf, config.seed),
-        &layout,
-        &loader::LoadOpts {
-            rows_per_group: config.rows_per_group,
-            cif: true,
-            rcfile: false,
-            text: false,
-            cluster_by_date: true,
-        },
-    )?;
+    let (dfs, layout) = config.testbed(2, false)?;
     let obs = Obs::enabled();
-    let mut clyde = Clydesdale::new(Arc::clone(&dfs), layout).with_obs(Arc::clone(&obs));
+    let mut clyde = Clydesdale::new(dfs, layout).with_obs(Arc::clone(&obs));
     if let Some(t) = host_threads {
         clyde = clyde.with_host_threads(t);
     }
@@ -180,218 +156,89 @@ fn diff(label: &str, want: &Artifacts, got: &Artifacts) -> bool {
     ok
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: shadow_check [measurement-sf] [--seed <n>] [--queries <id,id,...>] \
-         [--workload] [--restore]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
 /// Host thread counts to force through `MtMapRunner`. The cost model prices
 /// with the cluster's map slots regardless, so artifacts must not move.
 const THREAD_COUNTS: [u32; 3] = [1, 2, 8];
 
+/// One subject's sweep: a baseline run, then an identical rerun on fresh
+/// state (the dual run — catches anything seeded from ambient state), then
+/// one run per forced host thread count (real parallelism must not be
+/// observable). Every run must reproduce the baseline's artifacts byte for
+/// byte; returns whether all of them did.
+fn sweep(label: &str, run: impl Fn(Option<u32>) -> Result<Artifacts>) -> bool {
+    let baseline = match run(None) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("shadow_check: {label} baseline run failed: {e}");
+            return false;
+        }
+    };
+    let mut ok = true;
+    for threads in std::iter::once(None).chain(THREAD_COUNTS.map(Some)) {
+        let forced = threads.map(|t| format!("host-threads={t}"));
+        // The unforced rerun goes by a different name in each message.
+        let name = |rerun: &'static str| forced.as_deref().unwrap_or(rerun);
+        match run(threads) {
+            Ok(shadow) if diff(&format!("{label} {}", name("rerun")), &baseline, &shadow) => {
+                println!(
+                    "shadow_check: OK {label}: {} byte-identical",
+                    name("dual run")
+                );
+            }
+            Ok(_) => ok = false,
+            Err(e) => {
+                eprintln!("shadow_check: {label} {} run failed: {e}", name("shadow"));
+                ok = false;
+            }
+        }
+    }
+    ok
+}
+
 fn main() -> ExitCode {
-    let mut config = MeasurementConfig {
-        sf: 0.008,
+    let args = cli::parse(
+        "usage: shadow_check [measurement-sf] [--seed <n>] [--queries <id,id,...>] \
+         [--workload] [--restore]",
+        &["--seed", "--queries"],
+        &["--workload", "--restore"],
+    );
+    let served = args.has("--workload") || args.has("--restore");
+    let config = MeasurementConfig {
+        // The served modes replay the full 31-job stream per run; they
+        // default to the workload bench's own scale factor.
+        sf: args.sf(if served { 0.005 } else { 0.008 }),
+        seed: args.parsed("--seed").unwrap_or(46),
         validate: false,
         ..MeasurementConfig::default()
     };
-    let mut query_ids = vec!["Q1.1".to_string(), "Q2.1".to_string()];
-    let mut workload_mode = false;
-    let mut restore_mode = false;
-    let mut sf_given = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => config.seed = s,
-                None => usage("--seed needs an integer"),
-            },
-            "--queries" => match args.next() {
-                Some(list) => query_ids = list.split(',').map(|s| s.trim().to_string()).collect(),
-                None => usage("--queries needs a comma-separated list"),
-            },
-            "--workload" => workload_mode = true,
-            "--restore" => restore_mode = true,
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(v) if v > 0.0 => {
-                    config.sf = v;
-                    sf_given = true;
-                }
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
-        }
-    }
-
-    if workload_mode || restore_mode {
-        // These modes replay the full 31-job stream per run; default to
-        // the workload bench's own scale factor unless one was given
-        // explicitly.
-        if !sf_given {
-            config.sf = 0.005;
-        }
-        return if restore_mode {
-            check_restore(&config)
-        } else {
-            check_workload(&config)
-        };
-    }
-
-    let mut failed = false;
-    for id in &query_ids {
-        let Ok(query) = query_by_id(id) else {
-            usage(&format!("unknown query `{id}`"));
-        };
-        let baseline = match run_once(&config, &query, None) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("shadow_check: {id} baseline run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // 1. Dual run: identical configuration, fresh cluster and state.
-        match run_once(&config, &query, None) {
-            Ok(shadow) => {
-                if diff(&format!("{id} rerun"), &baseline, &shadow) {
-                    println!("shadow_check: OK {id}: dual run byte-identical");
-                } else {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("shadow_check: {id} shadow run failed: {e}");
-                failed = true;
-            }
-        }
-        // 2. Host-thread variance: real parallelism must not be observable.
-        for t in THREAD_COUNTS {
-            match run_once(&config, &query, Some(t)) {
-                Ok(shadow) => {
-                    if diff(&format!("{id} host-threads={t}"), &baseline, &shadow) {
-                        println!("shadow_check: OK {id}: host-threads={t} byte-identical");
-                    } else {
-                        failed = true;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("shadow_check: {id} host-threads={t} run failed: {e}");
-                    failed = true;
-                }
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
+    let (ok, what) = if args.has("--restore") {
+        (
+            sweep("restore", |t| run_restore_once(&config, t)),
+            "cached cold/warm replay byte-identical across reruns and thread counts",
+        )
+    } else if args.has("--workload") {
+        (
+            sweep("workload", |t| run_workload_once(&config, t)),
+            "concurrent workload byte-identical across reruns and thread counts",
+        )
     } else {
-        println!("shadow_check: OK — all runs byte-identical across reruns and thread counts");
-        ExitCode::SUCCESS
-    }
-}
-
-/// The `--workload` mode: dual-run the concurrent mixed-tenant workload,
-/// then sweep the host thread count — multi-job interleaving must be
-/// byte-identical everywhere.
-fn check_workload(config: &MeasurementConfig) -> ExitCode {
-    let mut failed = false;
-    let baseline = match run_workload_once(config, None) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("shadow_check: workload baseline run failed: {e}");
-            return ExitCode::FAILURE;
+        let mut ok = true;
+        for id in args.value("--queries").unwrap_or("Q1.1,Q2.1").split(',') {
+            let id = id.trim();
+            let Ok(query) = query_by_id(id) else {
+                args.fail(&format!("unknown query `{id}`"));
+            };
+            ok &= sweep(id, |t| run_once(&config, &query, t));
         }
+        (
+            ok,
+            "all runs byte-identical across reruns and thread counts",
+        )
     };
-    match run_workload_once(config, None) {
-        Ok(shadow) => {
-            if diff("workload rerun", &baseline, &shadow) {
-                println!("shadow_check: OK workload: dual run byte-identical");
-            } else {
-                failed = true;
-            }
-        }
-        Err(e) => {
-            eprintln!("shadow_check: workload shadow run failed: {e}");
-            failed = true;
-        }
-    }
-    for t in THREAD_COUNTS {
-        match run_workload_once(config, Some(t)) {
-            Ok(shadow) => {
-                if diff(&format!("workload host-threads={t}"), &baseline, &shadow) {
-                    println!("shadow_check: OK workload: host-threads={t} byte-identical");
-                } else {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("shadow_check: workload host-threads={t} run failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "shadow_check: OK — concurrent workload byte-identical across reruns and thread counts"
-        );
+    if ok {
+        println!("shadow_check: OK — {what}");
         ExitCode::SUCCESS
-    }
-}
-
-/// The `--restore` mode: dual-run the cold-then-warm cached replay, then
-/// sweep the host thread count — the result cache (hits, fills, evictions,
-/// `cache.*` metrics, served-from-cache spans) must be byte-identical
-/// everywhere.
-fn check_restore(config: &MeasurementConfig) -> ExitCode {
-    let mut failed = false;
-    let baseline = match run_restore_once(config, None) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("shadow_check: restore baseline run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_restore_once(config, None) {
-        Ok(shadow) => {
-            if diff("restore rerun", &baseline, &shadow) {
-                println!("shadow_check: OK restore: dual run byte-identical");
-            } else {
-                failed = true;
-            }
-        }
-        Err(e) => {
-            eprintln!("shadow_check: restore shadow run failed: {e}");
-            failed = true;
-        }
-    }
-    for t in THREAD_COUNTS {
-        match run_restore_once(config, Some(t)) {
-            Ok(shadow) => {
-                if diff(&format!("restore host-threads={t}"), &baseline, &shadow) {
-                    println!("shadow_check: OK restore: host-threads={t} byte-identical");
-                } else {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("shadow_check: restore host-threads={t} run failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
     } else {
-        println!(
-            "shadow_check: OK — cached cold/warm replay byte-identical across reruns \
-             and thread counts"
-        );
-        ExitCode::SUCCESS
+        ExitCode::FAILURE
     }
 }

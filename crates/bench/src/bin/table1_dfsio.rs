@@ -10,10 +10,10 @@ use clyde_bench::report::render_table;
 use clyde_dfs::testdfsio;
 
 fn main() {
-    let file_mb: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4);
+    // The positional number is the per-file size in MB here, not a scale
+    // factor.
+    let args = clyde_bench::cli::parse("usage: table1_dfsio [file-MB]", &[], &[]);
+    let file_mb = (args.sf(4.0) as u64).max(1);
     eprintln!("running TestDFSIO write+read jobs ({file_mb} MB files) on both cluster models...");
     let reports = testdfsio::paper_table1(file_mb << 20).expect("TestDFSIO failed");
 

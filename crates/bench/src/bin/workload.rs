@@ -7,7 +7,7 @@
 //! * `--json PATH` writes the runs as the committed-gate JSON document
 //!   (see `BENCH_workload.json` at the repo root for a committed run).
 //! * `--report PATH` writes the human-readable latency report (uploaded
-//!   as the CI `workload-gate` artifact).
+//!   as an artifact of the CI `gates` job).
 //! * `--gate PATH` reads a committed run and **fails (exit 1)** unless
 //!   fair scheduling beats FIFO on the starved tenant's p99 and every
 //!   policy's throughput stays within 0.95x of its committed value.
@@ -16,51 +16,18 @@
 //! simulated time, so the reported numbers are byte-stable across reruns
 //! and machines.
 
-use clyde_bench::workload;
+use clyde_bench::{cli, gate, workload};
 use clyde_mapred::SchedPolicy;
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: workload [SF] [--seed <n>] [--json PATH] [--report PATH] [--gate PATH]");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
 fn main() {
-    let mut sf = 0.005;
-    let mut seed = 46u64;
-    let mut json_path = None;
-    let mut report_path = None;
-    let mut gate_path = None;
-    let mut dump = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => usage("--seed needs an integer"),
-            },
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(p),
-                None => usage("--json needs a path"),
-            },
-            "--report" => match args.next() {
-                Some(p) => report_path = Some(p),
-                None => usage("--report needs a path"),
-            },
-            "--gate" => match args.next() {
-                Some(p) => gate_path = Some(p),
-                None => usage("--gate needs a path"),
-            },
-            "--dump" => dump = true,
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(v) if v > 0.0 => sf = v,
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
-        }
-    }
+    let args = cli::parse(
+        "usage: workload [SF] [--seed <n>] [--json PATH] [--report PATH] [--gate PATH]",
+        &["--seed", "--json", "--report", "--gate"],
+        &["--dump"],
+    );
+    let sf = args.sf(0.005);
+    let seed: u64 = args.parsed("--seed").unwrap_or(46);
+    let dump = args.has("--dump");
 
     eprintln!("loading SSB at SF {sf} (seed {seed}) on the workload cluster...");
     let clyde = workload::build_clyde(sf, seed, None, None)
@@ -103,26 +70,10 @@ fn main() {
 
     let report = workload::render_report(sf, seed, &runs);
     print!("{report}");
-    if let Some(path) = report_path {
-        std::fs::write(&path, &report).expect("write report");
+    if let Some(path) = args.value("--report") {
+        std::fs::write(path, &report).expect("write report");
         eprintln!("wrote {path}");
     }
-    if let Some(path) = json_path {
-        std::fs::write(&path, workload::to_json(sf, seed, &runs)).expect("write json");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = gate_path {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate file {path}: {e}"));
-        match workload::gate(&runs, &committed) {
-            Ok(()) => eprintln!("workload gate passed"),
-            Err(violations) => {
-                for v in &violations {
-                    eprintln!("gate FAIL: {v}");
-                }
-                eprintln!("workload gate FAILED");
-                std::process::exit(1);
-            }
-        }
-    }
+    let fresh = workload::to_json(sf, seed, &runs);
+    gate::finish("workload", gate::WORKLOAD, &args, &fresh);
 }

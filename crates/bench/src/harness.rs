@@ -56,6 +56,21 @@ impl Default for MeasurementConfig {
     }
 }
 
+impl MeasurementConfig {
+    /// A fresh measurement cluster (8 MiB blocks) with this configuration's
+    /// SSB loaded.
+    pub fn testbed(&self, replication: u32, rcfile: bool) -> Result<(Arc<Dfs>, SsbLayout)> {
+        testbed(
+            measurement_cluster(self.workers),
+            8 << 20,
+            replication,
+            SsbGen::new(self.sf, self.seed),
+            self.rows_per_group,
+            rcfile,
+        )
+    }
+}
+
 /// The measurement cluster: cluster A's node shape, fewer workers.
 pub fn measurement_cluster(workers: usize) -> ClusterSpec {
     let mut c = ClusterSpec::cluster_a();
@@ -64,14 +79,40 @@ pub fn measurement_cluster(workers: usize) -> ClusterSpec {
     c
 }
 
-/// Ablation profiles for one query (Figure 9).
-#[derive(Debug)]
-pub struct AblationProfiles {
-    pub no_columnar: JobProfile,
-    pub no_block_iteration: JobProfile,
-    pub no_multithreading: JobProfile,
-    pub no_vectorized: JobProfile,
-    pub no_zone_skipping: JobProfile,
+/// Stand up a simulated cluster — colocating placement, date-clustered CIF,
+/// RCFile too when `rcfile` — load `gen`'s SSB database into it, and hand
+/// back the DFS with the layout the tables live under. Every bench run
+/// starts here.
+pub fn testbed(
+    cluster: ClusterSpec,
+    block_size: u64,
+    replication: u32,
+    gen: SsbGen,
+    rows_per_group: u64,
+    rcfile: bool,
+) -> Result<(Arc<Dfs>, SsbLayout)> {
+    let dfs = Dfs::new(
+        cluster,
+        DfsOptions {
+            block_size,
+            replication,
+            policy: Box::new(ColocatingPlacement),
+        },
+    );
+    let layout = SsbLayout::default();
+    loader::load(
+        &dfs,
+        gen,
+        &layout,
+        &loader::LoadOpts {
+            rows_per_group,
+            cif: true,
+            rcfile,
+            text: false,
+            cluster_by_date: true,
+        },
+    )?;
+    Ok((dfs, layout))
 }
 
 /// Everything measured for one query.
@@ -81,7 +122,9 @@ pub struct QueryMeasurement {
     pub clyde: JobProfile,
     /// Result row count (final-sort sizing).
     pub result_rows: usize,
-    pub ablations: Option<AblationProfiles>,
+    /// One profile per [`Features::ablations`] point, under that point's
+    /// name (see [`Ablation::name`]); empty unless ablations were measured.
+    pub ablations: Vec<(&'static str, JobProfile)>,
     /// Per-stage profiles, present when Hive was measured.
     pub hive_mapjoin: Vec<JobProfile>,
     pub hive_repartition: Vec<JobProfile>,
@@ -122,51 +165,21 @@ pub fn measure_with_obs(
     what: MeasureWhat,
     obs: Arc<Obs>,
 ) -> Result<Measurements> {
-    let cluster = measurement_cluster(config.workers);
-    let dfs = Dfs::new(
-        cluster,
-        DfsOptions {
-            block_size: 8 << 20,
-            replication: 3,
-            policy: Box::new(ColocatingPlacement),
-        },
-    );
-    let layout = SsbLayout::default();
-    let gen = SsbGen::new(config.sf, config.seed);
-    loader::load(
-        &dfs,
-        gen,
-        &layout,
-        &loader::LoadOpts {
-            rows_per_group: config.rows_per_group,
-            cif: true,
-            rcfile: what.hive,
-            text: false,
-            cluster_by_date: true,
-        },
-    )?;
-    let reference_data = if config.validate {
-        Some(gen.gen_all())
-    } else {
-        None
-    };
+    let (dfs, layout) = config.testbed(3, what.hive)?;
+    let reference_data = config
+        .validate
+        .then(|| SsbGen::new(config.sf, config.seed).gen_all());
 
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone()).with_obs(Arc::clone(&obs));
     clyde.warm_dimension_cache()?;
-    let ablated: Vec<(Features, Clydesdale)> = if what.ablations {
-        [
-            Features::without_columnar(),
-            Features::without_block_iteration(),
-            Features::without_multithreading(),
-            Features::without_vectorized(),
-            Features::without_zone_skipping(),
-        ]
-        .into_iter()
-        .map(|f| {
-            let engine = Clydesdale::with_features(Arc::clone(&dfs), layout.clone(), f);
-            (f, engine)
-        })
-        .collect()
+    let ablated: Vec<(&'static str, Clydesdale)> = if what.ablations {
+        Features::ablations()
+            .into_iter()
+            .map(|(name, f)| {
+                let engine = Clydesdale::with_features(Arc::clone(&dfs), layout.clone(), f);
+                (name, engine)
+            })
+            .collect()
     } else {
         Vec::new()
     };
@@ -185,27 +198,15 @@ pub fn measure_with_obs(
             assert_eq!(result.rows, expect, "{}: clydesdale mismatch", query.id);
         }
 
-        let ablations = if what.ablations {
-            let mut profs = Vec::with_capacity(5);
-            for (f, engine) in &ablated {
-                let r = engine.query(&query)?;
-                if let Some(data) = &reference_data {
-                    let expect = reference_answer(data, &query)?;
-                    assert_eq!(r.rows, expect, "{}: {} mismatch", query.id, f.label());
-                }
-                profs.push(r.profile);
+        let mut ablations = Vec::with_capacity(ablated.len());
+        for (name, engine) in &ablated {
+            let r = engine.query(&query)?;
+            if let Some(data) = &reference_data {
+                let expect = reference_answer(data, &query)?;
+                assert_eq!(r.rows, expect, "{}: {name} mismatch", query.id);
             }
-            let mut it = profs.into_iter();
-            Some(AblationProfiles {
-                no_columnar: it.next().expect("five ablations"),
-                no_block_iteration: it.next().expect("five ablations"),
-                no_multithreading: it.next().expect("five ablations"),
-                no_vectorized: it.next().expect("five ablations"),
-                no_zone_skipping: it.next().expect("five ablations"),
-            })
-        } else {
-            None
-        };
+            ablations.push((*name, r.profile));
+        }
 
         let (hive_mapjoin, hive_repartition) = if what.hive {
             let mj = hive_mj.query(&query)?;
@@ -252,8 +253,7 @@ pub fn measure_with_obs(
 
 /// Everything the `profile` binary (and CI) derives from one instrumented
 /// 13-query pass: per-query explain-analyze profiles, the collapsed-stack
-/// flamegraph, a calibration report, and the deterministic profile artifact
-/// consumed by `clyde-profdiff`.
+/// flamegraph, a calibration report, and the deterministic profile artifact.
 #[derive(Debug)]
 pub struct ProfileSuite {
     pub profiles: Vec<QueryProfile>,
@@ -335,28 +335,7 @@ pub fn run_fault_cell(
         )
     });
     let run = |faults: Option<FaultPlan>| -> Result<(Vec<u8>, JobProfile, usize, f64, u64)> {
-        let cluster = measurement_cluster(config.workers);
-        let dfs = Dfs::new(
-            cluster,
-            DfsOptions {
-                block_size: 8 << 20,
-                replication: 3,
-                policy: Box::new(ColocatingPlacement),
-            },
-        );
-        let layout = SsbLayout::default();
-        loader::load(
-            &dfs,
-            SsbGen::new(config.sf, config.seed),
-            &layout,
-            &loader::LoadOpts {
-                rows_per_group: config.rows_per_group,
-                cif: true,
-                rcfile: false,
-                text: false,
-                cluster_by_date: true,
-            },
-        )?;
+        let (dfs, layout) = config.testbed(3, false)?;
         let mut clyde = Clydesdale::new(Arc::clone(&dfs), layout);
         if let Some(f) = faults {
             clyde = clyde.with_faults(Arc::new(f));
@@ -412,34 +391,10 @@ pub struct FaultImpact {
 /// plan stays dead for the next — which is exactly how a real cluster looks
 /// to a sequence of jobs.
 pub fn fault_impact(config: &MeasurementConfig, seed: u64) -> Result<Vec<FaultImpact>> {
-    let build = || -> Result<(Arc<Dfs>, SsbLayout)> {
-        let dfs = Dfs::new(
-            measurement_cluster(config.workers),
-            DfsOptions {
-                block_size: 8 << 20,
-                replication: 3,
-                policy: Box::new(ColocatingPlacement),
-            },
-        );
-        let layout = SsbLayout::default();
-        loader::load(
-            &dfs,
-            SsbGen::new(config.sf, config.seed),
-            &layout,
-            &loader::LoadOpts {
-                rows_per_group: config.rows_per_group,
-                cif: true,
-                rcfile: false,
-                text: false,
-                cluster_by_date: true,
-            },
-        )?;
-        Ok((dfs, layout))
-    };
-    let (clean_dfs, clean_layout) = build()?;
+    let (clean_dfs, clean_layout) = config.testbed(3, false)?;
     let clean = Clydesdale::new(clean_dfs, clean_layout);
     clean.warm_dimension_cache()?;
-    let (fault_dfs, fault_layout) = build()?;
+    let (fault_dfs, fault_layout) = config.testbed(3, false)?;
     let plan = FaultPlan::named("combined", seed).expect("combined is a known plan");
     let faulted = Clydesdale::new(fault_dfs, fault_layout).with_faults(Arc::new(plan));
     faulted.warm_dimension_cache()?;
@@ -564,25 +519,17 @@ impl Extrapolator {
 
     /// Simulated time of one ablated Clydesdale variant.
     pub fn ablation_time(&self, qm: &QueryMeasurement, which: Ablation) -> Result<f64> {
-        let ab = qm
+        let profile = qm
             .ablations
-            .as_ref()
+            .iter()
+            .find(|(name, _)| *name == which.name())
+            .map(|(_, p)| p)
             .expect("measurement did not include ablations");
         let e = match which {
-            // These keep the one-task-per-node shape (per-node builds).
-            Ablation::NoColumnar => self.extrapolate_one_per_node(&qm.query, &ab.no_columnar),
-            Ablation::NoBlockIteration => {
-                self.extrapolate_one_per_node(&qm.query, &ab.no_block_iteration)
-            }
-            Ablation::NoVectorized => self.extrapolate_one_per_node(&qm.query, &ab.no_vectorized),
-            Ablation::NoZoneSkipping => {
-                self.extrapolate_one_per_node(&qm.query, &ab.no_zone_skipping)
-            }
             // MT off: normal split-granularity single-threaded tasks, every
             // task rebuilding its own tables, so total build work = (target
             // task count) × (target dimension rows).
             Ablation::NoMultithreading => {
-                let profile = &ab.no_multithreading;
                 let total = profile.total_map_cost();
                 let measured_build = total.build_rows.max(1) as f64;
                 let target_bytes =
@@ -611,6 +558,8 @@ impl Extrapolator {
                     (profile.memory_per_slot as f64 * self.dims_factor(&qm.query)).round() as u64;
                 e
             }
+            // The others keep the one-task-per-node shape (per-node builds).
+            _ => self.extrapolate_one_per_node(&qm.query, profile),
         };
         let cost = e.price(&self.params, &self.target_cluster)?;
         let sort = qm.result_rows as f64 / self.params.sort_records_per_s + 0.5;
@@ -732,6 +681,18 @@ pub enum Ablation {
 }
 
 impl Ablation {
+    /// The name of the [`Features::ablations`] point this column prices —
+    /// the key its profile is measured and stored under.
+    pub fn name(self) -> &'static str {
+        match self {
+            Ablation::NoColumnar => "no-columnar",
+            Ablation::NoBlockIteration => "no-block-iteration",
+            Ablation::NoMultithreading => "no-multithreading",
+            Ablation::NoVectorized => "no-vectorized",
+            Ablation::NoZoneSkipping => "no-zone-skipping",
+        }
+    }
+
     pub fn label(&self) -> &'static str {
         match self {
             Ablation::NoColumnar => "columnar off",

@@ -18,9 +18,9 @@
 //! [`JobProfile`]: clyde_mapred::JobProfile
 
 pub mod cli;
+pub mod gate;
 pub mod harness;
 pub mod paper;
-pub mod profdiff;
 pub mod report;
 pub mod restore;
 pub mod workload;

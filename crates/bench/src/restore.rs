@@ -22,10 +22,11 @@
 //!
 //! The pass verifies byte-identity (warm rows must equal cold rows,
 //! row-for-row) and reports throughput, per-tenant p99 and hit rates; the
-//! committed `BENCH_restore.json` plus [`gate`] turn the warm speedup and
-//! warm hit rate into CI floors.
+//! committed `BENCH_restore.json` plus [`crate::gate::RESTORE`] turn the
+//! warm speedup and warm hit rate into CI floors.
 
 use crate::workload::{self, Arrival, PolicyRun};
+use clyde_common::obs::json::Json;
 use clyde_common::{rowcodec, ClydeError, Obs, Result};
 use clyde_dfs::CacheStats;
 use clyde_mapred::SchedPolicy;
@@ -191,110 +192,50 @@ pub fn render_report(report: &RestoreReport) -> String {
     out
 }
 
-/// Serialize as the committed-gate JSON document (hand-rolled like the
-/// workload bench — no serde in this workspace; see `BENCH_restore.json`).
-pub fn to_json(report: &RestoreReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"sf\": {},\n  \"seed\": {},\n  \"jobs\": {},\n  \"compression\": {},\n",
-        report.sf,
-        report.seed,
-        report.cold.run.served.len(),
-        COMPRESSION
-    ));
-    out.push_str(&format!(
-        "  \"floors\": {{ \"warm_speedup\": {WARM_SPEEDUP_FLOOR:.2}, \
-         \"warm_hit_rate\": {WARM_HIT_RATE_FLOOR:.2} }},\n"
-    ));
-    out.push_str(&format!(
-        "  \"summary\": {{ \"warm_speedup\": {:.2}, \"warm_hit_rate\": {:.2} }},\n",
-        report.warm_speedup(),
-        report.warm.hit_rate()
-    ));
-    out.push_str("  \"passes\": {\n");
-    for (i, (name, pass)) in [("cold", &report.cold), ("warm", &report.warm)]
-        .into_iter()
-        .enumerate()
-    {
-        out.push_str(&format!(
-            "    \"{name}\": {{\n      \"makespan_s\": {:.2},\n      \
-             \"throughput_jobs_per_min\": {:.2},\n      \"hits\": {},\n      \
-             \"misses\": {},\n      \"hit_rate\": {:.2},\n      \
-             \"bytes_served\": {},\n      \"tenants\": {{\n",
-            pass.run.makespan_s,
-            pass.run.throughput_jobs_per_min,
-            pass.stats.hits,
-            pass.stats.misses,
-            pass.hit_rate(),
-            pass.stats.bytes_served
-        ));
-        for (j, t) in pass.run.tenants.iter().enumerate() {
-            let comma = if j + 1 < pass.run.tenants.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "        \"{}\": {{ \"jobs\": {}, \"p99_s\": {:.2} }}{comma}\n",
-                t.tenant, t.jobs, t.p99_s
-            ));
-        }
-        let comma = if i == 0 { "," } else { "" };
-        out.push_str(&format!("      }}\n    }}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// The CI restore gate. Fails (returns every violation) if:
-///
-/// 1. the warm speedup falls below the hard `2.0x` floor,
-/// 2. the warm speedup falls below `0.9x` its committed value, or
-/// 3. the warm hit rate falls below the `0.80` floor.
-///
-/// Everything is simulated, so a healthy tree reproduces the committed
-/// numbers exactly; the 10% band only absorbs intentional cost
-/// recalibrations, not noise.
-pub fn gate(report: &RestoreReport, committed: &str) -> std::result::Result<(), Vec<String>> {
-    let mut violations = Vec::new();
-    let speedup = report.warm_speedup();
-    let hit_rate = report.warm.hit_rate();
-    if speedup >= WARM_SPEEDUP_FLOOR {
-        eprintln!("gate warm speedup: {speedup:.2}x >= hard floor {WARM_SPEEDUP_FLOOR}x — ok");
-    } else {
-        violations.push(format!(
-            "warm speedup {speedup:.2}x fell below the hard floor {WARM_SPEEDUP_FLOOR}x"
-        ));
-    }
-    match workload::recorded_number(committed, "summary", "warm_speedup") {
-        Some(recorded) => {
-            let floor = recorded * 0.9;
-            if speedup >= floor {
-                eprintln!(
-                    "gate warm speedup: {speedup:.2}x vs recorded {recorded:.2}x \
-                     (floor {floor:.2}x) — ok"
-                );
-            } else {
-                violations.push(format!(
-                    "warm speedup {speedup:.2}x fell below floor {floor:.2}x \
-                     (recorded {recorded:.2}x)"
-                ));
-            }
-        }
-        None => violations.push("committed gate has no summary.warm_speedup".into()),
-    }
-    if hit_rate >= WARM_HIT_RATE_FLOOR {
-        eprintln!("gate warm hit rate: {hit_rate:.2} >= floor {WARM_HIT_RATE_FLOOR} — ok");
-    } else {
-        violations.push(format!(
-            "warm hit rate {hit_rate:.2} fell below the floor {WARM_HIT_RATE_FLOOR}"
-        ));
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
+/// The report as the committed-gate document (see `BENCH_restore.json`).
+pub fn to_json(report: &RestoreReport) -> Json {
+    let pass = |pass: &RestorePass| {
+        let tenants = pass.run.tenants.iter().map(|t| {
+            let stats = Json::obj([
+                ("jobs", Json::Num(t.jobs as f64)),
+                ("p99_s", Json::fixed(t.p99_s, 2)),
+            ]);
+            (t.tenant.clone(), stats)
+        });
+        Json::obj([
+            ("makespan_s", Json::fixed(pass.run.makespan_s, 2)),
+            (
+                "throughput_jobs_per_min",
+                Json::fixed(pass.run.throughput_jobs_per_min, 2),
+            ),
+            ("hits", Json::Num(pass.stats.hits as f64)),
+            ("misses", Json::Num(pass.stats.misses as f64)),
+            ("hit_rate", Json::fixed(pass.hit_rate(), 2)),
+            ("bytes_served", Json::Num(pass.stats.bytes_served as f64)),
+            ("tenants", Json::obj(tenants)),
+        ])
+    };
+    let summary = |speedup: f64, hit_rate: f64| {
+        Json::obj([
+            ("warm_speedup", Json::fixed(speedup, 2)),
+            ("warm_hit_rate", Json::fixed(hit_rate, 2)),
+        ])
+    };
+    Json::obj([
+        ("sf", Json::Num(report.sf)),
+        ("seed", Json::Num(report.seed as f64)),
+        ("jobs", Json::Num(report.cold.run.served.len() as f64)),
+        ("compression", Json::Num(COMPRESSION)),
+        ("floors", summary(WARM_SPEEDUP_FLOOR, WARM_HIT_RATE_FLOOR)),
+        (
+            "summary",
+            summary(report.warm_speedup(), report.warm.hit_rate()),
+        ),
+        (
+            "passes",
+            Json::obj([("cold", pass(&report.cold)), ("warm", pass(&report.warm))]),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -312,14 +253,5 @@ mod tests {
             assert!((f.arrival_s - o.arrival_s / COMPRESSION).abs() < 1e-12);
         }
         assert!(fast.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
-    }
-
-    #[test]
-    fn gate_reads_the_committed_summary() {
-        let json = "{ \"summary\": { \"warm_speedup\": 10.00, \"warm_hit_rate\": 1.00 } }";
-        assert_eq!(
-            workload::recorded_number(json, "summary", "warm_speedup"),
-            Some(10.0)
-        );
     }
 }

@@ -13,13 +13,14 @@
 //! Everything downstream of the submission stream is deterministic
 //! simulated time, so per-tenant latency percentiles and throughput are
 //! byte-stable across reruns and host thread counts — which is what lets
-//! CI gate on them exactly (see [`gate`]).
+//! CI gate on them exactly (see [`crate::gate::WORKLOAD`]).
 
+use crate::harness::testbed;
+use clyde_common::obs::json::Json;
 use clyde_common::{ClydeError, Obs, Result};
-use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
+use clyde_dfs::ClusterSpec;
 use clyde_mapred::{SchedPolicy, ServerConfig};
 use clyde_ssb::gen::SsbGen;
-use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::query_by_id;
 use clydesdale::{Clydesdale, ServedQuery};
 use std::sync::Arc;
@@ -112,26 +113,13 @@ pub fn build_clyde(
     obs: Option<Arc<Obs>>,
     host_threads: Option<u32>,
 ) -> Result<Clydesdale> {
-    let dfs = Dfs::new(
+    let (dfs, layout) = testbed(
         ClusterSpec::tiny(3),
-        DfsOptions {
-            block_size: 1 << 20,
-            replication: 2,
-            policy: Box::new(ColocatingPlacement),
-        },
-    );
-    let layout = SsbLayout::default();
-    loader::load(
-        &dfs,
+        1 << 20,
+        2,
         SsbGen::new(sf, seed),
-        &layout,
-        &loader::LoadOpts {
-            rows_per_group: 2_000,
-            cif: true,
-            rcfile: false,
-            text: false,
-            cluster_by_date: true,
-        },
+        2_000,
+        false,
     )?;
     let mut clyde = Clydesdale::new(dfs, layout);
     if let Some(obs) = obs {
@@ -293,115 +281,38 @@ pub fn render_report(sf: f64, seed: u64, runs: &[PolicyRun]) -> String {
     out
 }
 
-/// Serialize the runs as the committed-gate JSON document (hand-rolled on
-/// purpose — no serde in this workspace; see `BENCH_workload.json`).
-pub fn to_json(sf: f64, seed: u64, runs: &[PolicyRun]) -> String {
-    let mut out = String::new();
+/// The runs as the committed-gate document (see `BENCH_workload.json`).
+pub fn to_json(sf: f64, seed: u64, runs: &[PolicyRun]) -> Json {
     let jobs = runs.first().map_or(0, |r| r.served.len());
-    out.push_str(&format!(
-        "{{\n  \"sf\": {sf},\n  \"seed\": {seed},\n  \"jobs\": {jobs},\n  \"policies\": {{\n"
-    ));
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\n      \"makespan_s\": {:.2},\n      \
-             \"throughput_jobs_per_min\": {:.2},\n      \"tenants\": {{\n",
-            r.policy.label(),
-            r.makespan_s,
-            r.throughput_jobs_per_min
-        ));
-        for (j, t) in r.tenants.iter().enumerate() {
-            let comma = if j + 1 < r.tenants.len() { "," } else { "" };
-            out.push_str(&format!(
-                "        \"{}\": {{ \"jobs\": {}, \"p50_s\": {:.2}, \"p95_s\": {:.2}, \
-                 \"p99_s\": {:.2}, \"mean_wait_s\": {:.2} }}{comma}\n",
-                t.tenant, t.jobs, t.p50_s, t.p95_s, t.p99_s, t.mean_wait_s
-            ));
-        }
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        out.push_str(&format!("      }}\n    }}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Pull the number following `"field":` inside the `"section"` object of a
-/// committed gate JSON (same hand-rolled scan as `bench_probe`).
-pub fn recorded_number(json: &str, section: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{section}\"");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let fkey = format!("\"{field}\"");
-    let fp = rest.find(&fkey)?;
-    let after = &rest[fp + fkey.len()..];
-    let colon = after.find(':')?;
-    let num: String = after[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
-/// The CI workload gate. Fails (returns every violation) if:
-///
-/// 1. fair scheduling does not beat FIFO on the starved tenant's p99, or
-/// 2. any policy's throughput falls below 0.95x its committed value.
-///
-/// Both quantities are simulated, so a healthy tree reproduces the
-/// committed numbers exactly; the 5% floor only absorbs intentional cost
-/// recalibrations, not noise.
-pub fn gate(runs: &[PolicyRun], committed: &str) -> std::result::Result<(), Vec<String>> {
-    let mut violations = Vec::new();
-    match (
-        runs.iter()
-            .find(|r| r.policy == SchedPolicy::Fifo)
-            .and_then(|r| r.tenant("adhoc")),
-        runs.iter()
-            .find(|r| r.policy == SchedPolicy::Fair)
-            .and_then(|r| r.tenant("adhoc")),
-    ) {
-        (Some(fifo), Some(fair)) => {
-            if fair.p99_s < fifo.p99_s {
-                eprintln!(
-                    "gate adhoc p99: fair {:.2}s < fifo {:.2}s — ok",
-                    fair.p99_s, fifo.p99_s
-                );
-            } else {
-                violations.push(format!(
-                    "fair must beat fifo on the starved tenant's p99: \
-                     fair {:.2}s !< fifo {:.2}s",
-                    fair.p99_s, fifo.p99_s
-                ));
-            }
-        }
-        _ => violations.push("gate needs both fifo and fair runs with an adhoc tenant".into()),
-    }
-    for r in runs {
-        let label = r.policy.label();
-        let Some(recorded) = recorded_number(committed, label, "throughput_jobs_per_min") else {
-            violations.push(format!("committed gate has no throughput for `{label}`"));
-            continue;
-        };
-        let floor = recorded * 0.95;
-        if r.throughput_jobs_per_min >= floor {
-            eprintln!(
-                "gate {label}: throughput {:.2} jobs/min vs recorded {recorded:.2} \
-                 (floor {floor:.2}) — ok",
-                r.throughput_jobs_per_min
-            );
-        } else {
-            violations.push(format!(
-                "{label}: throughput {:.2} jobs/min fell below floor {floor:.2} \
-                 (recorded {recorded:.2})",
-                r.throughput_jobs_per_min
-            ));
-        }
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
+    let policy = |r: &PolicyRun| {
+        let tenants = r.tenants.iter().map(|t| {
+            let stats = Json::obj([
+                ("jobs", Json::Num(t.jobs as f64)),
+                ("p50_s", Json::fixed(t.p50_s, 2)),
+                ("p95_s", Json::fixed(t.p95_s, 2)),
+                ("p99_s", Json::fixed(t.p99_s, 2)),
+                ("mean_wait_s", Json::fixed(t.mean_wait_s, 2)),
+            ]);
+            (t.tenant.clone(), stats)
+        });
+        Json::obj([
+            ("makespan_s", Json::fixed(r.makespan_s, 2)),
+            (
+                "throughput_jobs_per_min",
+                Json::fixed(r.throughput_jobs_per_min, 2),
+            ),
+            ("tenants", Json::obj(tenants)),
+        ])
+    };
+    Json::obj([
+        ("sf", Json::Num(sf)),
+        ("seed", Json::Num(seed as f64)),
+        ("jobs", Json::Num(jobs as f64)),
+        (
+            "policies",
+            Json::obj(runs.iter().map(|r| (r.policy.label(), policy(r)))),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -445,23 +356,5 @@ mod tests {
         assert_eq!(percentile(&v, 95.0), 5.0);
         assert_eq!(percentile(&v, 99.0), 5.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn gate_parses_committed_numbers() {
-        let json = "{ \"policies\": { \"fifo\": { \"throughput_jobs_per_min\": 12.50 },\n\
-                     \"fair\": { \"throughput_jobs_per_min\": 13.25 } } }";
-        assert_eq!(
-            recorded_number(json, "fifo", "throughput_jobs_per_min"),
-            Some(12.5)
-        );
-        assert_eq!(
-            recorded_number(json, "fair", "throughput_jobs_per_min"),
-            Some(13.25)
-        );
-        assert_eq!(
-            recorded_number(json, "capacity", "throughput_jobs_per_min"),
-            None
-        );
     }
 }

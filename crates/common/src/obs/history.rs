@@ -332,17 +332,6 @@ impl JobHistory {
             .fold(0.0, f64::max)
     }
 
-    /// Sum of a phase's simulated duration across tasks of one kind.
-    pub fn phase_total_s_for(&self, kind: TaskKind, phase: Phase) -> f64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.kind == kind)
-            .flat_map(|t| &t.phases)
-            .filter(|p| p.phase == phase)
-            .map(|p| p.dur_s)
-            .sum()
-    }
-
     /// Longest single-task total for a phase among tasks of one kind.
     pub fn phase_max_s_for(&self, kind: TaskKind, phase: Phase) -> f64 {
         self.tasks

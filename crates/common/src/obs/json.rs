@@ -1,9 +1,11 @@
-//! Minimal JSON support for trace export and validation.
+//! Minimal JSON support: the one codec for trace validation and for the
+//! committed `BENCH_*.json` artifacts.
 //!
 //! The workspace is offline and dependency-free by design, so the Chrome
-//! trace writer hand-assembles its JSON and the validator uses this small
-//! recursive-descent parser. Only what trace files need is supported
-//! (no `\u` escapes are *emitted*; the parser accepts them).
+//! trace writer hand-assembles its JSON; everything that *reads* JSON goes
+//! through [`parse`], and the bench artifacts are built as [`Json`] values
+//! and written with [`Json::render`], so what a gate reads back is what a
+//! writer produced (`parse(render(v)) == v`).
 
 /// Escape a string for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -34,11 +36,33 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with the given members, in the given order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `v` rounded to `places` decimals exactly as `{:.places$}` prints it —
+    /// artifacts record rounded numbers so a re-record only moves a digit
+    /// when the quantity really moved.
+    pub fn fixed(v: f64, places: usize) -> Json {
+        Json::Num(
+            format!("{v:.places$}")
+                .parse()
+                .expect("a formatted f64 parses back"),
+        )
+    }
+
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Resolve a path of object keys from this value; `None` as soon as a
+    /// segment is not a member of the object reached so far.
+    pub fn at(&self, path: &[&str]) -> Option<&Json> {
+        path.iter().try_fold(self, |v, key| v.get(key))
     }
 
     pub fn as_arr(&self) -> Option<&[Json]> {
@@ -59,6 +83,64 @@ impl Json {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// Serialize as an indented document (two spaces per level, one member
+    /// per line, trailing newline). Numbers print in Rust's shortest
+    /// round-trip form, so [`parse`] returns an equal value; JSON has no
+    /// NaN or infinity, so those become `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn render_into(&self, out: &mut String, depth: usize) {
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        };
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => {
+                out.push('"');
+                out.push_str(&escape(s));
+                out.push('"');
+            }
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    item.render_into(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push(']');
+            }
+            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    out.push('"');
+                    out.push_str(&escape(key));
+                    out.push_str("\": ");
+                    value.render_into(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push('}');
+            }
         }
     }
 }
@@ -260,6 +342,69 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Any JSON value `render` can represent exactly: finite numbers,
+    /// strings over every char (quotes, backslashes and controls included),
+    /// arrays and objects nested `depth` levels.
+    fn arb_json(depth: u32) -> BoxedStrategy<Json> {
+        let text = || {
+            proptest::collection::vec(any::<char>(), 0..8)
+                .prop_map(|cs| cs.into_iter().collect::<String>())
+        };
+        let leaf = prop_oneof![
+            Just(Json::Null),
+            any::<bool>().prop_map(Json::Bool),
+            any::<f64>().prop_map(|n| Json::Num(if n.is_finite() { n } else { 0.5 })),
+            text().prop_map(Json::Str),
+        ];
+        if depth == 0 {
+            return leaf.boxed();
+        }
+        prop_oneof![
+            leaf,
+            proptest::collection::vec(arb_json(depth - 1), 0..4).prop_map(Json::Arr),
+            proptest::collection::vec((text(), arb_json(depth - 1)), 0..4).prop_map(Json::Obj),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #[test]
+        fn parse_inverts_render(v in arb_json(3)) {
+            prop_assert_eq!(parse(&v.render()), Ok(v));
+        }
+    }
+
+    #[test]
+    fn render_is_indented_and_paths_resolve() {
+        let doc = Json::obj([
+            ("sf", Json::Num(0.005)),
+            (
+                "policies",
+                Json::obj([("fifo", Json::obj([("jobs", Json::Num(31.0))]))]),
+            ),
+            ("empty", Json::Arr(Vec::new())),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"sf\": 0.005,\n  \"policies\": {\n    \"fifo\": {\n      \"jobs\": 31\n    }\n  },\n  \"empty\": []\n}\n"
+        );
+        assert_eq!(
+            doc.at(&["policies", "fifo", "jobs"]),
+            Some(&Json::Num(31.0))
+        );
+        assert_eq!(doc.at(&["policies", "fair", "jobs"]), None);
+        assert_eq!(doc.at(&["sf", "jobs"]), None);
+        assert_eq!(Json::Num(f64::NAN).render(), "null\n");
+    }
+
+    #[test]
+    fn fixed_rounds_like_the_format_spec() {
+        assert_eq!(Json::fixed(13.2549, 2), Json::Num(13.25));
+        assert_eq!(Json::fixed(9.999, 2), Json::Num(10.0));
+        assert_eq!(Json::fixed(1234.5678, 0), Json::Num(1235.0));
+    }
 
     #[test]
     fn escape_special_characters() {

@@ -12,8 +12,8 @@
 //!   ending in a calibration verdict that flags any phase whose measured
 //!   share diverges more than a threshold from the model's share.
 //! * `to_json()` — a deterministic artifact (simulated time and counters
-//!   only, wall excluded) consumed by `clyde-profdiff` for regression
-//!   attribution. Byte-identical across runs and host thread counts.
+//!   only, wall excluded), byte-identical across runs and host thread
+//!   counts, so two of them diff meaningfully.
 //!
 //! Calibration compares *shares*, not absolute values: simulated seconds
 //! price a paper-era cluster while wall nanoseconds measure this host, so
@@ -72,7 +72,7 @@ pub struct JobProfileReport {
     pub stages: Vec<StageRow>,
     pub phases: Vec<PhaseRow>,
     /// Per-phase critical-path seconds over map lanes (phase label order of
-    /// [`Phase::all`]); feeds profdiff's sub-attribution of the map stage.
+    /// [`Phase::all`]); sub-attributes the map stage in the artifact.
     pub map_phase_crit: Vec<(Phase, f64)>,
     /// Same over reduce lanes.
     pub reduce_phase_crit: Vec<(Phase, f64)>,
@@ -469,8 +469,8 @@ impl QueryProfile {
     }
 }
 
-/// Bundle a set of query profiles into one deterministic artifact — the
-/// input format of `clyde-profdiff`.
+/// Bundle a set of query profiles into one deterministic artifact (the
+/// `profile` bin's `query-profiles.json`).
 pub fn profiles_json(profiles: &[QueryProfile]) -> String {
     let mut out = String::from("{\"format\":\"clyde-profiles\",\"version\":1,\"queries\":[\n");
     for (i, p) in profiles.iter().enumerate() {

@@ -1,13 +1,13 @@
 //! Chrome trace-event export: turn recorded spans into deterministic JSON
-//! loadable by Perfetto / `chrome://tracing`, and project a [`JobHistory`]
-//! into the span recorder.
+//! loadable by Perfetto / `chrome://tracing`, project a [`JobHistory`]
+//! into the span recorder, and check a serialized trace ([`validate`]).
 //!
 //! Layout: one trace *process* per job; thread 0 is the job/stage lane and
 //! each (task kind, node, slot) gets its own lane. All timestamps are
 //! simulated microseconds, so two identical runs serialize byte-identically.
 
 use super::history::{JobHistory, TaskKind, TaskLane};
-use super::json::escape;
+use super::json::{self, escape, Json};
 use super::span::{us, Span, SpanId, SpanKind, SpanRecorder};
 use std::collections::BTreeMap;
 
@@ -276,6 +276,59 @@ fn event_json(s: &Span) -> String {
     )
 }
 
+/// Check a serialized Chrome trace: well-formed JSON with a `traceEvents`
+/// array, every event carrying `name`, `ph` and a numeric `pid`, only
+/// metadata ("M") and complete ("X") events, each "X" with numeric `tid`,
+/// `ts` and `dur`, and `ts` monotone non-decreasing within every
+/// (pid, tid) track — what [`chrome_trace`]'s ordering guarantees and
+/// Perfetto's nesting relies on. Returns (duration events, tracks).
+pub fn validate(text: &str) -> Result<(usize, usize), String> {
+    let root = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let events = root
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("missing traceEvents array")?;
+    // BTreeMap: the track count is reported, and reports are deterministic.
+    let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+    let mut x_events = 0usize;
+    for (i, ev) in events.iter().enumerate() {
+        let ph = ev
+            .get("ph")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {i} has no ph"))?;
+        let num = |field: &str| {
+            ev.get(field)
+                .and_then(Json::as_num)
+                .ok_or_else(|| format!("event {i} (ph={ph}) missing numeric {field}"))
+        };
+        if ev.get("name").and_then(Json::as_str).is_none() {
+            return Err(format!("event {i} has no name"));
+        }
+        let pid = num("pid")? as u64;
+        match ph {
+            "M" => {}
+            "X" => {
+                let (tid, ts) = (num("tid")? as u64, num("ts")?);
+                num("dur")?;
+                if let Some(prev) = last_ts.insert((pid, tid), ts) {
+                    if ts < prev {
+                        return Err(format!(
+                            "track (pid {pid}, tid {tid}): ts went backwards at event {i} \
+                             ({ts} after {prev})"
+                        ));
+                    }
+                }
+                x_events += 1;
+            }
+            other => return Err(format!("event {i} has unexpected ph \"{other}\"")),
+        }
+    }
+    if x_events == 0 {
+        return Err("trace contains no X (duration) events".into());
+    }
+    Ok((x_events, last_ts.len()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,24 +440,40 @@ mod tests {
     fn chrome_trace_is_valid_and_monotone() {
         let rec = SpanRecorder::enabled();
         record_job(&rec, &sample_history()).unwrap();
-        let text = chrome_trace(&rec);
-        let doc = json::parse(&text).expect("trace must be valid JSON");
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(!events.is_empty());
-        let mut last: std::collections::BTreeMap<(u64, u64), f64> = Default::default();
-        for e in events {
-            let ph = e.get("ph").unwrap().as_str().unwrap();
-            if ph != "X" {
-                continue;
-            }
-            let pid = e.get("pid").unwrap().as_num().unwrap() as u64;
-            let tid = e.get("tid").unwrap().as_num().unwrap() as u64;
-            let ts = e.get("ts").unwrap().as_num().unwrap();
-            let prev = last.insert((pid, tid), ts);
-            if let Some(prev) = prev {
-                assert!(ts >= prev, "ts must be monotone within a track");
-            }
-        }
+        let (events, tracks) = validate(&chrome_trace(&rec)).expect("the writer's own trace");
+        assert!(
+            events >= tracks && tracks >= 2,
+            "{events} events, {tracks} tracks"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_what_perfetto_would_misrender() {
+        let trace = |events: &str| format!("{{\"traceEvents\":[{events}]}}");
+        let x = |ts: u32, rest: &str| {
+            format!("{{\"name\":\"t\",\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":{ts}{rest}}}")
+        };
+        let ok = trace(&format!("{},{}", x(5, ",\"dur\":1"), x(5, ",\"dur\":9")));
+        assert_eq!(validate(&ok), Ok((2, 1)));
+        let backwards = trace(&format!("{},{}", x(5, ",\"dur\":1"), x(4, ",\"dur\":1")));
+        assert!(validate(&backwards)
+            .unwrap_err()
+            .contains("ts went backwards"));
+        assert!(validate(&trace(&x(5, "")))
+            .unwrap_err()
+            .contains("missing numeric dur"));
+        let begin = "{\"name\":\"t\",\"ph\":\"B\",\"pid\":0,\"tid\":1,\"ts\":0}";
+        assert!(validate(&trace(begin))
+            .unwrap_err()
+            .contains("unexpected ph \"B\""));
+        assert!(validate("{\"traceEvents\":[")
+            .unwrap_err()
+            .contains("not valid JSON"));
+        assert!(validate("{}").unwrap_err().contains("missing traceEvents"));
+        let metadata_only = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0}";
+        assert!(validate(&trace(metadata_only))
+            .unwrap_err()
+            .contains("no X"));
     }
 
     #[test]

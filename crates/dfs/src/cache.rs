@@ -81,8 +81,6 @@ pub struct CacheEntry {
     pub input_paths: Vec<String>,
     /// Logical tick of the last lookup or insert (LRU key).
     pub last_used: u64,
-    /// Pinned entries are never evicted (they still invalidate).
-    pub pinned: bool,
 }
 
 /// The fingerprint → entry catalog. Plain data: all locking and all file
@@ -149,22 +147,16 @@ impl CacheCatalog {
         }
     }
 
-    /// Admit an entry, evicting least-recently-used unpinned entries until
-    /// it fits. Returns the output files freed by eviction — the caller
-    /// must delete them from the DFS. The insert is skipped (empty return)
-    /// when the cache is disabled, the fingerprint is already resident, or
-    /// the entry cannot fit even after evicting everything unpinned.
+    /// Admit an entry, evicting least-recently-used entries until it fits.
+    /// Returns the output files freed by eviction — the caller must delete
+    /// them from the DFS. The insert is skipped (empty return) when the
+    /// cache is disabled, the fingerprint is already resident, or the entry
+    /// is larger than the whole budget.
     pub fn insert(&mut self, mut entry: CacheEntry) -> Vec<String> {
-        if !self.enabled() || self.entries.contains_key(&entry.fingerprint) {
-            return Vec::new();
-        }
-        let pinned_bytes: u64 = self
-            .entries
-            .values()
-            .filter(|e| e.pinned)
-            .map(|e| e.bytes)
-            .sum();
-        if pinned_bytes.saturating_add(entry.bytes) > self.capacity_bytes {
+        if !self.enabled()
+            || self.entries.contains_key(&entry.fingerprint)
+            || entry.bytes > self.capacity_bytes
+        {
             return Vec::new();
         }
         let mut freed = Vec::new();
@@ -172,7 +164,6 @@ impl CacheCatalog {
             let victim = self
                 .entries
                 .values()
-                .filter(|e| !e.pinned)
                 .min_by_key(|e| (e.last_used, e.fingerprint))
                 .map(|e| e.fingerprint);
             let Some(fp) = victim else { break };
@@ -194,17 +185,6 @@ impl CacheCatalog {
     /// hit/miss counters.
     pub fn contains(&self, fingerprint: u64) -> bool {
         self.entries.contains_key(&fingerprint)
-    }
-
-    /// Pin or unpin an entry; returns whether it exists.
-    pub fn set_pinned(&mut self, fingerprint: u64, pinned: bool) -> bool {
-        match self.entries.get_mut(&fingerprint) {
-            Some(e) => {
-                e.pinned = pinned;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Drop every entry that depends on `path` — as a fingerprinted input
@@ -250,7 +230,6 @@ mod tests {
             memory_rows: Some(1),
             input_paths: inputs.iter().map(|s| s.to_string()).collect(),
             last_used: 0,
-            pinned: false,
         }
     }
 
@@ -291,26 +270,6 @@ mod tests {
         assert_eq!(c.resident(), vec![1, 3]);
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.stats().bytes_stored, 80);
-    }
-
-    #[test]
-    fn pinned_entries_survive_pressure() {
-        let mut c = CacheCatalog::new();
-        c.set_capacity(100);
-        c.insert(entry(1, 60, &[]));
-        assert!(c.set_pinned(1, true));
-        // 60 pinned + 50 new > 100: infeasible, insert skipped, nothing freed.
-        assert!(c.insert(entry(2, 50, &[])).is_empty());
-        assert_eq!(c.resident(), vec![1]);
-        // A fitting entry evicts nothing (pinned stays) and is admitted.
-        assert!(c.insert(entry(3, 40, &[])).is_empty());
-        assert_eq!(c.resident(), vec![1, 3]);
-        // Unpinned, entry 1 becomes evictable again: dropping it alone
-        // makes room, so entry 3 survives.
-        assert!(c.set_pinned(1, false));
-        let freed = c.insert(entry(4, 60, &[]));
-        assert_eq!(freed, vec![format!("/cache/{:016x}/rows.bin", 1u64)]);
-        assert_eq!(c.resident(), vec![3, 4]);
     }
 
     #[test]

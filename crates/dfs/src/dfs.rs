@@ -479,7 +479,7 @@ impl Dfs {
         self.cache.write().lookup(fingerprint)
     }
 
-    /// Admit a cached entry, evicting least-recently-used unpinned entries
+    /// Admit a cached entry, evicting least-recently-used entries
     /// under the capacity budget and deleting their backing files. Returns
     /// whether the entry was admitted — callers persist the output bytes
     /// only on `true`.
@@ -492,12 +492,6 @@ impl Dfs {
             }
         }
         Ok(self.cache.read().contains(fp))
-    }
-
-    /// Pin or unpin a cached entry; pinned entries are never evicted.
-    /// Returns whether the entry exists.
-    pub fn cache_pin(&self, fingerprint: u64, pinned: bool) -> bool {
-        self.cache.write().set_pinned(fingerprint, pinned)
     }
 
     pub fn list(&self, prefix: &str) -> Vec<String> {
@@ -856,7 +850,6 @@ mod tests {
             memory_rows: None,
             input_paths: inputs.iter().map(|s| s.to_string()).collect(),
             last_used: 0,
-            pinned: false,
         }
     }
 

@@ -10,7 +10,7 @@
 //! (Section 6.3's 4,887 reloads; Section 6.4's cluster-A OOMs).
 
 use clyde_columnar::RcFileReader;
-use clyde_common::{rowcodec, ClydeError, Datum, FxHashMap, Result, Row, Schema};
+use clyde_common::{rowcodec, ClydeError, FxHashMap, Result, Row, Schema};
 use clyde_dfs::Dfs;
 use clyde_mapred::engine::ClientArtifacts;
 use clyde_mapred::{DistCache, MapRunner, MapTaskContext, Reader};
@@ -149,14 +149,4 @@ pub fn joined_schema(input: &Schema, join: &DimJoin) -> Result<Schema> {
         fields.push(dim_schema.field(dim_schema.index_of(a)?).clone());
     }
     Ok(Schema::new(fields))
-}
-
-/// Estimate of a decoded datum row set size, used in tests.
-pub fn table_entry(pk: i64, aux: Vec<Datum>) -> Row {
-    let mut r = Row::with_capacity(1 + aux.len());
-    r.push(Datum::I64(pk));
-    for d in aux {
-        r.push(d);
-    }
-    r
 }

@@ -1,6 +1,6 @@
 //! D005 fixture: the `scheduler.*` namespace is closed — a literal name
 //! must be one of `clyde_lint::D005_SCHEDULER_METRICS`. The CI
-//! `workload-gate` job reads these series by name, so an unregistered one
+//! workload gate reads these series by name, so an unregistered one
 //! would silently escape the gate.
 
 struct Metrics;

@@ -213,7 +213,7 @@ pub const D005_NAMESPACES: [&str; 4] = ["mapred.", "dfs.", "scheduler.", "cache.
 pub const D005_ALLOWED: &[&str] = &["crates/common/src/obs/metrics.rs"];
 
 /// The closed set of `scheduler.*` series. These are a CI gate surface —
-/// the `workload-gate` job and the server swimlane tests assert on them by
+/// the workload gate and the server swimlane tests assert on them by
 /// name — so unlike the open namespaces, a `scheduler.` literal must match
 /// this registry exactly. Emitting a new scheduler series means adding it
 /// here (and to the goldens that read it) in the same change.
@@ -230,7 +230,7 @@ pub const D005_SCHEDULER_METRICS: [&str; 9] = [
 ];
 
 /// The closed set of `cache.*` series (the result-cache surface). Like the
-/// scheduler registry, these are a gate surface — the `restore-gate` CI job
+/// scheduler registry, these are a gate surface — the CI restore gate
 /// and `shadow_check --restore` compare them byte-for-byte — so every
 /// `cache.` literal must match this registry exactly.
 pub const D005_CACHE_METRICS: [&str; 8] = [

@@ -351,7 +351,7 @@ pub(crate) fn d005_scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                     rule: Rule::MetricName,
                     message: format!(
                         "unregistered scheduler series `{n}` — the scheduler.* namespace \
-                         is closed (the CI workload-gate reads it by name); add the \
+                         is closed (the CI workload gate reads it by name); add the \
                          series to clyde_lint::D005_SCHEDULER_METRICS first"
                     ),
                 });
@@ -363,7 +363,7 @@ pub(crate) fn d005_scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                     rule: Rule::MetricName,
                     message: format!(
                         "unregistered cache series `{n}` — the cache.* namespace is \
-                         closed (the CI restore-gate and shadow_check --restore read it \
+                         closed (the CI restore gate and shadow_check --restore read it \
                          by name); add the series to clyde_lint::D005_CACHE_METRICS first"
                     ),
                 });

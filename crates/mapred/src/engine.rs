@@ -1052,7 +1052,6 @@ impl Engine {
                     memory_rows: Some(rows.len() as u64),
                     input_paths,
                     last_used: 0,
-                    pinned: false,
                 })?;
                 if admitted {
                     self.dfs.write_file(&path, None, &payload)?;
@@ -1073,7 +1072,6 @@ impl Engine {
                     memory_rows: None,
                     input_paths,
                     last_used: 0,
-                    pinned: false,
                 })?;
                 if admitted {
                     for (src, dst) in output_files.iter().zip(&paths) {

@@ -50,18 +50,6 @@ pub enum CompiledFactPred {
 }
 
 impl CompiledFactPred {
-    /// Evaluate against column slices of a block at row `i`.
-    #[inline]
-    pub fn eval_i32(&self, columns: &[&[i32]], i: usize) -> bool {
-        match *self {
-            CompiledFactPred::Between { col, lo, hi } => {
-                let v = columns[col][i];
-                v >= lo && v <= hi
-            }
-            CompiledFactPred::Lt { col, value } => columns[col][i] < value,
-        }
-    }
-
     pub fn col(&self) -> usize {
         match *self {
             CompiledFactPred::Between { col, .. } | CompiledFactPred::Lt { col, .. } => col,

@@ -1,5 +1,6 @@
 //! Measurement and extrapolation machinery shared by the figure binaries.
 
+use crate::report::{render_fault_impact, render_table, secs, speedup};
 use clyde_common::obs::{profiles_json, QueryProfile};
 use clyde_common::{Obs, Result};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions, IoSnapshot};
@@ -668,6 +669,116 @@ fn bloat_stage_bytes(p: &JobProfile, in_f: f64, out_f: f64) -> JobProfile {
         t.cost.output_bytes = s(t.cost.output_bytes, out_f);
     }
     out
+}
+
+/// The whole of `fig7` / `fig8`: execute all 13 SSB queries for real at the
+/// measurement scale (validating every answer), extrapolate to SF1000 on
+/// `cluster` with the calibrated cost model, and print Clydesdale against
+/// both Hive plans beside what the paper reports for that cluster
+/// (`paper_speedup` is min / max / avg; `paper_oom` the mapjoin plans that
+/// ran out of memory).
+pub fn figure_vs_hive(
+    figure: u32,
+    cluster: ClusterSpec,
+    paper_speedup: [f64; 3],
+    paper_oom: &[&str],
+) {
+    let args = crate::cli::figure(&format!("fig{figure}"));
+    let sf = args.sf(0.02);
+    let obs = args.obs();
+    let config = MeasurementConfig {
+        sf,
+        ..MeasurementConfig::default()
+    };
+    eprintln!(
+        "measuring all 13 SSB queries at SF {sf} (Clydesdale + Hive mapjoin + Hive repartition), validating results..."
+    );
+    let m = measure_with_obs(
+        &config,
+        MeasureWhat {
+            hive: true,
+            ablations: false,
+        },
+        Arc::clone(&obs),
+    )
+    .expect("measurement failed");
+    args.write_trace(&obs);
+    let cluster_label = cluster.name.replace('-', " ");
+    let hardware = format!(
+        "{} workers x {} cores / {} GB / {} disks",
+        cluster.workers,
+        cluster.node.cores,
+        cluster.node.memory_bytes >> 30,
+        cluster.node.disks
+    );
+    let ex = Extrapolator::new(cluster, 1000.0, &m);
+
+    let mut rows = Vec::new();
+    let mut speedups: Vec<f64> = Vec::new();
+    let mut ooms = Vec::new();
+    for qm in &m.queries {
+        let clyde = ex.clyde_time(qm).expect("clydesdale never OOMs");
+        let rp = ex
+            .hive_time(&m, qm, JoinStrategy::Repartition)
+            .expect("repartition never OOMs");
+        speedups.push(rp / clyde);
+        let (mj_cell, mj_speedup) = match ex.hive_time(&m, qm, JoinStrategy::MapJoin) {
+            Ok(t) => {
+                speedups.push(t / clyde);
+                (secs(t), speedup(t / clyde))
+            }
+            Err(_) => {
+                ooms.push(qm.query.id.as_str());
+                ("OOM-FAILED".to_string(), "-".to_string())
+            }
+        };
+        rows.push(vec![
+            qm.query.id.clone(),
+            secs(clyde),
+            secs(rp),
+            speedup(rp / clyde),
+            mj_cell,
+            mj_speedup,
+        ]);
+    }
+
+    println!("\nFigure {figure}: SSB at SF1000 on {cluster_label} ({hardware})\n");
+    println!(
+        "{}",
+        render_table(
+            &[
+                "query",
+                "Clydesdale",
+                "Hive-repartition",
+                "speedup",
+                "Hive-mapjoin",
+                "speedup",
+            ],
+            &rows,
+        )
+    );
+    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = speedups.iter().copied().fold(0.0f64, f64::max);
+    let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
+    println!("speedup over Hive: min {min:.1}x  max {max:.1}x  avg {avg:.1}x");
+    let [paper_min, paper_max, paper_avg] = paper_speedup;
+    println!("paper reports:     min {paper_min:.1}x  max {paper_max:.1}x  avg {paper_avg:.1}x");
+    let paper_oom = if paper_oom.is_empty() {
+        format!("none on {cluster_label}")
+    } else {
+        format!("{paper_oom:?}")
+    };
+    println!("mapjoin OOM failures (paper: {paper_oom}): {ooms:?}");
+
+    if let Some(seed) = args.faults() {
+        eprintln!("\nre-running all 13 queries under the `combined` fault plan (seed {seed})...");
+        let impacts = fault_impact(&config, seed).expect("fault impact run failed");
+        println!(
+            "\nFault impact (combined plan, seed {seed}, measurement scale SF {sf}): \
+             every answer identical to the fault-free run\n"
+        );
+        println!("{}", render_fault_impact(&impacts));
+    }
 }
 
 /// Which feature is disabled (Figure 9).

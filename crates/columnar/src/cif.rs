@@ -97,33 +97,29 @@ impl CifTableMeta {
     }
 
     fn decode(base: &str, data: &[u8]) -> Result<CifTableMeta> {
-        if data.len() < 4 || &data[..4] != MAGIC {
+        if !data.starts_with(MAGIC) {
             return Err(ClydeError::Format("not a CIF meta file".into()));
         }
-        let mut pos = 4usize;
+        let mut pos = MAGIC.len();
         let types = rowcodec::read_types(data, &mut pos)?;
-        let n = varint::read_u64(data, &mut pos)? as usize;
-        if n != types.len() {
+        if varint::read_u64(data, &mut pos)? != types.len() as u64 {
             return Err(ClydeError::Format(
                 "CIF meta name/type count mismatch".into(),
             ));
         }
-        let mut fields = Vec::with_capacity(n);
+        let mut fields = Vec::with_capacity(types.len());
         for t in types {
-            let len = varint::read_u64(data, &mut pos)? as usize;
-            let end = pos + len;
-            let bytes = data
-                .get(pos..end)
-                .ok_or_else(|| ClydeError::Format("truncated CIF meta".into()))?;
-            pos = end;
-            let name = std::str::from_utf8(bytes)
-                .map_err(|_| ClydeError::Format("invalid utf-8 in CIF meta".into()))?;
-            fields.push(Field::new(name, t));
+            fields.push(Field::new(rowcodec::read_str(data, &mut pos)?, t));
         }
         let rows_per_group = varint::read_u64(data, &mut pos)?;
         let first_group = varint::read_u64(data, &mut pos)?;
-        let g = varint::read_u64(data, &mut pos)? as usize;
-        let mut group_rows = Vec::with_capacity(g);
+        // The count is untrusted and sizes an allocation; every group costs
+        // at least one byte, so more groups than bytes left is a lie.
+        let g = varint::read_u64(data, &mut pos)?;
+        if g > data.len().saturating_sub(pos) as u64 {
+            return Err(ClydeError::Format("truncated CIF meta".into()));
+        }
+        let mut group_rows = Vec::with_capacity(g as usize);
         for _ in 0..g {
             group_rows.push(varint::read_u64(data, &mut pos)?);
         }
@@ -401,7 +397,7 @@ impl CifReader {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use clyde_common::{row, Datum, DatumType};
 
@@ -555,6 +551,53 @@ mod tests {
     fn meta_decode_rejects_garbage() {
         assert!(CifTableMeta::decode("/t", b"nope").is_err());
         assert!(CifTableMeta::decode("/t", b"").is_err());
+    }
+
+    /// A meta decoder must map every truncation of `good` and each crafted
+    /// buffer to a typed error, and every single-bit flip to some table or a
+    /// typed error — never a panic, whatever counts and lengths the bytes
+    /// claim. (`rcfile` runs its decoder through this too.)
+    pub(crate) fn assert_meta_decoder_is_total<T: std::fmt::Debug>(
+        decode: impl Fn(&[u8]) -> Result<T>,
+        good: &[u8],
+        crafted: &[Vec<u8>],
+    ) {
+        decode(good).expect("the writer's own bytes decode");
+        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+        for bad in cuts.chain(crafted.iter().cloned()) {
+            let r = decode(&bad);
+            assert!(matches!(r, Err(ClydeError::Format(_))), "{bad:?}: {r:?}");
+        }
+        for bit in 0..good.len() * 8 {
+            let mut bad = good.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&bad);
+        }
+    }
+
+    /// `magic`, then `fields` as varints: a header whose counts and lengths
+    /// are whatever the test wants them to claim.
+    pub(crate) fn crafted_meta(magic: &[u8], fields: &[u64]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        for &v in fields {
+            varint::write_u64(&mut out, v);
+        }
+        out
+    }
+
+    #[test]
+    fn meta_decode_survives_damage_and_lying_counts() {
+        let dfs = Dfs::for_tests(2);
+        let good = write_table(&dfs, "/t/dmg", 25, 10).encode();
+        // No columns, then (rows per group, first group and) a group count of
+        // 2^61; and one `i64` column (tag 1) whose name claims u64::MAX bytes.
+        let huge_groups = crafted_meta(MAGIC, &[0, 0, 10, 0, 1 << 61]);
+        let huge_name = crafted_meta(MAGIC, &[1, 1, 1, u64::MAX]);
+        assert_meta_decoder_is_total(
+            |bytes| CifTableMeta::decode("/t/dmg", bytes),
+            &good,
+            &[huge_groups, huge_name],
+        );
     }
 
     #[test]

@@ -93,27 +93,24 @@ impl RcFileMeta {
     }
 
     fn decode(base: &str, data: &[u8]) -> Result<RcFileMeta> {
-        if data.len() < 4 || &data[..4] != MAGIC {
+        if !data.starts_with(MAGIC) {
             return Err(ClydeError::Format("not an RCFile meta file".into()));
         }
-        let mut pos = 4usize;
+        let mut pos = MAGIC.len();
         let types = rowcodec::read_types(data, &mut pos)?;
         let mut fields = Vec::with_capacity(types.len());
         for t in types {
-            let len = varint::read_u64(data, &mut pos)? as usize;
-            let end = pos + len;
-            let bytes = data
-                .get(pos..end)
-                .ok_or_else(|| ClydeError::Format("truncated RCFile meta".into()))?;
-            pos = end;
-            let name = std::str::from_utf8(bytes)
-                .map_err(|_| ClydeError::Format("invalid utf-8 in RCFile meta".into()))?;
-            fields.push(Field::new(name, t));
+            fields.push(Field::new(rowcodec::read_str(data, &mut pos)?, t));
         }
         let ncols = fields.len();
-        let ngroups = varint::read_u64(data, &mut pos)? as usize;
-        let mut group_rows = Vec::with_capacity(ngroups);
-        let mut chunks = Vec::with_capacity(ngroups);
+        // The count is untrusted and sizes two allocations; every group
+        // costs at least one byte, so more groups than bytes left is a lie.
+        let ngroups = varint::read_u64(data, &mut pos)?;
+        if ngroups > data.len().saturating_sub(pos) as u64 {
+            return Err(ClydeError::Format("truncated RCFile meta".into()));
+        }
+        let mut group_rows = Vec::with_capacity(ngroups as usize);
+        let mut chunks = Vec::with_capacity(ngroups as usize);
         for _ in 0..ngroups {
             group_rows.push(varint::read_u64(data, &mut pos)?);
             let mut cols = Vec::with_capacity(ncols);
@@ -411,6 +408,22 @@ mod tests {
     #[test]
     fn meta_rejects_garbage() {
         assert!(RcFileMeta::decode("/x", b"zzzz").is_err());
+    }
+
+    #[test]
+    fn meta_decode_survives_damage_and_lying_counts() {
+        use crate::cif::tests::{assert_meta_decoder_is_total, crafted_meta};
+        let dfs = Dfs::for_tests(2);
+        let good = make(&dfs, "/hive/dmg", 23, 10).encode();
+        // No columns, then a group count of 2^61; and one `i64` column
+        // (tag 1) whose name claims u64::MAX bytes.
+        let huge_groups = crafted_meta(MAGIC, &[0, 1 << 61]);
+        let huge_name = crafted_meta(MAGIC, &[1, 1, u64::MAX]);
+        assert_meta_decoder_is_total(
+            |bytes| RcFileMeta::decode("/hive/dmg", bytes),
+            &good,
+            &[huge_groups, huge_name],
+        );
     }
 
     #[test]

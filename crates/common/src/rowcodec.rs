@@ -68,22 +68,25 @@ pub fn read_datum_ref<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DatumRef<'a>
             *pos += 8;
             Ok(DatumRef::F64(f64::from_bits(u64::from_le_bytes(*bits))))
         }
-        TAG_STR => {
-            // The length is untrusted (any u64): the end offset must be
-            // computed checked, not wrapped or panicked on.
-            let len = varint::read_u64(buf, pos)?;
-            let bytes = usize::try_from(len)
-                .ok()
-                .and_then(|len| pos.checked_add(len))
-                .and_then(|end| buf.get(*pos..end))
-                .ok_or_else(|| ClydeError::Format("rowcodec: truncated string".into()))?;
-            *pos += bytes.len();
-            std::str::from_utf8(bytes)
-                .map(DatumRef::Str)
-                .map_err(|_| ClydeError::Format("rowcodec: invalid utf-8".into()))
-        }
+        TAG_STR => read_str(buf, pos).map(DatumRef::Str),
         other => Err(ClydeError::Format(format!("rowcodec: unknown tag {other}"))),
     }
+}
+
+/// Read a length-prefixed utf-8 string, borrowed from `buf` (a string
+/// datum's payload; the table metadata files store field names the same
+/// way).
+pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str> {
+    // The length is untrusted (any u64): the end offset must be computed
+    // checked, not wrapped or panicked on.
+    let len = varint::read_u64(buf, pos)?;
+    let bytes = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| ClydeError::Format("rowcodec: truncated string".into()))?;
+    *pos += bytes.len();
+    std::str::from_utf8(bytes).map_err(|_| ClydeError::Format("rowcodec: invalid utf-8".into()))
 }
 
 /// Read one datum.

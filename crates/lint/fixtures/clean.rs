@@ -1,7 +1,7 @@
 //! Clean fixture: deterministic idioms and correctly pragma'd exceptions.
 //! `clyde-lint --self-test` must find nothing here. Prose mentions of
 //! HashMap, Mutex, Instant::now, and thread_rng must not trip the scanner
-//! (comments and strings are masked).
+//! (comments and strings are not identifier tokens).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -33,5 +33,5 @@ pub fn xor_digest(counts: &HashMap<String, u64>) -> u64 {
 }
 
 pub fn describe() -> &'static str {
-    "strings mentioning Mutex, RwLock, Instant::now and thread_rng are masked"
+    "strings mentioning Mutex, RwLock, Instant::now and thread_rng are not code"
 }

@@ -12,7 +12,6 @@ fn emit(m: &Metrics, dynamic: &str) {
     m.counter_add("clyde.queries", 1);
     // No namespace at all.
     m.gauge_set("locality", 0.5);
-    // Keep the non-literal case last: the literal lookahead window must not
-    // be able to borrow a name from a following call site.
+    // Not a literal: the name cannot be grepped for.
     m.histogram_record(dynamic, 2.0);
 }

@@ -1,5 +1,5 @@
 //! D005 fixture: the `scheduler.*` namespace is closed — a literal name
-//! must be one of `clyde_lint::D005_SCHEDULER_METRICS`. The CI
+//! must be one of the series `clyde_lint::D005_REGISTRY` lists for it. The CI
 //! workload gate reads these series by name, so an unregistered one
 //! would silently escape the gate.
 

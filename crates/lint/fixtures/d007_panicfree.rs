@@ -1,7 +1,6 @@
-//! D007 fixture: panic-capable sites on the recovery surface. The
-//! self-test scans this file *as* `crates/mapred/src/fault.rs` (a
-//! whole-file recovery module), so the scope plumbing itself is exercised.
-//! This file is NOT compiled.
+//! D007 fixture: panic-capable sites in engine code. The self-test scans
+//! this file *as* a source file of an engine crate (`crates/dfs/src/…`), so
+//! the by-crate scope itself is exercised. This file is NOT compiled.
 
 /// Unchecked indexing: panics on an empty replica set — exactly the state
 /// re-replication runs in.

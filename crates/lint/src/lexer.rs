@@ -1,7 +1,7 @@
 //! A hand-rolled, lossless Rust lexer.
 //!
-//! The analyzer's foundation: every rule pass — textual (D001–D005) and
-//! structural (D006–D009) — consumes this token stream, never raw text.
+//! The analyzer's foundation: every rule pass consumes this token stream
+//! (through [`crate::parse`]), never raw text.
 //! Three properties matter more than speed (though it lexes the whole
 //! workspace in milliseconds):
 //!
@@ -12,8 +12,8 @@
 //!    comments run to EOF; unknown characters become one-char [`TokKind::Punct`]
 //!    tokens. A lint must never crash on the code it audits.
 //! 3. **Comment/string aware**: rule patterns must never match prose or
-//!    literals, so the masked rendering ([`masked_lines`]) blanks comment
-//!    and literal tokens while preserving line structure exactly.
+//!    literals, so comments and string/char literals are single tokens of
+//!    their own kinds, never identifiers.
 //!
 //! The tricky corners are the usual ones: `'a` lifetimes vs `'a'` chars,
 //! `r#"raw"#` strings vs `r#raw` identifiers, nested block comments, and
@@ -68,7 +68,7 @@ fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
 }
 
-pub(crate) fn is_ident_char(c: char) -> bool {
+fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
@@ -347,24 +347,6 @@ impl Lexer {
     }
 }
 
-/// Render the masked source lines: literal and comment tokens are blanked
-/// (newlines preserved), everything else verbatim. Rule patterns match
-/// against these lines so they can never fire on prose or string contents.
-pub fn masked_lines(toks: &[Tok]) -> Vec<String> {
-    let mut out = String::new();
-    for t in toks {
-        match t.kind {
-            TokKind::Str | TokKind::Char | TokKind::LineComment | TokKind::BlockComment => {
-                for c in t.text.chars() {
-                    out.push(if c == '\n' { '\n' } else { ' ' });
-                }
-            }
-            _ => out.push_str(&t.text),
-        }
-    }
-    out.lines().map(str::to_string).collect()
-}
-
 /// Every `//` comment with its 1-based line number and the text after the
 /// slashes — the pragma parser's input.
 pub fn line_comments(toks: &[Tok]) -> Vec<(usize, String)> {
@@ -444,12 +426,14 @@ mod tests {
     }
 
     #[test]
-    fn masked_lines_blank_literals_and_comments() {
-        let lines = masked_lines(&lex("let s = \"Mutex\"; // Instant::now\nlet t = 1;\n"));
-        assert!(!lines[0].contains("Mutex"));
-        assert!(!lines[0].contains("Instant"));
-        assert!(lines[0].contains("let s ="));
-        assert_eq!(lines[1], "let t = 1;");
+    fn literals_and_comments_are_never_identifiers() {
+        let toks = lex("let s = \"Mutex\"; // Instant::now\nlet t = 1;\n");
+        let idents: Vec<_> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(idents, ["let", "s", "let", "t"]);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! and query results are byte-identical across runs, fault plans, and thread
 //! counts — and that the recovery paths backing the fault claims cannot
 //! panic. Those properties are easy to break silently, so this crate checks
-//! them mechanically on every CI run. The v1 scanner matched tokens against
-//! masked lines; v2 keeps those rules and adds the structure they could not
-//! see — a hand-rolled lossless lexer ([`lexer`]), a simplified per-file AST
-//! ([`parse`]), and an intra-crate call graph with a static lock graph
-//! ([`graph`]):
+//! them mechanically on every CI run and in tier-1 (`tests/lint_clean.rs`).
+//! One pipeline: a hand-rolled lossless lexer ([`lexer`]), a simplified
+//! per-file AST ([`parse`]), and an intra-crate call graph with a static
+//! lock graph ([`graph`]); every rule reads tokens and the AST, never text:
 //!
 //! * **D001 `unordered`** — no unordered `HashMap`/`HashSet` iteration may
 //!   feed output: sort nearby, collect into a `BTreeMap`/`BTreeSet`, end in
@@ -21,16 +20,15 @@
 //!   explicit seeds through the splitmix64 plumbing.
 //! * **D004 `concurrency`** — concurrency primitives only in the audited
 //!   modules ([`D004_AUDITED`]); task code paths stay lock-free.
-//! * **D005 `metricname`** — metric names are string literals in registered
-//!   namespaces ([`D005_NAMESPACES`]); `scheduler.*` and `cache.*` are
-//!   closed registries ([`D005_SCHEDULER_METRICS`],
-//!   [`D005_CACHE_METRICS`]).
+//! * **D005 `metricname`** — an emitter's first argument is a string
+//!   literal in a registered namespace ([`D005_REGISTRY`]); `scheduler.*`
+//!   and `cache.*` are closed sets.
 //! * **D006 `floatorder`** — non-associative float reductions in the
 //!   merge-scope files ([`rules::d006::D006_MERGE_SCOPE`]) must pin their
 //!   fold order or carry a reasoned pragma.
 //! * **D007 `panicfree`** — no `unwrap`/`expect`/`panic!`/unchecked
-//!   indexing on the designated recovery surface
-//!   ([`rules::d007::D007_RECOVERY`]); grandfathered sites live in
+//!   indexing in non-test code of the five engine crates (`common`,
+//!   `columnar`, `dfs`, `mapred`, `core`); grandfathered sites live in
 //!   `baseline.lint` under a CI-enforced downward ratchet ([`baseline`]).
 //! * **D008 `walltaint`** — per-function taint tracking: wall-derived
 //!   values must not reach sim-time sinks (metrics, traces, profile JSON)
@@ -61,7 +59,6 @@ pub mod parse;
 pub mod rules;
 
 pub use rules::d006::D006_MERGE_SCOPE;
-pub use rules::d007::D007_RECOVERY;
 pub use rules::d008::D008_SINKS;
 
 /// The invariant catalog.
@@ -90,47 +87,37 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 9] = [
-        Rule::Unordered,
-        Rule::WallClock,
-        Rule::Entropy,
-        Rule::Concurrency,
-        Rule::MetricName,
-        Rule::FloatOrder,
-        Rule::PanicFree,
-        Rule::WallTaint,
-        Rule::LockGraph,
+    /// The catalog, spelled once: every rule with its report code and the
+    /// name `allow(...)` pragmas use, in declaration order.
+    pub const ALL: [(Rule, &'static str, &'static str); 10] = [
+        (Rule::Unordered, "D001", "unordered"),
+        (Rule::WallClock, "D002", "wallclock"),
+        (Rule::Entropy, "D003", "entropy"),
+        (Rule::Concurrency, "D004", "concurrency"),
+        (Rule::MetricName, "D005", "metricname"),
+        (Rule::FloatOrder, "D006", "floatorder"),
+        (Rule::PanicFree, "D007", "panicfree"),
+        (Rule::WallTaint, "D008", "walltaint"),
+        (Rule::LockGraph, "D009", "lockgraph"),
+        (Rule::BadPragma, "P001", "pragma"),
     ];
 
     pub fn code(self) -> &'static str {
-        match self {
-            Rule::Unordered => "D001",
-            Rule::WallClock => "D002",
-            Rule::Entropy => "D003",
-            Rule::Concurrency => "D004",
-            Rule::MetricName => "D005",
-            Rule::FloatOrder => "D006",
-            Rule::PanicFree => "D007",
-            Rule::WallTaint => "D008",
-            Rule::LockGraph => "D009",
-            Rule::BadPragma => "P001",
-        }
+        Rule::ALL[self as usize].1
     }
 
     /// The name used in `allow(...)` pragmas.
     pub fn pragma_name(self) -> &'static str {
-        match self {
-            Rule::Unordered => "unordered",
-            Rule::WallClock => "wallclock",
-            Rule::Entropy => "entropy",
-            Rule::Concurrency => "concurrency",
-            Rule::MetricName => "metricname",
-            Rule::FloatOrder => "floatorder",
-            Rule::PanicFree => "panicfree",
-            Rule::WallTaint => "walltaint",
-            Rule::LockGraph => "lockgraph",
-            Rule::BadPragma => "pragma",
-        }
+        Rule::ALL[self as usize].2
+    }
+
+    /// The rules an `allow(<name>, …)` pragma may name, by that name (P001
+    /// itself cannot be allowed).
+    fn allowable() -> impl Iterator<Item = (Rule, &'static str)> {
+        Rule::ALL
+            .iter()
+            .filter(|(rule, _, _)| *rule != Rule::BadPragma)
+            .map(|&(rule, _, name)| (rule, name))
     }
 }
 
@@ -205,63 +192,55 @@ pub const D004_AUDITED: &[&str] = &[
     // threading there (see `d004_job_server_layer_stays_lock_free`).
 ];
 
-/// Namespaces a literal metric name may live in (D005).
-pub const D005_NAMESPACES: [&str; 4] = ["mapred.", "dfs.", "scheduler.", "cache."];
-
 /// Files exempt from D005: the metrics registry itself (defines the
 /// emitters and unit-tests them with throwaway names).
 pub const D005_ALLOWED: &[&str] = &["crates/common/src/obs/metrics.rs"];
 
-/// The closed set of `scheduler.*` series. These are a CI gate surface —
-/// the workload gate and the server swimlane tests assert on them by
-/// name — so unlike the open namespaces, a `scheduler.` literal must match
-/// this registry exactly. Emitting a new scheduler series means adding it
-/// here (and to the goldens that read it) in the same change.
-pub const D005_SCHEDULER_METRICS: [&str; 9] = [
-    "scheduler.split_locality",
-    "scheduler.jobs_admitted",
-    "scheduler.jobs_rejected_queue_full",
-    "scheduler.jobs_rejected_quota",
-    "scheduler.queue_peak_depth",
-    "scheduler.tenant_count",
-    "scheduler.makespan_s",
-    "scheduler.queue_wait_s",
-    "scheduler.job_latency_s",
-];
-
-/// The closed set of `cache.*` series (the result-cache surface). Like the
-/// scheduler registry, these are a gate surface — the CI restore gate
-/// and `shadow_check --restore` compare them byte-for-byte — so every
-/// `cache.` literal must match this registry exactly.
-pub const D005_CACHE_METRICS: [&str; 8] = [
-    "cache.hits",
-    "cache.misses",
-    "cache.evictions",
-    "cache.invalidations",
-    "cache.inserts",
-    "cache.bytes_served",
-    "cache.bytes_stored",
-    "cache.entries",
+/// The metric-name registry (D005): each namespace a literal name may live
+/// in, open (`None`) or closed to the listed series. `scheduler.*` and
+/// `cache.*` are gate surfaces — the workload gate and the server swimlane
+/// tests read the former by name, the restore gate and
+/// `shadow_check --restore` compare the latter byte-for-byte — so emitting
+/// a new series there means adding it here (and to the goldens that read
+/// it) in the same change.
+pub const D005_REGISTRY: &[(&str, Option<&[&str]>)] = &[
+    ("mapred.", None),
+    ("dfs.", None),
+    (
+        "scheduler.",
+        Some(&[
+            "scheduler.split_locality",
+            "scheduler.jobs_admitted",
+            "scheduler.jobs_rejected_queue_full",
+            "scheduler.jobs_rejected_quota",
+            "scheduler.queue_peak_depth",
+            "scheduler.tenant_count",
+            "scheduler.makespan_s",
+            "scheduler.queue_wait_s",
+            "scheduler.job_latency_s",
+        ]),
+    ),
+    (
+        "cache.",
+        Some(&[
+            "cache.hits",
+            "cache.misses",
+            "cache.evictions",
+            "cache.invalidations",
+            "cache.inserts",
+            "cache.bytes_served",
+            "cache.bytes_stored",
+            "cache.entries",
+        ]),
+    ),
 ];
 
 /// A parsed `allow(rule, reason=...)` suppression pragma.
 #[derive(Debug, Clone)]
 pub(crate) struct Pragma {
     line: usize,
-    rule_name: String,
+    rule: Rule,
 }
-
-const PRAGMA_NAMES: [&str; 9] = [
-    "unordered",
-    "wallclock",
-    "entropy",
-    "concurrency",
-    "metricname",
-    "floatorder",
-    "panicfree",
-    "walltaint",
-    "lockgraph",
-];
 
 /// Parse pragmas out of the file's comments. Malformed pragmas become P001
 /// violations.
@@ -284,14 +263,8 @@ fn parse_pragmas(
             if reason.trim().is_empty() {
                 return None;
             }
-            let rule_name = rule_name.trim().to_string();
-            if !PRAGMA_NAMES.contains(&rule_name.as_str()) {
-                return None;
-            }
-            Some(Pragma {
-                line: *line,
-                rule_name,
-            })
+            let (rule, _) = Rule::allowable().find(|(_, name)| *name == rule_name.trim())?;
+            Some(Pragma { line: *line, rule })
         })();
         match ok {
             Some(p) => pragmas.push(p),
@@ -304,7 +277,10 @@ fn parse_pragmas(
                      `clyde-lint: allow(<rule>, reason=...)` with a non-empty reason and \
                      a rule in {}",
                     rest,
-                    PRAGMA_NAMES.join("|")
+                    Rule::allowable()
+                        .map(|(_, name)| name)
+                        .collect::<Vec<_>>()
+                        .join("|")
                 ),
             }),
         }
@@ -317,9 +293,9 @@ fn parse_pragmas(
 fn suppress(violations: &mut Vec<Violation>, pragmas: &[Pragma]) {
     violations.retain(|v| {
         v.rule == Rule::BadPragma
-            || !pragmas.iter().any(|p| {
-                p.rule_name == v.rule.pragma_name() && (p.line == v.line || p.line + 1 == v.line)
-            })
+            || !pragmas
+                .iter()
+                .any(|p| p.rule == v.rule && (p.line == v.line || p.line + 1 == v.line))
     });
 }
 
@@ -333,12 +309,9 @@ pub(crate) fn rel_allowed(file: &Path, allowlist: &[&str]) -> bool {
 }
 
 /// Lex + parse one file into the per-file analysis inputs.
-fn analyze_file(src: &str) -> (Vec<String>, Vec<(usize, String)>, parse::FileAst) {
+fn analyze_file(src: &str) -> (Vec<(usize, String)>, parse::FileAst) {
     let toks = lexer::lex(src);
-    let masked = lexer::masked_lines(&toks);
-    let comments = lexer::line_comments(&toks);
-    let ast = parse::parse(&toks);
-    (masked, comments, ast)
+    (lexer::line_comments(&toks), parse::parse(&toks))
 }
 
 /// Scan one file's source text. `file` is used for allowlisting and
@@ -346,15 +319,9 @@ fn analyze_file(src: &str) -> (Vec<String>, Vec<(usize, String)>, parse::FileAst
 /// single-file scans (fixtures, unit tests) exercise the lock graph too.
 pub fn scan_source(file: &Path, src: &str) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let (masked, comments, ast) = analyze_file(src);
+    let (comments, ast) = analyze_file(src);
     let pragmas = parse_pragmas(file, &comments, &mut violations);
-    let ctx = rules::FileCtx {
-        file,
-        raw: src,
-        masked: &masked,
-        ast: &ast,
-    };
-    rules::run_file(&ctx, &mut violations);
+    rules::run_file(&rules::FileCtx { file, ast: &ast }, &mut violations);
     violations.extend(rules::d009::scan_crate(&[(
         &file.to_string_lossy().replace('\\', "/"),
         &ast,
@@ -408,16 +375,16 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         let src = std::fs::read_to_string(&file)?;
         let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let (masked, comments, ast) = analyze_file(&src);
+        let (comments, ast) = analyze_file(&src);
         let mut violations = Vec::new();
         let pragmas = parse_pragmas(&rel, &comments, &mut violations);
-        let ctx = rules::FileCtx {
-            file: &rel,
-            raw: &src,
-            masked: &masked,
-            ast: &ast,
-        };
-        rules::run_file(&ctx, &mut violations);
+        rules::run_file(
+            &rules::FileCtx {
+                file: &rel,
+                ast: &ast,
+            },
+            &mut violations,
+        );
         suppress(&mut violations, &pragmas);
         all.extend(violations);
         parsed.push((rel_str.clone(), ast));
@@ -607,13 +574,13 @@ mod tests {
     }
 
     #[test]
-    fn comments_and_strings_are_masked() {
+    fn comments_and_strings_never_match() {
         let src = "fn f() {\n    // HashMap iteration and Instant::now in prose\n    let s = \"Mutex thread_rng SystemTime\";\n    let _ = s;\n}\n";
         assert!(scan(src).is_empty());
     }
 
     #[test]
-    fn raw_strings_are_masked() {
+    fn raw_strings_never_match() {
         let src = "fn f() -> &'static str {\n    r#\"Instant::now Mutex\"#\n}\n";
         assert!(scan(src).is_empty());
     }
@@ -668,11 +635,27 @@ mod tests {
     }
 
     #[test]
-    fn d007_fn_scoped_files_only_audit_named_fns() {
+    fn d007_covers_every_fn_of_the_engine_crates_and_nothing_else() {
         let src = "impl E {\n    fn run_job_inner(&self) { self.x.unwrap(); }\n    fn helper(&self) { self.x.unwrap(); }\n}\n";
-        let vs = scan_source(Path::new("crates/mapred/src/engine.rs"), src);
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, Rule::PanicFree);
+        for engine in ["common", "columnar", "dfs", "mapred", "core"] {
+            let vs = scan_source(Path::new(&format!("crates/{engine}/src/any.rs")), src);
+            assert_eq!(rules(&vs), vec![Rule::PanicFree; 2], "{engine}: {vs:?}");
+        }
+        for outside in [
+            "crates/bench/src/harness.rs",
+            "crates/hive/src/lib.rs",
+            "crates/core/tests/it.rs",
+            "tests/end_to_end.rs",
+        ] {
+            assert!(scan_source(Path::new(outside), src).is_empty(), "{outside}");
+        }
+    }
+
+    #[test]
+    fn the_catalog_is_indexed_by_declaration_order() {
+        for (i, (rule, code, _)) in Rule::ALL.iter().enumerate() {
+            assert_eq!(*rule as usize, i, "{code}");
+        }
     }
 
     #[test]

@@ -242,8 +242,8 @@ fn json_str(s: &str) -> String {
 
 /// Every fixture under `crates/lint/fixtures/` must trigger exactly the rule
 /// it is named for; `clean.rs` must trigger nothing. Scoped rules
-/// (D006/D007/D009) get their fixtures scanned under a path inside the
-/// rule's scope, so the scope plumbing itself is exercised. This is the
+/// (D006/D007) get their fixtures scanned under a path inside the rule's
+/// scope, so the scope plumbing itself is exercised. This is the
 /// lint linting itself: if a rule regresses into silence, CI fails here.
 fn run_self_test(root: &Path) -> ExitCode {
     const NEUTRAL: &str = "crates/fixture/src/lib.rs";
@@ -266,7 +266,7 @@ fn run_self_test(root: &Path) -> ExitCode {
         ),
         (
             "d007_panicfree.rs",
-            "crates/mapred/src/fault.rs",
+            "crates/dfs/src/fixture.rs",
             Some(Rule::PanicFree),
         ),
         ("d008_walltaint.rs", NEUTRAL, Some(Rule::WallTaint)),

@@ -9,8 +9,9 @@
 //! * **call sites** inside each body (plain calls, method calls, and macro
 //!   invocations), feeding the intra-crate call graph;
 //! * **declared names**: identifiers bound with `Mutex`/`RwLock` types
-//!   (lock classes for D009) and identifiers bound to `f32`/`f64` values
-//!   (float evidence for D006);
+//!   (lock classes for D009), with `HashMap`/`HashSet` types (unordered
+//!   containers for D001) and to `f32`/`f64` values (float evidence for
+//!   D006);
 //! * **statement segmentation** of each body (linear runs between `;`,
 //!   `{`, `}`), the granularity at which the D008 taint pass propagates.
 //!
@@ -65,6 +66,9 @@ pub struct FileAst {
     /// Names declared with a `Mutex<…>`/`RwLock<…>` type or initialized
     /// from `Mutex::new`/`RwLock::new` — the file's lock classes.
     pub lock_names: Vec<String>,
+    /// Names bound the same two ways to one of the four hash-container
+    /// types (`HashMap`, `HashSet`, `FxHashMap`, `FxHashSet`).
+    pub hash_names: Vec<String>,
     /// Names with visible `f32`/`f64` evidence: a float type annotation or
     /// a float-literal initializer.
     pub float_names: Vec<String>,
@@ -89,6 +93,24 @@ impl FileAst {
         self.sig
             .get(i)
             .is_some_and(|t| t.kind == TokKind::Punct && t.text == p)
+    }
+
+    /// Do the tokens at `i` spell the path `segs[0]::segs[1]::…`?
+    pub fn is_path(&self, i: SigIdx, segs: &[&str]) -> bool {
+        segs.iter().enumerate().all(|(k, seg)| {
+            let at = i + 3 * k;
+            self.is_ident(at, seg)
+                && (k == 0 || (self.is_punct(at - 2, ":") && self.is_punct(at - 1, ":")))
+        })
+    }
+
+    /// The method named by a `.name(` or `.name::<` at `dot`, if any.
+    pub fn method_at(&self, dot: SigIdx) -> Option<&str> {
+        let name = self.sig.get(dot + 1)?;
+        let called = self.is_punct(dot + 2, "(")
+            || (self.is_punct(dot + 2, ":") && self.is_punct(dot + 3, ":"));
+        (self.is_punct(dot, ".") && name.kind == TokKind::Ident && called)
+            .then_some(name.text.as_str())
     }
 
     /// Call sites within `body`, in order.
@@ -210,6 +232,7 @@ pub fn parse(toks: &[Tok]) -> FileAst {
         depth: depth_vec,
         fns: Vec::new(),
         lock_names: Vec::new(),
+        hash_names: Vec::new(),
         float_names: Vec::new(),
     };
     collect_fns(&mut ast);
@@ -326,43 +349,51 @@ fn collect_fns(ast: &mut FileAst) {
     ast.fns = fns;
 }
 
-/// Collect declared lock names and float-evidence names.
+/// Collect declared lock, hash-container and float-evidence names.
 ///
-/// Shapes recognized, for both: `name: Wrapper<…Type<…>>` (struct fields,
-/// params, typed lets — any wrapper chain, so `Vec<Mutex<T>>` counts) and
-/// `let [mut] name = … Type::new(…)` / `let [mut] name = <float literal>`.
+/// Shapes recognized, for all three: `name: Wrapper<…Type<…>>` (struct
+/// fields, params, typed lets — any wrapper chain, so `Vec<Mutex<T>>`
+/// counts) and `let [mut] name = … Type::new(…)` / `let [mut] name = <float
+/// literal>`.
 fn collect_decls(ast: &mut FileAst) {
-    let n = ast.sig.len();
     let mut lock_names = Vec::new();
+    let mut hash_names = Vec::new();
     let mut float_names = Vec::new();
-    for i in 0..n {
+    for i in 0..ast.sig.len() {
         let t = &ast.sig[i];
-        if t.kind == TokKind::Ident && (t.text == "Mutex" || t.text == "RwLock") {
-            // `:: new` initializer → walk back to the `let` binding.
-            if ast.is_punct(i + 1, ":") && ast.is_punct(i + 2, ":") && ast.is_ident(i + 3, "new") {
-                if let Some(name) = let_binding_before(ast, i) {
-                    push_unique(&mut lock_names, name);
-                    continue;
-                }
-            }
-            // `name : …Mutex<` type position → walk back past wrappers to
-            // the `ident :` that opened the type.
-            if let Some(name) = typed_binding_before(ast, i) {
-                push_unique(&mut lock_names, name);
-            }
-        }
-        if t.kind == TokKind::Ident && (t.text == "f32" || t.text == "f64") {
-            if let Some(name) = typed_binding_before(ast, i) {
-                push_unique(&mut float_names, name);
-            }
-        }
         if t.kind == TokKind::Float {
             if let Some(name) = let_binding_before(ast, i) {
                 push_unique(&mut float_names, name);
             }
         }
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let names = match t.text.as_str() {
+            "f32" | "f64" => {
+                if let Some(name) = typed_binding_before(ast, i) {
+                    push_unique(&mut float_names, name);
+                }
+                continue;
+            }
+            "Mutex" | "RwLock" => &mut lock_names,
+            "FxHashMap" | "FxHashSet" | "HashMap" | "HashSet" => &mut hash_names,
+            _ => continue,
+        };
+        // A `Type::new(…)`-style initializer → walk back to the `let`
+        // binding; else `name : …Type<` in type position → walk back past
+        // wrappers to the `ident :` that opened the type.
+        let constructed = ast.is_punct(i + 1, ":") && ast.is_punct(i + 2, ":");
+        let name = constructed
+            .then(|| let_binding_before(ast, i))
+            .flatten()
+            .or_else(|| typed_binding_before(ast, i));
+        if let Some(name) = name {
+            push_unique(names, name);
+        }
     }
     ast.lock_names = lock_names;
+    ast.hash_names = hash_names;
     ast.float_names = float_names;
 }
 
@@ -489,6 +520,12 @@ mod tests {
         let src = "struct S { state: Mutex<u32>, outs: Vec<Mutex<u8>>, r: RwLock<i32> }\nfn f() { let done = Mutex::new(0); }\n";
         let ast = ast_of(src);
         assert_eq!(ast.lock_names, vec!["state", "outs", "r", "done"]);
+    }
+
+    #[test]
+    fn hash_names_cover_params_fields_and_constructed_locals() {
+        let src = "struct S { by_key: FxHashMap<u64, u32> }\nfn f(seen: &mut HashSet<u32>) -> HashMap<u32, u32> {\n    let mut acc = FxHashMap::default();\n    acc\n}\n";
+        assert_eq!(ast_of(src).hash_names, vec!["by_key", "seen", "acc"]);
     }
 
     #[test]

@@ -63,18 +63,17 @@ pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                         _ => None,
                     };
                     if let Some(what) = hit {
-                        violations.push(Violation {
-                            file: ctx.file.to_path_buf(),
-                            line: ast.line(i),
-                            rule: Rule::FloatOrder,
-                            message: format!(
+                        violations.push(ctx.violation(
+                            ast.line(i),
+                            Rule::FloatOrder,
+                            format!(
                                 "`{what}` reduction in merge-scope fn `{}` — the fold order \
                                  decides the result for non-associative (float) operations; \
                                  pin a canonical order or annotate \
                                  `clyde-lint: allow(floatorder, reason=fixed-merge-order …)`",
                                 f.name
                             ),
-                        });
+                        ));
                     }
                 }
                 // `acc += …` on a float-evidenced accumulator, inside a loop.
@@ -88,11 +87,10 @@ pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                         .iter()
                         .any(|&(at, d)| at < i && d < ast.depth[i])
                 {
-                    violations.push(Violation {
-                        file: ctx.file.to_path_buf(),
-                        line: ast.line(i),
-                        rule: Rule::FloatOrder,
-                        message: format!(
+                    violations.push(ctx.violation(
+                        ast.line(i),
+                        Rule::FloatOrder,
+                        format!(
                             "float `+=` accumulation on `{}` in a loop in merge-scope fn \
                              `{}` — iteration order decides the sum; pin a canonical order \
                              or annotate `clyde-lint: allow(floatorder, \
@@ -100,7 +98,7 @@ pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                             ast.sig[i - 1].text,
                             f.name
                         ),
-                    });
+                    ));
                 }
             }
         }

@@ -96,17 +96,16 @@ pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
             }
             if let Some((at, name)) = sink {
                 if !wall_marked_literal {
-                    violations.push(Violation {
-                        file: ctx.file.to_path_buf(),
-                        line: ast.line(at),
-                        rule: Rule::WallTaint,
-                        message: format!(
+                    violations.push(ctx.violation(
+                        ast.line(at),
+                        Rule::WallTaint,
+                        format!(
                             "wall-derived value flows into sim-time sink `{name}` in fn \
                              `{}` — CI byte-compares this surface; route wall time through \
                              note_wall_phase or a `*wall*`-named (filtered) metric series",
                             f.name
                         ),
-                    });
+                    ));
                 }
             }
         }

@@ -1,42 +1,50 @@
-//! Rule passes. Each pass consumes the shared [`FileCtx`] — the lexed,
-//! masked, and parsed view of one file — and appends [`Violation`]s.
+//! Rule passes. Each pass consumes the shared [`FileCtx`] — one file's path
+//! and its parsed token stream — and appends [`Violation`]s.
 //!
-//! * [`textual`] — D001–D005, the line/token rules from the original
-//!   scanner, re-hosted on the lexer's masked rendering (identical
-//!   semantics, one lexer instead of two masking passes).
-//! * [`d006`]–[`d008`] — structural per-file rules over the simplified AST.
+//! * [`d001`] — unordered hash-container iteration.
+//! * [`banned`] — D002–D004, the banned-path rules: one matcher, three
+//!   tables (wall clock, entropy, concurrency primitives).
+//! * [`d005`] — metric names.
+//! * [`d006`]–[`d008`] — float fold order, panic sites, wall-clock taint.
 //! * [`d009`] — the crate-level lock-graph rule (runs per crate group in a
 //!   workspace scan; single-file in [`crate::scan_source`]).
 
 use crate::parse::FileAst;
-use crate::Violation;
+use crate::{Rule, Violation};
 use std::path::Path;
 
+pub mod banned;
+pub mod d001;
+pub mod d005;
 pub mod d006;
 pub mod d007;
 pub mod d008;
 pub mod d009;
-pub mod textual;
 
 /// Everything a per-file rule pass may look at.
 pub(crate) struct FileCtx<'a> {
     /// Workspace-relative path (drives scoping/allowlists and reporting).
     pub file: &'a Path,
-    /// Raw source (D005 reads metric-name literals from it).
-    pub raw: &'a str,
-    /// Masked lines: comments and string/char literals blanked.
-    pub masked: &'a [String],
     pub ast: &'a FileAst,
+}
+
+impl FileCtx<'_> {
+    pub(crate) fn violation(&self, line: usize, rule: Rule, message: String) -> Violation {
+        Violation {
+            file: self.file.to_path_buf(),
+            line,
+            rule,
+            message,
+        }
+    }
 }
 
 /// Run every per-file pass (D001–D008). D009 is crate-scoped and runs
 /// separately via [`d009::scan_crate`].
 pub(crate) fn run_file(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
-    textual::d001_scan(ctx, violations);
-    textual::d002_scan(ctx, violations);
-    textual::d003_scan(ctx, violations);
-    textual::d004_scan(ctx, violations);
-    textual::d005_scan(ctx, violations);
+    d001::scan(ctx, violations);
+    banned::scan(ctx, violations);
+    d005::scan(ctx, violations);
     d006::scan(ctx, violations);
     d007::scan(ctx, violations);
     d008::scan(ctx, violations);

@@ -207,10 +207,63 @@ impl Default for CostParams {
     }
 }
 
+/// Seconds each priced term of a map task takes (overhead excluded: it is
+/// [`CostParams::task_overhead_s`] for every task).
+struct MapTerms {
+    /// Loading serialized state (hash tables).
+    load: f64,
+    /// Single-threaded dimension hash build.
+    build: f64,
+    /// Scan I/O, local plus remote.
+    io_read: f64,
+    /// Iteration + probe CPU; with `emit_cpu`, overlaps `io_read`.
+    probe_cpu: f64,
+    /// Map-side sort/spill of emitted records.
+    emit_cpu: f64,
+    /// Output write.
+    write: f64,
+}
+
 impl CostParams {
     /// Parameters describing the paper's testbed (the defaults).
     pub fn paper() -> CostParams {
         CostParams::default()
+    }
+
+    /// The priced terms of one **map** task when `concurrency` tasks of this
+    /// job share the node — the one place the bandwidth and rate arithmetic
+    /// is spelled; the duration sums the terms, the phases place them.
+    fn map_terms(&self, cluster: &ClusterSpec, cost: &TaskCost, concurrency: u32) -> MapTerms {
+        let c = f64::from(concurrency.max(1));
+        let threads = f64::from(cost.threads.max(1)) * cluster.node.cpu_factor;
+        let cpu_f = cluster.node.cpu_factor;
+        let read_bw = self.hdfs.effective_read_bw(&cluster.node) / c;
+        let net_bw = cluster.network_bw / c;
+        let write_bw = self
+            .hdfs
+            .effective_write_bw(&cluster.node, 3, cluster.network_bw)
+            / c;
+        MapTerms {
+            load: cost.state_load_bytes as f64 / (self.state_deser_bw * cpu_f),
+            build: cost.build_rows as f64 / (self.build_rows_per_s * cpu_f),
+            io_read: cost.local_bytes as f64 / read_bw + cost.remote_bytes as f64 / net_bw,
+            probe_cpu: cost.deser_rows as f64 / (self.framework_rows_per_s * cpu_f)
+                + cost.block_rows as f64 / (self.block_rows_per_s * threads)
+                + cost.rowiter_rows as f64 / (self.rowiter_rows_per_s * threads)
+                + cost.probe_rows as f64 / (self.probe_rows_per_s * threads),
+            emit_cpu: cost.emit_records as f64 / (self.sort_records_per_s * cpu_f),
+            write: cost.output_bytes as f64 / write_bw,
+        }
+    }
+
+    /// The priced terms of one **reduce** task: merge + reduce CPU, then the
+    /// output write.
+    fn reduce_terms(&self, cluster: &ClusterSpec, cost: &TaskCost) -> (f64, f64) {
+        let write_bw = self
+            .hdfs
+            .effective_write_bw(&cluster.node, 3, cluster.network_bw);
+        let cpu = cost.deser_rows as f64 / (self.reduce_rows_per_s * cluster.node.cpu_factor);
+        (cpu, cost.output_bytes as f64 / write_bw)
     }
 
     /// Duration of one **map** task, seconds, when `concurrency` tasks of
@@ -224,36 +277,13 @@ impl CostParams {
         cost: &TaskCost,
         concurrency: u32,
     ) -> f64 {
-        let c = f64::from(concurrency.max(1));
-        let threads = f64::from(cost.threads.max(1)) * cluster.node.cpu_factor;
-        let cpu_f = cluster.node.cpu_factor;
-        let read_bw = self.hdfs.effective_read_bw(&cluster.node) / c;
-        let net_bw = cluster.network_bw / c;
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw)
-            / c;
-
-        let io_read = cost.local_bytes as f64 / read_bw + cost.remote_bytes as f64 / net_bw;
-        let cpu = cost.deser_rows as f64 / (self.framework_rows_per_s * cpu_f)
-            + cost.block_rows as f64 / (self.block_rows_per_s * threads)
-            + cost.rowiter_rows as f64 / (self.rowiter_rows_per_s * threads)
-            + cost.probe_rows as f64 / (self.probe_rows_per_s * threads)
-            + cost.emit_records as f64 / (self.sort_records_per_s * cpu_f);
-        let build = cost.build_rows as f64 / (self.build_rows_per_s * cpu_f);
-        let load = cost.state_load_bytes as f64 / (self.state_deser_bw * cpu_f);
-        let write = cost.output_bytes as f64 / write_bw;
-
-        self.task_overhead_s + load + build + io_read.max(cpu) + write
+        let t = self.map_terms(cluster, cost, concurrency);
+        self.task_overhead_s + t.load + t.build + t.io_read.max(t.probe_cpu + t.emit_cpu) + t.write
     }
 
     /// Duration of one **reduce** task, seconds.
     pub fn reduce_task_duration(&self, cluster: &ClusterSpec, cost: &TaskCost) -> f64 {
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw);
-        let cpu = cost.deser_rows as f64 / (self.reduce_rows_per_s * cluster.node.cpu_factor);
-        let write = cost.output_bytes as f64 / write_bw;
+        let (cpu, write) = self.reduce_terms(cluster, cost);
         self.task_overhead_s + cpu + write
     }
 
@@ -270,25 +300,14 @@ impl CostParams {
         cost: &TaskCost,
         concurrency: u32,
     ) -> Vec<PhaseSlice> {
-        let c = f64::from(concurrency.max(1));
-        let threads = f64::from(cost.threads.max(1)) * cluster.node.cpu_factor;
-        let cpu_f = cluster.node.cpu_factor;
-        let read_bw = self.hdfs.effective_read_bw(&cluster.node) / c;
-        let net_bw = cluster.network_bw / c;
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw)
-            / c;
-
-        let io_read = cost.local_bytes as f64 / read_bw + cost.remote_bytes as f64 / net_bw;
-        let probe_cpu = cost.deser_rows as f64 / (self.framework_rows_per_s * cpu_f)
-            + cost.block_rows as f64 / (self.block_rows_per_s * threads)
-            + cost.rowiter_rows as f64 / (self.rowiter_rows_per_s * threads)
-            + cost.probe_rows as f64 / (self.probe_rows_per_s * threads);
-        let emit_cpu = cost.emit_records as f64 / (self.sort_records_per_s * cpu_f);
-        let build = cost.build_rows as f64 / (self.build_rows_per_s * cpu_f);
-        let load = cost.state_load_bytes as f64 / (self.state_deser_bw * cpu_f);
-        let write = cost.output_bytes as f64 / write_bw;
+        let MapTerms {
+            load,
+            build,
+            io_read,
+            probe_cpu,
+            emit_cpu,
+            write,
+        } = self.map_terms(cluster, cost, concurrency);
 
         let mut phases = Vec::new();
         let mut t = 0.0;
@@ -368,11 +387,7 @@ impl CostParams {
     /// Decompose [`Self::reduce_task_duration`] into phase intervals
     /// (relative starts), mirroring the pricing formula exactly.
     pub fn reduce_task_phases(&self, cluster: &ClusterSpec, cost: &TaskCost) -> Vec<PhaseSlice> {
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw);
-        let cpu = cost.deser_rows as f64 / (self.reduce_rows_per_s * cluster.node.cpu_factor);
-        let write = cost.output_bytes as f64 / write_bw;
+        let (cpu, write) = self.reduce_terms(cluster, cost);
         let mut phases = vec![PhaseSlice {
             phase: Phase::Setup,
             start_s: 0.0,

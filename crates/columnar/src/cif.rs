@@ -11,7 +11,7 @@
 //! saving measured by the paper's columnar-off ablation (3.4x average,
 //! Section 6.5).
 
-use crate::encoding::{choose_encoding, decode_column, encode_column};
+use crate::encoding::{decode_column, encode_block};
 use clyde_common::{rowcodec, Field};
 use clyde_common::{varint, ClydeError, Result, Row, RowBlock, RowBlockBuilder, Schema};
 use clyde_dfs::{Dfs, NodeId};
@@ -133,12 +133,13 @@ impl CifTableMeta {
     }
 }
 
-/// Streaming writer for a CIF table.
+/// Writer for a CIF table: whole row groups of encoded chunks through
+/// [`CifWriter::write_group`], or rows through [`CifWriter::append`], which
+/// buffers a group and writes it the same way.
 pub struct CifWriter {
     dfs: Arc<Dfs>,
     meta: CifTableMeta,
     builder: RowBlockBuilder,
-    writer_node: Option<NodeId>,
 }
 
 impl CifWriter {
@@ -151,60 +152,85 @@ impl CifWriter {
         if rows_per_group == 0 {
             return Err(ClydeError::Config("rows_per_group must be positive".into()));
         }
-        let dtypes: Vec<_> = schema.fields().iter().map(|f| f.dtype).collect();
-        Ok(CifWriter {
+        let meta = CifTableMeta {
+            base: base.into(),
+            schema,
+            rows_per_group,
+            first_group: 0,
+            group_rows: Vec::new(),
+        };
+        Ok(CifWriter::resume(dfs, meta))
+    }
+
+    /// Continue an existing table: new groups land after its live ones, in
+    /// physical directories no group has used (roll-out only advances
+    /// `first_group`).
+    pub(crate) fn resume(dfs: Arc<Dfs>, meta: CifTableMeta) -> CifWriter {
+        let dtypes: Vec<_> = meta.schema.fields().iter().map(|f| f.dtype).collect();
+        CifWriter {
             dfs,
-            meta: CifTableMeta {
-                base: base.into(),
-                schema,
-                rows_per_group,
-                first_group: 0,
-                group_rows: Vec::new(),
-            },
+            meta,
             builder: RowBlockBuilder::new(&dtypes),
-            writer_node: None,
-        })
+        }
+    }
+
+    pub(crate) fn meta(&self) -> &CifTableMeta {
+        &self.meta
     }
 
     pub fn append(&mut self, row: &Row) -> Result<()> {
         self.builder.push_row(row)?;
         if self.builder.len() as u64 >= self.meta.rows_per_group {
-            self.flush_group()?;
+            self.flush()?;
         }
         Ok(())
     }
 
-    fn flush_group(&mut self) -> Result<()> {
+    fn flush(&mut self) -> Result<()> {
         if self.builder.is_empty() {
             return Ok(());
         }
-        let dtypes: Vec<_> = self.meta.schema.fields().iter().map(|f| f.dtype).collect();
-        let block = std::mem::replace(&mut self.builder, RowBlockBuilder::new(&dtypes)).finish();
+        let block = self.builder.take();
+        self.write_group(block.len() as u64, &encode_block(&block)?)
+    }
+
+    /// Write one row group of `rows` rows: one encoded chunk per schema
+    /// column, each its own file in the group's placement group.
+    pub fn write_group(&mut self, rows: u64, chunks: &[Vec<u8>]) -> Result<()> {
+        if !self.builder.is_empty() {
+            return Err(ClydeError::Config(
+                "write_group while appended rows are buffered".into(),
+            ));
+        }
+        let fields = self.meta.schema.fields();
+        if chunks.len() != fields.len() {
+            return Err(ClydeError::Format(format!(
+                "{} chunks for {} columns",
+                chunks.len(),
+                fields.len()
+            )));
+        }
         let group = self.meta.group_rows.len();
         let placement = self.meta.placement_group(group);
-        for (i, col) in block.columns().iter().enumerate() {
-            let name = &self.meta.schema.field(i).name;
-            let encoded = encode_column(col, choose_encoding(col))?;
-            let path = self.meta.column_path(group, name);
-            let mut w = self
-                .dfs
-                .create(path, Some(placement.clone()), self.writer_node)?;
-            w.write_all(&encoded);
-            w.close()?;
+        for (field, chunk) in fields.iter().zip(chunks) {
+            let path = self.meta.column_path(group, &field.name);
+            self.dfs.write_file(path, Some(placement.clone()), chunk)?;
         }
-        self.meta.group_rows.push(block.len() as u64);
+        self.meta.group_rows.push(rows);
         Ok(())
     }
 
+    /// Flush the tail group and return the metadata, unpublished.
+    pub(crate) fn finish(mut self) -> Result<(Arc<Dfs>, CifTableMeta)> {
+        self.flush()?;
+        Ok((self.dfs, self.meta))
+    }
+
     /// Flush the tail group and write the meta file.
-    pub fn close(mut self) -> Result<CifTableMeta> {
-        self.flush_group()?;
-        self.dfs.write_file(
-            CifTableMeta::meta_path(&self.meta.base),
-            None,
-            &self.meta.encode(),
-        )?;
-        Ok(self.meta)
+    pub fn close(self) -> Result<CifTableMeta> {
+        let (dfs, meta) = self.finish()?;
+        dfs.write_file(CifTableMeta::meta_path(&meta.base), None, &meta.encode())?;
+        Ok(meta)
     }
 }
 
@@ -598,6 +624,17 @@ pub(crate) mod tests {
             &good,
             &[huge_groups, huge_name],
         );
+    }
+
+    #[test]
+    fn write_group_checks_its_chunks_and_the_append_buffer() {
+        let dfs = Dfs::for_tests(2);
+        let mut w = CifWriter::new(Arc::clone(&dfs), "/t/wg", schema(), 4).unwrap();
+        assert!(w.write_group(1, &[]).is_err(), "one chunk per column");
+        w.append(&row![1i32, "a", 1i64]).unwrap();
+        let chunks = vec![Vec::new(); 3];
+        assert!(w.write_group(1, &chunks).is_err(), "rows are buffered");
+        assert_eq!(w.close().unwrap().group_rows, vec![1]);
     }
 
     #[test]

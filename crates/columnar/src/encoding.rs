@@ -28,7 +28,7 @@
 //! chunk); corruption is still caught whenever a chunk is actually decoded.
 
 use clyde_common::hash::FxHasher;
-use clyde_common::{varint, ClydeError, ColumnData, DatumType, FxHashMap, Result};
+use clyde_common::{varint, ClydeError, ColumnData, DatumType, FxHashMap, Result, RowBlock};
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -277,6 +277,17 @@ pub fn encode_column(col: &ColumnData, encoding: Encoding) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// One chunk per column of a row group, each in its chosen encoding. CIF
+/// and RCFile store the same chunk bytes, so a group is encoded once and
+/// handed to both writers.
+pub fn encode_block(block: &RowBlock) -> Result<Vec<Vec<u8>>> {
+    block
+        .columns()
+        .iter()
+        .map(|col| encode_column(col, choose_encoding(col)))
+        .collect()
+}
+
 fn rle_encode(out: &mut Vec<u8>, iter: impl Iterator<Item = i64>) {
     let mut run: Option<(i64, u64)> = None;
     for v in iter {
@@ -285,8 +296,6 @@ fn rle_encode(out: &mut Vec<u8>, iter: impl Iterator<Item = i64>) {
             Some((prev, count)) => {
                 varint::write_u64(out, count);
                 varint::write_i64(out, prev);
-                let _ = prev;
-                let _ = count;
                 (v, 1)
             }
             None => (v, 1),

@@ -17,77 +17,42 @@
 //! Readers opened before a maintenance operation keep working against the
 //! groups that still exist; readers opened after see the new extent.
 
-use crate::cif::{CifReader, CifTableMeta};
-use crate::encoding::{choose_encoding, encode_column};
-use clyde_common::{ClydeError, Result, Row, RowBlockBuilder};
+use crate::cif::{CifReader, CifTableMeta, CifWriter};
+use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
 use std::sync::Arc;
 
-/// Appends rows to an existing CIF table as new row groups.
+/// Appends rows to an existing CIF table as new row groups: a [`CifWriter`]
+/// resumed from the table's metadata, published by replacing `_meta`.
 pub struct CifAppender {
-    dfs: Arc<Dfs>,
-    meta: CifTableMeta,
-    builder: RowBlockBuilder,
+    writer: CifWriter,
 }
 
 impl CifAppender {
     /// Open the table for roll-in. Fails if the table does not exist.
     pub fn open(dfs: Arc<Dfs>, base: &str) -> Result<CifAppender> {
         let meta = CifReader::open(&dfs, base)?.meta().clone();
-        let dtypes: Vec<_> = meta.schema.fields().iter().map(|f| f.dtype).collect();
         Ok(CifAppender {
-            dfs,
-            meta,
-            builder: RowBlockBuilder::new(&dtypes),
+            writer: CifWriter::resume(dfs, meta),
         })
     }
 
     /// Rows currently live in the table (before this batch lands).
     pub fn existing_rows(&self) -> u64 {
-        self.meta.total_rows()
+        self.writer.meta().total_rows()
     }
 
     pub fn append(&mut self, row: &Row) -> Result<()> {
-        self.builder.push_row(row)?;
-        if self.builder.len() as u64 >= self.meta.rows_per_group {
-            self.flush_group()?;
-        }
-        Ok(())
-    }
-
-    fn flush_group(&mut self) -> Result<()> {
-        if self.builder.is_empty() {
-            return Ok(());
-        }
-        let dtypes: Vec<_> = self.meta.schema.fields().iter().map(|f| f.dtype).collect();
-        let block = std::mem::replace(&mut self.builder, RowBlockBuilder::new(&dtypes)).finish();
-        // The new group's logical index is the current group count; its
-        // physical directory is first_group + that, which has never been
-        // used (roll-out only moves first_group forward).
-        let group = self.meta.group_rows.len();
-        let placement = self.meta.placement_group(group);
-        for (i, col) in block.columns().iter().enumerate() {
-            let name = &self.meta.schema.field(i).name;
-            let encoded = encode_column(col, choose_encoding(col))?;
-            let mut w = self.dfs.create(
-                self.meta.column_path(group, name),
-                Some(placement.clone()),
-                None,
-            )?;
-            w.write_all(&encoded);
-            w.close()?;
-        }
-        self.meta.group_rows.push(block.len() as u64);
-        Ok(())
+        self.writer.append(row)
     }
 
     /// Flush the partial tail group (roll-in batches do not merge into the
     /// previous batch's tail — groups are immutable) and publish the new
     /// metadata.
-    pub fn close(mut self) -> Result<CifTableMeta> {
-        self.flush_group()?;
-        replace_meta(&self.dfs, &self.meta)?;
-        Ok(self.meta)
+    pub fn close(self) -> Result<CifTableMeta> {
+        let (dfs, meta) = self.writer.finish()?;
+        replace_meta(&dfs, &meta)?;
+        Ok(meta)
     }
 }
 
@@ -125,7 +90,6 @@ fn replace_meta(dfs: &Arc<Dfs>, meta: &CifTableMeta) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cif::CifWriter;
     use clyde_common::{row, Field, Schema};
     use clyde_mapred::TaskIo;
 

@@ -17,7 +17,7 @@
 //! "did not allow us to decrease the number of splits", which is why Hive
 //! pays per-task overheads 4,887 times in Q2.1's first stage.
 
-use crate::encoding::{choose_encoding, decode_column, encode_column};
+use crate::encoding::{decode_column, encode_block};
 use crate::input::SlicedBlockReader;
 use clyde_common::{
     rowcodec, varint, ClydeError, Field, Result, Row, RowBlock, RowBlockBuilder, Schema,
@@ -59,8 +59,9 @@ impl RcFileMeta {
         self.group_rows.len()
     }
 
-    pub fn group_rows(&self, g: usize) -> u64 {
-        self.group_rows[g]
+    /// Row count of group `g`, if the table has that group.
+    pub fn group_rows(&self, g: usize) -> Option<u64> {
+        self.group_rows.get(g).copied()
     }
 
     pub fn total_rows(&self) -> u64 {
@@ -68,8 +69,18 @@ impl RcFileMeta {
     }
 
     /// Bytes of the selected columns in one group.
-    pub fn group_bytes(&self, g: usize, cols: &[usize]) -> u64 {
-        cols.iter().map(|&c| self.chunks[g][c].len).sum()
+    pub fn group_bytes(&self, g: usize, cols: &[usize]) -> Result<u64> {
+        let locs = self
+            .chunks
+            .get(g)
+            .ok_or_else(|| ClydeError::Format(format!("row group {g} out of range")))?;
+        cols.iter()
+            .map(|&c| {
+                locs.get(c)
+                    .map(|loc| loc.len)
+                    .ok_or_else(|| ClydeError::Format(format!("column {c} out of range")))
+            })
+            .sum()
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -82,9 +93,9 @@ impl RcFileMeta {
             out.extend_from_slice(f.name.as_bytes());
         }
         varint::write_u64(&mut out, self.group_rows.len() as u64);
-        for (g, &rows) in self.group_rows.iter().enumerate() {
+        for (&rows, locs) in self.group_rows.iter().zip(&self.chunks) {
             varint::write_u64(&mut out, rows);
-            for c in &self.chunks[g] {
+            for c in locs {
                 varint::write_u64(&mut out, c.offset);
                 varint::write_u64(&mut out, c.len);
             }
@@ -130,14 +141,16 @@ impl RcFileMeta {
     }
 }
 
-/// Streaming writer producing `{base}.rc` + `{base}.rc.meta`.
+/// Streaming writer producing `{base}.rc` + `{base}.rc.meta`: whole row
+/// groups of encoded chunks through [`RcFileWriter::write_group`], or rows
+/// through [`RcFileWriter::append`], which buffers a group and writes it the
+/// same way.
 pub struct RcFileWriter {
     dfs: Arc<Dfs>,
     meta: RcFileMeta,
     builder: RowBlockBuilder,
     rows_per_group: u64,
     data: clyde_dfs::DfsWriter,
-    written: u64,
 }
 
 impl RcFileWriter {
@@ -164,41 +177,55 @@ impl RcFileWriter {
             builder: RowBlockBuilder::new(&dtypes),
             rows_per_group,
             data,
-            written: 0,
         })
     }
 
     pub fn append(&mut self, row: &Row) -> Result<()> {
         self.builder.push_row(row)?;
         if self.builder.len() as u64 >= self.rows_per_group {
-            self.flush_group()?;
+            self.flush()?;
         }
         Ok(())
     }
 
-    fn flush_group(&mut self) -> Result<()> {
+    fn flush(&mut self) -> Result<()> {
         if self.builder.is_empty() {
             return Ok(());
         }
-        let dtypes: Vec<_> = self.meta.schema.fields().iter().map(|f| f.dtype).collect();
-        let block = std::mem::replace(&mut self.builder, RowBlockBuilder::new(&dtypes)).finish();
-        let mut locs = Vec::with_capacity(block.num_columns());
-        for col in block.columns() {
-            let encoded = encode_column(col, choose_encoding(col))?;
-            locs.push(ChunkLoc {
-                offset: self.written,
-                len: encoded.len() as u64,
-            });
-            self.data.write_all(&encoded);
-            self.written += encoded.len() as u64;
+        let block = self.builder.take();
+        self.write_group(block.len() as u64, &encode_block(&block)?)
+    }
+
+    /// Append one row group of `rows` rows: one encoded chunk per schema
+    /// column, stored back to back in the data file.
+    pub fn write_group(&mut self, rows: u64, chunks: &[Vec<u8>]) -> Result<()> {
+        if !self.builder.is_empty() {
+            return Err(ClydeError::Config(
+                "write_group while appended rows are buffered".into(),
+            ));
         }
-        self.meta.group_rows.push(block.len() as u64);
+        if chunks.len() != self.meta.schema.len() {
+            return Err(ClydeError::Format(format!(
+                "{} chunks for {} columns",
+                chunks.len(),
+                self.meta.schema.len()
+            )));
+        }
+        let mut locs = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            locs.push(ChunkLoc {
+                offset: self.data.bytes_written(),
+                len: chunk.len() as u64,
+            });
+            self.data.write_all(chunk);
+        }
+        self.meta.group_rows.push(rows);
         self.meta.chunks.push(locs);
         Ok(())
     }
 
     pub fn close(mut self) -> Result<RcFileMeta> {
-        self.flush_group()?;
+        self.flush()?;
         self.data.close()?;
         self.dfs.write_file(
             RcFileMeta::meta_path(&self.meta.base),
@@ -303,17 +330,19 @@ impl InputFormat for RcFileInputFormat {
         let reader = RcFileReader::open(dfs, &self.base)?;
         let cols = self.resolve_cols(reader.schema())?;
         let hosts = dfs.hosts(&RcFileMeta::data_path(&self.base))?;
-        Ok((0..reader.meta().num_groups())
-            .map(|g| InputSplit {
-                index: g,
-                spec: SplitSpec::Groups {
-                    base: self.base.clone(),
-                    groups: vec![g],
-                },
-                hosts: hosts.clone(),
-                bytes: reader.meta().group_bytes(g, &cols),
+        (0..reader.meta().num_groups())
+            .map(|g| {
+                Ok(InputSplit {
+                    index: g,
+                    spec: SplitSpec::Groups {
+                        base: self.base.clone(),
+                        groups: vec![g],
+                    },
+                    hosts: hosts.clone(),
+                    bytes: reader.meta().group_bytes(g, &cols)?,
+                })
             })
-            .collect())
+            .collect()
     }
 
     fn open(&self, split: &InputSplit, part: usize, io: &TaskIo) -> Result<Reader> {
@@ -383,7 +412,15 @@ mod tests {
         let io_full = TaskIo::client(Arc::clone(&dfs));
         r.read_group(&io_full, 0, &[0, 1, 2]).unwrap();
         assert!(io_partial.stats.total() < io_full.stats.total());
-        assert_eq!(io_partial.stats.total(), r.meta().group_bytes(0, &[2]));
+        assert_eq!(
+            io_partial.stats.total(),
+            r.meta().group_bytes(0, &[2]).unwrap()
+        );
+        // Out-of-range groups and columns are typed errors, not panics.
+        assert_eq!(r.meta().group_rows(1), Some(100));
+        assert_eq!(r.meta().group_rows(2), None);
+        assert!(r.meta().group_bytes(2, &[0]).is_err());
+        assert!(r.meta().group_bytes(0, &[3]).is_err());
     }
 
     #[test]

@@ -253,6 +253,20 @@ impl RowBlockBuilder {
             len,
         }
     }
+
+    /// The rows pushed so far as a block, leaving the builder empty with the
+    /// same column types.
+    pub fn take(&mut self) -> RowBlock {
+        let empty = self
+            .columns
+            .iter()
+            .map(|c| ColumnData::new(c.dtype()))
+            .collect();
+        RowBlockBuilder {
+            columns: std::mem::replace(&mut self.columns, empty),
+        }
+        .finish()
+    }
 }
 
 #[cfg(test)]
@@ -318,9 +332,13 @@ mod tests {
         b.push_row(&row![5i32, "x"]).unwrap();
         b.push_row(&row![6i32, "y"]).unwrap();
         assert!(b.push_row(&row![1i32]).is_err());
-        let blk = b.finish();
+        let blk = b.take();
         assert_eq!(blk.len(), 2);
         assert_eq!(blk.row(1), row![6i32, "y"]);
+        // The builder is empty again and keeps its column types.
+        assert!(b.is_empty());
+        b.push_row(&row![7i32, "z"]).unwrap();
+        assert_eq!(b.finish().row(0), row![7i32, "z"]);
     }
 
     #[test]

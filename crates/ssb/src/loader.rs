@@ -11,6 +11,7 @@
 
 use crate::gen::SsbGen;
 use crate::schema;
+use clyde_columnar::encoding::encode_block;
 use clyde_columnar::{CifTableMeta, CifWriter, RcFileWriter, TextWriter};
 use clyde_common::{rowcodec, ClydeError, Result, Row};
 use clyde_dfs::Dfs;
@@ -134,7 +135,7 @@ pub fn load(
         }
     }
 
-    // --- Fact table: stream once into every requested writer. ---
+    // --- Fact table: one pass of row groups into every requested writer. ---
     let fact_schema = schema::lineorder_schema();
     let mut cif = if opts.cif {
         Some(CifWriter::new(
@@ -165,33 +166,28 @@ pub fn load(
         None
     };
 
-    {
-        let mut append = |row: &Row| -> Result<()> {
+    // Generated into columns, put in storage order (rows of one date keep
+    // their generation order), and gathered one row group at a time. Each
+    // group is encoded once: CIF and RCFile store the same chunk bytes.
+    let fact = gen.gen_lineorder();
+    let order = fact.order(opts.cluster_by_date)?;
+    let per_group = usize::try_from(opts.rows_per_group.max(1)).unwrap_or(usize::MAX);
+    for rows in order.chunks(per_group) {
+        let block = fact.gather(rows)?;
+        if cif.is_some() || rc.is_some() {
+            let chunks = encode_block(&block)?;
+            let n = block.len() as u64;
             if let Some(w) = cif.as_mut() {
-                w.append(row)?;
+                w.write_group(n, &chunks)?;
             }
             if let Some(w) = rc.as_mut() {
-                w.append(row)?;
+                w.write_group(n, &chunks)?;
             }
-            if let Some(w) = text.as_mut() {
-                w.append(row)?;
+        }
+        if let Some(w) = text.as_mut() {
+            for i in 0..block.len() {
+                w.append(&block.row(i))?;
             }
-            Ok(())
-        };
-        if opts.cluster_by_date {
-            // Buffer, stable-sort on lo_orderdate (column 5), then stream:
-            // rows with the same date keep their generation order.
-            let mut rows: Vec<Row> = Vec::new();
-            gen.for_each_lineorder(|row| {
-                rows.push(row.clone());
-                Ok(())
-            })?;
-            rows.sort_by_key(|r| r.at(5).as_i64());
-            for row in &rows {
-                append(row)?;
-            }
-        } else {
-            gen.for_each_lineorder(&mut append)?;
         }
     }
 

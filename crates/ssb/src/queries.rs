@@ -424,6 +424,17 @@ impl StarQuery {
         for g in &self.group_by {
             self.group_col_source(g)?;
         }
+        // `sort_result` orders the grouped rows, which carry only the
+        // group-by columns and the aggregate.
+        for (term, _) in &self.order_by {
+            if let OrderTerm::Column(name) = term {
+                if !self.group_by.contains(name) {
+                    return Err(ClydeError::Plan(format!(
+                        "ORDER BY column {name} is not in the group-by list"
+                    )));
+                }
+            }
+        }
         Ok(())
     }
 }

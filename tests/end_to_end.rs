@@ -1,10 +1,12 @@
 //! Cross-crate integration: the full pipeline from generation to query
 //! results, across engines, storage formats, and failure scenarios.
 
+use clyde_common::{ClydeError, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions, NodeId};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
+use clyde_ssb::queries::OrderTerm;
 use clyde_ssb::{query_by_id, reference_answer};
 use clydesdale::{Clydesdale, Features};
 use std::sync::Arc;
@@ -174,5 +176,27 @@ fn interleaved_engines_share_the_cluster() {
         assert_eq!(a.rows, expect);
         assert_eq!(b.rows, expect);
         assert_eq!(c.rows, expect);
+    }
+}
+
+/// `validate` is the one verify step: an ORDER BY column outside the
+/// group-by list is a typed plan error from every engine, never a panic in
+/// the final sort.
+#[test]
+fn an_ungrouped_order_by_column_is_a_plan_error_on_every_entry_point() {
+    let dfs = cluster(2);
+    let (layout, gen) = load(&dfs, 0.002);
+    let data = gen.gen_all();
+    let mut q = query_by_id("Q2.1").unwrap();
+    q.order_by
+        .push((OrderTerm::Column("s_region".into()), false));
+    let is_plan_err = |r: Result<Vec<Row>, ClydeError>| matches!(r, Err(ClydeError::Plan(_)));
+
+    assert!(is_plan_err(reference_answer(&data, &q)), "reference");
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
+    assert!(is_plan_err(clyde.query(&q).map(|r| r.rows)), "clydesdale");
+    for strategy in [JoinStrategy::MapJoin, JoinStrategy::Repartition] {
+        let hive = Hive::new(Arc::clone(&dfs), layout.clone(), strategy);
+        assert!(is_plan_err(hive.query(&q).map(|r| r.rows)), "{strategy:?}");
     }
 }

@@ -11,11 +11,14 @@
 //! the engine built from the same node-local bytes out of the node's
 //! [`ResidentStore`] and builds only the rest.
 //!
-//! Qualifying rows additionally get a dense **group id** (`u32`, assigned
-//! in build order): the vectorized probe kernel works in ids and packs them
-//! into a single `u64` group key, rematerializing the aux `Row`s only once
-//! per task at emit time. [`DimHashTable::get`] still returns the aux row
-//! directly for the scalar paths.
+//! Qualifying rows additionally get a dense **group id** (`u32`): the
+//! dictionary code of their aux tuple, assigned in first-appearance order.
+//! Rows with equal aux values (the 365 dates of one `d_year`) share an id,
+//! so the id space is the number of distinct group values, not of
+//! qualifying rows. The vectorized probe kernel works in ids and packs them
+//! into a single `u64` group key, rematerializing the aux `Row`s once per
+//! populated group at emit time. [`DimHashTable::get`] still returns the
+//! aux row directly for the scalar paths.
 
 use bytes::Bytes;
 use clyde_common::rowcodec::RowsRef;
@@ -23,6 +26,7 @@ use clyde_common::{ClydeError, DatumRef, FxHashMap, Result, Row};
 use clyde_mapred::ResidentStore;
 use clyde_ssb::queries::{DimJoin, DimPred};
 use clyde_ssb::schema;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Direct-index probe tables are built when the key range spans at most
@@ -53,19 +57,24 @@ pub(crate) const NONE_ID: u32 = u32::MAX;
 /// A read-only hash table over one (filtered) dimension.
 #[derive(Debug)]
 pub struct DimHashTable {
-    /// Primary key → dense aux id (index into `aux_rows`).
+    /// Primary key → group id (index into `aux_rows`).
     map: FxHashMap<i64, u32>,
     /// Direct-index probe table `(min_key, ids)`: `ids[key - min_key]` is
-    /// the dense aux id or [`NONE_ID`]. Used by [`DimHashTable::get_id`]
+    /// the group id or [`NONE_ID`]. Used by [`DimHashTable::get_id`]
     /// (the vectorized kernel) — an array load instead of a hash probe.
     direct: Option<(i64, Vec<u32>)>,
-    /// Aux rows in id order; the group-id dictionary.
+    /// The group-id dictionary: the distinct aux tuples of the qualifying
+    /// rows, in first-appearance order, so keys with equal aux values
+    /// share one entry.
     aux_rows: Vec<Row>,
     /// Rows scanned while building (qualifying or not) — the build cost.
     pub rows_scanned: u64,
     /// Approximate heap footprint, for the node memory model — the part
     /// that grows with dimension cardinality (map entries, aux rows, and
     /// direct-array slots up to [`DIRECT_MAX_SLOTS_PER_ENTRY`] per entry).
+    /// Charged per qualifying row, aux row included, as the paper's
+    /// per-entry table holds it, even though `aux_rows` keeps each distinct
+    /// tuple once.
     pub mem_bytes: u64,
     /// Range-bounded footprint that does NOT grow with cardinality: the
     /// slack of a small-range direct array beyond the density cap (e.g.
@@ -152,6 +161,7 @@ impl DimHashTable {
 
         let mut map: FxHashMap<i64, u32> = FxHashMap::default();
         let mut aux_rows: Vec<Row> = Vec::new();
+        let mut dictionary: FxHashMap<Row, u32> = FxHashMap::default();
         let mut mem = 0u64;
         let mut rows_scanned = 0u64;
         let mut fields = Vec::with_capacity(dim_schema.len());
@@ -189,14 +199,28 @@ impl DimHashTable {
                 .collect::<Option<_>>()
                 .ok_or_else(arity_err)?;
             mem += 8 + aux.heap_size() as u64 + 16; // key + value + bucket overhead
-            let id = aux_rows.len() as u32;
+            let id = match dictionary.entry(aux) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let id = u32::try_from(aux_rows.len())
+                        .ok()
+                        .filter(|&id| id != NONE_ID)
+                        .ok_or_else(|| {
+                            ClydeError::Plan(format!(
+                                "dimension {} has too many distinct aux tuples",
+                                join.dimension
+                            ))
+                        })?;
+                    aux_rows.push(e.key().clone());
+                    *e.insert(id)
+                }
+            };
             if map.insert(pk, id).is_some() {
                 return Err(ClydeError::Plan(format!(
                     "duplicate primary key {pk} in dimension {}",
                     join.dimension
                 )));
             }
-            aux_rows.push(aux);
         }
         // Direct-index table over the qualifying-key range: always for
         // small absolute ranges, otherwise when the range is both narrow
@@ -242,33 +266,31 @@ impl DimHashTable {
     /// Probe by foreign key; `None` both for filtered-out and absent keys.
     #[inline]
     pub fn get(&self, fk: i64) -> Option<&Row> {
-        self.map.get(&fk).map(|&id| &self.aux_rows[id as usize])
+        self.map.get(&fk).and_then(|&id| self.aux(id))
     }
 
-    /// Probe by foreign key for the dense aux id (vectorized kernel path):
-    /// a bounds-checked array load when the direct-index table exists, a
+    /// Probe by foreign key for the group id (vectorized kernel path): a
+    /// bounds-checked array load when the direct-index table exists, a
     /// hash probe otherwise. Identical hit/miss behavior to
-    /// [`DimHashTable::get`] either way.
+    /// [`DimHashTable::get`] either way, and two keys get the same id
+    /// exactly when `get` gives them equal aux rows.
     #[inline]
     pub fn get_id(&self, fk: i64) -> Option<u32> {
         match &self.direct {
-            Some((min, ids)) => {
-                let idx = fk.wrapping_sub(*min);
-                if (idx as u64) < ids.len() as u64 {
-                    let id = ids[idx as usize];
-                    (id != NONE_ID).then_some(id)
-                } else {
-                    None
-                }
-            }
+            Some((min, ids)) => usize::try_from(fk.wrapping_sub(*min))
+                .ok()
+                .and_then(|idx| ids.get(idx))
+                .copied()
+                .filter(|&id| id != NONE_ID),
             None => self.map.get(&fk).copied(),
         }
     }
 
-    /// Aux row for a dense id returned by [`DimHashTable::get_id`].
+    /// Aux row for a group id returned by [`DimHashTable::get_id`]; `None`
+    /// only for an id the table never issued.
     #[inline]
-    pub fn aux(&self, id: u32) -> &Row {
-        &self.aux_rows[id as usize]
+    pub fn aux(&self, id: u32) -> Option<&Row> {
+        self.aux_rows.get(id as usize)
     }
 
     /// Raw direct-index parts `(min_key, ids)` for the vectorized kernel's
@@ -287,7 +309,8 @@ impl DimHashTable {
         &self.map
     }
 
-    /// Size of the dense id space (= qualifying entries).
+    /// Size of the group-id space: the distinct aux tuples among the
+    /// qualifying entries.
     pub fn num_ids(&self) -> usize {
         self.aux_rows.len()
     }
@@ -523,23 +546,30 @@ mod tests {
 
     #[test]
     fn group_ids_are_dense_and_consistent() {
+        // The 365 dates of 1993 carry 12 distinct (d_year, d_yearmonthnum)
+        // tuples: 12 ids, numbered in first-appearance (calendar) order.
         let dates = SsbGen::new(0.001, 1).gen_date();
-        let t = DimHashTable::build(&date_join_year(1993), &dates).unwrap();
-        assert_eq!(t.num_ids(), t.len());
+        let mut join = date_join_year(1993);
+        join.aux.push("d_yearmonthnum".into());
+        let t = DimHashTable::build(&join, &dates).unwrap();
+        assert_eq!(t.len(), 365);
+        assert_eq!(t.num_ids(), 12);
         let mut seen = vec![false; t.num_ids()];
         for r in &dates {
             let pk = r.at(0).as_i64().unwrap();
             match t.get_id(pk) {
                 Some(id) => {
-                    // Dense, in-range, and aux(id) is exactly what get() sees.
-                    assert!((id as usize) < t.num_ids());
+                    // In range, and aux(id) is exactly what get() sees.
+                    assert_eq!(t.aux(id), t.get(pk));
+                    let month = t.aux(id).unwrap().at(1).as_i64().unwrap();
+                    assert_eq!(month - 199301, i64::from(id));
                     seen[id as usize] = true;
-                    assert_eq!(t.aux(id), t.get(pk).unwrap());
                 }
                 None => assert!(t.get(pk).is_none()),
             }
         }
         assert!(seen.iter().all(|&s| s), "every id must be reachable");
+        assert!(t.aux(12).is_none());
         // Probes outside the direct-index key range miss cleanly.
         assert!(t.get_id(0).is_none());
         assert!(t.get_id(-1).is_none());
@@ -570,7 +600,7 @@ mod tests {
         assert_eq!(t.len(), 51);
         for r in &rows {
             let pk = r.at(0).as_i64().unwrap();
-            assert_eq!(t.get_id(pk).map(|id| t.aux(id)), t.get(pk));
+            assert_eq!(t.get_id(pk).and_then(|id| t.aux(id)), t.get(pk));
         }
         assert!(t.get_id(250_000_000).is_some());
         assert!(t.get_id(123).is_none());

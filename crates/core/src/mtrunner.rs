@@ -262,38 +262,45 @@ impl MapRunner for MtMapRunner {
             c.probe_rows += stats.probes;
         });
 
-        // Merge thread results in first-morsel order (already sorted), then
-        // rematerialize the packed-key groups once per task: distinct
-        // dimension rows can share aux values, so fold (don't overwrite)
-        // into the row-keyed map.
+        // Merge thread results in first-morsel order (already sorted): the
+        // packed-key accumulators slot by slot, then one rematerialized row
+        // per populated slot beside the row-keyed partials.
         let agg = &self.query.aggregate;
-        let mut acc: FxHashMap<Row, i64> = FxHashMap::default();
-        let mut vacc = layout.as_ref().map(|l| GroupAcc::new(l, agg));
+        let mut groups: Vec<(Row, i64)> = Vec::new();
+        let mut vacc: Option<GroupAcc> = None;
         for r in results {
-            // clyde-lint: allow(unordered, reason=algebraic fold into a map is commutative; emit sorts)
-            for (k, v) in r.acc {
-                let slot = acc.entry(k).or_insert_with(|| agg.identity());
-                // clyde-lint: allow(floatorder, reason=fixed-merge-order: i64-exact fold, results pre-sorted by first morsel)
-                *slot = agg.fold(*slot, v);
-            }
-            if let (Some(va), Some(global)) = (r.vacc, vacc.as_mut()) {
-                global.merge(va, agg);
+            groups.extend(r.acc);
+            if let Some(va) = r.vacc {
+                match vacc.as_mut() {
+                    Some(global) => global.merge(va, agg)?,
+                    None => vacc = Some(va),
+                }
             }
         }
         if let (Some(vacc), Some(l)) = (vacc, &layout) {
-            for (key, v) in vacc.entries() {
-                let row = l.rematerialize(key, &tables);
-                let slot = acc.entry(row).or_insert_with(|| agg.identity());
-                // clyde-lint: allow(floatorder, reason=fixed-merge-order: i64-exact fold over layout-ordered group keys)
-                *slot = agg.fold(*slot, v);
-            }
+            groups.extend(
+                vacc.entries()
+                    .into_iter()
+                    .map(|(key, v)| (l.rematerialize(key, &tables), v)),
+            );
         }
 
-        // Emit one record per group: key = group columns, value = partial sum.
-        let mut groups: Vec<(Row, i64)> = acc.into_iter().collect();
-        groups.sort(); // deterministic emission order
-        for (key, sum) in groups {
-            ctx.emit(&key, Row::new(vec![Datum::I64(sum)]));
+        // Emit one record per group, in group order: key = group columns,
+        // value = partial aggregate. Equal rows (several threads' row-keyed
+        // partials, or aux tuples that differ only in a column no group-by
+        // reads) are adjacent after the stable sort, still in merge order,
+        // and fold into one.
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        groups.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                // clyde-lint: allow(floatorder, reason=fixed-merge-order: i64-exact fold, equal rows in first-morsel order)
+                kept.1 = agg.fold(kept.1, next.1);
+            }
+            same
+        });
+        for (key, value) in groups {
+            ctx.emit(&key, Row::new(vec![Datum::I64(value)]));
         }
         ctx.note_wall_phase(Phase::Emit, emit_start.elapsed_ns());
         Ok(())

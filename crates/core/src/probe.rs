@@ -6,8 +6,8 @@
 //!   predicates are evaluated over whole column slices into a reusable
 //!   *selection vector*, each dimension table is probed batch-at-a-time over
 //!   the surviving indices, and groups are aggregated under packed `u64`
-//!   keys of dense per-join aux ids (see [`GroupLayout`]). Group `Row`s are
-//!   rematerialized once per task at emit time, not once per fact row;
+//!   keys of per-join group ids (see [`GroupLayout`]). Group `Row`s are
+//!   rematerialized once per populated group at emit time;
 //! * one scalar reference loop (`probe_scalar`), reached two ways:
 //!   [`probe_block`] reads typed column slices (B-CIF block iteration,
 //!   Section 5.3) — the test oracle, the `vectorized`-off ablation and the
@@ -25,7 +25,7 @@
 
 use crate::config::KernelOpts;
 use crate::hashtable::{DimTables, NONE_ID};
-use clyde_common::{ClydeError, FxHashMap, Result, Row, RowBlock, Schema};
+use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
 use clyde_ssb::queries::{Aggregate, CompiledFactPred, StarQuery};
 
 /// Index-resolved probe plan against a scan schema (the projected fact
@@ -233,8 +233,8 @@ pub fn probe_row(
     )
 }
 
-/// One group-contributing join inside a [`GroupLayout`]: its dense aux ids
-/// occupy `bits` bits of the packed key starting at `shift`.
+/// One group-contributing join inside a [`GroupLayout`]: its group ids
+/// occupy the bits of `mask` in the packed key, starting at `shift`.
 #[derive(Debug, Clone, Copy)]
 struct JoinPack {
     ji: usize,
@@ -244,23 +244,26 @@ struct JoinPack {
 
 /// Packed `u64` group-key layout for the vectorized kernel.
 ///
-/// Each group-contributing join gets a bit field wide enough for that
-/// dimension table's dense id space ([`crate::hashtable::DimHashTable::num_ids`]); the packed key
-/// is the concatenation of the per-join ids. The aux `Row`s behind the ids
-/// are only materialized by [`GroupLayout::rematerialize`] at emit time.
+/// Each group-contributing join gets a bit field of ⌈log2⌉ of its table's
+/// group-id dictionary size ([`crate::hashtable::DimHashTable::num_ids`]:
+/// distinct aux tuples, not qualifying rows), and the packed key is the
+/// concatenation of the per-join ids. Every SSB query packs into at most
+/// [`DENSE_BITS`] bits (Q3.1: five nations, five nations and six years in
+/// 3 + 3 + 3), and distinct packed keys are distinct group rows whenever
+/// each join's aux columns are all group-by columns. The aux `Row`s behind
+/// the ids are only materialized by [`GroupLayout::rematerialize`] at emit
+/// time.
 #[derive(Debug, Clone)]
 pub struct GroupLayout {
-    /// Distinct group-contributing joins, in first-appearance order.
-    packs: Vec<JoinPack>,
-    /// For each `group_src` entry: (index into `packs`, aux column index).
-    src: Vec<(usize, usize)>,
+    /// For each `group_src` entry: its join's bit field and aux column index.
+    src: Vec<(JoinPack, usize)>,
     /// Per join index: the shift to OR its id at, if it contributes.
     shift_of: Vec<Option<u32>>,
     total_bits: u32,
 }
 
 /// Dense aggregation is used when the whole packed key space fits in this
-/// many bits (64 Ki slots, ~512 KiB of `i64`).
+/// many bits (64 Ki slots, 1 MiB of `Option<i64>`).
 const DENSE_BITS: u32 = 16;
 
 impl GroupLayout {
@@ -270,41 +273,35 @@ impl GroupLayout {
     pub fn new(plan: &ProbePlan, tables: &DimTables) -> Option<GroupLayout> {
         let mut packs: Vec<JoinPack> = Vec::new();
         let mut src = Vec::with_capacity(plan.group_src.len());
-        let mut shift = 0u32;
+        let mut total_bits = 0u32;
         for &(ji, ai) in &plan.group_src {
-            let pi = match packs.iter().position(|p| p.ji == ji) {
-                Some(pi) => pi,
+            let pack = match packs.iter().find(|p| p.ji == ji) {
+                Some(&p) => p,
                 None => {
-                    let n = tables.tables[ji].num_ids();
-                    let bits = if n <= 1 {
-                        0
-                    } else {
-                        64 - ((n - 1) as u64).leading_zeros()
-                    };
-                    packs.push(JoinPack {
-                        ji,
-                        shift,
-                        mask: if bits == 0 { 0 } else { (1u64 << bits) - 1 },
-                    });
-                    shift += bits;
-                    if shift > 63 {
+                    let ids = tables.tables.get(ji)?.num_ids();
+                    let bits = usize::BITS - ids.saturating_sub(1).leading_zeros();
+                    if total_bits + bits > 63 {
                         return None;
                     }
-                    packs.len() - 1
+                    let p = JoinPack {
+                        ji,
+                        shift: total_bits,
+                        mask: (1u64 << bits) - 1,
+                    };
+                    total_bits += bits;
+                    packs.push(p);
+                    p
                 }
             };
-            src.push((pi, ai));
+            src.push((pack, ai));
         }
-        let njoins = tables.tables.len();
-        let mut shift_of = vec![None; njoins];
-        for p in &packs {
-            shift_of[p.ji] = Some(p.shift);
-        }
+        let shift_of = (0..tables.tables.len())
+            .map(|ji| packs.iter().find(|p| p.ji == ji).map(|p| p.shift))
+            .collect();
         Some(GroupLayout {
-            packs,
             src,
             shift_of,
-            total_bits: shift,
+            total_bits,
         })
     }
 
@@ -313,71 +310,100 @@ impl GroupLayout {
         (self.total_bits <= DENSE_BITS).then(|| 1usize << self.total_bits)
     }
 
-    /// Expand a packed key back into the group-by `Row` (emit time).
+    /// Expand a packed key back into the group-by `Row` (emit time). A key
+    /// this layout did not pack over `tables` yields NULL for every field
+    /// it cannot resolve.
     pub fn rematerialize(&self, key: u64, tables: &DimTables) -> Row {
         self.src
             .iter()
-            .map(|&(pi, ai)| {
-                let p = self.packs[pi];
+            .map(|&(p, ai)| {
                 let id = ((key >> p.shift) & p.mask) as u32;
-                tables.tables[p.ji].aux(id).at(ai).clone()
+                tables
+                    .tables
+                    .get(p.ji)
+                    .and_then(|t| t.aux(id))
+                    .and_then(|aux| aux.get(ai))
+                    .cloned()
+                    .unwrap_or(Datum::Null)
             })
             .collect()
     }
 }
 
 /// Per-thread group accumulator for the vectorized kernel: a dense array
-/// when the packed key space is small (e.g. flight 1 has no group-by at
-/// all), a hash map on `u64` keys otherwise. Either way the keys stay
-/// packed ids — no `Row` allocation on the hot path.
+/// when the packed key space fits [`DENSE_BITS`] (every SSB query), a hash
+/// map on `u64` keys for wider layouts. Either way the keys stay packed
+/// ids — no `Row` allocation on the hot path.
 #[derive(Debug)]
 pub enum GroupAcc {
-    Dense { slots: Vec<i64>, hit: Vec<bool> },
+    /// One slot per packed key; `None` until a row folds into it.
+    Dense(Vec<Option<i64>>),
     Sparse(FxHashMap<u64, i64>),
 }
 
+/// Fold `v` into a partial aggregate that may not have started yet. The
+/// identity folds into `v` unchanged, so an empty slot simply takes `v`.
+#[inline]
+fn fold_slot(slot: &mut Option<i64>, v: i64, aggregate: &Aggregate) {
+    *slot = Some(slot.map_or(v, |acc| aggregate.fold(acc, v)));
+}
+
 impl GroupAcc {
-    pub fn new(layout: &GroupLayout, aggregate: &Aggregate) -> GroupAcc {
+    /// An empty accumulator for `layout`. Empty slots are `None` rather
+    /// than the aggregate's identity, so the aggregate is not consulted.
+    pub fn new(layout: &GroupLayout, _aggregate: &Aggregate) -> GroupAcc {
         match layout.dense_slots() {
-            Some(n) => GroupAcc::Dense {
-                slots: vec![aggregate.identity(); n],
-                hit: vec![false; n],
-            },
+            Some(n) => GroupAcc::Dense(vec![None; n]),
             None => GroupAcc::Sparse(FxHashMap::default()),
         }
     }
 
     #[inline]
-    fn fold(&mut self, key: u64, measure: i64, aggregate: &Aggregate) {
+    fn fold(&mut self, key: u64, measure: i64, aggregate: &Aggregate) -> Result<()> {
         match self {
-            GroupAcc::Dense { slots, hit } => {
-                let k = key as usize;
-                slots[k] = aggregate.fold(slots[k], measure);
-                hit[k] = true;
+            GroupAcc::Dense(slots) => {
+                let slot = usize::try_from(key)
+                    .ok()
+                    .and_then(|k| slots.get_mut(k))
+                    .ok_or_else(|| {
+                        ClydeError::Plan(format!("packed group key {key} outside its layout"))
+                    })?;
+                fold_slot(slot, measure, aggregate);
             }
             GroupAcc::Sparse(map) => {
                 let slot = map.entry(key).or_insert_with(|| aggregate.identity());
                 *slot = aggregate.fold(*slot, measure);
             }
         }
+        Ok(())
     }
 
-    /// Fold another accumulator (same layout) into this one.
-    pub fn merge(&mut self, other: GroupAcc, aggregate: &Aggregate) {
-        for (key, v) in other.entries() {
-            self.fold(key, v, aggregate);
+    /// Fold another accumulator of the same layout into this one: slot by
+    /// slot when both are dense, key by key otherwise.
+    pub fn merge(&mut self, other: GroupAcc, aggregate: &Aggregate) -> Result<()> {
+        if let (GroupAcc::Dense(slots), GroupAcc::Dense(theirs)) = (&mut *self, &other) {
+            if slots.len() == theirs.len() {
+                for (slot, theirs) in slots.iter_mut().zip(theirs) {
+                    if let Some(v) = *theirs {
+                        fold_slot(slot, v, aggregate);
+                    }
+                }
+                return Ok(());
+            }
         }
+        for (key, v) in other.entries() {
+            self.fold(key, v, aggregate)?;
+        }
+        Ok(())
     }
 
     /// The populated (packed key, partial aggregate) pairs.
     pub fn entries(&self) -> Vec<(u64, i64)> {
         match self {
-            GroupAcc::Dense { slots, hit } => slots
+            GroupAcc::Dense(slots) => slots
                 .iter()
-                .zip(hit)
-                .enumerate()
-                .filter(|(_, (_, &h))| h)
-                .map(|(k, (&v, _))| (k as u64, v))
+                .zip(0u64..)
+                .filter_map(|(slot, key)| slot.map(|v| (key, v)))
                 .collect(),
             GroupAcc::Sparse(map) => map.iter().map(|(&k, &v)| (k, v)).collect(),
         }
@@ -631,7 +657,7 @@ pub fn probe_block_vec(
     // otherwise) keep the inner loops branch-free.
     for (k, &j) in tables.probe_order().iter().enumerate() {
         let fk_col = &fk_slices[j];
-        let (shift, contrib) = match layout.shift_of[j] {
+        let (shift, contrib) = match layout.shift_of.get(j).copied().flatten() {
             Some(sh) => (sh, u64::MAX),
             None => (0u32, 0u64),
         };
@@ -690,9 +716,9 @@ pub fn probe_block_vec(
     stats.survivors += live as u64;
 
     // Aggregate stage: fold each survivor's measure into its packed group.
-    for r in 0..live {
-        let measure = plan.aggregate.eval_i64(agg_a, agg_b, sel[r] as usize);
-        acc.fold(keys[r], measure, &plan.aggregate);
+    for (&i, &key) in sel.iter().zip(keys.iter()).take(live) {
+        let measure = plan.aggregate.eval_i64(agg_a, agg_b, i as usize);
+        acc.fold(key, measure, &plan.aggregate)?;
     }
     Ok(())
 }
@@ -866,14 +892,12 @@ mod tests {
             block, plan, tables, &layout, &mut acc, &mut buf, &mut stats, KernelOpts,
         )
         .unwrap();
-        // Distinct dimension rows can share aux values (e.g. 365 dates per
-        // d_year), so distinct packed keys may rematerialize to the same
-        // group row — emit-time merging must fold, not overwrite.
+        // Group ids are dictionary codes of distinct aux tuples, and every
+        // SSB aux column is a group-by column: one packed key per group row.
         let mut rows: FxHashMap<Row, i64> = FxHashMap::default();
         for (k, v) in acc.entries() {
             let key = layout.rematerialize(k, tables);
-            let slot = rows.entry(key).or_insert_with(|| plan.aggregate.identity());
-            *slot = plan.aggregate.fold(*slot, v);
+            assert!(rows.insert(key, v).is_none(), "two keys, one group row");
         }
         (rows, stats)
     }
@@ -968,7 +992,7 @@ mod tests {
             )
             .unwrap();
         }
-        a.merge(b, &plan.aggregate);
+        a.merge(b, &plan.aggregate).unwrap();
 
         let mut scalar = FxHashMap::default();
         let mut st2 = ProbeStats::default();

@@ -61,23 +61,20 @@ impl InputFormat for RowBinInputFormat {
         };
         let data = io.read_file(path)?;
         let rows = rowcodec::read_rows(&data)?;
-        Ok(Reader::Rows(Box::new(RowVecReader { rows, pos: 0 })))
+        Ok(Reader::Rows(Box::new(RowVecReader {
+            rows: rows.into_iter(),
+        })))
     }
 }
 
+/// Hands out a decoded row-binary file's rows by moving them out.
 struct RowVecReader {
-    rows: Vec<Row>,
-    pos: usize,
+    rows: std::vec::IntoIter<Row>,
 }
 
 impl RecordReader for RowVecReader {
     fn next(&mut self) -> Result<Option<(Row, Row)>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let row = self.rows[self.pos].clone();
-        self.pos += 1;
-        Ok(Some((Row::empty(), row)))
+        Ok(self.rows.next().map(|row| (Row::empty(), row)))
     }
 }
 

@@ -5,13 +5,24 @@
 //! from `build_rows` / `mem_bytes` / `mem_fixed_bytes`) and the same probe
 //! order; and the encoded one must turn any byte buffer into a table or a
 //! typed error, never a panic.
+//!
+//! Group ids are dictionary codes of the distinct aux tuples, so every SSB
+//! query's packed group key fits the dense accumulator; the sparse one
+//! stays covered by a crafted query wider than 16 bits.
 
-use clyde_common::{row, rowcodec, Datum, Row};
-use clyde_ssb::gen::SsbGen;
-use clyde_ssb::queries::{all_queries, query_by_id, DimJoin, DimPred};
-use clyde_ssb::schema;
+use clyde_common::{row, rowcodec, Datum, FxHashMap, Row, RowBlock, RowBlockBuilder, Schema};
+use clyde_dfs::Dfs;
+use clyde_mapred::ResidentStore;
+use clyde_ssb::gen::{SsbData, SsbGen};
+use clyde_ssb::queries::{all_queries, query_by_id, Aggregate, DimJoin, DimPred, StarQuery};
+use clyde_ssb::{reference_answer, schema};
 use clydesdale::hashtable::{DimHashTable, DimTables};
+use clydesdale::probe::{
+    probe_block, probe_block_vec, GroupAcc, GroupLayout, ProbePlan, ProbeStats, SelBuf,
+};
+use clydesdale::KernelOpts;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Keys no generated table contains: the probe's out-of-range misses.
 const FAR_KEYS: [i64; 6] = [i64::MIN, -1, 0, 1 << 40, i64::MAX - 1, i64::MAX];
@@ -44,7 +55,7 @@ fn assert_same_table(a: &DimHashTable, b: &DimHashTable, keys: impl Iterator<Ite
         assert_eq!(a.get(key), b.get(key), "get({key})");
         assert_eq!(
             a.get(key),
-            a.get_id(key).map(|id| a.aux(id)),
+            a.get_id(key).and_then(|id| a.aux(id)),
             "get vs get_id({key})"
         );
     }
@@ -57,12 +68,51 @@ fn assert_equivalent(join: &DimJoin, rows: &[Row]) {
         .filter_map(|r| r.get(0).and_then(Datum::as_i64))
         .flat_map(|k| [k, k.wrapping_add(1)]);
     match build_both(join, rows) {
-        (Ok(a), Ok(b)) => assert_same_table(&a, &b, keys),
+        (Ok(a), Ok(b)) => {
+            assert_same_table(&a, &b, keys);
+            assert_dictionary(join, &a, rows);
+        }
         (Err(a), Err(b)) => assert_eq!(a, b),
         (a, b) => panic!("rows path {a:?} vs encoded path {b:?}"),
     }
 }
 
+/// `t`'s group ids are the dictionary codes of the distinct aux tuples among
+/// the rows `join` qualifies, numbered in first-appearance order: a key's id
+/// is its tuple's code (so two keys share an id exactly when `get` gives
+/// them equal aux rows), `aux` of that id is `get` of the key, and every id
+/// is some key's.
+fn assert_dictionary(join: &DimJoin, t: &DimHashTable, rows: &[Row]) {
+    let dim = schema::schema_of(&join.dimension).unwrap();
+    let pred = join.predicate.compile(&dim).unwrap();
+    let pk = dim.index_of(&join.pk).unwrap();
+    let aux: Vec<usize> = join.aux.iter().map(|a| dim.index_of(a).unwrap()).collect();
+    let mut codes: FxHashMap<Row, u32> = FxHashMap::default();
+    for r in rows.iter().filter(|r| pred.eval(r)) {
+        let key = r.at(pk).as_i64().unwrap();
+        let tuple = r.project(&aux);
+        let next = u32::try_from(codes.len()).unwrap();
+        let code = *codes.entry(tuple.clone()).or_insert(next);
+        assert_eq!(
+            t.get_id(key),
+            Some(code),
+            "{}: get_id({key})",
+            join.dimension
+        );
+        assert_eq!(t.get(key), Some(&tuple), "{}: get({key})", join.dimension);
+        assert_eq!(
+            t.aux(code),
+            t.get(key),
+            "{}: aux(get_id({key}))",
+            join.dimension
+        );
+    }
+    assert_eq!(t.num_ids(), codes.len(), "{}: num_ids", join.dimension);
+    assert!(t.aux(u32::try_from(codes.len()).unwrap()).is_none());
+}
+
+/// Every SSB join: the same table from bytes, and ids that are dictionary
+/// codes of its distinct aux tuples.
 #[test]
 fn every_join_of_every_ssb_query_builds_the_same_table_from_bytes() {
     let data = SsbGen::new(0.005, 46).gen_all();
@@ -237,4 +287,285 @@ fn every_truncation_and_every_bit_flip_is_a_table_or_a_typed_error() {
         flipped[bit / 8] ^= 1 << (bit % 8);
     }
     assert_eq!(flipped, buf);
+}
+
+/// Bits a dictionary of `n` ids needs: the least `b` with `2^b >= n`.
+fn id_bits(n: usize) -> u32 {
+    (0..usize::BITS).find(|&b| 1usize << b >= n).unwrap()
+}
+
+/// The scanned fact columns of `q`: their lineorder indexes and schema.
+fn scan_of(q: &StarQuery) -> (Vec<usize>, Schema) {
+    let fact = schema::lineorder_schema();
+    let cols: Vec<usize> = q
+        .fact_columns()
+        .iter()
+        .map(|c| fact.index_of(c).unwrap())
+        .collect();
+    let scan = fact.project(&cols);
+    (cols, scan)
+}
+
+/// Each group-contributing join gets ⌈log2⌉ of its dictionary size in
+/// bits, and at SF 0.01 every SSB query's packed key fits the dense
+/// accumulator.
+#[test]
+fn every_ssb_query_packs_its_group_key_densely() {
+    let gen = SsbGen::new(0.01, 46);
+    let dims = [
+        (schema::DATE, gen.gen_date()),
+        (schema::CUSTOMER, gen.gen_customer()),
+        (schema::SUPPLIER, gen.gen_supplier()),
+        (schema::PART, gen.gen_part()),
+    ];
+    let mut widths: Vec<(String, Vec<u32>)> = Vec::new();
+    for q in all_queries() {
+        let plan = ProbePlan::compile(&q, &scan_of(&q).1).unwrap();
+        let tables = DimTables::build_all(&q.joins, |dim| {
+            Ok(dims.iter().find(|(d, _)| *d == dim).unwrap().1.clone())
+        })
+        .unwrap();
+        let mut joins: Vec<usize> = Vec::new();
+        for &(ji, _) in &plan.group_src {
+            if !joins.contains(&ji) {
+                joins.push(ji);
+            }
+        }
+        let bits: Vec<u32> = joins
+            .iter()
+            .map(|&ji| id_bits(tables.tables[ji].num_ids()))
+            .collect();
+        let total: u32 = bits.iter().sum();
+        assert!(total <= 16, "{}: {bits:?}", q.id);
+        let layout = GroupLayout::new(&plan, &tables).unwrap();
+        assert_eq!(layout.dense_slots(), Some(1 << total), "{}", q.id);
+        assert!(matches!(
+            GroupAcc::new(&layout, &q.aggregate),
+            GroupAcc::Dense(_)
+        ));
+        widths.push((q.id, bits));
+    }
+    // Recorded at SF 0.01, seed 46: 20 suppliers and 300 customers leave
+    // some dictionaries at one tuple (0 bits). Q2.1 is seven years × the
+    // brands of MFGR#12 (at most 40); Q3.1 is the five Asian nations × the
+    // three or four of them that have a supplier × six years.
+    let expect: [(&str, &[u32]); 13] = [
+        ("Q1.1", &[]),
+        ("Q1.2", &[]),
+        ("Q1.3", &[]),
+        ("Q2.1", &[3, 6]),
+        ("Q2.2", &[3, 3]),
+        ("Q2.3", &[3, 0]),
+        ("Q3.1", &[3, 2, 3]),
+        ("Q3.2", &[3, 2, 3]),
+        ("Q3.3", &[0, 0, 3]),
+        ("Q3.4", &[0, 0, 0]),
+        ("Q4.1", &[3, 3]),
+        ("Q4.2", &[1, 1, 4]),
+        ("Q4.3", &[1, 2, 6]),
+    ];
+    assert_eq!(widths.len(), expect.len());
+    for ((id, bits), (expect_id, expect_bits)) in widths.iter().zip(expect) {
+        assert_eq!((id.as_str(), bits.as_slice()), (expect_id, expect_bits));
+    }
+}
+
+/// `q`'s fact rows in blocks of `rows_per_block`, projected to its scan.
+fn blocks_of(data: &SsbData, q: &StarQuery, rows_per_block: usize) -> Vec<RowBlock> {
+    let (cols, scan) = scan_of(q);
+    let dtypes: Vec<_> = scan.fields().iter().map(|f| f.dtype).collect();
+    data.lineorder
+        .chunks(rows_per_block)
+        .map(|chunk| {
+            let mut b = RowBlockBuilder::new(&dtypes);
+            for lo in chunk {
+                b.push_row(&lo.project(&cols)).unwrap();
+            }
+            b.finish()
+        })
+        .collect()
+}
+
+/// The vectorized kernel (blocks dealt over two accumulators, then merged),
+/// the scalar kernel and the reference executor give `q` one answer.
+/// Returns the vectorized kernel's layout.
+fn assert_kernels_agree(data: &SsbData, q: &StarQuery, tables: &DimTables) -> GroupLayout {
+    let plan = ProbePlan::compile(q, &scan_of(q).1).unwrap();
+    let blocks = blocks_of(data, q, 1_000);
+    let mut scalar = FxHashMap::default();
+    let mut st_scalar = ProbeStats::default();
+    for b in &blocks {
+        probe_block(b, &plan, tables, &mut scalar, &mut st_scalar).unwrap();
+    }
+
+    let layout = GroupLayout::new(&plan, tables).unwrap();
+    let mut accs = [
+        GroupAcc::new(&layout, &q.aggregate),
+        GroupAcc::new(&layout, &q.aggregate),
+    ];
+    let mut buf = SelBuf::default();
+    let mut st_vec = ProbeStats::default();
+    for (i, b) in blocks.iter().enumerate() {
+        let acc = &mut accs[i % 2];
+        probe_block_vec(
+            b,
+            &plan,
+            tables,
+            &layout,
+            acc,
+            &mut buf,
+            &mut st_vec,
+            KernelOpts,
+        )
+        .unwrap();
+    }
+    let [mut acc, other] = accs;
+    acc.merge(other, &q.aggregate).unwrap();
+    let mut vectorized: FxHashMap<Row, i64> = FxHashMap::default();
+    for (key, v) in acc.entries() {
+        let slot = vectorized
+            .entry(layout.rematerialize(key, tables))
+            .or_insert_with(|| q.aggregate.identity());
+        *slot = q.aggregate.fold(*slot, v);
+    }
+    assert_eq!(vectorized, scalar, "{}: vectorized != scalar", q.id);
+    assert_eq!(st_vec, st_scalar, "{}: stats", q.id);
+
+    let mut rows: Vec<Row> = scalar
+        .into_iter()
+        .map(|(k, v)| k.concat(&row![v]))
+        .collect();
+    q.sort_result(&mut rows);
+    assert_eq!(
+        rows,
+        reference_answer(data, q).unwrap(),
+        "{}: reference",
+        q.id
+    );
+    assert!(!rows.is_empty(), "{}: an empty answer proves little", q.id);
+    layout
+}
+
+fn unfiltered(dimension: &str, pk: &str, fk: &str, aux: &str) -> DimJoin {
+    DimJoin {
+        dimension: dimension.into(),
+        pk: pk.into(),
+        fk: fk.into(),
+        predicate: DimPred::True,
+        aux: vec![aux.into()],
+    }
+}
+
+/// Grouped by customer city, supplier city and brand over unfiltered
+/// dimensions, the packed key is wider than 16 bits, so the vectorized
+/// kernel aggregates in the sparse map — and still agrees.
+#[test]
+fn a_group_key_wider_than_the_dense_array_aggregates_sparsely_and_agrees() {
+    let data = SsbGen::new(0.005, 46).gen_all();
+    let q = StarQuery {
+        id: "wide".into(),
+        joins: vec![
+            unfiltered(schema::CUSTOMER, "c_custkey", "lo_custkey", "c_city"),
+            unfiltered(schema::SUPPLIER, "s_suppkey", "lo_suppkey", "s_city"),
+            unfiltered(schema::PART, "p_partkey", "lo_partkey", "p_brand1"),
+        ],
+        fact_preds: vec![],
+        group_by: vec!["c_city".into(), "s_city".into(), "p_brand1".into()],
+        aggregate: Aggregate::SumColumn("lo_revenue".into()),
+        order_by: vec![],
+        limit: None,
+    };
+    let tables =
+        DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec())).unwrap();
+    let bits: u32 = tables.tables.iter().map(|t| id_bits(t.num_ids())).sum();
+    assert!(bits > 16, "{bits} bits");
+    let layout = assert_kernels_agree(&data, &q, &tables);
+    assert_eq!(layout.dense_slots(), None);
+    assert!(matches!(
+        GroupAcc::new(&layout, &q.aggregate),
+        GroupAcc::Sparse(_)
+    ));
+}
+
+/// One dimension joined twice under different predicates: `date` on the
+/// order date (1993–1995, carrying a month no group-by reads, so several
+/// ids rematerialize to one group row) and on the commit date (1994 only).
+/// The two joins get two tables; a later query that swaps their foreign
+/// keys finds both resident, because a table's key has no `fk`; and a join
+/// that mixes one's predicate with the other's aux is served neither.
+#[test]
+fn one_dimension_joined_twice_under_different_predicates() {
+    let data = SsbGen::new(0.005, 46).gen_all();
+    let date = |fk: &str, predicate: DimPred, aux: &[&str]| DimJoin {
+        dimension: schema::DATE.into(),
+        pk: "d_datekey".into(),
+        fk: fk.into(),
+        predicate,
+        aux: aux.iter().map(|a| a.to_string()).collect(),
+    };
+    let q = StarQuery {
+        id: "date-twice".into(),
+        joins: vec![
+            date(
+                "lo_orderdate",
+                DimPred::I32Between {
+                    column: "d_year".into(),
+                    lo: 1993,
+                    hi: 1995,
+                },
+                &["d_year", "d_month"],
+            ),
+            date(
+                "lo_commitdate",
+                DimPred::I32Eq {
+                    column: "d_year".into(),
+                    value: 1994,
+                },
+                &["d_yearmonth"],
+            ),
+        ],
+        fact_preds: vec![],
+        group_by: vec!["d_year".into(), "d_yearmonth".into()],
+        aggregate: Aggregate::CountStar,
+        order_by: vec![],
+        limit: None,
+    };
+
+    let dfs = Dfs::for_tests(1);
+    dfs.write_file("date.bin", None, &rowcodec::write_rows(&data.date))
+        .unwrap();
+    let bytes = dfs.read_file("date.bin", None).unwrap();
+    let store = ResidentStore::new(1 << 30);
+    let first =
+        DimTables::build_all_resident(&q.joins, Some(&store), |_| Ok(bytes.clone())).unwrap();
+    assert!(!Arc::ptr_eq(&first.tables[0], &first.tables[1]));
+    for (join, table) in q.joins.iter().zip(&first.tables) {
+        assert_same_table(
+            table,
+            &DimHashTable::build(join, &data.date).unwrap(),
+            std::iter::empty(),
+        );
+        assert_dictionary(join, table, &data.date);
+    }
+    assert_eq!(first.tables[0].num_ids(), 36);
+    assert_eq!(first.tables[1].num_ids(), 12);
+    let layout = assert_kernels_agree(&data, &q, &first);
+    assert_eq!(layout.dense_slots(), Some(1 << (6 + 4)));
+
+    let mut swapped = q.clone();
+    swapped.joins[0].fk = "lo_commitdate".into();
+    swapped.joins[1].fk = "lo_orderdate".into();
+    let again =
+        DimTables::build_all_resident(&swapped.joins, Some(&store), |_| Ok(bytes.clone())).unwrap();
+    for (a, b) in first.tables.iter().zip(&again.tables) {
+        assert!(
+            Arc::ptr_eq(a, b),
+            "a join that differs only in fk is the same table"
+        );
+    }
+    assert_kernels_agree(&data, &swapped, &again);
+
+    let mut mixed = q.joins[0].clone();
+    mixed.predicate = q.joins[1].predicate.clone();
+    assert!(DimHashTable::resident(&store, &mixed, &bytes).is_none());
 }

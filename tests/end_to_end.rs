@@ -6,7 +6,8 @@ use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions, NodeId};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
-use clyde_ssb::queries::OrderTerm;
+use clyde_ssb::queries::{Aggregate, DimJoin, DimPred, OrderTerm, StarQuery};
+use clyde_ssb::schema;
 use clyde_ssb::{query_by_id, reference_answer};
 use clydesdale::{Clydesdale, Features};
 use std::sync::Arc;
@@ -198,5 +199,110 @@ fn an_ungrouped_order_by_column_is_a_plan_error_on_every_entry_point() {
     for strategy in [JoinStrategy::MapJoin, JoinStrategy::Repartition] {
         let hive = Hive::new(Arc::clone(&dfs), layout.clone(), strategy);
         assert!(is_plan_err(hive.query(&q).map(|r| r.rows)), "{strategy:?}");
+    }
+}
+
+/// Two shapes no SSB query has, through every engine: a group key wider
+/// than the map task's dense accumulator (customer city × supplier city ×
+/// brand), and `date` joined twice under different predicates, once with
+/// an aux column no group-by reads, so the map task folds several packed
+/// keys into one group row. Clydesdale runs at 1 and 4 host threads, so
+/// both shapes also merge across threads.
+#[test]
+fn wide_and_repeated_dimension_queries_agree_on_every_engine() {
+    let dfs = cluster(3);
+    let (layout, gen) = load(&dfs, 0.004);
+    let data = gen.gen_all();
+    let join = |dimension: &str, pk: &str, fk: &str, predicate: DimPred, aux: &[&str]| DimJoin {
+        dimension: dimension.into(),
+        pk: pk.into(),
+        fk: fk.into(),
+        predicate,
+        aux: aux.iter().map(|a| a.to_string()).collect(),
+    };
+    let query = |id: &str, joins: Vec<DimJoin>, group_by: &[&str]| StarQuery {
+        id: id.into(),
+        joins,
+        fact_preds: vec![],
+        group_by: group_by.iter().map(|g| g.to_string()).collect(),
+        aggregate: Aggregate::SumColumn("lo_revenue".into()),
+        order_by: vec![(OrderTerm::Aggregate, true)],
+        limit: None,
+    };
+    let wide = query(
+        "wide",
+        vec![
+            join(
+                schema::CUSTOMER,
+                "c_custkey",
+                "lo_custkey",
+                DimPred::True,
+                &["c_city"],
+            ),
+            join(
+                schema::SUPPLIER,
+                "s_suppkey",
+                "lo_suppkey",
+                DimPred::True,
+                &["s_city"],
+            ),
+            join(
+                schema::PART,
+                "p_partkey",
+                "lo_partkey",
+                DimPred::True,
+                &["p_brand1"],
+            ),
+        ],
+        &["c_city", "s_city", "p_brand1"],
+    );
+    let year = |lo: i32, hi: i32| DimPred::I32Between {
+        column: "d_year".into(),
+        lo,
+        hi,
+    };
+    let date_twice = query(
+        "date-twice",
+        vec![
+            join(
+                schema::DATE,
+                "d_datekey",
+                "lo_orderdate",
+                year(1993, 1995),
+                &["d_year", "d_month"],
+            ),
+            join(
+                schema::DATE,
+                "d_datekey",
+                "lo_commitdate",
+                year(1994, 1994),
+                &["d_yearmonth"],
+            ),
+        ],
+        &["d_year", "d_yearmonth"],
+    );
+
+    let mapjoin = Hive::new(Arc::clone(&dfs), layout.clone(), JoinStrategy::MapJoin);
+    let repart = Hive::new(Arc::clone(&dfs), layout.clone(), JoinStrategy::Repartition);
+    for q in [wide, date_twice] {
+        let expect = reference_answer(&data, &q).unwrap();
+        assert!(!expect.is_empty(), "{}", q.id);
+        for threads in [1, 4] {
+            let clyde =
+                Clydesdale::new(Arc::clone(&dfs), layout.clone()).with_host_threads(threads);
+            assert_eq!(
+                clyde.query(&q).unwrap().rows,
+                expect,
+                "{} clydesdale x{threads}",
+                q.id
+            );
+        }
+        assert_eq!(mapjoin.query(&q).unwrap().rows, expect, "{} mapjoin", q.id);
+        assert_eq!(
+            repart.query(&q).unwrap().rows,
+            expect,
+            "{} repartition",
+            q.id
+        );
     }
 }

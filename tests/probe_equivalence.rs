@@ -38,8 +38,9 @@ fn blocks_of(
 }
 
 /// Run the vectorized kernel over `blocks` and rematerialize its packed
-/// groups into plain rows (folding — distinct dimension rows can share aux
-/// values).
+/// groups into plain rows: one row per populated key, since group ids are
+/// dictionary codes of distinct aux tuples and every SSB aux column is a
+/// group-by column.
 fn run_vec(
     blocks: &[RowBlock],
     plan: &ProbePlan,
@@ -55,15 +56,12 @@ fn run_vec(
         )
         .unwrap();
     }
-    let mut folded: FxHashMap<Row, i64> = FxHashMap::default();
+    let mut groups: FxHashMap<Row, i64> = FxHashMap::default();
     for (k, v) in acc.entries() {
         let key = layout.rematerialize(k, tables);
-        let slot = folded
-            .entry(key)
-            .or_insert_with(|| plan.aggregate.identity());
-        *slot = plan.aggregate.fold(*slot, v);
+        assert!(groups.insert(key, v).is_none(), "two keys, one group row");
     }
-    (folded, st)
+    (groups, st)
 }
 
 proptest! {

@@ -183,9 +183,13 @@ impl RowBlock {
         &self.columns
     }
 
-    /// Materialize row `i` (the row-at-a-time path; allocates).
+    /// Materialize row `i` (the row-at-a-time path; allocates once). One
+    /// spare slot is reserved, so a reader that appends a field — the union
+    /// input's source tag — does not reallocate the row.
     pub fn row(&self, i: usize) -> Row {
-        self.columns.iter().map(|c| c.get(i)).collect()
+        let mut row = Row::with_capacity(self.columns.len() + 1);
+        row.extend(self.columns.iter().map(|c| c.get(i)));
+        row
     }
 
     /// Take a sub-range of rows `[from, to)` as a new block (copies).

@@ -64,14 +64,20 @@ fn encode_int(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&((v as u64) ^ (1 << 63)).to_be_bytes());
 }
 
-/// Encode a whole row; fields concatenate, so rows sort lexicographically by
-/// field, and a row that is a prefix of another sorts first.
-pub fn encode_row(row: &Row) -> Vec<u8> {
-    let mut out = Vec::with_capacity(row.len() * 9);
-    for d in row.iter() {
+/// Encode a sequence of datums; fields concatenate, so keys sort
+/// lexicographically by field, and a key that is a prefix of another sorts
+/// first. The empty key encodes to an empty, unallocated buffer.
+pub fn encode_datums(datums: &[Datum]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(datums.len() * 9);
+    for d in datums {
         encode_datum(&mut out, d);
     }
     out
+}
+
+/// Encode a whole row (see [`encode_datums`]).
+pub fn encode_row(row: &Row) -> Vec<u8> {
+    encode_datums(row.values())
 }
 
 /// Decode one datum from `buf` at `*pos`, advancing `*pos`.

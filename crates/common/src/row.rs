@@ -54,10 +54,6 @@ impl Row {
         &self.values
     }
 
-    pub fn into_values(self) -> Vec<Datum> {
-        self.values
-    }
-
     pub fn iter(&self) -> std::slice::Iter<'_, Datum> {
         self.values.iter()
     }
@@ -88,6 +84,12 @@ impl Row {
 impl From<Vec<Datum>> for Row {
     fn from(values: Vec<Datum>) -> Self {
         Row { values }
+    }
+}
+
+impl Extend<Datum> for Row {
+    fn extend<T: IntoIterator<Item = Datum>>(&mut self, iter: T) {
+        self.values.extend(iter);
     }
 }
 

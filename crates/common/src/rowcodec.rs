@@ -112,10 +112,13 @@ fn read_arity(buf: &[u8], pos: &mut usize) -> Result<usize> {
     }
 }
 
-/// Read a row written by [`write_row`].
+/// Read a row written by [`write_row`]. Like `RowBlock::row`, the row
+/// reserves one spare slot for a field a reader appends (the union input's
+/// source tag); `n` is bounded by the buffer length, so `n + 1` cannot
+/// overflow.
 pub fn read_row(buf: &[u8], pos: &mut usize) -> Result<Row> {
     let n = read_arity(buf, pos)?;
-    let mut row = Row::with_capacity(n);
+    let mut row = Row::with_capacity(n + 1);
     for _ in 0..n {
         row.push(read_datum(buf, pos)?);
     }

@@ -300,7 +300,7 @@ impl MapRunner for MtMapRunner {
             same
         });
         for (key, value) in groups {
-            ctx.emit(&key, Row::new(vec![Datum::I64(value)]));
+            ctx.emit(key.values(), Row::new(vec![Datum::I64(value)]));
         }
         ctx.note_wall_phase(Phase::Emit, emit_start.elapsed_ns());
         Ok(())

@@ -160,7 +160,7 @@ pub fn plan_query(
     // Fold the per-task partial aggregates with the query's operation.
     let agg = query.aggregate.clone();
     spec.reducer = Some(Arc::new(FnReducer(
-        move |key: &Row, values: &[Row], out: &mut Vec<Row>| {
+        move |key: &Row, values: &[&Row], out: &mut Vec<Row>| {
             let mut acc = agg.identity();
             for v in values {
                 let partial = v

@@ -103,12 +103,13 @@ impl MapRunner for MapJoinRunner {
         let entries = rowcodec::read_rows(&payload)?;
         let mut table: FxHashMap<i64, Row> = FxHashMap::default();
         for e in entries {
-            let pk = e
-                .at(0)
+            let (pk, aux) = e.values().split_first().ok_or_else(|| {
+                ClydeError::MapReduce("empty entry in the mapjoin hash table".into())
+            })?;
+            let pk = pk
                 .as_i64()
                 .ok_or_else(|| ClydeError::Plan("non-integer dimension key".into()))?;
-            let aux = Row::new(e.values()[1..].to_vec());
-            table.insert(pk, aux);
+            table.insert(pk, Row::new(aux.to_vec()));
         }
 
         for part in 0..ctx.split.spec.num_parts() {
@@ -119,7 +120,7 @@ impl MapRunner for MapJoinRunner {
                     "hive mapjoin expects row readers".into(),
                 ));
             };
-            while let Some((_, row)) = r.next()? {
+            while let Some((_, mut row)) = r.next()? {
                 rows_seen += 1;
                 if !self.fact_preds.is_empty()
                     && !fact_preds_eval_row(&self.fact_preds, &row, &self.input_schema)?
@@ -127,11 +128,20 @@ impl MapRunner for MapJoinRunner {
                     continue;
                 }
                 let fk = row
-                    .at(self.fk_idx)
+                    .get(self.fk_idx)
+                    .ok_or_else(|| {
+                        ClydeError::MapReduce(format!(
+                            "row has no foreign key column {}",
+                            self.fk_idx
+                        ))
+                    })?
                     .as_i64()
                     .ok_or_else(|| ClydeError::Plan("non-integer foreign key".into()))?;
                 if let Some(aux) = table.get(&fk) {
-                    ctx.emit(&Row::empty(), row.concat(aux));
+                    // The readers leave one spare slot, so a one-column aux
+                    // joins in place.
+                    row.extend(aux.iter().cloned());
+                    ctx.emit(&[], row);
                 }
             }
             ctx.add_cost(|c| c.deser_rows += rows_seen);
@@ -149,4 +159,57 @@ pub fn joined_schema(input: &Schema, join: &DimJoin) -> Result<Schema> {
         fields.push(dim_schema.field(dim_schema.index_of(a)?).clone());
     }
     Ok(Schema::new(fields))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clyde_common::{row, Field};
+    use clyde_mapred::formats::VecInputFormat;
+    use clyde_mapred::{Engine, JobSpec};
+
+    /// Run a mapjoin stage whose distributed-cache table is `entries`,
+    /// probed by `rows` with the foreign key in column 1.
+    fn mapjoin_job(entries: &[Row], rows: Vec<Row>) -> Result<Vec<Row>> {
+        let cache = Arc::new(DistCache::new());
+        cache.publish("t", bytes::Bytes::from(rowcodec::write_rows(entries)));
+        let runner = MapJoinRunner {
+            cache_key: "t".into(),
+            fk_idx: 1,
+            fact_preds: Vec::new(),
+            input_schema: Schema::new(vec![Field::i32("lo_key"), Field::i32("lo_fk")]),
+            table_mem_bytes: 1,
+        };
+        let engine = Engine::new(Dfs::for_tests(2));
+        let mut spec = JobSpec::new(
+            "mapjoin",
+            Arc::new(VecInputFormat::new(rows, 1)),
+            Arc::new(runner),
+        );
+        spec.max_task_attempts = 1;
+        let client = ClientArtifacts {
+            cache,
+            build_rows: entries.len() as u64,
+        };
+        Ok(engine.run_job_with(&spec, client)?.rows)
+    }
+
+    #[test]
+    fn runner_joins_aux_onto_matching_rows() {
+        let rows = vec![row![1i32, 7i32], row![2i32, 8i32]];
+        let out = mapjoin_job(&[row![7i64, "ASIA"]], rows).unwrap();
+        assert_eq!(out, vec![row![1i32, 7i32, "ASIA"]]);
+    }
+
+    #[test]
+    fn an_empty_cache_entry_is_an_error() {
+        let err = mapjoin_job(&[row![7i64, "ASIA"], Row::empty()], vec![row![1i32, 7i32]]);
+        assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_row_short_of_its_foreign_key_is_an_error() {
+        let err = mapjoin_job(&[row![7i64, "ASIA"]], vec![row![1i32]]);
+        assert!(err.is_err());
+    }
 }

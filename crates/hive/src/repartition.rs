@@ -6,7 +6,7 @@
 //! produces the joined rows. The entire fact side crosses the network — the
 //! shuffle cost that makes this plan slow (Q2.1 stage 1: 9,720 s).
 
-use crate::union::{split_tag, TAG_LEFT, TAG_RIGHT};
+use crate::union::{TAG_LEFT, TAG_RIGHT};
 use clyde_common::{ClydeError, Datum, Result, Row, Schema};
 use clyde_mapred::runner::Mapper;
 use clyde_mapred::shuffle::Reducer;
@@ -15,6 +15,13 @@ use clyde_ssb::queries::{fact_preds_eval_row, CompiledDimPred, FactPred};
 
 /// Mapper for the tagged two-source input: fact rows keyed by FK, dimension
 /// rows filtered then keyed by PK.
+///
+/// The source tag stays where [`TaggedUnionInputFormat`] put it, after every
+/// scan column, so predicates, keys and aux columns are read off the tagged
+/// row at their scan-schema indices. A fact row is emitted as it arrived,
+/// tag and all; a dimension row is cut down to its aux columns plus the tag.
+///
+/// [`TaggedUnionInputFormat`]: crate::union::TaggedUnionInputFormat
 pub struct RepartitionMapper {
     /// FK index in the fact-side (left) schema.
     pub fk_idx: usize,
@@ -30,41 +37,39 @@ pub struct RepartitionMapper {
 }
 
 impl Mapper for RepartitionMapper {
-    fn map(&self, _key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
-        let (row, tag) = split_tag(value.clone());
+    fn map(&self, _key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+        let (tag, fields) = untag(&value)?;
         match tag {
             TAG_LEFT => {
+                if fields.len() != self.left_schema.len() {
+                    return Err(ClydeError::MapReduce(format!(
+                        "fact row has {} columns, its schema {}",
+                        fields.len(),
+                        self.left_schema.len()
+                    )));
+                }
                 if !self.fact_preds.is_empty()
-                    && !fact_preds_eval_row(&self.fact_preds, &row, &self.left_schema)?
+                    && !fact_preds_eval_row(&self.fact_preds, &value, &self.left_schema)?
                 {
                     return Ok(());
                 }
-                let fk = row
-                    .at(self.fk_idx)
-                    .as_i64()
-                    .ok_or_else(|| ClydeError::Plan("non-integer foreign key".into()))?;
-                // Value = [tag] ++ full row, so the reducer can separate sides.
-                let mut v = Row::with_capacity(row.len() + 1);
-                v.push(Datum::I32(TAG_LEFT));
-                for d in row.iter() {
-                    v.push(d.clone());
-                }
-                ctx.emit(&clyde_common::row![fk], v);
+                let fk = int_key(fields, self.fk_idx, "foreign")?;
+                ctx.emit(&[Datum::I64(fk)], value);
             }
             TAG_RIGHT => {
-                if !self.dim_pred.eval(&row) {
+                if !self.dim_pred.eval(&value) {
                     return Ok(());
                 }
-                let pk = row
-                    .at(self.pk_idx)
-                    .as_i64()
-                    .ok_or_else(|| ClydeError::Plan("non-integer dimension key".into()))?;
+                let pk = int_key(fields, self.pk_idx, "dimension")?;
                 let mut v = Row::with_capacity(self.aux_idx.len() + 1);
-                v.push(Datum::I32(TAG_RIGHT));
                 for &i in &self.aux_idx {
-                    v.push(row.at(i).clone());
+                    let aux = fields.get(i).ok_or_else(|| {
+                        ClydeError::MapReduce(format!("dimension row has no aux column {i}"))
+                    })?;
+                    v.push(aux.clone());
                 }
-                ctx.emit(&clyde_common::row![pk], v);
+                v.push(Datum::I32(TAG_RIGHT));
+                ctx.emit(&[Datum::I64(pk)], v);
             }
             other => {
                 return Err(ClydeError::MapReduce(format!(
@@ -76,29 +81,62 @@ impl Mapper for RepartitionMapper {
     }
 }
 
+/// A tagged row's source tag (its last field) and the fields before it.
+fn untag(row: &Row) -> Result<(i32, &[Datum])> {
+    match row.values().split_last() {
+        Some((tag, fields)) => tag
+            .as_i32()
+            .map(|tag| (tag, fields))
+            .ok_or_else(|| ClydeError::MapReduce(format!("non-integer source tag {tag}"))),
+        None => Err(ClydeError::MapReduce("row carries no source tag".into())),
+    }
+}
+
+/// The integer join key at `idx`, or a typed error for a short row or a
+/// non-integer key.
+fn int_key(fields: &[Datum], idx: usize, side: &str) -> Result<i64> {
+    fields
+        .get(idx)
+        .ok_or_else(|| ClydeError::MapReduce(format!("row has no {side} key column {idx}")))?
+        .as_i64()
+        .ok_or_else(|| ClydeError::Plan(format!("non-integer {side} key")))
+}
+
 /// Reducer: join the two sides of one key. Dimension keys are unique in SSB,
 /// but the implementation handles the general M×N case like Hive's.
+///
+/// The values are borrowed from the shuffle; each joined row is built once,
+/// from the fact value's fields and the dimension value's aux fields, with
+/// both tags dropped.
 pub struct RepartitionReducer;
 
 impl Reducer for RepartitionReducer {
-    fn reduce(&self, _key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()> {
-        let mut dims: Vec<Row> = Vec::new();
-        let mut facts: Vec<Row> = Vec::new();
+    fn reduce(&self, _key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
+        let mut dims: Vec<&[Datum]> = Vec::new();
         for v in values {
-            let tag = v
-                .at(0)
-                .as_i32()
-                .ok_or_else(|| ClydeError::MapReduce("reducer value missing source tag".into()))?;
-            let rest = Row::new(v.values()[1..].to_vec());
-            if tag == TAG_RIGHT {
-                dims.push(rest);
-            } else {
-                facts.push(rest);
+            match untag(v)? {
+                (TAG_RIGHT, aux) => dims.push(aux),
+                (TAG_LEFT, _) => {}
+                (other, _) => {
+                    return Err(ClydeError::MapReduce(format!(
+                        "unexpected source tag {other}"
+                    )))
+                }
             }
         }
-        for f in &facts {
-            for d in &dims {
-                out.push(f.concat(d));
+        if dims.is_empty() {
+            return Ok(());
+        }
+        for v in values {
+            let (tag, fact) = untag(v)?;
+            if tag != TAG_LEFT {
+                continue;
+            }
+            for aux in &dims {
+                let mut joined = Row::with_capacity(fact.len() + aux.len());
+                joined.extend(fact.iter().cloned());
+                joined.extend(aux.iter().cloned());
+                out.push(joined);
             }
         }
         Ok(())
@@ -108,41 +146,86 @@ impl Reducer for RepartitionReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clyde_common::row;
+    use clyde_common::{row, Field};
+    use clyde_dfs::Dfs;
+    use clyde_mapred::formats::VecInputFormat;
+    use clyde_mapred::runner::RowMapRunner;
+    use clyde_mapred::{Engine, JobSpec};
+    use clyde_ssb::queries::DimPred;
+    use std::sync::Arc;
+
+    fn reduce(values: &[Row]) -> Result<Vec<Row>> {
+        let borrowed: Vec<&Row> = values.iter().collect();
+        let mut out = Vec::new();
+        RepartitionReducer.reduce(&row![5i64], &borrowed, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn reducer_joins_sides() {
         let values = vec![
-            row![0i32, 10i32, 100i32], // fact (10, 100)
-            row![1i32, "ASIA"],        // dim aux
-            row![0i32, 20i32, 200i32], // fact (20, 200)
+            row![10i32, 100i32, 0i32], // fact (10, 100)
+            row!["ASIA", 1i32],        // dim aux
+            row![20i32, 200i32, 0i32], // fact (20, 200)
         ];
-        let mut out = Vec::new();
-        RepartitionReducer
-            .reduce(&row![5i64], &values, &mut out)
-            .unwrap();
         assert_eq!(
-            out,
+            reduce(&values).unwrap(),
             vec![row![10i32, 100i32, "ASIA"], row![20i32, 200i32, "ASIA"]]
         );
     }
 
     #[test]
     fn reducer_with_no_dim_side_emits_nothing() {
-        let values = vec![row![0i32, 10i32]];
-        let mut out = Vec::new();
-        RepartitionReducer
-            .reduce(&row![5i64], &values, &mut out)
-            .unwrap();
-        assert!(out.is_empty());
+        assert!(reduce(&[row![10i32, 0i32]]).unwrap().is_empty());
     }
 
     #[test]
     fn reducer_rejects_untagged_values() {
-        let values = vec![row!["oops"]];
-        let mut out = Vec::new();
-        assert!(RepartitionReducer
-            .reduce(&row![5i64], &values, &mut out)
-            .is_err());
+        assert!(reduce(&[row!["oops"]]).is_err());
+        assert!(reduce(&[Row::empty()]).is_err());
+        assert!(reduce(&[row![1i32, 7i32]]).is_err());
+    }
+
+    /// Run the mapper over `rows` (already tagged, as the union input hands
+    /// them over) through the engine's default runner.
+    fn map_job(rows: Vec<Row>) -> Result<Vec<Row>> {
+        let left_schema = Schema::new(vec![Field::i32("lo_key"), Field::i32("lo_fk")]);
+        let mapper = RepartitionMapper {
+            fk_idx: 1,
+            pk_idx: 0,
+            aux_idx: vec![1],
+            dim_pred: DimPred::True.compile(&left_schema)?,
+            fact_preds: Vec::new(),
+            left_schema,
+        };
+        let engine = Engine::new(Dfs::for_tests(2));
+        let mut spec = JobSpec::new(
+            "repartition-map",
+            Arc::new(VecInputFormat::new(rows, 1)),
+            Arc::new(RowMapRunner::new(mapper)),
+        );
+        spec.reducer = Some(Arc::new(RepartitionReducer));
+        spec.max_task_attempts = 1;
+        Ok(engine.run_job(&spec)?.rows)
+    }
+
+    #[test]
+    fn mapper_keys_both_sides_with_the_tag_left_at_the_end() {
+        let rows = vec![row![1i32, 7i32, 0i32], row![7i32, "ASIA", 1i32]];
+        assert_eq!(map_job(rows).unwrap(), vec![row![1i32, 7i32, "ASIA"]]);
+    }
+
+    #[test]
+    fn mapper_rejects_untagged_and_short_rows() {
+        for bad in [
+            Row::empty(),           // no tag at all
+            row![1i32, 7i32, "x"],  // non-integer tag
+            row![1i32, 7i32, 5i32], // unknown source
+            row![1i32, 0i32],       // fact row short of its fk column
+            row![1i32],             // dimension-tagged row with neither pk nor aux
+        ] {
+            let err = map_job(vec![bad.clone()]);
+            assert!(err.is_err(), "{bad} was accepted");
+        }
     }
 }

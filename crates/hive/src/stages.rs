@@ -19,13 +19,13 @@ pub struct GroupByMapper {
 }
 
 impl Mapper for GroupByMapper {
-    fn map(&self, _key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
-        let key: Row = self
+    fn map(&self, _key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+        let key: Vec<Datum> = self
             .group_idx
             .iter()
             .map(|&i| value.at(i).clone())
             .collect();
-        let measure = aggregate_eval_row(&self.aggregate, value, &self.joined_schema)?;
+        let measure = aggregate_eval_row(&self.aggregate, &value, &self.joined_schema)?;
         ctx.emit(&key, Row::new(vec![Datum::I64(measure)]));
         Ok(())
     }
@@ -41,7 +41,7 @@ pub struct FoldValues {
 }
 
 impl Reducer for FoldValues {
-    fn reduce(&self, key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()> {
+    fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
         let mut acc = self.aggregate.identity();
         for v in values {
             let partial = v
@@ -95,8 +95,8 @@ impl OrderByMapper {
 }
 
 impl Mapper for OrderByMapper {
-    fn map(&self, _key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
-        let mut key = Row::with_capacity(self.terms.len() + value.len());
+    fn map(&self, _key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+        let mut key = Vec::with_capacity(self.terms.len() + value.len());
         for &(idx, desc) in &self.terms {
             let d = value.at(idx);
             if desc {
@@ -110,10 +110,8 @@ impl Mapper for OrderByMapper {
         }
         // Tie-break on the full row so the global order is total and matches
         // the reference executor's.
-        for d in value.iter() {
-            key.push(d.clone());
-        }
-        ctx.emit(&key, value.clone());
+        key.extend(value.iter().cloned());
+        ctx.emit(&key, value);
         Ok(())
     }
 }
@@ -122,8 +120,8 @@ impl Mapper for OrderByMapper {
 pub struct EmitValues;
 
 impl Reducer for EmitValues {
-    fn reduce(&self, _key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()> {
-        out.extend(values.iter().cloned());
+    fn reduce(&self, _key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
+        out.extend(values.iter().map(|&v| v.clone()));
         Ok(())
     }
 }
@@ -166,7 +164,7 @@ mod tests {
             let mut out = Vec::new();
             f.reduce(
                 &row!["k"],
-                &[row![10i64], row![20i64], row![30i64]],
+                &[&row![10i64], &row![20i64], &row![30i64]],
                 &mut out,
             )
             .unwrap();
@@ -182,6 +180,6 @@ mod tests {
             aggregate: Aggregate::CountStar,
         };
         let mut out = Vec::new();
-        assert!(f.reduce(&row!["k"], &[row!["oops"]], &mut out).is_err());
+        assert!(f.reduce(&row!["k"], &[&row!["oops"]], &mut out).is_err());
     }
 }

@@ -206,7 +206,7 @@ impl MapTaskEnv<'_> {
                 OutputSpec::DfsDir(dir) => {
                     let rows: Vec<Row> = std::mem::take(&mut records)
                         .into_iter()
-                        .map(|(k, v)| Ok(keycodec::decode_row(&k)?.concat(&v)))
+                        .map(|(k, v)| map_output_row(&k, v))
                         .collect::<Result<_>>()?;
                     let path = format!("{dir}/part-m-{task_idx:05}");
                     // A previous attempt may have died between committing its
@@ -837,7 +837,7 @@ impl Engine {
                 OutputSpec::Memory => {
                     for t in map_outputs.iter_mut() {
                         for (k, v) in std::mem::take(&mut t.records) {
-                            out.rows.push(keycodec::decode_row(&k)?.concat(&v));
+                            out.rows.push(map_output_row(&k, v)?);
                         }
                     }
                 }
@@ -1207,6 +1207,16 @@ pub(crate) fn publish_history(
     }
 }
 
+/// A map-only record as an output row: the key's fields, then the value's.
+/// Under the empty key — every mapjoin stage — that is the value itself,
+/// moved rather than copied.
+fn map_output_row(key: &[u8], value: Row) -> Result<Row> {
+    if key.is_empty() {
+        return Ok(value);
+    }
+    Ok(keycodec::decode_row(key)?.concat(&value))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1216,7 +1226,7 @@ mod tests {
     use crate::runner::{FnMapRunner, FnMapper, RowMapRunner};
     use crate::shuffle::FnReducer;
     use crate::JobConf;
-    use clyde_common::row;
+    use clyde_common::{row, Datum};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Wraps an input format, failing `open` for split 0 on its first
@@ -1251,13 +1261,13 @@ mod tests {
     }
 
     fn sum_job(input: Arc<dyn InputFormat>) -> JobSpec {
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-            ctx.emit(&row![0i64], v.clone());
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(0)], v);
             Ok(())
         }));
         let mut spec = JobSpec::new("sum", input, Arc::new(mapper));
         spec.reducer = Some(Arc::new(FnReducer(
-            |_k: &Row, values: &[Row], out: &mut Vec<Row>| {
+            |_k: &Row, values: &[&Row], out: &mut Vec<Row>| {
                 let s: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
                 out.push(row![s]);
                 Ok(())

@@ -167,19 +167,18 @@ mod tests {
     fn word_count_end_to_end() {
         let dfs = Dfs::for_tests(3);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-            let word = v.at(0).clone();
-            ctx.emit(&Row::new(vec![word]), row![1i64]);
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            ctx.emit(&v.values()[..1], row![1i64]);
             Ok(())
         }));
         // Combiner: partial sum, emitting only the running total (values must
         // stay shape-compatible with map output for algebraic combining).
-        let partial_sum = FnReducer(|_key: &Row, values: &[Row], out: &mut Vec<Row>| {
+        let partial_sum = FnReducer(|_key: &Row, values: &[&Row], out: &mut Vec<Row>| {
             let total: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
             out.push(row![total]);
             Ok(())
         });
-        let final_sum = FnReducer(|key: &Row, values: &[Row], out: &mut Vec<Row>| {
+        let final_sum = FnReducer(|key: &Row, values: &[&Row], out: &mut Vec<Row>| {
             let total: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
             out.push(key.concat(&row![total]));
             Ok(())
@@ -209,20 +208,20 @@ mod tests {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
         let mapper = || {
-            RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-                ctx.emit(&Row::new(vec![v.at(0).clone()]), row![1i64]);
+            RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+                ctx.emit(&v.values()[..1], row![1i64]);
                 Ok(())
             }))
         };
         let partial = || {
-            FnReducer(|_key: &Row, values: &[Row], out: &mut Vec<Row>| {
+            FnReducer(|_key: &Row, values: &[&Row], out: &mut Vec<Row>| {
                 let total: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
                 out.push(row![total]);
                 Ok(())
             })
         };
         let final_sum = || {
-            FnReducer(|key: &Row, values: &[Row], out: &mut Vec<Row>| {
+            FnReducer(|key: &Row, values: &[&Row], out: &mut Vec<Row>| {
                 let total: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
                 out.push(key.concat(&row![total]));
                 Ok(())
@@ -254,8 +253,8 @@ mod tests {
     fn map_only_job_writes_part_files_readable_by_rowbin_format() {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let identity = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-            ctx.emit(&Row::empty(), v.clone());
+        let identity = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            ctx.emit(&[], v);
             Ok(())
         }));
         let mut spec = JobSpec::new(
@@ -269,8 +268,8 @@ mod tests {
         assert!(result.rows.is_empty());
 
         // Chain: read the part files back with RowBinInputFormat.
-        let count = RowMapRunner::new(FnMapper(|_k: &Row, _v: &Row, ctx: &_| {
-            ctx.emit(&row![0i64], row![1i64]);
+        let count = RowMapRunner::new(FnMapper(|_k: &Row, _v: Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(0)], row![1i64]);
             Ok(())
         }));
         let mut stage2 = JobSpec::new(
@@ -279,7 +278,7 @@ mod tests {
             Arc::new(count),
         );
         stage2.reducer = Some(Arc::new(FnReducer(
-            |_k: &Row, values: &[Row], out: &mut Vec<Row>| {
+            |_k: &Row, values: &[&Row], out: &mut Vec<Row>| {
                 out.push(row![values.len() as i64]);
                 Ok(())
             },
@@ -300,8 +299,8 @@ mod tests {
     fn map_only_memory_output_collects_key_and_value() {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let m = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-            ctx.emit(&row![1i64], v.clone());
+        let m = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(1)], v);
             Ok(())
         }));
         let spec = JobSpec::new(
@@ -318,8 +317,8 @@ mod tests {
         let dfs = Dfs::for_tests(4);
         let engine = Engine::new(Arc::clone(&dfs));
         let make_spec = || {
-            let m = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-                ctx.emit(&Row::new(vec![v.at(0).clone()]), row![1i64]);
+            let m = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+                ctx.emit(&v.values()[..1], row![1i64]);
                 Ok(())
             }));
             let mut s = JobSpec::new(
@@ -328,7 +327,7 @@ mod tests {
                 Arc::new(m),
             );
             s.reducer = Some(Arc::new(FnReducer(
-                |key: &Row, values: &[Row], out: &mut Vec<Row>| {
+                |key: &Row, values: &[&Row], out: &mut Vec<Row>| {
                     out.push(key.concat(&Row::new(vec![Datum::I64(values.len() as i64)])));
                     Ok(())
                 },
@@ -346,7 +345,7 @@ mod tests {
     fn mapper_error_fails_the_job() {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let failing = RowMapRunner::new(FnMapper(|_k: &Row, _v: &Row, _ctx: &_| {
+        let failing = RowMapRunner::new(FnMapper(|_k: &Row, _v: Row, _ctx: &_| {
             Err(ClydeError::MapReduce("injected failure".into()))
         }));
         let spec = JobSpec::new(

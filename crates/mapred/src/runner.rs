@@ -15,8 +15,12 @@ pub trait MapRunner: Send + Sync {
 }
 
 /// A map function over (key, value) records.
+///
+/// The mapper *owns* the value: the runner hands over the row it just read,
+/// so a mapper that forwards it (an identity or repartition map) emits it
+/// without a copy. The key is only borrowed.
 pub trait Mapper: Send + Sync {
-    fn map(&self, key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()>;
+    fn map(&self, key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()>;
 }
 
 /// The default MapRunner: open the reader, apply the map function to every
@@ -41,7 +45,7 @@ impl<M: Mapper> MapRunner for RowMapRunner<M> {
             let mut rows = 0u64;
             while let Some((key, value)) = reader.next()? {
                 rows += 1;
-                self.mapper.map(&key, &value, ctx)?;
+                self.mapper.map(&key, value, ctx)?;
             }
             ctx.add_cost(|c| c.deser_rows += rows);
         }
@@ -52,13 +56,13 @@ impl<M: Mapper> MapRunner for RowMapRunner<M> {
 /// A [`Mapper`] from a closure, for tests and small examples.
 pub struct FnMapper<F>(pub F)
 where
-    F: Fn(&Row, &Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync;
+    F: Fn(&Row, Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync;
 
 impl<F> Mapper for FnMapper<F>
 where
-    F: Fn(&Row, &Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync,
+    F: Fn(&Row, Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync,
 {
-    fn map(&self, key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+    fn map(&self, key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
         (self.0)(key, value, ctx)
     }
 }
@@ -131,8 +135,8 @@ mod tests {
         use crate::job::JobSpec;
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-            ctx.emit(&Row::empty(), v.clone());
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            ctx.emit(&[], v);
             Ok(())
         }));
         let spec = JobSpec::new("parts", Arc::new(MultiPartFormat), Arc::new(mapper));
@@ -150,7 +154,7 @@ mod tests {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
         let runner = FnMapRunner(|ctx: &crate::task::MapTaskContext<'_>| {
-            ctx.emit(&Row::empty(), row![ctx.split.index as i64]);
+            ctx.emit(&[], row![ctx.split.index as i64]);
             Ok(())
         });
         let spec = JobSpec::new(

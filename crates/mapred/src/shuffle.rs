@@ -11,22 +11,26 @@ use clyde_common::{keycodec, Result, Row};
 use std::hash::Hasher;
 
 /// Reduce (and combine) function: all values of one key.
+///
+/// The reducer *borrows*: `values` points into the merged run the shuffle
+/// owns, so a reducer that keeps a value past the call clones it, and one
+/// that only reads fields (a fold, a join) copies nothing.
 pub trait Reducer: Send + Sync {
     /// `key` is the decoded grouping key; `values` are that key's values in
     /// map-output order (stable sort). Emit output rows through `out`.
-    fn reduce(&self, key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()>;
+    fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()>;
 }
 
 /// A [`Reducer`] from a closure.
 pub struct FnReducer<F>(pub F)
 where
-    F: Fn(&Row, &[Row], &mut Vec<Row>) -> Result<()> + Send + Sync;
+    F: Fn(&Row, &[&Row], &mut Vec<Row>) -> Result<()> + Send + Sync;
 
 impl<F> Reducer for FnReducer<F>
 where
-    F: Fn(&Row, &[Row], &mut Vec<Row>) -> Result<()> + Send + Sync,
+    F: Fn(&Row, &[&Row], &mut Vec<Row>) -> Result<()> + Send + Sync,
 {
-    fn reduce(&self, key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()> {
+    fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
         (self.0)(key, values, out)
     }
 }
@@ -53,21 +57,10 @@ pub fn combine_sorted(
     combiner: &dyn Reducer,
 ) -> Result<Vec<(Vec<u8>, Row)>> {
     let mut out: Vec<(Vec<u8>, Row)> = Vec::with_capacity(records.len() / 4 + 1);
-    let mut scratch: Vec<Row> = Vec::new();
-    let mut i = 0;
-    while i < records.len() {
-        let j = run_end(&records, i);
-        let key = keycodec::decode_row(&records[i].0)?;
-        scratch.clear();
-        scratch.extend(records[i..j].iter().map(|(_, v)| v.clone()));
-        let mut combined = Vec::new();
-        combiner.reduce(&key, &scratch, &mut combined)?;
-        let encoded = &records[i].0;
-        for row in combined {
-            out.push((encoded.clone(), row));
-        }
-        i = j;
-    }
+    let mut combined = Vec::new();
+    for_each_group(&records, combiner, &mut combined, |encoded, combined| {
+        out.extend(combined.drain(..).map(|row| (encoded.to_vec(), row)));
+    })?;
     Ok(out)
 }
 
@@ -78,18 +71,32 @@ pub fn reduce_sorted(
     out: &mut Vec<Row>,
 ) -> Result<u64> {
     let mut groups = 0u64;
-    let mut scratch: Vec<Row> = Vec::new();
-    let mut i = 0;
-    while i < records.len() {
-        let j = run_end(records, i);
-        let key = keycodec::decode_row(&records[i].0)?;
-        scratch.clear();
-        scratch.extend(records[i..j].iter().map(|(_, v)| v.clone()));
-        reducer.reduce(&key, &scratch, out)?;
-        groups += 1;
-        i = j;
-    }
+    for_each_group(records, reducer, out, |_, _| groups += 1)?;
     Ok(groups)
+}
+
+/// The one grouping loop behind [`combine_sorted`] and [`reduce_sorted`]:
+/// each run of equal keys is decoded once, its values are lent to `reducer`
+/// through one reused scratch vector of references, and `after` sees the
+/// run's encoded key and `out` once the reducer returns.
+fn for_each_group(
+    records: &[(Vec<u8>, Row)],
+    reducer: &dyn Reducer,
+    out: &mut Vec<Row>,
+    mut after: impl FnMut(&[u8], &mut Vec<Row>),
+) -> Result<()> {
+    let mut scratch: Vec<&Row> = Vec::new();
+    for run in records.chunk_by(|a, b| a.0 == b.0) {
+        let Some((encoded, _)) = run.first() else {
+            continue;
+        };
+        let key = keycodec::decode_row(encoded)?;
+        scratch.clear();
+        scratch.extend(run.iter().map(|(_, v)| v));
+        reducer.reduce(&key, &scratch, out)?;
+        after(encoded, out);
+    }
+    Ok(())
 }
 
 /// Merge several sorted runs into one sorted run (the reduce-side merge of
@@ -101,15 +108,6 @@ pub fn merge_sorted_runs(runs: Vec<Vec<(Vec<u8>, Row)>>) -> Vec<(Vec<u8>, Row)> 
     let mut out: Vec<(Vec<u8>, Row)> = runs.into_iter().flatten().collect();
     sort_records(&mut out);
     out
-}
-
-fn run_end(records: &[(Vec<u8>, Row)], start: usize) -> usize {
-    let key = &records[start].0;
-    let mut end = start + 1;
-    while end < records.len() && &records[end].0 == key {
-        end += 1;
-    }
-    end
 }
 
 #[cfg(test)]
@@ -125,7 +123,7 @@ mod tests {
     struct SumReducer;
 
     impl Reducer for SumReducer {
-        fn reduce(&self, key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()> {
+        fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
             let sum: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
             out.push(key.concat(&row![sum]));
             Ok(())
@@ -176,7 +174,7 @@ mod tests {
         assert_eq!(combined.len(), 2);
         struct Resummer;
         impl Reducer for Resummer {
-            fn reduce(&self, key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()> {
+            fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
                 let sum: i64 = values.iter().map(|v| v.at(1).as_i64().unwrap()).sum();
                 out.push(key.concat(&row![sum]));
                 Ok(())
@@ -256,7 +254,7 @@ mod tests {
 
             struct Resummer;
             impl Reducer for Resummer {
-                fn reduce(&self, key: &Row, values: &[Row], out: &mut Vec<Row>) -> Result<()> {
+                fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
                     let sum: i64 = values.iter().map(|v| v.at(1).as_i64().unwrap()).sum();
                     out.push(key.concat(&row![sum]));
                     Ok(())

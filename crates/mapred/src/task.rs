@@ -10,7 +10,7 @@ use bytes::Bytes;
 use clyde_common::hash::FxHasher;
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::Phase;
-use clyde_common::{keycodec, ClydeError, FxHashMap, Result, Row};
+use clyde_common::{keycodec, ClydeError, Datum, FxHashMap, Result, Row};
 use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ScanStats};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -391,9 +391,11 @@ impl MemoryLedger {
 /// Where map output goes. Thread-safe because the multi-threaded map runner
 /// shares one collector across its join threads (paper Figure 5).
 pub trait Collector: Send + Sync {
-    /// Emit a (key, value) pair. The key is encoded with the
-    /// order-preserving codec so the shuffle can sort bytes.
-    fn collect(&self, key: &Row, value: Row);
+    /// Emit a (key, value) pair. The key is borrowed and encoded with the
+    /// order-preserving codec so the shuffle can sort bytes; the value is
+    /// moved in and owned by the shuffle from here to the reducer, which
+    /// borrows it.
+    fn collect(&self, key: &[Datum], value: Row);
 }
 
 /// The engine's map-output buffer: encoded keys plus values, partition
@@ -422,8 +424,8 @@ impl MapOutputBuffer {
 }
 
 impl Collector for MapOutputBuffer {
-    fn collect(&self, key: &Row, value: Row) {
-        let encoded = keycodec::encode_row(key);
+    fn collect(&self, key: &[Datum], value: Row) {
+        let encoded = keycodec::encode_datums(key);
         self.records.lock().push((encoded, value));
     }
 }
@@ -469,9 +471,13 @@ impl MapTaskContext<'_> {
             self.wall_phases.lock().push((phase, nanos));
         }
     }
-    /// Emit a map-output record, updating the task's counters.
-    pub fn emit(&self, key: &Row, value: Row) {
-        let bytes = (key.heap_size() + value.heap_size()) as u64;
+    /// Emit a map-output record, updating the task's counters. The key is
+    /// borrowed (`&[]` for map-only output); the value moves into the
+    /// output buffer. `emit_bytes` counts the key as a [`Row`] would.
+    pub fn emit(&self, key: &[Datum], value: Row) {
+        let key_bytes =
+            std::mem::size_of::<Row>() + key.iter().map(Datum::heap_size).sum::<usize>();
+        let bytes = (key_bytes + value.heap_size()) as u64;
         {
             let mut c = self.cost.lock();
             c.emit_records += 1;
@@ -681,8 +687,8 @@ mod tests {
     #[test]
     fn output_buffer_encodes_keys_sortably() {
         let buf = MapOutputBuffer::new();
-        buf.collect(&row![2i64], row!["b"]);
-        buf.collect(&row![1i64], row!["a"]);
+        buf.collect(&[Datum::I64(2)], row!["b"]);
+        buf.collect(&[Datum::I64(1)], row!["a"]);
         let mut records = buf.into_records();
         records.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(records[0].1, row!["a"]);

@@ -72,8 +72,8 @@ proptest! {
     ) {
         let dfs = Dfs::for_tests(nodes);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-            ctx.emit(&Row::new(vec![v.at(1).clone()]), Row::new(vec![v.at(2).clone()]));
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            ctx.emit(&v.values()[1..2], Row::new(vec![v.at(2).clone()]));
             Ok(())
         }));
         let mut spec = JobSpec::new(
@@ -82,7 +82,7 @@ proptest! {
             Arc::new(mapper),
         );
         spec.reducer = Some(Arc::new(FnReducer(
-            |key: &Row, values: &[Row], out: &mut Vec<Row>| {
+            |key: &Row, values: &[&Row], out: &mut Vec<Row>| {
                 let sum: i64 = values
                     .iter()
                     .map(|v| v.at(0).as_i64().unwrap())

@@ -8,7 +8,7 @@
 //! failures are attempt-scoped and recoverable by construction).
 
 use clyde_common::obs::{JobHistory, TaskKind};
-use clyde_common::{row, rowcodec, Obs, Row};
+use clyde_common::{row, rowcodec, Datum, Obs, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::formats::{RowBinInputFormat, VecInputFormat};
 use clyde_mapred::input::InputFormat;
@@ -19,13 +19,13 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 fn sum_job(input: Arc<dyn InputFormat>, faults: Option<FaultPlan>) -> JobSpec {
-    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-        ctx.emit(&row![v.at(0).as_i64().unwrap() % 4], v.clone());
+    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+        ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 4)], v);
         Ok(())
     }));
     let mut spec = JobSpec::new("fault-prop", input, Arc::new(mapper));
     spec.reducer = Some(Arc::new(FnReducer(
-        |k: &Row, values: &[Row], out: &mut Vec<Row>| {
+        |k: &Row, values: &[&Row], out: &mut Vec<Row>| {
             let s: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
             out.push(row![k.at(0).as_i64().unwrap(), s]);
             Ok(())

@@ -6,7 +6,7 @@
 //! many-tasks-per-slot stages alike.
 
 use clyde_common::obs::{JobHistory, TaskKind, TaskLane};
-use clyde_common::{row, Obs, Row};
+use clyde_common::{row, Datum, Obs, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_mapred::formats::VecInputFormat;
@@ -238,8 +238,8 @@ fn every_ssb_job_prices_and_draws_off_one_schedule() {
 
 fn ragged_job(splits: usize) -> JobSpec {
     let rows: Vec<Row> = (1..=70i64).map(|i| row![i]).collect();
-    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
-        ctx.emit(&row![v.at(0).as_i64().unwrap() % 3], v.clone());
+    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+        ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 3)], v);
         Ok(())
     }));
     let mut spec = JobSpec::new(
@@ -248,7 +248,7 @@ fn ragged_job(splits: usize) -> JobSpec {
         Arc::new(mapper),
     );
     spec.reducer = Some(Arc::new(FnReducer(
-        |k: &Row, values: &[Row], out: &mut Vec<Row>| {
+        |k: &Row, values: &[&Row], out: &mut Vec<Row>| {
             let s: i64 = values.iter().map(|v| v.at(0).as_i64().unwrap()).sum();
             out.push(row![k.at(0).as_i64().unwrap(), s]);
             Ok(())

@@ -161,14 +161,11 @@ pub struct StragglerStats {
 }
 
 fn median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    let (low, high) = sorted.split_at(sorted.len() / 2);
+    match (low.last(), high.first()) {
+        (Some(a), Some(b)) if low.len() == high.len() => (a + b) / 2.0,
+        (_, Some(b)) => *b,
+        (_, None) => 0.0,
     }
 }
 
@@ -183,31 +180,23 @@ fn ratio(max: f64, med: f64) -> f64 {
 impl StragglerStats {
     /// Compute stats over `lanes`; returns `None` for an empty set.
     pub fn from_lanes(lanes: &[&TaskLane]) -> Option<StragglerStats> {
-        if lanes.is_empty() {
-            return None;
-        }
-        let mut durs: Vec<f64> = lanes.iter().map(|t| t.dur_s).collect();
-        durs.sort_by(|a, b| a.partial_cmp(b).expect("task duration is NaN"));
         let straggler = lanes
             .iter()
-            .max_by(|a, b| {
-                a.dur_s
-                    .partial_cmp(&b.dur_s)
-                    .expect("task duration is NaN")
-                    .then(b.index.cmp(&a.index))
-            })
-            .expect("non-empty");
+            .max_by(|a, b| a.dur_s.total_cmp(&b.dur_s).then(b.index.cmp(&a.index)))?;
+        let mut durs: Vec<f64> = lanes.iter().map(|t| t.dur_s).collect();
+        durs.sort_by(f64::total_cmp);
+        let (&min_s, &max_s) = (durs.first()?, durs.last()?);
         let mut emits: Vec<f64> = lanes.iter().map(|t| t.emit_bytes as f64).collect();
-        emits.sort_by(|a, b| a.partial_cmp(b).expect("emit bytes is NaN"));
+        emits.sort_by(f64::total_cmp);
         let emit_med = median(&emits);
         let emit_max = lanes.iter().map(|t| t.emit_bytes).max().unwrap_or(0);
         Some(StragglerStats {
             tasks: lanes.len(),
-            min_s: durs[0],
+            min_s,
             median_s: median(&durs),
             mean_s: durs.iter().sum::<f64>() / durs.len() as f64,
-            max_s: durs[durs.len() - 1],
-            time_skew: ratio(durs[durs.len() - 1], median(&durs)),
+            max_s,
+            time_skew: ratio(max_s, median(&durs)),
             straggler_task: straggler.index,
             straggler_node: straggler.node,
             emit_bytes_median: emit_med,

@@ -97,20 +97,24 @@ impl ServerRun {
             out.push_str(&format!("  tenant {tenant}:\n"));
             for l in self.tenant_lanes(tenant) {
                 let (a, s, f) = (col(l.arrival_s), col(l.start_s), col(l.finish_s));
-                let mut bar = vec![b' '; BAR];
-                for c in bar.iter_mut().take(s).skip(a) {
-                    *c = b'.';
-                }
-                for c in bar.iter_mut().take(f).skip(s) {
-                    *c = b'#';
-                }
+                let bar: String = (0..BAR)
+                    .map(|c| {
+                        if (a..s).contains(&c) {
+                            '.'
+                        } else if (s..f).contains(&c) {
+                            '#'
+                        } else {
+                            ' '
+                        }
+                    })
+                    .collect();
                 out.push_str(&format!(
                     "    {:<14} arr {:>7.1}s wait {:>7.1}s latency {:>7.1}s |{}|\n",
                     l.job,
                     l.arrival_s,
                     l.wait_s(),
                     l.latency_s(),
-                    String::from_utf8(bar).expect("ascii bar")
+                    bar
                 ));
             }
             for r in self.rejected.iter().filter(|r| r.tenant == tenant) {

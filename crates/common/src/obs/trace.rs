@@ -105,7 +105,7 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
     }
 
     for task in &h.tasks {
-        let tid = lanes[&(task.kind, task.node, task.slot)];
+        let tid = *lanes.get(&(task.kind, task.node, task.slot))?;
         let parent = stage_ids.get(&task.kind).copied().or(Some(root));
         let t_start = us(task.start_s);
         let t_dur = us(task.finish_s()).saturating_sub(t_start);

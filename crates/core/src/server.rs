@@ -12,7 +12,7 @@
 use crate::engine::Clydesdale;
 use crate::planner::plan_query;
 use clyde_common::obs::{QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
-use clyde_common::{Result, Row};
+use clyde_common::{ClydeError, Result, Row};
 use clyde_mapred::{JobCost, JobProfile, JobServer, RejectReason, ServerConfig};
 use clyde_ssb::queries::StarQuery;
 
@@ -117,14 +117,22 @@ impl<'c> QueryServer<'c> {
                 obs.metrics().counter_add("mapred.queries", 1);
                 obs.metrics()
                     .histogram_record("mapred.final_sort_s", final_sort_s);
-                let profile = obs.with_histories(|hs| {
-                    QueryProfile::from_histories(
-                        &query.id,
-                        &hs[hist_before + i..hist_before + i + 1],
-                        final_sort_s,
-                        DEFAULT_DRIFT_THRESHOLD_PCT,
-                    )
-                });
+                let profile = obs
+                    .with_histories(|hs| {
+                        let history = hs.get(hist_before + i..hist_before + i + 1)?;
+                        Some(QueryProfile::from_histories(
+                            &query.id,
+                            history,
+                            final_sort_s,
+                            DEFAULT_DRIFT_THRESHOLD_PCT,
+                        ))
+                    })
+                    .ok_or_else(|| {
+                        ClydeError::MapReduce(format!(
+                            "served query {} published no history",
+                            query.id
+                        ))
+                    })?;
                 obs.record_query_profile(profile);
             }
             out.push(ServedQuery {

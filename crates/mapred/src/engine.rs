@@ -150,7 +150,16 @@ impl MapTaskEnv<'_> {
     /// Execute one attempt of one map task on `node`.
     fn exec(&self, task_idx: usize, node: NodeId) -> Result<TaskOutput> {
         let wall_start = WallTimer::start();
-        let split = &self.plan.splits[task_idx];
+        let (Some(split), Some(node_state), Some(memory)) = (
+            self.plan.splits.get(task_idx),
+            self.node_states.get(node.0),
+            self.memories.get(node.0),
+        ) else {
+            return Err(ClydeError::MapReduce(format!(
+                "map task {task_idx} has no split, or node {} has no state",
+                node.0
+            )));
+        };
         let io = TaskIo::new(Arc::clone(self.dfs), node);
         let out = Arc::new(MapOutputBuffer::new());
         let cost = Arc::new(Mutex::new(TaskCost {
@@ -158,11 +167,11 @@ impl MapTaskEnv<'_> {
             ..TaskCost::new()
         }));
         let state = if self.spec.reuse_jvm {
-            Arc::clone(&self.node_states[node.0])
+            Arc::clone(node_state)
         } else {
             Arc::new(NodeState::new())
         };
-        let memory = Arc::clone(&self.memories[node.0]);
+        let memory = Arc::clone(memory);
         let ctx = MapTaskContext {
             conf: &self.spec.conf,
             split,

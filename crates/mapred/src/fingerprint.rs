@@ -62,7 +62,9 @@ impl Fingerprinter {
         self.push_u64(b.len() as u64);
         for chunk in b.chunks(8) {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            for (w, &c) in word.iter_mut().zip(chunk) {
+                *w = c;
+            }
             self.push_u64(u64::from_le_bytes(word));
         }
         self

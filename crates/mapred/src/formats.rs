@@ -139,7 +139,13 @@ impl RecordReader for InlineReader {
         if self.pos >= self.end {
             return Ok(None);
         }
-        let row = self.rows[self.pos].clone();
+        let row = self.rows.get(self.pos).cloned().ok_or_else(|| {
+            ClydeError::MapReduce(format!(
+                "inline split reads row {} of {}",
+                self.pos,
+                self.rows.len()
+            ))
+        })?;
         self.pos += 1;
         Ok(Some((Row::empty(), row)))
     }
@@ -286,6 +292,24 @@ mod tests {
         stage2.num_reducers = 1;
         let r2 = engine.run_job(&stage2).unwrap();
         assert_eq!(r2.rows, vec![row![6i64]]);
+    }
+
+    /// A split that claims rows the input does not hold reads what exists,
+    /// then errors instead of panicking.
+    #[test]
+    fn an_inline_split_past_the_rows_is_a_typed_error() {
+        let fmt = VecInputFormat::new(word_rows(), 1);
+        let split = InputSplit {
+            index: 0,
+            spec: SplitSpec::Inline { from: 4, to: 9 },
+            hosts: Vec::new(),
+            bytes: 80,
+        };
+        let io = TaskIo::new(Dfs::for_tests(1), clyde_dfs::NodeId(0));
+        let mut reader = fmt.open(&split, 0, &io).unwrap().into_rows().unwrap();
+        assert!(reader.next().unwrap().is_some());
+        assert!(reader.next().unwrap().is_some());
+        assert!(matches!(reader.next(), Err(ClydeError::MapReduce(_))));
     }
 
     #[test]

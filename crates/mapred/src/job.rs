@@ -238,7 +238,8 @@ impl JobProfile {
     /// alone through the slot simulator, and the stage times are read off
     /// the resulting schedule. Errors with `OutOfMemory` when the per-slot
     /// memory duplication exceeds node RAM — the paper's cluster-A mapjoin
-    /// failure mode (Section 6.4).
+    /// failure mode (Section 6.4) — and with `Config` when `params` price a
+    /// time that is negative or not finite (e.g. a zero rate).
     ///
     /// The schedule's clock starts when the job becomes schedulable; client
     /// setup is a band in the returned cost, not an offset on that clock.
@@ -263,7 +264,7 @@ impl JobProfile {
 
         let mut sim = self.sim_job(params, cluster);
         let setup_s = std::mem::take(&mut sim.setup_s);
-        let sched = scheduler::interleave(std::slice::from_ref(&sim), cluster, SchedPolicy::Fifo)
+        let sched = scheduler::interleave(std::slice::from_ref(&sim), cluster, SchedPolicy::Fifo)?
             .pop()
             .unwrap_or_default();
         // Reduces become schedulable when the shuffle ends — the same sum the

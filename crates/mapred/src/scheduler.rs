@@ -23,11 +23,15 @@
 //! server is the N > 1 case, and every swimlane
 //! ([`crate::history::job_history`]) is a rendering of its [`Placement`]s.
 //! Every choice breaks ties on ids, so the schedule is a pure function of
-//! its inputs — byte-identical across reruns and host thread counts.
+//! its inputs — byte-identical across reruns and host thread counts. The
+//! input is checked once (every task on a node of the cluster, every time
+//! finite and non-negative); after that the simulator's state is one record
+//! per job, node and tenant, reached only by ids it minted itself.
 
 use crate::input::InputSplit;
+use clyde_common::{ClydeError, Result};
 use clyde_dfs::{ClusterSpec, NodeId};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// How many tasks of this job a node may run at once.
 pub fn concurrency_per_node(cluster: &ClusterSpec, declared_task_memory: u64) -> u32 {
@@ -46,27 +50,24 @@ pub fn concurrency_per_node(cluster: &ClusterSpec, declared_task_memory: u64) ->
 /// use the globally least-loaded node. Ties break toward the lowest node id,
 /// making the whole assignment a pure function of its inputs.
 pub fn assign_map_tasks(splits: &[InputSplit], cluster: &ClusterSpec) -> Vec<NodeId> {
-    let n = cluster.num_workers();
-    let mut pending = vec![0u64; n];
+    let mut pending = vec![0u64; cluster.num_workers()];
     let mut out = Vec::with_capacity(splits.len());
     for split in splits {
-        let candidates: Vec<NodeId> = if split.hosts.is_empty() {
-            (0..n).map(NodeId).collect()
-        } else {
-            split.hosts.iter().copied().filter(|h| h.0 < n).collect()
+        let least_loaded = |listed_only: bool| {
+            pending
+                .iter()
+                .enumerate()
+                .filter(|&(node, _)| !listed_only || split.hosts.contains(&NodeId(node)))
+                .min_by_key(|&(_, bytes)| *bytes)
+                .map(|(node, _)| node)
         };
-        let candidates = if candidates.is_empty() {
-            (0..n).map(NodeId).collect()
-        } else {
-            candidates
-        };
-        let chosen = candidates
-            .iter()
-            .copied()
-            .min_by_key(|c| (pending[c.0], c.0))
-            .expect("candidates never empty");
-        pending[chosen.0] += split.bytes.max(1);
-        out.push(chosen);
+        let chosen = least_loaded(true)
+            .or_else(|| least_loaded(false))
+            .unwrap_or(0);
+        if let Some(bytes) = pending.get_mut(chosen) {
+            *bytes += split.bytes.max(1);
+        }
+        out.push(NodeId(chosen));
     }
     out
 }
@@ -137,7 +138,7 @@ impl SchedPolicy {
 /// [`crate::job::JobProfile::sim_job`] and nowhere else.
 #[derive(Debug, Clone)]
 pub struct SimJob {
-    /// Dense tenant index (for the capacity policy's per-tenant shares).
+    /// Tenant id (for the fair/capacity policies' per-tenant shares).
     pub tenant: usize,
     /// Tenant weight under the capacity policy (>= larger is more share).
     pub weight: f64,
@@ -214,399 +215,251 @@ pub struct JobSchedule {
     pub finish_s: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum JState {
     /// Submitted, not yet past client setup.
     Pending,
     /// Competing for map slots.
     Mapping,
-    /// All maps done; shuffle in flight until the recorded time.
-    Shuffling,
+    /// All maps done; the shuffle is in flight until `until`.
+    Shuffling {
+        until: f64,
+    },
     /// Competing for reduce slots.
     Reducing,
     Done,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    finish_s: f64,
-    job: usize,
-    task: usize,
-    node: usize,
-    slot: u32,
-    kind: RKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RKind {
     Map,
     Reduce,
 }
 
+/// A task holding a slot until `finish_s`.
+struct Running {
+    finish_s: f64,
+    kind: RKind,
+    node: usize,
+    slot: u32,
+}
+
 /// Policy priority key, lower wins: (policy primary, attained service,
-/// arrival time, job id). See [`Sim::key`].
+/// arrival time, job id). See [`Share::key`].
 type SchedKey = (f64, f64, f64, usize);
 
-/// Per-node slot pool handing out the lowest free slot id (for stable
-/// swimlane lanes).
-struct SlotPool {
-    free: Vec<bool>,
+/// One stage of one job. Tasks are node-affine and start in index order, so
+/// each node keeps a FIFO of its `(task, duration)`s and the next task to
+/// start is the lowest queue head among the nodes that can take one.
+struct Stage {
+    queues: Vec<VecDeque<(usize, f64)>>,
+    /// Tasks not yet finished.
+    left: usize,
 }
 
-impl SlotPool {
-    fn new(slots: u32) -> SlotPool {
-        SlotPool {
-            free: vec![true; slots.max(1) as usize],
+impl Stage {
+    fn new(tasks: &[(usize, f64)], nodes: usize) -> Result<Stage> {
+        let (mut queues, left) = (vec![VecDeque::new(); nodes], tasks.len());
+        for (task, &(node, dur)) in tasks.iter().enumerate() {
+            at(queues.get_mut(node), "node")?.push_back((task, dur));
         }
-    }
-
-    fn available(&self) -> bool {
-        self.free.iter().any(|f| *f)
-    }
-
-    fn take(&mut self) -> u32 {
-        let slot = self
-            .free
-            .iter()
-            .position(|f| *f)
-            .expect("caller checked availability");
-        self.free[slot] = false;
-        slot as u32
-    }
-
-    fn release(&mut self, slot: u32) {
-        self.free[slot as usize] = true;
+        Ok(Stage { queues, left })
     }
 }
 
-/// One stage's not-yet-started tasks. Tasks are node-affine and start in
-/// index order, so each node keeps a FIFO of its task ids and the next task
-/// to start is the lowest queue head among the nodes that can take one.
-struct Pending {
-    by_node: Vec<VecDeque<usize>>,
+/// One job's run through the simulator.
+struct JobRun<'a> {
+    job: &'a SimJob,
+    /// The job's tenant, as an index into [`Sim::shares`].
+    share: usize,
+    state: JState,
+    map: Stage,
+    reduce: Stage,
+    /// Running map tasks per node, held under the job's per-node cap.
+    maps_on: Vec<u32>,
+    running: Vec<Running>,
+    out: JobSchedule,
 }
 
-impl Pending {
-    fn new(tasks: &[(usize, f64)], nodes: usize) -> Pending {
-        let mut by_node = vec![VecDeque::new(); nodes];
-        for (task, &(node, _)) in tasks.iter().enumerate() {
-            by_node[node].push_back(task);
-        }
-        Pending { by_node }
-    }
+/// One worker: its slot pools (free slot ids, lowest handed out first, for
+/// stable swimlane lanes) and the declared memory its running maps hold.
+struct NodeRun {
+    map_slots: BTreeSet<u32>,
+    reduce_slots: BTreeSet<u32>,
+    mem_used: u64,
+}
 
-    /// The lowest-index pending task whose node `fits` one more right now.
-    fn first_fitting(&self, fits: impl Fn(usize) -> bool) -> Option<usize> {
-        self.by_node
-            .iter()
-            .enumerate()
-            .filter_map(|(node, queue)| queue.front().copied().filter(|_| fits(node)))
-            .min()
-    }
-
-    /// `node`'s next task has started.
-    fn started(&mut self, node: usize) {
-        self.by_node[node].pop_front();
-    }
+/// One tenant's share of the cluster.
+#[derive(Debug, Clone, Copy, Default)]
+struct Share {
+    /// Slots (map + reduce) the tenant holds now.
+    slots: u32,
+    /// Slot-seconds granted so far (attained service).
+    service: f64,
 }
 
 struct Sim<'a> {
-    jobs: &'a [SimJob],
     policy: SchedPolicy,
     node_mem: u64,
-    state: Vec<JState>,
-    /// Tasks not yet started, per job.
-    pending_map: Vec<Pending>,
-    pending_reduce: Vec<Pending>,
-    maps_left: Vec<usize>,
-    reduces_left: Vec<usize>,
-    /// End of the shuffle stage, for jobs in `Shuffling`.
-    shuffle_end: Vec<f64>,
-    /// Slots (map + reduce) each tenant currently holds.
-    tenant_slots: Vec<u32>,
-    /// Slot-seconds granted to each tenant so far (attained service).
-    tenant_service: Vec<f64>,
-    /// Running map tasks of job j on node n (per-job capacity cap).
-    job_node_maps: Vec<Vec<u32>>,
-    /// Declared memory currently admitted on each node (map tasks).
-    mem_used: Vec<u64>,
-    map_pool: Vec<SlotPool>,
-    reduce_pool: Vec<SlotPool>,
-    running: Vec<Running>,
-    out: Vec<JobSchedule>,
+    jobs: Vec<JobRun<'a>>,
+    nodes: Vec<NodeRun>,
+    shares: Vec<Share>,
+}
+
+/// The one lookup every id goes through once [`check`] has passed: node ids
+/// were checked against the cluster there, and job and tenant ids are minted
+/// by [`Sim::new`], so a miss is a simulator bug, reported as a typed error.
+fn at<T>(found: Option<T>, what: &str) -> Result<T> {
+    found.ok_or_else(|| ClydeError::MapReduce(format!("slot simulator lost a {what}")))
+}
+
+/// Reject what the simulator cannot run: a task on a node outside the
+/// cluster, or a time that is negative or not finite (a NaN duration never
+/// finishes, so its job's reduces would silently never run).
+fn check(jobs: &[SimJob], nodes: usize) -> Result<()> {
+    for (j, job) in jobs.iter().enumerate() {
+        let bad = |what: String| Err(ClydeError::Config(format!("simulated job {j} {what}")));
+        for (name, s) in [
+            ("arrival", job.arrival_s),
+            ("setup", job.setup_s),
+            ("shuffle", job.shuffle_s),
+            ("overhead", job.overhead_s),
+        ] {
+            if !(s.is_finite() && s >= 0.0) {
+                return bad(format!("has {name} time {s}"));
+            }
+        }
+        for (kind, tasks) in [("map", &job.map_tasks), ("reduce", &job.reduce_tasks)] {
+            for (task, &(node, dur)) in tasks.iter().enumerate() {
+                if node >= nodes {
+                    return bad(format!("{kind} task {task} is on node {node} of {nodes}"));
+                }
+                if !(dur.is_finite() && dur >= 0.0) {
+                    return bad(format!("{kind} task {task} lasts {dur}s"));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Run the discrete-event slot simulation: interleave every job's map and
 /// reduce tasks over `cluster`'s per-node slots under `policy`. Tasks are
 /// node-affine (the recorded placement is kept); within a job, tasks start
-/// in index order. Returns one schedule per job, same order as `jobs`.
-pub fn interleave(jobs: &[SimJob], cluster: &ClusterSpec, policy: SchedPolicy) -> Vec<JobSchedule> {
-    let nodes = cluster.num_workers().max(1);
-    let tenants = jobs.iter().map(|j| j.tenant + 1).max().unwrap_or(0);
-    let mut sim = Sim {
-        jobs,
-        policy,
-        node_mem: cluster.node.memory_bytes,
-        state: vec![JState::Pending; jobs.len()],
-        pending_map: jobs
-            .iter()
-            .map(|j| Pending::new(&j.map_tasks, nodes))
-            .collect(),
-        pending_reduce: jobs
-            .iter()
-            .map(|j| Pending::new(&j.reduce_tasks, nodes))
-            .collect(),
-        maps_left: jobs.iter().map(|j| j.map_tasks.len()).collect(),
-        reduces_left: jobs.iter().map(|j| j.reduce_tasks.len()).collect(),
-        shuffle_end: vec![0.0; jobs.len()],
-        tenant_slots: vec![0; tenants],
-        tenant_service: vec![0.0; tenants],
-        job_node_maps: vec![vec![0; nodes]; jobs.len()],
-        mem_used: vec![0; nodes],
-        map_pool: (0..nodes)
-            .map(|_| SlotPool::new(cluster.map_slots))
-            .collect(),
-        reduce_pool: (0..nodes)
-            .map(|_| SlotPool::new(cluster.reduce_slots))
-            .collect(),
-        running: Vec::new(),
-        out: vec![JobSchedule::default(); jobs.len()],
-    };
-    sim.run();
-    for (j, sched) in sim.out.iter_mut().enumerate() {
-        sched.map.sort_by_key(|p| p.task);
-        sched.reduce.sort_by_key(|p| p.task);
-        let first = sched
-            .map
-            .iter()
-            .chain(&sched.reduce)
-            .map(|p| p.start_s)
-            .fold(f64::INFINITY, f64::min);
-        sched.first_slot_s = if first.is_finite() {
-            first
-        } else {
-            jobs[j].ready_s()
-        };
-        sched.finish_s = sched.reduce_end_s + jobs[j].overhead_s;
+/// in index order. Returns one schedule per job, same order as `jobs`, or a
+/// `Config` error for a task on a node outside `cluster`, a negative or
+/// non-finite time, or times whose sum overflows the clock.
+pub fn interleave(
+    jobs: &[SimJob],
+    cluster: &ClusterSpec,
+    policy: SchedPolicy,
+) -> Result<Vec<JobSchedule>> {
+    check(jobs, cluster.num_workers().max(1))?;
+    let mut sim = Sim::new(jobs, cluster, policy)?;
+    while let Some(t) = sim.next_event_time() {
+        for run in &mut sim.jobs {
+            run.retire(t, &mut sim.nodes, &mut sim.shares)?;
+        }
+        sim.assign(t)?;
     }
-    sim.out
+    sim.jobs.into_iter().map(JobRun::finish).collect()
 }
 
-impl Sim<'_> {
-    fn run(&mut self) {
-        loop {
-            let t = self.next_event_time();
-            let Some(t) = t else { break };
-            self.complete_tasks(t);
-            self.end_shuffles(t);
-            self.activate_ready(t);
-            self.assign(t);
-        }
+impl<'a> Sim<'a> {
+    fn new(jobs: &'a [SimJob], cluster: &ClusterSpec, policy: SchedPolicy) -> Result<Sim<'a>> {
+        let nodes = cluster.num_workers().max(1);
+        let mut tenants: Vec<usize> = jobs.iter().map(|j| j.tenant).collect();
+        tenants.sort_unstable();
+        tenants.dedup();
+        let jobs = jobs
+            .iter()
+            .map(|job| {
+                Ok(JobRun {
+                    job,
+                    share: tenants.partition_point(|&t| t < job.tenant),
+                    state: JState::Pending,
+                    map: Stage::new(&job.map_tasks, nodes)?,
+                    reduce: Stage::new(&job.reduce_tasks, nodes)?,
+                    maps_on: vec![0; nodes],
+                    running: Vec::new(),
+                    out: JobSchedule::default(),
+                })
+            })
+            .collect::<Result<_>>()?;
+        let node = || NodeRun {
+            map_slots: (0..cluster.map_slots.max(1)).collect(),
+            reduce_slots: (0..cluster.reduce_slots.max(1)).collect(),
+            mem_used: 0,
+        };
+        Ok(Sim {
+            policy,
+            node_mem: cluster.node.memory_bytes,
+            jobs,
+            nodes: (0..nodes).map(|_| node()).collect(),
+            shares: vec![Share::default(); tenants.len()],
+        })
     }
 
     /// Earliest pending event: a job becoming ready, a running task
     /// finishing, or a shuffle completing. `None` once everything is done.
     fn next_event_time(&self) -> Option<f64> {
-        let mut t = f64::INFINITY;
-        for (j, s) in self.state.iter().enumerate() {
-            match s {
-                JState::Pending => t = t.min(self.jobs[j].ready_s()),
-                JState::Shuffling => t = t.min(self.shuffle_end[j]),
-                _ => {}
-            }
-        }
-        for r in &self.running {
-            t = t.min(r.finish_s);
-        }
+        let t = self
+            .jobs
+            .iter()
+            .flat_map(|run| {
+                let stage_end = match run.state {
+                    JState::Pending => Some(run.job.ready_s()),
+                    JState::Shuffling { until } => Some(until),
+                    _ => None,
+                };
+                stage_end
+                    .into_iter()
+                    .chain(run.running.iter().map(|r| r.finish_s))
+            })
+            .fold(f64::INFINITY, f64::min);
         t.is_finite().then_some(t)
-    }
-
-    /// Retire every running task whose finish time is exactly `t` (finish
-    /// times are reused bit-for-bit, so exact comparison is sound), in
-    /// (kind, job, task) order.
-    fn complete_tasks(&mut self, t: f64) {
-        let mut done: Vec<Running> = Vec::new();
-        self.running.retain(|r| {
-            if r.finish_s == t {
-                done.push(*r);
-                false
-            } else {
-                true
-            }
-        });
-        done.sort_by_key(|r| (r.kind, r.job, r.task));
-        for r in done {
-            self.tenant_slots[self.jobs[r.job].tenant] -= 1;
-            match r.kind {
-                RKind::Map => {
-                    self.map_pool[r.node].release(r.slot);
-                    self.job_node_maps[r.job][r.node] -= 1;
-                    self.mem_used[r.node] -= self.jobs[r.job].task_mem;
-                    self.maps_left[r.job] -= 1;
-                    if self.maps_left[r.job] == 0 {
-                        self.out[r.job].map_end_s = t;
-                        self.advance_past_maps(r.job, t);
-                    }
-                }
-                RKind::Reduce => {
-                    self.reduce_pool[r.node].release(r.slot);
-                    self.reduces_left[r.job] -= 1;
-                    if self.reduces_left[r.job] == 0 {
-                        self.out[r.job].reduce_end_s = t;
-                        self.state[r.job] = JState::Done;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Move a job whose maps all finished at `t` into its next stage.
-    fn advance_past_maps(&mut self, j: usize, t: f64) {
-        let job = &self.jobs[j];
-        if job.reduce_tasks.is_empty() {
-            // Map-only: the shuffle stage is empty but still recorded.
-            self.out[j].reduce_end_s = t + job.shuffle_s;
-            self.state[j] = JState::Done;
-        } else if job.shuffle_s > 0.0 {
-            self.shuffle_end[j] = t + job.shuffle_s;
-            self.state[j] = JState::Shuffling;
-        } else {
-            self.state[j] = JState::Reducing;
-        }
-    }
-
-    fn end_shuffles(&mut self, t: f64) {
-        for j in 0..self.jobs.len() {
-            if self.state[j] == JState::Shuffling && self.shuffle_end[j] == t {
-                self.state[j] = JState::Reducing;
-            }
-        }
-    }
-
-    fn activate_ready(&mut self, t: f64) {
-        for j in 0..self.jobs.len() {
-            if self.state[j] == JState::Pending && self.jobs[j].ready_s() <= t {
-                if self.jobs[j].map_tasks.is_empty() {
-                    self.out[j].map_end_s = t;
-                    self.advance_past_maps(j, t);
-                } else {
-                    self.state[j] = JState::Mapping;
-                }
-            }
-        }
-    }
-
-    /// The policy's priority key: lower wins. Fair/capacity break ties on
-    /// least attained service (slot-seconds granted so far), then arrival
-    /// order, then job id, so every decision is total and deterministic —
-    /// and a fresh job is not starved by an earlier-arrived backlog that is
-    /// momentarily holding zero slots.
-    fn key(&self, j: usize) -> SchedKey {
-        let job = &self.jobs[j];
-        let (primary, service) = match self.policy {
-            SchedPolicy::Fifo => (0.0, 0.0),
-            SchedPolicy::Fair => (
-                f64::from(self.tenant_slots[job.tenant]),
-                self.tenant_service[job.tenant],
-            ),
-            SchedPolicy::Capacity => {
-                let w = job.weight.max(1e-9);
-                (
-                    f64::from(self.tenant_slots[job.tenant]) / w,
-                    self.tenant_service[job.tenant] / w,
-                )
-            }
-        };
-        (primary, service, job.arrival_s, j)
-    }
-
-    /// A map task of job `j` fits on `node` iff a slot is free, the job's
-    /// own per-node cap allows it, and the node's declared-memory capacity
-    /// admits it (an oversized declaration still runs alone).
-    fn map_fits(&self, j: usize, node: usize) -> bool {
-        self.map_pool[node].available()
-            && self.job_node_maps[j][node] < self.jobs[j].map_cap_per_node.max(1)
-            && (self.mem_used[node] + self.jobs[j].task_mem <= self.node_mem
-                || self.mem_used[node] == 0)
-    }
-
-    /// The task of `j`'s current stage that would start next, if any fits.
-    fn next_task(&self, j: usize) -> Option<(RKind, usize)> {
-        match self.state[j] {
-            JState::Mapping => self.pending_map[j]
-                .first_fitting(|node| self.map_fits(j, node))
-                .map(|task| (RKind::Map, task)),
-            JState::Reducing => self.pending_reduce[j]
-                .first_fitting(|node| self.reduce_pool[node].available())
-                .map(|task| (RKind::Reduce, task)),
-            _ => None,
-        }
     }
 
     /// Hand out every slot that can be filled at time `t`: repeatedly pick
     /// the best-priority job with an assignable task until nothing fits.
     /// Keys are re-evaluated after each grant, so fair/capacity shares shift
     /// as slots are taken.
-    fn assign(&mut self, t: f64) {
+    fn assign(&mut self, t: f64) -> Result<()> {
         loop {
             let mut best: Option<(SchedKey, usize, RKind, usize)> = None;
-            for j in 0..self.jobs.len() {
-                let Some((kind, task)) = self.next_task(j) else {
+            for (j, run) in self.jobs.iter().enumerate() {
+                let Some((kind, node)) = run.next_task(&self.nodes, self.node_mem) else {
                     continue;
                 };
-                let key = self.key(j);
-                let better = match &best {
-                    None => true,
-                    Some((bk, ..)) => key
-                        .0
+                let key = at(self.shares.get(run.share), "tenant")?.key(self.policy, run.job, j);
+                let better = best.is_none_or(|(bk, ..)| {
+                    key.0
                         .total_cmp(&bk.0)
                         .then(key.1.total_cmp(&bk.1))
                         .then(key.2.total_cmp(&bk.2))
                         .then(key.3.cmp(&bk.3))
-                        .is_lt(),
-                };
+                        .is_lt()
+                });
                 if better {
-                    best = Some((key, j, kind, task));
+                    best = Some((key, j, kind, node));
                 }
             }
-            let Some((_, j, kind, task)) = best else {
-                break;
+            let Some((_, j, kind, node)) = best else {
+                return Ok(());
             };
-            self.grant(j, kind, task, t);
+            self.grant(j, kind, node, t)?;
         }
     }
 
-    /// Start `task` of job `j` at `t` on its node's lowest free slot.
-    fn grant(&mut self, j: usize, kind: RKind, task: usize, t: f64) {
-        let job = &self.jobs[j];
-        let (node, dur, slot) = match kind {
-            RKind::Map => {
-                let (node, dur) = job.map_tasks[task];
-                self.pending_map[j].started(node);
-                self.job_node_maps[j][node] += 1;
-                self.mem_used[node] += job.task_mem;
-                (node, dur, self.map_pool[node].take())
-            }
-            RKind::Reduce => {
-                let (node, dur) = job.reduce_tasks[task];
-                self.pending_reduce[j].started(node);
-                (node, dur, self.reduce_pool[node].take())
-            }
-        };
-        self.tenant_slots[job.tenant] += 1;
-        self.tenant_service[job.tenant] += dur;
-        self.running.push(Running {
-            finish_s: t + dur,
-            job: j,
-            task,
-            node,
-            slot,
-            kind,
-        });
-        let lanes = match kind {
-            RKind::Map => &mut self.out[j].map,
-            RKind::Reduce => &mut self.out[j].reduce,
-        };
+    /// Start job `j`'s next `kind` task queued on `node` at `t`, on the
+    /// node's lowest free slot.
+    fn grant(&mut self, j: usize, kind: RKind, node: usize, t: f64) -> Result<()> {
+        let run = at(self.jobs.get_mut(j), "job")?;
+        let worker = at(self.nodes.get_mut(node), "node")?;
+        let slot = at(worker.pool(kind).pop_first(), "free slot")?;
+        let (stage, lanes) = run.stage(kind);
+        let queued = stage.queues.get_mut(node).and_then(VecDeque::pop_front);
+        let (task, dur) = at(queued, "queued task")?;
         lanes.push(Placement {
             task,
             node,
@@ -614,6 +467,160 @@ impl Sim<'_> {
             start_s: t,
             dur_s: dur,
         });
+        if kind == RKind::Map {
+            worker.mem_used += run.job.task_mem;
+            *at(run.maps_on.get_mut(node), "node")? += 1;
+        }
+        let share = at(self.shares.get_mut(run.share), "tenant")?;
+        share.slots += 1;
+        share.service += dur;
+        run.running.push(Running {
+            finish_s: t + dur,
+            kind,
+            node,
+            slot,
+        });
+        Ok(())
+    }
+}
+
+impl Share {
+    /// The policy's priority key for job `j`: lower wins. Fair/capacity
+    /// break ties on least attained service (slot-seconds granted so far),
+    /// then arrival order, then job id, so every decision is total and
+    /// deterministic — and a fresh job is not starved by an earlier-arrived
+    /// backlog that is momentarily holding zero slots.
+    fn key(self, policy: SchedPolicy, job: &SimJob, j: usize) -> SchedKey {
+        let (primary, service) = match policy {
+            SchedPolicy::Fifo => (0.0, 0.0),
+            SchedPolicy::Fair => (f64::from(self.slots), self.service),
+            SchedPolicy::Capacity => {
+                let w = job.weight.max(1e-9);
+                (f64::from(self.slots) / w, self.service / w)
+            }
+        };
+        (primary, service, job.arrival_s, j)
+    }
+}
+
+impl NodeRun {
+    fn pool(&mut self, kind: RKind) -> &mut BTreeSet<u32> {
+        match kind {
+            RKind::Map => &mut self.map_slots,
+            RKind::Reduce => &mut self.reduce_slots,
+        }
+    }
+}
+
+impl JobRun<'_> {
+    fn stage(&mut self, kind: RKind) -> (&mut Stage, &mut Vec<Placement>) {
+        match kind {
+            RKind::Map => (&mut self.map, &mut self.out.map),
+            RKind::Reduce => (&mut self.reduce, &mut self.out.reduce),
+        }
+    }
+
+    /// The node of the lowest-index task of the current stage that can start
+    /// now. A reduce needs a free slot; a map also needs room under the job's
+    /// per-node cap and under the node's declared memory (an oversized
+    /// declaration still runs alone).
+    fn next_task(&self, nodes: &[NodeRun], node_mem: u64) -> Option<(RKind, usize)> {
+        let (kind, stage) = match self.state {
+            JState::Mapping => (RKind::Map, &self.map),
+            JState::Reducing => (RKind::Reduce, &self.reduce),
+            _ => return None,
+        };
+        let fits = |worker: &NodeRun, maps_on: u32| match kind {
+            RKind::Map => {
+                !worker.map_slots.is_empty()
+                    && maps_on < self.job.map_cap_per_node.max(1)
+                    && (worker.mem_used.saturating_add(self.job.task_mem) <= node_mem
+                        || worker.mem_used == 0)
+            }
+            RKind::Reduce => !worker.reduce_slots.is_empty(),
+        };
+        stage
+            .queues
+            .iter()
+            .zip(nodes.iter().zip(&self.maps_on))
+            .enumerate()
+            .filter(|(_, (_, (worker, &maps_on)))| fits(worker, maps_on))
+            .filter_map(|(node, (queue, _))| queue.front().map(|&(task, _)| (task, node)))
+            .min()
+            .map(|(_, node)| (kind, node))
+    }
+
+    /// Retire this job's tasks that finish exactly at `t` (finish times are
+    /// reused bit-for-bit, so exact comparison is sound; a retirement only
+    /// returns what its grant took, so their order is free), then move the
+    /// job past every stage boundary it reached at `t`.
+    fn retire(&mut self, t: f64, nodes: &mut [NodeRun], shares: &mut [Share]) -> Result<()> {
+        let done: Vec<Running> = self.running.extract_if(.., |r| r.finish_s == t).collect();
+        for r in done {
+            let worker = at(nodes.get_mut(r.node), "node")?;
+            worker.pool(r.kind).insert(r.slot);
+            at(shares.get_mut(self.share), "tenant")?.slots -= 1;
+            if r.kind == RKind::Map {
+                worker.mem_used -= self.job.task_mem;
+                *at(self.maps_on.get_mut(r.node), "node")? -= 1;
+            }
+            self.stage(r.kind).0.left -= 1;
+        }
+        // In the order the stages chain: a stage that ends at `t` starts the
+        // next one at `t`, but a job that only becomes ready at `t` enters a
+        // shuffle no sooner than the next event.
+        if self.state == JState::Mapping && self.map.left == 0 {
+            self.past_maps(t);
+        }
+        if self.state == JState::Reducing && self.reduce.left == 0 {
+            self.out.reduce_end_s = t;
+            self.state = JState::Done;
+        }
+        if matches!(self.state, JState::Shuffling { until } if until <= t) {
+            self.state = JState::Reducing;
+        }
+        if self.state == JState::Pending && self.job.ready_s() <= t {
+            if self.map.left == 0 {
+                self.past_maps(t);
+            } else {
+                self.state = JState::Mapping;
+            }
+        }
+        Ok(())
+    }
+
+    /// The job's maps are all done at `t`: start its shuffle, or finish it
+    /// if it has no reduces.
+    fn past_maps(&mut self, t: f64) {
+        self.out.map_end_s = t;
+        self.state = if self.reduce.left == 0 {
+            // Map-only: the shuffle stage is empty but still recorded.
+            self.out.reduce_end_s = t + self.job.shuffle_s;
+            JState::Done
+        } else if self.job.shuffle_s > 0.0 {
+            JState::Shuffling {
+                until: t + self.job.shuffle_s,
+            }
+        } else {
+            JState::Reducing
+        };
+    }
+
+    /// The job's schedule: lanes in task order plus the derived bounds. A
+    /// job that never finished had a time overflow the simulated clock.
+    fn finish(self) -> Result<JobSchedule> {
+        if self.state != JState::Done {
+            return Err(ClydeError::Config(
+                "slot simulator: a job's times overflow the simulated clock".into(),
+            ));
+        }
+        let mut sched = self.out;
+        sched.map.sort_by_key(|p| p.task);
+        sched.reduce.sort_by_key(|p| p.task);
+        let starts = sched.map.iter().chain(&sched.reduce).map(|p| p.start_s);
+        sched.first_slot_s = starts.reduce(f64::min).unwrap_or(self.job.ready_s());
+        sched.finish_s = sched.reduce_end_s + self.job.overhead_s;
+        Ok(sched)
     }
 }
 
@@ -719,7 +726,7 @@ mod tests {
         // tiny(1) has 2 map slots, 1 reduce slot on one node.
         let cluster = ClusterSpec::tiny(1);
         let jobs = vec![sim_job(0, 0.0, 2), sim_job(1, 0.5, 2)];
-        let s = interleave(&jobs, &cluster, SchedPolicy::Fifo);
+        let s = interleave(&jobs, &cluster, SchedPolicy::Fifo).unwrap();
         // Job 0 takes both slots at t=1; job 1 (ready 1.5) waits until they
         // free at t=11 despite having arrived long before.
         assert_eq!(s[0].map[0].start_s, 1.0);
@@ -738,7 +745,7 @@ mod tests {
     fn fair_interleaves_slots_across_jobs() {
         let cluster = ClusterSpec::tiny(1); // 2 map slots
         let jobs = vec![sim_job(0, 0.0, 4), sim_job(1, 0.5, 2)];
-        let s = interleave(&jobs, &cluster, SchedPolicy::Fair);
+        let s = interleave(&jobs, &cluster, SchedPolicy::Fair).unwrap();
         // Only job 0 is ready at t=1; it takes both slots.
         assert_eq!(s[0].map[0].start_s, 1.0);
         assert_eq!(s[0].map[1].start_s, 1.0);
@@ -763,7 +770,7 @@ mod tests {
         let mut hi = sim_job(1, 0.0, 8);
         hi.weight = 3.0;
         hi.map_cap_per_node = 4;
-        let s = interleave(&[lo, hi], &cluster, SchedPolicy::Capacity);
+        let s = interleave(&[lo, hi], &cluster, SchedPolicy::Capacity).unwrap();
         // First wave (t=1): the id tiebreak hands tenant 0 one slot, after
         // which tenant 1's weight-normalized share (k/3) stays below tenant
         // 0's (1/1) until tenant 1 holds 3 of the 4 slots — a 3:1 split.
@@ -783,7 +790,7 @@ mod tests {
         a.task_mem = 3 << 30;
         let mut b = sim_job(1, 0.0, 1);
         b.task_mem = 3 << 30;
-        let s = interleave(&[a, b], &cluster, SchedPolicy::Fair);
+        let s = interleave(&[a, b], &cluster, SchedPolicy::Fair).unwrap();
         // Two free slots, but 3 GB + 3 GB > 4 GB: job 1's map waits for job
         // 0's to release the node's declared memory.
         assert_eq!(s[0].map[0].start_s, 1.0);
@@ -806,8 +813,8 @@ mod tests {
         small.reduce_tasks.clear();
         small.shuffle_s = 0.0;
         jobs.push(small);
-        let fifo = interleave(&jobs, &cluster, SchedPolicy::Fifo);
-        let fair = interleave(&jobs, &cluster, SchedPolicy::Fair);
+        let fifo = interleave(&jobs, &cluster, SchedPolicy::Fifo).unwrap();
+        let fair = interleave(&jobs, &cluster, SchedPolicy::Fair).unwrap();
         let lat = |s: &[JobSchedule]| s[4].finish_s - jobs[4].arrival_s;
         assert!(
             lat(&fair) < lat(&fifo),
@@ -828,8 +835,8 @@ mod tests {
             })
             .collect();
         for policy in SchedPolicy::all() {
-            let a = interleave(&jobs, &cluster, policy);
-            let b = interleave(&jobs, &cluster, policy);
+            let a = interleave(&jobs, &cluster, policy).unwrap();
+            let b = interleave(&jobs, &cluster, policy).unwrap();
             assert_eq!(a.len(), jobs.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.map, y.map);
@@ -868,7 +875,7 @@ mod tests {
             job.setup_s = 0.0;
             job.map_tasks = tasks.to_vec();
             job.map_cap_per_node = slots;
-            let s = interleave(&[job], &ClusterSpec::tiny(2), SchedPolicy::Fifo);
+            let s = interleave(&[job], &ClusterSpec::tiny(2), SchedPolicy::Fifo).unwrap();
             assert_eq!(s[0].map_end_s, stage_span(&s[0].map, 0.0));
             s[0].map_end_s
         };
@@ -888,92 +895,6 @@ mod tests {
         }];
         assert_eq!(stage_span(&late, 0.1 + 0.2), 0.7);
     }
-
-    /// Every grant of a run, one `job.kind.task@node.slot:start` per lane.
-    fn grants(s: &[JobSchedule]) -> String {
-        let mut out = Vec::new();
-        for (j, sched) in s.iter().enumerate() {
-            for (kind, lanes) in [("m", &sched.map), ("r", &sched.reduce)] {
-                for p in lanes {
-                    out.push(format!(
-                        "{j}{kind}{}@{}.{}:{}",
-                        p.task, p.node, p.slot, p.start_s
-                    ));
-                }
-            }
-        }
-        out.join(" ")
-    }
-
-    /// The per-node pending queues hand out exactly the grants the flat
-    /// pending list (scan for the first fitting task, `Vec::remove` it) did:
-    /// the strings below were recorded from that implementation on the
-    /// fixtures of the three policy tests above.
-    #[test]
-    fn per_node_queues_reproduce_the_flat_list_grants() {
-        let one = ClusterSpec::tiny(1);
-        let fifo = interleave(
-            &[sim_job(0, 0.0, 2), sim_job(1, 0.5, 2)],
-            &one,
-            SchedPolicy::Fifo,
-        );
-        assert_eq!(grants(&fifo), FLAT_FIFO);
-        let fair = interleave(
-            &[sim_job(0, 0.0, 4), sim_job(1, 0.5, 2)],
-            &one,
-            SchedPolicy::Fair,
-        );
-        assert_eq!(grants(&fair), FLAT_FAIR);
-        let mut four = ClusterSpec::tiny(1);
-        four.map_slots = 4;
-        let mut lo = sim_job(0, 0.0, 8);
-        lo.map_cap_per_node = 4;
-        let mut hi = sim_job(1, 0.0, 8);
-        hi.weight = 3.0;
-        hi.map_cap_per_node = 4;
-        let cap = interleave(&[lo, hi], &four, SchedPolicy::Capacity);
-        assert_eq!(grants(&cap), FLAT_CAPACITY);
-        // Six jobs with tasks spread over three nodes (equal weights, so
-        // capacity grants what fair does).
-        let jobs: Vec<SimJob> = (0..6)
-            .map(|i| {
-                let mut j = sim_job(i % 3, 0.7 * i as f64, 3 + i % 2);
-                j.map_tasks = (0..j.map_tasks.len()).map(|k| ((i + k) % 3, 8.0)).collect();
-                j.reduce_tasks = vec![(i % 3, 5.0), ((i + 1) % 3, 4.0)];
-                j
-            })
-            .collect();
-        for (policy, flat) in [SchedPolicy::Fifo, SchedPolicy::Fair]
-            .into_iter()
-            .zip(FLAT_SPREAD)
-        {
-            let s = interleave(&jobs, &ClusterSpec::tiny(3), policy);
-            assert_eq!(grants(&s), flat, "{}", policy.label());
-        }
-    }
-
-    const FLAT_FIFO: &str = "0m0@0.0:1 0m1@0.1:1 0r0@0.0:13 1m0@0.0:11 1m1@0.1:11 1r0@0.0:23";
-    const FLAT_FAIR: &str =
-        "0m0@0.0:1 0m1@0.1:1 0m2@0.1:11 0m3@0.1:21 0r0@0.0:38 1m0@0.0:11 1m1@0.0:21 \
-        1r0@0.0:33";
-    const FLAT_CAPACITY: &str =
-        "0m0@0.0:1 0m1@0.0:11 0m2@0.0:21 0m3@0.3:21 0m4@0.0:31 0m5@0.1:31 0m6@0.2:31 \
-        0m7@0.3:31 0r0@0.0:43 1m0@0.1:1 1m1@0.2:1 1m2@0.3:1 1m3@0.1:11 1m4@0.2:11 \
-        1m5@0.3:11 1m6@0.1:21 1m7@0.2:21 1r0@0.0:33";
-    const FLAT_SPREAD: [&str; 2] = [
-        "0m0@0.0:1 0m1@1.0:1 0m2@2.0:1 0r0@0.0:11 0r1@1.0:11 1m0@1.1:1.7 1m1@2.1:1.7 \
-        1m2@0.1:1.7 1m3@1.0:9 1r0@1.0:19 1r1@2.0:19 2m0@2.0:9 2m1@0.0:9 2m2@1.1:9.7 \
-        2r0@2.0:23 2r1@0.0:19.7 3m0@0.1:9.7 3m1@1.0:17 3m2@2.1:9.7 3m3@0.0:17 \
-        3r0@0.0:27 3r1@1.0:27 4m0@1.1:17.7 4m1@2.0:17 4m2@0.1:17.7 4r0@1.0:31 \
-        4r1@2.0:28 5m0@2.1:17.7 5m1@0.0:25 5m2@1.0:25 5m3@2.0:25 5r0@2.0:35 \
-        5r1@0.0:35",
-        "0m0@0.0:1 0m1@1.0:1 0m2@2.0:1 0r0@0.0:11 0r1@1.0:11 1m0@1.1:1.7 1m1@2.1:1.7 \
-        1m2@0.1:1.7 1m3@1.1:9.7 1r0@1.0:19.7 1r1@2.0:19.7 2m0@2.0:9 2m1@0.0:17 \
-        2m2@1.0:9 2r0@2.0:27 2r1@0.0:27 3m0@0.0:9 3m1@1.0:17 3m2@2.1:9.7 \
-        3m3@0.1:17.7 3r0@0.0:31 3r1@1.0:27.7 4m0@1.1:17.7 4m1@2.1:17.7 4m2@0.1:9.7 \
-        4r0@1.0:31.7 4r1@2.0:32 5m0@2.0:17 5m1@0.0:25 5m2@1.0:25 5m3@2.0:25 \
-        5r0@2.0:36 5r1@0.0:36",
-    ];
 
     #[test]
     fn policy_labels_roundtrip() {

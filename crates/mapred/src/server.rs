@@ -235,7 +235,7 @@ impl<'e> JobServer<'e> {
         }
 
         // Phase 2: schedule all admitted jobs on the shared cluster.
-        let schedules = scheduler::interleave(&sim_jobs, &cluster, self.cfg.policy);
+        let schedules = scheduler::interleave(&sim_jobs, &cluster, self.cfg.policy)?;
 
         // Phase 3: publish, in submission order (deterministic).
         let mut served = Vec::with_capacity(subs.len());

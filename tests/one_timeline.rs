@@ -6,14 +6,17 @@
 //! many-tasks-per-slot stages alike.
 
 use clyde_common::obs::{JobHistory, TaskKind, TaskLane};
-use clyde_common::{row, Datum, Obs, Row};
-use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
+use clyde_common::{row, ClydeError, Datum, Obs, Row};
+use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions, NodeId};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_mapred::formats::VecInputFormat;
 use clyde_mapred::runner::{FnMapper, RowMapRunner};
 use clyde_mapred::scheduler::{interleave, JobSchedule, Placement, SimJob};
 use clyde_mapred::shuffle::FnReducer;
-use clyde_mapred::{Engine, JobServer, JobSpec, SchedPolicy, ServerConfig};
+use clyde_mapred::{
+    CostParams, Engine, JobProfile, JobServer, JobSpec, SchedPolicy, ServerConfig, TaskCost,
+    TaskProfile,
+};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::queries::all_queries;
@@ -141,7 +144,7 @@ fn lone_sim_job(h: &JobHistory) -> SimJob {
 fn assert_solo_equals_lone_schedule(h: &JobHistory, cluster: &ClusterSpec) {
     let job = lone_sim_job(h);
     for policy in SchedPolicy::all() {
-        let s = &interleave(std::slice::from_ref(&job), cluster, policy)[0];
+        let s = &interleave(std::slice::from_ref(&job), cluster, policy).unwrap()[0];
         assert!(
             close(s.finish_s, h.total_s()),
             "{} under {}: scheduled finish {} != priced total {}",
@@ -325,7 +328,9 @@ fn simulated(tasks: &[(usize, f64)], nodes: usize, slots: u32) -> JobSchedule {
         reduce_tasks: Vec::new(),
         overhead_s: 0.0,
     };
-    interleave(&[job], &cluster, SchedPolicy::Fifo).remove(0)
+    interleave(&[job], &cluster, SchedPolicy::Fifo)
+        .unwrap()
+        .remove(0)
 }
 
 proptest! {
@@ -368,5 +373,173 @@ proptest! {
                 .count();
             prop_assert!(overlapping <= slots as usize);
         }
+    }
+}
+
+/// A job with `tasks` 10 s map tasks on node 0 and one 5 s reduce on node 0
+/// (the fixture of `scheduler`'s policy unit tests).
+fn sim_job(tenant: usize, arrival: f64, tasks: usize) -> SimJob {
+    SimJob {
+        tenant,
+        weight: 1.0,
+        arrival_s: arrival,
+        setup_s: 1.0,
+        map_tasks: (0..tasks).map(|_| (0, 10.0)).collect(),
+        map_cap_per_node: 2,
+        task_mem: 0,
+        shuffle_s: 2.0,
+        reduce_tasks: vec![(0, 5.0)],
+        overhead_s: 3.0,
+    }
+}
+
+/// Every grant of a run, one `job.kind.task@node.slot:start` per lane.
+fn grants(s: &[JobSchedule]) -> String {
+    let mut out = Vec::new();
+    for (j, sched) in s.iter().enumerate() {
+        for (kind, lanes) in [("m", &sched.map), ("r", &sched.reduce)] {
+            for p in lanes {
+                out.push(format!(
+                    "{j}{kind}{}@{}.{}:{}",
+                    p.task, p.node, p.slot, p.start_s
+                ));
+            }
+        }
+    }
+    out.join(" ")
+}
+
+/// The per-node pending queues hand out exactly the grants the flat
+/// pending list (scan for the first fitting task, `Vec::remove` it) did:
+/// the strings below were recorded from that implementation on the
+/// fixtures of `scheduler`'s three policy unit tests.
+#[test]
+fn per_node_queues_reproduce_the_flat_list_grants() {
+    let one = ClusterSpec::tiny(1);
+    let fifo = interleave(
+        &[sim_job(0, 0.0, 2), sim_job(1, 0.5, 2)],
+        &one,
+        SchedPolicy::Fifo,
+    )
+    .unwrap();
+    assert_eq!(grants(&fifo), FLAT_FIFO);
+    let fair = interleave(
+        &[sim_job(0, 0.0, 4), sim_job(1, 0.5, 2)],
+        &one,
+        SchedPolicy::Fair,
+    )
+    .unwrap();
+    assert_eq!(grants(&fair), FLAT_FAIR);
+    let mut four = ClusterSpec::tiny(1);
+    four.map_slots = 4;
+    let mut lo = sim_job(0, 0.0, 8);
+    lo.map_cap_per_node = 4;
+    let mut hi = sim_job(1, 0.0, 8);
+    hi.weight = 3.0;
+    hi.map_cap_per_node = 4;
+    let cap = interleave(&[lo, hi], &four, SchedPolicy::Capacity).unwrap();
+    assert_eq!(grants(&cap), FLAT_CAPACITY);
+    // Six jobs with tasks spread over three nodes (equal weights, so
+    // capacity grants what fair does).
+    let jobs: Vec<SimJob> = (0..6)
+        .map(|i| {
+            let mut j = sim_job(i % 3, 0.7 * i as f64, 3 + i % 2);
+            j.map_tasks = (0..j.map_tasks.len()).map(|k| ((i + k) % 3, 8.0)).collect();
+            j.reduce_tasks = vec![(i % 3, 5.0), ((i + 1) % 3, 4.0)];
+            j
+        })
+        .collect();
+    for (policy, flat) in [SchedPolicy::Fifo, SchedPolicy::Fair]
+        .into_iter()
+        .zip(FLAT_SPREAD)
+    {
+        let s = interleave(&jobs, &ClusterSpec::tiny(3), policy).unwrap();
+        assert_eq!(grants(&s), flat, "{}", policy.label());
+    }
+}
+
+const FLAT_FIFO: &str = "0m0@0.0:1 0m1@0.1:1 0r0@0.0:13 1m0@0.0:11 1m1@0.1:11 1r0@0.0:23";
+const FLAT_FAIR: &str =
+    "0m0@0.0:1 0m1@0.1:1 0m2@0.1:11 0m3@0.1:21 0r0@0.0:38 1m0@0.0:11 1m1@0.0:21 \
+    1r0@0.0:33";
+const FLAT_CAPACITY: &str =
+    "0m0@0.0:1 0m1@0.0:11 0m2@0.0:21 0m3@0.3:21 0m4@0.0:31 0m5@0.1:31 0m6@0.2:31 \
+    0m7@0.3:31 0r0@0.0:43 1m0@0.1:1 1m1@0.2:1 1m2@0.3:1 1m3@0.1:11 1m4@0.2:11 \
+    1m5@0.3:11 1m6@0.1:21 1m7@0.2:21 1r0@0.0:33";
+const FLAT_SPREAD: [&str; 2] = [
+    "0m0@0.0:1 0m1@1.0:1 0m2@2.0:1 0r0@0.0:11 0r1@1.0:11 1m0@1.1:1.7 1m1@2.1:1.7 \
+    1m2@0.1:1.7 1m3@1.0:9 1r0@1.0:19 1r1@2.0:19 2m0@2.0:9 2m1@0.0:9 2m2@1.1:9.7 \
+    2r0@2.0:23 2r1@0.0:19.7 3m0@0.1:9.7 3m1@1.0:17 3m2@2.1:9.7 3m3@0.0:17 \
+    3r0@0.0:27 3r1@1.0:27 4m0@1.1:17.7 4m1@2.0:17 4m2@0.1:17.7 4r0@1.0:31 \
+    4r1@2.0:28 5m0@2.1:17.7 5m1@0.0:25 5m2@1.0:25 5m3@2.0:25 5r0@2.0:35 \
+    5r1@0.0:35",
+    "0m0@0.0:1 0m1@1.0:1 0m2@2.0:1 0r0@0.0:11 0r1@1.0:11 1m0@1.1:1.7 1m1@2.1:1.7 \
+    1m2@0.1:1.7 1m3@1.1:9.7 1r0@1.0:19.7 1r1@2.0:19.7 2m0@2.0:9 2m1@0.0:17 \
+    2m2@1.0:9 2r0@2.0:27 2r1@0.0:27 3m0@0.0:9 3m1@1.0:17 3m2@2.1:9.7 \
+    3m3@0.1:17.7 3r0@0.0:31 3r1@1.0:27.7 4m0@1.1:17.7 4m1@2.1:17.7 4m2@0.1:9.7 \
+    4r0@1.0:31.7 4r1@2.0:32 5m0@2.0:17 5m1@0.0:25 5m2@1.0:25 5m3@2.0:25 \
+    5r0@2.0:36 5r1@0.0:36",
+];
+
+/// The simulator checks its input once: a task on a node the cluster does
+/// not have, or a time it cannot put on the clock, is a `Config` error —
+/// not a panic, and not a job whose reduces silently never run. Pricing
+/// hands the error on instead of a 0 s map stage.
+#[test]
+fn interleave_rejects_what_it_cannot_simulate() {
+    let cluster = ClusterSpec::tiny(3);
+    // Job 1 of a two-job run, after `edit`; unedited, the run schedules.
+    let run = |edit: &dyn Fn(&mut SimJob)| {
+        let mut job = sim_job(1, 0.0, 2);
+        edit(&mut job);
+        interleave(&[sim_job(0, 0.0, 1), job], &cluster, SchedPolicy::Fair)
+    };
+    assert!(run(&|_| {}).is_ok());
+    let rejects = |edit: &dyn Fn(&mut SimJob), what: &str| match run(edit) {
+        Err(ClydeError::Config(_)) => {}
+        other => panic!("{what}: {other:?}"),
+    };
+    rejects(&|j| j.map_tasks[1].0 = 5, "a map on node 5 of 3");
+    rejects(&|j| j.reduce_tasks[0].0 = 3, "a reduce on node 3 of 3");
+    for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        rejects(&|j| j.map_tasks[1].1 = t, &format!("a {t} s map"));
+        rejects(&|j| j.reduce_tasks[0].1 = t, &format!("a {t} s reduce"));
+        rejects(&|j| j.arrival_s = t, &format!("arrival {t}"));
+        rejects(&|j| j.setup_s = t, &format!("setup {t}"));
+        rejects(&|j| j.shuffle_s = t, &format!("shuffle {t}"));
+        rejects(&|j| j.overhead_s = t, &format!("overhead {t}"));
+    }
+    // Each time is finite, but the job would become ready past the clock.
+    let late = |j: &mut SimJob| (j.arrival_s, j.setup_s) = (f64::MAX, f64::MAX);
+    rejects(&late, "a ready time that overflows");
+
+    let mut cost = TaskCost::new();
+    cost.local_bytes = 1 << 30;
+    let profile = JobProfile {
+        name: "scan".into(),
+        map_tasks: vec![TaskProfile {
+            node: NodeId(0),
+            cost,
+            wall_ns: 0,
+            speculative: false,
+        }],
+        map_concurrency: 1,
+        ..JobProfile::default()
+    };
+    let cluster_a = ClusterSpec::cluster_a();
+    assert!(
+        profile
+            .price(&CostParams::paper(), &cluster_a)
+            .unwrap()
+            .map_s
+            > 0.0
+    );
+    let zero_rate = CostParams {
+        state_deser_bw: 0.0,
+        ..CostParams::paper()
+    };
+    match profile.price(&zero_rate, &cluster_a) {
+        Err(ClydeError::Config(_)) => {}
+        other => panic!("state_deser_bw 0: {other:?}"),
     }
 }

@@ -15,8 +15,10 @@
 //! * [`obs`] — observability: hierarchical span recording, the global
 //!   metrics registry, and job-history reports with Chrome-trace export.
 //! * [`lockorder`] — `Mutex`/`RwLock` wrappers that panic on inconsistent
-//!   lock-acquisition orders in debug builds; the workspace's audited
-//!   concurrency modules use these instead of raw `std::sync` primitives.
+//!   lock-acquisition orders in debug builds and report the nesting they
+//!   saw (`observed_edges`); release builds get poison-free `std::sync`
+//!   locks. The workspace's audited concurrency modules use these instead
+//!   of raw `std::sync` primitives; the checker is the one lock-order guard.
 
 pub mod colblock;
 pub mod datum;

@@ -86,6 +86,17 @@ mod track {
         f(g.get_or_insert_with(BTreeMap::new))
     }
 
+    /// Every recorded edge as a `(from, to)` pair of constructor files,
+    /// sorted and de-duplicated.
+    pub(super) fn observed_edges() -> Vec<(&'static str, &'static str)> {
+        let edges: BTreeSet<(&'static str, &'static str)> = with_graph(|g| {
+            g.iter()
+                .flat_map(|(from, tos)| tos.iter().map(move |to| (from.0, to.0)))
+                .collect()
+        });
+        edges.into_iter().collect()
+    }
+
     /// Is `to` reachable from `from` over recorded edges?
     fn reaches(
         graph: &BTreeMap<ClassKey, BTreeSet<ClassKey>>,
@@ -200,6 +211,15 @@ mod track {
         }
         Held { token }
     }
+}
+
+/// The acquisition edges this process has recorded so far, at file level:
+/// `(a, b)` means a lock constructed in file `a` was held while one
+/// constructed in file `b` was taken. Sorted, each pair once. Debug builds
+/// only; a test binary that runs one test sees exactly that test's nesting.
+#[cfg(debug_assertions)]
+pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
+    track::observed_edges()
 }
 
 /// A mutual-exclusion lock whose acquisition order is checked in debug builds.
@@ -470,6 +490,16 @@ mod tests {
         }
         let _gb = b.lock();
         let _ga = a.lock(); // closes the cycle: a → b recorded, now b → a
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn observed_edges_name_the_constructor_files() {
+        let a = Mutex::new(());
+        let b = RwLock::new(());
+        let _ga = a.lock();
+        let _gb = b.read();
+        assert!(observed_edges().contains(&(file!(), file!())));
     }
 
     #[cfg(debug_assertions)]

@@ -518,7 +518,8 @@ mod tests {
         clyde
             .engine()
             .local_store()
-            .clear_node(clyde_dfs::NodeId(1));
+            .clear_node(clyde_dfs::NodeId(1))
+            .unwrap();
         let q = query_by_id("Q3.1").unwrap();
         let result = clyde.query(&q).unwrap();
         let expect = reference_answer(&gen.gen_all(), &q).unwrap();

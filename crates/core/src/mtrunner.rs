@@ -40,7 +40,6 @@ use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
 use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader, RecordReader};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Clydesdale map runner. Also handles the single-threaded ablation
@@ -164,16 +163,15 @@ impl MtMapRunner {
         // Spawn count is a host-execution knob; pricing uses `ctx.threads`.
         // Morsels are finer than parts, so it is not capped by them.
         let threads = (ctx.host_threads as usize).max(1);
-        // Wall-clock spent probing, summed across the threads
-        // (observability only — simulated time comes from the cost model).
-        let probe_ns = AtomicU64::new(0);
         let source = MorselSource::new(ctx);
-        let done: Mutex<Vec<ThreadResult>> = Mutex::new(Vec::with_capacity(threads));
-        std::thread::scope(|scope| -> Result<()> {
+        // Each thread hands back its result and the wall-clock it spent
+        // probing (observability only — simulated time comes from the cost
+        // model), joined in spawn order.
+        let joined: Vec<_> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
-                let (source, done, probe_ns) = (&source, &done, &probe_ns);
-                handles.push(scope.spawn(move || -> Result<()> {
+                let source = &source;
+                handles.push(scope.spawn(move || -> Result<(ThreadResult, u64)> {
                     let thread_start = WallTimer::start();
                     let mut res = ThreadResult {
                         first_morsel: u64::MAX,
@@ -207,19 +205,20 @@ impl MtMapRunner {
                             }
                         }
                     }
-                    done.lock().push(res);
-                    probe_ns.fetch_add(thread_start.elapsed_ns(), Ordering::Relaxed);
-                    Ok(())
+                    Ok((res, thread_start.elapsed_ns()))
                 }));
             }
-            for h in handles {
-                h.join()
-                    .map_err(|_| ClydeError::MapReduce("probe thread panicked".into()))??;
-            }
-            Ok(())
-        })?;
-        ctx.note_wall_phase(Phase::Probe, probe_ns.into_inner());
-        let mut results = done.into_inner();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut results = Vec::with_capacity(threads);
+        let mut probe_ns = 0u64;
+        for thread in joined {
+            let (res, ns) =
+                thread.map_err(|_| ClydeError::MapReduce("probe thread panicked".into()))??;
+            results.push(res);
+            probe_ns += ns;
+        }
+        ctx.note_wall_phase(Phase::Probe, probe_ns);
         results.sort_by_key(|r| r.first_morsel);
         let mut stats = ProbeStats::default();
         for r in &results {

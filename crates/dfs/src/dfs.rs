@@ -225,7 +225,7 @@ impl Dfs {
                 .allocate_block(data.len() as u64, fixed.clone(), block_checksum(&data));
         for node in &fixed {
             state.datanodes[node.0].store(id, data.clone());
-            self.metrics.record_write(*node, data.len() as u64);
+            self.metrics.record_write(*node, data.len() as u64)?;
         }
         // Attribute pipeline traffic to the writer if it is a cluster node
         // and not among the replicas (client writes are not attributed).
@@ -252,13 +252,13 @@ impl Dfs {
         if let &[block] = entry.blocks.as_slice() {
             // Fast path: single-block files return the stored Bytes directly.
             let (data, local) = self.fetch_block(&state, block, reader)?;
-            self.account_read(reader, stats, local, data.len() as u64);
+            self.account_read(reader, stats, local, data.len() as u64)?;
             return Ok(data);
         }
         let mut out = Vec::with_capacity(entry.len as usize);
         for &b in &entry.blocks {
             let (data, local) = self.fetch_block(&state, b, reader)?;
-            self.account_read(reader, stats, local, data.len() as u64);
+            self.account_read(reader, stats, local, data.len() as u64)?;
             out.extend_from_slice(&data);
         }
         Ok(Bytes::from(out))
@@ -326,13 +326,13 @@ impl Dfs {
         stats: Option<&ScanStats>,
         local: bool,
         bytes: u64,
-    ) {
+    ) -> Result<()> {
         match (local, reader) {
-            (true, Some(r)) => self.metrics.record_local_read(r, bytes),
-            (false, Some(r)) => self.metrics.record_remote_read(r, bytes),
+            (true, Some(r)) => self.metrics.record_local_read(r, bytes)?,
+            (false, Some(r)) => self.metrics.record_remote_read(r, bytes)?,
             // Client reads are attributed to node 0's remote counter so the
             // totals still add up; locality is meaningless for clients.
-            (_, None) => self.metrics.record_remote_read(NodeId(0), bytes),
+            (_, None) => self.metrics.record_remote_read(NodeId(0), bytes)?,
         }
         if let Some(s) = stats {
             if local {
@@ -341,6 +341,7 @@ impl Dfs {
                 s.add_remote(bytes);
             }
         }
+        Ok(())
     }
 
     /// Read a byte range of a file.
@@ -390,7 +391,7 @@ impl Dfs {
                         "block {b:?} of {path} is shorter than its metadata"
                     )));
                 }
-                self.account_read(reader, stats, local, (to - from) as u64);
+                self.account_read(reader, stats, local, (to - from) as u64)?;
                 let part = data.slice(from..to);
                 if part.len() as u64 == len {
                     return Ok(part); // the whole range sits inside this block
@@ -701,7 +702,7 @@ impl Dfs {
                     .get(source.0)
                     .and_then(|dn| dn.get(id))
                     .ok_or_else(|| ClydeError::Dfs("replica vanished".into()))?;
-                self.metrics.record_write(cand, data.len() as u64);
+                self.metrics.record_write(cand, data.len() as u64)?;
                 let Some(dest) = state.datanodes.get_mut(cand.0) else {
                     continue; // cand is in-range by construction; stay total
                 };
@@ -840,6 +841,22 @@ mod tests {
         dfs.write_file("/empty", None, b"").unwrap();
         assert_eq!(dfs.read_file("/empty", None).unwrap().len(), 0);
         assert_eq!(dfs.status("/empty").unwrap().num_blocks, 1);
+    }
+
+    #[test]
+    fn a_read_by_a_node_outside_the_cluster_is_a_dfs_error() {
+        let dfs = small_dfs(3, 2, 16);
+        dfs.write_file("/a", None, b"hello").unwrap();
+        dfs.write_file("/big", None, &[7u8; 40]).unwrap();
+        let outside = Some(NodeId(3));
+        for read in [
+            dfs.read_file("/a", outside),
+            dfs.read_file("/big", outside),
+            dfs.read_range("/big", 10, 20, outside),
+        ] {
+            assert!(matches!(read, Err(ClydeError::Dfs(_))), "{read:?}");
+        }
+        assert_eq!(dfs.metrics().total_read(), 0, "nothing was counted");
     }
 
     fn cache_entry(fp: u64, out: &str, bytes: u64, inputs: &[&str]) -> CacheEntry {

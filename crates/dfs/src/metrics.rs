@@ -7,13 +7,15 @@
 //! actually delivers node-local scans.
 
 use crate::topology::NodeId;
-use clyde_common::lockorder::Mutex;
+use clyde_common::{ClydeError, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// One node's counters. Each is a monotone sum, so no lock orders them.
+#[derive(Debug, Default)]
 struct NodeIo {
-    local_read: u64,
-    remote_read: u64,
-    written: u64,
+    local_read: AtomicU64,
+    remote_read: AtomicU64,
+    written: AtomicU64,
 }
 
 /// Immutable snapshot of the counters, per node plus totals.
@@ -87,12 +89,12 @@ impl IoSnapshot {
 /// owned by a single map task and feeds that task's entry in the cost model.
 #[derive(Debug, Default)]
 pub struct ScanStats {
-    pub local_bytes: std::sync::atomic::AtomicU64,
-    pub remote_bytes: std::sync::atomic::AtomicU64,
+    pub local_bytes: AtomicU64,
+    pub remote_bytes: AtomicU64,
     /// Column chunks whose zone map was consulted during this task's scan.
-    pub zone_checked: std::sync::atomic::AtomicU64,
+    pub zone_checked: AtomicU64,
     /// Of those, chunks skipped because the zone map ruled them out.
-    pub zone_skipped: std::sync::atomic::AtomicU64,
+    pub zone_skipped: AtomicU64,
 }
 
 impl ScanStats {
@@ -101,21 +103,19 @@ impl ScanStats {
     }
 
     pub fn add_local(&self, bytes: u64) {
-        self.local_bytes
-            .fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
+        self.local_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub fn add_remote(&self, bytes: u64) {
-        self.remote_bytes
-            .fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
+        self.remote_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub fn local(&self) -> u64 {
-        self.local_bytes.load(std::sync::atomic::Ordering::Relaxed)
+        self.local_bytes.load(Ordering::Relaxed)
     }
 
     pub fn remote(&self) -> u64 {
-        self.remote_bytes.load(std::sync::atomic::Ordering::Relaxed)
+        self.remote_bytes.load(Ordering::Relaxed)
     }
 
     pub fn total(&self) -> u64 {
@@ -123,83 +123,100 @@ impl ScanStats {
     }
 
     pub fn add_zone_checked(&self, n: u64) {
-        self.zone_checked
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        self.zone_checked.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn add_zone_skipped(&self, n: u64) {
-        self.zone_skipped
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        self.zone_skipped.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn zone_checked(&self) -> u64 {
-        self.zone_checked.load(std::sync::atomic::Ordering::Relaxed)
+        self.zone_checked.load(Ordering::Relaxed)
     }
 
     pub fn zone_skipped(&self) -> u64 {
-        self.zone_skipped.load(std::sync::atomic::Ordering::Relaxed)
+        self.zone_skipped.load(Ordering::Relaxed)
     }
 }
 
-/// Thread-safe I/O counters for a cluster of `n` nodes.
+/// Thread-safe I/O counters for a cluster of `n` nodes. A snapshot reads
+/// each counter on its own; the engine takes them between jobs, when no
+/// task is moving bytes.
 #[derive(Debug)]
 pub struct IoMetrics {
-    nodes: Mutex<Vec<NodeIo>>,
-    corrupt_reads: std::sync::atomic::AtomicU64,
+    nodes: Vec<NodeIo>,
+    corrupt_reads: AtomicU64,
 }
 
 impl IoMetrics {
     pub fn new(num_nodes: usize) -> IoMetrics {
         IoMetrics {
-            nodes: Mutex::new(vec![NodeIo::default(); num_nodes]),
-            corrupt_reads: std::sync::atomic::AtomicU64::new(0),
+            nodes: (0..num_nodes).map(|_| NodeIo::default()).collect(),
+            corrupt_reads: AtomicU64::new(0),
         }
     }
 
-    pub fn record_local_read(&self, node: NodeId, bytes: u64) {
-        self.nodes.lock()[node.0].local_read += bytes;
+    /// `node`'s counters, or a [`ClydeError::Dfs`] naming a node outside
+    /// the cluster.
+    fn node(&self, node: NodeId) -> Result<&NodeIo> {
+        self.nodes.get(node.0).ok_or_else(|| {
+            ClydeError::Dfs(format!(
+                "I/O attributed to node {}, outside the {}-node cluster",
+                node.0,
+                self.nodes.len()
+            ))
+        })
     }
 
-    pub fn record_remote_read(&self, node: NodeId, bytes: u64) {
-        self.nodes.lock()[node.0].remote_read += bytes;
+    pub fn record_local_read(&self, node: NodeId, bytes: u64) -> Result<()> {
+        self.node(node)?
+            .local_read
+            .fetch_add(bytes, Ordering::Relaxed);
+        Ok(())
     }
 
-    pub fn record_write(&self, node: NodeId, bytes: u64) {
-        self.nodes.lock()[node.0].written += bytes;
+    pub fn record_remote_read(&self, node: NodeId, bytes: u64) -> Result<()> {
+        self.node(node)?
+            .remote_read
+            .fetch_add(bytes, Ordering::Relaxed);
+        Ok(())
+    }
+
+    pub fn record_write(&self, node: NodeId, bytes: u64) -> Result<()> {
+        self.node(node)?.written.fetch_add(bytes, Ordering::Relaxed);
+        Ok(())
     }
 
     /// A replica read failed checksum verification on `_node` and was
     /// rejected before being served.
     pub fn record_corrupt_read(&self, _node: NodeId) {
-        self.corrupt_reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.corrupt_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self) -> IoSnapshot {
-        let nodes = self.nodes.lock();
         IoSnapshot {
-            per_node: nodes
+            per_node: self
+                .nodes
                 .iter()
                 .enumerate()
                 .map(|(i, n)| IoNodeSnapshot {
                     node: i,
-                    local_read: n.local_read,
-                    remote_read: n.remote_read,
-                    written: n.written,
+                    local_read: n.local_read.load(Ordering::Relaxed),
+                    remote_read: n.remote_read.load(Ordering::Relaxed),
+                    written: n.written.load(Ordering::Relaxed),
                 })
                 .collect(),
-            corrupt_reads: self
-                .corrupt_reads
-                .load(std::sync::atomic::Ordering::Relaxed),
+            corrupt_reads: self.corrupt_reads.load(Ordering::Relaxed),
         }
     }
 
     pub fn reset(&self) {
-        for n in self.nodes.lock().iter_mut() {
-            *n = NodeIo::default();
+        for n in &self.nodes {
+            n.local_read.store(0, Ordering::Relaxed);
+            n.remote_read.store(0, Ordering::Relaxed);
+            n.written.store(0, Ordering::Relaxed);
         }
-        self.corrupt_reads
-            .store(0, std::sync::atomic::Ordering::Relaxed);
+        self.corrupt_reads.store(0, Ordering::Relaxed);
     }
 
     /// Open a scoped snapshot: `delta()` reports only the I/O performed
@@ -240,10 +257,10 @@ mod tests {
     #[test]
     fn counters_accumulate_per_node() {
         let m = IoMetrics::new(3);
-        m.record_local_read(NodeId(0), 100);
-        m.record_local_read(NodeId(0), 50);
-        m.record_remote_read(NodeId(1), 25);
-        m.record_write(NodeId(2), 10);
+        m.record_local_read(NodeId(0), 100).unwrap();
+        m.record_local_read(NodeId(0), 50).unwrap();
+        m.record_remote_read(NodeId(1), 25).unwrap();
+        m.record_write(NodeId(2), 10).unwrap();
         let s = m.snapshot();
         assert_eq!(s.per_node[0].local_read, 150);
         assert_eq!(s.per_node[1].remote_read, 25);
@@ -256,17 +273,17 @@ mod tests {
     fn locality_ratio() {
         let m = IoMetrics::new(2);
         assert_eq!(m.snapshot().locality_ratio(), 1.0);
-        m.record_local_read(NodeId(0), 75);
-        m.record_remote_read(NodeId(1), 25);
+        m.record_local_read(NodeId(0), 75).unwrap();
+        m.record_remote_read(NodeId(1), 25).unwrap();
         assert!((m.snapshot().locality_ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn since_subtracts() {
         let m = IoMetrics::new(1);
-        m.record_local_read(NodeId(0), 10);
+        m.record_local_read(NodeId(0), 10).unwrap();
         let before = m.snapshot();
-        m.record_local_read(NodeId(0), 7);
+        m.record_local_read(NodeId(0), 7).unwrap();
         let delta = m.snapshot().since(&before);
         assert_eq!(delta.total_local_read(), 7);
     }
@@ -286,7 +303,7 @@ mod tests {
     #[test]
     fn reset_zeroes() {
         let m = IoMetrics::new(1);
-        m.record_write(NodeId(0), 5);
+        m.record_write(NodeId(0), 5).unwrap();
         m.reset();
         assert_eq!(m.snapshot().total_written(), 0);
     }
@@ -294,20 +311,47 @@ mod tests {
     #[test]
     fn scopes_do_not_bleed_into_each_other() {
         let m = IoMetrics::new(2);
-        m.record_local_read(NodeId(0), 100); // earlier job's traffic
+        m.record_local_read(NodeId(0), 100).unwrap(); // earlier job's traffic
         let first = m.scope();
-        m.record_local_read(NodeId(0), 10);
-        m.record_remote_read(NodeId(1), 5);
+        m.record_local_read(NodeId(0), 10).unwrap();
+        m.record_remote_read(NodeId(1), 5).unwrap();
         let d1 = first.delta();
         assert_eq!(d1.total_local_read(), 10);
         assert_eq!(d1.total_remote_read(), 5);
 
         let second = m.scope();
         assert_eq!(second.delta().total_read(), 0);
-        m.record_write(NodeId(1), 3);
+        m.record_write(NodeId(1), 3).unwrap();
         assert_eq!(second.delta().total_written(), 3);
         // The earlier scope keeps its own baseline.
         assert_eq!(first.delta().total_local_read(), 10);
         assert_eq!(first.start().total_local_read(), 100);
+    }
+
+    fn assert_off_cluster(r: Result<()>, m: &IoMetrics) {
+        assert!(matches!(r, Err(ClydeError::Dfs(_))), "{r:?}");
+        assert_eq!(
+            m.snapshot(),
+            IoMetrics::new(2).snapshot(),
+            "nothing counted"
+        );
+    }
+
+    #[test]
+    fn a_local_read_on_a_node_outside_the_cluster_is_a_dfs_error() {
+        let m = IoMetrics::new(2);
+        assert_off_cluster(m.record_local_read(NodeId(2), 1), &m);
+    }
+
+    #[test]
+    fn a_remote_read_on_a_node_outside_the_cluster_is_a_dfs_error() {
+        let m = IoMetrics::new(2);
+        assert_off_cluster(m.record_remote_read(NodeId(3), 1), &m);
+    }
+
+    #[test]
+    fn a_write_on_a_node_outside_the_cluster_is_a_dfs_error() {
+        let m = IoMetrics::new(2);
+        assert_off_cluster(m.record_write(NodeId(9), 1), &m);
     }
 }

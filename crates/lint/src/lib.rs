@@ -6,9 +6,8 @@
 //! counts — and that the recovery paths backing the fault claims cannot
 //! panic. Those properties are easy to break silently, so this crate checks
 //! them mechanically on every CI run and in tier-1 (`tests/lint_clean.rs`).
-//! One pipeline: a hand-rolled lossless lexer ([`lexer`]), a simplified
-//! per-file AST ([`parse`]), and an intra-crate call graph with a static
-//! lock graph ([`graph`]); every rule reads tokens and the AST, never text:
+//! One pipeline: a hand-rolled lossless lexer ([`lexer`]) and a simplified
+//! per-file AST ([`parse`]); every rule reads tokens and the AST, never text:
 //!
 //! * **D001 `unordered`** — no unordered `HashMap`/`HashSet` iteration may
 //!   feed output: sort nearby, collect into a `BTreeMap`/`BTreeSet`, end in
@@ -33,9 +32,11 @@
 //! * **D008 `walltaint`** — per-function taint tracking: wall-derived
 //!   values must not reach sim-time sinks (metrics, traces, profile JSON)
 //!   except through the filtered `*wall*` channels.
-//! * **D009 `lockgraph`** — the static lock-acquisition graph over the
-//!   call graph must be acyclic, catching at lint time the inversions the
-//!   runtime `lockorder` checker only sees on unlucky schedules.
+//!
+//! Lock order is not a lint rule: the nestings the engine actually has cross
+//! crates, closures and trait objects, which no per-crate syntactic graph
+//! follows. The debug-build `clyde_common::lockorder` checker records them
+//! as they happen, and `tests/lock_nesting.rs` pins the set.
 //!
 //! Violations are suppressed by a pragma on the offending line or the line
 //! directly above:
@@ -53,7 +54,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod baseline;
-pub mod graph;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
@@ -80,8 +80,6 @@ pub enum Rule {
     PanicFree,
     /// D008: wall-derived value flowing into a sim-time artifact.
     WallTaint,
-    /// D009: cycle in the static lock-acquisition graph.
-    LockGraph,
     /// P001: malformed `clyde-lint` pragma.
     BadPragma,
 }
@@ -89,7 +87,7 @@ pub enum Rule {
 impl Rule {
     /// The catalog, spelled once: every rule with its report code and the
     /// name `allow(...)` pragmas use, in declaration order.
-    pub const ALL: [(Rule, &'static str, &'static str); 10] = [
+    pub const ALL: [(Rule, &'static str, &'static str); 9] = [
         (Rule::Unordered, "D001", "unordered"),
         (Rule::WallClock, "D002", "wallclock"),
         (Rule::Entropy, "D003", "entropy"),
@@ -98,7 +96,6 @@ impl Rule {
         (Rule::FloatOrder, "D006", "floatorder"),
         (Rule::PanicFree, "D007", "panicfree"),
         (Rule::WallTaint, "D008", "walltaint"),
-        (Rule::LockGraph, "D009", "lockgraph"),
         (Rule::BadPragma, "P001", "pragma"),
     ];
 
@@ -162,21 +159,24 @@ pub const D004_AUDITED: &[&str] = &[
     "crates/common/src/obs/span.rs",
     "crates/common/src/obs/metrics.rs",
     // The multi-threaded map runner (paper Figure 5): the shared morsel
-    // source (one mutex around reader state, held only to slice the next
-    // block) and the thread-result sink; plus parallel dimension builds.
-    // Audited 2026-08: no nested lock acquisition — `MorselSource::next`
-    // and the `done` sink take one lock each and never both. (Rule D009
-    // now re-derives this statically on every run.)
+    // source, plus parallel dimension builds. Thread results come back
+    // through join handles. Two functions in the engine hold a lock while
+    // taking another (`tests/lock_nesting.rs` pins the set):
+    // `MorselSource::next` holds its state while opening a part, which
+    // takes `CifInputFormat`'s table handle and the DFS state; and
+    // `NodeState::get_or_try_init` (task.rs) holds its entries while
+    // building, which takes the resident store, the node-local store and
+    // the DFS state. Neither inner lock ever takes an outer one.
     "crates/core/src/mtrunner.rs",
     "crates/core/src/hashtable.rs",
     // The MapReduce engine, task context, and distributed cache.
     "crates/mapred/src/engine.rs",
     "crates/mapred/src/task.rs",
     "crates/mapred/src/distcache.rs",
-    // DFS shared state: block stores, namespace, per-node I/O counters.
+    // DFS shared state: block stores, namespace, node-local disks. The
+    // per-node I/O counters are atomics and need no entry.
     "crates/dfs/src/local.rs",
     "crates/dfs/src/dfs.rs",
-    "crates/dfs/src/metrics.rs",
     // The CIF input format's per-job table handle: one `RwLock` around an
     // `Option<Arc<CifReader>>`, written by `splits()` and read by `open()`,
     // each for a single statement and never while a DFS lock is held.
@@ -308,24 +308,14 @@ pub(crate) fn rel_allowed(file: &Path, allowlist: &[&str]) -> bool {
     allowlist.iter().any(|a| norm.ends_with(a))
 }
 
-/// Lex + parse one file into the per-file analysis inputs.
-fn analyze_file(src: &str) -> (Vec<(usize, String)>, parse::FileAst) {
-    let toks = lexer::lex(src);
-    (lexer::line_comments(&toks), parse::parse(&toks))
-}
-
 /// Scan one file's source text. `file` is used for allowlisting and
-/// reporting only. The file is treated as its own crate for D009, so
-/// single-file scans (fixtures, unit tests) exercise the lock graph too.
+/// reporting only.
 pub fn scan_source(file: &Path, src: &str) -> Vec<Violation> {
+    let toks = lexer::lex(src);
     let mut violations = Vec::new();
-    let (comments, ast) = analyze_file(src);
-    let pragmas = parse_pragmas(file, &comments, &mut violations);
+    let pragmas = parse_pragmas(file, &lexer::line_comments(&toks), &mut violations);
+    let ast = parse::parse(&toks);
     rules::run_file(&rules::FileCtx { file, ast: &ast }, &mut violations);
-    violations.extend(rules::d009::scan_crate(&[(
-        &file.to_string_lossy().replace('\\', "/"),
-        &ast,
-    )]));
     suppress(&mut violations, &pragmas);
     violations.sort();
     violations
@@ -364,44 +354,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Scan every covered file under `root`; violations come back sorted by
-/// (file, line) so the report itself is deterministic. Unlike
-/// [`scan_source`], D009 runs once per *crate* here, so lock-order edges
-/// are connected across a crate's files through its call graph.
+/// (file, line) so the report itself is deterministic.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut all = Vec::new();
-    let mut parsed: Vec<(String, parse::FileAst)> = Vec::new();
-    let mut pragmas_by_file: Vec<(String, Vec<Pragma>)> = Vec::new();
     for file in collect_files(root)? {
         let src = std::fs::read_to_string(&file)?;
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let (comments, ast) = analyze_file(&src);
-        let mut violations = Vec::new();
-        let pragmas = parse_pragmas(&rel, &comments, &mut violations);
-        rules::run_file(
-            &rules::FileCtx {
-                file: &rel,
-                ast: &ast,
-            },
-            &mut violations,
-        );
-        suppress(&mut violations, &pragmas);
-        all.extend(violations);
-        parsed.push((rel_str.clone(), ast));
-        pragmas_by_file.push((rel_str, pragmas));
+        let rel = file.strip_prefix(root).unwrap_or(&file);
+        all.extend(scan_source(rel, &src));
     }
-    let mut lock_violations = rules::d009::scan_workspace_groups(&parsed);
-    for (file, pragmas) in &pragmas_by_file {
-        let mut own: Vec<Violation> = lock_violations
-            .iter()
-            .filter(|v| v.file.to_string_lossy().replace('\\', "/") == *file)
-            .cloned()
-            .collect();
-        suppress(&mut own, pragmas);
-        lock_violations.retain(|v| v.file.to_string_lossy().replace('\\', "/") != *file);
-        lock_violations.extend(own);
-    }
-    all.extend(lock_violations);
     all.sort();
     Ok(all)
 }
@@ -683,22 +643,8 @@ mod tests {
     }
 
     #[test]
-    fn d009_reports_cycles_via_scan_source() {
-        let src = "struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    fn ab(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }\n    fn ba(&self) { let gb = self.b.lock(); let ga = self.a.lock(); }\n}\n";
-        let vs = scan_source(Path::new("crates/mapred/src/task.rs"), src);
-        assert_eq!(rules(&vs), vec![Rule::LockGraph], "{vs:?}");
-        assert!(vs[0].message.contains("a -> b -> a"));
-    }
-
-    #[test]
-    fn d009_consistent_order_is_clean() {
-        let src = "struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    fn ab(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }\n    fn ab2(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }\n}\n";
-        assert!(scan_source(Path::new("crates/mapred/src/task.rs"), src).is_empty());
-    }
-
-    #[test]
     fn new_pragma_names_parse() {
-        for name in ["floatorder", "panicfree", "walltaint", "lockgraph"] {
+        for name in ["floatorder", "panicfree", "walltaint"] {
             let src =
                 format!("// clyde-lint: allow({name}, reason=covered by a test)\nfn f() {{}}\n");
             assert!(scan(&src).is_empty(), "{name} pragma should parse");

@@ -74,7 +74,7 @@ fn main() -> ExitCode {
             "--self-test" => opts.self_test = true,
             "--help" | "-h" => {
                 println!(
-                    "clyde-lint: determinism, panic-path, and lock-order invariants (D001-D009)\n\
+                    "clyde-lint: determinism, concurrency and panic-path invariants (D001-D008)\n\
                      usage: clyde-lint [--root <dir>] [--format text|json] [--out <file>]\n\
                             [--baseline <file>] [--write-baseline] [--ratchet] [--self-test]"
                 );
@@ -248,7 +248,7 @@ fn json_str(s: &str) -> String {
 fn run_self_test(root: &Path) -> ExitCode {
     const NEUTRAL: &str = "crates/fixture/src/lib.rs";
     let fixtures = root.join("crates/lint/fixtures");
-    let cases: [(&str, &str, Option<Rule>); 11] = [
+    let cases: [(&str, &str, Option<Rule>); 10] = [
         ("d001_unordered.rs", NEUTRAL, Some(Rule::Unordered)),
         ("d002_wallclock.rs", NEUTRAL, Some(Rule::WallClock)),
         ("d003_entropy.rs", NEUTRAL, Some(Rule::Entropy)),
@@ -270,11 +270,6 @@ fn run_self_test(root: &Path) -> ExitCode {
             Some(Rule::PanicFree),
         ),
         ("d008_walltaint.rs", NEUTRAL, Some(Rule::WallTaint)),
-        (
-            "d009_lockgraph.rs",
-            "crates/mapred/src/task.rs",
-            Some(Rule::LockGraph),
-        ),
         ("clean.rs", NEUTRAL, None),
     ];
     let mut failed = false;
@@ -325,7 +320,7 @@ fn run_self_test(root: &Path) -> ExitCode {
     if failed {
         ExitCode::FAILURE
     } else {
-        println!("clyde-lint: self-test OK — all nine rules (D001-D009) exercised");
+        println!("clyde-lint: self-test OK — all eight rules (D001-D008) exercised");
         ExitCode::SUCCESS
     }
 }

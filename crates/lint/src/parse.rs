@@ -7,11 +7,10 @@
 //!   they live under `#[cfg(test)]` / `#[test]` (structural rules audit
 //!   production code only);
 //! * **call sites** inside each body (plain calls, method calls, and macro
-//!   invocations), feeding the intra-crate call graph;
-//! * **declared names**: identifiers bound with `Mutex`/`RwLock` types
-//!   (lock classes for D009), with `HashMap`/`HashSet` types (unordered
-//!   containers for D001) and to `f32`/`f64` values (float evidence for
-//!   D006);
+//!   invocations), where D005 reads each emitter's metric-name argument;
+//! * **declared names**: identifiers bound with `HashMap`/`HashSet` types
+//!   (unordered containers for D001) and to `f32`/`f64` values (float
+//!   evidence for D006);
 //! * **statement segmentation** of each body (linear runs between `;`,
 //!   `{`, `}`), the granularity at which the D008 taint pass propagates.
 //!
@@ -49,8 +48,6 @@ pub struct CallSite {
     pub name: String,
     pub line: usize,
     pub is_macro: bool,
-    /// `true` for `.name(...)` method-call syntax.
-    pub is_method: bool,
     /// Index of the name token in [`FileAst::sig`].
     pub at: SigIdx,
 }
@@ -63,11 +60,9 @@ pub struct FileAst {
     /// Brace depth *before* each significant token.
     pub depth: Vec<u32>,
     pub fns: Vec<FnDef>,
-    /// Names declared with a `Mutex<…>`/`RwLock<…>` type or initialized
-    /// from `Mutex::new`/`RwLock::new` — the file's lock classes.
-    pub lock_names: Vec<String>,
-    /// Names bound the same two ways to one of the four hash-container
-    /// types (`HashMap`, `HashSet`, `FxHashMap`, `FxHashSet`).
+    /// Names declared with one of the four hash-container types (`HashMap`,
+    /// `HashSet`, `FxHashMap`, `FxHashSet`) or initialized from one of them
+    /// (`FxHashMap::default()`).
     pub hash_names: Vec<String>,
     /// Names with visible `f32`/`f64` evidence: a float type annotation or
     /// a float-literal initializer.
@@ -75,10 +70,6 @@ pub struct FileAst {
 }
 
 impl FileAst {
-    pub fn tok(&self, i: SigIdx) -> &Tok {
-        &self.sig[i]
-    }
-
     pub fn line(&self, i: SigIdx) -> usize {
         self.sig[i].line as usize
     }
@@ -121,13 +112,11 @@ impl FileAst {
             if t.kind != TokKind::Ident || is_keyword(&t.text) {
                 continue;
             }
-            let is_method = i > 0 && self.is_punct(i - 1, ".");
             if self.is_punct(i + 1, "(") {
                 out.push(CallSite {
                     name: t.text.clone(),
                     line: t.line as usize,
                     is_macro: false,
-                    is_method,
                     at: i,
                 });
             } else if self.is_punct(i + 1, "!")
@@ -139,7 +128,6 @@ impl FileAst {
                     name: t.text.clone(),
                     line: t.line as usize,
                     is_macro: true,
-                    is_method,
                     at: i,
                 });
             }
@@ -149,8 +137,7 @@ impl FileAst {
 
     /// Statement segmentation of a body: maximal runs of significant tokens
     /// between `;`, `{`, and `}` (the separators are dropped). Linear and
-    /// flow-insensitive — exactly the granularity the taint and lock passes
-    /// want.
+    /// flow-insensitive — exactly the granularity the taint pass wants.
     pub fn statements(&self, body: &std::ops::Range<SigIdx>) -> Vec<std::ops::Range<SigIdx>> {
         let mut out = Vec::new();
         let mut start = body.start;
@@ -231,7 +218,6 @@ pub fn parse(toks: &[Tok]) -> FileAst {
         sig,
         depth: depth_vec,
         fns: Vec::new(),
-        lock_names: Vec::new(),
         hash_names: Vec::new(),
         float_names: Vec::new(),
     };
@@ -349,14 +335,13 @@ fn collect_fns(ast: &mut FileAst) {
     ast.fns = fns;
 }
 
-/// Collect declared lock, hash-container and float-evidence names.
+/// Collect declared hash-container and float-evidence names.
 ///
-/// Shapes recognized, for all three: `name: Wrapper<…Type<…>>` (struct
-/// fields, params, typed lets — any wrapper chain, so `Vec<Mutex<T>>`
+/// Shapes recognized, for both: `name: Wrapper<…Type<…>>` (struct fields,
+/// params, typed lets — any wrapper chain, so `Vec<FxHashMap<K, V>>`
 /// counts) and `let [mut] name = … Type::new(…)` / `let [mut] name = <float
 /// literal>`.
 fn collect_decls(ast: &mut FileAst) {
-    let mut lock_names = Vec::new();
     let mut hash_names = Vec::new();
     let mut float_names = Vec::new();
     for i in 0..ast.sig.len() {
@@ -369,17 +354,16 @@ fn collect_decls(ast: &mut FileAst) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let names = match t.text.as_str() {
+        match t.text.as_str() {
             "f32" | "f64" => {
                 if let Some(name) = typed_binding_before(ast, i) {
                     push_unique(&mut float_names, name);
                 }
                 continue;
             }
-            "Mutex" | "RwLock" => &mut lock_names,
-            "FxHashMap" | "FxHashSet" | "HashMap" | "HashSet" => &mut hash_names,
+            "FxHashMap" | "FxHashSet" | "HashMap" | "HashSet" => {}
             _ => continue,
-        };
+        }
         // A `Type::new(…)`-style initializer → walk back to the `let`
         // binding; else `name : …Type<` in type position → walk back past
         // wrappers to the `ident :` that opened the type.
@@ -389,10 +373,9 @@ fn collect_decls(ast: &mut FileAst) {
             .flatten()
             .or_else(|| typed_binding_before(ast, i));
         if let Some(name) = name {
-            push_unique(names, name);
+            push_unique(&mut hash_names, name);
         }
     }
-    ast.lock_names = lock_names;
     ast.hash_names = hash_names;
     ast.float_names = float_names;
 }
@@ -405,7 +388,7 @@ fn push_unique(v: &mut Vec<String>, s: String) {
 
 /// If token `i` sits in the initializer of a `let [mut] NAME = …` on the
 /// same statement, return NAME.
-pub(crate) fn let_binding_before(ast: &FileAst, i: SigIdx) -> Option<String> {
+fn let_binding_before(ast: &FileAst, i: SigIdx) -> Option<String> {
     let mut j = i;
     while j > 0 {
         j -= 1;
@@ -513,13 +496,6 @@ mod tests {
         let ast = ast_of("fn outer() { fn inner() {} inner(); }\n");
         assert!(!ast.fns[0].nested);
         assert!(ast.fns[1].nested);
-    }
-
-    #[test]
-    fn lock_names_cover_fields_locals_and_vecs() {
-        let src = "struct S { state: Mutex<u32>, outs: Vec<Mutex<u8>>, r: RwLock<i32> }\nfn f() { let done = Mutex::new(0); }\n";
-        let ast = ast_of(src);
-        assert_eq!(ast.lock_names, vec!["state", "outs", "r", "done"]);
     }
 
     #[test]

@@ -19,9 +19,18 @@
 //! ones fail the build.
 
 use super::FileCtx;
-use crate::graph::crate_of;
 use crate::lexer::TokKind;
 use crate::{Rule, Violation};
+
+/// The crate key of a workspace-relative path: the component after
+/// `crates/`, else `root` (top-level `src/`, `tests/`, `examples/`).
+fn crate_of(rel_path: &str) -> &str {
+    rel_path
+        .split("crates/")
+        .nth(1)
+        .and_then(|rest| rest.split('/').next())
+        .unwrap_or("root")
+}
 
 /// Is `file` source (not a `tests/` or `benches/` target) of one of the
 /// five engine crates?
@@ -29,7 +38,7 @@ fn in_engine_crate(file: &std::path::Path) -> bool {
     let path = file.to_string_lossy().replace('\\', "/");
     path.contains("/src/")
         && matches!(
-            crate_of(&path).as_str(),
+            crate_of(&path),
             "common" | "columnar" | "dfs" | "mapred" | "core"
         )
 }
@@ -98,5 +107,17 @@ pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::crate_of;
+
+    #[test]
+    fn crate_keys() {
+        assert_eq!(crate_of("crates/mapred/src/engine.rs"), "mapred");
+        assert_eq!(crate_of("tests/determinism.rs"), "root");
+        assert_eq!(crate_of("src/main.rs"), "root");
     }
 }

@@ -6,8 +6,6 @@
 //!   tables (wall clock, entropy, concurrency primitives).
 //! * [`d005`] — metric names.
 //! * [`d006`]–[`d008`] — float fold order, panic sites, wall-clock taint.
-//! * [`d009`] — the crate-level lock-graph rule (runs per crate group in a
-//!   workspace scan; single-file in [`crate::scan_source`]).
 
 use crate::parse::FileAst;
 use crate::{Rule, Violation};
@@ -19,7 +17,6 @@ pub mod d005;
 pub mod d006;
 pub mod d007;
 pub mod d008;
-pub mod d009;
 
 /// Everything a per-file rule pass may look at.
 pub(crate) struct FileCtx<'a> {
@@ -39,8 +36,7 @@ impl FileCtx<'_> {
     }
 }
 
-/// Run every per-file pass (D001–D008). D009 is crate-scoped and runs
-/// separately via [`d009::scan_crate`].
+/// Run every rule pass (D001–D008).
 pub(crate) fn run_file(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
     d001::scan(ctx, violations);
     banned::scan(ctx, violations);

@@ -1,5 +1,5 @@
 //! The analyzer's foundation is the lexer's totality: every rule above it
-//! (AST, rules, call graph, lock graph) assumes `lex` never drops a byte
+//! (AST, rules) assumes `lex` never drops a byte
 //! and never fails. Assert that two ways:
 //!
 //! 1. Exhaustively over the real workspace — every `.rs` file the scanner

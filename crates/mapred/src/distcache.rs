@@ -16,6 +16,7 @@ use bytes::Bytes;
 use clyde_common::lockorder::Mutex;
 use clyde_common::{ClydeError, FxHashMap, FxHashSet, Result};
 use clyde_dfs::NodeId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A per-job broadcast channel from the job client to every node.
 #[derive(Default)]
@@ -24,7 +25,7 @@ pub struct DistCache {
     /// (key, node) pairs that have already paid the copy-to-local cost.
     fetched: Mutex<FxHashSet<(String, usize)>>,
     /// Total bytes that crossed the network to nodes (dissemination cost).
-    disseminated: Mutex<u64>,
+    disseminated: AtomicU64,
 }
 
 impl DistCache {
@@ -49,14 +50,15 @@ impl DistCache {
             .ok_or_else(|| ClydeError::MapReduce(format!("distributed cache miss: {key}")))?;
         let first = self.fetched.lock().insert((key.to_string(), node.0));
         if first {
-            *self.disseminated.lock() += data.len() as u64;
+            self.disseminated
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
         }
         Ok(data)
     }
 
     /// Total bytes copied to nodes so far.
     pub fn disseminated_bytes(&self) -> u64 {
-        *self.disseminated.lock()
+        self.disseminated.load(Ordering::Relaxed)
     }
 
     /// Number of published artifacts.

@@ -193,7 +193,9 @@ impl MapTaskEnv<'_> {
         };
         let run_result = self.spec.map_runner.run(&ctx);
         // Transient per-task memory dies with the attempt, success or not.
-        memory.release(*ctx.task_charges.lock());
+        // Read the charges first so no guard is held across `release`.
+        let charged = *ctx.task_charges.lock();
+        memory.release(charged);
         let wall_phases = std::mem::take(&mut *ctx.wall_phases.lock());
         drop(ctx);
         run_result?;
@@ -335,10 +337,8 @@ impl MapTaskEnv<'_> {
     }
 
     /// Map phase, first wave: one worker thread per node runs that node's
-    /// tasks in order. Failures are collected, not fatal. Each worker tracks
-    /// its own simulated clock (the sum of its committed attempts'
-    /// durations) so a planned datanode death strikes at a deterministic
-    /// point.
+    /// tasks in order. Failures are collected, not fatal; they come back
+    /// sorted by task index.
     fn first_map_wave(&self) -> Result<MapWave> {
         let mut tasks_by_node: Vec<Vec<usize>> = vec![Vec::new(); self.memories.len()];
         for (i, node) in self.plan.assignment.iter().enumerate() {
@@ -347,74 +347,82 @@ impl MapTaskEnv<'_> {
             })?;
             bucket.push(i);
         }
-        let outputs: Vec<Mutex<Option<TaskOutput>>> =
-            self.plan.splits.iter().map(|_| Mutex::new(None)).collect();
-        let failures: Mutex<Vec<(usize, NodeId, ClydeError)>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for (node_idx, task_list) in tasks_by_node.iter().enumerate() {
-                if task_list.is_empty() {
-                    continue;
-                }
-                let node = NodeId(node_idx);
-                let outputs = &outputs;
-                let failures = &failures;
-                let death = self.death_time(node_idx);
-                scope.spawn(move || {
-                    let mut sim_elapsed = 0.0f64;
-                    let mut down = false;
-                    for &task_idx in task_list {
-                        if down {
-                            // The tasktracker stopped heartbeating; its
-                            // remaining queue fails over to other nodes.
-                            failures.lock().push((
-                                task_idx,
-                                node,
-                                ClydeError::MapReduce(format!(
-                                    "heartbeat lost: node {} is dead",
-                                    node.0
-                                )),
-                            ));
-                            continue;
-                        }
-                        if let Some(err) = self.injected_failure(task_idx, 0) {
-                            failures.lock().push((task_idx, node, err));
-                            continue;
-                        }
-                        match self.exec(task_idx, node) {
-                            Ok(out) => {
-                                let dur = self.sim_duration(&out.cost, node);
-                                if death.is_some_and(|at| sim_elapsed + dur > at) {
-                                    // Died mid-attempt: the work is lost.
-                                    down = true;
-                                    failures.lock().push((
-                                        task_idx,
-                                        node,
-                                        ClydeError::MapReduce(format!(
-                                            "heartbeat lost: node {} died mid-task",
-                                            node.0
-                                        )),
-                                    ));
-                                    continue;
-                                }
-                                sim_elapsed += dur;
-                                if let Some(slot) = outputs.get(task_idx) {
-                                    *slot.lock() = Some(out);
-                                }
-                            }
-                            Err(e) => failures.lock().push((task_idx, node, e)),
-                        }
-                    }
-                });
-            }
+        let queues: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = tasks_by_node
+                .iter()
+                .enumerate()
+                .filter(|(_, tasks)| !tasks.is_empty())
+                .map(|(node_idx, tasks)| {
+                    let node = NodeId(node_idx);
+                    (node, scope.spawn(move || self.run_queue(node, tasks)))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|(node, worker)| (node, worker.join()))
+                .collect()
         });
 
-        let mut failures = failures.into_inner();
-        failures.sort_by_key(|(idx, _, _)| *idx); // deterministic order
-        Ok(MapWave {
-            outputs: outputs.into_iter().map(Mutex::into_inner).collect(),
-            failures,
-        })
+        let mut wave = MapWave {
+            outputs: self.plan.splits.iter().map(|_| None).collect(),
+            failures: Vec::new(),
+        };
+        for (node, joined) in queues {
+            let attempts = joined.map_err(|_| {
+                ClydeError::MapReduce(format!("map worker of node {} panicked", node.0))
+            })?;
+            for (task_idx, attempt) in attempts {
+                match attempt {
+                    Ok(out) => {
+                        if let Some(slot) = wave.outputs.get_mut(task_idx) {
+                            *slot = Some(out);
+                        }
+                    }
+                    Err(e) => wave.failures.push((task_idx, node, e)),
+                }
+            }
+        }
+        wave.failures.sort_by_key(|(idx, _, _)| *idx); // deterministic order
+        Ok(wave)
+    }
+
+    /// One node's first-wave queue, in order: each task's first attempt and
+    /// how it ended. The worker tracks its own simulated clock (the sum of
+    /// its committed attempts' durations) so a planned datanode death
+    /// strikes at a deterministic point.
+    fn run_queue(&self, node: NodeId, tasks: &[usize]) -> Vec<(usize, Result<TaskOutput>)> {
+        let death = self.death_time(node.0);
+        let mut sim_elapsed = 0.0f64;
+        let mut down = false;
+        let mut attempts = Vec::with_capacity(tasks.len());
+        for &task_idx in tasks {
+            let attempt = if down {
+                // The tasktracker stopped heartbeating; its remaining queue
+                // fails over to other nodes.
+                Err(ClydeError::MapReduce(format!(
+                    "heartbeat lost: node {} is dead",
+                    node.0
+                )))
+            } else if let Some(err) = self.injected_failure(task_idx, 0) {
+                Err(err)
+            } else {
+                self.exec(task_idx, node).and_then(|out| {
+                    let dur = self.sim_duration(&out.cost, node);
+                    if death.is_some_and(|at| sim_elapsed + dur > at) {
+                        // Died mid-attempt: the work is lost.
+                        down = true;
+                        return Err(ClydeError::MapReduce(format!(
+                            "heartbeat lost: node {} died mid-task",
+                            node.0
+                        )));
+                    }
+                    sim_elapsed += dur;
+                    Ok(out)
+                })
+            };
+            attempts.push((task_idx, attempt));
+        }
+        attempts
     }
 
     /// Heartbeat barrier, then the retry wave. Planned deaths take effect
@@ -1350,6 +1358,21 @@ mod tests {
         let err = engine.run_job(&spec).unwrap_err();
         assert!(err.is_oom());
         assert_eq!(attempts.load(Ordering::SeqCst), 1, "OOM must not retry");
+    }
+
+    #[test]
+    fn a_panicking_map_task_is_a_typed_error() {
+        let runner = FnMapRunner(|_: &MapTaskContext<'_>| -> Result<()> { panic!("map bug") });
+        let spec = JobSpec::new(
+            "panics",
+            Arc::new(VecInputFormat::new(rows(), 2)),
+            Arc::new(runner),
+        );
+        let err = Engine::new(Dfs::for_tests(2)).run_job(&spec).unwrap_err();
+        assert!(
+            matches!(&err, ClydeError::MapReduce(m) if m.contains("panicked")),
+            "{err:?}"
+        );
     }
 
     #[test]

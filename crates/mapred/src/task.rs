@@ -15,6 +15,7 @@ use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ScanStats};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// DFS access bound to the task's node, crediting all reads to the task's
@@ -291,46 +292,52 @@ impl ResidentStore {
 /// within one job.
 pub struct MemoryTracker {
     capacity: u64,
-    used: Mutex<u64>,
+    /// Bytes charged. Each charge is one read-modify-write, so no two are
+    /// admitted against the same free bytes; `SeqCst` because a charge is an
+    /// admission decision, not a statistic.
+    used: AtomicU64,
 }
 
 impl MemoryTracker {
     pub fn new(capacity: u64) -> MemoryTracker {
         MemoryTracker {
             capacity,
-            used: Mutex::new(0),
+            used: AtomicU64::new(0),
         }
     }
 
     /// Charge `bytes`; errors with [`ClydeError::OutOfMemory`] if the node's
     /// budget would be exceeded.
     pub fn charge(&self, bytes: u64) -> Result<()> {
-        let mut used = self.used.lock();
         // `charge_memory_per_slot` saturates its product, so `bytes` can be
         // `u64::MAX`: a sum that does not fit is over any capacity.
-        match used.checked_add(bytes) {
-            Some(total) if total <= self.capacity => {
-                *used = total;
-                Ok(())
-            }
-            over => Err(ClydeError::OutOfMemory {
-                required: over.unwrap_or(u64::MAX),
+        self.used
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| {
+                used.checked_add(bytes)
+                    .filter(|&total| total <= self.capacity)
+            })
+            .map(|_| ())
+            .map_err(|used| ClydeError::OutOfMemory {
+                required: used.saturating_add(bytes),
                 available: self.capacity,
-            }),
-        }
+            })
     }
 
     pub fn release(&self, bytes: u64) {
-        let mut used = self.used.lock();
-        *used = used.saturating_sub(bytes);
+        // Always `Ok`: the update never declines.
+        let _ = self
+            .used
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| {
+                Some(used.saturating_sub(bytes))
+            });
     }
 
     pub fn used(&self) -> u64 {
-        *self.used.lock()
+        self.used.load(Ordering::SeqCst)
     }
 
     pub fn reset(&self) {
-        *self.used.lock() = 0;
+        self.used.store(0, Ordering::SeqCst);
     }
 }
 
@@ -340,10 +347,10 @@ impl MemoryTracker {
 /// has one copy per node (Clydesdale's shared tables).
 #[derive(Default)]
 pub struct MemoryLedger {
-    per_slot: Mutex<u64>,
-    shared: Mutex<u64>,
-    per_slot_fixed: Mutex<u64>,
-    shared_fixed: Mutex<u64>,
+    per_slot: AtomicU64,
+    shared: AtomicU64,
+    per_slot_fixed: AtomicU64,
+    shared_fixed: AtomicU64,
 }
 
 impl MemoryLedger {
@@ -352,39 +359,35 @@ impl MemoryLedger {
     }
 
     pub fn note_per_slot(&self, bytes: u64) {
-        let mut v = self.per_slot.lock();
-        *v = (*v).max(bytes);
+        self.per_slot.fetch_max(bytes, Ordering::Relaxed);
     }
 
     pub fn note_shared(&self, bytes: u64) {
-        let mut v = self.shared.lock();
-        *v = (*v).max(bytes);
+        self.shared.fetch_max(bytes, Ordering::Relaxed);
     }
 
     pub fn note_per_slot_fixed(&self, bytes: u64) {
-        let mut v = self.per_slot_fixed.lock();
-        *v = (*v).max(bytes);
+        self.per_slot_fixed.fetch_max(bytes, Ordering::Relaxed);
     }
 
     pub fn note_shared_fixed(&self, bytes: u64) {
-        let mut v = self.shared_fixed.lock();
-        *v = (*v).max(bytes);
+        self.shared_fixed.fetch_max(bytes, Ordering::Relaxed);
     }
 
     pub fn per_slot_fixed(&self) -> u64 {
-        *self.per_slot_fixed.lock()
+        self.per_slot_fixed.load(Ordering::Relaxed)
     }
 
     pub fn shared_fixed(&self) -> u64 {
-        *self.shared_fixed.lock()
+        self.shared_fixed.load(Ordering::Relaxed)
     }
 
     pub fn per_slot(&self) -> u64 {
-        *self.per_slot.lock()
+        self.per_slot.load(Ordering::Relaxed)
     }
 
     pub fn shared(&self) -> u64 {
-        *self.shared.lock()
+        self.shared.load(Ordering::Relaxed)
     }
 }
 
@@ -597,6 +600,45 @@ mod tests {
         let err = m.charge(u64::MAX).unwrap_err();
         assert!(err.is_oom(), "{err:?}");
         assert_eq!(m.used(), 10);
+    }
+
+    #[test]
+    fn memory_tracker_and_ledger_hold_under_concurrent_threads() {
+        // Every round, all threads start together and charge until the node
+        // is full, then release what they got. `held` counts only admitted
+        // charges that are not yet released, so it can pass the capacity
+        // only if two charges were admitted against the same free bytes.
+        const CAPACITY: u64 = 1000;
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 200;
+        let m = MemoryTracker::new(CAPACITY);
+        let ledger = MemoryLedger::new();
+        let held = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (m, ledger, held, start) = (&m, &ledger, &held, &start);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        start.wait();
+                        ledger.note_per_slot(t * ROUNDS + round);
+                        ledger.note_shared(round * THREADS + t);
+                        let bytes = 1 + (t * 31 + round * 7) % 97;
+                        let mut mine = 0;
+                        while m.charge(bytes).is_ok() {
+                            mine += bytes;
+                            let total = held.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                            assert!(total <= CAPACITY, "{total} bytes admitted");
+                        }
+                        held.fetch_sub(mine, Ordering::Relaxed);
+                        m.release(mine);
+                    }
+                });
+            }
+        });
+        assert_eq!(m.used(), 0);
+        assert_eq!(ledger.per_slot(), THREADS * ROUNDS - 1);
+        assert_eq!(ledger.shared(), THREADS * ROUNDS - 1);
     }
 
     #[test]

@@ -242,7 +242,8 @@ fn replacing_a_local_copy_rebuilds_on_that_node_only() {
         clyde
             .engine()
             .local_store()
-            .put(NodeId(node), customer.clone(), bytes.into());
+            .put(NodeId(node), customer.clone(), bytes.into())
+            .unwrap();
     };
 
     // Node 1 only. What the cluster now serves is a mix no reference data
@@ -272,7 +273,7 @@ fn replacing_a_local_copy_rebuilds_on_that_node_only() {
 
     // A node that loses its disk refetches the master copy — the original
     // generation — from the DFS; the others still hold the replacement.
-    clyde.engine().local_store().clear_node(NodeId(2));
+    clyde.engine().local_store().clear_node(NodeId(2)).unwrap();
     let oracle = engine(&dfs, &layout, Features::default());
     replace(&oracle, 0);
     replace(&oracle, 1);
@@ -430,9 +431,13 @@ proptest! {
         for (kind, query, dim, generation) in ops {
             let path = layout.dim_bin(DIMS[dim]);
             match kind {
-                0 => local.put(n0, path, Clone::clone(&buffers[generation][dim])),
-                1 => local.put(n0, path, files[generation][dim].clone().into()),
-                2 => local.clear_node(n0),
+                0 => local
+                    .put(n0, path, Clone::clone(&buffers[generation][dim]))
+                    .unwrap(),
+                1 => local
+                    .put(n0, path, files[generation][dim].clone().into())
+                    .unwrap(),
+                2 => local.clear_node(n0).unwrap(),
                 _ => {
                     let joins = &queries[query].joins;
                     let mut fetched = Vec::new();

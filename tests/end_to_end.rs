@@ -85,7 +85,7 @@ fn node_failure_between_queries_does_not_change_answers() {
 
     // A node dies (DFS replicas + its local dimension cache).
     dfs.kill_node(NodeId(2));
-    clyde.engine().local_store().clear_node(NodeId(2));
+    clyde.engine().local_store().clear_node(NodeId(2)).unwrap();
     dfs.rereplicate().unwrap();
 
     let after = clyde.query(&q).unwrap();

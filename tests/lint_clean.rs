@@ -1,6 +1,7 @@
-//! Tier-1 runs the lint: the determinism, panic-path and lock-order
-//! invariants (DESIGN.md §9, D001–D009) hold for this checkout under
-//! `cargo test`, not only in CI's `static-analysis` job.
+//! Tier-1 runs the lint: the determinism, concurrency and panic-path
+//! invariants (DESIGN.md §9, D001–D008) hold for this checkout under
+//! `cargo test`, not only in CI's `static-analysis` job. Lock order is
+//! pinned at run time instead, by `tests/lock_nesting.rs`.
 //!
 //! Same verdict as `clyde-lint --ratchet`: no finding beyond what
 //! `crates/lint/baseline.lint` grandfathers, and no baseline entry more

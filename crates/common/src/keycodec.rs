@@ -27,14 +27,27 @@ const TAG_INT: u8 = 0x01;
 const TAG_F64: u8 = 0x02;
 const TAG_STR: u8 = 0x03;
 
+/// Where encoded bytes go: a `Vec<u8>`, or the shuffle's key type, which
+/// keeps short keys inline so a map task encodes straight into the record
+/// it emits.
+pub trait KeySink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl KeySink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
 /// Append the order-preserving encoding of `d` to `out`.
-pub fn encode_datum(out: &mut Vec<u8>, d: &Datum) {
+pub fn encode_datum(out: &mut impl KeySink, d: &Datum) {
     match d {
-        Datum::Null => out.push(TAG_NULL),
+        Datum::Null => out.put(&[TAG_NULL]),
         Datum::I32(v) => encode_int(out, i64::from(*v)),
         Datum::I64(v) => encode_int(out, *v),
         Datum::F64(v) => {
-            out.push(TAG_F64);
+            out.put(&[TAG_F64]);
             let bits = v.to_bits();
             // IEEE-754 total-order transform: negative floats get all bits
             // flipped, non-negative floats get the sign bit flipped.
@@ -43,25 +56,38 @@ pub fn encode_datum(out: &mut Vec<u8>, d: &Datum) {
             } else {
                 bits ^ (1 << 63)
             };
-            out.extend_from_slice(&ordered.to_be_bytes());
+            out.put(&ordered.to_be_bytes());
         }
         Datum::Str(s) => {
-            out.push(TAG_STR);
-            for &b in s.as_bytes() {
-                if b == 0x00 {
-                    out.extend_from_slice(&[0x00, 0xFF]);
-                } else {
-                    out.push(b);
-                }
+            out.put(&[TAG_STR]);
+            let mut runs = s.as_bytes().split(|&b| b == 0x00);
+            if let Some(first) = runs.next() {
+                out.put(first);
             }
-            out.extend_from_slice(&[0x00, 0x00]);
+            for run in runs {
+                out.put(&[0x00, 0xFF]);
+                out.put(run);
+            }
+            out.put(&[0x00, 0x00]);
         }
     }
 }
 
-fn encode_int(out: &mut Vec<u8>, v: i64) {
-    out.push(TAG_INT);
-    out.extend_from_slice(&((v as u64) ^ (1 << 63)).to_be_bytes());
+fn encode_int(out: &mut impl KeySink, v: i64) {
+    out.put(&[TAG_INT]);
+    out.put(&((v as u64) ^ (1 << 63)).to_be_bytes());
+}
+
+/// The length of [`encode_datums`]' output, computed without encoding.
+pub fn encoded_len(datums: &[Datum]) -> usize {
+    datums
+        .iter()
+        .map(|d| match d {
+            Datum::Null => 1,
+            Datum::I32(_) | Datum::I64(_) | Datum::F64(_) => 9,
+            Datum::Str(s) => 3 + s.len() + s.bytes().filter(|&b| b == 0x00).count(),
+        })
+        .sum()
 }
 
 /// Encode a sequence of datums; fields concatenate, so keys sort
@@ -144,32 +170,13 @@ pub fn decode_row(buf: &[u8]) -> Result<Row> {
 }
 
 fn take8(buf: &[u8], pos: &mut usize) -> Result<[u8; 8]> {
-    let end = *pos + 8;
-    let slice = buf
-        .get(*pos..end)
-        .ok_or_else(|| ClydeError::Format("keycodec: truncated payload".into()))?;
-    *pos = end;
-    Ok(slice.try_into().expect("slice length checked"))
-}
-
-/// Encode a row where some fields must sort descending.
-///
-/// The SSB queries in flight 3 ORDER BY `d_year asc, revenue desc`; to keep
-/// the final sort a plain byte sort, descending fields are encoded with all
-/// payload bytes complemented.
-pub fn encode_row_with_directions(row: &Row, descending: &[bool]) -> Vec<u8> {
-    debug_assert_eq!(row.len(), descending.len());
-    let mut out = Vec::with_capacity(row.len() * 9);
-    for (d, &desc) in row.iter().zip(descending) {
-        let start = out.len();
-        encode_datum(&mut out, d);
-        if desc {
-            for b in &mut out[start..] {
-                *b = !*b;
-            }
-        }
-    }
-    out
+    let truncated = || ClydeError::Format("keycodec: truncated payload".into());
+    let raw = *buf
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk::<8>)
+        .ok_or_else(truncated)?;
+    *pos = pos.checked_add(8).ok_or_else(truncated)?;
+    Ok(raw)
 }
 
 #[cfg(test)]
@@ -233,17 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn descending_direction_flips_order() {
-        let asc_small = encode_row_with_directions(&row![1992i64, 10i64], &[false, true]);
-        let asc_big = encode_row_with_directions(&row![1992i64, 99i64], &[false, true]);
-        // revenue desc: bigger revenue sorts first
-        assert!(asc_big < asc_small);
-        // but year asc still dominates
-        let y93 = encode_row_with_directions(&row![1993i64, 999i64], &[false, true]);
-        assert!(asc_small < y93);
-    }
-
-    #[test]
     fn malformed_inputs_error() {
         assert!(decode_row(&[TAG_INT, 1, 2]).is_err());
         assert!(decode_row(&[TAG_STR, b'a']).is_err());
@@ -277,6 +273,39 @@ mod tests {
             let decoded = decode_row(&encode_row(&a)).unwrap();
             // Coercing equality: I32 comes back as I64, values compare equal.
             prop_assert_eq!(decoded, a);
+        }
+
+        #[test]
+        fn encoded_len_is_the_encoding_length(a in arb_row()) {
+            prop_assert_eq!(encoded_len(a.values()), encode_row(&a).len());
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let _ = decode_row(&bytes);
+        }
+
+        #[test]
+        fn every_truncation_is_an_error_or_a_strict_field_prefix(
+            a in proptest::collection::vec(arb_datum(), 2..5).prop_map(Row::new)
+        ) {
+            let encoded = encode_row(&a);
+            for cut in 0..encoded.len() {
+                if let Ok(prefix) = decode_row(&encoded[..cut]) {
+                    prop_assert!(prefix.len() < a.len(), "cut {cut} decoded every field");
+                    prop_assert_eq!(prefix.values(), &a.values()[..prefix.len()]);
+                }
+            }
+        }
+
+        #[test]
+        fn single_bit_flips_never_panic(a in arb_row()) {
+            let encoded = encode_row(&a);
+            for bit in 0..encoded.len() * 8 {
+                let mut flipped = encoded.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode_row(&flipped);
+            }
         }
     }
 }

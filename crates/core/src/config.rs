@@ -143,8 +143,11 @@ impl Features {
 // PR-5 flag set and may not change in the PR that deleted it, so exactly the
 // four names it spells survive, inert: the `Features::dict_predicates` field
 // above, the two items below, and the unused eighth argument of
-// `probe::probe_block_vec`. ROADMAP lists them for the next benchmark PR to
-// drop together with the replay lines that name them.
+// `probe::probe_block_vec`. Outside this crate it also keeps
+// `clyde_mapred::task::MapOutputBuffer::into_records`, which hands out
+// byte-vector keys where the engine's shuffle uses `shuffle::Key`. ROADMAP
+// lists them for the next benchmark PR to drop together with the replay
+// lines that name them.
 // ---------------------------------------------------------------------------
 
 /// The probe kernel has no options; the benchmark replay still passes one.

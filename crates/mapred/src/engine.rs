@@ -21,7 +21,7 @@ use crate::history;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile};
 use crate::scheduler::{self, JobSchedule};
-use crate::shuffle;
+use crate::shuffle::{self, Key};
 use crate::task::{
     MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, ResidentStats,
     ResidentStore, TaskIo,
@@ -48,9 +48,16 @@ pub struct ClientArtifacts {
     pub build_rows: u64,
 }
 
+/// One sorted (and combined) run of map output for one reducer.
+type Run = Vec<(Key, Row)>;
+
 /// Output of one executed map task, waiting for the shuffle.
 struct TaskOutput {
-    records: Vec<(Vec<u8>, Row)>,
+    /// One run per reducer, in reducer order; a map-only job's records, in
+    /// emit order, as one run (none once written to the DFS).
+    runs: Vec<Run>,
+    /// Encoded key plus value bytes of `runs`, for a job with reducers.
+    shuffle_bytes: u64,
     cost: TaskCost,
     node: NodeId,
     output_file: Option<String>,
@@ -206,18 +213,20 @@ impl MapTaskEnv<'_> {
         task_cost.zone_checked += io.stats.zone_checked();
         task_cost.zone_skipped += io.stats.zone_skipped();
 
-        let mut records = Arc::try_unwrap(out)
+        let records = Arc::try_unwrap(out)
             .map_err(|_| ClydeError::MapReduce("collector leaked out of the map task".into()))?
-            .into_records();
+            .into_keyed();
 
         let mut output_file = None;
+        let mut runs = Vec::new();
+        let mut shuffle_bytes = 0;
         if self.map_only {
             match &self.spec.output {
-                OutputSpec::Memory => {}
+                OutputSpec::Memory => runs.push(records),
                 OutputSpec::DfsDir(dir) => {
-                    let rows: Vec<Row> = std::mem::take(&mut records)
+                    let rows: Vec<Row> = records
                         .into_iter()
-                        .map(|(k, v)| map_output_row(&k, v))
+                        .map(|(k, v)| map_output_row(k.as_bytes(), v))
                         .collect::<Result<_>>()?;
                     let path = format!("{dir}/part-m-{task_idx:05}");
                     // A previous attempt may have died between committing its
@@ -232,17 +241,26 @@ impl MapTaskEnv<'_> {
                 }
             }
         } else {
-            // Map-side sort (and combine) before the shuffle.
-            shuffle::sort_records(&mut records);
-            if let Some(comb) = &self.spec.combiner {
-                task_cost.combine_input_records += records.len() as u64;
-                records = shuffle::combine_sorted(records, &**comb)?;
-                task_cost.combine_output_records += records.len() as u64;
+            // Map-side spill: partition by reducer, then sort (and combine)
+            // each partition, here on the map task's own thread.
+            runs = shuffle::partition_records(records, self.spec.num_reducers.max(1))?;
+            for run in runs.iter_mut().filter(|run| !run.is_empty()) {
+                shuffle::sort_records(run);
+                if let Some(comb) = &self.spec.combiner {
+                    task_cost.combine_input_records += run.len() as u64;
+                    *run = shuffle::combine_sorted(std::mem::take(run), &**comb)?;
+                    task_cost.combine_output_records += run.len() as u64;
+                }
+                shuffle_bytes += run
+                    .iter()
+                    .map(|(k, v)| (k.len() + v.heap_size()) as u64)
+                    .sum::<u64>();
             }
         }
 
         Ok(TaskOutput {
-            records,
+            runs,
+            shuffle_bytes,
             cost: task_cost,
             node,
             output_file,
@@ -839,8 +857,8 @@ impl Engine {
     }
 
     /// Shuffle and reduce: a map-only job just gathers its tasks' output;
-    /// otherwise every task's sorted output is partitioned, each reducer
-    /// merges its runs and reduces them, and the result is collected or
+    /// otherwise each reducer takes its run from every task, in task order,
+    /// merges the runs and reduces them, and the result is collected or
     /// written to the DFS.
     fn shuffle_and_reduce(
         &self,
@@ -853,8 +871,8 @@ impl Engine {
             match &spec.output {
                 OutputSpec::Memory => {
                     for t in map_outputs.iter_mut() {
-                        for (k, v) in std::mem::take(&mut t.records) {
-                            out.rows.push(map_output_row(&k, v)?);
+                        for (k, v) in std::mem::take(&mut t.runs).into_iter().flatten() {
+                            out.rows.push(map_output_row(k.as_bytes(), v)?);
                         }
                     }
                 }
@@ -866,20 +884,11 @@ impl Engine {
         };
         let n = cluster.num_workers();
         let num_reducers = spec.num_reducers.max(1);
-        // Partition every task's sorted output.
-        type SortedRun = Vec<(Vec<u8>, Row)>;
-        let mut runs: Vec<Vec<SortedRun>> = (0..num_reducers).map(|_| Vec::new()).collect();
+        // Each task partitioned its own output: hand every reducer its runs.
+        let mut runs: Vec<Vec<Run>> = (0..num_reducers).map(|_| Vec::new()).collect();
         for t in map_outputs.iter_mut() {
-            let mut per_part: Vec<SortedRun> = (0..num_reducers).map(|_| Vec::new()).collect();
-            for (k, v) in std::mem::take(&mut t.records) {
-                let p = shuffle::partition_of(&k, num_reducers);
-                let bucket = per_part
-                    .get_mut(p)
-                    .ok_or_else(|| ClydeError::MapReduce(format!("partition {p} out of range")))?;
-                out.shuffle_bytes += (k.len() + v.heap_size()) as u64;
-                bucket.push((k, v));
-            }
-            for (run, dest) in per_part.into_iter().zip(runs.iter_mut()) {
+            out.shuffle_bytes += t.shuffle_bytes;
+            for (run, dest) in std::mem::take(&mut t.runs).into_iter().zip(runs.iter_mut()) {
                 if !run.is_empty() {
                     dest.push(run);
                 }

@@ -6,11 +6,12 @@ use crate::conf::JobConf;
 use crate::cost::TaskCost;
 use crate::distcache::DistCache;
 use crate::input::{InputFormat, InputSplit};
+use crate::shuffle::Key;
 use bytes::Bytes;
 use clyde_common::hash::FxHasher;
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::Phase;
-use clyde_common::{keycodec, ClydeError, Datum, FxHashMap, Result, Row};
+use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row};
 use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ScanStats};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -401,11 +402,11 @@ pub trait Collector: Send + Sync {
     fn collect(&self, key: &[Datum], value: Row);
 }
 
-/// The engine's map-output buffer: encoded keys plus values, partition
-/// assignment deferred to the shuffle.
+/// The engine's map-output buffer: encoded keys plus values, in emit order.
+/// The map task partitions, sorts and combines them once the runner returns.
 #[derive(Default)]
 pub struct MapOutputBuffer {
-    records: Mutex<Vec<(Vec<u8>, Row)>>,
+    records: Mutex<Vec<(Key, Row)>>,
 }
 
 impl MapOutputBuffer {
@@ -413,8 +414,19 @@ impl MapOutputBuffer {
         MapOutputBuffer::default()
     }
 
-    pub fn into_records(self) -> Vec<(Vec<u8>, Row)> {
+    /// The records as the engine's shuffle takes them.
+    pub fn into_keyed(self) -> Vec<(Key, Row)> {
         self.records.into_inner()
+    }
+
+    /// The records with each key as a byte vector. Frozen-benchmark shim:
+    /// `benchmark/src/replay.rs` was written against byte-vector keys.
+    #[doc(hidden)]
+    pub fn into_records(self) -> Vec<(Vec<u8>, Row)> {
+        self.into_keyed()
+            .into_iter()
+            .map(|(k, v)| (k.as_bytes().to_vec(), v))
+            .collect()
     }
 
     pub fn len(&self) -> usize {
@@ -428,7 +440,7 @@ impl MapOutputBuffer {
 
 impl Collector for MapOutputBuffer {
     fn collect(&self, key: &[Datum], value: Row) {
-        let encoded = keycodec::encode_datums(key);
+        let encoded = Key::encode(key);
         self.records.lock().push((encoded, value));
     }
 }
@@ -539,7 +551,7 @@ impl MapTaskContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clyde_common::row;
+    use clyde_common::{keycodec, row};
 
     #[test]
     fn node_state_builds_once() {
@@ -731,9 +743,24 @@ mod tests {
         let buf = MapOutputBuffer::new();
         buf.collect(&[Datum::I64(2)], row!["b"]);
         buf.collect(&[Datum::I64(1)], row!["a"]);
-        let mut records = buf.into_records();
+        let mut records = buf.into_keyed();
         records.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(records[0].1, row!["a"]);
         assert_eq!(records[1].1, row!["b"]);
+    }
+
+    #[test]
+    fn into_records_hands_out_the_codec_bytes() {
+        let buf = MapOutputBuffer::new();
+        let long = [Datum::str("UNITED KINGDOM"), Datum::str("UNITED STATES")];
+        buf.collect(&[Datum::I64(2)], row!["b"]);
+        buf.collect(&long, row!["c"]);
+        buf.collect(&[], row!["d"]);
+        let expect = vec![
+            (keycodec::encode_datums(&[Datum::I64(2)]), row!["b"]),
+            (keycodec::encode_datums(&long), row!["c"]),
+            (Vec::new(), row!["d"]),
+        ];
+        assert_eq!(buf.into_records(), expect);
     }
 }

@@ -772,7 +772,9 @@ pub fn fact_preds_eval_row(preds: &[FactPred], row: &Row, schema: &Schema) -> Re
 /// Evaluate an aggregate measure against a full fact row.
 pub fn aggregate_eval_row(agg: &Aggregate, row: &Row, schema: &Schema) -> Result<i64> {
     let get = |c: &str| -> Result<i64> {
-        row.at(schema.index_of(c)?)
+        let idx = schema.index_of(c)?;
+        row.get(idx)
+            .ok_or_else(|| ClydeError::Plan(format!("row has no measure column {c} ({idx})")))?
             .as_i64()
             .ok_or_else(|| ClydeError::Plan(format!("measure column {c} is not an integer")))
     };

@@ -3,21 +3,25 @@
 //! A counting `GlobalAlloc` wrapper around `System`, confined to this test
 //! binary, counts every heap allocation (`alloc`, `alloc_zeroed` and
 //! `realloc`) a whole Hive query makes: RCFile decode, the row-at-a-time
-//! map, the shuffle's sort/merge/reduce, the stage files written to and
-//! re-read from the DFS. The count is exact and repeatable, so it is
-//! reported as a count, not a rate.
+//! map, the shuffle's partition/sort/merge/reduce, the stage files written
+//! to and re-read from the DFS. The count is exact and repeatable, so it is
+//! reported as a count, not a rate. The wrapper also tracks live heap bytes
+//! and their high-water mark.
 //!
 //! The repartition plan moves every fact row through the shuffle. Rows
 //! change hands by move (reader → mapper → output buffer) and by borrow
-//! (merged run → reducer), so a fact row costs a handful of allocations,
-//! not one per copy. The budget is 8 per fact row; the commit before rows
-//! moved through the shuffle made 11–19 on these queries.
+//! (merged run → reducer), a short key lives inside its record, and each
+//! map task sizes its per-reducer runs before filling them, so a fact row
+//! costs a handful of allocations, not one per copy. The budget is 4 per
+//! fact row; the commit before keys moved into the record made 5.9 on Q2.1,
+//! and the commit before rows moved through the shuffle made 11–19.
 //!
 //! The mapjoin plan never shuffles a fact row; its map-only stages must not
-//! get costlier than at that commit ([`MAPJOIN_Q21_PARENT`]).
+//! get costlier than [`MAPJOIN_Q21_CEILING`].
 //!
 //! `cargo test --release --test shuffle_allocs -- --ignored --nocapture`
-//! prints the counts at SF 0.01, the `hive_chain` benchmark's scale.
+//! prints the counts and each query's peak live heap at SF 0.01, the
+//! `hive_chain` benchmark's scale.
 
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::{Hive, JoinStrategy};
@@ -31,26 +35,55 @@ use std::sync::Arc;
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and their high-water mark.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter is a relaxed atomic and allocates nothing.
+// unchanged; the counters are relaxed atomics and allocate nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -64,12 +97,13 @@ static GLOBAL: Counting = Counting;
 static COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Per fact row, the most a repartition query may allocate.
-const REPARTITION_BUDGET_PER_FACT_ROW: f64 = 8.0;
+const REPARTITION_BUDGET_PER_FACT_ROW: f64 = 4.0;
 
-/// Heap allocations of mapjoin Q2.1 at SF 0.004 on this setup, counted at
-/// the commit before rows moved through the shuffle (debug, release build).
-/// The repartition queries made 459,415 / 293,119 / 269,012 there.
-const MAPJOIN_Q21_PARENT: (u64, u64) = (126_925, 126_915);
+/// Heap allocations of mapjoin Q2.1 at SF 0.004 on this setup (debug,
+/// release build), recorded at the commit that moved short keys into the
+/// record. The commit before rows moved through the shuffle made
+/// 126,925 / 126,915.
+const MAPJOIN_Q21_CEILING: (u64, u64) = (76_821, 76_811);
 
 /// The `hive_chain` benchmark's system: two cluster-A workers, 8 MiB
 /// blocks, replication 2, RCFile only, 8 000 rows per group, seed 7.
@@ -98,15 +132,28 @@ fn setup(sf: f64) -> (Arc<Dfs>, SsbLayout, SsbGen) {
     (dfs, layout, gen)
 }
 
-/// Heap allocations one run of `id` under `strategy` makes, on a fresh
-/// engine over `dfs`.
-fn count_query(dfs: &Arc<Dfs>, layout: &SsbLayout, strategy: JoinStrategy, id: &str) -> u64 {
+/// What one query run did to the heap.
+struct HeapUse {
+    allocs: u64,
+    /// The most bytes live at once during the run, beyond those live
+    /// before it.
+    peak_bytes: u64,
+}
+
+/// The heap use of one run of `id` under `strategy`, on a fresh engine over
+/// `dfs`.
+fn count_query(dfs: &Arc<Dfs>, layout: &SsbLayout, strategy: JoinStrategy, id: &str) -> HeapUse {
     let hive = Hive::new(Arc::clone(dfs), layout.clone(), strategy);
     let q = query_by_id(id).expect("query");
+    let live_before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live_before, Ordering::Relaxed);
     let before = ALLOCS.load(Ordering::Relaxed);
     let result = hive.query(&q).expect("query runs");
     drop(result);
-    ALLOCS.load(Ordering::Relaxed) - before
+    HeapUse {
+        allocs: ALLOCS.load(Ordering::Relaxed) - before,
+        peak_bytes: PEAK.load(Ordering::Relaxed) - live_before,
+    }
 }
 
 #[test]
@@ -115,7 +162,7 @@ fn repartition_stays_within_its_per_fact_row_budget_and_mapjoin_does_not_grow() 
     let (dfs, layout, gen) = setup(0.004);
     let fact_rows = gen.num_lineorders() as f64;
     for id in ["Q2.1", "Q3.1", "Q4.1"] {
-        let allocs = count_query(&dfs, &layout, JoinStrategy::Repartition, id);
+        let allocs = count_query(&dfs, &layout, JoinStrategy::Repartition, id).allocs;
         let per_row = allocs as f64 / fact_rows;
         assert!(
             per_row <= REPARTITION_BUDGET_PER_FACT_ROW,
@@ -123,20 +170,20 @@ fn repartition_stays_within_its_per_fact_row_budget_and_mapjoin_does_not_grow() 
              budget {REPARTITION_BUDGET_PER_FACT_ROW}"
         );
     }
-    let parent = if cfg!(debug_assertions) {
-        MAPJOIN_Q21_PARENT.0
+    let ceiling = if cfg!(debug_assertions) {
+        MAPJOIN_Q21_CEILING.0
     } else {
-        MAPJOIN_Q21_PARENT.1
+        MAPJOIN_Q21_CEILING.1
     };
-    let allocs = count_query(&dfs, &layout, JoinStrategy::MapJoin, "Q2.1");
+    let allocs = count_query(&dfs, &layout, JoinStrategy::MapJoin, "Q2.1").allocs;
     assert!(
-        allocs <= parent,
-        "mapjoin Q2.1: {allocs} allocations, the commit before the change made {parent}"
+        allocs <= ceiling,
+        "mapjoin Q2.1: {allocs} allocations, recorded ceiling {ceiling}"
     );
 }
 
 #[test]
-#[ignore = "report: counts at the hive_chain benchmark's SF 0.01"]
+#[ignore = "report: counts and peaks at the hive_chain benchmark's SF 0.01"]
 fn report_counts_at_sf_0_01() {
     let _window = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let (dfs, layout, gen) = setup(0.01);
@@ -144,11 +191,13 @@ fn report_counts_at_sf_0_01() {
     println!("fact rows: {fact_rows}");
     for strategy in [JoinStrategy::Repartition, JoinStrategy::MapJoin] {
         for id in ["Q1.1", "Q2.1", "Q3.1", "Q4.1"] {
-            let allocs = count_query(&dfs, &layout, strategy, id);
+            let heap = count_query(&dfs, &layout, strategy, id);
             println!(
-                "{:>11} {id}: {allocs:>9} allocations, {:.2} per fact row",
+                "{:>11} {id}: {:>9} allocations, {:.2} per fact row, peak live heap {:.2} MiB",
                 strategy.label(),
-                allocs as f64 / fact_rows as f64
+                heap.allocs,
+                heap.allocs as f64 / fact_rows as f64,
+                heap.peak_bytes as f64 / (1u64 << 20) as f64
             );
         }
     }

@@ -185,3 +185,98 @@ fn both_hive_plans_match_the_reference_with_one_two_and_three_reducers() {
         }
     }
 }
+
+/// What the combiner case recorded per reducer count: each reducer's keys,
+/// in output order, and the priced counters `emit_records`, `emit_bytes`,
+/// `combine_input_records`, `combine_output_records`, `merge_runs` and
+/// `shuffle_bytes`.
+struct Recorded {
+    reducers: usize,
+    keys: &'static [&'static [i64]],
+    counters: [u64; 6],
+}
+
+/// Recorded at the commit before map tasks partitioned their own output.
+const RECORDED: [Recorded; 4] = [
+    Recorded {
+        reducers: 1,
+        keys: &[&[-6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6]],
+        counters: [240, 23040, 240, 65, 5, 3705],
+    },
+    Recorded {
+        reducers: 2,
+        keys: &[&[-6, -5, -4, -3, 0, 1, 2, 3], &[-2, -1, 4, 5, 6]],
+        counters: [240, 23040, 240, 65, 10, 3705],
+    },
+    Recorded {
+        reducers: 3,
+        keys: &[&[-3, -1, 2, 4, 6], &[-6, -4, 1, 3, 5], &[-5, -2, 0]],
+        counters: [240, 23040, 240, 65, 15, 3705],
+    },
+    Recorded {
+        reducers: 5,
+        keys: &[&[-6, -2, 2], &[-5, -1, 3, 6], &[0, 1, 4], &[5], &[-4, -3]],
+        counters: [240, 23040, 240, 65, 25, 3705],
+    },
+];
+
+#[test]
+fn a_combined_shuffle_matches_the_recorded_rows_and_priced_counters() {
+    for recorded in &RECORDED {
+        let num_reducers = recorded.reducers;
+        let dfs = Dfs::for_tests(3);
+        let engine = Engine::new(Arc::clone(&dfs));
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            let i = v.at(0).as_i64().unwrap();
+            ctx.emit(&[Datum::I64(key_of(i))], v);
+            Ok(())
+        }));
+        let sum =
+            |values: &[&Row]| -> i64 { values.iter().map(|v| v.at(0).as_i64().unwrap()).sum() };
+        let rows: Vec<Row> = (0..ROWS).map(|i| row![i]).collect();
+        let mut spec = JobSpec::new(
+            "shuffle-combine",
+            Arc::new(VecInputFormat::new(rows, SPLITS)),
+            Arc::new(mapper),
+        );
+        spec.combiner = Some(Arc::new(FnReducer(
+            move |_key: &Row, values: &[&Row], out: &mut Vec<Row>| {
+                out.push(row![sum(values)]);
+                Ok(())
+            },
+        )));
+        spec.reducer = Some(Arc::new(FnReducer(
+            move |key: &Row, values: &[&Row], out: &mut Vec<Row>| {
+                out.push(key.concat(&row![sum(values)]));
+                Ok(())
+            },
+        )));
+        spec.num_reducers = num_reducers;
+        spec.output = OutputSpec::DfsDir("/shuffle-combine".into());
+        let result = engine.run_job(&spec).unwrap();
+        let map = result.profile.total_map_cost();
+        let reduce = result.profile.total_reduce_cost();
+        let counters = [
+            map.emit_records,
+            map.emit_bytes,
+            map.combine_input_records,
+            map.combine_output_records,
+            reduce.merge_runs,
+            result.profile.shuffle_bytes,
+        ];
+        let mut keys: Vec<Vec<i64>> = Vec::new();
+        for path in &result.output_files {
+            let part = rowcodec::read_rows(&dfs.read_file(path, None).unwrap()).unwrap();
+            let mut mine = Vec::new();
+            for r in part {
+                let key = r.at(0).as_i64().unwrap();
+                let expect: i64 = (0..ROWS).filter(|&i| key_of(i) == key).sum();
+                assert_eq!(r, row![key, expect], "{num_reducers} reducers");
+                mine.push(key);
+            }
+            keys.push(mine);
+        }
+        assert_eq!(keys, recorded.keys, "{num_reducers} reducers");
+        assert_eq!(counters, recorded.counters, "{num_reducers} reducers");
+    }
+}

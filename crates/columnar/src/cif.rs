@@ -11,7 +11,7 @@
 //! saving measured by the paper's columnar-off ablation (3.4x average,
 //! Section 6.5).
 
-use crate::encoding::{decode_column, encode_block};
+use crate::encoding::{decode_verified, encode_block};
 use clyde_common::{rowcodec, Field};
 use clyde_common::{varint, ClydeError, Result, Row, RowBlock, RowBlockBuilder, Schema};
 use clyde_dfs::{Dfs, NodeId};
@@ -267,19 +267,24 @@ impl CifReader {
     }
 
     /// Read the selected columns of one row group. Only the named columns'
-    /// files are touched — the heart of CIF's I/O saving.
+    /// files are touched — the heart of CIF's I/O saving. Each chunk comes
+    /// through the DFS's sealed read, which checks its seal once per stored
+    /// replica, and is then decoded without re-hashing it. The block has
+    /// the group's row count from `_meta`, even with no columns selected.
     pub fn read_group(&self, io: &TaskIo, group: usize, col_indices: &[usize]) -> Result<RowBlock> {
         let expected = *self
             .meta
             .group_rows
             .get(group)
             .ok_or_else(|| ClydeError::Format(format!("row group {group} out of range")))?;
+        let rows = usize::try_from(expected)
+            .map_err(|_| ClydeError::Format(format!("row group {group} has {expected} rows")))?;
         let mut columns = Vec::with_capacity(col_indices.len());
         for &ci in col_indices {
             let name = &self.meta.schema.field(ci).name;
-            let data = io.read_file(&self.meta.column_path(group, name))?;
-            let col = decode_column(&data)?;
-            if col.len() as u64 != expected {
+            let data = io.read_sealed(&self.meta.column_path(group, name))?;
+            let col = decode_verified(&data)?;
+            if col.len() != rows {
                 return Err(ClydeError::Format(format!(
                     "column {name} of group {group} has {} rows, expected {expected}",
                     col.len()
@@ -287,7 +292,7 @@ impl CifReader {
             }
             columns.push(col);
         }
-        RowBlock::new(columns)
+        RowBlock::with_len(columns, rows)
     }
 
     /// All columns of one group (convenience; used by the columnar-off
@@ -482,6 +487,23 @@ pub(crate) mod tests {
         let full = reader.locate_groups(&dfs, &[0, 1, 2]).unwrap();
         assert!(partial.iter().zip(&full).all(|(p, f)| p.bytes < f.bytes));
         assert_eq!(io.stats.total(), partial[0].bytes);
+    }
+
+    #[test]
+    fn a_zero_column_read_has_the_groups_rows() {
+        let dfs = Dfs::for_tests(4);
+        write_table(&dfs, "/t/fact", 25, 10);
+        let reader = CifReader::open(&dfs, "/t/fact").unwrap();
+        let io = TaskIo::client(Arc::clone(&dfs));
+        let lens: Vec<(usize, usize)> = (0..3)
+            .map(|g| {
+                let block = reader.read_group(&io, g, &[]).unwrap();
+                (block.len(), block.num_columns())
+            })
+            .collect();
+        assert_eq!(lens, vec![(10, 0), (10, 0), (5, 0)]);
+        assert_eq!(io.stats.total(), 0, "no column was read");
+        assert!(reader.read_group(&io, 3, &[]).is_err());
     }
 
     #[test]

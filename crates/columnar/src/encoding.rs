@@ -11,12 +11,14 @@
 //!
 //! The binary encoding is what shrinks the paper's 600 GB text fact table to
 //! ~334 GB in Multi-CIF format (Section 6.2). The trailing checksum is the
-//! *chunk's* own end-to-end check, verified on every [`decode_column`]; it
-//! is independent of the block checksum `clyde-dfs` keeps per replica (one
-//! DFS block can hold many chunks — an RCFile — or a chunk can span blocks),
-//! so a chunk is rejected even when the bytes were damaged before they were
-//! written, which the block checksum cannot see (DESIGN.md, "Read-path
-//! integrity").
+//! *chunk's* own end-to-end check, the seal of [`clyde_common::hash::seal`];
+//! it is independent of the block checksum `clyde-dfs` keeps per replica
+//! (one DFS block can hold many chunks — an RCFile — or a chunk can span
+//! blocks), so a chunk is rejected even when the bytes were damaged before
+//! they were written, which the block checksum cannot see. [`decode_column`]
+//! checks it on every call; the CIF scan instead reads chunks through the
+//! DFS's sealed read, which checks each stored replica's seal once
+//! (DESIGN.md, "Read-path integrity").
 //!
 //! The **zone segment** right after the row count is a per-chunk min/max
 //! zone map, written for non-empty `i32` columns (zone tag 1) and absent
@@ -27,9 +29,8 @@
 //! payload. The peek does *not* verify the checksum (it never sees the full
 //! chunk); corruption is still caught whenever a chunk is actually decoded.
 
-use clyde_common::hash::FxHasher;
+use clyde_common::hash::{self, split_seal, unseal};
 use clyde_common::{varint, ClydeError, ColumnData, DatumType, FxHashMap, Result, RowBlock};
-use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Available encodings.
@@ -113,12 +114,6 @@ fn count_runs<T: PartialEq>(mut iter: impl Iterator<Item = T>) -> usize {
         }
     }
     runs
-}
-
-fn checksum(data: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(data);
-    h.finish()
 }
 
 /// Upper bound on the chunk prefix that contains the zone segment:
@@ -272,8 +267,7 @@ pub fn encode_column(col: &ColumnData, encoding: Encoding) -> Result<Vec<u8>> {
             )))
         }
     }
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    hash::seal(&mut out);
     Ok(out)
 }
 
@@ -309,15 +303,31 @@ fn rle_encode(out: &mut Vec<u8>, iter: impl Iterator<Item = i64>) {
 
 /// Decode a column chunk, verifying the checksum.
 pub fn decode_column(data: &[u8]) -> Result<ColumnData> {
-    let Some((body, sum)) = data
-        .split_last_chunk::<8>()
-        .filter(|(body, _)| body.len() >= 2)
-    else {
-        return Err(ClydeError::Format("column chunk too short".into()));
-    };
-    if checksum(body) != u64::from_le_bytes(*sum) {
+    let body = chunk_body(data)?;
+    if unseal(data).is_none() {
         return Err(ClydeError::Format("column checksum mismatch".into()));
     }
+    decode_body(body)
+}
+
+/// Decode a column chunk whose seal the caller has already checked — the
+/// CIF scan, whose sealed DFS read checks each stored replica's seal once.
+/// The seal is stripped, not re-hashed; the body is decoded exactly as
+/// [`decode_column`] decodes it.
+pub(crate) fn decode_verified(data: &[u8]) -> Result<ColumnData> {
+    decode_body(chunk_body(data)?)
+}
+
+/// The bytes before the seal, if there is room for a seal and a header.
+fn chunk_body(data: &[u8]) -> Result<&[u8]> {
+    split_seal(data)
+        .map(|(body, _)| body)
+        .filter(|body| body.len() >= 2)
+        .ok_or_else(|| ClydeError::Format("column chunk too short".into()))
+}
+
+/// The one decoder: a chunk body (the bytes before the seal) to its column.
+fn decode_body(body: &[u8]) -> Result<ColumnData> {
     let header = read_header(body)?;
     let n = header.rows;
     let mut pos = header.payload;
@@ -579,8 +589,7 @@ mod tests {
 
     /// A hand-written chunk body under a valid checksum.
     fn sealed(mut body: Vec<u8>) -> Vec<u8> {
-        let sum = checksum(&body);
-        body.extend_from_slice(&sum.to_le_bytes());
+        hash::seal(&mut body);
         body
     }
 

@@ -18,12 +18,13 @@
 use crate::cif::CifReader;
 use crate::encoding::{peek_zone_map, ZONE_HEADER_MAX};
 use clyde_common::lockorder::RwLock;
-use clyde_common::{ClydeError, Result, RowBlock};
+use clyde_common::{ClydeError, Result, RowBlock, RowRange};
 use clyde_dfs::{Dfs, NodeId};
 use clyde_mapred::conf::keys;
 use clyde_mapred::{
     input::RowsFromBlocks, BlockReader, InputFormat, InputSplit, JobConf, Reader, SplitSpec, TaskIo,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How rows come out of the reader.
@@ -284,7 +285,7 @@ impl InputFormat for CifInputFormat {
         let block = reader.read_group(io, group, &cols)?;
         match self.mode {
             ScanMode::Blocks { rows_per_block } => Ok(Reader::Blocks(Box::new(
-                SlicedBlockReader::new(block, rows_per_block.max(1)),
+                SlicedBlockReader::new(block, rows_per_block),
             ))),
             ScanMode::Rows => Ok(Reader::Rows(Box::new(RowsFromBlocks::new(Box::new(
                 SlicedBlockReader::new(block, 4096),
@@ -293,9 +294,12 @@ impl InputFormat for CifInputFormat {
     }
 }
 
-/// Serves one decoded row group as blocks of at most `rows_per_block` rows.
+/// Serves one decoded row group as blocks of at most `rows_per_block` rows,
+/// in row order. The scan takes them as [`BlockReader::next_range`]s — row
+/// ranges of the one shared group, nothing copied; [`BlockReader::next_block`]
+/// copies each range out into an owned block.
 pub struct SlicedBlockReader {
-    block: RowBlock,
+    block: Arc<RowBlock>,
     pos: usize,
     rows_per_block: usize,
 }
@@ -303,27 +307,44 @@ pub struct SlicedBlockReader {
 impl SlicedBlockReader {
     pub fn new(block: RowBlock, rows_per_block: usize) -> SlicedBlockReader {
         SlicedBlockReader {
-            block,
+            block: Arc::new(block),
             pos: 0,
-            rows_per_block,
+            rows_per_block: rows_per_block.max(1),
         }
+    }
+
+    /// The next `rows_per_block` rows (fewer at the end of the group).
+    fn next_rows(&mut self) -> Option<Range<usize>> {
+        let len = self.block.len();
+        if self.pos >= len {
+            return None;
+        }
+        let end = self.pos.saturating_add(self.rows_per_block).min(len);
+        let rows = self.pos..end;
+        self.pos = end;
+        Some(rows)
     }
 }
 
 impl BlockReader for SlicedBlockReader {
     fn next_block(&mut self) -> Result<Option<RowBlock>> {
-        if self.pos >= self.block.len() {
+        let Some(rows) = self.next_rows() else {
             return Ok(None);
-        }
-        let end = (self.pos + self.rows_per_block).min(self.block.len());
-        // Whole-group fast path avoids the copy.
-        let out = if self.pos == 0 && end == self.block.len() {
-            std::mem::take(&mut self.block)
-        } else {
-            self.block.slice(self.pos, end)
         };
-        self.pos = end.max(self.pos + out.len());
-        Ok(Some(out))
+        if rows.len() == self.block.len() {
+            // Whole-group fast path: hand the group over uncopied unless a
+            // range handed out earlier still shares it.
+            let whole = std::mem::take(&mut self.block);
+            return Ok(Some(Arc::unwrap_or_clone(whole)));
+        }
+        self.block.slice(rows.start, rows.end).map(Some)
+    }
+
+    fn next_range(&mut self) -> Result<Option<RowRange>> {
+        Ok(self.next_rows().map(|rows| RowRange {
+            block: Arc::clone(&self.block),
+            rows,
+        }))
     }
 }
 
@@ -472,6 +493,33 @@ mod tests {
             sizes.push(b.len());
         }
         assert_eq!(sizes, vec![3, 3, 3, 1]);
+    }
+
+    #[test]
+    fn ranges_share_the_group_and_match_the_copied_blocks() {
+        let block = RowBlock::new(vec![clyde_common::ColumnData::I32((0..10).collect())]).unwrap();
+        let mut copies = SlicedBlockReader::new(block.clone(), 4);
+        let mut ranges = SlicedBlockReader::new(block, 4);
+        let mut shared: Option<Arc<RowBlock>> = None;
+        let mut spans = Vec::new();
+        while let Some(r) = ranges.next_range().unwrap() {
+            let copy = copies.next_block().unwrap().unwrap();
+            let rows = r.rows.clone();
+            assert_eq!(r.block.slice(rows.start, rows.end).unwrap(), copy);
+            let first = shared.get_or_insert_with(|| Arc::clone(&r.block));
+            assert!(Arc::ptr_eq(first, &r.block), "one decoded group, shared");
+            spans.push(rows);
+        }
+        assert_eq!(spans, vec![0..4, 4..8, 8..10]);
+        assert!(copies.next_block().unwrap().is_none());
+        // A whole-group block is handed over, not copied, and a reader
+        // asked for zero rows per block still advances.
+        let whole = RowBlock::new(vec![clyde_common::ColumnData::I32(vec![7; 3])]).unwrap();
+        let mut one = SlicedBlockReader::new(whole.clone(), 0);
+        assert_eq!(one.next_range().unwrap().map(|r| r.rows), Some(0..1));
+        let mut all = SlicedBlockReader::new(whole.clone(), 8);
+        assert_eq!(all.next_block().unwrap(), Some(whole));
+        assert!(all.next_block().unwrap().is_none());
     }
 
     #[test]

@@ -259,13 +259,18 @@ impl RcFileReader {
     }
 
     /// Read the selected columns of one group: one range read per chunk, so
-    /// unselected columns cost no I/O (PAX's column skipping).
+    /// unselected columns cost no I/O (PAX's column skipping). The block
+    /// has the group's row count from the metadata, even with no columns
+    /// selected.
     pub fn read_group(&self, io: &TaskIo, group: usize, cols: &[usize]) -> Result<RowBlock> {
-        let locs = self
-            .meta
-            .chunks
-            .get(group)
-            .ok_or_else(|| ClydeError::Format(format!("row group {group} out of range")))?;
+        let (Some(locs), Some(rows)) = (self.meta.chunks.get(group), self.meta.group_rows(group))
+        else {
+            return Err(ClydeError::Format(format!(
+                "row group {group} out of range"
+            )));
+        };
+        let rows = usize::try_from(rows)
+            .map_err(|_| ClydeError::Format(format!("row group {group} has {rows} rows")))?;
         let path = RcFileMeta::data_path(&self.meta.base);
         let mut columns = Vec::with_capacity(cols.len());
         for &c in cols {
@@ -275,7 +280,7 @@ impl RcFileReader {
             let bytes = io.read_range(&path, loc.offset, loc.len)?;
             columns.push(decode_column(&bytes)?);
         }
-        RowBlock::new(columns)
+        RowBlock::with_len(columns, rows)
     }
 
     /// Materialize the whole table (test/reference helper).
@@ -400,6 +405,23 @@ mod tests {
         assert_eq!(rows.len(), 23);
         assert_eq!(rows[4], row![4i32, "A", 4i64]);
         assert_eq!(rows[22], row![22i32, "B", 22i64]);
+    }
+
+    #[test]
+    fn a_zero_column_read_has_the_groups_rows() {
+        let dfs = Dfs::for_tests(3);
+        make(&dfs, "/hive/fact", 23, 10);
+        let r = RcFileReader::open(&dfs, "/hive/fact").unwrap();
+        let io = TaskIo::client(Arc::clone(&dfs));
+        let lens: Vec<(usize, usize)> = (0..3)
+            .map(|g| {
+                let block = r.read_group(&io, g, &[]).unwrap();
+                (block.len(), block.num_columns())
+            })
+            .collect();
+        assert_eq!(lens, vec![(10, 0), (10, 0), (3, 0)]);
+        assert_eq!(io.stats.total(), 0, "no column was read");
+        assert!(r.read_group(&io, 3, &[]).is_err());
     }
 
     #[test]

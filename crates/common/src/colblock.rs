@@ -10,6 +10,7 @@
 use crate::datum::{Datum, DatumType};
 use crate::error::{ClydeError, Result};
 use crate::row::Row;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A typed column of values.
@@ -150,8 +151,17 @@ pub struct RowBlock {
 }
 
 impl RowBlock {
+    /// A block as long as its first column (empty without columns).
     pub fn new(columns: Vec<ColumnData>) -> Result<RowBlock> {
         let len = columns.first().map_or(0, ColumnData::len);
+        RowBlock::with_len(columns, len)
+    }
+
+    /// A block of `len` rows; every column must hold exactly `len` values.
+    /// A reader that knows the row count (a row group's metadata) builds
+    /// its blocks this way, so a zero-column projection — `COUNT(*)` with
+    /// nothing to read — still has the group's rows.
+    pub fn with_len(columns: Vec<ColumnData>, len: usize) -> Result<RowBlock> {
         for (i, c) in columns.iter().enumerate() {
             if c.len() != len {
                 return Err(ClydeError::Format(format!(
@@ -192,27 +202,73 @@ impl RowBlock {
         row
     }
 
-    /// Take a sub-range of rows `[from, to)` as a new block (copies).
-    pub fn slice(&self, from: usize, to: usize) -> RowBlock {
+    /// Take a sub-range of rows `[from, to)` as a new block (copies). The
+    /// scan hands out row ranges of a shared block instead; this copy is
+    /// for callers that need an owned block. A range that is not inside the
+    /// block is a typed error.
+    pub fn slice(&self, from: usize, to: usize) -> Result<RowBlock> {
+        let rows = self.check_rows(from..to)?;
         let columns = self
             .columns
             .iter()
-            .map(|c| match c {
-                ColumnData::I32(v) => ColumnData::I32(v[from..to].to_vec()),
-                ColumnData::I64(v) => ColumnData::I64(v[from..to].to_vec()),
-                ColumnData::F64(v) => ColumnData::F64(v[from..to].to_vec()),
-                ColumnData::Str(v) => ColumnData::Str(v[from..to].to_vec()),
+            .map(|c| {
+                Ok(match c {
+                    ColumnData::I32(v) => ColumnData::I32(rows_of(v, &rows)?.to_vec()),
+                    ColumnData::I64(v) => ColumnData::I64(rows_of(v, &rows)?.to_vec()),
+                    ColumnData::F64(v) => ColumnData::F64(rows_of(v, &rows)?.to_vec()),
+                    ColumnData::Str(v) => ColumnData::Str(rows_of(v, &rows)?.to_vec()),
+                })
             })
-            .collect();
-        RowBlock {
-            columns,
-            len: to - from,
+            .collect::<Result<_>>()?;
+        RowBlock::with_len(columns, rows.len())
+    }
+
+    /// `rows` if it lies inside this block, a typed error otherwise.
+    pub fn check_rows(&self, rows: Range<usize>) -> Result<Range<usize>> {
+        if rows.start <= rows.end && rows.end <= self.len {
+            Ok(rows)
+        } else {
+            Err(ClydeError::Format(format!(
+                "rows {rows:?} outside a block of {} rows",
+                self.len
+            )))
         }
     }
 
     pub fn heap_size(&self) -> usize {
         self.columns.iter().map(ColumnData::heap_size).sum()
     }
+}
+
+/// A row range of a shared block: the unit a scan hands to its probe
+/// threads. A decoded row group is shared (`Arc`) by every range cut from
+/// it, so handing out a range copies no column data.
+#[derive(Debug, Clone)]
+pub struct RowRange {
+    pub block: Arc<RowBlock>,
+    pub rows: Range<usize>,
+}
+
+impl RowRange {
+    /// All rows of `block`.
+    pub fn whole(block: RowBlock) -> RowRange {
+        let rows = 0..block.len();
+        RowRange {
+            block: Arc::new(block),
+            rows,
+        }
+    }
+}
+
+/// The `rows` of one column's values, or a typed error when they are not
+/// all there.
+pub fn rows_of<'a, T>(values: &'a [T], rows: &Range<usize>) -> Result<&'a [T]> {
+    values.get(rows.clone()).ok_or_else(|| {
+        ClydeError::Format(format!(
+            "rows {rows:?} outside a column of {} values",
+            values.len()
+        ))
+    })
 }
 
 /// Builder that appends rows and produces a [`RowBlock`].
@@ -324,9 +380,24 @@ mod tests {
     #[test]
     fn block_slice() {
         let blk = RowBlock::new(vec![ColumnData::I64(vec![1, 2, 3, 4])]).unwrap();
-        let s = blk.slice(1, 3);
+        let s = blk.slice(1, 3).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.column(0).as_i64(), &[2, 3]);
+        // Ranges outside the block are typed errors, not panics.
+        assert!(blk.slice(3, 5).is_err());
+        assert!(blk.slice(3, 1).is_err());
+        assert_eq!(blk.slice(4, 4).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn a_block_without_columns_keeps_its_row_count() {
+        let blk = RowBlock::with_len(Vec::new(), 12).unwrap();
+        assert_eq!((blk.len(), blk.num_columns()), (12, 0));
+        assert_eq!(blk.slice(4, 10).unwrap().len(), 6);
+        assert!(blk.slice(4, 13).is_err());
+        // Every column is checked against the given count.
+        assert!(RowBlock::with_len(vec![ColumnData::I32(vec![1, 2])], 3).is_err());
+        assert_eq!(RowBlock::new(Vec::new()).unwrap().len(), 0);
     }
 
     #[test]

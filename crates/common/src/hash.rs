@@ -33,14 +33,15 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap()));
+        let (words, rem) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.add_to_hash(u64::from_le_bytes(word));
         }
-        let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
+            for (b, &r) in buf.iter_mut().zip(rem) {
+                *b = r;
+            }
             self.add_to_hash(u64::from_le_bytes(buf));
             // Mix in the remainder length so "a" and "a\0" differ.
             self.add_to_hash(rem.len() as u64);
@@ -87,6 +88,39 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with the fast hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// The FxHash of a byte string: the checksum behind both a DFS block's
+/// checksum and a column chunk's seal.
+pub fn hash_bytes(data: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(data);
+    h.finish()
+}
+
+/// Bytes a seal adds to the end of a sealed buffer.
+pub const SEAL_LEN: usize = 8;
+
+/// Seal `out`: append the [`hash_bytes`] of everything in it, little-endian.
+/// Every encoded column chunk ends in its seal, so a chunk carries its own
+/// end-to-end check whatever blocks it is cut into.
+pub fn seal(out: &mut Vec<u8>) {
+    let sum = hash_bytes(out);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// A sealed buffer's body and the seal recorded after it, *unchecked*;
+/// `None` when `data` is shorter than a seal.
+pub fn split_seal(data: &[u8]) -> Option<(&[u8], u64)> {
+    data.split_last_chunk::<SEAL_LEN>()
+        .map(|(body, sum)| (body, u64::from_le_bytes(*sum)))
+}
+
+/// The body of `data` if its trailing seal matches it, `None` otherwise.
+pub fn unseal(data: &[u8]) -> Option<&[u8]> {
+    split_seal(data)
+        .filter(|&(body, sum)| hash_bytes(body) == sum)
+        .map(|(body, _)| body)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +144,43 @@ mod tests {
         assert_ne!(fx("a"), fx("b"));
         assert_ne!(fx("a"), fx("a\0"));
         assert_ne!(fx([1u8, 2, 3].as_slice()), fx([1u8, 2, 3, 0].as_slice()));
+    }
+
+    /// The byte-string hash is both seals' checksum, so its output is part
+    /// of the stored format: these values were recorded before `write`
+    /// moved to `as_chunks` and must never change.
+    #[test]
+    fn hash_bytes_matches_recorded_golden_values() {
+        let golden: [(usize, u64); 6] = [
+            (0, 0x0000_0000_0000_0000),
+            (1, 0xfdb5_77ba_2e47_a15e),
+            (7, 0xf212_6e08_10d6_615e),
+            (8, 0x6c44_085f_2da9_6813),
+            (9, 0xb2b3_d2a4_750d_384b),
+            (4096, 0x6595_54d3_78ad_c98f),
+        ];
+        for (n, want) in golden {
+            let bytes: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
+            assert_eq!(hash_bytes(&bytes), want, "{n} bytes");
+        }
+    }
+
+    #[test]
+    fn a_seal_checks_its_body_and_nothing_else() {
+        let mut sealed = b"column chunk".to_vec();
+        seal(&mut sealed);
+        assert_eq!(sealed.len(), 12 + SEAL_LEN);
+        assert_eq!(unseal(&sealed), Some(&b"column chunk"[..]));
+        assert_eq!(split_seal(&sealed).map(|(body, _)| body.len()), Some(12));
+        for at in 0..sealed.len() {
+            let mut bad = sealed.clone();
+            bad[at] ^= 0x10;
+            assert_eq!(unseal(&bad), None, "flip at {at}");
+        }
+        assert_eq!(unseal(&sealed[..SEAL_LEN - 1]), None);
+        let mut empty = Vec::new();
+        seal(&mut empty);
+        assert_eq!(unseal(&empty), Some(&[][..]));
     }
 
     #[test]

@@ -161,14 +161,11 @@ impl Clydesdale {
     /// the scan projection, the join pipeline with estimated hash-table
     /// sizes, and the scheduling shape.
     pub fn explain(&self, query: &StarQuery) -> Result<String> {
-        use std::fmt::Write as _;
         query.validate()?;
         let (scan_cols, _) = crate::planner::scan_schema(query, &self.features)?;
         let cluster = self.engine.dfs().cluster();
-        let mut out = String::new();
-        writeln!(out, "== Clydesdale plan for {} ==", query.id).expect("string write");
-        writeln!(
-            out,
+        let mut lines = vec![format!("== Clydesdale plan for {} ==", query.id)];
+        lines.push(format!(
             "scan lineorder [{}]: columns {:?}{}",
             self.layout.fact_cif(),
             scan_cols,
@@ -177,14 +174,12 @@ impl Clydesdale {
             } else {
                 " (row-at-a-time)"
             }
-        )
-        .expect("string write");
+        ));
         for p in &query.fact_preds {
-            writeln!(out, "  fact filter on {}", p.column()).expect("string write");
+            lines.push(format!("  fact filter on {}", p.column()));
         }
         for join in &query.joins {
-            writeln!(
-                out,
+            lines.push(format!(
                 "  hash join {}.{} = lineorder.{} (predicate: {}, aux: {:?})",
                 join.dimension,
                 join.pk,
@@ -195,11 +190,9 @@ impl Clydesdale {
                     "pushed into build"
                 },
                 join.aux,
-            )
-            .expect("string write");
+            ));
         }
-        writeln!(
-            out,
+        lines.push(format!(
             "map: {} multi-threaded task(s), one per node, {} threads each, \
              tables shared via JVM reuse: {}",
             cluster.num_workers(),
@@ -209,16 +202,13 @@ impl Clydesdale {
                 1
             },
             self.features.jvm_reuse,
-        )
-        .expect("string write");
-        writeln!(
-            out,
+        ));
+        lines.push(format!(
             "reduce: {} partition(s), aggregate {:?}, group by {:?}",
             cluster.total_reduce_slots(),
             query.aggregate,
             query.group_by,
-        )
-        .expect("string write");
+        ));
         let order: Vec<String> = query
             .order_by
             .iter()
@@ -230,15 +220,15 @@ impl Clydesdale {
                 format!("{name}{}", if *desc { " desc" } else { "" })
             })
             .collect();
-        writeln!(
-            out,
+        lines.push(format!(
             "client: single-process sort by [{}]{}",
             order.join(", "),
             query
                 .limit
                 .map_or(String::new(), |l| format!(", limit {l}")),
-        )
-        .expect("string write");
+        ));
+        let mut out = lines.join("\n");
+        out.push('\n');
         Ok(out)
     }
 
@@ -282,7 +272,7 @@ impl Clydesdale {
             let profile = obs.with_histories(|hs| {
                 QueryProfile::from_histories(
                     &query.id,
-                    &hs[hist_before..],
+                    hs.get(hist_before..).unwrap_or_default(),
                     final_sort_s,
                     DEFAULT_DRIFT_THRESHOLD_PCT,
                 )

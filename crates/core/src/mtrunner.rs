@@ -9,11 +9,12 @@
 //!    build thread per dimension) only the tables no earlier query on this
 //!    engine left in the node's resident store for the same local bytes;
 //! 2. unpacks the multi-split through one shared work source: every thread
-//!    pulls one **morsel** at a time. A block-shaped input hands out single
-//!    blocks, so even one constituent split's probe work spreads across all
-//!    `host_threads` workers; a row-shaped input (block iteration ablated)
-//!    hands out whole parts, the paper's `getMultipleReaders()` shape
-//!    (Section 5.1);
+//!    pulls one **morsel** at a time. A block-shaped input hands out row
+//!    ranges of one decoded row group — the group is decoded once, shared
+//!    (`Arc`) by its morsels and never copied into blocks — so even one
+//!    constituent split's probe work spreads across all `host_threads`
+//!    workers; a row-shaped input (block iteration ablated) hands out whole
+//!    parts, the paper's `getMultipleReaders()` shape (Section 5.1);
 //! 3. each thread probes its morsels against the *shared, read-only* tables,
 //!    aggregating into a thread-local group map;
 //! 4. the merged per-task group map is emitted — one record per group, the
@@ -29,14 +30,14 @@
 //! thread-local accumulators are merged in ascending first-morsel-id order,
 //! so even a non-commutative future fold would see a canonical order.
 
-use crate::config::{Features, KernelOpts};
+use crate::config::Features;
 use crate::hashtable::DimTables;
 use crate::probe::{
-    probe_block, probe_block_vec, probe_row, GroupAcc, GroupLayout, ProbePlan, ProbeStats, SelBuf,
+    probe_range, probe_range_vec, probe_row, GroupAcc, GroupLayout, ProbePlan, ProbeStats, SelBuf,
 };
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{Phase, WallTimer};
-use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
+use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row, RowRange, Schema};
 use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader, RecordReader};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
@@ -53,20 +54,23 @@ pub struct MtMapRunner {
     pub features: Features,
 }
 
-/// One unit of probe work: a single block of a block-shaped part, or a
-/// whole row-shaped part (rows cannot be split without reading them).
+/// One unit of probe work: one row range of a block-shaped part's shared
+/// decoded group, or a whole row-shaped part (rows cannot be split without
+/// reading them).
 enum Morsel {
-    Block(RowBlock),
+    Block(RowRange),
     Rows(Box<dyn RecordReader>),
 }
 
 /// Shared morsel source: hands out `(morsel_id, morsel)` pairs across the
 /// runner's threads. What the input format hands back decides the grain —
-/// [`Reader::Blocks`] is drained one block per call, [`Reader::Rows`] is
-/// given away whole. Fetching the next block happens under the lock: a
-/// columnar slice for most blocks, but the first block of every row group
-/// pays for opening the part and decoding the whole group, so that decode
-/// is serialized across the threads. Probing happens outside the lock.
+/// [`Reader::Blocks`] is drained one [`BlockReader::next_range`] per call
+/// (`ROWS_PER_BLOCK` rows of the part's decoded group, which every range
+/// shares), [`Reader::Rows`] is given away whole. Fetching the next range
+/// happens under the lock: a refcount bump for most ranges, but the first
+/// range of every row group pays for opening the part and decoding the
+/// whole group, so that decode is serialized across the threads. Probing
+/// happens outside the lock.
 struct MorselSource<'a, 'b> {
     ctx: &'a MapTaskContext<'b>,
     parts: usize,
@@ -98,8 +102,8 @@ impl<'a, 'b> MorselSource<'a, 'b> {
         let mut st = self.state.lock();
         let morsel = loop {
             if let Some(reader) = st.current.as_mut() {
-                match reader.next_block()? {
-                    Some(block) => break Morsel::Block(block),
+                match reader.next_range()? {
+                    Some(range) => break Morsel::Block(range),
                     None => st.current = None,
                 }
             }
@@ -185,19 +189,17 @@ impl MtMapRunner {
                     while let Some((id, morsel)) = source.next()? {
                         res.first_morsel = res.first_morsel.min(id);
                         match (morsel, &mut res.vacc, layout) {
-                            (Morsel::Block(block), Some(va), Some(l)) => probe_block_vec(
-                                &block,
+                            (Morsel::Block(r), Some(va), Some(l)) => res.stats.add(
+                                &probe_range_vec(&r.block, r.rows, plan, tables, l, va, &mut buf)?,
+                            ),
+                            (Morsel::Block(r), _, _) => probe_range(
+                                &r.block,
+                                r.rows,
                                 plan,
                                 tables,
-                                l,
-                                va,
-                                &mut buf,
+                                &mut res.acc,
                                 &mut res.stats,
-                                KernelOpts,
                             )?,
-                            (Morsel::Block(block), _, _) => {
-                                probe_block(&block, plan, tables, &mut res.acc, &mut res.stats)?
-                            }
                             (Morsel::Rows(mut rows), _, _) => {
                                 while let Some((_, row)) = rows.next()? {
                                     probe_row(&row, plan, tables, &mut res.acc, &mut res.stats)?;

@@ -72,28 +72,36 @@ pub fn zone_preds(query: &StarQuery) -> Vec<ZonePred> {
 
 /// Translate a date-dimension predicate into an inclusive `d_datekey`
 /// range, when one exists. Conservative: `None` when the predicate doesn't
-/// constrain the key to a contiguous range we can prove.
+/// constrain the key to a contiguous range we can prove. The keys are
+/// computed in `i64` and clamped to `i32`, so a bound outside the calendar
+/// widens the range to the end of the key domain — never wraps it into a
+/// narrower one that would prune qualifying groups.
 fn date_pred_range(p: &DimPred) -> Option<(i32, i32)> {
-    let year_span = |lo: i32, hi: i32| (lo * 10_000 + 101, hi * 10_000 + 1231);
+    let key = |v: i64| v.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+    let year_span = |lo: i32, hi: i32| {
+        (
+            key(i64::from(lo) * 10_000 + 101),
+            key(i64::from(hi) * 10_000 + 1231),
+        )
+    };
     match p {
         DimPred::I32Eq { column, value } if column == "d_year" => Some(year_span(*value, *value)),
         DimPred::I32Eq { column, value } if column == "d_yearmonthnum" => {
             // yyyymm -> [yyyymm01, yyyymm31].
-            Some((value * 100 + 1, value * 100 + 31))
+            let base = i64::from(*value) * 100;
+            Some((key(base + 1), key(base + 31)))
         }
         DimPred::I32Between { column, lo, hi } if column == "d_year" => Some(year_span(*lo, *hi)),
-        DimPred::I32In { column, values } if column == "d_year" && !values.is_empty() => {
-            Some(year_span(
-                *values.iter().min().expect("non-empty"),
-                *values.iter().max().expect("non-empty"),
-            ))
+        DimPred::I32In { column, values } if column == "d_year" => {
+            Some(year_span(*values.iter().min()?, *values.iter().max()?))
         }
         DimPred::StrEq { column, value } if column == "d_yearmonth" => {
             // "Dec1997": three-letter month abbreviation + year.
             let (mon, year) = value.split_at(3.min(value.len()));
-            let m = schema::MONTHS.iter().position(|&(_, abbr)| abbr == mon)? as i32 + 1;
-            let y: i32 = year.parse().ok()?;
-            Some((y * 10_000 + m * 100 + 1, y * 10_000 + m * 100 + 31))
+            let m = schema::MONTHS.iter().position(|&(_, abbr)| abbr == mon)? as i64 + 1;
+            let y: i64 = year.parse().ok()?;
+            let base = y.checked_mul(10_000)?.checked_add(m * 100)?;
+            Some((key(base + 1), key(base + 31)))
         }
         DimPred::And(ps) => {
             // Intersect whichever conjuncts translate.
@@ -248,6 +256,54 @@ mod tests {
         // Q2.1's date join is unfiltered: no fact preds, no date range.
         let q21 = query_by_id("Q2.1").unwrap();
         assert!(zone_preds(&q21).is_empty());
+    }
+
+    #[test]
+    fn date_bounds_outside_the_calendar_clamp_instead_of_wrapping() {
+        let year = |lo, hi| DimPred::I32Between {
+            column: "d_year".into(),
+            lo,
+            hi,
+        };
+        assert_eq!(
+            date_pred_range(&year(1992, 300_000)),
+            Some((19_920_101, i32::MAX))
+        );
+        assert_eq!(
+            date_pred_range(&year(i32::MIN, i32::MAX)),
+            Some((i32::MIN, i32::MAX))
+        );
+        let eq = |column: &str, value| DimPred::I32Eq {
+            column: column.into(),
+            value,
+        };
+        assert_eq!(
+            date_pred_range(&eq("d_year", i32::MIN)),
+            Some((i32::MIN, i32::MIN))
+        );
+        assert_eq!(
+            date_pred_range(&eq("d_yearmonthnum", i32::MAX)),
+            Some((i32::MAX, i32::MAX))
+        );
+        let within = DimPred::I32In {
+            column: "d_year".into(),
+            values: vec![1997, i32::MIN],
+        };
+        assert_eq!(date_pred_range(&within), Some((i32::MIN, 19_971_231)));
+        let empty = DimPred::I32In {
+            column: "d_year".into(),
+            values: vec![],
+        };
+        assert_eq!(date_pred_range(&empty), None);
+        let month = |value: &str| DimPred::StrEq {
+            column: "d_yearmonth".into(),
+            value: value.into(),
+        };
+        assert_eq!(
+            date_pred_range(&month("Dec300000")),
+            Some((i32::MAX, i32::MAX))
+        );
+        assert_eq!(date_pred_range(&month("Dec99999999999999999")), None);
     }
 
     #[test]

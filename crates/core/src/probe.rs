@@ -2,18 +2,22 @@
 //!
 //! Two kernels:
 //!
-//! * [`probe_block_vec`] — the vectorized kernel that runs queries: fact
+//! * [`probe_range_vec`] — the vectorized kernel that runs queries: fact
 //!   predicates are evaluated over whole column slices into a reusable
 //!   *selection vector*, each dimension table is probed batch-at-a-time over
 //!   the surviving indices, and groups are aggregated under packed `u64`
 //!   keys of per-join group ids (see [`GroupLayout`]). Group `Row`s are
 //!   rematerialized once per populated group at emit time;
 //! * one scalar reference loop (`probe_scalar`), reached two ways:
-//!   [`probe_block`] reads typed column slices (B-CIF block iteration,
+//!   [`probe_range`] reads typed column slices (B-CIF block iteration,
 //!   Section 5.3) — the test oracle, the `vectorized`-off ablation and the
 //!   run-time fallback when [`GroupLayout::new`] cannot pack the group key —
 //!   and [`probe_row`] reads one materialized row (block iteration
 //!   ablated).
+//!
+//! The block kernels take a row range of a block: the scan hands its
+//! threads ranges of one shared decoded row group, not copies of them.
+//! [`probe_block_vec`] and [`probe_block`] are the whole-block forms.
 //!
 //! Both use **early-out** (Section 4.2): the first failed dimension probe
 //! abandons the row — in the vectorized kernel the selection vector simply
@@ -25,8 +29,10 @@
 
 use crate::config::KernelOpts;
 use crate::hashtable::{DimTables, NONE_ID};
-use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
+use clyde_common::colblock::rows_of;
+use clyde_common::{ClydeError, ColumnData, Datum, FxHashMap, Result, Row, RowBlock, Schema};
 use clyde_ssb::queries::{Aggregate, CompiledFactPred, StarQuery};
+use std::ops::Range;
 
 /// Index-resolved probe plan against a scan schema (the projected fact
 /// columns actually read).
@@ -103,15 +109,17 @@ impl ProbeStats {
 
 const MAX_JOINS: usize = 8;
 
-/// `i32` views of a block's columns (`None` for any other type). Fact
-/// predicates, FKs and measures are all i32 in SSB.
-fn i32_columns(block: &RowBlock) -> Vec<Option<&[i32]>> {
+/// `i32` views of rows `rows` of a block's columns (`None` for any other
+/// type). Fact predicates, FKs and measures are all i32 in SSB. A range
+/// outside the block is a typed error.
+fn i32_columns<'a>(block: &'a RowBlock, rows: &Range<usize>) -> Result<Vec<Option<&'a [i32]>>> {
+    block.check_rows(rows.clone())?;
     block
         .columns()
         .iter()
         .map(|c| match c {
-            clyde_common::ColumnData::I32(v) => Some(v.as_slice()),
-            _ => None,
+            ColumnData::I32(v) => rows_of(v, rows).map(Some),
+            _ => Ok(None),
         })
         .collect()
 }
@@ -199,9 +207,22 @@ pub fn probe_block(
     acc: &mut FxHashMap<Row, i64>,
     stats: &mut ProbeStats,
 ) -> Result<()> {
-    let cols = i32_columns(block);
+    probe_range(block, 0..block.len(), plan, tables, acc, stats)
+}
+
+/// Scalar probe of rows `rows` of a column block, accumulating partial
+/// aggregates per group `Row` into `acc`.
+pub fn probe_range(
+    block: &RowBlock,
+    rows: Range<usize>,
+    plan: &ProbePlan,
+    tables: &DimTables,
+    acc: &mut FxHashMap<Row, i64>,
+    stats: &mut ProbeStats,
+) -> Result<()> {
+    let cols = i32_columns(block, &rows)?;
     probe_scalar(
-        block.len(),
+        rows.len(),
         |i, c| need_i32(&cols, c).map(|s| i64::from(s[i])),
         plan,
         tables,
@@ -570,20 +591,8 @@ fn probe_direct<const FUSED: bool>(
 /// unconditional stores.
 const BRANCH_FREE_BAND: (f64, f64) = (0.08, 0.92);
 
-/// Vectorized probe of one column block (the default kernel).
-///
-/// Same semantics and identical [`ProbeStats`] as [`probe_block`]: each
-/// fact predicate and each join shrinks the selection vector, and a join
-/// only probes indices that survived every earlier stage — early-out as
-/// vector compaction. Aggregates land in `acc` under packed group-id keys;
-/// use [`GroupLayout::rematerialize`] to recover the group `Row`s.
-///
-/// Anatomy (DESIGN.md §10): the predicate stage compacts branch-free over
-/// fixed-width lanes; joins against direct-index tables run either
-/// select+cursor-advance or branchy loops, chosen per table from its build
-/// hit rate; and a query with no fact predicate fuses its first join with
-/// selection-vector creation so the identity selection is never
-/// materialized.
+/// Vectorized probe of one whole column block: [`probe_range_vec`] over
+/// all its rows.
 ///
 /// The trailing `KernelOpts` is a frozen-benchmark shim (see `config.rs`):
 /// a unit value, ignored.
@@ -598,8 +607,40 @@ pub fn probe_block_vec(
     stats: &mut ProbeStats,
     _: KernelOpts,
 ) -> Result<()> {
+    let rows = 0..block.len();
+    stats.add(&probe_range_vec(
+        block, rows, plan, tables, layout, acc, buf,
+    )?);
+    Ok(())
+}
+
+/// Vectorized probe of rows `rows` of a column block (the default kernel).
+///
+/// Same semantics and identical [`ProbeStats`] as [`probe_range`]: each
+/// fact predicate and each join shrinks the selection vector, and a join
+/// only probes indices that survived every earlier stage — early-out as
+/// vector compaction. Aggregates land in `acc` under packed group-id keys;
+/// use [`GroupLayout::rematerialize`] to recover the group `Row`s.
+///
+/// Anatomy (DESIGN.md §10): the predicate stage compacts branch-free over
+/// fixed-width lanes; joins against direct-index tables run either
+/// select+cursor-advance or branchy loops, chosen per table from its build
+/// hit rate; and a query with no fact predicate fuses its first join with
+/// selection-vector creation so the identity selection is never
+/// materialized. Selection indices are relative to `rows.start`. Returns
+/// the range's [`ProbeStats`].
+pub fn probe_range_vec(
+    block: &RowBlock,
+    rows: Range<usize>,
+    plan: &ProbePlan,
+    tables: &DimTables,
+    layout: &GroupLayout,
+    acc: &mut GroupAcc,
+    buf: &mut SelBuf,
+) -> Result<ProbeStats> {
     check_join_count(plan)?;
-    let cols = i32_columns(block);
+    let mut stats = ProbeStats::default();
+    let cols = i32_columns(block, &rows)?;
     let slice = |idx: usize| need_i32(&cols, idx);
     let fk_slices: Vec<&[i32]> = plan.fks.iter().map(|&i| slice(i)).collect::<Result<_>>()?;
     let pred_slices: Vec<&[i32]> = plan
@@ -610,7 +651,7 @@ pub fn probe_block_vec(
     let agg_a = plan.agg_a.map(slice).transpose()?;
     let agg_b = plan.agg_b.map(slice).transpose()?;
 
-    let n = block.len();
+    let n = rows.len();
     stats.rows += n as u64;
     let SelBuf { sel, keys } = buf;
     // Capacity, not contents: `sel`/`keys` keep their maximum length across
@@ -720,7 +761,7 @@ pub fn probe_block_vec(
         let measure = plan.aggregate.eval_i64(agg_a, agg_b, i as usize);
         acc.fold(key, measure, &plan.aggregate)?;
     }
-    Ok(())
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -1008,6 +1049,81 @@ mod tests {
         }
         assert_eq!(merged, scalar);
         assert_eq!(st, st2);
+    }
+
+    #[test]
+    fn row_ranges_probe_like_copies_of_them() {
+        let (data, _q, scan_schema, cols, plan, tables) = fixture();
+        let block = block_of(&data, &scan_schema, &cols);
+        let layout = GroupLayout::new(&plan, &tables).unwrap();
+        let n = block.len();
+        let cuts = [0, 1, 4096, n / 2, n - 1, n];
+        let mut by_range = (
+            GroupAcc::new(&layout, &plan.aggregate),
+            FxHashMap::default(),
+        );
+        let mut by_copy = (
+            GroupAcc::new(&layout, &plan.aggregate),
+            FxHashMap::default(),
+        );
+        let (mut st_range, mut st_copy) = (ProbeStats::default(), ProbeStats::default());
+        let mut buf = SelBuf::default();
+        for w in cuts.windows(2) {
+            let (from, to) = (w[0], w[1]);
+            st_range.add(
+                &probe_range_vec(
+                    &block,
+                    from..to,
+                    &plan,
+                    &tables,
+                    &layout,
+                    &mut by_range.0,
+                    &mut buf,
+                )
+                .unwrap(),
+            );
+            probe_range(
+                &block,
+                from..to,
+                &plan,
+                &tables,
+                &mut by_range.1,
+                &mut st_range,
+            )
+            .unwrap();
+            let copy = block.slice(from, to).unwrap();
+            probe_block_vec(
+                &copy,
+                &plan,
+                &tables,
+                &layout,
+                &mut by_copy.0,
+                &mut buf,
+                &mut st_copy,
+                KernelOpts,
+            )
+            .unwrap();
+            probe_block(&copy, &plan, &tables, &mut by_copy.1, &mut st_copy).unwrap();
+        }
+        assert_eq!(by_range.0.entries(), by_copy.0.entries());
+        assert_eq!(by_range.1, by_copy.1);
+        assert_eq!(st_range, st_copy);
+        // A range outside the block is a typed error from every kernel.
+        let mut st = ProbeStats::default();
+        let mut acc = GroupAcc::new(&layout, &plan.aggregate);
+        assert!(probe_range_vec(
+            &block,
+            n - 1..n + 1,
+            &plan,
+            &tables,
+            &layout,
+            &mut acc,
+            &mut buf,
+        )
+        .is_err());
+        let mut acc = FxHashMap::default();
+        assert!(probe_range(&block, n..n + 1, &plan, &tables, &mut acc, &mut st).is_err());
+        assert_eq!(st, ProbeStats::default(), "nothing was probed");
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Block identifiers and metadata.
 
 use crate::topology::NodeId;
-use std::hash::Hasher;
 
-/// Content checksum for a block payload, computed with the same FxHash the
-/// rest of the stack uses — cheap enough to verify on every replica read,
-/// which is how the datanode detects injected (or real) bit rot.
+/// Content checksum for a block payload: the same FxHash a column chunk's
+/// seal uses ([`clyde_common::hash::hash_bytes`]). A replica is checked
+/// against it until it matches once, which is how the datanode detects
+/// injected (or real) bit rot.
 pub fn block_checksum(data: &[u8]) -> u64 {
-    let mut h = clyde_common::hash::FxHasher::default();
-    h.write(data);
-    h.finish()
+    clyde_common::hash::hash_bytes(data)
 }
 
 /// Globally unique block identifier, allocated by the namenode.

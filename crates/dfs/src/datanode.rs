@@ -5,16 +5,18 @@ use bytes::Bytes;
 use clyde_common::FxHashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// One stored replica: the payload and whether *these bytes* have matched
-/// the namenode's checksum since they were stored. The flag lives and dies
-/// with the payload: the only constructor starts it cleared and nothing
-/// swaps the bytes under it, so whatever changes a replica's bytes
-/// ([`Datanode::store`], [`Datanode::corrupt`], re-replication) yields an
-/// unverified replica by construction.
+/// One stored replica: the payload, whether *these bytes* have matched the
+/// namenode's checksum since they were stored, and whether they have been
+/// found to end in a matching seal ([`clyde_common::hash::seal`]). Both
+/// flags live and die with the payload: the only constructor starts them
+/// cleared and nothing swaps the bytes under them, so whatever changes a
+/// replica's bytes ([`Datanode::store`], [`Datanode::corrupt`],
+/// re-replication) yields an unverified, unsealed replica by construction.
 #[derive(Debug)]
 pub struct Replica {
     data: Bytes,
     verified: AtomicBool,
+    sealed: AtomicBool,
 }
 
 impl Replica {
@@ -22,6 +24,7 @@ impl Replica {
         Replica {
             data,
             verified: AtomicBool::new(false),
+            sealed: AtomicBool::new(false),
         }
     }
 
@@ -40,6 +43,20 @@ impl Replica {
     /// never remembered, so a bad replica is re-hashed on every attempt.
     pub(crate) fn mark_verified(&self) {
         self.verified.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether `data()` has been found to end in the seal of the bytes
+    /// before it (a whole single-block sealed file: one CIF column chunk).
+    pub fn is_sealed(&self) -> bool {
+        // Relaxed, for the reason `is_verified` gives.
+        self.sealed.load(Ordering::Relaxed)
+    }
+
+    /// Record that `data()`'s seal matched. Only the sealed read calls
+    /// this, and only on success, after the replica was verified: a bad
+    /// seal is never remembered, so it is re-checked and fails every read.
+    pub(crate) fn mark_sealed(&self) {
+        self.sealed.store(true, Ordering::Relaxed);
     }
 }
 
@@ -126,6 +143,11 @@ impl Datanode {
         self.blocks.values().filter(|r| r.is_verified()).count()
     }
 
+    /// Replicas currently remembered as sealed (test assertions).
+    pub fn sealed_replicas(&self) -> usize {
+        self.blocks.values().filter(|r| r.is_sealed()).count()
+    }
+
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
@@ -174,22 +196,29 @@ mod tests {
     }
 
     #[test]
-    fn every_byte_change_clears_the_verified_flag() {
+    fn every_byte_change_clears_both_flags() {
         let mut dn = Datanode::new();
+        let mark = |dn: &Datanode| {
+            let r = dn.replica(BlockId(1)).unwrap();
+            r.mark_verified();
+            r.mark_sealed();
+        };
         dn.store(BlockId(1), Bytes::from_static(b"good"));
-        assert!(!dn.replica(BlockId(1)).unwrap().is_verified());
-        dn.replica(BlockId(1)).unwrap().mark_verified();
-        assert_eq!(dn.verified_replicas(), 1);
+        let fresh = dn.replica(BlockId(1)).unwrap();
+        assert!(!fresh.is_verified() && !fresh.is_sealed());
+        mark(&dn);
+        assert_eq!((dn.verified_replicas(), dn.sealed_replicas()), (1, 1));
         assert!(dn.corrupt(BlockId(1)));
-        assert!(!dn.replica(BlockId(1)).unwrap().is_verified());
-        dn.replica(BlockId(1)).unwrap().mark_verified();
+        let rotten = dn.replica(BlockId(1)).unwrap();
+        assert!(!rotten.is_verified() && !rotten.is_sealed());
+        mark(&dn);
         dn.store(BlockId(1), Bytes::from_static(b"new"));
-        assert_eq!(dn.verified_replicas(), 0);
-        dn.replica(BlockId(1)).unwrap().mark_verified();
+        assert_eq!((dn.verified_replicas(), dn.sealed_replicas()), (0, 0));
+        mark(&dn);
         dn.kill();
         dn.restart();
         assert!(dn.replica(BlockId(1)).is_none());
-        assert_eq!(dn.verified_replicas(), 0);
+        assert_eq!((dn.verified_replicas(), dn.sealed_replicas()), (0, 0));
     }
 
     #[test]

@@ -2,14 +2,15 @@
 
 use crate::block::{block_checksum, BlockId, BlockMeta};
 use crate::cache::{CacheCatalog, CacheEntry, CacheStats};
-use crate::datanode::Datanode;
+use crate::datanode::{Datanode, Replica};
 use crate::metrics::{IoMetrics, IoSnapshot, ScanStats};
 use crate::namenode::{FileEntry, Namenode};
 use crate::placement::{BlockPlacementPolicy, DefaultPlacement};
 use crate::topology::{ClusterSpec, NodeId};
 use bytes::Bytes;
 use clyde_common::lockorder::RwLock;
-use clyde_common::{ClydeError, FxHashMap, Result};
+use clyde_common::{hash, ClydeError, FxHashMap, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Configuration for a [`Dfs`] instance.
@@ -72,6 +73,8 @@ pub struct Dfs {
     /// catalog itself is plain data in [`crate::cache`]; this is the one
     /// lock guarding it, never held across a namespace operation.
     cache: RwLock<CacheCatalog>,
+    /// Seals hashed by [`Dfs::read_sealed_tracked`] (test assertions).
+    seal_checks: AtomicU64,
 }
 
 impl Dfs {
@@ -91,6 +94,7 @@ impl Dfs {
                 datanodes,
             }),
             cache: RwLock::new(CacheCatalog::new()),
+            seal_checks: AtomicU64::new(0),
         })
     }
 
@@ -247,21 +251,70 @@ impl Dfs {
         reader: Option<NodeId>,
         stats: Option<&ScanStats>,
     ) -> Result<Bytes> {
+        self.read_whole(path, reader, stats, false)
+    }
+
+    /// Like [`Dfs::read_file_tracked`], for a *sealed* file — one whose last
+    /// [`hash::SEAL_LEN`] bytes are the seal of the rest
+    /// ([`clyde_common::hash::seal`]; every CIF column chunk is one). The
+    /// seal is checked before the bytes are returned, and a mismatch is a
+    /// typed error on every read. For a single-block file the check follows
+    /// the block checksum's verify-once rule: the first read that finds a
+    /// replica's seal matching sets a flag next to its `verified` flag, and
+    /// later reads of that replica skip the hash. A multi-block file is
+    /// assembled per read, so its seal is checked on every read.
+    pub fn read_sealed_tracked(
+        &self,
+        path: &str,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+    ) -> Result<Bytes> {
+        self.read_whole(path, reader, stats, true)
+    }
+
+    fn read_whole(
+        &self,
+        path: &str,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+        sealed: bool,
+    ) -> Result<Bytes> {
         let state = self.state.read();
         let entry = state.namenode.file(path)?;
         if let &[block] = entry.blocks.as_slice() {
             // Fast path: single-block files return the stored Bytes directly.
-            let (data, local) = self.fetch_block(&state, block, reader)?;
-            self.account_read(reader, stats, local, data.len() as u64)?;
-            return Ok(data);
+            let (replica, local) = self.fetch_block(&state, block, reader)?;
+            self.account_read(reader, stats, local, replica.data().len() as u64)?;
+            if sealed && !replica.is_sealed() {
+                self.check_seal(path, replica.data())?;
+                replica.mark_sealed();
+            }
+            return Ok(replica.data().clone());
         }
         let mut out = Vec::with_capacity(entry.len as usize);
         for &b in &entry.blocks {
-            let (data, local) = self.fetch_block(&state, b, reader)?;
-            self.account_read(reader, stats, local, data.len() as u64)?;
-            out.extend_from_slice(&data);
+            let (replica, local) = self.fetch_block(&state, b, reader)?;
+            self.account_read(reader, stats, local, replica.data().len() as u64)?;
+            out.extend_from_slice(replica.data());
+        }
+        if sealed {
+            self.check_seal(path, &out)?;
         }
         Ok(Bytes::from(out))
+    }
+
+    /// Hash `data`'s body against its trailing seal. The replica it came
+    /// from matched the namenode checksum, so every replica holds these
+    /// bytes: a mismatch is damage from before the write, and no replica
+    /// can serve the file.
+    fn check_seal(&self, path: &str, data: &[u8]) -> Result<()> {
+        self.seal_checks.fetch_add(1, Ordering::Relaxed);
+        match hash::unseal(data) {
+            Some(_) => Ok(()),
+            None => Err(ClydeError::Format(format!(
+                "column checksum mismatch in {path}"
+            ))),
+        }
     }
 
     /// Fetch one replica of `meta` from `node`, verified against the
@@ -275,7 +328,12 @@ impl Dfs {
     /// checksum-and-retry path.
     ///
     /// [`Replica`]: crate::datanode::Replica
-    fn verified(&self, state: &State, meta: &BlockMeta, node: NodeId) -> Option<Bytes> {
+    fn verified<'s>(
+        &self,
+        state: &'s State,
+        meta: &BlockMeta,
+        node: NodeId,
+    ) -> Option<&'s Replica> {
         let replica = state.datanodes.get(node.0)?.replica(meta.id)?;
         if !replica.is_verified() {
             if block_checksum(replica.data()) != meta.checksum {
@@ -284,24 +342,24 @@ impl Dfs {
             }
             replica.mark_verified();
         }
-        Some(replica.data().clone())
+        Some(replica)
     }
 
     /// Locate and return a block's payload, preferring a replica on the
     /// reading node (HDFS short-circuit read). Returns whether the read was
     /// local. Does **not** account the bytes — callers do, so range reads
     /// can credit only the bytes they actually return.
-    fn fetch_block(
+    fn fetch_block<'s>(
         &self,
-        state: &State,
+        state: &'s State,
         block: BlockId,
         reader: Option<NodeId>,
-    ) -> Result<(Bytes, bool)> {
+    ) -> Result<(&'s Replica, bool)> {
         let meta = state.namenode.block(block)?;
         if let Some(r) = reader {
             if meta.is_local_to(r) {
-                if let Some(data) = self.verified(state, meta, r) {
-                    return Ok((data, true));
+                if let Some(replica) = self.verified(state, meta, r) {
+                    return Ok((replica, true));
                 }
             }
         }
@@ -311,8 +369,8 @@ impl Dfs {
             if Some(rep) == reader {
                 continue;
             }
-            if let Some(data) = self.verified(state, meta, rep) {
-                return Ok((data, false));
+            if let Some(replica) = self.verified(state, meta, rep) {
+                return Ok((replica, false));
             }
         }
         Err(ClydeError::Dfs(format!(
@@ -383,7 +441,8 @@ impl Dfs {
         for &b in &entry.blocks {
             let block_end = block_start + state.namenode.block(b)?.len;
             if block_end > offset && block_start < end {
-                let (data, local) = self.fetch_block(&state, b, reader)?;
+                let (replica, local) = self.fetch_block(&state, b, reader)?;
+                let data = replica.data();
                 let from = offset.saturating_sub(block_start) as usize;
                 let to = (end.min(block_end) - block_start) as usize;
                 if to > data.len() {
@@ -725,6 +784,24 @@ impl Dfs {
             .iter()
             .map(Datanode::verified_replicas)
             .collect()
+    }
+
+    /// Per-node count of replicas remembered as sealed: single-block files
+    /// whose seal a [`Dfs::read_sealed_tracked`] found matching on *these
+    /// bytes* (test assertions, like [`Dfs::verified_replicas_per_node`]).
+    pub fn sealed_replicas_per_node(&self) -> Vec<usize> {
+        self.state
+            .read()
+            .datanodes
+            .iter()
+            .map(Datanode::sealed_replicas)
+            .collect()
+    }
+
+    /// Seals hashed by sealed reads so far (test assertions: a read of a
+    /// sealed replica adds none).
+    pub fn seal_checks(&self) -> u64 {
+        self.seal_checks.load(Ordering::Relaxed)
     }
 
     /// Per-node used bytes (capacity accounting / test assertions).

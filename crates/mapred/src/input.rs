@@ -13,7 +13,7 @@
 
 use crate::conf::JobConf;
 use crate::task::TaskIo;
-use clyde_common::{ClydeError, Result, Row, RowBlock};
+use clyde_common::{ClydeError, Result, Row, RowBlock, RowRange};
 use clyde_dfs::{Dfs, NodeId};
 
 /// How a split's data is addressed.
@@ -64,6 +64,14 @@ pub trait RecordReader: Send {
 pub trait BlockReader: Send {
     /// The next block of rows, or `None` at end of split.
     fn next_block(&mut self) -> Result<Option<RowBlock>>;
+
+    /// The next block as a row range of a shared block, or `None` at end of
+    /// split. By default the block [`BlockReader::next_block`] returns,
+    /// whole; a reader that holds a decoded row group overrides this to
+    /// hand out ranges of the group instead of copies of them.
+    fn next_range(&mut self) -> Result<Option<RowRange>> {
+        Ok(self.next_block()?.map(RowRange::whole))
+    }
 }
 
 /// Either reader shape, as constructed by an [`InputFormat`].
@@ -111,8 +119,8 @@ pub trait InputFormat: Send + Sync {
 /// storage format can be driven through the slow iteration model.
 pub struct RowsFromBlocks {
     inner: Box<dyn BlockReader>,
-    current: Option<RowBlock>,
-    pos: usize,
+    /// The range being materialized; its `rows.start` is the next row.
+    current: Option<RowRange>,
 }
 
 impl RowsFromBlocks {
@@ -120,7 +128,6 @@ impl RowsFromBlocks {
         RowsFromBlocks {
             inner,
             current: None,
-            pos: 0,
         }
     }
 }
@@ -128,17 +135,16 @@ impl RowsFromBlocks {
 impl RecordReader for RowsFromBlocks {
     fn next(&mut self) -> Result<Option<(Row, Row)>> {
         loop {
-            if let Some(block) = &self.current {
-                if self.pos < block.len() {
-                    let row = block.row(self.pos);
-                    self.pos += 1;
-                    return Ok(Some((Row::empty(), row)));
+            if let Some(range) = &mut self.current {
+                if let Some(i) = range.rows.next() {
+                    return Ok(Some((Row::empty(), range.block.row(i))));
                 }
             }
-            match self.inner.next_block()? {
-                Some(b) => {
-                    self.current = Some(b);
-                    self.pos = 0;
+            match self.inner.next_range()? {
+                Some(range) => {
+                    // Every row the loop above reads lies inside the block.
+                    range.block.check_rows(range.rows.clone())?;
+                    self.current = Some(range);
                 }
                 None => return Ok(None),
             }

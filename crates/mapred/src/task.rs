@@ -53,6 +53,13 @@ impl TaskIo {
             .read_file_tracked(path, self.node, Some(&self.stats))
     }
 
+    /// Read a sealed file (a CIF column chunk), its seal checked once per
+    /// stored replica ([`Dfs::read_sealed_tracked`]).
+    pub fn read_sealed(&self, path: &str) -> Result<Bytes> {
+        self.dfs
+            .read_sealed_tracked(path, self.node, Some(&self.stats))
+    }
+
     pub fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
         self.dfs
             .read_range_tracked(path, offset, len, self.node, Some(&self.stats))

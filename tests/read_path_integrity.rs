@@ -6,6 +6,11 @@
 //!   corruption, node loss and re-replication all leave unverified
 //!   replicas, a failed check is never remembered, and a bad replica is
 //!   re-hashed (and counted) on every attempt.
+//! * **Verify-once chunk seals.** The CIF scan's sealed read hashes a
+//!   chunk replica's seal until it matches once, then remembers it beside
+//!   the verified flag; a repeated query hashes no seal. A chunk sealed
+//!   wrong before it was written fails every read, and corruption, node
+//!   loss and re-replication leave only unsealed replicas.
 //! * **Bulk column decode.** `decode_column` equals the element-at-a-time
 //!   decoder it replaced (kept here as the oracle) on every column and
 //!   encoding, and turns arbitrary, truncated, bit-flipped and crafted
@@ -18,9 +23,9 @@
 //!   open and per-file planning lookups produced.
 
 use clyde_columnar::encoding::{decode_column, encode_column, Encoding};
-use clyde_columnar::{roll_out, CifAppender, CifInputFormat, CifReader};
+use clyde_columnar::{roll_out, CifAppender, CifInputFormat, CifReader, CifWriter};
 use clyde_common::hash::FxHasher;
-use clyde_common::{varint, ColumnData, DatumType, Row};
+use clyde_common::{varint, ColumnData, DatumType, Field, Row, Schema};
 use clyde_dfs::{
     BlockPlacementPolicy, ClusterSpec, ColocatingPlacement, DefaultPlacement, Dfs, DfsOptions,
     NodeId,
@@ -188,6 +193,26 @@ fn range_reads_are_bounds_checked_without_overflow() {
 /// a clean replica both get the bytes and it ends up verified; on a bad one
 /// both fail over and both attempts are counted. The barrier forces the
 /// reads to start together; the outcome must not depend on who wins.
+/// `read(0)` and `read(1)` on two threads released together by a barrier,
+/// so both reach the replica before either has flagged it; the results in
+/// thread order.
+fn race_two<T: Send>(read: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let barrier = Barrier::new(2);
+    // clyde-lint: allow(concurrency, reason=the racing tests force two readers onto one replica's first check)
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let (read, barrier) = (&read, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    read(t)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
 #[test]
 fn racing_first_reads_of_one_replica_agree() {
     for round in 0..50 {
@@ -200,23 +225,12 @@ fn racing_first_reads_of_one_replica_agree() {
             dfs.hosts("/f").unwrap()[0]
         };
         let before = corrupt_reads(&dfs);
-        let barrier = Barrier::new(2);
-        // clyde-lint: allow(concurrency, reason=the test forces two readers onto one replica's first verification)
-        let reads: Vec<Vec<u8>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|t| {
-                    let (dfs, barrier) = (&dfs, &barrier);
-                    s.spawn(move || {
-                        barrier.wait();
-                        if t == 0 {
-                            dfs.read_file("/f", Some(node)).unwrap().to_vec()
-                        } else {
-                            dfs.read_range("/f", 0, 200, Some(node)).unwrap().to_vec()
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let reads = race_two(|t| {
+            if t == 0 {
+                dfs.read_file("/f", Some(node)).unwrap().to_vec()
+            } else {
+                dfs.read_range("/f", 0, 200, Some(node)).unwrap().to_vec()
+            }
         });
         assert!(reads.iter().all(|r| r == &data), "round {round}");
         assert_eq!(corrupt_reads(&dfs) - before, if corrupt { 2 } else { 0 });
@@ -224,6 +238,223 @@ fn racing_first_reads_of_one_replica_agree() {
             dfs.verified_replicas_per_node()[node.0],
             usize::from(!corrupt)
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (a') verify-once chunk seals
+// ---------------------------------------------------------------------------
+
+fn sealed_replicas(dfs: &Dfs) -> usize {
+    dfs.sealed_replicas_per_node().iter().sum()
+}
+
+/// An encoded `i32` column chunk whose seal is wrong: the damage happened
+/// before the bytes were written, so every replica carries it and matches
+/// the block checksum.
+fn sealed_wrong(col: &ColumnData) -> Vec<u8> {
+    let mut chunk = encode_column(col, Encoding::Plain).unwrap();
+    *chunk.last_mut().unwrap() ^= 0x01;
+    chunk
+}
+
+/// A one-group CIF table `/t` of two `i32` columns, `good` and `bad`; the
+/// chunk of `bad` is sealed wrong when `damage` is set.
+fn two_column_table(dfs: &Arc<Dfs>, damage: bool) -> CifReader {
+    let schema = Schema::new(vec![Field::i32("good"), Field::i32("bad")]);
+    let col = ColumnData::I32((0..100).collect());
+    let good = encode_column(&col, Encoding::Plain).unwrap();
+    let bad = if damage {
+        sealed_wrong(&col)
+    } else {
+        good.clone()
+    };
+    let mut w = CifWriter::new(Arc::clone(dfs), "/t", schema, 100).unwrap();
+    w.write_group(100, &[good, bad]).unwrap();
+    w.close().unwrap();
+    CifReader::open(dfs, "/t").unwrap()
+}
+
+#[test]
+fn a_chunk_sealed_wrong_before_it_was_written_fails_every_read_group() {
+    // Single-block chunks (verify-once) and chunks cut into 64-byte blocks
+    // (assembled, so checked on every read).
+    for block_size in [1 << 20, 64] {
+        let dfs = Dfs::new(
+            ClusterSpec::tiny(3),
+            DfsOptions {
+                block_size,
+                replication: 2,
+                policy: Box::new(ColocatingPlacement),
+            },
+        );
+        let reader = two_column_table(&dfs, true);
+        let hosts = reader.group_hosts(&dfs, 0).unwrap();
+        assert_eq!(hosts.len(), 2);
+        for attempt in 0..3 {
+            for &h in &hosts {
+                let io = TaskIo::new(Arc::clone(&dfs), h);
+                let before = dfs.seal_checks();
+                let err = reader.read_group(&io, 0, &[0, 1]).unwrap_err();
+                assert!(
+                    err.to_string().contains("checksum mismatch"),
+                    "{block_size}: {err}"
+                );
+                // The bad seal is hashed again on every attempt.
+                let bad_alone = dfs.seal_checks();
+                assert!(bad_alone > before, "attempt {attempt}");
+                assert!(reader.read_group(&io, 0, &[1]).is_err());
+                assert_eq!(dfs.seal_checks(), bad_alone + 1, "attempt {attempt}");
+                // The undamaged column alone still reads.
+                reader.read_group(&io, 0, &[0]).unwrap();
+            }
+        }
+        // The bytes matched the block checksum: nothing is corrupt, and
+        // nothing is remembered about the bad seal.
+        assert_eq!(corrupt_reads(&dfs), 0);
+        let good_seals = if block_size == 64 { 0 } else { 2 };
+        assert_eq!(sealed_replicas(&dfs), good_seals, "{block_size}");
+        // The public decoder rejects the same chunk on every call.
+        let bad = dfs.read_file("/t/rg000000/bad.col", None).unwrap();
+        assert!(decode_column(&bad).is_err());
+    }
+}
+
+#[test]
+fn one_scan_seals_every_chunk_it_read_and_a_repeat_checks_none() {
+    let (dfs, layout, gen) = load_ssb(3, Box::new(ColocatingPlacement));
+    let data = gen.gen_all();
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
+    clyde.warm_dimension_cache().unwrap();
+    let groups = CifReader::open(&dfs, &layout.fact_cif())
+        .unwrap()
+        .meta()
+        .num_groups();
+    // Q2.1 prunes no group; Q4.1 reads two more columns of every group.
+    let q21 = query_by_id("Q2.1").unwrap();
+    let q41 = query_by_id("Q4.1").unwrap();
+    let cols = |q: &clyde_ssb::queries::StarQuery| q.fact_columns();
+    let new_in_q41 = cols(&q41)
+        .iter()
+        .filter(|c| !cols(&q21).contains(c))
+        .count();
+    assert!(new_in_q41 > 0);
+
+    assert_eq!((dfs.seal_checks(), sealed_replicas(&dfs)), (0, 0));
+    let first = clyde.query(&q21).unwrap().rows;
+    assert_eq!(first, reference_answer(&data, &q21).unwrap());
+    // Every chunk was read once, from one replica, and that replica is now
+    // sealed.
+    let read = (groups * cols(&q21).len()) as u64;
+    assert_eq!(dfs.seal_checks(), read);
+    assert_eq!(sealed_replicas(&dfs) as u64, read);
+    // The same query again hashes no seal and answers the same.
+    assert_eq!(clyde.query(&q21).unwrap().rows, first);
+    assert_eq!(dfs.seal_checks(), read);
+
+    // A query over more columns hashes its new chunks, and old ones only
+    // where it reads a replica Q2.1 did not (its groups balance over the
+    // nodes by projected bytes): every hash sealed a replica read first.
+    let more = clyde.query(&q41).unwrap().rows;
+    assert_eq!(more, reference_answer(&data, &q41).unwrap());
+    let read_more = dfs.seal_checks();
+    assert!(read_more >= read + (groups * new_in_q41) as u64);
+    assert_eq!(sealed_replicas(&dfs) as u64, read_more);
+    assert_eq!(clyde.query(&q41).unwrap().rows, more);
+    assert_eq!(clyde.query(&q21).unwrap().rows, first);
+    assert_eq!(dfs.seal_checks(), read_more);
+}
+
+#[test]
+fn corruption_node_loss_and_rereplication_leave_only_unsealed_replicas() {
+    let dfs = Dfs::new(
+        ClusterSpec::tiny(3),
+        DfsOptions {
+            block_size: 1 << 20,
+            replication: 2,
+            policy: Box::new(DefaultPlacement),
+        },
+    );
+    let chunk = encode_column(&ColumnData::I32((0..100).collect()), Encoding::Plain).unwrap();
+    dfs.write_file("/c", None, &chunk).unwrap();
+    let read_on = |n: NodeId| {
+        let io = TaskIo::new(Arc::clone(&dfs), n);
+        assert_eq!(&io.read_sealed("/c").unwrap()[..], &chunk[..]);
+    };
+    let sealed_on = |n: NodeId| dfs.sealed_replicas_per_node()[n.0];
+    let hosts = dfs.hosts("/c").unwrap();
+    for &h in &hosts {
+        read_on(h);
+        read_on(h);
+    }
+    // Each replica's seal was hashed once.
+    assert_eq!((dfs.seal_checks(), sealed_replicas(&dfs)), (2, 2));
+
+    // A rotten replica is a new, unsealed one; reads on its node fall over
+    // to the sealed sibling and hash nothing.
+    assert_eq!(dfs.inject_corruption(46, 1), 1);
+    assert_eq!(sealed_replicas(&dfs), 1);
+    let survivor = *hosts.iter().find(|&&h| sealed_on(h) == 1).unwrap();
+    for &h in &hosts {
+        read_on(h);
+    }
+    assert!(corrupt_reads(&dfs) > 0);
+    assert_eq!((dfs.seal_checks(), sealed_replicas(&dfs)), (2, 1));
+
+    // Re-replication scrubs the rotten copy and copies bytes, never flags:
+    // the copy's first sealed read hashes it.
+    assert_eq!(dfs.rereplicate().unwrap(), 1);
+    let copy = dfs
+        .hosts("/c")
+        .unwrap()
+        .into_iter()
+        .find(|&h| h != survivor)
+        .unwrap();
+    assert_eq!(sealed_on(copy), 0);
+    read_on(copy);
+    read_on(copy);
+    assert_eq!((dfs.seal_checks(), sealed_on(copy)), (3, 1));
+
+    // A lost node takes its flags with it and restarts empty.
+    dfs.kill_node(survivor);
+    assert_eq!(sealed_on(survivor), 0);
+    dfs.restart_node(survivor);
+    assert_eq!(sealed_on(survivor), 0);
+    assert_eq!(sealed_replicas(&dfs), 1);
+}
+
+/// Two threads racing the first sealed read of one chunk replica agree: on
+/// a good chunk both get the bytes and the replica ends up sealed; on a
+/// chunk sealed wrong both get the typed error and it stays unsealed.
+#[test]
+fn racing_first_reads_of_one_chunk_agree() {
+    for round in 0..50 {
+        let dfs = Dfs::for_tests(3);
+        let damage = round % 2 == 1;
+        let reader = two_column_table(&dfs, damage);
+        let node = reader.group_hosts(&dfs, 0).unwrap()[0];
+        let ios = [0, 1].map(|_| TaskIo::new(Arc::clone(&dfs), node));
+        let reads = race_two(|t| {
+            reader
+                .read_group(&ios[t], 0, &[1])
+                .map(|b| b.column(0).as_i32().to_vec())
+                .map_err(|e| e.to_string())
+        });
+        if damage {
+            assert!(reads.iter().all(Result::is_err), "round {round}");
+        } else {
+            let want: Vec<i32> = (0..100).collect();
+            assert!(
+                reads.iter().all(|r| r.as_ref() == Ok(&want)),
+                "round {round}"
+            );
+        }
+        assert_eq!(
+            dfs.sealed_replicas_per_node()[node.0],
+            usize::from(!damage),
+            "round {round}"
+        );
+        assert!((1..=2).contains(&dfs.seal_checks()), "round {round}");
     }
 }
 

@@ -26,7 +26,7 @@
 use clyde_bench::{cli, gate};
 use clyde_common::obs::json::Json;
 use clyde_common::obs::WallTimer;
-use clyde_common::{rowcodec, FxHashMap, RowBlock, RowBlockBuilder};
+use clyde_common::{rowcodec, FxHashMap, Row, RowBlock, RowBlockBuilder};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::{query_by_id, schema, StarQuery};
 use clydesdale::hashtable::DimTables;
@@ -99,7 +99,8 @@ fn build_fixture(data: &clyde_ssb::SsbData, qid: &'static str) -> QueryFixture {
         .map(|chunk| {
             let mut b = RowBlockBuilder::new(&dtypes);
             for r in chunk {
-                b.push_row(&r.project(&cols)).unwrap();
+                b.push_row(&cols.iter().map(|&c| r.at(c).clone()).collect::<Row>())
+                    .unwrap();
             }
             b.finish()
         })
@@ -305,7 +306,7 @@ fn main() {
     let sf = args.sf(0.01);
 
     eprintln!("generating SSB at SF {sf}...");
-    let data = SsbGen::new(sf, 46).gen_all();
+    let data = SsbGen::new(sf, 46).gen_all().unwrap();
     eprintln!(
         "probing {} rows in blocks of {ROWS_PER_BLOCK} (best of {TIMED_ITERS}, \
          >= {MIN_ITER_SECS}s per timed iteration)...",

@@ -169,7 +169,8 @@ pub fn measure_with_obs(
     let (dfs, layout) = config.testbed(3, what.hive)?;
     let reference_data = config
         .validate
-        .then(|| SsbGen::new(config.sf, config.seed).gen_all());
+        .then(|| SsbGen::new(config.sf, config.seed).gen_all())
+        .transpose()?;
 
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone()).with_obs(Arc::clone(&obs));
     clyde.warm_dimension_cache()?;

@@ -281,7 +281,7 @@ impl CifReader {
             .map_err(|_| ClydeError::Format(format!("row group {group} has {expected} rows")))?;
         let mut columns = Vec::with_capacity(col_indices.len());
         for &ci in col_indices {
-            let name = &self.meta.schema.field(ci).name;
+            let name = self.column_name(ci)?;
             let data = io.read_sealed(&self.meta.column_path(group, name))?;
             let col = decode_verified(&data)?;
             if col.len() != rows {
@@ -370,7 +370,7 @@ impl CifReader {
         })?;
         if let Some(missing) = seen.iter().position(|&s| !s) {
             let (g, c) = (missing / n_cols, missing % n_cols);
-            let name = &self.meta.schema.field(c).name;
+            let name = self.column_name(c)?;
             return Err(ClydeError::Dfs(format!(
                 "no such file: {}",
                 self.meta.column_path(g, name)
@@ -414,9 +414,7 @@ impl CifReader {
         let mut rows = Vec::with_capacity(self.meta.total_rows() as usize);
         for g in 0..self.meta.num_groups() {
             let block = self.read_group_all(&io, g)?;
-            for i in 0..block.len() {
-                rows.push(block.row(i));
-            }
+            rows.extend(block.rows());
         }
         Ok(rows)
     }
@@ -424,6 +422,15 @@ impl CifReader {
     /// Find a column's index by name.
     pub fn column_index(&self, name: &str) -> Result<usize> {
         self.meta.schema.index_of(name)
+    }
+
+    /// The name of column `c`; a column the table does not have is a typed
+    /// error.
+    fn column_name(&self, c: usize) -> Result<&str> {
+        let fields = self.meta.schema.fields();
+        fields.get(c).map(|f| f.name.as_str()).ok_or_else(|| {
+            ClydeError::Format(format!("column {c} of a {}-column table", fields.len()))
+        })
     }
 }
 
@@ -480,8 +487,8 @@ pub(crate) mod tests {
         let io = TaskIo::client(Arc::clone(&dfs));
         let block = reader.read_group(&io, 0, &[0, 2]).unwrap();
         assert_eq!(block.num_columns(), 2);
-        assert_eq!(block.column(0).as_i32()[5], 5);
-        assert_eq!(block.column(1).as_i64()[5], 50);
+        assert_eq!(block.columns()[0].get(5), Some(Datum::I32(5)));
+        assert_eq!(block.columns()[1].get(5), Some(Datum::I64(50)));
         // Byte accounting: two columns cost less than all three.
         let partial = reader.locate_groups(&dfs, &[0, 2]).unwrap();
         let full = reader.locate_groups(&dfs, &[0, 1, 2]).unwrap();

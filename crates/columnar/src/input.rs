@@ -392,9 +392,7 @@ mod tests {
                 match fmt.open(s, part, &io).unwrap() {
                     Reader::Blocks(mut b) => {
                         while let Some(blk) = b.next_block().unwrap() {
-                            for i in 0..blk.len() {
-                                rows.push(blk.row(i));
-                            }
+                            rows.extend(blk.rows());
                         }
                     }
                     Reader::Rows(mut r) => {
@@ -535,9 +533,7 @@ mod tests {
             for part in 0..s.spec.num_parts() {
                 let mut b = fmt.open(s, part, &io).unwrap().into_blocks().unwrap();
                 while let Some(blk) = b.next_block().unwrap() {
-                    for i in 0..blk.len() {
-                        rows.push(blk.row(i));
-                    }
+                    rows.extend(blk.rows());
                 }
             }
         }

@@ -217,7 +217,7 @@ impl RcFileWriter {
                 offset: self.data.bytes_written(),
                 len: chunk.len() as u64,
             });
-            self.data.write_all(chunk);
+            self.data.write_all(chunk)?;
         }
         self.meta.group_rows.push(rows);
         self.meta.chunks.push(locs);
@@ -290,9 +290,7 @@ impl RcFileReader {
         let mut rows = Vec::with_capacity(self.meta.total_rows() as usize);
         for g in 0..self.meta.num_groups() {
             let block = self.read_group(&io, g, &cols)?;
-            for i in 0..block.len() {
-                rows.push(block.row(i));
-            }
+            rows.extend(block.rows());
         }
         Ok(rows)
     }

@@ -42,10 +42,10 @@ impl TextWriter {
                     )));
                 }
             }
-            write!(self.buf, "{d}").expect("string formatting cannot fail");
+            write!(self.buf, "{d}").map_err(|e| ClydeError::Format(e.to_string()))?;
         }
         self.buf.push('\n');
-        self.writer.write_all(self.buf.as_bytes());
+        self.writer.write_all(self.buf.as_bytes())?;
         Ok(())
     }
 
@@ -170,7 +170,7 @@ impl InputFormat for TextInputFormat {
         let logical_end = (*len as usize).min(text.len());
         let mut rows = Vec::new();
         let mut pos = start;
-        while pos < text.len() {
+        for line in text.get(start..).unwrap_or_default().split_inclusive('\n') {
             // Hadoop convention: consume lines whose start is <= the split
             // boundary (a line starting exactly at the boundary belongs to
             // this split; the next split, having offset > 0, skips it as its
@@ -178,33 +178,21 @@ impl InputFormat for TextInputFormat {
             if pos > logical_end {
                 break;
             }
-            let rest = &text[pos..];
-            let (line, consumed) = match rest.find('\n') {
-                Some(nl) => (&rest[..nl], nl + 1),
-                None => (rest, rest.len()),
-            };
-            if !line.is_empty() {
-                rows.push(parse_line(line, &self.schema)?);
+            let body = line.strip_suffix('\n').unwrap_or(line);
+            if !body.is_empty() {
+                rows.push(parse_line(body, &self.schema)?);
             }
-            pos += consumed;
+            pos += line.len();
         }
-        Ok(Reader::Rows(Box::new(TextRows { rows, pos: 0 })))
+        Ok(Reader::Rows(Box::new(TextRows(rows.into_iter()))))
     }
 }
 
-struct TextRows {
-    rows: Vec<Row>,
-    pos: usize,
-}
+struct TextRows(std::vec::IntoIter<Row>);
 
 impl RecordReader for TextRows {
     fn next(&mut self) -> Result<Option<(Row, Row)>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let r = self.rows[self.pos].clone();
-        self.pos += 1;
-        Ok(Some((Row::empty(), r)))
+        Ok(self.0.next().map(|r| (Row::empty(), r)))
     }
 }
 

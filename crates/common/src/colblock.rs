@@ -65,14 +65,15 @@ impl ColumnData {
         self.len() == 0
     }
 
-    /// Value at `i` as a [`Datum`] (allocation-free except for the enum).
-    pub fn get(&self, i: usize) -> Datum {
-        match self {
-            ColumnData::I32(v) => Datum::I32(v[i]),
-            ColumnData::I64(v) => Datum::I64(v[i]),
-            ColumnData::F64(v) => Datum::F64(v[i]),
-            ColumnData::Str(v) => Datum::Str(Arc::clone(&v[i])),
-        }
+    /// Value at `i` as a [`Datum`] (allocation-free except for the enum),
+    /// `None` past the end.
+    pub fn get(&self, i: usize) -> Option<Datum> {
+        Some(match self {
+            ColumnData::I32(v) => Datum::I32(*v.get(i)?),
+            ColumnData::I64(v) => Datum::I64(*v.get(i)?),
+            ColumnData::F64(v) => Datum::F64(*v.get(i)?),
+            ColumnData::Str(v) => Datum::Str(Arc::clone(v.get(i)?)),
+        })
     }
 
     /// Append a datum; errors on type mismatch (NULLs are not supported in
@@ -93,36 +94,6 @@ impl ColumnData {
             }
         }
         Ok(())
-    }
-
-    /// Typed slice accessors for hot loops. Panic if the type is wrong —
-    /// callers have already validated against the schema.
-    pub fn as_i32(&self) -> &[i32] {
-        match self {
-            ColumnData::I32(v) => v,
-            other => panic!("expected i32 column, found {}", other.dtype()),
-        }
-    }
-
-    pub fn as_i64(&self) -> &[i64] {
-        match self {
-            ColumnData::I64(v) => v,
-            other => panic!("expected i64 column, found {}", other.dtype()),
-        }
-    }
-
-    pub fn as_f64(&self) -> &[f64] {
-        match self {
-            ColumnData::F64(v) => v,
-            other => panic!("expected f64 column, found {}", other.dtype()),
-        }
-    }
-
-    pub fn as_str(&self) -> &[Arc<str>] {
-        match self {
-            ColumnData::Str(v) => v,
-            other => panic!("expected str column, found {}", other.dtype()),
-        }
     }
 
     /// Approximate heap footprint in bytes.
@@ -185,21 +156,28 @@ impl RowBlock {
         self.columns.len()
     }
 
-    pub fn column(&self, i: usize) -> &ColumnData {
-        &self.columns[i]
-    }
-
     pub fn columns(&self) -> &[ColumnData] {
         &self.columns
     }
 
-    /// Materialize row `i` (the row-at-a-time path; allocates once). One
-    /// spare slot is reserved, so a reader that appends a field — the union
-    /// input's source tag — does not reallocate the row.
-    pub fn row(&self, i: usize) -> Row {
+    /// Materialize row `i` (the row-at-a-time path; allocates once), `None`
+    /// past the end. One spare slot is reserved, so a reader that appends a
+    /// field — the union input's source tag — does not reallocate the row.
+    pub fn row(&self, i: usize) -> Option<Row> {
+        if i >= self.len || self.columns.iter().any(|c| i >= c.len()) {
+            return None;
+        }
+        // Every column has row `i` (checked above), so no field falls back
+        // to NULL. An exactly sized `extend` is half the cost of a checked
+        // `push` per field on the Hive row path.
         let mut row = Row::with_capacity(self.columns.len() + 1);
-        row.extend(self.columns.iter().map(|c| c.get(i)));
-        row
+        row.extend(self.columns.iter().map(|c| c.get(i).unwrap_or(Datum::Null)));
+        Some(row)
+    }
+
+    /// Every row in order, materialized one at a time.
+    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.len).map_while(|i| self.row(i))
     }
 
     /// Take a sub-range of rows `[from, to)` as a new block (copies). The
@@ -340,8 +318,9 @@ mod tests {
         c.push(&Datum::I32(1)).unwrap();
         c.push(&Datum::I32(2)).unwrap();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(1), Datum::I32(2));
-        assert_eq!(c.as_i32(), &[1, 2]);
+        assert_eq!(c.get(1), Some(Datum::I32(2)));
+        assert_eq!(c.get(2), None);
+        assert_eq!(c, ColumnData::I32(vec![1, 2]));
         assert!(c.push(&Datum::str("x")).is_err());
     }
 
@@ -349,13 +328,7 @@ mod tests {
     fn i32_widens_into_i64_column() {
         let mut c = ColumnData::new(DatumType::I64);
         c.push(&Datum::I32(7)).unwrap();
-        assert_eq!(c.as_i64(), &[7i64]);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected i32 column")]
-    fn typed_accessor_panics_on_mismatch() {
-        ColumnData::new(DatumType::Str).as_i32();
+        assert_eq!(c, ColumnData::I64(vec![7]));
     }
 
     #[test]
@@ -373,8 +346,11 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(blk.len(), 2);
-        assert_eq!(blk.row(0), row![1i32, "a"]);
-        assert_eq!(blk.row(1), row![2i32, "b"]);
+        assert_eq!(blk.row(0), Some(row![1i32, "a"]));
+        assert_eq!(blk.row(1), Some(row![2i32, "b"]));
+        assert_eq!(blk.row(2), None);
+        let all: Vec<Row> = blk.rows().collect();
+        assert_eq!(all, vec![row![1i32, "a"], row![2i32, "b"]]);
     }
 
     #[test]
@@ -382,7 +358,7 @@ mod tests {
         let blk = RowBlock::new(vec![ColumnData::I64(vec![1, 2, 3, 4])]).unwrap();
         let s = blk.slice(1, 3).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.column(0).as_i64(), &[2, 3]);
+        assert_eq!(s.columns(), &[ColumnData::I64(vec![2, 3])]);
         // Ranges outside the block are typed errors, not panics.
         assert!(blk.slice(3, 5).is_err());
         assert!(blk.slice(3, 1).is_err());
@@ -409,11 +385,11 @@ mod tests {
         assert!(b.push_row(&row![1i32]).is_err());
         let blk = b.take();
         assert_eq!(blk.len(), 2);
-        assert_eq!(blk.row(1), row![6i32, "y"]);
+        assert_eq!(blk.row(1), Some(row![6i32, "y"]));
         // The builder is empty again and keeps its column types.
         assert!(b.is_empty());
         b.push_row(&row![7i32, "z"]).unwrap();
-        assert_eq!(b.finish().row(0), row![7i32, "z"]);
+        assert_eq!(b.finish().row(0), Some(row![7i32, "z"]));
     }
 
     #[test]

@@ -157,6 +157,7 @@ mod track {
                 if e.instance == instance
                     && !(e.access == Access::Shared && access == Access::Shared)
                 {
+                    // clyde-lint: allow(panicfree, reason=debug-build deadlock detector: the abort is the check)
                     panic!(
                         "lock-order checker: recursive acquisition of the lock \
                          constructed at {class} on one thread (guaranteed deadlock)",
@@ -203,6 +204,7 @@ mod track {
             }
         });
         if let Some((holding, _)) = cycle {
+            // clyde-lint: allow(panicfree, reason=debug-build deadlock detector: the abort is the check)
             panic!(
                 "lock-order checker: acquiring the lock constructed at {class} while \
                  holding the one from {holding} inverts an acquisition order already \

@@ -45,11 +45,8 @@ impl Json {
     /// artifacts record rounded numbers so a re-record only moves a digit
     /// when the quantity really moved.
     pub fn fixed(v: f64, places: usize) -> Json {
-        Json::Num(
-            format!("{v:.places$}")
-                .parse()
-                .expect("a formatted f64 parses back"),
-        )
+        // A formatted f64 always parses back; `v` itself is the fallback.
+        Json::Num(format!("{v:.places$}").parse().unwrap_or(v))
     }
 
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -148,7 +145,11 @@ impl Json {
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -159,6 +160,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -178,7 +180,7 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn eat(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -210,7 +212,11 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self
+            .bytes
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(word.as_bytes()))
+        {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -219,7 +225,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -230,7 +236,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
             fields.push((key, value));
@@ -247,7 +253,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -270,7 +276,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -308,11 +314,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: every escape and delimiter
+                    // is ASCII, so `pos` stays on a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("not a char boundary at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -332,7 +340,10 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| format!("bad number at byte {start}"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))

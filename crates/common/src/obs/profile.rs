@@ -23,6 +23,7 @@
 
 use super::history::{IoBytes, JobHistory, Phase, TaskKind};
 use super::json::escape;
+use std::fmt::{self, Write as _};
 
 /// Default calibration threshold: flag phases whose measured share drifts
 /// more than this many percent (relative) from the model's share.
@@ -267,18 +268,32 @@ impl QueryProfile {
     /// The human-facing explain-analyze report. Wall-clock columns are
     /// host-dependent; the deterministic artifact is [`Self::to_json`].
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        writeln!(out, "== explain analyze {} ==", self.query).expect("string write");
+        Report(self).to_string()
+    }
+
+    /// Deterministic JSON artifact: simulated time and counters only (wall
+    /// measurements are host-dependent and deliberately excluded), so two
+    /// identical runs — at any host thread count — serialize byte-identically.
+    pub fn to_json(&self) -> String {
+        JsonArtifact(self).to_string()
+    }
+}
+
+/// [`QueryProfile::render`]'s text.
+struct Report<'a>(&'a QueryProfile);
+
+impl fmt::Display for Report<'_> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = self.0;
+        writeln!(out, "== explain analyze {} ==", p.query)?;
         writeln!(
             out,
             "total {:.1}s simulated (jobs {:.1}s + final sort {:.1}s)",
-            self.total_s,
-            self.total_s - self.final_sort_s,
-            self.final_sort_s
-        )
-        .expect("string write");
-        for j in &self.jobs {
+            p.total_s,
+            p.total_s - p.final_sort_s,
+            p.final_sort_s
+        )?;
+        for j in &p.jobs {
             writeln!(
                 out,
                 "job {}: {:.1}s sim, {:.2}ms wall across tasks ({} map + {} reduce)",
@@ -287,8 +302,7 @@ impl QueryProfile {
                 j.wall_total_ns as f64 / 1e6,
                 j.map_tasks,
                 j.reduce_tasks
-            )
-            .expect("string write");
+            )?;
             for s in &j.stages {
                 if s.sim_s <= 0.0 && s.wall_ns == 0 {
                     continue;
@@ -298,15 +312,13 @@ impl QueryProfile {
                 } else {
                     String::new()
                 };
-                writeln!(out, "  stage {:<9} {:>8.1}s sim{}", s.name, s.sim_s, wall)
-                    .expect("string write");
+                writeln!(out, "  stage {:<9} {:>8.1}s sim{}", s.name, s.sim_s, wall)?;
             }
             writeln!(
                 out,
                 "  {:<11} {:>9} {:>9} {:>7} {:>11} {:>7} {:>8}",
                 "phase", "model", "crit", "share", "wall", "share", "drift"
-            )
-            .expect("string write");
+            )?;
             for p in &j.phases {
                 let (wall, wshare, drift) = match p.drift_pct {
                     Some(d) => (
@@ -331,37 +343,34 @@ impl QueryProfile {
                     wall,
                     wshare,
                     drift
-                )
-                .expect("string write");
+                )?;
             }
         }
-        if !self.io.is_empty() {
-            let local: u64 = self.io.iter().map(|n| n.local_read).sum();
-            let remote: u64 = self.io.iter().map(|n| n.remote_read).sum();
-            let written: u64 = self.io.iter().map(|n| n.written).sum();
+        if !p.io.is_empty() {
+            let local: u64 = p.io.iter().map(|n| n.local_read).sum();
+            let remote: u64 = p.io.iter().map(|n| n.remote_read).sum();
+            let written: u64 = p.io.iter().map(|n| n.written).sum();
             writeln!(
                 out,
                 "io: {} nodes, {} B local + {} B remote read, {} B written{}",
-                self.io.len(),
+                p.io.len(),
                 local,
                 remote,
                 written,
-                if self.corrupt_reads > 0 {
-                    format!(", {} corrupt reads", self.corrupt_reads)
+                if p.corrupt_reads > 0 {
+                    format!(", {} corrupt reads", p.corrupt_reads)
                 } else {
                     String::new()
                 }
-            )
-            .expect("string write");
+            )?;
         }
-        let flagged = self.flagged_phases();
+        let flagged = p.flagged_phases();
         if flagged.is_empty() {
             writeln!(
                 out,
                 "calibration: all phases within {:.0}% of CostParams pricing",
-                self.drift_threshold_pct
-            )
-            .expect("string write");
+                p.drift_threshold_pct
+            )?;
         } else {
             let list: Vec<String> = flagged
                 .iter()
@@ -371,31 +380,30 @@ impl QueryProfile {
                 out,
                 "calibration: {} phase(s) drift >{:.0}% from CostParams pricing: {}",
                 flagged.len(),
-                self.drift_threshold_pct,
+                p.drift_threshold_pct,
                 list.join(", ")
-            )
-            .expect("string write");
+            )?;
         }
-        out
+        Ok(())
     }
+}
 
-    /// Deterministic JSON artifact: simulated time and counters only (wall
-    /// measurements are host-dependent and deliberately excluded), so two
-    /// identical runs — at any host thread count — serialize byte-identically.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+/// [`QueryProfile::to_json`]'s text.
+struct JsonArtifact<'a>(&'a QueryProfile);
+
+impl fmt::Display for JsonArtifact<'_> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = self.0;
         write!(
             out,
             "{{\"query\":\"{}\",\"total_s\":{:.6},\"final_sort_s\":{:.6},\"jobs\":[",
-            escape(&self.query),
-            self.total_s,
-            self.final_sort_s
-        )
-        .expect("string write");
-        for (i, j) in self.jobs.iter().enumerate() {
+            escape(&p.query),
+            p.total_s,
+            p.final_sort_s
+        )?;
+        for (i, j) in p.jobs.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.write_char(',')?;
             }
             write!(
                 out,
@@ -405,32 +413,31 @@ impl QueryProfile {
                 j.map_tasks,
                 j.reduce_tasks,
                 j.shuffle_bytes
-            )
-            .expect("string write");
+            )?;
             for (k, s) in j.stages.iter().enumerate() {
                 if k > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write!(out, "\"{}\":{:.6}", s.name, s.sim_s).expect("string write");
+                write!(out, "\"{}\":{:.6}", s.name, s.sim_s)?;
             }
-            out.push_str("},\"map_phases\":{");
+            out.write_str("},\"map_phases\":{")?;
             for (k, (p, s)) in j.map_phase_crit.iter().enumerate() {
                 if k > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write!(out, "\"{}\":{:.6}", p.label(), s).expect("string write");
+                write!(out, "\"{}\":{:.6}", p.label(), s)?;
             }
-            out.push_str("},\"reduce_phases\":{");
+            out.write_str("},\"reduce_phases\":{")?;
             for (k, (p, s)) in j.reduce_phase_crit.iter().enumerate() {
                 if k > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write!(out, "\"{}\":{:.6}", p.label(), s).expect("string write");
+                write!(out, "\"{}\":{:.6}", p.label(), s)?;
             }
-            out.push_str("},\"phases\":{");
+            out.write_str("},\"phases\":{")?;
             for (k, p) in j.phases.iter().enumerate() {
                 if k > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
                 write!(
                     out,
@@ -438,34 +445,31 @@ impl QueryProfile {
                     p.phase.label(),
                     p.model_s,
                     p.model_crit_s
-                )
-                .expect("string write");
+                )?;
             }
-            out.push_str("}}");
+            out.write_str("}}")?;
         }
-        out.push_str("],\"io\":{");
-        let local: u64 = self.io.iter().map(|n| n.local_read).sum();
-        let remote: u64 = self.io.iter().map(|n| n.remote_read).sum();
-        let written: u64 = self.io.iter().map(|n| n.written).sum();
+        out.write_str("],\"io\":{")?;
+        let local: u64 = p.io.iter().map(|n| n.local_read).sum();
+        let remote: u64 = p.io.iter().map(|n| n.remote_read).sum();
+        let written: u64 = p.io.iter().map(|n| n.written).sum();
         write!(
             out,
             "\"local_read\":{local},\"remote_read\":{remote},\"written\":{written},\"corrupt_reads\":{},\"per_node\":[",
-            self.corrupt_reads
-        )
-        .expect("string write");
-        for (i, n) in self.io.iter().enumerate() {
+            p.corrupt_reads
+        )?;
+        for (i, n) in p.io.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.write_char(',')?;
             }
             write!(
                 out,
                 "{{\"node\":{},\"local_read\":{},\"remote_read\":{},\"written\":{}}}",
                 n.node, n.local_read, n.remote_read, n.written
-            )
-            .expect("string write");
+            )?;
         }
-        out.push_str("]}}");
-        out
+        out.write_str("]}}")?;
+        Ok(())
     }
 }
 

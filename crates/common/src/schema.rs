@@ -66,7 +66,10 @@ impl Schema {
         self.fields.is_empty()
     }
 
+    /// Panicking accessor, kept for the frozen benchmark's callers; engine
+    /// code reads fields through [`Schema::fields`].
     pub fn field(&self, idx: usize) -> &Field {
+        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         &self.fields[idx]
     }
 
@@ -78,13 +81,33 @@ impl Schema {
             .ok_or_else(|| ClydeError::Plan(format!("unknown column: {name}")))
     }
 
+    /// A new schema of the named columns, in the order given; an unknown
+    /// name is a typed error.
+    pub fn select<S: AsRef<str>>(&self, names: &[S]) -> Result<Schema> {
+        let fields = names
+            .iter()
+            .map(|n| {
+                let n = n.as_ref();
+                self.fields
+                    .iter()
+                    .find(|f| f.name == n)
+                    .cloned()
+                    .ok_or_else(|| ClydeError::Plan(format!("unknown column: {n}")))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Schema::new(fields))
+    }
+
     /// Indices of several columns, in the order given.
     pub fn indices_of(&self, names: &[&str]) -> Result<Vec<usize>> {
         names.iter().map(|n| self.index_of(n)).collect()
     }
 
-    /// A new schema containing only the given column indices.
+    /// A new schema containing only the given column indices. Panics on an
+    /// index past the end; kept for the frozen benchmark's callers, while
+    /// engine code builds schemas from [`Schema::fields`].
     pub fn project(&self, indices: &[usize]) -> Schema {
+        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         Schema::new(indices.iter().map(|&i| self.fields[i].clone()).collect())
     }
 

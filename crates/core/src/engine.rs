@@ -355,7 +355,7 @@ mod tests {
         clyde.warm_dimension_cache().unwrap();
         let q = query_by_id("Q2.1").unwrap();
         let result = clyde.query(&q).unwrap();
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(result.rows, expect);
         assert!(result.total_s() > 0.0);
         // One multi-threaded map task per node.
@@ -379,7 +379,7 @@ mod tests {
         let (dfs, layout, gen) = setup(0.01, 4);
         let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
         clyde.warm_dimension_cache().unwrap();
-        let data = gen.gen_all();
+        let data = gen.gen_all().unwrap();
         for q in all_queries() {
             let result = clyde.query(&q).unwrap();
             let expect = reference_answer(&data, &q).unwrap();
@@ -392,7 +392,7 @@ mod tests {
     fn ablations_change_cost_but_not_results() {
         let (dfs, layout, gen) = setup(0.005, 3);
         let q = query_by_id("Q4.1").unwrap();
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
 
         let baseline = Clydesdale::new(Arc::clone(&dfs), layout.clone());
         let base = baseline.query(&q).unwrap();
@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn zone_skipping_prunes_without_changing_results() {
         let (dfs, layout, gen) = setup(0.01, 4);
-        let data = gen.gen_all();
+        let data = gen.gen_all().unwrap();
         let on = Clydesdale::new(Arc::clone(&dfs), layout.clone());
         let off = Clydesdale::with_features(
             Arc::clone(&dfs),
@@ -512,7 +512,7 @@ mod tests {
             .unwrap();
         let q = query_by_id("Q3.1").unwrap();
         let result = clyde.query(&q).unwrap();
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(result.rows, expect);
     }
 
@@ -524,7 +524,7 @@ mod tests {
         // AND kills a node, so two copies are not guaranteed to survive.
         let (dfs, layout, gen) = setup_replicated(0.005, 3, 3);
         let q = query_by_id("Q2.1").unwrap();
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         let mut plan = FaultPlan::named("combined", 46).unwrap();
         plan.task_fail_rate = 1.0; // force at least one recovery action
         let clyde = Clydesdale::new(Arc::clone(&dfs), layout).with_faults(Arc::new(plan));
@@ -539,7 +539,7 @@ mod tests {
         let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
         let q = query_by_id("Q1.2").unwrap();
         let result = clyde.query(&q).unwrap();
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(result.rows, expect);
     }
 }
@@ -586,7 +586,7 @@ mod limit_and_explain_tests {
         assert_eq!(limited.len(), 5);
         assert_eq!(limited, full[..5].to_vec(), "limit must keep the top rows");
         // The reference executor agrees on limit semantics.
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(limited, expect);
     }
 

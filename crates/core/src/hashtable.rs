@@ -180,7 +180,7 @@ impl DimHashTable {
             if fields.len() != dim_schema.len() {
                 return Err(arity_err());
             }
-            if !pred.eval_fields(&fields) {
+            if !pred.eval_fields(&fields)? {
                 continue;
             }
             let pk = fields
@@ -629,7 +629,7 @@ mod tests {
 
     #[test]
     fn sparse_direct_array_slack_is_accounted_as_fixed_memory() {
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         // Dates, unfiltered: the full 7-year calendar spans ~61k yyyymmdd
         // slots for ~2.5k days, so the array is mostly range-bound slack —
         // which must land in the fixed bucket (the calendar does not grow
@@ -715,7 +715,7 @@ mod tests {
 
     #[test]
     fn build_all_for_q21() {
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         let q = query_by_id("Q2.1").unwrap();
         let tables =
             DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))
@@ -736,7 +736,7 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_sequential_accounting() {
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         let q = query_by_id("Q4.1").unwrap(); // four dimensions
         let tables =
             DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))

@@ -6,7 +6,7 @@
 use crate::config::Features;
 use crate::mtrunner::MtMapRunner;
 use clyde_columnar::{CifInputFormat, MultiSplit, ScanMode, ZonePred};
-use clyde_common::{ClydeError, Result, Row, Schema};
+use clyde_common::{ClydeError, Datum, Result, Row, Schema};
 use clyde_dfs::ClusterSpec;
 use clyde_mapred::shuffle::FnReducer;
 use clyde_mapred::{JobSpec, OutputSpec};
@@ -31,11 +31,8 @@ pub fn scan_schema(query: &StarQuery, features: &Features) -> Result<(Vec<String
     } else {
         fact.fields().iter().map(|f| f.name.clone()).collect()
     };
-    let idx: Vec<usize> = names
-        .iter()
-        .map(|n| fact.index_of(n))
-        .collect::<Result<_>>()?;
-    Ok((names.clone(), fact.project(&idx)))
+    let scan = fact.select(&names)?;
+    Ok((names, scan))
 }
 
 /// Conjunctive range predicates the scan can prune row groups with: the
@@ -172,8 +169,8 @@ pub fn plan_query(
             let mut acc = agg.identity();
             for v in values {
                 let partial = v
-                    .at(0)
-                    .as_i64()
+                    .get(0)
+                    .and_then(Datum::as_i64)
                     .ok_or_else(|| ClydeError::MapReduce("non-integer partial aggregate".into()))?;
                 acc = agg.fold(acc, partial);
             }

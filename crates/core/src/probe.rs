@@ -31,7 +31,7 @@ use crate::config::KernelOpts;
 use crate::hashtable::{DimTables, NONE_ID};
 use clyde_common::colblock::rows_of;
 use clyde_common::{ClydeError, ColumnData, Datum, FxHashMap, Result, Row, RowBlock, Schema};
-use clyde_ssb::queries::{Aggregate, CompiledFactPred, StarQuery};
+use clyde_ssb::queries::{check_join_count, Aggregate, CompiledFactPred, StarQuery, MAX_JOINS};
 use std::ops::Range;
 
 /// Index-resolved probe plan against a scan schema (the projected fact
@@ -107,8 +107,6 @@ impl ProbeStats {
     }
 }
 
-const MAX_JOINS: usize = 8;
-
 /// `i32` views of rows `rows` of a block's columns (`None` for any other
 /// type). Fact predicates, FKs and measures are all i32 in SSB. A range
 /// outside the block is a typed error.
@@ -125,18 +123,33 @@ fn i32_columns<'a>(block: &'a RowBlock, rows: &Range<usize>) -> Result<Vec<Optio
 }
 
 fn need_i32<'a>(cols: &[Option<&'a [i32]>], idx: usize) -> Result<&'a [i32]> {
-    cols[idx].ok_or_else(|| {
+    cols.get(idx).copied().flatten().ok_or_else(|| {
         ClydeError::Plan(format!(
             "scan column {idx} is not i32 but the probe needs it"
         ))
     })
 }
 
-fn check_join_count(plan: &ProbePlan) -> Result<()> {
-    if plan.fks.len() > MAX_JOINS {
-        return Err(ClydeError::Plan("too many dimension joins".into()));
-    }
-    Ok(())
+/// Value `i` of a scan column. The kernels only select rows of the block
+/// they probe, so a miss means a plan or block the kernel was not built
+/// for; the error path stays out of the loops.
+#[inline]
+fn row_of(col: &[i32], i: usize) -> Result<i32> {
+    col.get(i)
+        .copied()
+        .ok_or_else(|| row_out_of_range(i, col.len()))
+}
+
+#[cold]
+fn row_out_of_range(i: usize, len: usize) -> ClydeError {
+    ClydeError::Plan(format!("probe row {i} outside a scan column of {len} rows"))
+}
+
+#[cold]
+fn join_outside_plan(j: usize) -> ClydeError {
+    ClydeError::Plan(format!(
+        "probe order names join {j}, which the plan does not have"
+    ))
 }
 
 /// The reference kernel: `n` fact rows read through `get(row, scan column)`.
@@ -152,8 +165,19 @@ fn probe_scalar(
     acc: &mut FxHashMap<Row, i64>,
     stats: &mut ProbeStats,
 ) -> Result<()> {
-    check_join_count(plan)?;
+    check_join_count(plan.fks.len())?;
     stats.rows += n as u64;
+    // Most-selective dimension first: early-out kills the row before the
+    // permissive probes run. `matched` stays indexed by the original join
+    // index, so group assembly is order-independent.
+    let probes = tables
+        .probe_order()
+        .iter()
+        .map(|&j| match (tables.tables.get(j), plan.fks.get(j)) {
+            (Some(table), Some(&fk)) if j < MAX_JOINS => Ok((j, table, fk)),
+            _ => Err(join_outside_plan(j)),
+        })
+        .collect::<Result<Vec<_>>>()?;
     let mut matched: [Option<&Row>; MAX_JOINS] = [None; MAX_JOINS];
     'rows: for i in 0..n {
         for p in &plan.fact_preds {
@@ -167,13 +191,10 @@ fn probe_scalar(
                 continue 'rows;
             }
         }
-        // Most-selective dimension first: early-out kills the row before
-        // the permissive probes run. `matched` stays indexed by the
-        // original join index, so group assembly is order-independent.
-        for &j in tables.probe_order() {
+        for &(j, table, fk) in &probes {
             stats.probes += 1;
-            match tables.tables[j].get(get(i, plan.fks[j])?) {
-                Some(aux) => matched[j] = Some(aux),
+            match table.get(get(i, fk)?) {
+                Some(aux) => put(&mut matched, j, Some(aux)),
                 None => continue 'rows, // early-out
             }
         }
@@ -181,8 +202,18 @@ fn probe_scalar(
         let key: Row = plan
             .group_src
             .iter()
-            .map(|&(ji, ai)| matched[ji].expect("matched above").at(ai).clone())
-            .collect();
+            .map(|&(ji, ai)| {
+                matched
+                    .get(ji)
+                    .copied()
+                    .flatten()
+                    .and_then(|aux| aux.get(ai))
+                    .cloned()
+                    .ok_or_else(|| {
+                        ClydeError::Plan(format!("group column {ai} of join {ji} was not matched"))
+                    })
+            })
+            .collect::<Result<_>>()?;
         let measure = match (&plan.aggregate, plan.agg_a, plan.agg_b) {
             (Aggregate::SumColumn(_), Some(a), _)
             | (Aggregate::MinColumn(_), Some(a), _)
@@ -223,7 +254,7 @@ pub fn probe_range(
     let cols = i32_columns(block, &rows)?;
     probe_scalar(
         rows.len(),
-        |i, c| need_i32(&cols, c).map(|s| i64::from(s[i])),
+        |i, c| need_i32(&cols, c).and_then(|s| row_of(s, i)).map(i64::from),
         plan,
         tables,
         acc,
@@ -243,8 +274,8 @@ pub fn probe_row(
     probe_scalar(
         1,
         |_, c| {
-            row.at(c)
-                .as_i64()
+            row.get(c)
+                .and_then(Datum::as_i64)
                 .ok_or_else(|| ClydeError::Plan(format!("scan column {c} is not an integer")))
         },
         plan,
@@ -454,36 +485,47 @@ fn pred_ok(p: &CompiledFactPred, v: i32) -> bool {
 /// expands the mask into selection indices without a data-dependent branch.
 const PRED_LANE: usize = 64;
 
+/// Store `v` at the write cursor `w` of an in-place compaction. The cursor
+/// never passes the slot being read, so the slot exists and the check is a
+/// branch that is never taken. (Clamping the cursor into range instead
+/// puts a `cmov` on its dependency chain and costs the join loops ~5%.)
+#[inline(always)]
+fn put<T>(buf: &mut [T], w: usize, v: T) {
+    if let Some(slot) = buf.get_mut(w) {
+        *slot = v;
+    }
+}
+
 /// Branch-free first-predicate selection fill over `vals[0..n]` into
 /// `sel[0..n]` (pre-sized by the caller, never zero-filled); returns the
-/// survivor count. Public and never inlined so the codegen smoke check can
-/// locate its symbol in the compiled binary and verify the compare lanes
-/// vectorized.
+/// survivor count. `n` is clamped to both slices. Public and never inlined
+/// so the codegen smoke check can locate its symbol in the compiled binary
+/// and verify the compare lanes vectorized.
 #[inline(never)]
 pub fn compact_sel_first(sel: &mut [u32], n: usize, p: &CompiledFactPred, vals: &[i32]) -> usize {
     let mut ok = [false; PRED_LANE];
     let mut w = 0usize;
-    let mut base = 0usize;
-    while base < n {
-        let m = PRED_LANE.min(n - base);
+    let lanes = vals
+        .get(..n.min(sel.len()))
+        .unwrap_or(vals)
+        .chunks(PRED_LANE);
+    for (base, lane) in (0..).step_by(PRED_LANE).zip(lanes) {
         match *p {
             CompiledFactPred::Between { lo, hi, .. } => {
-                for k in 0..m {
-                    let v = vals[base + k];
-                    ok[k] = (v >= lo) & (v <= hi);
+                for (o, &v) in ok.iter_mut().zip(lane) {
+                    *o = (v >= lo) & (v <= hi);
                 }
             }
             CompiledFactPred::Lt { value, .. } => {
-                for k in 0..m {
-                    ok[k] = vals[base + k] < value;
+                for (o, &v) in ok.iter_mut().zip(lane) {
+                    *o = v < value;
                 }
             }
         }
-        for (k, &hit) in ok.iter().enumerate().take(m) {
-            sel[w] = (base + k) as u32;
+        for (k, &hit) in ok.iter().take(lane.len()).enumerate() {
+            put(sel, w, (base + k) as u32);
             w += usize::from(hit);
         }
-        base += m;
     }
     w
 }
@@ -491,21 +533,41 @@ pub fn compact_sel_first(sel: &mut [u32], n: usize, p: &CompiledFactPred, vals: 
 /// Branch-free in-place compaction of `sel[0..live]` by a further predicate
 /// (the gathers through `sel` keep this scalar, but the cursor advance
 /// stays unconditional); returns the new live count.
-fn compact_sel_next(sel: &mut [u32], live: usize, p: &CompiledFactPred, vals: &[i32]) -> usize {
+fn compact_sel_next(
+    sel: &mut [u32],
+    live: usize,
+    p: &CompiledFactPred,
+    vals: &[i32],
+) -> Result<usize> {
     let mut w = 0usize;
-    for r in 0..live {
-        let i = sel[r];
-        sel[w] = i;
-        w += usize::from(pred_ok(p, vals[i as usize]));
+    for r in 0..live.min(sel.len()) {
+        let Some(&i) = sel.get(r) else { break };
+        put(sel, w, i);
+        w += usize::from(pred_ok(p, row_of(vals, i as usize)?));
     }
-    w
+    Ok(w)
 }
 
-/// Probe one direct-index table over the current selection, compacting
-/// `sel`/`keys` in place; returns the survivor count. With `FUSED` the
-/// selection is the identity `0..len` (the caller skipped materializing
-/// it) and the packed-key base is 0. In-place compaction is safe because
-/// the write cursor never passes the read cursor.
+/// The first `len` slots of the selection buffers, which one join reads
+/// and compacts in place.
+fn live_prefix<'a>(
+    len: usize,
+    sel: &'a mut [u32],
+    keys: &'a mut [u64],
+) -> Result<(&'a mut [u32], &'a mut [u64])> {
+    let room = sel.len().min(keys.len());
+    match (sel.get_mut(..len), keys.get_mut(..len)) {
+        (Some(sel), Some(keys)) => Ok((sel, keys)),
+        _ => Err(ClydeError::Plan(format!(
+            "a {len}-row selection outgrew its {room}-slot buffers"
+        ))),
+    }
+}
+
+/// Probe one direct-index table over the selection `sel`/`keys` (one slot
+/// per live row), compacting both in place; returns the survivor count.
+/// With `FUSED` the selection is the identity (the caller skipped
+/// materializing it) and the packed-key base is 0.
 ///
 /// `branch_free` picks the store discipline: unconditional select + store
 /// with a cursor that advances by the hit bit (wins when hits are
@@ -513,7 +575,6 @@ fn compact_sel_next(sel: &mut [u32], live: usize, p: &CompiledFactPred, vals: &[
 /// — or so permissive — that the branch predictor is nearly always right).
 #[allow(clippy::too_many_arguments)]
 fn probe_direct<const FUSED: bool>(
-    len: usize,
     sel: &mut [u32],
     keys: &mut [u64],
     fk: &[i32],
@@ -522,12 +583,20 @@ fn probe_direct<const FUSED: bool>(
     shift: u32,
     contrib: u64,
     branch_free: bool,
-) -> usize {
+) -> Result<usize> {
+    if ids.is_empty() {
+        return Ok(0); // every key misses
+    }
     // Direct-table keys come from i32 columns, so the slot index fits u32
     // arithmetic: a negative or overlarge difference wraps above the slot
     // count and fails the range check (ids never approach 2^31 slots).
+    // The branch-free loops load slot 0, which exists, for an out-of-range
+    // key and mask it to a miss, so the load is unconditional. (A `get`
+    // per key that misses to `NONE_ID` branches on every key and halves
+    // Q4.1.)
     let min32 = min as u32;
     let end = ids.len();
+    let len = sel.len().min(keys.len());
     let mut w = 0usize;
     if FUSED && contrib == 0 && branch_free {
         // Branch-free and key-free: the join neither reads packed keys
@@ -536,24 +605,40 @@ fn probe_direct<const FUSED: bool>(
         for (r, &k) in fk.iter().enumerate().take(len) {
             let idx = (k as u32).wrapping_sub(min32) as usize;
             let in_range = idx < end;
-            let id = ids[if in_range { idx } else { 0 }];
+            let id = ids
+                .get(if in_range { idx } else { 0 })
+                .copied()
+                .unwrap_or(NONE_ID);
             let hit = in_range & (id != NONE_ID);
-            sel[w] = r as u32;
+            put(sel, w, r as u32);
             w += usize::from(hit);
         }
-        keys[..w].fill(0);
+        for key in keys.iter_mut().take(w) {
+            *key = 0;
+        }
     } else if branch_free {
         // Misses write garbage at `w` that the next hit (or the caller's
         // live count) makes unreachable.
         for r in 0..len {
-            let i = if FUSED { r } else { sel[r] as usize };
-            let idx = (fk[i] as u32).wrapping_sub(min32) as usize;
+            let i = if FUSED {
+                r
+            } else {
+                sel.get(r).map_or(0, |&i| i as usize)
+            };
+            let idx = (row_of(fk, i)? as u32).wrapping_sub(min32) as usize;
             let in_range = idx < end;
-            let id = ids[if in_range { idx } else { 0 }];
+            let id = ids
+                .get(if in_range { idx } else { 0 })
+                .copied()
+                .unwrap_or(NONE_ID);
             let hit = in_range & (id != NONE_ID);
-            sel[w] = i as u32;
-            let base = if FUSED { 0 } else { keys[r] };
-            keys[w] = base | ((u64::from(id) << shift) & contrib);
+            put(sel, w, i as u32);
+            let base = if FUSED {
+                0
+            } else {
+                keys.get(r).copied().unwrap_or(0)
+            };
+            put(keys, w, base | ((u64::from(id) << shift) & contrib));
             w += usize::from(hit);
         }
     } else if FUSED && contrib == 0 {
@@ -562,28 +647,69 @@ fn probe_direct<const FUSED: bool>(
         // afterwards replaces a scattered store per row.
         for (r, &k) in fk.iter().enumerate().take(len) {
             let idx = (k as u32).wrapping_sub(min32) as usize;
-            if idx < end && ids[idx] != NONE_ID {
-                sel[w] = r as u32;
+            if ids.get(idx).is_some_and(|&id| id != NONE_ID) {
+                put(sel, w, r as u32);
                 w += 1;
             }
         }
-        keys[..w].fill(0);
+        for key in keys.iter_mut().take(w) {
+            *key = 0;
+        }
     } else {
         for r in 0..len {
-            let i = if FUSED { r } else { sel[r] as usize };
-            let idx = (fk[i] as u32).wrapping_sub(min32) as usize;
-            if idx < end {
-                let id = ids[idx];
+            let i = if FUSED {
+                r
+            } else {
+                sel.get(r).map_or(0, |&i| i as usize)
+            };
+            let idx = (row_of(fk, i)? as u32).wrapping_sub(min32) as usize;
+            if let Some(&id) = ids.get(idx) {
                 if id != NONE_ID {
-                    sel[w] = i as u32;
-                    let base = if FUSED { 0 } else { keys[r] };
-                    keys[w] = base | ((u64::from(id) << shift) & contrib);
+                    put(sel, w, i as u32);
+                    let base = if FUSED {
+                        0
+                    } else {
+                        keys.get(r).copied().unwrap_or(0)
+                    };
+                    put(keys, w, base | ((u64::from(id) << shift) & contrib));
                     w += 1;
                 }
             }
         }
     }
-    w
+    Ok(w)
+}
+
+/// Probe a hash-mapped table (key range too wide for a direct table, or
+/// an empty build side) over the selection `sel`/`keys`, compacting both
+/// in place; returns the survivor count.
+fn probe_hashed<const FUSED: bool>(
+    sel: &mut [u32],
+    keys: &mut [u64],
+    fk: &[i32],
+    id_map: &FxHashMap<i64, u32>,
+    shift: u32,
+    contrib: u64,
+) -> Result<usize> {
+    let mut w = 0usize;
+    for r in 0..sel.len().min(keys.len()) {
+        let i = if FUSED {
+            r
+        } else {
+            sel.get(r).map_or(0, |&i| i as usize)
+        };
+        if let Some(&id) = id_map.get(&i64::from(row_of(fk, i)?)) {
+            put(sel, w, i as u32);
+            let base = if FUSED {
+                0
+            } else {
+                keys.get(r).copied().unwrap_or(0)
+            };
+            put(keys, w, base | ((u64::from(id) << shift) & contrib));
+            w += 1;
+        }
+    }
+    Ok(w)
 }
 
 /// Hit-rate band in which the branch-free probe loop is used: outside it
@@ -638,7 +764,7 @@ pub fn probe_range_vec(
     acc: &mut GroupAcc,
     buf: &mut SelBuf,
 ) -> Result<ProbeStats> {
-    check_join_count(plan)?;
+    check_join_count(plan.fks.len())?;
     let mut stats = ProbeStats::default();
     let cols = i32_columns(block, &rows)?;
     let slice = |idx: usize| need_i32(&cols, idx);
@@ -669,20 +795,25 @@ pub fn probe_range_vec(
     // first join to fuse with.
     let fuse_first_join = plan.fact_preds.is_empty() && !fk_slices.is_empty();
     let mut live: usize;
-    if let Some((p, rest)) = plan.fact_preds.split_first() {
-        live = compact_sel_first(sel, n, p, pred_slices[0]);
-        for (p, s) in rest.iter().zip(&pred_slices[1..]) {
-            live = compact_sel_next(sel, live, p, s);
+    let mut preds = plan.fact_preds.iter().zip(&pred_slices);
+    if let Some((p, vals)) = preds.next() {
+        live = compact_sel_first(sel, n, p, vals);
+        for (p, vals) in preds {
+            live = compact_sel_next(sel, live, p, vals)?;
         }
         // The first join ORs its id into `keys[r]`; clear only the live
         // prefix it will read.
-        keys[..live].fill(0);
+        for k in keys.iter_mut().take(live) {
+            *k = 0;
+        }
     } else if fk_slices.is_empty() {
         // No predicates and no joins: everything survives.
         for (i, s) in sel.iter_mut().enumerate().take(n) {
             *s = i as u32;
         }
-        keys[..n].fill(0);
+        for k in keys.iter_mut().take(n) {
+            *k = 0;
+        }
         live = n;
     } else {
         // Fused: the identity selection is never materialized; the first
@@ -697,68 +828,36 @@ pub fn probe_range_vec(
     // mask (all-ones when the join's id is part of the packed key, zero
     // otherwise) keep the inner loops branch-free.
     for (k, &j) in tables.probe_order().iter().enumerate() {
-        let fk_col = &fk_slices[j];
+        let (Some(&fk), Some(table)) = (fk_slices.get(j), tables.tables.get(j)) else {
+            return Err(join_outside_plan(j));
+        };
         let (shift, contrib) = match layout.shift_of.get(j).copied().flatten() {
             Some(sh) => (sh, u64::MAX),
             None => (0u32, 0u64),
         };
-        let table = &tables.tables[j];
         let fused = fuse_first_join && k == 0;
         let len = if fused { n } else { live };
         stats.probes += len as u64;
+        let (sel, keys) = live_prefix(len, sel, keys)?;
         live = match table.direct_parts() {
             Some((min, ids)) if !ids.is_empty() => {
                 let rate = table.hit_rate();
                 let branch_free = rate >= BRANCH_FREE_BAND.0 && rate <= BRANCH_FREE_BAND.1;
                 if fused {
-                    probe_direct::<true>(
-                        len,
-                        sel,
-                        keys,
-                        fk_col,
-                        min,
-                        ids,
-                        shift,
-                        contrib,
-                        branch_free,
-                    )
+                    probe_direct::<true>(sel, keys, fk, min, ids, shift, contrib, branch_free)?
                 } else {
-                    probe_direct::<false>(
-                        len,
-                        sel,
-                        keys,
-                        fk_col,
-                        min,
-                        ids,
-                        shift,
-                        contrib,
-                        branch_free,
-                    )
+                    probe_direct::<false>(sel, keys, fk, min, ids, shift, contrib, branch_free)?
                 }
             }
-            _ => {
-                // Hash-probe fallback (key range too wide for a direct
-                // table, or an empty build side).
-                let map = table.id_map();
-                let mut w = 0usize;
-                for r in 0..len {
-                    let i = if fused { r } else { sel[r] as usize };
-                    if let Some(&id) = map.get(&i64::from(fk_col[i])) {
-                        sel[w] = i as u32;
-                        let base = if fused { 0 } else { keys[r] };
-                        keys[w] = base | ((u64::from(id) << shift) & contrib);
-                        w += 1;
-                    }
-                }
-                w
-            }
+            _ if fused => probe_hashed::<true>(sel, keys, fk, table.id_map(), shift, contrib)?,
+            _ => probe_hashed::<false>(sel, keys, fk, table.id_map(), shift, contrib)?,
         };
     }
     stats.survivors += live as u64;
 
     // Aggregate stage: fold each survivor's measure into its packed group.
     for (&i, &key) in sel.iter().zip(keys.iter()).take(live) {
-        let measure = plan.aggregate.eval_i64(agg_a, agg_b, i as usize);
+        let measure = plan.aggregate.eval_i64(agg_a, agg_b, i as usize)?;
         acc.fold(key, measure, &plan.aggregate)?;
     }
     Ok(stats)
@@ -781,7 +880,7 @@ mod tests {
         ProbePlan,
         DimTables,
     ) {
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         let q = query_by_id("Q2.1").unwrap();
         let fact_schema = schema::lineorder_schema();
         let scan_cols: Vec<usize> = q
@@ -801,7 +900,8 @@ mod tests {
         let dtypes: Vec<_> = scan_schema.fields().iter().map(|f| f.dtype).collect();
         let mut b = RowBlockBuilder::new(&dtypes);
         for lo in &data.lineorder {
-            b.push_row(&lo.project(cols)).unwrap();
+            b.push_row(&cols.iter().map(|&c| lo.at(c).clone()).collect::<Row>())
+                .unwrap();
         }
         b.finish()
     }
@@ -836,7 +936,14 @@ mod tests {
         let mut acc_row = FxHashMap::default();
         let mut st2 = ProbeStats::default();
         for lo in &data.lineorder {
-            probe_row(&lo.project(&cols), &plan, &tables, &mut acc_row, &mut st2).unwrap();
+            probe_row(
+                &cols.iter().map(|&c| lo.at(c).clone()).collect::<Row>(),
+                &plan,
+                &tables,
+                &mut acc_row,
+                &mut st2,
+            )
+            .unwrap();
         }
         assert_eq!(acc_block, acc_row);
         assert_eq!(st1, st2, "both paths must count identically");
@@ -846,7 +953,7 @@ mod tests {
     fn early_out_reduces_probe_count() {
         // Build a variant of Q2.1 that probes the selective part join first
         // (Clydesdale is free to choose probe order; this tests early-out).
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         let mut q = query_by_id("Q2.1").unwrap();
         q.joins.rotate_left(1); // part, supplier, date
         assert_eq!(q.joins[0].dimension, "part");
@@ -891,7 +998,7 @@ mod tests {
     #[test]
     fn fact_predicates_gate_probing() {
         // Q1.1 has fact predicates; rows failing them must not probe at all.
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         let q = query_by_id("Q1.1").unwrap();
         let fact_schema = schema::lineorder_schema();
         let cols: Vec<usize> = q
@@ -959,7 +1066,7 @@ mod tests {
     fn vectorized_handles_fact_predicates_and_dense_acc() {
         // Q1.1: fact predicates plus no group-by — the packed key space is
         // a single slot, so the dense accumulator path runs.
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         let q = query_by_id("Q1.1").unwrap();
         let fact_schema = schema::lineorder_schema();
         let cols: Vec<usize> = q
@@ -992,7 +1099,7 @@ mod tests {
         // Selective join first (part): the selection vector shrinks after
         // join 1, so joins 2..n probe fewer keys — and the probe counter
         // must agree with the scalar early-out to the last probe.
-        let data = SsbGen::new(0.005, 46).gen_all();
+        let data = SsbGen::new(0.005, 46).gen_all().unwrap();
         let mut q = query_by_id("Q2.1").unwrap();
         q.joins.rotate_left(1);
         let fact_schema = schema::lineorder_schema();

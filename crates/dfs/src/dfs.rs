@@ -174,7 +174,7 @@ impl Dfs {
         data: &[u8],
     ) -> Result<()> {
         let mut w = self.create(path, group, None)?;
-        w.write_all(data);
+        w.write_all(data)?;
         w.close()
     }
 
@@ -203,32 +203,31 @@ impl Dfs {
             .policy
             .choose_targets(path, group, block_index, self.replication, n);
         // Skip dead nodes, substituting the next alive node (deterministic).
-        let alive = Self::alive_nodes(&state);
-        if alive.is_empty() {
+        let Some(&first_alive) = Self::alive_nodes(&state).first() else {
             return Err(ClydeError::Dfs("no alive datanodes".into()));
-        }
+        };
         let mut fixed: Vec<NodeId> = Vec::with_capacity(targets.len());
         for t in targets.drain(..) {
-            let mut candidate = t;
-            for step in 0..n {
-                candidate = NodeId((t.0 + step) % n);
-                if state.datanodes[candidate.0].is_alive() && !fixed.contains(&candidate) {
-                    break;
-                }
-            }
-            if state.datanodes[candidate.0].is_alive() && !fixed.contains(&candidate) {
-                fixed.push(candidate);
+            let usable = |c: &NodeId| {
+                state.datanodes.get(c.0).is_some_and(Datanode::is_alive) && !fixed.contains(c)
+            };
+            if let Some(c) = (0..n).map(|step| NodeId((t.0 + step) % n)).find(usable) {
+                fixed.push(c);
             }
         }
         if fixed.is_empty() {
-            fixed.push(alive[0]);
+            fixed.push(first_alive);
         }
         let id =
             state
                 .namenode
                 .allocate_block(data.len() as u64, fixed.clone(), block_checksum(&data));
         for node in &fixed {
-            state.datanodes[node.0].store(id, data.clone());
+            state
+                .datanodes
+                .get_mut(node.0)
+                .ok_or_else(|| ClydeError::Dfs(format!("placement chose unknown node {node}")))?
+                .store(id, data.clone());
             self.metrics.record_write(*node, data.len() as u64)?;
         }
         // Attribute pipeline traffic to the writer if it is a cluster node
@@ -635,20 +634,32 @@ impl Dfs {
         Ok(())
     }
 
-    /// Simulate the failure of a node: its replicas are lost.
-    pub fn kill_node(&self, node: NodeId) {
-        self.state.write().datanodes[node.0].kill();
+    /// Simulate the failure of a node: its replicas are lost. A node that
+    /// is not in the cluster is a typed error.
+    pub fn kill_node(&self, node: NodeId) -> Result<()> {
+        self.with_datanode(node, Datanode::kill)
     }
 
-    /// Restart a failed node (it comes back empty).
-    pub fn restart_node(&self, node: NodeId) {
-        self.state.write().datanodes[node.0].restart();
+    /// Restart a failed node (it comes back empty). A node that is not in
+    /// the cluster is a typed error.
+    pub fn restart_node(&self, node: NodeId) -> Result<()> {
+        self.with_datanode(node, Datanode::restart)
+    }
+
+    fn with_datanode(&self, node: NodeId, f: impl FnOnce(&mut Datanode)) -> Result<()> {
+        let mut state = self.state.write();
+        let n = state.datanodes.len();
+        let dn = state.datanodes.get_mut(node.0).ok_or_else(|| {
+            ClydeError::Dfs(format!("node {node} is not in this {n}-node cluster"))
+        })?;
+        f(dn);
+        Ok(())
     }
 
     /// Whether `node` is currently serving (heartbeating, in Hadoop terms).
     pub fn is_node_alive(&self, node: NodeId) -> bool {
         let state = self.state.read();
-        node.0 < state.datanodes.len() && state.datanodes[node.0].is_alive()
+        state.datanodes.get(node.0).is_some_and(Datanode::is_alive)
     }
 
     /// Deterministically corrupt up to `count` block replicas (fault
@@ -680,22 +691,20 @@ impl Dfs {
             if meta.len == 0 {
                 continue;
             }
-            let live: Vec<NodeId> = meta
+            let mut live = meta
                 .replicas
                 .iter()
-                .copied()
-                .filter(|r| datanodes[r.0].has(meta.id))
-                .collect();
-            if live.len() < 2 {
+                .filter(|r| datanodes.get(r.0).is_some_and(|d| d.has(meta.id)));
+            let (Some(first), Some(_)) = (live.next(), live.next()) else {
                 continue;
-            }
+            };
             let h = mix64(seed ^ mix64(meta.id.0));
-            candidates.push((h, meta.id, live[0].0));
+            candidates.push((h, meta.id, first.0));
         }
         candidates.sort_by_key(|&(h, id, _)| (h, id));
         let mut corrupted = 0usize;
         for (_, id, victim) in candidates.into_iter().take(count as usize) {
-            if datanodes[victim].corrupt(id) {
+            if datanodes.get_mut(victim).is_some_and(|d| d.corrupt(id)) {
                 corrupted += 1;
             }
         }
@@ -829,30 +838,31 @@ pub struct DfsWriter {
 }
 
 impl DfsWriter {
-    pub fn write_all(&mut self, data: &[u8]) {
+    /// Buffer `data`, placing every block it fills; a block that cannot be
+    /// placed (no alive datanode) is a typed error.
+    pub fn write_all(&mut self, data: &[u8]) -> Result<()> {
         debug_assert!(!self.closed, "write after close");
         self.buf.extend_from_slice(data);
         self.total_len += data.len() as u64;
         while self.buf.len() as u64 >= self.dfs.block_size {
             let rest = self.buf.split_off(self.dfs.block_size as usize);
             let full = std::mem::replace(&mut self.buf, rest);
-            self.flush_block(full);
+            self.flush_block(full)?;
         }
+        Ok(())
     }
 
-    fn flush_block(&mut self, data: Vec<u8>) {
+    fn flush_block(&mut self, data: Vec<u8>) -> Result<()> {
         let idx = self.blocks.len();
-        let id = self
-            .dfs
-            .store_block(
-                &self.path,
-                self.group.as_deref(),
-                idx,
-                Bytes::from(data),
-                self.writer_node,
-            )
-            .expect("block placement cannot fail while nodes are alive");
+        let id = self.dfs.store_block(
+            &self.path,
+            self.group.as_deref(),
+            idx,
+            Bytes::from(data),
+            self.writer_node,
+        )?;
         self.blocks.push(id);
+        Ok(())
     }
 
     /// Finalize the file in the namespace.
@@ -860,7 +870,7 @@ impl DfsWriter {
         self.closed = true;
         if !self.buf.is_empty() || self.blocks.is_empty() {
             let data = std::mem::take(&mut self.buf);
-            self.flush_block(data);
+            self.flush_block(data)?;
         }
         let entry = FileEntry {
             path: self.path.clone(),
@@ -1114,7 +1124,7 @@ mod tests {
         let dfs = small_dfs(3, 2, 1024);
         dfs.write_file("/f", None, &[9u8; 30]).unwrap();
         let hosts = dfs.hosts("/f").unwrap();
-        dfs.kill_node(hosts[0]);
+        dfs.kill_node(hosts[0]).unwrap();
         assert_eq!(&dfs.read_file("/f", None).unwrap()[..], &[9u8; 30]);
     }
 
@@ -1124,12 +1134,12 @@ mod tests {
         dfs.write_file("/f", None, &[9u8; 30]).unwrap();
         let hosts = dfs.hosts("/f").unwrap();
         assert_eq!(hosts.len(), 2);
-        dfs.kill_node(hosts[0]);
+        dfs.kill_node(hosts[0]).unwrap();
         // Re-replicate from the survivor, then kill the survivor: the data
         // must still be readable from the new replica.
         let created = dfs.rereplicate().unwrap();
         assert!(created >= 1);
-        dfs.kill_node(hosts[1]);
+        dfs.kill_node(hosts[1]).unwrap();
         assert_eq!(&dfs.read_file("/f", None).unwrap()[..], &[9u8; 30]);
     }
 
@@ -1138,7 +1148,7 @@ mod tests {
         let dfs = small_dfs(3, 2, 1024);
         dfs.write_file("/f", None, &[9u8; 30]).unwrap();
         for h in dfs.hosts("/f").unwrap() {
-            dfs.kill_node(h);
+            dfs.kill_node(h).unwrap();
         }
         assert!(dfs.read_file("/f", None).is_err());
     }
@@ -1146,7 +1156,7 @@ mod tests {
     #[test]
     fn writes_after_failure_avoid_dead_nodes() {
         let dfs = small_dfs(3, 2, 1024);
-        dfs.kill_node(NodeId(0));
+        dfs.kill_node(NodeId(0)).unwrap();
         dfs.write_file("/f", None, &[1u8; 10]).unwrap();
         let hosts = dfs.hosts("/f").unwrap();
         assert!(!hosts.contains(&NodeId(0)));
@@ -1203,7 +1213,7 @@ mod tests {
         // Kill every clean holder; only the corrupt copy remains.
         for h in dfs.hosts("/f").unwrap() {
             if h.0 != victim {
-                dfs.kill_node(h);
+                dfs.kill_node(h).unwrap();
             }
         }
         let err = dfs.read_file("/f", Some(NodeId(victim))).unwrap_err();
@@ -1237,11 +1247,11 @@ mod tests {
     fn node_liveness_is_observable() {
         let dfs = small_dfs(2, 1, 1024);
         assert!(dfs.is_node_alive(NodeId(0)));
-        dfs.kill_node(NodeId(0));
+        dfs.kill_node(NodeId(0)).unwrap();
         assert!(!dfs.is_node_alive(NodeId(0)));
         assert!(dfs.is_node_alive(NodeId(1)));
         assert!(!dfs.is_node_alive(NodeId(7)));
-        dfs.restart_node(NodeId(0));
+        dfs.restart_node(NodeId(0)).unwrap();
         assert!(dfs.is_node_alive(NodeId(0)));
     }
 
@@ -1250,7 +1260,7 @@ mod tests {
         let dfs = small_dfs(3, 1, 10);
         let mut w = dfs.create("/s", None, None).unwrap();
         for chunk in (0..50u8).collect::<Vec<_>>().chunks(7) {
-            w.write_all(chunk);
+            w.write_all(chunk).unwrap();
         }
         assert_eq!(w.bytes_written(), 50);
         w.close().unwrap();

@@ -126,11 +126,7 @@ impl Hive {
 
         let fact_schema = ssb_schema::lineorder_schema();
         let scan_cols = query.fact_columns();
-        let scan_idx: Vec<usize> = scan_cols
-            .iter()
-            .map(|c| fact_schema.index_of(c))
-            .collect::<Result<_>>()?;
-        let mut cur_schema = fact_schema.project(&scan_idx);
+        let mut cur_schema = fact_schema.select(&scan_cols)?;
         let mut cur_input: Arc<dyn InputFormat> = Arc::new(
             RcFileInputFormat::new(self.layout.table_rc(ssb_schema::LINEORDER))
                 .with_columns(scan_cols),
@@ -191,11 +187,7 @@ impl Hive {
                         }
                     }
                     join.predicate.columns(&mut dim_cols);
-                    let dim_scan_idx: Vec<usize> = dim_cols
-                        .iter()
-                        .map(|c| dim_schema.index_of(c))
-                        .collect::<Result<_>>()?;
-                    let dim_scan_schema = dim_schema.project(&dim_scan_idx);
+                    let dim_scan_schema = dim_schema.select(&dim_cols)?;
                     let dim_input: Arc<dyn InputFormat> = Arc::new(
                         RcFileInputFormat::new(self.layout.table_rc(&join.dimension))
                             .with_columns(dim_cols.clone()),
@@ -384,7 +376,7 @@ mod tests {
         let hive = Hive::new(Arc::clone(&dfs), layout, JoinStrategy::MapJoin);
         let q = query_by_id("Q2.1").unwrap();
         let result = hive.query(&q).unwrap();
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(result.rows, expect);
         // Paper: "Hive generates a five stage mapjoin plan" for Q2.1.
         assert_eq!(result.stages.len(), 5);
@@ -408,7 +400,7 @@ mod tests {
         let hive = Hive::new(Arc::clone(&dfs), layout.clone(), JoinStrategy::Repartition);
         let q = query_by_id("Q2.1").unwrap();
         let result = hive.query(&q).unwrap();
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(result.rows, expect);
         assert_eq!(result.stages.len(), 5);
         // The repartition join shuffles the fact side; mapjoin stages are
@@ -427,7 +419,7 @@ mod tests {
     #[test]
     fn both_strategies_match_reference_on_all_queries() {
         let (dfs, layout, gen) = setup(0.004, 2);
-        let data = gen.gen_all();
+        let data = gen.gen_all().unwrap();
         for strategy in [JoinStrategy::MapJoin, JoinStrategy::Repartition] {
             let hive = Hive::new(Arc::clone(&dfs), layout.clone(), strategy);
             for q in all_queries() {
@@ -458,7 +450,8 @@ mod tests {
     fn warm_replay_serves_every_stage_from_cache() {
         let (dfs, layout, gen) = setup(0.003, 2);
         dfs.cache_configure(64 << 20);
-        let expect = reference_answer(&gen.gen_all(), &query_by_id("Q2.1").unwrap()).unwrap();
+        let expect =
+            reference_answer(&gen.gen_all().unwrap(), &query_by_id("Q2.1").unwrap()).unwrap();
         for strategy in [JoinStrategy::MapJoin, JoinStrategy::Repartition] {
             let hive = Hive::new(Arc::clone(&dfs), layout.clone(), strategy);
             let q = query_by_id("Q2.1").unwrap();
@@ -485,7 +478,7 @@ mod tests {
         let a = hive.query(&q).unwrap();
         let b = hive.query(&q).unwrap();
         assert_eq!(a.rows, b.rows);
-        let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(a.rows, expect);
     }
 }

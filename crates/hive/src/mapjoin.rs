@@ -43,13 +43,15 @@ pub fn build_and_publish(
 
     let mut serialized: Vec<Row> = Vec::new();
     for r in &rows {
-        if !pred.eval(r) {
+        if !pred.eval(r)? {
             continue;
         }
         let mut entry = Row::with_capacity(1 + aux_idx.len());
-        entry.push(r.at(pk_idx).clone());
-        for &i in &aux_idx {
-            entry.push(r.at(i).clone());
+        for &i in std::iter::once(&pk_idx).chain(&aux_idx) {
+            let field = r.get(i).ok_or_else(|| {
+                ClydeError::MapReduce(format!("{} row has no column {i}", join.dimension))
+            })?;
+            entry.push(field.clone());
         }
         serialized.push(entry);
     }
@@ -155,9 +157,7 @@ pub fn joined_schema(input: &Schema, join: &DimJoin) -> Result<Schema> {
     let dim_schema = ssb_schema::schema_of(&join.dimension)
         .ok_or_else(|| ClydeError::Plan(format!("unknown dimension {}", join.dimension)))?;
     let mut fields = input.fields().to_vec();
-    for a in &join.aux {
-        fields.push(dim_schema.field(dim_schema.index_of(a)?).clone());
-    }
+    fields.extend_from_slice(dim_schema.select(&join.aux)?.fields());
     Ok(Schema::new(fields))
 }
 

@@ -57,7 +57,7 @@ impl Mapper for RepartitionMapper {
                 ctx.emit(&[Datum::I64(fk)], value);
             }
             TAG_RIGHT => {
-                if !self.dim_pred.eval(&value) {
+                if !self.dim_pred.eval(&value)? {
                     return Ok(());
                 }
                 let pk = int_key(fields, self.pk_idx, "dimension")?;

@@ -26,9 +26,8 @@
 //!   merge-scope files ([`rules::d006::D006_MERGE_SCOPE`]) must pin their
 //!   fold order or carry a reasoned pragma.
 //! * **D007 `panicfree`** — no `unwrap`/`expect`/`panic!`/unchecked
-//!   indexing in non-test code of the five engine crates (`common`,
-//!   `columnar`, `dfs`, `mapred`, `core`); grandfathered sites live in
-//!   `baseline.lint` under a CI-enforced downward ratchet ([`baseline`]).
+//!   indexing in non-test code of the seven engine and query crates
+//!   (`common`, `columnar`, `dfs`, `mapred`, `core`, `ssb`, `hive`).
 //! * **D008 `walltaint`** — per-function taint tracking: wall-derived
 //!   values must not reach sim-time sinks (metrics, traces, profile JSON)
 //!   except through the filtered `*wall*` channels.
@@ -45,7 +44,10 @@
 //! // clyde-lint: allow(floatorder, reason=fixed-merge-order, results sorted by first_morsel)
 //! ```
 //!
-//! The reason is mandatory; a pragma without one is itself an error (P001).
+//! The reason is mandatory; a pragma without one is itself an error (P001),
+//! and so is a pragma that suppresses nothing. There is no baseline of
+//! grandfathered findings: every finding fails, and a pragma is the only
+//! way to silence one.
 //! Deliberately not a rustc plugin: the analyzer lexes and parses the whole
 //! workspace in milliseconds, with no nightly dependency, and its rules stay
 //! greppable.
@@ -53,7 +55,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
@@ -242,7 +243,8 @@ pub(crate) struct Pragma {
     rule: Rule,
 }
 
-/// Parse pragmas out of the file's comments. Malformed pragmas become P001
+/// Parse pragmas out of the file's plain `//` comments (doc comments may
+/// quote a pragma without being one). Malformed pragmas become P001
 /// violations.
 fn parse_pragmas(
     file: &Path,
@@ -251,6 +253,9 @@ fn parse_pragmas(
 ) -> Vec<Pragma> {
     let mut pragmas = Vec::new();
     for (line, text) in comments {
+        if text.starts_with('/') || text.starts_with('!') {
+            continue;
+        }
         let Some(pos) = text.find("clyde-lint:") else {
             continue;
         };
@@ -289,14 +294,30 @@ fn parse_pragmas(
 }
 
 /// A pragma suppresses matching violations on its own line and the line
-/// directly below (so it can ride above the offending statement).
-fn suppress(violations: &mut Vec<Violation>, pragmas: &[Pragma]) {
-    violations.retain(|v| {
-        v.rule == Rule::BadPragma
-            || !pragmas
-                .iter()
-                .any(|p| p.rule == v.rule && (p.line == v.line || p.line + 1 == v.line))
-    });
+/// directly below (so it can ride above the offending statement). A pragma
+/// that suppresses nothing is reported as P001: an exemption outliving the
+/// site it was written for would silence the next one there.
+fn suppress(file: &Path, violations: &mut Vec<Violation>, pragmas: &[Pragma]) {
+    let covers = |p: &Pragma, v: &Violation| {
+        v.rule != Rule::BadPragma && p.rule == v.rule && (p.line == v.line || p.line + 1 == v.line)
+    };
+    let unused: Vec<Violation> = pragmas
+        .iter()
+        .filter(|p| !violations.iter().any(|v| covers(p, v)))
+        .map(|p| Violation {
+            file: file.to_path_buf(),
+            line: p.line,
+            rule: Rule::BadPragma,
+            message: format!(
+                "unused pragma `allow({})` — no {} finding on this line or the next; \
+                 delete it",
+                p.rule.pragma_name(),
+                p.rule.code()
+            ),
+        })
+        .collect();
+    violations.retain(|v| !pragmas.iter().any(|p| covers(p, v)));
+    violations.extend(unused);
 }
 
 pub(crate) fn rel_allowed(file: &Path, allowlist: &[&str]) -> bool {
@@ -316,7 +337,7 @@ pub fn scan_source(file: &Path, src: &str) -> Vec<Violation> {
     let pragmas = parse_pragmas(file, &lexer::line_comments(&toks), &mut violations);
     let ast = parse::parse(&toks);
     rules::run_file(&rules::FileCtx { file, ast: &ast }, &mut violations);
-    suppress(&mut violations, &pragmas);
+    suppress(file, &mut violations, &pragmas);
     violations.sort();
     violations
 }
@@ -534,6 +555,15 @@ mod tests {
     }
 
     #[test]
+    fn a_pragma_that_suppresses_nothing_is_a_finding() {
+        let src = "fn f() {\n    // clyde-lint: allow(unordered, reason=the map that was here is gone)\n    let x = 1;\n}\n";
+        let vs = scan(src);
+        assert_eq!(rules(&vs), vec![Rule::BadPragma]);
+        assert_eq!(vs[0].line, 2);
+        assert!(vs[0].message.contains("unused pragma"), "{vs:?}");
+    }
+
+    #[test]
     fn comments_and_strings_never_match() {
         let src = "fn f() {\n    // HashMap iteration and Instant::now in prose\n    let s = \"Mutex thread_rng SystemTime\";\n    let _ = s;\n}\n";
         assert!(scan(src).is_empty());
@@ -595,15 +625,15 @@ mod tests {
     }
 
     #[test]
-    fn d007_covers_every_fn_of_the_engine_crates_and_nothing_else() {
+    fn d007_covers_every_fn_of_the_engine_and_query_crates_and_nothing_else() {
         let src = "impl E {\n    fn run_job_inner(&self) { self.x.unwrap(); }\n    fn helper(&self) { self.x.unwrap(); }\n}\n";
-        for engine in ["common", "columnar", "dfs", "mapred", "core"] {
+        for engine in ["common", "columnar", "dfs", "mapred", "core", "ssb", "hive"] {
             let vs = scan_source(Path::new(&format!("crates/{engine}/src/any.rs")), src);
             assert_eq!(rules(&vs), vec![Rule::PanicFree; 2], "{engine}: {vs:?}");
         }
         for outside in [
             "crates/bench/src/harness.rs",
-            "crates/hive/src/lib.rs",
+            "crates/lint/src/lib.rs",
             "crates/core/tests/it.rs",
             "tests/end_to_end.rs",
         ] {
@@ -647,7 +677,10 @@ mod tests {
         for name in ["floatorder", "panicfree", "walltaint"] {
             let src =
                 format!("// clyde-lint: allow({name}, reason=covered by a test)\nfn f() {{}}\n");
-            assert!(scan(&src).is_empty(), "{name} pragma should parse");
+            // Well-formed, so the only finding is that it suppresses nothing.
+            let vs = scan(&src);
+            assert_eq!(rules(&vs), vec![Rule::BadPragma], "{name}");
+            assert!(vs[0].message.contains("unused pragma"), "{name}: {vs:?}");
         }
     }
 }

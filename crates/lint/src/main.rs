@@ -1,29 +1,25 @@
 //! `clyde-lint` CLI.
 //!
 //! ```text
-//! clyde-lint [--root <dir>]          # scan; exit 1 on non-baselined findings
+//! clyde-lint [--root <dir>]          # scan; exit 1 on any finding
 //!            [--format text|json]    # json adds GitHub-annotation fields
 //!            [--out <file>]          # write the json report here (stdout text
 //!                                    # stays problem-matcher compatible)
-//!            [--baseline <file>]     # default: <root>/crates/lint/baseline.lint
-//!            [--write-baseline]      # regenerate the baseline from this scan
-//!            [--ratchet]             # CI mode: stale baseline entries fail too
 //! clyde-lint --self-test             # each fixture must trigger exactly its rule
 //! ```
 
-use clyde_lint::baseline::{self, Baseline};
 use clyde_lint::{scan_source, scan_workspace, Rule, Violation};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+const USAGE: &str =
+    "usage: clyde-lint [--root <dir>] [--format text|json] [--out <file>] [--self-test]";
 
 struct Opts {
     root: PathBuf,
     self_test: bool,
     json: bool,
     out: Option<PathBuf>,
-    baseline_path: Option<PathBuf>,
-    write_baseline: bool,
-    ratchet: bool,
 }
 
 fn main() -> ExitCode {
@@ -33,9 +29,6 @@ fn main() -> ExitCode {
         self_test: false,
         json: false,
         out: None,
-        baseline_path: None,
-        write_baseline: false,
-        ratchet: false,
     };
     let mut i = 0;
     while i < args.len() {
@@ -62,21 +55,10 @@ fn main() -> ExitCode {
                     None => return usage(),
                 }
             }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => opts.baseline_path = Some(PathBuf::from(p)),
-                    None => return usage(),
-                }
-            }
-            "--write-baseline" => opts.write_baseline = true,
-            "--ratchet" => opts.ratchet = true,
             "--self-test" => opts.self_test = true,
             "--help" | "-h" => {
                 println!(
-                    "clyde-lint: determinism, concurrency and panic-path invariants (D001-D008)\n\
-                     usage: clyde-lint [--root <dir>] [--format text|json] [--out <file>]\n\
-                            [--baseline <file>] [--write-baseline] [--ratchet] [--self-test]"
+                    "clyde-lint: determinism, concurrency and panic-path invariants (D001-D008)\n{USAGE}"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -92,10 +74,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: clyde-lint [--root <dir>] [--format text|json] [--out <file>] \
-         [--baseline <file>] [--write-baseline] [--ratchet] [--self-test]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -107,58 +86,16 @@ fn run_scan(opts: &Opts) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/lint/baseline.lint"));
-
-    if opts.write_baseline {
-        let text = baseline::render(&violations);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("clyde-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "clyde-lint: wrote baseline {} ({} finding(s) grandfathered)",
-            baseline_path.display(),
-            violations.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("clyde-lint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::default(), // no baseline file: nothing grandfathered
-    };
-    let applied = baseline::apply(&baseline, violations);
 
     // Text findings always go to stdout in `file:line: CODE message` form —
     // the GitHub problem matcher and human eyes both read this.
-    for v in &applied.failing {
+    for v in &violations {
         println!("{v}");
     }
-    for (code, file, was, now) in &applied.stale {
-        println!(
-            "clyde-lint: note: baseline stale: {code} {file} allows {was}, found {now} — \
-             run --write-baseline to ratchet down"
-        );
-    }
-    println!(
-        "clyde-lint: {} failing, {} baselined, {} stale baseline entr{}",
-        applied.failing.len(),
-        applied.baselined,
-        applied.stale.len(),
-        if applied.stale.len() == 1 { "y" } else { "ies" },
-    );
+    println!("clyde-lint: {} finding(s)", violations.len());
 
     if opts.json {
-        let json = render_report(&applied, &baseline);
+        let json = render_report(&violations);
         match &opts.out {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, &json) {
@@ -170,24 +107,18 @@ fn run_scan(opts: &Opts) -> ExitCode {
         }
     }
 
-    if !applied.failing.is_empty() {
-        return ExitCode::FAILURE;
+    if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    if opts.ratchet && !applied.stale.is_empty() {
-        eprintln!(
-            "clyde-lint: ratchet: baseline entries are stale (debt was paid down) — \
-             regenerate with --write-baseline so the ratchet can't back-slide"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// JSON report with GitHub-annotation fields per finding. Hand-rolled —
 /// the crate is intentionally zero-dependency.
-fn render_report(applied: &baseline::Applied, baseline: &Baseline) -> String {
+fn render_report(violations: &[Violation]) -> String {
     let mut s = String::from("{\n  \"version\": 1,\n  \"findings\": [");
-    for (i, v) in applied.failing.iter().enumerate() {
+    for (i, v) in violations.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -201,24 +132,9 @@ fn render_report(applied: &baseline::Applied, baseline: &Baseline) -> String {
             json_str(&v.message),
         ));
     }
-    s.push_str("\n  ],\n  \"stale_baseline\": [");
-    for (i, (code, file, was, now)) in applied.stale.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"baseline\": {was}, \"actual\": {now}}}",
-            json_str(code),
-            json_str(file),
-        ));
-    }
     s.push_str(&format!(
-        "\n  ],\n  \"summary\": {{\"failing\": {}, \"baselined\": {}, \
-         \"stale\": {}, \"baseline_total\": {}}}\n}}\n",
-        applied.failing.len(),
-        applied.baselined,
-        applied.stale.len(),
-        baseline.total(),
+        "\n  ],\n  \"summary\": {{\"failing\": {}}}\n}}\n",
+        violations.len()
     ));
     s
 }
@@ -248,7 +164,7 @@ fn json_str(s: &str) -> String {
 fn run_self_test(root: &Path) -> ExitCode {
     const NEUTRAL: &str = "crates/fixture/src/lib.rs";
     let fixtures = root.join("crates/lint/fixtures");
-    let cases: [(&str, &str, Option<Rule>); 10] = [
+    let cases: [(&str, &str, Option<Rule>); 11] = [
         ("d001_unordered.rs", NEUTRAL, Some(Rule::Unordered)),
         ("d002_wallclock.rs", NEUTRAL, Some(Rule::WallClock)),
         ("d003_entropy.rs", NEUTRAL, Some(Rule::Entropy)),
@@ -270,6 +186,7 @@ fn run_self_test(root: &Path) -> ExitCode {
             Some(Rule::PanicFree),
         ),
         ("d008_walltaint.rs", NEUTRAL, Some(Rule::WallTaint)),
+        ("p001_unused_pragma.rs", NEUTRAL, Some(Rule::BadPragma)),
         ("clean.rs", NEUTRAL, None),
     ];
     let mut failed = false;
@@ -320,7 +237,9 @@ fn run_self_test(root: &Path) -> ExitCode {
     if failed {
         ExitCode::FAILURE
     } else {
-        println!("clyde-lint: self-test OK — all eight rules (D001-D008) exercised");
+        println!(
+            "clyde-lint: self-test OK — all eight rules (D001-D008) and unused pragmas (P001) exercised"
+        );
         ExitCode::SUCCESS
     }
 }

@@ -464,7 +464,7 @@ impl MapTaskEnv<'_> {
             self.plan.splits.iter().map(|s| s.hosts.clone()).collect();
         for i in 0..n {
             if self.death_time(i).is_some() {
-                self.dfs.kill_node(NodeId(i));
+                self.dfs.kill_node(NodeId(i))?;
                 rec.dead_nodes.push(NodeId(i));
                 if let Some(b) = rec.blacklisted.get_mut(i) {
                     *b = true;
@@ -1405,7 +1405,7 @@ mod tests {
         }
 
         let engine = Engine::new(Arc::clone(&dfs));
-        dfs.kill_node(victim);
+        dfs.kill_node(victim).unwrap();
         let spec = sum_job(Arc::new(DfsRowsFormat));
         let result = engine.run_job(&spec).unwrap();
         assert_eq!(result.rows, vec![row![55i64]]);

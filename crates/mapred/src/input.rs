@@ -137,7 +137,13 @@ impl RecordReader for RowsFromBlocks {
         loop {
             if let Some(range) = &mut self.current {
                 if let Some(i) = range.rows.next() {
-                    return Ok(Some((Row::empty(), range.block.row(i))));
+                    let row = range.block.row(i).ok_or_else(|| {
+                        ClydeError::Format(format!(
+                            "row {i} outside a block of {} rows",
+                            range.block.len()
+                        ))
+                    })?;
+                    return Ok(Some((Row::empty(), row)));
                 }
             }
             match self.inner.next_range()? {

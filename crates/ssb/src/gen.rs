@@ -59,13 +59,14 @@ pub mod calendar {
         (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
     }
 
+    /// Days in `month` (1–12) of `year`. Total: a month number outside
+    /// 1–12 counts 31 days, which `from_day_index` never asks for.
     pub fn days_in_month(year: i32, month: u32) -> u32 {
         match month {
-            1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
             4 | 6 | 9 | 11 => 30,
             2 if is_leap(year) => 29,
             2 => 28,
-            _ => unreachable!("month out of range"),
+            _ => 31,
         }
     }
 
@@ -161,13 +162,53 @@ impl SsbGen {
         StdRng::seed_from_u64(mix)
     }
 
-    /// The `date` dimension (fixed 7-year calendar).
+    /// The dimension table `table` (`customer`, `supplier`, `part` or
+    /// `date`), generated whole; any other name is a typed error.
+    pub fn dimension(&self, table: &str) -> Result<Vec<Row>> {
+        match table {
+            schema::CUSTOMER => self.customer_rows(),
+            schema::SUPPLIER => self.supplier_rows(),
+            schema::PART => self.part_rows(),
+            schema::DATE => self.date_rows(),
+            other => Err(ClydeError::Config(format!(
+                "{other} is not an SSB dimension"
+            ))),
+        }
+    }
+
+    /// The `date` dimension (fixed 7-year calendar). A panicking form of [`SsbGen::dimension`], kept
+    /// for the frozen benchmark's callers.
     pub fn gen_date(&self) -> Vec<Row> {
-        let months = schema::MONTHS;
+        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
+        self.date_rows().expect("the calendar covers every day")
+    }
+
+    /// The `customer` dimension. A panicking form of [`SsbGen::dimension`], kept
+    /// for the frozen benchmark's callers.
+    pub fn gen_customer(&self) -> Vec<Row> {
+        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
+        self.customer_rows().expect("every draw indexes its table")
+    }
+
+    /// The `supplier` dimension. A panicking form of [`SsbGen::dimension`], kept
+    /// for the frozen benchmark's callers.
+    pub fn gen_supplier(&self) -> Vec<Row> {
+        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
+        self.supplier_rows().expect("every draw indexes its table")
+    }
+
+    /// The `part` dimension. A panicking form of [`SsbGen::dimension`], kept
+    /// for the frozen benchmark's callers.
+    pub fn gen_part(&self) -> Vec<Row> {
+        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
+        self.part_rows().expect("every draw indexes its table")
+    }
+
+    fn date_rows(&self) -> Result<Vec<Row>> {
         (0..NUM_DATES as u32)
             .map(|idx| {
                 let (y, m, d, doy) = calendar::from_day_index(idx);
-                let (month_name, month_abbr) = months[(m - 1) as usize];
+                let (month_name, month_abbr) = pick(&schema::MONTHS, (m as usize).wrapping_sub(1))?;
                 let day_in_week = (idx % 7) as i32 + 1; // 1992-01-01 = day 1
                 let season = match m {
                     12 => "Christmas",
@@ -176,10 +217,10 @@ impl SsbGen {
                     6..=8 => "Summer",
                     _ => "Fall",
                 };
-                row![
+                Ok(row![
                     calendar::datekey(idx),
                     format!("{month_name} {d}, {y}"),
-                    schema::DAYS_OF_WEEK[(idx % 7) as usize],
+                    pick(&schema::DAYS_OF_WEEK, (idx % 7) as usize)?,
                     month_name,
                     y,
                     y * 100 + m as i32,
@@ -188,54 +229,51 @@ impl SsbGen {
                     doy as i32,
                     ((doy - 1) / 7 + 1) as i32,
                     season
-                ]
+                ])
             })
             .collect()
     }
 
-    /// The `customer` dimension.
-    pub fn gen_customer(&self) -> Vec<Row> {
+    fn customer_rows(&self) -> Result<Vec<Row>> {
         let mut rng = self.rng_for(schema::CUSTOMER);
         (1..=self.num_customers() as i32)
             .map(|key| {
-                let (nation, region_idx) = schema::NATIONS[rng.gen_range(0..25usize)];
+                let (nation, region_idx) = pick(&schema::NATIONS, rng.gen_range(0..25usize))?;
                 let city = schema::city_name(nation, rng.gen_range(0..10));
-                row![
+                Ok(row![
                     key,
                     format!("Customer#{key:09}"),
                     random_address(&mut rng),
                     city,
                     nation,
-                    schema::REGIONS[region_idx],
+                    pick(&schema::REGIONS, region_idx)?,
                     random_phone(&mut rng, region_idx),
-                    SEGMENTS[rng.gen_range(0..SEGMENTS.len())]
-                ]
+                    pick(&SEGMENTS, rng.gen_range(0..SEGMENTS.len()))?
+                ])
             })
             .collect()
     }
 
-    /// The `supplier` dimension.
-    pub fn gen_supplier(&self) -> Vec<Row> {
+    fn supplier_rows(&self) -> Result<Vec<Row>> {
         let mut rng = self.rng_for(schema::SUPPLIER);
         (1..=self.num_suppliers() as i32)
             .map(|key| {
-                let (nation, region_idx) = schema::NATIONS[rng.gen_range(0..25usize)];
+                let (nation, region_idx) = pick(&schema::NATIONS, rng.gen_range(0..25usize))?;
                 let city = schema::city_name(nation, rng.gen_range(0..10));
-                row![
+                Ok(row![
                     key,
                     format!("Supplier#{key:09}"),
                     random_address(&mut rng),
                     city,
                     nation,
-                    schema::REGIONS[region_idx],
+                    pick(&schema::REGIONS, region_idx)?,
                     random_phone(&mut rng, region_idx)
-                ]
+                ])
             })
             .collect()
     }
 
-    /// The `part` dimension.
-    pub fn gen_part(&self) -> Vec<Row> {
+    fn part_rows(&self) -> Result<Vec<Row>> {
         let mut rng = self.rng_for(schema::PART);
         (1..=self.num_parts() as i32)
             .map(|key| {
@@ -245,18 +283,22 @@ impl SsbGen {
                 let mfgr = format!("MFGR#{mfgr_num}");
                 let category = format!("MFGR#{mfgr_num}{cat_num}");
                 let brand1 = format!("{category}{brand_num}");
-                let color = COLORS[rng.gen_range(0..COLORS.len())];
-                row![
+                let color = pick(&COLORS, rng.gen_range(0..COLORS.len()))?;
+                Ok(row![
                     key,
-                    format!("{} {}", color, COLORS[rng.gen_range(0..COLORS.len())]),
+                    format!(
+                        "{} {}",
+                        color,
+                        pick(&COLORS, rng.gen_range(0..COLORS.len()))?
+                    ),
                     mfgr,
                     category,
                     brand1,
                     color,
-                    TYPES[rng.gen_range(0..TYPES.len())],
+                    pick(&TYPES, rng.gen_range(0..TYPES.len()))?,
                     rng.gen_range(1..=50i32),
-                    CONTAINERS[rng.gen_range(0..CONTAINERS.len())]
-                ]
+                    pick(&CONTAINERS, rng.gen_range(0..CONTAINERS.len()))?
+                ])
             })
             .collect()
     }
@@ -325,29 +367,27 @@ impl SsbGen {
         const ROWS_PER_BLOCK: usize = 4096;
         let fact = self.gen_lineorder();
         for rows in fact.order(false)?.chunks(ROWS_PER_BLOCK) {
-            let block = fact.gather(rows)?;
-            for i in 0..block.len() {
-                f(&block.row(i))?;
+            for row in fact.gather(rows)?.rows() {
+                f(&row)?;
             }
         }
         Ok(())
     }
 
     /// Materialize the full dataset (tests and the reference executor).
-    pub fn gen_all(&self) -> SsbData {
+    pub fn gen_all(&self) -> Result<SsbData> {
         let mut lineorder = Vec::with_capacity(self.num_lineorders());
         self.for_each_lineorder(|r| {
             lineorder.push(r.clone());
             Ok(())
-        })
-        .expect("in-memory generation cannot fail");
-        SsbData {
-            customer: self.gen_customer(),
-            supplier: self.gen_supplier(),
-            part: self.gen_part(),
-            date: self.gen_date(),
+        })?;
+        Ok(SsbData {
+            customer: self.customer_rows()?,
+            supplier: self.supplier_rows()?,
+            part: self.part_rows()?,
+            date: self.date_rows()?,
             lineorder,
-        }
+        })
     }
 }
 
@@ -443,9 +483,11 @@ impl LineorderColumns {
         }
         // First output slot of each day: counts, then exclusive prefix sums
         // (each ≤ n, so no sum overflows).
+        let bad_day =
+            |d: u16| ClydeError::Config(format!("lineorder day index {d} off the calendar"));
         let mut next = vec![0u32; NUM_DATES];
         for &d in &self.orderdate {
-            next[usize::from(d)] += 1;
+            *next.get_mut(usize::from(d)).ok_or_else(|| bad_day(d))? += 1;
         }
         let mut start = 0u32;
         for slot in &mut next {
@@ -455,8 +497,11 @@ impl LineorderColumns {
         }
         let mut order = vec![0u32; self.len()];
         for (row, &d) in (0..n).zip(&self.orderdate) {
-            let slot = &mut next[usize::from(d)];
-            order[*slot as usize] = row;
+            let slot = next.get_mut(usize::from(d)).ok_or_else(|| bad_day(d))?;
+            // The prefix sums keep every slot below the row count.
+            if let Some(out) = order.get_mut(*slot as usize) {
+                *out = row;
+            }
             *slot += 1;
         }
         Ok(order)
@@ -465,40 +510,68 @@ impl LineorderColumns {
     /// The selected rows, in the order given, as a block of the `lineorder`
     /// schema's columns.
     pub(crate) fn gather(&self, rows: &[u32]) -> Result<RowBlock> {
-        if let Some(&bad) = rows.iter().find(|&&r| r as usize >= self.len()) {
-            return Err(ClydeError::Config(format!(
-                "lineorder row {bad} out of range"
-            )));
-        }
-        let ints = |col: &[i32]| ColumnData::I32(rows.iter().map(|&r| col[r as usize]).collect());
+        let ints = |col: &[i32]| gather_col(col, rows, Some).map(ColumnData::I32);
         let dates = |col: &[u16]| {
-            let key = |r: u32| self.datekeys[usize::from(col[r as usize])];
-            ColumnData::I32(rows.iter().map(|&r| key(r)).collect())
+            gather_col(col, rows, |d| self.datekeys.get(usize::from(d)).copied())
+                .map(ColumnData::I32)
         };
         let strs = |col: &[u8], names: &[Arc<str>]| {
-            let name = |r: u32| Arc::clone(&names[usize::from(col[r as usize])]);
-            ColumnData::Str(rows.iter().map(|&r| name(r)).collect())
+            gather_col(col, rows, |c| names.get(usize::from(c)).cloned()).map(ColumnData::Str)
         };
         RowBlock::new(vec![
-            ints(&self.orderkey),
-            ints(&self.linenumber),
-            ints(&self.custkey),
-            ints(&self.partkey),
-            ints(&self.suppkey),
-            dates(&self.orderdate),
-            strs(&self.priority, &self.priorities),
+            ints(&self.orderkey)?,
+            ints(&self.linenumber)?,
+            ints(&self.custkey)?,
+            ints(&self.partkey)?,
+            ints(&self.suppkey)?,
+            dates(&self.orderdate)?,
+            strs(&self.priority, &self.priorities)?,
             ColumnData::I32(vec![0; rows.len()]),
-            ints(&self.quantity),
-            ints(&self.extendedprice),
-            ints(&self.ordtotalprice),
-            ints(&self.discount),
-            ints(&self.revenue),
-            ints(&self.supplycost),
-            ints(&self.tax),
-            dates(&self.commitdate),
-            strs(&self.shipmode, &self.ship_modes),
+            ints(&self.quantity)?,
+            ints(&self.extendedprice)?,
+            ints(&self.ordtotalprice)?,
+            ints(&self.discount)?,
+            ints(&self.revenue)?,
+            ints(&self.supplycost)?,
+            ints(&self.tax)?,
+            dates(&self.commitdate)?,
+            strs(&self.shipmode, &self.ship_modes)?,
         ])
     }
+}
+
+/// `decode(col[r])` for each selected row `r`, in order; a row past the
+/// column or a code outside its table is a typed error.
+fn gather_col<T: Copy, U>(
+    col: &[T],
+    rows: &[u32],
+    decode: impl Fn(T) -> Option<U>,
+) -> Result<Vec<U>> {
+    let mut out = Vec::with_capacity(rows.len());
+    for &r in rows {
+        let v = col
+            .get(r as usize)
+            .copied()
+            .and_then(&decode)
+            .ok_or_else(|| {
+                ClydeError::Config(format!(
+                    "lineorder row {r} out of range or holds an unknown code"
+                ))
+            })?;
+        out.push(v);
+    }
+    Ok(out)
+}
+
+/// `table[i]` for a generator draw `i`; a draw outside the table is a typed
+/// error.
+fn pick<T: Copy>(table: &[T], i: usize) -> Result<T> {
+    table.get(i).copied().ok_or_else(|| {
+        ClydeError::Config(format!(
+            "generator draw {i} outside a table of {}",
+            table.len()
+        ))
+    })
 }
 
 fn random_address(rng: &mut StdRng) -> String {
@@ -563,19 +636,19 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = SsbGen::new(0.002, 42).gen_all();
-        let b = SsbGen::new(0.002, 42).gen_all();
+        let a = SsbGen::new(0.002, 42).gen_all().unwrap();
+        let b = SsbGen::new(0.002, 42).gen_all().unwrap();
         assert_eq!(a.customer, b.customer);
         assert_eq!(a.lineorder, b.lineorder);
         // A different seed produces different data.
-        let c = SsbGen::new(0.002, 43).gen_all();
+        let c = SsbGen::new(0.002, 43).gen_all().unwrap();
         assert_ne!(a.lineorder, c.lineorder);
     }
 
     #[test]
     fn foreign_keys_are_valid() {
         let g = SsbGen::new(0.002, 11);
-        let data = g.gen_all();
+        let data = g.gen_all().unwrap();
         let datekeys: FxHashSet<i64> = data
             .date
             .iter()
@@ -600,7 +673,7 @@ mod tests {
 
     #[test]
     fn measures_respect_domains() {
-        let data = SsbGen::new(0.001, 3).gen_all();
+        let data = SsbGen::new(0.001, 3).gen_all().unwrap();
         for lo in &data.lineorder {
             let quantity = lo.at(8).as_i32().unwrap();
             let ext = lo.at(9).as_i32().unwrap();
@@ -615,7 +688,7 @@ mod tests {
 
     #[test]
     fn orders_group_lines() {
-        let data = SsbGen::new(0.001, 3).gen_all();
+        let data = SsbGen::new(0.001, 3).gen_all().unwrap();
         // Line numbers restart at 1 for each order and increment.
         let mut prev_order = 0i32;
         let mut prev_line = 0i32;
@@ -634,7 +707,7 @@ mod tests {
 
     #[test]
     fn rows_match_schemas() {
-        let data = SsbGen::new(0.001, 5).gen_all();
+        let data = SsbGen::new(0.001, 5).gen_all().unwrap();
         for r in data.customer.iter().take(20) {
             schema::customer_schema().check_row(r).unwrap();
         }
@@ -655,7 +728,7 @@ mod tests {
     #[test]
     fn streaming_matches_collected() {
         let g = SsbGen::new(0.001, 9);
-        let collected = g.gen_all().lineorder;
+        let collected = g.gen_all().unwrap().lineorder;
         let mut streamed = Vec::new();
         g.for_each_lineorder(|r| {
             streamed.push(r.clone());
@@ -669,13 +742,13 @@ mod tests {
     fn date_order_is_the_stable_sort_by_order_date() {
         let g = SsbGen::new(0.002, 11);
         let fact = g.gen_lineorder();
-        let mut expected = g.gen_all().lineorder;
+        let mut expected = g.gen_all().unwrap().lineorder;
         let n = expected.len() as u32;
         assert_eq!(fact.order(false).unwrap(), (0..n).collect::<Vec<_>>());
         // Many rows share a day, so equal keys must keep generation order.
         expected.sort_by_key(|r| r.at(5).as_i64());
         let block = fact.gather(&fact.order(true).unwrap()).unwrap();
-        let sorted: Vec<Row> = (0..block.len()).map(|i| block.row(i)).collect();
+        let sorted: Vec<Row> = block.rows().collect();
         assert_eq!(sorted, expected);
         assert!(fact.gather(&[0, n]).is_err());
     }
@@ -684,7 +757,7 @@ mod tests {
     fn predicate_selectivities_are_plausible() {
         // The SSB queries rely on these domains: check rough selectivity of
         // Q1.1's fact predicates (discount 1..3 ≈ 3/11, quantity < 25 ≈ 24/50).
-        let data = SsbGen::new(0.01, 1).gen_all();
+        let data = SsbGen::new(0.01, 1).gen_all().unwrap();
         let n = data.lineorder.len() as f64;
         let selected = data
             .lineorder

@@ -113,15 +113,16 @@ pub fn load(
 
     // --- Dimensions: row-binary master copies + optional RCFile. ---
     let dims: [(&str, Vec<Row>); 4] = [
-        (schema::CUSTOMER, gen.gen_customer()),
-        (schema::SUPPLIER, gen.gen_supplier()),
-        (schema::PART, gen.gen_part()),
-        (schema::DATE, gen.gen_date()),
+        (schema::CUSTOMER, gen.dimension(schema::CUSTOMER)?),
+        (schema::SUPPLIER, gen.dimension(schema::SUPPLIER)?),
+        (schema::PART, gen.dimension(schema::PART)?),
+        (schema::DATE, gen.dimension(schema::DATE)?),
     ];
     for (name, rows) in &dims {
         dfs.write_file(layout.dim_bin(name), None, &rowcodec::write_rows(rows))?;
         if opts.rcfile {
-            let dim_schema = schema::schema_of(name).expect("known table");
+            let dim_schema = schema::schema_of(name)
+                .ok_or_else(|| ClydeError::Config(format!("{name} has no SSB schema")))?;
             let mut w = RcFileWriter::new(
                 Arc::clone(dfs),
                 layout.table_rc(name),
@@ -185,8 +186,8 @@ pub fn load(
             }
         }
         if let Some(w) = text.as_mut() {
-            for i in 0..block.len() {
-                w.append(&block.row(i))?;
+            for row in block.rows() {
+                w.append(&row)?;
             }
         }
     }
@@ -266,7 +267,7 @@ mod tests {
         )
         .unwrap();
 
-        let expected = gen.gen_all();
+        let expected = gen.gen_all().unwrap();
 
         // CIF fact table.
         let cif = CifReader::open(&dfs, &layout.fact_cif()).unwrap();
@@ -320,7 +321,7 @@ mod tests {
         let dates: Vec<i64> = rows.iter().map(|r| r.at(5).as_i64().unwrap()).collect();
         assert!(dates.windows(2).all(|w| w[0] <= w[1]), "dates must ascend");
         // Same rows, stably reordered — nothing dropped or duplicated.
-        let mut expected = gen.gen_all().lineorder;
+        let mut expected = gen.gen_all().unwrap().lineorder;
         expected.sort_by_key(|r| r.at(5).as_i64());
         assert_eq!(rows, expected);
     }

@@ -6,7 +6,7 @@
 //! (Section 6.1). The reference executor interprets it directly.
 
 use crate::schema;
-use clyde_common::{ClydeError, DatumRef, Result, Row, Schema};
+use clyde_common::{ClydeError, Datum, DatumRef, Result, Row, Schema};
 use std::sync::Arc;
 
 /// A predicate over fact-table columns (flight 1's discount/quantity
@@ -171,41 +171,55 @@ pub enum CompiledDimPred {
 }
 
 impl CompiledDimPred {
-    /// Panics when `row` is shorter than the schema the predicate was
-    /// compiled against.
-    pub fn eval(&self, row: &Row) -> bool {
-        self.eval_at(&|col| row.at(col).into())
+    /// Whether `row` passes. A column the predicate was compiled for that
+    /// `row` does not have is a typed error.
+    pub fn eval(&self, row: &Row) -> Result<bool> {
+        self.eval_at(&|col| row.get(col).map(DatumRef::from))
     }
 
     /// [`CompiledDimPred::eval`] over a row's borrowed fields, as the
-    /// row-binary reader hands them out; same panic condition.
-    pub fn eval_fields(&self, fields: &[DatumRef<'_>]) -> bool {
-        self.eval_at(&|col| fields[col])
+    /// row-binary reader hands them out; same error condition.
+    pub fn eval_fields(&self, fields: &[DatumRef<'_>]) -> Result<bool> {
+        self.eval_at(&|col| fields.get(col).copied())
     }
 
-    fn eval_at<'a>(&self, at: &impl Fn(usize) -> DatumRef<'a>) -> bool {
-        match self {
+    fn eval_at<'a>(&self, at: &impl Fn(usize) -> Option<DatumRef<'a>>) -> Result<bool> {
+        let field = |col: usize| {
+            at(col).ok_or_else(|| {
+                ClydeError::Format(format!("dimension row has no column {col} to filter on"))
+            })
+        };
+        Ok(match self {
             CompiledDimPred::True => true,
-            CompiledDimPred::StrEq { col, value } => at(*col).as_str() == Some(value.as_ref()),
-            CompiledDimPred::StrIn { col, values } => match at(*col).as_str() {
+            CompiledDimPred::StrEq { col, value } => field(*col)?.as_str() == Some(value.as_ref()),
+            CompiledDimPred::StrIn { col, values } => match field(*col)?.as_str() {
                 Some(s) => values.iter().any(|v| v.as_ref() == s),
                 None => false,
             },
-            CompiledDimPred::StrBetween { col, lo, hi } => match at(*col).as_str() {
+            CompiledDimPred::StrBetween { col, lo, hi } => match field(*col)?.as_str() {
                 Some(s) => s >= lo.as_str() && s <= hi.as_str(),
                 None => false,
             },
-            CompiledDimPred::I32Eq { col, value } => at(*col).as_i64() == Some(i64::from(*value)),
-            CompiledDimPred::I32Between { col, lo, hi } => match at(*col).as_i64() {
+            CompiledDimPred::I32Eq { col, value } => {
+                field(*col)?.as_i64() == Some(i64::from(*value))
+            }
+            CompiledDimPred::I32Between { col, lo, hi } => match field(*col)?.as_i64() {
                 Some(v) => v >= i64::from(*lo) && v <= i64::from(*hi),
                 None => false,
             },
-            CompiledDimPred::I32In { col, values } => match at(*col).as_i64() {
+            CompiledDimPred::I32In { col, values } => match field(*col)?.as_i64() {
                 Some(v) => values.iter().any(|&x| i64::from(x) == v),
                 None => false,
             },
-            CompiledDimPred::And(preds) => preds.iter().all(|p| p.eval_at(at)),
-        }
+            CompiledDimPred::And(preds) => {
+                for p in preds {
+                    if !p.eval_at(at)? {
+                        return Ok(false);
+                    }
+                }
+                true
+            }
+        })
     }
 }
 
@@ -260,23 +274,23 @@ impl Aggregate {
 
     /// Evaluate the measure for row `i` of a block (i32 fact columns).
     /// `a`/`b` are the measure-column slices resolved by the probe plan;
-    /// `CountStar` needs neither.
+    /// `CountStar` needs neither. A measure column the aggregate needs that
+    /// is absent, or has no row `i`, is a typed error.
     #[inline]
-    pub fn eval_i64(&self, a: Option<&[i32]>, b: Option<&[i32]>, i: usize) -> i64 {
-        match self {
-            Aggregate::SumColumn(_) | Aggregate::MinColumn(_) | Aggregate::MaxColumn(_) => {
-                i64::from(a.expect("unary aggregate")[i])
-            }
-            Aggregate::SumProduct(_, _) => {
-                i64::from(a.expect("binary aggregate")[i])
-                    * i64::from(b.expect("binary aggregate")[i])
-            }
-            Aggregate::SumDiff(_, _) => {
-                i64::from(a.expect("binary aggregate")[i])
-                    - i64::from(b.expect("binary aggregate")[i])
-            }
+    pub fn eval_i64(&self, a: Option<&[i32]>, b: Option<&[i32]>, i: usize) -> Result<i64> {
+        let at = |col: Option<&[i32]>| {
+            col.and_then(|c| c.get(i))
+                .map(|&v| i64::from(v))
+                .ok_or_else(|| {
+                    ClydeError::Plan(format!("aggregate has no measure value for row {i}"))
+                })
+        };
+        Ok(match self {
+            Aggregate::SumColumn(_) | Aggregate::MinColumn(_) | Aggregate::MaxColumn(_) => at(a)?,
+            Aggregate::SumProduct(_, _) => at(a)? * at(b)?,
+            Aggregate::SumDiff(_, _) => at(a)? - at(b)?,
             Aggregate::CountStar => 1,
-        }
+        })
     }
 
     /// Merge two partial aggregates.
@@ -304,6 +318,22 @@ impl Aggregate {
             Aggregate::MaxColumn(_) => i64::MIN,
         }
     }
+}
+
+/// The most dimension joins a star query may have: the probe kernels keep
+/// each join's matched dimension row in a fixed array of this size.
+pub const MAX_JOINS: usize = 8;
+
+/// A typed plan error when a query has more than [`MAX_JOINS`] joins. It
+/// is [`StarQuery::validate`]'s check; the probe kernels repeat it for a
+/// plan compiled from a query that skipped validation.
+pub fn check_join_count(joins: usize) -> Result<()> {
+    if joins > MAX_JOINS {
+        return Err(ClydeError::Plan(format!(
+            "{joins} dimension joins; at most {MAX_JOINS} are supported"
+        )));
+    }
+    Ok(())
 }
 
 /// One ORDER BY term.
@@ -368,26 +398,24 @@ impl StarQuery {
     }
 
     /// Sort `groups` (group key + trailing aggregate) by the ORDER BY spec.
+    /// A term naming a column outside the group-by list orders nothing;
+    /// [`StarQuery::validate`] rejects such queries.
     pub fn sort_result(&self, rows: &mut [Row]) {
         let agg_idx = self.group_by.len();
         let keys: Vec<(usize, bool)> = self
             .order_by
             .iter()
-            .map(|(term, desc)| {
+            .filter_map(|(term, desc)| {
                 let idx = match term {
                     OrderTerm::Aggregate => agg_idx,
-                    OrderTerm::Column(name) => self
-                        .group_by
-                        .iter()
-                        .position(|g| g == name)
-                        .expect("order-by column must be in the group-by list"),
+                    OrderTerm::Column(name) => self.group_by.iter().position(|g| g == name)?,
                 };
-                (idx, *desc)
+                Some((idx, *desc))
             })
             .collect();
         rows.sort_by(|a, b| {
             for &(idx, desc) in &keys {
-                let ord = a.at(idx).cmp(b.at(idx));
+                let ord = a.get(idx).cmp(&b.get(idx));
                 let ord = if desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -406,8 +434,9 @@ impl StarQuery {
         }
     }
 
-    /// Validate the query against the SSB schemas.
+    /// Validate the query against the SSB schemas and the engines' limits.
     pub fn validate(&self) -> Result<()> {
+        check_join_count(self.joins.len())?;
         let fact = schema::lineorder_schema();
         for c in self.fact_columns() {
             fact.index_of(&c)?;
@@ -755,8 +784,8 @@ pub fn fact_preds_eval_row(preds: &[FactPred], row: &Row, schema: &Schema) -> Re
     for p in preds {
         let idx = schema.index_of(p.column())?;
         let v = row
-            .at(idx)
-            .as_i64()
+            .get(idx)
+            .and_then(Datum::as_i64)
             .ok_or_else(|| ClydeError::Plan("fact predicate on non-integer column".into()))?;
         let pass = match p {
             FactPred::I32Between { lo, hi, .. } => v >= i64::from(*lo) && v <= i64::from(*hi),
@@ -853,7 +882,7 @@ mod tests {
         }
         .compile(&s)
         .unwrap();
-        let matches = d.iter().filter(|r| year93.eval(r)).count();
+        let matches = d.iter().filter(|r| year93.eval(r).unwrap()).count();
         assert_eq!(matches, 365);
 
         let dec97 = DimPred::StrEq {
@@ -862,7 +891,7 @@ mod tests {
         }
         .compile(&s)
         .unwrap();
-        assert_eq!(d.iter().filter(|r| dec97.eval(r)).count(), 31);
+        assert_eq!(d.iter().filter(|r| dec97.eval(r).unwrap()).count(), 31);
 
         let week6 = DimPred::And(vec![
             DimPred::I32Eq {
@@ -876,19 +905,24 @@ mod tests {
         ])
         .compile(&s)
         .unwrap();
-        assert_eq!(d.iter().filter(|r| week6.eval(r)).count(), 7);
+        assert_eq!(d.iter().filter(|r| week6.eval(r).unwrap()).count(), 7);
     }
 
     #[test]
     fn borrowed_fields_evaluate_like_rows() {
-        let data = crate::gen::SsbGen::new(0.002, 7).gen_all();
+        let data = crate::gen::SsbGen::new(0.002, 7).gen_all().unwrap();
         for q in all_queries() {
             for join in &q.joins {
                 let schema = crate::schema::schema_of(&join.dimension).unwrap();
                 let pred = join.predicate.compile(&schema).unwrap();
                 for r in data.dimension(&join.dimension).unwrap() {
                     let fields: Vec<DatumRef<'_>> = r.iter().map(DatumRef::from).collect();
-                    assert_eq!(pred.eval_fields(&fields), pred.eval(r), "{} {r}", q.id);
+                    assert_eq!(
+                        pred.eval_fields(&fields).unwrap(),
+                        pred.eval(r).unwrap(),
+                        "{} {r}",
+                        q.id
+                    );
                 }
             }
         }
@@ -905,18 +939,18 @@ mod tests {
         .compile(&s)
         .unwrap();
         let mk = |brand: &str| row![1i32, "n", "MFGR#2", "MFGR#22", brand, "c", "t", 1i32, "box"];
-        assert!(between.eval(&mk("MFGR#2221")));
-        assert!(between.eval(&mk("MFGR#2225")));
-        assert!(between.eval(&mk("MFGR#2228")));
-        assert!(!between.eval(&mk("MFGR#2229")));
-        assert!(!between.eval(&mk("MFGR#221"))); // 1-digit brand sorts below
+        assert!(between.eval(&mk("MFGR#2221")).unwrap());
+        assert!(between.eval(&mk("MFGR#2225")).unwrap());
+        assert!(between.eval(&mk("MFGR#2228")).unwrap());
+        assert!(!between.eval(&mk("MFGR#2229")).unwrap());
+        assert!(!between.eval(&mk("MFGR#221")).unwrap()); // 1-digit brand sorts below
         let in_pred = DimPred::StrIn {
             column: "p_mfgr".into(),
             values: vec!["MFGR#1".into(), "MFGR#2".into()],
         }
         .compile(&s)
         .unwrap();
-        assert!(in_pred.eval(&mk("MFGR#2221")));
+        assert!(in_pred.eval(&mk("MFGR#2221")).unwrap());
     }
 
     #[test]
@@ -947,7 +981,7 @@ mod tests {
     #[test]
     fn aggregate_row_eval() {
         let s = crate::schema::lineorder_schema();
-        let data = crate::gen::SsbGen::new(0.0005, 2).gen_all();
+        let data = crate::gen::SsbGen::new(0.0005, 2).gen_all().unwrap();
         let lo = &data.lineorder[0];
         let rev = aggregate_eval_row(&Aggregate::SumColumn("lo_revenue".into()), lo, &s).unwrap();
         assert!(rev > 0);

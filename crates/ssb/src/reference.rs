@@ -38,12 +38,20 @@ pub fn reference_answer(data: &SsbData, query: &StarQuery) -> Result<Vec<Row>> {
             .ok_or_else(|| ClydeError::Plan(format!("no data for {}", join.dimension)))?;
         let mut map = FxHashMap::default();
         for r in rows {
-            if pred.eval(r) {
+            if pred.eval(r)? {
                 let pk = r
-                    .at(pk_idx)
-                    .as_i64()
+                    .get(pk_idx)
+                    .and_then(Datum::as_i64)
                     .ok_or_else(|| ClydeError::Plan("non-integer dimension key".into()))?;
-                map.insert(pk, aux_idx.iter().map(|&i| r.at(i).clone()).collect());
+                let aux = aux_idx
+                    .iter()
+                    .map(|&i| {
+                        r.get(i).cloned().ok_or_else(|| {
+                            ClydeError::Plan(format!("dimension row has no column {i}"))
+                        })
+                    })
+                    .collect::<Result<_>>()?;
+                map.insert(pk, aux);
             }
         }
         tables.push(Table {
@@ -69,7 +77,10 @@ pub fn reference_answer(data: &SsbData, query: &StarQuery) -> Result<Vec<Row>> {
         matched.clear();
         let mut ok = true;
         for t in &tables {
-            let fk = lo.at(t.fk_idx).as_i64().expect("integer fk");
+            let fk = lo
+                .get(t.fk_idx)
+                .and_then(Datum::as_i64)
+                .ok_or_else(|| ClydeError::Plan("non-integer fact foreign key".into()))?;
             match t.map.get(&fk) {
                 Some(aux) => matched.push(aux),
                 None => {
@@ -83,8 +94,14 @@ pub fn reference_answer(data: &SsbData, query: &StarQuery) -> Result<Vec<Row>> {
         }
         let key: Row = group_src
             .iter()
-            .map(|&(ji, ai)| matched[ji][ai].clone())
-            .collect();
+            .map(|&(ji, ai)| {
+                matched
+                    .get(ji)
+                    .and_then(|aux| aux.get(ai))
+                    .cloned()
+                    .ok_or_else(|| ClydeError::Plan("group-by source outside its join".into()))
+            })
+            .collect::<Result<_>>()?;
         let measure = aggregate_eval_row(&query.aggregate, lo, &fact_schema)?;
         let slot = groups
             .entry(key)
@@ -107,7 +124,7 @@ mod tests {
     use crate::queries::all_queries;
 
     fn data() -> SsbData {
-        SsbGen::new(0.01, 46).gen_all()
+        SsbGen::new(0.01, 46).gen_all().unwrap()
     }
 
     #[test]

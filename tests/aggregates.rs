@@ -58,7 +58,7 @@ fn count_min_max_agree_across_all_engines() {
         },
     )
     .unwrap();
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
 
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
     clyde.warm_dimension_cache().unwrap();
@@ -168,7 +168,7 @@ fn min_max_over_filtered_dimension() {
     };
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
     let got = clyde.query(&q).unwrap().rows;
-    let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+    let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
     assert_eq!(got, expect);
     assert_eq!(got.len(), 1);
     assert!(got[0].at(0).as_i64().unwrap() > 0);

@@ -120,7 +120,7 @@ fn lineorder_generation_matches_recorded_fingerprints() {
         (0.001, 5, 6_000, 0x2d18_3f01_6855_ddad),
         (0.004, 46, 24_000, 0xd1c6_5716_6aee_df72),
     ] {
-        let lineorder = SsbGen::new(sf, seed).gen_all().lineorder;
+        let lineorder = SsbGen::new(sf, seed).gen_all().unwrap().lineorder;
         assert_eq!(lineorder.len(), rows, "sf {sf} seed {seed}");
         let got = rows_fingerprint(&lineorder);
         assert_eq!(got, expect, "sf {sf} seed {seed}: {got:#018x}");

@@ -56,7 +56,7 @@ fn load(cluster: ClusterSpec, replication: u32) -> (Arc<Dfs>, SsbLayout, SsbData
         },
     )
     .unwrap();
-    (dfs, layout, gen.gen_all())
+    (dfs, layout, gen.gen_all().unwrap())
 }
 
 /// An observed engine with every node's dimension cache warm.
@@ -235,7 +235,7 @@ fn replacing_a_local_copy_rebuilds_on_that_node_only() {
     let cold = misses(&clyde);
 
     // Another generation's customers: same keys, other regions and nations.
-    let other = SsbGen::new(SF, SEED + 1).gen_all();
+    let other = SsbGen::new(SF, SEED + 1).gen_all().unwrap();
     let customer = layout.dim_bin(schema::CUSTOMER);
     let replace = |clyde: &Clydesdale, node: usize| {
         let bytes = rowcodec::write_rows(&other.customer);
@@ -390,7 +390,7 @@ fn generation_files() -> &'static [Vec<Vec<u8>>] {
     FILES.get_or_init(|| {
         (0..3)
             .map(|g| {
-                let data = SsbGen::new(0.002, SEED + g).gen_all();
+                let data = SsbGen::new(0.002, SEED + g).gen_all().unwrap();
                 DIMS.iter()
                     .map(|dim| rowcodec::write_rows(data.dimension(dim).unwrap()))
                     .collect()

@@ -50,7 +50,7 @@ fn load(dfs: &Arc<Dfs>, sf: f64) -> (SsbLayout, SsbGen) {
 fn three_engines_agree_on_representative_queries() {
     let dfs = cluster(3);
     let (layout, gen) = load(&dfs, 0.005);
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
 
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
     clyde.warm_dimension_cache().unwrap();
@@ -75,7 +75,7 @@ fn three_engines_agree_on_representative_queries() {
 fn node_failure_between_queries_does_not_change_answers() {
     let dfs = cluster(4);
     let (layout, gen) = load(&dfs, 0.005);
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
     clyde.warm_dimension_cache().unwrap();
 
@@ -84,7 +84,7 @@ fn node_failure_between_queries_does_not_change_answers() {
     assert_eq!(clyde.query(&q).unwrap().rows, expect);
 
     // A node dies (DFS replicas + its local dimension cache).
-    dfs.kill_node(NodeId(2));
+    dfs.kill_node(NodeId(2)).unwrap();
     clyde.engine().local_store().clear_node(NodeId(2)).unwrap();
     dfs.rereplicate().unwrap();
 
@@ -92,7 +92,7 @@ fn node_failure_between_queries_does_not_change_answers() {
     assert_eq!(after.rows, expect, "answer changed after node failure");
 
     // Restart the node empty; re-replication brings data back to it.
-    dfs.restart_node(NodeId(2));
+    dfs.restart_node(NodeId(2)).unwrap();
     dfs.rereplicate().unwrap();
     assert_eq!(clyde.query(&q).unwrap().rows, expect);
 }
@@ -103,7 +103,7 @@ fn node_failure_between_queries_does_not_change_answers() {
 fn ablations_are_semantically_invisible() {
     let dfs = cluster(3);
     let (layout, gen) = load(&dfs, 0.004);
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
     let q = query_by_id("Q3.4").unwrap();
     let expect = reference_answer(&data, &q).unwrap();
     for features in [
@@ -151,7 +151,7 @@ fn execution_profile_matches_the_papers_design() {
     // Dimension cache was read locally (no DFS fallback needed after warm).
     let answer_groups = r.rows.len() as u64;
     assert!(total.emit_records >= answer_groups);
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
     assert_eq!(
         r.rows,
         reference_answer(&data, &q).unwrap(),
@@ -165,7 +165,7 @@ fn execution_profile_matches_the_papers_design() {
 fn interleaved_engines_share_the_cluster() {
     let dfs = cluster(3);
     let (layout, gen) = load(&dfs, 0.004);
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
     let hive = Hive::new(Arc::clone(&dfs), layout, JoinStrategy::MapJoin);
     for id in ["Q1.2", "Q2.3"] {
@@ -187,7 +187,7 @@ fn interleaved_engines_share_the_cluster() {
 fn an_ungrouped_order_by_column_is_a_plan_error_on_every_entry_point() {
     let dfs = cluster(2);
     let (layout, gen) = load(&dfs, 0.002);
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
     let mut q = query_by_id("Q2.1").unwrap();
     q.order_by
         .push((OrderTerm::Column("s_region".into()), false));
@@ -212,7 +212,7 @@ fn an_ungrouped_order_by_column_is_a_plan_error_on_every_entry_point() {
 fn wide_and_repeated_dimension_queries_agree_on_every_engine() {
     let dfs = cluster(3);
     let (layout, gen) = load(&dfs, 0.004);
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
     let join = |dimension: &str, pk: &str, fk: &str, predicate: DimPred, aux: &[&str]| DimJoin {
         dimension: dimension.into(),
         pk: pk.into(),

@@ -63,7 +63,7 @@ fn colocation_delivers_fully_local_scans_and_default_placement_does_not() {
         colocated.locality, 1.0,
         "co-located scan must be fully local"
     );
-    let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+    let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
     assert_eq!(colocated.rows, expect);
 
     // --- With HDFS's default per-block placement. ---
@@ -81,7 +81,7 @@ fn colocation_delivers_fully_local_scans_and_default_placement_does_not() {
     let scattered = clyde.query(&q).unwrap();
     // Results stay correct — the DFS serves remote reads — but locality and
     // the bytes crossing the network degrade.
-    let expect = reference_answer(&gen.gen_all(), &q).unwrap();
+    let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
     assert_eq!(scattered.rows, expect, "scatter must not change answers");
     assert!(
         scattered.locality < 1.0,

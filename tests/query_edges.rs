@@ -1,14 +1,15 @@
 //! Query shapes at the edges of what the scan plans for: a projection with
-//! no fact column at all, and date predicates whose bounds lie outside the
-//! calendar. The reference, Clydesdale and both Hive plans must agree on
-//! one- and two-node clusters.
+//! no fact column at all, date predicates whose bounds lie outside the
+//! calendar, and more joins than the engines support. The reference,
+//! Clydesdale and both Hive plans must agree on one- and two-node clusters,
+//! down to the error they return.
 
-use clyde_common::{row, Row};
+use clyde_common::{row, ClydeError, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_ssb::gen::{SsbData, SsbGen};
 use clyde_ssb::loader::{self, SsbLayout};
-use clyde_ssb::queries::{Aggregate, DimPred, StarQuery};
+use clyde_ssb::queries::{Aggregate, DimPred, StarQuery, MAX_JOINS};
 use clyde_ssb::{query_by_id, reference_answer, schema};
 use clydesdale::Clydesdale;
 use std::sync::Arc;
@@ -47,7 +48,7 @@ fn engines(nodes: usize) -> Engines {
     )
     .unwrap();
     Engines {
-        data: gen.gen_all(),
+        data: gen.gen_all().unwrap(),
         clyde: Clydesdale::new(Arc::clone(&dfs), layout.clone()),
         mapjoin: Hive::new(Arc::clone(&dfs), layout.clone(), JoinStrategy::MapJoin),
         repartition: Hive::new(dfs, layout, JoinStrategy::Repartition),
@@ -154,4 +155,38 @@ fn date_bounds_outside_the_calendar_agree_on_all_four_engines() {
         assert_eq!(e.agree(&cases[1]), e.agree(&all), "{nodes} node(s)");
         assert!(!e.agree(&cases[0]).is_empty(), "{nodes} node(s)");
     }
+}
+
+#[test]
+fn more_joins_than_the_limit_are_one_plan_error_on_all_four_engines() {
+    // The date dimension joined MAX_JOINS + 1 times under one foreign key.
+    let mut q = query_by_id("Q1.1").unwrap();
+    q.id = "date-nine-times".into();
+    let date = q
+        .joins
+        .iter()
+        .find(|j| j.dimension == schema::DATE)
+        .expect("Q1.1 joins date")
+        .clone();
+    q.joins = vec![date; MAX_JOINS + 1];
+    let want = q.validate().unwrap_err();
+    assert!(matches!(want, ClydeError::Plan(_)), "{want}");
+
+    let e = engines(1);
+    let got = [
+        ("reference", reference_answer(&e.data, &q).map(|_| ())),
+        ("Clydesdale", e.clyde.query(&q).map(|_| ())),
+        ("mapjoin", e.mapjoin.query(&q).map(|_| ())),
+        ("repartition", e.repartition.query(&q).map(|_| ())),
+    ];
+    for (engine, result) in got {
+        let err = result.unwrap_err();
+        assert!(matches!(err, ClydeError::Plan(_)), "{engine}: {err}");
+        assert_eq!(err.to_string(), want.to_string(), "{engine}");
+    }
+
+    // At the limit the same shape runs and agrees everywhere.
+    q.joins.truncate(MAX_JOINS);
+    q.id = "date-eight-times".into();
+    e.agree(&q);
 }

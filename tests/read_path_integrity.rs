@@ -25,7 +25,7 @@
 use clyde_columnar::encoding::{decode_column, encode_column, Encoding};
 use clyde_columnar::{roll_out, CifAppender, CifInputFormat, CifReader, CifWriter};
 use clyde_common::hash::FxHasher;
-use clyde_common::{varint, ColumnData, DatumType, Field, Row, Schema};
+use clyde_common::{varint, ClydeError, ColumnData, DatumType, Field, Row, Schema};
 use clyde_dfs::{
     BlockPlacementPolicy, ClusterSpec, ColocatingPlacement, DefaultPlacement, Dfs, DfsOptions,
     NodeId,
@@ -125,7 +125,7 @@ fn a_verified_replica_that_rots_with_no_clean_sibling_is_unreadable() {
     let victim = victim_of(&dfs);
     for h in dfs.hosts("/f").unwrap() {
         if h != victim {
-            dfs.kill_node(h);
+            dfs.kill_node(h).unwrap();
         }
     }
     for read in [
@@ -139,6 +139,35 @@ fn a_verified_replica_that_rots_with_no_clean_sibling_is_unreadable() {
 }
 
 #[test]
+fn an_off_cluster_node_is_a_typed_error_and_costs_no_data() {
+    let n = 3;
+    let dfs = Dfs::new(
+        ClusterSpec::tiny(n),
+        DfsOptions {
+            block_size: 64,
+            replication: 2,
+            policy: Box::new(DefaultPlacement),
+        },
+    );
+    let files: Vec<(String, Vec<u8>)> = (0..4u8)
+        .map(|f| (format!("/f{f}"), (0..200u8).map(|b| b ^ f).collect()))
+        .collect();
+    for (path, data) in &files {
+        dfs.write_file(path, None, data).unwrap();
+    }
+    for bad in [NodeId(n), NodeId(n + 5), NodeId(usize::MAX)] {
+        let err = dfs.kill_node(bad).unwrap_err();
+        assert!(matches!(err, ClydeError::Dfs(_)), "{err}");
+        let err = dfs.restart_node(bad).unwrap_err();
+        assert!(matches!(err, ClydeError::Dfs(_)), "{err}");
+    }
+    assert!((0..n).all(|i| dfs.is_node_alive(NodeId(i))));
+    for (path, data) in &files {
+        assert_eq!(&dfs.read_file(path, None).unwrap()[..], &data[..], "{path}");
+    }
+}
+
+#[test]
 fn node_loss_and_rereplication_leave_only_unverified_replicas() {
     let (dfs, data) = one_file();
     let hosts = dfs.hosts("/f").unwrap();
@@ -148,9 +177,9 @@ fn node_loss_and_rereplication_leave_only_unverified_replicas() {
     assert_eq!(verified(&dfs), 2);
 
     // A killed node loses its replicas and their flags; it restarts empty.
-    dfs.kill_node(hosts[0]);
+    dfs.kill_node(hosts[0]).unwrap();
     assert_eq!(dfs.verified_replicas_per_node()[hosts[0].0], 0);
-    dfs.restart_node(hosts[0]);
+    dfs.restart_node(hosts[0]).unwrap();
     assert_eq!(dfs.verified_replicas_per_node()[hosts[0].0], 0);
     assert_eq!(verified(&dfs), 1);
 
@@ -323,7 +352,7 @@ fn a_chunk_sealed_wrong_before_it_was_written_fails_every_read_group() {
 #[test]
 fn one_scan_seals_every_chunk_it_read_and_a_repeat_checks_none() {
     let (dfs, layout, gen) = load_ssb(3, Box::new(ColocatingPlacement));
-    let data = gen.gen_all();
+    let data = gen.gen_all().unwrap();
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
     clyde.warm_dimension_cache().unwrap();
     let groups = CifReader::open(&dfs, &layout.fact_cif())
@@ -416,9 +445,9 @@ fn corruption_node_loss_and_rereplication_leave_only_unsealed_replicas() {
     assert_eq!((dfs.seal_checks(), sealed_on(copy)), (3, 1));
 
     // A lost node takes its flags with it and restarts empty.
-    dfs.kill_node(survivor);
+    dfs.kill_node(survivor).unwrap();
     assert_eq!(sealed_on(survivor), 0);
-    dfs.restart_node(survivor);
+    dfs.restart_node(survivor).unwrap();
     assert_eq!(sealed_on(survivor), 0);
     assert_eq!(sealed_replicas(&dfs), 1);
 }
@@ -437,13 +466,13 @@ fn racing_first_reads_of_one_chunk_agree() {
         let reads = race_two(|t| {
             reader
                 .read_group(&ios[t], 0, &[1])
-                .map(|b| b.column(0).as_i32().to_vec())
+                .map(|b| b.columns().to_vec())
                 .map_err(|e| e.to_string())
         });
         if damage {
             assert!(reads.iter().all(Result::is_err), "round {round}");
         } else {
-            let want: Vec<i32> = (0..100).collect();
+            let want = vec![ColumnData::I32((0..100).collect())];
             assert!(
                 reads.iter().all(|r| r.as_ref() == Ok(&want)),
                 "round {round}"
@@ -733,7 +762,7 @@ fn load_ssb(nodes: usize, policy: Box<dyn BlockPlacementPolicy>) -> (Arc<Dfs>, S
 #[test]
 fn one_engine_tracks_roll_in_and_roll_out_between_queries() {
     let (dfs, layout, gen) = load_ssb(3, Box::new(ColocatingPlacement));
-    let mut data = gen.gen_all();
+    let mut data = gen.gen_all().unwrap();
     // The loader clusters by date; mirror it so roll-out drops the same rows.
     data.lineorder.sort_by_key(|r| r.at(5).as_i64());
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
@@ -781,7 +810,7 @@ fn drain(fmt: &CifInputFormat, dfs: &Arc<Dfs>) -> Vec<Row> {
         for part in 0..split.spec.num_parts() {
             let mut blocks = fmt.open(&split, part, &io).unwrap().into_blocks().unwrap();
             while let Some(b) = blocks.next_block().unwrap() {
-                rows.extend((0..b.len()).map(|i| b.row(i)));
+                rows.extend(b.rows());
             }
         }
     }
@@ -838,7 +867,7 @@ fn a_reused_format_never_serves_an_earlier_jobs_meta() {
     for split in &planned {
         let mut blocks = fmt.open(split, 0, &io).unwrap().into_blocks().unwrap();
         while let Some(b) = blocks.next_block().unwrap() {
-            rows.extend((0..b.len()).map(|i| b.row(i)));
+            rows.extend(b.rows());
         }
     }
     assert_eq!(rows, now);

@@ -40,7 +40,7 @@ fn queries_track_roll_in_and_roll_out() {
         },
     )
     .unwrap();
-    let mut data = gen.gen_all();
+    let mut data = gen.gen_all().unwrap();
     // Mirror the loader's date clustering so `data.lineorder` tracks the
     // stored physical order — roll-out below drops the *oldest* groups.
     data.lineorder.sort_by_key(|r| r.at(5).as_i64());

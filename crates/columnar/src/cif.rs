@@ -269,8 +269,9 @@ impl CifReader {
     /// Read the selected columns of one row group. Only the named columns'
     /// files are touched — the heart of CIF's I/O saving. Each chunk comes
     /// through the DFS's sealed read, which checks its seal once per stored
-    /// replica, and is then decoded without re-hashing it. The block has
-    /// the group's row count from `_meta`, even with no columns selected.
+    /// replica, and is then decoded without re-hashing it; a plain `i32`
+    /// chunk is not decoded but read in place. The block has the group's
+    /// row count from `_meta`, even with no columns selected.
     pub fn read_group(&self, io: &TaskIo, group: usize, col_indices: &[usize]) -> Result<RowBlock> {
         let expected = *self
             .meta
@@ -283,7 +284,7 @@ impl CifReader {
         for &ci in col_indices {
             let name = self.column_name(ci)?;
             let data = io.read_sealed(&self.meta.column_path(group, name))?;
-            let col = decode_verified(&data)?;
+            let col = decode_verified(&data, rows)?;
             if col.len() != rows {
                 return Err(ClydeError::Format(format!(
                     "column {name} of group {group} has {} rows, expected {expected}",

@@ -131,8 +131,8 @@ impl CifInputFormat {
 
     /// Zone-map check for one row group: `Ok(true)` means some predicate's
     /// range is provably disjoint from the group's value range and the
-    /// group can be skipped. Costs one header-sized read (≤
-    /// [`ZONE_HEADER_MAX`] bytes) per checked column.
+    /// group can be skipped. Costs one header-sized prefix read (≤
+    /// [`ZONE_HEADER_MAX`] bytes, one namenode lookup) per checked column.
     fn zone_prunes(&self, reader: &CifReader, group: usize, io: &TaskIo) -> Result<bool> {
         for zp in &self.zone_preds {
             // Unknown columns can't prune (planner bug-proofing, not an error).
@@ -140,8 +140,7 @@ impl CifInputFormat {
                 continue;
             }
             let path = reader.meta().column_path(group, &zp.column);
-            let len = io.dfs.file_len(&path)?;
-            let prefix = io.read_range(&path, 0, len.min(ZONE_HEADER_MAX as u64))?;
+            let prefix = io.read_prefix(&path, ZONE_HEADER_MAX as u64)?;
             io.stats.add_zone_checked(1);
             if let Some((min, max)) = peek_zone_map(&prefix)? {
                 if max < zp.lo || min > zp.hi {

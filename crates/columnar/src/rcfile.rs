@@ -17,8 +17,9 @@
 //! "did not allow us to decrease the number of splits", which is why Hive
 //! pays per-task overheads 4,887 times in Q2.1's first stage.
 
-use crate::encoding::{decode_column, encode_block};
+use crate::encoding::{decode_group_column, encode_block};
 use crate::input::SlicedBlockReader;
+use clyde_common::lockorder::RwLock;
 use clyde_common::{
     rowcodec, varint, ClydeError, Field, Result, Row, RowBlock, RowBlockBuilder, Schema,
 };
@@ -278,7 +279,7 @@ impl RcFileReader {
                 .get(c)
                 .ok_or_else(|| ClydeError::Format(format!("column {c} out of range")))?;
             let bytes = io.read_range(&path, loc.offset, loc.len)?;
-            columns.push(decode_column(&bytes)?);
+            columns.push(decode_group_column(&bytes, rows)?);
         }
         RowBlock::with_len(columns, rows)
     }
@@ -304,6 +305,11 @@ pub struct RcFileInputFormat {
     /// Rows per block when iterated; RCFile in Hive is consumed row-at-a-time
     /// so [`RcFileInputFormat::rows_mode`] is the baseline configuration.
     pub rows_mode: bool,
+    /// The table as the last [`InputFormat::splits`] call resolved it, the
+    /// way `CifInputFormat` holds its table: a job decodes `.meta` once,
+    /// when it plans, and every `open()` of that job reads groups of that
+    /// snapshot. Replaced by each `splits()`.
+    table: RwLock<Option<Arc<RcFileReader>>>,
 }
 
 impl RcFileInputFormat {
@@ -312,6 +318,7 @@ impl RcFileInputFormat {
             base: base.into(),
             columns: None,
             rows_mode: true,
+            table: RwLock::new(None),
         }
     }
 
@@ -330,7 +337,8 @@ impl RcFileInputFormat {
 
 impl InputFormat for RcFileInputFormat {
     fn splits(&self, dfs: &Dfs, _conf: &JobConf) -> Result<Vec<InputSplit>> {
-        let reader = RcFileReader::open(dfs, &self.base)?;
+        let reader = Arc::new(RcFileReader::open(dfs, &self.base)?);
+        *self.table.write() = Some(Arc::clone(&reader));
         let cols = self.resolve_cols(reader.schema())?;
         let hosts = dfs.hosts(&RcFileMeta::data_path(&self.base))?;
         (0..reader.meta().num_groups())
@@ -355,7 +363,13 @@ impl InputFormat for RcFileInputFormat {
         let &group = groups
             .get(part)
             .ok_or_else(|| ClydeError::MapReduce(format!("part {part} out of range")))?;
-        let reader = RcFileReader::open(&io.dfs, base)?;
+        // The table this job's `splits()` resolved; a split this format did
+        // not plan (no `splits()` yet, or another table's) opens its own.
+        let held = self.table.read().clone();
+        let reader = match held.filter(|r| r.meta().base == *base) {
+            Some(reader) => reader,
+            None => Arc::new(RcFileReader::open(&io.dfs, base)?),
+        };
         let cols = self.resolve_cols(reader.schema())?;
         let block = reader.read_group(io, group, &cols)?;
         if self.rows_mode {

@@ -6,20 +6,172 @@
 //! stored column-wise so the probe loop can run over contiguous `i32`/`i64`
 //! slices. They live in `clyde-common` because both the MapReduce framework
 //! (reader traits) and the storage formats (producers) need them.
+//!
+//! An `i32` column has two forms: decoded values ([`ColumnData::I32`]) and
+//! the little-endian bytes of a plain column chunk, read in place
+//! ([`ColumnData::I32Le`]). Both are the same column by value; a kernel
+//! takes either through the two-form view [`I32s`] and reads each form with
+//! its own monomorphic loop over [`I32Cell`]s.
 
 use crate::datum::{Datum, DatumType};
 use crate::error::{ClydeError, Result};
 use crate::row::Row;
+use bytes::Bytes;
+use std::borrow::Cow;
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// A typed column of values.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     I32(Vec<i32>),
+    /// An `i32` column read in place: the payload of a plain chunk, shared
+    /// with the chunk's bytes instead of copied out of them. The CIF scan
+    /// builds it only from a chunk the DFS's sealed read has checked. It is
+    /// equal to, and reads like, the [`ColumnData::I32`] of its values.
+    /// Boxed, so a column stays as small as a `Vec`: blocks are vectors of
+    /// columns, and growing every column by a word measurably raised the
+    /// bulk load's peak memory.
+    I32Le(Box<I32Le>),
     I64(Vec<i64>),
     F64(Vec<f64>),
     Str(Vec<Arc<str>>),
+}
+
+/// `i32` values stored as little-endian bytes: four per value, no
+/// remainder.
+#[derive(Clone, PartialEq, Eq)]
+pub struct I32Le(Bytes);
+
+impl I32Le {
+    /// The values of `bytes`, which must be a whole number of 4-byte values.
+    pub fn new(bytes: Bytes) -> Option<I32Le> {
+        bytes.len().is_multiple_of(4).then_some(I32Le(bytes))
+    }
+
+    /// The values, each as its four little-endian bytes.
+    pub fn cells(&self) -> &[[u8; 4]] {
+        self.0.as_chunks::<4>().0
+    }
+
+    pub fn len(&self) -> usize {
+        self.cells().len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    pub fn get(&self, i: usize) -> Option<i32> {
+        self.cells().get(i).copied().map(I32Cell::value)
+    }
+
+    /// The values, decoded into a vector.
+    pub fn to_vec(&self) -> Vec<i32> {
+        self.cells().iter().map(|&c| c.value()).collect()
+    }
+
+    /// Rows `rows`, sharing these bytes; a typed error when they are not
+    /// all there.
+    fn rows(&self, rows: &Range<usize>) -> Result<I32Le> {
+        rows_of(self.cells(), rows)?;
+        Ok(I32Le(self.0.slice(rows.start * 4..rows.end * 4)))
+    }
+}
+
+impl fmt::Debug for I32Le {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.cells().iter().map(|&c| c.value()))
+            .finish()
+    }
+}
+
+/// One stored `i32`: a native value or its four little-endian bytes. The
+/// kernels are generic over it, so each column form gets its own loop and
+/// a byte cell compiles to a plain load.
+pub trait I32Cell: Copy {
+    fn value(self) -> i32;
+}
+
+impl I32Cell for i32 {
+    #[inline(always)]
+    fn value(self) -> i32 {
+        self
+    }
+}
+
+impl I32Cell for [u8; 4] {
+    #[inline(always)]
+    fn value(self) -> i32 {
+        i32::from_le_bytes(self)
+    }
+}
+
+/// A borrowed `i32` column in either form: the view a kernel picks its
+/// loop from, once per column per stage.
+#[derive(Debug, Clone, Copy)]
+pub enum I32s<'a> {
+    Native(&'a [i32]),
+    Le(&'a [[u8; 4]]),
+}
+
+impl<'a> I32s<'a> {
+    pub fn len(self) -> usize {
+        match self {
+            I32s::Native(v) => v.len(),
+            I32s::Le(v) => v.len(),
+        }
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn get(self, i: usize) -> Option<i32> {
+        match self {
+            I32s::Native(v) => v.get(i).copied(),
+            I32s::Le(v) => v.get(i).copied().map(I32Cell::value),
+        }
+    }
+
+    /// Rows `rows` of the view, or a typed error when they are not all
+    /// there.
+    pub fn rows(self, rows: &Range<usize>) -> Result<I32s<'a>> {
+        Ok(match self {
+            I32s::Native(v) => I32s::Native(rows_of(v, rows)?),
+            I32s::Le(v) => I32s::Le(rows_of(v, rows)?),
+        })
+    }
+}
+
+impl PartialEq for I32s<'_> {
+    fn eq(&self, other: &I32s<'_>) -> bool {
+        match (*self, *other) {
+            (I32s::Native(a), I32s::Native(b)) => a == b,
+            (I32s::Le(a), I32s::Le(b)) => a == b,
+            (I32s::Native(a), I32s::Le(b)) | (I32s::Le(b), I32s::Native(a)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x == y.value())
+            }
+        }
+    }
+}
+
+/// Columns compare by value: an in-place `i32` column equals the decoded
+/// column of the same values.
+impl PartialEq for ColumnData {
+    fn eq(&self, other: &ColumnData) -> bool {
+        match (self, other) {
+            (ColumnData::I64(a), ColumnData::I64(b)) => a == b,
+            (ColumnData::F64(a), ColumnData::F64(b)) => a == b,
+            (ColumnData::Str(a), ColumnData::Str(b)) => a == b,
+            _ => match (self.i32s(), other.i32s()) {
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            },
+        }
+    }
 }
 
 impl ColumnData {
@@ -45,7 +197,7 @@ impl ColumnData {
 
     pub fn dtype(&self) -> DatumType {
         match self {
-            ColumnData::I32(_) => DatumType::I32,
+            ColumnData::I32(_) | ColumnData::I32Le(_) => DatumType::I32,
             ColumnData::I64(_) => DatumType::I64,
             ColumnData::F64(_) => DatumType::F64,
             ColumnData::Str(_) => DatumType::Str,
@@ -55,6 +207,7 @@ impl ColumnData {
     pub fn len(&self) -> usize {
         match self {
             ColumnData::I32(v) => v.len(),
+            ColumnData::I32Le(v) => v.len(),
             ColumnData::I64(v) => v.len(),
             ColumnData::F64(v) => v.len(),
             ColumnData::Str(v) => v.len(),
@@ -70,15 +223,39 @@ impl ColumnData {
     pub fn get(&self, i: usize) -> Option<Datum> {
         Some(match self {
             ColumnData::I32(v) => Datum::I32(*v.get(i)?),
+            ColumnData::I32Le(v) => Datum::I32(v.get(i)?),
             ColumnData::I64(v) => Datum::I64(*v.get(i)?),
             ColumnData::F64(v) => Datum::F64(*v.get(i)?),
             ColumnData::Str(v) => Datum::Str(Arc::clone(v.get(i)?)),
         })
     }
 
+    /// The column's values as an `i32` view, in whichever form they are
+    /// stored; `None` for any other type.
+    pub fn i32s(&self) -> Option<I32s<'_>> {
+        match self {
+            ColumnData::I32(v) => Some(I32s::Native(v)),
+            ColumnData::I32Le(v) => Some(I32s::Le(v.cells())),
+            _ => None,
+        }
+    }
+
+    /// The column with in-place values decoded into a vector; every other
+    /// column as it is.
+    pub fn decoded(&self) -> Cow<'_, ColumnData> {
+        match self {
+            ColumnData::I32Le(v) => Cow::Owned(ColumnData::I32(v.to_vec())),
+            other => Cow::Borrowed(other),
+        }
+    }
+
     /// Append a datum; errors on type mismatch (NULLs are not supported in
-    /// columnar fact data, matching the SSB schema which is NOT NULL).
+    /// columnar fact data, matching the SSB schema which is NOT NULL). An
+    /// in-place column is decoded into a vector first.
     pub fn push(&mut self, d: &Datum) -> Result<()> {
+        if let ColumnData::I32Le(v) = self {
+            *self = ColumnData::I32(v.to_vec());
+        }
         match (self, d) {
             (ColumnData::I32(v), Datum::I32(x)) => v.push(*x),
             (ColumnData::I64(v), Datum::I64(x)) => v.push(*x),
@@ -100,6 +277,7 @@ impl ColumnData {
     pub fn heap_size(&self) -> usize {
         match self {
             ColumnData::I32(v) => v.len() * 4,
+            ColumnData::I32Le(v) => v.len() * 4,
             ColumnData::I64(v) => v.len() * 8,
             ColumnData::F64(v) => v.len() * 8,
             ColumnData::Str(v) => v
@@ -180,10 +358,11 @@ impl RowBlock {
         (0..self.len).map_while(|i| self.row(i))
     }
 
-    /// Take a sub-range of rows `[from, to)` as a new block (copies). The
-    /// scan hands out row ranges of a shared block instead; this copy is
-    /// for callers that need an owned block. A range that is not inside the
-    /// block is a typed error.
+    /// Take a sub-range of rows `[from, to)` as a new block (copies, except
+    /// that an in-place column shares its bytes). The scan hands out row
+    /// ranges of a shared block instead; this copy is for callers that need
+    /// an owned block. A range that is not inside the block is a typed
+    /// error.
     pub fn slice(&self, from: usize, to: usize) -> Result<RowBlock> {
         let rows = self.check_rows(from..to)?;
         let columns = self
@@ -192,6 +371,7 @@ impl RowBlock {
             .map(|c| {
                 Ok(match c {
                     ColumnData::I32(v) => ColumnData::I32(rows_of(v, &rows)?.to_vec()),
+                    ColumnData::I32Le(v) => ColumnData::I32Le(Box::new(v.rows(&rows)?)),
                     ColumnData::I64(v) => ColumnData::I64(rows_of(v, &rows)?.to_vec()),
                     ColumnData::F64(v) => ColumnData::F64(rows_of(v, &rows)?.to_vec()),
                     ColumnData::Str(v) => ColumnData::Str(rows_of(v, &rows)?.to_vec()),
@@ -390,6 +570,64 @@ mod tests {
         assert!(b.is_empty());
         b.push_row(&row![7i32, "z"]).unwrap();
         assert_eq!(b.finish().row(0), Some(row![7i32, "z"]));
+    }
+
+    fn in_place(values: &[i32]) -> ColumnData {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        ColumnData::I32Le(Box::new(I32Le::new(Bytes::from(bytes)).unwrap()))
+    }
+
+    #[test]
+    fn an_in_place_column_behaves_like_its_values() {
+        let values = [7, i32::MIN, -1, i32::MAX, 0];
+        let le = in_place(&values);
+        let native = ColumnData::I32(values.to_vec());
+        assert!(I32Le::new(Bytes::from(vec![0u8; 7])).is_none());
+        assert_eq!(
+            (le.dtype(), le.len(), le.heap_size()),
+            (DatumType::I32, 5, 20)
+        );
+        assert_eq!(le, native);
+        assert_eq!(native, le);
+        assert_ne!(le, in_place(&values[..4]));
+        assert_ne!(le, ColumnData::I64(vec![7, 0, -1, 1, 0]));
+        assert_eq!(le.get(1), Some(Datum::I32(i32::MIN)));
+        assert_eq!(le.get(5), None);
+        assert_eq!(format!("{le:?}"), format!("I32Le({values:?})"));
+        assert_eq!(le.decoded().as_ref(), &native);
+
+        // Blocks of either form have the same rows and the same slices.
+        let a = RowBlock::new(vec![le.clone(), ColumnData::I64(vec![1, 2, 3, 4, 5])]).unwrap();
+        let b = RowBlock::new(vec![native, ColumnData::I64(vec![1, 2, 3, 4, 5])]).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.rows().collect::<Vec<_>>(), b.rows().collect::<Vec<_>>());
+        let cut = a.slice(1, 4).unwrap();
+        assert!(matches!(cut.columns()[0], ColumnData::I32Le(_)));
+        assert_eq!(cut, b.slice(1, 4).unwrap());
+        assert!(a.slice(4, 6).is_err());
+
+        // The view reads either form by value.
+        let (lv, nv) = (le.i32s().unwrap(), b.columns()[0].i32s().unwrap());
+        assert_eq!(lv, nv);
+        assert_eq!(lv.rows(&(1..3)).unwrap(), nv.rows(&(1..3)).unwrap());
+        assert_eq!(lv.rows(&(1..3)).unwrap().get(1), Some(-1));
+        assert!(lv.rows(&(3..6)).is_err());
+        assert!(ColumnData::I64(vec![1]).i32s().is_none());
+
+        // Pushing into an in-place column decodes it first.
+        let mut grown = le;
+        grown.push(&Datum::I32(9)).unwrap();
+        assert_eq!(
+            grown,
+            ColumnData::I32(vec![7, i32::MIN, -1, i32::MAX, 0, 9])
+        );
+        assert!(grown.push(&Datum::str("x")).is_err());
+    }
+
+    #[test]
+    fn a_column_is_as_small_as_a_vec_and_its_tag() {
+        let vec_and_tag = std::mem::size_of::<Vec<i64>>() + std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<ColumnData>(), vec_and_tag);
     }
 
     #[test]

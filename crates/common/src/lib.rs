@@ -32,7 +32,7 @@ pub mod rowcodec;
 pub mod schema;
 pub mod varint;
 
-pub use colblock::{ColumnData, RowBlock, RowBlockBuilder, RowRange};
+pub use colblock::{ColumnData, I32Cell, I32Le, I32s, RowBlock, RowBlockBuilder, RowRange};
 pub use datum::{Datum, DatumRef, DatumType};
 pub use error::{ClydeError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};

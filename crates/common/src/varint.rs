@@ -51,6 +51,42 @@ pub fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(unzigzag(read_u64(buf, pos)?))
 }
 
+/// The longest LEB128 encoding of a `u64`.
+const MAX_LEN: usize = 10;
+
+/// [`read_u64`] for hot decode loops. While [`MAX_LEN`] bytes remain from
+/// `*pos`, the value is decoded from that fixed window, with no per-byte
+/// bounds check. Nearer the end, and for a varint that does not end within
+/// the window, it is [`read_u64`] itself, so the value, the advanced cursor
+/// and every error are the same.
+#[inline(always)]
+pub fn read_u64_windowed(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    if let Some(window) = buf.get(*pos..).and_then(<[u8]>::first_chunk::<MAX_LEN>) {
+        let mut result = 0u64;
+        for (k, &byte) in window.iter().enumerate() {
+            result |= u64::from(byte & 0x7f) << (7 * k);
+            if byte & 0x80 == 0 {
+                *pos += k + 1;
+                return Ok(result);
+            }
+        }
+    }
+    read_u64_near_end(buf, pos)
+}
+
+/// [`read_u64`], kept out of line so the windowed fast path inlines small.
+#[cold]
+#[inline(never)]
+fn read_u64_near_end(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    read_u64(buf, pos)
+}
+
+/// [`read_i64`] through [`read_u64_windowed`].
+#[inline(always)]
+pub fn read_i64_windowed(buf: &[u8], pos: &mut usize) -> Result<i64> {
+    Ok(unzigzag(read_u64_windowed(buf, pos)?))
+}
+
 /// Encoded length in bytes of `v` as unsigned LEB128.
 pub fn encoded_len_u64(v: u64) -> usize {
     if v == 0 {
@@ -141,6 +177,30 @@ mod tests {
             write_i64(&mut buf, v);
             let mut pos = 0;
             prop_assert_eq!(read_i64(&buf, &mut pos).unwrap(), v);
+        }
+
+        /// The windowed reader is `read_u64` on any bytes from any cursor:
+        /// the same value or error, and the same cursor after a value.
+        #[test]
+        fn windowed_read_is_read_u64(
+            buf in proptest::collection::vec(any::<u8>(), 0..40),
+            start in 0usize..42,
+            continuation in any::<bool>(),
+        ) {
+            // Biasing to continuation bytes reaches long and over-long varints.
+            let buf: Vec<u8> = if continuation {
+                buf.iter().map(|b| b | 0x80).chain([0x01]).collect()
+            } else {
+                buf
+            };
+            let (mut a, mut b) = (start, start);
+            let want = read_u64(&buf, &mut a);
+            prop_assert_eq!(read_u64_windowed(&buf, &mut b), want.clone());
+            if want.is_ok() {
+                prop_assert_eq!(a, b);
+            }
+            let (mut a, mut b) = (start, start);
+            prop_assert_eq!(read_i64_windowed(&buf, &mut b), read_i64(&buf, &mut a));
         }
 
         #[test]

@@ -17,7 +17,10 @@
 //!
 //! The block kernels take a row range of a block: the scan hands its
 //! threads ranges of one shared decoded row group, not copies of them.
-//! [`probe_block_vec`] and [`probe_block`] are the whole-block forms.
+//! [`probe_block_vec`] and [`probe_block`] are the whole-block forms. An
+//! `i32` column may be decoded values or a plain chunk read in place; the
+//! kernels read both through the [`I32s`] view, the vectorized one with a
+//! loop per form chosen once per stage.
 //!
 //! Both use **early-out** (Section 4.2): the first failed dimension probe
 //! abandons the row — in the vectorized kernel the selection vector simply
@@ -29,8 +32,7 @@
 
 use crate::config::KernelOpts;
 use crate::hashtable::{DimTables, NONE_ID};
-use clyde_common::colblock::rows_of;
-use clyde_common::{ClydeError, ColumnData, Datum, FxHashMap, Result, Row, RowBlock, Schema};
+use clyde_common::{ClydeError, Datum, FxHashMap, I32Cell, I32s, Result, Row, RowBlock, Schema};
 use clyde_ssb::queries::{check_join_count, Aggregate, CompiledFactPred, StarQuery, MAX_JOINS};
 use std::ops::Range;
 
@@ -107,22 +109,20 @@ impl ProbeStats {
     }
 }
 
-/// `i32` views of rows `rows` of a block's columns (`None` for any other
-/// type). Fact predicates, FKs and measures are all i32 in SSB. A range
-/// outside the block is a typed error.
-fn i32_columns<'a>(block: &'a RowBlock, rows: &Range<usize>) -> Result<Vec<Option<&'a [i32]>>> {
+/// `i32` views of rows `rows` of a block's columns, each in the form its
+/// column is stored in (`None` for any other type). Fact predicates, FKs
+/// and measures are all i32 in SSB. A range outside the block is a typed
+/// error.
+fn i32_columns<'a>(block: &'a RowBlock, rows: &Range<usize>) -> Result<Vec<Option<I32s<'a>>>> {
     block.check_rows(rows.clone())?;
     block
         .columns()
         .iter()
-        .map(|c| match c {
-            ColumnData::I32(v) => rows_of(v, rows).map(Some),
-            _ => Ok(None),
-        })
+        .map(|c| c.i32s().map(|v| v.rows(rows)).transpose())
         .collect()
 }
 
-fn need_i32<'a>(cols: &[Option<&'a [i32]>], idx: usize) -> Result<&'a [i32]> {
+fn need_i32<'a>(cols: &[Option<I32s<'a>>], idx: usize) -> Result<I32s<'a>> {
     cols.get(idx).copied().flatten().ok_or_else(|| {
         ClydeError::Plan(format!(
             "scan column {idx} is not i32 but the probe needs it"
@@ -130,13 +130,46 @@ fn need_i32<'a>(cols: &[Option<&'a [i32]>], idx: usize) -> Result<&'a [i32]> {
     })
 }
 
+/// Bind `$c` to the cells of an [`I32s`] view in its stored form and
+/// evaluate `$body`: one monomorphic instance of `$body` per form, chosen
+/// once per column per stage.
+macro_rules! with_cells {
+    ($view:expr, |$c:ident| $body:expr) => {
+        match $view {
+            I32s::Native($c) => $body,
+            I32s::Le($c) => $body,
+        }
+    };
+}
+
+/// [`with_cells`] for a column that may be absent (`None` binds as an
+/// absent `&[i32]`).
+macro_rules! with_opt_cells {
+    ($view:expr, |$c:ident| $body:expr) => {
+        match $view {
+            Some(I32s::Native(cells)) => {
+                let $c = Some(cells);
+                $body
+            }
+            Some(I32s::Le(cells)) => {
+                let $c = Some(cells);
+                $body
+            }
+            None => {
+                let $c: Option<&[i32]> = None;
+                $body
+            }
+        }
+    };
+}
+
 /// Value `i` of a scan column. The kernels only select rows of the block
 /// they probe, so a miss means a plan or block the kernel was not built
 /// for; the error path stays out of the loops.
 #[inline]
-fn row_of(col: &[i32], i: usize) -> Result<i32> {
+fn row_of<T: I32Cell>(col: &[T], i: usize) -> Result<i32> {
     col.get(i)
-        .copied()
+        .map(|&v| v.value())
         .ok_or_else(|| row_out_of_range(i, col.len()))
 }
 
@@ -254,7 +287,12 @@ pub fn probe_range(
     let cols = i32_columns(block, &rows)?;
     probe_scalar(
         rows.len(),
-        |i, c| need_i32(&cols, c).and_then(|s| row_of(s, i)).map(i64::from),
+        |i, c| {
+            let col = need_i32(&cols, c)?;
+            col.get(i)
+                .map(i64::from)
+                .ok_or_else(|| row_out_of_range(i, col.len()))
+        },
         plan,
         tables,
         acc,
@@ -498,11 +536,18 @@ fn put<T>(buf: &mut [T], w: usize, v: T) {
 
 /// Branch-free first-predicate selection fill over `vals[0..n]` into
 /// `sel[0..n]` (pre-sized by the caller, never zero-filled); returns the
-/// survivor count. `n` is clamped to both slices. Public and never inlined
-/// so the codegen smoke check can locate its symbol in the compiled binary
-/// and verify the compare lanes vectorized.
+/// survivor count. `n` is clamped to both slices. The values are native
+/// `i32`s or the little-endian bytes of an in-place column; each form is
+/// its own instance. Public and never inlined so the codegen smoke check
+/// can locate its symbols in the compiled binary and verify the compare
+/// lanes vectorized.
 #[inline(never)]
-pub fn compact_sel_first(sel: &mut [u32], n: usize, p: &CompiledFactPred, vals: &[i32]) -> usize {
+pub fn compact_sel_first<T: I32Cell>(
+    sel: &mut [u32],
+    n: usize,
+    p: &CompiledFactPred,
+    vals: &[T],
+) -> usize {
     let mut ok = [false; PRED_LANE];
     let mut w = 0usize;
     let lanes = vals
@@ -513,12 +558,13 @@ pub fn compact_sel_first(sel: &mut [u32], n: usize, p: &CompiledFactPred, vals: 
         match *p {
             CompiledFactPred::Between { lo, hi, .. } => {
                 for (o, &v) in ok.iter_mut().zip(lane) {
+                    let v = v.value();
                     *o = (v >= lo) & (v <= hi);
                 }
             }
             CompiledFactPred::Lt { value, .. } => {
                 for (o, &v) in ok.iter_mut().zip(lane) {
-                    *o = v < value;
+                    *o = v.value() < value;
                 }
             }
         }
@@ -533,11 +579,11 @@ pub fn compact_sel_first(sel: &mut [u32], n: usize, p: &CompiledFactPred, vals: 
 /// Branch-free in-place compaction of `sel[0..live]` by a further predicate
 /// (the gathers through `sel` keep this scalar, but the cursor advance
 /// stays unconditional); returns the new live count.
-fn compact_sel_next(
+fn compact_sel_next<T: I32Cell>(
     sel: &mut [u32],
     live: usize,
     p: &CompiledFactPred,
-    vals: &[i32],
+    vals: &[T],
 ) -> Result<usize> {
     let mut w = 0usize;
     for r in 0..live.min(sel.len()) {
@@ -574,10 +620,10 @@ fn live_prefix<'a>(
 /// unpredictable), or plain branches (wins when the table is so selective
 /// — or so permissive — that the branch predictor is nearly always right).
 #[allow(clippy::too_many_arguments)]
-fn probe_direct<const FUSED: bool>(
+fn probe_direct<const FUSED: bool, T: I32Cell>(
     sel: &mut [u32],
     keys: &mut [u64],
-    fk: &[i32],
+    fk: &[T],
     min: i64,
     ids: &[u32],
     shift: u32,
@@ -603,7 +649,7 @@ fn probe_direct<const FUSED: bool>(
         // (fused: base is 0) nor adds bits, so the scattered key store is
         // replaced by one sequential fill of the survivor prefix.
         for (r, &k) in fk.iter().enumerate().take(len) {
-            let idx = (k as u32).wrapping_sub(min32) as usize;
+            let idx = (k.value() as u32).wrapping_sub(min32) as usize;
             let in_range = idx < end;
             let id = ids
                 .get(if in_range { idx } else { 0 })
@@ -646,7 +692,7 @@ fn probe_direct<const FUSED: bool>(
         // bits to them — every surviving key is 0, so one sequential fill
         // afterwards replaces a scattered store per row.
         for (r, &k) in fk.iter().enumerate().take(len) {
-            let idx = (k as u32).wrapping_sub(min32) as usize;
+            let idx = (k.value() as u32).wrapping_sub(min32) as usize;
             if ids.get(idx).is_some_and(|&id| id != NONE_ID) {
                 put(sel, w, r as u32);
                 w += 1;
@@ -683,10 +729,10 @@ fn probe_direct<const FUSED: bool>(
 /// Probe a hash-mapped table (key range too wide for a direct table, or
 /// an empty build side) over the selection `sel`/`keys`, compacting both
 /// in place; returns the survivor count.
-fn probe_hashed<const FUSED: bool>(
+fn probe_hashed<const FUSED: bool, T: I32Cell>(
     sel: &mut [u32],
     keys: &mut [u64],
-    fk: &[i32],
+    fk: &[T],
     id_map: &FxHashMap<i64, u32>,
     shift: u32,
     contrib: u64,
@@ -768,8 +814,8 @@ pub fn probe_range_vec(
     let mut stats = ProbeStats::default();
     let cols = i32_columns(block, &rows)?;
     let slice = |idx: usize| need_i32(&cols, idx);
-    let fk_slices: Vec<&[i32]> = plan.fks.iter().map(|&i| slice(i)).collect::<Result<_>>()?;
-    let pred_slices: Vec<&[i32]> = plan
+    let fk_slices: Vec<I32s> = plan.fks.iter().map(|&i| slice(i)).collect::<Result<_>>()?;
+    let pred_slices: Vec<I32s> = plan
         .fact_preds
         .iter()
         .map(|p| slice(p.col()))
@@ -796,10 +842,10 @@ pub fn probe_range_vec(
     let fuse_first_join = plan.fact_preds.is_empty() && !fk_slices.is_empty();
     let mut live: usize;
     let mut preds = plan.fact_preds.iter().zip(&pred_slices);
-    if let Some((p, vals)) = preds.next() {
-        live = compact_sel_first(sel, n, p, vals);
-        for (p, vals) in preds {
-            live = compact_sel_next(sel, live, p, vals)?;
+    if let Some((p, &vals)) = preds.next() {
+        live = with_cells!(vals, |v| compact_sel_first(sel, n, p, v));
+        for (p, &vals) in preds {
+            live = with_cells!(vals, |v| compact_sel_next(sel, live, p, v))?;
         }
         // The first join ORs its id into `keys[r]`; clear only the live
         // prefix it will read.
@@ -843,24 +889,44 @@ pub fn probe_range_vec(
             Some((min, ids)) if !ids.is_empty() => {
                 let rate = table.hit_rate();
                 let branch_free = rate >= BRANCH_FREE_BAND.0 && rate <= BRANCH_FREE_BAND.1;
-                if fused {
-                    probe_direct::<true>(sel, keys, fk, min, ids, shift, contrib, branch_free)?
+                with_cells!(fk, |fk| if fused {
+                    probe_direct::<true, _>(sel, keys, fk, min, ids, shift, contrib, branch_free)
                 } else {
-                    probe_direct::<false>(sel, keys, fk, min, ids, shift, contrib, branch_free)?
-                }
+                    probe_direct::<false, _>(sel, keys, fk, min, ids, shift, contrib, branch_free)
+                })?
             }
-            _ if fused => probe_hashed::<true>(sel, keys, fk, table.id_map(), shift, contrib)?,
-            _ => probe_hashed::<false>(sel, keys, fk, table.id_map(), shift, contrib)?,
+            _ => with_cells!(fk, |fk| if fused {
+                probe_hashed::<true, _>(sel, keys, fk, table.id_map(), shift, contrib)
+            } else {
+                probe_hashed::<false, _>(sel, keys, fk, table.id_map(), shift, contrib)
+            })?,
         };
     }
     stats.survivors += live as u64;
 
     // Aggregate stage: fold each survivor's measure into its packed group.
-    for (&i, &key) in sel.iter().zip(keys.iter()).take(live) {
-        let measure = plan.aggregate.eval_i64(agg_a, agg_b, i as usize)?;
-        acc.fold(key, measure, &plan.aggregate)?;
-    }
+    with_opt_cells!(agg_a, |a| with_opt_cells!(agg_b, |b| {
+        fold_survivors(sel, keys, live, a, b, &plan.aggregate, acc)
+    }))?;
     Ok(stats)
+}
+
+/// Fold the measure of each of the `live` selected rows `sel[r]` into its
+/// packed group `keys[r]`, reading the measure columns in their stored
+/// forms.
+fn fold_survivors<A: I32Cell, B: I32Cell>(
+    sel: &[u32],
+    keys: &[u64],
+    live: usize,
+    a: Option<&[A]>,
+    b: Option<&[B]>,
+    aggregate: &Aggregate,
+    acc: &mut GroupAcc,
+) -> Result<()> {
+    for (&i, &key) in sel.iter().zip(keys).take(live) {
+        acc.fold(key, aggregate.eval_i64(a, b, i as usize)?, aggregate)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1241,28 +1307,39 @@ mod tests {
     }
 
     /// Codegen smoke check (x86_64): the branch-free predicate lanes of
-    /// [`compact_sel_first`] must actually autovectorize — its disassembly
-    /// has to touch SIMD registers. Skips (with a note) when `objdump`
-    /// is unavailable rather than failing.
+    /// [`compact_sel_first`] must actually autovectorize in both of its
+    /// instances — over native `i32`s and over the `[u8; 4]` cells of an
+    /// in-place column: each instance's disassembly has to touch SIMD
+    /// registers. Skips (with a note) when `objdump` is unavailable rather
+    /// than failing.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn simd_compaction_codegen_smoke() {
-        // Correctness part, always runs: lanes agree with the branchy path.
-        let vals: Vec<i32> = (0..10_000).map(|i| (i * 7919) % 101).collect();
-        let p = CompiledFactPred::Between {
-            col: 0,
-            lo: 10,
-            hi: 60,
-        };
-        let mut sel = vec![0u32; vals.len()];
-        let w = compact_sel_first(&mut sel, vals.len(), &p, &vals);
-        let expect: Vec<u32> = (0..vals.len() as u32)
-            .filter(|&i| pred_ok(&p, vals[i as usize]))
-            .collect();
-        assert_eq!(&sel[..w], &expect[..]);
+        // Correctness part, always runs: lanes agree with the branchy path,
+        // in both forms.
+        let vals: Vec<i32> = (0..10_000).map(|i| (i * 7919) % 101 - 50).collect();
+        let cells: Vec<[u8; 4]> = vals.iter().map(|v| v.to_le_bytes()).collect();
+        for p in [
+            CompiledFactPred::Between {
+                col: 0,
+                lo: -40,
+                hi: 10,
+            },
+            CompiledFactPred::Lt { col: 0, value: -3 },
+        ] {
+            let expect: Vec<u32> = (0..vals.len() as u32)
+                .filter(|&i| pred_ok(&p, vals[i as usize]))
+                .collect();
+            let mut sel = vec![0u32; vals.len()];
+            let w = compact_sel_first(&mut sel, vals.len(), &p, &vals);
+            assert_eq!(&sel[..w], &expect[..]);
+            let mut sel = vec![0u32; vals.len()];
+            let w = compact_sel_first(&mut sel, vals.len(), &p, &cells);
+            assert_eq!(&sel[..w], &expect[..]);
+        }
 
         // Codegen part: disassemble this test binary and look for xmm/ymm
-        // register usage inside the compact_sel_first symbol. Only
+        // register usage inside each compact_sel_first symbol. Only
         // meaningful in optimized builds — debug codegen never vectorizes.
         if cfg!(debug_assertions) {
             eprintln!("debug build; skipping codegen assertion (run with --release)");
@@ -1281,22 +1358,29 @@ mod tests {
             }
         };
         let asm = String::from_utf8_lossy(&out.stdout);
+        // One entry per compact_sel_first symbol: whether it used SIMD.
+        let mut instances: Vec<bool> = Vec::new();
         let mut in_fn = false;
-        let mut saw_simd = false;
-        let mut saw_fn = false;
         for line in asm.lines() {
             if line.contains(">:") {
                 in_fn = line.contains("compact_sel_first");
-                saw_fn |= in_fn;
+                if in_fn {
+                    instances.push(false);
+                }
             } else if in_fn && (line.contains("%xmm") || line.contains("%ymm")) {
-                saw_simd = true;
-                break;
+                if let Some(simd) = instances.last_mut() {
+                    *simd = true;
+                }
             }
         }
-        assert!(saw_fn, "compact_sel_first symbol not found in disassembly");
         assert!(
-            saw_simd,
-            "compact_sel_first compiled without SIMD registers — predicate lanes did not vectorize"
+            instances.len() >= 2,
+            "expected the i32 and [u8; 4] instances of compact_sel_first, found {}",
+            instances.len()
+        );
+        assert!(
+            instances.iter().all(|&simd| simd),
+            "a compact_sel_first instance compiled without SIMD registers — predicate lanes did not vectorize: {instances:?}"
         );
     }
 }

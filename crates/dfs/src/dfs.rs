@@ -58,6 +58,15 @@ struct State {
     datanodes: Vec<Datanode>,
 }
 
+/// How many bytes a range read asks for.
+#[derive(Clone, Copy)]
+enum Span {
+    /// Exactly this many; a range past the end of the file is an error.
+    Exact(u64),
+    /// Up to this many: the range stops at the end of the file.
+    AtMost(u64),
+}
+
 /// A simulated HDFS instance over the workers of a [`ClusterSpec`].
 ///
 /// All methods take `&self`; the structure is internally synchronized so map
@@ -424,8 +433,36 @@ impl Dfs {
         reader: Option<NodeId>,
         stats: Option<&ScanStats>,
     ) -> Result<Bytes> {
+        self.read_span(path, offset, Span::Exact(len), reader, stats)
+    }
+
+    /// The first `max_len` bytes of a file, or the whole file if it is
+    /// shorter: [`Dfs::read_range_tracked`] of `0..min(max_len, len)` with
+    /// one namenode lookup instead of a length lookup and a read.
+    pub fn read_prefix_tracked(
+        &self,
+        path: &str,
+        max_len: u64,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+    ) -> Result<Bytes> {
+        self.read_span(path, 0, Span::AtMost(max_len), reader, stats)
+    }
+
+    fn read_span(
+        &self,
+        path: &str,
+        offset: u64,
+        span: Span,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+    ) -> Result<Bytes> {
         let state = self.state.read();
         let entry = state.namenode.file(path)?;
+        let len = match span {
+            Span::Exact(len) => len,
+            Span::AtMost(max) => max.min(entry.len.saturating_sub(offset)),
+        };
         let end = match offset.checked_add(len) {
             Some(end) if end <= entry.len => end,
             _ => {
@@ -1022,6 +1059,23 @@ mod tests {
             &data[60..64]
         );
         assert!(dfs.read_range("/r", 60, 5, None).is_err());
+    }
+
+    #[test]
+    fn prefix_reads_are_clamped_range_reads() {
+        let dfs = small_dfs(3, 1, 8);
+        let data: Vec<u8> = (0..20u8).collect();
+        dfs.write_file("/r", None, &data).unwrap();
+        dfs.write_file("/empty", None, &[]).unwrap();
+        for (path, max) in [("/r", 5), ("/r", 8), ("/r", 20), ("/r", 33), ("/empty", 33)] {
+            let (by_prefix, by_range) = (ScanStats::new(), ScanStats::new());
+            let len = dfs.file_len(path).unwrap().min(max);
+            let prefix = dfs.read_prefix_tracked(path, max, None, Some(&by_prefix));
+            let range = dfs.read_range_tracked(path, 0, len, None, Some(&by_range));
+            assert_eq!(prefix.unwrap(), range.unwrap(), "{path} {max}");
+            assert_eq!(by_prefix.total(), by_range.total(), "{path} {max}");
+        }
+        assert!(dfs.read_prefix_tracked("/missing", 8, None, None).is_err());
     }
 
     #[test]

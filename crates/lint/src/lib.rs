@@ -182,6 +182,10 @@ pub const D004_AUDITED: &[&str] = &[
     // `Option<Arc<CifReader>>`, written by `splits()` and read by `open()`,
     // each for a single statement and never while a DFS lock is held.
     "crates/columnar/src/input.rs",
+    // The RCFile input format's per-job table handle, the same shape as
+    // CIF's: one `RwLock` around an `Option<Arc<RcFileReader>>`, each side
+    // held for a single statement and never while a DFS lock is held.
+    "crates/columnar/src/rcfile.rs",
     // NOT listed, deliberately: the multi-job server and slot scheduler
     // (`crates/mapred/src/server.rs`, `crates/mapred/src/scheduler.rs`,
     // `crates/core/src/server.rs`). Audited 2026-08: the server executes

@@ -64,6 +64,13 @@ impl TaskIo {
         self.dfs
             .read_range_tracked(path, offset, len, self.node, Some(&self.stats))
     }
+
+    /// The first `max_len` bytes of a file, or all of a shorter one
+    /// ([`Dfs::read_prefix_tracked`]).
+    pub fn read_prefix(&self, path: &str, max_len: u64) -> Result<Bytes> {
+        self.dfs
+            .read_prefix_tracked(path, max_len, self.node, Some(&self.stats))
+    }
 }
 
 /// Per-node state of **one job**: it persists across that job's consecutive

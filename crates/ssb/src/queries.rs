@@ -6,7 +6,7 @@
 //! (Section 6.1). The reference executor interprets it directly.
 
 use crate::schema;
-use clyde_common::{ClydeError, Datum, DatumRef, Result, Row, Schema};
+use clyde_common::{ClydeError, Datum, DatumRef, I32Cell, Result, Row, Schema};
 use std::sync::Arc;
 
 /// A predicate over fact-table columns (flight 1's discount/quantity
@@ -273,22 +273,30 @@ impl Aggregate {
     }
 
     /// Evaluate the measure for row `i` of a block (i32 fact columns).
-    /// `a`/`b` are the measure-column slices resolved by the probe plan;
-    /// `CountStar` needs neither. A measure column the aggregate needs that
-    /// is absent, or has no row `i`, is a typed error.
+    /// `a`/`b` are the measure-column slices resolved by the probe plan, in
+    /// whichever form each column is stored; `CountStar` needs neither. A
+    /// measure column the aggregate needs that is absent, or has no row
+    /// `i`, is a typed error.
     #[inline]
-    pub fn eval_i64(&self, a: Option<&[i32]>, b: Option<&[i32]>, i: usize) -> Result<i64> {
-        let at = |col: Option<&[i32]>| {
+    pub fn eval_i64<A: I32Cell, B: I32Cell>(
+        &self,
+        a: Option<&[A]>,
+        b: Option<&[B]>,
+        i: usize,
+    ) -> Result<i64> {
+        fn at<T: I32Cell>(col: Option<&[T]>, i: usize) -> Result<i64> {
             col.and_then(|c| c.get(i))
-                .map(|&v| i64::from(v))
+                .map(|&v| i64::from(v.value()))
                 .ok_or_else(|| {
                     ClydeError::Plan(format!("aggregate has no measure value for row {i}"))
                 })
-        };
+        }
         Ok(match self {
-            Aggregate::SumColumn(_) | Aggregate::MinColumn(_) | Aggregate::MaxColumn(_) => at(a)?,
-            Aggregate::SumProduct(_, _) => at(a)? * at(b)?,
-            Aggregate::SumDiff(_, _) => at(a)? - at(b)?,
+            Aggregate::SumColumn(_) | Aggregate::MinColumn(_) | Aggregate::MaxColumn(_) => {
+                at(a, i)?
+            }
+            Aggregate::SumProduct(_, _) => at(a, i)? * at(b, i)?,
+            Aggregate::SumDiff(_, _) => at(a, i)? - at(b, i)?,
             Aggregate::CountStar => 1,
         })
     }

@@ -6,9 +6,15 @@
 //! ([`probe_row`]) must produce identical group aggregates, identical
 //! [`ProbeStats`] (rows, probes **and survivors** — early-out must shrink
 //! the selection vector exactly as the scalar loop skips), and all must
-//! agree with the trusted single-process reference executor.
+//! agree with the trusted single-process reference executor. The same holds
+//! on blocks read back from stored CIF chunks, where plain `i32` columns are
+//! read in place and RLE columns are decoded.
 
-use clyde_common::{ClydeError, FxHashMap, Row, RowBlock, RowBlockBuilder, Schema};
+use clyde_columnar::encoding::{encode_block, encode_column, Encoding};
+use clyde_columnar::{CifReader, CifWriter};
+use clyde_common::{ClydeError, ColumnData, FxHashMap, Row, RowBlock, RowBlockBuilder, Schema};
+use clyde_dfs::Dfs;
+use clyde_mapred::TaskIo;
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::{all_queries, query_by_id, reference_answer, schema};
 use clydesdale::hashtable::DimTables;
@@ -17,6 +23,7 @@ use clydesdale::probe::{
 };
 use clydesdale::KernelOpts;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Chunk the projected fact rows into blocks of `block_rows`.
 fn blocks_of(
@@ -124,6 +131,120 @@ proptest! {
         q.sort_result(&mut rows);
         let expect = reference_answer(&data, q).unwrap();
         prop_assert_eq!(rows, expect, "{}: kernels disagree with reference", q.id);
+    }
+}
+
+/// How a test table's columns are encoded.
+#[derive(Debug, Clone, Copy)]
+enum Chunks {
+    /// Every column plain: each `i32` column is read in place.
+    Plain,
+    /// Every column RLE: each is decoded, most runs a row or two long.
+    Rle,
+    /// Alternating plain and RLE by column.
+    Mixed,
+    /// What the loader writes: `choose_encoding` per column and group.
+    Chosen,
+}
+
+/// `blocks` written as a CIF table of one group per block, in `chunks`
+/// encodings, and read back through the scan's sealed read.
+fn stored_blocks(blocks: &[RowBlock], scan_schema: &Schema, chunks: Chunks) -> Vec<RowBlock> {
+    let dfs = Dfs::for_tests(3);
+    let rpg = blocks.iter().map(RowBlock::len).max().unwrap_or(1) as u64;
+    let mut w = CifWriter::new(Arc::clone(&dfs), "/t", scan_schema.clone(), rpg).unwrap();
+    for b in blocks {
+        let encoded = match chunks {
+            Chunks::Chosen => encode_block(b).unwrap(),
+            _ => b
+                .columns()
+                .iter()
+                .enumerate()
+                .map(|(i, col)| {
+                    let rle = match chunks {
+                        Chunks::Rle => true,
+                        Chunks::Mixed => i % 2 == 1,
+                        _ => false,
+                    };
+                    let enc = if rle { Encoding::Rle } else { Encoding::Plain };
+                    encode_column(col, enc).unwrap()
+                })
+                .collect(),
+        };
+        w.write_group(b.len() as u64, &encoded).unwrap();
+    }
+    w.close().unwrap();
+    let reader = CifReader::open(&dfs, "/t").unwrap();
+    let io = TaskIo::client(Arc::clone(&dfs));
+    let all: Vec<usize> = (0..scan_schema.len()).collect();
+    (0..blocks.len())
+        .map(|g| reader.read_group(&io, g, &all).unwrap())
+        .collect()
+}
+
+/// On blocks read from plain, RLE, mixed and loader-chosen chunks, the
+/// vectorized and scalar kernels agree with each other, with the reference
+/// and — counters included — with the same rows built in memory.
+#[test]
+fn kernels_agree_on_blocks_read_from_stored_chunks() {
+    let data = SsbGen::new(0.002, 46).gen_all().unwrap();
+    let fact_schema = schema::lineorder_schema();
+    for q in all_queries() {
+        let cols: Vec<usize> = q
+            .fact_columns()
+            .iter()
+            .map(|c| fact_schema.index_of(c).unwrap())
+            .collect();
+        let scan_schema = fact_schema.project(&cols);
+        let plan = ProbePlan::compile(&q, &scan_schema).unwrap();
+        let tables =
+            DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))
+                .unwrap();
+        let layout = GroupLayout::new(&plan, &tables).expect("packed key fits for SSB");
+        let built = blocks_of(&data.lineorder, &scan_schema, &cols, 2_500);
+        let (acc_built, st_built) = run_vec(&built, &plan, &tables, &layout);
+        let mut expect = reference_answer(&data, &q).unwrap();
+        q.sort_result(&mut expect);
+
+        for chunks in [Chunks::Plain, Chunks::Rle, Chunks::Mixed, Chunks::Chosen] {
+            let stored = stored_blocks(&built, &scan_schema, chunks);
+            assert_eq!(stored, built, "{} {chunks:?}: blocks differ by value", q.id);
+            let in_place = stored
+                .iter()
+                .flat_map(|b| b.columns())
+                .filter(|c| matches!(c, ColumnData::I32Le(_)))
+                .count();
+            match chunks {
+                Chunks::Plain => assert_eq!(in_place, stored.len() * cols.len()),
+                Chunks::Rle => assert_eq!(in_place, 0),
+                Chunks::Mixed if cols.len() > 1 => {
+                    assert!(in_place > 0 && in_place < stored.len() * cols.len())
+                }
+                _ => {}
+            }
+
+            let mut acc_scalar = FxHashMap::default();
+            let mut st_scalar = ProbeStats::default();
+            for b in &stored {
+                probe_block(b, &plan, &tables, &mut acc_scalar, &mut st_scalar).unwrap();
+            }
+            let (acc_vec, st_vec) = run_vec(&stored, &plan, &tables, &layout);
+            assert_eq!(
+                acc_vec, acc_scalar,
+                "{} {chunks:?}: vectorized != scalar",
+                q.id
+            );
+            assert_eq!(st_vec, st_scalar, "{} {chunks:?}: stats", q.id);
+            assert_eq!(acc_vec, acc_built, "{} {chunks:?}: stored != built", q.id);
+            assert_eq!(st_vec, st_built, "{} {chunks:?}: stats vs built", q.id);
+
+            let mut rows: Vec<Row> = acc_vec
+                .into_iter()
+                .map(|(k, v)| k.concat(&clyde_common::row![v]))
+                .collect();
+            q.sort_result(&mut rows);
+            assert_eq!(rows, expect, "{} {chunks:?}: kernels != reference", q.id);
+        }
     }
 }
 

@@ -20,10 +20,13 @@
 //!   `splits()` and serves that snapshot to the job's `open()` calls; the
 //!   next `splits()` replaces it, so roll-in and roll-out are seen by the
 //!   next query, and everything the cost model prices is what the per-part
-//!   open and per-file planning lookups produced.
+//!   open and per-file planning lookups produced. An `RcFileInputFormat`
+//!   holds its table the same way: a job reads `.meta` once.
 
 use clyde_columnar::encoding::{decode_column, encode_column, Encoding};
-use clyde_columnar::{roll_out, CifAppender, CifInputFormat, CifReader, CifWriter};
+use clyde_columnar::{
+    roll_out, CifAppender, CifInputFormat, CifReader, CifWriter, RcFileInputFormat, RcFileWriter,
+};
 use clyde_common::hash::FxHasher;
 use clyde_common::{varint, ClydeError, ColumnData, DatumType, Field, Row, Schema};
 use clyde_dfs::{
@@ -452,6 +455,46 @@ fn corruption_node_loss_and_rereplication_leave_only_unsealed_replicas() {
     assert_eq!(sealed_replicas(&dfs), 1);
 }
 
+/// A plain `i32` chunk is read in place only after the sealed read served a
+/// replica that matched its block checksum: a rotten replica falls over to
+/// its clean sibling, and with no clean sibling the read is a typed error
+/// and no column exists.
+#[test]
+fn a_rotten_plain_chunk_is_a_typed_error_before_it_is_read_in_place() {
+    let want = ColumnData::I32((0..100).collect());
+    let chunk_path = "/t/rg000000/good.col";
+    // The seed decides which of the table's two files rots; take the first
+    // seed that rots the chunk.
+    let (dfs, reader, victim) = (0..64)
+        .find_map(|seed| {
+            let dfs = Dfs::for_tests(3);
+            let reader = two_column_table(&dfs, false);
+            assert_eq!(dfs.inject_corruption(seed, 1), 1);
+            let victim = dfs.hosts(chunk_path).unwrap().into_iter().find(|&h| {
+                let before = corrupt_reads(&dfs);
+                dfs.read_file(chunk_path, Some(h)).unwrap();
+                corrupt_reads(&dfs) > before
+            })?;
+            Some((dfs, reader, victim))
+        })
+        .expect("some seed rots the chunk");
+
+    let io = TaskIo::new(Arc::clone(&dfs), victim);
+    let block = reader.read_group(&io, 0, &[0]).unwrap();
+    assert!(matches!(block.columns(), [ColumnData::I32Le(_)]));
+    assert_eq!(block.columns(), [want]);
+
+    for h in dfs.hosts(chunk_path).unwrap() {
+        if h != victim {
+            dfs.kill_node(h).unwrap();
+        }
+    }
+    let io = TaskIo::new(Arc::clone(&dfs), victim);
+    let err = reader.read_group(&io, 0, &[0]).unwrap_err();
+    assert!(matches!(err, ClydeError::Dfs(_)), "{err}");
+    assert_eq!(io.stats.total(), 0, "nothing was served");
+}
+
 /// Two threads racing the first sealed read of one chunk replica agree: on
 /// a good chunk both get the bytes and the replica ends up sealed; on a
 /// chunk sealed wrong both get the typed error and it stays unsealed.
@@ -871,6 +914,74 @@ fn a_reused_format_never_serves_an_earlier_jobs_meta() {
         }
     }
     assert_eq!(rows, now);
+}
+
+/// A one-table RCFile `/rc` of `rows` rows `(i * mul, i)`, ten per group,
+/// replacing any earlier table there.
+fn rc_table(dfs: &Arc<Dfs>, rows: i32, mul: i32) -> Vec<Row> {
+    for path in ["/rc.rc", "/rc.rc.meta"] {
+        if dfs.exists(path) {
+            dfs.delete(path).unwrap();
+        }
+    }
+    let schema = Schema::new(vec![Field::i32("a"), Field::i64("b")]);
+    let mut w = RcFileWriter::new(Arc::clone(dfs), "/rc", schema, 10).unwrap();
+    let rows: Vec<Row> = (0..rows)
+        .map(|i| clyde_common::row![i * mul, i64::from(i)])
+        .collect();
+    for r in &rows {
+        w.append(r).unwrap();
+    }
+    w.close().unwrap();
+    rows
+}
+
+/// Every row an RCFile format's splits yield through `open()`, and the
+/// bytes the DFS served beyond what the task reads accounted: `.meta`
+/// reads.
+fn drain_rc(fmt: &RcFileInputFormat, dfs: &Arc<Dfs>) -> (Vec<Row>, u64) {
+    let io = TaskIo::client(Arc::clone(dfs));
+    let before = dfs.metrics().total_read();
+    let mut rows = Vec::new();
+    for split in fmt.splits(dfs, &JobConf::new()).unwrap() {
+        let mut reader = fmt.open(&split, 0, &io).unwrap().into_rows().unwrap();
+        while let Some((_, row)) = reader.next().unwrap() {
+            rows.push(row);
+        }
+    }
+    let untracked = dfs.metrics().total_read() - before - io.stats.total();
+    (rows, untracked)
+}
+
+#[test]
+fn an_rcfile_format_reads_its_meta_once_per_job() {
+    let dfs = Dfs::for_tests(3);
+    let first = rc_table(&dfs, 23, 1);
+    let meta_len = dfs.file_len("/rc.rc.meta").unwrap();
+    let fmt = RcFileInputFormat::new("/rc");
+
+    // Three groups, one `.meta` read: the one `splits()` made.
+    assert_eq!(drain_rc(&fmt, &dfs), (first, meta_len));
+
+    // A format that planned nothing opens the table itself.
+    let planned = fmt.splits(&dfs, &JobConf::new()).unwrap();
+    let io = TaskIo::client(Arc::clone(&dfs));
+    let unplanned = RcFileInputFormat::new("/rc");
+    let mut rows = unplanned
+        .open(&planned[2], 0, &io)
+        .unwrap()
+        .into_rows()
+        .unwrap();
+    assert_eq!(
+        rows.next().unwrap().unwrap().1,
+        clyde_common::row![20i32, 20i64]
+    );
+
+    // The next job's `splits()` replaces the handle: a rewritten table is
+    // read, not the first job's snapshot of it.
+    let second = rc_table(&dfs, 17, 3);
+    let meta_len = dfs.file_len("/rc.rc.meta").unwrap();
+    assert_eq!(drain_rc(&fmt, &dfs), (second, meta_len));
 }
 
 /// Per query: (id, zone_checked, zone_skipped, local bytes, remote bytes,

@@ -14,7 +14,7 @@
 use crate::encoding::{decode_verified, encode_block};
 use clyde_common::{rowcodec, Field};
 use clyde_common::{varint, ClydeError, Result, Row, RowBlock, RowBlockBuilder, Schema};
-use clyde_dfs::{Dfs, NodeId};
+use clyde_dfs::{Dfs, GroupFiles, NodeId};
 use clyde_mapred::TaskIo;
 use std::sync::Arc;
 
@@ -317,31 +317,36 @@ impl CifReader {
     }
 
     /// Hosts and projected bytes of every live group, from one pass over
-    /// the table's `rg…` namespace range (one namenode lock) instead of a
-    /// lookup per column file. Hosts follow [`CifReader::group_hosts`]'s
-    /// rule — every column file, intersected in schema order; bytes are the
-    /// stored length of the `col_indices` files only.
+    /// the table's `rg…` namespace range: [`CifReader::locate_files`]
+    /// projected onto `col_indices` ([`CifReader::project`]). The cold
+    /// reference for what a planned scan is told.
     pub fn locate_groups(&self, dfs: &Dfs, col_indices: &[usize]) -> Result<Vec<GroupLocation>> {
+        self.project(&self.locate_files(dfs)?, col_indices)
+    }
+
+    /// Where every live group's column files are, from one pass over the
+    /// table's `rg…` namespace range (one namenode lock) instead of a
+    /// lookup per column file. Hosts follow [`CifReader::group_hosts`]'s
+    /// rule — every column file, intersected in schema order; lengths are
+    /// the stored length of each column file, in schema order. A missing
+    /// column file of a live group is an error.
+    pub fn locate_files(&self, dfs: &Dfs) -> Result<Vec<GroupFiles>> {
         /// One group while its files stream past.
         #[derive(Clone, Default)]
         struct Acc {
-            bytes: u64,
+            /// Each column file's length, once it has been seen.
+            lens: Vec<Option<u64>>,
             /// Intersection of the files seen so far, in arrival order.
             common: Option<Vec<NodeId>>,
             /// Hosts of the first schema column's file: files arrive in
             /// path order, but the result keeps *this* file's order.
             lead: Vec<NodeId>,
         }
-        let n_cols = self.meta.schema.len();
-        // How often each column is projected (its bytes count that often).
-        let mut projected = vec![0u64; n_cols];
-        for &c in col_indices {
-            *projected
-                .get_mut(c)
-                .ok_or_else(|| ClydeError::Format(format!("column {c} out of range")))? += 1;
-        }
-        let mut groups = vec![Acc::default(); self.meta.num_groups()];
-        let mut seen = vec![false; groups.len() * n_cols];
+        let empty = Acc {
+            lens: vec![None; self.meta.schema.len()],
+            ..Acc::default()
+        };
+        let mut groups = vec![empty; self.meta.num_groups()];
         let prefix = format!("{}/rg", self.meta.base);
         dfs.locate_prefix(&prefix, |file| {
             // Files of rolled-out or not-yet-published groups are not ours.
@@ -352,15 +357,13 @@ impl CifReader {
             else {
                 return;
             };
-            let (Some(group), Some(seen), Some(&times)) = (
-                groups.get_mut(g),
-                seen.get_mut(g * n_cols + c),
-                projected.get(c),
-            ) else {
+            let Some(group) = groups.get_mut(g) else {
                 return;
             };
-            *seen = true;
-            group.bytes += times * file.len;
+            let Some(len) = group.lens.get_mut(c) else {
+                return;
+            };
+            *len = Some(file.len);
             match &mut group.common {
                 None => group.common = Some(file.hosts.to_vec()),
                 Some(common) => common.retain(|n| file.hosts.contains(n)),
@@ -369,26 +372,61 @@ impl CifReader {
                 group.lead = file.hosts.to_vec();
             }
         })?;
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            let (g, c) = (missing / n_cols, missing % n_cols);
-            let name = self.column_name(c)?;
-            return Err(ClydeError::Dfs(format!(
-                "no such file: {}",
-                self.meta.column_path(g, name)
-            )));
-        }
-        Ok(groups
+        let missing = |g: usize, c: usize| match self.column_name(c) {
+            Ok(name) => {
+                ClydeError::Dfs(format!("no such file: {}", self.meta.column_path(g, name)))
+            }
+            Err(e) => e,
+        };
+        groups
             .into_iter()
-            .map(|group| {
+            .enumerate()
+            .map(|(g, group)| {
+                let lens = group
+                    .lens
+                    .iter()
+                    .enumerate()
+                    .map(|(c, len)| len.ok_or_else(|| missing(g, c)))
+                    .collect::<Result<Vec<u64>>>()?;
                 let common = group.common.unwrap_or_default();
                 let mut hosts = group.lead;
                 hosts.retain(|n| common.contains(n));
-                GroupLocation {
-                    hosts,
-                    bytes: group.bytes,
-                }
+                Ok(GroupFiles { hosts, lens })
             })
-            .collect())
+            .collect()
+    }
+
+    /// Hosts and projected bytes of every group of `files` (this table's
+    /// [`CifReader::locate_files`]): a column's bytes count as often as
+    /// `col_indices` names it. Touches no namespace.
+    pub fn project(
+        &self,
+        files: &[GroupFiles],
+        col_indices: &[usize],
+    ) -> Result<Vec<GroupLocation>> {
+        if files.len() != self.meta.num_groups() {
+            return Err(ClydeError::Format(format!(
+                "{} located groups for a {}-group table",
+                files.len(),
+                self.meta.num_groups()
+            )));
+        }
+        let len = |group: &GroupFiles, c: usize| {
+            let len = group.lens.get(c).copied();
+            len.ok_or_else(|| ClydeError::Format(format!("column {c} out of range")))
+        };
+        files
+            .iter()
+            .map(|group| {
+                Ok(GroupLocation {
+                    hosts: group.hosts.clone(),
+                    bytes: col_indices
+                        .iter()
+                        .map(|&c| len(group, c))
+                        .sum::<Result<_>>()?,
+                })
+            })
+            .collect()
     }
 
     /// `{phys:06}/{column}.col` → (logical group, column) of a live group's

@@ -19,7 +19,7 @@ use crate::cif::CifReader;
 use crate::encoding::{peek_zone_map, ZONE_HEADER_MAX};
 use clyde_common::lockorder::RwLock;
 use clyde_common::{ClydeError, Result, RowBlock, RowRange};
-use clyde_dfs::{Dfs, NodeId};
+use clyde_dfs::{Dfs, GroupFiles, NodeId};
 use clyde_mapred::conf::keys;
 use clyde_mapred::{
     input::RowsFromBlocks, BlockReader, InputFormat, InputSplit, JobConf, Reader, SplitSpec, TaskIo,
@@ -152,6 +152,23 @@ impl CifInputFormat {
         Ok(false)
     }
 
+    /// `_meta` and the table's location fold, both of one namespace epoch.
+    /// The fold is the one the DFS keeps for this table when the namespace
+    /// has not changed since it was built, and one fresh walk otherwise; a
+    /// change between reading the epoch and `_meta` (a concurrent writer)
+    /// means reading both again.
+    fn resolve(&self, dfs: &Dfs) -> Result<(CifReader, Arc<[GroupFiles]>)> {
+        loop {
+            let epoch = dfs.namespace_epoch();
+            let reader = CifReader::open(dfs, &self.base)?;
+            if let Some(files) =
+                dfs.table_locations(&self.base, epoch, || reader.locate_files(dfs))?
+            {
+                return Ok((reader, files));
+            }
+        }
+    }
+
     fn column_indices(&self, reader: &CifReader, conf: &JobConf) -> Result<Vec<usize>> {
         let names: Vec<String> = match (&self.columns, conf.get(keys::SCAN_COLUMNS)) {
             (Some(cols), _) => cols.clone(),
@@ -169,10 +186,11 @@ impl CifInputFormat {
 
 impl InputFormat for CifInputFormat {
     fn splits(&self, dfs: &Dfs, conf: &JobConf) -> Result<Vec<InputSplit>> {
-        let reader = Arc::new(CifReader::open(dfs, &self.base)?);
+        let (reader, files) = self.resolve(dfs)?;
+        let reader = Arc::new(reader);
         *self.table.write() = Some(Arc::clone(&reader));
         let cols = self.column_indices(&reader, conf)?;
-        let located = reader.locate_groups(dfs, &cols)?;
+        let located = reader.project(&files, &cols)?;
 
         let multi = match self.multi {
             MultiSplit::GroupsPerSplit(k) => {

@@ -53,9 +53,22 @@ pub struct FileLocation<'a> {
     pub hosts: &'a [NodeId],
 }
 
+/// One group of a table's files, as a planner sees it: the nodes holding a
+/// replica of every block of every file of the group, and the stored length
+/// of each file, in the caller's file order (a CIF row group: its column
+/// files in schema order). What [`Dfs::table_locations`] keeps.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GroupFiles {
+    pub hosts: Vec<NodeId>,
+    pub lens: Vec<u64>,
+}
+
 struct State {
     namenode: Namenode,
     datanodes: Vec<Datanode>,
+    /// Table location folds by key, each with the namespace epoch it was
+    /// built at; only entries of the current epoch are ever served.
+    tables: FxHashMap<String, (u64, Arc<[GroupFiles]>)>,
 }
 
 /// How many bytes a range read asks for.
@@ -84,6 +97,8 @@ pub struct Dfs {
     cache: RwLock<CacheCatalog>,
     /// Seals hashed by [`Dfs::read_sealed_tracked`] (test assertions).
     seal_checks: AtomicU64,
+    /// Namespace walks by [`Dfs::locate_prefix`] (test assertions).
+    namespace_walks: AtomicU64,
 }
 
 impl Dfs {
@@ -101,9 +116,11 @@ impl Dfs {
             state: RwLock::new(State {
                 namenode: Namenode::new(),
                 datanodes,
+                tables: FxHashMap::default(),
             }),
             cache: RwLock::new(CacheCatalog::new()),
             seal_checks: AtomicU64::new(0),
+            namespace_walks: AtomicU64::new(0),
         })
     }
 
@@ -646,6 +663,7 @@ impl Dfs {
         prefix: &str,
         mut visit: impl FnMut(FileLocation<'_>),
     ) -> Result<()> {
+        self.namespace_walks.fetch_add(1, Ordering::Relaxed);
         let state = self.state.read();
         let mut common: Vec<NodeId> = Vec::new();
         for entry in state.namenode.files_with_prefix(prefix) {
@@ -669,6 +687,54 @@ impl Dfs {
             });
         }
         Ok(())
+    }
+
+    /// How many changes the namespace has seen: every file commit, block
+    /// allocation, delete and replica-set change (re-replication, corruption
+    /// injection) advances it; reads never do. Liveness is not namespace: a
+    /// dead node's replicas stay listed until re-replication drops them.
+    pub fn namespace_epoch(&self) -> u64 {
+        self.state.read().namenode.epoch()
+    }
+
+    /// The location fold of table `key` at namespace epoch `epoch`, built by
+    /// `build` at most once per (key, epoch): while the namespace does not
+    /// change, every later call gets the kept fold back without walking it.
+    ///
+    /// `epoch` is the caller's [`Dfs::namespace_epoch`] from *before* it
+    /// read what `build` depends on (a table's metadata file). If the
+    /// namespace has moved on since, that read may be of a later epoch than
+    /// `epoch`, so nothing is served or kept and the result is `None`: read
+    /// again and retry. `build` runs with no lock held (it may call
+    /// [`Dfs::locate_prefix`]); its fold is kept only if the epoch is still
+    /// `epoch` afterwards, and keeping it drops every fold of an older one.
+    pub fn table_locations(
+        &self,
+        key: &str,
+        epoch: u64,
+        build: impl FnOnce() -> Result<Vec<GroupFiles>>,
+    ) -> Result<Option<Arc<[GroupFiles]>>> {
+        {
+            let state = self.state.read();
+            if state.namenode.epoch() != epoch {
+                return Ok(None);
+            }
+            if let Some((built, groups)) = state.tables.get(key) {
+                if *built == epoch {
+                    return Ok(Some(Arc::clone(groups)));
+                }
+            }
+        }
+        let groups: Arc<[GroupFiles]> = build()?.into();
+        let mut state = self.state.write();
+        if state.namenode.epoch() != epoch {
+            return Ok(None);
+        }
+        state.tables.retain(|_, (built, _)| *built == epoch);
+        state
+            .tables
+            .insert(key.to_string(), (epoch, Arc::clone(&groups)));
+        Ok(Some(groups))
     }
 
     /// Simulate the failure of a node: its replicas are lost. A node that
@@ -722,6 +788,7 @@ impl Dfs {
         let State {
             namenode,
             datanodes,
+            ..
         } = &mut *state;
         let mut candidates: Vec<(u64, BlockId, usize)> = Vec::new();
         for meta in namenode.all_blocks_mut() {
@@ -848,6 +915,12 @@ impl Dfs {
     /// sealed replica adds none).
     pub fn seal_checks(&self) -> u64 {
         self.seal_checks.load(Ordering::Relaxed)
+    }
+
+    /// Namespace walks ([`Dfs::locate_prefix`] calls) so far (test
+    /// assertions: planning a table again at an unchanged epoch adds none).
+    pub fn namespace_walks(&self) -> u64 {
+        self.namespace_walks.load(Ordering::Relaxed)
     }
 
     /// Per-node used bytes (capacity accounting / test assertions).
@@ -1307,6 +1380,71 @@ mod tests {
         assert!(!dfs.is_node_alive(NodeId(7)));
         dfs.restart_node(NodeId(0)).unwrap();
         assert!(dfs.is_node_alive(NodeId(0)));
+    }
+
+    #[test]
+    fn reads_and_replica_flags_leave_the_epoch_alone() {
+        let dfs = small_dfs(3, 2, 16);
+        dfs.write_file("/a", None, b"hello").unwrap();
+        dfs.write_file("/big", None, &[7u8; 40]).unwrap();
+        let mut sealed = b"body".to_vec();
+        hash::seal(&mut sealed);
+        dfs.write_file("/s", None, &sealed).unwrap();
+        let epoch = dfs.namespace_epoch();
+        for n in 0..3 {
+            dfs.read_file("/a", Some(NodeId(n))).unwrap();
+            dfs.read_range("/big", 3, 20, Some(NodeId(n))).unwrap();
+            dfs.read_sealed_tracked("/s", Some(NodeId(n)), None)
+                .unwrap();
+        }
+        assert!(dfs.verified_replicas_per_node().iter().sum::<usize>() > 0);
+        assert!(dfs.sealed_replicas_per_node().iter().sum::<usize>() > 0);
+        dfs.locate_prefix("/", |_| {}).unwrap();
+        let _ = (dfs.hosts("/a"), dfs.status("/big"), dfs.list("/"));
+        assert_eq!(dfs.namespace_epoch(), epoch);
+        dfs.write_file("/b", None, b"x").unwrap();
+        assert!(dfs.namespace_epoch() > epoch);
+    }
+
+    #[test]
+    fn a_table_fold_is_built_once_per_epoch() {
+        let dfs = small_dfs(3, 2, 1024);
+        dfs.write_file("/t/rg0", None, b"abc").unwrap();
+        let builds = std::cell::Cell::new(0);
+        let fold = |dfs: &Dfs, epoch| {
+            dfs.table_locations("/t", epoch, || {
+                builds.set(builds.get() + 1);
+                let mut groups = Vec::new();
+                dfs.locate_prefix("/t/", |f| {
+                    groups.push(GroupFiles {
+                        hosts: f.hosts.to_vec(),
+                        lens: vec![f.len],
+                    })
+                })?;
+                Ok(groups)
+            })
+        };
+        let epoch = dfs.namespace_epoch();
+        let first = fold(&dfs, epoch).unwrap().unwrap();
+        let again = fold(&dfs, epoch).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((builds.get(), dfs.namespace_walks()), (1, 1));
+        // A change makes the caller's epoch stale, and the next epoch's fold
+        // sees the change.
+        dfs.write_file("/t/rg1", None, b"de").unwrap();
+        assert!(fold(&dfs, epoch).unwrap().is_none());
+        let now = fold(&dfs, dfs.namespace_epoch()).unwrap().unwrap();
+        assert_eq!(now.iter().map(|g| g.lens[0]).collect::<Vec<_>>(), [3, 2]);
+        assert_eq!(builds.get(), 2);
+        // A fold the namespace moves past while it is built is not kept.
+        let epoch = dfs.namespace_epoch();
+        let raced = dfs.table_locations("/u", epoch, || {
+            dfs.write_file("/t/rg2", None, b"f")?;
+            Ok(Vec::new())
+        });
+        assert!(raced.unwrap().is_none());
+        assert!(fold(&dfs, dfs.namespace_epoch()).unwrap().is_some());
+        assert_eq!(builds.get(), 3);
     }
 
     #[test]

@@ -18,8 +18,19 @@ pub struct FileEntry {
 
 /// The file namespace and block metadata, single-writer (guarded by the
 /// `Dfs` facade's lock).
+///
+/// Every `&mut self` method reaches the namespace through
+/// [`Namenode::change`], which advances the epoch: whatever is derived from
+/// the namespace and kept beside it (`Dfs::table_locations`) is valid
+/// exactly while the epoch it was derived at is current.
 #[derive(Debug, Default)]
 pub struct Namenode {
+    ns: Namespace,
+    epoch: u64,
+}
+
+#[derive(Debug, Default)]
+struct Namespace {
     files: BTreeMap<String, FileEntry>,
     blocks: FxHashMap<BlockId, BlockMeta>,
     next_block: u64,
@@ -30,12 +41,24 @@ impl Namenode {
         Namenode::default()
     }
 
+    /// How many changes the namespace has seen. Reads never advance it.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The namespace, for a change: the one `&mut` path into it.
+    fn change(&mut self) -> &mut Namespace {
+        self.epoch = self.epoch.wrapping_add(1);
+        &mut self.ns
+    }
+
     /// Allocate a fresh block id with the given replica set and content
     /// checksum.
     pub fn allocate_block(&mut self, len: u64, replicas: Vec<NodeId>, checksum: u64) -> BlockId {
-        let id = BlockId(self.next_block);
-        self.next_block += 1;
-        self.blocks.insert(
+        let ns = self.change();
+        let id = BlockId(ns.next_block);
+        ns.next_block += 1;
+        ns.blocks.insert(
             id,
             BlockMeta {
                 id,
@@ -50,46 +73,51 @@ impl Namenode {
     /// Finalize a file. Errors if the path already exists (files are
     /// write-once, like HDFS).
     pub fn commit_file(&mut self, entry: FileEntry) -> Result<()> {
-        if self.files.contains_key(&entry.path) {
+        let ns = self.change();
+        if ns.files.contains_key(&entry.path) {
             return Err(ClydeError::Dfs(format!(
                 "file already exists: {}",
                 entry.path
             )));
         }
-        self.files.insert(entry.path.clone(), entry);
+        ns.files.insert(entry.path.clone(), entry);
         Ok(())
     }
 
     pub fn file(&self, path: &str) -> Result<&FileEntry> {
-        self.files
+        self.ns
+            .files
             .get(path)
             .ok_or_else(|| ClydeError::Dfs(format!("no such file: {path}")))
     }
 
     pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(path)
+        self.ns.files.contains_key(path)
     }
 
     pub fn block(&self, id: BlockId) -> Result<&BlockMeta> {
-        self.blocks
+        self.ns
+            .blocks
             .get(&id)
             .ok_or_else(|| ClydeError::Dfs(format!("no such block: {id:?}")))
     }
 
     pub fn block_mut(&mut self, id: BlockId) -> Result<&mut BlockMeta> {
-        self.blocks
+        self.change()
+            .blocks
             .get_mut(&id)
             .ok_or_else(|| ClydeError::Dfs(format!("no such block: {id:?}")))
     }
 
     /// Remove a file, returning its block ids so the datanodes can free them.
     pub fn delete(&mut self, path: &str) -> Result<Vec<BlockId>> {
-        let entry = self
+        let ns = self.change();
+        let entry = ns
             .files
             .remove(path)
             .ok_or_else(|| ClydeError::Dfs(format!("no such file: {path}")))?;
         for b in &entry.blocks {
-            self.blocks.remove(b);
+            ns.blocks.remove(b);
         }
         Ok(entry.blocks)
     }
@@ -99,7 +127,8 @@ impl Namenode {
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = &'a FileEntry> + 'a {
-        self.files
+        self.ns
+            .files
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(p, _)| p.starts_with(prefix))
             .map(|(_, e)| e)
@@ -115,13 +144,13 @@ impl Namenode {
     /// All block metas of all files, in block-id order (used by
     /// re-replication; sorted so recovery work never depends on hash order).
     pub fn all_blocks_mut(&mut self) -> impl Iterator<Item = &mut BlockMeta> {
-        let mut all: Vec<&mut BlockMeta> = self.blocks.values_mut().collect();
+        let mut all: Vec<&mut BlockMeta> = self.change().blocks.values_mut().collect();
         all.sort_by_key(|m| m.id.0);
         all.into_iter()
     }
 
     pub fn num_files(&self) -> usize {
-        self.files.len()
+        self.ns.files.len()
     }
 }
 
@@ -174,5 +203,35 @@ mod tests {
         assert_eq!(nn.list_prefix("/x/"), vec!["/x/1", "/x/10", "/x/2"]);
         assert_eq!(nn.list_prefix("/z"), Vec::<String>::new());
         assert_eq!(nn.num_files(), 4);
+    }
+
+    #[test]
+    fn every_mutator_advances_the_epoch_and_no_read_does() {
+        let mut nn = Namenode::new();
+        let mut last = nn.epoch();
+        let mut advanced = |nn: &Namenode, what: &str| {
+            assert!(nn.epoch() > last, "{what} must advance the epoch");
+            last = nn.epoch();
+        };
+        let a = nn.allocate_block(5, vec![NodeId(0)], 0);
+        advanced(&nn, "allocate_block");
+        nn.commit_file(entry("/x/a", vec![a])).unwrap();
+        advanced(&nn, "commit_file");
+        nn.block_mut(a).unwrap().replicas.push(NodeId(1));
+        advanced(&nn, "block_mut");
+        assert_eq!(nn.all_blocks_mut().count(), 1);
+        advanced(&nn, "all_blocks_mut");
+
+        let before = nn.epoch();
+        assert_eq!(nn.file("/x/a").unwrap().blocks, vec![a]);
+        assert_eq!(nn.block(a).unwrap().replicas, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(nn.files_with_prefix("/x/").count(), 1);
+        assert_eq!(nn.list_prefix("/x/"), vec!["/x/a"]);
+        assert!(nn.exists("/x/a") && nn.num_files() == 1);
+        assert!(nn.file("/missing").is_err() && nn.block(BlockId(99)).is_err());
+        assert_eq!(nn.epoch(), before, "reads leave the epoch alone");
+
+        nn.delete("/x/a").unwrap();
+        advanced(&nn, "delete");
     }
 }

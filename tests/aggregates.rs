@@ -1,5 +1,6 @@
-//! The extended aggregate surface (COUNT/MIN/MAX beyond the paper's SUMs):
-//! all three engines and a hand-rolled sequential computation must agree.
+//! The aggregate surface (the paper's SUMs, and COUNT/MIN/MAX beyond them):
+//! map-side partials, the combiner and the reducer of all three engines
+//! compose to what a hand-rolled sequential fold computes.
 
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::{Hive, JoinStrategy};
@@ -71,14 +72,16 @@ fn count_min_max_agree_across_all_engines() {
         .iter()
         .map(|d| (d.at(0).as_i64().unwrap(), d.at(4).as_i64().unwrap()))
         .collect();
-    let mut by_year: BTreeMap<i64, (i64, i64, i64)> = BTreeMap::new(); // (count, min, max)
+    // (count, min, max, sum)
+    let mut by_year: BTreeMap<i64, (i64, i64, i64, i64)> = BTreeMap::new();
     for lo in &data.lineorder {
         let year = years[&lo.at(5).as_i64().unwrap()];
         let rev = lo.at(12).as_i64().unwrap();
-        let e = by_year.entry(year).or_insert((0, i64::MAX, i64::MIN));
+        let e = by_year.entry(year).or_insert((0, i64::MAX, i64::MIN, 0));
         e.0 += 1;
         e.1 = e.1.min(rev);
         e.2 = e.2.max(rev);
+        e.3 += rev;
     }
 
     let cases = [
@@ -91,6 +94,10 @@ fn count_min_max_agree_across_all_engines() {
             yearly("max-revenue", Aggregate::MaxColumn("lo_revenue".into())),
             2,
         ),
+        (
+            yearly("sum-revenue", Aggregate::SumColumn("lo_revenue".into())),
+            3,
+        ),
     ];
     for (q, which) in cases {
         let expect_ref = reference_answer(&data, &q).unwrap();
@@ -98,8 +105,8 @@ fn count_min_max_agree_across_all_engines() {
         for r in &expect_ref {
             let year = r.at(0).as_i64().unwrap();
             let value = r.at(1).as_i64().unwrap();
-            let (count, min, max) = by_year[&year];
-            let manual = [count, min, max][which];
+            let (count, min, max, sum) = by_year[&year];
+            let manual = [count, min, max, sum][which];
             assert_eq!(value, manual, "{}: year {year}", q.id);
         }
         // All engines agree with the reference.

@@ -12,10 +12,11 @@ use clyde_common::{row, rowcodec, Datum, Obs, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::formats::{RowBinInputFormat, VecInputFormat};
 use clyde_mapred::input::InputFormat;
-use clyde_mapred::runner::{FnMapper, RowMapRunner};
+use clyde_mapred::runner::{FnMapRunner, FnMapper, RowMapRunner};
 use clyde_mapred::shuffle::FnReducer;
-use clyde_mapred::{DatanodeDeath, Engine, FaultPlan, JobSpec};
+use clyde_mapred::{DatanodeDeath, Engine, FaultPlan, JobSpec, MapTaskContext};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn sum_job(input: Arc<dyn InputFormat>, faults: Option<FaultPlan>) -> JobSpec {
@@ -126,6 +127,30 @@ proptest! {
         prop_assert_eq!(&faulted, &clean);
         let again = run_dfs(&dfs_r3(4), Some(plan));
         prop_assert_eq!(again, faulted);
+    }
+}
+
+/// A task that runs out of memory fails its job on its first attempt: no
+/// node has more memory than the one it ran on, so a retry cannot succeed —
+/// not even under a plan that would retry any other failure.
+#[test]
+fn oom_is_never_retried() {
+    for faults in [None, Some(plan_from(7, 50, 0, 0, 0))] {
+        let attempts = Arc::new(AtomicU32::new(0));
+        let counted = Arc::clone(&attempts);
+        let runner = FnMapRunner(move |ctx: &MapTaskContext<'_>| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            ctx.charge_memory_shared(1 << 40) // far beyond any node
+        });
+        let mut spec = JobSpec::new(
+            "oom",
+            Arc::new(VecInputFormat::new(rows(12), 1)),
+            Arc::new(runner),
+        );
+        spec.faults = faults.map(Arc::new);
+        let err = Engine::new(Dfs::for_tests(3)).run_job(&spec).unwrap_err();
+        assert!(err.is_oom(), "{err}");
+        assert_eq!(attempts.load(Ordering::SeqCst), 1, "{err}");
     }
 }
 

@@ -33,7 +33,7 @@ use clyde_dfs::{
     BlockPlacementPolicy, ClusterSpec, ColocatingPlacement, DefaultPlacement, Dfs, DfsOptions,
     NodeId,
 };
-use clyde_mapred::{InputFormat, JobConf, TaskCost, TaskIo};
+use clyde_mapred::{InputFormat, JobConf, JobProfile, SplitSpec, TaskCost, TaskIo, TaskProfile};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::queries::all_queries;
@@ -914,6 +914,160 @@ fn a_reused_format_never_serves_an_earlier_jobs_meta() {
         }
     }
     assert_eq!(rows, now);
+}
+
+/// The splits `fmt` (one per group) plans now, against a cold
+/// `locate_groups` of a freshly opened reader over the same columns; and
+/// how many namespace walks planning took.
+fn assert_plan_is_cold(fmt: &CifInputFormat, dfs: &Dfs, when: &str) -> u64 {
+    let walks = dfs.namespace_walks();
+    let planned: Vec<_> = fmt
+        .splits(dfs, &JobConf::new())
+        .unwrap()
+        .into_iter()
+        .map(|split| {
+            let SplitSpec::Groups { groups, .. } = split.spec else {
+                panic!("CIF plans group splits");
+            };
+            (groups, split.hosts, split.bytes)
+        })
+        .collect();
+    let walked = dfs.namespace_walks() - walks;
+    let reader = CifReader::open(dfs, &fmt.base).unwrap();
+    let cols: Vec<usize> = fmt
+        .columns
+        .as_ref()
+        .unwrap()
+        .iter()
+        .map(|c| reader.column_index(c).unwrap())
+        .collect();
+    let cold: Vec<_> = reader
+        .locate_groups(dfs, &cols)
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .map(|(g, loc)| (vec![g], loc.hosts, loc.bytes))
+        .collect();
+    assert_eq!(planned, cold, "splits {when}");
+    walked
+}
+
+/// One engine and one format live through every kind of namespace change;
+/// after each, planning walks the namespace once and equals a cold plan,
+/// re-planning walks it not at all, and the queries equal the reference.
+fn plans_follow_every_namespace_change(nodes: usize, policy: Box<dyn BlockPlacementPolicy>) {
+    let (dfs, layout, gen) = load_ssb(nodes, policy);
+    let base = layout.fact_cif();
+    let mut data = gen.gen_all().unwrap();
+    // The loader clusters by date; mirror it so roll-out drops the same rows.
+    data.lineorder.sort_by_key(|r| r.at(5).as_i64());
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone());
+    clyde.warm_dimension_cache().unwrap();
+    let queries = ["Q1.1", "Q2.1", "Q3.4"].map(|id| query_by_id(id).unwrap());
+    let fmt = CifInputFormat::new(base.clone()).with_columns(queries[0].fact_columns());
+    let check = |data: &clyde_ssb::gen::SsbData, when: &str| {
+        assert_eq!(assert_plan_is_cold(&fmt, &dfs, when), 1, "one walk {when}");
+        for q in &queries {
+            assert_eq!(
+                clyde.query(q).unwrap().rows,
+                reference_answer(data, q).unwrap(),
+                "{} diverged {when}",
+                q.id
+            );
+        }
+        assert_eq!(assert_plan_is_cold(&fmt, &dfs, when), 0, "no walk {when}");
+    };
+    check(&data, "on the loaded table");
+
+    dfs.write_file("/unrelated", None, b"x").unwrap();
+    check(&data, "after an unrelated write");
+    dfs.delete("/unrelated").unwrap();
+    check(&data, "after a delete");
+
+    let mut appender = CifAppender::open(Arc::clone(&dfs), &base).unwrap();
+    SsbGen::new(0.002, 99)
+        .for_each_lineorder(|r| {
+            appender.append(r)?;
+            data.lineorder.push(r.clone());
+            Ok(())
+        })
+        .unwrap();
+    appender.close().unwrap();
+    check(&data, "after roll-in");
+
+    let dropped: u64 = CifReader::open(&dfs, &base).unwrap().meta().group_rows[..2]
+        .iter()
+        .sum();
+    roll_out(&dfs, &base, 2).unwrap();
+    data.lineorder.drain(..dropped as usize);
+    check(&data, "after roll-out");
+
+    // A node holding a column file of the first live group.
+    let meta = CifReader::open(&dfs, &base).unwrap().meta().clone();
+    let first_file = meta.column_path(0, &meta.schema.fields()[0].name);
+    dfs.kill_node(dfs.hosts(&first_file).unwrap()[0]).unwrap();
+    assert!(dfs.rereplicate().unwrap() > 0);
+    check(&data, "after node loss and re-replication");
+
+    assert!(dfs.inject_corruption(SEED, 8) > 0);
+    check(&data, "after corruption");
+}
+
+#[test]
+fn plans_follow_every_namespace_change_colocated() {
+    plans_follow_every_namespace_change(4, Box::new(ColocatingPlacement));
+}
+
+#[test]
+fn plans_follow_every_namespace_change_scattered() {
+    plans_follow_every_namespace_change(4, Box::new(DefaultPlacement));
+}
+
+/// What a job's profile prices, without its wall-clock fields.
+fn priced_counters(p: &JobProfile) -> impl PartialEq + std::fmt::Debug {
+    let tasks = |ts: &[TaskProfile]| ts.iter().map(|t| (t.node, t.cost)).collect::<Vec<_>>();
+    (
+        (
+            tasks(&p.map_tasks),
+            tasks(&p.reduce_tasks),
+            p.map_concurrency,
+        ),
+        (p.shuffle_bytes, p.client_build_rows, p.client_publish_bytes),
+        (p.memory_per_slot, p.memory_shared, p.failed_attempts),
+        p.split_locality.to_bits(),
+    )
+}
+
+#[test]
+fn a_repeated_query_plans_without_walking_the_namespace() {
+    let (dfs, layout, _) = load_ssb(3, Box::new(ColocatingPlacement));
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
+    clyde.warm_dimension_cache().unwrap();
+    let run = |q| {
+        let (walks, io) = (dfs.namespace_walks(), dfs.io_scope());
+        let r = clyde.query(q).unwrap();
+        (r, io.delta(), dfs.namespace_walks() - walks)
+    };
+    // All 13 queries plan the one fact table: the first walks the
+    // namespace, and no query changes it, so none walks it again.
+    let queries = all_queries();
+    let first: Vec<_> = queries.iter().map(run).collect();
+    let walks: Vec<u64> = first.iter().map(|(_, _, w)| *w).collect();
+    assert_eq!(walks.iter().sum::<u64>(), 1, "{walks:?}");
+    assert_eq!(walks.first(), Some(&1));
+    for (q, (first, first_io, _)) in queries.iter().zip(&first) {
+        let (again, again_io, again_walks) = run(q);
+        assert_eq!(again_walks, 0, "{}", q.id);
+        assert_eq!(again.rows, first.rows, "{}", q.id);
+        assert_eq!(again.cost, first.cost, "{}", q.id);
+        assert_eq!(
+            priced_counters(&again.profile),
+            priced_counters(&first.profile),
+            "{}",
+            q.id
+        );
+        assert_eq!(&again_io, first_io, "{}", q.id);
+    }
 }
 
 /// A one-table RCFile `/rc` of `rows` rows `(i * mul, i)`, ten per group,

@@ -3,7 +3,7 @@
 //! Usage: `shadow_check [measurement-sf] [--seed <n>] [--queries <id,id,...>]`
 //! (default SF 0.008, seed 46, queries Q1.1 and Q2.1).
 //!
-//! The static pass (`clyde-lint`) proves nobody *wrote* nondeterministic
+//! The static pass (clippy and `clyde-lint`) proves nobody *wrote* nondeterministic
 //! code; this binary proves nothing nondeterministic *executes*. For each
 //! query it runs the full stack — fresh simulated cluster, SSB load, warm
 //! cache, query with observability on — and captures three artifacts:

@@ -15,6 +15,13 @@
 //!   the per-record `next()` cost is paid once per block; `ScanMode::Rows`
 //!   is the row-at-a-time path used by the block-iteration ablation.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the CIF input format's per-job table handle: one `RwLock` around \
+                an `Option<Arc<CifReader>>`, written by `splits()` and read by `open()`, \
+                each for a single statement and never while a DFS lock is held"
+)]
+
 use crate::cif::CifReader;
 use crate::encoding::{peek_zone_map, ZONE_HEADER_MAX};
 use clyde_common::lockorder::RwLock;

@@ -31,4 +31,4 @@ pub use encoding::{peek_zone_map, Encoding, ZONE_HEADER_MAX};
 pub use input::{CifInputFormat, MultiSplit, ScanMode, ZonePred};
 pub use maintain::{roll_out, CifAppender};
 pub use rcfile::{RcFileInputFormat, RcFileReader, RcFileWriter};
-pub use text::{TextInputFormat, TextWriter};
+pub use text::TextWriter;

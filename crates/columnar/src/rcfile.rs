@@ -17,6 +17,13 @@
 //! "did not allow us to decrease the number of splits", which is why Hive
 //! pays per-task overheads 4,887 times in Q2.1's first stage.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the RCFile input format's per-job table handle, the same shape \
+                as CIF's: each side held for a single statement and never while a DFS lock \
+                is held"
+)]
+
 use crate::encoding::{decode_group_column, encode_block};
 use crate::input::SlicedBlockReader;
 use clyde_common::lockorder::RwLock;

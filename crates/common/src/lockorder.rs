@@ -21,8 +21,8 @@
 //! Known limitation: the graph works on classes, not instances, so nesting
 //! two *different* instances of the same class (e.g. locking two per-node
 //! maps at once) is reported as a self-cycle — such code must either be
-//! redesigned to lock one instance at a time or carry an explicit
-//! `allow(concurrency, reason=...)` pragma. `try_lock` records the hold (so later edges out
+//! redesigned to lock one instance at a time or be listed, with its reason,
+//! in `tests/lock_nesting.rs`. `try_lock` records the hold (so later edges out
 //! of it are seen) but inserts no edges itself: inconsistent-order
 //! `try_lock` is a legitimate deadlock-*avoidance* pattern.
 //!
@@ -30,6 +30,11 @@
 //! poison-free shells over `std::sync` (a poisoned lock yields its guard,
 //! matching `parking_lot` semantics — the substrate treats a panicking
 //! holder as a task failure, not as data corruption).
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the lock-order checker defines the audited lock wrappers"
+)]
 
 use std::fmt;
 use std::sync::{self, TryLockError};
@@ -139,6 +144,10 @@ mod track {
 
     /// Record an acquisition of `class` on this thread and enforce ordering.
     /// `check_edges` is false for try-acquires.
+    #[expect(
+        clippy::panic,
+        reason = "debug-build deadlock detector: the abort is the check"
+    )]
     pub(super) fn acquire(
         class: Class,
         instance: usize,
@@ -157,7 +166,6 @@ mod track {
                 if e.instance == instance
                     && !(e.access == Access::Shared && access == Access::Shared)
                 {
-                    // clyde-lint: allow(panicfree, reason=debug-build deadlock detector: the abort is the check)
                     panic!(
                         "lock-order checker: recursive acquisition of the lock \
                          constructed at {class} on one thread (guaranteed deadlock)",
@@ -204,7 +212,6 @@ mod track {
             }
         });
         if let Some((holding, _)) = cycle {
-            // clyde-lint: allow(panicfree, reason=debug-build deadlock detector: the abort is the check)
             panic!(
                 "lock-order checker: acquiring the lock constructed at {class} while \
                  holding the one from {holding} inverts an acquisition order already \

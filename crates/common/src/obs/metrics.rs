@@ -3,9 +3,17 @@
 //!
 //! This unifies the accounting that used to be scattered across `TaskCost`,
 //! `clyde-dfs`'s `IoSnapshot`, scheduler locality fractions, and shuffle
-//! record/byte counts. Names are dotted paths (`mapred.shuffle.bytes`);
-//! snapshots are sorted by name, so rendering is deterministic.
+//! record/byte counts. Names are dotted paths (`mapred.shuffle.bytes`),
+//! declared once in [`catalog`](super::catalog); the emitters take its
+//! handles. Snapshots are sorted by name, so rendering is deterministic.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the metrics registry's map: one lock held for a single update or \
+                snapshot"
+)]
+
+use super::catalog::{Counter, Gauge, Histogram, WallHistogram};
 use crate::lockorder::Mutex;
 use std::collections::BTreeMap;
 
@@ -117,27 +125,43 @@ impl MetricsRegistry {
         self.inner.is_some()
     }
 
-    /// Add `delta` to counter `name` (created at zero on first use).
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    /// Add `delta` to a counter (created at zero on first use). The series
+    /// is a [`catalog`](super::catalog) handle; a bare name does not compile:
+    ///
+    /// ```compile_fail
+    /// let m = clyde_common::obs::MetricsRegistry::enabled();
+    /// m.counter_add("mapred.jobs", 1);
+    /// ```
+    pub fn counter_add(&self, series: Counter, delta: u64) {
         let Some(inner) = &self.inner else { return };
         let mut map = inner.lock();
-        match map.get_mut(name) {
+        match map.get_mut(series.name()) {
             Some(MetricValue::Counter(c)) => *c += delta,
             _ => {
-                map.insert(name.to_string(), MetricValue::Counter(delta));
+                map.insert(series.name().to_string(), MetricValue::Counter(delta));
             }
         }
     }
 
-    /// Set gauge `name` to `value` (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
+    /// Set a gauge to `value` (last write wins).
+    pub fn gauge_set(&self, series: Gauge, value: f64) {
         let Some(inner) = &self.inner else { return };
         let mut map = inner.lock();
-        map.insert(name.to_string(), MetricValue::Gauge(value));
+        map.insert(series.name().to_string(), MetricValue::Gauge(value));
     }
 
-    /// Record one observation into histogram `name`.
-    pub fn histogram_record(&self, name: &str, value: f64) {
+    /// Record one simulated-time observation into a histogram.
+    pub fn histogram_record(&self, series: Histogram, value: f64) {
+        self.record(series.name(), value);
+    }
+
+    /// Record one wall-clock observation: the filtered channel (see
+    /// [`WallHistogram`]).
+    pub fn wall_histogram_record(&self, series: WallHistogram, value: f64) {
+        self.record(series.name(), value);
+    }
+
+    fn record(&self, name: &str, value: f64) {
         let Some(inner) = &self.inner else { return };
         let mut map = inner.lock();
         match map.get_mut(name) {
@@ -174,70 +198,82 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::catalog::{
+        MAPRED_JOBS, MAPRED_MAP_TASK_SIM_S, MAPRED_TASK_WALL_MS, SCHEDULER_SPLIT_LOCALITY,
+    };
 
     #[test]
     fn snapshot_and_reset_semantics() {
         let m = MetricsRegistry::enabled();
-        m.counter_add("a.jobs", 1);
-        m.counter_add("a.jobs", 2);
-        m.gauge_set("b.locality", 0.5);
-        m.gauge_set("b.locality", 0.75);
-        m.histogram_record("c.task_s", 2.0);
-        m.histogram_record("c.task_s", 4.0);
+        m.counter_add(MAPRED_JOBS, 1);
+        m.counter_add(MAPRED_JOBS, 2);
+        m.gauge_set(SCHEDULER_SPLIT_LOCALITY, 0.5);
+        m.gauge_set(SCHEDULER_SPLIT_LOCALITY, 0.75);
+        m.histogram_record(MAPRED_MAP_TASK_SIM_S, 2.0);
+        m.histogram_record(MAPRED_MAP_TASK_SIM_S, 4.0);
 
         let snap = m.snapshot();
-        assert_eq!(snap.counter("a.jobs"), Some(3));
-        assert_eq!(snap.gauge("b.locality"), Some(0.75));
-        let h = snap.histogram("c.task_s").unwrap();
+        assert_eq!(snap.counter("mapred.jobs"), Some(3));
+        assert_eq!(snap.gauge("scheduler.split_locality"), Some(0.75));
+        let h = snap.histogram("mapred.map_task_sim_s").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.min, 2.0);
         assert_eq!(h.max, 4.0);
         assert_eq!(h.mean(), 3.0);
 
         // Snapshot is a copy: later updates don't mutate it.
-        m.counter_add("a.jobs", 10);
-        assert_eq!(snap.counter("a.jobs"), Some(3));
+        m.counter_add(MAPRED_JOBS, 10);
+        assert_eq!(snap.counter("mapred.jobs"), Some(3));
 
         // Names come out sorted regardless of insertion order.
         let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a.jobs", "b.locality", "c.task_s"]);
+        assert_eq!(
+            names,
+            vec![
+                "mapred.jobs",
+                "mapred.map_task_sim_s",
+                "scheduler.split_locality"
+            ]
+        );
 
         m.reset();
         let empty = m.snapshot();
         assert!(empty.entries.is_empty());
-        assert_eq!(empty.counter("a.jobs"), None);
-        m.counter_add("a.jobs", 5);
-        assert_eq!(m.snapshot().counter("a.jobs"), Some(5));
+        assert_eq!(empty.counter("mapred.jobs"), None);
+        m.counter_add(MAPRED_JOBS, 5);
+        assert_eq!(m.snapshot().counter("mapred.jobs"), Some(5));
     }
 
     #[test]
     fn disabled_registry_ignores_updates() {
         let m = MetricsRegistry::disabled();
         assert!(!m.is_enabled());
-        m.counter_add("x", 1);
-        m.gauge_set("y", 1.0);
-        m.histogram_record("z", 1.0);
+        m.counter_add(MAPRED_JOBS, 1);
+        m.gauge_set(SCHEDULER_SPLIT_LOCALITY, 1.0);
+        m.histogram_record(MAPRED_MAP_TASK_SIM_S, 1.0);
+        m.wall_histogram_record(MAPRED_TASK_WALL_MS, 1.0);
         assert!(m.snapshot().entries.is_empty());
     }
 
     #[test]
-    fn kind_change_replaces_metric() {
+    fn a_wall_series_is_an_ordinary_histogram_in_the_snapshot() {
         let m = MetricsRegistry::enabled();
-        m.gauge_set("x", 1.0);
-        m.counter_add("x", 2);
-        assert_eq!(m.snapshot().counter("x"), Some(2));
+        m.wall_histogram_record(MAPRED_TASK_WALL_MS, 1.5);
+        m.wall_histogram_record(MAPRED_TASK_WALL_MS, 2.5);
+        let h = m.snapshot().histogram("mapred.task_wall_ms").unwrap();
+        assert_eq!((h.count, h.sum), (2, 4.0));
     }
 
     #[test]
     fn render_is_deterministic() {
         let m = MetricsRegistry::enabled();
-        m.counter_add("n.c", 7);
-        m.gauge_set("n.g", 0.25);
-        m.histogram_record("n.h", 1.5);
+        m.counter_add(MAPRED_JOBS, 7);
+        m.gauge_set(SCHEDULER_SPLIT_LOCALITY, 0.25);
+        m.histogram_record(MAPRED_MAP_TASK_SIM_S, 1.5);
         let a = m.snapshot().render();
         let b = m.snapshot().render();
         assert_eq!(a, b);
-        assert!(a.contains("n.c = 7\n"));
-        assert!(a.contains("n.g = 0.2500\n"));
+        assert!(a.contains("mapred.jobs = 7\n"));
+        assert!(a.contains("scheduler.split_locality = 0.2500\n"));
     }
 }

@@ -12,6 +12,13 @@
 //! `Obs::disabled()` is a zero-overhead no-op; instrumented code guards
 //! expensive collection behind [`Obs::is_enabled`].
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the observability hub's internal state: one lock per store, each \
+                held for a single update"
+)]
+
+pub mod catalog;
 pub mod flame;
 pub mod history;
 pub mod json;
@@ -211,7 +218,7 @@ mod tests {
     #[test]
     fn enabled_obs_tracks_jobs_and_resets() {
         let obs = Obs::enabled();
-        obs.metrics().counter_add("mapred.jobs", 1);
+        obs.metrics().counter_add(catalog::MAPRED_JOBS, 1);
         let h = JobHistory {
             name: "j".into(),
             map_s: 2.0,

@@ -10,6 +10,12 @@
 //! a lock or formatting an argument, so instrumented code paths cost nothing
 //! when observability is off.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the span recorder's buffer: one lock held for a single push or \
+                drain"
+)]
+
 use crate::lockorder::Mutex;
 
 /// Identifier of a recorded span (index into the recorder's span list).
@@ -114,7 +120,10 @@ impl SpanRecorder {
     }
 
     /// Record a span; returns its id, or `None` when disabled.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per Chrome trace event field"
+    )]
     pub fn span(
         &self,
         parent: Option<SpanId>,

@@ -2,16 +2,20 @@
 //!
 //! Everything this codebase *reports* — query results, metric snapshots,
 //! Chrome traces, job histories — must be a pure function of inputs and
-//! seeds, so `clyde-lint` rule **D002** bans `Instant::now` / `SystemTime`
-//! everywhere except this module. Code that legitimately wants wall time
-//! (phase attribution in runners, bench harness stopwatches) goes through
-//! [`WallTimer`], which keeps every reading funneled past one audited
-//! boundary and makes the call sites grep-able.
+//! seeds, so `clippy.toml` bans `Instant::now` and `SystemTime::now`
+//! everywhere (rule **D002**), and [`WallTimer::start`] carries the one
+//! exemption. Code that legitimately wants wall time (phase attribution in
+//! runners, bench harness stopwatches) goes through [`WallTimer`], which
+//! keeps every reading funneled past one audited boundary and makes the
+//! call sites grep-able.
 //!
-//! Wall readings are observability-only by convention: they may be *recorded*
-//! (task `wall_ns`, `Phase` attribution, bench reports) but must never feed
-//! back into simulated time, scheduling decisions, or result content. The
-//! shadow dual-run harness (`shadow_check`) enforces that convention
+//! Wall readings are observability-only: they may be *recorded* (task
+//! `wall_ns`, `Phase` attribution, bench reports) but must never feed back
+//! into simulated time, scheduling decisions, or result content. They reach
+//! artifacts only through the filtered channels — `note_wall_phase` and the
+//! catalog's `WallHistogram` series, emitted by `wall_histogram_record` —
+//! and `clyde-lint`'s D008 taint pass flags any other flow into a sim-time
+//! sink. The shadow dual-run harness (`shadow_check`) checks the result
 //! dynamically by byte-diffing the deterministic outputs across runs.
 
 use std::time::Instant;
@@ -24,6 +28,10 @@ pub struct WallTimer {
 
 impl WallTimer {
     /// Start measuring now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D002: the one audited wall-clock read"
+    )]
     pub fn start() -> WallTimer {
         WallTimer {
             start: Instant::now(),

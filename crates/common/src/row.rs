@@ -43,6 +43,10 @@ impl Row {
 
     /// Panicking accessor, kept for the frozen benchmark's callers; engine
     /// code reads fields through [`Row::get`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "frozen-benchmark shim, ROADMAP item 3"
+    )]
     pub fn at(&self, idx: usize) -> &Datum {
         // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         &self.values[idx]

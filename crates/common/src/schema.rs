@@ -68,6 +68,10 @@ impl Schema {
 
     /// Panicking accessor, kept for the frozen benchmark's callers; engine
     /// code reads fields through [`Schema::fields`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "frozen-benchmark shim, ROADMAP item 3"
+    )]
     pub fn field(&self, idx: usize) -> &Field {
         // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         &self.fields[idx]
@@ -106,6 +110,10 @@ impl Schema {
     /// A new schema containing only the given column indices. Panics on an
     /// index past the end; kept for the frozen benchmark's callers, while
     /// engine code builds schemas from [`Schema::fields`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "frozen-benchmark shim, ROADMAP item 3"
+    )]
     pub fn project(&self, indices: &[usize]) -> Schema {
         // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         Schema::new(indices.iter().map(|&i| self.fields[i].clone()).collect())

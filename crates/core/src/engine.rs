@@ -2,7 +2,9 @@
 
 use crate::config::Features;
 use crate::planner::plan_query;
-use clyde_common::obs::{us, Obs, QueryProfile, SpanKind, DEFAULT_DRIFT_THRESHOLD_PCT};
+use clyde_common::obs::{
+    catalog as series, us, Obs, QueryProfile, SpanKind, DEFAULT_DRIFT_THRESHOLD_PCT,
+};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
 use clyde_mapred::{CostParams, Engine, FaultPlan, JobCost, JobProfile};
@@ -266,9 +268,9 @@ impl Clydesdale {
                     vec![("rows".into(), rows.len().to_string())],
                 );
             }
-            obs.metrics().counter_add("mapred.queries", 1);
+            obs.metrics().counter_add(series::MAPRED_QUERIES, 1);
             obs.metrics()
-                .histogram_record("mapred.final_sort_s", final_sort_s);
+                .histogram_record(series::MAPRED_FINAL_SORT_S, final_sort_s);
             let profile = obs.with_histories(|hs| {
                 QueryProfile::from_histories(
                     &query.id,

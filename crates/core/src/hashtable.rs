@@ -227,15 +227,23 @@ impl DimHashTable {
         // and dense. Built from the finished map, so duplicate detection
         // above is unaffected.
         let mut mem_fixed = 0u64;
-        let direct = match (map.keys().min(), map.keys().max()) {
-            (Some(&lo), Some(&hi))
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D001: min and max of the keys do not depend on iteration order"
+        )]
+        let range = (map.keys().min().copied(), map.keys().max().copied());
+        let direct = match range {
+            (Some(lo), Some(hi))
                 if hi - lo < DIRECT_SMALL_RANGE
                     || (hi - lo < DIRECT_MAX_SLOTS
                         && (hi - lo + 1) as usize
                             <= map.len().saturating_mul(DIRECT_MAX_SLOTS_PER_ENTRY)) =>
             {
                 let mut ids = vec![NONE_ID; (hi - lo + 1) as usize];
-                // clyde-lint: allow(unordered, reason=scatter to distinct pk-indexed slots; order cannot matter)
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "scatter to distinct pk-indexed slots; order cannot matter"
+                )]
                 for (&pk, &id) in &map {
                     if let Some(slot) = ids.get_mut((pk - lo) as usize) {
                         *slot = id;
@@ -450,6 +458,10 @@ impl DimTables {
         let built: Vec<Result<DimHashTable>> = if missing.len() <= 1 {
             missing.iter().map(|(join, src)| build(join, src)).collect()
         } else {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D004 audit: parallel dimension builds; results come back through join handles in join order"
+            )]
             std::thread::scope(|s| {
                 let handles: Vec<_> = missing
                     .iter()

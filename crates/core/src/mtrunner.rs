@@ -30,6 +30,14 @@
 //! thread-local accumulators are merged in ascending first-morsel-id order,
 //! so even a non-commutative future fold would see a canonical order.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the shared morsel source (paper Figure 5). `MorselSource::next` \
+                holds its state while opening a part, which takes `CifInputFormat`'s table \
+                handle and the DFS state; no inner lock takes an outer one \
+                (tests/lock_nesting.rs pins the edges)"
+)]
+
 use crate::config::Features;
 use crate::hashtable::DimTables;
 use crate::probe::{
@@ -171,6 +179,11 @@ impl MtMapRunner {
         // Each thread hands back its result and the wall-clock it spent
         // probing (observability only — simulated time comes from the cost
         // model), joined in spawn order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D004 audit: the probe threads of paper Figure 5; results are joined \
+                      in spawn order and merged in first-morsel order"
+        )]
         let joined: Vec<_> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {

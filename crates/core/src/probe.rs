@@ -495,6 +495,10 @@ impl GroupAcc {
                 .zip(0u64..)
                 .filter_map(|(slot, key)| slot.map(|v| (key, v)))
                 .collect(),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D001: hash order, but MtMapRunner::run sorts the emitted groups and merge folds commutatively"
+            )]
             GroupAcc::Sparse(map) => map.iter().map(|(&k, &v)| (k, v)).collect(),
         }
     }
@@ -619,7 +623,10 @@ fn live_prefix<'a>(
 /// with a cursor that advances by the hit bit (wins when hits are
 /// unpredictable), or plain branches (wins when the table is so selective
 /// — or so permissive — that the branch predictor is nearly always right).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the hot loop takes the direct table's fields apart, not a struct"
+)]
 fn probe_direct<const FUSED: bool, T: I32Cell>(
     sel: &mut [u32],
     keys: &mut [u64],
@@ -768,7 +775,10 @@ const BRANCH_FREE_BAND: (f64, f64) = (0.08, 0.92);
 ///
 /// The trailing `KernelOpts` is a frozen-benchmark shim (see `config.rs`):
 /// a unit value, ignored.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the frozen benchmark calls this signature, KernelOpts included"
+)]
 pub fn probe_block_vec(
     block: &RowBlock,
     plan: &ProbePlan,
@@ -980,6 +990,7 @@ mod tests {
         let mut stats = ProbeStats::default();
         probe_block(&block, &plan, &tables, &mut acc, &mut stats).unwrap();
 
+        // clyde-lint: allow(unordered, reason=sort_result orders the rows below)
         let mut rows: Vec<Row> = acc
             .into_iter()
             .map(|(k, v)| k.concat(&clyde_common::row![v]))
@@ -1050,6 +1061,7 @@ mod tests {
         assert!(stats.probes >= stats.rows);
         // Early-out never changes results: reordered joins give the same
         // answer as the reference.
+        // clyde-lint: allow(unordered, reason=sort_result orders the rows below)
         let mut rows: Vec<Row> = acc
             .into_iter()
             .map(|(k, v)| k.concat(&clyde_common::row![v]))
@@ -1085,11 +1097,12 @@ mod tests {
         // Single group (no group-by).
         assert_eq!(acc.len(), 1);
         let expect = clyde_ssb::reference_answer(&data, &q).unwrap();
-        assert_eq!(
-            // clyde-lint: allow(unordered, reason=asserted single-entry map, no order to observe)
-            acc.values().next().copied().unwrap(),
-            expect[0].at(0).as_i64().unwrap()
-        );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserted single-entry map, no order to observe"
+        )]
+        let total = acc.values().next().copied().unwrap();
+        assert_eq!(total, expect[0].at(0).as_i64().unwrap());
     }
 
     /// Run the vectorized kernel and rematerialize its packed groups.

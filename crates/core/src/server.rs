@@ -11,7 +11,7 @@
 
 use crate::engine::Clydesdale;
 use crate::planner::plan_query;
-use clyde_common::obs::{QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
+use clyde_common::obs::{catalog as series, QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_mapred::{JobCost, JobProfile, JobServer, RejectReason, ServerConfig};
 use clyde_ssb::queries::StarQuery;
@@ -114,9 +114,9 @@ impl<'c> QueryServer<'c> {
             query.finish_result(&mut rows);
             let final_sort_s = rows.len() as f64 / params.sort_records_per_s + 0.5;
             if obs.is_enabled() {
-                obs.metrics().counter_add("mapred.queries", 1);
+                obs.metrics().counter_add(series::MAPRED_QUERIES, 1);
                 obs.metrics()
-                    .histogram_record("mapred.final_sort_s", final_sort_s);
+                    .histogram_record(series::MAPRED_FINAL_SORT_S, final_sort_s);
                 let profile = obs
                     .with_histories(|hs| {
                         let history = hs.get(hist_before + i..hist_before + i + 1)?;

@@ -8,8 +8,8 @@
 //! deterministic sim-time analogue of recency, so eviction decisions are
 //! byte-identical across runs and host thread counts.
 //!
-//! The catalog itself is deliberately lock-free plain data (and must stay
-//! off the D004 concurrency allowlist): the one lock guarding it lives in
+//! The catalog itself is deliberately lock-free plain data (and must carry
+//! no D004 `disallowed_types` exemption): the one lock guarding it lives in
 //! the audited [`crate::dfs::Dfs`], which also owns the file side effects —
 //! the catalog only ever *returns* the paths whose backing files should be
 //! deleted (eviction victims, invalidated outputs) and never touches the

@@ -134,16 +134,28 @@ impl Datanode {
     }
 
     /// Bytes currently stored (for capacity accounting in tests).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D001: a sum or count does not depend on iteration order"
+    )]
     pub fn used_bytes(&self) -> u64 {
         self.blocks.values().map(|r| r.data.len() as u64).sum()
     }
 
     /// Replicas currently remembered as verified (test assertions).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D001: a sum or count does not depend on iteration order"
+    )]
     pub fn verified_replicas(&self) -> usize {
         self.blocks.values().filter(|r| r.is_verified()).count()
     }
 
     /// Replicas currently remembered as sealed (test assertions).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D001: a sum or count does not depend on iteration order"
+    )]
     pub fn sealed_replicas(&self) -> usize {
         self.blocks.values().filter(|r| r.is_sealed()).count()
     }

@@ -1,5 +1,11 @@
 //! The distributed-filesystem facade.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the DFS block stores and namespace; the per-node I/O counters \
+                are atomics"
+)]
+
 use crate::block::{block_checksum, BlockId, BlockMeta};
 use crate::cache::{CacheCatalog, CacheEntry, CacheStats};
 use crate::datanode::{Datanode, Replica};
@@ -624,6 +630,7 @@ impl Dfs {
                 *counts.entry(r).or_insert(0) += meta.len;
             }
         }
+        // clyde-lint: allow(unordered, reason=sorted on the next line)
         let mut hosts: Vec<(NodeId, u64)> = counts.into_iter().collect();
         hosts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         Ok(hosts.into_iter().map(|(n, _)| n).collect())

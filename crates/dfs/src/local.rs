@@ -7,6 +7,12 @@
 //! module is that local disk: a per-node keyed byte store with read
 //! accounting, plus the fetch-through-DFS repair path.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the node-local disks: one lock per node, held for a single \
+                lookup or insert"
+)]
+
 use crate::dfs::Dfs;
 use crate::topology::NodeId;
 use bytes::Bytes;
@@ -101,6 +107,10 @@ impl NodeLocalStore {
     }
 
     /// Bytes currently cached on `node`; 0 for a node outside the cluster.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D001: a sum or count does not depend on iteration order"
+    )]
     pub fn used_bytes(&self, node: NodeId) -> u64 {
         self.nodes
             .get(node.0)

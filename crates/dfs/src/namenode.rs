@@ -144,6 +144,10 @@ impl Namenode {
     /// All block metas of all files, in block-id order (used by
     /// re-replication; sorted so recovery work never depends on hash order).
     pub fn all_blocks_mut(&mut self) -> impl Iterator<Item = &mut BlockMeta> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D001: sorted by block id on the next line"
+        )]
         let mut all: Vec<&mut BlockMeta> = self.change().blocks.values_mut().collect();
         all.sort_by_key(|m| m.id.0);
         all.into_iter()

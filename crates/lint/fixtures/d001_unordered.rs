@@ -1,12 +1,9 @@
-//! D001 fixture: unordered hash-container iteration leaking into output.
-//! This file is NOT compiled; `clyde-lint --self-test` must flag it.
+//! D001 fixture: the residue clippy cannot see — a hash container drained
+//! through `IntoIterator::into_iter`. This file is NOT compiled; the
+//! fixture test must flag it.
 
 use std::collections::HashMap;
 
-pub fn report(counts: &HashMap<String, u64>) -> String {
-    let mut out = String::new();
-    for (k, v) in counts.iter() {
-        out.push_str(&format!("{k} = {v}\n"));
-    }
-    out
+pub fn report(counts: HashMap<String, u64>) -> Vec<String> {
+    counts.into_iter().map(|(k, v)| format!("{k} = {v}")).collect()
 }

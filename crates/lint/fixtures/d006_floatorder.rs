@@ -1,5 +1,5 @@
 //! D006 fixture: unpinned float reductions in merge-scope code. The
-//! self-test scans this file *as* `crates/core/src/mtrunner.rs`, so the
+//! fixture test scans this file *as* `crates/core/src/mtrunner.rs`, so the
 //! merge-scope plumbing itself is exercised. This file is NOT compiled.
 
 /// Float accumulation in a loop: the iteration order decides the sum.

@@ -1,25 +1,20 @@
 //! D008 fixture: a wall-derived value flowing into a sim-time sink.
-//! This file is NOT compiled; `clyde-lint --self-test` must flag it.
-
-struct Metrics;
-impl Metrics {
-    fn add(&self, _name: &str, _v: f64) {}
-}
+//! This file is NOT compiled; the fixture test must flag it.
 
 /// Tainted flow: timer → elapsed → metric series CI byte-compares.
-fn publish(m: &Metrics) {
+fn publish(m: &MetricsRegistry) {
     let timer = WallTimer::start();
     let spent_s = timer.elapsed_s();
-    m.histogram_record("mapred.merge_phase_s", spent_s);
+    m.histogram_record(series::MAPRED_MAP_TASK_SIM_S, spent_s);
 }
 
-/// The sanctioned channel: a `*wall*`-named series, which shadow_check's
+/// The sanctioned channel: a `WallHistogram` series, which shadow_check's
 /// `filter_wall` drops before byte-comparing — must NOT be flagged.
-fn sanctioned(m: &Metrics, timer: &WallTimer) {
-    m.histogram_record("mapred.task_wall_ms", timer.elapsed_s() * 1e3);
+fn sanctioned(m: &MetricsRegistry, timer: &WallTimer) {
+    m.wall_histogram_record(series::MAPRED_TASK_WALL_MS, timer.elapsed_s() * 1e3);
 }
 
 /// Sim-time values are untainted — must NOT be flagged.
-fn sim_time(m: &Metrics, sim_s: f64) {
-    m.histogram_record("mapred.task_sim_s", sim_s);
+fn sim_time(m: &MetricsRegistry, sim_s: f64) {
+    m.histogram_record(series::MAPRED_MAP_TASK_SIM_S, sim_s);
 }

@@ -1,41 +1,27 @@
-//! `clyde-lint` v2: the determinism & concurrency invariant catalog,
-//! enforced by a zero-dependency static analyzer.
+//! `clyde-lint`: the determinism and panic-path checks the compiler cannot
+//! make (DESIGN.md §9).
 //!
-//! The workspace's load-bearing guarantee is that traces, metric snapshots,
-//! and query results are byte-identical across runs, fault plans, and thread
-//! counts — and that the recovery paths backing the fault claims cannot
-//! panic. Those properties are easy to break silently, so this crate checks
-//! them mechanically on every CI run and in tier-1 (`tests/lint_clean.rs`).
-//! One pipeline: a hand-rolled lossless lexer ([`lexer`]) and a simplified
-//! per-file AST ([`parse`]); every rule reads tokens and the AST, never text:
+//! Clippy and types enforce the rest: `clippy.toml` bans the wall clock,
+//! entropy, threads, locks and named hash-map iterators outside audited
+//! sites, the workspace `[lints]` table bans panics and indexing in the
+//! seven engine and query crates, and metric names are
+//! `clyde_common::obs::catalog` handles. What is left needs a file-scoped
+//! or flow-sensitive view, or sees what clippy's lints miss. One pipeline:
+//! a hand-rolled lossless lexer ([`lexer`]) and a simplified per-file AST
+//! ([`parse`]); every rule reads tokens and the AST, never text:
 //!
-//! * **D001 `unordered`** — no unordered `HashMap`/`HashSet` iteration may
-//!   feed output: sort nearby, collect into a `BTreeMap`/`BTreeSet`, end in
-//!   an order-insensitive reduction, or pragma with a reason.
-//! * **D002 `wallclock`** — `Instant::now` / `SystemTime` only in the
-//!   audited wall-phase module ([`D002_ALLOWED`]); everything else measures
-//!   through `WallTimer`.
-//! * **D003 `entropy`** — no entropy-seeded randomness; all RNG flows from
-//!   explicit seeds through the splitmix64 plumbing.
-//! * **D004 `concurrency`** — concurrency primitives only in the audited
-//!   modules ([`D004_AUDITED`]); task code paths stay lock-free.
-//! * **D005 `metricname`** — an emitter's first argument is a string
-//!   literal in a registered namespace ([`D005_REGISTRY`]); `scheduler.*`
-//!   and `cache.*` are closed sets.
+//! * **D001 `unordered`** (residue) — `.into_iter()` on a name bound to a
+//!   `HashMap`/`HashSet`: `disallowed-methods` cannot name `into_iter`, and
+//!   `iter_over_hash_type` sees only `for` loops.
 //! * **D006 `floatorder`** — non-associative float reductions in the
 //!   merge-scope files ([`rules::d006::D006_MERGE_SCOPE`]) must pin their
 //!   fold order or carry a reasoned pragma.
-//! * **D007 `panicfree`** — no `unwrap`/`expect`/`panic!`/unchecked
-//!   indexing in non-test code of the seven engine and query crates
-//!   (`common`, `columnar`, `dfs`, `mapred`, `core`, `ssb`, `hive`).
+//! * **D007 `panicfree`** (residue) — `[]` indexing in non-test code of the
+//!   seven engine and query crates. Clippy's `indexing_slicing` does not
+//!   see `HashMap`, `BTreeMap`, `VecDeque` or user `Index` indexing.
 //! * **D008 `walltaint`** — per-function taint tracking: wall-derived
 //!   values must not reach sim-time sinks (metrics, traces, profile JSON)
-//!   except through the filtered `*wall*` channels.
-//!
-//! Lock order is not a lint rule: the nestings the engine actually has cross
-//! crates, closures and trait objects, which no per-crate syntactic graph
-//! follows. The debug-build `clyde_common::lockorder` checker records them
-//! as they happen, and `tests/lock_nesting.rs` pins the set.
+//!   except through the filtered wall channels.
 //!
 //! Violations are suppressed by a pragma on the offending line or the line
 //! directly above:
@@ -45,16 +31,14 @@
 //! ```
 //!
 //! The reason is mandatory; a pragma without one is itself an error (P001),
-//! and so is a pragma that suppresses nothing. There is no baseline of
-//! grandfathered findings: every finding fails, and a pragma is the only
-//! way to silence one.
-//! Deliberately not a rustc plugin: the analyzer lexes and parses the whole
-//! workspace in milliseconds, with no nightly dependency, and its rules stay
-//! greppable.
+//! and so is a pragma that suppresses nothing. There is no baseline: every
+//! finding fails. `tests/lint_clean.rs` runs the scan and clippy together.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+#[doc(hidden)]
+pub mod canary;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
@@ -65,19 +49,11 @@ pub use rules::d008::D008_SINKS;
 /// The invariant catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// D001: unordered hash-container iteration.
+    /// D001 residue: `.into_iter()` of a hash container.
     Unordered,
-    /// D002: wall-clock read outside the wall-phase module.
-    WallClock,
-    /// D003: entropy-seeded randomness.
-    Entropy,
-    /// D004: concurrency primitive outside an audited module.
-    Concurrency,
-    /// D005: metric name that is not a literal in a registered namespace.
-    MetricName,
     /// D006: unpinned float reduction in merge-scope code.
     FloatOrder,
-    /// D007: panic-capable site on the recovery surface.
+    /// D007 residue: `[]` indexing in engine code.
     PanicFree,
     /// D008: wall-derived value flowing into a sim-time artifact.
     WallTaint,
@@ -88,12 +64,8 @@ pub enum Rule {
 impl Rule {
     /// The catalog, spelled once: every rule with its report code and the
     /// name `allow(...)` pragmas use, in declaration order.
-    pub const ALL: [(Rule, &'static str, &'static str); 9] = [
+    pub const ALL: [(Rule, &'static str, &'static str); 5] = [
         (Rule::Unordered, "D001", "unordered"),
-        (Rule::WallClock, "D002", "wallclock"),
-        (Rule::Entropy, "D003", "entropy"),
-        (Rule::Concurrency, "D004", "concurrency"),
-        (Rule::MetricName, "D005", "metricname"),
         (Rule::FloatOrder, "D006", "floatorder"),
         (Rule::PanicFree, "D007", "panicfree"),
         (Rule::WallTaint, "D008", "walltaint"),
@@ -146,99 +118,6 @@ impl fmt::Display for Violation {
         )
     }
 }
-
-/// Modules allowed to read the wall clock (D002).
-pub const D002_ALLOWED: &[&str] = &["crates/common/src/obs/wall.rs"];
-
-/// Audited concurrency modules (D004): every `Mutex`/`RwLock`/spawn site in
-/// these files has been reviewed for lock ordering (and runs under the
-/// debug-build lock-order checker); everything else must stay lock-free.
-pub const D004_AUDITED: &[&str] = &[
-    // The checker itself and the observability hub's internal state.
-    "crates/common/src/lockorder.rs",
-    "crates/common/src/obs/mod.rs",
-    "crates/common/src/obs/span.rs",
-    "crates/common/src/obs/metrics.rs",
-    // The multi-threaded map runner (paper Figure 5): the shared morsel
-    // source, plus parallel dimension builds. Thread results come back
-    // through join handles. Two functions in the engine hold a lock while
-    // taking another (`tests/lock_nesting.rs` pins the set):
-    // `MorselSource::next` holds its state while opening a part, which
-    // takes `CifInputFormat`'s table handle and the DFS state; and
-    // `NodeState::get_or_try_init` (task.rs) holds its entries while
-    // building, which takes the resident store, the node-local store and
-    // the DFS state. Neither inner lock ever takes an outer one.
-    "crates/core/src/mtrunner.rs",
-    "crates/core/src/hashtable.rs",
-    // The MapReduce engine, task context, and distributed cache.
-    "crates/mapred/src/engine.rs",
-    "crates/mapred/src/task.rs",
-    "crates/mapred/src/distcache.rs",
-    // DFS shared state: block stores, namespace, node-local disks. The
-    // per-node I/O counters are atomics and need no entry.
-    "crates/dfs/src/local.rs",
-    "crates/dfs/src/dfs.rs",
-    // The CIF input format's per-job table handle: one `RwLock` around an
-    // `Option<Arc<CifReader>>`, written by `splits()` and read by `open()`,
-    // each for a single statement and never while a DFS lock is held.
-    "crates/columnar/src/input.rs",
-    // The RCFile input format's per-job table handle, the same shape as
-    // CIF's: one `RwLock` around an `Option<Arc<RcFileReader>>`, each side
-    // held for a single statement and never while a DFS lock is held.
-    "crates/columnar/src/rcfile.rs",
-    // NOT listed, deliberately: the multi-job server and slot scheduler
-    // (`crates/mapred/src/server.rs`, `crates/mapred/src/scheduler.rs`,
-    // `crates/core/src/server.rs`). Audited 2026-08: the server executes
-    // admitted jobs *sequentially* through the audited engine and derives
-    // the concurrent timeline in a pure discrete-event simulation, so the
-    // whole layer is lock-free by design — concurrency lives only in data
-    // (SimJob/Placement), never in threads. Keeping these files off the
-    // allowlist means D004 fires the moment anyone reintroduces real
-    // threading there (see `d004_job_server_layer_stays_lock_free`).
-];
-
-/// Files exempt from D005: the metrics registry itself (defines the
-/// emitters and unit-tests them with throwaway names).
-pub const D005_ALLOWED: &[&str] = &["crates/common/src/obs/metrics.rs"];
-
-/// The metric-name registry (D005): each namespace a literal name may live
-/// in, open (`None`) or closed to the listed series. `scheduler.*` and
-/// `cache.*` are gate surfaces — the workload gate and the server swimlane
-/// tests read the former by name, the restore gate and
-/// `shadow_check --restore` compare the latter byte-for-byte — so emitting
-/// a new series there means adding it here (and to the goldens that read
-/// it) in the same change.
-pub const D005_REGISTRY: &[(&str, Option<&[&str]>)] = &[
-    ("mapred.", None),
-    ("dfs.", None),
-    (
-        "scheduler.",
-        Some(&[
-            "scheduler.split_locality",
-            "scheduler.jobs_admitted",
-            "scheduler.jobs_rejected_queue_full",
-            "scheduler.jobs_rejected_quota",
-            "scheduler.queue_peak_depth",
-            "scheduler.tenant_count",
-            "scheduler.makespan_s",
-            "scheduler.queue_wait_s",
-            "scheduler.job_latency_s",
-        ]),
-    ),
-    (
-        "cache.",
-        Some(&[
-            "cache.hits",
-            "cache.misses",
-            "cache.evictions",
-            "cache.invalidations",
-            "cache.inserts",
-            "cache.bytes_served",
-            "cache.bytes_stored",
-            "cache.entries",
-        ]),
-    ),
-];
 
 /// A parsed `allow(rule, reason=...)` suppression pragma.
 #[derive(Debug, Clone)]
@@ -403,96 +282,50 @@ mod tests {
         vs.iter().map(|v| v.rule).collect()
     }
 
+    /// Every fixture under `crates/lint/fixtures/` triggers exactly the rule
+    /// it is named for; `clean.rs` triggers nothing. Scoped rules (D006,
+    /// D007) scan their fixtures under a path inside the rule's scope, so
+    /// the scope plumbing itself is exercised. If a rule regresses into
+    /// silence, this fails.
     #[test]
-    fn clean_source_passes() {
-        let src = r#"
-            use std::collections::BTreeMap;
-            fn f(m: &BTreeMap<u32, u32>) -> Vec<u32> {
-                m.values().copied().collect()
+    fn each_fixture_triggers_exactly_its_rule() {
+        const NEUTRAL: &str = "crates/fixture/src/lib.rs";
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+        let cases = [
+            ("d001_unordered.rs", NEUTRAL, Some(Rule::Unordered)),
+            (
+                "d006_floatorder.rs",
+                "crates/core/src/mtrunner.rs",
+                Some(Rule::FloatOrder),
+            ),
+            (
+                "d007_panicfree.rs",
+                "crates/dfs/src/fixture.rs",
+                Some(Rule::PanicFree),
+            ),
+            ("d008_walltaint.rs", NEUTRAL, Some(Rule::WallTaint)),
+            ("p001_unused_pragma.rs", NEUTRAL, Some(Rule::BadPragma)),
+            ("clean.rs", NEUTRAL, None),
+        ];
+        for (name, scan_as, expect) in cases {
+            let src = std::fs::read_to_string(fixtures.join(name)).expect(name);
+            let found = rules(&scan_source(Path::new(scan_as), &src));
+            match expect {
+                None => assert!(found.is_empty(), "{name}: {found:?}"),
+                Some(rule) => {
+                    assert!(!found.is_empty(), "{name} did not trigger {rule}");
+                    assert!(found.iter().all(|r| *r == rule), "{name}: {found:?}");
+                }
             }
-        "#;
-        assert!(scan(src).is_empty());
+        }
     }
 
     #[test]
-    fn d001_flags_unsorted_iteration() {
-        let src =
-            "fn f(m: &FxHashMap<u32, u32>) -> Vec<u32> {\n    m.values().copied().collect()\n}\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::Unordered]);
-    }
-
-    #[test]
-    fn d001_accepts_sorted_collection() {
-        let src = "fn f(m: &FxHashMap<u32, u32>) -> Vec<u32> {\n    let mut v: Vec<u32> = m.values().copied().collect();\n    v.sort();\n    v\n}\n";
-        assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn d001_accepts_order_free_reduction() {
-        let src = "fn f(m: &FxHashMap<u32, u64>) -> u64 {\n    m.values().sum()\n}\n";
-        assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn d001_sees_for_loops() {
-        let src = "fn f(set: FxHashSet<u32>) {\n    for x in set {\n        println!(\"{x}\");\n    }\n}\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::Unordered]);
-    }
-
-    #[test]
-    fn d002_flags_instant_and_allows_wall_module() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::WallClock]);
-        assert!(scan_source(Path::new("crates/common/src/obs/wall.rs"), src).is_empty());
-    }
-
-    #[test]
-    fn d003_flags_entropy() {
-        let src = "fn f() { let mut rng = rand::thread_rng(); }\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::Entropy]);
-    }
-
-    #[test]
-    fn d004_flags_unaudited_mutex() {
-        let src = "use std::sync::Mutex;\nstatic S: Mutex<u32> = Mutex::new(0);\n";
-        let vs = scan(src);
-        assert!(!vs.is_empty());
-        assert!(vs.iter().all(|v| v.rule == Rule::Concurrency));
-        let audited = scan_source(Path::new("crates/mapred/src/task.rs"), src);
-        assert!(audited.is_empty());
-    }
-
-    #[test]
-    fn d005_flags_unregistered_namespace() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"clyde.jobs\", 1);\n}\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::MetricName]);
-    }
-
-    #[test]
-    fn d005_flags_non_literal_name() {
-        let src = "fn f(m: &Metrics, name: &str) {\n    m.gauge_set(name, 0.5);\n}\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::MetricName]);
-    }
-
-    #[test]
-    fn d005_accepts_registered_names_and_wrapped_calls() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"mapred.jobs\", 1);\n    m.gauge_set(\"scheduler.split_locality\", 0.5);\n    m.histogram_record(\n        \"dfs.scan.local_bytes\",\n        2.0,\n    );\n    m.counter_add(\"cache.hits\", 1);\n}\n";
-        assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn d005_skips_definitions_and_registry_module() {
-        let src = "impl Metrics {\n    pub fn counter_add(&self, name: &str, delta: u64) {\n        self.add(name, delta);\n    }\n}\n";
-        assert!(scan(src).is_empty());
-        let call = "fn f(m: &Metrics) { m.counter_add(\"x\", 1); }\n";
-        assert!(scan_source(Path::new("crates/common/src/obs/metrics.rs"), call).is_empty());
-    }
-
-    #[test]
-    fn d004_job_server_layer_stays_lock_free() {
-        // The audit entry for the multi-job server: these files are kept
-        // OFF the D004 allowlist, so this test (and the workspace scan)
-        // fails the moment real threading appears in the scheduling layer.
+    fn the_job_server_layer_stays_lock_free() {
+        // The multi-job server executes admitted jobs sequentially and
+        // derives the concurrent timeline in a pure simulation, so the layer
+        // has no threads and no locks by design. No exemption from the
+        // clippy.toml lock and thread lists may appear in these files.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for rel in [
             "crates/mapred/src/server.rs",
@@ -500,61 +333,36 @@ mod tests {
             "crates/core/src/server.rs",
             "crates/dfs/src/cache.rs",
         ] {
-            assert!(
-                !rel_allowed(Path::new(rel), D004_AUDITED),
-                "{rel} must not be on the D004 allowlist"
-            );
             let src = std::fs::read_to_string(root.join(rel)).expect(rel);
-            let concurrency: Vec<_> = scan_source(Path::new(rel), &src)
-                .into_iter()
-                .filter(|v| v.rule == Rule::Concurrency)
-                .collect();
-            assert!(
-                concurrency.is_empty(),
-                "{rel} grew concurrency primitives: {concurrency:?}"
-            );
+            for lint in ["clippy::disallowed_types", "clippy::disallowed_methods"] {
+                assert!(!src.contains(lint), "{rel} carries a {lint} exemption");
+            }
         }
     }
 
     #[test]
-    fn d005_flags_unregistered_scheduler_series() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"scheduler.queue_drops\", 1);\n}\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::MetricName]);
-    }
-
-    #[test]
-    fn d005_accepts_registered_scheduler_series() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"scheduler.jobs_admitted\", 1);\n    m.gauge_set(\"scheduler.queue_peak_depth\", 3.0);\n    m.histogram_record(\"scheduler.queue_wait_s\", 0.5);\n    m.histogram_record(\"scheduler.job_latency_s\", 1.5);\n}\n";
-        assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn d005_flags_unregistered_cache_series() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"cache.size\", 1);\n}\n";
-        assert_eq!(rules(&scan(src)), vec![Rule::MetricName]);
-    }
-
-    #[test]
-    fn d005_accepts_registered_cache_series() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"cache.hits\", 1);\n    m.counter_add(\"cache.misses\", 2);\n    m.counter_add(\"cache.bytes_served\", 64);\n    m.gauge_set(\"cache.bytes_stored\", 128.0);\n    m.gauge_set(\"cache.entries\", 2.0);\n}\n";
-        assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn d005_pragma_suppresses() {
-        let src = "fn f(m: &Metrics) {\n    // clyde-lint: allow(metricname, reason=experimental namespace behind a feature flag)\n    m.counter_add(\"exp.jobs\", 1);\n}\n";
-        assert!(scan(src).is_empty());
+    fn d001_flags_into_iter_of_a_hash_container_only() {
+        let src = "fn f(m: FxHashMap<u32, u32>, v: Vec<u32>) -> Vec<u32> {\n    let a: Vec<_> = v.into_iter().collect();\n    m.into_iter().map(|(k, _)| k).collect()\n}\n";
+        let vs = scan(src);
+        assert_eq!(rules(&vs), vec![Rule::Unordered]);
+        assert_eq!(vs[0].line, 3);
     }
 
     #[test]
     fn pragma_suppresses_with_reason() {
-        let src = "fn f(m: &FxHashMap<u32, u32>) -> u64 {\n    // clyde-lint: allow(unordered, reason=commutative fold)\n    m.values().fold(0u64, |a, &b| a ^ b as u64)\n}\n";
+        let src = "fn f(m: FxHashMap<u32, u32>) -> u64 {\n    // clyde-lint: allow(unordered, reason=commutative fold)\n    m.into_iter().fold(0u64, |a, (_, b)| a ^ b as u64)\n}\n";
         assert!(scan(src).is_empty());
     }
 
     #[test]
     fn pragma_without_reason_is_an_error() {
         let src = "// clyde-lint: allow(unordered)\nfn f() {}\n";
+        assert_eq!(rules(&scan(src)), vec![Rule::BadPragma]);
+    }
+
+    #[test]
+    fn a_pragma_naming_a_rule_clippy_took_is_malformed() {
+        let src = "// clyde-lint: allow(wallclock, reason=moved to clippy.toml)\nfn f() {}\n";
         assert_eq!(rules(&scan(src)), vec![Rule::BadPragma]);
     }
 
@@ -569,17 +377,11 @@ mod tests {
 
     #[test]
     fn comments_and_strings_never_match() {
-        let src = "fn f() {\n    // HashMap iteration and Instant::now in prose\n    let s = \"Mutex thread_rng SystemTime\";\n    let _ = s;\n}\n";
+        let src = "fn f(m: FxHashMap<u8, u8>) {\n    // m.into_iter() in prose\n    let s = \"m.into_iter() xs[0]\";\n    let _ = s;\n}\n";
         assert!(scan(src).is_empty());
+        let raw = "fn f() -> &'static str {\n    r#\"m.into_iter() xs[0]\"#\n}\n";
+        assert!(scan_source(Path::new("crates/core/src/x.rs"), raw).is_empty());
     }
-
-    #[test]
-    fn raw_strings_never_match() {
-        let src = "fn f() -> &'static str {\n    r#\"Instant::now Mutex\"#\n}\n";
-        assert!(scan(src).is_empty());
-    }
-
-    // ---- v2 structural rules ----
 
     #[test]
     fn d006_flags_fold_in_merge_scope_only() {
@@ -620,17 +422,8 @@ mod tests {
     }
 
     #[test]
-    fn d007_flags_panic_sites_in_recovery_scope() {
-        let src = "pub fn heal(xs: &[u8]) -> u8 {\n    let first = xs.first().unwrap();\n    let second = xs[1];\n    panic!(\"no\");\n}\n";
-        let vs = scan_source(Path::new("crates/mapred/src/fault.rs"), src);
-        assert_eq!(vs.len(), 3, "{vs:?}");
-        assert!(vs.iter().all(|v| v.rule == Rule::PanicFree));
-        assert!(scan(src).is_empty(), "neutral files are out of scope");
-    }
-
-    #[test]
-    fn d007_covers_every_fn_of_the_engine_and_query_crates_and_nothing_else() {
-        let src = "impl E {\n    fn run_job_inner(&self) { self.x.unwrap(); }\n    fn helper(&self) { self.x.unwrap(); }\n}\n";
+    fn d007_flags_indexing_in_the_engine_and_query_crates_and_nothing_else() {
+        let src = "impl E {\n    fn get(&self) -> u8 { self.by_key[&3] }\n    fn at(&self) -> u8 { self.xs()[1] }\n}\n";
         for engine in ["common", "columnar", "dfs", "mapred", "core", "ssb", "hive"] {
             let vs = scan_source(Path::new(&format!("crates/{engine}/src/any.rs")), src);
             assert_eq!(rules(&vs), vec![Rule::PanicFree; 2], "{engine}: {vs:?}");
@@ -646,45 +439,33 @@ mod tests {
     }
 
     #[test]
-    fn the_catalog_is_indexed_by_declaration_order() {
-        for (i, (rule, code, _)) in Rule::ALL.iter().enumerate() {
-            assert_eq!(*rule as usize, i, "{code}");
-        }
-    }
-
-    #[test]
-    fn d007_skips_tests_and_checked_alternatives() {
-        let src = "pub fn heal(x: Option<u8>) -> u8 {\n    x.unwrap_or(0)\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { heal(None); assert_eq!(v[0], 1); v.x.unwrap(); }\n}\n";
+    fn d007_skips_tests_attributes_macros_and_array_types() {
+        let src = "#[derive(Debug)]\npub fn heal(x: [u8; 4]) -> Vec<u8> {\n    vec![x.len() as u8]\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(v[0], 1); }\n}\n";
         assert!(scan_source(Path::new("crates/mapred/src/fault.rs"), src).is_empty());
     }
 
     #[test]
     fn d008_flags_wall_flow_into_sinks() {
-        let src = "fn f(m: &Metrics) {\n    let t = WallTimer::start();\n    let spent = t.elapsed_s();\n    m.histogram_record(\"mapred.phase_s\", spent);\n}\n";
+        let src = "fn f(m: &Metrics) {\n    let t = WallTimer::start();\n    let spent = t.elapsed_s();\n    m.histogram_record(series::MAPRED_PHASE_S, spent);\n}\n";
         assert_eq!(rules(&scan(src)), vec![Rule::WallTaint]);
     }
 
     #[test]
-    fn d008_wall_named_series_are_the_filtered_channel() {
-        let src = "fn f(m: &Metrics, t: &WallTimer) {\n    m.histogram_record(\"mapred.task_wall_ms\", t.elapsed_s() * 1e3);\n}\n";
+    fn d008_the_wall_emitter_is_the_filtered_channel() {
+        let src = "fn f(m: &Metrics, t: &WallTimer) {\n    m.wall_histogram_record(series::MAPRED_TASK_WALL_MS, t.elapsed_s() * 1e3);\n}\n";
         assert!(scan(src).is_empty());
     }
 
     #[test]
     fn d008_sim_time_values_are_untainted() {
-        let src = "fn f(m: &Metrics, sim_s: f64) {\n    m.histogram_record(\"mapred.task_sim_s\", sim_s);\n}\n";
+        let src = "fn f(m: &Metrics, sim_s: f64) {\n    m.histogram_record(series::MAPRED_TASK_SIM_S, sim_s);\n}\n";
         assert!(scan(src).is_empty());
     }
 
     #[test]
-    fn new_pragma_names_parse() {
-        for name in ["floatorder", "panicfree", "walltaint"] {
-            let src =
-                format!("// clyde-lint: allow({name}, reason=covered by a test)\nfn f() {{}}\n");
-            // Well-formed, so the only finding is that it suppresses nothing.
-            let vs = scan(&src);
-            assert_eq!(rules(&vs), vec![Rule::BadPragma], "{name}");
-            assert!(vs[0].message.contains("unused pragma"), "{name}: {vs:?}");
+    fn the_catalog_is_indexed_by_declaration_order() {
+        for (i, (rule, code, _)) in Rule::ALL.iter().enumerate() {
+            assert_eq!(*rule as usize, i, "{code}");
         }
     }
 }

@@ -6,8 +6,6 @@
 //! * **function items** with name, line span, body token range, and whether
 //!   they live under `#[cfg(test)]` / `#[test]` (structural rules audit
 //!   production code only);
-//! * **call sites** inside each body (plain calls, method calls, and macro
-//!   invocations), where D005 reads each emitter's metric-name argument;
 //! * **declared names**: identifiers bound with `HashMap`/`HashSet` types
 //!   (unordered containers for D001) and to `f32`/`f64` values (float
 //!   evidence for D006);
@@ -38,18 +36,6 @@ pub struct FnDef {
     /// Lexically nested inside another `fn` (file-wide passes visit only
     /// top-level fns so nested bodies are not scanned twice).
     pub nested: bool,
-}
-
-/// A call site inside a function body.
-#[derive(Debug, Clone)]
-pub struct CallSite {
-    /// Simple (last-segment) callee name; macros keep their bare name
-    /// (`panic`, `vec`).
-    pub name: String,
-    pub line: usize,
-    pub is_macro: bool,
-    /// Index of the name token in [`FileAst::sig`].
-    pub at: SigIdx,
 }
 
 /// The simplified AST of one file.
@@ -86,15 +72,6 @@ impl FileAst {
             .is_some_and(|t| t.kind == TokKind::Punct && t.text == p)
     }
 
-    /// Do the tokens at `i` spell the path `segs[0]::segs[1]::…`?
-    pub fn is_path(&self, i: SigIdx, segs: &[&str]) -> bool {
-        segs.iter().enumerate().all(|(k, seg)| {
-            let at = i + 3 * k;
-            self.is_ident(at, seg)
-                && (k == 0 || (self.is_punct(at - 2, ":") && self.is_punct(at - 1, ":")))
-        })
-    }
-
     /// The method named by a `.name(` or `.name::<` at `dot`, if any.
     pub fn method_at(&self, dot: SigIdx) -> Option<&str> {
         let name = self.sig.get(dot + 1)?;
@@ -102,37 +79,6 @@ impl FileAst {
             || (self.is_punct(dot + 2, ":") && self.is_punct(dot + 3, ":"));
         (self.is_punct(dot, ".") && name.kind == TokKind::Ident && called)
             .then_some(name.text.as_str())
-    }
-
-    /// Call sites within `body`, in order.
-    pub fn calls_in(&self, body: &std::ops::Range<SigIdx>) -> Vec<CallSite> {
-        let mut out = Vec::new();
-        for i in body.clone() {
-            let t = &self.sig[i];
-            if t.kind != TokKind::Ident || is_keyword(&t.text) {
-                continue;
-            }
-            if self.is_punct(i + 1, "(") {
-                out.push(CallSite {
-                    name: t.text.clone(),
-                    line: t.line as usize,
-                    is_macro: false,
-                    at: i,
-                });
-            } else if self.is_punct(i + 1, "!")
-                && (self.is_punct(i + 2, "(")
-                    || self.is_punct(i + 2, "[")
-                    || self.is_punct(i + 2, "{"))
-            {
-                out.push(CallSite {
-                    name: t.text.clone(),
-                    line: t.line as usize,
-                    is_macro: true,
-                    at: i,
-                });
-            }
-        }
-        out
     }
 
     /// Statement segmentation of a body: maximal runs of significant tokens
@@ -473,9 +419,6 @@ mod tests {
         let ast = ast_of("fn a() { b(); }\nimpl X { fn c(&self) -> u32 { 1 } }\n");
         let names: Vec<_> = ast.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "c"]);
-        let calls = ast.calls_in(&ast.fns[0].body);
-        assert_eq!(calls.len(), 1);
-        assert_eq!(calls[0].name, "b");
     }
 
     #[test]
@@ -520,13 +463,5 @@ mod tests {
         let stmts = ast.statements(&ast.fns[0].body);
         // `let a = 1`, `if x`, `b()`, `c()`
         assert_eq!(stmts.len(), 4);
-    }
-
-    #[test]
-    fn macro_calls_are_recorded() {
-        let ast = ast_of("fn f() { panic!(\"x\"); let v = vec![1]; }\n");
-        let calls = ast.calls_in(&ast.fns[0].body);
-        assert!(calls.iter().any(|c| c.name == "panic" && c.is_macro));
-        assert!(calls.iter().any(|c| c.name == "vec" && c.is_macro));
     }
 }

@@ -1,23 +1,16 @@
-//! D007 `panicfree`: no panic-capable sites in the engine and query crates.
+//! D007 `panicfree`, the residue clippy cannot see: `[]` indexing in the
+//! engine and query crates.
 //!
 //! The fault-tolerance claims (six fault plans, byte-identical recovery)
 //! and the typed-error contract of the byte paths are only as good as the
-//! code's inability to panic: an `unwrap` on the re-replication path turns a
-//! survivable fault into an abort, an unchecked index on a decode path turns
-//! a damaged replica into one. So the scope is derived, not enumerated —
-//! every non-test function of the seven crates on a query's path (`common`,
-//! `columnar`, `dfs`, `mapred`, `core`, `ssb`, `hive`) — and the rule flags:
-//!
-//! * `.unwrap()` / `.expect(…)` method calls (`unwrap_or*`/`expect_err`
-//!   are distinct names and unaffected);
-//! * `panic!` / `unreachable!` / `todo!` / `unimplemented!` macros;
-//! * unchecked indexing/slicing `x[i]` (a `[` following an identifier,
-//!   `)`, or `]`) — use `get`/`first`/`split_first`/`zip` and return a
-//!   typed [`ClydeError`](../../../common/src/error.rs) instead.
-//!
-//! The workspace has no finding and no baseline: every new site fails the
-//! build. A site that must stay carries an `allow(panicfree, reason=…)`
-//! pragma; DESIGN.md §9 lists the few that do.
+//! code's inability to panic. The workspace `[lints]` table gives the seven
+//! crates on a query's path (`common`, `columnar`, `dfs`, `mapred`, `core`,
+//! `ssb`, `hive`) clippy's `unwrap_used`, `panic`, `indexing_slicing` and
+//! kin, but `indexing_slicing` does not see `HashMap`, `BTreeMap`,
+//! `VecDeque` or user `Index` indexing. Without types this pass cannot tell
+//! those apart, so it flags every `x[i]` (a `[` after an identifier, `)`
+//! or `]`) in non-test functions of those crates' `src/`. Use
+//! `get`/`first`/`split_first`/`zip` and return a typed `ClydeError`.
 
 use super::FileCtx;
 use crate::lexer::TokKind;
@@ -44,8 +37,6 @@ fn in_engine_crate(file: &std::path::Path) -> bool {
         )
 }
 
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
 pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
     if !in_engine_crate(ctx.file) {
         return;
@@ -53,59 +44,25 @@ pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
     let ast = ctx.ast;
     for f in ast.fns.iter().filter(|f| !f.is_test && !f.nested) {
         for i in f.body.clone() {
-            let t = &ast.sig[i];
-            if t.kind == TokKind::Ident {
-                let is_call = ast.is_punct(i + 1, "(");
-                let is_method = i > 0 && ast.is_punct(i - 1, ".");
-                if is_call && is_method && (t.text == "unwrap" || t.text == "expect") {
-                    violations.push(ctx.violation(
-                        ast.line(i),
-                        Rule::PanicFree,
-                        format!(
-                            "`.{}()` in engine code (fn `{}`) — a panic here turns \
-                             a survivable fault into an abort; return a typed ClydeError",
-                            t.text, f.name
-                        ),
-                    ));
-                    continue;
-                }
-                if ast.is_punct(i + 1, "!")
-                    && (ast.is_punct(i + 2, "(") || ast.is_punct(i + 2, "["))
-                    && PANIC_MACROS.contains(&t.text.as_str())
-                {
-                    violations.push(ctx.violation(
-                        ast.line(i),
-                        Rule::PanicFree,
-                        format!(
-                            "`{}!` in engine code (fn `{}`) — recovery code must \
-                             degrade to a typed ClydeError, never abort",
-                            t.text, f.name
-                        ),
-                    ));
-                    continue;
-                }
-            }
-            // Unchecked indexing/slicing: `expr[…]` where expr ends in an
-            // identifier, `)`, or `]`. Attribute (`#[`) and macro (`m![`)
-            // brackets are preceded by `#`/`!` and never match.
-            if t.kind == TokKind::Punct && t.text == "[" && i > 0 {
-                let prev = &ast.sig[i - 1];
-                let indexes = match prev.kind {
-                    TokKind::Ident => !crate::parse::is_keyword(&prev.text),
-                    TokKind::Punct => prev.text == ")" || prev.text == "]",
+            // Attribute (`#[`) and macro (`m![`) brackets are preceded by
+            // `#`/`!` and never match.
+            let indexes = ast.is_punct(i, "[")
+                && i > 0
+                && match ast.sig[i - 1].kind {
+                    TokKind::Ident => !crate::parse::is_keyword(&ast.sig[i - 1].text),
+                    TokKind::Punct => ast.is_punct(i - 1, ")") || ast.is_punct(i - 1, "]"),
                     _ => false,
                 };
-                if indexes {
-                    violations.push(ctx.violation(
-                        ast.line(i),
-                        Rule::PanicFree,
-                        format!(
-                            "unchecked indexing in engine code (fn `{}`) — use \
-                             get()/first() and return a typed ClydeError on the miss",
-                            f.name
-                        ),
-                    ));
-                }
+            if indexes {
+                violations.push(ctx.violation(
+                    ast.line(i),
+                    Rule::PanicFree,
+                    format!(
+                        "unchecked indexing in engine code (fn `{}`) — use \
+                         get()/first() and return a typed ClydeError on the miss",
+                        f.name
+                    ),
+                ));
             }
         }
     }

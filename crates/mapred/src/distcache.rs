@@ -12,6 +12,12 @@
 //! tracked for the dissemination cost, per-task loads left to the caller
 //! (they are CPU, not cache, costs).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the distributed cache's per-node copies: one lock held for a \
+                single lookup or insert"
+)]
+
 use bytes::Bytes;
 use clyde_common::lockorder::Mutex;
 use clyde_common::{ClydeError, FxHashMap, FxHashSet, Result};

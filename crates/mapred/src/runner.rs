@@ -118,7 +118,7 @@ mod tests {
 
         fn open(&self, split: &InputSplit, part: usize, _io: &TaskIo) -> Result<Reader> {
             let SplitSpec::Groups { groups, .. } = &split.spec else {
-                unreachable!("test split is Groups")
+                panic!("test split is Groups")
             };
             Ok(Reader::Rows(Box::new(OneRow(Some(row![
                 (groups[part] * 10) as i64

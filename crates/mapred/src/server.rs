@@ -22,7 +22,7 @@ use crate::engine::{publish_history, Engine};
 use crate::history;
 use crate::job::{JobResult, JobSpec};
 use crate::scheduler::{self, SchedPolicy, SimJob};
-use clyde_common::obs::{RejectedLane, ServedLane, ServerRun};
+use clyde_common::obs::{catalog as series, RejectedLane, ServedLane, ServerRun};
 use clyde_common::Result;
 use std::fmt;
 
@@ -289,22 +289,22 @@ impl<'e> JobServer<'e> {
             let delta = self.engine.dfs().cache_stats().delta_since(&cache_before);
             let m = self.engine.obs().metrics();
             if delta.misses > 0 {
-                m.counter_add("cache.misses", delta.misses);
+                m.counter_add(series::CACHE_MISSES, delta.misses);
             }
             if delta.inserts > 0 {
-                m.counter_add("cache.inserts", delta.inserts);
+                m.counter_add(series::CACHE_INSERTS, delta.inserts);
             }
             if delta.evictions > 0 {
-                m.counter_add("cache.evictions", delta.evictions);
+                m.counter_add(series::CACHE_EVICTIONS, delta.evictions);
             }
             if delta.invalidations > 0 {
-                m.counter_add("cache.invalidations", delta.invalidations);
+                m.counter_add(series::CACHE_INVALIDATIONS, delta.invalidations);
             }
             if delta.bytes_served > 0 {
-                m.counter_add("cache.bytes_served", delta.bytes_served);
+                m.counter_add(series::CACHE_BYTES_SERVED, delta.bytes_served);
             }
-            m.gauge_set("cache.bytes_stored", delta.bytes_stored as f64);
-            m.gauge_set("cache.entries", delta.entries as f64);
+            m.gauge_set(series::CACHE_BYTES_STORED, delta.bytes_stored as f64);
+            m.gauge_set(series::CACHE_ENTRIES, delta.entries as f64);
         }
 
         let run = ServerRun {
@@ -319,14 +319,14 @@ impl<'e> JobServer<'e> {
     }
 
     /// Aggregate drain-level metrics. Per-tenant detail lives in the
-    /// [`ServerRun`] report; metric names stay literal (lint rule D005).
+    /// [`ServerRun`] report.
     fn publish_run(&self, run: &ServerRun, peak_depth: usize, tenants: usize) {
         let obs = self.engine.obs();
         if !obs.is_enabled() {
             return;
         }
         let m = obs.metrics();
-        m.counter_add("scheduler.jobs_admitted", run.lanes.len() as u64);
+        m.counter_add(series::SCHEDULER_JOBS_ADMITTED, run.lanes.len() as u64);
         let queue_full = run
             .rejected
             .iter()
@@ -334,17 +334,17 @@ impl<'e> JobServer<'e> {
             .count() as u64;
         let quota = run.rejected.len() as u64 - queue_full;
         if queue_full > 0 {
-            m.counter_add("scheduler.jobs_rejected_queue_full", queue_full);
+            m.counter_add(series::SCHEDULER_JOBS_REJECTED_QUEUE_FULL, queue_full);
         }
         if quota > 0 {
-            m.counter_add("scheduler.jobs_rejected_quota", quota);
+            m.counter_add(series::SCHEDULER_JOBS_REJECTED_QUOTA, quota);
         }
-        m.gauge_set("scheduler.queue_peak_depth", peak_depth as f64);
-        m.gauge_set("scheduler.tenant_count", tenants as f64);
-        m.gauge_set("scheduler.makespan_s", run.makespan_s());
+        m.gauge_set(series::SCHEDULER_QUEUE_PEAK_DEPTH, peak_depth as f64);
+        m.gauge_set(series::SCHEDULER_TENANT_COUNT, tenants as f64);
+        m.gauge_set(series::SCHEDULER_MAKESPAN_S, run.makespan_s());
         for lane in &run.lanes {
-            m.histogram_record("scheduler.queue_wait_s", lane.wait_s());
-            m.histogram_record("scheduler.job_latency_s", lane.latency_s());
+            m.histogram_record(series::SCHEDULER_QUEUE_WAIT_S, lane.wait_s());
+            m.histogram_record(series::SCHEDULER_JOB_LATENCY_S, lane.latency_s());
         }
     }
 }

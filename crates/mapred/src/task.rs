@@ -2,6 +2,14 @@
 //! job, resident tables across jobs), memory accounting, and the output
 //! collector.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D004 audit: the task context and node state. `NodeState::get_or_try_init` \
+                holds its entries while building, which takes the resident store, the \
+                node-local store and the DFS state; no inner lock takes an outer one \
+                (tests/lock_nesting.rs pins the edges)"
+)]
+
 use crate::conf::JobConf;
 use crate::cost::TaskCost;
 use crate::distcache::DistCache;
@@ -641,6 +649,10 @@ mod tests {
         let ledger = MemoryLedger::new();
         let held = AtomicU64::new(0);
         let start = std::sync::Barrier::new(THREADS as usize);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D004 audit: the test races charges against one tracker"
+        )]
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let (m, ledger, held, start) = (&m, &ledger, &held, &start);

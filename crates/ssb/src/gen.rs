@@ -178,29 +178,29 @@ impl SsbGen {
 
     /// The `date` dimension (fixed 7-year calendar). A panicking form of [`SsbGen::dimension`], kept
     /// for the frozen benchmark's callers.
+    #[expect(clippy::expect_used, reason = "frozen-benchmark shim, ROADMAP item 3")]
     pub fn gen_date(&self) -> Vec<Row> {
-        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         self.date_rows().expect("the calendar covers every day")
     }
 
     /// The `customer` dimension. A panicking form of [`SsbGen::dimension`], kept
     /// for the frozen benchmark's callers.
+    #[expect(clippy::expect_used, reason = "frozen-benchmark shim, ROADMAP item 3")]
     pub fn gen_customer(&self) -> Vec<Row> {
-        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         self.customer_rows().expect("every draw indexes its table")
     }
 
     /// The `supplier` dimension. A panicking form of [`SsbGen::dimension`], kept
     /// for the frozen benchmark's callers.
+    #[expect(clippy::expect_used, reason = "frozen-benchmark shim, ROADMAP item 3")]
     pub fn gen_supplier(&self) -> Vec<Row> {
-        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         self.supplier_rows().expect("every draw indexes its table")
     }
 
     /// The `part` dimension. A panicking form of [`SsbGen::dimension`], kept
     /// for the frozen benchmark's callers.
+    #[expect(clippy::expect_used, reason = "frozen-benchmark shim, ROADMAP item 3")]
     pub fn gen_part(&self) -> Vec<Row> {
-        // clyde-lint: allow(panicfree, reason=frozen-benchmark shim, ROADMAP item 3)
         self.part_rows().expect("every draw indexes its table")
     }
 

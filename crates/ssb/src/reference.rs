@@ -109,6 +109,7 @@ pub fn reference_answer(data: &SsbData, query: &StarQuery) -> Result<Vec<Row>> {
         *slot = query.aggregate.fold(*slot, measure);
     }
 
+    // clyde-lint: allow(unordered, reason=finish_result orders the rows below)
     let mut rows: Vec<Row> = groups
         .into_iter()
         .map(|(k, v)| k.concat(&Row::new(vec![Datum::I64(v)])))

@@ -432,6 +432,7 @@ fn assert_kernels_agree(data: &SsbData, q: &StarQuery, tables: &DimTables) -> Gr
     assert_eq!(vectorized, scalar, "{}: vectorized != scalar", q.id);
     assert_eq!(st_vec, st_scalar, "{}: stats", q.id);
 
+    // clyde-lint: allow(unordered, reason=sort_result orders the rows below)
     let mut rows: Vec<Row> = scalar
         .into_iter()
         .map(|(k, v)| k.concat(&row![v]))

@@ -124,6 +124,7 @@ proptest! {
         prop_assert_eq!(st_vec, st_scalar, "{}: vectorized stats != scalar", q.id);
 
         // And the reference executor blesses the shared answer.
+        // clyde-lint: allow(unordered, reason=sort_result orders the rows below)
         let mut rows: Vec<Row> = acc_scalar
             .into_iter()
             .map(|(k, v)| k.concat(&clyde_common::row![v]))

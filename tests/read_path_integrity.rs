@@ -230,7 +230,10 @@ fn range_reads_are_bounds_checked_without_overflow() {
 /// thread order.
 fn race_two<T: Send>(read: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let barrier = Barrier::new(2);
-    // clyde-lint: allow(concurrency, reason=the racing tests force two readers onto one replica's first check)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the racing tests force two readers onto one replica's first check"
+    )]
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|t| {

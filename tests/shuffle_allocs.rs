@@ -93,7 +93,10 @@ static GLOBAL: Counting = Counting;
 
 /// The counter is process-wide: tests that count take this lock so no
 /// other test of the binary allocates inside their window.
-// clyde-lint: allow(concurrency, reason=serializes this binary's counting windows; guards no engine state)
+#[expect(
+    clippy::disallowed_types,
+    reason = "serializes this binary's counting windows; guards no engine state"
+)]
 static COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Per fact row, the most a repartition query may allocate.

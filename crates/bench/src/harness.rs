@@ -41,8 +41,6 @@ pub struct MeasurementConfig {
     pub workers: usize,
     /// CIF/RCFile rows per row group at measurement scale.
     pub rows_per_group: u64,
-    /// Validate every engine answer against the reference executor.
-    pub validate: bool,
 }
 
 impl Default for MeasurementConfig {
@@ -52,7 +50,6 @@ impl Default for MeasurementConfig {
             seed: 46,
             workers: 4,
             rows_per_group: 8_000,
-            validate: true,
         }
     }
 }
@@ -167,10 +164,7 @@ pub fn measure_with_obs(
     obs: Arc<Obs>,
 ) -> Result<Measurements> {
     let (dfs, layout) = config.testbed(3, what.hive)?;
-    let reference_data = config
-        .validate
-        .then(|| SsbGen::new(config.sf, config.seed).gen_all())
-        .transpose()?;
+    let reference_data = SsbGen::new(config.sf, config.seed).gen_all()?;
 
     let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone()).with_obs(Arc::clone(&obs));
     clyde.warm_dimension_cache()?;
@@ -195,29 +189,21 @@ pub fn measure_with_obs(
         let scope = dfs.io_scope();
         let result = clyde.query(&query)?;
         let io = scope.delta();
-        if let Some(data) = &reference_data {
-            let expect = reference_answer(data, &query)?;
-            assert_eq!(result.rows, expect, "{}: clydesdale mismatch", query.id);
-        }
+        let expect = reference_answer(&reference_data, &query)?;
+        assert_eq!(result.rows, expect, "{}: clydesdale mismatch", query.id);
 
         let mut ablations = Vec::with_capacity(ablated.len());
         for (name, engine) in &ablated {
             let r = engine.query(&query)?;
-            if let Some(data) = &reference_data {
-                let expect = reference_answer(data, &query)?;
-                assert_eq!(r.rows, expect, "{}: {name} mismatch", query.id);
-            }
+            assert_eq!(r.rows, expect, "{}: {name} mismatch", query.id);
             ablations.push((*name, r.profile));
         }
 
         let (hive_mapjoin, hive_repartition) = if what.hive {
             let mj = hive_mj.query(&query)?;
             let rp = hive_rp.query(&query)?;
-            if let Some(data) = &reference_data {
-                let expect = reference_answer(data, &query)?;
-                assert_eq!(mj.rows, expect, "{}: mapjoin mismatch", query.id);
-                assert_eq!(rp.rows, expect, "{}: repartition mismatch", query.id);
-            }
+            assert_eq!(mj.rows, expect, "{}: mapjoin mismatch", query.id);
+            assert_eq!(rp.rows, expect, "{}: repartition mismatch", query.id);
             (
                 mj.stages.into_iter().map(|s| s.profile).collect(),
                 rp.stages.into_iter().map(|s| s.profile).collect(),
@@ -826,7 +812,6 @@ mod tests {
             seed: 46,
             workers: 2,
             rows_per_group: 2_000,
-            validate: true,
         }
     }
 

@@ -13,7 +13,7 @@
                 snapshot"
 )]
 
-use super::catalog::{Counter, Gauge, Histogram, WallHistogram};
+use super::catalog::{Counter, Gauge, Histogram};
 use crate::lockorder::Mutex;
 use std::collections::BTreeMap;
 
@@ -152,24 +152,14 @@ impl MetricsRegistry {
 
     /// Record one simulated-time observation into a histogram.
     pub fn histogram_record(&self, series: Histogram, value: f64) {
-        self.record(series.name(), value);
-    }
-
-    /// Record one wall-clock observation: the filtered channel (see
-    /// [`WallHistogram`]).
-    pub fn wall_histogram_record(&self, series: WallHistogram, value: f64) {
-        self.record(series.name(), value);
-    }
-
-    fn record(&self, name: &str, value: f64) {
         let Some(inner) = &self.inner else { return };
         let mut map = inner.lock();
-        match map.get_mut(name) {
+        match map.get_mut(series.name()) {
             Some(MetricValue::Histogram(h)) => h.record(value),
             _ => {
                 let mut h = HistogramSummary::default();
                 h.record(value);
-                map.insert(name.to_string(), MetricValue::Histogram(h));
+                map.insert(series.name().to_string(), MetricValue::Histogram(h));
             }
         }
     }
@@ -198,9 +188,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::catalog::{
-        MAPRED_JOBS, MAPRED_MAP_TASK_SIM_S, MAPRED_TASK_WALL_MS, SCHEDULER_SPLIT_LOCALITY,
-    };
+    use crate::obs::catalog::{MAPRED_JOBS, MAPRED_MAP_TASK_SIM_S, SCHEDULER_SPLIT_LOCALITY};
 
     #[test]
     fn snapshot_and_reset_semantics() {
@@ -251,17 +239,7 @@ mod tests {
         m.counter_add(MAPRED_JOBS, 1);
         m.gauge_set(SCHEDULER_SPLIT_LOCALITY, 1.0);
         m.histogram_record(MAPRED_MAP_TASK_SIM_S, 1.0);
-        m.wall_histogram_record(MAPRED_TASK_WALL_MS, 1.0);
         assert!(m.snapshot().entries.is_empty());
-    }
-
-    #[test]
-    fn a_wall_series_is_an_ordinary_histogram_in_the_snapshot() {
-        let m = MetricsRegistry::enabled();
-        m.wall_histogram_record(MAPRED_TASK_WALL_MS, 1.5);
-        m.wall_histogram_record(MAPRED_TASK_WALL_MS, 2.5);
-        let h = m.snapshot().histogram("mapred.task_wall_ms").unwrap();
-        assert_eq!((h.count, h.sum), (2, 4.0));
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!
 //! Wall readings are observability-only: they may be *recorded* (task
 //! `wall_ns`, `Phase` attribution, bench reports) but must never feed back
-//! into simulated time, scheduling decisions, or result content. They reach
-//! artifacts only through the filtered channels — `note_wall_phase` and the
-//! catalog's `WallHistogram` series, emitted by `wall_histogram_record` —
-//! and `clyde-lint`'s D008 taint pass flags any other flow into a sim-time
-//! sink. The shadow dual-run harness (`shadow_check`) checks the result
-//! dynamically by byte-diffing the deterministic outputs across runs.
+//! into simulated time, scheduling decisions, or result content. They leave
+//! a task only through `note_wall_phase`, and `clyde-lint`'s D008 taint
+//! pass flags any other flow into a sim-time sink; no metric series holds
+//! wall time. `tests/determinism.rs` checks the result dynamically by
+//! byte-comparing every deterministic artifact across reruns and host
+//! thread counts.
 
 use std::time::Instant;
 

@@ -112,8 +112,8 @@ impl Clydesdale {
     /// Override how many *host* OS threads the map runner really spawns
     /// (chainable). The cost model keeps pricing with the cluster's map-slot
     /// count, so any value must leave results, simulated spans, and metric
-    /// snapshots byte-identical — the property the thread-count-invariance
-    /// test and the `shadow_check` harness assert with 1/2/8.
+    /// snapshots byte-identical — the property `tests/determinism.rs`
+    /// asserts with 1/2/8 (and 3/5/13 for merge order).
     pub fn with_host_threads(mut self, host_threads: u32) -> Clydesdale {
         self.host_threads = Some(host_threads);
         self

@@ -23,12 +23,14 @@
 //! ## Morsel determinism
 //!
 //! Which thread processes which morsel is a race, but the emitted records
-//! are byte-identical across `host_threads` counts (shadow-checked in CI at
-//! 1/2/8): every aggregate is an algebraic `i64` fold (commutative and
-//! associative — sum/min/max/count), so the merged map's contents do not
-//! depend on fold order; emit then sorts the groups. Belt and braces, the
-//! thread-local accumulators are merged in ascending first-morsel-id order,
-//! so even a non-commutative future fold would see a canonical order.
+//! are byte-identical across `host_threads` counts (`tests/determinism.rs`
+//! checks 1/2/3/5/8/13): every aggregate is an algebraic `i64` fold
+//! (commutative and associative — sum/min/max/count), so the merged map's
+//! contents do not depend on fold order; emit then sorts the groups. Belt
+//! and braces, the thread-local accumulators are merged in ascending
+//! first-morsel-id order, so the merge sequence is canonical. A
+//! non-commutative fold would need more than that: which morsels a partial
+//! holds is still the race above.
 
 #![expect(
     clippy::disallowed_types,

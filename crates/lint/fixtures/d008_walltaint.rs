@@ -8,10 +8,10 @@ fn publish(m: &MetricsRegistry) {
     m.histogram_record(series::MAPRED_MAP_TASK_SIM_S, spent_s);
 }
 
-/// The sanctioned channel: a `WallHistogram` series, which shadow_check's
-/// `filter_wall` drops before byte-comparing — must NOT be flagged.
-fn sanctioned(m: &MetricsRegistry, timer: &WallTimer) {
-    m.wall_histogram_record(series::MAPRED_TASK_WALL_MS, timer.elapsed_s() * 1e3);
+/// The sanctioned channel: a task's wall phases, which no compared
+/// artifact carries — must NOT be flagged.
+fn sanctioned(ctx: &MapTaskContext<'_>, timer: &WallTimer) {
+    ctx.note_wall_phase(Phase::Probe, timer.elapsed_ns());
 }
 
 /// Sim-time values are untainted — must NOT be flagged.

@@ -21,7 +21,7 @@
 //!   see `HashMap`, `BTreeMap`, `VecDeque` or user `Index` indexing.
 //! * **D008 `walltaint`** — per-function taint tracking: wall-derived
 //!   values must not reach sim-time sinks (metrics, traces, profile JSON)
-//!   except through the filtered wall channels.
+//!   except through `note_wall_phase`, the task's wall phases.
 //!
 //! Violations are suppressed by a pragma on the offending line or the line
 //! directly above:
@@ -451,8 +451,8 @@ mod tests {
     }
 
     #[test]
-    fn d008_the_wall_emitter_is_the_filtered_channel() {
-        let src = "fn f(m: &Metrics, t: &WallTimer) {\n    m.wall_histogram_record(series::MAPRED_TASK_WALL_MS, t.elapsed_s() * 1e3);\n}\n";
+    fn d008_note_wall_phase_is_the_sanctioned_channel() {
+        let src = "fn f(ctx: &MapTaskContext<'_>, t: &WallTimer) {\n    ctx.note_wall_phase(Phase::Emit, t.elapsed_ns());\n}\n";
         assert!(scan(src).is_empty());
     }
 

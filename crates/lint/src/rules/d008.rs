@@ -1,12 +1,11 @@
 //! D008 `walltaint`: wall-clock values must not reach sim-time artifacts.
 //!
-//! Every CI byte-compare (shadow_check, fault matrix, trace goldens) rests
-//! on the artifact surface being a pure function of the workload. Wall time
-//! is the one legitimately nondeterministic input, quarantined behind
-//! `WallTimer` (D002, `clippy.toml`) and published only through channels
-//! the comparators filter: `note_wall_phase` and `wall_histogram_record`,
-//! whose `WallHistogram` series are named `*wall*` (shadow_check's
-//! `filter_wall` drops those lines).
+//! Every byte-compare (`tests/determinism.rs`, the fault matrix, trace
+//! goldens) rests on the artifact surface being a pure function of the
+//! workload. Wall time is the one legitimately nondeterministic input,
+//! quarantined behind `WallTimer` (D002, `clippy.toml`) and published only
+//! through `note_wall_phase`, which keeps it in the task's wall phases,
+//! out of every compared artifact.
 //!
 //! This rule closes the remaining gap with a per-function, statement-level
 //! taint pass: a value is *tainted* if its statement mentions `WallTimer`,
@@ -38,15 +37,14 @@ pub const D008_SINKS: &[&str] = &[
 /// Accessor methods that read a wall timer.
 const ELAPSED: [&str; 3] = ["elapsed_ns", "elapsed_s", "elapsed_ms"];
 
-/// Sanitizers: wall-named identifiers that *remove* wall data rather than
-/// carry it. `filter_wall` is the comparator-side scrub; `note_wall_phase`
-/// and `wall_histogram_record` are the sanctioned publish channels. A
-/// statement calling one is clean, not a source.
-const SANITIZERS: [&str; 3] = ["filter_wall", "note_wall_phase", "wall_histogram_record"];
+/// The sanitizer: the one wall-named identifier that takes wall data out
+/// of the compared surface rather than carrying it into it, the sanctioned
+/// publish channel. A statement calling it is clean, not a source.
+const SANITIZER: &str = "note_wall_phase";
 
 /// Is this identifier a wall-clock source?
 fn is_wall_ident(text: &str) -> bool {
-    if SANITIZERS.contains(&text) {
+    if text == SANITIZER {
         return false;
     }
     text == "WallTimer" || ELAPSED.contains(&text) || text.to_ascii_lowercase().contains("wall")
@@ -96,8 +94,8 @@ pub(crate) fn scan(ctx: &FileCtx<'_>, violations: &mut Vec<Violation>) {
                     Rule::WallTaint,
                     format!(
                         "wall-derived value flows into sim-time sink `{name}` in fn \
-                         `{}` — CI byte-compares this surface; route wall time through \
-                         note_wall_phase or wall_histogram_record (filtered channels)",
+                         `{}` — tests byte-compare this surface; route wall time through \
+                         note_wall_phase",
                         f.name
                     ),
                 ));

@@ -1227,7 +1227,6 @@ pub(crate) fn publish_history(
             TaskKind::Map => m.histogram_record(series::MAPRED_MAP_TASK_SIM_S, t.dur_s),
             TaskKind::Reduce => m.histogram_record(series::MAPRED_REDUCE_TASK_SIM_S, t.dur_s),
         }
-        m.wall_histogram_record(series::MAPRED_TASK_WALL_MS, t.wall_ns as f64 / 1e6);
     }
     // Like the recovery counters: cache.hits only appears when a job was
     // actually served from the cache, so cache-off runs keep their metric

@@ -43,8 +43,8 @@ pub struct JobSpec {
     /// Override for the number of *host* OS threads a multi-threaded runner
     /// actually spawns. Purely an execution knob: the cost model keeps
     /// pricing with `task_threads`, so results, simulated times, and traces
-    /// must be byte-identical for any value (the thread-count-invariance
-    /// tests and `shadow_check` enforce this). `None` = same as
+    /// must be byte-identical for any value (`tests/determinism.rs`
+    /// enforces this). `None` = same as
     /// `task_threads`.
     pub host_threads: Option<u32>,
     /// Whether per-node state survives across the job's tasks (JVM reuse).

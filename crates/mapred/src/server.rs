@@ -9,7 +9,7 @@
 //! in the discrete-event slot simulator ([`scheduler::interleave`]). The
 //! published histories, traces, and `scheduler.*` metrics therefore depend
 //! only on the submitted workload — never on wall-clock or host thread
-//! count — and `shadow_check` can dual-run a whole served workload.
+//! count — and `tests/determinism.rs` dual-runs a whole served workload.
 //!
 //! Admission is decided synchronously at [`JobServer::submit`] against the
 //! current backlog: a bounded queue (reject past `queue_capacity`) and an

@@ -31,7 +31,6 @@ fn measurements() -> &'static clyde_bench::harness::Measurements {
                 seed: 46,
                 workers: 2,
                 rows_per_group: 4_000,
-                validate: true,
             },
             MeasureWhat {
                 hive: true,

@@ -1,6 +1,7 @@
 //! Job-server end-to-end: admission control is deterministic, quotas hold,
-//! served queries answer bit-for-bit like solo runs, and the multi-job
-//! schedule is byte-identical across reruns and host thread counts.
+//! and served queries answer bit-for-bit like solo runs. That the multi-job
+//! schedule is byte-identical across reruns and host thread counts is
+//! `tests/determinism.rs`'s served-workload scenario.
 
 use clyde_common::Obs;
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
@@ -158,51 +159,6 @@ fn served_queries_answer_bit_for_bit_like_solo_runs() {
             assert!(s.final_sort_s > 0.0);
         }
     }
-}
-
-fn traced_workload(host_threads: u32) -> (Vec<Vec<clyde_common::Row>>, String, String) {
-    let dfs = cluster(3);
-    let layout = load(&dfs, 0.005);
-    let obs = Obs::enabled();
-    let clyde = Clydesdale::new(Arc::clone(&dfs), layout)
-        .with_obs(Arc::clone(&obs))
-        .with_host_threads(host_threads);
-    clyde.warm_dimension_cache().unwrap();
-    let mut srv = clyde.serve(config(SchedPolicy::Fair, 16, 0));
-    for (i, id) in ["Q2.1", "Q1.1", "Q3.2", "Q1.3"].iter().enumerate() {
-        let tenant = ["etl", "dash"][i % 2];
-        assert!(srv
-            .submit(tenant, 0.3 * i as f64, &query_by_id(id).unwrap())
-            .unwrap()
-            .is_ok());
-    }
-    let served = srv.drain().unwrap();
-    let rows = served.into_iter().map(|s| s.rows).collect();
-    (rows, obs.chrome_trace(), obs.summary())
-}
-
-#[test]
-fn served_schedule_is_byte_identical_across_host_thread_counts() {
-    let (rows_1, trace_1, summary_1) = traced_workload(1);
-    let (rows_8, trace_8, summary_8) = traced_workload(8);
-    assert_eq!(rows_1, rows_8);
-    assert_eq!(
-        trace_1, trace_8,
-        "multi-job trace must not depend on host threads"
-    );
-    // Summaries mix in measured wall clock (by design); the simulated
-    // timeline — including the server swimlanes — must be stable.
-    let sim_lines = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| !l.contains("wall"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(sim_lines(&summary_1), sim_lines(&summary_8));
-    assert!(summary_1.contains("server run: policy fair"));
-    // And a straight rerun is byte-identical too.
-    let (_, trace_again, _) = traced_workload(1);
-    assert_eq!(trace_1, trace_again);
 }
 
 #[test]

@@ -60,6 +60,11 @@ impl Row {
         &self.values
     }
 
+    /// The fields, for a decoder that refills a row in place.
+    pub(crate) fn values_mut(&mut self) -> &mut Vec<Datum> {
+        &mut self.values
+    }
+
     pub fn iter(&self) -> std::slice::Iter<'_, Datum> {
         self.values.iter()
     }

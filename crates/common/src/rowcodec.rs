@@ -10,8 +10,10 @@
 
 use crate::datum::{Datum, DatumRef, DatumType};
 use crate::error::{ClydeError, Result};
+use crate::hash::FxHashSet;
 use crate::row::Row;
 use crate::varint;
+use std::sync::Arc;
 
 const TAG_NULL: u8 = 0;
 const TAG_I32: u8 = 1;
@@ -123,6 +125,59 @@ pub fn read_row(buf: &[u8], pos: &mut usize) -> Result<Row> {
         row.push(read_datum(buf, pos)?);
     }
     Ok(row)
+}
+
+/// Strings a decoder has made, handed out again for equal bytes instead of
+/// allocated again, so the rows it decodes share them. Keeps at most
+/// [`StrPool::CAPACITY`] distinct strings; past that, new ones are made
+/// and not kept.
+#[derive(Default)]
+pub struct StrPool {
+    strings: FxHashSet<Arc<str>>,
+}
+
+impl StrPool {
+    pub const CAPACITY: usize = 4096;
+
+    pub fn get(&mut self, s: &str) -> Arc<str> {
+        if let Some(kept) = self.strings.get(s) {
+            return Arc::clone(kept);
+        }
+        let made: Arc<str> = Arc::from(s);
+        if self.strings.len() < StrPool::CAPACITY {
+            self.strings.insert(Arc::clone(&made));
+        }
+        made
+    }
+}
+
+/// [`read_row`] into an existing row, replacing its fields: a row reused
+/// across decodes keeps its allocation, and takes its strings from
+/// `strings` (a string equal to the one already in its slot is kept as
+/// is). An empty row gets [`read_row`]'s spare slot. On error `row` holds
+/// an unspecified prefix of fields.
+pub fn read_row_into(
+    buf: &[u8],
+    pos: &mut usize,
+    row: &mut Row,
+    strings: &mut StrPool,
+) -> Result<()> {
+    let n = read_arity(buf, pos)?;
+    let fields = row.values_mut();
+    fields.truncate(n);
+    fields.reserve((n + 1).saturating_sub(fields.len()));
+    for i in 0..n {
+        let datum = match (read_datum_ref(buf, pos)?, fields.get(i)) {
+            (DatumRef::Str(s), Some(Datum::Str(have))) if **have == *s => continue,
+            (DatumRef::Str(s), _) => Datum::Str(strings.get(s)),
+            (other, _) => other.to_datum(),
+        };
+        match fields.get_mut(i) {
+            Some(slot) => *slot = datum,
+            None => fields.push(datum),
+        }
+    }
+    Ok(())
 }
 
 /// Serialize a sequence of rows to a single buffer (count-prefixed).
@@ -289,6 +344,61 @@ mod tests {
         }
         buf.push(0xAB);
         assert!(read_rows_borrowed(&buf).is_err());
+    }
+
+    #[test]
+    fn read_row_into_refills_a_row_like_read_row_and_shares_equal_strings() {
+        let rows = [
+            row![1i32, "ASIA", 2.5f64],
+            row![2i64, "ASIA"],
+            Row::new(vec![Datum::Null, Datum::str("EUROPE"), Datum::I32(3)]),
+            Row::empty(),
+            row!["EUROPE", "ASIA", 4i64, 5i64],
+        ];
+        let buf = write_rows(&rows);
+        let mut pos = 0;
+        varint::read_u64(&buf, &mut pos).unwrap();
+        let mut strings = StrPool::default();
+        let mut row = row![9i64, "stale", 1.0f64, "left over", 0i32];
+        let mut decoded = Vec::new();
+        for expect in &rows {
+            read_row_into(&buf, &mut pos, &mut row, &mut strings).unwrap();
+            assert_eq!(format!("{row:?}"), format!("{expect:?}"));
+            decoded.push(row.clone());
+        }
+        assert_eq!(pos, buf.len());
+        // Every "ASIA" is one allocation, and so is every "EUROPE".
+        let same = |a: &Row, i: usize, b: &Row, j: usize| match (a.get(i), b.get(j)) {
+            (Some(Datum::Str(x)), Some(Datum::Str(y))) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        assert!(same(&decoded[0], 1, &decoded[1], 1));
+        assert!(same(&decoded[0], 1, &decoded[4], 1));
+        assert!(same(&decoded[2], 1, &decoded[4], 0));
+        // A fresh row gets the spare slot `read_row` reserves.
+        let mut fresh = Row::empty();
+        read_row_into(
+            &write_rows(&[row![1i32, 2i32]]),
+            &mut 1,
+            &mut fresh,
+            &mut strings,
+        )
+        .unwrap();
+        assert_eq!(fresh, row![1i32, 2i32]);
+        fresh.push(Datum::I32(3));
+        assert_eq!(fresh.len(), 3);
+    }
+
+    #[test]
+    fn a_full_string_pool_still_decodes() {
+        let mut strings = StrPool::default();
+        for i in 0..StrPool::CAPACITY + 10 {
+            assert_eq!(&*strings.get(&i.to_string()), i.to_string());
+        }
+        let kept = strings.get("0");
+        assert!(Arc::ptr_eq(&kept, &strings.get("0")));
+        let past = (StrPool::CAPACITY + 20).to_string();
+        assert!(!Arc::ptr_eq(&strings.get(&past), &strings.get(&past)));
     }
 
     #[test]

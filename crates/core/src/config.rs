@@ -144,8 +144,9 @@ impl Features {
 // four names it spells survive, inert: the `Features::dict_predicates` field
 // above, the two items below, and the unused eighth argument of
 // `probe::probe_block_vec`. Outside this crate it also keeps
-// `clyde_mapred::task::MapOutputBuffer::into_records`, which hands out
-// byte-vector keys where the engine's shuffle uses `shuffle::Key`. ROADMAP
+// `clyde_mapred::task::MapOutputBuffer::into_records`, which decodes the
+// serialized map output into `(Vec<u8>, Row)` records, and the row-record
+// functions of `clyde_mapred::shuffle` the replay runs on them. ROADMAP
 // lists them for the next benchmark PR to drop together with the replay
 // lines that name them.
 // ---------------------------------------------------------------------------

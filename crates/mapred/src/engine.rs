@@ -27,14 +27,14 @@ use crate::history;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile};
 use crate::scheduler::{self, JobSchedule};
-use crate::shuffle::{self, Key};
+use crate::shuffle::{self, PartWriter, Reducer, Run};
 use crate::task::{
     MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, ResidentStats,
     ResidentStore, TaskIo,
 };
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{catalog as series, Obs, Phase, SpanKind, TaskKind, WallTimer};
-use clyde_common::{keycodec, rowcodec, ClydeError, Result, Row};
+use clyde_common::{rowcodec, ClydeError, Result, Row};
 use clyde_dfs::IoScope;
 use clyde_dfs::{CacheEntry, ClusterSpec, Dfs, IoSnapshot, NodeId, NodeLocalStore};
 use std::sync::Arc;
@@ -54,14 +54,12 @@ pub struct ClientArtifacts {
     pub build_rows: u64,
 }
 
-/// One sorted (and combined) run of map output for one reducer.
-type Run = Vec<(Key, Row)>;
-
 /// Output of one executed map task, waiting for the shuffle.
 struct TaskOutput {
-    /// One run per reducer, in reducer order; a map-only job's records, in
-    /// emit order, as one run (none once written to the DFS).
+    /// One serialized run per reducer, in reducer order.
     runs: Vec<Run>,
+    /// A map-only job's rows, in emit order, when they are kept in memory.
+    rows: Vec<Row>,
     /// Encoded key plus value bytes of `runs`, for a job with reducers.
     shuffle_bytes: u64,
     cost: TaskCost,
@@ -219,28 +217,25 @@ impl MapTaskEnv<'_> {
         task_cost.zone_checked += io.stats.zone_checked();
         task_cost.zone_skipped += io.stats.zone_skipped();
 
-        let records = Arc::try_unwrap(out)
+        let output = Arc::try_unwrap(out)
             .map_err(|_| ClydeError::MapReduce("collector leaked out of the map task".into()))?
-            .into_keyed();
+            .into_output();
 
         let mut output_file = None;
         let mut runs = Vec::new();
+        let mut rows = Vec::new();
         let mut shuffle_bytes = 0;
         if self.map_only {
             match &self.spec.output {
-                OutputSpec::Memory => runs.push(records),
+                OutputSpec::Memory => rows = output.into_rows()?,
                 OutputSpec::DfsDir(dir) => {
-                    let rows: Vec<Row> = records
-                        .into_iter()
-                        .map(|(k, v)| map_output_row(k.as_bytes(), v))
-                        .collect::<Result<_>>()?;
                     let path = format!("{dir}/part-m-{task_idx:05}");
                     // A previous attempt may have died between committing its
                     // file and reporting success; re-attempts supersede it.
                     if self.dfs.exists(&path) {
                         self.dfs.delete(&path)?;
                     }
-                    let payload = rowcodec::write_rows(&rows);
+                    let payload = output.into_part_file()?;
                     task_cost.output_bytes += payload.len() as u64;
                     self.dfs.write_file(&path, None, &payload)?;
                     output_file = Some(path);
@@ -249,23 +244,17 @@ impl MapTaskEnv<'_> {
         } else {
             // Map-side spill: partition by reducer, then sort (and combine)
             // each partition, here on the map task's own thread.
-            runs = shuffle::partition_records(records, self.spec.num_reducers.max(1))?;
-            for run in runs.iter_mut().filter(|run| !run.is_empty()) {
-                shuffle::sort_records(run);
-                if let Some(comb) = &self.spec.combiner {
-                    task_cost.combine_input_records += run.len() as u64;
-                    *run = shuffle::combine_sorted(std::mem::take(run), &**comb)?;
-                    task_cost.combine_output_records += run.len() as u64;
-                }
-                shuffle_bytes += run
-                    .iter()
-                    .map(|(k, v)| (k.len() + v.heap_size()) as u64)
-                    .sum::<u64>();
-            }
+            let spill =
+                output.spill(self.spec.num_reducers.max(1), self.spec.combiner.as_deref())?;
+            task_cost.combine_input_records += spill.combine_input_records;
+            task_cost.combine_output_records += spill.combine_output_records;
+            runs = spill.runs;
+            shuffle_bytes = spill.shuffle_bytes;
         }
 
         Ok(TaskOutput {
             runs,
+            rows,
             shuffle_bytes,
             cost: task_cost,
             node,
@@ -869,8 +858,8 @@ impl Engine {
 
     /// Shuffle and reduce: a map-only job just gathers its tasks' output;
     /// otherwise each reducer takes its run from every task, in task order,
-    /// merges the runs and reduces them, and the result is collected or
-    /// written to the DFS.
+    /// and the reduce wave merges and reduces them. Rows, part files and
+    /// task profiles are assembled in reducer order.
     fn shuffle_and_reduce(
         &self,
         spec: &JobSpec,
@@ -879,17 +868,9 @@ impl Engine {
     ) -> Result<Reduced> {
         let mut out = Reduced::default();
         let Some(reducer) = spec.reducer.as_ref() else {
-            match &spec.output {
-                OutputSpec::Memory => {
-                    for t in map_outputs.iter_mut() {
-                        for (k, v) in std::mem::take(&mut t.runs).into_iter().flatten() {
-                            out.rows.push(map_output_row(k.as_bytes(), v)?);
-                        }
-                    }
-                }
-                OutputSpec::DfsDir(_) => out
-                    .output_files
-                    .extend(map_outputs.iter_mut().filter_map(|t| t.output_file.take())),
+            for t in map_outputs.iter_mut() {
+                out.rows.append(&mut t.rows);
+                out.output_files.extend(t.output_file.take());
             }
             return Ok(out);
         };
@@ -908,7 +889,7 @@ impl Engine {
 
         // Reducers planned for a node that died mid-job fail over to the
         // next live node (deterministic round-robin walk).
-        let reduce_nodes = scheduler::assign_reduce_tasks(num_reducers, cluster)
+        let reduce_nodes: Vec<NodeId> = scheduler::assign_reduce_tasks(num_reducers, cluster)
             .into_iter()
             .map(|node| {
                 if self.dfs.is_node_alive(node) {
@@ -919,29 +900,33 @@ impl Engine {
                         .find(|c| self.dfs.is_node_alive(*c))
                         .unwrap_or(node)
                 }
-            });
-        for ((r, node), task_runs) in reduce_nodes.enumerate().zip(runs) {
-            let wall_start = WallTimer::start();
-            let mut cost = TaskCost::new();
-            cost.merge_runs = task_runs.len() as u64;
-            let merged = shuffle::merge_sorted_runs(task_runs);
-            cost.deser_rows = merged.len() as u64;
-            let mut out_rows = Vec::new();
-            shuffle::reduce_sorted(&merged, &**reducer, &mut out_rows)?;
-            match &spec.output {
-                OutputSpec::Memory => out.rows.append(&mut out_rows),
-                OutputSpec::DfsDir(dir) => {
+            })
+            .collect();
+        let reduced = reduce_wave(spec, &**reducer, &runs, &reduce_nodes)?;
+        drop(runs);
+        // Commit in reducer order: the namenode numbers blocks in write
+        // order, and the fault plan picks replicas to corrupt by block id.
+        for ((r, node), task) in reduce_nodes.into_iter().enumerate().zip(reduced) {
+            let commit = WallTimer::start();
+            let ReduceTaskOutput {
+                mut rows,
+                part,
+                mut cost,
+                wall_ns,
+            } = task;
+            match (&spec.output, part) {
+                (OutputSpec::DfsDir(dir), Some(payload)) => {
                     let path = format!("{dir}/part-r-{r:05}");
-                    let payload = rowcodec::write_rows(&out_rows);
                     cost.output_bytes = payload.len() as u64;
                     self.dfs.write_file(&path, None, &payload)?;
                     out.output_files.push(path);
                 }
+                _ => out.rows.append(&mut rows),
             }
             out.reduce_tasks.push(TaskProfile {
                 node,
                 cost,
-                wall_ns: wall_start.elapsed_ns(),
+                wall_ns: wall_ns + commit.elapsed_ns(),
                 speculative: false,
             });
         }
@@ -1250,14 +1235,122 @@ pub(crate) fn publish_history(
     }
 }
 
-/// A map-only record as an output row: the key's fields, then the value's.
-/// Under the empty key — every mapjoin stage — that is the value itself,
-/// moved rather than copied.
-fn map_output_row(key: &[u8], value: Row) -> Result<Row> {
-    if key.is_empty() {
-        return Ok(value);
+/// One reduce task's hand-off from its worker to the commit.
+struct ReduceTaskOutput {
+    /// Output rows, for a job whose output stays in memory.
+    rows: Vec<Row>,
+    /// The part file's bytes, for a job writing to a DFS directory.
+    part: Option<Vec<u8>>,
+    cost: TaskCost,
+    /// Measured wall-clock of the merge and reduce (observability-only).
+    wall_ns: u64,
+}
+
+/// The reduce wave: one worker per node runs that node's reduce tasks in
+/// reducer order, the way the first map wave runs map tasks; the calling
+/// thread takes the first node's queue itself, so a one-reducer job spawns
+/// no thread. A task that fails or panics ends its node's queue, and the
+/// error returned is the lowest-numbered failed reducer's, however the
+/// workers are timed. Outputs come back in reducer order.
+fn reduce_wave(
+    spec: &JobSpec,
+    reducer: &dyn Reducer,
+    runs: &[Vec<Run>],
+    nodes: &[NodeId],
+) -> Result<Vec<ReduceTaskOutput>> {
+    let mut queues: Vec<(NodeId, Vec<usize>)> = Vec::new();
+    for (r, node) in nodes.iter().enumerate() {
+        match queues.iter_mut().find(|(n, _)| n == node) {
+            Some((_, queue)) => queue.push(r),
+            None => queues.push((*node, vec![r])),
+        }
     }
-    Ok(keycodec::decode_row(key)?.concat(&value))
+    queues.sort_by_key(|(node, _)| *node);
+    let run_queue = |node: NodeId, queue: &[usize]| {
+        let mut done = Vec::with_capacity(queue.len());
+        for &r in queue {
+            let task_runs = runs.get(r).map(Vec::as_slice).unwrap_or_default();
+            let task = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                reduce_task(spec, reducer, task_runs)
+            }))
+            .unwrap_or_else(|_| {
+                Err(ClydeError::MapReduce(format!(
+                    "reduce task {r} on node {} panicked",
+                    node.0
+                )))
+            });
+            let failed = task.is_err();
+            done.push((r, task));
+            if failed {
+                break;
+            }
+        }
+        done
+    };
+    let run_queue = &run_queue;
+    let mut queues = queues.into_iter();
+    let first = queues.next();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D004 audit: one worker per node drains that node's reduce queue; \
+                  results come back through join handles and are ordered by reducer"
+    )]
+    let mut done = std::thread::scope(|scope| {
+        let workers: Vec<_> = queues
+            .map(|(node, queue)| {
+                let head = queue.first().copied().unwrap_or_default();
+                (node, head, scope.spawn(move || run_queue(node, &queue)))
+            })
+            .collect();
+        let mut done = first.map_or_else(Vec::new, |(node, queue)| run_queue(node, &queue));
+        for (node, head, worker) in workers {
+            match worker.join() {
+                Ok(tasks) => done.extend(tasks),
+                Err(_) => done.push((
+                    head,
+                    Err(ClydeError::MapReduce(format!(
+                        "reduce worker of node {} panicked",
+                        node.0
+                    ))),
+                )),
+            }
+        }
+        done
+    });
+    done.sort_by_key(|(r, _)| *r);
+    done.into_iter().map(|(_, task)| task).collect()
+}
+
+/// One reduce task: merge and reduce its runs, encoding each key's output
+/// rows into the part file as soon as they are produced when the output
+/// goes to the DFS.
+fn reduce_task(spec: &JobSpec, reducer: &dyn Reducer, runs: &[Run]) -> Result<ReduceTaskOutput> {
+    let wall_start = WallTimer::start();
+    let mut cost = TaskCost::new();
+    cost.merge_runs = runs.len() as u64;
+    cost.deser_rows = runs.iter().map(Run::records).sum();
+    let mut rows = Vec::new();
+    let part = match &spec.output {
+        OutputSpec::Memory => {
+            shuffle::reduce_runs(runs, reducer, &mut rows, |_| {})?;
+            None
+        }
+        OutputSpec::DfsDir(_) => {
+            let mut part = PartWriter::default();
+            shuffle::reduce_runs(runs, reducer, &mut rows, |out| {
+                for row in out.drain(..) {
+                    part.push(&row);
+                }
+            })?;
+            Some(part.finish())
+        }
+    };
+    Ok(ReduceTaskOutput {
+        rows,
+        part,
+        cost,
+        wall_ns: wall_start.elapsed_ns(),
+    })
 }
 
 #[cfg(test)]
@@ -1399,6 +1492,101 @@ mod tests {
             matches!(&err, ClydeError::MapReduce(m) if m.contains("panicked")),
             "{err:?}"
         );
+    }
+
+    /// A job over keys 0..13 whose reducer fails on every key in `failing`
+    /// — by panicking when `panics`, else with an error naming the key.
+    fn failing_reduce_job(failing: &'static [i64], panics: bool, reducers: usize) -> JobSpec {
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 13)], v);
+            Ok(())
+        }));
+        let mut spec = JobSpec::new(
+            "failing-reduce",
+            Arc::new(VecInputFormat::new(
+                (0..39i64).map(|i| row![i]).collect(),
+                3,
+            )),
+            Arc::new(mapper),
+        );
+        spec.reducer = Some(Arc::new(FnReducer(
+            move |key: &Row, values: &[&Row], out: &mut Vec<Row>| {
+                let k = key.at(0).as_i64().unwrap();
+                if failing.contains(&k) {
+                    assert!(!panics, "reduce bug at key {k}");
+                    return Err(ClydeError::MapReduce(format!("reduce failed at key {k}")));
+                }
+                out.push(row![k, values.len() as i64]);
+                Ok(())
+            },
+        )));
+        spec.num_reducers = reducers;
+        spec
+    }
+
+    /// The reducer a key goes to.
+    fn reducer_of(k: i64, reducers: usize) -> usize {
+        crate::shuffle::partition_of(&crate::shuffle::Key::encode(&[Datum::I64(k)]), reducers)
+    }
+
+    #[test]
+    fn a_panicking_reducer_is_a_typed_error_naming_its_node() {
+        for reducers in [1, 3] {
+            let engine = Engine::new(Dfs::for_tests(3));
+            let err = engine
+                .run_job(&failing_reduce_job(&[5], true, reducers))
+                .unwrap_err();
+            let r = reducer_of(5, reducers);
+            let node = scheduler::assign_reduce_tasks(reducers, engine.dfs().cluster())[r];
+            assert_eq!(
+                err.to_string(),
+                ClydeError::MapReduce(format!("reduce task {r} on node {} panicked", node.0))
+                    .to_string()
+            );
+        }
+    }
+
+    #[test]
+    fn the_lowest_failed_reducers_error_is_reported_on_every_run() {
+        // Two failing keys, one at each of two different reducers when
+        // there are three; at one reducer both go to reducer 0, which
+        // fails at the lesser key first.
+        let failing: &'static [i64] = &[4, 9];
+        assert_ne!(reducer_of(4, 3), reducer_of(9, 3));
+        for reducers in [1, 3] {
+            let first = failing
+                .iter()
+                .copied()
+                .min_by_key(|&k| (reducer_of(k, reducers), k))
+                .unwrap();
+            let engine = Engine::new(Dfs::for_tests(3));
+            for _ in 0..20 {
+                let err = engine
+                    .run_job(&failing_reduce_job(failing, false, reducers))
+                    .unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    ClydeError::MapReduce(format!("reduce failed at key {first}")).to_string(),
+                    "{reducers} reducers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_engine_runs_the_next_job_after_a_reduce_wave_fails() {
+        let engine = Engine::new(Dfs::for_tests(3));
+        for panics in [false, true] {
+            assert!(engine
+                .run_job(&failing_reduce_job(&[2, 7], panics, 3))
+                .is_err());
+            let mut rows = engine
+                .run_job(&failing_reduce_job(&[], panics, 3))
+                .unwrap()
+                .rows;
+            rows.sort();
+            assert_eq!(rows, (0..13i64).map(|k| row![k, 3i64]).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use crate::conf::JobConf;
 use crate::input::{InputFormat, InputSplit, Reader, RecordReader, SplitSpec};
 use crate::task::TaskIo;
-use clyde_common::{rowcodec, ClydeError, Result, Row};
+use bytes::Bytes;
+use clyde_common::rowcodec::{self, StrPool};
+use clyde_common::{varint, ClydeError, Result, Row};
 use clyde_dfs::Dfs;
 use std::sync::Arc;
 
@@ -60,21 +62,46 @@ impl InputFormat for RowBinInputFormat {
             return Err(ClydeError::MapReduce("unexpected split spec".into()));
         };
         let data = io.read_file(path)?;
-        let rows = rowcodec::read_rows(&data)?;
-        Ok(Reader::Rows(Box::new(RowVecReader {
-            rows: rows.into_iter(),
-        })))
+        Ok(Reader::Rows(Box::new(RowBinReader::new(data)?)))
     }
 }
 
-/// Hands out a decoded row-binary file's rows by moving them out.
-struct RowVecReader {
-    rows: std::vec::IntoIter<Row>,
+/// Decodes a row-binary file one row per [`RecordReader::next`]: the rows
+/// [`rowcodec::read_rows`] returns, in order, erring where it errs.
+struct RowBinReader {
+    data: Bytes,
+    pos: usize,
+    /// Rows of the count prefix not yet read.
+    left: u64,
+    /// The file's rows share their equal strings.
+    strings: StrPool,
 }
 
-impl RecordReader for RowVecReader {
+impl RowBinReader {
+    fn new(data: Bytes) -> Result<RowBinReader> {
+        let mut pos = 0;
+        let left = varint::read_u64(&data, &mut pos)?;
+        Ok(RowBinReader {
+            data,
+            pos,
+            left,
+            strings: StrPool::default(),
+        })
+    }
+}
+
+impl RecordReader for RowBinReader {
     fn next(&mut self) -> Result<Option<(Row, Row)>> {
-        Ok(self.rows.next().map(|row| (Row::empty(), row)))
+        if self.left == 0 {
+            return match self.data.len().saturating_sub(self.pos) {
+                0 => Ok(None),
+                n => Err(ClydeError::Format(format!("rowcodec: {n} trailing bytes"))),
+            };
+        }
+        self.left -= 1;
+        let mut row = Row::empty();
+        rowcodec::read_row_into(&self.data, &mut self.pos, &mut row, &mut self.strings)?;
+        Ok(Some((Row::empty(), row)))
     }
 }
 
@@ -379,5 +406,86 @@ mod tests {
         );
         let err = engine.run_job(&spec).unwrap_err();
         assert!(err.to_string().contains("injected failure"));
+    }
+
+    /// Varied rows as a written part file: strings (one empty, one
+    /// repeated), NULLs, `f64`, both integer widths, an empty row.
+    fn part_file() -> Vec<u8> {
+        rowcodec::write_rows(&[
+            row![7i32, "ASIA", 2.5f64],
+            Row::new(vec![Datum::Null, Datum::str(""), Datum::I64(-1 << 40)]),
+            Row::empty(),
+            row!["ASIA", -0.5f64],
+        ])
+    }
+
+    /// Drain `bytes`, stored as the only part file of a directory, through
+    /// `RowBinInputFormat::open` and `next`.
+    fn read_through_format(dfs: &Arc<Dfs>, bytes: &[u8]) -> Result<Vec<Row>> {
+        let path = "/rowbin/part-00000";
+        if dfs.exists(path) {
+            dfs.delete(path)?;
+        }
+        dfs.write_file(path, None, bytes)?;
+        let fmt = RowBinInputFormat::new("/rowbin");
+        let split = fmt
+            .splits(dfs, &JobConf::new())?
+            .into_iter()
+            .next()
+            .unwrap();
+        let io = TaskIo::new(Arc::clone(dfs), clyde_dfs::NodeId(0));
+        let mut reader = fmt.open(&split, 0, &io)?.into_rows()?;
+        let mut rows = Vec::new();
+        while let Some((_, row)) = reader.next()? {
+            rows.push(row);
+        }
+        Ok(rows)
+    }
+
+    /// The streaming reader errs exactly when `read_rows` does, and
+    /// otherwise yields its rows in order (Debug, not ==: Datum equality
+    /// coerces I32/I64).
+    fn reads_like_read_rows(dfs: &Arc<Dfs>, bytes: &[u8]) -> std::result::Result<(), String> {
+        match (rowcodec::read_rows(bytes), read_through_format(dfs, bytes)) {
+            (Ok(a), Ok(b)) if format!("{a:?}") == format!("{b:?}") => Ok(()),
+            (Err(_), Err(_)) => Ok(()),
+            (a, b) => Err(format!("{bytes:02x?}: read_rows {a:?}, format {b:?}")),
+        }
+    }
+
+    #[test]
+    fn rowbin_reads_every_truncation_and_bit_flip_like_read_rows() {
+        let dfs = Dfs::for_tests(1);
+        let file = part_file();
+        reads_like_read_rows(&dfs, &file).unwrap();
+        for cut in 0..file.len() {
+            reads_like_read_rows(&dfs, &file[..cut]).unwrap();
+        }
+        for bit in 0..file.len() * 8 {
+            let mut flipped = file.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            reads_like_read_rows(&dfs, &flipped).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rowbin_reads_arbitrary_bytes_like_read_rows(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            spliced in proptest::prelude::any::<bool>(),
+        ) {
+            // Half the cases are the written file with the bytes appended,
+            // so the rows parse and the tail is what varies.
+            let bytes = if spliced {
+                let mut file = part_file();
+                file.extend_from_slice(&bytes);
+                file
+            } else {
+                bytes
+            };
+            let dfs = Dfs::for_tests(1);
+            let agreed = reads_like_read_rows(&dfs, &bytes);
+            proptest::prop_assert!(agreed.is_ok(), "{:?}", agreed);
+        }
     }
 }

@@ -1,24 +1,31 @@
 //! The sort-based shuffle: partitioning, sorting, combining, grouping.
 //!
-//! Map outputs are (encoded key, value) records. A key is a [`Key`]: the
-//! order-preserving encoding of the emitted datums, held inline up to
-//! [`Key::INLINE`] bytes (every join key and most group keys) and boxed
-//! beyond, so a record is the same 48 bytes a `(Vec<u8>, Row)` is and a
-//! short key costs no allocation. Each map task partitions its own records
-//! by key hash, sorts each partition by key bytes (which, thanks to the
-//! order-preserving codec, equals logical key order) and optionally runs a
-//! combiner over it — Hadoop's map-side spill. Each reducer then merges its
-//! partition's runs in task order and groups runs of equal keys.
+//! Map output is serialized when it is emitted, as Hadoop's map-side sort
+//! buffer does: a [`MapOutput`] holds each record's encoded key and its
+//! value's [`rowcodec`] bytes, and the emitted `Row` is freed on the spot.
+//! A key is a [`Key`]: the order-preserving encoding of the emitted datums,
+//! held inline up to [`Key::INLINE`] bytes (every join key and most group
+//! keys) and boxed beyond. Each map task partitions its records by key
+//! hash, stably sorts each partition by key bytes (which, thanks to the
+//! order-preserving codec, equals logical key order), optionally runs a
+//! combiner over it, and writes each partition as one serialized [`Run`] —
+//! Hadoop's map-side spill. Each reducer then merges its runs stably by
+//! (key, task order) and decodes each key's values into rows it reuses
+//! from group to group, which it lends to the [`Reducer`].
 //!
-//! Every function here is generic over the key: the engine runs them on
-//! [`Key`], and any `Ord + AsRef<[u8]>` byte string (a `Vec<u8>`) goes
-//! through the same body.
+//! The row-record functions ([`sort_records`], [`combine_sorted`],
+//! [`merge_sorted_runs`], [`reduce_sorted`]) work on `(key, Row)` records
+//! and are generic over the key; the engine no longer calls them, and they
+//! are kept for the frozen benchmark replay (DESIGN.md, "Frozen-benchmark
+//! shims").
 
 use clyde_common::hash::FxHasher;
 use clyde_common::keycodec::{self, KeySink};
-use clyde_common::{ClydeError, Datum, Result, Row};
+use clyde_common::rowcodec::{self, StrPool};
+use clyde_common::{varint, ClydeError, Datum, Result, Row};
 use std::cmp::Ordering;
 use std::hash::Hasher;
+use std::ops::Range;
 
 /// An encoded shuffle key: up to [`Key::INLINE`] bytes in place, longer
 /// ones boxed. It orders, compares and partitions exactly as its bytes do.
@@ -141,9 +148,10 @@ impl std::fmt::Debug for Key {
 
 /// Reduce (and combine) function: all values of one key.
 ///
-/// The reducer *borrows*: `values` points into the merged run the shuffle
-/// owns, so a reducer that keeps a value past the call clones it, and one
-/// that only reads fields (a fold, a join) copies nothing.
+/// The reducer *borrows*: `values` are rows the shuffle decoded the key's
+/// values into and reuses for the next key, so a reducer that keeps a
+/// value past the call clones it, and one that only reads fields (a fold,
+/// a join) copies nothing.
 pub trait Reducer: Send + Sync {
     /// `key` is the decoded grouping key; `values` are that key's values in
     /// map-output order (stable sort). Emit output rows through `out`.
@@ -170,36 +178,6 @@ pub fn partition_of<K: AsRef<[u8]> + ?Sized>(key: &K, partitions: usize) -> usiz
     let mut h = FxHasher::default();
     h.write(key.as_ref());
     (h.finish() % partitions as u64) as usize
-}
-
-/// Split one map task's records into one run per reducer, each in the
-/// records' order (a stable partition), each allocated at its final size.
-/// Sorting a stably partitioned run gives the records a stable sort of the
-/// whole output would have sent that reducer.
-pub fn partition_records<K: AsRef<[u8]>>(
-    records: Vec<(K, Row)>,
-    partitions: usize,
-) -> Result<Vec<Vec<(K, Row)>>> {
-    if partitions <= 1 {
-        return Ok(vec![records]);
-    }
-    let ids: Vec<usize> = records
-        .iter()
-        .map(|(k, _)| partition_of(k, partitions))
-        .collect();
-    let mut sizes = vec![0usize; partitions];
-    for &p in &ids {
-        if let Some(size) = sizes.get_mut(p) {
-            *size += 1;
-        }
-    }
-    let mut runs: Vec<Vec<(K, Row)>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for (p, record) in ids.into_iter().zip(records) {
-        runs.get_mut(p)
-            .ok_or_else(|| ClydeError::MapReduce(format!("partition {p} out of range")))?
-            .push(record);
-    }
-    Ok(runs)
 }
 
 /// Sort records by key bytes (stable, preserving map-output value order
@@ -267,6 +245,387 @@ pub fn merge_sorted_runs<K: Ord>(runs: Vec<Vec<(K, Row)>>) -> Vec<(K, Row)> {
     let mut out: Vec<(K, Row)> = runs.into_iter().flatten().collect();
     sort_records(&mut out);
     out
+}
+
+/// One map task's output, serialized as it was emitted: each record's
+/// encoded key, and its value's [`rowcodec::write_row`] bytes, back to back
+/// in emit order.
+#[derive(Default)]
+pub(crate) struct MapOutput {
+    records: Vec<Record>,
+    values: Vec<u8>,
+    /// Key length plus value heap size, summed over the records as they
+    /// were emitted: the priced shuffle bytes of an uncombined task.
+    priced: u64,
+}
+
+/// A record of a [`MapOutput`]: its key, the reducer it goes to (set at
+/// spill), and where its value's bytes are.
+struct Record {
+    key: Key,
+    partition: usize,
+    value: Range<usize>,
+}
+
+/// What a map task's spill hands the shuffle: one run per reducer, in
+/// reducer order, and the counters the spill priced.
+pub(crate) struct Spill {
+    pub runs: Vec<Run>,
+    /// Key length plus value heap size of every record in `runs`.
+    pub shuffle_bytes: u64,
+    pub combine_input_records: u64,
+    pub combine_output_records: u64,
+}
+
+impl MapOutput {
+    /// Append a record: `value` is encoded here, and its priced size taken
+    /// from the row before the caller drops it.
+    pub fn push(&mut self, key: Key, value: &Row) {
+        self.priced += (key.len() + value.heap_size()) as u64;
+        let start = self.values.len();
+        rowcodec::write_row(&mut self.values, value);
+        self.records.push(Record {
+            key,
+            partition: 0,
+            value: start..self.values.len(),
+        });
+    }
+
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    fn value(&self, record: &Record) -> Result<&[u8]> {
+        self.values
+            .get(record.value.clone())
+            .ok_or_else(|| ClydeError::MapReduce("map output value out of range".into()))
+    }
+
+    /// A record's value, decoded into `row`.
+    fn decode(&self, record: &Record, row: &mut Row, strings: &mut StrPool) -> Result<()> {
+        rowcodec::read_row_into(self.value(record)?, &mut 0, row, strings)
+    }
+
+    /// The records, in emit order, each value decoded.
+    pub fn into_records(self) -> Result<Vec<(Key, Row)>> {
+        let mut strings = StrPool::default();
+        self.records
+            .iter()
+            .map(|r| {
+                let mut value = Row::empty();
+                self.decode(r, &mut value, &mut strings)?;
+                Ok((r.key.clone(), value))
+            })
+            .collect()
+    }
+
+    /// A map-only task's output rows, in emit order: each record's key
+    /// fields, then its value's. Under the empty key — every mapjoin stage
+    /// — that is the value itself.
+    pub fn into_rows(self) -> Result<Vec<Row>> {
+        let mut strings = StrPool::default();
+        self.records
+            .iter()
+            .map(|r| {
+                let mut value = Row::empty();
+                self.decode(r, &mut value, &mut strings)?;
+                output_row(r.key.as_bytes(), value)
+            })
+            .collect()
+    }
+
+    /// A map-only task's output as a row-binary part file: the bytes
+    /// [`rowcodec::write_rows`] writes for [`MapOutput::into_rows`]. A
+    /// record under the empty key is copied as it was encoded at emit.
+    pub fn into_part_file(self) -> Result<Vec<u8>> {
+        let mut file = Vec::with_capacity(self.values.len() + 10);
+        varint::write_u64(&mut file, self.records.len() as u64);
+        let mut strings = StrPool::default();
+        for r in &self.records {
+            if r.key.is_empty() {
+                file.extend_from_slice(self.value(r)?);
+            } else {
+                let mut value = Row::empty();
+                self.decode(r, &mut value, &mut strings)?;
+                rowcodec::write_row(&mut file, &output_row(r.key.as_bytes(), value)?);
+            }
+        }
+        Ok(file)
+    }
+
+    /// The map-side spill: stably sort the records by (reducer, key) and
+    /// write each reducer's records as one [`Run`], through `combiner`
+    /// when there is one.
+    pub fn spill(mut self, partitions: usize, combiner: Option<&dyn Reducer>) -> Result<Spill> {
+        let partitions = partitions.max(1);
+        if partitions > 1 {
+            for r in &mut self.records {
+                r.partition = partition_of(&r.key, partitions);
+            }
+        }
+        self.records
+            .sort_by(|a, b| (a.partition, a.key.as_bytes()).cmp(&(b.partition, b.key.as_bytes())));
+        let mut spill = Spill {
+            runs: (0..partitions).map(|_| Run::default()).collect(),
+            // A combiner's output is priced as it is written.
+            shuffle_bytes: if combiner.is_some() { 0 } else { self.priced },
+            combine_input_records: 0,
+            combine_output_records: 0,
+        };
+        let mut lender = Lender::default();
+        let mut combined = Vec::new();
+        for records in self.records.chunk_by(|a, b| a.partition == b.partition) {
+            let Some(run) = records
+                .first()
+                .and_then(|r| spill.runs.get_mut(r.partition))
+            else {
+                continue;
+            };
+            let Some(combiner) = combiner else {
+                // A one-byte key length is the common case.
+                run.bytes.reserve(
+                    records
+                        .iter()
+                        .map(|r| 1 + r.key.len() + r.value.len())
+                        .sum(),
+                );
+                for r in records {
+                    run.push_encoded(r.key.as_bytes(), self.value(r)?);
+                }
+                continue;
+            };
+            spill.combine_input_records += records.len() as u64;
+            for group in records.chunk_by(|a, b| a.key == b.key) {
+                let Some(key) = group.first().map(|r| &r.key) else {
+                    continue;
+                };
+                let mut values = group.iter();
+                lender.reduce(key.as_bytes(), combiner, &mut combined, |row, strings| {
+                    let Some(r) = values.next() else {
+                        return Ok(false);
+                    };
+                    self.decode(r, row, strings)?;
+                    Ok(true)
+                })?;
+                for row in combined.drain(..) {
+                    spill.shuffle_bytes += (key.len() + row.heap_size()) as u64;
+                    spill.combine_output_records += 1;
+                    run.push(key.as_bytes(), &row);
+                }
+            }
+        }
+        Ok(spill)
+    }
+}
+
+/// A map-only record as an output row: the key's fields, then the value's.
+fn output_row(key: &[u8], value: Row) -> Result<Row> {
+    if key.is_empty() {
+        return Ok(value);
+    }
+    Ok(keycodec::decode_row(key)?.concat(&value))
+}
+
+/// One map task's records for one reducer, in key order, serialized: each
+/// record is `varint(key length) ‖ key ‖ value row`.
+#[derive(Default)]
+pub(crate) struct Run {
+    bytes: Vec<u8>,
+    records: u64,
+}
+
+impl Run {
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Append a record whose value is already encoded.
+    pub fn push_encoded(&mut self, key: &[u8], value: &[u8]) {
+        self.push_key(key);
+        self.bytes.extend_from_slice(value);
+    }
+
+    fn push(&mut self, key: &[u8], value: &Row) {
+        self.push_key(key);
+        rowcodec::write_row(&mut self.bytes, value);
+    }
+
+    /// Start a record; its value follows.
+    fn push_key(&mut self, key: &[u8]) {
+        varint::write_u64(&mut self.bytes, key.len() as u64);
+        self.bytes.extend_from_slice(key);
+        self.records += 1;
+    }
+}
+
+/// A reader over a run's bytes: the head record's key, and its value
+/// decoded on request. Any byte string is read without panicking; what is
+/// not a run is an error.
+struct RunCursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    key: Option<&'a [u8]>,
+}
+
+impl<'a> RunCursor<'a> {
+    fn new(bytes: &'a [u8]) -> Result<RunCursor<'a>> {
+        let mut cursor = RunCursor {
+            bytes,
+            pos: 0,
+            key: None,
+        };
+        cursor.next_key()?;
+        Ok(cursor)
+    }
+
+    /// The head record's key; `None` once the run is used up.
+    fn key(&self) -> Option<&'a [u8]> {
+        self.key
+    }
+
+    /// Decode the head record's value into `row` (see
+    /// [`rowcodec::read_row_into`]) and step to the next record. After the
+    /// last record this is an error.
+    fn take_value(&mut self, row: &mut Row, strings: &mut StrPool) -> Result<()> {
+        rowcodec::read_row_into(self.bytes, &mut self.pos, row, strings)?;
+        self.next_key()
+    }
+
+    fn next_key(&mut self) -> Result<()> {
+        if self.pos >= self.bytes.len() {
+            self.key = None;
+            return Ok(());
+        }
+        let len = varint::read_u64(self.bytes, &mut self.pos)?;
+        let key = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.pos.checked_add(len))
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or_else(|| ClydeError::Format("shuffle run: truncated key".into()))?;
+        self.pos += key.len();
+        self.key = Some(key);
+        Ok(())
+    }
+}
+
+/// The reduce side of one reducer: merge `runs` (one per map task, in task
+/// order) stably by (key, run), and reduce each key's values. The reducer
+/// appends to `out`, and `after_group` sees `out` after every key.
+pub(crate) fn reduce_runs(
+    runs: &[Run],
+    reducer: &dyn Reducer,
+    out: &mut Vec<Row>,
+    mut after_group: impl FnMut(&mut Vec<Row>),
+) -> Result<()> {
+    let mut cursors: Vec<RunCursor<'_>> = runs
+        .iter()
+        .map(|run| RunCursor::new(&run.bytes))
+        .collect::<Result<_>>()?;
+    let mut lender = Lender::default();
+    // The least head key is the next group: each run whose head carries it
+    // gives up its records under that key, in run order.
+    while let Some(key) = cursors.iter().filter_map(RunCursor::key).min() {
+        let mut at = 0;
+        lender.reduce(key, reducer, out, |row, strings| {
+            while let Some(cursor) = cursors.get_mut(at) {
+                if cursor.key() == Some(key) {
+                    cursor.take_value(row, strings)?;
+                    return Ok(true);
+                }
+                at += 1;
+            }
+            Ok(false)
+        })?;
+        after_group(out);
+    }
+    Ok(())
+}
+
+/// Rows a key's values are decoded into, reused from key to key, and the
+/// references to them lent to a [`Reducer`].
+#[derive(Default)]
+struct Lender {
+    rows: Vec<Row>,
+    strings: StrPool,
+    /// Empty between calls; kept for its allocation.
+    refs: Vec<&'static Row>,
+}
+
+impl Lender {
+    /// Decode values with `next` (which fills the row it is given from the
+    /// lender's strings, and says whether it did) until there are none
+    /// left, then run `reducer` over them under the encoded `key`.
+    fn reduce(
+        &mut self,
+        key: &[u8],
+        reducer: &dyn Reducer,
+        out: &mut Vec<Row>,
+        mut next: impl FnMut(&mut Row, &mut StrPool) -> Result<bool>,
+    ) -> Result<()> {
+        let key = keycodec::decode_row(key)?;
+        let mut n = 0;
+        loop {
+            if n == self.rows.len() {
+                self.rows.push(Row::empty());
+            }
+            let filled = match self.rows.get_mut(n) {
+                Some(row) => next(row, &mut self.strings)?,
+                None => false,
+            };
+            if !filled {
+                break;
+            }
+            n += 1;
+        }
+        let mut refs = recycle(std::mem::take(&mut self.refs));
+        refs.extend(self.rows.iter().take(n));
+        let reduced = reducer.reduce(&key, &refs, out);
+        self.refs = recycle(refs);
+        reduced
+    }
+}
+
+/// An emptied vector of references with a new lifetime, keeping its
+/// allocation (the collect reuses the buffer in place).
+#[expect(
+    clippy::unnecessary_filter_map,
+    reason = "a filter keeps the references' lifetime; this re-types the emptied vector"
+)]
+fn recycle<'b>(mut refs: Vec<&Row>) -> Vec<&'b Row> {
+    refs.clear();
+    refs.into_iter().filter_map(|_| None).collect()
+}
+
+/// A row-binary part file built one row at a time: the bytes
+/// [`rowcodec::write_rows`] writes for the rows pushed, without holding
+/// the rows.
+#[derive(Default)]
+pub(crate) struct PartWriter {
+    body: Vec<u8>,
+    rows: u64,
+}
+
+impl PartWriter {
+    pub fn push(&mut self, row: &Row) {
+        rowcodec::write_row(&mut self.body, row);
+        self.rows += 1;
+    }
+
+    /// The file: the row count, then the rows.
+    pub fn finish(self) -> Vec<u8> {
+        let mut file = Vec::with_capacity(self.body.len() + 10);
+        varint::write_u64(&mut file, self.rows);
+        file.extend_from_slice(&self.body);
+        file
+    }
 }
 
 #[cfg(test)]
@@ -481,6 +840,197 @@ mod tests {
             let mut via_combiner = Vec::new();
             reduce_sorted(&combined, &Resummer, &mut via_combiner).unwrap();
             prop_assert_eq!(direct, via_combiner);
+        }
+    }
+
+    /// One map task's run for one reducer, through the engine's spill:
+    /// keys inline and boxed, values with strings, NULLs and `f64`.
+    fn written_run() -> Vec<u8> {
+        let mut out = MapOutput::default();
+        let long = Key::encode(&[Datum::str("a key longer than the inline limit")]);
+        out.push(Key::encode(&[Datum::I64(3)]), &row![7i32, "ASIA", 2.5f64]);
+        out.push(long.clone(), &Row::new(vec![Datum::Null, Datum::str("")]));
+        out.push(Key::encode(&[Datum::I64(-1)]), &Row::empty());
+        out.push(long, &row!["ASIA", -0.5f64]);
+        let mut spill = out.spill(1, None).unwrap();
+        assert_eq!(spill.runs.len(), 1);
+        std::mem::take(&mut spill.runs[0].bytes)
+    }
+
+    /// A run's records decoded one at a time with the plain readers: what
+    /// a [`RunCursor`] must agree with.
+    fn oracle(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Row)>> {
+        let mut pos = 0;
+        let mut records = Vec::new();
+        while pos < bytes.len() {
+            let len = varint::read_u64(bytes, &mut pos)?;
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| ClydeError::Format("truncated key".into()))?;
+            let key = bytes[pos..end].to_vec();
+            pos = end;
+            records.push((key, rowcodec::read_row(bytes, &mut pos)?));
+        }
+        Ok(records)
+    }
+
+    /// Drain a [`RunCursor`] over `bytes`, decoding every value into one
+    /// reused row.
+    fn drain(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Row)>> {
+        let mut cursor = RunCursor::new(bytes)?;
+        let (mut row, mut strings) = (Row::empty(), StrPool::default());
+        let mut records = Vec::new();
+        while let Some(key) = cursor.key() {
+            cursor.take_value(&mut row, &mut strings)?;
+            records.push((key.to_vec(), row.clone()));
+        }
+        assert!(cursor.take_value(&mut row, &mut strings).is_err());
+        Ok(records)
+    }
+
+    /// The cursor errs exactly when the oracle does and otherwise yields
+    /// its records; a reducer over the same bytes never panics.
+    fn decodes_like_the_oracle(bytes: &[u8]) -> std::result::Result<(), String> {
+        let run = Run {
+            bytes: bytes.to_vec(),
+            records: 1,
+        };
+        let count = FnReducer(|_: &Row, values: &[&Row], out: &mut Vec<Row>| {
+            out.push(row![values.len() as i64]);
+            Ok(())
+        });
+        let _ = reduce_runs(&[run], &count, &mut Vec::new(), |_| {});
+        match (oracle(bytes), drain(bytes)) {
+            (Ok(a), Ok(b)) if format!("{a:?}") == format!("{b:?}") => Ok(()),
+            (Err(_), Err(_)) => Ok(()),
+            (a, b) => Err(format!("{bytes:02x?}: oracle {a:?}, cursor {b:?}")),
+        }
+    }
+
+    #[test]
+    fn a_run_reads_every_truncation_and_bit_flip_like_the_oracle() {
+        let run = written_run();
+        assert_eq!(drain(&run).unwrap().len(), 4);
+        decodes_like_the_oracle(&run).unwrap();
+        for cut in 0..run.len() {
+            decodes_like_the_oracle(&run[..cut]).unwrap();
+        }
+        for bit in 0..run.len() * 8 {
+            let mut flipped = run.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decodes_like_the_oracle(&flipped).unwrap();
+        }
+    }
+
+    #[test]
+    fn spill_sorts_stably_by_reducer_then_key_and_reduce_merges_in_run_order() {
+        // Two tasks' outputs under three reducers: each reducer's merged
+        // groups must equal a stable sort of task 0's records, then task
+        // 1's, by key.
+        let records: Vec<Vec<(Vec<u8>, Row)>> = (0..2i64)
+            .map(|t| (0..40).map(|i| rec((i * 7 + t) % 9, t * 100 + i)).collect())
+            .collect();
+        let mut per_reducer: Vec<Vec<Run>> = (0..3).map(|_| Vec::new()).collect();
+        for task in &records {
+            let mut out = MapOutput::default();
+            for (k, v) in task {
+                out.push(Key::from_bytes(k), v);
+            }
+            let spill = out.spill(3, None).unwrap();
+            for (r, run) in spill.runs.into_iter().enumerate() {
+                per_reducer[r].push(run);
+            }
+        }
+        for (r, runs) in per_reducer.iter().enumerate() {
+            let mut expect: Vec<(Vec<u8>, Row)> = records
+                .iter()
+                .flatten()
+                .filter(|(k, _)| partition_of(k, 3) == r)
+                .cloned()
+                .collect();
+            sort_records(&mut expect);
+            let mut want = Vec::new();
+            reduce_sorted(&expect, &Lent, &mut want).unwrap();
+            let mut got = Vec::new();
+            reduce_runs(runs, &Lent, &mut got, |_| {}).unwrap();
+            assert_eq!(got, want, "reducer {r}");
+        }
+    }
+
+    /// Reports each group as its key followed by its values' first fields.
+    struct Lent;
+
+    impl Reducer for Lent {
+        fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
+            let mut seen = key.clone();
+            seen.extend(values.iter().map(|v| v.at(0).clone()));
+            out.push(seen);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn recycle_keeps_the_allocation() {
+        let rows = [row![1i64], row![2i64]];
+        let mut refs: Vec<&Row> = Vec::with_capacity(8);
+        refs.extend(rows.iter());
+        let at = refs.as_ptr() as usize;
+        let recycled: Vec<&'static Row> = recycle(refs);
+        assert!(recycled.is_empty());
+        assert_eq!(recycled.capacity(), 8);
+        assert_eq!(recycled.as_ptr() as usize, at);
+    }
+
+    proptest! {
+        #[test]
+        fn a_run_reads_arbitrary_bytes_like_the_oracle(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            spliced in any::<bool>(),
+        ) {
+            let bytes = if spliced {
+                let mut run = written_run();
+                run.extend_from_slice(&bytes);
+                run
+            } else {
+                bytes
+            };
+            let agreed = decodes_like_the_oracle(&bytes);
+            prop_assert!(agreed.is_ok(), "{:?}", agreed);
+        }
+
+        #[test]
+        fn combining_at_spill_never_changes_the_reduce_result(
+            pairs in proptest::collection::vec((0i64..6, any::<i16>()), 0..40),
+            reducers in 1usize..4,
+        ) {
+            let spill = |combiner: Option<&dyn Reducer>| {
+                let mut out = MapOutput::default();
+                for &(k, v) in &pairs {
+                    let (key, value) = rec(k, i64::from(v));
+                    out.push(Key::from_bytes(&key), &value);
+                }
+                out.spill(reducers, combiner).unwrap()
+            };
+            struct Resummer;
+            impl Reducer for Resummer {
+                fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
+                    let sum: i64 = values.iter().map(|v| v.at(v.len() - 1).as_i64().unwrap()).sum();
+                    out.push(key.concat(&row![sum]));
+                    Ok(())
+                }
+            }
+            let direct = spill(None);
+            let combined = spill(Some(&SumReducer));
+            prop_assert_eq!(direct.combine_input_records, 0);
+            prop_assert_eq!(combined.combine_input_records, pairs.len() as u64);
+            for (d, c) in direct.runs.iter().zip(&combined.runs) {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                reduce_runs(std::slice::from_ref(d), &Resummer, &mut a, |_| {}).unwrap();
+                reduce_runs(std::slice::from_ref(c), &Resummer, &mut b, |_| {}).unwrap();
+                prop_assert_eq!(a, b);
+            }
         }
     }
 }

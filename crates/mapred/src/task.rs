@@ -14,7 +14,7 @@ use crate::conf::JobConf;
 use crate::cost::TaskCost;
 use crate::distcache::DistCache;
 use crate::input::{InputFormat, InputSplit};
-use crate::shuffle::Key;
+use crate::shuffle::{Key, MapOutput};
 use bytes::Bytes;
 use clyde_common::hash::FxHasher;
 use clyde_common::lockorder::Mutex;
@@ -419,16 +419,17 @@ impl MemoryLedger {
 pub trait Collector: Send + Sync {
     /// Emit a (key, value) pair. The key is borrowed and encoded with the
     /// order-preserving codec so the shuffle can sort bytes; the value is
-    /// moved in and owned by the shuffle from here to the reducer, which
-    /// borrows it.
+    /// moved in, serialized, and dropped — from here to the reducer it is
+    /// bytes.
     fn collect(&self, key: &[Datum], value: Row);
 }
 
-/// The engine's map-output buffer: encoded keys plus values, in emit order.
-/// The map task partitions, sorts and combines them once the runner returns.
+/// The engine's map-output buffer: each record serialized as it is
+/// collected ([`MapOutput`]), in emit order. The map task partitions,
+/// sorts and combines it once the runner returns.
 #[derive(Default)]
 pub struct MapOutputBuffer {
-    records: Mutex<Vec<(Key, Row)>>,
+    output: Mutex<MapOutput>,
 }
 
 impl MapOutputBuffer {
@@ -436,34 +437,39 @@ impl MapOutputBuffer {
         MapOutputBuffer::default()
     }
 
-    /// The records as the engine's shuffle takes them.
-    pub fn into_keyed(self) -> Vec<(Key, Row)> {
-        self.records.into_inner()
+    /// The serialized records, as the engine's map task spills them.
+    pub(crate) fn into_output(self) -> MapOutput {
+        self.output.into_inner()
     }
 
-    /// The records with each key as a byte vector. Frozen-benchmark shim:
-    /// `benchmark/src/replay.rs` was written against byte-vector keys.
+    /// The records with each key as a byte vector and each value decoded.
+    /// Frozen-benchmark shim: `benchmark/src/replay.rs` was written against
+    /// `(Vec<u8>, Row)` records.
     #[doc(hidden)]
     pub fn into_records(self) -> Vec<(Vec<u8>, Row)> {
-        self.into_keyed()
+        // The buffer decodes only what `collect` encoded.
+        self.into_output()
+            .into_records()
+            .unwrap_or_default()
             .into_iter()
             .map(|(k, v)| (k.as_bytes().to_vec(), v))
             .collect()
     }
 
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.output.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.output.lock().is_empty()
     }
 }
 
 impl Collector for MapOutputBuffer {
     fn collect(&self, key: &[Datum], value: Row) {
-        let encoded = Key::encode(key);
-        self.records.lock().push((encoded, value));
+        let key = Key::encode(key);
+        self.output.lock().push(key, &value);
+        // `value` is freed here, on the map thread, outside the lock.
     }
 }
 
@@ -765,14 +771,25 @@ mod tests {
     }
 
     #[test]
-    fn output_buffer_encodes_keys_sortably() {
+    fn output_buffer_serializes_records_in_emit_order() {
         let buf = MapOutputBuffer::new();
-        buf.collect(&[Datum::I64(2)], row!["b"]);
-        buf.collect(&[Datum::I64(1)], row!["a"]);
-        let mut records = buf.into_keyed();
-        records.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(records[0].1, row!["a"]);
-        assert_eq!(records[1].1, row!["b"]);
+        buf.collect(&[Datum::I64(2)], row!["b", 1.5f64]);
+        buf.collect(&[Datum::I64(1)], Row::new(vec![Datum::Null, Datum::I32(7)]));
+        assert_eq!(buf.len(), 2);
+        let records = buf.into_output().into_records().unwrap();
+        assert_eq!(
+            format!("{records:?}"),
+            format!(
+                "{:?}",
+                vec![
+                    (Key::encode(&[Datum::I64(2)]), row!["b", 1.5f64]),
+                    (
+                        Key::encode(&[Datum::I64(1)]),
+                        Row::new(vec![Datum::Null, Datum::I32(7)])
+                    ),
+                ]
+            )
+        );
     }
 
     #[test]

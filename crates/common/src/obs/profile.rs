@@ -79,6 +79,15 @@ pub struct JobProfileReport {
     pub reduce_phase_crit: Vec<(Phase, f64)>,
 }
 
+impl JobProfileReport {
+    /// The tasks' wall time that no phase claims: `wall_total_ns` minus the
+    /// phases' wall, at least 0.
+    pub fn wall_unattributed_ns(&self) -> u64 {
+        let attributed: u64 = self.phases.iter().map(|p| p.wall_ns).sum();
+        self.wall_total_ns.saturating_sub(attributed)
+    }
+}
+
 /// The explain-analyze profile of one query.
 #[derive(Debug, Clone)]
 pub struct QueryProfile {
@@ -314,6 +323,13 @@ impl fmt::Display for Report<'_> {
                 };
                 writeln!(out, "  stage {:<9} {:>8.1}s sim{}", s.name, s.sim_s, wall)?;
             }
+            if j.wall_total_ns > 0 {
+                writeln!(
+                    out,
+                    "  wall {:.2}ms unattributed to any phase",
+                    j.wall_unattributed_ns() as f64 / 1e6
+                )?;
+            }
             writeln!(
                 out,
                 "  {:<11} {:>9} {:>9} {:>7} {:>11} {:>7} {:>8}",
@@ -435,7 +451,9 @@ impl fmt::Display for JsonArtifact<'_> {
                 write!(out, "\"{}\":{:.6}", p.label(), s)?;
             }
             out.write_str("},\"phases\":{")?;
-            for (k, p) in j.phases.iter().enumerate() {
+            // A phase only measured, never priced, has no simulated row.
+            let priced = j.phases.iter().filter(|p| p.model_s > 0.0);
+            for (k, p) in priced.enumerate() {
                 if k > 0 {
                     out.write_char(',')?;
                 }

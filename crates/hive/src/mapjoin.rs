@@ -10,6 +10,7 @@
 //! (Section 6.3's 4,887 reloads; Section 6.4's cluster-A OOMs).
 
 use clyde_columnar::RcFileReader;
+use clyde_common::obs::{Phase, WallTimer};
 use clyde_common::{rowcodec, ClydeError, FxHashMap, Result, Row, Schema};
 use clyde_dfs::Dfs;
 use clyde_mapred::engine::ClientArtifacts;
@@ -96,6 +97,7 @@ impl MapRunner for MapJoinRunner {
     fn run(&self, ctx: &MapTaskContext<'_>) -> Result<()> {
         // Every task reloads and re-deserializes the table: Hive has no JVM
         // reuse here (paper Section 6.4, reason four).
+        let load = WallTimer::start();
         let payload = ctx.dist_cache.fetch(ctx.node, &self.cache_key)?;
         // The reload cost is priced on the *materialized* (decompressed,
         // Java object graph) size, not the compact wire bytes: the paper's
@@ -113,9 +115,13 @@ impl MapRunner for MapJoinRunner {
                 .ok_or_else(|| ClydeError::Plan("non-integer dimension key".into()))?;
             table.insert(pk, Row::new(aux.to_vec()));
         }
+        ctx.note_wall_phase(Phase::StateLoad, load.elapsed_ns());
 
         for part in 0..ctx.split.spec.num_parts() {
+            let open = WallTimer::start();
             let reader = ctx.input.open(ctx.split, part, &ctx.io)?;
+            ctx.note_wall_phase(Phase::Scan, open.elapsed_ns());
+            let drain = WallTimer::start();
             let mut rows_seen = 0u64;
             let Reader::Rows(mut r) = reader else {
                 return Err(ClydeError::MapReduce(
@@ -147,6 +153,7 @@ impl MapRunner for MapJoinRunner {
                 }
             }
             ctx.add_cost(|c| c.deser_rows += rows_seen);
+            ctx.note_wall_phase(Phase::Emit, drain.elapsed_ns());
         }
         Ok(())
     }

@@ -29,8 +29,8 @@ use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, Task
 use crate::scheduler::{self, JobSchedule};
 use crate::shuffle::{self, PartWriter, Reducer, Run};
 use crate::task::{
-    MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, ResidentStats,
-    ResidentStore, TaskIo,
+    note_wall_phase, MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState,
+    ResidentStats, ResidentStore, TaskIo,
 };
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{catalog as series, Obs, Phase, SpanKind, TaskKind, WallTimer};
@@ -135,6 +135,8 @@ struct Reduced {
     output_files: Vec<String>,
     reduce_tasks: Vec<TaskProfile>,
     shuffle_bytes: u64,
+    /// Wall-clock the reduce tasks attributed to phases, in reducer order.
+    wall_phases: Vec<(Phase, u64)>,
 }
 
 /// Everything a map-task attempt needs, bundled so the first parallel wave,
@@ -207,7 +209,7 @@ impl MapTaskEnv<'_> {
         // Read the charges first so no guard is held across `release`.
         let charged = *ctx.task_charges.lock();
         memory.release(charged);
-        let wall_phases = std::mem::take(&mut *ctx.wall_phases.lock());
+        let mut wall_phases = std::mem::take(&mut *ctx.wall_phases.lock());
         drop(ctx);
         run_result?;
 
@@ -225,6 +227,7 @@ impl MapTaskEnv<'_> {
         let mut runs = Vec::new();
         let mut rows = Vec::new();
         let mut shuffle_bytes = 0;
+        let finish = WallTimer::start();
         if self.map_only {
             match &self.spec.output {
                 OutputSpec::Memory => rows = output.into_rows()?,
@@ -251,6 +254,13 @@ impl MapTaskEnv<'_> {
             runs = spill.runs;
             shuffle_bytes = spill.shuffle_bytes;
         }
+        // A map-only task writes its output; any other spills it.
+        let phase = if self.map_only {
+            Phase::Write
+        } else {
+            Phase::Shuffle
+        };
+        note_wall_phase(&mut wall_phases, phase, finish.elapsed_ns());
 
         Ok(TaskOutput {
             runs,
@@ -619,12 +629,14 @@ impl MapTaskEnv<'_> {
         rec: Recovery,
         reduced: &mut Reduced,
     ) -> JobProfile {
-        // Roll runner-attributed wall clock up to the job, in phase order.
+        // Roll the tasks' attributed wall clock up to the job, in phase
+        // order.
         let mut wall_phases: Vec<(Phase, u64)> = Vec::new();
         for phase in Phase::all() {
             let ns: u64 = map_outputs
                 .iter()
                 .flat_map(|t| &t.wall_phases)
+                .chain(&reduced.wall_phases)
                 .filter(|(p, _)| p == phase)
                 .map(|(_, ns)| ns)
                 .sum();
@@ -914,19 +926,22 @@ impl Engine {
                 mut cost,
                 wall_ns,
             } = task;
+            note_wall_phase(&mut out.wall_phases, Phase::Reduce, wall_ns);
             match (&spec.output, part) {
                 (OutputSpec::DfsDir(dir), Some(payload)) => {
                     let path = format!("{dir}/part-r-{r:05}");
                     cost.output_bytes = payload.len() as u64;
                     self.dfs.write_file(&path, None, &payload)?;
                     out.output_files.push(path);
+                    note_wall_phase(&mut out.wall_phases, Phase::Write, commit.elapsed_ns());
                 }
                 _ => out.rows.append(&mut rows),
             }
+            let commit_ns = commit.elapsed_ns();
             out.reduce_tasks.push(TaskProfile {
                 node,
                 cost,
-                wall_ns: wall_ns + commit.elapsed_ns(),
+                wall_ns: wall_ns + commit_ns,
                 speculative: false,
             });
         }

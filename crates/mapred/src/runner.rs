@@ -7,6 +7,7 @@
 //! be substituted per job without touching the framework.
 
 use crate::task::MapTaskContext;
+use clyde_common::obs::{Phase, WallTimer};
 use clyde_common::{Result, Row};
 
 /// Owns the execution of one map task.
@@ -41,13 +42,17 @@ impl<M: Mapper> MapRunner for RowMapRunner<M> {
         // Multi-splits expose several parts; the default runner drains them
         // sequentially (only the multi-threaded runner fans them out).
         for part in 0..ctx.split.spec.num_parts() {
+            let open = WallTimer::start();
             let mut reader = ctx.input.open(ctx.split, part, &ctx.io)?.into_rows()?;
+            ctx.note_wall_phase(Phase::Scan, open.elapsed_ns());
+            let drain = WallTimer::start();
             let mut rows = 0u64;
             while let Some((key, value)) = reader.next()? {
                 rows += 1;
                 self.mapper.map(&key, value, ctx)?;
             }
             ctx.add_cost(|c| c.deser_rows += rows);
+            ctx.note_wall_phase(Phase::Emit, drain.elapsed_ns());
         }
         Ok(())
     }

@@ -507,12 +507,21 @@ pub struct MapTaskContext<'a> {
     pub wall_phases: Mutex<Vec<(Phase, u64)>>,
 }
 
+/// Attribute measured wall-clock time to an execution phase of a task: the
+/// one channel wall time leaves a task through, map or reduce. The engine
+/// sums each job's phases into [`crate::JobProfile::wall_phases`], outside
+/// every compared artifact.
+pub(crate) fn note_wall_phase(phases: &mut Vec<(Phase, u64)>, phase: Phase, nanos: u64) {
+    if nanos > 0 {
+        phases.push((phase, nanos));
+    }
+}
+
 impl MapTaskContext<'_> {
-    /// Attribute measured wall-clock time to an execution phase.
+    /// Attribute measured wall-clock time to an execution phase (see
+    /// [`note_wall_phase`]).
     pub fn note_wall_phase(&self, phase: Phase, nanos: u64) {
-        if nanos > 0 {
-            self.wall_phases.lock().push((phase, nanos));
-        }
+        note_wall_phase(&mut self.wall_phases.lock(), phase, nanos);
     }
     /// Emit a map-output record, updating the task's counters. The key is
     /// borrowed (`&[]` for map-only output); the value moves into the

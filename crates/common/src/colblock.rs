@@ -342,15 +342,22 @@ impl RowBlock {
     /// past the end. One spare slot is reserved, so a reader that appends a
     /// field — the union input's source tag — does not reallocate the row.
     pub fn row(&self, i: usize) -> Option<Row> {
+        let mut row = Row::empty();
+        self.row_into(i, &mut row).then_some(row)
+    }
+
+    /// [`RowBlock::row`] into an existing row, replacing its fields and
+    /// keeping its allocation and the spare slot ([`Row::refill`]). False,
+    /// with `row` untouched, past the end.
+    pub fn row_into(&self, i: usize, row: &mut Row) -> bool {
         if i >= self.len || self.columns.iter().any(|c| i >= c.len()) {
-            return None;
+            return false;
         }
         // Every column has row `i` (checked above), so no field falls back
         // to NULL. An exactly sized `extend` is half the cost of a checked
         // `push` per field on the Hive row path.
-        let mut row = Row::with_capacity(self.columns.len() + 1);
-        row.extend(self.columns.iter().map(|c| c.get(i).unwrap_or(Datum::Null)));
-        Some(row)
+        row.refill(self.columns.iter().map(|c| c.get(i).unwrap_or(Datum::Null)));
+        true
     }
 
     /// Every row in order, materialized one at a time.

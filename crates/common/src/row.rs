@@ -56,6 +56,21 @@ impl Row {
         self.values.push(d);
     }
 
+    /// Drop every field, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.values.clear();
+    }
+
+    /// Replace the fields with `fields`, keeping the allocation: a reader
+    /// refills one row per record instead of making one. Like a fresh
+    /// decoded row, it keeps one spare slot for a field a reader appends
+    /// (the union input's source tag).
+    pub fn refill<I: ExactSizeIterator<Item = Datum>>(&mut self, fields: I) {
+        self.values.clear();
+        self.values.reserve_exact(fields.len() + 1);
+        self.values.extend(fields);
+    }
+
     pub fn values(&self) -> &[Datum] {
         &self.values
     }
@@ -80,7 +95,12 @@ impl Row {
 
     /// Approximate in-memory footprint in bytes.
     pub fn heap_size(&self) -> usize {
-        std::mem::size_of::<Row>() + self.values.iter().map(Datum::heap_size).sum::<usize>()
+        Row::heap_size_of(&self.values)
+    }
+
+    /// [`Row::heap_size`] of a row holding `fields`, without one.
+    pub fn heap_size_of(fields: &[Datum]) -> usize {
+        std::mem::size_of::<Row>() + fields.iter().map(Datum::heap_size).sum::<usize>()
     }
 }
 

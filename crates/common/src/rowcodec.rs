@@ -98,8 +98,14 @@ pub fn read_datum(buf: &[u8], pos: &mut usize) -> Result<Datum> {
 
 /// Append a row (arity-prefixed).
 pub fn write_row(out: &mut Vec<u8>, row: &Row) {
-    varint::write_u64(out, row.len() as u64);
-    for d in row.iter() {
+    write_fields(out, row.values());
+}
+
+/// Append the row of `fields`: the bytes [`write_row`] writes for a row
+/// holding them, without one.
+pub fn write_fields(out: &mut Vec<u8>, fields: &[Datum]) {
+    varint::write_u64(out, fields.len() as u64);
+    for d in fields {
         write_datum(out, d);
     }
 }

@@ -145,8 +145,10 @@ impl Features {
 // above, the two items below, and the unused eighth argument of
 // `probe::probe_block_vec`. Outside this crate it also keeps
 // `clyde_mapred::task::MapOutputBuffer::into_records`, which decodes the
-// serialized map output into `(Vec<u8>, Row)` records, and the row-record
-// functions of `clyde_mapred::shuffle` the replay runs on them. ROADMAP
+// serialized map output into `(Vec<u8>, Row)` records, the row-record
+// functions of `clyde_mapred::shuffle` the replay runs on them, and the
+// owned `clyde_mapred::RecordReader::next` its `Drain` implements (the
+// engine reads through `next_into`). ROADMAP
 // lists them for the next benchmark PR to drop together with the replay
 // lines that name them.
 // ---------------------------------------------------------------------------

@@ -216,7 +216,8 @@ impl MtMapRunner {
                                 &mut res.stats,
                             )?,
                             (Morsel::Rows(mut rows), _, _) => {
-                                while let Some((_, row)) = rows.next()? {
+                                let (mut key, mut row) = (Row::empty(), Row::empty());
+                                while rows.next_into(&mut key, &mut row)? {
                                     probe_row(&row, plan, tables, &mut res.acc, &mut res.stats)?;
                                 }
                             }
@@ -316,7 +317,7 @@ impl MapRunner for MtMapRunner {
             same
         });
         for (key, value) in groups {
-            ctx.emit(key.values(), Row::new(vec![Datum::I64(value)]));
+            ctx.emit(key.values(), &[Datum::I64(value)]);
         }
         ctx.note_wall_phase(Phase::Emit, emit_start.elapsed_ns());
         Ok(())

@@ -117,6 +117,9 @@ impl MapRunner for MapJoinRunner {
         }
         ctx.note_wall_phase(Phase::StateLoad, load.elapsed_ns());
 
+        // One key/value pair is refilled for every record of the task; a
+        // joined row is the refilled row with the aux fields appended.
+        let (mut key, mut row) = (Row::empty(), Row::empty());
         for part in 0..ctx.split.spec.num_parts() {
             let open = WallTimer::start();
             let reader = ctx.input.open(ctx.split, part, &ctx.io)?;
@@ -128,7 +131,7 @@ impl MapRunner for MapJoinRunner {
                     "hive mapjoin expects row readers".into(),
                 ));
             };
-            while let Some((_, mut row)) = r.next()? {
+            while r.next_into(&mut key, &mut row)? {
                 rows_seen += 1;
                 if !self.fact_preds.is_empty()
                     && !fact_preds_eval_row(&self.fact_preds, &row, &self.input_schema)?
@@ -146,10 +149,10 @@ impl MapRunner for MapJoinRunner {
                     .as_i64()
                     .ok_or_else(|| ClydeError::Plan("non-integer foreign key".into()))?;
                 if let Some(aux) = table.get(&fk) {
-                    // The readers leave one spare slot, so a one-column aux
-                    // joins in place.
+                    // The next refill drops the aux fields; the row keeps the
+                    // capacity they took after the first join.
                     row.extend(aux.iter().cloned());
-                    ctx.emit(&[], row);
+                    ctx.emit(&[], row.values());
                 }
             }
             ctx.add_cost(|c| c.deser_rows += rows_seen);

@@ -19,7 +19,8 @@ use clyde_ssb::queries::{fact_preds_eval_row, CompiledDimPred, FactPred};
 /// The source tag stays where [`TaggedUnionInputFormat`] put it, after every
 /// scan column, so predicates, keys and aux columns are read off the tagged
 /// row at their scan-schema indices. A fact row is emitted as it arrived,
-/// tag and all; a dimension row is cut down to its aux columns plus the tag.
+/// tag and all, straight from the reader's row; a dimension row is cut down
+/// to its aux columns plus the tag.
 ///
 /// [`TaggedUnionInputFormat`]: crate::union::TaggedUnionInputFormat
 pub struct RepartitionMapper {
@@ -37,8 +38,8 @@ pub struct RepartitionMapper {
 }
 
 impl Mapper for RepartitionMapper {
-    fn map(&self, _key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
-        let (tag, fields) = untag(&value)?;
+    fn map(&self, _key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+        let (tag, fields) = untag(value)?;
         match tag {
             TAG_LEFT => {
                 if fields.len() != self.left_schema.len() {
@@ -49,19 +50,19 @@ impl Mapper for RepartitionMapper {
                     )));
                 }
                 if !self.fact_preds.is_empty()
-                    && !fact_preds_eval_row(&self.fact_preds, &value, &self.left_schema)?
+                    && !fact_preds_eval_row(&self.fact_preds, value, &self.left_schema)?
                 {
                     return Ok(());
                 }
                 let fk = int_key(fields, self.fk_idx, "foreign")?;
-                ctx.emit(&[Datum::I64(fk)], value);
+                ctx.emit(&[Datum::I64(fk)], value.values());
             }
             TAG_RIGHT => {
-                if !self.dim_pred.eval(&value)? {
+                if !self.dim_pred.eval(value)? {
                     return Ok(());
                 }
                 let pk = int_key(fields, self.pk_idx, "dimension")?;
-                let mut v = Row::with_capacity(self.aux_idx.len() + 1);
+                let mut v = Vec::with_capacity(self.aux_idx.len() + 1);
                 for &i in &self.aux_idx {
                     let aux = fields.get(i).ok_or_else(|| {
                         ClydeError::MapReduce(format!("dimension row has no aux column {i}"))
@@ -69,7 +70,7 @@ impl Mapper for RepartitionMapper {
                     v.push(aux.clone());
                 }
                 v.push(Datum::I32(TAG_RIGHT));
-                ctx.emit(&[Datum::I64(pk)], v);
+                ctx.emit(&[Datum::I64(pk)], &v);
             }
             other => {
                 return Err(ClydeError::MapReduce(format!(

@@ -19,14 +19,14 @@ pub struct GroupByMapper {
 }
 
 impl Mapper for GroupByMapper {
-    fn map(&self, _key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+    fn map(&self, _key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
         let key: Vec<Datum> = self
             .group_idx
             .iter()
-            .map(|&i| field(&value, i, "group-by"))
+            .map(|&i| field(value, i, "group-by"))
             .collect::<Result<_>>()?;
-        let measure = aggregate_eval_row(&self.aggregate, &value, &self.joined_schema)?;
-        ctx.emit(&key, Row::new(vec![Datum::I64(measure)]));
+        let measure = aggregate_eval_row(&self.aggregate, value, &self.joined_schema)?;
+        ctx.emit(&key, &[Datum::I64(measure)]);
         Ok(())
     }
 }
@@ -95,10 +95,10 @@ impl OrderByMapper {
 }
 
 impl Mapper for OrderByMapper {
-    fn map(&self, _key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+    fn map(&self, _key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
         let mut key = Vec::with_capacity(self.terms.len() + value.len());
         for &(idx, desc) in &self.terms {
-            let d = field(&value, idx, "ORDER BY")?;
+            let d = field(value, idx, "ORDER BY")?;
             if desc {
                 let v = d.as_i64().ok_or_else(|| {
                     ClydeError::Plan("descending ORDER BY requires an integer term".into())
@@ -111,7 +111,7 @@ impl Mapper for OrderByMapper {
         // Tie-break on the full row so the global order is total and matches
         // the reference executor's.
         key.extend(value.iter().cloned());
-        ctx.emit(&key, value);
+        ctx.emit(&key, value.values());
         Ok(())
     }
 }
@@ -244,8 +244,8 @@ mod tests {
     fn fold_values_on_an_empty_partial_is_a_typed_error() {
         struct EmitEmpty;
         impl Mapper for EmitEmpty {
-            fn map(&self, _key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
-                ctx.emit(value.values(), Row::empty());
+            fn map(&self, _key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+                ctx.emit(value.values(), &[]);
                 Ok(())
             }
         }

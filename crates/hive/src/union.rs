@@ -6,8 +6,9 @@
 //! splits of two inner formats and appends an integer tag to every value
 //! row: `0` for the left (fact) side, `1` for the right (dimension) side.
 //! The tag stays at the end, past every scan column, all the way through
-//! the shuffle; the row readers reserve a spare slot for it, so tagging
-//! never reallocates a row.
+//! the shuffle. The row readers refill one row per task and keep a spare
+//! slot in it ([`Row::refill`], `rowcodec::read_row_into`), so tagging
+//! never reallocates the row.
 
 use clyde_common::{ClydeError, Datum, Result, Row};
 use clyde_dfs::Dfs;
@@ -94,6 +95,16 @@ impl RecordReader for TaggingReader {
             }
         }
     }
+
+    /// Refills through the inner reader, then appends the tag in the spare
+    /// slot.
+    fn next_into(&mut self, key: &mut Row, value: &mut Row) -> Result<bool> {
+        if !self.inner.next_into(key, value)? {
+            return Ok(false);
+        }
+        value.push(Datum::I32(self.tag));
+        Ok(true)
+    }
 }
 
 #[cfg(test)]
@@ -132,6 +143,48 @@ mod tests {
         }
         assert_eq!(left_rows, 2);
         assert_eq!(right_rows, 1);
+    }
+
+    /// The records a reader yields and whether it then erred, read with
+    /// `next` or with `next_into` over one reused pair.
+    fn drain(mut r: Box<dyn RecordReader>, refill: bool) -> (Vec<(Row, Row)>, bool) {
+        let mut seen = Vec::new();
+        let (mut key, mut value) = (row![9i64], row!["stale", 7i32, 8i32, 9i32]);
+        loop {
+            let next = if refill {
+                r.next_into(&mut key, &mut value)
+                    .map(|more| more.then(|| (key.clone(), value.clone())))
+            } else {
+                r.next()
+            };
+            match next {
+                Ok(Some(record)) => seen.push(record),
+                Ok(None) => return (seen, false),
+                Err(_) => return (seen, true),
+            }
+        }
+    }
+
+    #[test]
+    fn tagging_refills_what_next_returns() {
+        let dfs = Dfs::for_tests(2);
+        let left = VecInputFormat::new(vec![row![1i32, "x"], row![2i32, "y"]], 1);
+        let right = VecInputFormat::new(vec![row!["a"]], 1);
+        let fmt = TaggedUnionInputFormat::new(Arc::new(left), Arc::new(right));
+        let mut splits = fmt.splits(&dfs, &JobConf::new()).unwrap();
+        // A split past its rows reads what exists, then errs.
+        let mut torn = splits[0].clone();
+        torn.spec = clyde_mapred::SplitSpec::Inline { from: 1, to: 5 };
+        splits.push(torn);
+        let io = TaskIo::client(Arc::clone(&dfs));
+        let mut tails = Vec::new();
+        for s in &splits {
+            let open = || fmt.open(s, 0, &io).unwrap().into_rows().unwrap();
+            let (owned, refilled) = (drain(open(), false), drain(open(), true));
+            assert_eq!(format!("{owned:?}"), format!("{refilled:?}"));
+            tails.push((owned.0.len(), owned.1));
+        }
+        assert_eq!(tails, vec![(2, false), (1, false), (1, true)]);
     }
 
     #[test]

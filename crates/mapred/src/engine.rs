@@ -219,9 +219,11 @@ impl MapTaskEnv<'_> {
         task_cost.zone_checked += io.stats.zone_checked();
         task_cost.zone_skipped += io.stats.zone_skipped();
 
-        let output = Arc::try_unwrap(out)
+        let (output, emitted) = Arc::try_unwrap(out)
             .map_err(|_| ClydeError::MapReduce("collector leaked out of the map task".into()))?
             .into_output();
+        task_cost.emit_records += emitted.records;
+        task_cost.emit_bytes += emitted.bytes;
 
         let mut output_file = None;
         let mut runs = Vec::new();
@@ -1412,8 +1414,8 @@ mod tests {
     }
 
     fn sum_job(input: Arc<dyn InputFormat>) -> JobSpec {
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-            ctx.emit(&[Datum::I64(0)], v);
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(0)], v.values());
             Ok(())
         }));
         let mut spec = JobSpec::new("sum", input, Arc::new(mapper));
@@ -1512,8 +1514,8 @@ mod tests {
     /// A job over keys 0..13 whose reducer fails on every key in `failing`
     /// — by panicking when `panics`, else with an error naming the key.
     fn failing_reduce_job(failing: &'static [i64], panics: bool, reducers: usize) -> JobSpec {
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-            ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 13)], v);
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 13)], v.values());
             Ok(())
         }));
         let mut spec = JobSpec::new(

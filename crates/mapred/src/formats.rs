@@ -66,8 +66,10 @@ impl InputFormat for RowBinInputFormat {
     }
 }
 
-/// Decodes a row-binary file one row per [`RecordReader::next`]: the rows
+/// Decodes a row-binary file one row per record: the rows
 /// [`rowcodec::read_rows`] returns, in order, erring where it errs.
+/// [`RecordReader::next_into`] decodes into the caller's row
+/// ([`rowcodec::read_row_into`]).
 struct RowBinReader {
     data: Bytes,
     pos: usize,
@@ -92,16 +94,23 @@ impl RowBinReader {
 
 impl RecordReader for RowBinReader {
     fn next(&mut self) -> Result<Option<(Row, Row)>> {
+        let mut value = Row::empty();
+        Ok(self
+            .next_into(&mut Row::empty(), &mut value)?
+            .then(|| (Row::empty(), value)))
+    }
+
+    fn next_into(&mut self, key: &mut Row, value: &mut Row) -> Result<bool> {
         if self.left == 0 {
             return match self.data.len().saturating_sub(self.pos) {
-                0 => Ok(None),
+                0 => Ok(false),
                 n => Err(ClydeError::Format(format!("rowcodec: {n} trailing bytes"))),
             };
         }
         self.left -= 1;
-        let mut row = Row::empty();
-        rowcodec::read_row_into(&self.data, &mut self.pos, &mut row, &mut self.strings)?;
-        Ok(Some((Row::empty(), row)))
+        rowcodec::read_row_into(&self.data, &mut self.pos, value, &mut self.strings)?;
+        key.clear();
+        Ok(true)
     }
 }
 
@@ -161,12 +170,13 @@ struct InlineReader {
     end: usize,
 }
 
-impl RecordReader for InlineReader {
-    fn next(&mut self) -> Result<Option<(Row, Row)>> {
+impl InlineReader {
+    /// The next row of the split, or `None` at its end.
+    fn advance(&mut self) -> Result<Option<&Row>> {
         if self.pos >= self.end {
             return Ok(None);
         }
-        let row = self.rows.get(self.pos).cloned().ok_or_else(|| {
+        let row = self.rows.get(self.pos).ok_or_else(|| {
             ClydeError::MapReduce(format!(
                 "inline split reads row {} of {}",
                 self.pos,
@@ -174,7 +184,23 @@ impl RecordReader for InlineReader {
             ))
         })?;
         self.pos += 1;
-        Ok(Some((Row::empty(), row)))
+        Ok(Some(row))
+    }
+}
+
+impl RecordReader for InlineReader {
+    fn next(&mut self) -> Result<Option<(Row, Row)>> {
+        Ok(self.advance()?.map(|row| (Row::empty(), row.clone())))
+    }
+
+    /// Copies the held row's fields into `value` ([`Row::refill`]).
+    fn next_into(&mut self, key: &mut Row, value: &mut Row) -> Result<bool> {
+        let Some(row) = self.advance()? else {
+            return Ok(false);
+        };
+        value.refill(row.iter().cloned());
+        key.clear();
+        Ok(true)
     }
 }
 
@@ -182,6 +208,7 @@ impl RecordReader for InlineReader {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::input::tests::drain;
     use crate::job::{JobSpec, OutputSpec};
     use crate::runner::{FnMapper, RowMapRunner};
     use crate::shuffle::FnReducer;
@@ -200,8 +227,8 @@ mod tests {
     fn word_count_end_to_end() {
         let dfs = Dfs::for_tests(3);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-            ctx.emit(&v.values()[..1], row![1i64]);
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+            ctx.emit(&v.values()[..1], &[Datum::I64(1)]);
             Ok(())
         }));
         // Combiner: partial sum, emitting only the running total (values must
@@ -241,8 +268,8 @@ mod tests {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
         let mapper = || {
-            RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-                ctx.emit(&v.values()[..1], row![1i64]);
+            RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+                ctx.emit(&v.values()[..1], &[Datum::I64(1)]);
                 Ok(())
             }))
         };
@@ -286,8 +313,8 @@ mod tests {
     fn map_only_job_writes_part_files_readable_by_rowbin_format() {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let identity = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-            ctx.emit(&[], v);
+        let identity = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+            ctx.emit(&[], v.values());
             Ok(())
         }));
         let mut spec = JobSpec::new(
@@ -301,8 +328,8 @@ mod tests {
         assert!(result.rows.is_empty());
 
         // Chain: read the part files back with RowBinInputFormat.
-        let count = RowMapRunner::new(FnMapper(|_k: &Row, _v: Row, ctx: &_| {
-            ctx.emit(&[Datum::I64(0)], row![1i64]);
+        let count = RowMapRunner::new(FnMapper(|_k: &Row, _v: &Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(0)], &[Datum::I64(1)]);
             Ok(())
         }));
         let mut stage2 = JobSpec::new(
@@ -337,6 +364,19 @@ mod tests {
         assert!(reader.next().unwrap().is_some());
         assert!(reader.next().unwrap().is_some());
         assert!(matches!(reader.next(), Err(ClydeError::MapReduce(_))));
+        // Refilling reads the same rows and errs at the same record.
+        let open = || fmt.open(&split, 0, &io).unwrap().into_rows().unwrap();
+        let (owned, refilled) = (drain(open(), false), drain(open(), true));
+        assert_eq!(owned, refilled);
+        assert_eq!((owned.0.len(), owned.1), (2, true));
+        let whole = InputSplit {
+            spec: SplitSpec::Inline { from: 0, to: 6 },
+            ..split.clone()
+        };
+        let open = || fmt.open(&whole, 0, &io).unwrap().into_rows().unwrap();
+        let (owned, refilled) = (drain(open(), false), drain(open(), true));
+        assert_eq!(owned, refilled);
+        assert_eq!((owned.0.len(), owned.1), (6, false));
     }
 
     #[test]
@@ -350,8 +390,8 @@ mod tests {
     fn map_only_memory_output_collects_key_and_value() {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let m = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-            ctx.emit(&[Datum::I64(1)], v);
+        let m = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+            ctx.emit(&[Datum::I64(1)], v.values());
             Ok(())
         }));
         let spec = JobSpec::new(
@@ -368,8 +408,8 @@ mod tests {
         let dfs = Dfs::for_tests(4);
         let engine = Engine::new(Arc::clone(&dfs));
         let make_spec = || {
-            let m = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-                ctx.emit(&v.values()[..1], row![1i64]);
+            let m = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+                ctx.emit(&v.values()[..1], &[Datum::I64(1)]);
                 Ok(())
             }));
             let mut s = JobSpec::new(
@@ -396,7 +436,7 @@ mod tests {
     fn mapper_error_fails_the_job() {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let failing = RowMapRunner::new(FnMapper(|_k: &Row, _v: Row, _ctx: &_| {
+        let failing = RowMapRunner::new(FnMapper(|_k: &Row, _v: &Row, _ctx: &_| {
             Err(ClydeError::MapReduce("injected failure".into()))
         }));
         let spec = JobSpec::new(
@@ -419,9 +459,9 @@ mod tests {
         ])
     }
 
-    /// Drain `bytes`, stored as the only part file of a directory, through
-    /// `RowBinInputFormat::open` and `next`.
-    fn read_through_format(dfs: &Arc<Dfs>, bytes: &[u8]) -> Result<Vec<Row>> {
+    /// Store `bytes` as the only part file of a directory and open it
+    /// through `RowBinInputFormat`.
+    fn open_stored(dfs: &Arc<Dfs>, bytes: &[u8]) -> Result<Box<dyn RecordReader>> {
         let path = "/rowbin/part-00000";
         if dfs.exists(path) {
             dfs.delete(path)?;
@@ -434,7 +474,13 @@ mod tests {
             .next()
             .unwrap();
         let io = TaskIo::new(Arc::clone(dfs), clyde_dfs::NodeId(0));
-        let mut reader = fmt.open(&split, 0, &io)?.into_rows()?;
+        fmt.open(&split, 0, &io)?.into_rows()
+    }
+
+    /// Drain `bytes`, stored as the only part file of a directory, through
+    /// `RowBinInputFormat::open` and `next`.
+    fn read_through_format(dfs: &Arc<Dfs>, bytes: &[u8]) -> Result<Vec<Row>> {
+        let mut reader = open_stored(dfs, bytes)?;
         let mut rows = Vec::new();
         while let Some((_, row)) = reader.next()? {
             rows.push(row);
@@ -444,12 +490,32 @@ mod tests {
 
     /// The streaming reader errs exactly when `read_rows` does, and
     /// otherwise yields its rows in order (Debug, not ==: Datum equality
-    /// coerces I32/I64).
+    /// coerces I32/I64); refilling one pair with `next_into` yields the
+    /// rows `next` yields and errs at the same record.
     fn reads_like_read_rows(dfs: &Arc<Dfs>, bytes: &[u8]) -> std::result::Result<(), String> {
         match (rowcodec::read_rows(bytes), read_through_format(dfs, bytes)) {
-            (Ok(a), Ok(b)) if format!("{a:?}") == format!("{b:?}") => Ok(()),
-            (Err(_), Err(_)) => Ok(()),
-            (a, b) => Err(format!("{bytes:02x?}: read_rows {a:?}, format {b:?}")),
+            (Ok(a), Ok(b)) if format!("{a:?}") == format!("{b:?}") => {}
+            (Err(_), Err(_)) => {}
+            (a, b) => return Err(format!("{bytes:02x?}: read_rows {a:?}, format {b:?}")),
+        }
+        let (owned, refilled) = match (open_stored(dfs, bytes), open_stored(dfs, bytes)) {
+            (Ok(a), Ok(b)) => (drain(a, false), drain(b, true)),
+            // The count prefix did not parse: no reader either way.
+            (Err(_), Err(_)) => return Ok(()),
+            (a, b) => {
+                return Err(format!(
+                    "{bytes:02x?}: open {:?} then {:?}",
+                    a.is_ok(),
+                    b.is_ok()
+                ))
+            }
+        };
+        if format!("{owned:?}") == format!("{refilled:?}") {
+            Ok(())
+        } else {
+            Err(format!(
+                "{bytes:02x?}: next {owned:?}, next_into {refilled:?}"
+            ))
         }
     }
 

@@ -54,9 +54,31 @@ pub struct InputSplit {
 }
 
 /// Row-at-a-time reader: Hadoop's `RecordReader.next()`.
+///
+/// The engine drains readers through [`RecordReader::next_into`], which
+/// refills one key/value pair per task, the way Hadoop reuses its
+/// `Writable`s. The owned [`RecordReader::next`] stays for the frozen
+/// benchmark's replay, which implements and calls it (DESIGN.md,
+/// "Frozen-benchmark shims").
 pub trait RecordReader: Send {
     /// The next (key, value) record, or `None` at end of split.
     fn next(&mut self) -> Result<Option<(Row, Row)>>;
+
+    /// The next record into `key` and `value`, replacing their fields;
+    /// false at end of split. A reader that refills the rows in place
+    /// overrides this; the default moves in what [`RecordReader::next`]
+    /// returns. It yields the records `next` yields, and errs where `next`
+    /// errs; after an error the rows hold unspecified fields.
+    fn next_into(&mut self, key: &mut Row, value: &mut Row) -> Result<bool> {
+        match self.next()? {
+            Some((k, v)) => {
+                *key = k;
+                *value = v;
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
 }
 
 /// Block reader: returns an array of rows per call (B-CIF, Section 5.3),
@@ -134,16 +156,26 @@ impl RowsFromBlocks {
 
 impl RecordReader for RowsFromBlocks {
     fn next(&mut self) -> Result<Option<(Row, Row)>> {
+        let mut value = Row::empty();
+        Ok(self
+            .next_into(&mut Row::empty(), &mut value)?
+            .then(|| (Row::empty(), value)))
+    }
+
+    /// Refills `value` from the block's columns ([`RowBlock::row_into`]);
+    /// the key is always empty.
+    fn next_into(&mut self, key: &mut Row, value: &mut Row) -> Result<bool> {
         loop {
             if let Some(range) = &mut self.current {
                 if let Some(i) = range.rows.next() {
-                    let row = range.block.row(i).ok_or_else(|| {
-                        ClydeError::Format(format!(
+                    if !range.block.row_into(i, value) {
+                        return Err(ClydeError::Format(format!(
                             "row {i} outside a block of {} rows",
                             range.block.len()
-                        ))
-                    })?;
-                    return Ok(Some((Row::empty(), row)));
+                        )));
+                    }
+                    key.clear();
+                    return Ok(true);
                 }
             }
             match self.inner.next_range()? {
@@ -152,16 +184,16 @@ impl RecordReader for RowsFromBlocks {
                     range.block.check_rows(range.rows.clone())?;
                     self.current = Some(range);
                 }
-                None => return Ok(None),
+                None => return Ok(false),
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use clyde_common::{row, ColumnData};
+    use clyde_common::{row, ColumnData, Datum};
 
     struct TwoBlocks(usize);
 
@@ -199,6 +231,77 @@ mod tests {
             seen.push(v);
         }
         assert_eq!(seen, vec![row![1i32], row![2i32], row![3i32]]);
+    }
+
+    /// A block, then an error.
+    struct BlockThenError(bool);
+
+    impl BlockReader for BlockThenError {
+        fn next_block(&mut self) -> Result<Option<RowBlock>> {
+            if std::mem::replace(&mut self.0, true) {
+                return Err(ClydeError::Format("torn block".into()));
+            }
+            let names = ColumnData::Str(vec!["ASIA".into(), "".into()]);
+            Ok(Some(RowBlock::new(vec![
+                ColumnData::I32(vec![1, 2]),
+                names,
+            ])?))
+        }
+    }
+
+    /// The records a reader yields and whether it then erred, read with
+    /// `next` or with `next_into` over one reused pair.
+    pub(crate) fn drain(mut r: Box<dyn RecordReader>, refill: bool) -> (Vec<(Row, Row)>, bool) {
+        let mut seen = Vec::new();
+        let (mut key, mut value) = (row![9i64], row!["stale", 7i32, 8i32]);
+        loop {
+            let next = if refill {
+                r.next_into(&mut key, &mut value)
+                    .map(|more| more.then(|| (key.clone(), value.clone())))
+            } else {
+                r.next()
+            };
+            match next {
+                Ok(Some(record)) => seen.push(record),
+                Ok(None) => return (seen, false),
+                Err(_) => return (seen, true),
+            }
+        }
+    }
+
+    #[test]
+    fn rows_from_blocks_refills_what_next_returns() {
+        for erring in [false, true] {
+            let reader = || -> Box<dyn RecordReader> {
+                if erring {
+                    Box::new(RowsFromBlocks::new(Box::new(BlockThenError(false))))
+                } else {
+                    Box::new(RowsFromBlocks::new(Box::new(TwoBlocks(0))))
+                }
+            };
+            let (owned, refilled) = (drain(reader(), false), drain(reader(), true));
+            assert_eq!(format!("{owned:?}"), format!("{refilled:?}"));
+            assert_eq!(owned.1, erring);
+            assert_eq!(owned.0.len(), if erring { 2 } else { 3 });
+        }
+    }
+
+    #[test]
+    fn a_refilled_block_row_keeps_its_allocation_and_spare_slot() {
+        let block = RowBlock::new(vec![
+            ColumnData::I32(vec![1, 2]),
+            ColumnData::Str(vec!["a".into(), "b".into()]),
+        ])
+        .unwrap();
+        let mut row = Row::empty();
+        assert!(block.row_into(0, &mut row));
+        let at = row.values().as_ptr();
+        row.push(Datum::I32(0));
+        assert!(block.row_into(1, &mut row));
+        assert_eq!(row, block.row(1).unwrap());
+        assert_eq!(row.values().as_ptr(), at, "refilled in place");
+        assert!(!block.row_into(2, &mut row));
+        assert_eq!(row, block.row(1).unwrap(), "untouched past the end");
     }
 
     #[test]

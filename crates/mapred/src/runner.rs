@@ -17,11 +17,14 @@ pub trait MapRunner: Send + Sync {
 
 /// A map function over (key, value) records.
 ///
-/// The mapper *owns* the value: the runner hands over the row it just read,
-/// so a mapper that forwards it (an identity or repartition map) emits it
-/// without a copy. The key is only borrowed.
+/// The mapper *borrows* both: the runner refills one key/value pair per
+/// task ([`crate::RecordReader::next_into`]) and lends it for one record.
+/// Emitting serializes what it is given ([`MapTaskContext::emit`]), so a
+/// mapper that forwards its value (an identity or repartition map) emits
+/// `value.values()` and copies nothing; one that keeps a row past the call
+/// clones it.
 pub trait Mapper: Send + Sync {
-    fn map(&self, key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()>;
+    fn map(&self, key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()>;
 }
 
 /// The default MapRunner: open the reader, apply the map function to every
@@ -40,16 +43,18 @@ impl<M: Mapper> RowMapRunner<M> {
 impl<M: Mapper> MapRunner for RowMapRunner<M> {
     fn run(&self, ctx: &MapTaskContext<'_>) -> Result<()> {
         // Multi-splits expose several parts; the default runner drains them
-        // sequentially (only the multi-threaded runner fans them out).
+        // sequentially (only the multi-threaded runner fans them out). One
+        // key/value pair is refilled for every record of the task.
+        let (mut key, mut value) = (Row::empty(), Row::empty());
         for part in 0..ctx.split.spec.num_parts() {
             let open = WallTimer::start();
             let mut reader = ctx.input.open(ctx.split, part, &ctx.io)?.into_rows()?;
             ctx.note_wall_phase(Phase::Scan, open.elapsed_ns());
             let drain = WallTimer::start();
             let mut rows = 0u64;
-            while let Some((key, value)) = reader.next()? {
+            while reader.next_into(&mut key, &mut value)? {
                 rows += 1;
-                self.mapper.map(&key, value, ctx)?;
+                self.mapper.map(&key, &value, ctx)?;
             }
             ctx.add_cost(|c| c.deser_rows += rows);
             ctx.note_wall_phase(Phase::Emit, drain.elapsed_ns());
@@ -61,13 +66,13 @@ impl<M: Mapper> MapRunner for RowMapRunner<M> {
 /// A [`Mapper`] from a closure, for tests and small examples.
 pub struct FnMapper<F>(pub F)
 where
-    F: Fn(&Row, Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync;
+    F: Fn(&Row, &Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync;
 
 impl<F> Mapper for FnMapper<F>
 where
-    F: Fn(&Row, Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync,
+    F: Fn(&Row, &Row, &MapTaskContext<'_>) -> Result<()> + Send + Sync,
 {
-    fn map(&self, key: &Row, value: Row, ctx: &MapTaskContext<'_>) -> Result<()> {
+    fn map(&self, key: &Row, value: &Row, ctx: &MapTaskContext<'_>) -> Result<()> {
         (self.0)(key, value, ctx)
     }
 }
@@ -92,7 +97,7 @@ mod tests {
     use crate::conf::JobConf;
     use crate::input::{InputFormat, InputSplit, Reader, RecordReader, SplitSpec};
     use crate::task::TaskIo;
-    use clyde_common::row;
+    use clyde_common::{row, Datum};
     use clyde_dfs::Dfs;
     use std::sync::Arc;
 
@@ -140,8 +145,8 @@ mod tests {
         use crate::job::JobSpec;
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-            ctx.emit(&[], v);
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+            ctx.emit(&[], v.values());
             Ok(())
         }));
         let spec = JobSpec::new("parts", Arc::new(MultiPartFormat), Arc::new(mapper));
@@ -159,7 +164,7 @@ mod tests {
         let dfs = Dfs::for_tests(2);
         let engine = Engine::new(Arc::clone(&dfs));
         let runner = FnMapRunner(|ctx: &crate::task::MapTaskContext<'_>| {
-            ctx.emit(&[], row![ctx.split.index as i64]);
+            ctx.emit(&[], &[Datum::I64(ctx.split.index as i64)]);
             Ok(())
         });
         let spec = JobSpec::new(

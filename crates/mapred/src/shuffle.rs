@@ -83,6 +83,16 @@ impl Key {
     pub fn is_empty(&self) -> bool {
         self.as_bytes().is_empty()
     }
+
+    /// An inline key's bytes in place, zero past its length (only
+    /// [`KeySink::put`] writes them, and only up to the new length), and its
+    /// length; `None` for a boxed key.
+    fn inline(&self) -> Option<(&[u8; Key::INLINE], usize)> {
+        match &self.0 {
+            Repr::Inline { len, bytes } => Some((bytes, usize::from(*len))),
+            Repr::Boxed(_) => None,
+        }
+    }
 }
 
 impl Default for Key {
@@ -261,6 +271,7 @@ pub(crate) struct MapOutput {
 
 /// A record of a [`MapOutput`]: its key, the reducer it goes to (set at
 /// spill), and where its value's bytes are.
+#[derive(Clone)]
 struct Record {
     key: Key,
     partition: usize,
@@ -278,17 +289,19 @@ pub(crate) struct Spill {
 }
 
 impl MapOutput {
-    /// Append a record: `value` is encoded here, and its priced size taken
-    /// from the row before the caller drops it.
-    pub fn push(&mut self, key: Key, value: &Row) {
-        self.priced += (key.len() + value.heap_size()) as u64;
+    /// Append a record: the row of `value`'s fields is encoded here, and
+    /// its priced size ([`Row::heap_size_of`]) returned.
+    pub fn push(&mut self, key: Key, value: &[Datum]) -> usize {
+        let value_size = Row::heap_size_of(value);
+        self.priced += (key.len() + value_size) as u64;
         let start = self.values.len();
-        rowcodec::write_row(&mut self.values, value);
+        rowcodec::write_fields(&mut self.values, value);
         self.records.push(Record {
             key,
             partition: 0,
             value: start..self.values.len(),
         });
+        value_size
     }
 
     pub fn len(&self) -> usize {
@@ -367,8 +380,7 @@ impl MapOutput {
                 r.partition = partition_of(&r.key, partitions);
             }
         }
-        self.records
-            .sort_by(|a, b| (a.partition, a.key.as_bytes()).cmp(&(b.partition, b.key.as_bytes())));
+        sort_for_spill(&mut self.records, partitions);
         let mut spill = Spill {
             runs: (0..partitions).map(|_| Run::default()).collect(),
             // A combiner's output is priced as it is written.
@@ -419,6 +431,141 @@ impl MapOutput {
             }
         }
         Ok(spill)
+    }
+}
+
+/// Below this many records a spill sorts by comparison: the radix sort's
+/// histograms and passes cost more than they save.
+const RADIX_MIN_RECORDS: usize = 256;
+
+/// Stably sort a spill's records by (reducer, key bytes). An LSD radix sort
+/// of a `u32` index does it when every key is inline, there are at most 256
+/// reducers and at least [`RADIX_MIN_RECORDS`] records; otherwise, a
+/// comparison sort. Both give the same order, so runs, part files and
+/// priced counters do not depend on which ran.
+fn sort_for_spill(records: &mut [Record], partitions: usize) {
+    let radix = records.len() >= RADIX_MIN_RECORDS
+        && partitions <= 256
+        && u32::try_from(records.len()).is_ok()
+        && radix_sort(records);
+    if !radix {
+        records
+            .sort_by(|a, b| (a.partition, a.key.as_bytes()).cmp(&(b.partition, b.key.as_bytes())));
+    }
+}
+
+/// [`sort_for_spill`]'s radix sort, or false (records untouched) when a key
+/// is boxed. The sort key is (reducer, key bytes zero-padded to the longest
+/// key, key length), one byte per digit, most significant first; the
+/// length breaks ties between a key and the same key with zero bytes
+/// appended, so the order is the bytes' lexicographic order. One histogram
+/// pass counts every digit; a digit all records share is skipped, and each
+/// other is one stable counting pass of the index, least significant
+/// first. The sorted index is then applied to the records in place, so the
+/// scratch space is two `u32`s per record.
+fn radix_sort(records: &mut [Record]) -> bool {
+    let mut width = 0;
+    for r in records.iter() {
+        match r.key.inline() {
+            // At most 256 reducers: the reducer is a byte.
+            Some((_, len)) if r.partition < 256 => width = width.max(len),
+            _ => return false,
+        }
+    }
+    // The reducer's counts, each key byte's, then the length's.
+    let mut counts = vec![[0u32; 256]; width + 2];
+    if let Some((reducers, rest)) = counts.split_first_mut() {
+        if let Some((lens, bytes)) = rest.split_last_mut() {
+            for r in records.iter() {
+                let Some((key, len)) = r.key.inline() else {
+                    continue;
+                };
+                bump(reducers, r.partition);
+                for (count, &b) in bytes.iter_mut().zip(key) {
+                    bump(count, usize::from(b));
+                }
+                bump(lens, len);
+            }
+        }
+    }
+    let n = records.len();
+    // The caller checked that record numbers fit a `u32`.
+    let mut index: Vec<u32> = (0..n).filter_map(|i| u32::try_from(i).ok()).collect();
+    let mut scratch = vec![0u32; n];
+    let byte_of = |r: &Record, at: usize| {
+        r.key
+            .inline()
+            .and_then(|(key, _)| key.get(at))
+            .map_or(0, |&b| usize::from(b))
+    };
+    for (digit, count) in counts.iter().enumerate().rev() {
+        if count.iter().any(|&c| c as usize == n) {
+            continue;
+        }
+        let (from, to) = (index.as_slice(), scratch.as_mut_slice());
+        if digit == 0 {
+            counting_pass(records, count, from, to, |r| r.partition);
+        } else if digit == width + 1 {
+            counting_pass(records, count, from, to, |r| r.key.len());
+        } else {
+            counting_pass(records, count, from, to, |r| byte_of(r, digit - 1));
+        }
+        std::mem::swap(&mut index, &mut scratch);
+    }
+    permute(records, &mut index);
+    true
+}
+
+/// Count one more record under `digit`.
+fn bump(count: &mut [u32; 256], digit: usize) {
+    if let Some(c) = count.get_mut(digit) {
+        *c += 1;
+    }
+}
+
+/// One stable counting pass: the record numbers of `from`, in order,
+/// placed into `to` by `digit`, whose per-value counts are `count`.
+fn counting_pass(
+    records: &[Record],
+    count: &[u32; 256],
+    from: &[u32],
+    to: &mut [u32],
+    digit: impl Fn(&Record) -> usize,
+) {
+    let mut next = [0u32; 256];
+    let mut at = 0u32;
+    for (slot, &c) in next.iter_mut().zip(count) {
+        *slot = at;
+        at += c;
+    }
+    for &i in from {
+        let Some(r) = records.get(i as usize) else {
+            continue;
+        };
+        if let Some(slot) = next.get_mut(digit(r)) {
+            if let Some(dst) = to.get_mut(*slot as usize) {
+                *dst = i;
+            }
+            *slot += 1;
+        }
+    }
+}
+
+/// Reorder `records` so that position `j` holds what was at `order[j]`,
+/// following each cycle of the permutation with swaps. `order` is left as
+/// the identity.
+fn permute(records: &mut [Record], order: &mut [u32]) {
+    for start in 0..order.len() {
+        let mut j = start;
+        while let Some(slot) = order.get_mut(j) {
+            let k = *slot as usize;
+            *slot = j as u32;
+            if k == start || k == j || k >= records.len() {
+                break;
+            }
+            records.swap(j, k);
+            j = k;
+        }
     }
 }
 
@@ -848,10 +995,13 @@ mod tests {
     fn written_run() -> Vec<u8> {
         let mut out = MapOutput::default();
         let long = Key::encode(&[Datum::str("a key longer than the inline limit")]);
-        out.push(Key::encode(&[Datum::I64(3)]), &row![7i32, "ASIA", 2.5f64]);
-        out.push(long.clone(), &Row::new(vec![Datum::Null, Datum::str("")]));
-        out.push(Key::encode(&[Datum::I64(-1)]), &Row::empty());
-        out.push(long, &row!["ASIA", -0.5f64]);
+        out.push(
+            Key::encode(&[Datum::I64(3)]),
+            row![7i32, "ASIA", 2.5f64].values(),
+        );
+        out.push(long.clone(), &[Datum::Null, Datum::str("")]);
+        out.push(Key::encode(&[Datum::I64(-1)]), &[]);
+        out.push(long, row!["ASIA", -0.5f64].values());
         let mut spill = out.spill(1, None).unwrap();
         assert_eq!(spill.runs.len(), 1);
         std::mem::take(&mut spill.runs[0].bytes)
@@ -936,7 +1086,7 @@ mod tests {
         for task in &records {
             let mut out = MapOutput::default();
             for (k, v) in task {
-                out.push(Key::from_bytes(k), v);
+                out.push(Key::from_bytes(k), v.values());
             }
             let spill = out.spill(3, None).unwrap();
             for (r, run) in spill.runs.into_iter().enumerate() {
@@ -983,7 +1133,93 @@ mod tests {
         assert_eq!(recycled.as_ptr() as usize, at);
     }
 
+    /// Records under the keys `keys`, partitioned among `partitions`
+    /// reducers; each value range is the record's position, so an order of
+    /// records reads as the positions it took them from.
+    fn spill_records(keys: &[Vec<u8>], partitions: usize) -> Vec<Record> {
+        keys.iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let key = Key::from_bytes(k);
+                Record {
+                    partition: partition_of(&key, partitions),
+                    key,
+                    value: i..i,
+                }
+            })
+            .collect()
+    }
+
+    /// The order a spill sorts `records` into, and the order the comparison
+    /// sort gives them, as their original positions.
+    fn spill_orders(mut records: Vec<Record>, partitions: usize) -> (Vec<usize>, Vec<usize>) {
+        let mut want = records.clone();
+        want.sort_by(|a, b| (a.partition, a.key.as_bytes()).cmp(&(b.partition, b.key.as_bytes())));
+        sort_for_spill(&mut records, partitions);
+        let positions = |rs: &[Record]| rs.iter().map(|r| r.value.start).collect();
+        (positions(&records), positions(&want))
+    }
+
+    #[test]
+    fn radix_sort_takes_inline_keys_and_declines_boxed_ones() {
+        // Keys that differ only past a shared prefix, by trailing zeros and
+        // by length, in reverse order, with many duplicates.
+        let mut keys: Vec<Vec<u8>> = (0..600u32)
+            .rev()
+            .map(|i| {
+                let mut k = vec![0x11, 0x00, (i % 7) as u8];
+                k.extend(std::iter::repeat_n(0u8, (i % 3) as usize));
+                k
+            })
+            .collect();
+        let mut records = spill_records(&keys, 3);
+        assert!(radix_sort(&mut records));
+        let (got, want) = spill_orders(spill_records(&keys, 3), 3);
+        assert_eq!(got, want);
+        keys.push(vec![7; Key::INLINE + 1]);
+        let mut records = spill_records(&keys, 3);
+        assert!(!radix_sort(&mut records));
+        assert!(records.iter().enumerate().all(|(i, r)| r.value.start == i));
+        let (got, want) = spill_orders(records, 3);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn permute_applies_the_order_in_place() {
+        let keys: Vec<Vec<u8>> = (0..6u8).map(|b| vec![b]).collect();
+        let mut records = spill_records(&keys, 1);
+        let mut order = [3u32, 0, 4, 1, 5, 2];
+        permute(&mut records, &mut order);
+        let got: Vec<usize> = records.iter().map(|r| r.value.start).collect();
+        assert_eq!(got, vec![3, 0, 4, 1, 5, 2]);
+        assert_eq!(order, [0, 1, 2, 3, 4, 5]);
+    }
+
     proptest! {
+        #[test]
+        fn the_spill_sorts_like_a_stable_comparison_sort(
+            keys in proptest::collection::vec(
+                (0usize..41, proptest::collection::vec(0u8..3, 40..41)), 0..700),
+            prefix in proptest::collection::vec(0u8..2, 0..4),
+            partitions in 1usize..301,
+            boxed in any::<bool>(),
+        ) {
+            // Lengths 0..=40 over a three-letter alphabet with 0x00 in it,
+            // after a shared prefix: inline keys only unless `boxed`.
+            let limit = if boxed { usize::MAX } else { Key::INLINE };
+            let keys: Vec<Vec<u8>> = keys
+                .iter()
+                .map(|(len, bytes)| {
+                    let mut k = prefix.clone();
+                    k.extend(bytes.iter().take(*len));
+                    k.truncate(limit);
+                    k
+                })
+                .collect();
+            let (got, want) = spill_orders(spill_records(&keys, partitions), partitions);
+            prop_assert_eq!(got, want);
+        }
+
         #[test]
         fn a_run_reads_arbitrary_bytes_like_the_oracle(
             bytes in proptest::collection::vec(any::<u8>(), 0..64),
@@ -1009,7 +1245,7 @@ mod tests {
                 let mut out = MapOutput::default();
                 for &(k, v) in &pairs {
                     let (key, value) = rec(k, i64::from(v));
-                    out.push(Key::from_bytes(&key), &value);
+                    out.push(Key::from_bytes(&key), value.values());
                 }
                 out.spill(reducers, combiner).unwrap()
             };

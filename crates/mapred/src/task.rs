@@ -417,11 +417,11 @@ impl MemoryLedger {
 /// Where map output goes. Thread-safe because the multi-threaded map runner
 /// shares one collector across its join threads (paper Figure 5).
 pub trait Collector: Send + Sync {
-    /// Emit a (key, value) pair. The key is borrowed and encoded with the
-    /// order-preserving codec so the shuffle can sort bytes; the value is
-    /// moved in, serialized, and dropped — from here to the reducer it is
-    /// bytes.
-    fn collect(&self, key: &[Datum], value: Row);
+    /// Emit a (key, value) pair. Both are borrowed: the key is encoded with
+    /// the order-preserving codec so the shuffle can sort bytes, and the
+    /// value's fields are serialized as one row — from here to the reducer
+    /// the record is bytes, and the caller keeps (and may refill) its rows.
+    fn collect(&self, key: &[Datum], value: &[Datum]);
 }
 
 /// The engine's map-output buffer: each record serialized as it is
@@ -429,7 +429,23 @@ pub trait Collector: Send + Sync {
 /// sorts and combines it once the runner returns.
 #[derive(Default)]
 pub struct MapOutputBuffer {
-    output: Mutex<MapOutput>,
+    output: Mutex<Buffered>,
+}
+
+/// A [`MapOutputBuffer`]'s contents, under its one lock.
+#[derive(Default)]
+struct Buffered {
+    output: MapOutput,
+    emitted: Emitted,
+}
+
+/// The records [`MapTaskContext::emit`] counted, and their priced bytes:
+/// the task's `emit_records` and `emit_bytes`, folded into its
+/// [`TaskCost`] when it ends.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Emitted {
+    pub records: u64,
+    pub bytes: u64,
 }
 
 impl MapOutputBuffer {
@@ -437,9 +453,23 @@ impl MapOutputBuffer {
         MapOutputBuffer::default()
     }
 
-    /// The serialized records, as the engine's map task spills them.
-    pub(crate) fn into_output(self) -> MapOutput {
-        self.output.into_inner()
+    /// The serialized records, as the engine's map task spills them, and
+    /// what was emitted.
+    pub(crate) fn into_output(self) -> (MapOutput, Emitted) {
+        let Buffered { output, emitted } = self.output.into_inner();
+        (output, emitted)
+    }
+
+    /// [`Collector::collect`], counting the record as emitted under the
+    /// same lock: `emit_bytes` counts the key as a [`Row`] would, plus the
+    /// value's priced size, which the buffer takes once.
+    fn emit(&self, key: &[Datum], value: &[Datum]) {
+        let key_bytes = Row::heap_size_of(key);
+        let key = Key::encode(key);
+        let buffered = &mut *self.output.lock();
+        let value_bytes = buffered.output.push(key, value);
+        buffered.emitted.records += 1;
+        buffered.emitted.bytes += (key_bytes + value_bytes) as u64;
     }
 
     /// The records with each key as a byte vector and each value decoded.
@@ -449,6 +479,7 @@ impl MapOutputBuffer {
     pub fn into_records(self) -> Vec<(Vec<u8>, Row)> {
         // The buffer decodes only what `collect` encoded.
         self.into_output()
+            .0
             .into_records()
             .unwrap_or_default()
             .into_iter()
@@ -457,19 +488,18 @@ impl MapOutputBuffer {
     }
 
     pub fn len(&self) -> usize {
-        self.output.lock().len()
+        self.output.lock().output.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.output.lock().is_empty()
+        self.output.lock().output.is_empty()
     }
 }
 
 impl Collector for MapOutputBuffer {
-    fn collect(&self, key: &[Datum], value: Row) {
+    fn collect(&self, key: &[Datum], value: &[Datum]) {
         let key = Key::encode(key);
-        self.output.lock().push(key, &value);
-        // `value` is freed here, on the map thread, outside the lock.
+        self.output.lock().output.push(key, value);
     }
 }
 
@@ -523,19 +553,14 @@ impl MapTaskContext<'_> {
     pub fn note_wall_phase(&self, phase: Phase, nanos: u64) {
         note_wall_phase(&mut self.wall_phases.lock(), phase, nanos);
     }
-    /// Emit a map-output record, updating the task's counters. The key is
-    /// borrowed (`&[]` for map-only output); the value moves into the
-    /// output buffer. `emit_bytes` counts the key as a [`Row`] would.
-    pub fn emit(&self, key: &[Datum], value: Row) {
-        let key_bytes =
-            std::mem::size_of::<Row>() + key.iter().map(Datum::heap_size).sum::<usize>();
-        let bytes = (key_bytes + value.heap_size()) as u64;
-        {
-            let mut c = self.cost.lock();
-            c.emit_records += 1;
-            c.emit_bytes += bytes;
-        }
-        self.out.collect(key, value);
+    /// Emit a map-output record: the key (`&[]` for map-only output) and
+    /// the value's fields are borrowed and serialized into the output
+    /// buffer, so a runner can emit from rows it reuses. The task's
+    /// `emit_records` and `emit_bytes` are counted under the buffer's lock
+    /// and folded into its cost when it ends; `emit_bytes` counts the key
+    /// as a [`Row`] would.
+    pub fn emit(&self, key: &[Datum], value: &[Datum]) {
+        self.out.emit(key, value);
     }
 
     /// Charge memory that is shared by every task/thread on the node and
@@ -782,10 +807,10 @@ mod tests {
     #[test]
     fn output_buffer_serializes_records_in_emit_order() {
         let buf = MapOutputBuffer::new();
-        buf.collect(&[Datum::I64(2)], row!["b", 1.5f64]);
-        buf.collect(&[Datum::I64(1)], Row::new(vec![Datum::Null, Datum::I32(7)]));
+        buf.collect(&[Datum::I64(2)], row!["b", 1.5f64].values());
+        buf.collect(&[Datum::I64(1)], &[Datum::Null, Datum::I32(7)]);
         assert_eq!(buf.len(), 2);
-        let records = buf.into_output().into_records().unwrap();
+        let records = buf.into_output().0.into_records().unwrap();
         assert_eq!(
             format!("{records:?}"),
             format!(
@@ -805,9 +830,9 @@ mod tests {
     fn into_records_hands_out_the_codec_bytes() {
         let buf = MapOutputBuffer::new();
         let long = [Datum::str("UNITED KINGDOM"), Datum::str("UNITED STATES")];
-        buf.collect(&[Datum::I64(2)], row!["b"]);
-        buf.collect(&long, row!["c"]);
-        buf.collect(&[], row!["d"]);
+        buf.collect(&[Datum::I64(2)], &[Datum::str("b")]);
+        buf.collect(&long, &[Datum::str("c")]);
+        buf.collect(&[], &[Datum::str("d")]);
         let expect = vec![
             (keycodec::encode_datums(&[Datum::I64(2)]), row!["b"]),
             (keycodec::encode_datums(&long), row!["c"]),

@@ -72,8 +72,8 @@ proptest! {
     ) {
         let dfs = Dfs::for_tests(nodes);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-            ctx.emit(&v.values()[1..2], Row::new(vec![v.at(2).clone()]));
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+            ctx.emit(&v.values()[1..2], &v.values()[2..3]);
             Ok(())
         }));
         let mut spec = JobSpec::new(

@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn sum_job(input: Arc<dyn InputFormat>, faults: Option<FaultPlan>) -> JobSpec {
-    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-        ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 4)], v);
+    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+        ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 4)], v.values());
         Ok(())
     }));
     let mut spec = JobSpec::new("fault-prop", input, Arc::new(mapper));

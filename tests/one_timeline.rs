@@ -241,8 +241,8 @@ fn every_ssb_job_prices_and_draws_off_one_schedule() {
 
 fn ragged_job(splits: usize) -> JobSpec {
     let rows: Vec<Row> = (1..=70i64).map(|i| row![i]).collect();
-    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
-        ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 3)], v);
+    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
+        ctx.emit(&[Datum::I64(v.at(0).as_i64().unwrap() % 3)], v.values());
         Ok(())
     }));
     let mut spec = JobSpec::new(

@@ -9,15 +9,18 @@
 //! and their high-water mark.
 //!
 //! The repartition plan moves every fact row through the shuffle. A map
-//! output value is serialized into its task's buffer when it is emitted
-//! and its row is freed on the spot; a reducer decodes each key's values
-//! into rows it reuses from key to key, and a short key lives inside its
-//! record. Strings decoded from a run or a stage file are shared through a
-//! per-task pool rather than allocated per row. So a fact row costs a
-//! handful of allocations, not one per copy. The budget is 4 per fact
-//! row; the commit before map output was serialized made 3.72 on Q2.1 at
-//! SF 0.004, the commit before keys moved into the record 5.9, and the
-//! commit before rows moved through the shuffle 11–19.
+//! task refills one key/value pair from its reader for every record and
+//! emits borrowed fields, which are serialized into the task's buffer; the
+//! spill sorts an index, not the records. A reducer decodes each key's
+//! values into rows it reuses from key to key, and a short key lives
+//! inside its record. Strings decoded from a run or a stage file are
+//! shared through a per-task pool rather than allocated per row. So a fact
+//! row costs fewer than two allocations, most of them the reducer's one
+//! joined output row. The budget is 1.6 per fact row; the commit that
+//! moved the map side onto borrowed rows made 1.53 on Q2.1 at SF 0.004,
+//! the commit before it 3.71, the commit before map output was serialized
+//! 3.72, the commit before keys moved into the record 5.9, and the commit
+//! before rows moved through the shuffle 11–19.
 //!
 //! The mapjoin plan never shuffles a fact row; its map-only stages must not
 //! get costlier than [`MAPJOIN_Q21_CEILING`].
@@ -103,14 +106,15 @@ static GLOBAL: Counting = Counting;
 static COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Per fact row, the most a repartition query may allocate.
-const REPARTITION_BUDGET_PER_FACT_ROW: f64 = 4.0;
+const REPARTITION_BUDGET_PER_FACT_ROW: f64 = 1.6;
 
 /// Heap allocations of mapjoin Q2.1 at SF 0.004 on this setup (debug,
-/// release build), recorded at the commit that serialized map output at
-/// emit and shared decoded strings. The commit before made 76,667 /
-/// 76,657 (ceiling 76,821 / 76,811), and the commit before rows moved
-/// through the shuffle 126,925 / 126,915.
-const MAPJOIN_Q21_CEILING: (u64, u64) = (75_786, 75_776);
+/// release build), recorded at the commit that moved the map side onto
+/// borrowed rows. The commit that serialized map output at emit made
+/// 75,786 / 75,776, the commit before 76,667 / 76,657 (ceiling 76,821 /
+/// 76,811), and the commit before rows moved through the shuffle 126,925 /
+/// 126,915.
+const MAPJOIN_Q21_CEILING: (u64, u64) = (26_767, 26_757);
 
 /// The `hive_chain` benchmark's system: two cluster-A workers, 8 MiB
 /// blocks, replication 2, RCFile only, 8 000 rows per group, seed 7.

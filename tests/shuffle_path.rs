@@ -37,9 +37,9 @@ fn key_of(i: i64) -> i64 {
 fn recorded_groups(num_reducers: usize) -> Vec<Vec<Row>> {
     let dfs = Dfs::for_tests(3);
     let engine = Engine::new(Arc::clone(&dfs));
-    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+    let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
         let i = v.at(0).as_i64().unwrap();
-        ctx.emit(&[Datum::I64(key_of(i))], v);
+        ctx.emit(&[Datum::I64(key_of(i))], v.values());
         Ok(())
     }));
     let rows: Vec<Row> = (0..ROWS).map(|i| row![i]).collect();
@@ -228,9 +228,9 @@ fn a_combined_shuffle_matches_the_recorded_rows_and_priced_counters() {
         let num_reducers = recorded.reducers;
         let dfs = Dfs::for_tests(3);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: Row, ctx: &_| {
+        let mapper = RowMapRunner::new(FnMapper(|_k: &Row, v: &Row, ctx: &_| {
             let i = v.at(0).as_i64().unwrap();
-            ctx.emit(&[Datum::I64(key_of(i))], v);
+            ctx.emit(&[Datum::I64(key_of(i))], v.values());
             Ok(())
         }));
         let sum =
@@ -383,9 +383,9 @@ fn value_shapes_match_the_recorded_part_files_and_priced_counters() {
         let case = format!("{shape:?}, combined {combined}, {reducers} reducers");
         let dfs = Dfs::for_tests(3);
         let engine = Engine::new(Arc::clone(&dfs));
-        let mapper = RowMapRunner::new(FnMapper(move |_k: &Row, v: Row, ctx: &_| {
+        let mapper = RowMapRunner::new(FnMapper(move |_k: &Row, v: &Row, ctx: &_| {
             let i = v.at(0).as_i64().unwrap();
-            ctx.emit(shape.key(key_of(i)).values(), shape.value(i));
+            ctx.emit(shape.key(key_of(i)).values(), shape.value(i).values());
             Ok(())
         }));
         let rows: Vec<Row> = (0..ROWS).map(|i| row![i]).collect();

@@ -12,9 +12,10 @@
 //! Section 6.5).
 
 use crate::encoding::{decode_verified, encode_block};
+use bytes::Bytes;
 use clyde_common::{rowcodec, Field};
 use clyde_common::{varint, ClydeError, Result, Row, RowBlock, RowBlockBuilder, Schema};
-use clyde_dfs::{Dfs, GroupFiles, NodeId};
+use clyde_dfs::{Dfs, GroupFiles, NodeId, ResolvedFile};
 use clyde_mapred::TaskIo;
 use std::sync::Arc;
 
@@ -244,6 +245,14 @@ pub struct GroupLocation {
     pub bytes: u64,
 }
 
+/// Column `c`'s file in a group's [`CifReader::locate_files`] entry.
+pub(crate) fn located_file(group: &GroupFiles, c: usize) -> Result<&ResolvedFile> {
+    group
+        .files
+        .get(c)
+        .ok_or_else(|| ClydeError::Format(format!("column {c} out of range")))
+}
+
 /// Reader for a CIF table.
 #[derive(Debug, Clone)]
 pub struct CifReader {
@@ -273,6 +282,35 @@ impl CifReader {
     /// chunk is not decoded but read in place. The block has the group's
     /// row count from `_meta`, even with no columns selected.
     pub fn read_group(&self, io: &TaskIo, group: usize, col_indices: &[usize]) -> Result<RowBlock> {
+        self.read_chunks(group, col_indices, |_, name| {
+            io.read_sealed(&self.meta.column_path(group, name))
+        })
+    }
+
+    /// [`CifReader::read_group`] through `files`, the group's entry of this
+    /// table's [`CifReader::locate_files`]: the same reads, with no path
+    /// formatted or looked up. A file deleted since it was located is a
+    /// typed error naming its path.
+    pub fn read_group_files(
+        &self,
+        io: &TaskIo,
+        group: usize,
+        files: &GroupFiles,
+        col_indices: &[usize],
+    ) -> Result<RowBlock> {
+        self.read_chunks(group, col_indices, |c, _| {
+            io.read_sealed_resolved(located_file(files, c)?)
+        })
+    }
+
+    /// Fetch each selected column's chunk of `group` with `fetch(column,
+    /// name)` and decode it against the group's row count.
+    fn read_chunks(
+        &self,
+        group: usize,
+        col_indices: &[usize],
+        mut fetch: impl FnMut(usize, &str) -> Result<Bytes>,
+    ) -> Result<RowBlock> {
         let expected = *self
             .meta
             .group_rows
@@ -283,7 +321,7 @@ impl CifReader {
         let mut columns = Vec::with_capacity(col_indices.len());
         for &ci in col_indices {
             let name = self.column_name(ci)?;
-            let data = io.read_sealed(&self.meta.column_path(group, name))?;
+            let data = fetch(ci, name)?;
             let col = decode_verified(&data, rows)?;
             if col.len() != rows {
                 return Err(ClydeError::Format(format!(
@@ -327,15 +365,15 @@ impl CifReader {
     /// Where every live group's column files are, from one pass over the
     /// table's `rg…` namespace range (one namenode lock) instead of a
     /// lookup per column file. Hosts follow [`CifReader::group_hosts`]'s
-    /// rule — every column file, intersected in schema order; lengths are
-    /// the stored length of each column file, in schema order. A missing
-    /// column file of a live group is an error.
+    /// rule — every column file, intersected in schema order — and each
+    /// column file is kept as the walk resolved it (path, length, blocks),
+    /// in schema order. A missing column file of a live group is an error.
     pub fn locate_files(&self, dfs: &Dfs) -> Result<Vec<GroupFiles>> {
         /// One group while its files stream past.
         #[derive(Clone, Default)]
         struct Acc {
-            /// Each column file's length, once it has been seen.
-            lens: Vec<Option<u64>>,
+            /// Each column file, once it has been seen.
+            files: Vec<Option<ResolvedFile>>,
             /// Intersection of the files seen so far, in arrival order.
             common: Option<Vec<NodeId>>,
             /// Hosts of the first schema column's file: files arrive in
@@ -343,7 +381,7 @@ impl CifReader {
             lead: Vec<NodeId>,
         }
         let empty = Acc {
-            lens: vec![None; self.meta.schema.len()],
+            files: vec![None; self.meta.schema.len()],
             ..Acc::default()
         };
         let mut groups = vec![empty; self.meta.num_groups()];
@@ -360,10 +398,10 @@ impl CifReader {
             let Some(group) = groups.get_mut(g) else {
                 return;
             };
-            let Some(len) = group.lens.get_mut(c) else {
+            let Some(slot) = group.files.get_mut(c) else {
                 return;
             };
-            *len = Some(file.len);
+            *slot = Some(file.resolved());
             match &mut group.common {
                 None => group.common = Some(file.hosts.to_vec()),
                 Some(common) => common.retain(|n| file.hosts.contains(n)),
@@ -382,16 +420,16 @@ impl CifReader {
             .into_iter()
             .enumerate()
             .map(|(g, group)| {
-                let lens = group
-                    .lens
-                    .iter()
+                let files = group
+                    .files
+                    .into_iter()
                     .enumerate()
-                    .map(|(c, len)| len.ok_or_else(|| missing(g, c)))
-                    .collect::<Result<Vec<u64>>>()?;
+                    .map(|(c, file)| file.ok_or_else(|| missing(g, c)))
+                    .collect::<Result<Vec<_>>>()?;
                 let common = group.common.unwrap_or_default();
                 let mut hosts = group.lead;
                 hosts.retain(|n| common.contains(n));
-                Ok(GroupFiles { hosts, lens })
+                Ok(GroupFiles { hosts, files })
             })
             .collect()
     }
@@ -411,10 +449,7 @@ impl CifReader {
                 self.meta.num_groups()
             )));
         }
-        let len = |group: &GroupFiles, c: usize| {
-            let len = group.lens.get(c).copied();
-            len.ok_or_else(|| ClydeError::Format(format!("column {c} out of range")))
-        };
+        let len = |group: &GroupFiles, c: usize| located_file(group, c).map(|f| f.len);
         files
             .iter()
             .map(|group| {

@@ -18,11 +18,11 @@
 #![expect(
     clippy::disallowed_types,
     reason = "D004 audit: the CIF input format's per-job table handle: one `RwLock` around \
-                an `Option<Arc<CifReader>>`, written by `splits()` and read by `open()`, \
+                an `Option<Arc<Planned>>`, written by `splits()` and read by `open()`, \
                 each for a single statement and never while a DFS lock is held"
 )]
 
-use crate::cif::CifReader;
+use crate::cif::{located_file, CifReader};
 use crate::encoding::{peek_zone_map, ZONE_HEADER_MAX};
 use clyde_common::lockorder::RwLock;
 use clyde_common::{ClydeError, Result, RowBlock, RowRange};
@@ -98,10 +98,24 @@ pub struct CifInputFormat {
     pub zone_preds: Vec<ZonePred>,
     /// The table as the last [`InputFormat::splits`] call resolved it: a
     /// job opens `_meta` once, when it plans, and every `open()` of that
-    /// job reads the groups of that same snapshot. Replaced by each
-    /// `splits()`, so a format reused for a later job never serves an
-    /// earlier job's metadata.
-    table: RwLock<Option<Arc<CifReader>>>,
+    /// job reads the groups of that same snapshot, through the column files
+    /// it located. Replaced by each `splits()`, so a format reused for a
+    /// later job never serves an earlier job's metadata.
+    table: RwLock<Option<Arc<Planned>>>,
+}
+
+/// One job's table snapshot: `_meta`, every live group's column files as
+/// the location fold resolved them, and the indexes of the columns `open()`
+/// reads and zone-checks — so `open()` formats and looks up no path.
+struct Planned {
+    reader: CifReader,
+    files: Arc<[GroupFiles]>,
+    /// Columns `open()` materializes: [`CifInputFormat::columns`] or all.
+    cols: Vec<usize>,
+    /// `(column, lo, hi)` of each zone predicate on a column the table has;
+    /// a predicate on an unknown column cannot prune (planner
+    /// bug-proofing, not an error).
+    zones: Vec<(usize, i32, i32)>,
 }
 
 impl CifInputFormat {
@@ -139,18 +153,14 @@ impl CifInputFormat {
     /// Zone-map check for one row group: `Ok(true)` means some predicate's
     /// range is provably disjoint from the group's value range and the
     /// group can be skipped. Costs one header-sized prefix read (≤
-    /// [`ZONE_HEADER_MAX`] bytes, one namenode lookup) per checked column.
-    fn zone_prunes(&self, reader: &CifReader, group: usize, io: &TaskIo) -> Result<bool> {
-        for zp in &self.zone_preds {
-            // Unknown columns can't prune (planner bug-proofing, not an error).
-            if reader.column_index(&zp.column).is_err() {
-                continue;
-            }
-            let path = reader.meta().column_path(group, &zp.column);
-            let prefix = io.read_prefix(&path, ZONE_HEADER_MAX as u64)?;
+    /// [`ZONE_HEADER_MAX`] bytes) of a resolved file per checked column.
+    fn zone_prunes(planned: &Planned, files: &GroupFiles, io: &TaskIo) -> Result<bool> {
+        for &(c, lo, hi) in &planned.zones {
+            let prefix =
+                io.read_prefix_resolved(located_file(files, c)?, ZONE_HEADER_MAX as u64)?;
             io.stats.add_zone_checked(1);
             if let Some((min, max)) = peek_zone_map(&prefix)? {
-                if max < zp.lo || min > zp.hi {
+                if max < lo || min > hi {
                     io.stats.add_zone_skipped(1);
                     return Ok(true);
                 }
@@ -164,16 +174,37 @@ impl CifInputFormat {
     /// has not changed since it was built, and one fresh walk otherwise; a
     /// change between reading the epoch and `_meta` (a concurrent writer)
     /// means reading both again.
-    fn resolve(&self, dfs: &Dfs) -> Result<(CifReader, Arc<[GroupFiles]>)> {
+    fn resolve(dfs: &Dfs, base: &str) -> Result<(CifReader, Arc<[GroupFiles]>)> {
         loop {
             let epoch = dfs.namespace_epoch();
-            let reader = CifReader::open(dfs, &self.base)?;
-            if let Some(files) =
-                dfs.table_locations(&self.base, epoch, || reader.locate_files(dfs))?
-            {
+            let reader = CifReader::open(dfs, base)?;
+            if let Some(files) = dfs.table_locations(base, epoch, || reader.locate_files(dfs))? {
                 return Ok((reader, files));
             }
         }
+    }
+
+    /// Resolve table `base` and the columns `open()` reads and zone-checks.
+    fn plan(&self, dfs: &Dfs, base: &str) -> Result<Planned> {
+        let (reader, files) = Self::resolve(dfs, base)?;
+        let cols = match &self.columns {
+            Some(names) => names
+                .iter()
+                .map(|n| reader.column_index(n))
+                .collect::<Result<_>>()?,
+            None => (0..reader.schema().len()).collect(),
+        };
+        let zones = self
+            .zone_preds
+            .iter()
+            .filter_map(|zp| Some((reader.column_index(&zp.column).ok()?, zp.lo, zp.hi)))
+            .collect();
+        Ok(Planned {
+            reader,
+            files,
+            cols,
+            zones,
+        })
     }
 
     fn column_indices(&self, reader: &CifReader, conf: &JobConf) -> Result<Vec<usize>> {
@@ -193,11 +224,10 @@ impl CifInputFormat {
 
 impl InputFormat for CifInputFormat {
     fn splits(&self, dfs: &Dfs, conf: &JobConf) -> Result<Vec<InputSplit>> {
-        let (reader, files) = self.resolve(dfs)?;
-        let reader = Arc::new(reader);
-        *self.table.write() = Some(Arc::clone(&reader));
-        let cols = self.column_indices(&reader, conf)?;
-        let located = reader.project(&files, &cols)?;
+        let planned = Arc::new(self.plan(dfs, &self.base)?);
+        *self.table.write() = Some(Arc::clone(&planned));
+        let cols = self.column_indices(&planned.reader, conf)?;
+        let located = planned.reader.project(&planned.files, &cols)?;
 
         let multi = match self.multi {
             MultiSplit::GroupsPerSplit(k) => {
@@ -279,24 +309,20 @@ impl InputFormat for CifInputFormat {
             ))
         })?;
         // The table this job's `splits()` resolved; a split this format did
-        // not plan (no `splits()` yet, or another table's) opens its own.
+        // not plan (no `splits()` yet, or another table's) resolves its own.
         let held = self.table.read().clone();
-        let reader = match held.filter(|r| r.meta().base == *base) {
-            Some(reader) => reader,
-            None => Arc::new(CifReader::open(&io.dfs, base)?),
+        let planned = match held.filter(|p| p.reader.meta().base == *base) {
+            Some(planned) => planned,
+            None => Arc::new(self.plan(&io.dfs, base)?),
         };
-        // Re-resolve columns at the task (conf travels via the format).
-        let cols: Vec<usize> = match &self.columns {
-            Some(names) => names
-                .iter()
-                .map(|n| reader.column_index(n))
-                .collect::<Result<_>>()?,
-            None => (0..reader.schema().len()).collect(),
-        };
+        let files = planned
+            .files
+            .get(group)
+            .ok_or_else(|| ClydeError::Format(format!("row group {group} out of range")))?;
         // Zone-map pruning: decide from column-chunk headers alone whether
         // this group can contain qualifying rows; if not, hand back an
         // empty reader of the requested shape.
-        if !self.zone_preds.is_empty() && self.zone_prunes(&reader, group, io)? {
+        if Self::zone_prunes(&planned, files, io)? {
             return Ok(match self.mode {
                 ScanMode::Blocks { .. } => {
                     Reader::Blocks(Box::new(SlicedBlockReader::new(RowBlock::default(), 1)))
@@ -306,7 +332,9 @@ impl InputFormat for CifInputFormat {
                 )))),
             });
         }
-        let block = reader.read_group(io, group, &cols)?;
+        let block = planned
+            .reader
+            .read_group_files(io, group, files, &planned.cols)?;
         match self.mode {
             ScanMode::Blocks { rows_per_block } => Ok(Reader::Blocks(Box::new(
                 SlicedBlockReader::new(block, rows_per_block),

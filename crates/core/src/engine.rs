@@ -544,6 +544,48 @@ mod tests {
         let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
         assert_eq!(result.rows, expect);
     }
+
+    /// A fact scan whose every part open panics — inside the probe worker
+    /// that pulls the part.
+    struct PanickingOpen(Arc<dyn clyde_mapred::InputFormat>);
+
+    impl clyde_mapred::InputFormat for PanickingOpen {
+        fn splits(
+            &self,
+            dfs: &Dfs,
+            conf: &clyde_mapred::JobConf,
+        ) -> Result<Vec<clyde_mapred::InputSplit>> {
+            self.0.splits(dfs, conf)
+        }
+
+        fn open(
+            &self,
+            _: &clyde_mapred::InputSplit,
+            _: usize,
+            _: &clyde_mapred::TaskIo,
+        ) -> Result<clyde_mapred::Reader> {
+            panic!("scan bug")
+        }
+    }
+
+    #[test]
+    fn a_panicking_probe_worker_at_one_host_thread_is_a_typed_error() {
+        // One node and one host thread: the calling thread runs the map
+        // wave's only queue and the task's only probe worker itself.
+        let (dfs, layout, gen) = setup(0.002, 1);
+        let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone()).with_host_threads(1);
+        let q = query_by_id("Q1.1").unwrap();
+        let mut spec = plan_query(&q, &layout, clyde.features(), dfs.cluster()).unwrap();
+        spec.host_threads = Some(1);
+        spec.input = Arc::new(PanickingOpen(Arc::clone(&spec.input)));
+        let err = clyde.engine().run_job(&spec).unwrap_err();
+        assert!(
+            matches!(&err, ClydeError::MapReduce(m) if m.contains("probe thread panicked")),
+            "{err:?}"
+        );
+        let expect = reference_answer(&gen.gen_all().unwrap(), &q).unwrap();
+        assert_eq!(clyde.query(&q).unwrap().rows, expect);
+    }
 }
 
 #[cfg(test)]

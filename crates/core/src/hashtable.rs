@@ -23,7 +23,7 @@
 use bytes::Bytes;
 use clyde_common::rowcodec::RowsRef;
 use clyde_common::{ClydeError, DatumRef, FxHashMap, Result, Row};
-use clyde_mapred::ResidentStore;
+use clyde_mapred::{fan_out, ResidentStore};
 use clyde_ssb::queries::{DimJoin, DimPred};
 use clyde_ssb::schema;
 use std::collections::hash_map::Entry;
@@ -425,12 +425,13 @@ impl DimTables {
 
     /// Fetches run sequentially (`fetch` is `FnMut` and usually I/O-bound on
     /// a shared cache) and `lookup` is asked for each join's table; the
-    /// CPU-bound builds of the joins it had nothing for then run on one
-    /// scoped thread per dimension — the paper notes build parallelism is
-    /// bounded by the number of dimensions (Section 4.2) — and are offered
-    /// to `retain`. Accounting is accumulated in join order over found and
-    /// built tables alike, so `build_rows`/`mem_bytes` are identical to a
-    /// sequential build of everything.
+    /// CPU-bound builds of the joins it had nothing for then run one per
+    /// dimension through [`fan_out`] (the calling thread builds the first)
+    /// — the paper notes build parallelism is bounded by the number of
+    /// dimensions (Section 4.2) — and are offered to `retain`. Accounting
+    /// is accumulated in join order over found and built tables alike, so
+    /// `build_rows`/`mem_bytes` are identical to a sequential build of
+    /// everything.
     fn build_all_from<T: Sync>(
         joins: &[DimJoin],
         mut fetch: impl FnMut(&str) -> Result<T>,
@@ -455,31 +456,11 @@ impl DimTables {
             .filter(|(_, found)| found.is_none())
             .map(|(miss, _)| miss)
             .collect();
-        let built: Vec<Result<DimHashTable>> = if missing.len() <= 1 {
-            missing.iter().map(|(join, src)| build(join, src)).collect()
-        } else {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "D004 audit: parallel dimension builds; results come back through join handles in join order"
-            )]
-            std::thread::scope(|s| {
-                let handles: Vec<_> = missing
-                    .iter()
-                    .map(|&(join, src)| s.spawn(move || build(join, src)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(ClydeError::MapReduce(
-                                "dimension build thread panicked".into(),
-                            ))
-                        })
-                    })
-                    .collect()
-            })
-        };
-
+        let built = fan_out(
+            missing.clone(),
+            |(join, src)| build(join, src),
+            |_| ClydeError::MapReduce("dimension build thread panicked".into()),
+        );
         let mut built = missing.into_iter().zip(built);
         let mut tables = Vec::with_capacity(joins.len());
         let mut build_rows = 0;
@@ -492,7 +473,7 @@ impl DimTables {
                     let ((join, src), t) = built.next().ok_or_else(|| {
                         ClydeError::MapReduce("a missing dimension table was not built".into())
                     })?;
-                    let t = Arc::new(t?);
+                    let t = Arc::new(t??);
                     retain(join, src, &t);
                     t
                 }

@@ -48,7 +48,7 @@ use crate::probe::{
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{Phase, WallTimer};
 use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row, RowRange, Schema};
-use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader, RecordReader};
+use clyde_mapred::{fan_out, BlockReader, MapRunner, MapTaskContext, Reader, RecordReader};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
 use std::sync::Arc;
@@ -91,6 +91,8 @@ struct MorselState {
     next_part: usize,
     current: Option<Box<dyn BlockReader>>,
     next_morsel: u64,
+    /// Wall time spent opening parts: zone check, chunk reads and decode.
+    scan_ns: u64,
 }
 
 impl<'a, 'b> MorselSource<'a, 'b> {
@@ -102,6 +104,7 @@ impl<'a, 'b> MorselSource<'a, 'b> {
                 next_part: 0,
                 current: None,
                 next_morsel: 0,
+                scan_ns: 0,
             }),
         }
     }
@@ -122,7 +125,10 @@ impl<'a, 'b> MorselSource<'a, 'b> {
             }
             let part = st.next_part;
             st.next_part += 1;
-            match self.ctx.input.open(self.ctx.split, part, &self.ctx.io)? {
+            let open_start = WallTimer::start();
+            let opened = self.ctx.input.open(self.ctx.split, part, &self.ctx.io);
+            st.scan_ns += open_start.elapsed_ns();
+            match opened? {
                 Reader::Blocks(r) => st.current = Some(r),
                 Reader::Rows(r) => break Morsel::Rows(r),
             }
@@ -130,6 +136,11 @@ impl<'a, 'b> MorselSource<'a, 'b> {
         let id = st.next_morsel;
         st.next_morsel += 1;
         Ok(Some((id, morsel)))
+    }
+
+    /// Wall time spent opening parts so far, summed (one timer per part).
+    fn scan_ns(&self) -> u64 {
+        self.state.lock().scan_ns
     }
 }
 
@@ -162,8 +173,10 @@ impl MtMapRunner {
         Ok(tables)
     }
 
-    /// The thread driver: `host_threads` workers pull morsels from the
-    /// shared source and never idle while any part still has work. Returns
+    /// The thread driver: `host_threads` workers ([`fan_out`]: the calling
+    /// thread is the first) pull morsels from the shared source and never
+    /// idle while any part still has work. The part opens are the task's
+    /// `Scan` wall phase and the rest of the fan-out its `Probe`. Returns
     /// the thread-local results in canonical merge order — ascending first
     /// morsel id; idle threads, tagged `u64::MAX`, sort last and contribute
     /// nothing — with their summed stats.
@@ -178,65 +191,57 @@ impl MtMapRunner {
         // Morsels are finer than parts, so it is not capped by them.
         let threads = (ctx.host_threads as usize).max(1);
         let source = MorselSource::new(ctx);
-        // Each thread hands back its result and the wall-clock it spent
-        // probing (observability only — simulated time comes from the cost
-        // model), joined in spawn order.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "D004 audit: the probe threads of paper Figure 5; results are joined \
-                      in spawn order and merged in first-morsel order"
-        )]
-        let joined: Vec<_> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let source = &source;
-                handles.push(scope.spawn(move || -> Result<(ThreadResult, u64)> {
-                    let thread_start = WallTimer::start();
-                    let mut res = ThreadResult {
-                        first_morsel: u64::MAX,
-                        acc: FxHashMap::default(),
-                        vacc: layout
-                            .as_ref()
-                            .map(|l| GroupAcc::new(l, &self.query.aggregate)),
-                        stats: ProbeStats::default(),
-                    };
-                    let mut buf = SelBuf::default();
-                    while let Some((id, morsel)) = source.next()? {
-                        res.first_morsel = res.first_morsel.min(id);
-                        match (morsel, &mut res.vacc, layout) {
-                            (Morsel::Block(r), Some(va), Some(l)) => res.stats.add(
-                                &probe_range_vec(&r.block, r.rows, plan, tables, l, va, &mut buf)?,
-                            ),
-                            (Morsel::Block(r), _, _) => probe_range(
-                                &r.block,
-                                r.rows,
-                                plan,
-                                tables,
-                                &mut res.acc,
-                                &mut res.stats,
-                            )?,
-                            (Morsel::Rows(mut rows), _, _) => {
-                                let (mut key, mut row) = (Row::empty(), Row::empty());
-                                while rows.next_into(&mut key, &mut row)? {
-                                    probe_row(&row, plan, tables, &mut res.acc, &mut res.stats)?;
-                                }
+        let probe_start = WallTimer::start();
+        let joined = fan_out(
+            vec![(); threads],
+            |()| -> Result<ThreadResult> {
+                let mut res = ThreadResult {
+                    first_morsel: u64::MAX,
+                    acc: FxHashMap::default(),
+                    vacc: layout
+                        .as_ref()
+                        .map(|l| GroupAcc::new(l, &self.query.aggregate)),
+                    stats: ProbeStats::default(),
+                };
+                let mut buf = SelBuf::default();
+                while let Some((id, morsel)) = source.next()? {
+                    res.first_morsel = res.first_morsel.min(id);
+                    match (morsel, &mut res.vacc, layout) {
+                        (Morsel::Block(r), Some(va), Some(l)) => res.stats.add(&probe_range_vec(
+                            &r.block, r.rows, plan, tables, l, va, &mut buf,
+                        )?),
+                        (Morsel::Block(r), _, _) => probe_range(
+                            &r.block,
+                            r.rows,
+                            plan,
+                            tables,
+                            &mut res.acc,
+                            &mut res.stats,
+                        )?,
+                        (Morsel::Rows(mut rows), _, _) => {
+                            let (mut key, mut row) = (Row::empty(), Row::empty());
+                            while rows.next_into(&mut key, &mut row)? {
+                                probe_row(&row, plan, tables, &mut res.acc, &mut res.stats)?;
                             }
                         }
                     }
-                    Ok((res, thread_start.elapsed_ns()))
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let mut results = Vec::with_capacity(threads);
-        let mut probe_ns = 0u64;
-        for thread in joined {
-            let (res, ns) =
-                thread.map_err(|_| ClydeError::MapReduce("probe thread panicked".into()))??;
-            results.push(res);
-            probe_ns += ns;
-        }
-        ctx.note_wall_phase(Phase::Probe, probe_ns);
+                }
+                Ok(res)
+            },
+            |_| ClydeError::MapReduce("probe thread panicked".into()),
+        );
+        // Part opens serialize under the source's lock, so their sum fits
+        // inside the fan-out's elapsed time; the rest of it is the kernel.
+        let scan_ns = source.scan_ns();
+        ctx.note_wall_phase(Phase::Scan, scan_ns);
+        ctx.note_wall_phase(
+            Phase::Probe,
+            probe_start.elapsed_ns().saturating_sub(scan_ns),
+        );
+        let mut results = joined
+            .into_iter()
+            .map(|thread| thread?)
+            .collect::<Result<Vec<_>>>()?;
         results.sort_by_key(|r| r.first_morsel);
         let mut stats = ProbeStats::default();
         for r in &results {

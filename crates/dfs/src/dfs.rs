@@ -57,16 +57,71 @@ pub struct FileLocation<'a> {
     /// Nodes holding a replica of every block of the file, in the first
     /// block's placement order — `common_hosts` of this one file.
     pub hosts: &'a [NodeId],
+    /// The file's blocks, in file order.
+    pub blocks: &'a [BlockId],
+}
+
+impl FileLocation<'_> {
+    /// What a later read needs to fetch this file without looking its path
+    /// up again ([`Dfs::read_sealed_resolved`]).
+    pub fn resolved(&self) -> ResolvedFile {
+        ResolvedFile {
+            path: self.path.to_string(),
+            len: self.len,
+            blocks: self.blocks.to_vec(),
+        }
+    }
+}
+
+/// One file as a namespace lookup found it: its path (for errors), stored
+/// length and block list. Reading through it skips the path lookup; the
+/// blocks' replicas, checksums and seals are still looked up per read, so a
+/// replica change is seen at once. Block ids are never reused, so once the
+/// file is deleted every read through it is a typed error naming the path,
+/// never another file's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolvedFile {
+    pub path: String,
+    pub len: u64,
+    pub blocks: Vec<BlockId>,
 }
 
 /// One group of a table's files, as a planner sees it: the nodes holding a
-/// replica of every block of every file of the group, and the stored length
-/// of each file, in the caller's file order (a CIF row group: its column
+/// replica of every block of every file of the group, and each file as it
+/// was resolved, in the caller's file order (a CIF row group: its column
 /// files in schema order). What [`Dfs::table_locations`] keeps.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupFiles {
     pub hosts: Vec<NodeId>,
-    pub lens: Vec<u64>,
+    pub files: Vec<ResolvedFile>,
+}
+
+/// A file's read-side view: a namespace entry's, or a resolution's.
+#[derive(Clone, Copy)]
+struct FileView<'a> {
+    path: &'a str,
+    len: u64,
+    blocks: &'a [BlockId],
+}
+
+impl<'a> From<&'a FileEntry> for FileView<'a> {
+    fn from(e: &'a FileEntry) -> FileView<'a> {
+        FileView {
+            path: &e.path,
+            len: e.len,
+            blocks: &e.blocks,
+        }
+    }
+}
+
+impl<'a> From<&'a ResolvedFile> for FileView<'a> {
+    fn from(f: &'a ResolvedFile) -> FileView<'a> {
+        FileView {
+            path: &f.path,
+            len: f.len,
+            blocks: &f.blocks,
+        }
+    }
 }
 
 struct State {
@@ -77,13 +132,17 @@ struct State {
     tables: FxHashMap<String, (u64, Arc<[GroupFiles]>)>,
 }
 
-/// How many bytes a range read asks for.
+/// What part of a file a read returns.
 #[derive(Clone, Copy)]
 enum Span {
-    /// Exactly this many; a range past the end of the file is an error.
-    Exact(u64),
-    /// Up to this many: the range stops at the end of the file.
-    AtMost(u64),
+    /// All of it, every block fetched; `sealed` checks the file's seal.
+    Whole { sealed: bool },
+    /// Exactly `len` bytes from `offset`; a range past the end of the file
+    /// is an error.
+    Exact { offset: u64, len: u64 },
+    /// Up to this many bytes from the start: the range stops at the end of
+    /// the file.
+    Prefix(u64),
 }
 
 /// A simulated HDFS instance over the workers of a [`ClusterSpec`].
@@ -105,6 +164,8 @@ pub struct Dfs {
     seal_checks: AtomicU64,
     /// Namespace walks by [`Dfs::locate_prefix`] (test assertions).
     namespace_walks: AtomicU64,
+    /// Path lookups by the read side (test assertions).
+    path_lookups: AtomicU64,
 }
 
 impl Dfs {
@@ -127,6 +188,7 @@ impl Dfs {
             cache: RwLock::new(CacheCatalog::new()),
             seal_checks: AtomicU64::new(0),
             namespace_walks: AtomicU64::new(0),
+            path_lookups: AtomicU64::new(0),
         })
     }
 
@@ -282,7 +344,7 @@ impl Dfs {
         reader: Option<NodeId>,
         stats: Option<&ScanStats>,
     ) -> Result<Bytes> {
-        self.read_whole(path, reader, stats, false)
+        self.read_path(path, Span::Whole { sealed: false }, reader, stats)
     }
 
     /// Like [`Dfs::read_file_tracked`], for a *sealed* file — one whose last
@@ -300,36 +362,135 @@ impl Dfs {
         reader: Option<NodeId>,
         stats: Option<&ScanStats>,
     ) -> Result<Bytes> {
-        self.read_whole(path, reader, stats, true)
+        self.read_path(path, Span::Whole { sealed: true }, reader, stats)
     }
 
-    fn read_whole(
+    /// [`Dfs::read_sealed_tracked`] of a file resolved earlier, without a
+    /// path lookup.
+    pub fn read_sealed_resolved(
         &self,
-        path: &str,
+        file: &ResolvedFile,
         reader: Option<NodeId>,
         stats: Option<&ScanStats>,
-        sealed: bool,
     ) -> Result<Bytes> {
         let state = self.state.read();
+        let span = Span::Whole { sealed: true };
+        self.read_body(&state, file.into(), span, reader, stats)
+    }
+
+    /// [`Dfs::read_prefix_tracked`] of a file resolved earlier, without a
+    /// path lookup.
+    pub fn read_prefix_resolved(
+        &self,
+        file: &ResolvedFile,
+        max_len: u64,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+    ) -> Result<Bytes> {
+        let state = self.state.read();
+        self.read_body(&state, file.into(), Span::Prefix(max_len), reader, stats)
+    }
+
+    /// Look `path` up, then read it through the one read body.
+    fn read_path(
+        &self,
+        path: &str,
+        span: Span,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+    ) -> Result<Bytes> {
+        self.path_lookups.fetch_add(1, Ordering::Relaxed);
+        let state = self.state.read();
         let entry = state.namenode.file(path)?;
-        if let &[block] = entry.blocks.as_slice() {
-            // Fast path: single-block files return the stored Bytes directly.
-            let (replica, local) = self.fetch_block(&state, block, reader)?;
-            self.account_read(reader, stats, local, replica.data().len() as u64)?;
-            if sealed && !replica.is_sealed() {
-                self.check_seal(path, replica.data())?;
-                replica.mark_sealed();
+        self.read_body(&state, entry.into(), span, reader, stats)
+    }
+
+    /// The one read body, shared by path-keyed and resolved reads: fetch
+    /// the blocks `span` covers, each from a verified replica (the reader's
+    /// own first), credit the bytes returned, and check the seal of a
+    /// sealed whole read. A block the namespace no longer has (the file was
+    /// deleted after it was resolved) is a typed error naming the path.
+    fn read_body(
+        &self,
+        state: &State,
+        file: FileView<'_>,
+        span: Span,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+    ) -> Result<Bytes> {
+        let FileView { path, blocks, .. } = file;
+        let meta = |b: BlockId| {
+            state.namenode.block(b).map_err(|_| {
+                ClydeError::Dfs(format!(
+                    "block {b:?} of {path} is gone: the file changed after it was resolved"
+                ))
+            })
+        };
+        let (offset, len) = match span {
+            Span::Whole { sealed } => {
+                if let &[only] = blocks {
+                    // Fast path: single-block files return the stored Bytes
+                    // directly.
+                    let (replica, local) = self.fetch_block(state, meta(only)?, reader)?;
+                    self.account_read(reader, stats, local, replica.data().len() as u64)?;
+                    if sealed && !replica.is_sealed() {
+                        self.check_seal(path, replica.data())?;
+                        replica.mark_sealed();
+                    }
+                    return Ok(replica.data().clone());
+                }
+                let mut out = Vec::with_capacity(file.len as usize);
+                for &b in blocks {
+                    let (replica, local) = self.fetch_block(state, meta(b)?, reader)?;
+                    self.account_read(reader, stats, local, replica.data().len() as u64)?;
+                    out.extend_from_slice(replica.data());
+                }
+                if sealed {
+                    self.check_seal(path, &out)?;
+                }
+                return Ok(Bytes::from(out));
             }
-            return Ok(replica.data().clone());
-        }
-        let mut out = Vec::with_capacity(entry.len as usize);
-        for &b in &entry.blocks {
-            let (replica, local) = self.fetch_block(&state, b, reader)?;
-            self.account_read(reader, stats, local, replica.data().len() as u64)?;
-            out.extend_from_slice(replica.data());
-        }
-        if sealed {
-            self.check_seal(path, &out)?;
+            Span::Exact { offset, len } => (offset, len),
+            Span::Prefix(max) => (0, max.min(file.len)),
+        };
+        let end = match offset.checked_add(len) {
+            Some(end) if end <= file.len => end,
+            _ => {
+                return Err(ClydeError::Dfs(format!(
+                    "range {offset}+{len} beyond end of {path} (len {})",
+                    file.len
+                )))
+            }
+        };
+        let mut out = Vec::new();
+        let mut block_start = 0u64;
+        for &b in blocks {
+            let meta = meta(b)?;
+            let block_end = block_start + meta.len;
+            if block_end > offset && block_start < end {
+                let (replica, local) = self.fetch_block(state, meta, reader)?;
+                let data = replica.data();
+                let from = offset.saturating_sub(block_start) as usize;
+                let to = (end.min(block_end) - block_start) as usize;
+                if to > data.len() {
+                    return Err(ClydeError::Dfs(format!(
+                        "block {b:?} of {path} is shorter than its metadata"
+                    )));
+                }
+                self.account_read(reader, stats, local, (to - from) as u64)?;
+                let part = data.slice(from..to);
+                if part.len() as u64 == len {
+                    return Ok(part); // the whole range sits inside this block
+                }
+                if out.is_empty() {
+                    out.reserve_exact(len as usize);
+                }
+                out.extend_from_slice(&part);
+            }
+            block_start = block_end;
+            if block_start >= end {
+                break;
+            }
         }
         Ok(Bytes::from(out))
     }
@@ -383,10 +544,9 @@ impl Dfs {
     fn fetch_block<'s>(
         &self,
         state: &'s State,
-        block: BlockId,
+        meta: &BlockMeta,
         reader: Option<NodeId>,
     ) -> Result<(&'s Replica, bool)> {
-        let meta = state.namenode.block(block)?;
         if let Some(r) = reader {
             if meta.is_local_to(r) {
                 if let Some(replica) = self.verified(state, meta, r) {
@@ -405,7 +565,8 @@ impl Dfs {
             }
         }
         Err(ClydeError::Dfs(format!(
-            "all replicas of block {block:?} are unavailable or corrupt"
+            "all replicas of block {:?} are unavailable or corrupt",
+            meta.id
         )))
     }
 
@@ -456,7 +617,7 @@ impl Dfs {
         reader: Option<NodeId>,
         stats: Option<&ScanStats>,
     ) -> Result<Bytes> {
-        self.read_span(path, offset, Span::Exact(len), reader, stats)
+        self.read_path(path, Span::Exact { offset, len }, reader, stats)
     }
 
     /// The first `max_len` bytes of a file, or the whole file if it is
@@ -469,62 +630,7 @@ impl Dfs {
         reader: Option<NodeId>,
         stats: Option<&ScanStats>,
     ) -> Result<Bytes> {
-        self.read_span(path, 0, Span::AtMost(max_len), reader, stats)
-    }
-
-    fn read_span(
-        &self,
-        path: &str,
-        offset: u64,
-        span: Span,
-        reader: Option<NodeId>,
-        stats: Option<&ScanStats>,
-    ) -> Result<Bytes> {
-        let state = self.state.read();
-        let entry = state.namenode.file(path)?;
-        let len = match span {
-            Span::Exact(len) => len,
-            Span::AtMost(max) => max.min(entry.len.saturating_sub(offset)),
-        };
-        let end = match offset.checked_add(len) {
-            Some(end) if end <= entry.len => end,
-            _ => {
-                return Err(ClydeError::Dfs(format!(
-                    "range {offset}+{len} beyond end of {path} (len {})",
-                    entry.len
-                )))
-            }
-        };
-        let mut out = Vec::new();
-        let mut block_start = 0u64;
-        for &b in &entry.blocks {
-            let block_end = block_start + state.namenode.block(b)?.len;
-            if block_end > offset && block_start < end {
-                let (replica, local) = self.fetch_block(&state, b, reader)?;
-                let data = replica.data();
-                let from = offset.saturating_sub(block_start) as usize;
-                let to = (end.min(block_end) - block_start) as usize;
-                if to > data.len() {
-                    return Err(ClydeError::Dfs(format!(
-                        "block {b:?} of {path} is shorter than its metadata"
-                    )));
-                }
-                self.account_read(reader, stats, local, (to - from) as u64)?;
-                let part = data.slice(from..to);
-                if part.len() as u64 == len {
-                    return Ok(part); // the whole range sits inside this block
-                }
-                if out.is_empty() {
-                    out.reserve_exact(len as usize);
-                }
-                out.extend_from_slice(&part);
-            }
-            block_start = block_end;
-            if block_start >= end {
-                break;
-            }
-        }
-        Ok(Bytes::from(out))
+        self.read_path(path, Span::Prefix(max_len), reader, stats)
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -691,6 +797,7 @@ impl Dfs {
                 path: &entry.path,
                 len: entry.len,
                 hosts,
+                blocks: &entry.blocks,
             });
         }
         Ok(())
@@ -928,6 +1035,12 @@ impl Dfs {
     /// assertions: planning a table again at an unchanged epoch adds none).
     pub fn namespace_walks(&self) -> u64 {
         self.namespace_walks.load(Ordering::Relaxed)
+    }
+
+    /// Path lookups by the read side so far — one per path-keyed `read_*`
+    /// call (test assertions: a read through a resolved file adds none).
+    pub fn path_lookups(&self) -> u64 {
+        self.path_lookups.load(Ordering::Relaxed)
     }
 
     /// Per-node used bytes (capacity accounting / test assertions).
@@ -1425,7 +1538,7 @@ mod tests {
                 dfs.locate_prefix("/t/", |f| {
                     groups.push(GroupFiles {
                         hosts: f.hosts.to_vec(),
-                        lens: vec![f.len],
+                        files: vec![f.resolved()],
                     })
                 })?;
                 Ok(groups)
@@ -1441,7 +1554,10 @@ mod tests {
         dfs.write_file("/t/rg1", None, b"de").unwrap();
         assert!(fold(&dfs, epoch).unwrap().is_none());
         let now = fold(&dfs, dfs.namespace_epoch()).unwrap().unwrap();
-        assert_eq!(now.iter().map(|g| g.lens[0]).collect::<Vec<_>>(), [3, 2]);
+        assert_eq!(
+            now.iter().map(|g| g.files[0].len).collect::<Vec<_>>(),
+            [3, 2]
+        );
         assert_eq!(builds.get(), 2);
         // A fold the namespace moves past while it is built is not kept.
         let epoch = dfs.namespace_epoch();
@@ -1452,6 +1568,61 @@ mod tests {
         assert!(raced.unwrap().is_none());
         assert!(fold(&dfs, dfs.namespace_epoch()).unwrap().is_some());
         assert_eq!(builds.get(), 3);
+    }
+
+    #[test]
+    fn a_resolved_read_is_the_path_keyed_read_without_its_lookup() {
+        let dfs = small_dfs(3, 2, 16);
+        let mut sealed = (0..40u8).collect::<Vec<_>>();
+        hash::seal(&mut sealed);
+        dfs.write_file("/one", None, &sealed[..20]).unwrap();
+        dfs.write_file("/multi", None, &sealed).unwrap();
+        let mut one = sealed[..12].to_vec();
+        hash::seal(&mut one);
+        dfs.write_file("/sealed", None, &one).unwrap();
+        let resolve = |path: &str| {
+            let mut found = Vec::new();
+            dfs.locate_prefix(path, |f| found.push(f.resolved()))
+                .unwrap();
+            found.into_iter().find(|f| f.path == path).unwrap()
+        };
+        for path in ["/one", "/multi", "/sealed"] {
+            let file = resolve(path);
+            assert_eq!(file.len, dfs.file_len(path).unwrap());
+            for node in [None, Some(NodeId(0)), Some(NodeId(2))] {
+                let (by_path, resolved) = (ScanStats::new(), ScanStats::new());
+                let lookups = dfs.path_lookups();
+                let want = dfs.read_prefix_tracked(path, 30, node, Some(&by_path));
+                assert_eq!(dfs.path_lookups(), lookups + 1);
+                let got = dfs.read_prefix_resolved(&file, 30, node, Some(&resolved));
+                assert_eq!(dfs.path_lookups(), lookups + 1, "no lookup");
+                assert_eq!(got.unwrap(), want.unwrap(), "{path}");
+                let want = dfs.read_sealed_tracked(path, node, Some(&by_path));
+                let got = dfs.read_sealed_resolved(&file, node, Some(&resolved));
+                assert_eq!(
+                    got.map_err(|e| e.to_string()),
+                    want.map_err(|e| e.to_string())
+                );
+                assert_eq!(
+                    (resolved.local(), resolved.remote()),
+                    (by_path.local(), by_path.remote()),
+                    "{path}"
+                );
+            }
+        }
+        // Deleted after it was resolved: a typed error naming the path.
+        let file = resolve("/multi");
+        dfs.delete("/multi").unwrap();
+        dfs.write_file("/multi", None, b"another file").unwrap();
+        for read in [
+            dfs.read_sealed_resolved(&file, Some(NodeId(0)), None),
+            dfs.read_prefix_resolved(&file, 8, Some(NodeId(0)), None),
+        ] {
+            assert!(
+                matches!(&read, Err(ClydeError::Dfs(m)) if m.contains("/multi")),
+                "{read:?}"
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod topology;
 
 pub use block::{BlockId, BlockMeta};
 pub use cache::{CacheCatalog, CacheEntry, CacheStats};
-pub use dfs::{Dfs, DfsOptions, DfsWriter, FileLocation, FileStatus, GroupFiles};
+pub use dfs::{Dfs, DfsOptions, DfsWriter, FileLocation, FileStatus, GroupFiles, ResolvedFile};
 pub use local::NodeLocalStore;
 pub use metrics::{IoMetrics, IoScope, IoSnapshot, ScanStats};
 pub use placement::{BlockPlacementPolicy, ColocatingPlacement, DefaultPlacement};

@@ -22,6 +22,7 @@
 
 use crate::cost::{CostParams, TaskCost};
 use crate::distcache::DistCache;
+use crate::fanout::fan_out;
 use crate::fault::FaultPlan;
 use crate::history;
 use crate::input::{InputSplit, SplitSpec};
@@ -361,9 +362,10 @@ impl MapTaskEnv<'_> {
             .ok_or_else(|| ClydeError::MapReduce("no candidate node for retry".into()))
     }
 
-    /// Map phase, first wave: one worker thread per node runs that node's
-    /// tasks in order. Failures are collected, not fatal; they come back
-    /// sorted by task index.
+    /// Map phase, first wave: one worker per node runs that node's tasks in
+    /// order ([`fan_out`]: the calling thread is the first node's worker).
+    /// Failures are collected, not fatal; they come back sorted by task
+    /// index.
     fn first_map_wave(&self) -> Result<MapWave> {
         let mut tasks_by_node: Vec<Vec<usize>> = vec![Vec::new(); self.memories.len()];
         for (i, node) in self.plan.assignment.iter().enumerate() {
@@ -372,35 +374,28 @@ impl MapTaskEnv<'_> {
             })?;
             bucket.push(i);
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "D004 audit: one worker per node drains that node's task queue; \
-                      results come back through join handles in node order"
-        )]
-        let queues: Vec<_> = std::thread::scope(|scope| {
-            let workers: Vec<_> = tasks_by_node
-                .iter()
-                .enumerate()
-                .filter(|(_, tasks)| !tasks.is_empty())
-                .map(|(node_idx, tasks)| {
-                    let node = NodeId(node_idx);
-                    (node, scope.spawn(move || self.run_queue(node, tasks)))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|(node, worker)| (node, worker.join()))
-                .collect()
-        });
+        let queues: Vec<(NodeId, &[usize])> = tasks_by_node
+            .iter()
+            .enumerate()
+            .filter(|(_, tasks)| !tasks.is_empty())
+            .map(|(node, tasks)| (NodeId(node), tasks.as_slice()))
+            .collect();
+        let nodes: Vec<NodeId> = queues.iter().map(|(node, _)| *node).collect();
+        let joined = fan_out(
+            queues,
+            |(node, tasks)| self.run_queue(node, tasks),
+            |i| {
+                let node = nodes.get(i).map_or(i, |n| n.0);
+                ClydeError::MapReduce(format!("map worker of node {node} panicked"))
+            },
+        );
 
         let mut wave = MapWave {
             outputs: self.plan.splits.iter().map(|_| None).collect(),
             failures: Vec::new(),
         };
-        for (node, joined) in queues {
-            let attempts = joined.map_err(|_| {
-                ClydeError::MapReduce(format!("map worker of node {} panicked", node.0))
-            })?;
+        for (&node, attempts) in nodes.iter().zip(joined) {
+            let attempts = attempts?;
             for (task_idx, attempt) in attempts {
                 match attempt {
                     Ok(out) => {
@@ -1264,11 +1259,11 @@ struct ReduceTaskOutput {
 }
 
 /// The reduce wave: one worker per node runs that node's reduce tasks in
-/// reducer order, the way the first map wave runs map tasks; the calling
-/// thread takes the first node's queue itself, so a one-reducer job spawns
-/// no thread. A task that fails or panics ends its node's queue, and the
-/// error returned is the lowest-numbered failed reducer's, however the
-/// workers are timed. Outputs come back in reducer order.
+/// reducer order, the way the first map wave runs map tasks ([`fan_out`]:
+/// the calling thread takes the first node's queue itself, so a one-reducer
+/// job spawns no thread). A task that fails or panics ends its node's
+/// queue, and the error returned is the lowest-numbered failed reducer's,
+/// however the workers are timed. Outputs come back in reducer order.
 fn reduce_wave(
     spec: &JobSpec,
     reducer: &dyn Reducer,
@@ -1304,36 +1299,25 @@ fn reduce_wave(
         }
         done
     };
-    let run_queue = &run_queue;
-    let mut queues = queues.into_iter();
-    let first = queues.next();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "D004 audit: one worker per node drains that node's reduce queue; \
-                  results come back through join handles and are ordered by reducer"
-    )]
-    let mut done = std::thread::scope(|scope| {
-        let workers: Vec<_> = queues
-            .map(|(node, queue)| {
-                let head = queue.first().copied().unwrap_or_default();
-                (node, head, scope.spawn(move || run_queue(node, &queue)))
-            })
-            .collect();
-        let mut done = first.map_or_else(Vec::new, |(node, queue)| run_queue(node, &queue));
-        for (node, head, worker) in workers {
-            match worker.join() {
-                Ok(tasks) => done.extend(tasks),
-                Err(_) => done.push((
-                    head,
-                    Err(ClydeError::MapReduce(format!(
-                        "reduce worker of node {} panicked",
-                        node.0
-                    ))),
-                )),
-            }
+    let heads: Vec<(NodeId, usize)> = queues
+        .iter()
+        .map(|(node, queue)| (*node, queue.first().copied().unwrap_or_default()))
+        .collect();
+    let joined = fan_out(
+        queues,
+        |(node, queue)| run_queue(node, &queue),
+        |i| {
+            let node = heads.get(i).map_or(i, |(n, _)| n.0);
+            ClydeError::MapReduce(format!("reduce worker of node {node} panicked"))
+        },
+    );
+    let mut done = Vec::with_capacity(nodes.len());
+    for ((_, head), tasks) in heads.iter().zip(joined) {
+        match tasks {
+            Ok(tasks) => done.extend(tasks),
+            Err(e) => done.push((*head, Err(e))),
         }
-        done
-    });
+    }
     done.sort_by_key(|(r, _)| *r);
     done.into_iter().map(|(_, task)| task).collect()
 }
@@ -1504,11 +1488,22 @@ mod tests {
             Arc::new(VecInputFormat::new(rows(), 2)),
             Arc::new(runner),
         );
-        let err = Engine::new(Dfs::for_tests(2)).run_job(&spec).unwrap_err();
-        assert!(
-            matches!(&err, ClydeError::MapReduce(m) if m.contains("panicked")),
-            "{err:?}"
-        );
+        // Two nodes, and one node whose only queue the calling thread runs
+        // itself: the panic is a typed error either way, and the engine
+        // runs its next job.
+        for nodes in [2, 1] {
+            let engine = Engine::new(Dfs::for_tests(nodes));
+            let err = engine.run_job(&spec).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                ClydeError::MapReduce("map worker of node 0 panicked".into()).to_string(),
+                "{nodes} node(s)"
+            );
+            let next = engine
+                .run_job(&sum_job(Arc::new(VecInputFormat::new(rows(), 2))))
+                .unwrap();
+            assert_eq!(next.rows, vec![row![55i64]], "{nodes} node(s)");
+        }
     }
 
     /// A job over keys 0..13 whose reducer fails on every key in `failing`

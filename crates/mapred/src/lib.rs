@@ -32,6 +32,7 @@ pub mod conf;
 pub mod cost;
 pub mod distcache;
 pub mod engine;
+pub mod fanout;
 pub mod fault;
 pub mod fingerprint;
 pub mod formats;
@@ -48,6 +49,7 @@ pub use conf::JobConf;
 pub use cost::{CostParams, JobCost, TaskCost};
 pub use distcache::DistCache;
 pub use engine::Engine;
+pub use fanout::fan_out;
 pub use fault::{DatanodeDeath, FaultPlan};
 pub use fingerprint::{job_fingerprint, Fingerprinter};
 pub use history::job_history;

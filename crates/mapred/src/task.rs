@@ -20,7 +20,7 @@ use clyde_common::hash::FxHasher;
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::Phase;
 use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row};
-use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ScanStats};
+use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ResolvedFile, ScanStats};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -78,6 +78,20 @@ impl TaskIo {
     pub fn read_prefix(&self, path: &str, max_len: u64) -> Result<Bytes> {
         self.dfs
             .read_prefix_tracked(path, max_len, self.node, Some(&self.stats))
+    }
+
+    /// [`TaskIo::read_sealed`] of a file resolved at planning
+    /// ([`Dfs::read_sealed_resolved`]): no path lookup.
+    pub fn read_sealed_resolved(&self, file: &ResolvedFile) -> Result<Bytes> {
+        self.dfs
+            .read_sealed_resolved(file, self.node, Some(&self.stats))
+    }
+
+    /// [`TaskIo::read_prefix`] of a file resolved at planning
+    /// ([`Dfs::read_prefix_resolved`]): no path lookup.
+    pub fn read_prefix_resolved(&self, file: &ResolvedFile, max_len: u64) -> Result<Bytes> {
+        self.dfs
+            .read_prefix_resolved(file, max_len, self.node, Some(&self.stats))
     }
 }
 

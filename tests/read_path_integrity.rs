@@ -22,10 +22,17 @@
 //!   next query, and everything the cost model prices is what the per-part
 //!   open and per-file planning lookups produced. An `RcFileInputFormat`
 //!   holds its table the same way: a job reads `.meta` once.
+//! * **Reads by resolved file.** The snapshot keeps every column file as
+//!   the planning walk resolved it, and `open()` zone-checks and reads
+//!   chunks through it: a repeated query looks up one path per job
+//!   (`_meta`), a resolved read equals a cold path-keyed one after every
+//!   kind of namespace change, and a file deleted after planning is a typed
+//!   error naming its path.
 
 use clyde_columnar::encoding::{decode_column, encode_column, Encoding};
 use clyde_columnar::{
-    roll_out, CifAppender, CifInputFormat, CifReader, CifWriter, RcFileInputFormat, RcFileWriter,
+    peek_zone_map, roll_out, CifAppender, CifInputFormat, CifReader, CifWriter, RcFileInputFormat,
+    RcFileWriter, ZONE_HEADER_MAX,
 };
 use clyde_common::hash::FxHasher;
 use clyde_common::{varint, ClydeError, ColumnData, DatumType, Field, Row, Schema};
@@ -38,6 +45,7 @@ use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::queries::all_queries;
 use clyde_ssb::{query_by_id, reference_answer};
+use clydesdale::planner::zone_preds;
 use clydesdale::Clydesdale;
 use proptest::prelude::*;
 use std::hash::Hasher;
@@ -955,9 +963,87 @@ fn assert_plan_is_cold(fmt: &CifInputFormat, dfs: &Dfs, when: &str) -> u64 {
     walked
 }
 
+/// What a scan of every group of `fmt`'s table produced: its rows, local
+/// and remote bytes, zone-checked and zone-skipped counts and the corrupt
+/// replica reads it met. Group `g` is read on node `g mod n`, so a scan
+/// mixes local and remote reads on any placement.
+type ScanOutcome = (Vec<Row>, u64, u64, u64, u64, u64);
+
+fn scan_outcome(dfs: &Dfs, rows: Vec<Row>, ios: &[TaskIo], corrupt_before: u64) -> ScanOutcome {
+    let sum = |f: fn(&TaskIo) -> u64| ios.iter().map(f).sum::<u64>();
+    (
+        rows,
+        sum(|io| io.stats.local()),
+        sum(|io| io.stats.remote()),
+        sum(|io| io.stats.zone_checked()),
+        sum(|io| io.stats.zone_skipped()),
+        corrupt_reads(dfs) - corrupt_before,
+    )
+}
+
+fn node_ios(dfs: &Arc<Dfs>) -> Vec<TaskIo> {
+    (0..dfs.cluster().num_workers())
+        .map(|n| TaskIo::new(Arc::clone(dfs), NodeId(n)))
+        .collect()
+}
+
+/// Every group through a freshly planned `fmt`: zone checks and chunk
+/// reads go through the files the planning walk resolved.
+fn resolved_scan(fmt: &CifInputFormat, dfs: &Arc<Dfs>) -> ScanOutcome {
+    let (ios, corrupt) = (node_ios(dfs), corrupt_reads(dfs));
+    let mut rows = Vec::new();
+    for split in fmt.splits(dfs, &JobConf::new()).unwrap() {
+        let SplitSpec::Groups { groups, .. } = &split.spec else {
+            panic!("CIF plans group splits");
+        };
+        let io = &ios[groups[0] % ios.len()];
+        let mut blocks = fmt.open(&split, 0, io).unwrap().into_blocks().unwrap();
+        while let Some(b) = blocks.next_block().unwrap() {
+            rows.extend(b.rows());
+        }
+    }
+    scan_outcome(dfs, rows, &ios, corrupt)
+}
+
+/// The same scan cold and by path: `_meta` read afresh, each zone
+/// predicate's column chunk prefix read by its path, and the group's
+/// chunks read by path.
+fn path_keyed_scan(fmt: &CifInputFormat, dfs: &Arc<Dfs>) -> ScanOutcome {
+    let (ios, corrupt) = (node_ios(dfs), corrupt_reads(dfs));
+    let reader = CifReader::open(dfs, &fmt.base).unwrap();
+    let cols: Vec<usize> = fmt
+        .columns
+        .as_ref()
+        .unwrap()
+        .iter()
+        .map(|c| reader.column_index(c).unwrap())
+        .collect();
+    let mut rows = Vec::new();
+    for g in 0..reader.meta().num_groups() {
+        let io = &ios[g % ios.len()];
+        let pruned = fmt.zone_preds.iter().any(|zp| {
+            let path = reader.meta().column_path(g, &zp.column);
+            let prefix = io.read_prefix(&path, ZONE_HEADER_MAX as u64).unwrap();
+            io.stats.add_zone_checked(1);
+            let disjoint = peek_zone_map(&prefix)
+                .unwrap()
+                .is_some_and(|(min, max)| max < zp.lo || min > zp.hi);
+            if disjoint {
+                io.stats.add_zone_skipped(1);
+            }
+            disjoint
+        });
+        if !pruned {
+            rows.extend(reader.read_group(io, g, &cols).unwrap().rows());
+        }
+    }
+    scan_outcome(dfs, rows, &ios, corrupt)
+}
+
 /// One engine and one format live through every kind of namespace change;
-/// after each, planning walks the namespace once and equals a cold plan,
-/// re-planning walks it not at all, and the queries equal the reference.
+/// after each, a scan through resolved files equals a cold path-keyed one,
+/// planning walks the namespace once and equals a cold plan, re-planning
+/// walks it not at all, and the queries equal the reference.
 fn plans_follow_every_namespace_change(nodes: usize, policy: Box<dyn BlockPlacementPolicy>) {
     let (dfs, layout, gen) = load_ssb(nodes, policy);
     let base = layout.fact_cif();
@@ -968,8 +1054,16 @@ fn plans_follow_every_namespace_change(nodes: usize, policy: Box<dyn BlockPlacem
     clyde.warm_dimension_cache().unwrap();
     let queries = ["Q1.1", "Q2.1", "Q3.4"].map(|id| query_by_id(id).unwrap());
     let fmt = CifInputFormat::new(base.clone()).with_columns(queries[0].fact_columns());
+    let zoned = CifInputFormat::new(base.clone())
+        .with_columns(queries[0].fact_columns())
+        .with_zone_preds(zone_preds(&queries[0]));
     let check = |data: &clyde_ssb::gen::SsbData, when: &str| {
         assert_eq!(assert_plan_is_cold(&fmt, &dfs, when), 1, "one walk {when}");
+        assert_eq!(
+            resolved_scan(&zoned, &dfs),
+            path_keyed_scan(&zoned, &dfs),
+            "resolved read {when}"
+        );
         for q in &queries {
             assert_eq!(
                 clyde.query(q).unwrap().rows,
@@ -1070,6 +1164,53 @@ fn a_repeated_query_plans_without_walking_the_namespace() {
             q.id
         );
         assert_eq!(&again_io, first_io, "{}", q.id);
+    }
+}
+
+#[test]
+fn a_read_through_a_stale_resolution_is_a_typed_error_naming_the_path() {
+    let (dfs, layout, _) = load_ssb(3, Box::new(ColocatingPlacement));
+    let base = layout.fact_cif();
+    let fmt = CifInputFormat::new(base.clone()).with_columns(vec!["lo_revenue".into()]);
+    let planned = fmt.splits(&dfs, &JobConf::new()).unwrap();
+    let gone = CifReader::open(&dfs, &base)
+        .unwrap()
+        .meta()
+        .column_path(0, "lo_revenue");
+    // Roll-out deletes the oldest group's files after the job planned them.
+    roll_out(&dfs, &base, 1).unwrap();
+    assert!(!dfs.exists(&gone));
+    let io = TaskIo::client(Arc::clone(&dfs));
+    let err = fmt.open(&planned[0], 0, &io).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(&err, ClydeError::Dfs(m) if m.contains(&gone)),
+        "{err:?}"
+    );
+    assert_eq!(io.stats.total(), 0, "nothing was served");
+    // The groups the roll-out left are still read through the same plan.
+    let mut blocks = fmt
+        .open(&planned[1], 0, &io)
+        .unwrap()
+        .into_blocks()
+        .unwrap();
+    assert_eq!(blocks.next_block().unwrap().unwrap().len() as u64, RPG);
+}
+
+#[test]
+fn a_repeated_query_resolves_no_column_file_by_path() {
+    let (dfs, layout, _) = load_ssb(3, Box::new(ColocatingPlacement));
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
+    clyde.warm_dimension_cache().unwrap();
+    let queries = ["Q1.1", "Q1.2", "Q3.4", "Q4.2"].map(|id| query_by_id(id).unwrap());
+    for q in &queries {
+        clyde.query(q).unwrap();
+    }
+    for q in &queries {
+        let lookups = dfs.path_lookups();
+        let r = clyde.query(q).unwrap();
+        assert_eq!(dfs.path_lookups() - lookups, 1, "{}: only `_meta`", q.id);
+        let want = COLOCATED.iter().find(|p| p.0 == q.id).unwrap();
+        assert_eq!(&priced(want.0, &r), want);
     }
 }
 
@@ -1193,21 +1334,24 @@ fn assert_priced_as_parent(nodes: usize, policy: Box<dyn BlockPlacementPolicy>, 
     for pass in 0..2 {
         for (q, want) in queries.iter().zip(want) {
             let r = clyde.query(q).unwrap();
-            let sum = |f: fn(&TaskCost) -> u64| -> u64 {
-                r.profile.map_tasks.iter().map(|t| f(&t.cost)).sum()
-            };
-            let got: Priced = (
-                want.0,
-                sum(|c| c.zone_checked),
-                sum(|c| c.zone_skipped),
-                sum(|c| c.local_bytes),
-                sum(|c| c.remote_bytes),
-                r.total_s().to_bits(),
-            );
             assert_eq!(q.id, want.0);
-            assert_eq!(&got, want, "{} pass {pass}", q.id);
+            assert_eq!(&priced(want.0, &r), want, "{} pass {pass}", q.id);
         }
     }
+}
+
+/// A query's [`Priced`] row, labelled `id`.
+fn priced(id: &'static str, r: &clydesdale::QueryResult) -> Priced {
+    let sum =
+        |f: fn(&TaskCost) -> u64| -> u64 { r.profile.map_tasks.iter().map(|t| f(&t.cost)).sum() };
+    (
+        id,
+        sum(|c| c.zone_checked),
+        sum(|c| c.zone_skipped),
+        sum(|c| c.local_bytes),
+        sum(|c| c.remote_bytes),
+        r.total_s().to_bits(),
+    )
 }
 
 #[test]

@@ -27,7 +27,8 @@
 //!
 //! `cargo test --release --test shuffle_allocs -- --ignored --nocapture`
 //! prints the counts and each query's peak live heap at SF 0.01, the
-//! `hive_chain` benchmark's scale.
+//! `hive_chain` benchmark's scale: the least, median and most of five runs
+//! per query, since the peak moves with how the workers interleave.
 
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::{Hive, JoinStrategy};
@@ -193,22 +194,40 @@ fn repartition_stays_within_its_per_fact_row_budget_and_mapjoin_does_not_grow() 
     );
 }
 
+/// Runs of each query in the report: the peak live heap depends on how the
+/// nodes' map and reduce workers interleave their allocations, so one run
+/// shows the interleaving, not the code.
+const REPORT_RUNS: usize = 5;
+
 #[test]
 #[ignore = "report: counts and peaks at the hive_chain benchmark's SF 0.01"]
 fn report_counts_at_sf_0_01() {
     let _window = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let (dfs, layout, gen) = setup(0.01);
     let fact_rows = gen.num_lineorders();
-    println!("fact rows: {fact_rows}");
+    println!("fact rows: {fact_rows}; {REPORT_RUNS} runs per query, min / median / max");
+    let mib = |bytes: u64| bytes as f64 / (1u64 << 20) as f64;
     for strategy in [JoinStrategy::Repartition, JoinStrategy::MapJoin] {
         for id in ["Q1.1", "Q2.1", "Q3.1", "Q4.1"] {
-            let heap = count_query(&dfs, &layout, strategy, id);
+            let runs: Vec<HeapUse> = (0..REPORT_RUNS)
+                .map(|_| count_query(&dfs, &layout, strategy, id))
+                .collect();
+            let mut allocs: Vec<u64> = runs.iter().map(|h| h.allocs).collect();
+            let mut peaks: Vec<u64> = runs.iter().map(|h| h.peak_bytes).collect();
+            allocs.sort_unstable();
+            peaks.sort_unstable();
+            let (lo, mid, hi) = (0, REPORT_RUNS / 2, REPORT_RUNS - 1);
             println!(
-                "{:>11} {id}: {:>9} allocations, {:.2} per fact row, peak live heap {:.2} MiB",
+                "{:>11} {id}: {} / {} / {} allocations, {:.2} per fact row, \
+                 peak live heap {:.2} / {:.2} / {:.2} MiB",
                 strategy.label(),
-                heap.allocs,
-                heap.allocs as f64 / fact_rows as f64,
-                heap.peak_bytes as f64 / (1u64 << 20) as f64
+                allocs[lo],
+                allocs[mid],
+                allocs[hi],
+                allocs[mid] as f64 / fact_rows as f64,
+                mib(peaks[lo]),
+                mib(peaks[mid]),
+                mib(peaks[hi]),
             );
         }
     }

@@ -1,10 +1,13 @@
-//! The in-situ wall ledger of the Hive row path.
+//! The in-situ wall ledger of the Hive row path and of Clydesdale.
 //!
-//! Each map task attributes its measured wall time to `Scan` (opening the
-//! split), `Emit` (the runner loop), `Shuffle` (the spill) or `Write` (a
+//! Each Hive map task attributes its measured wall time to `Scan` (opening
+//! the split), `Emit` (the runner loop), `Shuffle` (the spill) or `Write` (a
 //! map-only task's output), and a mapjoin task its table load to
 //! `StateLoad`; each reduce task attributes the merge and reduce to
-//! `Reduce` and its part commit to `Write`. The phases are per-task timer
+//! `Reduce` and its part commit to `Write`. A Clydesdale map task splits
+//! into `HashBuild` (the dimension tables), `Scan` (the part opens of the
+//! morsel source: zone check, chunk reads, decode), `Probe` (the rest of the
+//! probe fan-out: the kernel) and `Emit`. The phases are per-task timer
 //! readings, so they can never add up to more than the tasks' wall time,
 //! and what they leave out is reported as the unattributed remainder. None
 //! of it reaches the byte-compared profile artifact.
@@ -14,7 +17,11 @@ use clyde_common::obs::{Phase, QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
 use clyde_common::Obs;
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_ssb::query_by_id;
+use clydesdale::Clydesdale;
 use std::sync::Arc;
+
+/// Wall nanoseconds per phase, as `JobProfile::wall_phases` lists them.
+type Phases = Vec<(Phase, u64)>;
 
 fn phase_ns(phases: &[(Phase, u64)], phase: Phase) -> u64 {
     phases
@@ -96,9 +103,54 @@ fn hive_q21_phases_fit_inside_their_tasks_wall_time() {
     }
 }
 
+#[test]
+fn clydesdale_phases_fit_inside_their_tasks_wall_time() {
+    let (dfs, layout) = MeasurementConfig {
+        sf: 0.008,
+        ..MeasurementConfig::default()
+    }
+    .testbed(2, false)
+    .unwrap();
+    for id in ["Q1.2", "Q3.1"] {
+        let q = query_by_id(id).unwrap();
+        let obs = Obs::enabled();
+        let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone()).with_obs(Arc::clone(&obs));
+        let result = clyde.query(&q).unwrap();
+        let p = &result.profile;
+        let tasks: u64 = p
+            .map_tasks
+            .iter()
+            .chain(&p.reduce_tasks)
+            .map(|t| t.wall_ns)
+            .sum();
+        let phases: u64 = p.wall_phases.iter().map(|(_, ns)| ns).sum();
+        assert!(
+            phases <= tasks,
+            "{id}: phases {phases} ns > tasks {tasks} ns"
+        );
+        for phase in [Phase::HashBuild, Phase::Scan, Phase::Probe, Phase::Emit] {
+            assert!(phase_ns(&p.wall_phases, phase) > 0, "{id}: {phase:?}");
+        }
+        let profile = obs.with_query_profiles(|ps| ps.last().cloned()).unwrap();
+        let json = profile.to_json();
+        assert!(!json.contains("wall"), "{json}");
+    }
+}
+
 /// The `hive_chain` benchmark's system: two cluster-A workers, 8 MiB
 /// blocks, replication 2, RCFile only, 8 000 rows per group, seed 7.
 fn hive_chain_system(sf: f64) -> (Arc<clyde_dfs::Dfs>, clyde_ssb::loader::SsbLayout) {
+    bench_system(sf, 7, false)
+}
+
+/// The repo benchmark's system: two cluster-A workers, 8 MiB blocks,
+/// replication 2, 8 000 rows per group, date-clustered; RCFile only for
+/// the Hive workload, CIF only for the Clydesdale ones.
+fn bench_system(
+    sf: f64,
+    seed: u64,
+    cif: bool,
+) -> (Arc<clyde_dfs::Dfs>, clyde_ssb::loader::SsbLayout) {
     use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
     use clyde_ssb::loader::{self, LoadOpts, SsbLayout};
     let dfs = Dfs::new(
@@ -115,13 +167,59 @@ fn hive_chain_system(sf: f64) -> (Arc<clyde_dfs::Dfs>, clyde_ssb::loader::SsbLay
     let layout = SsbLayout::default();
     let opts = LoadOpts {
         rows_per_group: 8_000,
-        cif: false,
-        rcfile: true,
+        cif,
+        rcfile: !cif,
         text: false,
         cluster_by_date: true,
     };
-    loader::load(&dfs, clyde_ssb::gen::SsbGen::new(sf, 7), &layout, &opts).unwrap();
+    loader::load(&dfs, clyde_ssb::gen::SsbGen::new(sf, seed), &layout, &opts).unwrap();
     (dfs, layout)
+}
+
+#[test]
+#[ignore = "report: per-query wall phase split of Clydesdale on the clyde_scan benchmark's system"]
+fn report_clydesdale_phase_split_at_sf_0_2() {
+    const RUNS: usize = 30;
+    let (dfs, layout) = bench_system(0.2, 46, true);
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout).with_host_threads(1);
+    clyde.warm_dimension_cache().unwrap();
+    println!("median over {RUNS} runs of each query's op and summed task wall time per phase, ms");
+    for id in ["Q1.1", "Q1.2", "Q1.3", "Q3.1", "Q3.2", "Q3.3", "Q3.4"] {
+        let q = query_by_id(id).unwrap();
+        clyde.query(&q).unwrap();
+        // Per run: the op's wall time, the tasks', then each phase's.
+        let mut runs: Vec<(u64, u64, Phases)> = Vec::new();
+        for _ in 0..RUNS {
+            let op = clyde_common::obs::WallTimer::start();
+            let result = clyde.query(&q).unwrap();
+            let op_ns = op.elapsed_ns();
+            let p = &result.profile;
+            let tasks = p
+                .map_tasks
+                .iter()
+                .chain(&p.reduce_tasks)
+                .map(|t| t.wall_ns)
+                .sum::<u64>();
+            runs.push((op_ns, tasks, p.wall_phases.clone()));
+        }
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let op = median(runs.iter().map(|(op, _, _)| *op).collect());
+        let tasks = median(runs.iter().map(|(_, t, _)| *t).collect());
+        let mut line = format!("{id}: op {:.3}, tasks {:.3}", ms(op), ms(tasks));
+        for phase in Phase::all() {
+            let ns = median(runs.iter().map(|(_, _, p)| phase_ns(p, *phase)).collect());
+            if ns > 0 {
+                line += &format!(", {} {:.3}", phase.label(), ms(ns));
+            }
+        }
+        let rest = median(
+            runs.iter()
+                .map(|(_, t, p)| t.saturating_sub(p.iter().map(|(_, ns)| ns).sum()))
+                .collect(),
+        );
+        line += &format!(", unattributed {:.3}", ms(rest));
+        println!("{line}");
+    }
 }
 
 /// The median of `xs`.

@@ -133,6 +133,78 @@ pub fn read_row(buf: &[u8], pos: &mut usize) -> Result<Row> {
     Ok(row)
 }
 
+/// What [`walk_row`] found in a row's bytes.
+#[derive(Debug)]
+pub struct RowWalk<'a> {
+    pub arity: usize,
+    /// Where the last field starts, and the field; `None` for a row of no
+    /// fields.
+    pub last: Option<(usize, DatumRef<'a>)>,
+    /// Every field is in the one form [`write_datum`] gives it (no
+    /// overlong varint), so the fields' bytes are what writing the decoded
+    /// fields again gives.
+    pub canonical: bool,
+}
+
+/// Walk the one row `buf` holds, reading every field with
+/// [`read_datum_ref`] and allocating nothing: `buf` is accepted exactly
+/// when [`read_row`] reads a row from it that ends at its end.
+pub fn walk_row(buf: &[u8]) -> Result<RowWalk<'_>> {
+    let mut pos = 0;
+    let arity = read_arity(buf, &mut pos)?;
+    let mut walk = RowWalk {
+        arity,
+        last: None,
+        canonical: true,
+    };
+    for _ in 0..arity {
+        let at = pos;
+        let field = read_datum_ref(buf, &mut pos)?;
+        // The field's varint: past the tag, before a string's bytes.
+        let varint = match field {
+            DatumRef::Null | DatumRef::F64(_) => None,
+            DatumRef::I32(_) | DatumRef::I64(_) => buf.get(at + 1..pos),
+            DatumRef::Str(s) => buf.get(at + 1..pos - s.len()),
+        };
+        walk.canonical &= varint.is_none_or(canonical_varint);
+        walk.last = Some((at, field));
+    }
+    if pos != buf.len() {
+        return Err(ClydeError::Format(format!(
+            "rowcodec: {} bytes after the row",
+            buf.len() - pos
+        )));
+    }
+    Ok(walk)
+}
+
+/// Whether a varint [`varint::read_u64`] accepted is the one
+/// [`varint::write_u64`] writes for its value: no zero group at the top,
+/// and no bit past the 64th.
+fn canonical_varint(bytes: &[u8]) -> bool {
+    match bytes {
+        [_] => true,
+        [.., 0] => false,
+        [.., last] => bytes.len() < 10 || *last == 1,
+        [] => false,
+    }
+}
+
+/// The `i32` that a row's last two bytes encode, if they are an `I32`
+/// field in -64..=63 as [`write_datum`] writes it. A row whose last field
+/// is such a datum always ends so; bytes that end so need not end with it
+/// (a string or an `f64` can end in the same two bytes), so a caller that
+/// relies on the answer confirms it with [`walk_row`].
+pub fn trailing_small_i32(buf: &[u8]) -> Option<i32> {
+    match buf {
+        [.., TAG_I32, z] if z & 0x80 == 0 => {
+            let z = i32::from(*z);
+            Some((z >> 1) ^ -(z & 1))
+        }
+        _ => None,
+    }
+}
+
 /// Strings a decoder has made, handed out again for equal bytes instead of
 /// allocated again, so the rows it decodes share them. Keeps at most
 /// [`StrPool::CAPACITY`] distinct strings; past that, new ones are made
@@ -396,6 +468,61 @@ mod tests {
     }
 
     #[test]
+    fn walk_row_finds_the_last_field_and_accepts_what_read_row_reads() {
+        let row = row![7i32, "ASIA", 2.5f64, -3i64, 1i32];
+        let mut buf = Vec::new();
+        write_row(&mut buf, &row);
+        let walk = walk_row(&buf).unwrap();
+        assert_eq!(walk.arity, 5);
+        assert!(walk.canonical);
+        assert!(matches!(walk.last, Some((at, DatumRef::I32(1))) if at == buf.len() - 2));
+        assert_eq!(trailing_small_i32(&buf), Some(1));
+        assert!(walk_row(&[0]).unwrap().last.is_none());
+        for cut in 0..buf.len() {
+            assert!(walk_row(&buf[..cut]).is_err(), "cut at {cut}");
+        }
+        buf.push(0);
+        assert!(walk_row(&buf).is_err());
+    }
+
+    #[test]
+    fn an_overlong_varint_reads_but_is_not_canonical() {
+        // I32(0) as [tag, 0x80, 0x00], a string whose length is [0x81,
+        // 0x00], and an i64 whose tenth byte carries bits past the 64th.
+        let cases: [&[u8]; 3] = [
+            &[1, TAG_I32, 0x80, 0x00],
+            &[1, TAG_STR, 0x81, 0x00, b'a'],
+            &[
+                1, TAG_I64, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03,
+            ],
+        ];
+        for bytes in cases {
+            let walk = walk_row(bytes).unwrap();
+            assert!(!walk.canonical, "{bytes:02x?}");
+            let mut pos = 0;
+            let mut again = Vec::new();
+            write_row(&mut again, &read_row(bytes, &mut pos).unwrap());
+            assert_ne!(&again[..], bytes);
+        }
+        assert_eq!(trailing_small_i32(&[1, TAG_I32, 0x80, 0x00]), None);
+    }
+
+    #[test]
+    fn trailing_small_i32_reads_the_one_byte_range() {
+        for v in [-64i32, -1, 0, 1, 2, 63] {
+            let mut buf = Vec::new();
+            write_row(&mut buf, &row!["x", v]);
+            assert_eq!(trailing_small_i32(&buf), Some(v));
+        }
+        let mut buf = Vec::new();
+        write_row(&mut buf, &row![64i32]);
+        assert_eq!(trailing_small_i32(&buf), None);
+        // Bytes that end like a tag need not end with one.
+        write_row(&mut buf, &row!["\u{1}\u{0}"]);
+        assert_eq!(trailing_small_i32(&buf), Some(0));
+    }
+
+    #[test]
     fn a_full_string_pool_still_decodes() {
         let mut strings = StrPool::default();
         for i in 0..StrPool::CAPACITY + 10 {
@@ -474,6 +601,36 @@ mod tests {
             let borrowed = read_rows_borrowed(&buf).unwrap();
             // Debug, not ==: Datum equality coerces I32/I64 and NaN != NaN.
             prop_assert_eq!(format!("{borrowed:?}"), format!("{owned:?}"));
+        }
+
+        #[test]
+        fn a_walk_accepts_what_read_row_reads_and_canonical_bytes_round_trip(
+            buf in proptest::collection::vec(any::<u8>(), 0..32),
+            row in proptest::collection::vec(arb_datum(), 0..6).prop_map(Row::new),
+        ) {
+            let mut written = Vec::new();
+            write_row(&mut written, &row);
+            prop_assert!(walk_row(&written).unwrap().canonical);
+            for bytes in [&buf[..], &written[..]] {
+                let mut pos = 0;
+                let read = read_row(bytes, &mut pos).ok().filter(|_| pos == bytes.len());
+                match (walk_row(bytes), read) {
+                    (Ok(walk), Some(read)) => {
+                        prop_assert_eq!(walk.arity, read.len());
+                        if walk.canonical {
+                            // The fields, past each side's arity prefix.
+                            let mut again = Vec::new();
+                            write_row(&mut again, &read);
+                            let (mut skip, mut fields_at) = (0, 0);
+                            varint::read_u64(&again, &mut skip).unwrap();
+                            varint::read_u64(bytes, &mut fields_at).unwrap();
+                            prop_assert_eq!(&again[skip..], &bytes[fields_at..]);
+                        }
+                    }
+                    (Err(_), None) => {}
+                    (walk, read) => prop_assert!(false, "walk {:?} vs read {:?}", walk, read),
+                }
+            }
         }
 
         #[test]

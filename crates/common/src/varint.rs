@@ -20,6 +20,22 @@ pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// `v` as unsigned LEB128 on the stack: the buffer, of which the first
+/// `n` bytes are the ones [`write_u64`] appends.
+pub fn encode_u64(mut v: u64) -> ([u8; MAX_LEN], usize) {
+    let mut bytes = [0; MAX_LEN];
+    for (n, slot) in bytes.iter_mut().enumerate() {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            *slot = byte;
+            return (bytes, n + 1);
+        }
+        *slot = byte | 0x80;
+    }
+    (bytes, MAX_LEN)
+}
+
 /// Append `v` to `out` as zigzag-coded signed LEB128.
 pub fn write_i64(out: &mut Vec<u8>, v: i64) {
     write_u64(out, zigzag(v));
@@ -108,6 +124,17 @@ fn unzigzag(v: u64) -> i64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn encode_on_the_stack_writes_what_write_appends() {
+        for v in [0, 1, 127, 128, 300, 1 << 35, u64::MAX - 1, u64::MAX] {
+            let mut buf = Vec::new();
+            write_u64(&mut buf, v);
+            let (bytes, n) = encode_u64(v);
+            assert_eq!(&bytes[..n], &buf[..], "{v}");
+            assert_eq!(n, encoded_len_u64(v));
+        }
+    }
 
     #[test]
     fn small_values_take_one_byte() {

@@ -7,9 +7,10 @@
 //! shuffle cost that makes this plan slow (Q2.1 stage 1: 9,720 s).
 
 use crate::union::{TAG_LEFT, TAG_RIGHT};
-use clyde_common::{ClydeError, Datum, Result, Row, Schema};
+use clyde_common::datum::DatumRef;
+use clyde_common::{rowcodec, varint, ClydeError, Datum, Result, Row, Schema};
 use clyde_mapred::runner::Mapper;
-use clyde_mapred::shuffle::Reducer;
+use clyde_mapred::shuffle::{Group, ReduceSink, Reducer};
 use clyde_mapred::MapTaskContext;
 use clyde_ssb::queries::{fact_preds_eval_row, CompiledDimPred, FactPred};
 
@@ -104,11 +105,13 @@ fn int_key(fields: &[Datum], idx: usize, side: &str) -> Result<i64> {
 }
 
 /// Reducer: join the two sides of one key. Dimension keys are unique in SSB,
-/// but the implementation handles the general M×N case like Hive's.
+/// but the implementation handles the general M×N case like Hive's: each
+/// fact value in order, joined with each dimension value in order.
 ///
-/// The values are borrowed from the shuffle; each joined row is built once,
-/// from the fact value's fields and the dimension value's aux fields, with
-/// both tags dropped.
+/// The engine calls [`RepartitionReducer::reduce_encoded`], which joins
+/// the values' bytes. [`RepartitionReducer::reduce`], the same join on
+/// decoded rows with both tags dropped, is kept for the frozen benchmark
+/// replay and as the encoded join's test oracle.
 pub struct RepartitionReducer;
 
 impl Reducer for RepartitionReducer {
@@ -141,6 +144,103 @@ impl Reducer for RepartitionReducer {
             }
         }
         Ok(())
+    }
+
+    /// The join on the values' bytes. A value's source tag is its last
+    /// field, an `I32` of 0 or 1, so it is read off the value's last two
+    /// bytes without walking its fields, and a key that lacks either side
+    /// reads nothing more: its values are never decoded. Otherwise every
+    /// value reaches the output, and each is walked once
+    /// ([`rowcodec::walk_row`]: every field validated, nothing allocated,
+    /// the tag confirmed as the last field) before any row is written.
+    /// Each joined row is then written as `varint(arity) ‖ fact fields ‖
+    /// aux fields`, tags left out: the bytes `rowcodec::write_row` writes
+    /// for the row [`RepartitionReducer::reduce`] builds. A key holding a
+    /// valid value whose bytes are not in canonical form is joined by
+    /// `reduce`, so that the bytes still agree.
+    fn reduce_encoded(&self, group: &mut Group<'_>, out: &mut ReduceSink) -> Result<()> {
+        let values = group.values();
+        let (mut facts, mut dims) = (0, None);
+        for (i, v) in values.iter().enumerate() {
+            match source_tag(v)? {
+                TAG_LEFT => facts += 1,
+                _ => dims = Some(dims.map_or((i, i), |(first, _)| (first, i))),
+            }
+        }
+        let (Some((first, last)), true) = (dims, facts > 0) else {
+            return Ok(());
+        };
+        for v in values {
+            if !confirm_tag(v)? {
+                return group.lend(self, out);
+            }
+        }
+        let dims = values.get(first..=last).unwrap_or_default();
+        for fact in values.iter().filter(|v| !is_dim(v)) {
+            let (fact_arity, fact) = untagged_fields(fact)?;
+            for dim in dims.iter().filter(|v| is_dim(v)) {
+                let (aux_arity, aux) = untagged_fields(dim)?;
+                out.push_fields(fact_arity + aux_arity, &[fact, aux])?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A tagged value's source tag: read off its last two bytes when they are
+/// a one-byte `I32`, and otherwise from its last field, which takes a walk.
+/// A tag other than [`TAG_LEFT`] or [`TAG_RIGHT`] is an error, as in
+/// [`untag`].
+fn source_tag(value: &[u8]) -> Result<i32> {
+    let tag = match rowcodec::trailing_small_i32(value) {
+        Some(tag) => tag,
+        None => match rowcodec::walk_row(value)?.last {
+            Some((_, DatumRef::I32(tag))) => tag,
+            Some((_, other)) => {
+                return Err(ClydeError::MapReduce(format!(
+                    "non-integer source tag {}",
+                    other.to_datum()
+                )))
+            }
+            None => return Err(ClydeError::MapReduce("row carries no source tag".into())),
+        },
+    };
+    match tag {
+        TAG_LEFT | TAG_RIGHT => Ok(tag),
+        other => Err(ClydeError::MapReduce(format!(
+            "unexpected source tag {other}"
+        ))),
+    }
+}
+
+/// Walk a value bound for the output: every field must read, and the last
+/// must be the tag [`source_tag`] read. Whether its bytes are canonical,
+/// so that they can be copied as they are.
+fn confirm_tag(value: &[u8]) -> Result<bool> {
+    let walk = rowcodec::walk_row(value)?;
+    match walk.last {
+        Some((_, DatumRef::I32(tag))) if tag == source_tag(value)? => Ok(walk.canonical),
+        _ => Err(ClydeError::MapReduce(
+            "a value's last two bytes are not its source tag".into(),
+        )),
+    }
+}
+
+/// Whether a confirmed value is a dimension value.
+fn is_dim(value: &&[u8]) -> bool {
+    rowcodec::trailing_small_i32(value) == Some(TAG_RIGHT)
+}
+
+/// A confirmed canonical value's fields without its tag, and their number:
+/// the bytes between its arity and its last two.
+fn untagged_fields(value: &[u8]) -> Result<(usize, &[u8])> {
+    let mut pos = 0;
+    let arity = varint::read_u64(value, &mut pos)?;
+    match (usize::try_from(arity), value.len().checked_sub(2)) {
+        (Ok(arity @ 1..), Some(end)) if pos <= end => {
+            Ok((arity - 1, value.get(pos..end).unwrap_or_default()))
+        }
+        _ => Err(ClydeError::MapReduce("value carries no source tag".into())),
     }
 }
 

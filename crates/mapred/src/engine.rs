@@ -28,7 +28,7 @@ use crate::history;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile};
 use crate::scheduler::{self, JobSchedule};
-use crate::shuffle::{self, PartWriter, Reducer, Run};
+use crate::shuffle::{self, ReduceSink, Reducer, Run};
 use crate::task::{
     note_wall_phase, MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState,
     ResidentStats, ResidentStore, TaskIo,
@@ -1322,30 +1322,20 @@ fn reduce_wave(
     done.into_iter().map(|(_, task)| task).collect()
 }
 
-/// One reduce task: merge and reduce its runs, encoding each key's output
-/// rows into the part file as soon as they are produced when the output
-/// goes to the DFS.
+/// One reduce task: merge and reduce its runs, encoding each output row
+/// into the part file as soon as it is produced when the output goes to
+/// the DFS.
 fn reduce_task(spec: &JobSpec, reducer: &dyn Reducer, runs: &[Run]) -> Result<ReduceTaskOutput> {
     let wall_start = WallTimer::start();
     let mut cost = TaskCost::new();
     cost.merge_runs = runs.len() as u64;
     cost.deser_rows = runs.iter().map(Run::records).sum();
-    let mut rows = Vec::new();
-    let part = match &spec.output {
-        OutputSpec::Memory => {
-            shuffle::reduce_runs(runs, reducer, &mut rows, |_| {})?;
-            None
-        }
-        OutputSpec::DfsDir(_) => {
-            let mut part = PartWriter::default();
-            shuffle::reduce_runs(runs, reducer, &mut rows, |out| {
-                for row in out.drain(..) {
-                    part.push(&row);
-                }
-            })?;
-            Some(part.finish())
-        }
+    let mut sink = match &spec.output {
+        OutputSpec::Memory => ReduceSink::memory(),
+        OutputSpec::DfsDir(_) => ReduceSink::part(),
     };
+    shuffle::reduce_runs(runs, reducer, &mut sink)?;
+    let (rows, part) = sink.finish();
     Ok(ReduceTaskOutput {
         rows,
         part,

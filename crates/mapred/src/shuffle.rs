@@ -10,8 +10,11 @@
 //! order-preserving codec, equals logical key order), optionally runs a
 //! combiner over it, and writes each partition as one serialized [`Run`] —
 //! Hadoop's map-side spill. Each reducer then merges its runs stably by
-//! (key, task order) and decodes each key's values into rows it reuses
-//! from group to group, which it lends to the [`Reducer`].
+//! (key, task order) and hands each key's values, still encoded, to
+//! [`Reducer::reduce_encoded`] as a [`Group`], with a [`ReduceSink`] for
+//! the output rows. By default the group decodes the values into rows it
+//! reuses from key to key and lends them to [`Reducer::reduce`]; a reducer
+//! that can work on the bytes reads only what its output needs.
 //!
 //! The row-record functions ([`sort_records`], [`combine_sorted`],
 //! [`merge_sorted_runs`], [`reduce_sorted`]) work on `(key, Row)` records
@@ -25,7 +28,6 @@ use clyde_common::rowcodec::{self, StrPool};
 use clyde_common::{varint, ClydeError, Datum, Result, Row};
 use std::cmp::Ordering;
 use std::hash::Hasher;
-use std::ops::Range;
 
 /// An encoded shuffle key: up to [`Key::INLINE`] bytes in place, longer
 /// ones boxed. It orders, compares and partitions exactly as its bytes do.
@@ -166,6 +168,15 @@ pub trait Reducer: Send + Sync {
     /// `key` is the decoded grouping key; `values` are that key's values in
     /// map-output order (stable sort). Emit output rows through `out`.
     fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()>;
+
+    /// The reduce task's entry: one key's values as the runs hold them,
+    /// and the task's output. The default decodes the key and the values
+    /// ([`Group::lend`]) and runs [`Reducer::reduce`]. A reducer that
+    /// overrides it must give `out` the rows `reduce` would give. The
+    /// combiner and the row-record functions call `reduce` directly.
+    fn reduce_encoded(&self, group: &mut Group<'_>, out: &mut ReduceSink) -> Result<()> {
+        group.lend(self, out)
+    }
 }
 
 /// A [`Reducer`] from a closure.
@@ -258,8 +269,9 @@ pub fn merge_sorted_runs<K: Ord>(runs: Vec<Vec<(K, Row)>>) -> Vec<(K, Row)> {
 }
 
 /// One map task's output, serialized as it was emitted: each record's
-/// encoded key, and its value's [`rowcodec::write_row`] bytes, back to back
-/// in emit order.
+/// encoded key, and its value's [`rowcodec::write_row`] bytes framed as a
+/// [`Run`] holds them (`varint(length) ‖ row`), back to back in emit
+/// order.
 #[derive(Default)]
 pub(crate) struct MapOutput {
     records: Vec<Record>,
@@ -269,13 +281,15 @@ pub(crate) struct MapOutput {
     priced: u64,
 }
 
-/// A record of a [`MapOutput`]: its key, the reducer it goes to (set at
-/// spill), and where its value's bytes are.
+/// A record of a [`MapOutput`]: its key, where its value's frame starts
+/// and how long it is, and the reducer it goes to (set at spill). A frame
+/// of `u32::MAX` bytes or more reads its length from its own prefix.
 #[derive(Clone)]
 struct Record {
     key: Key,
-    partition: usize,
-    value: Range<usize>,
+    at: usize,
+    len: u32,
+    partition: u32,
 }
 
 /// What a map task's spill hands the shuffle: one run per reducer, in
@@ -294,12 +308,13 @@ impl MapOutput {
     pub fn push(&mut self, key: Key, value: &[Datum]) -> usize {
         let value_size = Row::heap_size_of(value);
         self.priced += (key.len() + value_size) as u64;
-        let start = self.values.len();
-        rowcodec::write_fields(&mut self.values, value);
+        let at = self.values.len();
+        write_framed(&mut self.values, value);
         self.records.push(Record {
             key,
+            at,
+            len: u32::try_from(self.values.len() - at).unwrap_or(u32::MAX),
             partition: 0,
-            value: start..self.values.len(),
         });
         value_size
     }
@@ -312,10 +327,26 @@ impl MapOutput {
         self.records.is_empty()
     }
 
-    fn value(&self, record: &Record) -> Result<&[u8]> {
-        self.values
-            .get(record.value.clone())
+    /// A record's value frame: `varint(length) ‖ row`.
+    fn frame(&self, record: &Record) -> Result<&[u8]> {
+        let mut end = record.at.checked_add(record.len as usize);
+        if record.len == u32::MAX {
+            let mut pos = record.at;
+            let len = varint::read_u64(&self.values, &mut pos)?;
+            end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len));
+        }
+        end.and_then(|end| self.values.get(record.at..end))
             .ok_or_else(|| ClydeError::MapReduce("map output value out of range".into()))
+    }
+
+    /// A record's value: the row in its frame.
+    fn value(&self, record: &Record) -> Result<&[u8]> {
+        let frame = self.frame(record)?;
+        let mut pos = 0;
+        varint::read_u64(frame, &mut pos)?;
+        Ok(frame.get(pos..).unwrap_or_default())
     }
 
     /// A record's value, decoded into `row`.
@@ -375,9 +406,19 @@ impl MapOutput {
     /// when there is one.
     pub fn spill(mut self, partitions: usize, combiner: Option<&dyn Reducer>) -> Result<Spill> {
         let partitions = partitions.max(1);
-        if partitions > 1 {
-            for r in &mut self.records {
-                r.partition = partition_of(&r.key, partitions);
+        if u32::try_from(partitions).is_err() {
+            return Err(ClydeError::MapReduce(format!(
+                "{partitions} reducers: a spill addresses at most 2^32"
+            )));
+        }
+        // Each run's exact size.
+        let mut sizes = vec![0; partitions];
+        for r in &mut self.records {
+            if partitions > 1 {
+                r.partition = partition_of(&r.key, partitions) as u32;
+            }
+            if let Some(size) = sizes.get_mut(r.partition as usize) {
+                *size += varint::encoded_len_u64(r.key.len() as u64) + r.key.len() + r.len as usize;
             }
         }
         sort_for_spill(&mut self.records, partitions);
@@ -393,20 +434,19 @@ impl MapOutput {
         for records in self.records.chunk_by(|a, b| a.partition == b.partition) {
             let Some(run) = records
                 .first()
-                .and_then(|r| spill.runs.get_mut(r.partition))
+                .and_then(|r| spill.runs.get_mut(r.partition as usize))
             else {
                 continue;
             };
             let Some(combiner) = combiner else {
-                // A one-byte key length is the common case.
                 run.bytes.reserve(
                     records
-                        .iter()
-                        .map(|r| 1 + r.key.len() + r.value.len())
-                        .sum(),
+                        .first()
+                        .and_then(|r| sizes.get(r.partition as usize))
+                        .map_or(0, |&s| s),
                 );
                 for r in records {
-                    run.push_encoded(r.key.as_bytes(), self.value(r)?);
+                    run.push_framed(r.key.as_bytes(), self.frame(r)?);
                 }
                 continue;
             };
@@ -426,7 +466,7 @@ impl MapOutput {
                 for row in combined.drain(..) {
                     spill.shuffle_bytes += (key.len() + row.heap_size()) as u64;
                     spill.combine_output_records += 1;
-                    run.push(key.as_bytes(), &row);
+                    run.push_row(key.as_bytes(), &row);
                 }
             }
         }
@@ -480,7 +520,7 @@ fn radix_sort(records: &mut [Record]) -> bool {
                 let Some((key, len)) = r.key.inline() else {
                     continue;
                 };
-                bump(reducers, r.partition);
+                bump(reducers, r.partition as usize);
                 for (count, &b) in bytes.iter_mut().zip(key) {
                     bump(count, usize::from(b));
                 }
@@ -504,7 +544,7 @@ fn radix_sort(records: &mut [Record]) -> bool {
         }
         let (from, to) = (index.as_slice(), scratch.as_mut_slice());
         if digit == 0 {
-            counting_pass(records, count, from, to, |r| r.partition);
+            counting_pass(records, count, from, to, |r| r.partition as usize);
         } else if digit == width + 1 {
             counting_pass(records, count, from, to, |r| r.key.len());
         } else {
@@ -578,9 +618,11 @@ fn output_row(key: &[u8], value: Row) -> Result<Row> {
 }
 
 /// One map task's records for one reducer, in key order, serialized: each
-/// record is `varint(key length) ‖ key ‖ value row`.
+/// record is `varint(key length) ‖ key ‖ varint(value length) ‖ value`,
+/// the value being one [`rowcodec::write_row`] row. The value's length
+/// lets a reader step over it without reading its fields.
 #[derive(Default)]
-pub(crate) struct Run {
+pub struct Run {
     bytes: Vec<u8>,
     records: u64,
 }
@@ -594,15 +636,36 @@ impl Run {
         self.records == 0
     }
 
+    /// The run's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// A run over `bytes` as they are, holding `records` records if they
+    /// are a run. A reader of any byte string errs where it is not one,
+    /// and never panics.
+    pub fn from_bytes(bytes: Vec<u8>, records: u64) -> Run {
+        Run { bytes, records }
+    }
+
     /// Append a record whose value is already encoded.
     pub fn push_encoded(&mut self, key: &[u8], value: &[u8]) {
         self.push_key(key);
+        varint::write_u64(&mut self.bytes, value.len() as u64);
         self.bytes.extend_from_slice(value);
     }
 
-    fn push(&mut self, key: &[u8], value: &Row) {
+    /// Append a record whose value is already framed: its length, then
+    /// its bytes.
+    fn push_framed(&mut self, key: &[u8], framed: &[u8]) {
         self.push_key(key);
-        rowcodec::write_row(&mut self.bytes, value);
+        self.bytes.extend_from_slice(framed);
+    }
+
+    /// Append a record whose value is `row`, encoded here.
+    fn push_row(&mut self, key: &[u8], row: &Row) {
+        self.push_key(key);
+        write_framed(&mut self.bytes, row.values());
     }
 
     /// Start a record; its value follows.
@@ -613,8 +676,26 @@ impl Run {
     }
 }
 
-/// A reader over a run's bytes: the head record's key, and its value
-/// decoded on request. Any byte string is read without panicking; what is
+/// Append the row of `fields` framed: `varint(length) ‖ row`. The length
+/// is written as one byte and widened in place in the rare row it does not
+/// fit, so the row is encoded once, into `out`.
+fn write_framed(out: &mut Vec<u8>, fields: &[Datum]) {
+    let at = out.len();
+    out.push(0);
+    rowcodec::write_fields(out, fields);
+    let len = out.len() - at - 1;
+    match (u8::try_from(len), out.get_mut(at)) {
+        (Ok(short @ 0..0x80), Some(byte)) => *byte = short,
+        _ => {
+            let (frame, n) = varint::encode_u64(len as u64);
+            out.splice(at..=at, frame.into_iter().take(n))
+                .for_each(drop);
+        }
+    }
+}
+
+/// A reader over a run's bytes: the head record's key, and its value's
+/// bytes on request. Any byte string is read without panicking; what is
 /// not a run is an error.
 struct RunCursor<'a> {
     bytes: &'a [u8],
@@ -638,12 +719,12 @@ impl<'a> RunCursor<'a> {
         self.key
     }
 
-    /// Decode the head record's value into `row` (see
-    /// [`rowcodec::read_row_into`]) and step to the next record. After the
-    /// last record this is an error.
-    fn take_value(&mut self, row: &mut Row, strings: &mut StrPool) -> Result<()> {
-        rowcodec::read_row_into(self.bytes, &mut self.pos, row, strings)?;
-        self.next_key()
+    /// The head record's value bytes, without reading its fields; then
+    /// step to the next record. After the last record this is an error.
+    fn take_value(&mut self) -> Result<&'a [u8]> {
+        let value = self.frame("value")?;
+        self.next_key()?;
+        Ok(value)
     }
 
     fn next_key(&mut self) -> Result<()> {
@@ -651,47 +732,100 @@ impl<'a> RunCursor<'a> {
             self.key = None;
             return Ok(());
         }
+        self.key = Some(self.frame("key")?);
+        Ok(())
+    }
+
+    /// The length-prefixed bytes at the cursor, which it steps past.
+    fn frame(&mut self, what: &str) -> Result<&'a [u8]> {
         let len = varint::read_u64(self.bytes, &mut self.pos)?;
-        let key = usize::try_from(len)
+        let bytes = usize::try_from(len)
             .ok()
             .and_then(|len| self.pos.checked_add(len))
             .and_then(|end| self.bytes.get(self.pos..end))
-            .ok_or_else(|| ClydeError::Format("shuffle run: truncated key".into()))?;
-        self.pos += key.len();
-        self.key = Some(key);
-        Ok(())
+            .ok_or_else(|| ClydeError::Format(format!("shuffle run: truncated {what}")))?;
+        self.pos += bytes.len();
+        Ok(bytes)
     }
 }
 
 /// The reduce side of one reducer: merge `runs` (one per map task, in task
-/// order) stably by (key, run), and reduce each key's values. The reducer
-/// appends to `out`, and `after_group` sees `out` after every key.
-pub(crate) fn reduce_runs(
-    runs: &[Run],
-    reducer: &dyn Reducer,
-    out: &mut Vec<Row>,
-    mut after_group: impl FnMut(&mut Vec<Row>),
-) -> Result<()> {
+/// order) stably by (key, run), and hand each key's values, as their
+/// bytes, to [`Reducer::reduce_encoded`] with `out`.
+pub fn reduce_runs(runs: &[Run], reducer: &dyn Reducer, out: &mut ReduceSink) -> Result<()> {
     let mut cursors: Vec<RunCursor<'_>> = runs
         .iter()
         .map(|run| RunCursor::new(&run.bytes))
         .collect::<Result<_>>()?;
     let mut lender = Lender::default();
+    let mut values: Vec<&[u8]> = Vec::new();
     // The least head key is the next group: each run whose head carries it
     // gives up its records under that key, in run order.
     while let Some(key) = cursors.iter().filter_map(RunCursor::key).min() {
-        let mut at = 0;
-        lender.reduce(key, reducer, out, |row, strings| {
-            while let Some(cursor) = cursors.get_mut(at) {
-                if cursor.key() == Some(key) {
-                    cursor.take_value(row, strings)?;
-                    return Ok(true);
-                }
-                at += 1;
+        values.clear();
+        for cursor in &mut cursors {
+            while cursor.key() == Some(key) {
+                values.push(cursor.take_value()?);
             }
-            Ok(false)
-        })?;
-        after_group(out);
+        }
+        let mut group = Group {
+            key,
+            values: &values,
+            lender: &mut lender,
+        };
+        reducer.reduce_encoded(&mut group, out)?;
+    }
+    Ok(())
+}
+
+/// One key's values as a reduce task hands them to
+/// [`Reducer::reduce_encoded`]: the encoded key, and each value's
+/// [`rowcodec::write_row`] bytes in map-output order, borrowed from the
+/// runs. Nothing in them has been read past its length.
+pub struct Group<'g> {
+    key: &'g [u8],
+    values: &'g [&'g [u8]],
+    lender: &'g mut Lender,
+}
+
+impl<'g> Group<'g> {
+    /// Each value's row bytes, in map-output order.
+    pub fn values(&self) -> &'g [&'g [u8]] {
+        self.values
+    }
+
+    /// Decode the key, and the values into rows the task reuses from key
+    /// to key, run `reducer`'s [`Reducer::reduce`] over them, and push its
+    /// output rows to `out`: the default [`Reducer::reduce_encoded`].
+    pub fn lend<R: Reducer + ?Sized>(&mut self, reducer: &R, out: &mut ReduceSink) -> Result<()> {
+        let mut values = self.values.iter();
+        let mut staged = std::mem::take(&mut self.lender.staged);
+        let reduced = self
+            .lender
+            .reduce(self.key, reducer, &mut staged, |row, strings| {
+                let Some(value) = values.next() else {
+                    return Ok(false);
+                };
+                decode_value(value, row, strings)?;
+                Ok(true)
+            });
+        for row in staged.drain(..) {
+            out.push(row);
+        }
+        self.lender.staged = staged;
+        reduced
+    }
+}
+
+/// Decode one record's value, which must be exactly one row, into `row`.
+fn decode_value(value: &[u8], row: &mut Row, strings: &mut StrPool) -> Result<()> {
+    let mut pos = 0;
+    rowcodec::read_row_into(value, &mut pos, row, strings)?;
+    if pos != value.len() {
+        return Err(ClydeError::Format(format!(
+            "shuffle run: {} bytes after a value's row",
+            value.len() - pos
+        )));
     }
     Ok(())
 }
@@ -704,16 +838,19 @@ struct Lender {
     strings: StrPool,
     /// Empty between calls; kept for its allocation.
     refs: Vec<&'static Row>,
+    /// A reducer's output rows on their way to the sink; empty between
+    /// calls.
+    staged: Vec<Row>,
 }
 
 impl Lender {
     /// Decode values with `next` (which fills the row it is given from the
     /// lender's strings, and says whether it did) until there are none
     /// left, then run `reducer` over them under the encoded `key`.
-    fn reduce(
+    fn reduce<R: Reducer + ?Sized>(
         &mut self,
         key: &[u8],
-        reducer: &dyn Reducer,
+        reducer: &R,
         out: &mut Vec<Row>,
         mut next: impl FnMut(&mut Row, &mut StrPool) -> Result<bool>,
     ) -> Result<()> {
@@ -751,27 +888,86 @@ fn recycle<'b>(mut refs: Vec<&Row>) -> Vec<&'b Row> {
     refs.into_iter().filter_map(|_| None).collect()
 }
 
-/// A row-binary part file built one row at a time: the bytes
-/// [`rowcodec::write_rows`] writes for the rows pushed, without holding
-/// the rows.
-#[derive(Default)]
-pub(crate) struct PartWriter {
-    body: Vec<u8>,
-    rows: u64,
+/// Where a reduce task's output rows go: a row-binary part file built one
+/// row at a time (the bytes [`rowcodec::write_rows`] writes for the rows
+/// pushed, without holding them), or rows kept in memory.
+pub struct ReduceSink(Sink);
+
+enum Sink {
+    Part { body: Vec<u8>, rows: u64 },
+    Memory(Vec<Row>),
 }
 
-impl PartWriter {
-    pub fn push(&mut self, row: &Row) {
-        rowcodec::write_row(&mut self.body, row);
-        self.rows += 1;
+impl ReduceSink {
+    /// A sink building a part file.
+    pub fn part() -> ReduceSink {
+        ReduceSink(Sink::Part {
+            body: Vec::new(),
+            rows: 0,
+        })
     }
 
-    /// The file: the row count, then the rows.
-    pub fn finish(self) -> Vec<u8> {
-        let mut file = Vec::with_capacity(self.body.len() + 10);
-        varint::write_u64(&mut file, self.rows);
-        file.extend_from_slice(&self.body);
-        file
+    /// A sink keeping rows.
+    pub fn memory() -> ReduceSink {
+        ReduceSink(Sink::Memory(Vec::new()))
+    }
+
+    /// Append an output row.
+    pub fn push(&mut self, row: Row) {
+        match &mut self.0 {
+            Sink::Part { body, rows } => {
+                rowcodec::write_row(body, &row);
+                *rows += 1;
+            }
+            Sink::Memory(kept) => kept.push(row),
+        }
+    }
+
+    /// Append the row of `arity` fields whose [`rowcodec::write_datum`]
+    /// bytes are `parts`, back to back: each part holds whole fields. A
+    /// part file takes the bytes as they are, so the caller must have
+    /// validated them; a memory sink decodes them, and errs unless they
+    /// are `arity` fields.
+    pub fn push_fields(&mut self, arity: usize, parts: &[&[u8]]) -> Result<()> {
+        match &mut self.0 {
+            Sink::Part { body, rows } => {
+                varint::write_u64(body, arity as u64);
+                for part in parts {
+                    body.extend_from_slice(part);
+                }
+                *rows += 1;
+            }
+            Sink::Memory(kept) => {
+                let mut row = Row::with_capacity(arity);
+                for part in parts {
+                    let mut pos = 0;
+                    while pos < part.len() {
+                        row.push(rowcodec::read_datum(part, &mut pos)?);
+                    }
+                }
+                if row.len() != arity {
+                    return Err(ClydeError::Format(format!(
+                        "reduce output: {} fields where {arity} were announced",
+                        row.len()
+                    )));
+                }
+                kept.push(row);
+            }
+        }
+        Ok(())
+    }
+
+    /// The rows kept, or the part file: the row count, then the rows.
+    pub fn finish(self) -> (Vec<Row>, Option<Vec<u8>>) {
+        match self.0 {
+            Sink::Part { mut body, rows } => {
+                // Into the body's spare room, not a second buffer.
+                let (count, n) = varint::encode_u64(rows);
+                body.splice(0..0, count.into_iter().take(n)).for_each(drop);
+                (Vec::new(), Some(body))
+            }
+            Sink::Memory(rows) => (rows, None),
+        }
     }
 }
 
@@ -883,6 +1079,8 @@ mod tests {
             std::mem::size_of::<(Vec<u8>, Row)>()
         );
         assert_eq!(std::mem::size_of::<Key>(), 24);
+        // A spill record: the key, the frame's offset, length and reducer.
+        assert_eq!(std::mem::size_of::<Record>(), 40);
     }
 
     #[test]
@@ -1002,26 +1200,42 @@ mod tests {
         out.push(long.clone(), &[Datum::Null, Datum::str("")]);
         out.push(Key::encode(&[Datum::I64(-1)]), &[]);
         out.push(long, row!["ASIA", -0.5f64].values());
+        // A value past 127 bytes takes a two-byte length.
+        out.push(
+            Key::encode(&[Datum::I64(3)]),
+            row!["x".repeat(130)].values(),
+        );
         let mut spill = out.spill(1, None).unwrap();
         assert_eq!(spill.runs.len(), 1);
         std::mem::take(&mut spill.runs[0].bytes)
     }
 
     /// A run's records decoded one at a time with the plain readers: what
-    /// a [`RunCursor`] must agree with.
+    /// a [`RunCursor`] must agree with. Each record is a length-prefixed
+    /// key and a length-prefixed value that holds exactly one row.
     fn oracle(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Row)>> {
         let mut pos = 0;
         let mut records = Vec::new();
-        while pos < bytes.len() {
-            let len = varint::read_u64(bytes, &mut pos)?;
+        let frame = |pos: &mut usize| -> Result<Vec<u8>> {
+            let len = varint::read_u64(bytes, pos)?;
             let end = usize::try_from(len)
                 .ok()
                 .and_then(|len| pos.checked_add(len))
                 .filter(|&end| end <= bytes.len())
-                .ok_or_else(|| ClydeError::Format("truncated key".into()))?;
-            let key = bytes[pos..end].to_vec();
-            pos = end;
-            records.push((key, rowcodec::read_row(bytes, &mut pos)?));
+                .ok_or_else(|| ClydeError::Format("truncated frame".into()))?;
+            let framed = bytes[*pos..end].to_vec();
+            *pos = end;
+            Ok(framed)
+        };
+        while pos < bytes.len() {
+            let key = frame(&mut pos)?;
+            let value = frame(&mut pos)?;
+            let mut at = 0;
+            let row = rowcodec::read_row(&value, &mut at)?;
+            if at != value.len() {
+                return Err(ClydeError::Format("bytes after the row".into()));
+            }
+            records.push((key, row));
         }
         Ok(records)
     }
@@ -1033,25 +1247,22 @@ mod tests {
         let (mut row, mut strings) = (Row::empty(), StrPool::default());
         let mut records = Vec::new();
         while let Some(key) = cursor.key() {
-            cursor.take_value(&mut row, &mut strings)?;
+            decode_value(cursor.take_value()?, &mut row, &mut strings)?;
             records.push((key.to_vec(), row.clone()));
         }
-        assert!(cursor.take_value(&mut row, &mut strings).is_err());
+        assert!(cursor.take_value().is_err());
         Ok(records)
     }
 
     /// The cursor errs exactly when the oracle does and otherwise yields
     /// its records; a reducer over the same bytes never panics.
     fn decodes_like_the_oracle(bytes: &[u8]) -> std::result::Result<(), String> {
-        let run = Run {
-            bytes: bytes.to_vec(),
-            records: 1,
-        };
+        let run = Run::from_bytes(bytes.to_vec(), 1);
         let count = FnReducer(|_: &Row, values: &[&Row], out: &mut Vec<Row>| {
             out.push(row![values.len() as i64]);
             Ok(())
         });
-        let _ = reduce_runs(&[run], &count, &mut Vec::new(), |_| {});
+        let _ = reduce_runs(&[run], &count, &mut ReduceSink::part());
         match (oracle(bytes), drain(bytes)) {
             (Ok(a), Ok(b)) if format!("{a:?}") == format!("{b:?}") => Ok(()),
             (Err(_), Err(_)) => Ok(()),
@@ -1062,7 +1273,7 @@ mod tests {
     #[test]
     fn a_run_reads_every_truncation_and_bit_flip_like_the_oracle() {
         let run = written_run();
-        assert_eq!(drain(&run).unwrap().len(), 4);
+        assert_eq!(drain(&run).unwrap().len(), 5);
         decodes_like_the_oracle(&run).unwrap();
         for cut in 0..run.len() {
             decodes_like_the_oracle(&run[..cut]).unwrap();
@@ -1103,10 +1314,15 @@ mod tests {
             sort_records(&mut expect);
             let mut want = Vec::new();
             reduce_sorted(&expect, &Lent, &mut want).unwrap();
-            let mut got = Vec::new();
-            reduce_runs(runs, &Lent, &mut got, |_| {}).unwrap();
-            assert_eq!(got, want, "reducer {r}");
+            assert_eq!(reduced(runs, &Lent), want, "reducer {r}");
         }
+    }
+
+    /// The rows `reducer` makes of `runs`, kept in memory.
+    fn reduced(runs: &[Run], reducer: &dyn Reducer) -> Vec<Row> {
+        let mut sink = ReduceSink::memory();
+        reduce_runs(runs, reducer, &mut sink).unwrap();
+        sink.finish().0
     }
 
     /// Reports each group as its key followed by its values' first fields.
@@ -1119,6 +1335,80 @@ mod tests {
             out.push(seen);
             Ok(())
         }
+    }
+
+    /// Each value's fields again, without its first: by rows through
+    /// `reduce`, and on the bytes through `reduce_encoded`.
+    struct DropFirst;
+
+    impl Reducer for DropFirst {
+        fn reduce(&self, _key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
+            out.extend(values.iter().map(|v| Row::new(v.values()[1..].to_vec())));
+            Ok(())
+        }
+
+        fn reduce_encoded(&self, group: &mut Group<'_>, out: &mut ReduceSink) -> Result<()> {
+            for value in group.values() {
+                let arity = rowcodec::walk_row(value)?.arity;
+                let mut second = 0;
+                varint::read_u64(value, &mut second)?;
+                rowcodec::read_datum_ref(value, &mut second)?;
+                out.push_fields(arity - 1, &[&value[second..]])?;
+            }
+            Ok(())
+        }
+    }
+
+    /// `DropFirst`'s row path: the default encoded entry.
+    struct DropFirstRows;
+
+    impl Reducer for DropFirstRows {
+        fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
+            DropFirst.reduce(key, values, out)
+        }
+    }
+
+    #[test]
+    fn an_encoded_entry_and_the_default_fill_both_sinks_alike() {
+        let mut out = MapOutput::default();
+        for i in 0..40i64 {
+            let text = if i % 4 == 0 {
+                Datum::Null
+            } else {
+                Datum::str(format!("v{i}"))
+            };
+            out.push(
+                Key::encode(&[Datum::I64(i % 7)]),
+                &[Datum::I64(i), text, Datum::F64(0.5)],
+            );
+        }
+        let runs = out.spill(2, None).unwrap().runs;
+        for run in &runs {
+            let run = std::slice::from_ref(run);
+            let finish = |reducer: &dyn Reducer, mut sink: ReduceSink| {
+                reduce_runs(run, reducer, &mut sink).unwrap();
+                sink.finish()
+            };
+            let (_, part) = finish(&DropFirst, ReduceSink::part());
+            let (_, want) = finish(&DropFirstRows, ReduceSink::part());
+            assert_eq!(part, want);
+            let (rows, none) = finish(&DropFirst, ReduceSink::memory());
+            let (want, _) = finish(&DropFirstRows, ReduceSink::memory());
+            assert!(none.is_none());
+            assert_eq!(format!("{rows:?}"), format!("{want:?}"));
+            assert_eq!(rowcodec::read_rows(&part.unwrap()).unwrap(), rows);
+        }
+    }
+
+    #[test]
+    fn a_memory_sink_rejects_fields_that_are_not_the_arity_announced() {
+        let mut field = Vec::new();
+        rowcodec::write_datum(&mut field, &Datum::I64(7));
+        let mut sink = ReduceSink::memory();
+        assert!(sink.push_fields(2, &[&field]).is_err());
+        assert!(sink.push_fields(1, &[&field[..1]]).is_err());
+        sink.push_fields(2, &[&field, &field]).unwrap();
+        assert_eq!(sink.finish().0, vec![row![7i64, 7i64]]);
     }
 
     #[test]
@@ -1142,9 +1432,10 @@ mod tests {
             .map(|(i, k)| {
                 let key = Key::from_bytes(k);
                 Record {
-                    partition: partition_of(&key, partitions),
+                    partition: partition_of(&key, partitions) as u32,
                     key,
-                    value: i..i,
+                    at: i,
+                    len: 0,
                 }
             })
             .collect()
@@ -1156,7 +1447,7 @@ mod tests {
         let mut want = records.clone();
         want.sort_by(|a, b| (a.partition, a.key.as_bytes()).cmp(&(b.partition, b.key.as_bytes())));
         sort_for_spill(&mut records, partitions);
-        let positions = |rs: &[Record]| rs.iter().map(|r| r.value.start).collect();
+        let positions = |rs: &[Record]| rs.iter().map(|r| r.at).collect();
         (positions(&records), positions(&want))
     }
 
@@ -1179,7 +1470,7 @@ mod tests {
         keys.push(vec![7; Key::INLINE + 1]);
         let mut records = spill_records(&keys, 3);
         assert!(!radix_sort(&mut records));
-        assert!(records.iter().enumerate().all(|(i, r)| r.value.start == i));
+        assert!(records.iter().enumerate().all(|(i, r)| r.at == i));
         let (got, want) = spill_orders(records, 3);
         assert_eq!(got, want);
     }
@@ -1190,7 +1481,7 @@ mod tests {
         let mut records = spill_records(&keys, 1);
         let mut order = [3u32, 0, 4, 1, 5, 2];
         permute(&mut records, &mut order);
-        let got: Vec<usize> = records.iter().map(|r| r.value.start).collect();
+        let got: Vec<usize> = records.iter().map(|r| r.at).collect();
         assert_eq!(got, vec![3, 0, 4, 1, 5, 2]);
         assert_eq!(order, [0, 1, 2, 3, 4, 5]);
     }
@@ -1262,9 +1553,8 @@ mod tests {
             prop_assert_eq!(direct.combine_input_records, 0);
             prop_assert_eq!(combined.combine_input_records, pairs.len() as u64);
             for (d, c) in direct.runs.iter().zip(&combined.runs) {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                reduce_runs(std::slice::from_ref(d), &Resummer, &mut a, |_| {}).unwrap();
-                reduce_runs(std::slice::from_ref(c), &Resummer, &mut b, |_| {}).unwrap();
+                let a = reduced(std::slice::from_ref(d), &Resummer);
+                let b = reduced(std::slice::from_ref(c), &Resummer);
                 prop_assert_eq!(a, b);
             }
         }

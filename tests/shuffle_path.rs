@@ -8,13 +8,20 @@
 //! Map-output order is task order, then emit order within a task: the
 //! reduce-side merge is stable in run order, and runs are laid out by task
 //! index.
+//!
+//! Hive's repartition join reduces the values' bytes
+//! (`RepartitionReducer::reduce_encoded`); its row-at-a-time `reduce`,
+//! reached through the default encoded entry, is the oracle it must match
+//! byte for byte, in jobs and on damaged runs.
 
 use clyde_common::{keycodec, row, rowcodec, Datum, Result, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
+use clyde_hive::repartition::RepartitionReducer;
+use clyde_hive::union::{TAG_LEFT, TAG_RIGHT};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_mapred::formats::VecInputFormat;
 use clyde_mapred::runner::{FnMapper, RowMapRunner};
-use clyde_mapred::shuffle::{self, FnReducer, Reducer};
+use clyde_mapred::shuffle::{self, FnReducer, ReduceSink, Reducer, Run};
 use clyde_mapred::{Engine, JobSpec, OutputSpec};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, LoadOpts, SsbLayout};
@@ -452,4 +459,242 @@ fn value_shapes_match_the_recorded_part_files_and_priced_counters() {
         ];
         assert_eq!(counters, recorded.counters, "{case}");
     }
+}
+
+/// The repartition join's row path: [`RepartitionReducer::reduce`] behind
+/// the default encoded entry, which decodes every value.
+struct RowPath;
+
+impl Reducer for RowPath {
+    fn reduce(&self, key: &Row, values: &[&Row], out: &mut Vec<Row>) -> Result<()> {
+        RepartitionReducer.reduce(key, values, out)
+    }
+}
+
+/// How many dimension values key `k` of the join input holds: none (a
+/// key with fact values only), one, or two (an M×N key).
+fn dims_of(k: i64) -> i64 {
+    [1, 0, 2, 1][k.rem_euclid(4) as usize]
+}
+
+/// The tagged value of join input row `i` under key `k`: a fact row with
+/// an integer, a string or NULL and an `f64`, or a dimension row with a
+/// string and an `f64` aux column.
+fn join_value(k: i64, i: i64, dim: bool) -> Row {
+    if dim {
+        row![format!("dim {k}/{i}"), i as f64 * 0.25, TAG_RIGHT]
+    } else {
+        let text = if i % 3 == 0 {
+            Datum::Null
+        } else {
+            Datum::str(format!("fact {i}"))
+        };
+        Row::new(vec![
+            Datum::I64(i),
+            text,
+            Datum::F64(-0.5 * i as f64),
+            Datum::I32(TAG_LEFT),
+        ])
+    }
+}
+
+/// The join's input, as `[key, value fields..]` rows: five rows for each
+/// of 12 keys, the first [`dims_of`] of them dimension values and the rest
+/// fact values, except that keys with `k % 6 == 3` hold dimension values
+/// only. The keys interleave, so a key's values come from several map
+/// tasks.
+fn join_input() -> Vec<Row> {
+    let mut rows = Vec::new();
+    for i in 0..60i64 {
+        let k = i % 12;
+        let dim = i / 12 < dims_of(k);
+        if !dim && k % 6 == 3 {
+            continue;
+        }
+        rows.push(row![k].concat(&join_value(k, i, dim)));
+    }
+    rows
+}
+
+/// Run the join over [`join_input`] with `reducer`: each key emitted as an
+/// integer, or as a string past the inline key limit when `long_key`.
+/// Returns the part files' bytes and the rows of the same job kept in
+/// memory.
+fn join_job(
+    reducer: Arc<dyn Reducer>,
+    reducers: usize,
+    long_key: bool,
+) -> (Vec<Vec<u8>>, Vec<Row>) {
+    let run = |output: OutputSpec| {
+        let dfs = Dfs::for_tests(3);
+        let engine = Engine::new(Arc::clone(&dfs));
+        let mapper = RowMapRunner::new(FnMapper(move |_k: &Row, v: &Row, ctx: &_| {
+            let k = v.at(0).as_i64().unwrap();
+            let key = if long_key {
+                Datum::str(format!("a join key past the inline limit {k}"))
+            } else {
+                Datum::I64(k)
+            };
+            ctx.emit(&[key], &v.values()[1..]);
+            Ok(())
+        }));
+        let mut spec = JobSpec::new(
+            "repartition-equivalence",
+            Arc::new(VecInputFormat::new(join_input(), SPLITS)),
+            Arc::new(mapper),
+        );
+        spec.reducer = Some(Arc::clone(&reducer));
+        spec.num_reducers = reducers;
+        spec.output = output;
+        let result = engine.run_job(&spec).unwrap();
+        let parts = result
+            .output_files
+            .iter()
+            .map(|path| dfs.read_file(path, None).unwrap().to_vec())
+            .collect::<Vec<_>>();
+        (parts, result.rows)
+    };
+    let (parts, _) = run(OutputSpec::DfsDir("/join".into()));
+    let (_, rows) = run(OutputSpec::Memory);
+    (parts, rows)
+}
+
+#[test]
+fn the_encoded_join_writes_the_row_joins_part_files_and_rows() {
+    // Facts per key times dimension values per key: the M×N count.
+    let input = join_input();
+    let count = |k: i64, dim: bool| {
+        input
+            .iter()
+            .filter(|r| {
+                r.at(0).as_i64() == Some(k)
+                    && (r.at(r.len() - 1).as_i32() == Some(TAG_RIGHT)) == dim
+            })
+            .count()
+    };
+    let joined: usize = (0..12).map(|k| count(k, false) * count(k, true)).sum();
+    assert!(joined > 0 && (0..12).any(|k| count(k, true) == 2 && count(k, false) > 0));
+    assert!((0..12).any(|k| count(k, true) == 0 && count(k, false) > 0));
+    assert!((0..12).any(|k| count(k, true) > 0 && count(k, false) == 0));
+    for long_key in [false, true] {
+        for reducers in [1, 2, 3] {
+            let case = format!("long key {long_key}, {reducers} reducers");
+            let (row_parts, row_rows) = join_job(Arc::new(RowPath), reducers, long_key);
+            let (parts, rows) = join_job(Arc::new(RepartitionReducer), reducers, long_key);
+            assert_eq!(parts, row_parts, "{case}");
+            // Debug, not ==: Datum equality coerces I32/I64.
+            assert_eq!(format!("{rows:?}"), format!("{row_rows:?}"), "{case}");
+            assert_eq!(rows.len(), joined, "{case}");
+            let from_parts: usize = parts
+                .iter()
+                .map(|p| rowcodec::read_rows(p).unwrap().len())
+                .sum();
+            assert_eq!(from_parts, joined, "{case}");
+        }
+    }
+}
+
+/// One map task's run for one join reducer, written by the run writer:
+/// every [`join_input`] row under its key, in key order (boxed keys for
+/// odd keys), each value's [`rowcodec::write_row`] bytes.
+fn written_join_run() -> Vec<u8> {
+    let mut records: Vec<(Vec<u8>, Vec<u8>)> = join_input()
+        .iter()
+        .filter(|r| r.at(0).as_i64().is_some_and(|k| k < 6))
+        .map(|r| {
+            let k = r.at(0).as_i64().unwrap();
+            let key = if k % 2 == 1 {
+                row![format!("a join key past the inline limit {k}")]
+            } else {
+                row![k]
+            };
+            let mut value = Vec::new();
+            rowcodec::write_row(&mut value, &Row::new(r.values()[1..].to_vec()));
+            (keycodec::encode_row(&key), value)
+        })
+        .collect();
+    records.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut run = Run::default();
+    for (key, value) in &records {
+        run.push_encoded(key, value);
+    }
+    run.as_bytes().to_vec()
+}
+
+/// Reduce `bytes` as one run with `reducer`, into a part file and into
+/// memory.
+fn reduce_run(bytes: &[u8], reducer: &dyn Reducer) -> (Result<Vec<u8>>, Result<String>) {
+    let reduce = |mut sink: ReduceSink| {
+        let run = Run::from_bytes(bytes.to_vec(), 1);
+        shuffle::reduce_runs(std::slice::from_ref(&run), reducer, &mut sink).map(|()| sink.finish())
+    };
+    let part = reduce(ReduceSink::part()).map(|(_, part)| part.unwrap());
+    let rows = reduce(ReduceSink::memory()).map(|(rows, _)| format!("{rows:?}"));
+    (part, rows)
+}
+
+/// On `bytes`, the encoded join agrees with the row join wherever the row
+/// join succeeds, and whatever it writes is whole, canonical rows.
+fn joins_like_the_row_path(bytes: &[u8]) -> std::result::Result<(), String> {
+    let (row_part, row_rows) = reduce_run(bytes, &RowPath);
+    let (part, rows) = reduce_run(bytes, &RepartitionReducer);
+    if let Ok(want) = &row_part {
+        if part.as_ref() != Ok(want) {
+            return Err(format!(
+                "{bytes:02x?}: part file {part:?}, row path {want:?}"
+            ));
+        }
+    }
+    if let Ok(want) = &row_rows {
+        if rows.as_ref() != Ok(want) {
+            return Err(format!("{bytes:02x?}: rows {rows:?}, row path {want:?}"));
+        }
+    }
+    if let Ok(part) = &part {
+        let read = rowcodec::read_rows(part).map_err(|e| format!("{bytes:02x?}: {e}"))?;
+        if rowcodec::write_rows(&read) != *part {
+            return Err(format!("{bytes:02x?}: a written row is not canonical"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn the_encoded_join_matches_the_row_join_on_every_truncation_and_bit_flip() {
+    let run = written_join_run();
+    let (part, _) = reduce_run(&run, &RepartitionReducer);
+    assert!(rowcodec::read_rows(&part.unwrap()).unwrap().len() > 2);
+    joins_like_the_row_path(&run).unwrap();
+    for cut in 0..run.len() {
+        joins_like_the_row_path(&run[..cut]).unwrap();
+    }
+    for bit in 0..run.len() * 8 {
+        let mut flipped = run.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        joins_like_the_row_path(&flipped).unwrap();
+    }
+}
+
+#[test]
+fn a_decodable_overlong_varint_joins_through_the_row_path() {
+    // `I64(5)` written as the two-byte varint [0x8a, 0x00]: the row join
+    // decodes it and writes it again in one byte, so copying the value's
+    // bytes would not agree.
+    let mut fact = Vec::new();
+    rowcodec::write_row(&mut fact, &row![5i64, Datum::Null, 1.5f64, TAG_LEFT]);
+    assert_eq!(&fact[..3], &[4, 2, 0x0a]);
+    fact.splice(2..3, [0x8a, 0x00]);
+    let mut dim = Vec::new();
+    rowcodec::write_row(&mut dim, &row!["ASIA", TAG_RIGHT]);
+    let mut run = Run::default();
+    let key = keycodec::encode_row(&row![0i64]);
+    run.push_encoded(&key, &dim);
+    run.push_encoded(&key, &fact);
+    let (part, rows) = reduce_run(run.as_bytes(), &RowPath);
+    assert_eq!(
+        rowcodec::read_rows(&part.unwrap()).unwrap(),
+        vec![row![5i64, Datum::Null, 1.5f64, "ASIA"]]
+    );
+    assert!(rows.is_ok());
+    joins_like_the_row_path(run.as_bytes()).unwrap();
 }

@@ -228,25 +228,54 @@ fn median(mut xs: Vec<u64>) -> u64 {
     xs.get(xs.len() / 2).copied().unwrap_or(0)
 }
 
+/// The wall time of a job's waves on their slowest nodes: per wave (map,
+/// then reduce), the most any one node's tasks took, summed. Each node
+/// runs its tasks of a wave one after another, and the waves do not
+/// overlap, so this is the part of the job's elapsed time spent inside
+/// tasks; a reduce task's time includes its part commit.
+fn slowest_nodes_ns(p: &clyde_mapred::JobProfile) -> u64 {
+    [&p.map_tasks, &p.reduce_tasks]
+        .iter()
+        .map(|wave| {
+            let mut per_node: Vec<(usize, u64)> = Vec::new();
+            for t in wave.iter() {
+                match per_node.iter_mut().find(|(n, _)| *n == t.node.0) {
+                    Some((_, ns)) => *ns += t.wall_ns,
+                    None => per_node.push((t.node.0, t.wall_ns)),
+                }
+            }
+            per_node.iter().map(|(_, ns)| *ns).max().unwrap_or(0)
+        })
+        .sum()
+}
+
 #[test]
 #[ignore = "report: per-query wall phase split of both Hive plans at the hive_chain benchmark's SF 0.01"]
 fn report_phase_split_at_sf_0_01() {
     const RUNS: usize = 30;
     let (dfs, layout) = hive_chain_system(0.01);
-    println!("median over {RUNS} runs of each query's summed task wall time per phase, ms");
+    println!(
+        "median over {RUNS} runs of each query's op wall time, its time outside tasks (op \
+         minus each wave's slowest node), and summed task wall time per phase, ms"
+    );
     for strategy in [JoinStrategy::MapJoin, JoinStrategy::Repartition] {
         let hive = Hive::new(Arc::clone(&dfs), layout.clone(), strategy);
         for id in ["Q1.1", "Q2.1", "Q3.1", "Q4.1"] {
             let q = query_by_id(id).unwrap();
             hive.query(&q).unwrap();
-            // Per run: the tasks' wall time, then each phase's.
-            let mut runs: Vec<(u64, Vec<(Phase, u64)>)> = Vec::new();
+            // Per run: the op's wall time, its slowest nodes' task time,
+            // the tasks' wall time, then each phase's.
+            let mut runs: Vec<(u64, u64, u64, Phases)> = Vec::new();
             for _ in 0..RUNS {
+                let op = clyde_common::obs::WallTimer::start();
                 let result = hive.query(&q).unwrap();
+                let op_ns = op.elapsed_ns();
+                let mut slowest = 0;
                 let mut tasks = 0;
-                let mut phases: Vec<(Phase, u64)> = Vec::new();
+                let mut phases: Phases = Vec::new();
                 for stage in &result.stages {
                     let p = &stage.profile;
+                    slowest += slowest_nodes_ns(p);
                     tasks += p
                         .map_tasks
                         .iter()
@@ -255,20 +284,28 @@ fn report_phase_split_at_sf_0_01() {
                         .sum::<u64>();
                     phases.extend(&p.wall_phases);
                 }
-                runs.push((tasks, phases));
+                runs.push((op_ns, slowest, tasks, phases));
             }
             let ms = |ns: u64| ns as f64 / 1e6;
-            let tasks = median(runs.iter().map(|(t, _)| *t).collect());
-            let mut line = format!("{:>11} {id}: tasks {:.2}", strategy.label(), ms(tasks));
+            let op = median(runs.iter().map(|r| r.0).collect());
+            let outside = median(runs.iter().map(|r| r.0.saturating_sub(r.1)).collect());
+            let tasks = median(runs.iter().map(|r| r.2).collect());
+            let mut line = format!(
+                "{:>11} {id}: op {:.2}, outside tasks {:.2}, tasks {:.2}",
+                strategy.label(),
+                ms(op),
+                ms(outside),
+                ms(tasks)
+            );
             for phase in Phase::all() {
-                let ns = median(runs.iter().map(|(_, p)| phase_ns(p, *phase)).collect());
+                let ns = median(runs.iter().map(|r| phase_ns(&r.3, *phase)).collect());
                 if ns > 0 {
                     line += &format!(", {} {:.2}", phase.label(), ms(ns));
                 }
             }
             let rest = median(
                 runs.iter()
-                    .map(|(t, p)| t.saturating_sub(p.iter().map(|(_, ns)| ns).sum()))
+                    .map(|r| r.2.saturating_sub(r.3.iter().map(|(_, ns)| ns).sum()))
                     .collect(),
             );
             line += &format!(", unattributed {:.2}", ms(rest));

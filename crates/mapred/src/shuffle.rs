@@ -281,15 +281,16 @@ pub(crate) struct MapOutput {
     priced: u64,
 }
 
-/// A record of a [`MapOutput`]: its key, where its value's frame starts
-/// and how long it is, and the reducer it goes to (set at spill). A frame
-/// of `u32::MAX` bytes or more reads its length from its own prefix.
+/// A record of a [`MapOutput`]: its key, the reducer it goes to (set at
+/// spill), and where its value's frame starts. The frame's length is read
+/// from its own prefix, which keeps a record at 40 bytes: a task's records
+/// are live with its values and runs at the spill, where the heap of a
+/// repartition query peaks.
 #[derive(Clone)]
 struct Record {
     key: Key,
+    partition: usize,
     at: usize,
-    len: u32,
-    partition: u32,
 }
 
 /// What a map task's spill hands the shuffle: one run per reducer, in
@@ -312,9 +313,8 @@ impl MapOutput {
         write_framed(&mut self.values, value);
         self.records.push(Record {
             key,
-            at,
-            len: u32::try_from(self.values.len() - at).unwrap_or(u32::MAX),
             partition: 0,
+            at,
         });
         value_size
     }
@@ -329,15 +329,12 @@ impl MapOutput {
 
     /// A record's value frame: `varint(length) ‖ row`.
     fn frame(&self, record: &Record) -> Result<&[u8]> {
-        let mut end = record.at.checked_add(record.len as usize);
-        if record.len == u32::MAX {
-            let mut pos = record.at;
-            let len = varint::read_u64(&self.values, &mut pos)?;
-            end = usize::try_from(len)
-                .ok()
-                .and_then(|len| pos.checked_add(len));
-        }
-        end.and_then(|end| self.values.get(record.at..end))
+        let mut pos = record.at;
+        let len = varint::read_u64(&self.values, &mut pos)?;
+        usize::try_from(len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
+            .and_then(|end| self.values.get(record.at..end))
             .ok_or_else(|| ClydeError::MapReduce("map output value out of range".into()))
     }
 
@@ -406,19 +403,9 @@ impl MapOutput {
     /// when there is one.
     pub fn spill(mut self, partitions: usize, combiner: Option<&dyn Reducer>) -> Result<Spill> {
         let partitions = partitions.max(1);
-        if u32::try_from(partitions).is_err() {
-            return Err(ClydeError::MapReduce(format!(
-                "{partitions} reducers: a spill addresses at most 2^32"
-            )));
-        }
-        // Each run's exact size.
-        let mut sizes = vec![0; partitions];
-        for r in &mut self.records {
-            if partitions > 1 {
-                r.partition = partition_of(&r.key, partitions) as u32;
-            }
-            if let Some(size) = sizes.get_mut(r.partition as usize) {
-                *size += varint::encoded_len_u64(r.key.len() as u64) + r.key.len() + r.len as usize;
+        if partitions > 1 {
+            for r in &mut self.records {
+                r.partition = partition_of(&r.key, partitions);
             }
         }
         sort_for_spill(&mut self.records, partitions);
@@ -434,16 +421,20 @@ impl MapOutput {
         for records in self.records.chunk_by(|a, b| a.partition == b.partition) {
             let Some(run) = records
                 .first()
-                .and_then(|r| spill.runs.get_mut(r.partition as usize))
+                .and_then(|r| spill.runs.get_mut(r.partition))
             else {
                 continue;
             };
             let Some(combiner) = combiner else {
+                // The run's exact size.
                 run.bytes.reserve(
                     records
-                        .first()
-                        .and_then(|r| sizes.get(r.partition as usize))
-                        .map_or(0, |&s| s),
+                        .iter()
+                        .map(|r| {
+                            let frame = self.frame(r).map_or(0, <[u8]>::len);
+                            varint::encoded_len_u64(r.key.len() as u64) + r.key.len() + frame
+                        })
+                        .sum(),
                 );
                 for r in records {
                     run.push_framed(r.key.as_bytes(), self.frame(r)?);
@@ -520,7 +511,7 @@ fn radix_sort(records: &mut [Record]) -> bool {
                 let Some((key, len)) = r.key.inline() else {
                     continue;
                 };
-                bump(reducers, r.partition as usize);
+                bump(reducers, r.partition);
                 for (count, &b) in bytes.iter_mut().zip(key) {
                     bump(count, usize::from(b));
                 }
@@ -544,7 +535,7 @@ fn radix_sort(records: &mut [Record]) -> bool {
         }
         let (from, to) = (index.as_slice(), scratch.as_mut_slice());
         if digit == 0 {
-            counting_pass(records, count, from, to, |r| r.partition as usize);
+            counting_pass(records, count, from, to, |r| r.partition);
         } else if digit == width + 1 {
             counting_pass(records, count, from, to, |r| r.key.len());
         } else {
@@ -636,23 +627,11 @@ impl Run {
         self.records == 0
     }
 
-    /// The run's bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// A run over `bytes` as they are, holding `records` records if they
     /// are a run. A reader of any byte string errs where it is not one,
     /// and never panics.
     pub fn from_bytes(bytes: Vec<u8>, records: u64) -> Run {
         Run { bytes, records }
-    }
-
-    /// Append a record whose value is already encoded.
-    pub fn push_encoded(&mut self, key: &[u8], value: &[u8]) {
-        self.push_key(key);
-        varint::write_u64(&mut self.bytes, value.len() as u64);
-        self.bytes.extend_from_slice(value);
     }
 
     /// Append a record whose value is already framed: its length, then
@@ -1079,7 +1058,7 @@ mod tests {
             std::mem::size_of::<(Vec<u8>, Row)>()
         );
         assert_eq!(std::mem::size_of::<Key>(), 24);
-        // A spill record: the key, the frame's offset, length and reducer.
+        // A spill record: the key, the reducer and the frame's offset.
         assert_eq!(std::mem::size_of::<Record>(), 40);
     }
 
@@ -1432,10 +1411,9 @@ mod tests {
             .map(|(i, k)| {
                 let key = Key::from_bytes(k);
                 Record {
-                    partition: partition_of(&key, partitions) as u32,
+                    partition: partition_of(&key, partitions),
                     key,
                     at: i,
-                    len: 0,
                 }
             })
             .collect()

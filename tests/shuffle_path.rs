@@ -14,7 +14,7 @@
 //! reached through the default encoded entry, is the oracle it must match
 //! byte for byte, in jobs and on damaged runs.
 
-use clyde_common::{keycodec, row, rowcodec, Datum, Result, Row};
+use clyde_common::{keycodec, row, rowcodec, varint, Datum, Result, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::repartition::RepartitionReducer;
 use clyde_hive::union::{TAG_LEFT, TAG_RIGHT};
@@ -594,9 +594,18 @@ fn the_encoded_join_writes_the_row_joins_part_files_and_rows() {
     }
 }
 
-/// One map task's run for one join reducer, written by the run writer:
-/// every [`join_input`] row under its key, in key order (boxed keys for
-/// odd keys), each value's [`rowcodec::write_row`] bytes.
+/// Append a run record: `varint(key length) ‖ key ‖ varint(value length) ‖
+/// value`.
+fn push_record(run: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    varint::write_u64(run, key.len() as u64);
+    run.extend_from_slice(key);
+    varint::write_u64(run, value.len() as u64);
+    run.extend_from_slice(value);
+}
+
+/// One map task's run for one join reducer: every [`join_input`] row under
+/// its key, in key order (boxed keys for odd keys), each value's
+/// [`rowcodec::write_row`] bytes.
 fn written_join_run() -> Vec<u8> {
     let mut records: Vec<(Vec<u8>, Vec<u8>)> = join_input()
         .iter()
@@ -614,11 +623,11 @@ fn written_join_run() -> Vec<u8> {
         })
         .collect();
     records.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut run = Run::default();
+    let mut run = Vec::new();
     for (key, value) in &records {
-        run.push_encoded(key, value);
+        push_record(&mut run, key, value);
     }
-    run.as_bytes().to_vec()
+    run
 }
 
 /// Reduce `bytes` as one run with `reducer`, into a part file and into
@@ -686,15 +695,15 @@ fn a_decodable_overlong_varint_joins_through_the_row_path() {
     fact.splice(2..3, [0x8a, 0x00]);
     let mut dim = Vec::new();
     rowcodec::write_row(&mut dim, &row!["ASIA", TAG_RIGHT]);
-    let mut run = Run::default();
+    let mut run = Vec::new();
     let key = keycodec::encode_row(&row![0i64]);
-    run.push_encoded(&key, &dim);
-    run.push_encoded(&key, &fact);
-    let (part, rows) = reduce_run(run.as_bytes(), &RowPath);
+    push_record(&mut run, &key, &dim);
+    push_record(&mut run, &key, &fact);
+    let (part, rows) = reduce_run(&run, &RowPath);
     assert_eq!(
         rowcodec::read_rows(&part.unwrap()).unwrap(),
         vec![row![5i64, Datum::Null, 1.5f64, "ASIA"]]
     );
     assert!(rows.is_ok());
-    joins_like_the_row_path(run.as_bytes()).unwrap();
+    joins_like_the_row_path(&run).unwrap();
 }

@@ -58,10 +58,10 @@ fn main() {
     let mut e = ex.extrapolate_one_per_node(&qm.query, &qm.clyde);
     e.name = "clydesdale-Q2.1@SF1000".into();
     let params = &ex.params;
-    let (cost, sched) = e
+    let sched = e
         .schedule(params, &cluster)
         .expect("clydesdale fits in memory");
-    let hist = job_history(&e, &cost, params, &cluster, &sched, cost.setup_s);
+    let hist = job_history(&e, params, &cluster, &sched, sched.cost.setup_s);
     let job = obs.record_job(hist.clone()).expect("obs is enabled");
     let spans = obs.spans().spans();
     // Longest per-task total of a phase, in seconds — the per-node number

@@ -12,11 +12,13 @@
 //!
 //! Two passes over one shared cluster:
 //!
-//! * **cold** — the cache starts empty. First occurrences of each of the
-//!   13 SSB queries compute for real and fill the catalog; repeated
+//! * **cold** — the cache starts empty. Every query computes for real, and
+//!   a result becomes visible in the catalog only when its producer
+//!   finishes in simulated time. Compressed, the whole stream arrives
+//!   within ~2 s while a producer runs for ~13 s or more, so repeated
 //!   submissions *within* the stream (the etl burst cycles queries the
-//!   dash tenant also refires) already hit — that intra-stream sharing is
-//!   the ReStore scenario and is reported, not hidden.
+//!   dash tenant also refires) miss too: the cold hit rate is 0, reported,
+//!   not hidden.
 //! * **warm** — the identical stream replayed on the now-populated cache.
 //!   Every stage should be a metadata-only cached read.
 //!

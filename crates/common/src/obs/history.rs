@@ -268,6 +268,9 @@ pub struct JobHistory {
     /// Wall-clock nanoseconds per phase, summed across tasks (from the
     /// in-process runners; empty when the engine recorded none).
     pub wall_phases: Vec<(Phase, u64)>,
+    /// Wall-clock nanoseconds of the client-side setup (Hive's mapjoin
+    /// table build), which runs outside every task.
+    pub setup_wall_ns: u64,
     /// Per-node DFS I/O performed during this job (from the engine's scoped
     /// snapshot; empty when the job ran without one).
     pub io: Vec<IoBytes>,

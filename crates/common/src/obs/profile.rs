@@ -35,8 +35,9 @@ pub struct StageRow {
     pub name: &'static str,
     /// Model-priced simulated seconds.
     pub sim_s: f64,
-    /// Measured wall nanoseconds of the tasks in this stage (0 for stages
-    /// with no in-process tasks: setup, shuffle, overhead).
+    /// Measured wall nanoseconds of the tasks in this stage, or of the
+    /// client's build for setup (0 for shuffle and overhead, which have no
+    /// in-process work).
     pub wall_ns: u64,
 }
 
@@ -114,7 +115,7 @@ fn stage_rows(h: &JobHistory) -> Vec<StageRow> {
         StageRow {
             name: "setup",
             sim_s: h.setup_s,
-            wall_ns: 0,
+            wall_ns: h.setup_wall_ns,
         },
         StageRow {
             name: "map",

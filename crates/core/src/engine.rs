@@ -7,7 +7,7 @@ use clyde_common::obs::{
 };
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
-use clyde_mapred::{CostParams, Engine, FaultPlan, JobCost, JobProfile};
+use clyde_mapred::{CostParams, Engine, FaultPlan, JobCost, JobProfile, JobSpec};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
 use clyde_ssb::schema;
@@ -105,10 +105,6 @@ impl Clydesdale {
         self
     }
 
-    pub fn faults(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
     /// Override how many *host* OS threads the map runner really spawns
     /// (chainable). The cost model keeps pricing with the cluster's map-slot
     /// count, so any value must leave results, simulated spans, and metric
@@ -123,12 +119,14 @@ impl Clydesdale {
         &self.engine
     }
 
-    pub(crate) fn layout(&self) -> &SsbLayout {
-        &self.layout
-    }
-
-    pub(crate) fn host_threads(&self) -> Option<u32> {
-        self.host_threads
+    /// Plan `query` into its one MapReduce job, under this engine's fault
+    /// plan and host thread count.
+    pub(crate) fn plan(&self, query: &StarQuery) -> Result<JobSpec> {
+        let cluster = self.engine.dfs().cluster();
+        let mut spec = plan_query(query, &self.layout, self.features, cluster)?;
+        spec.faults = self.faults.clone();
+        spec.host_threads = self.host_threads;
+        Ok(spec)
     }
 
     /// Open a multi-tenant query server over this engine: submissions are
@@ -237,49 +235,25 @@ impl Clydesdale {
     /// Execute a star query end to end: one MapReduce job (join + group-by
     /// aggregation) followed by a single-process ORDER BY sort.
     pub fn query(&self, query: &StarQuery) -> Result<QueryResult> {
-        let mut spec = plan_query(
-            query,
-            &self.layout,
-            self.features,
-            self.engine.dfs().cluster(),
-        )?;
-        spec.faults = self.faults.clone();
-        spec.host_threads = self.host_threads;
+        let spec = self.plan(query)?;
         let obs = self.engine.obs();
-        // Histories recorded before this query belong to earlier queries on
-        // the same hub; everything past this index is ours.
-        let hist_before = obs.with_histories(|hs| hs.len());
+        // The job's history is the next one recorded on the hub.
+        let history = obs.with_histories(|hs| hs.len());
         let result = self.engine.run_job(&spec)?;
         let mut rows = result.rows;
-        query.finish_result(&mut rows);
-        // Price the client-side sort like the paper's single-process sort.
-        let final_sort_s = rows.len() as f64 / self.engine.params().sort_records_per_s + 0.5;
-        if obs.is_enabled() {
-            // Append the client-side sort right after the job on its track.
-            if let Some(job) = obs.last_job() {
-                obs.spans().span(
-                    None,
-                    SpanKind::Phase,
-                    "final-sort",
-                    job.pid,
-                    0,
-                    us(job.total_s),
-                    us(job.total_s + final_sort_s).saturating_sub(us(job.total_s)),
-                    vec![("rows".into(), rows.len().to_string())],
-                );
-            }
-            obs.metrics().counter_add(series::MAPRED_QUERIES, 1);
-            obs.metrics()
-                .histogram_record(series::MAPRED_FINAL_SORT_S, final_sort_s);
-            let profile = obs.with_histories(|hs| {
-                QueryProfile::from_histories(
-                    &query.id,
-                    hs.get(hist_before..).unwrap_or_default(),
-                    final_sort_s,
-                    DEFAULT_DRIFT_THRESHOLD_PCT,
-                )
-            });
-            obs.record_query_profile(profile);
+        let final_sort_s = self.finish_query(query, &mut rows, history)?;
+        // Append the client-side sort right after the job on its track.
+        if let Some(job) = obs.last_job() {
+            obs.spans().span(
+                None,
+                SpanKind::Phase,
+                "final-sort",
+                job.pid,
+                0,
+                us(job.total_s),
+                us(job.total_s + final_sort_s).saturating_sub(us(job.total_s)),
+                vec![("rows".into(), rows.len().to_string())],
+            );
         }
         Ok(QueryResult {
             rows,
@@ -288,6 +262,39 @@ impl Clydesdale {
             final_sort_s,
             locality: result.locality,
         })
+    }
+
+    /// The client side of a query after its job: ORDER BY and LIMIT on the
+    /// job's rows, priced as the paper's single-process sort, and with obs on
+    /// the query counters and its explain-analyze profile over the job's
+    /// history, the hub's `history`th. Returns the sort's seconds.
+    pub(crate) fn finish_query(
+        &self,
+        query: &StarQuery,
+        rows: &mut Vec<Row>,
+        history: usize,
+    ) -> Result<f64> {
+        query.finish_result(rows);
+        let final_sort_s = rows.len() as f64 / self.engine.params().sort_records_per_s + 0.5;
+        let obs = self.engine.obs();
+        if obs.is_enabled() {
+            obs.metrics().counter_add(series::MAPRED_QUERIES, 1);
+            obs.metrics()
+                .histogram_record(series::MAPRED_FINAL_SORT_S, final_sort_s);
+            let profile = obs.with_histories(|hs| {
+                let job = hs.get(history..=history)?;
+                let threshold = DEFAULT_DRIFT_THRESHOLD_PCT;
+                Some(QueryProfile::from_histories(
+                    &query.id,
+                    job,
+                    final_sort_s,
+                    threshold,
+                ))
+            });
+            let missing = || ClydeError::MapReduce(format!("query {} has no history", query.id));
+            obs.record_query_profile(profile.ok_or_else(missing)?);
+        }
+        Ok(final_sort_s)
     }
 
     /// Execute a query and return its result together with the

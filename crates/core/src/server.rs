@@ -10,9 +10,7 @@
 //! query and appended to its scheduled finish, exactly like the solo path.
 
 use crate::engine::Clydesdale;
-use crate::planner::plan_query;
-use clyde_common::obs::{catalog as series, QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
-use clyde_common::{ClydeError, Result, Row};
+use clyde_common::{Result, Row};
 use clyde_mapred::{JobCost, JobProfile, JobServer, RejectReason, ServerConfig};
 use clyde_ssb::queries::StarQuery;
 
@@ -64,15 +62,6 @@ impl<'c> QueryServer<'c> {
         }
     }
 
-    pub fn config(&self) -> &ServerConfig {
-        self.inner.config()
-    }
-
-    /// Queries currently waiting for the next drain.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue_depth()
-    }
-
     /// Submit `query` on behalf of `tenant` at server time `arrival_s`.
     /// Planning errors surface as the outer `Err`; admission-control
     /// rejections (queue full, tenant quota) as the inner one.
@@ -82,59 +71,27 @@ impl<'c> QueryServer<'c> {
         arrival_s: f64,
         query: &StarQuery,
     ) -> Result<std::result::Result<(), RejectReason>> {
-        let engine = self.clyde.engine();
-        let mut spec = plan_query(
-            query,
-            self.clyde.layout(),
-            self.clyde.features(),
-            engine.dfs().cluster(),
-        )?;
-        spec.faults = self.clyde.faults().cloned();
-        spec.host_threads = self.clyde.host_threads();
-        match self.inner.submit(tenant, arrival_s, spec) {
-            Ok(()) => {
-                self.admitted.push(query.clone());
-                Ok(Ok(()))
-            }
-            Err(reason) => Ok(Err(reason)),
+        let admission = self
+            .inner
+            .submit(tenant, arrival_s, self.clyde.plan(query)?);
+        if admission.is_ok() {
+            self.admitted.push(query.clone());
         }
+        Ok(admission)
     }
 
     /// Run everything admitted since the last drain on the shared cluster
     /// and return the served queries in submission order.
     pub fn drain(&mut self) -> Result<Vec<ServedQuery>> {
         let queries = std::mem::take(&mut self.admitted);
-        let obs = self.clyde.obs();
-        let hist_before = obs.with_histories(|hs| hs.len());
+        let hist_before = self.clyde.obs().with_histories(|hs| hs.len());
         let served_jobs = self.inner.drain()?;
-        let params = self.clyde.engine().params();
         let mut out = Vec::with_capacity(served_jobs.len());
         for (i, (job, query)) in served_jobs.into_iter().zip(queries).enumerate() {
             let mut rows = job.result.rows;
-            query.finish_result(&mut rows);
-            let final_sort_s = rows.len() as f64 / params.sort_records_per_s + 0.5;
-            if obs.is_enabled() {
-                obs.metrics().counter_add(series::MAPRED_QUERIES, 1);
-                obs.metrics()
-                    .histogram_record(series::MAPRED_FINAL_SORT_S, final_sort_s);
-                let profile = obs
-                    .with_histories(|hs| {
-                        let history = hs.get(hist_before + i..hist_before + i + 1)?;
-                        Some(QueryProfile::from_histories(
-                            &query.id,
-                            history,
-                            final_sort_s,
-                            DEFAULT_DRIFT_THRESHOLD_PCT,
-                        ))
-                    })
-                    .ok_or_else(|| {
-                        ClydeError::MapReduce(format!(
-                            "served query {} published no history",
-                            query.id
-                        ))
-                    })?;
-                obs.record_query_profile(profile);
-            }
+            let final_sort_s = self
+                .clyde
+                .finish_query(&query, &mut rows, hist_before + i)?;
             out.push(ServedQuery {
                 tenant: job.tenant,
                 query_id: query.id.clone(),

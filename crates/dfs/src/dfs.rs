@@ -707,9 +707,13 @@ impl Dfs {
     /// Admit a cached entry, evicting least-recently-used entries
     /// under the capacity budget and deleting their backing files. Returns
     /// whether the entry was admitted — callers persist the output bytes
-    /// only on `true`.
+    /// only on `true`. An entry whose fingerprint is already resident is not
+    /// admitted again: its bytes are already there.
     pub fn cache_insert(&self, entry: CacheEntry) -> Result<bool> {
         let fp = entry.fingerprint;
+        if self.cache.read().contains(fp) {
+            return Ok(false);
+        }
         let freed = self.cache.write().insert(entry);
         for p in freed {
             if self.exists(&p) {

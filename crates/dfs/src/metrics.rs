@@ -67,6 +67,21 @@ impl IoSnapshot {
         }
     }
 
+    /// Add a later window's counters to this one.
+    pub fn add(&mut self, other: &IoSnapshot) {
+        for o in &other.per_node {
+            match self.per_node.iter_mut().find(|n| n.node == o.node) {
+                Some(n) => {
+                    n.local_read += o.local_read;
+                    n.remote_read += o.remote_read;
+                    n.written += o.written;
+                }
+                None => self.per_node.push(*o),
+            }
+        }
+        self.corrupt_reads += other.corrupt_reads;
+    }
+
     /// Difference since an earlier snapshot (counters are monotone).
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
         let mut per_node = self.per_node.clone();

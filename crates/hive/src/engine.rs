@@ -5,7 +5,7 @@ use crate::repartition::{RepartitionMapper, RepartitionReducer};
 use crate::stages::{EmitValues, FoldValues, GroupByMapper, OrderByMapper};
 use crate::union::TaggedUnionInputFormat;
 use clyde_columnar::RcFileInputFormat;
-use clyde_common::obs::Obs;
+use clyde_common::obs::{Obs, WallTimer};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
 use clyde_mapred::engine::ClientArtifacts;
@@ -160,8 +160,12 @@ impl Hive {
             let (mut spec, client) = match self.strategy {
                 JoinStrategy::MapJoin => {
                     let cache_key = format!("{stage_name}.hashtable");
-                    let (client, mem) =
+                    // The client-side build runs outside every task; its
+                    // wall time is the job's setup wall, not a task phase.
+                    let build = WallTimer::start();
+                    let (mut client, mem) =
                         build_and_publish(self.engine.dfs(), &self.layout, join, &cache_key)?;
+                    client.build_wall_ns = build.elapsed_ns();
                     let runner = MapJoinRunner {
                         cache_key,
                         fk_idx: cur_schema.index_of(&join.fk)?,

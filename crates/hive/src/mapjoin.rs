@@ -73,6 +73,7 @@ pub fn build_and_publish(
         ClientArtifacts {
             cache,
             build_rows: rows.len() as u64,
+            build_wall_ns: 0,
         },
         mem_bytes,
     ))
@@ -200,6 +201,7 @@ mod tests {
         let client = ClientArtifacts {
             cache,
             build_rows: entries.len() as u64,
+            build_wall_ns: 0,
         };
         Ok(engine.run_job_with(&spec, client)?.rows)
     }

@@ -36,7 +36,6 @@ use crate::task::{
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{catalog as series, Obs, Phase, SpanKind, TaskKind, WallTimer};
 use clyde_common::{rowcodec, ClydeError, Result, Row};
-use clyde_dfs::IoScope;
 use clyde_dfs::{CacheEntry, ClusterSpec, Dfs, IoSnapshot, NodeId, NodeLocalStore};
 use std::sync::Arc;
 
@@ -53,6 +52,8 @@ pub struct ClientArtifacts {
     pub cache: Arc<DistCache>,
     /// Rows the client scanned/inserted building the artifacts.
     pub build_rows: u64,
+    /// Wall-clock of that build (observability-only).
+    pub build_wall_ns: u64,
 }
 
 /// Output of one executed map task, waiting for the shuffle.
@@ -83,6 +84,25 @@ struct JobPlan {
     concurrency: u32,
     /// Result-cache key, when the job is cacheable and the cache is on.
     fingerprint: Option<u64>,
+}
+
+/// A job that has run, with its cache fill and history held back for the
+/// caller to commit once the job has finished.
+pub(crate) struct Executed {
+    pub result: JobResult,
+    /// The solo schedule the result was priced off (empty for a cache hit).
+    pub sched: JobSchedule,
+    /// The job's DFS I/O, its fill's included once committed (obs on only).
+    pub io: Option<IoSnapshot>,
+    /// The job's result-cache fill, when the job is cacheable and missed.
+    fill: Option<CacheFill>,
+}
+
+/// A result-cache entry waiting to be committed: an in-memory job's encoded
+/// rows, or (`rows: None`) a copy of the part files a DFS-dir job wrote.
+pub(crate) struct CacheFill {
+    entry: CacheEntry,
+    rows: Option<Vec<u8>>,
 }
 
 /// Planning either finds the job's output in the result cache or plans a run.
@@ -658,6 +678,7 @@ impl MapTaskEnv<'_> {
             shuffle_bytes: reduced.shuffle_bytes,
             client_build_rows: self.client.build_rows,
             client_publish_bytes: self.client.cache.disseminated_bytes(),
+            client_build_wall_ns: self.client.build_wall_ns,
             memory_per_slot: self.ledger.per_slot(),
             memory_shared: self.ledger.shared(),
             memory_per_slot_fixed: self.ledger.per_slot_fixed(),
@@ -755,49 +776,54 @@ impl Engine {
         self.run_job_with(spec, ClientArtifacts::default())
     }
 
-    /// Run a job, making `client.cache` available to every task.
+    /// Run a job, making `client.cache` available to every task. The job
+    /// runs alone, so it has finished when its run returns: its result-cache
+    /// fill and its history are committed at once.
     pub fn run_job_with(&self, spec: &JobSpec, client: ClientArtifacts) -> Result<JobResult> {
-        self.run_job_inner(spec, client, true).map(|(r, _)| r)
-    }
-
-    /// Run a job without recording it into the observability hub. Returns
-    /// the result plus the job's scoped DFS I/O delta (when obs is enabled)
-    /// so a caller — the job server — can publish a *scheduled* history for
-    /// it later, on the shared multi-job timeline, without double-counting.
-    pub fn run_job_quiet(&self, spec: &JobSpec) -> Result<(JobResult, Option<IoSnapshot>)> {
-        self.run_job_inner(spec, ClientArtifacts::default(), false)
+        let mut ran = self.execute(spec, client)?;
+        self.commit_fill(&mut ran)?;
+        if self.obs.is_enabled() {
+            let (r, sched, cluster) = (&ran.result, &ran.sched, self.dfs.cluster());
+            let origin_s = sched.cost.setup_s;
+            let hist = history::job_history(&r.profile, &self.params, cluster, sched, origin_s);
+            publish_history(
+                &self.obs,
+                &r.profile,
+                hist,
+                ran.io.as_ref(),
+                r.served_from_cache,
+            );
+        }
+        Ok(ran.result)
     }
 
     /// One job, as a sequence of phases: plan → first map wave → heartbeat
-    /// barrier + retry wave → speculation → shuffle/reduce → price + cache
-    /// fill + publish. Each phase hands the next a named type.
-    fn run_job_inner(
-        &self,
-        spec: &JobSpec,
-        client: ClientArtifacts,
-        publish: bool,
-    ) -> Result<(JobResult, Option<IoSnapshot>)> {
+    /// barrier + retry wave → speculation → shuffle/reduce → price. Each
+    /// phase hands the next a named type. The fill and the history wait for
+    /// the caller, which knows when the job finished.
+    pub(crate) fn execute(&self, spec: &JobSpec, client: ClientArtifacts) -> Result<Executed> {
         let io_scope = self.obs.is_enabled().then(|| self.dfs.io_scope());
         let cluster = self.dfs.cluster().clone();
-        let plan = match self.plan_job(spec, &cluster)? {
-            Planned::Cached(entry) => {
-                return self.serve_from_cache(spec, &entry, &cluster, &io_scope, publish)
+        let mut ran = match self.plan_job(spec, &cluster)? {
+            Planned::Cached(entry) => self.serve_from_cache(spec, &entry, &cluster)?,
+            Planned::Run(plan) => {
+                let env = self.map_env(spec, &plan, &client, &cluster);
+                let wave = env.first_map_wave()?;
+                let (mut outputs, mut recovery) = env.recover_failed_tasks(wave)?;
+                env.speculate(&mut outputs, &mut recovery)?;
+                let mut map_outputs: Vec<TaskOutput> = Vec::with_capacity(outputs.len());
+                for o in outputs {
+                    map_outputs.push(o.ok_or_else(|| {
+                        ClydeError::MapReduce("map task produced no output record".into())
+                    })?);
+                }
+                let mut reduced = self.shuffle_and_reduce(spec, &cluster, &mut map_outputs)?;
+                let profile = env.profile(&map_outputs, recovery, &mut reduced);
+                self.finish_job(spec, &plan, profile, reduced)?
             }
-            Planned::Run(plan) => plan,
         };
-        let env = self.map_env(spec, &plan, &client, &cluster);
-        let wave = env.first_map_wave()?;
-        let (mut outputs, mut recovery) = env.recover_failed_tasks(wave)?;
-        env.speculate(&mut outputs, &mut recovery)?;
-        let mut map_outputs: Vec<TaskOutput> = Vec::with_capacity(outputs.len());
-        for o in outputs {
-            map_outputs.push(o.ok_or_else(|| {
-                ClydeError::MapReduce("map task produced no output record".into())
-            })?);
-        }
-        let mut reduced = self.shuffle_and_reduce(spec, &cluster, &mut map_outputs)?;
-        let profile = env.profile(&map_outputs, recovery, &mut reduced);
-        self.finish_job(spec, &plan, profile, reduced, &io_scope, publish)
+        ran.io = io_scope.map(|s| s.delta());
+        Ok(ran)
     }
 
     /// Planning: inject the fault plan's replica corruption before anything
@@ -946,37 +972,26 @@ impl Engine {
     }
 
     /// Price the finished job — the one place its timeline is produced —
-    /// then fill the result cache and publish the history drawn from that
-    /// same schedule.
+    /// and prepare its result-cache fill.
     fn finish_job(
         &self,
         spec: &JobSpec,
         plan: &JobPlan,
         profile: JobProfile,
         reduced: Reduced,
-        io_scope: &Option<IoScope<'_>>,
-        publish: bool,
-    ) -> Result<(JobResult, Option<IoSnapshot>)> {
-        let cluster = self.dfs.cluster();
-        let (cost, sched) = profile.schedule(&self.params, cluster)?;
+    ) -> Result<Executed> {
+        let sched = profile.schedule(&self.params, self.dfs.cluster())?;
         let Reduced {
             rows, output_files, ..
         } = reduced;
-        // Result-cache fill: persist this job's output under its fingerprint
-        // so an identical future submission is served without running tasks.
-        if let Some(fp) = plan.fingerprint {
-            self.cache_fill(spec, fp, &plan.splits, &rows, &output_files)?;
-        }
-        let io = io_scope.as_ref().map(|s| s.delta());
-        if publish && self.obs.is_enabled() {
-            let hist =
-                history::job_history(&profile, &cost, &self.params, cluster, &sched, cost.setup_s);
-            publish_history(&self.obs, &profile, hist, io.as_ref(), false);
-        }
+        let fill = plan
+            .fingerprint
+            .map(|fp| self.cache_fill(spec, fp, &plan.splits, &rows, &output_files))
+            .transpose()?;
         let total_map = profile.total_map_cost();
         let scanned = total_map.local_bytes + total_map.remote_bytes;
-        Ok((
-            JobResult {
+        Ok(Executed {
+            result: JobResult {
                 rows,
                 output_files,
                 locality: if scanned == 0 {
@@ -985,12 +1000,14 @@ impl Engine {
                     total_map.local_bytes as f64 / scanned as f64
                 },
                 profile,
-                cost,
+                cost: sched.cost,
                 served_from_cache: false,
                 fingerprint: plan.fingerprint,
             },
-            io,
-        ))
+            sched,
+            io: None,
+            fill,
+        })
     }
 
     /// Materialize a cache hit: read the persisted output back (memory jobs)
@@ -1001,9 +1018,7 @@ impl Engine {
         spec: &JobSpec,
         entry: &CacheEntry,
         cluster: &ClusterSpec,
-        io_scope: &Option<IoScope<'_>>,
-        publish: bool,
-    ) -> Result<(JobResult, Option<IoSnapshot>)> {
+    ) -> Result<Executed> {
         let mut rows = Vec::new();
         let mut output_files = Vec::new();
         match &spec.output {
@@ -1028,20 +1043,8 @@ impl Engine {
             ..JobProfile::default()
         };
         let cost = self.params.cached_read_cost(cluster, entry.bytes);
-        let io = io_scope.as_ref().map(|s| s.delta());
-        if publish && self.obs.is_enabled() {
-            let hist = history::job_history(
-                &profile,
-                &cost,
-                &self.params,
-                cluster,
-                &JobSchedule::default(),
-                0.0,
-            );
-            publish_history(&self.obs, &profile, hist, io.as_ref(), true);
-        }
-        Ok((
-            JobResult {
+        Ok(Executed {
+            result: JobResult {
                 rows,
                 output_files,
                 profile,
@@ -1050,14 +1053,17 @@ impl Engine {
                 served_from_cache: true,
                 fingerprint: Some(entry.fingerprint),
             },
-            io,
-        ))
+            sched: JobSchedule {
+                cost,
+                ..JobSchedule::default()
+            },
+            io: None,
+            fill: None,
+        })
     }
 
-    /// Persist a finished job's output into the result cache. The catalog
-    /// admits (or refuses) the entry first — evicting LRU entries and
-    /// deleting their backing files — and only an admitted entry's bytes are
-    /// written under `/cache/{fingerprint}/`.
+    /// A finished job's result-cache fill: the catalog entry for its output
+    /// under `/cache/{fingerprint}/` and where that output's bytes come from.
     fn cache_fill(
         &self,
         spec: &JobSpec,
@@ -1065,7 +1071,7 @@ impl Engine {
         splits: &[InputSplit],
         rows: &[Row],
         output_files: &[String],
-    ) -> Result<()> {
+    ) -> Result<CacheFill> {
         let dir = format!("/cache/{fp:016x}");
         // Lineage-fingerprinted stages record no input paths: their inputs
         // are per-run tmp files, and coherence rides the fingerprint chain
@@ -1075,21 +1081,11 @@ impl Engine {
         } else {
             crate::fingerprint::input_paths(splits)
         };
-        match &spec.output {
+        let (output_paths, bytes, memory_rows, rows) = match &spec.output {
             OutputSpec::Memory => {
                 let payload = rowcodec::write_rows(rows);
-                let path = format!("{dir}/rows.bin");
-                let admitted = self.dfs.cache_insert(CacheEntry {
-                    fingerprint: fp,
-                    output_paths: vec![path.clone()],
-                    bytes: payload.len() as u64,
-                    memory_rows: Some(rows.len() as u64),
-                    input_paths,
-                    last_used: 0,
-                })?;
-                if admitted {
-                    self.dfs.write_file(&path, None, &payload)?;
-                }
+                let (bytes, count) = (payload.len() as u64, Some(rows.len() as u64));
+                (vec![format!("{dir}/rows.bin")], bytes, count, Some(payload))
             }
             OutputSpec::DfsDir(_) => {
                 let mut paths = Vec::with_capacity(output_files.len());
@@ -1099,21 +1095,47 @@ impl Engine {
                     paths.push(format!("{dir}/{name}"));
                     bytes += self.dfs.file_len(src)?;
                 }
-                let admitted = self.dfs.cache_insert(CacheEntry {
-                    fingerprint: fp,
-                    output_paths: paths.clone(),
-                    bytes,
-                    memory_rows: None,
-                    input_paths,
-                    last_used: 0,
-                })?;
-                if admitted {
-                    for (src, dst) in output_files.iter().zip(&paths) {
+                (paths, bytes, None, None)
+            }
+        };
+        let entry = CacheEntry {
+            fingerprint: fp,
+            output_paths,
+            bytes,
+            memory_rows,
+            input_paths,
+            last_used: 0,
+        };
+        Ok(CacheFill { entry, rows })
+    }
+
+    /// Commit `ran`'s held-back cache fill, if any, counting its I/O as the
+    /// job's. The catalog admits (or refuses, or already holds) the entry
+    /// first — evicting LRU entries and deleting their files — and only an
+    /// admitted entry's bytes are written.
+    pub(crate) fn commit_fill(&self, ran: &mut Executed) -> Result<()> {
+        let Some(fill) = ran.fill.take() else {
+            return Ok(());
+        };
+        let io_scope = ran.io.is_some().then(|| self.dfs.io_scope());
+        let dsts = fill.entry.output_paths.clone();
+        if self.dfs.cache_insert(fill.entry)? {
+            match fill.rows {
+                Some(payload) => {
+                    for dst in &dsts {
+                        self.dfs.write_file(dst, None, &payload)?;
+                    }
+                }
+                None => {
+                    for (src, dst) in ran.result.output_files.iter().zip(&dsts) {
                         let data = self.dfs.read_file(src, None)?;
                         self.dfs.write_file(dst, None, &data)?;
                     }
                 }
             }
+        }
+        if let (Some(io), Some(scope)) = (ran.io.as_mut(), io_scope) {
+            io.add(&scope.delta());
         }
         Ok(())
     }

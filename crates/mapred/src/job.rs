@@ -5,7 +5,7 @@ use crate::cost::{shuffle_time, CostParams, JobCost, TaskCost};
 use crate::fault::FaultPlan;
 use crate::input::InputFormat;
 use crate::runner::MapRunner;
-use crate::scheduler::{self, JobSchedule, SchedPolicy, SimJob};
+use crate::scheduler::{JobSchedule, SchedPolicy, Sim, SimJob};
 use crate::shuffle::Reducer;
 use clyde_common::obs::Phase;
 use clyde_common::{ClydeError, Result, Row};
@@ -142,6 +142,8 @@ pub struct JobProfile {
     pub client_build_rows: u64,
     /// Bytes the client published through the distributed cache.
     pub client_publish_bytes: u64,
+    /// Wall-clock of that build, outside every task (observability-only).
+    pub client_build_wall_ns: u64,
     /// Peak per-slot-duplicated memory any task charged (bytes).
     pub memory_per_slot: u64,
     /// Peak node-shared memory any task charged (bytes).
@@ -242,12 +244,8 @@ impl JobProfile {
     /// time that is negative or not finite (e.g. a zero rate).
     ///
     /// The schedule's clock starts when the job becomes schedulable; client
-    /// setup is a band in the returned cost, not an offset on that clock.
-    pub fn schedule(
-        &self,
-        params: &CostParams,
-        cluster: &ClusterSpec,
-    ) -> Result<(JobCost, JobSchedule)> {
+    /// setup is a band in its `cost`, not an offset on that clock.
+    pub fn schedule(&self, params: &CostParams, cluster: &ClusterSpec) -> Result<JobSchedule> {
         let concurrency = self.map_concurrency.max(1);
         let raw = (self.memory_per_slot + self.memory_per_slot_fixed)
             .saturating_mul(u64::from(concurrency))
@@ -262,27 +260,18 @@ impl JobProfile {
             });
         }
 
-        let mut sim = self.sim_job(params, cluster);
-        let setup_s = std::mem::take(&mut sim.setup_s);
-        let sched = scheduler::interleave(std::slice::from_ref(&sim), cluster, SchedPolicy::Fifo)?
-            .pop()
-            .unwrap_or_default();
-        // Reduces become schedulable when the shuffle ends — the same sum the
-        // simulator computed, so a first-wave reduce waited exactly 0.
-        let reduce_ready_s = sched.map_end_s + sim.shuffle_s;
-        let cost = JobCost {
-            setup_s,
-            map_s: scheduler::stage_span(&sched.map, 0.0),
-            shuffle_s: sim.shuffle_s,
-            reduce_s: scheduler::stage_span(&sched.reduce, reduce_ready_s),
-            overhead_s: sim.overhead_s,
-        };
-        Ok((cost, sched))
+        let mut job = self.sim_job(params, cluster);
+        let setup_s = std::mem::take(&mut job.setup_s);
+        let mut sim = Sim::new(cluster, SchedPolicy::Fifo);
+        sim.admit(job)?;
+        let mut sched = sim.run()?.pop().unwrap_or_default();
+        sched.cost.setup_s = setup_s;
+        Ok(sched)
     }
 
     /// The stage times of [`Self::schedule`].
     pub fn price(&self, params: &CostParams, cluster: &ClusterSpec) -> Result<JobCost> {
-        self.schedule(params, cluster).map(|(cost, _)| cost)
+        self.schedule(params, cluster).map(|sched| sched.cost)
     }
 
     /// Rescale this profile to a different data scale and cluster: totals are
@@ -340,6 +329,7 @@ impl JobProfile {
             shuffle_bytes: sf(self.shuffle_bytes, opts.fact_factor),
             client_build_rows: sf(self.client_build_rows, opts.dim_factor),
             client_publish_bytes: sf(self.client_publish_bytes, opts.dim_factor),
+            client_build_wall_ns: 0,
             memory_per_slot: sf(self.memory_per_slot, opts.dim_factor),
             memory_shared: sf(self.memory_shared, opts.dim_factor),
             // Range-bounded memory is the same number of bytes at every

@@ -15,12 +15,12 @@
 //! times are reproducible regardless of real thread interleaving.
 //!
 //! The second half of this module is the **slot simulator**, the repo's one
-//! answer to "when does a task run?": [`interleave`] runs a discrete-event
-//! simulation that multiplexes the map/reduce slots (and declared-memory
-//! capacity) of one [`ClusterSpec`] across N jobs under a [`SchedPolicy`],
-//! entirely in simulated time. A solo job is the N = 1 case
+//! answer to "when does a task run?": [`Sim`] is a discrete-event simulation
+//! that multiplexes the map/reduce slots (and declared-memory capacity) of
+//! one [`ClusterSpec`] across N jobs under a [`SchedPolicy`], entirely in
+//! simulated time. A solo job is the N = 1 case
 //! ([`crate::job::JobProfile::schedule`] prices every figure off it), the job
-//! server is the N > 1 case, and every swimlane
+//! server steps it one arrival at a time, and every swimlane
 //! ([`crate::history::job_history`]) is a rendering of its [`Placement`]s.
 //! Every choice breaks ties on ids, so the schedule is a pure function of
 //! its inputs — byte-identical across reruns and host thread counts. The
@@ -28,6 +28,7 @@
 //! finite and non-negative); after that the simulator's state is one record
 //! per job, node and tenant, reached only by ids it minted itself.
 
+use crate::cost::JobCost;
 use crate::input::InputSplit;
 use clyde_common::{ClydeError, Result};
 use clyde_dfs::{ClusterSpec, NodeId};
@@ -189,7 +190,7 @@ impl Placement {
 /// lane end, measured per lane as wait + duration rather than as a
 /// difference of absolute times, so a stage that fits in one wave lasts
 /// exactly as long as its longest task.
-pub(crate) fn stage_span(lanes: &[Placement], ready_s: f64) -> f64 {
+fn stage_span(lanes: &[Placement], ready_s: f64) -> f64 {
     lanes
         .iter()
         .map(|p| (p.start_s - ready_s) + p.dur_s)
@@ -213,6 +214,10 @@ pub struct JobSchedule {
     pub reduce_end_s: f64,
     /// `reduce_end + overhead`: the job's completion on the server clock.
     pub finish_s: f64,
+    /// The stage bands, the one conversion from placements to seconds: a
+    /// stage lasts from when it became schedulable to its latest lane end,
+    /// so the bands tile arrival to `finish_s`.
+    pub cost: JobCost,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -268,8 +273,8 @@ impl Stage {
 }
 
 /// One job's run through the simulator.
-struct JobRun<'a> {
-    job: &'a SimJob,
+struct JobRun {
+    job: SimJob,
     /// The job's tenant, as an index into [`Sim::shares`].
     share: usize,
     state: JState,
@@ -298,17 +303,24 @@ struct Share {
     service: f64,
 }
 
-struct Sim<'a> {
+/// The slot simulator as a stepping core: [`Sim::admit`] a job at its
+/// arrival, [`Sim::advance`] to an instant, and [`Sim::finished_by`] lists
+/// the jobs done by then. [`interleave`] admits every job and runs to the end.
+pub struct Sim {
     policy: SchedPolicy,
     node_mem: u64,
-    jobs: Vec<JobRun<'a>>,
+    /// Every event before this instant has run; no job may arrive earlier.
+    now: f64,
+    jobs: Vec<JobRun>,
     nodes: Vec<NodeRun>,
+    /// Tenant ids in order of first admission; `shares[i]` is `tenants[i]`'s.
+    tenants: Vec<usize>,
     shares: Vec<Share>,
 }
 
 /// The one lookup every id goes through once [`check`] has passed: node ids
 /// were checked against the cluster there, and job and tenant ids are minted
-/// by [`Sim::new`], so a miss is a simulator bug, reported as a typed error.
+/// by [`Sim::admit`], so a miss is a simulator bug, reported as a typed error.
 fn at<T>(found: Option<T>, what: &str) -> Result<T> {
     found.ok_or_else(|| ClydeError::MapReduce(format!("slot simulator lost a {what}")))
 }
@@ -316,27 +328,25 @@ fn at<T>(found: Option<T>, what: &str) -> Result<T> {
 /// Reject what the simulator cannot run: a task on a node outside the
 /// cluster, or a time that is negative or not finite (a NaN duration never
 /// finishes, so its job's reduces would silently never run).
-fn check(jobs: &[SimJob], nodes: usize) -> Result<()> {
-    for (j, job) in jobs.iter().enumerate() {
-        let bad = |what: String| Err(ClydeError::Config(format!("simulated job {j} {what}")));
-        for (name, s) in [
-            ("arrival", job.arrival_s),
-            ("setup", job.setup_s),
-            ("shuffle", job.shuffle_s),
-            ("overhead", job.overhead_s),
-        ] {
-            if !(s.is_finite() && s >= 0.0) {
-                return bad(format!("has {name} time {s}"));
-            }
+fn check(j: usize, job: &SimJob, nodes: usize) -> Result<()> {
+    let bad = |what: String| Err(ClydeError::Config(format!("simulated job {j} {what}")));
+    for (name, s) in [
+        ("arrival", job.arrival_s),
+        ("setup", job.setup_s),
+        ("shuffle", job.shuffle_s),
+        ("overhead", job.overhead_s),
+    ] {
+        if !(s.is_finite() && s >= 0.0) {
+            return bad(format!("has {name} time {s}"));
         }
-        for (kind, tasks) in [("map", &job.map_tasks), ("reduce", &job.reduce_tasks)] {
-            for (task, &(node, dur)) in tasks.iter().enumerate() {
-                if node >= nodes {
-                    return bad(format!("{kind} task {task} is on node {node} of {nodes}"));
-                }
-                if !(dur.is_finite() && dur >= 0.0) {
-                    return bad(format!("{kind} task {task} lasts {dur}s"));
-                }
+    }
+    for (kind, tasks) in [("map", &job.map_tasks), ("reduce", &job.reduce_tasks)] {
+        for (task, &(node, dur)) in tasks.iter().enumerate() {
+            if node >= nodes {
+                return bad(format!("{kind} task {task} is on node {node} of {nodes}"));
+            }
+            if !(dur.is_finite() && dur >= 0.0) {
+                return bad(format!("{kind} task {task} lasts {dur}s"));
             }
         }
     }
@@ -354,50 +364,92 @@ pub fn interleave(
     cluster: &ClusterSpec,
     policy: SchedPolicy,
 ) -> Result<Vec<JobSchedule>> {
-    check(jobs, cluster.num_workers().max(1))?;
-    let mut sim = Sim::new(jobs, cluster, policy)?;
-    while let Some(t) = sim.next_event_time() {
-        for run in &mut sim.jobs {
-            run.retire(t, &mut sim.nodes, &mut sim.shares)?;
-        }
-        sim.assign(t)?;
+    let mut sim = Sim::new(cluster, policy);
+    for job in jobs {
+        sim.admit(job.clone())?;
     }
-    sim.jobs.into_iter().map(JobRun::finish).collect()
+    sim.run()
 }
 
-impl<'a> Sim<'a> {
-    fn new(jobs: &'a [SimJob], cluster: &ClusterSpec, policy: SchedPolicy) -> Result<Sim<'a>> {
-        let nodes = cluster.num_workers().max(1);
-        let mut tenants: Vec<usize> = jobs.iter().map(|j| j.tenant).collect();
-        tenants.sort_unstable();
-        tenants.dedup();
-        let jobs = jobs
-            .iter()
-            .map(|job| {
-                Ok(JobRun {
-                    job,
-                    share: tenants.partition_point(|&t| t < job.tenant),
-                    state: JState::Pending,
-                    map: Stage::new(&job.map_tasks, nodes)?,
-                    reduce: Stage::new(&job.reduce_tasks, nodes)?,
-                    maps_on: vec![0; nodes],
-                    running: Vec::new(),
-                    out: JobSchedule::default(),
-                })
-            })
-            .collect::<Result<_>>()?;
+impl Sim {
+    pub fn new(cluster: &ClusterSpec, policy: SchedPolicy) -> Sim {
         let node = || NodeRun {
             map_slots: (0..cluster.map_slots.max(1)).collect(),
             reduce_slots: (0..cluster.reduce_slots.max(1)).collect(),
             mem_used: 0,
         };
-        Ok(Sim {
+        Sim {
             policy,
             node_mem: cluster.node.memory_bytes,
-            jobs,
-            nodes: (0..nodes).map(|_| node()).collect(),
-            shares: vec![Share::default(); tenants.len()],
-        })
+            now: 0.0,
+            jobs: Vec::new(),
+            nodes: (0..cluster.num_workers().max(1)).map(|_| node()).collect(),
+            tenants: Vec::new(),
+            shares: Vec::new(),
+        }
+    }
+
+    /// Admit `job` as the next job id; a `Config` error for a task off the
+    /// cluster, a bad time, or an arrival before an instant advanced to.
+    pub fn admit(&mut self, job: SimJob) -> Result<()> {
+        let (j, nodes) = (self.jobs.len(), self.nodes.len());
+        check(j, &job, nodes)?;
+        if job.arrival_s < self.now {
+            return Err(ClydeError::Config(format!(
+                "simulated job {j} arrives at {}s, before the simulator's clock at {}s",
+                job.arrival_s, self.now
+            )));
+        }
+        let tenant = self.tenants.iter().position(|&t| t == job.tenant);
+        let share = tenant.unwrap_or_else(|| {
+            self.tenants.push(job.tenant);
+            self.shares.push(Share::default());
+            self.shares.len() - 1
+        });
+        self.jobs.push(JobRun {
+            share,
+            state: JState::Pending,
+            map: Stage::new(&job.map_tasks, nodes)?,
+            reduce: Stage::new(&job.reduce_tasks, nodes)?,
+            maps_on: vec![0; nodes],
+            running: Vec::new(),
+            out: JobSchedule::default(),
+            job,
+        });
+        Ok(())
+    }
+
+    /// Run every event before `t`. Events at `t` itself wait for the next
+    /// advance, so a job admitted at `t` takes part in them exactly as it
+    /// would had it been admitted up front.
+    pub fn advance(&mut self, t: f64) -> Result<()> {
+        while let Some(e) = self.next_event_time().filter(|&e| e < t) {
+            for run in &mut self.jobs {
+                run.retire(e, &mut self.nodes, &mut self.shares)?;
+            }
+            self.assign(e)?;
+        }
+        self.now = self.now.max(t);
+        Ok(())
+    }
+
+    /// The jobs whose finish (last task plus overhead) the simulator has
+    /// reached by `t`, in finish order, ties by id. A job whose last task
+    /// ends exactly at `t` and that has no overhead counts from the next
+    /// advance.
+    pub fn finished_by(&self, t: f64) -> Vec<usize> {
+        let mut done: Vec<(f64, usize)> = (self.jobs.iter().enumerate())
+            .filter(|(_, run)| run.state == JState::Done && run.out.finish_s <= t)
+            .map(|(j, run)| (run.out.finish_s, j))
+            .collect();
+        done.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        done.into_iter().map(|(_, j)| j).collect()
+    }
+
+    /// Run every remaining event; one schedule per job, in id order.
+    pub fn run(mut self) -> Result<Vec<JobSchedule>> {
+        self.advance(f64::INFINITY)?;
+        self.jobs.into_iter().map(JobRun::finish).collect()
     }
 
     /// Earliest pending event: a job becoming ready, a running task
@@ -431,7 +483,7 @@ impl<'a> Sim<'a> {
                 let Some((kind, node)) = run.next_task(&self.nodes, self.node_mem) else {
                     continue;
                 };
-                let key = at(self.shares.get(run.share), "tenant")?.key(self.policy, run.job, j);
+                let key = at(self.shares.get(run.share), "tenant")?.key(self.policy, &run.job, j);
                 let better = best.is_none_or(|(bk, ..)| {
                     key.0
                         .total_cmp(&bk.0)
@@ -512,7 +564,7 @@ impl NodeRun {
     }
 }
 
-impl JobRun<'_> {
+impl JobRun {
     fn stage(&mut self, kind: RKind) -> (&mut Stage, &mut Vec<Placement>) {
         match kind {
             RKind::Map => (&mut self.map, &mut self.out.map),
@@ -573,8 +625,7 @@ impl JobRun<'_> {
             self.past_maps(t);
         }
         if self.state == JState::Reducing && self.reduce.left == 0 {
-            self.out.reduce_end_s = t;
-            self.state = JState::Done;
+            self.state = self.done(t);
         }
         if matches!(self.state, JState::Shuffling { until } if until <= t) {
             self.state = JState::Reducing;
@@ -595,8 +646,7 @@ impl JobRun<'_> {
         self.out.map_end_s = t;
         self.state = if self.reduce.left == 0 {
             // Map-only: the shuffle stage is empty but still recorded.
-            self.out.reduce_end_s = t + self.job.shuffle_s;
-            JState::Done
+            self.done(t + self.job.shuffle_s)
         } else if self.job.shuffle_s > 0.0 {
             JState::Shuffling {
                 until: t + self.job.shuffle_s,
@@ -606,8 +656,17 @@ impl JobRun<'_> {
         };
     }
 
-    /// The job's schedule: lanes in task order plus the derived bounds. A
-    /// job that never finished had a time overflow the simulated clock.
+    /// The job's last stage ends at `reduce_end_s`; it finishes after that
+    /// plus its overhead.
+    fn done(&mut self, reduce_end_s: f64) -> JState {
+        self.out.reduce_end_s = reduce_end_s;
+        self.out.finish_s = reduce_end_s + self.job.overhead_s;
+        JState::Done
+    }
+
+    /// The job's schedule: lanes in task order plus the derived bounds and
+    /// stage bands. A job that never finished had a time overflow the
+    /// simulated clock.
     fn finish(self) -> Result<JobSchedule> {
         if self.state != JState::Done {
             return Err(ClydeError::Config(
@@ -619,7 +678,14 @@ impl JobRun<'_> {
         sched.reduce.sort_by_key(|p| p.task);
         let starts = sched.map.iter().chain(&sched.reduce).map(|p| p.start_s);
         sched.first_slot_s = starts.reduce(f64::min).unwrap_or(self.job.ready_s());
-        sched.finish_s = sched.reduce_end_s + self.job.overhead_s;
+        let job = &self.job;
+        sched.cost = JobCost {
+            setup_s: job.setup_s,
+            map_s: stage_span(&sched.map, job.ready_s()),
+            shuffle_s: job.shuffle_s,
+            reduce_s: stage_span(&sched.reduce, sched.map_end_s + job.shuffle_s),
+            overhead_s: job.overhead_s,
+        };
         Ok(sched)
     }
 }
@@ -864,6 +930,90 @@ mod tests {
                 assert!(busy[node] <= cluster.map_slots as i32);
             }
         }
+    }
+
+    /// Every number of a schedule, bit for bit.
+    fn bits(s: &JobSchedule) -> Vec<u64> {
+        let lanes = s.map.iter().chain(&s.reduce).flat_map(|p| {
+            let (start, dur) = (p.start_s.to_bits(), p.dur_s.to_bits());
+            [p.task as u64, p.node as u64, u64::from(p.slot), start, dur]
+        });
+        let c = &s.cost;
+        let times = [s.first_slot_s, s.map_end_s, s.reduce_end_s, s.finish_s];
+        let bands = [c.setup_s, c.map_s, c.shuffle_s, c.reduce_s, c.overhead_s];
+        lanes
+            .chain(times.into_iter().chain(bands).map(f64::to_bits))
+            .collect()
+    }
+
+    /// The jobs of `interleave_is_deterministic_and_complete`, plus two
+    /// without setup that arrive at 9.0, when job 0's first maps finish, and
+    /// one more without setup.
+    fn stepping_jobs() -> Vec<SimJob> {
+        let mut jobs: Vec<SimJob> = (0..6)
+            .map(|i| {
+                let mut j = sim_job(i % 3, 0.7 * i as f64, 3 + i % 2);
+                j.map_tasks = (0..j.map_tasks.len()).map(|k| ((i + k) % 3, 8.0)).collect();
+                j
+            })
+            .collect();
+        jobs[2].setup_s = 0.0;
+        for tenant in [1, 2] {
+            jobs.push(SimJob {
+                setup_s: 0.0,
+                ..sim_job(tenant, 9.0, tenant)
+            });
+        }
+        jobs
+    }
+
+    /// The job server's use of the simulator: admitting the jobs one at a
+    /// time in arrival order, advancing to each arrival first, schedules
+    /// exactly what admitting them all up front does.
+    #[test]
+    fn stepping_in_arrival_order_equals_the_batch_schedule() {
+        let cluster = ClusterSpec::tiny(3);
+        let jobs = stepping_jobs();
+        for policy in SchedPolicy::all() {
+            let batch = interleave(&jobs, &cluster, policy).unwrap();
+            assert!(batch[0].map.iter().any(|p| p.finish_s() == 9.0));
+            let mut sim = Sim::new(&cluster, policy);
+            for job in &jobs {
+                sim.advance(job.arrival_s).unwrap();
+                sim.admit(job.clone()).unwrap();
+            }
+            let stepped = sim.run().unwrap();
+            assert_eq!(stepped.len(), batch.len());
+            for (j, (a, b)) in stepped.iter().zip(&batch).enumerate() {
+                assert_eq!(bits(a), bits(b), "job {j} under {}", policy.label());
+            }
+        }
+    }
+
+    /// `finished_by` lists the jobs whose finish the clock has passed, in
+    /// finish order, and no job may arrive before the clock.
+    #[test]
+    fn finished_jobs_are_reported_in_finish_order() {
+        let cluster = ClusterSpec::tiny(3);
+        let jobs = stepping_jobs();
+        let batch = interleave(&jobs, &cluster, SchedPolicy::Fair).unwrap();
+        let mut sim = Sim::new(&cluster, SchedPolicy::Fair);
+        for job in &jobs {
+            sim.admit(job.clone()).unwrap();
+        }
+        let t = batch[1].finish_s;
+        sim.advance(t).unwrap();
+        let mut by_finish: Vec<usize> = (0..jobs.len()).collect();
+        by_finish.sort_by(|&a, &b| batch[a].finish_s.total_cmp(&batch[b].finish_s));
+        let expect: Vec<usize> = (by_finish.into_iter())
+            .filter(|&j| batch[j].finish_s <= t)
+            .collect();
+        assert!(expect.contains(&1));
+        assert_eq!(sim.finished_by(t), expect);
+        assert!(matches!(
+            sim.admit(sim_job(0, t - 1.0, 1)),
+            Err(ClydeError::Config(_))
+        ));
     }
 
     /// A lone job's stage lasts as long as its busiest node: a node's slots

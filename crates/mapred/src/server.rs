@@ -2,14 +2,15 @@
 //! admission control, per-tenant quotas, and policy-driven slot scheduling
 //! in deterministic simulated time.
 //!
-//! The execution/scheduling split keeps every existing guarantee intact:
-//! jobs *execute* sequentially in submission order through the unmodified
-//! [`Engine`] (so an admitted job's rows, output files, and counters are
-//! bit-for-bit what a solo run produces), while *concurrency* lives entirely
-//! in the discrete-event slot simulator ([`scheduler::interleave`]). The
-//! published histories, traces, and `scheduler.*` metrics therefore depend
-//! only on the submitted workload — never on wall-clock or host thread
-//! count — and `tests/determinism.rs` dual-runs a whole served workload.
+//! One event loop on the slot simulator's clock ([`Sim`]): [`JobServer::drain`]
+//! takes the admitted jobs in arrival order. It advances the simulator to a
+//! job's arrival and commits the result-cache fills of the jobs finished by
+//! then — a job reuses only materialized outputs (ReStore's rule) — then
+//! executes the job through the unmodified [`Engine`] (rows, output files and
+//! counters bit-for-bit a solo run's) with its own fill held back, and admits
+//! it to the simulator. Concurrency lives only in the simulator, so histories,
+//! traces and `scheduler.*` metrics depend only on the submitted workload,
+//! never on wall-clock or host threads (`tests/determinism.rs`).
 //!
 //! Admission is decided synchronously at [`JobServer::submit`] against the
 //! current backlog: a bounded queue (reject past `queue_capacity`) and an
@@ -17,11 +18,10 @@
 //! are reported in the drain's [`ServerRun`] artifact next to the served
 //! swimlanes.
 
-use crate::cost::JobCost;
-use crate::engine::{publish_history, Engine};
+use crate::engine::{publish_history, ClientArtifacts, Engine, Executed};
 use crate::history;
 use crate::job::{JobResult, JobSpec};
-use crate::scheduler::{self, SchedPolicy, SimJob};
+use crate::scheduler::{SchedPolicy, Sim, SimJob};
 use clyde_common::obs::{catalog as series, RejectedLane, ServedLane, ServerRun};
 use clyde_common::Result;
 use std::fmt;
@@ -87,16 +87,6 @@ pub struct ServedJob {
     pub result: JobResult,
 }
 
-impl ServedJob {
-    pub fn wait_s(&self) -> f64 {
-        self.start_s - self.arrival_s
-    }
-
-    pub fn latency_s(&self) -> f64 {
-        self.finish_s - self.arrival_s
-    }
-}
-
 struct Submission {
     tenant: String,
     arrival_s: f64,
@@ -116,6 +106,8 @@ pub struct JobServer<'e> {
     clock_s: f64,
     pending: Vec<Submission>,
     rejected: Vec<RejectedLane>,
+    /// How many of `rejected` the bounded queue turned away.
+    rejected_queue_full: u64,
     /// High-water mark of the pending queue since the last drain.
     peak_depth: usize,
 }
@@ -128,17 +120,9 @@ impl<'e> JobServer<'e> {
             clock_s: 0.0,
             pending: Vec::new(),
             rejected: Vec::new(),
+            rejected_queue_full: 0,
             peak_depth: 0,
         }
-    }
-
-    pub fn config(&self) -> &ServerConfig {
-        &self.cfg
-    }
-
-    /// Jobs currently waiting for the next drain.
-    pub fn queue_depth(&self) -> usize {
-        self.pending.len()
     }
 
     /// Submit a job on behalf of `tenant` at server time `arrival_s`
@@ -167,6 +151,7 @@ impl<'e> JobServer<'e> {
             None
         };
         if let Some(reason) = reason {
+            self.rejected_queue_full += u64::from(matches!(reason, RejectReason::QueueFull { .. }));
             self.rejected.push(RejectedLane {
                 tenant: tenant.to_string(),
                 job: spec.name.clone(),
@@ -184,84 +169,65 @@ impl<'e> JobServer<'e> {
         Ok(())
     }
 
-    /// Run everything admitted since the last drain: execute each job
-    /// (sequentially, in submission order — results are solo-identical),
-    /// interleave their tasks on the shared cluster under the configured
-    /// policy, publish one scheduled history per job plus the aggregate
-    /// `scheduler.*` metrics, and record the [`ServerRun`] swimlane report.
+    /// Run everything admitted since the last drain in one arrival-ordered
+    /// loop (module docs), then run the simulator to the end, commit the
+    /// remaining fills, publish one scheduled history per job (in submission
+    /// order) plus the `scheduler.*` metrics, and record the [`ServerRun`].
     pub fn drain(&mut self) -> Result<Vec<ServedJob>> {
         let subs = std::mem::take(&mut self.pending);
         let rejected = std::mem::take(&mut self.rejected);
+        let queue_full = std::mem::take(&mut self.rejected_queue_full);
         let peak_depth = std::mem::replace(&mut self.peak_depth, 0);
         let cluster = self.engine.dfs().cluster().clone();
         let params = self.engine.params().clone();
         let cache_before = self.engine.dfs().cache_stats();
+        let obs = self.engine.obs();
 
         // Dense tenant indices in order of first submission.
         let mut tenant_names: Vec<String> = Vec::new();
-        let tenant_idx = |names: &mut Vec<String>, t: &str| -> usize {
-            match names.iter().position(|n| n == t) {
-                Some(i) => i,
-                None => {
-                    names.push(t.to_string());
-                    names.len() - 1
+        let mut sim = Sim::new(&cluster, self.cfg.policy);
+        let mut ran: Vec<Executed> = Vec::with_capacity(subs.len());
+        // One step per arrival, and one past the last for the fills left.
+        for sub in subs.iter().map(Some).chain([None]) {
+            let now = sub.map_or(f64::INFINITY, |s| s.arrival_s);
+            sim.advance(now)?;
+            for j in sim.finished_by(now) {
+                if let Some(done) = ran.get_mut(j) {
+                    self.engine.commit_fill(done)?;
                 }
             }
-        };
-        let weight_of = |cfg: &ServerConfig, t: &str| -> f64 {
-            cfg.weights
-                .iter()
-                .find(|(name, _)| name == t)
-                .map_or(1.0, |(_, w)| *w)
-        };
-
-        // Phase 1: execute. The engine is untouched single-job machinery;
-        // running in dispatch order keeps DFS I/O scopes and obs recording
-        // attributable per job.
-        let mut executed = Vec::with_capacity(subs.len());
-        let mut sim_jobs = Vec::with_capacity(subs.len());
-        for sub in &subs {
-            let (result, io) = self.engine.run_job_quiet(&sub.spec)?;
-            sim_jobs.push(SimJob {
-                tenant: tenant_idx(&mut tenant_names, &sub.tenant),
-                weight: weight_of(&self.cfg, &sub.tenant),
+            let Some(sub) = sub else { break };
+            let job = self.engine.execute(&sub.spec, ClientArtifacts::default())?;
+            let tenant = tenant_names.iter().position(|n| *n == sub.tenant);
+            let tenant = tenant.unwrap_or_else(|| {
+                tenant_names.push(sub.tenant.clone());
+                tenant_names.len() - 1
+            });
+            let weight = self.cfg.weights.iter().find(|(n, _)| *n == sub.tenant);
+            sim.admit(SimJob {
+                tenant,
+                weight: weight.map_or(1.0, |(_, w)| *w),
                 arrival_s: sub.arrival_s,
                 task_mem: sub.spec.declared_task_memory,
                 // A cache hit is priced as a read, not as a job submission.
-                overhead_s: result.cost.overhead_s,
-                ..result.profile.sim_job(&params, &cluster)
-            });
-            executed.push((result, io));
+                overhead_s: job.result.cost.overhead_s,
+                ..job.result.profile.sim_job(&params, &cluster)
+            })?;
+            ran.push(job);
         }
+        let schedules = sim.run()?;
 
-        // Phase 2: schedule all admitted jobs on the shared cluster.
-        let schedules = scheduler::interleave(&sim_jobs, &cluster, self.cfg.policy)?;
-
-        // Phase 3: publish, in submission order (deterministic).
+        // Publish, in submission order (deterministic).
         let mut served = Vec::with_capacity(subs.len());
         let mut lanes = Vec::with_capacity(subs.len());
-        for (((result, io), sub), sched) in executed.into_iter().zip(&subs).zip(&schedules) {
-            if self.engine.obs().is_enabled() {
-                // The bands tile the scheduled span exactly: "map" absorbs
-                // any queueing between slot grants, so `t0_s + total_s()`
-                // equals the scheduled finish.
-                let c = &result.cost;
-                let bands = JobCost {
-                    map_s: (sched.map_end_s - sub.arrival_s - c.setup_s).max(0.0),
-                    reduce_s: (sched.reduce_end_s - sched.map_end_s - c.shuffle_s).max(0.0),
-                    ..*c
-                };
-                let mut hist =
-                    history::job_history(&result.profile, &bands, &params, &cluster, sched, 0.0);
+        for ((ran, sub), sched) in ran.into_iter().zip(&subs).zip(&schedules) {
+            let result = ran.result;
+            if obs.is_enabled() {
+                let p = &result.profile;
+                let mut hist = history::job_history(p, &params, &cluster, sched, 0.0);
                 hist.tenant = sub.tenant.clone();
                 hist.t0_s = sub.arrival_s;
-                publish_history(
-                    self.engine.obs(),
-                    &result.profile,
-                    hist,
-                    io.as_ref(),
-                    result.served_from_cache,
-                );
+                publish_history(obs, p, hist, ran.io.as_ref(), result.served_from_cache);
             }
             lanes.push(ServedLane {
                 tenant: sub.tenant.clone(),
@@ -285,23 +251,19 @@ impl<'e> JobServer<'e> {
         // enabled (and, like the recovery counters, only when nonzero) so
         // cache-off runs keep their metric sets byte-identical. Per-job
         // `cache.hits` rides with each scheduled history above.
-        if self.engine.dfs().cache_enabled() && self.engine.obs().is_enabled() {
+        if self.engine.dfs().cache_enabled() && obs.is_enabled() {
             let delta = self.engine.dfs().cache_stats().delta_since(&cache_before);
-            let m = self.engine.obs().metrics();
-            if delta.misses > 0 {
-                m.counter_add(series::CACHE_MISSES, delta.misses);
-            }
-            if delta.inserts > 0 {
-                m.counter_add(series::CACHE_INSERTS, delta.inserts);
-            }
-            if delta.evictions > 0 {
-                m.counter_add(series::CACHE_EVICTIONS, delta.evictions);
-            }
-            if delta.invalidations > 0 {
-                m.counter_add(series::CACHE_INVALIDATIONS, delta.invalidations);
-            }
-            if delta.bytes_served > 0 {
-                m.counter_add(series::CACHE_BYTES_SERVED, delta.bytes_served);
+            let m = obs.metrics();
+            for (counter, n) in [
+                (series::CACHE_MISSES, delta.misses),
+                (series::CACHE_INSERTS, delta.inserts),
+                (series::CACHE_EVICTIONS, delta.evictions),
+                (series::CACHE_INVALIDATIONS, delta.invalidations),
+                (series::CACHE_BYTES_SERVED, delta.bytes_served),
+            ] {
+                if n > 0 {
+                    m.counter_add(counter, n);
+                }
             }
             m.gauge_set(series::CACHE_BYTES_STORED, delta.bytes_stored as f64);
             m.gauge_set(series::CACHE_ENTRIES, delta.entries as f64);
@@ -313,25 +275,20 @@ impl<'e> JobServer<'e> {
             lanes,
             rejected,
         };
-        self.publish_run(&run, peak_depth, tenant_names.len());
-        self.engine.obs().record_server_run(run);
+        self.publish_run(&run, queue_full, peak_depth, tenant_names.len());
+        obs.record_server_run(run);
         Ok(served)
     }
 
     /// Aggregate drain-level metrics. Per-tenant detail lives in the
     /// [`ServerRun`] report.
-    fn publish_run(&self, run: &ServerRun, peak_depth: usize, tenants: usize) {
+    fn publish_run(&self, run: &ServerRun, queue_full: u64, peak_depth: usize, tenants: usize) {
         let obs = self.engine.obs();
         if !obs.is_enabled() {
             return;
         }
         let m = obs.metrics();
         m.counter_add(series::SCHEDULER_JOBS_ADMITTED, run.lanes.len() as u64);
-        let queue_full = run
-            .rejected
-            .iter()
-            .filter(|r| r.reason.starts_with("queue full"))
-            .count() as u64;
         let quota = run.rejected.len() as u64 - queue_full;
         if queue_full > 0 {
             m.counter_add(series::SCHEDULER_JOBS_REJECTED_QUEUE_FULL, queue_full);

@@ -1,13 +1,17 @@
 //! Job-server end-to-end: admission control is deterministic, quotas hold,
-//! and served queries answer bit-for-bit like solo runs. That the multi-job
+//! each rejection is counted by its kind, served queries answer bit-for-bit
+//! like solo runs, and a cached result is served only once its producer has
+//! finished in simulated time. That the multi-job
 //! schedule is byte-identical across reruns and host thread counts is
 //! `tests/determinism.rs`'s served-workload scenario.
 
 use clyde_common::Obs;
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
+use clyde_mapred::cost::CACHED_READ_OVERHEAD_S;
 use clyde_mapred::{RejectReason, SchedPolicy, ServerConfig};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
+use clyde_ssb::queries::StarQuery;
 use clyde_ssb::query_by_id;
 use clydesdale::Clydesdale;
 use std::sync::Arc;
@@ -54,7 +58,8 @@ fn config(policy: SchedPolicy, queue_capacity: usize, tenant_quota: usize) -> Se
 fn bounded_queue_rejects_overload_deterministically() {
     let dfs = cluster(3);
     let layout = load(&dfs, 0.005);
-    let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
+    let obs = Obs::enabled();
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout).with_obs(Arc::clone(&obs));
     clyde.warm_dimension_cache().unwrap();
     let q = query_by_id("Q1.1").unwrap();
 
@@ -77,6 +82,16 @@ fn bounded_queue_rejects_overload_deterministically() {
             RejectReason::QueueFull { capacity: 3 }
         );
     }
+    // Each rejection is counted by its kind.
+    let summary = obs.summary();
+    assert!(
+        summary.contains("scheduler.jobs_rejected_queue_full = 2"),
+        "{summary}"
+    );
+    assert!(
+        !summary.contains("scheduler.jobs_rejected_quota"),
+        "{summary}"
+    );
     // Overload handling depends only on the submission stream.
     let (outcomes2, served2) = run();
     assert_eq!(outcomes, outcomes2);
@@ -123,6 +138,49 @@ fn per_tenant_quota_is_enforced() {
     assert!(summary.contains("REJECTED"));
     assert!(summary.contains("scheduler.jobs_admitted = 3"));
     assert!(summary.contains("scheduler.jobs_rejected_quota = 1"));
+    assert!(!summary.contains("scheduler.jobs_rejected_queue_full"));
+}
+
+/// ReStore's rule on the shared clock: a cached result becomes visible when
+/// its producer finishes in simulated time. A twin that arrives while the
+/// producer still runs recomputes; one that arrives after it finished is
+/// served from the cache.
+#[test]
+fn a_cached_result_is_served_only_after_its_producer_finishes() {
+    let dfs = cluster(3);
+    let layout = load(&dfs, 0.005);
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
+    clyde.warm_dimension_cache().unwrap();
+    let (q11, q12) = (query_by_id("Q1.1").unwrap(), query_by_id("Q1.2").unwrap());
+    // Q1.2 alone on the cluster, priced before the cache is on.
+    let alone_s = clyde.query(&q12).unwrap().cost.total_s();
+    dfs.cache_configure(64 << 20);
+    let twins = |q: &StarQuery, second_s: f64| {
+        let before = dfs.cache_stats();
+        let mut srv = clyde.serve(config(SchedPolicy::Fair, 16, 0));
+        for (tenant, arrival_s) in [("etl", 0.0), ("dash", second_s)] {
+            assert!(srv.submit(tenant, arrival_s, q).unwrap().is_ok());
+        }
+        let served = srv.drain().unwrap();
+        let delta = dfs.cache_stats().delta_since(&before);
+        (served, delta.hits, delta.misses)
+    };
+
+    // 0.1 s apart, the producer is still running: miss, miss, and the twin
+    // is priced as the full run it was, not as a cached read.
+    let (served, hits, misses) = twins(&q11, 0.1);
+    assert_eq!((hits, misses), (0, 2));
+    assert_eq!(served[1].rows, served[0].rows);
+    assert_eq!(served[1].cost, served[0].cost);
+    assert!(served[1].cost.total_s() > 10.0 * CACHED_READ_OVERHEAD_S);
+
+    // After the producer's scheduled finish: miss, hit.
+    let (served, hits, misses) = twins(&q12, alone_s + 1.0);
+    assert!(served[0].finish_s - served[0].final_sort_s <= served[1].arrival_s);
+    assert_eq!((hits, misses), (1, 1));
+    assert_eq!(served[1].rows, served[0].rows);
+    assert!(served[1].profile.map_tasks.is_empty(), "a cached read");
+    assert!(served[1].cost.total_s() < 2.0 * CACHED_READ_OVERHEAD_S);
 }
 
 #[test]

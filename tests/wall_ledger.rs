@@ -9,8 +9,10 @@
 //! morsel source: zone check, chunk reads, decode), `Probe` (the rest of the
 //! probe fan-out: the kernel) and `Emit`. The phases are per-task timer
 //! readings, so they can never add up to more than the tasks' wall time,
-//! and what they leave out is reported as the unattributed remainder. None
-//! of it reaches the byte-compared profile artifact.
+//! and what they leave out is reported as the unattributed remainder. A
+//! mapjoin stage's client-side table build runs outside every task: it is
+//! the job's setup wall, not a task phase. None of it reaches the
+//! byte-compared profile artifact.
 
 use clyde_bench::harness::MeasurementConfig;
 use clyde_common::obs::{Phase, QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
@@ -73,6 +75,9 @@ fn hive_q21_phases_fit_inside_their_tasks_wall_time() {
             }
             if strategy == JoinStrategy::MapJoin && stage.name.contains("-join-") {
                 assert!(has(Phase::StateLoad), "{label} {}: table load", stage.name);
+                assert!(p.client_build_wall_ns > 0, "{label} {}: build", stage.name);
+            } else {
+                assert_eq!(p.client_build_wall_ns, 0, "{label} {}", stage.name);
             }
         }
 
@@ -82,7 +87,9 @@ fn hive_q21_phases_fit_inside_their_tasks_wall_time() {
             QueryProfile::from_histories("Q2.1", hs, 0.0, DEFAULT_DRIFT_THRESHOLD_PCT)
         });
         assert_eq!(profile.jobs.len(), result.stages.len());
-        for job in &profile.jobs {
+        for (job, stage) in profile.jobs.iter().zip(&result.stages) {
+            let setup = job.stages.iter().find(|s| s.name == "setup").unwrap();
+            assert_eq!(setup.wall_ns, stage.profile.client_build_wall_ns);
             let attributed: u64 = job.phases.iter().map(|p| p.wall_ns).sum();
             assert_eq!(
                 attributed + job.wall_unattributed_ns(),
@@ -256,7 +263,8 @@ fn report_phase_split_at_sf_0_01() {
     let (dfs, layout) = hive_chain_system(0.01);
     println!(
         "median over {RUNS} runs of each query's op wall time, its time outside tasks (op \
-         minus each wave's slowest node), and summed task wall time per phase, ms"
+         minus each wave's slowest node), the mapjoin table builds within it, and summed \
+         task wall time per phase, ms"
     );
     for strategy in [JoinStrategy::MapJoin, JoinStrategy::Repartition] {
         let hive = Hive::new(Arc::clone(&dfs), layout.clone(), strategy);
@@ -264,8 +272,8 @@ fn report_phase_split_at_sf_0_01() {
             let q = query_by_id(id).unwrap();
             hive.query(&q).unwrap();
             // Per run: the op's wall time, its slowest nodes' task time,
-            // the tasks' wall time, then each phase's.
-            let mut runs: Vec<(u64, u64, u64, Phases)> = Vec::new();
+            // the tasks' wall time, each phase's, then the table builds'.
+            let mut runs: Vec<(u64, u64, u64, Phases, u64)> = Vec::new();
             for _ in 0..RUNS {
                 let op = clyde_common::obs::WallTimer::start();
                 let result = hive.query(&q).unwrap();
@@ -273,8 +281,10 @@ fn report_phase_split_at_sf_0_01() {
                 let mut slowest = 0;
                 let mut tasks = 0;
                 let mut phases: Phases = Vec::new();
+                let mut builds = 0;
                 for stage in &result.stages {
                     let p = &stage.profile;
+                    builds += p.client_build_wall_ns;
                     slowest += slowest_nodes_ns(p);
                     tasks += p
                         .map_tasks
@@ -284,17 +294,19 @@ fn report_phase_split_at_sf_0_01() {
                         .sum::<u64>();
                     phases.extend(&p.wall_phases);
                 }
-                runs.push((op_ns, slowest, tasks, phases));
+                runs.push((op_ns, slowest, tasks, phases, builds));
             }
             let ms = |ns: u64| ns as f64 / 1e6;
             let op = median(runs.iter().map(|r| r.0).collect());
             let outside = median(runs.iter().map(|r| r.0.saturating_sub(r.1)).collect());
             let tasks = median(runs.iter().map(|r| r.2).collect());
+            let builds = median(runs.iter().map(|r| r.4).collect());
             let mut line = format!(
-                "{:>11} {id}: op {:.2}, outside tasks {:.2}, tasks {:.2}",
+                "{:>11} {id}: op {:.2}, outside tasks {:.2} (table builds {:.2}), tasks {:.2}",
                 strategy.label(),
                 ms(op),
                 ms(outside),
+                ms(builds),
                 ms(tasks)
             );
             for phase in Phase::all() {

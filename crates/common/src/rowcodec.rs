@@ -48,7 +48,40 @@ pub fn write_datum(out: &mut Vec<u8>, d: &Datum) {
 /// Read one datum without allocating: a string borrows its bytes from
 /// `buf`. Every other reader in this module decodes through this function,
 /// so tag, bounds, `i32` range and utf-8 checks exist once.
+///
+/// An `I32` or `I64` whose varint ends within [`varint::MAX_LEN`] bytes is
+/// decoded here, inline in the caller's loop; every other tag, and every
+/// error, is `read_datum_checked` from the same cursor, so the value, the
+/// advanced cursor and every error are what it gives.
+#[inline]
 pub fn read_datum_ref<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DatumRef<'a>> {
+    if let Some((&tag @ (TAG_I32 | TAG_I64), rest)) = buf.get(*pos..).and_then(<[u8]>::split_first)
+    {
+        let mut z = 0u64;
+        for (k, &byte) in rest.iter().take(varint::MAX_LEN).enumerate() {
+            z |= u64::from(byte & 0x7f) << (7 * k);
+            if byte & 0x80 == 0 {
+                let v = varint::unzigzag(z);
+                let datum = match tag {
+                    TAG_I64 => Some(DatumRef::I64(v)),
+                    _ => i32::try_from(v).ok().map(DatumRef::I32),
+                };
+                if let Some(datum) = datum {
+                    *pos += k + 2;
+                    return Ok(datum);
+                }
+                break;
+            }
+        }
+    }
+    read_datum_checked(buf, pos)
+}
+
+/// [`read_datum_ref`] one byte at a time: every tag, and every error with
+/// its message. Out of line, so the integer path inlines small; not cold,
+/// since strings, `f64`s and NULLs take it.
+#[inline(never)]
+fn read_datum_checked<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DatumRef<'a>> {
     let tag = *buf
         .get(*pos)
         .ok_or_else(|| ClydeError::Format("rowcodec: empty buffer".into()))?;
@@ -227,6 +260,14 @@ impl StrPool {
         }
         made
     }
+
+    /// `field` owned, a string taken from the pool.
+    pub fn datum(&mut self, field: DatumRef<'_>) -> Datum {
+        match field {
+            DatumRef::Str(s) => Datum::Str(self.get(s)),
+            other => other.to_datum(),
+        }
+    }
 }
 
 /// [`read_row`] into an existing row, replacing its fields: a row reused
@@ -247,8 +288,7 @@ pub fn read_row_into(
     for i in 0..n {
         let datum = match (read_datum_ref(buf, pos)?, fields.get(i)) {
             (DatumRef::Str(s), Some(Datum::Str(have))) if **have == *s => continue,
-            (DatumRef::Str(s), _) => Datum::Str(strings.get(s)),
-            (other, _) => other.to_datum(),
+            (field, _) => strings.datum(field),
         };
         match fields.get_mut(i) {
             Some(slot) => *slot = datum,
@@ -295,6 +335,14 @@ impl<'a> RowsRef<'a> {
         let mut pos = 0;
         let left = varint::read_u64(buf, &mut pos)?;
         Ok(RowsRef { buf, pos, left })
+    }
+
+    /// The rows of the count prefix not yet read, bounded by the bytes
+    /// left (a row takes at least one): what a caller may reserve for them
+    /// without trusting the prefix.
+    pub fn capacity_hint(&self) -> usize {
+        let bytes_left = self.buf.len() - self.pos;
+        usize::try_from(self.left).map_or(bytes_left, |left| left.min(bytes_left))
     }
 
     /// Step to the next row: `false` once the count prefix is used up, at
@@ -571,6 +619,164 @@ mod tests {
         assert_eq!(read_types(&buf, &mut pos).unwrap(), types);
     }
 
+    /// The datum reader before its integer path was inlined: one byte at
+    /// a time through `varint::read_i64`. The oracle the readers are held
+    /// to on arbitrary bytes.
+    fn per_byte_read_datum_ref<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DatumRef<'a>> {
+        let tag = *buf
+            .get(*pos)
+            .ok_or_else(|| ClydeError::Format("rowcodec: empty buffer".into()))?;
+        *pos += 1;
+        match tag {
+            TAG_NULL => Ok(DatumRef::Null),
+            TAG_I32 => {
+                let v = varint::read_i64(buf, pos)?;
+                let v32 = i32::try_from(v)
+                    .map_err(|_| ClydeError::Format("rowcodec: i32 out of range".into()))?;
+                Ok(DatumRef::I32(v32))
+            }
+            TAG_I64 => Ok(DatumRef::I64(varint::read_i64(buf, pos)?)),
+            TAG_F64 => {
+                let bits = buf
+                    .get(*pos..)
+                    .and_then(|rest| rest.first_chunk::<8>())
+                    .ok_or_else(|| ClydeError::Format("rowcodec: truncated f64".into()))?;
+                *pos += 8;
+                Ok(DatumRef::F64(f64::from_bits(u64::from_le_bytes(*bits))))
+            }
+            TAG_STR => read_str(buf, pos).map(DatumRef::Str),
+            other => Err(ClydeError::Format(format!("rowcodec: unknown tag {other}"))),
+        }
+    }
+
+    /// A walk's arity, last field with its offset, and whether every
+    /// varint is canonical.
+    type Walked<'a> = (usize, Option<(usize, DatumRef<'a>)>, bool);
+
+    /// [`walk_row`] through [`per_byte_read_datum_ref`].
+    fn per_byte_walk_row(buf: &[u8]) -> Result<Walked<'_>> {
+        let mut pos = 0;
+        let arity = read_arity(buf, &mut pos)?;
+        let (mut last, mut canonical) = (None, true);
+        for _ in 0..arity {
+            let at = pos;
+            let field = per_byte_read_datum_ref(buf, &mut pos)?;
+            let varint = match field {
+                DatumRef::Null | DatumRef::F64(_) => None,
+                DatumRef::I32(_) | DatumRef::I64(_) => buf.get(at + 1..pos),
+                DatumRef::Str(s) => buf.get(at + 1..pos - s.len()),
+            };
+            canonical &= varint.is_none_or(canonical_varint);
+            last = Some((at, field));
+        }
+        match buf.len() - pos {
+            0 => Ok((arity, last, canonical)),
+            n => Err(ClydeError::Format(format!(
+                "rowcodec: {n} bytes after the row"
+            ))),
+        }
+    }
+
+    /// [`read_row_into`] through [`per_byte_read_datum_ref`]: the fields.
+    fn per_byte_read_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Datum>> {
+        let n = read_arity(buf, pos)?;
+        (0..n)
+            .map(|_| per_byte_read_datum_ref(buf, pos).map(DatumRef::to_datum))
+            .collect()
+    }
+
+    /// Bytes that reach every integer case: tags, continuation bytes,
+    /// varint ends, and ten- and eleven-byte varints.
+    fn arb_codec_bytes() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(
+            prop_oneof![
+                any::<u8>(),
+                Just(TAG_I32),
+                Just(TAG_I64),
+                0x80u8..=0xff,
+                0u8..=0x7f,
+                Just(0x01),
+            ],
+            0..48,
+        )
+    }
+
+    /// The datum at every offset of `buf`, the walk of `buf` and the row
+    /// refilled from its start are the oracle's: the same value or error,
+    /// and the same cursor after either.
+    fn assert_reads_like_the_per_byte_reader(buf: &[u8]) {
+        for start in 0..=buf.len() + 1 {
+            let (mut a, mut b) = (start, start);
+            let (got, want) = (
+                read_datum_ref(buf, &mut a),
+                per_byte_read_datum_ref(buf, &mut b),
+            );
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{buf:02x?} at {start}"
+            );
+            assert_eq!(a, b, "{buf:02x?} at {start}");
+        }
+        let walked = walk_row(buf).map(|w| (w.arity, w.last, w.canonical));
+        assert_eq!(
+            format!("{walked:?}"),
+            format!("{:?}", per_byte_walk_row(buf)),
+            "{buf:02x?}"
+        );
+        let (mut a, mut b) = (0, 0);
+        let mut row = row![9i64, "stale"];
+        let got = read_row_into(buf, &mut a, &mut row, &mut StrPool::default());
+        match (got, per_byte_read_row(buf, &mut b)) {
+            (Ok(()), Ok(fields)) => {
+                assert_eq!(format!("{:?}", row.values()), format!("{fields:?}"));
+                assert_eq!(a, b, "{buf:02x?}");
+            }
+            (Err(x), Err(y)) => assert_eq!(x, y, "{buf:02x?}"),
+            (x, y) => panic!("{buf:02x?}: read_row_into {x:?} vs per-byte {y:?}"),
+        }
+    }
+
+    #[test]
+    fn integer_edges_read_like_the_per_byte_reader() {
+        let mut cases: Vec<Vec<u8>> = Vec::new();
+        for tag in [TAG_I32, TAG_I64] {
+            for v in [
+                0,
+                -1,
+                63,
+                -64,
+                64,
+                i64::from(i32::MAX),
+                i64::from(i32::MIN),
+                i64::from(i32::MAX) + 1,
+                i64::from(i32::MIN) - 1,
+                i64::MAX,
+                i64::MIN,
+            ] {
+                let mut field = vec![tag];
+                varint::write_i64(&mut field, v);
+                cases.push([&[1][..], &field].concat());
+                // The same field cut short, and overlong: a zero group on top.
+                cases.push([&[1][..], &field[..field.len() - 1]].concat());
+                let mut overlong = field.clone();
+                if let Some(top) = overlong.last_mut() {
+                    *top |= 0x80;
+                }
+                overlong.push(0);
+                cases.push([&[1][..], &overlong].concat());
+            }
+            // Ten bytes with bits past the 64th, eleven bytes, and ten
+            // continuation bytes at the end of the buffer.
+            cases.push([&[1, tag][..], &[0xff; 9], &[0x7f]].concat());
+            cases.push([&[1, tag][..], &[0x80; 10], &[0x00]].concat());
+            cases.push([&[1, tag][..], &[0x80; 10]].concat());
+        }
+        for case in &cases {
+            assert_reads_like_the_per_byte_reader(case);
+        }
+    }
+
     fn arb_datum() -> impl Strategy<Value = Datum> {
         prop_oneof![
             Just(Datum::Null),
@@ -631,6 +837,11 @@ mod tests {
                     (walk, read) => prop_assert!(false, "walk {:?} vs read {:?}", walk, read),
                 }
             }
+        }
+
+        #[test]
+        fn arbitrary_bytes_read_like_the_per_byte_reader(buf in arb_codec_bytes()) {
+            assert_reads_like_the_per_byte_reader(&buf);
         }
 
         #[test]

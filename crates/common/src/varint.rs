@@ -68,7 +68,7 @@ pub fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
 }
 
 /// The longest LEB128 encoding of a `u64`.
-const MAX_LEN: usize = 10;
+pub(crate) const MAX_LEN: usize = 10;
 
 /// [`read_u64`] for hot decode loops. While [`MAX_LEN`] bytes remain from
 /// `*pos`, the value is decoded from that fixed window, with no per-byte
@@ -116,7 +116,9 @@ fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn unzigzag(v: u64) -> i64 {
+/// The signed value of a zigzag code ([`read_i64`] past the varint).
+#[inline(always)]
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

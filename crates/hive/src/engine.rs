@@ -184,13 +184,7 @@ impl Hive {
                     let dim_schema = ssb_schema::schema_of(&join.dimension).ok_or_else(|| {
                         ClydeError::Plan(format!("unknown dimension {}", join.dimension))
                     })?;
-                    let mut dim_cols: Vec<String> = vec![join.pk.clone()];
-                    for a in &join.aux {
-                        if !dim_cols.contains(a) {
-                            dim_cols.push(a.clone());
-                        }
-                    }
-                    join.predicate.columns(&mut dim_cols);
+                    let dim_cols = join.scan_columns();
                     let dim_scan_schema = dim_schema.select(&dim_cols)?;
                     let dim_input: Arc<dyn InputFormat> = Arc::new(
                         RcFileInputFormat::new(self.layout.table_rc(&join.dimension))

@@ -238,6 +238,22 @@ pub struct DimJoin {
     pub aux: Vec<String>,
 }
 
+impl DimJoin {
+    /// The dimension columns a projected scan of this join reads: the key,
+    /// the auxiliary columns, then the predicate's columns, each once. The
+    /// key is always first.
+    pub fn scan_columns(&self) -> Vec<String> {
+        let mut cols: Vec<String> = vec![self.pk.clone()];
+        for a in &self.aux {
+            if !cols.contains(a) {
+                cols.push(a.clone());
+            }
+        }
+        self.predicate.columns(&mut cols);
+        cols
+    }
+}
+
 /// The aggregated measure.
 ///
 /// Every variant is an algebraic aggregate over `i64`: per-row evaluation

@@ -23,8 +23,10 @@
 //! commit before keys moved into the record 5.9, and the commit before
 //! rows moved through the shuffle 11–19.
 //!
-//! The mapjoin plan never shuffles a fact row; its map-only stages must not
-//! get costlier than [`MAPJOIN_Q21_CEILING`].
+//! The mapjoin plan never shuffles a fact row. Each of its map tasks parses
+//! the broadcast table into one flat vector of aux fields, with no row per
+//! entry, so Q2.1 must not get costlier than [`MAPJOIN_Q21_CEILING`] and
+//! Q3.1 and Q4.1 stay within [`MAPJOIN_BUDGET_PER_FACT_ROW`].
 //!
 //! `cargo test --release --test shuffle_allocs -- --ignored --nocapture`
 //! prints the counts and each query's peak live heap at SF 0.01, the
@@ -111,12 +113,18 @@ static COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 const REPARTITION_BUDGET_PER_FACT_ROW: f64 = 0.32;
 
 /// Heap allocations of mapjoin Q2.1 at SF 0.004 on this setup (debug,
-/// release build), recorded at the commit that moved the map side onto
-/// borrowed rows. The commit that serialized map output at emit made
-/// 75,786 / 75,776, the commit before 76,667 / 76,657 (ceiling 76,821 /
-/// 76,811), and the commit before rows moved through the shuffle 126,925 /
+/// release build), recorded at the commit whose tasks parse the broadcast
+/// table into one flat vector instead of a row per entry. The commit
+/// before made 26,755 in release (ceiling 26,767 / 26,757), the commit that
+/// serialized map output at emit 75,786 / 75,776, the commit before 76,667
+/// / 76,657, and the commit before rows moved through the shuffle 126,925 /
 /// 126,915.
-const MAPJOIN_Q21_CEILING: (u64, u64) = (26_767, 26_757);
+const MAPJOIN_Q21_CEILING: (u64, u64) = (2_322, 2_317);
+
+/// Per fact row, the most mapjoin Q3.1 and Q4.1 may allocate. The commit
+/// that parsed the broadcast table in place made 0.199 on Q3.1 at SF 0.004
+/// and 0.067 on Q4.1 (release); the commit before made 1.094 and 1.200.
+const MAPJOIN_BUDGET_PER_FACT_ROW: f64 = 0.25;
 
 /// The `hive_chain` benchmark's system: two cluster-A workers, 8 MiB
 /// blocks, replication 2, RCFile only, 8 000 rows per group, seed 7.
@@ -181,6 +189,15 @@ fn repartition_stays_within_its_per_fact_row_budget_and_mapjoin_does_not_grow() 
             per_row <= REPARTITION_BUDGET_PER_FACT_ROW,
             "repartition {id}: {allocs} allocations for {fact_rows} fact rows = {per_row:.2}/row, \
              budget {REPARTITION_BUDGET_PER_FACT_ROW}"
+        );
+    }
+    for id in ["Q3.1", "Q4.1"] {
+        let allocs = count_query(&dfs, &layout, JoinStrategy::MapJoin, id).allocs;
+        let per_row = allocs as f64 / fact_rows;
+        assert!(
+            per_row <= MAPJOIN_BUDGET_PER_FACT_ROW,
+            "mapjoin {id}: {allocs} allocations for {fact_rows} fact rows = {per_row:.3}/row, \
+             budget {MAPJOIN_BUDGET_PER_FACT_ROW}"
         );
     }
     let ceiling = if cfg!(debug_assertions) {

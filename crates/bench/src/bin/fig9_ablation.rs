@@ -1,8 +1,9 @@
 //! Figure 9 / Section 6.5 — the feature ablation on cluster A, SF1000.
 //!
 //! Runs Clydesdale with each technique disabled (block iteration, columnar
-//! storage, multi-threaded tasks), validating that results never change,
-//! and reports the slowdown each ablation causes per query and per flight.
+//! storage, multi-threaded tasks, zone-map skipping), validating that
+//! results never change, and reports the slowdown each ablation causes per
+//! query and per flight.
 //!
 //! Paper's findings to reproduce: block iteration off ≈ 1.2x; columnar off
 //! ≈ 3.4x average (flight 2 ≈ 3.8x, flight 4 ≈ 2.0x); multithreading off
@@ -25,7 +26,7 @@ fn main() {
         ..MeasurementConfig::default()
     };
     eprintln!(
-        "measuring all 13 SSB queries at SF {sf} under 6 feature configurations, validating results..."
+        "measuring all 13 SSB queries at SF {sf} under 5 feature configurations, validating results..."
     );
     let m = measure_with_obs(
         &config,
@@ -43,13 +44,12 @@ fn main() {
         Ablation::NoBlockIteration,
         Ablation::NoColumnar,
         Ablation::NoMultithreading,
-        Ablation::NoVectorized,
         Ablation::NoZoneSkipping,
     ];
     let mut rows = Vec::new();
     // slowdown sums per (ablation, flight)
-    let mut flight_sum = [[0.0f64; 5]; 5];
-    let mut flight_n = [[0usize; 5]; 5];
+    let mut flight_sum = [[0.0f64; 5]; 4];
+    let mut flight_n = [[0usize; 5]; 4];
     let mut zone_rows = Vec::new();
     for qm in &m.queries {
         let base = ex.clyde_time(qm).expect("baseline never OOMs");
@@ -91,7 +91,6 @@ fn main() {
                 "block-iter off",
                 "columnar off",
                 "multithreading off",
-                "vectorized off",
                 "zone skip off",
             ],
             &rows,

@@ -49,12 +49,11 @@ pub fn parse(usage: &str, valued: &[&str], switches: &[&str]) -> BenchArgs {
     out
 }
 
-/// [`parse`] for a figure binary: `[measurement-sf] [--trace <out.json>]
-/// [--faults <seed>]`.
+/// [`parse`] for a figure binary: `[measurement-sf] [--trace <out.json>]`.
 pub fn figure(bin: &str) -> BenchArgs {
     parse(
-        &format!("usage: {bin} [measurement-sf] [--trace <out.json>] [--faults <seed>]"),
-        &["--trace", "--faults"],
+        &format!("usage: {bin} [measurement-sf] [--trace <out.json>]"),
+        &["--trace"],
         &[],
     )
 }

@@ -670,7 +670,11 @@ pub fn figure_vs_hive(
     paper_speedup: [f64; 3],
     paper_oom: &[&str],
 ) {
-    let args = crate::cli::figure(&format!("fig{figure}"));
+    let args = crate::cli::parse(
+        &format!("usage: fig{figure} [measurement-sf] [--trace <out.json>] [--faults <seed>]"),
+        &["--trace", "--faults"],
+        &[],
+    );
     let sf = args.sf(0.02);
     let obs = args.obs();
     let config = MeasurementConfig {
@@ -774,7 +778,6 @@ pub enum Ablation {
     NoColumnar,
     NoBlockIteration,
     NoMultithreading,
-    NoVectorized,
     NoZoneSkipping,
 }
 
@@ -786,7 +789,6 @@ impl Ablation {
             Ablation::NoColumnar => "no-columnar",
             Ablation::NoBlockIteration => "no-block-iteration",
             Ablation::NoMultithreading => "no-multithreading",
-            Ablation::NoVectorized => "no-vectorized",
             Ablation::NoZoneSkipping => "no-zone-skipping",
         }
     }
@@ -796,7 +798,6 @@ impl Ablation {
             Ablation::NoColumnar => "columnar off",
             Ablation::NoBlockIteration => "block iteration off",
             Ablation::NoMultithreading => "multithreading off",
-            Ablation::NoVectorized => "vectorized probe off",
             Ablation::NoZoneSkipping => "zone skipping off",
         }
     }

@@ -87,9 +87,8 @@ pub fn render_fault_impact(impacts: &[crate::harness::FaultImpact]) -> String {
 pub fn render_calibration(profiles: &[clyde_common::obs::QueryProfile]) -> String {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut flagged: Vec<String> = Vec::new();
-    let mut threshold = clyde_common::obs::DEFAULT_DRIFT_THRESHOLD_PCT;
+    let threshold = clyde_common::obs::DRIFT_THRESHOLD_PCT;
     for p in profiles {
-        threshold = p.drift_threshold_pct;
         for j in &p.jobs {
             for ph in &j.phases {
                 let (wall_share, drift, flag) = match ph.drift_pct {

@@ -3,8 +3,7 @@
 //! Three paper mechanisms live here:
 //!
 //! * **column projection** — the format carries the column list the query
-//!   needs (or takes it from `scan.columns` in the job conf), and readers
-//!   touch only those files;
+//!   needs, and readers touch only those files;
 //! * **MultiCIF** (Section 5.1) — several row groups are packed into one
 //!   *multi-split*, whose parts can be opened independently so each thread
 //!   of a multi-threaded map task deserializes its own constituent split;
@@ -27,7 +26,6 @@ use crate::encoding::{peek_zone_map, ZONE_HEADER_MAX};
 use clyde_common::lockorder::RwLock;
 use clyde_common::{ClydeError, Result, RowBlock, RowRange};
 use clyde_dfs::{Dfs, GroupFiles, NodeId};
-use clyde_mapred::conf::keys;
 use clyde_mapred::{
     input::RowsFromBlocks, BlockReader, InputFormat, InputSplit, JobConf, Reader, SplitSpec, TaskIo,
 };
@@ -56,8 +54,6 @@ impl Default for ScanMode {
 pub enum MultiSplit {
     /// One split per row group (plain CIF).
     Single,
-    /// Multi-splits of `k` consecutive groups.
-    GroupsPerSplit(usize),
     /// One multi-split per worker node, each containing the groups that node
     /// hosts (Clydesdale's scheduling shape).
     OnePerNode,
@@ -87,8 +83,7 @@ impl ZonePred {
 /// The CIF input format.
 pub struct CifInputFormat {
     pub base: String,
-    /// Columns to materialize; `None` reads `scan.columns` from the job conf
-    /// or falls back to all columns.
+    /// Columns to materialize; `None` reads all columns.
     pub columns: Option<Vec<String>>,
     pub mode: ScanMode,
     pub multi: MultiSplit,
@@ -110,7 +105,8 @@ pub struct CifInputFormat {
 struct Planned {
     reader: CifReader,
     files: Arc<[GroupFiles]>,
-    /// Columns `open()` materializes: [`CifInputFormat::columns`] or all.
+    /// Columns `splits()` sizes and `open()` materializes:
+    /// [`CifInputFormat::columns`] or all.
     cols: Vec<usize>,
     /// `(column, lo, hi)` of each zone predicate on a column the table has;
     /// a predicate on an unknown column cannot prune (planner
@@ -206,54 +202,20 @@ impl CifInputFormat {
             zones,
         })
     }
-
-    fn column_indices(&self, reader: &CifReader, conf: &JobConf) -> Result<Vec<usize>> {
-        let names: Vec<String> = match (&self.columns, conf.get(keys::SCAN_COLUMNS)) {
-            (Some(cols), _) => cols.clone(),
-            (None, Some(list)) => list.split(',').map(|s| s.trim().to_string()).collect(),
-            (None, None) => reader
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.name.clone())
-                .collect(),
-        };
-        names.iter().map(|n| reader.column_index(n)).collect()
-    }
 }
 
 impl InputFormat for CifInputFormat {
-    fn splits(&self, dfs: &Dfs, conf: &JobConf) -> Result<Vec<InputSplit>> {
+    fn splits(&self, dfs: &Dfs, _conf: &JobConf) -> Result<Vec<InputSplit>> {
         let planned = Arc::new(self.plan(dfs, &self.base)?);
         *self.table.write() = Some(Arc::clone(&planned));
-        let cols = self.column_indices(&planned.reader, conf)?;
-        let located = planned.reader.project(&planned.files, &cols)?;
-
-        let multi = match self.multi {
-            MultiSplit::GroupsPerSplit(k) => {
-                let k = conf.get_u64_or(keys::GROUPS_PER_SPLIT, k as u64)? as usize;
-                MultiSplit::GroupsPerSplit(k.max(1))
-            }
-            other => other,
-        };
+        let located = planned.reader.project(&planned.files, &planned.cols)?;
 
         // (groups, hosts, bytes) of each split.
-        let packs: Vec<(Vec<usize>, Vec<NodeId>, u64)> = match multi {
+        let packs: Vec<(Vec<usize>, Vec<NodeId>, u64)> = match self.multi {
             MultiSplit::Single => located
                 .into_iter()
                 .enumerate()
                 .map(|(g, loc)| (vec![g], loc.hosts, loc.bytes))
-                .collect(),
-            MultiSplit::GroupsPerSplit(k) => located
-                .chunks(k)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    let hosts = intersect_hosts(chunk.iter().map(|loc| &loc.hosts))
-                        .or_else(|| chunk.first().map(|loc| loc.hosts.clone()))
-                        .unwrap_or_default();
-                    let groups = (i * k..i * k + chunk.len()).collect();
-                    (groups, hosts, chunk.iter().map(|loc| loc.bytes).sum())
-                })
                 .collect(),
             MultiSplit::OnePerNode => {
                 let workers = dfs.cluster().num_workers();
@@ -400,19 +362,6 @@ impl BlockReader for SlicedBlockReader {
     }
 }
 
-fn intersect_hosts<'a>(mut sets: impl Iterator<Item = &'a Vec<NodeId>>) -> Option<Vec<NodeId>> {
-    let first = sets.next()?.clone();
-    let mut acc = first;
-    for s in sets {
-        acc.retain(|n| s.contains(n));
-    }
-    if acc.is_empty() {
-        None
-    } else {
-        Some(acc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,18 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_split_packs_groups() {
-        let dfs = Dfs::for_tests(4);
-        make_table(&dfs, "/t", 40, 5); // 8 groups
-        let fmt = CifInputFormat::new("/t").with_multi(MultiSplit::GroupsPerSplit(3));
-        let splits = fmt.splits(&dfs, &JobConf::new()).unwrap();
-        assert_eq!(splits.len(), 3); // 3+3+2
-        assert_eq!(splits[0].spec.num_parts(), 3);
-        assert_eq!(splits[2].spec.num_parts(), 2);
-        assert_eq!(drain_rows(&fmt, &dfs).len(), 40);
-    }
-
-    #[test]
     fn one_split_per_node_covers_everything_locally() {
         let dfs = Dfs::for_tests(3);
         make_table(&dfs, "/t", 60, 5); // 12 groups over 3 nodes
@@ -502,19 +439,17 @@ mod tests {
     }
 
     #[test]
-    fn projection_via_struct_and_conf() {
+    fn projection_reads_and_sizes_only_the_named_columns() {
         let dfs = Dfs::for_tests(3);
         make_table(&dfs, "/t", 10, 10);
-        // Via struct.
         let fmt = CifInputFormat::new("/t").with_columns(vec!["b".into()]);
         let rows = drain_rows(&fmt, &dfs);
         assert_eq!(rows[4], row![8i64]);
-        // Via conf (splits only; open() uses struct columns or all).
-        let mut conf = JobConf::new();
-        conf.set(keys::SCAN_COLUMNS, "a, c");
-        let fmt2 = CifInputFormat::new("/t");
-        let splits = fmt2.splits(&dfs, &conf).unwrap();
         // Split byte estimate covers only the projected columns.
+        let splits = CifInputFormat::new("/t")
+            .with_columns(vec!["a".into(), "c".into()])
+            .splits(&dfs, &JobConf::new())
+            .unwrap();
         let full = CifInputFormat::new("/t")
             .splits(&dfs, &JobConf::new())
             .unwrap();

@@ -309,9 +309,6 @@ impl RcFileReader {
 pub struct RcFileInputFormat {
     pub base: String,
     pub columns: Option<Vec<String>>,
-    /// Rows per block when iterated; RCFile in Hive is consumed row-at-a-time
-    /// so [`RcFileInputFormat::rows_mode`] is the baseline configuration.
-    pub rows_mode: bool,
     /// The table as the last [`InputFormat::splits`] call resolved it, the
     /// way `CifInputFormat` holds its table: a job decodes `.meta` once,
     /// when it plans, and every `open()` of that job reads groups of that
@@ -324,7 +321,6 @@ impl RcFileInputFormat {
         RcFileInputFormat {
             base: base.into(),
             columns: None,
-            rows_mode: true,
             table: RwLock::new(None),
         }
     }
@@ -379,15 +375,10 @@ impl InputFormat for RcFileInputFormat {
         };
         let cols = self.resolve_cols(reader.schema())?;
         let block = reader.read_group(io, group, &cols)?;
-        if self.rows_mode {
-            Ok(Reader::Rows(Box::new(RowsFromBlocks::new(Box::new(
-                SlicedBlockReader::new(block, 4096),
-            )))))
-        } else {
-            Ok(Reader::Blocks(Box::new(SlicedBlockReader::new(
-                block, 4096,
-            ))))
-        }
+        // Hive consumes RCFile a row at a time.
+        Ok(Reader::Rows(Box::new(RowsFromBlocks::new(Box::new(
+            SlicedBlockReader::new(block, 4096),
+        )))))
     }
 }
 

@@ -123,7 +123,19 @@ pub struct TaskLane {
     pub phases: Vec<PhaseSlice>,
 }
 
+/// Summed duration of `phase`'s slices, folded from `0.0`.
+fn slice_total<'a>(slices: impl Iterator<Item = &'a PhaseSlice>, phase: Phase) -> f64 {
+    slices
+        .filter(|p| p.phase == phase)
+        .fold(0.0, |acc, p| acc + p.dur_s)
+}
+
 impl TaskLane {
+    /// This task's total for a phase (seconds).
+    fn phase_s(&self, phase: Phase) -> f64 {
+        slice_total(self.phases.iter(), phase)
+    }
+
     pub fn finish_s(&self) -> f64 {
         self.start_s + self.dur_s
     }
@@ -299,14 +311,11 @@ impl JobHistory {
         StragglerStats::from_lanes(&self.lanes(kind))
     }
 
-    /// Sum of a phase's simulated duration across all tasks (seconds).
+    /// Sum of a phase's simulated duration across all tasks (seconds); 0.0
+    /// when no task has the phase (folded from `0.0`: `f64`'s `Sum` starts
+    /// at `-0.0`, which prints as `-0.00`).
     pub fn phase_total_s(&self, phase: Phase) -> f64 {
-        self.tasks
-            .iter()
-            .flat_map(|t| &t.phases)
-            .filter(|p| p.phase == phase)
-            .map(|p| p.dur_s)
-            .sum()
+        slice_total(self.tasks.iter().flat_map(|t| &t.phases), phase)
     }
 
     /// Longest single-task total for a phase (seconds) — e.g. the per-node
@@ -314,13 +323,7 @@ impl JobHistory {
     pub fn phase_max_s(&self, phase: Phase) -> f64 {
         self.tasks
             .iter()
-            .map(|t| {
-                t.phases
-                    .iter()
-                    .filter(|p| p.phase == phase)
-                    .map(|p| p.dur_s)
-                    .sum::<f64>()
-            })
+            .map(|t| t.phase_s(phase))
             .fold(0.0, f64::max)
     }
 
@@ -329,13 +332,7 @@ impl JobHistory {
         self.tasks
             .iter()
             .filter(|t| t.kind == kind)
-            .map(|t| {
-                t.phases
-                    .iter()
-                    .filter(|p| p.phase == phase)
-                    .map(|p| p.dur_s)
-                    .sum::<f64>()
-            })
+            .map(|t| t.phase_s(phase))
             .fold(0.0, f64::max)
     }
 
@@ -516,6 +513,23 @@ mod tests {
         let text = h.summary();
         assert!(text.contains("straggler task 2 on node 2"));
         assert!(text.contains("skew 3.00x"));
+    }
+
+    #[test]
+    fn a_phase_no_task_has_totals_positive_zero() {
+        let h = JobHistory {
+            tasks: vec![lane(0, 0, 10.0, 1000), lane(1, 1, 5.0, 1000)],
+            ..JobHistory::default()
+        };
+        for s in [
+            h.phase_total_s(Phase::Shuffle),
+            h.phase_max_s(Phase::Shuffle),
+            h.phase_max_s_for(TaskKind::Map, Phase::Shuffle),
+            JobHistory::default().phase_total_s(Phase::Shuffle),
+        ] {
+            assert!(s == 0.0 && s.is_sign_positive(), "{s:?}");
+            assert_eq!(format!("{s:.2}"), "0.00");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod wall;
 pub use history::{IoBytes, JobHistory, Phase, PhaseSlice, StragglerStats, TaskKind, TaskLane};
 pub use metrics::{HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use profile::{
-    profiles_json, JobProfileReport, PhaseRow, QueryProfile, StageRow, DEFAULT_DRIFT_THRESHOLD_PCT,
+    profiles_json, JobProfileReport, PhaseRow, QueryProfile, StageRow, DRIFT_THRESHOLD_PCT,
 };
 pub use server::{RejectedLane, ServedLane, ServerRun};
 pub use span::{us, Span, SpanId, SpanKind, SpanRecorder};
@@ -230,12 +230,7 @@ mod tests {
         obs.with_histories(|hs| assert_eq!(hs.len(), 1));
         assert!(obs.summary().contains("job j"));
         assert!(obs.summary().contains("mapred.jobs = 1"));
-        obs.record_query_profile(QueryProfile::from_histories(
-            "Q1.1",
-            &[],
-            0.5,
-            DEFAULT_DRIFT_THRESHOLD_PCT,
-        ));
+        obs.record_query_profile(QueryProfile::from_histories("Q1.1", &[], 0.5));
         obs.with_query_profiles(|ps| assert_eq!(ps.len(), 1));
         obs.reset();
         obs.with_histories(|hs| assert!(hs.is_empty()));

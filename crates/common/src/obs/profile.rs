@@ -25,9 +25,9 @@ use super::history::{IoBytes, JobHistory, Phase, TaskKind};
 use super::json::escape;
 use std::fmt::{self, Write as _};
 
-/// Default calibration threshold: flag phases whose measured share drifts
-/// more than this many percent (relative) from the model's share.
-pub const DEFAULT_DRIFT_THRESHOLD_PCT: f64 = 25.0;
+/// Calibration threshold: flag phases whose measured share drifts more
+/// than this many percent (relative) from the model's share.
+pub const DRIFT_THRESHOLD_PCT: f64 = 25.0;
 
 /// One stage band of a job (setup / map / shuffle / reduce / overhead).
 #[derive(Debug, Clone)]
@@ -58,7 +58,7 @@ pub struct PhaseRow {
     /// Relative drift of the measured share from the model share, percent.
     /// `None` when this phase has no wall measurement to compare.
     pub drift_pct: Option<f64>,
-    /// Whether `|drift_pct|` exceeded the profile's threshold.
+    /// Whether `|drift_pct|` exceeded [`DRIFT_THRESHOLD_PCT`].
     pub flagged: bool,
 }
 
@@ -96,7 +96,6 @@ pub struct QueryProfile {
     /// Simulated end-to-end seconds including the client-side final sort.
     pub total_s: f64,
     pub final_sort_s: f64,
-    pub drift_threshold_pct: f64,
     pub jobs: Vec<JobProfileReport>,
     /// Per-node DFS I/O attributed to the query (merged over its jobs).
     pub io: Vec<IoBytes>,
@@ -140,7 +139,7 @@ fn stage_rows(h: &JobHistory) -> Vec<StageRow> {
     ]
 }
 
-fn phase_rows(h: &JobHistory, threshold_pct: f64) -> Vec<PhaseRow> {
+fn phase_rows(h: &JobHistory) -> Vec<PhaseRow> {
     let wall_of = |p: Phase| -> u64 {
         h.wall_phases
             .iter()
@@ -183,7 +182,7 @@ fn phase_rows(h: &JobHistory, threshold_pct: f64) -> Vec<PhaseRow> {
             if r.model_share > 0.0 {
                 let drift = (r.wall_share - r.model_share) / r.model_share * 100.0;
                 r.drift_pct = Some(drift);
-                r.flagged = drift.abs() > threshold_pct;
+                r.flagged = drift.abs() > DRIFT_THRESHOLD_PCT;
             }
         }
     }
@@ -231,7 +230,6 @@ impl QueryProfile {
         query: &str,
         histories: &[JobHistory],
         final_sort_s: f64,
-        drift_threshold_pct: f64,
     ) -> QueryProfile {
         let jobs: Vec<JobProfileReport> = histories
             .iter()
@@ -243,7 +241,7 @@ impl QueryProfile {
                 reduce_tasks: h.lanes(TaskKind::Reduce).len(),
                 shuffle_bytes: h.shuffle_bytes,
                 stages: stage_rows(h),
-                phases: phase_rows(h, drift_threshold_pct),
+                phases: phase_rows(h),
                 map_phase_crit: phase_crit_for(h, TaskKind::Map),
                 reduce_phase_crit: phase_crit_for(h, TaskKind::Reduce),
             })
@@ -254,7 +252,6 @@ impl QueryProfile {
             query: query.to_string(),
             total_s,
             final_sort_s,
-            drift_threshold_pct,
             jobs,
             io,
             corrupt_reads,
@@ -385,8 +382,7 @@ impl fmt::Display for Report<'_> {
         if flagged.is_empty() {
             writeln!(
                 out,
-                "calibration: all phases within {:.0}% of CostParams pricing",
-                p.drift_threshold_pct
+                "calibration: all phases within {DRIFT_THRESHOLD_PCT:.0}% of CostParams pricing"
             )?;
         } else {
             let list: Vec<String> = flagged
@@ -395,9 +391,8 @@ impl fmt::Display for Report<'_> {
                 .collect();
             writeln!(
                 out,
-                "calibration: {} phase(s) drift >{:.0}% from CostParams pricing: {}",
+                "calibration: {} phase(s) drift >{DRIFT_THRESHOLD_PCT:.0}% from CostParams pricing: {}",
                 flagged.len(),
-                p.drift_threshold_pct,
                 list.join(", ")
             )?;
         }
@@ -581,7 +576,7 @@ mod tests {
     fn calibration_flags_drifting_phases() {
         // Wall says hash-build took 80% of the measured time; the model
         // prices it at 40% — a +100% drift, far past the 25% threshold.
-        let p = QueryProfile::from_histories("Q2.1", &[history()], 0.5, 25.0);
+        let p = QueryProfile::from_histories("Q2.1", &[history()], 0.5);
         assert_eq!(p.jobs.len(), 1);
         let flagged = p.flagged_phases();
         assert!(
@@ -614,7 +609,7 @@ mod tests {
 
     #[test]
     fn totals_include_jobs_and_final_sort() {
-        let p = QueryProfile::from_histories("Q1.1", &[history()], 0.5, 25.0);
+        let p = QueryProfile::from_histories("Q1.1", &[history()], 0.5);
         assert!((p.total_s - (17.0 + 0.5)).abs() < 1e-9);
         assert_eq!(p.jobs[0].map_tasks, 1);
         assert_eq!(p.jobs[0].reduce_tasks, 1);
@@ -639,12 +634,12 @@ mod tests {
             for t in &mut h.tasks {
                 t.wall_ns = 999;
             }
-            QueryProfile::from_histories("Q3.4", &[h], 0.5, 25.0)
+            QueryProfile::from_histories("Q3.4", &[h], 0.5)
         };
         let a = mk().to_json();
         let mut h2 = history();
         h2.wall_phases = vec![(Phase::HashBuild, 77_000), (Phase::Probe, 1)];
-        let b = QueryProfile::from_histories("Q3.4", &[h2], 0.5, 25.0).to_json();
+        let b = QueryProfile::from_histories("Q3.4", &[h2], 0.5).to_json();
         assert_eq!(a, b, "wall-clock must not leak into the artifact");
         assert!(a.contains("\"query\":\"Q3.4\""));
         assert!(a.contains("\"map_phases\""));
@@ -682,7 +677,7 @@ mod tests {
         ];
         h1.corrupt_reads = 1;
         h2.corrupt_reads = 2;
-        let p = QueryProfile::from_histories("Qx", &[h1, h2], 0.0, 25.0);
+        let p = QueryProfile::from_histories("Qx", &[h1, h2], 0.0);
         assert_eq!(p.corrupt_reads, 3);
         assert_eq!(p.io.len(), 2);
         assert_eq!(p.io[0].node, 0);

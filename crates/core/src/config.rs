@@ -6,10 +6,9 @@ use clyde_ssb::queries::DimJoin;
 
 /// Which of Clydesdale's techniques are enabled. Defaults to all on (the
 /// system as shipped); the Figure 9 ablation turns them off one at a time.
-/// The first four are the paper's Section 6.5 switches; `vectorized` and
-/// `zone_skipping` are this reproduction's two additions that Figure 9 and
-/// the bench harness also ablate. Results are identical with any of them
-/// off.
+/// The first three are the paper's Section 6.5 switches; `zone_skipping` is
+/// this reproduction's addition that Figure 9 and the bench harness also
+/// ablate. Results are identical with any of them off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Features {
     /// Columnar scans: read only the query's columns from CIF. Off = read
@@ -19,17 +18,11 @@ pub struct Features {
     /// one row at a time (paper: ~1.2x slowdown).
     pub block_iteration: bool,
     /// Multi-threaded map tasks with shared hash tables and one task per
-    /// node. Off = single-threaded tasks, one per slot, each building its
-    /// own copy of the dimension hash tables (paper: ~2.4x slowdown, up to
-    /// 4.5x on flight 4).
+    /// node, which share them across the job's tasks through JVM reuse. Off
+    /// = single-threaded tasks, one per slot, without JVM reuse, each
+    /// building its own copy of the dimension hash tables (paper: ~2.4x
+    /// slowdown, up to 4.5x on flight 4).
     pub multithreading: bool,
-    /// JVM reuse: share hash tables across consecutive tasks on a node.
-    /// Meaningful only when `multithreading` is on; off forces rebuilds.
-    pub jvm_reuse: bool,
-    /// Vectorized probe kernel: selection vectors over column slices and
-    /// dense group-id aggregation. Off = the scalar row-at-a-time probe
-    /// loop over the same blocks. Results are identical either way.
-    pub vectorized: bool,
     /// Zone-map block skipping: CIF row groups whose per-column min/max
     /// cannot satisfy the query's predicates are skipped without decoding.
     /// Results are identical either way.
@@ -46,8 +39,6 @@ impl Default for Features {
             columnar: true,
             block_iteration: true,
             multithreading: true,
-            jvm_reuse: true,
-            vectorized: true,
             zone_skipping: true,
             dict_predicates: false,
         }
@@ -55,21 +46,20 @@ impl Default for Features {
 }
 
 impl Features {
-    pub fn all_on() -> Features {
-        Features::default()
-    }
-
     /// Stable identity string for plan fingerprints (result-cache code
-    /// tokens): one character per feature bit, in declaration order.
-    /// Results are invariant across all of them, so including them can only
-    /// cost a cache miss, never serve a wrong answer.
+    /// tokens): one character per feature bit. Results are invariant across
+    /// all of them, so including them can only cost a cache miss, never
+    /// serve a wrong answer. The fourth character is JVM reuse, which
+    /// follows `multithreading`, and the fifth the vectorized kernel, which
+    /// always runs: the string keeps six characters so that a plan's
+    /// fingerprint, and the `/cache/` paths named by it, stay put.
     pub fn token_bits(&self) -> String {
         [
             self.columnar,
             self.block_iteration,
             self.multithreading,
-            self.jvm_reuse,
-            self.vectorized,
+            self.multithreading,
+            true,
             self.zone_skipping,
         ]
         .iter()
@@ -94,14 +84,6 @@ impl Features {
     pub fn without_multithreading() -> Features {
         Features {
             multithreading: false,
-            jvm_reuse: false,
-            ..Features::default()
-        }
-    }
-
-    pub fn without_vectorized() -> Features {
-        Features {
-            vectorized: false,
             ..Features::default()
         }
     }
@@ -119,7 +101,6 @@ impl Features {
             ("no-columnar", Features::without_columnar()),
             ("no-block-iteration", Features::without_block_iteration()),
             ("no-multithreading", Features::without_multithreading()),
-            ("no-vectorized", Features::without_vectorized()),
             ("no-zone-skipping", Features::without_zone_skipping()),
         ]
     }
@@ -184,8 +165,7 @@ mod tests {
     #[test]
     fn defaults_are_all_on() {
         let f = Features::default();
-        assert!(f.columnar && f.block_iteration && f.multithreading && f.jvm_reuse);
-        assert!(f.vectorized && f.zone_skipping);
+        assert!(f.columnar && f.block_iteration && f.multithreading && f.zone_skipping);
         assert_eq!(f.token_bits(), "111111");
         assert_eq!(f.label(), "all-on");
     }
@@ -195,11 +175,10 @@ mod tests {
         assert!(!Features::without_columnar().columnar);
         assert!(!Features::without_block_iteration().block_iteration);
         let mt = Features::without_multithreading();
-        assert!(!mt.multithreading && !mt.jvm_reuse);
+        assert!(!mt.multithreading);
+        assert_eq!(mt.token_bits(), "110011");
         assert_eq!(mt.label(), "no-multithreading");
         assert_eq!(Features::without_columnar().label(), "no-columnar");
-        assert!(!Features::without_vectorized().vectorized);
-        assert_eq!(Features::without_vectorized().label(), "no-vectorized");
         assert!(!Features::without_zone_skipping().zone_skipping);
         assert_eq!(
             Features::without_zone_skipping().label(),
@@ -215,7 +194,7 @@ mod tests {
         }
         let custom = Features {
             columnar: false,
-            vectorized: false,
+            zone_skipping: false,
             ..Features::default()
         };
         assert_eq!(custom.label(), "custom");

@@ -2,12 +2,10 @@
 
 use crate::config::Features;
 use crate::planner::plan_query;
-use clyde_common::obs::{
-    catalog as series, us, Obs, QueryProfile, SpanKind, DEFAULT_DRIFT_THRESHOLD_PCT,
-};
+use clyde_common::obs::{catalog as series, us, JobRef, Obs, QueryProfile, SpanKind};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
-use clyde_mapred::{CostParams, Engine, FaultPlan, JobCost, JobProfile, JobSpec};
+use clyde_mapred::{Engine, FaultPlan, JobCost, JobProfile, JobSpec};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
 use clyde_ssb::schema;
@@ -60,21 +58,6 @@ impl Clydesdale {
     pub fn with_features(dfs: Arc<Dfs>, layout: SsbLayout, features: Features) -> Clydesdale {
         Clydesdale {
             engine: Engine::new(dfs),
-            layout,
-            features,
-            faults: None,
-            host_threads: None,
-        }
-    }
-
-    pub fn with_params(
-        dfs: Arc<Dfs>,
-        layout: SsbLayout,
-        features: Features,
-        params: CostParams,
-    ) -> Clydesdale {
-        Clydesdale {
-            engine: Engine::with_params(dfs, params),
             layout,
             features,
             faults: None,
@@ -201,7 +184,7 @@ impl Clydesdale {
             } else {
                 1
             },
-            self.features.jvm_reuse,
+            self.features.multithreading,
         ));
         lines.push(format!(
             "reduce: {} partition(s), aggregate {:?}, group by {:?}",
@@ -241,20 +224,7 @@ impl Clydesdale {
         let history = obs.with_histories(|hs| hs.len());
         let result = self.engine.run_job(&spec)?;
         let mut rows = result.rows;
-        let final_sort_s = self.finish_query(query, &mut rows, history)?;
-        // Append the client-side sort right after the job on its track.
-        if let Some(job) = obs.last_job() {
-            obs.spans().span(
-                None,
-                SpanKind::Phase,
-                "final-sort",
-                job.pid,
-                0,
-                us(job.total_s),
-                us(job.total_s + final_sort_s).saturating_sub(us(job.total_s)),
-                vec![("rows".into(), rows.len().to_string())],
-            );
-        }
+        let final_sort_s = self.finish_query(query, &mut rows, history, obs.last_job())?;
         Ok(QueryResult {
             rows,
             profile: result.profile,
@@ -266,13 +236,15 @@ impl Clydesdale {
 
     /// The client side of a query after its job: ORDER BY and LIMIT on the
     /// job's rows, priced as the paper's single-process sort, and with obs on
-    /// the query counters and its explain-analyze profile over the job's
-    /// history, the hub's `history`th. Returns the sort's seconds.
+    /// the query counters, its explain-analyze profile over the job's
+    /// history, the hub's `history`th, and a `final-sort` span right after
+    /// the job on its track (`job`). Returns the sort's seconds.
     pub(crate) fn finish_query(
         &self,
         query: &StarQuery,
         rows: &mut Vec<Row>,
         history: usize,
+        job: Option<JobRef>,
     ) -> Result<f64> {
         query.finish_result(rows);
         let final_sort_s = rows.len() as f64 / self.engine.params().sort_records_per_s + 0.5;
@@ -283,16 +255,22 @@ impl Clydesdale {
                 .histogram_record(series::MAPRED_FINAL_SORT_S, final_sort_s);
             let profile = obs.with_histories(|hs| {
                 let job = hs.get(history..=history)?;
-                let threshold = DEFAULT_DRIFT_THRESHOLD_PCT;
-                Some(QueryProfile::from_histories(
-                    &query.id,
-                    job,
-                    final_sort_s,
-                    threshold,
-                ))
+                Some(QueryProfile::from_histories(&query.id, job, final_sort_s))
             });
             let missing = || ClydeError::MapReduce(format!("query {} has no history", query.id));
             obs.record_query_profile(profile.ok_or_else(missing)?);
+        }
+        if let Some(job) = job {
+            obs.spans().span(
+                None,
+                SpanKind::Phase,
+                "final-sort",
+                job.pid,
+                0,
+                us(job.total_s),
+                us(job.total_s + final_sort_s).saturating_sub(us(job.total_s)),
+                vec![("rows".into(), rows.len().to_string())],
+            );
         }
         Ok(final_sort_s)
     }
@@ -411,7 +389,6 @@ mod tests {
             Features::without_columnar(),
             Features::without_block_iteration(),
             Features::without_multithreading(),
-            Features::without_vectorized(),
             Features::without_zone_skipping(),
         ] {
             let ablated = Clydesdale::with_features(Arc::clone(&dfs), layout.clone(), features);

@@ -267,12 +267,8 @@ impl MapRunner for MtMapRunner {
         ctx.note_wall_phase(Phase::HashBuild, build_start.elapsed_ns());
         let plan = ProbePlan::compile(&self.query, &self.scan_schema)?;
         // The vectorized kernel needs a packed group-key layout; fall back
-        // to the scalar kernel when ablated or when the key would not fit.
-        let layout = if self.features.vectorized {
-            GroupLayout::new(&plan, &tables)
-        } else {
-            None
-        };
+        // to the scalar kernel when the key would not fit in 63 bits.
+        let layout = GroupLayout::new(&plan, &tables);
         let (results, stats) = self.run_threads(ctx, &tables, &plan, &layout)?;
         let emit_start = WallTimer::start();
         ctx.add_cost(|c| {

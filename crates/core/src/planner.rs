@@ -180,7 +180,9 @@ pub fn plan_query(
     )));
     spec.num_reducers = cluster.total_reduce_slots().max(1) as usize;
     spec.output = OutputSpec::Memory;
-    spec.reuse_jvm = features.jvm_reuse;
+    // Tables survive across a node's tasks only when one task holds the
+    // node (Section 5.2); single-threaded tasks each build their own.
+    spec.reuse_jvm = features.multithreading;
     // Result-cache identity: the conf is empty for Clydesdale plans, so the
     // token must carry everything that shapes the output — the query and
     // the feature flags (which also shape the split list via zone pruning).

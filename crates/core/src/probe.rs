@@ -10,8 +10,8 @@
 //!   rematerialized once per populated group at emit time;
 //! * one scalar reference loop (`probe_scalar`), reached two ways:
 //!   [`probe_range`] reads typed column slices (B-CIF block iteration,
-//!   Section 5.3) — the test oracle, the `vectorized`-off ablation and the
-//!   run-time fallback when [`GroupLayout::new`] cannot pack the group key —
+//!   Section 5.3) — the test oracle and the run-time fallback when
+//!   [`GroupLayout::new`] cannot pack the group key into 63 bits —
 //!   and [`probe_row`] reads one materialized row (block iteration
 //!   ablated).
 //!

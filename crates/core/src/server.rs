@@ -89,9 +89,9 @@ impl<'c> QueryServer<'c> {
         let mut out = Vec::with_capacity(served_jobs.len());
         for (i, (job, query)) in served_jobs.into_iter().zip(queries).enumerate() {
             let mut rows = job.result.rows;
-            let final_sort_s = self
-                .clyde
-                .finish_query(&query, &mut rows, hist_before + i)?;
+            let final_sort_s =
+                self.clyde
+                    .finish_query(&query, &mut rows, hist_before + i, job.trace)?;
             out.push(ServedQuery {
                 tenant: job.tenant,
                 query_id: query.id.clone(),

@@ -11,7 +11,7 @@ use clyde_dfs::Dfs;
 use clyde_mapred::engine::ClientArtifacts;
 use clyde_mapred::formats::RowBinInputFormat;
 use clyde_mapred::runner::RowMapRunner;
-use clyde_mapred::{CostParams, Engine, InputFormat, JobCost, JobProfile, JobSpec, OutputSpec};
+use clyde_mapred::{Engine, InputFormat, JobCost, JobProfile, JobSpec, OutputSpec};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
 use clyde_ssb::schema as ssb_schema;
@@ -77,20 +77,6 @@ impl Hive {
     pub fn new(dfs: Arc<Dfs>, layout: SsbLayout, strategy: JoinStrategy) -> Hive {
         Hive {
             engine: Engine::new(dfs),
-            layout,
-            strategy,
-            run_seq: AtomicU64::new(0),
-        }
-    }
-
-    pub fn with_params(
-        dfs: Arc<Dfs>,
-        layout: SsbLayout,
-        strategy: JoinStrategy,
-        params: CostParams,
-    ) -> Hive {
-        Hive {
-            engine: Engine::with_params(dfs, params),
             layout,
             strategy,
             run_seq: AtomicU64::new(0),

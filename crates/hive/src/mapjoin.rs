@@ -260,12 +260,11 @@ mod tests {
             table_mem_bytes: 1,
         };
         let engine = Engine::new(Dfs::for_tests(2));
-        let mut spec = JobSpec::new(
+        let spec = JobSpec::new(
             "mapjoin",
             Arc::new(VecInputFormat::new(rows, 1)),
             Arc::new(runner),
         );
-        spec.max_task_attempts = 1;
         let client = ClientArtifacts {
             cache,
             build_rows: 0,

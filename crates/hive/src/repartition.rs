@@ -306,7 +306,6 @@ mod tests {
             Arc::new(RowMapRunner::new(mapper)),
         );
         spec.reducer = Some(Arc::new(RepartitionReducer));
-        spec.max_task_attempts = 1;
         Ok(engine.run_job(&spec)?.rows)
     }
 

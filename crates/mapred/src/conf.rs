@@ -1,14 +1,16 @@
 //! Job configuration — the analog of Hadoop's `JobConf`.
 //!
-//! The paper's Figure 4 shows query parameters flowing into map tasks through
-//! `JobConf` string properties (`job.set("dimtables.directory", ...)`); the
-//! Clydesdale and Hive planners here do the same, so query descriptions cross
-//! the "framework boundary" exactly as they would on Hadoop.
+//! Hadoop jobs pass query parameters to their tasks as `JobConf` string
+//! properties (the paper's Figure 4 sets `dimtables.directory` this way).
+//! No planner here does: each carries its parameters in the input format
+//! and map runner it builds, so every job's conf is empty. The type stays
+//! because the `InputFormat::splits` and `MapTaskContext` signatures carry
+//! it, as Hadoop's do, and because the result-cache fingerprint hashes it,
+//! which keeps a cached result sound if a key is ever set.
 
-use clyde_common::{ClydeError, Result};
 use std::collections::BTreeMap;
 
-/// A string-keyed configuration map with typed accessors.
+/// A string-keyed configuration map.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobConf {
     values: BTreeMap<String, String>,
@@ -25,48 +27,6 @@ impl JobConf {
         self
     }
 
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    /// Required string property.
-    pub fn require(&self, key: &str) -> Result<&str> {
-        self.get(key)
-            .ok_or_else(|| ClydeError::Config(format!("missing job property: {key}")))
-    }
-
-    pub fn get_u64(&self, key: &str) -> Result<Option<u64>> {
-        self.get(key)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| ClydeError::Config(format!("property {key}={v} is not a u64")))
-            })
-            .transpose()
-    }
-
-    pub fn get_u64_or(&self, key: &str, default: u64) -> Result<u64> {
-        Ok(self.get_u64(key)?.unwrap_or(default))
-    }
-
-    pub fn get_bool_or(&self, key: &str, default: bool) -> Result<bool> {
-        match self.get(key) {
-            None => Ok(default),
-            Some("true") | Some("1") => Ok(true),
-            Some("false") | Some("0") => Ok(false),
-            Some(v) => Err(ClydeError::Config(format!(
-                "property {key}={v} is not a bool"
-            ))),
-        }
-    }
-
-    pub fn set_u64(&mut self, key: impl Into<String>, value: u64) -> &mut Self {
-        self.set(key, value.to_string())
-    }
-
-    pub fn set_bool(&mut self, key: impl Into<String>, value: bool) -> &mut Self {
-        self.set(key, if value { "true" } else { "false" })
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.values.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
@@ -80,57 +40,18 @@ impl JobConf {
     }
 }
 
-/// Well-known configuration keys used across the workspace.
-pub mod keys {
-    /// Input table base path.
-    pub const INPUT_PATH: &str = "mapred.input.path";
-    /// Comma-separated list of column names the scan must materialize
-    /// (CIF projection pushdown, paper Section 4.2).
-    pub const SCAN_COLUMNS: &str = "scan.columns";
-    /// Number of row groups packed into one multi-split (MultiCIF).
-    pub const GROUPS_PER_SPLIT: &str = "multicif.groups.per.split";
-    /// When "true", the input format emits one multi-split per worker node.
-    pub const ONE_SPLIT_PER_NODE: &str = "multicif.one.split.per.node";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn set_get_roundtrip() {
+    fn set_overwrites_and_iteration_is_sorted() {
         let mut c = JobConf::new();
-        c.set("a", "1").set("b", "x");
-        assert_eq!(c.get("a"), Some("1"));
-        assert_eq!(c.get("missing"), None);
+        assert!(c.is_empty());
+        c.set("z", "1").set("a", "2").set("z", "3");
+        let all: Vec<(&str, &str)> = c.iter().collect();
+        assert_eq!(all, vec![("a", "2"), ("z", "3")]);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn typed_accessors() {
-        let mut c = JobConf::new();
-        c.set_u64("n", 42).set_bool("f", true).set("bad", "zzz");
-        assert_eq!(c.get_u64("n").unwrap(), Some(42));
-        assert_eq!(c.get_u64_or("absent", 7).unwrap(), 7);
-        assert!(c.get_u64("bad").is_err());
-        assert!(c.get_bool_or("f", false).unwrap());
-        assert!(!c.get_bool_or("absent", false).unwrap());
-        assert!(c.get_bool_or("bad", false).is_err());
-    }
-
-    #[test]
-    fn require_reports_key() {
-        let c = JobConf::new();
-        let err = c.require("query.id").unwrap_err().to_string();
-        assert!(err.contains("query.id"));
-    }
-
-    #[test]
-    fn iteration_is_sorted() {
-        let mut c = JobConf::new();
-        c.set("z", "1").set("a", "2");
-        let keys: Vec<&str> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a", "z"]);
     }
 }

@@ -180,11 +180,6 @@ pub struct CostParams {
     pub reduce_rows_per_s: f64,
     /// Disk passes paid by shuffled bytes (map spill + reduce merge).
     pub shuffle_disk_passes: f64,
-    /// Extra multiplier on charged task memory when pricing (tunability
-    /// knob; 1.0 by default because engines charge realistic footprints —
-    /// Hive's mapjoin charges Java-object-graph sizes, Clydesdale charges
-    /// its compact shared tables).
-    pub memory_expansion: f64,
 }
 
 impl Default for CostParams {
@@ -202,7 +197,6 @@ impl Default for CostParams {
             sort_records_per_s: 1_000_000.0,
             reduce_rows_per_s: 140_000.0,
             shuffle_disk_passes: 2.0,
-            memory_expansion: 1.0,
         }
     }
 }

@@ -26,7 +26,9 @@ use crate::fanout::fan_out;
 use crate::fault::FaultPlan;
 use crate::history;
 use crate::input::{InputSplit, SplitSpec};
-use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile};
+use crate::job::{
+    JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile, MAX_TASK_ATTEMPTS,
+};
 use crate::scheduler::{self, JobSchedule};
 use crate::shuffle::{self, ReduceSink, Reducer, Run};
 use crate::task::{
@@ -34,7 +36,7 @@ use crate::task::{
     ResidentStats, ResidentStore, TaskIo,
 };
 use clyde_common::lockorder::Mutex;
-use clyde_common::obs::{catalog as series, Obs, Phase, SpanKind, TaskKind, WallTimer};
+use clyde_common::obs::{catalog as series, JobRef, Obs, Phase, SpanKind, TaskKind, WallTimer};
 use clyde_common::{rowcodec, ClydeError, Result, Row};
 use clyde_dfs::{CacheEntry, ClusterSpec, Dfs, IoSnapshot, NodeId, NodeLocalStore};
 use std::sync::Arc;
@@ -177,7 +179,6 @@ struct MapTaskEnv<'a> {
     params: &'a CostParams,
     cluster: &'a ClusterSpec,
     faults: Option<&'a FaultPlan>,
-    max_attempts: u32,
 }
 
 impl MapTaskEnv<'_> {
@@ -321,7 +322,7 @@ impl MapTaskEnv<'_> {
     /// The fault plan's verdict on attempt `attempt` (0-based) of `task_idx`.
     fn injected_failure(&self, task_idx: usize, attempt: u32) -> Option<ClydeError> {
         let f = self.faults?;
-        if f.fails_attempt(task_idx, attempt, self.max_attempts) {
+        if f.fails_attempt(task_idx, attempt) {
             Some(ClydeError::MapReduce(format!(
                 "injected fault: task {task_idx} attempt {attempt} crashed"
             )))
@@ -522,7 +523,7 @@ impl MapTaskEnv<'_> {
                 .get(task_idx)
                 .map(Vec::as_slice)
                 .unwrap_or_default();
-            for attempt in 1..self.max_attempts {
+            for attempt in 1..MAX_TASK_ATTEMPTS {
                 let node =
                     self.retry_node(task_idx, prev_node, attempt, task_hosts, &rec.blacklisted)?;
                 let failed = match self.injected_failure(task_idx, attempt) {
@@ -545,8 +546,7 @@ impl MapTaskEnv<'_> {
             }
             if !done {
                 return Err(ClydeError::MapReduce(format!(
-                    "map task {task_idx} failed after {} attempts: {last_err}",
-                    self.max_attempts
+                    "map task {task_idx} failed after {MAX_TASK_ATTEMPTS} attempts: {last_err}"
                 )));
             }
         }
@@ -721,11 +721,6 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(dfs: Arc<Dfs>) -> Engine {
-        let params = CostParams::paper();
-        Engine::with_params(dfs, params)
-    }
-
-    pub fn with_params(dfs: Arc<Dfs>, params: CostParams) -> Engine {
         let nodes = dfs.cluster().num_workers();
         let node_memory = dfs.cluster().node.memory_bytes;
         Engine {
@@ -734,7 +729,7 @@ impl Engine {
             resident: (0..nodes)
                 .map(|_| Arc::new(ResidentStore::new(node_memory)))
                 .collect(),
-            params,
+            params: CostParams::paper(),
             obs: Obs::disabled(),
         }
     }
@@ -887,7 +882,6 @@ impl Engine {
             params: &self.params,
             cluster,
             faults: spec.faults.as_deref(),
-            max_attempts: spec.max_task_attempts.max(1),
         }
     }
 
@@ -1145,16 +1139,17 @@ impl Engine {
 /// the unified metrics (engine counters, scheduler locality, DFS I/O
 /// attributed to this job via the scoped snapshot). Shared between the
 /// engine's solo publish path and the job server's scheduled publish path,
-/// so a served job emits exactly the metric set a solo run would.
+/// so a served job emits exactly the metric set a solo run would. Returns
+/// the job's trace location (`None` with observability off).
 pub(crate) fn publish_history(
     obs: &Obs,
     profile: &JobProfile,
     mut hist: clyde_common::obs::JobHistory,
     io: Option<&IoSnapshot>,
     served_from_cache: bool,
-) {
+) -> Option<JobRef> {
     if !obs.is_enabled() {
-        return;
+        return None;
     }
     let m = obs.metrics();
     m.counter_add(series::MAPRED_JOBS, 1);
@@ -1267,6 +1262,7 @@ pub(crate) fn publish_history(
             );
         }
     }
+    job_ref
 }
 
 /// One reduce task's hand-off from its worker to the commit.
@@ -1452,7 +1448,7 @@ mod tests {
             inner: VecInputFormat::new(rows(), 2),
             failures: AtomicU32::new(3), // attempts 1..3 fail, 4th succeeds
         };
-        let spec = sum_job(Arc::new(flaky)); // max_task_attempts = 4
+        let spec = sum_job(Arc::new(flaky)); // MAX_TASK_ATTEMPTS = 4
         let result = engine.run_job(&spec).unwrap();
         assert_eq!(result.rows, vec![row![55i64]]);
         assert_eq!(result.profile.failed_attempts, 3);

@@ -13,6 +13,8 @@
 //! (datanode deaths trigger at a *simulated* time, compared against the cost
 //! model's task durations), so fault runs stay as deterministic as clean runs.
 
+use crate::job::MAX_TASK_ATTEMPTS;
+
 /// The named plans exercised by the CI fault-matrix, in matrix order.
 pub const NAMES: [&str; 6] = [
     "none",
@@ -114,11 +116,11 @@ impl FaultPlan {
         mix(self.seed ^ mix(stream ^ mix(idx)))
     }
 
-    /// How many leading attempts of `task` fail. Always `< max_attempts`, so
-    /// an injected failure run is recoverable by construction — the plan
-    /// models flaky attempts, not impossible tasks.
-    pub fn planned_failures(&self, task: usize, max_attempts: u32) -> u32 {
-        if self.task_fail_rate <= 0.0 || max_attempts <= 1 {
+    /// How many leading attempts of `task` fail. Always
+    /// `< MAX_TASK_ATTEMPTS`, so an injected failure run is recoverable by
+    /// construction — the plan models flaky attempts, not impossible tasks.
+    pub fn planned_failures(&self, task: usize) -> u32 {
+        if self.task_fail_rate <= 0.0 {
             return 0;
         }
         let h = self.hash(STREAM_TASK_FAIL, task as u64);
@@ -128,12 +130,12 @@ impl FaultPlan {
             return 0;
         }
         let h2 = self.hash(STREAM_FAIL_COUNT, task as u64);
-        1 + (h2 % (max_attempts as u64 - 1)) as u32
+        1 + (h2 % u64::from(MAX_TASK_ATTEMPTS - 1)) as u32
     }
 
     /// Whether attempt `attempt` (0-based) of `task` is injected to fail.
-    pub fn fails_attempt(&self, task: usize, attempt: u32, max_attempts: u32) -> bool {
-        attempt < self.planned_failures(task, max_attempts)
+    pub fn fails_attempt(&self, task: usize, attempt: u32) -> bool {
+        attempt < self.planned_failures(task)
     }
 
     /// Straggler multiplier for `node` in a cluster of `workers` nodes
@@ -182,9 +184,12 @@ mod tests {
         let again = FaultPlan::named("task-fail", 46).unwrap();
         let mut any_failed = false;
         for task in 0..64 {
-            let n = plan.planned_failures(task, 4);
-            assert_eq!(n, again.planned_failures(task, 4));
-            assert!(n < 4, "failure run must leave one surviving attempt");
+            let n = plan.planned_failures(task);
+            assert_eq!(n, again.planned_failures(task));
+            assert!(
+                n < MAX_TASK_ATTEMPTS,
+                "failure run must leave one surviving attempt"
+            );
             any_failed |= n > 0;
         }
         assert!(
@@ -198,7 +203,7 @@ mod tests {
         let a = FaultPlan::named("task-fail", 1).unwrap();
         let b = FaultPlan::named("task-fail", 2).unwrap();
         let pattern =
-            |p: &FaultPlan| -> Vec<u32> { (0..64).map(|t| p.planned_failures(t, 4)).collect() };
+            |p: &FaultPlan| -> Vec<u32> { (0..64).map(|t| p.planned_failures(t)).collect() };
         assert_ne!(pattern(&a), pattern(&b));
     }
 
@@ -206,9 +211,9 @@ mod tests {
     fn fails_attempt_is_a_prefix_of_the_attempt_sequence() {
         let plan = FaultPlan::named("task-fail", 46).unwrap();
         for task in 0..32 {
-            let n = plan.planned_failures(task, 4);
-            for attempt in 0..4 {
-                assert_eq!(plan.fails_attempt(task, attempt, 4), attempt < n);
+            let n = plan.planned_failures(task);
+            for attempt in 0..MAX_TASK_ATTEMPTS {
+                assert_eq!(plan.fails_attempt(task, attempt), attempt < n);
             }
         }
     }

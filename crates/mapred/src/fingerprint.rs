@@ -276,7 +276,6 @@ mod tests {
         exec.host_threads = Some(2);
         exec.declared_task_memory = 1 << 30;
         exec.reuse_jvm = false;
-        exec.max_task_attempts = 1;
         exec.output = crate::job::OutputSpec::DfsDir("/tmp/run-17".into());
         assert_eq!(fp0, job_fingerprint(&exec, &splits).unwrap());
 

@@ -23,6 +23,10 @@ pub enum OutputSpec {
     DfsDir(String),
 }
 
+/// Execution attempts per map task (Hadoop's default); out-of-memory
+/// failures are never retried.
+pub(crate) const MAX_TASK_ATTEMPTS: u32 = 4;
+
 /// Everything needed to run one MapReduce job.
 pub struct JobSpec {
     pub name: String,
@@ -49,9 +53,6 @@ pub struct JobSpec {
     pub host_threads: Option<u32>,
     /// Whether per-node state survives across the job's tasks (JVM reuse).
     pub reuse_jvm: bool,
-    /// Maximum execution attempts per map task (Hadoop defaults to 4).
-    /// Out-of-memory failures are never retried.
-    pub max_task_attempts: u32,
     /// Seeded fault plan to run the job under; `None` is the clean path.
     pub faults: Option<Arc<FaultPlan>>,
     /// Code-identity token for result reuse (`fingerprint` module): a
@@ -88,7 +89,6 @@ impl JobSpec {
             task_threads: None,
             host_threads: None,
             reuse_jvm: true,
-            max_task_attempts: 4,
             faults: None,
             code_token: String::new(),
             lineage: None,
@@ -251,11 +251,9 @@ impl JobProfile {
             .saturating_mul(u64::from(concurrency))
             + self.memory_shared
             + self.memory_shared_fixed;
-        // Java-era in-memory expansion (see CostParams::memory_expansion).
-        let required = (raw as f64 * params.memory_expansion) as u64;
-        if required > cluster.node.memory_bytes {
+        if raw > cluster.node.memory_bytes {
             return Err(ClydeError::OutOfMemory {
-                required,
+                required: raw,
                 available: cluster.node.memory_bytes,
             });
         }

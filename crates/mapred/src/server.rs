@@ -22,7 +22,7 @@ use crate::engine::{publish_history, ClientArtifacts, Engine, Executed};
 use crate::history;
 use crate::job::{JobResult, JobSpec};
 use crate::scheduler::{SchedPolicy, Sim, SimJob};
-use clyde_common::obs::{catalog as series, RejectedLane, ServedLane, ServerRun};
+use clyde_common::obs::{catalog as series, JobRef, RejectedLane, ServedLane, ServerRun};
 use clyde_common::Result;
 use std::fmt;
 
@@ -85,6 +85,9 @@ pub struct ServedJob {
     /// Completion (last stage + overhead) on the shared timeline.
     pub finish_s: f64,
     pub result: JobResult,
+    /// Where the job's scheduled history sits in the trace (`None` with
+    /// observability off), for the query layer to append to its track.
+    pub trace: Option<JobRef>,
 }
 
 struct Submission {
@@ -222,13 +225,15 @@ impl<'e> JobServer<'e> {
         let mut lanes = Vec::with_capacity(subs.len());
         for ((ran, sub), sched) in ran.into_iter().zip(&subs).zip(&schedules) {
             let result = ran.result;
-            if obs.is_enabled() {
+            let trace = if obs.is_enabled() {
                 let p = &result.profile;
                 let mut hist = history::job_history(p, &params, &cluster, sched, 0.0);
                 hist.tenant = sub.tenant.clone();
                 hist.t0_s = sub.arrival_s;
-                publish_history(obs, p, hist, ran.io.as_ref(), result.served_from_cache);
-            }
+                publish_history(obs, p, hist, ran.io.as_ref(), result.served_from_cache)
+            } else {
+                None
+            };
             lanes.push(ServedLane {
                 tenant: sub.tenant.clone(),
                 job: sub.spec.name.clone(),
@@ -243,6 +248,7 @@ impl<'e> JobServer<'e> {
                 start_s: sched.first_slot_s,
                 finish_s: sched.finish_s,
                 result,
+                trace,
             });
         }
 

@@ -107,7 +107,7 @@ fn ablations_are_semantically_invisible() {
     let q = query_by_id("Q3.4").unwrap();
     let expect = reference_answer(&data, &q).unwrap();
     for features in [
-        Features::all_on(),
+        Features::default(),
         Features::without_columnar(),
         Features::without_block_iteration(),
         Features::without_multithreading(),

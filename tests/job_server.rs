@@ -1,10 +1,12 @@
 //! Job-server end-to-end: admission control is deterministic, quotas hold,
 //! each rejection is counted by its kind, served queries answer bit-for-bit
-//! like solo runs, and a cached result is served only once its producer has
-//! finished in simulated time. That the multi-job
+//! like solo runs (down to the final-sort span on the job's trace track),
+//! and a cached result is served only once its producer has finished in
+//! simulated time. That the multi-job
 //! schedule is byte-identical across reruns and host thread counts is
 //! `tests/determinism.rs`'s served-workload scenario.
 
+use clyde_common::obs::{Span, SpanKind};
 use clyde_common::Obs;
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::cost::CACHED_READ_OVERHEAD_S;
@@ -217,6 +219,51 @@ fn served_queries_answer_bit_for_bit_like_solo_runs() {
             assert!(s.final_sort_s > 0.0);
         }
     }
+}
+
+/// The one job span and the one `final-sort` span a hub recorded.
+fn job_and_final_sort(obs: &Obs) -> (Span, Span) {
+    let spans = obs.spans().spans();
+    let one = |pick: &dyn Fn(&Span) -> bool| {
+        let found: Vec<&Span> = spans.iter().filter(|s| pick(s)).collect();
+        assert_eq!(found.len(), 1, "{found:?}");
+        found[0].clone()
+    };
+    (
+        one(&|s| s.kind == SpanKind::Job),
+        one(&|s| s.name == "final-sort"),
+    )
+}
+
+#[test]
+fn a_query_served_alone_traces_its_final_sort_like_a_solo_run() {
+    let dfs = cluster(3);
+    let layout = load(&dfs, 0.005);
+    let q = query_by_id("Q2.1").unwrap();
+
+    let solo_obs = Obs::enabled();
+    Clydesdale::new(Arc::clone(&dfs), layout.clone())
+        .with_obs(Arc::clone(&solo_obs))
+        .query(&q)
+        .unwrap();
+    let (_, solo_sort) = job_and_final_sort(&solo_obs);
+
+    let obs = Obs::enabled();
+    let clyde = Clydesdale::new(dfs, layout).with_obs(Arc::clone(&obs));
+    let mut srv = clyde.serve(config(SchedPolicy::Fifo, 4, 0));
+    assert!(srv.submit("etl", 0.0, &q).unwrap().is_ok());
+    let served = srv.drain().unwrap();
+    let (job, sort) = job_and_final_sort(&obs);
+    // On the job's own track, from the job's end, as long as the solo sort.
+    assert_eq!((sort.pid, sort.tid), (job.pid, 0));
+    assert_eq!(sort.ts_us, job.end_us());
+    assert_eq!(sort.dur_us, solo_sort.dur_us);
+    assert!(sort.dur_us > 0);
+    assert_eq!(sort.args, solo_sort.args);
+    assert_eq!(
+        sort.args,
+        vec![("rows".to_string(), served[0].rows.len().to_string())]
+    );
 }
 
 #[test]

@@ -1,21 +1,25 @@
 //! Query shapes at the edges of what the scan plans for: a projection with
 //! no fact column at all, date predicates whose bounds lie outside the
-//! calendar, and more joins than the engines support. The reference,
-//! Clydesdale and both Hive plans must agree on one- and two-node clusters,
-//! down to the error they return.
+//! calendar, more joins than the engines support, and a group key too wide
+//! for the vectorized kernel to pack. The reference, Clydesdale and both
+//! Hive plans must agree on one- and two-node clusters, down to the error
+//! they return.
 
 use clyde_common::{row, ClydeError, Row};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_ssb::gen::{SsbData, SsbGen};
 use clyde_ssb::loader::{self, SsbLayout};
-use clyde_ssb::queries::{Aggregate, DimPred, StarQuery, MAX_JOINS};
+use clyde_ssb::queries::{Aggregate, DimJoin, DimPred, OrderTerm, StarQuery, MAX_JOINS};
 use clyde_ssb::{query_by_id, reference_answer, schema};
-use clydesdale::Clydesdale;
+use clydesdale::hashtable::DimTables;
+use clydesdale::planner::scan_schema;
+use clydesdale::probe::{GroupLayout, ProbePlan};
+use clydesdale::{Clydesdale, Features};
 use std::sync::Arc;
 
-/// SF 0.002 (12 000 fact rows) loaded as CIF and RCFile on `nodes` nodes,
-/// with every engine over it.
+/// SF `sf` (6 000 000 fact rows per unit) loaded as CIF and RCFile on
+/// `nodes` nodes, with every engine over it.
 struct Engines {
     data: SsbData,
     clyde: Clydesdale,
@@ -23,7 +27,12 @@ struct Engines {
     repartition: Hive,
 }
 
+/// SF 0.002: 12 000 fact rows.
 fn engines(nodes: usize) -> Engines {
+    engines_at(0.002, nodes)
+}
+
+fn engines_at(sf: f64, nodes: usize) -> Engines {
     let dfs = Dfs::new(
         ClusterSpec::tiny(nodes),
         DfsOptions {
@@ -33,7 +42,7 @@ fn engines(nodes: usize) -> Engines {
         },
     );
     let layout = SsbLayout::default();
-    let gen = SsbGen::new(0.002, 46);
+    let gen = SsbGen::new(sf, 46);
     loader::load(
         &dfs,
         gen,
@@ -189,4 +198,51 @@ fn more_joins_than_the_limit_are_one_plan_error_on_all_four_engines() {
     q.joins.truncate(MAX_JOINS);
     q.id = "date-eight-times".into();
     e.agree(&q);
+}
+
+#[test]
+fn a_group_key_too_wide_to_pack_runs_the_scalar_kernel_and_agrees_on_all_four_engines() {
+    // Eight joins, each grouping by its own near-unique column. At SF 0.005
+    // the packed key needs 12 + 12 bits for the 2 556 dates, 8 + 8 for the
+    // 150 customers, 10 + 10 for the 1 000 parts and 4 + 4 for the 10
+    // suppliers: 68 bits, past the kernel's 63.
+    let join = |dimension: &str, pk: &str, fk: &str, aux: &str| DimJoin {
+        dimension: dimension.into(),
+        pk: pk.into(),
+        fk: fk.into(),
+        predicate: DimPred::True,
+        aux: vec![aux.into()],
+    };
+    let joins = vec![
+        join(schema::DATE, "d_datekey", "lo_orderdate", "d_datekey"),
+        join(schema::DATE, "d_datekey", "lo_commitdate", "d_date"),
+        join(schema::CUSTOMER, "c_custkey", "lo_custkey", "c_name"),
+        join(schema::CUSTOMER, "c_custkey", "lo_custkey", "c_phone"),
+        join(schema::PART, "p_partkey", "lo_partkey", "p_partkey"),
+        join(schema::PART, "p_partkey", "lo_partkey", "p_name"),
+        join(schema::SUPPLIER, "s_suppkey", "lo_suppkey", "s_name"),
+        join(schema::SUPPLIER, "s_suppkey", "lo_suppkey", "s_phone"),
+    ];
+    assert_eq!(joins.len(), MAX_JOINS);
+    let q = StarQuery {
+        id: "wide-key".into(),
+        group_by: joins.iter().flat_map(|j| j.aux.clone()).collect(),
+        joins,
+        fact_preds: vec![],
+        aggregate: Aggregate::SumColumn("lo_revenue".into()),
+        order_by: vec![(OrderTerm::Aggregate, true)],
+        limit: None,
+    };
+    q.validate().unwrap();
+
+    let e = engines_at(0.005, 2);
+    let plan = ProbePlan::compile(&q, &scan_schema(&q, &Features::default()).unwrap().1).unwrap();
+    let tables =
+        DimTables::build_all(&q.joins, |dim| Ok(e.data.dimension(dim).unwrap().to_vec())).unwrap();
+    assert!(
+        GroupLayout::new(&plan, &tables).is_none(),
+        "the group key must not fit the packed layout"
+    );
+    let rows = e.agree(&q);
+    assert!(rows.len() > 1_000, "{} groups", rows.len());
 }

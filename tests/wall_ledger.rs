@@ -15,7 +15,7 @@
 //! byte-compared profile artifact.
 
 use clyde_bench::harness::MeasurementConfig;
-use clyde_common::obs::{Phase, QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
+use clyde_common::obs::{Phase, QueryProfile};
 use clyde_common::Obs;
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_ssb::query_by_id;
@@ -83,9 +83,7 @@ fn hive_q21_phases_fit_inside_their_tasks_wall_time() {
 
         // The explain-analyze text reports each job's remainder; the JSON
         // artifact carries neither wall values nor wall-only phase rows.
-        let profile = obs.with_histories(|hs| {
-            QueryProfile::from_histories("Q2.1", hs, 0.0, DEFAULT_DRIFT_THRESHOLD_PCT)
-        });
+        let profile = obs.with_histories(|hs| QueryProfile::from_histories("Q2.1", hs, 0.0));
         assert_eq!(profile.jobs.len(), result.stages.len());
         for (job, stage) in profile.jobs.iter().zip(&result.stages) {
             let setup = job.stages.iter().find(|s| s.name == "setup").unwrap();

@@ -59,9 +59,9 @@ fn main() {
     e.name = "clydesdale-Q2.1@SF1000".into();
     let params = &ex.params;
     let sched = e
-        .schedule(params, &cluster)
+        .schedule(params, &cluster, 0.0)
         .expect("clydesdale fits in memory");
-    let hist = job_history(&e, params, &cluster, &sched, sched.cost.setup_s);
+    let hist = job_history(&e, params, &cluster, &sched);
     let job = obs.record_job(hist.clone()).expect("obs is enabled");
     let spans = obs.spans().spans();
     // Longest per-task total of a phase, in seconds — the per-node number

@@ -82,12 +82,6 @@ pub mod storage {
     pub const ALL_RCFILE_GB: f64 = 558.0;
 }
 
-/// The 13 query ids in figure order.
-pub const QUERY_IDS: [&str; 13] = [
-    "Q1.1", "Q1.2", "Q1.3", "Q2.1", "Q2.2", "Q2.3", "Q3.1", "Q3.2", "Q3.3", "Q3.4", "Q4.1", "Q4.2",
-    "Q4.3",
-];
-
 /// Flight of a query id (1-based).
 pub fn flight_of(id: &str) -> usize {
     id.as_bytes()[1] as usize - b'0' as usize
@@ -101,7 +95,7 @@ mod tests {
     fn flights() {
         assert_eq!(flight_of("Q1.2"), 1);
         assert_eq!(flight_of("Q4.3"), 4);
-        for id in QUERY_IDS {
+        for id in crate::workload::ALL_QUERIES {
             assert!((1..=4).contains(&flight_of(id)));
         }
     }

@@ -19,6 +19,7 @@ use crate::harness::testbed;
 use clyde_common::obs::json::Json;
 use clyde_common::{ClydeError, Obs, Result};
 use clyde_dfs::ClusterSpec;
+use clyde_mapred::fault::mix;
 use clyde_mapred::{SchedPolicy, ServerConfig};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::query_by_id;
@@ -44,17 +45,9 @@ pub struct Arrival {
     pub arrival_s: f64,
 }
 
-/// splitmix64 finalizer — the workspace's stock seeded mixer (same idiom
-/// as the fault injector), used here to jitter arrival times.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Uniform [0, 1) draw from (seed, stream, index) — stream keeps the
-/// tenants' jitter statistically independent.
+/// Uniform [0, 1) draw from (seed, stream, index), through the fault
+/// injector's seeded mixer — stream keeps the tenants' arrival jitter
+/// statistically independent.
 fn unit(seed: u64, stream: u64, i: u64) -> f64 {
     (mix(seed ^ (stream << 32) ^ i) >> 11) as f64 / (1u64 << 53) as f64
 }

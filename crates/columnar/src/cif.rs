@@ -15,7 +15,7 @@ use crate::encoding::{decode_verified, encode_block};
 use bytes::Bytes;
 use clyde_common::{rowcodec, Field};
 use clyde_common::{varint, ClydeError, Result, Row, RowBlock, RowBlockBuilder, Schema};
-use clyde_dfs::{Dfs, GroupFiles, NodeId, ResolvedFile};
+use clyde_dfs::{Dfs, GroupFiles, NodeId, ResolvedFile, Span};
 use clyde_mapred::TaskIo;
 use std::sync::Arc;
 
@@ -175,10 +175,6 @@ impl CifWriter {
         }
     }
 
-    pub(crate) fn meta(&self) -> &CifTableMeta {
-        &self.meta
-    }
-
     pub fn append(&mut self, row: &Row) -> Result<()> {
         self.builder.push_row(row)?;
         if self.builder.len() as u64 >= self.meta.rows_per_group {
@@ -283,7 +279,7 @@ impl CifReader {
     /// row count from `_meta`, even with no columns selected.
     pub fn read_group(&self, io: &TaskIo, group: usize, col_indices: &[usize]) -> Result<RowBlock> {
         self.read_chunks(group, col_indices, |_, name| {
-            io.read_sealed(&self.meta.column_path(group, name))
+            io.read(&self.meta.column_path(group, name), Span::Sealed)
         })
     }
 
@@ -299,7 +295,7 @@ impl CifReader {
         col_indices: &[usize],
     ) -> Result<RowBlock> {
         self.read_chunks(group, col_indices, |c, _| {
-            io.read_sealed_resolved(located_file(files, c)?)
+            io.read_resolved(located_file(files, c)?, Span::Sealed)
         })
     }
 

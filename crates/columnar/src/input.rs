@@ -25,7 +25,7 @@ use crate::cif::{located_file, CifReader};
 use crate::encoding::{peek_zone_map, ZONE_HEADER_MAX};
 use clyde_common::lockorder::RwLock;
 use clyde_common::{ClydeError, Result, RowBlock, RowRange};
-use clyde_dfs::{Dfs, GroupFiles, NodeId};
+use clyde_dfs::{Dfs, GroupFiles, NodeId, Span};
 use clyde_mapred::{
     input::RowsFromBlocks, BlockReader, InputFormat, InputSplit, JobConf, Reader, SplitSpec, TaskIo,
 };
@@ -152,8 +152,8 @@ impl CifInputFormat {
     /// [`ZONE_HEADER_MAX`] bytes) of a resolved file per checked column.
     fn zone_prunes(planned: &Planned, files: &GroupFiles, io: &TaskIo) -> Result<bool> {
         for &(c, lo, hi) in &planned.zones {
-            let prefix =
-                io.read_prefix_resolved(located_file(files, c)?, ZONE_HEADER_MAX as u64)?;
+            let header = Span::Prefix(ZONE_HEADER_MAX as u64);
+            let prefix = io.read_resolved(located_file(files, c)?, header)?;
             io.stats.add_zone_checked(1);
             if let Some((min, max)) = peek_zone_map(&prefix)? {
                 if max < lo || min > hi {

@@ -37,11 +37,6 @@ impl CifAppender {
         })
     }
 
-    /// Rows currently live in the table (before this batch lands).
-    pub fn existing_rows(&self) -> u64 {
-        self.writer.meta().total_rows()
-    }
-
     pub fn append(&mut self, row: &Row) -> Result<()> {
         self.writer.append(row)
     }
@@ -120,7 +115,6 @@ mod tests {
         let dfs = Dfs::for_tests(3);
         base_table(&dfs, 25); // groups [10, 10, 5]
         let mut a = CifAppender::open(Arc::clone(&dfs), "/t/f").unwrap();
-        assert_eq!(a.existing_rows(), 25);
         for i in 25..42 {
             a.append(&row![i, (i * 2) as i64]).unwrap();
         }

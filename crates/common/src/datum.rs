@@ -39,16 +39,6 @@ impl DatumType {
             _ => None,
         }
     }
-
-    /// Width in bytes of the fixed-size types; `None` for strings.
-    pub fn fixed_width(self) -> Option<usize> {
-        match self {
-            DatumType::I32 => Some(4),
-            DatumType::I64 => Some(8),
-            DatumType::F64 => Some(8),
-            DatumType::Str => None,
-        }
-    }
 }
 
 impl fmt::Display for DatumType {
@@ -331,14 +321,6 @@ mod tests {
             assert_eq!(DatumType::from_tag(t.tag()), Some(t));
         }
         assert_eq!(DatumType::from_tag(200), None);
-    }
-
-    #[test]
-    fn fixed_widths() {
-        assert_eq!(DatumType::I32.fixed_width(), Some(4));
-        assert_eq!(DatumType::I64.fixed_width(), Some(8));
-        assert_eq!(DatumType::F64.fixed_width(), Some(8));
-        assert_eq!(DatumType::Str.fixed_width(), None);
     }
 
     #[test]

@@ -245,9 +245,10 @@ pub struct JobHistory {
     /// Tenant that submitted the job (empty for solo runs outside the job
     /// server, keeping their traces and summaries byte-identical).
     pub tenant: String,
-    /// Absolute simulated start of the job (seconds). Solo runs start at 0;
-    /// the job server sets this to the job's admission time so concurrent
-    /// jobs lay out on one shared timeline.
+    /// Absolute simulated start of the job (seconds): when it arrived on
+    /// its caller's clock. Solo runs start at 0, a Hive stage where the
+    /// previous stage ended, and a served job at its admission time, so
+    /// jobs that ran one after another or together share one timeline.
     pub t0_s: f64,
     /// Stage times from the cost model (seconds).
     pub setup_s: f64,
@@ -297,8 +298,8 @@ impl JobHistory {
         self.setup_s + self.map_s + self.shuffle_s + self.reduce_s + self.overhead_s
     }
 
-    /// Absolute simulated end of the job (seconds from server start; equals
-    /// `total_s` for solo runs, which start at `t0_s == 0`).
+    /// Absolute simulated end of the job (equals `total_s` for solo runs,
+    /// which start at `t0_s == 0`).
     pub fn end_s(&self) -> f64 {
         self.t0_s + self.total_s()
     }

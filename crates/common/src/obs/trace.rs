@@ -35,8 +35,8 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
         );
     }
 
-    // Server-scheduled jobs start at their admission time on the shared
-    // timeline; solo runs keep `t0_s == 0` and serialize exactly as before.
+    // A job starts at its arrival on the shared timeline: a served job's
+    // admission, a Hive stage's predecessor's end, 0 for a solo run.
     let t0_us = us(h.t0_s);
     let total_us = us(h.end_s()).saturating_sub(t0_us);
     let root = rec.span(

@@ -49,7 +49,7 @@ pub fn write_datum(out: &mut Vec<u8>, d: &Datum) {
 /// `buf`. Every other reader in this module decodes through this function,
 /// so tag, bounds, `i32` range and utf-8 checks exist once.
 ///
-/// An `I32` or `I64` whose varint ends within [`varint::MAX_LEN`] bytes is
+/// An `I32` or `I64` whose varint ends within `varint::MAX_LEN` bytes is
 /// decoded here, inline in the caller's loop; every other tag, and every
 /// error, is `read_datum_checked` from the same cursor, so the value, the
 /// advanced cursor and every error are what it gives.

@@ -1,6 +1,6 @@
 //! Table and record schemas.
 
-use crate::datum::{Datum, DatumType};
+use crate::datum::DatumType;
 use crate::error::{ClydeError, Result};
 use crate::row::Row;
 use std::fmt;
@@ -102,11 +102,6 @@ impl Schema {
         Ok(Schema::new(fields))
     }
 
-    /// Indices of several columns, in the order given.
-    pub fn indices_of(&self, names: &[&str]) -> Result<Vec<usize>> {
-        names.iter().map(|n| self.index_of(n)).collect()
-    }
-
     /// A new schema containing only the given column indices. Panics on an
     /// index past the end; kept for the frozen benchmark's callers, while
     /// engine code builds schemas from [`Schema::fields`].
@@ -162,19 +157,10 @@ impl fmt::Display for Schema {
     }
 }
 
-/// Default datum for a type, used when padding or initializing accumulators.
-pub fn zero_datum(t: DatumType) -> Datum {
-    match t {
-        DatumType::I32 => Datum::I32(0),
-        DatumType::I64 => Datum::I64(0),
-        DatumType::F64 => Datum::F64(0.0),
-        DatumType::Str => Datum::str(""),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datum::Datum;
     use crate::row;
 
     fn sample() -> Schema {
@@ -190,7 +176,6 @@ mod tests {
         let s = sample();
         assert_eq!(s.index_of("name").unwrap(), 1);
         assert!(s.index_of("nope").is_err());
-        assert_eq!(s.indices_of(&["amount", "id"]).unwrap(), vec![2, 0]);
     }
 
     #[test]
@@ -219,11 +204,5 @@ mod tests {
     #[test]
     fn display_lists_fields() {
         assert_eq!(sample().to_string(), "[id:i32, name:str, amount:i64]");
-    }
-
-    #[test]
-    fn zero_datums() {
-        assert_eq!(zero_datum(DatumType::I32), Datum::I32(0));
-        assert_eq!(zero_datum(DatumType::Str), Datum::str(""));
     }
 }

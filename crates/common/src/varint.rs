@@ -70,7 +70,7 @@ pub fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
 /// The longest LEB128 encoding of a `u64`.
 pub(crate) const MAX_LEN: usize = 10;
 
-/// [`read_u64`] for hot decode loops. While [`MAX_LEN`] bytes remain from
+/// [`read_u64`] for hot decode loops. While `MAX_LEN` bytes remain from
 /// `*pos`, the value is decoded from that fixed window, with no per-byte
 /// bounds check. Nearer the end, and for a varint that does not end within
 /// the window, it is [`read_u64`] itself, so the value, the advanced cursor

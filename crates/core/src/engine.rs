@@ -5,6 +5,7 @@ use crate::planner::plan_query;
 use clyde_common::obs::{catalog as series, us, JobRef, Obs, QueryProfile, SpanKind};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
+use clyde_mapred::scheduler::concurrency_per_node;
 use clyde_mapred::{Engine, FaultPlan, JobCost, JobProfile, JobSpec};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
@@ -142,9 +143,9 @@ impl Clydesdale {
 
     /// Describe the MapReduce job a query would run, without running it —
     /// the scan projection, the join pipeline with estimated hash-table
-    /// sizes, and the scheduling shape.
+    /// sizes, and the scheduling shape, read off the planned [`JobSpec`].
     pub fn explain(&self, query: &StarQuery) -> Result<String> {
-        query.validate()?;
+        let spec = self.plan(query)?;
         let (scan_cols, _) = crate::planner::scan_schema(query, &self.features)?;
         let cluster = self.engine.dfs().cluster();
         let mut lines = vec![format!("== Clydesdale plan for {} ==", query.id)];
@@ -175,22 +176,23 @@ impl Clydesdale {
                 join.aux,
             ));
         }
+        let threads = spec.task_threads.unwrap_or(1);
+        let tasks = if threads > 1 {
+            format!(
+                "{} multi-threaded task(s), one per node, {threads} threads each",
+                cluster.num_workers()
+            )
+        } else {
+            let per_node = concurrency_per_node(cluster, spec.declared_task_memory);
+            format!("single-threaded tasks over per-group splits, up to {per_node} per node")
+        };
         lines.push(format!(
-            "map: {} multi-threaded task(s), one per node, {} threads each, \
-             tables shared via JVM reuse: {}",
-            cluster.num_workers(),
-            if self.features.multithreading {
-                cluster.map_slots
-            } else {
-                1
-            },
-            self.features.multithreading,
+            "map: {tasks}, tables shared via JVM reuse: {}",
+            spec.reuse_jvm
         ));
         lines.push(format!(
             "reduce: {} partition(s), aggregate {:?}, group by {:?}",
-            cluster.total_reduce_slots(),
-            query.aggregate,
-            query.group_by,
+            spec.num_reducers, query.aggregate, query.group_by,
         ));
         let order: Vec<String> = query
             .order_by
@@ -631,5 +633,25 @@ mod limit_and_explain_tests {
         assert!(plan.contains("sort by [d_year, <aggregate> desc]"));
         // No data was loaded: explain never touched the fact table.
         assert!(clyde.query(&q).is_err(), "query without data must fail");
+    }
+
+    /// Without multithreading the planner runs single-threaded tasks over
+    /// per-group splits, six to a node, each building its own tables.
+    #[test]
+    fn explain_reads_the_single_threaded_plan_off_its_spec() {
+        let dfs = Dfs::new(ClusterSpec::cluster_a(), DfsOptions::default());
+        let layout = SsbLayout::default();
+        let features = Features::without_multithreading();
+        let clyde = Clydesdale::with_features(dfs, layout, features);
+        let plan = clyde.explain(&query_by_id("Q3.1").unwrap()).unwrap();
+        assert!(
+            plan.contains(
+                "map: single-threaded tasks over per-group splits, up to 6 per node, \
+                 tables shared via JVM reuse: false"
+            ),
+            "{plan}"
+        );
+        assert!(!plan.contains("multi-threaded"), "{plan}");
+        assert!(plan.contains("reduce: 8 partition(s)"), "{plan}");
     }
 }

@@ -71,7 +71,7 @@ pub struct DimHashTable {
     pub rows_scanned: u64,
     /// Approximate heap footprint, for the node memory model — the part
     /// that grows with dimension cardinality (map entries, aux rows, and
-    /// direct-array slots up to [`DIRECT_MAX_SLOTS_PER_ENTRY`] per entry).
+    /// direct-array slots up to `DIRECT_MAX_SLOTS_PER_ENTRY` per entry).
     /// Charged per qualifying row, aux row included, as the paper's
     /// per-entry table holds it, even though `aux_rows` keeps each distinct
     /// tuple once.
@@ -302,7 +302,7 @@ impl DimHashTable {
     }
 
     /// Raw direct-index parts `(min_key, ids)` for the vectorized kernel's
-    /// inner loops, which index the array directly (ids are [`NONE_ID`] for
+    /// inner loops, which index the array directly (ids are `NONE_ID` for
     /// absent keys). `None` when the table is hash-probed.
     #[inline]
     pub fn direct_parts(&self) -> Option<(i64, &[u32])> {

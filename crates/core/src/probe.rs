@@ -338,7 +338,7 @@ struct JoinPack {
 /// group-id dictionary size ([`crate::hashtable::DimHashTable::num_ids`]:
 /// distinct aux tuples, not qualifying rows), and the packed key is the
 /// concatenation of the per-join ids. Every SSB query packs into at most
-/// [`DENSE_BITS`] bits (Q3.1: five nations, five nations and six years in
+/// `DENSE_BITS` bits (Q3.1: five nations, five nations and six years in
 /// 3 + 3 + 3), and distinct packed keys are distinct group rows whenever
 /// each join's aux columns are all group-by columns. The aux `Row`s behind
 /// the ids are only materialized by [`GroupLayout::rematerialize`] at emit
@@ -421,7 +421,7 @@ impl GroupLayout {
 }
 
 /// Per-thread group accumulator for the vectorized kernel: a dense array
-/// when the packed key space fits [`DENSE_BITS`] (every SSB query), a hash
+/// when the packed key space fits `DENSE_BITS` (every SSB query), a hash
 /// map on `u64` keys for wider layouts. Either way the keys stay packed
 /// ids — no `Row` allocation on the hot path.
 #[derive(Debug)]

@@ -63,7 +63,7 @@ pub struct FileLocation<'a> {
 
 impl FileLocation<'_> {
     /// What a later read needs to fetch this file without looking its path
-    /// up again ([`Dfs::read_sealed_resolved`]).
+    /// up again ([`Dfs::read_resolved`]).
     pub fn resolved(&self) -> ResolvedFile {
         ResolvedFile {
             path: self.path.to_string(),
@@ -133,15 +133,27 @@ struct State {
 }
 
 /// What part of a file a read returns.
-#[derive(Clone, Copy)]
-enum Span {
-    /// All of it, every block fetched; `sealed` checks the file's seal.
-    Whole { sealed: bool },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Span {
+    /// All of it, every block fetched.
+    Whole,
+    /// All of a *sealed* file — one whose last [`hash::SEAL_LEN`] bytes are
+    /// the seal of the rest ([`clyde_common::hash::seal`]; every CIF column
+    /// chunk is one). The seal is checked before the bytes are returned,
+    /// and a mismatch is a typed error on every read. For a single-block
+    /// file the check follows the block checksum's verify-once rule: the
+    /// first read that finds a replica's seal matching sets a flag next to
+    /// its `verified` flag, and later reads of that replica skip the hash.
+    /// A multi-block file is assembled per read, so its seal is checked on
+    /// every read.
+    Sealed,
     /// Exactly `len` bytes from `offset`; a range past the end of the file
-    /// is an error.
-    Exact { offset: u64, len: u64 },
-    /// Up to this many bytes from the start: the range stops at the end of
-    /// the file.
+    /// is an error. Only the bytes returned are credited, even when the
+    /// range spans block boundaries, and a range inside one block is a
+    /// slice of the stored replica, not a copy.
+    Range { offset: u64, len: u64 },
+    /// Up to this many bytes from the start: [`Span::Range`] of
+    /// `0..min(max, len)` without a separate length lookup.
     Prefix(u64),
 }
 
@@ -160,7 +172,7 @@ pub struct Dfs {
     /// catalog itself is plain data in [`crate::cache`]; this is the one
     /// lock guarding it, never held across a namespace operation.
     cache: RwLock<CacheCatalog>,
-    /// Seals hashed by [`Dfs::read_sealed_tracked`] (test assertions).
+    /// Seals hashed by [`Span::Sealed`] reads (test assertions).
     seal_checks: AtomicU64,
     /// Namespace walks by [`Dfs::locate_prefix`] (test assertions).
     namespace_walks: AtomicU64,
@@ -333,66 +345,12 @@ impl Dfs {
     /// Read an entire file. `reader` selects the node doing the read for
     /// locality accounting; `None` means an external client (counted remote).
     pub fn read_file(&self, path: &str, reader: Option<NodeId>) -> Result<Bytes> {
-        self.read_file_tracked(path, reader, None)
+        self.read(path, Span::Whole, reader, None)
     }
 
-    /// Like [`Dfs::read_file`], additionally crediting the bytes to a task's
-    /// [`ScanStats`].
-    pub fn read_file_tracked(
-        &self,
-        path: &str,
-        reader: Option<NodeId>,
-        stats: Option<&ScanStats>,
-    ) -> Result<Bytes> {
-        self.read_path(path, Span::Whole { sealed: false }, reader, stats)
-    }
-
-    /// Like [`Dfs::read_file_tracked`], for a *sealed* file — one whose last
-    /// [`hash::SEAL_LEN`] bytes are the seal of the rest
-    /// ([`clyde_common::hash::seal`]; every CIF column chunk is one). The
-    /// seal is checked before the bytes are returned, and a mismatch is a
-    /// typed error on every read. For a single-block file the check follows
-    /// the block checksum's verify-once rule: the first read that finds a
-    /// replica's seal matching sets a flag next to its `verified` flag, and
-    /// later reads of that replica skip the hash. A multi-block file is
-    /// assembled per read, so its seal is checked on every read.
-    pub fn read_sealed_tracked(
-        &self,
-        path: &str,
-        reader: Option<NodeId>,
-        stats: Option<&ScanStats>,
-    ) -> Result<Bytes> {
-        self.read_path(path, Span::Whole { sealed: true }, reader, stats)
-    }
-
-    /// [`Dfs::read_sealed_tracked`] of a file resolved earlier, without a
-    /// path lookup.
-    pub fn read_sealed_resolved(
-        &self,
-        file: &ResolvedFile,
-        reader: Option<NodeId>,
-        stats: Option<&ScanStats>,
-    ) -> Result<Bytes> {
-        let state = self.state.read();
-        let span = Span::Whole { sealed: true };
-        self.read_body(&state, file.into(), span, reader, stats)
-    }
-
-    /// [`Dfs::read_prefix_tracked`] of a file resolved earlier, without a
-    /// path lookup.
-    pub fn read_prefix_resolved(
-        &self,
-        file: &ResolvedFile,
-        max_len: u64,
-        reader: Option<NodeId>,
-        stats: Option<&ScanStats>,
-    ) -> Result<Bytes> {
-        let state = self.state.read();
-        self.read_body(&state, file.into(), Span::Prefix(max_len), reader, stats)
-    }
-
-    /// Look `path` up, then read it through the one read body.
-    fn read_path(
+    /// Look `path` up, then read `span` of it through the one read body,
+    /// additionally crediting the bytes to a task's [`ScanStats`].
+    pub fn read(
         &self,
         path: &str,
         span: Span,
@@ -403,6 +361,18 @@ impl Dfs {
         let state = self.state.read();
         let entry = state.namenode.file(path)?;
         self.read_body(&state, entry.into(), span, reader, stats)
+    }
+
+    /// [`Dfs::read`] of a file resolved earlier, without a path lookup.
+    pub fn read_resolved(
+        &self,
+        file: &ResolvedFile,
+        span: Span,
+        reader: Option<NodeId>,
+        stats: Option<&ScanStats>,
+    ) -> Result<Bytes> {
+        let state = self.state.read();
+        self.read_body(&state, file.into(), span, reader, stats)
     }
 
     /// The one read body, shared by path-keyed and resolved reads: fetch
@@ -427,7 +397,8 @@ impl Dfs {
             })
         };
         let (offset, len) = match span {
-            Span::Whole { sealed } => {
+            Span::Whole | Span::Sealed => {
+                let sealed = span == Span::Sealed;
                 if let &[only] = blocks {
                     // Fast path: single-block files return the stored Bytes
                     // directly.
@@ -450,7 +421,7 @@ impl Dfs {
                 }
                 return Ok(Bytes::from(out));
             }
-            Span::Exact { offset, len } => (offset, len),
+            Span::Range { offset, len } => (offset, len),
             Span::Prefix(max) => (0, max.min(file.len)),
         };
         let end = match offset.checked_add(len) {
@@ -592,45 +563,6 @@ impl Dfs {
             }
         }
         Ok(())
-    }
-
-    /// Read a byte range of a file.
-    pub fn read_range(
-        &self,
-        path: &str,
-        offset: u64,
-        len: u64,
-        reader: Option<NodeId>,
-    ) -> Result<Bytes> {
-        self.read_range_tracked(path, offset, len, reader, None)
-    }
-
-    /// Like [`Dfs::read_range`], additionally crediting the bytes to a task's
-    /// [`ScanStats`]. Only the bytes actually returned are credited, even
-    /// when the range spans block boundaries. A range inside one block is a
-    /// slice of the stored replica, not a copy.
-    pub fn read_range_tracked(
-        &self,
-        path: &str,
-        offset: u64,
-        len: u64,
-        reader: Option<NodeId>,
-        stats: Option<&ScanStats>,
-    ) -> Result<Bytes> {
-        self.read_path(path, Span::Exact { offset, len }, reader, stats)
-    }
-
-    /// The first `max_len` bytes of a file, or the whole file if it is
-    /// shorter: [`Dfs::read_range_tracked`] of `0..min(max_len, len)` with
-    /// one namenode lookup instead of a length lookup and a read.
-    pub fn read_prefix_tracked(
-        &self,
-        path: &str,
-        max_len: u64,
-        reader: Option<NodeId>,
-        stats: Option<&ScanStats>,
-    ) -> Result<Bytes> {
-        self.read_path(path, Span::Prefix(max_len), reader, stats)
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -1018,7 +950,7 @@ impl Dfs {
     }
 
     /// Per-node count of replicas remembered as sealed: single-block files
-    /// whose seal a [`Dfs::read_sealed_tracked`] found matching on *these
+    /// whose seal a [`Span::Sealed`] read found matching on *these
     /// bytes* (test assertions, like [`Dfs::verified_replicas_per_node`]).
     pub fn sealed_replicas_per_node(&self) -> Vec<usize> {
         self.state
@@ -1173,7 +1105,15 @@ mod tests {
         for read in [
             dfs.read_file("/a", outside),
             dfs.read_file("/big", outside),
-            dfs.read_range("/big", 10, 20, outside),
+            dfs.read(
+                "/big",
+                Span::Range {
+                    offset: 10,
+                    len: 20,
+                },
+                outside,
+                None,
+            ),
         ] {
             assert!(matches!(read, Err(ClydeError::Dfs(_))), "{read:?}");
         }
@@ -1246,16 +1186,24 @@ mod tests {
         let dfs = small_dfs(3, 1, 8);
         let data: Vec<u8> = (0..64u8).collect();
         dfs.write_file("/r", None, &data).unwrap();
-        assert_eq!(&dfs.read_range("/r", 0, 8, None).unwrap()[..], &data[0..8]);
         assert_eq!(
-            &dfs.read_range("/r", 5, 20, None).unwrap()[..],
+            &dfs.read("/r", Span::Range { offset: 0, len: 8 }, None, None)
+                .unwrap()[..],
+            &data[0..8]
+        );
+        assert_eq!(
+            &dfs.read("/r", Span::Range { offset: 5, len: 20 }, None, None)
+                .unwrap()[..],
             &data[5..25]
         );
         assert_eq!(
-            &dfs.read_range("/r", 60, 4, None).unwrap()[..],
+            &dfs.read("/r", Span::Range { offset: 60, len: 4 }, None, None)
+                .unwrap()[..],
             &data[60..64]
         );
-        assert!(dfs.read_range("/r", 60, 5, None).is_err());
+        assert!(dfs
+            .read("/r", Span::Range { offset: 60, len: 5 }, None, None)
+            .is_err());
     }
 
     #[test]
@@ -1267,12 +1215,12 @@ mod tests {
         for (path, max) in [("/r", 5), ("/r", 8), ("/r", 20), ("/r", 33), ("/empty", 33)] {
             let (by_prefix, by_range) = (ScanStats::new(), ScanStats::new());
             let len = dfs.file_len(path).unwrap().min(max);
-            let prefix = dfs.read_prefix_tracked(path, max, None, Some(&by_prefix));
-            let range = dfs.read_range_tracked(path, 0, len, None, Some(&by_range));
+            let prefix = dfs.read(path, Span::Prefix(max), None, Some(&by_prefix));
+            let range = dfs.read(path, Span::Range { offset: 0, len }, None, Some(&by_range));
             assert_eq!(prefix.unwrap(), range.unwrap(), "{path} {max}");
             assert_eq!(by_prefix.total(), by_range.total(), "{path} {max}");
         }
-        assert!(dfs.read_prefix_tracked("/missing", 8, None, None).is_err());
+        assert!(dfs.read("/missing", Span::Prefix(8), None, None).is_err());
     }
 
     #[test]
@@ -1517,9 +1465,14 @@ mod tests {
         let epoch = dfs.namespace_epoch();
         for n in 0..3 {
             dfs.read_file("/a", Some(NodeId(n))).unwrap();
-            dfs.read_range("/big", 3, 20, Some(NodeId(n))).unwrap();
-            dfs.read_sealed_tracked("/s", Some(NodeId(n)), None)
-                .unwrap();
+            dfs.read(
+                "/big",
+                Span::Range { offset: 3, len: 20 },
+                Some(NodeId(n)),
+                None,
+            )
+            .unwrap();
+            dfs.read("/s", Span::Sealed, Some(NodeId(n)), None).unwrap();
         }
         assert!(dfs.verified_replicas_per_node().iter().sum::<usize>() > 0);
         assert!(dfs.sealed_replicas_per_node().iter().sum::<usize>() > 0);
@@ -1596,13 +1549,13 @@ mod tests {
             for node in [None, Some(NodeId(0)), Some(NodeId(2))] {
                 let (by_path, resolved) = (ScanStats::new(), ScanStats::new());
                 let lookups = dfs.path_lookups();
-                let want = dfs.read_prefix_tracked(path, 30, node, Some(&by_path));
+                let want = dfs.read(path, Span::Prefix(30), node, Some(&by_path));
                 assert_eq!(dfs.path_lookups(), lookups + 1);
-                let got = dfs.read_prefix_resolved(&file, 30, node, Some(&resolved));
+                let got = dfs.read_resolved(&file, Span::Prefix(30), node, Some(&resolved));
                 assert_eq!(dfs.path_lookups(), lookups + 1, "no lookup");
                 assert_eq!(got.unwrap(), want.unwrap(), "{path}");
-                let want = dfs.read_sealed_tracked(path, node, Some(&by_path));
-                let got = dfs.read_sealed_resolved(&file, node, Some(&resolved));
+                let want = dfs.read(path, Span::Sealed, node, Some(&by_path));
+                let got = dfs.read_resolved(&file, Span::Sealed, node, Some(&resolved));
                 assert_eq!(
                     got.map_err(|e| e.to_string()),
                     want.map_err(|e| e.to_string())
@@ -1619,8 +1572,8 @@ mod tests {
         dfs.delete("/multi").unwrap();
         dfs.write_file("/multi", None, b"another file").unwrap();
         for read in [
-            dfs.read_sealed_resolved(&file, Some(NodeId(0)), None),
-            dfs.read_prefix_resolved(&file, 8, Some(NodeId(0)), None),
+            dfs.read_resolved(&file, Span::Sealed, Some(NodeId(0)), None),
+            dfs.read_resolved(&file, Span::Prefix(8), Some(NodeId(0)), None),
         ] {
             assert!(
                 matches!(&read, Err(ClydeError::Dfs(m)) if m.contains("/multi")),

@@ -20,7 +20,7 @@ pub struct FileEntry {
 /// `Dfs` facade's lock).
 ///
 /// Every `&mut self` method reaches the namespace through
-/// [`Namenode::change`], which advances the epoch: whatever is derived from
+/// `Namenode::change`, which advances the epoch: whatever is derived from
 /// the namespace and kept beside it (`Dfs::table_locations`) is valid
 /// exactly while the epoch it was derived at is current.
 #[derive(Debug, Default)]

@@ -148,12 +148,6 @@ impl ClusterSpec {
         self.reduce_slots * self.workers as u32
     }
 
-    /// Aggregate raw disk bandwidth of the whole cluster, bytes/second
-    /// (paper: 560 MB/s per node × 8 = 4.5 GB/s on A).
-    pub fn aggregate_raw_disk_bw(&self) -> f64 {
-        self.node.raw_disk_bw() * self.workers as f64
-    }
-
     /// Effective replication: you cannot have more replicas than workers.
     pub fn clamp_replication(&self, r: u32) -> u32 {
         r.min(self.workers as u32).max(1)
@@ -189,14 +183,6 @@ mod tests {
         // holds the OS). We keep 5 disks in the spec; the cost model's HDFS
         // efficiency factor absorbs the difference.
         assert!(b.node.raw_disk_bw() > 0.0);
-    }
-
-    #[test]
-    fn cluster_b_has_more_aggregate_bandwidth_than_a() {
-        assert!(
-            ClusterSpec::cluster_b().aggregate_raw_disk_bw()
-                > ClusterSpec::cluster_a().aggregate_raw_disk_bw()
-        );
     }
 
     #[test]

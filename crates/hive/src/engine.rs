@@ -53,16 +53,28 @@ pub struct HiveResult {
 }
 
 impl HiveResult {
-    /// Total simulated cost across all stages.
-    pub fn total_cost(&self) -> JobCost {
-        self.stages
-            .iter()
-            .fold(JobCost::default(), |acc, s| acc.add(&s.cost))
-    }
-
+    /// Where the query's stage chain ends: each stage starts where the
+    /// previous one ended, the first at t = 0.
     pub fn total_s(&self) -> f64 {
-        self.total_cost().total_s()
+        self.stages.iter().fold(0.0, |t, s| t + s.cost.total_s())
     }
+}
+
+/// A query's stage chain so far: the reports of the stages run, where the
+/// next one starts, and the lineage it fingerprints from.
+#[derive(Default)]
+struct Chain {
+    stages: Vec<StageReport>,
+    end_s: f64,
+    /// Result-cache lineage: each stage's fingerprint seeds the next
+    /// stage's identity, so chained stages stay cacheable even though
+    /// their physical inputs live in this run's unique tmp directory.
+    /// The base stage fingerprints its real (fact/dimension) splits, so
+    /// fact roll-in/roll-out re-keys the whole chain. Known limitation:
+    /// mapjoin dimension tables ride the distributed cache, not splits,
+    /// so editing a dimension file in place is not detected — dimension
+    /// data is immutable in this workload.
+    lineage: Option<u64>,
 }
 
 /// The baseline engine.
@@ -118,16 +130,7 @@ impl Hive {
                 .with_columns(scan_cols),
         );
 
-        let mut stages: Vec<StageReport> = Vec::new();
-        // Result-cache lineage: each stage's fingerprint seeds the next
-        // stage's identity, so chained stages stay cacheable even though
-        // their physical inputs live in this run's unique tmp directory.
-        // The base stage fingerprints its real (fact/dimension) splits, so
-        // fact roll-in/roll-out re-keys the whole chain. Known limitation:
-        // mapjoin dimension tables ride the distributed cache, not splits,
-        // so editing a dimension file in place is not detected — dimension
-        // data is immutable in this workload.
-        let mut lineage: Option<u64> = None;
+        let mut chain = Chain::default();
 
         // --- One join stage per dimension, in query order. ---
         for (i, join) in query.joins.iter().enumerate() {
@@ -143,7 +146,7 @@ impl Hive {
                 self.strategy.label(),
                 join.dimension
             );
-            let (mut spec, client) = match self.strategy {
+            let (spec, client) = match self.strategy {
                 JoinStrategy::MapJoin => {
                     let cache_key = format!("{stage_name}.hashtable");
                     // The client-side build runs outside every task; its
@@ -161,8 +164,7 @@ impl Hive {
                     };
                     let mut spec =
                         JobSpec::new(stage_name, Arc::clone(&cur_input), Arc::new(runner));
-                    spec.output = OutputSpec::DfsDir(out_dir.clone());
-                    spec.reuse_jvm = false;
+                    spec.output = OutputSpec::DfsDir(out_dir);
                     (spec, client)
                 }
                 JoinStrategy::Repartition => {
@@ -196,33 +198,12 @@ impl Hive {
                     );
                     spec.reducer = Some(Arc::new(RepartitionReducer));
                     spec.num_reducers = cluster.total_reduce_slots().max(1) as usize;
-                    spec.output = OutputSpec::DfsDir(out_dir.clone());
-                    spec.reuse_jvm = false;
+                    spec.output = OutputSpec::DfsDir(out_dir);
                     (spec, ClientArtifacts::default())
                 }
             };
-            spec.code_token = format!(
-                "hive:{}:{}:join{}:{}:v1",
-                query.id,
-                self.strategy.label(),
-                i,
-                join.dimension
-            );
-            spec.lineage = lineage;
-            let result = self.engine.run_job_with(&spec, client)?;
-            lineage = result.fingerprint;
-            // On a cache hit the run-scoped out_dir was never written; the
-            // next stage reads the persisted files straight from the cache.
-            let next_dir = if result.served_from_cache {
-                dir_of(&result.output_files).unwrap_or(out_dir)
-            } else {
-                out_dir
-            };
-            stages.push(StageReport {
-                name: spec.name.clone(),
-                profile: result.profile,
-                cost: result.cost,
-            });
+            let stage = format_args!("join{i}:{}", join.dimension);
+            let (_, next_dir) = self.run_stage(&mut chain, query, stage, spec, client)?;
             cur_schema = joined_schema(&cur_schema, join)?;
             cur_input = Arc::new(RowBinInputFormat::new(next_dir));
         }
@@ -233,7 +214,6 @@ impl Hive {
             .iter()
             .map(|g| cur_schema.index_of(g))
             .collect::<Result<_>>()?;
-        let gb_dir = format!("{tmp}/groupby");
         let gb_mapper = GroupByMapper {
             group_idx,
             aggregate: query.aggregate.clone(),
@@ -253,22 +233,10 @@ impl Hive {
             aggregate: query.aggregate.clone(),
         }));
         gb.num_reducers = cluster.total_reduce_slots().max(1) as usize;
-        gb.output = OutputSpec::DfsDir(gb_dir.clone());
-        gb.reuse_jvm = false;
-        gb.code_token = format!("hive:{}:{}:groupby:v1", query.id, self.strategy.label());
-        gb.lineage = lineage;
-        let result = self.engine.run_job(&gb)?;
-        lineage = result.fingerprint;
-        let ob_input_dir = if result.served_from_cache {
-            dir_of(&result.output_files).unwrap_or(gb_dir)
-        } else {
-            gb_dir
-        };
-        stages.push(StageReport {
-            name: gb.name.clone(),
-            profile: result.profile,
-            cost: result.cost,
-        });
+        gb.output = OutputSpec::DfsDir(format!("{tmp}/groupby"));
+        let client = ClientArtifacts::default();
+        let (_, ob_input_dir) =
+            self.run_stage(&mut chain, query, format_args!("groupby"), gb, client)?;
 
         // --- Order-by stage (single reducer → total order). ---
         let ob_mapper = OrderByMapper::for_query(query)?;
@@ -280,28 +248,59 @@ impl Hive {
         ob.reducer = Some(Arc::new(EmitValues));
         ob.num_reducers = 1;
         ob.output = OutputSpec::Memory;
-        ob.reuse_jvm = false;
-        ob.code_token = format!("hive:{}:{}:orderby:v1", query.id, self.strategy.label());
-        ob.lineage = lineage;
-        let result = self.engine.run_job(&ob)?;
-        let mut rows = result.rows;
+        let client = ClientArtifacts::default();
+        let (mut rows, _) =
+            self.run_stage(&mut chain, query, format_args!("orderby"), ob, client)?;
         // LIMIT is applied after the total-order stage (Hive's "LIMIT n"
         // also collapses onto the single order-by reducer).
         if let Some(l) = query.limit {
             rows.truncate(l);
         }
-        stages.push(StageReport {
-            name: ob.name.clone(),
-            profile: result.profile,
-            cost: result.cost,
-        });
 
         // --- Clean up intermediates (Hive deletes scratch dirs too). ---
         for path in self.engine.dfs().list(&format!("{tmp}/")) {
             self.engine.dfs().delete(&path)?;
         }
 
-        Ok(HiveResult { rows, stages })
+        Ok(HiveResult {
+            rows,
+            stages: chain.stages,
+        })
+    }
+
+    /// Submit one stage of `chain`, the one place a stage runs: no JVM
+    /// reuse, a code token naming the query, plan and `stage`, the chain's
+    /// lineage, and a start where the previous stage ended. Returns the
+    /// stage's rows and the directory its output can be read from (empty
+    /// for an in-memory output): on a cache hit the run-scoped directory was
+    /// never written, so the next stage reads the cached files instead.
+    fn run_stage(
+        &self,
+        chain: &mut Chain,
+        query: &StarQuery,
+        stage: std::fmt::Arguments<'_>,
+        mut spec: JobSpec,
+        client: ClientArtifacts,
+    ) -> Result<(Vec<Row>, String)> {
+        spec.reuse_jvm = false;
+        spec.code_token = format!("hive:{}:{}:{stage}:v1", query.id, self.strategy.label());
+        spec.lineage = chain.lineage;
+        let result = self.engine.run_job_with(&spec, client, chain.end_s)?;
+        chain.lineage = result.fingerprint;
+        chain.end_s += result.cost.total_s();
+        let out_dir = match spec.output {
+            OutputSpec::DfsDir(dir) if result.served_from_cache => {
+                dir_of(&result.output_files).unwrap_or(dir)
+            }
+            OutputSpec::DfsDir(dir) => dir,
+            OutputSpec::Memory => String::new(),
+        };
+        chain.stages.push(StageReport {
+            name: spec.name,
+            profile: result.profile,
+            cost: result.cost,
+        });
+        Ok((result.rows, out_dir))
     }
 }
 

@@ -270,7 +270,7 @@ mod tests {
             build_rows: 0,
             build_wall_ns: 0,
         };
-        Ok(engine.run_job_with(&spec, client)?.rows)
+        Ok(engine.run_job_with(&spec, client, 0.0)?.rows)
     }
 
     /// The table as each task built it before the reload parsed in place:

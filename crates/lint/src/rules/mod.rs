@@ -1,4 +1,4 @@
-//! Rule passes. Each pass consumes the shared [`FileCtx`] — one file's path
+//! Rule passes. Each pass consumes the shared `FileCtx` — one file's path
 //! and its parsed token stream — and appends [`Violation`]s.
 //!
 //! * [`d001`] — `.into_iter()` of a hash container (clippy's residue).

@@ -452,16 +452,6 @@ impl JobCost {
     pub fn total_s(&self) -> f64 {
         self.setup_s + self.map_s + self.shuffle_s + self.reduce_s + self.overhead_s
     }
-
-    pub fn add(&self, other: &JobCost) -> JobCost {
-        JobCost {
-            setup_s: self.setup_s + other.setup_s,
-            map_s: self.map_s + other.map_s,
-            shuffle_s: self.shuffle_s + other.shuffle_s,
-            reduce_s: self.reduce_s + other.reduce_s,
-            overhead_s: self.overhead_s + other.overhead_s,
-        }
-    }
 }
 
 /// Network + disk time to move `shuffle_bytes` from mappers to reducers.
@@ -648,7 +638,6 @@ mod tests {
             overhead_s: 5.0,
         };
         assert!((j.total_s() - 15.0).abs() < 1e-12);
-        assert!((j.add(&j).total_s() - 30.0).abs() < 1e-12);
     }
 }
 

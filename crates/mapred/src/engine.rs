@@ -92,7 +92,8 @@ struct JobPlan {
 /// caller to commit once the job has finished.
 pub(crate) struct Executed {
     pub result: JobResult,
-    /// The solo schedule the result was priced off (empty for a cache hit).
+    /// The schedule the result was priced off, from the job's start (no
+    /// lanes for a cache hit).
     pub sched: JobSchedule,
     /// The job's DFS I/O, its fill's included once committed (obs on only).
     pub io: Option<IoSnapshot>,
@@ -766,21 +767,26 @@ impl Engine {
         &self.params
     }
 
-    /// Run a job with no client-side artifacts.
+    /// Run a job with no client-side artifacts, starting at t = 0.
     pub fn run_job(&self, spec: &JobSpec) -> Result<JobResult> {
-        self.run_job_with(spec, ClientArtifacts::default())
+        self.run_job_with(spec, ClientArtifacts::default(), 0.0)
     }
 
-    /// Run a job, making `client.cache` available to every task. The job
-    /// runs alone, so it has finished when its run returns: its result-cache
-    /// fill and its history are committed at once.
-    pub fn run_job_with(&self, spec: &JobSpec, client: ClientArtifacts) -> Result<JobResult> {
-        let mut ran = self.execute(spec, client)?;
+    /// Run a job that arrives at `start_s` on the caller's clock, making
+    /// `client.cache` available to every task. The job runs alone, so it
+    /// has finished when its run returns: its result-cache fill and its
+    /// history, which starts at `start_s`, are committed at once.
+    pub fn run_job_with(
+        &self,
+        spec: &JobSpec,
+        client: ClientArtifacts,
+        start_s: f64,
+    ) -> Result<JobResult> {
+        let mut ran = self.execute(spec, client, start_s)?;
         self.commit_fill(&mut ran)?;
         if self.obs.is_enabled() {
-            let (r, sched, cluster) = (&ran.result, &ran.sched, self.dfs.cluster());
-            let origin_s = sched.cost.setup_s;
-            let hist = history::job_history(&r.profile, &self.params, cluster, sched, origin_s);
+            let (r, cluster) = (&ran.result, self.dfs.cluster());
+            let hist = history::job_history(&r.profile, &self.params, cluster, &ran.sched);
             publish_history(
                 &self.obs,
                 &r.profile,
@@ -793,14 +799,19 @@ impl Engine {
     }
 
     /// One job, as a sequence of phases: plan → first map wave → heartbeat
-    /// barrier + retry wave → speculation → shuffle/reduce → price. Each
-    /// phase hands the next a named type. The fill and the history wait for
-    /// the caller, which knows when the job finished.
-    pub(crate) fn execute(&self, spec: &JobSpec, client: ClientArtifacts) -> Result<Executed> {
+    /// barrier + retry wave → speculation → shuffle/reduce → price from
+    /// `start_s`. Each phase hands the next a named type. The fill and the
+    /// history wait for the caller, which knows when the job finished.
+    pub(crate) fn execute(
+        &self,
+        spec: &JobSpec,
+        client: ClientArtifacts,
+        start_s: f64,
+    ) -> Result<Executed> {
         let io_scope = self.obs.is_enabled().then(|| self.dfs.io_scope());
         let cluster = self.dfs.cluster().clone();
         let mut ran = match self.plan_job(spec, &cluster)? {
-            Planned::Cached(entry) => self.serve_from_cache(spec, &entry, &cluster)?,
+            Planned::Cached(entry) => self.serve_from_cache(spec, &entry, &cluster, start_s)?,
             Planned::Run(plan) => {
                 let env = self.map_env(spec, &plan, &client, &cluster);
                 let wave = env.first_map_wave()?;
@@ -814,7 +825,7 @@ impl Engine {
                 }
                 let mut reduced = self.shuffle_and_reduce(spec, &cluster, &mut map_outputs)?;
                 let profile = env.profile(&map_outputs, recovery, &mut reduced);
-                self.finish_job(spec, &plan, profile, reduced)?
+                self.finish_job(spec, &plan, profile, reduced, start_s)?
             }
         };
         ran.io = io_scope.map(|s| s.delta());
@@ -973,8 +984,9 @@ impl Engine {
         plan: &JobPlan,
         profile: JobProfile,
         reduced: Reduced,
+        start_s: f64,
     ) -> Result<Executed> {
-        let sched = profile.schedule(&self.params, self.dfs.cluster())?;
+        let sched = profile.schedule(&self.params, self.dfs.cluster(), start_s)?;
         let Reduced {
             rows, output_files, ..
         } = reduced;
@@ -1012,6 +1024,7 @@ impl Engine {
         spec: &JobSpec,
         entry: &CacheEntry,
         cluster: &ClusterSpec,
+        start_s: f64,
     ) -> Result<Executed> {
         let mut rows = Vec::new();
         let mut output_files = Vec::new();
@@ -1048,6 +1061,7 @@ impl Engine {
                 fingerprint: Some(entry.fingerprint),
             },
             sched: JobSchedule {
+                arrival_s: start_s,
                 cost,
                 ..JobSchedule::default()
             },

@@ -26,7 +26,7 @@ pub const NAMES: [&str; 6] = [
 ];
 
 /// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
-pub(crate) fn mix(mut x: u64) -> u64 {
+pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -23,22 +23,15 @@
 //! limits — all execution knobs under the workspace-wide invariant that
 //! results are byte-identical across them.
 //!
-//! The hash is the same splitmix64 finalizer used by the seeded-RNG plumbing
-//! elsewhere in the workspace, chained over length-prefixed fields so that
+//! The hash is the fault injector's splitmix64 finalizer
+//! ([`crate::fault::mix`]), chained over length-prefixed fields so that
 //! adjacent strings cannot alias (`"ab","c"` vs `"a","bc"`).
 
+use crate::fault::mix;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::JobSpec;
 
-/// splitmix64 finalizer: the workspace-standard bit mixer.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Incremental fingerprint accumulator: a chained mix64 over tagged,
+/// Incremental fingerprint accumulator: a chained `mix` over tagged,
 /// length-prefixed fields.
 #[derive(Debug, Clone, Copy)]
 pub struct Fingerprinter {
@@ -49,12 +42,12 @@ impl Fingerprinter {
     pub fn new() -> Fingerprinter {
         // Domain-separation constant so an empty fingerprint is not 0.
         Fingerprinter {
-            state: mix64(0x636c_7964_655f_6670), // "clyde_fp"
+            state: mix(0x636c_7964_655f_6670), // "clyde_fp"
         }
     }
 
     pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.state = mix64(self.state ^ mix64(v));
+        self.state = mix(self.state ^ mix(v));
         self
     }
 
@@ -75,7 +68,7 @@ impl Fingerprinter {
     }
 
     pub fn finish(&self) -> u64 {
-        mix64(self.state)
+        mix(self.state)
     }
 }
 

@@ -3,10 +3,12 @@
 //! There is one model of when tasks run — the slot simulator
 //! ([`crate::scheduler::Sim`]) — and a history is a drawing of its
 //! verdict: every swimlane is one [`Placement`] taken verbatim, and the
-//! stage bands are the same schedule's [`JobSchedule::cost`]. A solo job
-//! ([`JobProfile::schedule`]) and a job the server interleaved with others
-//! come through the same function; they differ only in where the schedule's
-//! clock starts.
+//! stage bands are the same schedule's [`JobSchedule::cost`]. Every schedule
+//! is on its caller's clock, client setup included: the job arrives at
+//! [`JobSchedule::arrival_s`], its setup band runs from there, and its lanes
+//! start no earlier than setup's end. A solo job ([`JobProfile::schedule`]),
+//! a Hive stage started where the previous one ended, and a job the server
+//! interleaved with others all come through the same function unchanged.
 
 use crate::cost::{CostParams, TaskCost};
 use crate::job::JobProfile;
@@ -29,17 +31,13 @@ fn place(phases: Vec<PhaseSlice>, start: f64, stretch: f64) -> Vec<PhaseSlice> {
 
 /// Assemble the full job history: one swimlane per placement of `sched`,
 /// stage bands from `sched.cost`, and the combiner/merge/locality roll-ups.
-///
-/// `origin_s` is where `sched`'s t = 0 falls on the history's clock: a solo
-/// schedule starts when the job becomes schedulable, so its origin is its
-/// setup band; a served schedule is already on the server clock (0.0).
-/// The history starts at t = 0 with no tenant; the job server sets both.
+/// The history starts at the job's arrival with no tenant; the job server
+/// names the tenant.
 pub fn job_history(
     profile: &JobProfile,
     params: &CostParams,
     cluster: &ClusterSpec,
     sched: &JobSchedule,
-    origin_s: f64,
 ) -> JobHistory {
     let concurrency = profile.map_concurrency.max(1);
     let lane = |kind: TaskKind, index: usize, p: &Placement, c: &TaskCost| TaskLane {
@@ -47,7 +45,7 @@ pub fn job_history(
         kind,
         node: p.node,
         slot: p.slot,
-        start_s: origin_s + p.start_s,
+        start_s: p.start_s,
         dur_s: p.dur_s,
         local_bytes: c.local_bytes,
         remote_bytes: c.remote_bytes,
@@ -100,7 +98,7 @@ pub fn job_history(
     JobHistory {
         name: profile.name.clone(),
         tenant: String::new(),
-        t0_s: 0.0,
+        t0_s: sched.arrival_s,
         setup_s: sched.cost.setup_s,
         map_s: sched.cost.map_s,
         shuffle_s: sched.cost.shuffle_s,
@@ -163,8 +161,8 @@ mod tests {
 
     /// Price `p` alone and render that schedule, as the engine does.
     fn solo_history(p: &JobProfile, params: &CostParams, cluster: &ClusterSpec) -> JobHistory {
-        let sched = p.schedule(params, cluster).unwrap();
-        job_history(p, params, cluster, &sched, sched.cost.setup_s)
+        let sched = p.schedule(params, cluster, 0.0).unwrap();
+        job_history(p, params, cluster, &sched)
     }
 
     #[test]

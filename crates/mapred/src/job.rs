@@ -202,8 +202,9 @@ impl JobProfile {
     /// become `(node, seconds)`. Slow nodes stretch their tasks, and killed
     /// attempts follow the committed map tasks as extra map lanes — they
     /// occupied real slots until the commit race was decided. The job stands
-    /// alone (tenant 0, arrival 0, no declared memory); the job server
-    /// overrides those per submission.
+    /// alone (tenant 0, arrival 0, no declared memory); [`Self::schedule`]
+    /// sets its arrival, and the job server overrides all three per
+    /// submission.
     pub(crate) fn sim_job(&self, params: &CostParams, cluster: &ClusterSpec) -> SimJob {
         let n = cluster.num_workers().max(1);
         let concurrency = self.map_concurrency.max(1);
@@ -243,9 +244,15 @@ impl JobProfile {
     /// failure mode (Section 6.4) — and with `Config` when `params` price a
     /// time that is negative or not finite (e.g. a zero rate).
     ///
-    /// The schedule's clock starts when the job becomes schedulable; client
-    /// setup is a band in its `cost`, not an offset on that clock.
-    pub fn schedule(&self, params: &CostParams, cluster: &ClusterSpec) -> Result<JobSchedule> {
+    /// The job arrives at `start_s` on the caller's clock, and its client
+    /// setup runs from there: the schedule, its lanes and its bands are all
+    /// on that one clock, as the job server lays out a submission.
+    pub fn schedule(
+        &self,
+        params: &CostParams,
+        cluster: &ClusterSpec,
+        start_s: f64,
+    ) -> Result<JobSchedule> {
         let concurrency = self.map_concurrency.max(1);
         let raw = (self.memory_per_slot + self.memory_per_slot_fixed)
             .saturating_mul(u64::from(concurrency))
@@ -258,18 +265,17 @@ impl JobProfile {
             });
         }
 
-        let mut job = self.sim_job(params, cluster);
-        let setup_s = std::mem::take(&mut job.setup_s);
         let mut sim = Sim::new(cluster, SchedPolicy::Fifo);
-        sim.admit(job)?;
-        let mut sched = sim.run()?.pop().unwrap_or_default();
-        sched.cost.setup_s = setup_s;
-        Ok(sched)
+        sim.admit(SimJob {
+            arrival_s: start_s,
+            ..self.sim_job(params, cluster)
+        })?;
+        Ok(sim.run()?.pop().unwrap_or_default())
     }
 
     /// The stage times of [`Self::schedule`].
     pub fn price(&self, params: &CostParams, cluster: &ClusterSpec) -> Result<JobCost> {
-        self.schedule(params, cluster).map(|sched| sched.cost)
+        self.schedule(params, cluster, 0.0).map(|sched| sched.cost)
     }
 
     /// Rescale this profile to a different data scale and cluster: totals are

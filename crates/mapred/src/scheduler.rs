@@ -136,7 +136,7 @@ impl SchedPolicy {
 /// One job, reduced to what the slot simulator needs: its task durations
 /// (already priced by the cost model, slowdowns applied), their recorded node
 /// placement, and the job's capacity declaration. Built from a profile by
-/// [`crate::job::JobProfile::sim_job`] and nowhere else.
+/// `JobProfile::sim_job` and nowhere else.
 #[derive(Debug, Clone)]
 pub struct SimJob {
     /// Tenant id (for the fair/capacity policies' per-tenant shares).
@@ -205,6 +205,8 @@ pub struct JobSchedule {
     pub map: Vec<Placement>,
     /// Reduce placements, sorted by task index.
     pub reduce: Vec<Placement>,
+    /// When the job was submitted: where its history starts.
+    pub arrival_s: f64,
     /// First granted slot (== ready time for task-less jobs).
     pub first_slot_s: f64,
     /// When the last map task finished.
@@ -674,6 +676,7 @@ impl JobRun {
             ));
         }
         let mut sched = self.out;
+        sched.arrival_s = self.job.arrival_s;
         sched.map.sort_by_key(|p| p.task);
         sched.reduce.sort_by_key(|p| p.task);
         let starts = sched.map.iter().chain(&sched.reduce).map(|p| p.start_s);

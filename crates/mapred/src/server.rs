@@ -200,7 +200,10 @@ impl<'e> JobServer<'e> {
                 }
             }
             let Some(sub) = sub else { break };
-            let job = self.engine.execute(&sub.spec, ClientArtifacts::default())?;
+            // Priced alone from t = 0; the drain below places it.
+            let job = self
+                .engine
+                .execute(&sub.spec, ClientArtifacts::default(), 0.0)?;
             let tenant = tenant_names.iter().position(|n| *n == sub.tenant);
             let tenant = tenant.unwrap_or_else(|| {
                 tenant_names.push(sub.tenant.clone());
@@ -227,9 +230,8 @@ impl<'e> JobServer<'e> {
             let result = ran.result;
             let trace = if obs.is_enabled() {
                 let p = &result.profile;
-                let mut hist = history::job_history(p, &params, &cluster, sched, 0.0);
+                let mut hist = history::job_history(p, &params, &cluster, sched);
                 hist.tenant = sub.tenant.clone();
-                hist.t0_s = sub.arrival_s;
                 publish_history(obs, p, hist, ran.io.as_ref(), result.served_from_cache)
             } else {
                 None

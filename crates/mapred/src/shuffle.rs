@@ -1,7 +1,7 @@
 //! The sort-based shuffle: partitioning, sorting, combining, grouping.
 //!
 //! Map output is serialized when it is emitted, as Hadoop's map-side sort
-//! buffer does: a [`MapOutput`] holds each record's encoded key and its
+//! buffer does: a `MapOutput` holds each record's encoded key and its
 //! value's [`rowcodec`] bytes, and the emitted `Row` is freed on the spot.
 //! A key is a [`Key`]: the order-preserving encoding of the emitted datums,
 //! held inline up to [`Key::INLINE`] bytes (every join key and most group

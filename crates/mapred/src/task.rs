@@ -20,7 +20,7 @@ use clyde_common::hash::FxHasher;
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::Phase;
 use clyde_common::{ClydeError, Datum, FxHashMap, Result, Row};
-use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ResolvedFile, ScanStats};
+use clyde_dfs::{Dfs, NodeId, NodeLocalStore, ResolvedFile, ScanStats, Span};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -56,42 +56,24 @@ impl TaskIo {
         }
     }
 
-    pub fn read_file(&self, path: &str) -> Result<Bytes> {
-        self.dfs
-            .read_file_tracked(path, self.node, Some(&self.stats))
+    /// Read `span` of the file at `path` ([`Dfs::read`]).
+    pub fn read(&self, path: &str, span: Span) -> Result<Bytes> {
+        self.dfs.read(path, span, self.node, Some(&self.stats))
     }
 
-    /// Read a sealed file (a CIF column chunk), its seal checked once per
-    /// stored replica ([`Dfs::read_sealed_tracked`]).
-    pub fn read_sealed(&self, path: &str) -> Result<Bytes> {
+    /// Read `span` of a file resolved at planning ([`Dfs::read_resolved`]):
+    /// no path lookup.
+    pub fn read_resolved(&self, file: &ResolvedFile, span: Span) -> Result<Bytes> {
         self.dfs
-            .read_sealed_tracked(path, self.node, Some(&self.stats))
+            .read_resolved(file, span, self.node, Some(&self.stats))
+    }
+
+    pub fn read_file(&self, path: &str) -> Result<Bytes> {
+        self.read(path, Span::Whole)
     }
 
     pub fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        self.dfs
-            .read_range_tracked(path, offset, len, self.node, Some(&self.stats))
-    }
-
-    /// The first `max_len` bytes of a file, or all of a shorter one
-    /// ([`Dfs::read_prefix_tracked`]).
-    pub fn read_prefix(&self, path: &str, max_len: u64) -> Result<Bytes> {
-        self.dfs
-            .read_prefix_tracked(path, max_len, self.node, Some(&self.stats))
-    }
-
-    /// [`TaskIo::read_sealed`] of a file resolved at planning
-    /// ([`Dfs::read_sealed_resolved`]): no path lookup.
-    pub fn read_sealed_resolved(&self, file: &ResolvedFile) -> Result<Bytes> {
-        self.dfs
-            .read_sealed_resolved(file, self.node, Some(&self.stats))
-    }
-
-    /// [`TaskIo::read_prefix`] of a file resolved at planning
-    /// ([`Dfs::read_prefix_resolved`]): no path lookup.
-    pub fn read_prefix_resolved(&self, file: &ResolvedFile, max_len: u64) -> Result<Bytes> {
-        self.dfs
-            .read_prefix_resolved(file, max_len, self.node, Some(&self.stats))
+        self.read(path, Span::Range { offset, len })
     }
 }
 
@@ -439,7 +421,7 @@ pub trait Collector: Send + Sync {
 }
 
 /// The engine's map-output buffer: each record serialized as it is
-/// collected ([`MapOutput`]), in emit order. The map task partitions,
+/// collected (`MapOutput`), in emit order. The map task partitions,
 /// sorts and combines it once the runner returns.
 #[derive(Default)]
 pub struct MapOutputBuffer {
@@ -563,7 +545,7 @@ pub(crate) fn note_wall_phase(phases: &mut Vec<(Phase, u64)>, phase: Phase, nano
 
 impl MapTaskContext<'_> {
     /// Attribute measured wall-clock time to an execution phase (see
-    /// [`note_wall_phase`]).
+    /// [`JobProfile::wall_phases`](crate::JobProfile::wall_phases)).
     pub fn note_wall_phase(&self, phase: Phase, nanos: u64) {
         note_wall_phase(&mut self.wall_phases.lock(), phase, nanos);
     }
@@ -597,7 +579,7 @@ impl MapTaskContext<'_> {
         Ok(())
     }
 
-    /// [`TaskContext::charge_memory_shared`] for **scale-invariant** bytes:
+    /// [`MapTaskContext::charge_memory_shared`] for **scale-invariant** bytes:
     /// structures whose size is bounded by a key range rather than by data
     /// cardinality (e.g. a sparse small-range direct-index array). Charged
     /// against the node budget like any other bytes, but recorded
@@ -608,8 +590,8 @@ impl MapTaskContext<'_> {
         self.memory.charge(bytes)
     }
 
-    /// [`TaskContext::charge_memory_per_slot`] for scale-invariant bytes
-    /// (see [`TaskContext::charge_memory_shared_fixed`]).
+    /// [`MapTaskContext::charge_memory_per_slot`] for scale-invariant bytes
+    /// (see [`MapTaskContext::charge_memory_shared_fixed`]).
     pub fn charge_memory_per_slot_fixed(&self, bytes: u64) -> Result<()> {
         self.ledger.note_per_slot_fixed(bytes);
         let effective = bytes.saturating_mul(u64::from(self.slot_concurrency));

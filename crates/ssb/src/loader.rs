@@ -235,12 +235,6 @@ pub fn load(
     })
 }
 
-/// Read a dimension table's master copy back from the DFS.
-pub fn read_dimension(dfs: &Dfs, layout: &SsbLayout, table: &str) -> Result<Vec<Row>> {
-    let data = dfs.read_file(&layout.dim_bin(table), None)?;
-    rowcodec::read_rows(&data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,10 +274,12 @@ mod tests {
         assert_eq!(rc.read_all_rows(&dfs).unwrap(), expected.lineorder);
 
         // Dimension masters.
-        let cust = read_dimension(&dfs, &layout, schema::CUSTOMER).unwrap();
-        assert_eq!(cust, expected.customer);
-        let date = read_dimension(&dfs, &layout, schema::DATE).unwrap();
-        assert_eq!(date.len(), 2557);
+        let master = |table| {
+            let data = dfs.read_file(&layout.dim_bin(table), None).unwrap();
+            rowcodec::read_rows(&data).unwrap()
+        };
+        assert_eq!(master(schema::CUSTOMER), expected.customer);
+        assert_eq!(master(schema::DATE).len(), 2557);
 
         // Dimension RCFiles (Hive reads these).
         let rc_cust = RcFileReader::open(&dfs, &layout.table_rc(schema::CUSTOMER)).unwrap();

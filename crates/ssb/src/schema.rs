@@ -173,17 +173,6 @@ pub fn schema_of(table: &str) -> Option<Schema> {
     }
 }
 
-/// Primary-key column of a dimension table.
-pub fn dimension_pk(table: &str) -> Option<&'static str> {
-    match table {
-        CUSTOMER => Some("c_custkey"),
-        SUPPLIER => Some("s_suppkey"),
-        PART => Some("p_partkey"),
-        DATE => Some("d_datekey"),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,11 +207,5 @@ mod tests {
         assert_eq!(date_schema().len(), 11);
         assert!(schema_of("lineorder").is_some());
         assert!(schema_of("nope").is_none());
-    }
-
-    #[test]
-    fn dimension_pks() {
-        assert_eq!(dimension_pk(DATE), Some("d_datekey"));
-        assert_eq!(dimension_pk(LINEORDER), None);
     }
 }

@@ -38,7 +38,7 @@ use clyde_common::hash::FxHasher;
 use clyde_common::{varint, ClydeError, ColumnData, DatumType, Field, Row, Schema};
 use clyde_dfs::{
     BlockPlacementPolicy, ClusterSpec, ColocatingPlacement, DefaultPlacement, Dfs, DfsOptions,
-    NodeId,
+    NodeId, Span,
 };
 use clyde_mapred::{InputFormat, JobConf, JobProfile, SplitSpec, TaskCost, TaskIo, TaskProfile};
 use clyde_ssb::gen::SsbGen;
@@ -116,7 +116,8 @@ fn a_verified_replica_that_rots_is_caught_on_every_later_read() {
         assert_eq!(&dfs.read_file("/f", Some(victim)).unwrap()[..], &data[..]);
         assert_eq!(corrupt_reads(&dfs), before + 1, "attempt {attempt}");
         assert_eq!(
-            &dfs.read_range("/f", 0, 33, Some(victim)).unwrap()[..],
+            &dfs.read("/f", Span::Range { offset: 0, len: 33 }, Some(victim), None)
+                .unwrap()[..],
             &data[..33]
         );
         assert_eq!(corrupt_reads(&dfs), before + 2, "attempt {attempt}");
@@ -141,7 +142,7 @@ fn a_verified_replica_that_rots_with_no_clean_sibling_is_unreadable() {
     }
     for read in [
         dfs.read_file("/f", Some(victim)),
-        dfs.read_range("/f", 0, 33, Some(victim)),
+        dfs.read("/f", Span::Range { offset: 0, len: 33 }, Some(victim), None),
         dfs.read_file("/f", None),
     ] {
         let err = read.unwrap_err().to_string();
@@ -214,7 +215,16 @@ fn node_loss_and_rereplication_leave_only_unverified_replicas() {
 fn range_reads_are_bounds_checked_without_overflow() {
     let (dfs, data) = one_file();
     assert_eq!(
-        &dfs.read_range("/f", 190, 10, None).unwrap()[..],
+        &dfs.read(
+            "/f",
+            Span::Range {
+                offset: 190,
+                len: 10
+            },
+            None,
+            None
+        )
+        .unwrap()[..],
         &data[190..]
     );
     for (offset, len) in [
@@ -224,7 +234,9 @@ fn range_reads_are_bounds_checked_without_overflow() {
         (2, u64::MAX),
         (u64::MAX, u64::MAX),
     ] {
-        let err = dfs.read_range("/f", offset, len, None).unwrap_err();
+        let err = dfs
+            .read("/f", Span::Range { offset, len }, None, None)
+            .unwrap_err();
         assert!(err.to_string().contains("beyond end of /f"), "{err}");
     }
 }
@@ -272,7 +284,17 @@ fn racing_first_reads_of_one_replica_agree() {
             if t == 0 {
                 dfs.read_file("/f", Some(node)).unwrap().to_vec()
             } else {
-                dfs.read_range("/f", 0, 200, Some(node)).unwrap().to_vec()
+                dfs.read(
+                    "/f",
+                    Span::Range {
+                        offset: 0,
+                        len: 200,
+                    },
+                    Some(node),
+                    None,
+                )
+                .unwrap()
+                .to_vec()
             }
         });
         assert!(reads.iter().all(|r| r == &data), "round {round}");
@@ -422,7 +444,7 @@ fn corruption_node_loss_and_rereplication_leave_only_unsealed_replicas() {
     dfs.write_file("/c", None, &chunk).unwrap();
     let read_on = |n: NodeId| {
         let io = TaskIo::new(Arc::clone(&dfs), n);
-        assert_eq!(&io.read_sealed("/c").unwrap()[..], &chunk[..]);
+        assert_eq!(&io.read("/c", Span::Sealed).unwrap()[..], &chunk[..]);
     };
     let sealed_on = |n: NodeId| dfs.sealed_replicas_per_node()[n.0];
     let hosts = dfs.hosts("/c").unwrap();
@@ -1023,7 +1045,9 @@ fn path_keyed_scan(fmt: &CifInputFormat, dfs: &Arc<Dfs>) -> ScanOutcome {
         let io = &ios[g % ios.len()];
         let pruned = fmt.zone_preds.iter().any(|zp| {
             let path = reader.meta().column_path(g, &zp.column);
-            let prefix = io.read_prefix(&path, ZONE_HEADER_MAX as u64).unwrap();
+            let prefix = io
+                .read(&path, Span::Prefix(ZONE_HEADER_MAX as u64))
+                .unwrap();
             io.stats.add_zone_checked(1);
             let disjoint = peek_zone_map(&prefix)
                 .unwrap()

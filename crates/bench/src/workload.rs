@@ -16,10 +16,10 @@
 //! CI gate on them exactly (see [`crate::gate::WORKLOAD`]).
 
 use crate::harness::testbed;
+use clyde_common::hash::mix;
 use clyde_common::obs::json::Json;
 use clyde_common::{ClydeError, Obs, Result};
 use clyde_dfs::ClusterSpec;
-use clyde_mapred::fault::mix;
 use clyde_mapred::{SchedPolicy, ServerConfig};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::query_by_id;
@@ -45,8 +45,8 @@ pub struct Arrival {
     pub arrival_s: f64,
 }
 
-/// Uniform [0, 1) draw from (seed, stream, index), through the fault
-/// injector's seeded mixer — stream keeps the tenants' arrival jitter
+/// Uniform [0, 1) draw from (seed, stream, index), through the seeded
+/// splitmix64 mixer — stream keeps the tenants' arrival jitter
 /// statistically independent.
 fn unit(seed: u64, stream: u64, i: u64) -> f64 {
     (mix(seed ^ (stream << 32) ^ i) >> 11) as f64 / (1u64 << 53) as f64

@@ -96,6 +96,16 @@ pub fn hash_bytes(data: &[u8]) -> u64 {
     h.finish()
 }
 
+/// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer. Every
+/// seeded decision (fault plans, corrupted replicas, workload jitter) and
+/// every result-cache fingerprint hashes through it.
+pub fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// Bytes a seal adds to the end of a sealed buffer.
 pub const SEAL_LEN: usize = 8;
 

@@ -1,7 +1,7 @@
 //! The public Clydesdale engine API.
 
 use crate::config::Features;
-use crate::planner::plan_query;
+use crate::planner::plan_scan;
 use clyde_common::obs::{catalog as series, us, JobRef, Obs, QueryProfile, SpanKind};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
@@ -104,13 +104,13 @@ impl Clydesdale {
     }
 
     /// Plan `query` into its one MapReduce job, under this engine's fault
-    /// plan and host thread count.
-    pub(crate) fn plan(&self, query: &StarQuery) -> Result<JobSpec> {
+    /// plan and host thread count, with the fact columns its scan projects.
+    pub(crate) fn plan(&self, query: &StarQuery) -> Result<(JobSpec, Vec<String>)> {
         let cluster = self.engine.dfs().cluster();
-        let mut spec = plan_query(query, &self.layout, self.features, cluster)?;
+        let (mut spec, scan_cols) = plan_scan(query, &self.layout, self.features, cluster)?;
         spec.faults = self.faults.clone();
         spec.host_threads = self.host_threads;
-        Ok(spec)
+        Ok((spec, scan_cols))
     }
 
     /// Open a multi-tenant query server over this engine: submissions are
@@ -145,8 +145,7 @@ impl Clydesdale {
     /// the scan projection, the join pipeline with estimated hash-table
     /// sizes, and the scheduling shape, read off the planned [`JobSpec`].
     pub fn explain(&self, query: &StarQuery) -> Result<String> {
-        let spec = self.plan(query)?;
-        let (scan_cols, _) = crate::planner::scan_schema(query, &self.features)?;
+        let (spec, scan_cols) = self.plan(query)?;
         let cluster = self.engine.dfs().cluster();
         let mut lines = vec![format!("== Clydesdale plan for {} ==", query.id)];
         lines.push(format!(
@@ -220,7 +219,7 @@ impl Clydesdale {
     /// Execute a star query end to end: one MapReduce job (join + group-by
     /// aggregation) followed by a single-process ORDER BY sort.
     pub fn query(&self, query: &StarQuery) -> Result<QueryResult> {
-        let spec = self.plan(query)?;
+        let (spec, _) = self.plan(query)?;
         let obs = self.engine.obs();
         // The job's history is the next one recorded on the hub.
         let history = obs.with_histories(|hs| hs.len());
@@ -561,7 +560,8 @@ mod tests {
         let (dfs, layout, gen) = setup(0.002, 1);
         let clyde = Clydesdale::new(Arc::clone(&dfs), layout.clone()).with_host_threads(1);
         let q = query_by_id("Q1.1").unwrap();
-        let mut spec = plan_query(&q, &layout, clyde.features(), dfs.cluster()).unwrap();
+        let mut spec =
+            crate::planner::plan_query(&q, &layout, clyde.features(), dfs.cluster()).unwrap();
         spec.host_threads = Some(1);
         spec.input = Arc::new(PanickingOpen(Arc::clone(&spec.input)));
         let err = clyde.engine().run_job(&spec).unwrap_err();

@@ -124,6 +124,16 @@ pub fn plan_query(
     features: Features,
     cluster: &ClusterSpec,
 ) -> Result<JobSpec> {
+    plan_scan(query, layout, features, cluster).map(|(spec, _)| spec)
+}
+
+/// [`plan_query`], with the fact columns the job's scan projects.
+pub(crate) fn plan_scan(
+    query: &StarQuery,
+    layout: &SsbLayout,
+    features: Features,
+    cluster: &ClusterSpec,
+) -> Result<(JobSpec, Vec<String>)> {
     query.validate()?;
     let (scan_cols, scan) = scan_schema(query, &features)?;
 
@@ -143,7 +153,7 @@ pub fn plan_query(
         MultiSplit::Single
     };
     let mut input = CifInputFormat::new(layout.fact_cif())
-        .with_columns(scan_cols)
+        .with_columns(scan_cols.clone())
         .with_mode(mode)
         .with_multi(multi);
     if features.zone_skipping {
@@ -197,7 +207,7 @@ pub fn plan_query(
         spec.declared_task_memory = 0;
         spec.task_threads = Some(1);
     }
-    Ok(spec)
+    Ok((spec, scan_cols))
 }
 
 #[cfg(test)]

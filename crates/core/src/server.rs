@@ -5,9 +5,10 @@
 //!
 //! Each served query's rows are bit-for-bit what [`Clydesdale::query`]
 //! returns solo — execution goes through the same planner and engine; only
-//! the *timeline* (queue wait, slot interleaving, finish times) comes from
-//! the multi-job schedule. The client-side ORDER BY sort is priced per
-//! query and appended to its scheduled finish, exactly like the solo path.
+//! the *timeline* (queue wait, slot interleaving, finish times, and the
+//! cost read off them) comes from the multi-job schedule. The client-side
+//! ORDER BY sort is priced per query and appended to its scheduled finish,
+//! exactly like the solo path.
 
 use crate::engine::Clydesdale;
 use clyde_common::{Result, Row};
@@ -30,6 +31,9 @@ pub struct ServedQuery {
     /// Final rows, in ORDER BY order (bit-for-bit the solo answer).
     pub rows: Vec<Row>,
     pub profile: JobProfile,
+    /// The job's stage bands on the shared schedule: `total_s()` is its
+    /// arrival to its scheduled finish, queue wait and slot contention
+    /// included, final sort excluded.
     pub cost: JobCost,
 }
 
@@ -73,7 +77,7 @@ impl<'c> QueryServer<'c> {
     ) -> Result<std::result::Result<(), RejectReason>> {
         let admission = self
             .inner
-            .submit(tenant, arrival_s, self.clyde.plan(query)?);
+            .submit(tenant, arrival_s, self.clyde.plan(query)?.0);
         if admission.is_ok() {
             self.admitted.push(query.clone());
         }
@@ -93,11 +97,11 @@ impl<'c> QueryServer<'c> {
                 self.clyde
                     .finish_query(&query, &mut rows, hist_before + i, job.trace)?;
             out.push(ServedQuery {
-                tenant: job.tenant,
+                tenant: job.lane.tenant,
                 query_id: query.id.clone(),
-                arrival_s: job.arrival_s,
-                start_s: job.start_s,
-                finish_s: job.finish_s + final_sort_s,
+                arrival_s: job.lane.arrival_s,
+                start_s: job.lane.start_s,
+                finish_s: job.lane.finish_s + final_sort_s,
                 final_sort_s,
                 rows,
                 profile: job.result.profile,

@@ -825,12 +825,6 @@ impl Dfs {
     /// chosen by hashing `seed`, so the same seed always rots the same bytes.
     /// Returns how many replicas were actually corrupted.
     pub fn inject_corruption(&self, seed: u64, count: u32) -> usize {
-        fn mix64(mut x: u64) -> u64 {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        }
         if count == 0 {
             return 0;
         }
@@ -852,7 +846,7 @@ impl Dfs {
             let (Some(first), Some(_)) = (live.next(), live.next()) else {
                 continue;
             };
-            let h = mix64(seed ^ mix64(meta.id.0));
+            let h = hash::mix(seed ^ hash::mix(meta.id.0));
             candidates.push((h, meta.id, first.0));
         }
         candidates.sort_by_key(|&(h, id, _)| (h, id));

@@ -433,18 +433,11 @@ pub struct JobCost {
 pub const CACHED_READ_OVERHEAD_S: f64 = 0.5;
 
 impl CostParams {
-    /// Price a stage served from the DFS result cache: no tasks, no shuffle,
-    /// just a sequential read of the persisted output at the node's
-    /// effective HDFS read bandwidth plus a small fixed lookup overhead.
-    pub fn cached_read_cost(&self, cluster: &ClusterSpec, bytes: u64) -> JobCost {
-        JobCost {
-            setup_s: 0.0,
-            map_s: 0.0,
-            shuffle_s: 0.0,
-            reduce_s: 0.0,
-            overhead_s: CACHED_READ_OVERHEAD_S
-                + bytes as f64 / self.hdfs.effective_read_bw(&cluster.node),
-        }
+    /// Seconds to serve a stage from the DFS result cache — a task-less job
+    /// with this overhead: a sequential read of the persisted output at the
+    /// node's effective HDFS read bandwidth plus a small fixed lookup.
+    pub fn cached_read_s(&self, cluster: &ClusterSpec, bytes: u64) -> f64 {
+        CACHED_READ_OVERHEAD_S + bytes as f64 / self.hdfs.effective_read_bw(&cluster.node)
     }
 }
 

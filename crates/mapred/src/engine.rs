@@ -20,16 +20,17 @@
                 through join handles"
 )]
 
-use crate::cost::{CostParams, TaskCost};
+use crate::cost::{CostParams, JobCost, TaskCost};
 use crate::distcache::DistCache;
 use crate::fanout::fan_out;
 use crate::fault::FaultPlan;
 use crate::history;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::{
-    JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile, MAX_TASK_ATTEMPTS,
+    Arrival, JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile,
+    MAX_TASK_ATTEMPTS,
 };
-use crate::scheduler::{self, JobSchedule};
+use crate::scheduler::{self, JobSchedule, SchedPolicy, Sim};
 use crate::shuffle::{self, ReduceSink, Reducer, Run};
 use crate::task::{
     note_wall_phase, MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState,
@@ -88,17 +89,16 @@ struct JobPlan {
     fingerprint: Option<u64>,
 }
 
-/// A job that has run, with its cache fill and history held back for the
-/// caller to commit once the job has finished.
+/// A job that has run, unpriced, with its cache fill and history held back
+/// for the [`Timeline`] it joins.
 pub(crate) struct Executed {
-    pub result: JobResult,
-    /// The schedule the result was priced off, from the job's start (no
-    /// lanes for a cache hit).
-    pub sched: JobSchedule,
+    result: JobResult,
     /// The job's DFS I/O, its fill's included once committed (obs on only).
-    pub io: Option<IoSnapshot>,
+    io: Option<IoSnapshot>,
     /// The job's result-cache fill, when the job is cacheable and missed.
     fill: Option<CacheFill>,
+    /// Bytes of the result-cache entry a hit read instead of running.
+    cached_bytes: Option<u64>,
 }
 
 /// A result-cache entry waiting to be committed: an in-memory job's encoded
@@ -773,45 +773,30 @@ impl Engine {
     }
 
     /// Run a job that arrives at `start_s` on the caller's clock, making
-    /// `client.cache` available to every task. The job runs alone, so it
-    /// has finished when its run returns: its result-cache fill and its
-    /// history, which starts at `start_s`, are committed at once.
+    /// `client.cache` available to every task. The job runs alone: on a
+    /// one-job FIFO `Timeline`, which prices it, commits its result-cache
+    /// fill and publishes its history, starting at `start_s`.
     pub fn run_job_with(
         &self,
         spec: &JobSpec,
         client: ClientArtifacts,
         start_s: f64,
     ) -> Result<JobResult> {
-        let mut ran = self.execute(spec, client, start_s)?;
-        self.commit_fill(&mut ran)?;
-        if self.obs.is_enabled() {
-            let (r, cluster) = (&ran.result, self.dfs.cluster());
-            let hist = history::job_history(&r.profile, &self.params, cluster, &ran.sched);
-            publish_history(
-                &self.obs,
-                &r.profile,
-                hist,
-                ran.io.as_ref(),
-                r.served_from_cache,
-            );
-        }
-        Ok(ran.result)
+        let mut alone = Timeline::new(self, SchedPolicy::Fifo);
+        let at = Arrival::alone(start_s, spec.declared_task_memory);
+        alone.admit(self.execute(spec, client)?, String::new(), &at)?;
+        let recorded = alone.finish()?.next().map(|(result, ..)| result);
+        recorded.ok_or_else(|| ClydeError::MapReduce("a solo run recorded no job".into()))
     }
 
     /// One job, as a sequence of phases: plan → first map wave → heartbeat
-    /// barrier + retry wave → speculation → shuffle/reduce → price from
-    /// `start_s`. Each phase hands the next a named type. The fill and the
-    /// history wait for the caller, which knows when the job finished.
-    pub(crate) fn execute(
-        &self,
-        spec: &JobSpec,
-        client: ClientArtifacts,
-        start_s: f64,
-    ) -> Result<Executed> {
+    /// barrier + retry wave → speculation → shuffle/reduce, each handing the
+    /// next a named type. Nothing is priced: that waits for its [`Timeline`].
+    pub(crate) fn execute(&self, spec: &JobSpec, client: ClientArtifacts) -> Result<Executed> {
         let io_scope = self.obs.is_enabled().then(|| self.dfs.io_scope());
         let cluster = self.dfs.cluster().clone();
         let mut ran = match self.plan_job(spec, &cluster)? {
-            Planned::Cached(entry) => self.serve_from_cache(spec, &entry, &cluster, start_s)?,
+            Planned::Cached(entry) => self.serve_from_cache(spec, &entry)?,
             Planned::Run(plan) => {
                 let env = self.map_env(spec, &plan, &client, &cluster);
                 let wave = env.first_map_wave()?;
@@ -825,7 +810,7 @@ impl Engine {
                 }
                 let mut reduced = self.shuffle_and_reduce(spec, &cluster, &mut map_outputs)?;
                 let profile = env.profile(&map_outputs, recovery, &mut reduced);
-                self.finish_job(spec, &plan, profile, reduced, start_s)?
+                self.finish_job(spec, &plan, profile, reduced)?
             }
         };
         ran.io = io_scope.map(|s| s.delta());
@@ -976,17 +961,14 @@ impl Engine {
         Ok(out)
     }
 
-    /// Price the finished job — the one place its timeline is produced —
-    /// and prepare its result-cache fill.
+    /// The finished job's result, and its result-cache fill prepared.
     fn finish_job(
         &self,
         spec: &JobSpec,
         plan: &JobPlan,
         profile: JobProfile,
         reduced: Reduced,
-        start_s: f64,
     ) -> Result<Executed> {
-        let sched = profile.schedule(&self.params, self.dfs.cluster(), start_s)?;
         let Reduced {
             rows, output_files, ..
         } = reduced;
@@ -994,38 +976,27 @@ impl Engine {
             .fingerprint
             .map(|fp| self.cache_fill(spec, fp, &plan.splits, &rows, &output_files))
             .transpose()?;
-        let total_map = profile.total_map_cost();
-        let scanned = total_map.local_bytes + total_map.remote_bytes;
         Ok(Executed {
             result: JobResult {
                 rows,
                 output_files,
-                locality: if scanned == 0 {
-                    1.0
-                } else {
-                    total_map.local_bytes as f64 / scanned as f64
-                },
+                locality: profile.scan_locality(),
                 profile,
-                cost: sched.cost,
+                cost: JobCost::default(),
                 served_from_cache: false,
                 fingerprint: plan.fingerprint,
             },
-            sched,
             io: None,
             fill,
+            cached_bytes: None,
         })
     }
 
     /// Materialize a cache hit: read the persisted output back (memory jobs)
     /// or point downstream readers at the cached files (DFS-dir jobs), with
-    /// a synthetic zero-task profile priced as a sequential DFS read.
-    fn serve_from_cache(
-        &self,
-        spec: &JobSpec,
-        entry: &CacheEntry,
-        cluster: &ClusterSpec,
-        start_s: f64,
-    ) -> Result<Executed> {
+    /// a synthetic zero-task profile; its timeline prices it as a
+    /// sequential DFS read of the entry.
+    fn serve_from_cache(&self, spec: &JobSpec, entry: &CacheEntry) -> Result<Executed> {
         let mut rows = Vec::new();
         let mut output_files = Vec::new();
         match &spec.output {
@@ -1043,30 +1014,24 @@ impl Engine {
                 output_files = entry.output_paths.clone();
             }
         }
-        let profile = JobProfile {
-            name: spec.name.clone(),
-            map_concurrency: 1,
-            split_locality: 1.0,
-            ..JobProfile::default()
-        };
-        let cost = self.params.cached_read_cost(cluster, entry.bytes);
         Ok(Executed {
             result: JobResult {
                 rows,
                 output_files,
-                profile,
-                cost,
+                profile: JobProfile {
+                    name: spec.name.clone(),
+                    map_concurrency: 1,
+                    split_locality: 1.0,
+                    ..JobProfile::default()
+                },
+                cost: JobCost::default(),
                 locality: 1.0,
                 served_from_cache: true,
                 fingerprint: Some(entry.fingerprint),
             },
-            sched: JobSchedule {
-                arrival_s: start_s,
-                cost,
-                ..JobSchedule::default()
-            },
             io: None,
             fill: None,
+            cached_bytes: Some(entry.bytes),
         })
     }
 
@@ -1121,7 +1086,7 @@ impl Engine {
     /// job's. The catalog admits (or refuses, or already holds) the entry
     /// first — evicting LRU entries and deleting their files — and only an
     /// admitted entry's bytes are written.
-    pub(crate) fn commit_fill(&self, ran: &mut Executed) -> Result<()> {
+    fn commit_fill(&self, ran: &mut Executed) -> Result<()> {
         let Some(fill) = ran.fill.take() else {
             return Ok(());
         };
@@ -1149,91 +1114,160 @@ impl Engine {
     }
 }
 
-/// Record a finished job into the observability hub: history + spans plus
-/// the unified metrics (engine counters, scheduler locality, DFS I/O
-/// attributed to this job via the scoped snapshot). Shared between the
-/// engine's solo publish path and the job server's scheduled publish path,
-/// so a served job emits exactly the metric set a solo run would. Returns
-/// the job's trace location (`None` with observability off).
-pub(crate) fn publish_history(
-    obs: &Obs,
-    profile: &JobProfile,
-    mut hist: clyde_common::obs::JobHistory,
+/// Executed jobs on one slot simulator, the one route from an executed job
+/// to its timeline: a solo run owns a one-job FIFO timeline, the job
+/// server's drain a shared one. A job's fill is committed once the
+/// simulator reaches its finish (ReStore's rule: reuse only materialized
+/// outputs).
+pub(crate) struct Timeline<'e> {
+    engine: &'e Engine,
+    sim: Sim,
+    /// Admitted jobs in admission order, each with its tenant's name.
+    jobs: Vec<(Executed, String)>,
+}
+
+impl<'e> Timeline<'e> {
+    pub(crate) fn new(engine: &'e Engine, policy: SchedPolicy) -> Timeline<'e> {
+        Timeline {
+            engine,
+            sim: Sim::new(engine.dfs.cluster(), policy),
+            jobs: Vec::new(),
+        }
+    }
+
+    /// Run the simulator up to `t` and commit the fills of the jobs it has
+    /// finished by then, in finish order.
+    pub(crate) fn advance(&mut self, t: f64) -> Result<()> {
+        self.sim.advance(t)?;
+        if self.jobs.iter().all(|(ran, _)| ran.fill.is_none()) {
+            return Ok(()); // nothing to commit
+        }
+        for j in self.sim.finished_by(t) {
+            if let Some((done, _)) = self.jobs.get_mut(j) {
+                self.engine.commit_fill(done)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Admit an executed job on behalf of `tenant`: check that its memory
+    /// fits a node, then build its one [`SimJob`] (a cache hit's is
+    /// task-less, with the cached read as its overhead).
+    pub(crate) fn admit(&mut self, ran: Executed, tenant: String, at: &Arrival) -> Result<()> {
+        let (params, cluster) = (&self.engine.params, self.engine.dfs.cluster());
+        let profile = &ran.result.profile;
+        profile.check_memory(cluster)?;
+        let overhead_s = (ran.cached_bytes).map_or(params.job_overhead_s, |bytes| {
+            params.cached_read_s(cluster, bytes)
+        });
+        self.sim
+            .admit(profile.sim_job(params, cluster, at, overhead_s))?;
+        self.jobs.push((ran, tenant));
+        Ok(())
+    }
+
+    /// Run every job to its end, committing the fills left, and record each
+    /// in admission order: its cost is its schedule's bands, and its history
+    /// is drawn off that schedule and published.
+    pub(crate) fn finish(
+        mut self,
+    ) -> Result<impl Iterator<Item = (JobResult, JobSchedule, Option<JobRef>)> + use<'e>> {
+        self.advance(f64::INFINITY)?;
+        let (engine, schedules) = (self.engine, self.sim.run()?);
+        let recorded = self.jobs.into_iter().zip(schedules);
+        Ok(recorded.map(move |((ran, tenant), sched)| {
+            let mut result = ran.result;
+            result.cost = sched.cost;
+            let trace = publish_history(engine, &result, &sched, tenant, ran.io.as_ref());
+            (result, sched, trace)
+        }))
+    }
+}
+
+/// Record a finished job into the observability hub: its history drawn off
+/// `sched` + spans, plus the unified metrics (engine counters, scheduler
+/// locality, DFS I/O attributed to this job via the scoped snapshot), the
+/// same set solo or served. Returns its trace location (`None` if obs off).
+fn publish_history(
+    engine: &Engine,
+    result: &JobResult,
+    sched: &JobSchedule,
+    tenant: String,
     io: Option<&IoSnapshot>,
-    served_from_cache: bool,
 ) -> Option<JobRef> {
+    let (obs, profile) = (&engine.obs, &result.profile);
     if !obs.is_enabled() {
         return None;
     }
+    let mut hist = history::job_history(profile, &engine.params, engine.dfs.cluster(), sched);
+    hist.tenant = tenant;
+    let (total_map, total_reduce) = (profile.total_map_cost(), profile.total_reduce_cost());
     let m = obs.metrics();
-    m.counter_add(series::MAPRED_JOBS, 1);
-    m.counter_add(series::MAPRED_MAP_TASKS, profile.map_tasks.len() as u64);
-    m.counter_add(
-        series::MAPRED_REDUCE_TASKS,
-        profile.reduce_tasks.len() as u64,
-    );
-    m.counter_add(
-        series::MAPRED_FAILED_ATTEMPTS,
-        u64::from(profile.failed_attempts),
-    );
-    m.counter_add(series::MAPRED_SHUFFLE_BYTES, profile.shuffle_bytes);
-    // Recovery counters are emitted only when the corresponding action
-    // fired, so clean runs keep their metric set (and traces) unchanged.
-    if profile.speculative_attempts > 0 {
-        m.counter_add(
+    for (counter, n) in [
+        (series::MAPRED_JOBS, 1),
+        (series::MAPRED_MAP_TASKS, profile.map_tasks.len() as u64),
+        (
+            series::MAPRED_REDUCE_TASKS,
+            profile.reduce_tasks.len() as u64,
+        ),
+        (
+            series::MAPRED_FAILED_ATTEMPTS,
+            u64::from(profile.failed_attempts),
+        ),
+        (series::MAPRED_SHUFFLE_BYTES, profile.shuffle_bytes),
+        (series::MAPRED_EMIT_RECORDS, total_map.emit_records),
+        (series::MAPRED_EMIT_BYTES, total_map.emit_bytes),
+        (
+            series::MAPRED_COMBINE_INPUT_RECORDS,
+            total_map.combine_input_records,
+        ),
+        (
+            series::MAPRED_COMBINE_OUTPUT_RECORDS,
+            total_map.combine_output_records,
+        ),
+        (series::MAPRED_SHUFFLE_MERGED_RUNS, total_reduce.merge_runs),
+        (series::DFS_SCAN_LOCAL_BYTES, total_map.local_bytes),
+        (series::DFS_SCAN_REMOTE_BYTES, total_map.remote_bytes),
+        (series::DFS_ZONE_CHECKED, total_map.zone_checked),
+        (series::DFS_ZONE_SKIPPED, total_map.zone_skipped),
+    ] {
+        m.counter_add(counter, n);
+    }
+    // Recovery counters and cache.hits are emitted only when the action
+    // fired, so clean and cache-off runs keep their metric set (and traces)
+    // unchanged.
+    for (counter, n) in [
+        (
             series::MAPRED_SPECULATIVE_LAUNCHED,
             u64::from(profile.speculative_attempts),
-        );
-    }
-    if profile.speculative_wins > 0 {
-        m.counter_add(
+        ),
+        (
             series::MAPRED_SPECULATIVE_WINS,
             u64::from(profile.speculative_wins),
-        );
-    }
-    if !profile.blacklisted_nodes.is_empty() {
-        m.counter_add(
+        ),
+        (
             series::MAPRED_BLACKLISTED_NODES,
             profile.blacklisted_nodes.len() as u64,
-        );
-    }
-    if !profile.dead_nodes.is_empty() {
-        m.counter_add(
+        ),
+        (
             series::MAPRED_HEARTBEAT_LOST_NODES,
             profile.dead_nodes.len() as u64,
-        );
+        ),
+        (series::DFS_REREPLICATED_BLOCKS, profile.rereplicated_blocks),
+        (
+            series::DFS_CORRUPT_READS_DETECTED,
+            io.map_or(0, IoSnapshot::total_corrupt_reads),
+        ),
+        (series::CACHE_HITS, u64::from(result.served_from_cache)),
+    ] {
+        if n > 0 {
+            m.counter_add(counter, n);
+        }
     }
-    if profile.rereplicated_blocks > 0 {
-        m.counter_add(series::DFS_REREPLICATED_BLOCKS, profile.rereplicated_blocks);
-    }
-
-    let total_map = profile.total_map_cost();
-    let total_reduce = profile.total_reduce_cost();
-    m.counter_add(series::MAPRED_EMIT_RECORDS, total_map.emit_records);
-    m.counter_add(series::MAPRED_EMIT_BYTES, total_map.emit_bytes);
-    m.counter_add(
-        series::MAPRED_COMBINE_INPUT_RECORDS,
-        total_map.combine_input_records,
-    );
-    m.counter_add(
-        series::MAPRED_COMBINE_OUTPUT_RECORDS,
-        total_map.combine_output_records,
-    );
-    m.counter_add(series::MAPRED_SHUFFLE_MERGED_RUNS, total_reduce.merge_runs);
-    m.counter_add(series::DFS_SCAN_LOCAL_BYTES, total_map.local_bytes);
-    m.counter_add(series::DFS_SCAN_REMOTE_BYTES, total_map.remote_bytes);
-    m.counter_add(series::DFS_ZONE_CHECKED, total_map.zone_checked);
-    m.counter_add(series::DFS_ZONE_SKIPPED, total_map.zone_skipped);
     if let Some(delta) = io {
         m.counter_add(series::DFS_IO_LOCAL_READ_BYTES, delta.total_local_read());
         m.counter_add(series::DFS_IO_REMOTE_READ_BYTES, delta.total_remote_read());
         m.counter_add(series::DFS_IO_WRITTEN_BYTES, delta.total_written());
-        if delta.total_corrupt_reads() > 0 {
-            m.counter_add(
-                series::DFS_CORRUPT_READS_DETECTED,
-                delta.total_corrupt_reads(),
-            );
-        }
         // Mirror the scoped snapshot into the history so query profiles
         // can report per-node I/O next to phase costs.
         hist.io = delta
@@ -1256,25 +1290,19 @@ pub(crate) fn publish_history(
             TaskKind::Reduce => m.histogram_record(series::MAPRED_REDUCE_TASK_SIM_S, t.dur_s),
         }
     }
-    // Like the recovery counters: cache.hits only appears when a job was
-    // actually served from the cache, so cache-off runs keep their metric
-    // set byte-identical.
     let (span_ts_s, span_dur_s) = (hist.t0_s, hist.total_s());
     let job_ref = obs.record_job(hist);
-    if served_from_cache {
-        m.counter_add(series::CACHE_HITS, 1);
-        if let Some(j) = job_ref {
-            obs.spans().span(
-                None,
-                SpanKind::Phase,
-                "served-from-cache",
-                j.pid,
-                0,
-                (span_ts_s * 1e6) as u64,
-                (span_dur_s * 1e6) as u64,
-                vec![("job".into(), profile.name.clone())],
-            );
-        }
+    if let Some(j) = job_ref.filter(|_| result.served_from_cache) {
+        obs.spans().span(
+            None,
+            SpanKind::Phase,
+            "served-from-cache",
+            j.pid,
+            0,
+            (span_ts_s * 1e6) as u64,
+            (span_dur_s * 1e6) as u64,
+            vec![("job".into(), profile.name.clone())],
+        );
     }
     job_ref
 }

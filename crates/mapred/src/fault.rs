@@ -14,6 +14,7 @@
 //! model's task durations), so fault runs stay as deterministic as clean runs.
 
 use crate::job::MAX_TASK_ATTEMPTS;
+use clyde_common::hash::mix;
 
 /// The named plans exercised by the CI fault-matrix, in matrix order.
 pub const NAMES: [&str; 6] = [
@@ -24,14 +25,6 @@ pub const NAMES: [&str; 6] = [
     "corruption",
     "combined",
 ];
-
-/// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
-pub fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Streams keep the per-task, per-count decisions statistically independent.
 const STREAM_TASK_FAIL: u64 = 1;

@@ -23,13 +23,13 @@
 //! limits — all execution knobs under the workspace-wide invariant that
 //! results are byte-identical across them.
 //!
-//! The hash is the fault injector's splitmix64 finalizer
-//! ([`crate::fault::mix`]), chained over length-prefixed fields so that
-//! adjacent strings cannot alias (`"ab","c"` vs `"a","bc"`).
+//! The hash is the splitmix64 finalizer ([`clyde_common::hash::mix`]),
+//! chained over length-prefixed fields so that adjacent strings cannot
+//! alias (`"ab","c"` vs `"a","bc"`).
 
-use crate::fault::mix;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::JobSpec;
+use clyde_common::hash::mix;
 
 /// Incremental fingerprint accumulator: a chained `mix` over tagged,
 /// length-prefixed fields.

@@ -3,12 +3,12 @@
 //! There is one model of when tasks run — the slot simulator
 //! ([`crate::scheduler::Sim`]) — and a history is a drawing of its
 //! verdict: every swimlane is one [`Placement`] taken verbatim, and the
-//! stage bands are the same schedule's [`JobSchedule::cost`]. Every schedule
-//! is on its caller's clock, client setup included: the job arrives at
-//! [`JobSchedule::arrival_s`], its setup band runs from there, and its lanes
-//! start no earlier than setup's end. A solo job ([`JobProfile::schedule`]),
-//! a Hive stage started where the previous one ended, and a job the server
-//! interleaved with others all come through the same function unchanged.
+//! stage bands are the same schedule's [`JobSchedule::cost`] (an executed
+//! job's `JobResult::cost`). Every schedule is on its caller's clock, client
+//! setup included: the job arrives at [`JobSchedule::arrival_s`], its setup
+//! band runs from there, and its lanes start no earlier than setup's end. A
+//! solo job, a Hive stage, a served job and a bare profile
+//! ([`JobProfile::schedule`]) are all drawn by this one function.
 
 use crate::cost::{CostParams, TaskCost};
 use crate::job::JobProfile;
@@ -94,7 +94,6 @@ pub fn job_history(
 
     let total_map = profile.total_map_cost();
     let total_reduce = profile.total_reduce_cost();
-    let scanned = total_map.local_bytes + total_map.remote_bytes;
     JobHistory {
         name: profile.name.clone(),
         tenant: String::new(),
@@ -109,11 +108,7 @@ pub fn job_history(
         merge_runs: total_reduce.merge_runs,
         combine_input_records: total_map.combine_input_records,
         combine_output_records: total_map.combine_output_records,
-        locality: if scanned == 0 {
-            1.0
-        } else {
-            total_map.local_bytes as f64 / scanned as f64
-        },
+        locality: profile.scan_locality(),
         split_locality: profile.split_locality,
         failed_attempts: profile.failed_attempts,
         speculative_attempts: profile.speculative_attempts,

@@ -5,7 +5,7 @@ use crate::cost::{shuffle_time, CostParams, JobCost, TaskCost};
 use crate::fault::FaultPlan;
 use crate::input::InputFormat;
 use crate::runner::MapRunner;
-use crate::scheduler::{JobSchedule, SchedPolicy, Sim, SimJob};
+use crate::scheduler::{interleave, JobSchedule, SchedPolicy, SimJob};
 use crate::shuffle::Reducer;
 use clyde_common::obs::Phase;
 use clyde_common::{ClydeError, Result, Row};
@@ -126,6 +126,27 @@ pub struct KilledAttempt {
     pub cost: TaskCost,
 }
 
+/// Who submits a job to the slot simulator and when: tenant, capacity
+/// weight, arrival on the caller's clock, declared memory per map task.
+pub(crate) struct Arrival {
+    pub tenant: usize,
+    pub weight: f64,
+    pub arrival_s: f64,
+    pub task_mem: u64,
+}
+
+impl Arrival {
+    /// A job on a cluster of its own: tenant 0, weight 1.
+    pub(crate) fn alone(arrival_s: f64, task_mem: u64) -> Arrival {
+        Arrival {
+            tenant: 0,
+            weight: 1.0,
+            arrival_s,
+            task_mem,
+        }
+    }
+}
+
 /// Hardware-independent record of one job's execution, priceable against any
 /// cluster spec and scalable to other scale factors.
 #[derive(Debug, Clone, Default)]
@@ -193,19 +214,34 @@ impl JobProfile {
             .fold(TaskCost::new(), |acc, t| acc.merge(&t.cost))
     }
 
+    /// Fraction of scanned bytes read from local replicas (1 when the job
+    /// scanned nothing).
+    pub(crate) fn scan_locality(&self) -> f64 {
+        let map = self.total_map_cost();
+        let scanned = map.local_bytes + map.remote_bytes;
+        if scanned == 0 {
+            1.0
+        } else {
+            map.local_bytes as f64 / scanned as f64
+        }
+    }
+
     /// Straggler multiplier the fault plan put on `node` (1.0 clean).
     pub(crate) fn slowdown(&self, node: usize) -> f64 {
         self.node_slowdown.get(node).copied().unwrap_or(1.0)
     }
 
-    /// This job as the slot simulator sees it: the one place task counters
-    /// become `(node, seconds)`. Slow nodes stretch their tasks, and killed
-    /// attempts follow the committed map tasks as extra map lanes — they
-    /// occupied real slots until the commit race was decided. The job stands
-    /// alone (tenant 0, arrival 0, no declared memory); [`Self::schedule`]
-    /// sets its arrival, and the job server overrides all three per
-    /// submission.
-    pub(crate) fn sim_job(&self, params: &CostParams, cluster: &ClusterSpec) -> SimJob {
+    /// This job as the slot simulator sees it, the one place task counters
+    /// become `(node, seconds)`: slow nodes stretch their tasks, and killed
+    /// attempts follow the committed map tasks as extra map lanes (they held
+    /// real slots). `at` places the job; `overhead_s` follows its last stage.
+    pub(crate) fn sim_job(
+        &self,
+        params: &CostParams,
+        cluster: &ClusterSpec,
+        at: &Arrival,
+        overhead_s: f64,
+    ) -> SimJob {
         let n = cluster.num_workers().max(1);
         let concurrency = self.map_concurrency.max(1);
         let committed = self.map_tasks.iter().map(|t| {
@@ -223,26 +259,41 @@ impl JobProfile {
             (node, dur * self.slowdown(node))
         });
         SimJob {
-            tenant: 0,
-            weight: 1.0,
-            arrival_s: 0.0,
+            tenant: at.tenant,
+            weight: at.weight,
+            arrival_s: at.arrival_s,
             setup_s: self.client_build_rows as f64 / params.build_rows_per_s
                 + 2.0 * self.client_publish_bytes as f64 / cluster.network_bw,
             map_tasks: committed.chain(killed).collect(),
             map_cap_per_node: concurrency,
-            task_mem: 0,
+            task_mem: at.task_mem,
             shuffle_s: shuffle_time(params, cluster, self.shuffle_bytes),
             reduce_tasks: reduces.collect(),
-            overhead_s: params.job_overhead_s,
+            overhead_s,
         }
+    }
+
+    /// Errors `OutOfMemory` when per-slot memory duplication exceeds node RAM
+    /// — the paper's cluster-A mapjoin failure mode (Section 6.4).
+    pub(crate) fn check_memory(&self, cluster: &ClusterSpec) -> Result<()> {
+        let raw = (self.memory_per_slot + self.memory_per_slot_fixed)
+            .saturating_mul(u64::from(self.map_concurrency.max(1)))
+            + self.memory_shared
+            + self.memory_shared_fixed;
+        if raw > cluster.node.memory_bytes {
+            return Err(ClydeError::OutOfMemory {
+                required: raw,
+                available: cluster.node.memory_bytes,
+            });
+        }
+        Ok(())
     }
 
     /// Price this profile on a cluster and lay its tasks out: the job runs
     /// alone through the slot simulator, and the stage times are read off
     /// the resulting schedule. Errors with `OutOfMemory` when the per-slot
-    /// memory duplication exceeds node RAM — the paper's cluster-A mapjoin
-    /// failure mode (Section 6.4) — and with `Config` when `params` price a
-    /// time that is negative or not finite (e.g. a zero rate).
+    /// memory duplication exceeds node RAM, and with `Config` when `params`
+    /// price a time that is negative or not finite (e.g. a zero rate).
     ///
     /// The job arrives at `start_s` on the caller's clock, and its client
     /// setup runs from there: the schedule, its lanes and its bands are all
@@ -253,24 +304,12 @@ impl JobProfile {
         cluster: &ClusterSpec,
         start_s: f64,
     ) -> Result<JobSchedule> {
-        let concurrency = self.map_concurrency.max(1);
-        let raw = (self.memory_per_slot + self.memory_per_slot_fixed)
-            .saturating_mul(u64::from(concurrency))
-            + self.memory_shared
-            + self.memory_shared_fixed;
-        if raw > cluster.node.memory_bytes {
-            return Err(ClydeError::OutOfMemory {
-                required: raw,
-                available: cluster.node.memory_bytes,
-            });
-        }
-
-        let mut sim = Sim::new(cluster, SchedPolicy::Fifo);
-        sim.admit(SimJob {
-            arrival_s: start_s,
-            ..self.sim_job(params, cluster)
-        })?;
-        Ok(sim.run()?.pop().unwrap_or_default())
+        self.check_memory(cluster)?;
+        let at = Arrival::alone(start_s, 0);
+        let job = self.sim_job(params, cluster, &at, params.job_overhead_s);
+        Ok(interleave(&[job], cluster, SchedPolicy::Fifo)?
+            .pop()
+            .unwrap_or_default())
     }
 
     /// The stage times of [`Self::schedule`].
@@ -388,7 +427,8 @@ pub struct JobResult {
     pub output_files: Vec<String>,
     /// Hardware-independent execution profile.
     pub profile: JobProfile,
-    /// The profile priced on the engine's own cluster spec.
+    /// The stage bands of the schedule the job ran on (alone, or among a
+    /// drain's other jobs) on the engine's own cluster spec.
     pub cost: JobCost,
     /// Fraction of scanned bytes read from local replicas.
     pub locality: f64,

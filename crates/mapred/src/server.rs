@@ -2,15 +2,15 @@
 //! admission control, per-tenant quotas, and policy-driven slot scheduling
 //! in deterministic simulated time.
 //!
-//! One event loop on the slot simulator's clock ([`Sim`]): [`JobServer::drain`]
-//! takes the admitted jobs in arrival order. It advances the simulator to a
-//! job's arrival and commits the result-cache fills of the jobs finished by
-//! then — a job reuses only materialized outputs (ReStore's rule) — then
-//! executes the job through the unmodified [`Engine`] (rows, output files and
-//! counters bit-for-bit a solo run's) with its own fill held back, and admits
-//! it to the simulator. Concurrency lives only in the simulator, so histories,
-//! traces and `scheduler.*` metrics depend only on the submitted workload,
-//! never on wall-clock or host threads (`tests/determinism.rs`).
+//! One event loop on the slot simulator's clock: [`JobServer::drain`] takes
+//! the admitted jobs in arrival order on one shared timeline, the route a
+//! solo run takes too. It advances to a job's arrival, committing the
+//! result-cache fills of the jobs finished by then (ReStore's rule), executes
+//! the job through the unmodified [`Engine`] (rows, output files and profile
+//! bit-for-bit a solo run's) and admits it: each job meets the simulator
+//! once, and its cost and history are read off its served schedule. So
+//! histories, traces and `scheduler.*` metrics depend only on the submitted
+//! workload, never on wall-clock or host threads (`tests/determinism.rs`).
 //!
 //! Admission is decided synchronously at [`JobServer::submit`] against the
 //! current backlog: a bounded queue (reject past `queue_capacity`) and an
@@ -18,10 +18,9 @@
 //! are reported in the drain's [`ServerRun`] artifact next to the served
 //! swimlanes.
 
-use crate::engine::{publish_history, ClientArtifacts, Engine, Executed};
-use crate::history;
-use crate::job::{JobResult, JobSpec};
-use crate::scheduler::{SchedPolicy, Sim, SimJob};
+use crate::engine::{ClientArtifacts, Engine, Timeline};
+use crate::job::{Arrival, JobResult, JobSpec};
+use crate::scheduler::SchedPolicy;
 use clyde_common::obs::{catalog as series, JobRef, RejectedLane, ServedLane, ServerRun};
 use clyde_common::Result;
 use std::fmt;
@@ -73,17 +72,12 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// One served job: where it sat on the shared timeline, plus the full
-/// (solo-identical) execution result.
+/// One served job: where it sat on the shared timeline, plus its result —
+/// a solo run's rows, files and profile, priced by its served schedule.
 pub struct ServedJob {
-    pub tenant: String,
-    pub name: String,
-    /// Submission time on the server clock (seconds).
-    pub arrival_s: f64,
-    /// First granted slot on the shared cluster.
-    pub start_s: f64,
-    /// Completion (last stage + overhead) on the shared timeline.
-    pub finish_s: f64,
+    /// Tenant, job, arrival, first granted slot and finish (last stage plus
+    /// overhead), as the drain's [`ServerRun`] shows them.
+    pub lane: ServedLane,
     pub result: JobResult,
     /// Where the job's scheduled history sits in the trace (`None` with
     /// observability off), for the query layer to append to its track.
@@ -173,86 +167,51 @@ impl<'e> JobServer<'e> {
     }
 
     /// Run everything admitted since the last drain in one arrival-ordered
-    /// loop (module docs), then run the simulator to the end, commit the
-    /// remaining fills, publish one scheduled history per job (in submission
-    /// order) plus the `scheduler.*` metrics, and record the [`ServerRun`].
+    /// loop (module docs), record one job per submission in submission order,
+    /// and publish the `scheduler.*` metrics and the [`ServerRun`].
     pub fn drain(&mut self) -> Result<Vec<ServedJob>> {
         let subs = std::mem::take(&mut self.pending);
         let rejected = std::mem::take(&mut self.rejected);
         let queue_full = std::mem::take(&mut self.rejected_queue_full);
         let peak_depth = std::mem::replace(&mut self.peak_depth, 0);
-        let cluster = self.engine.dfs().cluster().clone();
-        let params = self.engine.params().clone();
         let cache_before = self.engine.dfs().cache_stats();
         let obs = self.engine.obs();
 
         // Dense tenant indices in order of first submission.
         let mut tenant_names: Vec<String> = Vec::new();
-        let mut sim = Sim::new(&cluster, self.cfg.policy);
-        let mut ran: Vec<Executed> = Vec::with_capacity(subs.len());
-        // One step per arrival, and one past the last for the fills left.
-        for sub in subs.iter().map(Some).chain([None]) {
-            let now = sub.map_or(f64::INFINITY, |s| s.arrival_s);
-            sim.advance(now)?;
-            for j in sim.finished_by(now) {
-                if let Some(done) = ran.get_mut(j) {
-                    self.engine.commit_fill(done)?;
-                }
-            }
-            let Some(sub) = sub else { break };
-            // Priced alone from t = 0; the drain below places it.
-            let job = self
-                .engine
-                .execute(&sub.spec, ClientArtifacts::default(), 0.0)?;
+        let mut timeline = Timeline::new(self.engine, self.cfg.policy);
+        for sub in &subs {
+            timeline.advance(sub.arrival_s)?;
+            let job = self.engine.execute(&sub.spec, ClientArtifacts::default())?;
             let tenant = tenant_names.iter().position(|n| *n == sub.tenant);
             let tenant = tenant.unwrap_or_else(|| {
                 tenant_names.push(sub.tenant.clone());
                 tenant_names.len() - 1
             });
             let weight = self.cfg.weights.iter().find(|(n, _)| *n == sub.tenant);
-            sim.admit(SimJob {
+            let at = Arrival {
                 tenant,
                 weight: weight.map_or(1.0, |(_, w)| *w),
                 arrival_s: sub.arrival_s,
                 task_mem: sub.spec.declared_task_memory,
-                // A cache hit is priced as a read, not as a job submission.
-                overhead_s: job.result.cost.overhead_s,
-                ..job.result.profile.sim_job(&params, &cluster)
-            })?;
-            ran.push(job);
-        }
-        let schedules = sim.run()?;
-
-        // Publish, in submission order (deterministic).
-        let mut served = Vec::with_capacity(subs.len());
-        let mut lanes = Vec::with_capacity(subs.len());
-        for ((ran, sub), sched) in ran.into_iter().zip(&subs).zip(&schedules) {
-            let result = ran.result;
-            let trace = if obs.is_enabled() {
-                let p = &result.profile;
-                let mut hist = history::job_history(p, &params, &cluster, sched);
-                hist.tenant = sub.tenant.clone();
-                publish_history(obs, p, hist, ran.io.as_ref(), result.served_from_cache)
-            } else {
-                None
             };
-            lanes.push(ServedLane {
-                tenant: sub.tenant.clone(),
-                job: sub.spec.name.clone(),
-                arrival_s: sub.arrival_s,
-                start_s: sched.first_slot_s,
-                finish_s: sched.finish_s,
-            });
-            served.push(ServedJob {
-                tenant: sub.tenant.clone(),
-                name: sub.spec.name.clone(),
-                arrival_s: sub.arrival_s,
-                start_s: sched.first_slot_s,
-                finish_s: sched.finish_s,
+            timeline.admit(job, sub.tenant.clone(), &at)?;
+        }
+        let recorded = subs.into_iter().zip(timeline.finish()?);
+        let served: Vec<ServedJob> = recorded
+            .map(|(sub, (result, sched, trace))| ServedJob {
+                lane: ServedLane {
+                    tenant: sub.tenant,
+                    job: sub.spec.name,
+                    arrival_s: sub.arrival_s,
+                    start_s: sched.first_slot_s,
+                    finish_s: sched.finish_s,
+                },
                 result,
                 trace,
-            });
-        }
+            })
+            .collect();
+        let lanes = served.iter().map(|s| s.lane.clone()).collect();
 
         // Drain-level result-cache deltas: catalog counters accumulated by
         // this drain's lookups/fills, emitted only while the cache is
@@ -291,11 +250,7 @@ impl<'e> JobServer<'e> {
     /// Aggregate drain-level metrics. Per-tenant detail lives in the
     /// [`ServerRun`] report.
     fn publish_run(&self, run: &ServerRun, queue_full: u64, peak_depth: usize, tenants: usize) {
-        let obs = self.engine.obs();
-        if !obs.is_enabled() {
-            return;
-        }
-        let m = obs.metrics();
+        let m = self.engine.obs().metrics();
         m.counter_add(series::SCHEDULER_JOBS_ADMITTED, run.lanes.len() as u64);
         let quota = run.rejected.len() as u64 - queue_full;
         if queue_full > 0 {

@@ -1,16 +1,23 @@
 //! Job-server end-to-end: admission control is deterministic, quotas hold,
 //! each rejection is counted by its kind, served queries answer bit-for-bit
 //! like solo runs (down to the final-sort span on the job's trace track),
-//! and a cached result is served only once its producer has finished in
-//! simulated time. That the multi-job
-//! schedule is byte-identical across reruns and host thread counts is
-//! `tests/determinism.rs`'s served-workload scenario.
+//! a served job's cost is the span its served schedule gave it, a cached
+//! result is served only once its producer has finished in simulated time,
+//! and a submission that cannot fit in memory fails its drain without
+//! harming the next. That the multi-job schedule is byte-identical across
+//! reruns and host thread counts is `tests/determinism.rs`'s served-workload
+//! scenario.
 
 use clyde_common::obs::{Span, SpanKind};
 use clyde_common::Obs;
+use clyde_common::{row, Datum};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::cost::CACHED_READ_OVERHEAD_S;
-use clyde_mapred::{RejectReason, SchedPolicy, ServerConfig};
+use clyde_mapred::formats::VecInputFormat;
+use clyde_mapred::{
+    Engine, FnMapRunner, JobServer, JobSpec, MapTaskContext, RejectReason, SchedPolicy,
+    ServerConfig,
+};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::queries::StarQuery;
@@ -151,7 +158,8 @@ fn per_tenant_quota_is_enforced() {
 fn a_cached_result_is_served_only_after_its_producer_finishes() {
     let dfs = cluster(3);
     let layout = load(&dfs, 0.005);
-    let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
+    let obs = Obs::enabled();
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout).with_obs(Arc::clone(&obs));
     clyde.warm_dimension_cache().unwrap();
     let (q11, q12) = (query_by_id("Q1.1").unwrap(), query_by_id("Q1.2").unwrap());
     // Q1.2 alone on the cluster, priced before the cache is on.
@@ -173,8 +181,22 @@ fn a_cached_result_is_served_only_after_its_producer_finishes() {
     let (served, hits, misses) = twins(&q11, 0.1);
     assert_eq!((hits, misses), (0, 2));
     assert_eq!(served[1].rows, served[0].rows);
-    assert_eq!(served[1].cost, served[0].cost);
     assert!(served[1].cost.total_s() > 10.0 * CACHED_READ_OVERHEAD_S);
+    // The twins contend for slots, and each one's cost is the span its
+    // served schedule gives it — the schedule its published history draws.
+    assert!(served[1].finish_s - served[1].arrival_s > served[0].finish_s - served[0].arrival_s);
+    let drawn: Vec<f64> =
+        obs.with_histories(|hs| hs.iter().rev().take(2).rev().map(|h| h.total_s()).collect());
+    for (s, history_s) in served.iter().zip(drawn) {
+        let span_s = s.finish_s - s.final_sort_s - s.arrival_s;
+        assert!(
+            (s.cost.total_s() - span_s).abs() <= 1e-9 * span_s,
+            "{}: cost {} vs served span {span_s}",
+            s.tenant,
+            s.cost.total_s()
+        );
+        assert_eq!(s.cost.total_s(), history_s, "{}", s.tenant);
+    }
 
     // After the producer's scheduled finish: miss, hit.
     let (served, hits, misses) = twins(&q12, alone_s + 1.0);
@@ -299,4 +321,44 @@ fn fair_scheduling_beats_fifo_for_the_starved_tenant() {
         fair < fifo,
         "fair must improve the starved tenant's latency: fair {fair:.1}s !< fifo {fifo:.1}s"
     );
+}
+
+/// A submission whose per-slot memory cannot fit on a node fails its drain
+/// with `OutOfMemory`, and the server's engine serves the next drain as if
+/// nothing had happened.
+#[test]
+fn an_oversized_submission_fails_its_drain_and_the_next_drain_runs() {
+    let engine = Engine::new(Dfs::for_tests(2));
+    let node_memory = engine.dfs().cluster().node.memory_bytes;
+    let job = |name: &str, per_slot: u64| {
+        let runner = FnMapRunner(move |ctx: &MapTaskContext<'_>| {
+            // Recorded as what every slot would duplicate, not charged: the
+            // task runs, and only the job's memory check can refuse it.
+            ctx.ledger.note_per_slot(per_slot);
+            ctx.emit(&[Datum::I64(1)], &[Datum::I64(2)]);
+            Ok(())
+        });
+        let input = VecInputFormat::new(vec![row![1i64], row![2i64]], 2);
+        JobSpec::new(name, Arc::new(input), Arc::new(runner))
+    };
+    let mut srv = JobServer::new(&engine, config(SchedPolicy::Fair, 4, 0));
+    assert!(srv.submit("etl", 0.0, job("fits", 0)).is_ok());
+    assert!(srv
+        .submit("etl", 1.0, job("oversized", node_memory + 1))
+        .is_ok());
+    let err = srv
+        .drain()
+        .err()
+        .expect("the oversized job cannot be placed");
+    assert!(err.is_oom(), "{err}");
+
+    assert!(srv.submit("etl", 2.0, job("fits", 0)).is_ok());
+    let served = srv.drain().unwrap();
+    assert_eq!(served.len(), 1);
+    let alone = engine.run_job(&job("fits", 0)).unwrap();
+    assert_eq!(served[0].result.rows, alone.rows);
+    assert_eq!(served[0].result.cost, alone.cost);
+    assert_eq!(served[0].lane.arrival_s, 2.0);
+    let span_s = served[0].lane.finish_s - served[0].lane.arrival_s;
+    assert!((span_s - alone.cost.total_s()).abs() <= 1e-9 * span_s);
 }

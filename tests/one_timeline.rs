@@ -293,10 +293,10 @@ fn a_ragged_job_drained_alone_is_its_solo_run() {
         let served = srv.drain().unwrap().remove(0);
         assert_eq!(served.result.rows, solo.rows);
         assert!(
-            close(served.finish_s, solo.cost.total_s()),
+            close(served.lane.finish_s, solo.cost.total_s()),
             "{}: served finish {} != solo total {}",
             policy.label(),
-            served.finish_s,
+            served.lane.finish_s,
             solo.cost.total_s()
         );
         let served_hist = obs.with_histories(|hs| hs.last().cloned().unwrap());
